@@ -51,30 +51,47 @@ def _single(value: float) -> Dict[str, Any]:
 
 
 def end_to_end(m: Any) -> Dict[str, Dict[str, Any]]:
-    """The end-to-end metrics of an untraced run, with their spread."""
-    run_total = sum(m.samples["run_s"])
+    """The end-to-end metrics of an untraced run, with their spread.
+
+    Times are scaled to the calibration host's speed (``HostSpeed``).
+    """
+    run_s = m.scaled("run_s")
+    return {
+        "setup_s": _sample_metric(m.scaled("setup_s")),
+        "run_s": _sample_metric(run_s),
+        "evals_per_s": _single(m.evaluations / sum(run_s)),
+        "peak_rss_mb": _single(m.peak_rss_mb),
+        "job_p50_s": _sample_metric(m.scaled("job_s")),
+    }
+
+
+def unscaled(m: Any) -> Dict[str, Dict[str, Any]]:
+    """The raw wall times behind the scaled ones, and the factors used."""
+    factors = [factor for values in m.factors.values() for factor in values]
     return {
         "setup_s": _sample_metric(m.samples["setup_s"]),
         "run_s": _sample_metric(m.samples["run_s"]),
-        "evals_per_s": _single(m.evaluations / run_total),
-        "peak_rss_mb": _single(m.peak_rss_mb),
         "job_p50_s": _sample_metric(m.samples["job_s"]),
+        "host_speed_factor": _sample_metric(factors),
     }
 
 
 def per_layer(m: Any, trace_dir: Path, names: List[str]) -> tuple:
     """Per-layer metrics of a traced run, plus the merged span table.
 
-    A layer value the workload never produced (a layer it does not reach)
+    Calls, self times and the pool wait are totals over the traced units
+    divided by their number, so they do not grow with the pass count.  A
+    layer value the workload never produced (a layer it does not reach)
     reads 0; a value whose name ``BENCHMARK.json`` does not list is an error.
     """
     from tracing import SPAN_NAMES, merge_traces
 
-    table, counts, processes = merge_traces(str(trace_dir))
+    table, counts, pids = merge_traces(str(trace_dir))
+    units = m.traced_units
     metrics: Dict[str, float] = {}
     for name in SPAN_NAMES:
-        metrics[f"{name}.calls"] = table[name]["calls"]
-        metrics[f"{name}.s"] = table[name]["self_s"]
+        metrics[f"{name}.calls"] = table[name]["calls"] / units
+        metrics[f"{name}.s"] = table[name]["self_s"] / units
 
     def ratio(numerator: float, denominator: float) -> float:
         return numerator / denominator if denominator else 0.0
@@ -91,7 +108,7 @@ def per_layer(m: Any, trace_dir: Path, names: List[str]) -> tuple:
         "core.lookahead.combos_per_step":
             ratio(counts.get("combos", 0), counts.get("lookahead_steps", 0)),
         "api.batch.pool_wait_s":
-            table.get("api.batch.pool_wait", {}).get("total_s", 0.0),
+            table.get("api.batch.pool_wait", {}).get("total_s", 0.0) / units,
     })
     metrics.update(m.layer)
     untraced = statistics.median(m.samples["run_s"])
@@ -100,7 +117,8 @@ def per_layer(m: Any, trace_dir: Path, names: List[str]) -> tuple:
         "trace.run_s_untraced": untraced,
         "trace.run_s_traced": traced,
         "trace.overhead_s": traced - untraced,
-        "trace.processes": processes,
+        "trace.child_processes_per_unit":
+            len(pids - {os.getpid()}) / units,
     })
     unknown = sorted(set(metrics) - set(names))
     if unknown:
@@ -207,6 +225,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     if table is not None:
         record["layers"] = table
+    else:
+        record["unscaled"] = unscaled(m)
     records = WORK / "records"
     records.mkdir(parents=True, exist_ok=True)
     path = records / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"

@@ -9,7 +9,8 @@ method from the outside and restores it afterwards.
 * :class:`TileCounters` reads the ``tile_*`` counters off every
   :class:`~repro.graph.distance_store.TiledStore` the workload creates.
   It runs with tracing off as well, because the tiled workload's premise
-  (``tile_evictions > 0``) needs it.
+  (``tile_evictions > 0``) needs it; the workload reports the counts of its
+  traced units only.
 * :class:`Tracer` records one span per call (id, name, start, end,
   parent) plus a few counts, in memory, in every process of the workload:
   the benchmark itself, fork-inherited pool workers and the ``serve``
@@ -31,7 +32,7 @@ import time
 import weakref
 from collections import defaultdict
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 #: Functions traced per layer: (layer, module, function name).
 TRACED_FUNCTIONS: Tuple[Tuple[str, str, str], ...] = (
@@ -315,19 +316,19 @@ class Tracer:
 
 
 def merge_traces(trace_dir: str) -> Tuple[Dict[str, Dict[str, float]],
-                                          Dict[str, float], int]:
+                                          Dict[str, float], Set[int]]:
     """Fold every span file under ``trace_dir``.
 
     Returns ``(per-span {"calls", "total_s", "self_s"}, summed counts,
-    number of processes)``.  A span's self time is its duration minus the
-    time its direct child spans (same process) cover.
+    ids of the processes that wrote spans)``.  A span's self time is its
+    duration minus the time its direct child spans (same process) cover.
     """
     table: Dict[str, Dict[str, float]] = {
         name: {"calls": 0, "total_s": 0.0, "self_s": 0.0} for name in SPAN_NAMES}
     counts: Dict[str, float] = defaultdict(float)
-    pids = set()
+    pids: Set[int] = set()
     if not os.path.isdir(trace_dir):
-        return table, dict(counts), 0
+        return table, dict(counts), pids
     for entry in sorted(os.listdir(trace_dir)):
         with open(os.path.join(trace_dir, entry), encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -345,4 +346,4 @@ def merge_traces(trace_dir: str) -> Tuple[Dict[str, Dict[str, float]],
             row["calls"] += 1
             row["total_s"] += end - start
             row["self_s"] += end - start - child_time.get(span_id, 0.0)
-    return table, dict(counts), len(pids)
+    return table, dict(counts), pids

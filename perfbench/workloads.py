@@ -2,10 +2,12 @@
 
 Every workload runs a fixed set of pinned units, so any seed measures the
 same work and every unit has a pinned reference.  The seed sets the order
-of the units (and, for ``service-loop``, which jobs are replayed); a run
-repeats whole passes over the units until the next pass would overrun
-``--seconds``.  With tracing on, each unit (or service session) runs twice,
-untraced then traced, so the run also yields the tracing overhead.
+of the units in each pass.  A run makes a fixed number of whole passes:
+as many as fill ``--seconds`` on the host the benchmark was calibrated on
+(``PASS_SECONDS``), whatever the speed of the code under test, so every
+run of a workload takes the same samples.  With tracing on, each unit (or
+service session) runs twice, untraced then traced, so the run also yields
+the tracing overhead; such a run makes half as many passes.
 
 A workload returns a :class:`Measurement`: raw samples of the end-to-end
 metrics, the premise checks, and the per-layer values the workload itself
@@ -14,7 +16,6 @@ observes (service client latencies, grid work counters, tile counters).
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import resource
 import select
@@ -41,6 +42,19 @@ WORK = ROOT / ".perfbench"
 #: few ms; polling every 10 ms made jobs up to 1.35x slower.
 POLL_SECONDS = 0.05
 
+#: Seconds one untraced pass takes on the 2-core host the benchmark was
+#: calibrated on.  They fix the pass count for a given ``--seconds``.
+PASS_SECONDS = {
+    "lookahead-l1": 7.5,
+    "tiled-5k": 5.0,
+    "grid-shm": 5.0,
+    "service-loop": 12.5,
+}
+
+#: Seconds :meth:`HostSpeed.kernel_seconds` takes on that host when no
+#: other tenant slows it.
+KERNEL_REFERENCE_S = 0.030
+
 
 @dataclass
 class Measurement:
@@ -56,6 +70,17 @@ class Measurement:
     premises: List[Tuple[str, bool]] = field(default_factory=list)
     #: Per-layer values measured by the workload itself (name -> value).
     layer: Dict[str, float] = field(default_factory=dict)
+    #: Host-speed factor of each sample in ``samples`` (same index); a
+    #: traced sample has none.
+    factors: Dict[str, List[float]] = field(
+        default_factory=lambda: defaultdict(list))
+    #: Units run traced; per-layer totals are reported per traced unit.
+    traced_units: int = 0
+
+    def scaled(self, name: str) -> List[float]:
+        """The ``name`` samples times their host-speed factors."""
+        return [value * factor for value, factor
+                in zip(self.samples[name], self.factors[name])]
 
     def premise(self, name: str, holds: bool) -> None:
         """Record a premise; a failed one marks the run incorrect."""
@@ -67,12 +92,11 @@ class FirstEvaluation:
 
     The first evaluation happens once the sample is loaded, the distance
     plane is built and the initial counts exist, i.e. when the first greedy
-    step can start.  ``stop=True`` ends the run right there (a set-up probe).
+    step can start.
     """
 
-    def __init__(self, stop: bool = False) -> None:
+    def __init__(self) -> None:
         self.at: Optional[float] = None
-        self._stop = stop
 
     def on_evaluation(self, evaluations: int) -> None:
         if self.at is None:
@@ -82,45 +106,73 @@ class FirstEvaluation:
         pass
 
     def should_stop(self) -> bool:
-        return self._stop and self.at is not None
+        return False
+
+
+class HostSpeed:
+    """Measures how fast the host runs right now, to scale unit times.
+
+    The 2-core host the benchmark was calibrated on is shared with other
+    tenants. Its speed on a fixed pure-Python loop moved by up to ±25%
+    over 20-60 s, and ten runs in a row of one workload once slowed by
+    1.45x halfway through, which put their spread far outside any bound.
+    So a fixed kernel (a pure-Python loop and a NumPy sort, no ``repro``
+    code, so no change to the program can move it) is timed in the
+    benchmark process right before and right after every untraced unit,
+    and the unit's times are multiplied by ``KERNEL_REFERENCE_S`` over the
+    mean of the two kernel times.
+    """
+
+    def __init__(self) -> None:
+        import numpy
+
+        # Small, so that it barely moves the workload's peak RSS.
+        self._values = numpy.random.default_rng(0).random(1 << 16)
+
+    def kernel_seconds(self) -> float:
+        import numpy
+
+        start = time.perf_counter()
+        total = 0
+        for i in range(500_000):
+            total += i * i
+        for _ in range(6):
+            numpy.sort(self._values)
+        return time.perf_counter() - start
 
 
 def _peak_rss_mb(*who: int) -> float:
     return max(resource.getrusage(w).ru_maxrss for w in who) / 1024.0
 
 
-def _passes(units: Sequence[Any], seconds: float, rng: random.Random,
-            run_unit: Callable[[Any, bool], None],
-            tracer: Optional[Tracer]) -> None:
-    """Whole passes over ``units``; with a tracer, each unit also runs traced."""
+def _run_passes(workload: str, units: Sequence[Any], seconds: float,
+                rng: random.Random, run_unit: Callable[[Any, bool], None],
+                tracer: Optional[Tracer], m: Measurement) -> None:
+    """Whole passes over ``units``; with a tracer, each unit also runs traced.
+
+    Every sample an untraced unit adds gets the unit's host-speed factor.
+    """
+    host = HostSpeed()
+    per_pass = PASS_SECONDS[workload] * (2 if tracer is not None else 1)
     order = list(units)
-    start = time.perf_counter()
-    while True:
+    for _ in range(max(1, round(seconds / per_pass))):
         rng.shuffle(order)
-        pass_start = time.perf_counter()
         for unit in order:
+            counts = {name: len(values) for name, values in m.samples.items()}
+            before = host.kernel_seconds()
             run_unit(unit, False)
-            if tracer is not None:
-                tracer.install()
-                try:
-                    run_unit(unit, True)
-                finally:
-                    tracer.uninstall()
-                    tracer.flush()
-        now = time.perf_counter()
-        if now - start + (now - pass_start) > seconds:
-            return
-
-
-def _probe_setup(request: Any, count: int, m: Measurement) -> None:
-    """``count`` set-ups of ``request``, each stopped at its first evaluation."""
-    from repro.api import anonymize
-
-    for _ in range(count):
-        observer = FirstEvaluation(stop=True)
-        start = time.perf_counter()
-        anonymize(request, observer=observer)
-        m.samples["setup_s"].append(observer.at - start)
+            factor = 2 * KERNEL_REFERENCE_S / (before + host.kernel_seconds())
+            for name, values in m.samples.items():
+                m.factors[name] += [factor] * (len(values) - counts.get(name, 0))
+            if tracer is None:
+                continue
+            tracer.install()
+            try:
+                run_unit(unit, True)
+            finally:
+                tracer.uninstall()
+                tracer.flush()
+            m.traced_units += 1
 
 
 def _run_request(unit_id: str, request: Any, traced: bool, m: Measurement,
@@ -151,7 +203,8 @@ def _run_request(unit_id: str, request: Any, traced: bool, m: Measurement,
 # ----------------------------------------------------------------------
 # lookahead-l1
 # ----------------------------------------------------------------------
-LOOKAHEAD_SEEDS = (0, 2)
+LOOKAHEAD_SEEDS = (0, 1, 2)
+LOOKAHEAD_STEPS = 8
 
 
 def lookahead_request(sample_seed: int) -> Any:
@@ -159,24 +212,28 @@ def lookahead_request(sample_seed: int) -> Any:
 
     return AnonymizationRequest(dataset="wikipedia", sample_size=25,
                                 seed=sample_seed, algorithm="rem", theta=0.5,
-                                length_threshold=1, lookahead=2)
+                                length_threshold=1, lookahead=2,
+                                max_steps=LOOKAHEAD_STEPS)
 
 
 def lookahead_unit_id(sample_seed: int) -> str:
-    return f"wikipedia-25-seed{sample_seed}-L1-la2"
+    return f"wikipedia-25-seed{sample_seed}-L1-la2-steps{LOOKAHEAD_STEPS}"
 
 
 def run_lookahead(seed: int, seconds: float, tracer: Optional[Tracer],
                   oracle: Oracle) -> Measurement:
     m = Measurement()
-    for sample_seed in LOOKAHEAD_SEEDS:
-        _probe_setup(lookahead_request(sample_seed), 10, m)
 
     def run_unit(sample_seed: int, traced: bool) -> None:
-        _run_request(lookahead_unit_id(sample_seed),
-                     lookahead_request(sample_seed), traced, m, oracle)
+        response = _run_request(lookahead_unit_id(sample_seed),
+                                lookahead_request(sample_seed), traced, m,
+                                oracle)
+        if response is not None:
+            m.premise(f"seed {sample_seed}: exactly {LOOKAHEAD_STEPS} steps",
+                      response.num_steps == LOOKAHEAD_STEPS)
 
-    _passes(LOOKAHEAD_SEEDS, seconds, random.Random(seed), run_unit, tracer)
+    _run_passes("lookahead-l1", LOOKAHEAD_SEEDS, seconds, random.Random(seed),
+                run_unit, tracer, m)
     m.peak_rss_mb = _peak_rss_mb(resource.RUSAGE_SELF)
     return m
 
@@ -188,7 +245,7 @@ TILED_SEEDS = (0, 1)
 TILED_SIZE = 5000
 TILED_LENGTH = 2
 TILED_BUDGET = 2 << 20
-TILED_STEPS = 16
+TILED_STEPS = 4
 
 
 def tiled_request(sample_seed: int) -> Any:
@@ -216,28 +273,32 @@ def run_tiled(seed: int, seconds: float, tracer: Optional[Tracer],
     dense = dense_matrix_bytes(TILED_SIZE, distance_dtype(TILED_LENGTH))
     m.premise(f"dense matrix {dense >> 20} MiB >= 10x the "
               f"{TILED_BUDGET >> 20} MiB budget", dense >= 10 * TILED_BUDGET)
+    traced_tiles: Dict[str, float] = dict.fromkeys(
+        (f"graph.distance_store.{name}" for name in TileCounters.FIELDS), 0)
     counters = TileCounters().install()
     try:
-        for sample_seed in TILED_SEEDS:
-            _probe_setup(tiled_request(sample_seed), 2, m)
-
         def run_unit(sample_seed: int, traced: bool) -> None:
-            before = counters.totals()["tile_evictions"]
+            before = counters.totals()
             response = _run_request(tiled_unit_id(sample_seed),
                                     tiled_request(sample_seed), traced, m,
                                     oracle)
-            evictions = counters.totals()["tile_evictions"] - before
+            after = counters.totals()
             if response is not None:
                 m.premise(f"seed {sample_seed}: exactly {TILED_STEPS} steps",
                           response.num_steps == TILED_STEPS)
             m.premise(f"seed {sample_seed}: tile_evictions > 0",
-                      evictions > 0)
+                      after["tile_evictions"] > before["tile_evictions"])
+            if traced:
+                for name in TileCounters.FIELDS:
+                    traced_tiles[f"graph.distance_store.{name}"] += (
+                        after[name] - before[name])
 
-        _passes(TILED_SEEDS, seconds, random.Random(seed), run_unit, tracer)
-        m.layer.update({f"graph.distance_store.{name}": value
-                        for name, value in counters.totals().items()})
+        _run_passes("tiled-5k", TILED_SEEDS, seconds, random.Random(seed),
+                    run_unit, tracer, m)
     finally:
         counters.uninstall()
+    for name, total in traced_tiles.items():
+        m.layer[name] = total / m.traced_units if m.traced_units else 0.0
     m.peak_rss_mb = _peak_rss_mb(resource.RUSAGE_SELF)
     return m
 
@@ -245,25 +306,29 @@ def run_tiled(seed: int, seconds: float, tracer: Optional[Tracer],
 # ----------------------------------------------------------------------
 # grid-shm
 # ----------------------------------------------------------------------
+GRID_SEEDS = (0, 1)
+GRID_SIZE = 100
+GRID_CAP = 80
 GRID_ALGORITHMS = ("rem", "rem-ins")
 GRID_LENGTHS = (1, 2)
 GRID_THETAS = (0.9, 0.7, 0.5)
 GRID_WORKERS = 2
-GRID_SETUP_PROBES = 8
 
 
-def grid_request(thetas: Sequence[float] = GRID_THETAS) -> Any:
+def grid_request(sample_seed: int) -> Any:
     from repro.api import AnonymizationRequest, GridRequest
 
-    base = AnonymizationRequest(dataset="enron", sample_size=200, seed=0,
-                                insertion_candidate_cap=300)
+    base = AnonymizationRequest(dataset="enron", sample_size=GRID_SIZE,
+                                seed=sample_seed,
+                                insertion_candidate_cap=GRID_CAP)
     return GridRequest.from_axes(base, algorithms=GRID_ALGORITHMS,
                                  length_thresholds=GRID_LENGTHS,
-                                 thetas=thetas)
+                                 thetas=GRID_THETAS)
 
 
 def grid_unit_id(request: Any) -> str:
-    return (f"enron-200-seed0-{request.algorithm}-L{request.length_threshold}"
+    return (f"enron-{GRID_SIZE}-seed{request.seed}-cap{GRID_CAP}"
+            f"-{request.algorithm}-L{request.length_threshold}"
             f"-theta{request.theta}")
 
 
@@ -273,10 +338,6 @@ def run_grid_shm(seed: int, seconds: float, tracer: Optional[Tracer],
     from repro.api.shm import SharedSampleArena
 
     m = Measurement()
-    rng = random.Random(seed)
-    # Two grids per pass, each listing the θ axis in its own seeded order.
-    grids = [grid_request(rng.sample(GRID_THETAS, len(GRID_THETAS)))
-             for _ in range(2)]
     published: List[float] = []
 
     def stamp_publish(original):
@@ -286,35 +347,21 @@ def run_grid_shm(seed: int, seconds: float, tracer: Optional[Tracer],
             return arena
         return publish
 
-    patches = Patches()
-    patches.method(SharedSampleArena, "publish", stamp_publish)
-
-    # Set-up probes: the same grid, but every θ-group stops at its first
-    # stop check, so only the parent's set-up and the pool start remain.
-    probe = grid_request(GRID_THETAS)
-    probe = dataclasses.replace(probe, requests=tuple(
-        dataclasses.replace(request, timeout_seconds=1e-9)
-        for request in probe.requests))
-    for _ in range(GRID_SETUP_PROBES):
-        published.clear()
-        start = time.perf_counter()
-        run_grid(probe, max_workers=GRID_WORKERS)
-        m.premise("the pooled grid published an arena", bool(published))
-        if published:
-            m.samples["setup_s"].append(published[0] - start)
-
-    def run_unit(grid: Any, traced: bool) -> None:
+    def run_unit(sample_seed: int, traced: bool) -> None:
+        grid = grid_request(sample_seed)
         published.clear()
         cpu_before = _children_cpu()
         start = time.perf_counter()
         try:
             response = run_grid(grid, max_workers=GRID_WORKERS)
         except Exception as exc:  # noqa: BLE001 — counted, never timed
-            oracle.fail("grid", f"raised {type(exc).__name__}: {exc}")
+            oracle.fail(f"grid seed {sample_seed}",
+                        f"raised {type(exc).__name__}: {exc}")
             return
         end = time.perf_counter()
         ok = [oracle.check(grid_unit_id(item.request), [item])
               for item in response.responses]
+        m.premise("the pooled grid published an arena", bool(published))
         m.premise("num_sample_loads == 1", response.num_sample_loads == 1)
         m.premise("num_distance_computes == 1",
                   response.num_distance_computes == 1)
@@ -339,8 +386,11 @@ def run_grid_shm(seed: int, seconds: float, tracer: Optional[Tracer],
             m.samples["job_s"].append(end - start)
             m.evaluations += sum(item.evaluations for item in response.responses)
 
+    patches = Patches()
+    patches.method(SharedSampleArena, "publish", stamp_publish)
     try:
-        _passes(grids, seconds, rng, run_unit, tracer)
+        _run_passes("grid-shm", GRID_SEEDS, seconds, random.Random(seed),
+                    run_unit, tracer, m)
     finally:
         patches.undo()
     m.peak_rss_mb = _peak_rss_mb(resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
@@ -357,8 +407,7 @@ def _children_cpu() -> float:
 # ----------------------------------------------------------------------
 SERVICE_SEEDS = tuple(range(10))
 SERVICE_THETAS = (0.9, 0.7, 0.5, 0.3)
-SERVICE_REPLAYS = 100
-SERVICE_SETUP_PROBES = 4
+SERVICE_REPLAYS = 10
 
 
 def service_job(sample_seed: int) -> Any:
@@ -430,11 +479,6 @@ class ServeProcess:
         shutil.rmtree(self.db_dir, ignore_errors=True)
 
 
-def _median(values: List[float]) -> float:
-    """Median, or 0 when every unit failed (the run is incorrect then)."""
-    return statistics.median(values) if values else 0.0
-
-
 def _timed(latencies: List[float], call: Callable[..., Any], *args: Any) -> Any:
     start = time.perf_counter()
     try:
@@ -443,104 +487,124 @@ def _timed(latencies: List[float], call: Callable[..., Any], *args: Any) -> Any:
         latencies.append(time.perf_counter() - start)
 
 
-def _service_session(order: Sequence[int], replays: Sequence[int],
-                     trace_dir: Optional[Path], traced: bool, m: Measurement,
+@dataclass
+class ServiceStats:
+    """Client-side figures of the untraced sessions of one run."""
+
+    latency: Dict[str, List[float]] = field(
+        default_factory=lambda: defaultdict(list))
+    queue_wait: List[float] = field(default_factory=list)
+    dedup: List[float] = field(default_factory=list)
+    polls: int = 0
+    jobs: int = 0
+
+    def report(self, m: Measurement) -> None:
+        """Medians (ms for HTTP latencies) as per-layer values of ``m``."""
+
+        def median(values: List[float]) -> float:
+            return statistics.median(values) if values else 0.0
+
+        m.layer.update({
+            "service.jobs.queue_wait_s": median(self.queue_wait),
+            "service.http.status_polls_per_job":
+                self.polls / self.jobs if self.jobs else 0.0,
+            "service.http.submit_p50_ms": 1e3 * median(self.latency["submit"]),
+            "service.http.status_p50_ms": 1e3 * median(self.latency["status"]),
+            "service.http.result_p50_ms": 1e3 * median(self.latency["result"]),
+            "service.http.dedup_p50_ms": 1e3 * median(self.dedup),
+        })
+
+
+def _service_session(sample_seed: int, trace_dir: Optional[Path],
+                     m: Measurement, stats: ServiceStats,
                      oracle: Oracle) -> None:
-    """One serve lifetime: fresh jobs in ``order``, then the replays."""
+    """One serve lifetime: one fresh job, then ``SERVICE_REPLAYS`` replays.
+
+    With a ``trace_dir`` the serve child is traced, and the session adds
+    only ``traced_run_s`` to ``m``.
+    """
     from repro.service.client import ServiceError
 
-    serve = ServeProcess(WORK / "service", trace_dir if traced else None)
+    unit = service_unit_id(sample_seed)
+    serve = ServeProcess(WORK / "service", trace_dir)
     try:
         client = serve.client
-        latency: Dict[str, List[float]] = defaultdict(list)
-        job_ids: Dict[int, str] = {}
-        job_s: List[float] = []
-        queue_wait: List[float] = []
-        dedup_s: List[float] = []
-        polls = 0
+        job_s = None
         evaluations = 0
-        for sample_seed in order:
-            unit = service_unit_id(sample_seed)
-            try:
-                start = time.perf_counter()
-                submitted = _timed(latency["submit"], client.submit,
-                                   service_job(sample_seed))
-                m.premise(f"{unit}: first submission not deduped",
-                          submitted["deduped"] is False)
-                job_id = job_ids[sample_seed] = submitted["job_id"]
-                while True:
-                    status = _timed(latency["status"], client.status, job_id)
-                    if status["status"] in ("done", "error", "cancelled"):
-                        break
-                    polls += 1
-                    time.sleep(POLL_SECONDS)
-                result = _timed(latency["result"], client.result, job_id)
-                end = time.perf_counter()
-            except ServiceError as exc:
-                oracle.fail(unit, f"error response: {exc}")
-                continue
+        try:
+            start = time.perf_counter()
+            submitted = _timed(stats.latency["submit"], client.submit,
+                               service_job(sample_seed))
+            m.premise(f"{unit}: first submission not deduped",
+                      submitted["deduped"] is False)
+            job_id = submitted["job_id"]
+            polls = 0
+            while True:
+                status = _timed(stats.latency["status"], client.status, job_id)
+                if status["status"] in ("done", "error", "cancelled"):
+                    break
+                polls += 1
+                time.sleep(POLL_SECONDS)
+            result = _timed(stats.latency["result"], client.result, job_id)
+            end = time.perf_counter()
+        except ServiceError as exc:
+            oracle.fail(unit, f"error response: {exc}")
+        else:
             m.premise(f"{unit}: 8 checkpoints recorded",
                       status["num_checkpoints"] == 8)
             if oracle.check(unit, result.responses):
-                job_s.append(end - start)
-                queue_wait.append(status["started_at"] - status["created_at"])
-                evaluations += sum(item.evaluations for item in result.responses)
-        for sample_seed in replays:
-            unit = service_unit_id(sample_seed)
-            try:
-                start = time.perf_counter()
-                submitted = _timed(latency["submit"], client.submit,
-                                   service_job(sample_seed))
-                m.premise(f"{unit}: replay deduped",
-                          submitted["deduped"] is True
-                          and submitted["job_id"] == job_ids.get(sample_seed))
-                result = _timed(latency["result"], client.result,
-                                submitted["job_id"])
-                end = time.perf_counter()
-            except ServiceError as exc:
-                oracle.fail(unit, f"error response: {exc}")
-                continue
-            if oracle.check(unit, result.responses):
-                dedup_s.append(end - start)
+                job_s = end - start
+                stats.polls += polls
+                stats.jobs += 1
+                stats.queue_wait.append(status["started_at"]
+                                        - status["created_at"])
+                evaluations = sum(item.evaluations for item in result.responses)
+            for _ in range(SERVICE_REPLAYS):
+                try:
+                    start = time.perf_counter()
+                    replay = _timed(stats.latency["submit"], client.submit,
+                                    service_job(sample_seed))
+                    m.premise(f"{unit}: replay deduped",
+                              replay["deduped"] is True
+                              and replay["job_id"] == job_id)
+                    result = _timed(stats.latency["result"], client.result,
+                                    replay["job_id"])
+                    end = time.perf_counter()
+                except ServiceError as exc:
+                    oracle.fail(unit, f"error response: {exc}")
+                    continue
+                if oracle.check(unit, result.responses):
+                    stats.dedup.append(end - start)
         run_s = time.perf_counter() - serve.ready
     finally:
         serve.stop()
-    if traced:
+    if trace_dir is not None:
         m.samples["traced_run_s"].append(run_s)
-        m.layer.update({
-            "service.jobs.queue_wait_s": _median(queue_wait),
-            "service.http.status_polls_per_job": polls / len(order),
-            "service.http.submit_p50_ms": 1e3 * _median(latency["submit"]),
-            "service.http.status_p50_ms": 1e3 * _median(latency["status"]),
-            "service.http.result_p50_ms": 1e3 * _median(latency["result"]),
-            "service.http.dedup_p50_ms": 1e3 * _median(dedup_s),
-        })
-    else:
-        m.samples["setup_s"].append(serve.ready - serve.started)
-        m.samples["run_s"].append(run_s)
-        m.samples["job_s"].extend(job_s)
-        m.evaluations += evaluations
+        return
+    m.samples["setup_s"].append(serve.ready - serve.started)
+    m.samples["run_s"].append(run_s)
+    if job_s is not None:
+        m.samples["job_s"].append(job_s)
+    m.evaluations += evaluations
 
 
 def run_service(seed: int, seconds: float, tracer: Optional[Tracer],
                 oracle: Oracle) -> Measurement:
     m = Measurement()
-    rng = random.Random(seed)
-    for _ in range(SERVICE_SETUP_PROBES):
-        serve = ServeProcess(WORK / "service", None)
-        serve.stop()
-        m.samples["setup_s"].append(serve.ready - serve.started)
+    stats = ServiceStats()
     trace_dir = Path(tracer.out_dir) if tracer is not None else None
-    traffic: List[Any] = []
 
-    def run_session(_unit: None, traced: bool) -> None:
-        if not traced:  # a traced session replays the untraced one's traffic
-            traffic[:] = [rng.sample(SERVICE_SEEDS, len(SERVICE_SEEDS)),
-                          [rng.choice(SERVICE_SEEDS)
-                           for _ in range(SERVICE_REPLAYS)]]
-        _service_session(*traffic, trace_dir, traced, m, oracle)
+    def run_session(sample_seed: int, traced: bool) -> None:
+        # A traced session's figures go to a throwaway ServiceStats: the
+        # serve child's wrappers slow every request down.
+        if traced:
+            _service_session(sample_seed, trace_dir, m, ServiceStats(), oracle)
+        else:
+            _service_session(sample_seed, None, m, stats, oracle)
 
-    _passes([None], seconds, rng, run_session, tracer)
+    _run_passes("service-loop", SERVICE_SEEDS, seconds, random.Random(seed),
+                run_session, tracer, m)
+    stats.report(m)
     m.peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
     return m
 
@@ -570,8 +634,9 @@ def capture_references() -> Dict[str, List[Dict[str, Any]]]:
     for sample_seed in TILED_SEEDS:
         references[tiled_unit_id(sample_seed)] = [
             summarize(anonymize(tiled_request(sample_seed)))]
-    for item in run_grid(grid_request(), max_workers=0).responses:
-        references[grid_unit_id(item.request)] = [summarize(item)]
+    for sample_seed in GRID_SEEDS:
+        for item in run_grid(grid_request(sample_seed), max_workers=0).responses:
+            references[grid_unit_id(item.request)] = [summarize(item)]
     for sample_seed in SERVICE_SEEDS:
         references[service_unit_id(sample_seed)] = [
             summarize(item) for item
