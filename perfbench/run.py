@@ -45,6 +45,13 @@ def _sample_metric(values: List[float]) -> Dict[str, Any]:
             "median": statistics.median(values), **_quartiles(values)}
 
 
+def _unit_metric(m: Any, name: str) -> Dict[str, Any]:
+    """Mean over units of each unit's median, with the spread of all samples."""
+    medians = m.unit_medians(name)
+    return {**_sample_metric(m.scaled(name)),
+            "value": statistics.fmean(medians.values())}
+
+
 def _single(value: float) -> Dict[str, Any]:
     return {"value": value, "samples": 1, "median": value, "q1": value,
             "q3": value}
@@ -53,15 +60,20 @@ def _single(value: float) -> Dict[str, Any]:
 def end_to_end(m: Any) -> Dict[str, Dict[str, Any]]:
     """The end-to-end metrics of an untraced run, with their spread.
 
-    Times are scaled to the calibration host's speed (``HostSpeed``).
+    Times are scaled to the calibration host's speed (``HostSpeed``).  A
+    time's value is the mean over the workload's units of each unit's
+    median; ``evals_per_s`` is the units' (pinned) evaluations over the
+    sum of their median ``run_s``.
     """
-    run_s = m.scaled("run_s")
+    run_s = m.unit_medians("run_s")
+    evaluations = m.unit_medians("evaluations", scaled=False)
     return {
-        "setup_s": _sample_metric(m.scaled("setup_s")),
-        "run_s": _sample_metric(run_s),
-        "evals_per_s": _single(m.evaluations / sum(run_s)),
+        "setup_s": _unit_metric(m, "setup_s"),
+        "run_s": _unit_metric(m, "run_s"),
+        "evals_per_s": _single(sum(evaluations.values())
+                               / sum(run_s[unit] for unit in evaluations)),
         "peak_rss_mb": _single(m.peak_rss_mb),
-        "job_p50_s": _sample_metric(m.scaled("job_s")),
+        "job_p50_s": _unit_metric(m, "job_s"),
     }
 
 
@@ -242,5 +254,54 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if correct else 1
 
 
+def _child_pids() -> List[int]:
+    """Processes whose parent is this one (read from ``/proc``)."""
+    me = os.getpid()
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # The command name in parentheses may hold spaces; the parent pid
+        # is the second field after it.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            pids.append(int(entry.name))
+    return pids
+
+
+def stop_children() -> None:
+    """Stop every process this one still has running, and wait for each.
+
+    Shared memory (the grid-shm workload) starts ``multiprocessing``'s
+    resource tracker, which outlives the pools that used it and would
+    otherwise end only after the benchmark has exited; a forkserver, if one
+    was started, behaves the same.  Both are stopped their own way (the
+    tracker then removes any segment still registered).  Any other child
+    left over is sent SIGTERM.  Every one is waited for.
+    """
+    import multiprocessing.forkserver
+    import multiprocessing.resource_tracker
+    import signal
+
+    for helper in (multiprocessing.resource_tracker._resource_tracker,
+                   multiprocessing.forkserver._forkserver):
+        stop = getattr(helper, "_stop", None)
+        if stop is not None:
+            stop()
+    for pid in _child_pids():
+        try:
+            os.kill(pid, signal.SIGTERM)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+    finally:
+        stop_children()
+    sys.exit(code)

@@ -45,7 +45,7 @@ POLL_SECONDS = 0.05
 #: Seconds one untraced pass takes on the 2-core host the benchmark was
 #: calibrated on.  They fix the pass count for a given ``--seconds``.
 PASS_SECONDS = {
-    "lookahead-l1": 7.5,
+    "lookahead-l1": 6.0,
     "tiled-5k": 5.0,
     "grid-shm": 5.0,
     "service-loop": 12.5,
@@ -60,12 +60,11 @@ KERNEL_REFERENCE_S = 0.030
 class Measurement:
     """What one workload run observed."""
 
-    #: ``setup_s`` / ``run_s`` / ``job_s`` samples; traced runs add
+    #: ``setup_s`` / ``run_s`` / ``job_s`` samples and the candidate
+    #: ``evaluations`` of each checked unit; traced runs add
     #: ``traced_run_s``.
     samples: Dict[str, List[float]] = field(
         default_factory=lambda: defaultdict(list))
-    #: Candidate evaluations made during the untraced ``run_s`` samples.
-    evaluations: int = 0
     peak_rss_mb: float = 0.0
     premises: List[Tuple[str, bool]] = field(default_factory=list)
     #: Per-layer values measured by the workload itself (name -> value).
@@ -74,6 +73,9 @@ class Measurement:
     #: traced sample has none.
     factors: Dict[str, List[float]] = field(
         default_factory=lambda: defaultdict(list))
+    #: Unit of each sample that has a factor (same index).
+    units: Dict[str, List[Any]] = field(
+        default_factory=lambda: defaultdict(list))
     #: Units run traced; per-layer totals are reported per traced unit.
     traced_units: int = 0
 
@@ -81,6 +83,20 @@ class Measurement:
         """The ``name`` samples times their host-speed factors."""
         return [value * factor for value, factor
                 in zip(self.samples[name], self.factors[name])]
+
+    def unit_medians(self, name: str, scaled: bool = True) -> Dict[Any, float]:
+        """Unit -> median of its ``name`` samples (scaled, by default).
+
+        The units of a workload differ in size, so a median over all
+        samples lands on whichever unit happens to sit in the middle;
+        per-unit medians keep each unit's own noise apart.
+        """
+        values = self.scaled(name) if scaled else self.samples[name]
+        by_unit: Dict[Any, List[float]] = defaultdict(list)
+        for unit, value in zip(self.units[name], values):
+            by_unit[unit].append(value)
+        return {unit: statistics.median(group)
+                for unit, group in by_unit.items()}
 
     def premise(self, name: str, holds: bool) -> None:
         """Record a premise; a failed one marks the run incorrect."""
@@ -150,7 +166,8 @@ def _run_passes(workload: str, units: Sequence[Any], seconds: float,
                 tracer: Optional[Tracer], m: Measurement) -> None:
     """Whole passes over ``units``; with a tracer, each unit also runs traced.
 
-    Every sample an untraced unit adds gets the unit's host-speed factor.
+    Every sample an untraced unit adds gets the unit's host-speed factor
+    and is tagged with the unit.
     """
     host = HostSpeed()
     per_pass = PASS_SECONDS[workload] * (2 if tracer is not None else 1)
@@ -163,7 +180,9 @@ def _run_passes(workload: str, units: Sequence[Any], seconds: float,
             run_unit(unit, False)
             factor = 2 * KERNEL_REFERENCE_S / (before + host.kernel_seconds())
             for name, values in m.samples.items():
-                m.factors[name] += [factor] * (len(values) - counts.get(name, 0))
+                added = len(values) - counts.get(name, 0)
+                m.factors[name] += [factor] * added
+                m.units[name] += [unit] * added
             if tracer is None:
                 continue
             tracer.install()
@@ -196,7 +215,7 @@ def _run_request(unit_id: str, request: Any, traced: bool, m: Measurement,
         m.samples["setup_s"].append(observer.at - start)
         m.samples["run_s"].append(end - observer.at)
         m.samples["job_s"].append(end - start)
-        m.evaluations += response.evaluations
+        m.samples["evaluations"].append(response.evaluations)
     return response
 
 
@@ -384,7 +403,8 @@ def run_grid_shm(seed: int, seconds: float, tracer: Optional[Tracer],
             m.samples["setup_s"].append(published[0] - start)
             m.samples["run_s"].append(end - published[0])
             m.samples["job_s"].append(end - start)
-            m.evaluations += sum(item.evaluations for item in response.responses)
+            m.samples["evaluations"].append(
+                sum(item.evaluations for item in response.responses))
 
     patches = Patches()
     patches.method(SharedSampleArena, "publish", stamp_publish)
@@ -530,7 +550,7 @@ def _service_session(sample_seed: int, trace_dir: Optional[Path],
     try:
         client = serve.client
         job_s = None
-        evaluations = 0
+        evaluations = None
         try:
             start = time.perf_counter()
             submitted = _timed(stats.latency["submit"], client.submit,
@@ -585,7 +605,7 @@ def _service_session(sample_seed: int, trace_dir: Optional[Path],
     m.samples["run_s"].append(run_s)
     if job_s is not None:
         m.samples["job_s"].append(job_s)
-    m.evaluations += evaluations
+        m.samples["evaluations"].append(evaluations)
 
 
 def run_service(seed: int, seconds: float, tracer: Optional[Tracer],
