@@ -5,10 +5,15 @@ The CI benchmark jobs run every ``bench_*.py`` at smoke size with
 diff-friendly trajectory format committed at the repo root (ROADMAP:
 performance trajectory as a first-class artifact)::
 
-    {"pr": 6, "created": "...", "env": {...}, "benchmarks": [
-        {"name": "bench_grid_direct", "group": "...", "seconds": 0.0268},
+    {"pr": 6, "created": "...", "env": {..., "cpu_count": 2, "commit": "..."},
+     "benchmarks": [
+        {"name": "bench_grid_direct", "group": "...", "seconds": 0.0268,
+         "median": 0.0265, "min": 0.0261, "iqr": 0.0004, "rounds": 5},
         ...
     ]}
+
+``seconds`` is the mean; ``commit`` is ``null`` when the script does not
+run inside a git checkout.
 
 Usage::
 
@@ -22,9 +27,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import subprocess
 import sys
 import time
+from typing import Optional
 
 
 def _group_for(bench: dict) -> str:
@@ -46,16 +54,31 @@ def _group_for(bench: dict) -> str:
     return stem or "ungrouped"
 
 
-def condense(raw: dict, pr: int) -> dict:
+def git_commit(directory: str) -> Optional[str]:
+    """HEAD of the git checkout containing ``directory``, else ``None``."""
+    try:
+        completed = subprocess.run(["git", "rev-parse", "HEAD"], cwd=directory,
+                                   capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    commit = completed.stdout.strip()
+    return commit if completed.returncode == 0 and commit else None
+
+
+def condense(raw: dict, pr: int, commit: Optional[str] = None) -> dict:
     """Reduce a pytest-benchmark dump to the trajectory entry format."""
     machine = raw.get("machine_info", {})
     entries = []
     for bench in raw.get("benchmarks", []):
+        stats = bench["stats"]
         entries.append({
             "name": bench["name"],
             "group": _group_for(bench),
-            "seconds": round(bench["stats"]["mean"], 6),
-            "rounds": bench["stats"]["rounds"],
+            "seconds": round(stats["mean"], 6),
+            "median": round(stats["median"], 6),
+            "min": round(stats["min"], 6),
+            "iqr": round(stats["iqr"], 6),
+            "rounds": stats["rounds"],
         })
     entries.sort(key=lambda entry: (entry["group"], entry["name"]))
     return {
@@ -67,6 +90,8 @@ def condense(raw: dict, pr: int) -> dict:
             "machine": machine.get("machine", platform.machine()),
             "system": machine.get("system", platform.system()),
             "smoke": bool(raw.get("_smoke", False)),
+            "cpu_count": os.cpu_count(),
+            "commit": commit,
         },
         "benchmarks": entries,
     }
@@ -85,7 +110,8 @@ def main(argv=None) -> int:
     with open(args.dump, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     raw["_smoke"] = args.smoke
-    entry = condense(raw, args.pr)
+    entry = condense(raw, args.pr,
+                     commit=git_commit(os.path.dirname(os.path.abspath(__file__))))
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(entry, handle, indent=2, sort_keys=True)
         handle.write("\n")

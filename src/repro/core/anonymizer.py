@@ -727,42 +727,20 @@ class BaseAnonymizer(ABC):
     # ------------------------------------------------------------------
     # helpers shared by subclasses
     # ------------------------------------------------------------------
-    def _evaluate_removal(self, session: OpacitySession, edges: Sequence[Edge],
-                          result: AnonymizationResult) -> CandidateOutcome:
-        """Opacity after tentatively removing ``edges`` (no trace is left)."""
-        outcome = session.evaluate_edit(removals=edges)
-        self._record_evaluation(result)
-        return CandidateOutcome(edges=tuple(edges), fraction=outcome.fraction,
-                                types_at_max=outcome.types_at_max)
-
-    def _evaluate_insertion(self, session: OpacitySession, edges: Sequence[Edge],
-                            result: AnonymizationResult) -> CandidateOutcome:
-        """Opacity after tentatively inserting ``edges`` (no trace is left)."""
-        outcome = session.evaluate_edit(insertions=edges)
-        self._record_evaluation(result)
-        return CandidateOutcome(edges=tuple(edges), fraction=outcome.fraction,
-                                types_at_max=outcome.types_at_max)
-
-    def _batch_removal_evaluator(self, session: OpacitySession,
-                                 result: AnonymizationResult):
-        """Batch counterpart of :meth:`_evaluate_removal` for candidate scans.
+    def _combo_evaluator(self, session: OpacitySession,
+                         result: AnonymizationResult, kind: str):
+        """Batch evaluator of ``kind`` (``"remove"``/``"insert"``) combinations.
 
         Returns a callable mapping a list of edge combinations to an
-        iterator of :class:`CandidateOutcome`\\ s: outcomes are computed in
-        stacked :meth:`OpacitySession.evaluate_edits` chunks, then yielded
-        one at a time with the same per-candidate evaluation accounting
-        (and :class:`AnonymizationStopped` cadence) as the sequential scan
-        — chunking keeps a stop request from waiting on the whole batch.
+        iterator of :class:`CandidateOutcome`\\ s, each counted (and each
+        stop request honoured) as it is yielded.  ``scan_mode=
+        "per_candidate"`` evaluates one :meth:`OpacitySession.evaluate_edit`
+        per combination; the batched modes compute the outcomes in stacked
+        :meth:`OpacitySession.evaluate_edits` chunks
+        (:func:`iter_batched_evaluations`), so a stop request never waits
+        on more than one chunk.  Both yield identical outcomes in the same
+        order.
         """
-        return self._batch_evaluator(session, result, "remove")
-
-    def _batch_insertion_evaluator(self, session: OpacitySession,
-                                   result: AnonymizationResult):
-        """Batch counterpart of :meth:`_evaluate_insertion` (see above)."""
-        return self._batch_evaluator(session, result, "insert")
-
-    def _batch_evaluator(self, session: OpacitySession,
-                         result: AnonymizationResult, kind: str):
         if kind == "remove":
             def to_edit(combo):
                 return (tuple(combo), ())
@@ -770,9 +748,16 @@ class BaseAnonymizer(ABC):
             def to_edit(combo):
                 return ((), tuple(combo))
 
+        if self._config.scan_mode == "per_candidate":
+            def evaluations(combos):
+                return (session.evaluate_edit(*to_edit(combo))
+                        for combo in combos)
+        else:
+            def evaluations(combos):
+                return iter_batched_evaluations(session, combos, to_edit)
+
         def evaluate_batch(combos):
-            evaluations = iter_batched_evaluations(session, combos, to_edit)
-            for combo, evaluation in zip(combos, evaluations):
+            for combo, evaluation in zip(combos, evaluations(combos)):
                 self._record_evaluation(result)
                 yield CandidateOutcome(edges=tuple(combo),
                                        fraction=evaluation.fraction,

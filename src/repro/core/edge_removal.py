@@ -53,14 +53,11 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
             return None
         best = search_best_combination(
             candidates,
-            lambda combo: self._evaluate_removal(session, combo, result),
+            self._combo_evaluator(session, result, "remove"),
             current_fraction=current.max_fraction,
             lookahead=self._config.lookahead,
             rng=rng,
             max_combinations=self._config.max_combinations,
-            evaluate_batch=(self._batch_removal_evaluator(session, result)
-                            if self._config.scan_mode in ("batched", "parallel")
-                            else None),
         )
         if best is None:
             return None

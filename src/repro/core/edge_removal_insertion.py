@@ -73,14 +73,11 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
             return None
         best = search_best_combination(
             candidates,
-            lambda combo: self._evaluate_removal(session, combo, result),
+            self._combo_evaluator(session, result, "remove"),
             current_fraction=current.max_fraction,
             lookahead=self._config.lookahead,
             rng=rng,
             max_combinations=self._config.max_combinations,
-            evaluate_batch=(self._batch_removal_evaluator(session, result)
-                            if self._config.scan_mode in ("batched", "parallel")
-                            else None),
         )
         if best is None:
             return None
@@ -97,13 +94,9 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
         if not candidates:
             return None
         breaker = TieBreaker(rng)
-        if self._config.scan_mode in ("batched", "parallel"):
-            evaluate_batch = self._batch_insertion_evaluator(session, result)
-            for outcome in evaluate_batch([(edge,) for edge in candidates]):
-                breaker.offer(outcome)
-        else:
-            for edge in candidates:
-                breaker.offer(self._evaluate_insertion(session, (edge,), result))
+        evaluate_batch = self._combo_evaluator(session, result, "insert")
+        for outcome in evaluate_batch([(edge,) for edge in candidates]):
+            breaker.offer(outcome)
         best = breaker.best
         if best is None:
             return None

@@ -3,9 +3,12 @@
 The default greedy step considers single-edge moves.  With look-ahead
 ``la > 1``, whenever no single move strictly improves the current maximum
 opacity the search widens to combinations of two edges, then three, up to
-``la`` edges, evaluating each combination on the fly (the paper's recursive
-combination generator).  If no combination improves at any size, the best
-single-size candidate found is returned so the greedy loop still progresses.
+``la`` edges (the paper's recursive combination generator).  Every level
+hands its whole combination list to one batch evaluator, which streams the
+outcomes back in combination order; the batched scan modes compute them in
+stacked :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
+chunks.  If no combination improves at any size, the best single-size
+candidate found is returned so the greedy loop still progresses.
 """
 
 from __future__ import annotations
@@ -14,12 +17,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.anonymizer import CandidateOutcome, TieBreaker
 from repro.graph.graph import Edge
-
-EvaluateCombo = Callable[[Sequence[Edge]], CandidateOutcome]
 
 #: Batch evaluator: maps a list of combinations to their outcomes (an
 #: iterator, so evaluation accounting interleaves per candidate).
@@ -28,7 +29,7 @@ EvaluateComboBatch = Callable[[Sequence[Tuple[Edge, ...]]],
 
 
 def _combinations_capped(candidates: Sequence[Edge], size: int, cap: int,
-                         rng: random.Random) -> Iterable[Tuple[Edge, ...]]:
+                         rng: random.Random) -> List[Tuple[Edge, ...]]:
     """All combinations of ``size`` edges, or a uniform sample of ``cap`` of them.
 
     The exact number of combinations can explode for large candidate sets and
@@ -42,7 +43,7 @@ def _combinations_capped(candidates: Sequence[Edge], size: int, cap: int,
     """
     total = comb(len(candidates), size)
     if total <= cap:
-        return combinations(candidates, size)
+        return list(combinations(candidates, size))
     pool = list(candidates)
     sampled: List[Tuple[Edge, ...]] = []
     seen = set()
@@ -55,12 +56,12 @@ def _combinations_capped(candidates: Sequence[Edge], size: int, cap: int,
 
 
 def search_best_combination(candidates: Sequence[Edge],
-                            evaluate: EvaluateCombo,
+                            evaluate_batch: EvaluateComboBatch,
                             current_fraction: Fraction,
                             lookahead: int,
                             rng: random.Random,
                             max_combinations: int,
-                            evaluate_batch: Optional[EvaluateComboBatch] = None
+                            _unused: None = None,
                             ) -> Optional[CandidateOutcome]:
     """Find the best edge combination of size 1..lookahead.
 
@@ -70,24 +71,28 @@ def search_best_combination(candidates: Sequence[Edge],
     size improves, the best candidate observed overall is returned; ``None``
     is returned only when there are no candidates at all.
 
-    ``evaluate_batch``, when given, handles the size-1 level: the session it
-    wraps computes every single-edge outcome in one stacked pass against the
-    shared distance state instead of one preview per candidate.  Larger
-    sizes keep per-combination evaluation so stop checks stay responsive
-    inside the (potentially capped-but-huge) combination scans; outcomes
-    are offered to the tie-breakers in the same order either way.
+    Each level's combinations are drawn (sampled ones included) before any
+    of them is evaluated, then passed to ``evaluate_batch`` in one list.
+    Its outcomes reach both tie-breakers in combination order, so the
+    seeded draws of :meth:`TieBreaker.offer` follow the same sequence
+    whatever the evaluator computes per call; stop requests are the
+    evaluator's business (the batched scans raise them at most one
+    ``BATCH_SCAN_CHUNK`` apart).
+
+    ``_unused`` must stay ``None``: it only keeps seven-argument positional
+    calls valid, such as the one ``perfbench/tracing.py`` makes when it
+    wraps this function.
     """
+    if _unused is not None:
+        raise TypeError("search_best_combination() takes a single batch "
+                        "evaluator; the seventh argument must be None")
     if not candidates:
         return None
     overall = TieBreaker(rng)
     for size in range(1, min(lookahead, len(candidates)) + 1):
         level = TieBreaker(rng)
         combos = _combinations_capped(candidates, size, max_combinations, rng)
-        if size == 1 and evaluate_batch is not None:
-            outcomes: Iterable[CandidateOutcome] = evaluate_batch(list(combos))
-        else:
-            outcomes = (evaluate(combo) for combo in combos)
-        for outcome in outcomes:
+        for outcome in evaluate_batch(combos):
             level.offer(outcome)
             overall.offer(outcome)
         best_at_level = level.best

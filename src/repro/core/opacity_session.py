@@ -289,7 +289,10 @@ class OpacitySession:
         pass and tallies every candidate's count deltas with a single grouped
         bincount over the stacked flipped cells.  Heterogeneous or multi-edge
         candidate lists (GADES swaps, look-ahead combinations) fall back to
-        sequential previews but still share the grouped count stage.
+        sequential previews at L >= 2 but still share the grouped count
+        stage.  At L = 1 every candidate list, multi-edge ones included,
+        skips the distance machinery: the flipped cells are the candidates'
+        own edited edges, stacked and tallied in one grouped count.
         """
         pairs = [(tuple(removals), tuple(insertions))
                  for removals, insertions in candidates]
@@ -297,11 +300,7 @@ class OpacitySession:
             return [self._scratch_evaluate(removals, insertions)
                     for removals, insertions in pairs]
         if self._computer.length_threshold == 1:
-            # At L = 1 the within-L pairs are exactly the edges, so a
-            # candidate's flipped cells are its edited edges themselves —
-            # no distance delta is needed at all, only a count tally.
-            return self._summarize_batch([self._l1_changes(removals, insertions)
-                                          for removals, insertions in pairs])
+            return self._summarize_batch(self._l1_changes_batch(pairs))
         if self._use_parallel_scan(pairs):
             return self._summarize_batch(self._parallel_changes(pairs))
         return self._summarize_batch(self._collect_changes(pairs))
@@ -606,43 +605,54 @@ class OpacitySession:
         return EditEvaluation(fraction=Fraction(best_num, best_den),
                               types_at_max=ties, total_opacity=float(total))
 
-    def _l1_changes(self, removals: Sequence[Edge],
-                    insertions: Sequence[Edge]) -> Dict[int, int]:
-        """Count changes of one candidate at L = 1, no distance delta needed.
+    def _l1_changes_batch(self, pairs: List[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]]
+                          ) -> List[Dict[int, int]]:
+        """Per-candidate count changes at L = 1, no distance delta needed.
 
-        A removal flips exactly its own cell from within-L to outside (the
-        edge was at distance 1), an insertion the reverse, so the tally
-        reduces to the edited edges themselves.  The graph is still touched
-        and restored with the same mutation sequence a
+        At L = 1 the within-L pairs are exactly the edges, so a removal
+        flips exactly its own cell from within-L to outside and an
+        insertion the reverse: a candidate's flipped cells are its edited
+        edges themselves.  Every candidate's edges are stacked with their
+        candidate index and gained flag and tallied in one grouped count
+        (:meth:`_tally_cells`); non-degree typings tally each candidate's
+        slice alone.  The graph is still touched and restored per
+        candidate, in order, with the same mutation sequence a
         :meth:`DistanceSession.preview` performs, so adjacency-set
         iteration histories — and with them every seeded tie-break
         downstream — stay identical across evaluation and scan modes.
         """
-        for u, v in removals:
-            self._graph.remove_edge(u, v)
-        for u, v in insertions:
-            self._graph.add_edge(u, v)
-        for u, v in insertions:
-            self._graph.remove_edge(u, v)
-        for u, v in removals:
-            self._graph.add_edge(u, v)
-        count = len(removals) + len(insertions)
-        if count == 0:
-            return {}
-        row_idx = np.fromiter((edge[0] for edge in removals), dtype=np.int64,
-                              count=len(removals))
-        col_idx = np.fromiter((edge[1] for edge in removals), dtype=np.int64,
-                              count=len(removals))
-        if insertions:
-            row_idx = np.concatenate([row_idx, np.fromiter(
-                (edge[0] for edge in insertions), dtype=np.int64,
-                count=len(insertions))])
-            col_idx = np.concatenate([col_idx, np.fromiter(
-                (edge[1] for edge in insertions), dtype=np.int64,
-                count=len(insertions))])
-        gained = np.zeros(count, dtype=bool)
-        gained[len(removals):] = True
-        return self._changes_from_cells(row_idx, col_idx, gained)
+        graph = self._graph
+        edges: List[Edge] = []
+        gained: List[bool] = []
+        sizes: List[int] = []
+        for removals, insertions in pairs:
+            for u, v in removals:
+                graph.remove_edge(u, v)
+            for u, v in insertions:
+                graph.add_edge(u, v)
+            for u, v in insertions:
+                graph.remove_edge(u, v)
+            for u, v in removals:
+                graph.add_edge(u, v)
+            edges.extend(removals)
+            edges.extend(insertions)
+            gained.extend([False] * len(removals) + [True] * len(insertions))
+            sizes.append(len(removals) + len(insertions))
+        cells = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        row_idx, col_idx = cells[:, 0], cells[:, 1]
+        flags = np.array(gained, dtype=bool)
+        if isinstance(self._computer.typing, DegreePairTyping):
+            candidate = np.repeat(np.arange(len(pairs)), sizes)
+            return self._tally_cells(len(pairs), candidate, row_idx, col_idx,
+                                     flags)
+        changes_list: List[Dict[int, int]] = []
+        stop = 0
+        for size in sizes:
+            start, stop = stop, stop + size
+            changes_list.append(
+                self._changes_from_cells(row_idx[start:stop], col_idx[start:stop],
+                                         flags[start:stop]) if size else {})
+        return changes_list
 
     def _count_changes(self, delta: DistanceDelta) -> Dict[int, int]:
         """Per-type within-L count deltas implied by a distance delta.
@@ -766,11 +776,7 @@ class OpacitySession:
             else:
                 stacked.append((position, delta))
         if not stacked:
-            return [changes if changes is not None else {}
-                    for changes in changes_list]
-        for position, _ in stacked:
-            changes_list[position] = {}
-        typing = self._computer.typing
+            return changes_list  # type: ignore[return-value]
         length = self._computer.length_threshold
         n = self._graph.num_vertices
         rows_cat = np.concatenate([delta.rows for _, delta in stacked])
@@ -791,28 +797,49 @@ class OpacitySession:
         keep = flips & (~in_rows[group_of_row]
                         | (columns[None, :] > rows_cat[:, None]))
         slab_pos, col_idx = np.nonzero(keep)
-        if slab_pos.size == 0:
-            return [changes if changes is not None else {}
-                    for changes in changes_list]
         row_idx = rows_cat[slab_pos]
         gained = new_within[slab_pos, col_idx]
         position_of_group = np.fromiter((position for position, _ in stacked),
                                         dtype=np.int64, count=len(stacked))
         candidate = position_of_group[group_of_row[slab_pos]]
-        encoded, span = encode_degree_pairs(typing.degrees, row_idx, col_idx)
+        tallied = self._tally_cells(len(deltas), candidate, row_idx, col_idx,
+                                    gained)
+        for position, _ in stacked:
+            changes_list[position] = tallied[position]
+        return changes_list  # type: ignore[return-value]
+
+    def _tally_cells(self, count: int, candidate: np.ndarray,
+                     row_idx: np.ndarray, col_idx: np.ndarray,
+                     gained: np.ndarray) -> List[Dict[int, int]]:
+        """Count changes of ``count`` candidates from their stacked flipped cells.
+
+        ``candidate`` names the candidate each cell belongs to.  The cells'
+        degree-pair codes go through one ``np.unique`` and one grouped
+        ``bincount`` over ``(candidate, type-code, sign)``; entry ``c`` of
+        the result equals :meth:`_changes_from_cells` over candidate ``c``'s
+        cells alone (a gain and a loss of the same type net to no entry).
+        Degree typings only.
+        """
+        changes_list: List[Dict[int, int]] = [{} for _ in range(count)]
+        if row_idx.size == 0:
+            return changes_list
+        encoded, span = encode_degree_pairs(self._computer.typing.degrees,
+                                            row_idx, col_idx)
         codes, inverse = np.unique(encoded, return_inverse=True)
         type_of_code = [self._type_index.get(decode_degree_pair(int(code), span))
                         for code in codes]
         grouped = (candidate * codes.size + inverse) * 2 + gained.astype(np.int64)
-        counts = np.bincount(grouped, minlength=len(deltas) * codes.size * 2)
-        net = counts.reshape(len(deltas), codes.size, 2)
+        counts = np.bincount(grouped, minlength=count * codes.size * 2)
+        net = counts.reshape(count, codes.size, 2)
         net = net[:, :, 1].astype(np.int64) - net[:, :, 0]
-        for position, code_pos in zip(*np.nonzero(net)):
+        positions, code_positions = np.nonzero(net)
+        for position, code_pos, change in zip(positions.tolist(),
+                                              code_positions.tolist(),
+                                              net[positions, code_positions].tolist()):
             index = type_of_code[code_pos]
-            if index is None:
-                continue
-            changes_list[position][index] = int(net[position, code_pos])
-        return [changes if changes is not None else {} for changes in changes_list]
+            if index is not None:
+                changes_list[position][index] = change
+        return changes_list
 
     def _summarize_batch(self, changes_list: List[Dict[int, int]]
                          ) -> List[EditEvaluation]:

@@ -2,24 +2,37 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from repro.api.progress import NullObserver
+from repro.core import EdgeRemovalAnonymizer
 from repro.core.anonymizer import CandidateOutcome
 from repro.core.lookahead import _combinations_capped, search_best_combination
+from repro.graph import erdos_renyi_graph
 
 
 def _make_evaluator(scores):
-    """Build an evaluate() function from a mapping frozenset(edges) -> fraction."""
+    """Build a batch evaluator from a mapping frozenset(edges) -> fraction.
+
+    ``calls`` lists every evaluated combination in order, ``batches`` the
+    combination list each call received.
+    """
     calls = []
+    batches = []
 
-    def evaluate(combo):
-        calls.append(tuple(combo))
-        fraction = scores[frozenset(combo)]
-        return CandidateOutcome(edges=tuple(combo), fraction=fraction, types_at_max=1)
+    def evaluate_batch(combos):
+        batches.append(list(combos))
+        for combo in combos:
+            calls.append(tuple(combo))
+            yield CandidateOutcome(edges=tuple(combo),
+                                   fraction=scores[frozenset(combo)],
+                                   types_at_max=1)
 
-    evaluate.calls = calls
-    return evaluate
+    evaluate_batch.calls = calls
+    evaluate_batch.batches = batches
+    return evaluate_batch
 
 
 class TestSearchBestCombination:
@@ -74,7 +87,7 @@ class TestSearchBestCombination:
         assert best.edges == ((0, 1),)
 
     def test_empty_candidate_list_returns_none(self):
-        best = search_best_combination([], lambda combo: None,
+        best = search_best_combination([], lambda combos: iter(()),
                                        current_fraction=Fraction(1), lookahead=2,
                                        rng=random.Random(0), max_combinations=100)
         assert best is None
@@ -175,44 +188,107 @@ class TestBatchEvaluation:
             frozenset({(0, 1)}): Fraction(1, 2),
             frozenset({(0, 2)}): Fraction(3, 4),
         }
-        sequential = _make_evaluator(scores)
-        batch_calls = []
-
-        def evaluate_batch(combos):
-            batch_calls.append(list(combos))
-            for combo in combos:
-                yield CandidateOutcome(edges=tuple(combo),
-                                       fraction=scores[frozenset(combo)],
-                                       types_at_max=1)
-
-        best = search_best_combination(edges, sequential,
+        evaluate = _make_evaluator(scores)
+        best = search_best_combination(edges, evaluate,
                                        current_fraction=Fraction(1),
                                        lookahead=2, rng=random.Random(0),
-                                       max_combinations=100,
-                                       evaluate_batch=evaluate_batch)
+                                       max_combinations=100)
         assert best.edges == ((0, 1),)
-        assert batch_calls == [[((0, 1),), ((0, 2),)]]
-        assert sequential.calls == []  # size 1 went through the batch path
+        assert evaluate.batches == [[((0, 1),), ((0, 2),)]]
 
-    def test_larger_sizes_stay_per_combination(self):
-        edges = [(0, 1), (0, 2)]
-        scores = {
-            frozenset({(0, 1)}): Fraction(1),
-            frozenset({(0, 2)}): Fraction(1),
-            frozenset({(0, 1), (0, 2)}): Fraction(1, 3),
-        }
-        sequential = _make_evaluator(scores)
-
-        def evaluate_batch(combos):
-            for combo in combos:
-                yield CandidateOutcome(edges=tuple(combo),
-                                       fraction=scores[frozenset(combo)],
-                                       types_at_max=1)
-
-        best = search_best_combination(edges, sequential,
+    def test_every_level_reaches_evaluate_batch_in_combination_order(self):
+        edges = [(0, 1), (0, 2), (0, 3), (1, 2)]
+        scores = {frozenset(combo): Fraction(1)
+                  for size in range(1, 5) for combo in combinations(edges, size)}
+        scores[frozenset(edges[:3])] = Fraction(1, 3)
+        evaluate = _make_evaluator(scores)
+        best = search_best_combination(edges, evaluate,
                                        current_fraction=Fraction(1),
-                                       lookahead=2, rng=random.Random(0),
-                                       max_combinations=100,
-                                       evaluate_batch=evaluate_batch)
-        assert set(best.edges) == {(0, 1), (0, 2)}
-        assert all(len(call) == 2 for call in sequential.calls)
+                                       lookahead=4, rng=random.Random(0),
+                                       max_combinations=100)
+        assert best.edges == tuple(edges[:3])
+        # One call per level, sizes 1..3 (size 3 improves), each holding
+        # the level's combinations in enumeration order.
+        assert evaluate.batches == [list(combinations(edges, size))
+                                    for size in (1, 2, 3)]
+        assert evaluate.calls == [combo for batch in evaluate.batches
+                                  for combo in batch]
+
+    def test_sampled_level_goes_through_one_batch(self):
+        edges = [(0, i) for i in range(1, 9)]
+        scores = {frozenset(combo): Fraction(1)
+                  for size in (1, 2) for combo in combinations(edges, size)}
+        evaluate = _make_evaluator(scores)
+        search_best_combination(edges, evaluate, current_fraction=Fraction(1),
+                                lookahead=2, rng=random.Random(4),
+                                max_combinations=10)
+        # C(8, 1) = 8 fits under the cap; C(8, 2) = 28 is sampled down to
+        # 10 distinct pairs, all drawn before the level's single call.
+        singles, pairs = evaluate.batches
+        assert singles == list(combinations(edges, 1))
+        assert len(pairs) == len(set(pairs)) == 10
+        assert all(len(combo) == 2 for combo in pairs)
+
+    def test_seventh_positional_argument_must_be_none(self):
+        edges = [(0, 1)]
+        scores = {frozenset({(0, 1)}): Fraction(1, 2)}
+        best = search_best_combination(edges, _make_evaluator(scores),
+                                       Fraction(1), 1, random.Random(0), 10,
+                                       None)
+        assert best.edges == ((0, 1),)
+        with pytest.raises(TypeError):
+            search_best_combination(edges, _make_evaluator(scores),
+                                    Fraction(1), 1, random.Random(0), 10,
+                                    _make_evaluator(scores))
+
+
+class _StopAtEvaluation(NullObserver):
+    """Stop the run once evaluation ``limit`` has been reported."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.seen = 0
+
+    def on_evaluation(self, evaluations):
+        self.seen = evaluations
+
+    def should_stop(self):
+        return self.seen >= self.limit
+
+
+class TestStopInsideCombinationLevels:
+    """A stop inside the size-2 level lands on the exact evaluation in every
+    scan mode, even though the batched modes compute a whole chunk first."""
+
+    @staticmethod
+    def _graph():
+        # 15 edges whose first step has no improving single removal: the
+        # initial evaluation, 15 singles, then C(15, 2) = 105 pairs.
+        return erdos_renyi_graph(12, 0.3, seed=3)
+
+    @pytest.mark.parametrize("scan_mode", ["per_candidate", "batched"])
+    @pytest.mark.parametrize("limit", [17, 40, 121])
+    def test_stop_at_exact_evaluation(self, scan_mode, limit):
+        graph = self._graph()
+        assert graph.num_edges == 15
+        observer = _StopAtEvaluation(limit)
+        result = EdgeRemovalAnonymizer(
+            length_threshold=1, theta=0.0, seed=0, lookahead=2,
+            prune_candidates=False, scan_mode=scan_mode,
+        ).anonymize(graph, observer=observer)
+        assert observer.seen == limit
+        assert result.stop_reason == "observer"
+        # The stop's re-evaluation of the current graph adds one.
+        assert result.evaluations == limit + 1
+        assert result.steps == []
+        # Every tentative pair removal was undone.
+        assert result.anonymized_graph == graph
+        assert result.anonymized_graph.edge_set() == graph.edge_set()
+
+    def test_unstopped_first_step_spans_both_levels(self):
+        graph = self._graph()
+        result = EdgeRemovalAnonymizer(
+            length_threshold=1, theta=0.0, seed=0, lookahead=2,
+            prune_candidates=False, max_steps=1).anonymize(graph)
+        assert result.evaluations == 1 + 15 + 105 + 1
+        assert len(result.steps[0].edges) == 2

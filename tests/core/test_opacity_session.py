@@ -232,6 +232,70 @@ class TestEvaluateEdits:
             session.apply_edit(*candidates[best])
 
 
+class TestStackedL1Count:
+    """At L = 1 ``evaluate_edits`` tallies every candidate's edited edges in
+    one grouped count; it must equal the per-candidate previews exactly."""
+
+    @staticmethod
+    def _assert_matches_per_candidate(session, candidates):
+        before = session.graph.edge_set()
+        expected = [session.evaluate_edit(r, i) for r, i in candidates]
+        assert session.evaluate_edits(candidates) == expected
+        assert session.graph.edge_set() == before
+
+    def test_explicit_typing(self):
+        graph = Graph(6, edges=[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        typing = ExplicitPairTyping({(0, 1): "a", (2, 3): "a", (1, 4): "a",
+                                     (0, 5): "b", (3, 4): "b", (1, 2): "c"})
+        session = OpacitySession(OpacityComputer(typing, 1), graph)
+        candidates = [((edge,), ()) for edge in graph.edges()]
+        candidates += [((), (edge,)) for edge in graph.non_edges()]
+        candidates += [(((0, 1), (3, 4)), ((1, 4), (0, 5))),
+                       (((1, 2),), ((0, 2),)),
+                       ((), ())]
+        self._assert_matches_per_candidate(session, candidates)
+
+    def test_swaps_whose_gain_and_loss_cancel(self):
+        # On a cycle every vertex has degree 2, so each swap removes two
+        # (2, 2) pairs and inserts two: the type's count nets to zero.
+        cycle = Graph(8, edges=[(i, (i + 1) % 8) for i in range(8)])
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(cycle), 1), cycle)
+        swaps = [(((0, 1), (4, 5)), ((0, 4), (1, 5))),
+                 (((2, 3), (6, 7)), ((2, 6), (3, 7)))]
+        self._assert_matches_per_candidate(session, swaps)
+        unchanged = session.current()
+        for evaluation in session.evaluate_edits(swaps):
+            assert evaluation.fraction == unchanged.max_fraction
+            assert evaluation.types_at_max == unchanged.types_at_max
+
+    def test_gades_style_swaps_on_a_mixed_degree_graph(self):
+        graph = erdos_renyi_graph(14, 0.3, seed=5)
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), 1), graph)
+        edges = list(graph.edges())
+        absent = list(graph.non_edges())
+        swaps = [((edges[k], edges[k + 1]), (absent[k], absent[k + 1]))
+                 for k in range(0, 10, 2)]
+        self._assert_matches_per_candidate(session, swaps)
+
+    def test_empty_candidate_inside_a_list(self):
+        graph = erdos_renyi_graph(10, 0.3, seed=1)
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), 1), graph)
+        edge = next(iter(graph.edges()))
+        candidates = [((), ()), ((edge,), ()), ((), ())]
+        self._assert_matches_per_candidate(session, candidates)
+        assert session.evaluate_edits([((), ())])[0].fraction == \
+            session.current().max_fraction
+
+    def test_empty_list(self):
+        graph = erdos_renyi_graph(10, 0.3, seed=1)
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), 1), graph)
+        assert session.evaluate_edits([]) == []
+
+
 class TestViolatingPairIndices:
     def _max_types(self, session):
         current = session.current()

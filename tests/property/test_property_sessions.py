@@ -190,12 +190,46 @@ class TestEndToEndModeEquivalence:
                                            ("incremental", "per_candidate")):
             observed = algorithm(evaluation_mode=evaluation_mode,
                                  scan_mode=scan_mode, **params).anonymize(graph)
-            assert [(step.operation, step.edges) for step in observed.steps] == \
-                   [(step.operation, step.edges) for step in reference.steps]
+            assert [(step.operation, step.edges, step.max_opacity_after)
+                    for step in observed.steps] == \
+                   [(step.operation, step.edges, step.max_opacity_after)
+                    for step in reference.steps]
             assert observed.final_opacity == reference.final_opacity
             assert observed.evaluations == reference.evaluations
             assert observed.distortion == reference.distortion
             assert observed.anonymized_graph == reference.anonymized_graph
+
+
+class TestLookaheadModeEquivalence:
+    """Look-ahead levels run through the same batch evaluator in every scan
+    mode; scratch, per-candidate and batched runs must agree exactly.  A
+    ``max_combinations`` of 4 forces the sampled level whenever a step has
+    five or more candidates."""
+
+    @given(graphs(max_vertices=8), st.sampled_from([1, 2]),
+           st.sampled_from([2, 3]), thetas, st.integers(min_value=0, max_value=3),
+           st.sampled_from([4, 100_000]))
+    @settings(max_examples=20, deadline=None)
+    def test_edge_removal_lookahead_runs_identically(self, graph, length,
+                                                     lookahead, theta, seed,
+                                                     max_combinations):
+        TestEndToEndModeEquivalence._assert_identical(
+            EdgeRemovalAnonymizer,
+            dict(length_threshold=length, theta=theta, seed=seed,
+                 lookahead=lookahead, max_combinations=max_combinations,
+                 max_steps=4), graph)
+
+    @given(graphs(max_vertices=7), st.sampled_from([1, 2]),
+           st.sampled_from([2, 3]), thetas, st.integers(min_value=0, max_value=3),
+           st.sampled_from([4, 100_000]))
+    @settings(max_examples=15, deadline=None)
+    def test_edge_removal_insertion_lookahead_runs_identically(
+            self, graph, length, lookahead, theta, seed, max_combinations):
+        TestEndToEndModeEquivalence._assert_identical(
+            EdgeRemovalInsertionAnonymizer,
+            dict(length_threshold=length, theta=theta, seed=seed,
+                 lookahead=lookahead, max_combinations=max_combinations,
+                 max_steps=3), graph)
 
 
 @st.composite
