@@ -4,7 +4,10 @@ The tentpole claim of the `DistanceStore` seam (DESIGN.md §13): an
 anonymization run whose dense ``n × n`` matrix would blow the configured
 byte budget completes on ``scale_tier="tiled"`` without ever holding
 more than the budget's worth of distance tiles — cold tiles spill to a
-temp file and the LRU keeps the resident set bounded.
+temp file and the LRU keeps the resident set bounded.  The run takes real
+greedy steps, so the bound covers the candidate-pruning pass and the
+applied deltas, not just the initial distance computation; premise
+asserts check that it did.
 
 The run executes in a fresh ``spawn`` subprocess so ``ru_maxrss`` is an
 honest per-run high-water mark (in this process, earlier benchmarks
@@ -32,7 +35,10 @@ DATASET = "gnutella"
 #: The smoke shape keeps the same 10x-over-budget premise at CI cost.
 SAMPLE_SIZE = smoke(16000, 10000)
 LENGTH = 2
-THETA = 0.5
+#: Low enough that the sample is far from opaque, so the run is ended by
+#: the step cap, never by reaching θ before its first step.
+THETA = 0.01
+MAX_STEPS = 2
 BUDGET_BYTES = 8 << 20
 #: Non-distance overhead allowance: interpreter + numpy temporaries +
 #: the sample's edge arrays + per-tile evaluation slabs.  Measured
@@ -45,18 +51,19 @@ OVERHEAD_SLACK = 64 << 20
 def _measure_tiled_run(queue, sample_size, budget_bytes):
     warm = AnonymizationRequest(dataset=DATASET, sample_size=50, seed=0,
                                 algorithm="rem", theta=THETA,
-                                length_threshold=LENGTH)
+                                length_threshold=LENGTH, max_steps=MAX_STEPS)
     anonymize(warm)
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     request = AnonymizationRequest(dataset=DATASET, sample_size=sample_size,
                                    seed=0, algorithm="rem", theta=THETA,
                                    length_threshold=LENGTH,
+                                   max_steps=MAX_STEPS,
                                    scale_tier="tiled",
                                    scale_budget_bytes=budget_bytes)
     response = anonymize(request)
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    queue.put((rss0, rss1, response.success, response.error,
-               response.final_opacity))
+    queue.put((rss0, rss1, response.error, response.final_opacity,
+               response.num_steps, response.evaluations))
 
 
 def _run_child():
@@ -78,7 +85,7 @@ def bench_scale_tier(benchmark):
     assert dense_bytes > BUDGET_BYTES + OVERHEAD_SLACK
 
     start = time.perf_counter()
-    rss0, rss1, success, error, opacity = benchmark.pedantic(
+    rss0, rss1, error, opacity, steps, evaluations = benchmark.pedantic(
         _run_child, rounds=1, iterations=1)
     elapsed = time.perf_counter() - start
 
@@ -87,9 +94,14 @@ def bench_scale_tier(benchmark):
           f"\n  tile-cache budget:        {BUDGET_BYTES / 2**20:8.1f} MiB"
           f"\n  peak RSS over baseline:   {overhead / 2**20:8.1f} MiB"
           f"\n  tiled run:                {elapsed:8.2f} s"
-          f"  (opacity={opacity:.4f})")
+          f"  (opacity={opacity:.4f}, steps={steps}, "
+          f"evaluations={evaluations})")
 
-    assert success, error
+    # The step cap, not θ, ends the run, so success is not expected.
+    assert error is None, error
+    # Premise: the run took real greedy steps through the pruning pass.
+    assert steps == MAX_STEPS
+    assert evaluations > 1
     assert overhead <= BUDGET_BYTES + OVERHEAD_SLACK, (
         f"peak RSS overhead {overhead / 2**20:.1f} MiB exceeds the "
         f"{(BUDGET_BYTES + OVERHEAD_SLACK) / 2**20:.1f} MiB bound")

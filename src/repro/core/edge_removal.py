@@ -97,10 +97,9 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
             distances = session.distances().astype(np.int64)
         # Collect the vertex pairs of the types at the current maximum that
         # are within distance L — only breaking one of their short paths can
-        # reduce the maximum opacity.  The session maintains the within-L
-        # pair mask incrementally across applied steps (and the frozen
-        # per-pair type codes once), so this query no longer rebuilds the
-        # violating-pair set from scratch per step.
+        # reduce the maximum opacity.  The session keeps the within-L pairs
+        # as a sparse sorted set, folded forward by each applied step, so
+        # this query never rebuilds per-pair state or allocates n² arrays.
         max_fraction = current.max_fraction
         max_types = {key for key, entry in current.per_type.items()
                      if entry.fraction == max_fraction}

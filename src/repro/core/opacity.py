@@ -23,6 +23,11 @@ from repro.graph.graph import Graph
 from repro.graph.matrices import UNREACHABLE, triu_pair_indices
 
 
+def degree_code_span(degrees: np.ndarray) -> int:
+    """The ``span`` of :func:`encode_degree_pairs`: max degree + 1."""
+    return int(degrees.max()) + 1 if degrees.size else 1
+
+
 def encode_degree_pairs(degrees: np.ndarray, first: np.ndarray,
                         second: np.ndarray) -> Tuple[np.ndarray, int]:
     """Encode the degree pairs of vertex pairs as integers for ``bincount``.
@@ -34,7 +39,7 @@ def encode_degree_pairs(degrees: np.ndarray, first: np.ndarray,
     (:class:`repro.core.opacity_session.OpacitySession`) — their bit-identity
     depends on both using the same codes.
     """
-    span = int(degrees.max()) + 1 if degrees.size else 1
+    span = degree_code_span(degrees)
     d_first = degrees[first]
     d_second = degrees[second]
     codes = np.minimum(d_first, d_second) * span + np.maximum(d_first, d_second)

@@ -36,12 +36,16 @@ which stacks the distance deltas of all single-edge candidates into one
 tallies every candidate with a single grouped bincount — the ``"batched"``
 scan mode of the algorithms (DESIGN.md §7), bit-identical to the
 per-candidate loop.  The session also maintains the pruning pass's
-within-L violating-pair mask incrementally (:meth:`violating_pair_indices`).
+within-L pairs incrementally (:meth:`violating_pair_indices`) as a sparse
+sorted set of upper-triangle flat indices — O(within-L pairs), never an
+``n(n-1)/2``-sized array, so the tiled tier's memory bound holds through
+the pruning pass too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,6 +55,7 @@ from repro.core.opacity import (
     OpacityComputer,
     OpacityResult,
     decode_degree_pair,
+    degree_code_span,
     encode_degree_pairs,
 )
 from repro.core.pair_types import DegreePairTyping, TypeKey
@@ -58,7 +63,6 @@ from repro.errors import ConfigurationError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
-from repro.graph.matrices import triu_pair_indices
 
 #: Valid values of the ``evaluation_mode`` knob, service layer included.
 EVALUATION_MODES: Tuple[str, ...] = ("scratch", "incremental")
@@ -74,6 +78,76 @@ SCAN_MODES: Tuple[str, ...] = ("per_candidate", "batched", "parallel")
 
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
+
+#: Cells per row chunk when a distance matrix is streamed into the sparse
+#: within-L pair set (bounds the chunk's boolean temporaries to ~4 MiB).
+_WITHIN_CHUNK_CELLS = 1 << 22
+
+
+def _triu_flat(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Flat position of pair ``(i, j)``, ``i < j``, in ``triu_indices(n, 1)`` order.
+
+    That is ``i·(2n−i−1)/2 + (j−i−1)``, folded to five array operations.
+    """
+    return i * (2 * n - 3 - i) // 2 + j - 1
+
+
+@lru_cache(maxsize=8)
+def _triu_row_starts(n: int) -> np.ndarray:
+    """Flat position of each row's first pair ``(i, i + 1)`` (read-only)."""
+    rows = np.arange(n, dtype=np.int64)
+    starts = _triu_flat(rows, rows + 1, n)
+    starts.setflags(write=False)
+    return starts
+
+
+def _triu_unflat(flat: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Invert :func:`_triu_flat`: a searchsorted over the row starts."""
+    row_starts = _triu_row_starts(n)
+    i = np.searchsorted(row_starts, flat, side="right") - 1
+    return i, flat - row_starts[i] + i + 1
+
+
+def _members(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """``np.isin(values, wanted)`` by binary search over the sorted ``wanted``.
+
+    Same answer without ``np.isin``'s per-call overhead, which dominates at
+    the small set sizes most pruning queries see.
+    """
+    if wanted.size == 0:
+        return np.zeros(values.size, dtype=bool)
+    wanted = np.sort(wanted)
+    at = np.searchsorted(wanted, values).clip(max=wanted.size - 1)
+    return wanted[at] == values
+
+
+def _splice(kept: np.ndarray, slots: np.ndarray, added: np.ndarray,
+            at: np.ndarray) -> np.ndarray:
+    """Merge ``kept`` into ``slots`` and ``added`` into positions ``at``."""
+    out = np.empty(slots.size, dtype=np.int64)
+    out[slots] = kept
+    out[at] = added
+    return out
+
+
+def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
+    """Sorted triu flat indices of the pairs ``i < j`` with ``D[i, j] <= length``.
+
+    Streams ``store.row_blocks()`` in ascending row chunks of at most
+    :data:`_WITHIN_CHUNK_CELLS` cells; ``nonzero`` walks each chunk
+    row-major, so the concatenation is already sorted.
+    """
+    n = store.num_vertices
+    step = max(1, _WITHIN_CHUNK_CELLS // max(1, n))
+    parts = [np.empty(0, dtype=np.int64)]
+    for start, stop in store.row_blocks():
+        for low in range(start, stop, step):
+            slab = store.rows(np.arange(low, min(low + step, stop)))
+            rows, cols = np.nonzero(slab <= length)
+            rows += low
+            upper = cols > rows
+            parts.append(_triu_flat(rows[upper], cols[upper], n))
+    return np.concatenate(parts)
 
 
 def validate_evaluation_mode(mode: str) -> None:
@@ -175,11 +249,11 @@ class OpacitySession:
         self._mode = mode
         self._current: Optional[OpacityResult] = None
         self._distance: Optional[DistanceSession] = None
-        # Lazy pruning-pass state: frozen degree-pair codes of every upper-
-        # triangle pair, and (incremental mode) the maintained within-L mask.
-        self._triu_codes: Optional[np.ndarray] = None
-        self._triu_code_span: int = 1
-        self._within_pairs: Optional[np.ndarray] = None
+        # Lazy pruning-pass state (incremental mode): the sorted triu flat
+        # indices of the within-L pairs and, for degree typings, their
+        # frozen degree-pair codes aligned with them.
+        self._within_flat: Optional[np.ndarray] = None
+        self._within_codes: Optional[np.ndarray] = None
         # Parallel-scan state: the pool is started lazily on the first
         # large-enough scan and torn down permanently on any failure.
         self._scan_workers = max(0, int(scan_workers))
@@ -413,15 +487,15 @@ class OpacitySession:
         delta = self._distance.stage(removals, insertions)
         if delta.from_scratch:
             changes = self._count_changes(delta)
-            if self._within_pairs is not None:
-                rows, cols = triu_pair_indices(self._graph.num_vertices)
-                self._within_pairs = (
-                    delta.new_rows[rows, cols] <= self._computer.length_threshold)
+            if self._within_flat is not None:
+                length = self._computer.length_threshold
+                self._set_within_pairs(_within_pair_set(
+                    DenseStore(delta.new_rows, length), length))
         else:
             cells = self._flipped_cells(delta)
             changes = {} if cells is None else self._changes_from_cells(*cells)
-            if self._within_pairs is not None and cells is not None:
-                self._update_pair_mask(*cells)
+            if self._within_flat is not None and cells is not None:
+                self._fold_flipped_cells(*cells)
         self._distance.commit(delta)
         for index, change in changes.items():
             self._withins[index] += change
@@ -435,7 +509,8 @@ class OpacitySession:
         if self._mode == "incremental":
             self._distance.refresh()
             self._init_counts()
-        self._within_pairs = None
+        self._within_flat = None
+        self._within_codes = None
 
     # ------------------------------------------------------------------
     # pruning support
@@ -446,83 +521,88 @@ class OpacitySession:
         """Upper-triangle ``(i, j)`` pairs within L whose type is in ``max_types``.
 
         The candidate-pruning pass of the removal heuristics asks this every
-        step.  In incremental mode the within-L mask is *maintained* across
-        applied edits (only the flipped cells of each step's delta are
-        touched) and the frozen per-pair type codes are computed once, so a
-        query costs one vectorized membership test instead of a per-pair
-        Python scan.  Scratch mode recomputes the mask from ``distances``
-        (or a fresh matrix) per call — same pairs, same triu order.
+        step.  In incremental mode the within-L pairs are kept as a sorted
+        set of triu flat indices ``i·(2n−i−1)/2 + (j−i−1)``: seeded lazily
+        on the first query by streaming the store's row blocks, then folded
+        forward by each applied delta's flipped cells.  For degree typings
+        the set carries the pairs' frozen degree-pair codes alongside, so a
+        query is one membership test over the within-L pairs only; other
+        typings call ``type_of`` on those pairs.  Scratch mode builds the
+        set from ``distances`` (or a fresh matrix) per call.  Either way the
+        result is int64 ``(rows, cols)`` in ``np.triu_indices(n, 1)`` order,
+        and no state grows with ``n²``.
         """
         n = self._graph.num_vertices
-        rows, cols = triu_pair_indices(n)
-        if rows.size == 0:
-            return rows, cols
         length = self._computer.length_threshold
+        typing = self._computer.typing
         if self._mode == "incremental":
-            self._ensure_pair_mask()
-            within = self._within_pairs
+            if self._within_flat is None:
+                self._set_within_pairs(_within_pair_set(
+                    self._distance.store, length))
+            flat, codes = self._within_flat, self._within_codes
         else:
             if distances is None:
                 distances = self._computer.distances(self._graph)
-            within = distances[rows, cols] <= length
+            flat = _within_pair_set(DenseStore(distances, length), length)
+            codes = self._pair_codes(flat)
+        if codes is not None:
+            span = degree_code_span(typing.degrees)
+            wanted = np.fromiter((g * span + h for g, h in max_types),
+                                 dtype=np.int64, count=len(max_types))
+            return _triu_unflat(flat[_members(codes, wanted)], n)
+        rows, cols = _triu_unflat(flat, n)
+        member = np.fromiter(
+            (typing.type_of(i, j) in max_types
+             for i, j in zip(rows.tolist(), cols.tolist())),
+            dtype=bool, count=rows.size)
+        return rows[member], cols[member]
+
+    def _pair_codes(self, flat: np.ndarray) -> Optional[np.ndarray]:
+        """Frozen degree-pair codes of the set's pairs (``None``: other typings)."""
         typing = self._computer.typing
-        if isinstance(typing, DegreePairTyping):
-            codes = self._ensure_triu_codes()
-            span = self._triu_code_span
-            wanted = np.unique(np.fromiter(
-                (g * span + h for g, h in max_types), dtype=np.int64,
-                count=len(max_types)))
-            mask = within & np.isin(codes, wanted) if wanted.size else \
-                np.zeros(rows.size, dtype=bool)
-        else:
-            candidate_positions = np.nonzero(within)[0]
-            member = np.fromiter(
-                (typing.type_of(int(rows[p]), int(cols[p])) in max_types
-                 for p in candidate_positions),
-                dtype=bool, count=candidate_positions.size)
-            mask = np.zeros(rows.size, dtype=bool)
-            mask[candidate_positions[member]] = True
-        return rows[mask], cols[mask]
+        if not isinstance(typing, DegreePairTyping):
+            return None
+        return encode_degree_pairs(
+            typing.degrees, *_triu_unflat(flat, self._graph.num_vertices))[0]
 
-    def _ensure_triu_codes(self) -> np.ndarray:
-        if self._triu_codes is None:
-            typing = self._computer.typing
-            assert isinstance(typing, DegreePairTyping)
-            rows, cols = triu_pair_indices(self._graph.num_vertices)
-            self._triu_codes, self._triu_code_span = encode_degree_pairs(
-                typing.degrees, rows, cols)
-        return self._triu_codes
+    def _set_within_pairs(self, flat: np.ndarray) -> None:
+        """Adopt ``flat`` as the within-L set, with its aligned codes."""
+        self._within_flat = flat
+        self._within_codes = self._pair_codes(flat)
 
-    def _ensure_pair_mask(self) -> None:
-        if self._within_pairs is None:
-            rows, cols = triu_pair_indices(self._graph.num_vertices)
-            length = self._computer.length_threshold
-            store = self._distance.store
-            if isinstance(store, DenseStore):
-                self._within_pairs = store.array[rows, cols] <= length
-                return
-            # Tiled tier: stream the triu gather block by block.  The triu
-            # row array is sorted ascending, so each block's pairs form one
-            # contiguous slice found by binary search.
-            mask = np.empty(rows.size, dtype=bool)
-            for start, stop in store.row_blocks():
-                low = np.searchsorted(rows, start, side="left")
-                high = np.searchsorted(rows, stop, side="left")
-                if low == high:
-                    continue
-                slab = store.rows(np.arange(start, stop))
-                mask[low:high] = (slab[rows[low:high] - start, cols[low:high]]
-                                  <= length)
-            self._within_pairs = mask
+    def _fold_flipped_cells(self, row_idx: np.ndarray, col_idx: np.ndarray,
+                            gained: np.ndarray) -> None:
+        """Fold one applied delta's flipped cells into the within-L set.
 
-    def _update_pair_mask(self, row_idx: np.ndarray, col_idx: np.ndarray,
-                          gained: np.ndarray) -> None:
-        """Fold one applied delta's flipped cells into the within-L mask."""
-        n = self._graph.num_vertices
+        ``_flipped_cells`` yields one cell per pair, so every lost pair is
+        in the set and every gained one is not: a searchsorted locates
+        both, a keep mask drops the lost ones and one slot mask splices the
+        gained ones in, for the set and its codes alike, without re-sorting
+        either.  A removal-only step never reaches the splice.
+        """
         i = np.minimum(row_idx, col_idx)
         j = np.maximum(row_idx, col_idx)
-        flat = i * (2 * n - i - 1) // 2 + (j - i - 1)
-        self._within_pairs[flat] = gained
+        flat = _triu_flat(i, j, self._graph.num_vertices)
+        within, codes = self._within_flat, self._within_codes
+        lost = flat[~gained]
+        if lost.size:
+            keep = np.ones(within.size, dtype=bool)
+            keep[np.searchsorted(within, lost)] = False
+            within = within[keep]
+            if codes is not None:
+                codes = codes[keep]
+        if gained.any():
+            order = np.argsort(flat[gained])
+            added = flat[gained][order]
+            at = np.searchsorted(within, added) + np.arange(added.size)
+            slots = np.ones(within.size + added.size, dtype=bool)
+            slots[at] = False
+            within = _splice(within, slots, added, at)
+            if codes is not None:
+                codes = _splice(codes, slots, encode_degree_pairs(
+                    self._computer.typing.degrees,
+                    i[gained][order], j[gained][order])[0], at)
+        self._within_flat, self._within_codes = within, codes
 
     # ------------------------------------------------------------------
     # scratch reference path

@@ -64,7 +64,10 @@ def triu_pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
     regeneration from the hot path.  The arrays are marked read-only — take a
     copy before mutating (boolean/fancy indexing already returns copies).
     Sizes beyond :data:`_TRIU_CACHE_MAX_N` are computed per call rather than
-    pinned (the arrays would dwarf the distance matrix itself).
+    pinned (the arrays would dwarf the distance matrix itself).  The
+    remaining callers all hold a dense matrix already (the stateless
+    evaluator and distance summaries); the tiled tier's pruning pass keeps
+    a sparse within-L set instead and never calls this.
     """
     if n > _TRIU_CACHE_MAX_N:
         return np.triu_indices(n, k=1)

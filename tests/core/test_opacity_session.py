@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.api.progress import NullObserver
@@ -18,8 +21,11 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
+from repro.datasets import load_sample
 from repro.errors import ConfigurationError
 from repro.graph import Graph, erdos_renyi_graph
+from repro.graph.distance import bounded_distance_matrix
+from repro.graph.distance_store import StoreConfig
 
 ALL_ALGORITHMS = [
     (EdgeRemovalAnonymizer, dict(length_threshold=2, theta=0.4, seed=0)),
@@ -326,7 +332,7 @@ class TestViolatingPairIndices:
                                      fallback_row_fraction=0.0)
         scratch = OpacitySession(computer, graph.copy(), mode="scratch")
         max_types = self._max_types(incremental)
-        incremental.violating_pair_indices(max_types)  # materialize the mask
+        incremental.violating_pair_indices(max_types)  # seed the within-L set
         for edge in list(graph.edges())[:4]:
             incremental.apply_edit(removals=[edge])
             scratch.apply_edit(removals=[edge])
@@ -335,6 +341,108 @@ class TestViolatingPairIndices:
         right = scratch.violating_pair_indices(max_types)
         assert left[0].tolist() == right[0].tolist()
         assert left[1].tolist() == right[1].tolist()
+
+    @staticmethod
+    def _sessions(graph, length):
+        """Incremental dense, incremental tiled, and scratch sessions."""
+        computer = OpacityComputer(DegreePairTyping(graph), length)
+        tiled = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=1)
+        return [OpacitySession(computer, graph.copy()),
+                OpacitySession(computer, graph.copy(), store_config=tiled),
+                OpacitySession(computer, graph.copy(), mode="scratch")]
+
+    @pytest.mark.parametrize("num_vertices,edges,expected", [
+        (0, [], []),
+        (1, [], []),
+        (2, [], []),
+        (2, [(0, 1)], [(0, 1)]),
+    ])
+    def test_tiny_graphs(self, num_vertices, edges, expected):
+        graph = Graph(num_vertices, edges=edges)
+        for session in self._sessions(graph, 2):
+            rows, cols = session.violating_pair_indices(
+                self._max_types(session))
+            assert rows.dtype == np.int64 and cols.dtype == np.int64
+            assert list(zip(rows.tolist(), cols.tolist())) == expected
+            session.close()
+
+    def test_empty_max_types_selects_nothing(self):
+        graph = erdos_renyi_graph(12, 0.3, seed=5)
+        for session in self._sessions(graph, 2):
+            rows, cols = session.violating_pair_indices(set())
+            assert rows.dtype == np.int64 and rows.size == 0 and cols.size == 0
+            session.close()
+
+    def test_graph_without_within_l_pairs(self):
+        graph = Graph(7)
+        for session in self._sessions(graph, 3):
+            every_type = set(session.computer.typing.types())
+            rows, cols = session.violating_pair_indices(every_type)
+            assert rows.size == 0 and cols.size == 0
+            session.close()
+
+    def test_pairs_are_int64_in_triu_order(self):
+        graph = erdos_renyi_graph(14, 0.2, seed=6)
+        matrix = bounded_distance_matrix(graph, 2)
+        typing = DegreePairTyping(graph)
+        for session in self._sessions(graph, 2):
+            max_types = self._max_types(session)
+            rows, cols = session.violating_pair_indices(max_types)
+            assert rows.dtype == np.int64 and cols.dtype == np.int64
+            expected = [(i, j) for i in range(14) for j in range(i + 1, 14)
+                        if matrix[i, j] <= 2 and typing.type_of(i, j) in max_types]
+            assert list(zip(rows.tolist(), cols.tolist())) == expected
+            session.close()
+
+    def test_edit_and_exact_inverse_restore_the_answer(self):
+        graph = erdos_renyi_graph(14, 0.25, seed=7)
+        edge = next(iter(graph.edges()))
+        non_edge = next(iter(graph.non_edges()))
+        for session in self._sessions(graph, 2):
+            every_type = set(session.computer.typing.types())
+            before = session.violating_pair_indices(every_type)
+            session.apply_edit(removals=[edge])
+            session.violating_pair_indices(every_type)
+            session.apply_edit(insertions=[edge])
+            session.apply_edit(insertions=[non_edge])
+            session.apply_edit(removals=[non_edge])
+            after = session.violating_pair_indices(every_type)
+            assert before[0].tolist() == after[0].tolist()
+            assert before[1].tolist() == after[1].tolist()
+            session.close()
+
+
+class TestViolatingPairMemory:
+    """The pruning query's state is O(within-L pairs), never O(n²)."""
+
+    def test_tiled_query_peak_stays_below_one_byte_per_pair(self):
+        n = 3000
+        graph = load_sample("gnutella", n, seed=0)
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), 2), graph,
+            store_config=StoreConfig(tier="tiled", budget_bytes=1 << 20))
+        bound = n * (n - 1) // 2
+
+        def traced_query_peak():
+            current = session.current()
+            max_types = {key for key, entry in current.per_type.items()
+                         if entry.fraction == current.max_fraction}
+            tracemalloc.start()
+            try:
+                rows, _ = session.violating_pair_indices(max_types)
+                return tracemalloc.get_traced_memory()[1], rows
+            finally:
+                tracemalloc.stop()
+
+        try:
+            first, rows = traced_query_peak()
+            assert rows.size > 0  # premise: the query has pairs to return
+            session.apply_edit(removals=[next(iter(graph.edges()))])
+            later, _ = traced_query_peak()
+        finally:
+            session.close()
+        assert first < bound, f"first query traced {first} B >= {bound} B"
+        assert later < bound, f"later query traced {later} B >= {bound} B"
 
 
 class TestScanModeEquivalence:

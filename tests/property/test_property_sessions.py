@@ -22,11 +22,13 @@ from repro.core import (
     DegreePairTyping,
     EdgeRemovalAnonymizer,
     EdgeRemovalInsertionAnonymizer,
+    ExplicitPairTyping,
     OpacityComputer,
     OpacitySession,
 )
 from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
+from repro.graph.distance_store import StoreConfig
 from repro.graph.graph import Graph
 from tests.property.strategies import graphs, length_bounds, thetas
 
@@ -145,6 +147,69 @@ class TestOpacitySessionProperties:
                 scratch.evaluate_edit(removals, insertions)
             incremental.apply_edit(removals, insertions)
             scratch.apply_edit(removals, insertions)
+
+
+@st.composite
+def typings(draw, graph: Graph):
+    """The degree-pair typing, or a random explicit typing of some pairs."""
+    if draw(st.booleans()):
+        return DegreePairTyping(graph)
+    labels = st.sampled_from([None, "a", "b", "c"])
+    assignment = {}
+    for u in range(graph.num_vertices):
+        for v in range(u + 1, graph.num_vertices):
+            label = draw(labels)
+            if label is not None:
+                assignment[(u, v)] = label
+    return ExplicitPairTyping(assignment)
+
+
+class TestViolatingPairProperties:
+    """The pruning query is tier-, fallback- and mode-independent.
+
+    The sparse within-L set of a tiled session (spill-forcing budget, tiny
+    tiles), a dense session, and a dense session whose every delta is a
+    from-scratch fallback must all return exactly the scratch-mode pairs,
+    in the same order, after every applied edit of a random script.
+    """
+
+    @given(edit_scripts(), st.sampled_from([1, 2, 3]),
+           st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tiers_and_modes_agree_after_every_step(self, script_case, length,
+                                                    tile_rows, data):
+        graph, script = script_case
+        computer = OpacityComputer(data.draw(typings(graph)), length)
+        tiled = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=tile_rows)
+        sessions = [
+            OpacitySession(computer, graph.copy(), store_config=tiled),
+            OpacitySession(computer, graph.copy()),
+            OpacitySession(computer, graph.copy(), fallback_row_fraction=0.0),
+        ]
+        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        every_type = set(computer.typing.types())
+        try:
+            for step in range(len(script) + 1):
+                if step:
+                    kind, edge = script[step - 1]
+                    edit = {"removals" if kind == "remove" else "insertions":
+                            [edge]}
+                    for session in sessions + [scratch]:
+                        session.apply_edit(**edit)
+                current = scratch.current()
+                max_types = {key for key, entry in current.per_type.items()
+                             if entry.fraction == current.max_fraction}
+                for wanted in (max_types, every_type):
+                    rows, cols = scratch.violating_pair_indices(wanted)
+                    for session in sessions:
+                        got_rows, got_cols = session.violating_pair_indices(
+                            wanted)
+                        assert got_rows.dtype == np.int64
+                        assert np.array_equal(got_rows, rows)
+                        assert np.array_equal(got_cols, cols)
+        finally:
+            for session in sessions:
+                session.close()
 
 
 class TestEndToEndModeEquivalence:
