@@ -2,18 +2,21 @@
 
 The greedy heuristics spend nearly all of their runtime evaluating tentative
 edge edits (the runtime wall of Figures 9-11).  Two orthogonal knobs govern
-that cost:
+that cost, and the product ships only their optimized ends:
 
-* ``evaluation_mode`` — ``"incremental"`` routes every scan through an
-  ``OpacitySession`` that updates only the distance-matrix rows an edit can
-  touch, while ``"scratch"`` recomputes the bounded matrix and the
-  Algorithm 1 recount per candidate.
-* ``scan_mode`` — ``"batched"`` evaluates all single-edge candidates of a
-  greedy step in one stacked numpy pass (shared removal slab, grouped
-  bincount), while ``"per_candidate"`` previews them one at a time.
+* incremental evaluation — every scan goes through an ``OpacitySession``
+  that updates only the distance-matrix rows an edit can touch, where the
+  scratch reference (``tests.oracles.ScratchSession``) recomputes the
+  bounded matrix and the Algorithm 1 recount per candidate;
+* batched scans — ``evaluate_edits`` evaluates all single-edge candidates
+  of a greedy step in one stacked numpy pass (shared removal slab, grouped
+  bincount), where the per-candidate reference
+  (``tests.oracles.PerCandidateSession``) previews them one at a time.
 
-This bench measures candidate evaluations per second along both axes on the
-same workload and verifies every configuration chooses bit-identical edits.
+The two references run through ``AnonymizerConfig.open_session``, the seam
+every algorithm opens its session with.  This bench measures candidate
+evaluations per second along both axes on the same workload and verifies
+every configuration chooses bit-identical edits.
 
 ``max_steps`` caps the greedy loop so the measurement stays smoke-sized:
 all configurations walk the exact same steps, so evaluations/sec is an
@@ -27,6 +30,7 @@ import pytest
 from benchmarks.conftest import smoke
 from repro.core import EdgeRemovalAnonymizer
 from repro.datasets import load_sample
+from tests.oracles import PerCandidateSession, ScratchSession, run_on
 
 DATASET = "google"
 SAMPLE_SIZES = smoke((40, 80), (40, 80))
@@ -34,13 +38,14 @@ LENGTH = 2
 THETA = 0.3
 MAX_STEPS = 4
 
-#: (evaluation_mode, scan_mode) points of the ablation grid; the first entry
-#: is the fully-optimized default, the last the from-scratch reference.
-CONFIGURATIONS = (
-    ("incremental", "batched"),
-    ("incremental", "per_candidate"),
-    ("scratch", "per_candidate"),
-)
+#: (evaluation, scan) points of the ablation grid and the session each runs
+#: on (``None`` = the product's); the first entry is the fully-optimized
+#: default, the last the from-scratch reference.
+CONFIGURATIONS = {
+    ("incremental", "batched"): None,
+    ("incremental", "per_candidate"): PerCandidateSession,
+    ("scratch", "per_candidate"): ScratchSession,
+}
 
 #: At the largest sample, incremental/per-candidate must beat scratch and
 #: batched must beat per-candidate, each by at least this much; the measured
@@ -50,12 +55,17 @@ CONFIGURATIONS = (
 MIN_SPEEDUP_LARGEST = smoke(2.0, None)
 
 
-def _run(graph, evaluation_mode, scan_mode):
+def _run(graph, key):
     anonymizer = EdgeRemovalAnonymizer(
-        length_threshold=LENGTH, theta=THETA, seed=0, max_steps=MAX_STEPS,
-        evaluation_mode=evaluation_mode, scan_mode=scan_mode)
+        length_threshold=LENGTH, theta=THETA, seed=0, max_steps=MAX_STEPS)
+    session_class = CONFIGURATIONS[key]
     started = time.perf_counter()
-    result = anonymizer.anonymize(graph)
+    if session_class is None:
+        result = anonymizer.anonymize(graph)
+    else:
+        result, evaluations = run_on(session_class, anonymizer, graph)
+        # Premise: the reference really ran, on every evaluation.
+        assert evaluations == result.evaluations
     elapsed = time.perf_counter() - started
     return result, result.evaluations / max(elapsed, 1e-9)
 
@@ -65,19 +75,18 @@ def bench_incremental_vs_scratch(benchmark, size):
     benchmark.group = f"candidate evaluations/sec, {DATASET} L={LENGTH}"
     graph = load_sample(DATASET, size, seed=0)
     results, rates = {}, {}
-    for evaluation_mode, scan_mode in CONFIGURATIONS[1:]:
-        results[evaluation_mode, scan_mode], rates[evaluation_mode, scan_mode] = \
-            _run(graph, evaluation_mode, scan_mode)
-    results["incremental", "batched"], rates["incremental", "batched"] = \
-        benchmark.pedantic(_run, args=(graph, "incremental", "batched"),
-                           rounds=1, iterations=1)
+    default, *references = CONFIGURATIONS
+    for key in references:
+        results[key], rates[key] = _run(graph, key)
+    results[default], rates[default] = benchmark.pedantic(
+        _run, args=(graph, default), rounds=1, iterations=1)
     print(f"\n  |V|={size}:")
     for key in CONFIGURATIONS:
         print(f"    {key[0]:>11s}/{key[1]:<13s} {rates[key]:>10,.0f} evals/s")
 
     # Every configuration must walk the identical greedy trajectory ...
     reference = results["scratch", "per_candidate"]
-    for key in CONFIGURATIONS[:2]:
+    for key in list(CONFIGURATIONS)[:2]:
         observed = results[key]
         assert [(step.operation, step.edges, step.max_opacity_after)
                 for step in observed.steps] == \

@@ -113,9 +113,8 @@ def _execute_group_payload(payloads: List[Dict[str, Any]], sweep_mode: str,
         first = requests[0]
         try:
             graph = cache.graph_for(first)
-            if first.evaluation_mode == "incremental":
-                initial_distances = cache.distances_for(
-                    first, max(l_max_hint or 1, first.length_threshold))
+            initial_distances = cache.distances_for(
+                first, max(l_max_hint or 1, first.length_threshold))
             if any(request.include_utility for request in requests):
                 baseline = cache.baseline_for(first)
         except Exception as exc:  # noqa: BLE001 — same isolation as the group
@@ -184,11 +183,9 @@ def _execute_shm_group_payload(payloads: List[Dict[str, Any]],
     try:
         cache.adopt_arena(first, descriptor)
         graph = cache.graph_for(first)
-        initial_distances = None
-        if first.evaluation_mode == "incremental":
-            l_max = descriptor.l_max_for(first.engine)
-            initial_distances = cache.distances_for(
-                first, max(l_max or 1, first.length_threshold))
+        l_max = descriptor.l_max_for(first.engine)
+        initial_distances = cache.distances_for(
+            first, max(l_max or 1, first.length_threshold))
     except Exception as exc:  # noqa: BLE001 — same isolation as the group
         return {"responses": [AnonymizationResponse.failure(request, exc).to_dict()
                               for request in requests],
@@ -317,10 +314,9 @@ class BatchRunner:
 
         l_max_hints: Dict[Any, int] = {}
         for request in sweep.requests:
-            if request.evaluation_mode == "incremental":
-                hint_key = (sample_key(request), request.engine)
-                l_max_hints[hint_key] = max(l_max_hints.get(hint_key, 1),
-                                            request.length_threshold)
+            hint_key = (sample_key(request), request.engine)
+            l_max_hints[hint_key] = max(l_max_hints.get(hint_key, 1),
+                                        request.length_threshold)
         workers = self._worker_count(len(groups))
         with self._pool(workers) as pool:
             futures: List[Future] = [
@@ -525,8 +521,7 @@ class BatchRunner:
                     engine_errors: Dict[str, Exception] = {}
                     for engine, l_max in l_max_by_engine.items():
                         probe = next(request for request in group
-                                     if request.engine == engine
-                                     and request.evaluation_mode == "incremental")
+                                     if request.engine == engine)
                         try:
                             # Tiled-tier engines never materialize the dense
                             # L_max matrix: the parent publishes the CSR
@@ -577,8 +572,7 @@ class BatchRunner:
                         sub = [grid.requests[index] for index in todo]
                         first = sub[0]
                         failure: Optional[Exception] = None
-                        if (first.evaluation_mode == "incremental"
-                                and first.engine in engine_errors):
+                        if first.engine in engine_errors:
                             failure = engine_errors[first.engine]
                         elif baseline_error is not None and any(
                                 request.include_utility for request in sub):

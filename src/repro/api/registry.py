@@ -43,7 +43,6 @@ _TUNING_PARAMS = frozenset({
     "swap_sample_size",
     "seed",
     "engine",
-    "evaluation_mode",
     "scan_mode",
     "scan_workers",
     "sweep_mode",

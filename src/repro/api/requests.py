@@ -51,7 +51,6 @@ class AnonymizationRequest:
     lookahead: int = 1
     seed: Optional[int] = 0
     engine: str = "numpy"
-    evaluation_mode: str = "incremental"
     scan_mode: str = "batched"
     scan_workers: Optional[int] = None
     sweep_mode: str = "checkpointed"
@@ -104,7 +103,6 @@ class AnonymizationRequest:
             "lookahead": self.lookahead,
             "seed": self.seed,
             "engine": self.engine,
-            "evaluation_mode": self.evaluation_mode,
             "scan_mode": self.scan_mode,
             "scan_workers": self.scan_workers,
             "sweep_mode": self.sweep_mode,

@@ -308,9 +308,9 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
     Returns ``(plans, l_max_by_engine)``: one :class:`ThetaGroupPlan` per
     θ-sweep group of ``requests`` (group order), and the largest
     ``length_threshold`` per engine over the grid points that will
-    actually consume a matrix — scratch-mode requests recompute distances
-    per evaluation, and resumed/materialized grid points never read the
-    original graph's matrix, so neither may inflate the single engine run.
+    actually consume a matrix — resumed/materialized grid points never read
+    the original graph's matrix, so they may not inflate the single engine
+    run.
     """
     requests = list(requests)
     resume = dict(resume_from) if resume_from else {}
@@ -343,10 +343,9 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
             continue
         for index in plan.todo:
             request = requests[index]
-            if request.evaluation_mode == "incremental":
-                l_max_by_engine[request.engine] = max(
-                    l_max_by_engine.get(request.engine, 0),
-                    request.length_threshold)
+            l_max_by_engine[request.engine] = max(
+                l_max_by_engine.get(request.engine, 0),
+                request.length_threshold)
     return plans, l_max_by_engine
 
 
@@ -473,7 +472,7 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
             continue
         group = [requests[index] for index in todo]
         initial_distances = None
-        if resume_checkpoint is None and first.evaluation_mode == "incremental":
+        if resume_checkpoint is None:
             try:
                 initial_distances = cache.distances_for(
                     group[0], l_max_by_engine[group[0].engine])

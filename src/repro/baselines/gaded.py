@@ -43,13 +43,8 @@ from repro.core.anonymizer import (
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer
-from repro.core.opacity_session import (
-    OpacitySession,
-    validate_evaluation_mode,
-    validate_scan_mode,
-)
+from repro.core.opacity_session import OpacitySession, validate_scan_mode
 from repro.core.pair_types import DegreePairTyping, PairTyping
-from repro.core.scan_pool import resolve_scan_workers
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph.distance_store import validate_scale_tier
 from repro.graph.graph import Edge, Graph
@@ -60,8 +55,7 @@ class _GadedBase:
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None, engine: str = "numpy",
-                 strict: bool = False, evaluation_mode: str = "incremental",
-                 scan_mode: str = "batched",
+                 strict: bool = False, scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
                  sweep_mode: str = "checkpointed",
                  scale_tier: str = "auto",
@@ -71,7 +65,6 @@ class _GadedBase:
         if scan_workers is not None and scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {scan_workers}")
-        validate_evaluation_mode(evaluation_mode)
         validate_scan_mode(scan_mode)
         validate_sweep_mode(sweep_mode)
         validate_scale_tier(scale_tier)
@@ -83,7 +76,6 @@ class _GadedBase:
         self._max_steps = max_steps
         self._engine = engine
         self._strict = strict
-        self._evaluation_mode = evaluation_mode
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
         self._sweep_mode = sweep_mode
@@ -148,18 +140,12 @@ class _GadedBase:
         config = AnonymizerConfig(length_threshold=1, theta=theta, seed=self._seed,
                                   engine=self._engine, strict=self._strict,
                                   max_steps=self._max_steps,
-                                  evaluation_mode=self._evaluation_mode,
                                   scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
                                   sweep_mode=self._sweep_mode,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
-        session = OpacitySession(
-            computer, working, mode=self._evaluation_mode,
-            initial_distances=initial_distances,
-            store_config=config.store_config(),
-            scan_workers=resolve_scan_workers(self._scan_mode,
-                                              self._scan_workers))
+        session = config.open_session(computer, working, initial_distances)
         rng = random.Random(self._seed)
         result = AnonymizationResult(
             original_graph=graph.copy(),
@@ -238,9 +224,8 @@ class _GadedBase:
 @register_anonymizer(
     "gaded-rand",
     description="GADED-Rand baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "engine", "strict", "evaluation_mode",
-             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
-             "scale_budget_bytes"),
+    accepts=("theta", "seed", "max_steps", "engine", "strict", "scan_mode",
+             "scan_workers", "sweep_mode", "scale_tier", "scale_budget_bytes"),
 )
 class GadedRandAnonymizer(_GadedBase):
     """GADED-Rand: remove a random edge participating in disclosure."""
@@ -256,9 +241,8 @@ class GadedRandAnonymizer(_GadedBase):
 @register_anonymizer(
     "gaded-max",
     description="GADED-Max baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "engine", "strict", "evaluation_mode",
-             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
-             "scale_budget_bytes"),
+    accepts=("theta", "seed", "max_steps", "engine", "strict", "scan_mode",
+             "scan_workers", "sweep_mode", "scale_tier", "scale_budget_bytes"),
 )
 class GadedMaxAnonymizer(_GadedBase):
     """GADED-Max: remove the edge with the greatest reduction of the maximum
@@ -271,12 +255,8 @@ class GadedMaxAnonymizer(_GadedBase):
             candidates = list(session.graph.edges())
         if not candidates:
             return None
-        if self._scan_mode in ("batched", "parallel"):
-            outcomes = iter_batched_evaluations(session, candidates,
-                                                lambda edge: ((edge,), ()))
-        else:
-            outcomes = (session.evaluate_edit(removals=(edge,))
-                        for edge in candidates)
+        outcomes = iter_batched_evaluations(session, candidates,
+                                            lambda edge: ((edge,), ()))
         best_edge: Optional[Edge] = None
         best_key: Optional[Tuple[float, float]] = None
         tie_count = 0

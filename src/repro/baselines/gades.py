@@ -33,13 +33,8 @@ from repro.core.anonymizer import (
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer
-from repro.core.opacity_session import (
-    OpacitySession,
-    validate_evaluation_mode,
-    validate_scan_mode,
-)
+from repro.core.opacity_session import OpacitySession, validate_scan_mode
 from repro.core.pair_types import DegreePairTyping, PairTyping
-from repro.core.scan_pool import resolve_scan_workers
 from repro.errors import ConfigurationError
 from repro.graph.distance_store import validate_scale_tier
 from repro.graph.graph import Edge, Graph, normalize_edge
@@ -51,8 +46,8 @@ Swap = Tuple[Edge, Edge, Edge, Edge]  # (removed1, removed2, added1, added2)
     "gades",
     description="GADES baseline (Zhang & Zhang, degree-preserving swaps)",
     accepts=("theta", "seed", "max_steps", "swap_sample_size", "engine",
-             "evaluation_mode", "scan_mode", "scan_workers", "sweep_mode",
-             "scale_tier", "scale_budget_bytes"),
+             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
+             "scale_budget_bytes"),
 )
 class GadesAnonymizer:
     """GADES: greedy degree-preserving edge swapping against link disclosure.
@@ -65,10 +60,12 @@ class GadesAnonymizer:
         Number of candidate swap pairs examined per step (the original
         formulation scans all pairs of edges; a seeded sample keeps the
         reimplementation tractable and is documented in DESIGN.md).
-    evaluation_mode:
-        ``"incremental"`` delta-evaluates each candidate swap (an L = 1
-        swap only flips the four edited cells); ``"scratch"`` recounts
-        from scratch.  Both choose identical swaps.
+    scan_mode:
+        ``"batched"`` (default) scores a step's sampled swaps in stacked
+        :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
+        passes — an L = 1 swap only flips its four edited cells, so a pass
+        is one grouped count; ``"parallel"`` shards the passes across a
+        scan pool.  Both choose identical swaps.
     sweep_mode:
         How :meth:`anonymize_schedule` executes a θ grid: one checkpointed
         pass (``"checkpointed"``, default) or one run per grid point
@@ -77,8 +74,7 @@ class GadesAnonymizer:
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None, swap_sample_size: int = 2000,
-                 engine: str = "numpy", evaluation_mode: str = "incremental",
-                 scan_mode: str = "batched",
+                 engine: str = "numpy", scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
                  sweep_mode: str = "checkpointed",
                  scale_tier: str = "auto",
@@ -90,7 +86,6 @@ class GadesAnonymizer:
         if scan_workers is not None and scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {scan_workers}")
-        validate_evaluation_mode(evaluation_mode)
         validate_scan_mode(scan_mode)
         validate_sweep_mode(sweep_mode)
         validate_scale_tier(scale_tier)
@@ -102,7 +97,6 @@ class GadesAnonymizer:
         self._max_steps = max_steps
         self._swap_sample_size = swap_sample_size
         self._engine = engine
-        self._evaluation_mode = evaluation_mode
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
         self._sweep_mode = sweep_mode
@@ -160,8 +154,7 @@ class GadesAnonymizer:
         return GadesAnonymizer(
             theta=theta, seed=self._seed, max_steps=self._max_steps,
             swap_sample_size=self._swap_sample_size, engine=self._engine,
-            evaluation_mode=self._evaluation_mode, scan_mode=self._scan_mode,
-            scan_workers=self._scan_workers,
+            scan_mode=self._scan_mode, scan_workers=self._scan_workers,
             sweep_mode=self._sweep_mode, scale_tier=self._scale_tier,
             scale_budget_bytes=self._scale_budget_bytes)
 
@@ -181,18 +174,12 @@ class GadesAnonymizer:
                                   seed=self._seed, engine=self._engine,
                                   max_steps=self._max_steps,
                                   swap_sample_size=self._swap_sample_size,
-                                  evaluation_mode=self._evaluation_mode,
                                   scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
                                   sweep_mode=self._sweep_mode,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
-        session = OpacitySession(
-            computer, working, mode=self._evaluation_mode,
-            initial_distances=initial_distances,
-            store_config=config.store_config(),
-            scan_workers=resolve_scan_workers(self._scan_mode,
-                                              self._scan_workers))
+        session = config.open_session(computer, working, initial_distances)
         rng = random.Random(self._seed)
         original = graph.copy()
         result = AnonymizationResult(
@@ -297,13 +284,8 @@ class GadesAnonymizer:
                    rng: random.Random,
                    result: AnonymizationResult) -> Optional[Swap]:
         candidates = self._candidate_swaps(session.graph, rng)
-        if self._scan_mode in ("batched", "parallel"):
-            outcomes = iter_batched_evaluations(session, candidates,
-                                                lambda swap: (swap[:2], swap[2:]))
-        else:
-            outcomes = (session.evaluate_edit(removals=swap[:2],
-                                              insertions=swap[2:])
-                        for swap in candidates)
+        outcomes = iter_batched_evaluations(session, candidates,
+                                            lambda swap: (swap[:2], swap[2:]))
         best: Optional[Swap] = None
         best_value = current_max
         for swap, outcome in zip(candidates, outcomes):

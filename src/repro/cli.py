@@ -76,7 +76,7 @@ from repro.api import (
     available_algorithms,
 )
 from repro.core.anonymizer import SWEEP_MODES
-from repro.core.opacity_session import EVALUATION_MODES, SCAN_MODES
+from repro.core.opacity_session import SCAN_MODES
 from repro.graph.distance_store import SCALE_TIERS
 from repro.datasets import dataset_names
 from repro.errors import ReproError
@@ -124,7 +124,6 @@ def _request_from_args(args: argparse.Namespace) -> AnonymizationRequest:
         length_threshold=args.length,
         lookahead=args.lookahead,
         seed=args.seed,
-        evaluation_mode=args.evaluation_mode,
         scan_mode=args.scan_mode,
         scan_workers=args.scan_workers,
         insertion_candidate_cap=args.insertion_cap,
@@ -214,7 +213,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         length_threshold=args.length,
         lookahead=args.lookahead,
         seed=args.seed,
-        evaluation_mode=args.evaluation_mode,
         scan_mode=args.scan_mode,
         scan_workers=args.scan_workers,
         insertion_candidate_cap=args.insertion_cap,
@@ -423,18 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument("--theta", type=float, default=0.5)
     anonymize.add_argument("--length", "-L", type=int, default=1)
     anonymize.add_argument("--lookahead", type=int, default=1)
-    anonymize.add_argument("--evaluation-mode", choices=EVALUATION_MODES,
-                           default="incremental", dest="evaluation_mode",
-                           help="candidate evaluation strategy: delta-evaluated "
-                                "sessions (incremental) or per-candidate recounts "
-                                "(scratch); both choose identical edits")
     anonymize.add_argument("--scan-mode", choices=SCAN_MODES,
                            default="batched", dest="scan_mode",
-                           help="candidate scan strategy: one stacked pass over "
-                                "a step's single-edge candidates (batched), "
-                                "one preview per candidate (per_candidate), or "
-                                "the batched scan sharded across a worker pool "
-                                "(parallel); all choose identical edits")
+                           help="candidate scan strategy: stacked passes over "
+                                "a step's candidates in this process (batched) "
+                                "or sharded across a worker pool (parallel); "
+                                "both choose identical edits")
     anonymize.add_argument("--scan-workers", type=int, default=None,
                            dest="scan_workers",
                            help="worker pool size for --scan-mode parallel "
@@ -471,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(algorithm, L, lookahead, seed) group with per-θ "
                             "checkpoints; independent: one run per grid point; "
                             "both produce identical results")
-    sweep.add_argument("--evaluation-mode", choices=EVALUATION_MODES,
-                       default="incremental", dest="evaluation_mode")
     sweep.add_argument("--scan-mode", choices=SCAN_MODES,
                        default="batched", dest="scan_mode")
     sweep.add_argument("--scan-workers", type=int, default=None,
@@ -551,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scan-workers", type=int, default=None,
                        dest="scan_workers",
                        help="default parallel-scan pool size applied at "
-                            "execution time to submitted jobs that kept the "
-                            "default scan mode (fingerprints unchanged)")
+                            "execution time to submitted jobs that set no "
+                            "scan_workers (fingerprints unchanged)")
     serve.add_argument("--reset", action="store_true",
                        help="archive and re-initialize the run store before "
                             "serving (rolling window of 3 backups)")

@@ -21,7 +21,6 @@ from repro.core.pair_types import (
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
 from repro.core.opacity_session import (
-    EVALUATION_MODES,
     SCAN_MODES,
     EditEvaluation,
     OpacitySession,
@@ -55,7 +54,6 @@ __all__ = [
     "OpacityComputer",
     "OpacityResult",
     "TypeOpacity",
-    "EVALUATION_MODES",
     "SCAN_MODES",
     "EditEvaluation",
     "OpacitySession",

@@ -36,11 +36,7 @@ from repro.api.progress import (
     notify_checkpoint,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult
-from repro.core.opacity_session import (
-    OpacitySession,
-    validate_evaluation_mode,
-    validate_scan_mode,
-)
+from repro.core.opacity_session import OpacitySession, validate_scan_mode
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.core.scan_pool import resolve_scan_workers
 from repro.errors import ConfigurationError, InfeasibleError
@@ -100,7 +96,7 @@ def iter_batched_evaluations(session: OpacitySession, candidates: Sequence,
     ``BATCH_SCAN_CHUNK``-sized :meth:`OpacitySession.evaluate_edits` pass at
     a time, so the consumer's per-candidate accounting (and any stop raised
     from it) never waits on more than one chunk of computed-but-unreported
-    work.  Shared by every ``scan_mode="batched"`` scan loop.
+    work.  Shared by every candidate scan loop.
     """
     # A parallel scan amortizes one pool round-trip per chunk, so chunks
     # scale with the pool size — each worker still sees ~BATCH_SCAN_CHUNK
@@ -146,26 +142,19 @@ class AnonymizerConfig:
     strict:
         If ``True``, raise :class:`InfeasibleError` when the threshold cannot
         be met; otherwise return a best-effort result with ``success=False``.
-    evaluation_mode:
-        How candidate edits are evaluated: ``"incremental"`` (default)
-        delta-evaluates each candidate through an
-        :class:`~repro.core.opacity_session.OpacitySession`;
-        ``"scratch"`` recomputes distances and counts from scratch per
-        candidate.  Both modes choose bit-identical edits.
     scan_mode:
         How a step's candidate list is walked: ``"batched"`` (default)
-        evaluates all single-edge candidates of a scan in one stacked
+        evaluates the candidates of a scan in stacked
         :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
-        pass; ``"per_candidate"`` previews them one at a time;
-        ``"parallel"`` shards the batched scan across a pool of
-        ``scan_workers`` processes attached to a shared-memory publication
-        of the session state (DESIGN.md §14).  All scan modes choose
-        bit-identical edits.
+        passes in the calling process; ``"parallel"`` shards those passes
+        across a pool of ``scan_workers`` processes attached to a
+        shared-memory publication of the session state (DESIGN.md §14).
+        Both scan modes choose bit-identical edits.
     scan_workers:
         Pool size for ``scan_mode="parallel"``.  ``None`` (default)
         auto-sizes to ``min(4, cpu_count)`` on multi-core machines and
         falls back to serial scanning on single-core ones; explicit values
-        are used as-is (0/1 = serial).  Ignored by the other scan modes
+        are used as-is (0/1 = serial).  Ignored by ``"batched"`` scans
         and inside θ-group pool workers (no nested oversubscription).
     sweep_mode:
         How :meth:`BaseAnonymizer.anonymize_schedule` executes a θ grid:
@@ -181,8 +170,7 @@ class AnonymizerConfig:
         full n×n matrix in memory, ``"tiled"`` streams row-block tiles
         through a :class:`~repro.graph.distance_store.TiledStore` under
         ``scale_budget_bytes``, and ``"auto"`` (default) picks dense when
-        the matrix fits the budget and tiled otherwise.  The tiled tier
-        requires ``evaluation_mode="incremental"``.
+        the matrix fits the budget and tiled otherwise.
     scale_budget_bytes:
         Byte budget for the distance plane (``None`` = the default
         512 MiB).  In the dense tier this is a guard — exceeding it raises
@@ -200,7 +188,6 @@ class AnonymizerConfig:
     max_combinations: int = 100_000
     insertion_candidate_cap: Optional[int] = None
     strict: bool = False
-    evaluation_mode: str = "incremental"
     scan_mode: str = "batched"
     scan_workers: Optional[int] = None
     sweep_mode: str = "checkpointed"
@@ -213,6 +200,21 @@ class AnonymizerConfig:
         budget = (self.scale_budget_bytes if self.scale_budget_bytes is not None
                   else DEFAULT_SCALE_BUDGET_BYTES)
         return StoreConfig(tier=self.scale_tier, budget_bytes=budget)
+
+    def open_session(self, computer: OpacityComputer, graph: Graph,
+                     initial_distances=None) -> OpacitySession:
+        """The evaluation session a run of this config scans ``graph`` with.
+
+        Every greedy algorithm opens its session here: the scale tier comes
+        from :meth:`store_config` and the scan-pool size from
+        ``scan_mode``/``scan_workers``.  ``initial_distances`` seeds the
+        session like in :meth:`BaseAnonymizer.anonymize`.
+        """
+        return OpacitySession(
+            computer, graph, initial_distances=initial_distances,
+            store_config=self.store_config(),
+            scan_workers=resolve_scan_workers(self.scan_mode,
+                                              self.scan_workers))
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for invalid parameter values."""
@@ -238,18 +240,9 @@ class AnonymizerConfig:
         if self.scan_workers is not None and self.scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {self.scan_workers}")
-        validate_evaluation_mode(self.evaluation_mode)
         validate_scan_mode(self.scan_mode)
         validate_sweep_mode(self.sweep_mode)
-        if self.scan_mode == "parallel" and self.evaluation_mode == "scratch":
-            raise ConfigurationError(
-                "scan_mode='parallel' requires evaluation_mode='incremental'; "
-                "scratch evaluation has no shareable session state")
         validate_scale_tier(self.scale_tier)
-        if self.scale_tier == "tiled" and self.evaluation_mode == "scratch":
-            raise ConfigurationError(
-                "scale_tier='tiled' requires evaluation_mode='incremental'; "
-                "scratch evaluation recomputes a dense matrix per candidate")
         if self.scale_budget_bytes is not None and self.scale_budget_bytes < 1:
             raise ConfigurationError(
                 f"scale_budget_bytes must be >= 1, got {self.scale_budget_bytes}")
@@ -623,12 +616,7 @@ class BaseAnonymizer(ABC):
         computer = OpacityComputer(typing, config.length_threshold, engine=config.engine)
         working = (resume_from.graph.copy() if resume_from is not None
                    else graph.copy())
-        session = OpacitySession(
-            computer, working, mode=config.evaluation_mode,
-            initial_distances=initial_distances,
-            store_config=config.store_config(),
-            scan_workers=resolve_scan_workers(config.scan_mode,
-                                              config.scan_workers))
+        session = config.open_session(computer, working, initial_distances)
         rng = random.Random(config.seed)
         original = graph.copy()
         result = AnonymizationResult(
@@ -733,13 +721,10 @@ class BaseAnonymizer(ABC):
 
         Returns a callable mapping a list of edge combinations to an
         iterator of :class:`CandidateOutcome`\\ s, each counted (and each
-        stop request honoured) as it is yielded.  ``scan_mode=
-        "per_candidate"`` evaluates one :meth:`OpacitySession.evaluate_edit`
-        per combination; the batched modes compute the outcomes in stacked
-        :meth:`OpacitySession.evaluate_edits` chunks
+        stop request honoured) as it is yielded.  The outcomes are computed
+        in stacked :meth:`OpacitySession.evaluate_edits` chunks
         (:func:`iter_batched_evaluations`), so a stop request never waits
-        on more than one chunk.  Both yield identical outcomes in the same
-        order.
+        on more than one chunk.
         """
         if kind == "remove":
             def to_edit(combo):
@@ -748,16 +733,9 @@ class BaseAnonymizer(ABC):
             def to_edit(combo):
                 return ((), tuple(combo))
 
-        if self._config.scan_mode == "per_candidate":
-            def evaluations(combos):
-                return (session.evaluate_edit(*to_edit(combo))
-                        for combo in combos)
-        else:
-            def evaluations(combos):
-                return iter_batched_evaluations(session, combos, to_edit)
-
         def evaluate_batch(combos):
-            for combo, evaluation in zip(combos, evaluations(combos)):
+            for combo, evaluation in zip(
+                    combos, iter_batched_evaluations(session, combos, to_edit)):
                 self._record_evaluation(result)
                 yield CandidateOutcome(edges=tuple(combo),
                                        fraction=evaluation.fraction,

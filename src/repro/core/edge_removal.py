@@ -29,8 +29,8 @@ from repro.graph.graph import Edge
     description="Edge Removal (paper Algorithm 4)",
     accepts=("length_threshold", "theta", "lookahead", "engine", "seed",
              "max_steps", "prune_candidates", "max_combinations", "strict",
-             "evaluation_mode", "scan_mode", "scan_workers", "sweep_mode",
-             "scale_tier", "scale_budget_bytes"),
+             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
+             "scale_budget_bytes"),
 )
 class EdgeRemovalAnonymizer(BaseAnonymizer):
     """Algorithm 4: greedy L-opacification via edge removal.
@@ -89,12 +89,6 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
     def _prune_to_short_paths(self, session: OpacitySession,
                               current: OpacityResult, edges: Sequence[Edge]) -> List[Edge]:
         length = self._config.length_threshold
-        # Incremental sessions serve distances in row blocks through the
-        # store seam (the tiled tier has no dense matrix to hand out);
-        # scratch mode computes one dense matrix and reuses it below.
-        distances = None
-        if session.mode != "incremental":
-            distances = session.distances().astype(np.int64)
         # Collect the vertex pairs of the types at the current maximum that
         # are within distance L — only breaking one of their short paths can
         # reduce the maximum opacity.  The session keeps the within-L pairs
@@ -103,7 +97,7 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
         max_fraction = current.max_fraction
         max_types = {key for key, entry in current.per_type.items()
                      if entry.fraction == max_fraction}
-        rows, cols = session.violating_pair_indices(max_types, distances=distances)
+        rows, cols = session.violating_pair_indices(max_types)
         if rows.size == 0:
             return []
         # Too many violating pairs: the pruning pass would cost more than it
@@ -114,16 +108,12 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
         edge_v = np.fromiter((edge[1] for edge in edges), dtype=np.int64, count=len(edges))
         keep = np.zeros(len(edges), dtype=bool)
         # Chunked vectorized membership test: a removal candidate survives
-        # when it lies on a ≤L path of some violating pair.
+        # when it lies on a ≤L path of some violating pair.  Distances come
+        # in row blocks through the store seam (the tiled tier has no dense
+        # matrix to hand out).
         for start in range(0, rows.size, 256):
-            i = rows[start:start + 256]
-            j = cols[start:start + 256]
-            if distances is not None:
-                di = distances[i]
-                dj = distances[j]
-            else:
-                di = session.distance_rows(i).astype(np.int64)
-                dj = session.distance_rows(j).astype(np.int64)
+            di = session.distance_rows(rows[start:start + 256]).astype(np.int64)
+            dj = session.distance_rows(cols[start:start + 256]).astype(np.int64)
             on_path = ((di[:, edge_u] + dj[:, edge_v] + 1 <= length)
                        | (di[:, edge_v] + dj[:, edge_u] + 1 <= length))
             keep |= on_path.any(axis=0)

@@ -5,9 +5,8 @@ The default greedy step considers single-edge moves.  With look-ahead
 opacity the search widens to combinations of two edges, then three, up to
 ``la`` edges (the paper's recursive combination generator).  Every level
 hands its whole combination list to one batch evaluator, which streams the
-outcomes back in combination order; the batched scan modes compute them in
-stacked :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
-chunks.  If no combination improves at any size, the best single-size
+outcomes back in combination order, computed in stacked
+:meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits` chunks.  If no combination improves at any size, the best single-size
 candidate found is returned so the greedy loop still progresses.
 """
 

@@ -20,15 +20,15 @@ so the tally reduces to a bincount over the candidates' own edges).  The
 session reproduces the
 stateless evaluator *bit-identically*: the same ``Fraction`` maxima, the
 same ``types_at_max`` tie-break counts, and (for GADED-Max) the same
-float-summed total opacity, so a greedy run chooses the same edits in either
-evaluation mode.
+float-summed total opacity, so a greedy run chooses the same edits as the
+stateless evaluator would.
 
-``mode="scratch"`` is the reference implementation: every query applies the
-edit, runs the stateless evaluator, and reverts — the paper's
-copy-evaluate-restore loop behind the same interface.  Both modes apply and
-revert tentative edits through the same :class:`~repro.graph.graph.Graph`
+The paper's copy-evaluate-restore loop is the reference semantics: apply
+the edit, run the stateless evaluator, revert.  The session applies and
+reverts tentative edits through the same :class:`~repro.graph.graph.Graph`
 mutations in the same order, so adjacency-set iteration (and with it every
-seeded tie-break downstream) is mode-independent.
+seeded tie-break downstream) matches that loop; the test suite keeps the
+loop itself as a reference session and runs every algorithm on both.
 
 Whole candidate scans go through :meth:`OpacitySession.evaluate_edits`,
 which stacks the distance deltas of all single-edge candidates into one
@@ -64,17 +64,13 @@ from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
 
-#: Valid values of the ``evaluation_mode`` knob, service layer included.
-EVALUATION_MODES: Tuple[str, ...] = ("scratch", "incremental")
-
 #: Valid values of the ``scan_mode`` knob: how the greedy algorithms walk a
-#: step's candidate list — one :meth:`OpacitySession.evaluate_edit` per
-#: candidate, one :meth:`OpacitySession.evaluate_edits` pass over all of
-#: them, or that same batched pass sharded across a persistent pool of
-#: scan workers over a shared-memory arena (``"parallel"``,
-#: :mod:`repro.core.scan_pool`).  All scan modes choose bit-identical
-#: edits.
-SCAN_MODES: Tuple[str, ...] = ("per_candidate", "batched", "parallel")
+#: step's candidate list — :meth:`OpacitySession.evaluate_edits` passes in
+#: the calling process (``"batched"``), or those same passes sharded across
+#: a persistent pool of scan workers over a shared-memory arena
+#: (``"parallel"``, :mod:`repro.core.scan_pool`).  Both scan modes choose
+#: bit-identical edits.
+SCAN_MODES: Tuple[str, ...] = ("batched", "parallel")
 
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
@@ -150,13 +146,6 @@ def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def validate_evaluation_mode(mode: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``mode`` is a known mode."""
-    if mode not in EVALUATION_MODES:
-        raise ConfigurationError(
-            f"unknown evaluation_mode {mode!r}; available: {EVALUATION_MODES}")
-
-
 def validate_scan_mode(mode: str) -> None:
     """Raise :class:`ConfigurationError` unless ``mode`` is a known scan mode."""
     if mode not in SCAN_MODES:
@@ -196,9 +185,6 @@ class OpacitySession:
         The stateless evaluator fixing typing, L, and the distance engine.
     graph:
         The working graph (shared, not copied).
-    mode:
-        ``"incremental"`` (delta evaluation) or ``"scratch"``
-        (copy-evaluate-restore reference).
     fallback_row_fraction:
         Passed to :class:`DistanceSession` — removal deltas touching more
         than this fraction of rows fall back to a from-scratch matrix.
@@ -218,40 +204,25 @@ class OpacitySession:
         (e.g. a thresholded slice of a shared
         :class:`~repro.graph.distance_cache.LMaxDistanceCache`) or a
         :class:`~repro.graph.distance_store.DistanceStore` served by the
-        tier-aware cache — adopted as the incremental session's starting
-        state so construction skips the from-scratch engine run.  The
-        session takes ownership of the payload; scratch mode (which
-        recomputes per evaluation anyway) ignores it.
+        tier-aware cache — adopted as the session's starting state so
+        construction skips the from-scratch engine run.  The session takes
+        ownership of the payload.
     store_config:
         Scale-tier policy for a session that must compute its own
-        distances (ignored when ``initial_distances`` is given).  The
-        tiled tier requires incremental evaluation — scratch mode
-        recomputes dense matrices per candidate, which is exactly what the
-        tier exists to avoid.
+        distances (ignored when ``initial_distances`` is given).
     """
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
-                 mode: str = "incremental",
                  fallback_row_fraction: Optional[float] = None,
                  initial_distances: Optional[np.ndarray | DistanceStore] = None,
                  store_config: Optional[StoreConfig] = None,
                  scan_workers: int = 0) -> None:
-        validate_evaluation_mode(mode)
-        if mode == "scratch" and (
-                (store_config is not None and store_config.tier == "tiled")
-                or isinstance(initial_distances, DistanceStore)
-                and not isinstance(initial_distances, DenseStore)):
-            raise ConfigurationError(
-                "the tiled scale tier requires evaluation_mode='incremental'; "
-                "scratch mode materializes dense matrices per candidate")
         self._computer = computer
         self._graph = graph
-        self._mode = mode
         self._current: Optional[OpacityResult] = None
-        self._distance: Optional[DistanceSession] = None
-        # Lazy pruning-pass state (incremental mode): the sorted triu flat
-        # indices of the within-L pairs and, for degree typings, their
-        # frozen degree-pair codes aligned with them.
+        # Lazy pruning-pass state: the sorted triu flat indices of the
+        # within-L pairs and, for degree typings, their frozen degree-pair
+        # codes aligned with them.
         self._within_flat: Optional[np.ndarray] = None
         self._within_codes: Optional[np.ndarray] = None
         # Parallel-scan state: the pool is started lazily on the first
@@ -260,13 +231,12 @@ class OpacitySession:
         self._scan_pool = None
         self._scan_failed = False
         self.parallel_scans = 0
-        if mode == "incremental":
-            self._distance = DistanceSession(
-                graph, computer.length_threshold, engine=computer.engine,
-                fallback_row_fraction=fallback_row_fraction,
-                initial_distances=initial_distances,
-                store_config=store_config)
-            self._init_counts()
+        self._distance = DistanceSession(
+            graph, computer.length_threshold, engine=computer.engine,
+            fallback_row_fraction=fallback_row_fraction,
+            initial_distances=initial_distances,
+            store_config=store_config)
+        self._init_counts()
 
     # ------------------------------------------------------------------
     # accessors
@@ -282,11 +252,6 @@ class OpacitySession:
         return self._graph
 
     @property
-    def mode(self) -> str:
-        """The evaluation mode (``"scratch"`` or ``"incremental"``)."""
-        return self._mode
-
-    @property
     def scan_workers(self) -> int:
         """The configured parallel-scan pool size (0 = serial scans)."""
         return self._scan_workers
@@ -295,39 +260,21 @@ class OpacitySession:
     def scan_parallelism(self) -> int:
         """How many processes a candidate scan currently spans (>= 1)."""
         if self._scan_workers > 1 and not self._scan_failed \
-                and self._mode == "incremental" \
                 and self._computer.length_threshold > 1:
             return self._scan_workers
         return 1
 
     @property
-    def fallback_row_fraction(self) -> Optional[float]:
+    def fallback_row_fraction(self) -> float:
         """The distance session's effective fallback fraction (debug hook)."""
-        if self._distance is None:
-            return None
         return self._distance.fallback_row_fraction
 
-    def distances(self) -> np.ndarray:
-        """The current dense L-bounded matrix (treat as read-only).
-
-        Dense tier only — a tiled-tier session raises
-        :class:`~repro.errors.DistanceMemoryError`; stream through
-        :meth:`distance_rows` instead.
-        """
-        if self._distance is not None:
-            return self._distance.distances
-        return self._computer.distances(self._graph)
-
     def distance_rows(self, block: Sequence[int]) -> np.ndarray:
-        """Fresh ``|block| × n`` distance rows (incremental mode only).
+        """Fresh ``|block| × n`` distance rows.
 
         Columns follow by symmetry; this is the tier-independent way to
         read distances, sized to the store's tile budget.
         """
-        if self._distance is None:
-            raise ConfigurationError(
-                "distance_rows() requires evaluation_mode='incremental'; "
-                "scratch mode recomputes matrices per call")
         return self._distance.rows(block)
 
     # ------------------------------------------------------------------
@@ -335,8 +282,6 @@ class OpacitySession:
     # ------------------------------------------------------------------
     def current(self) -> OpacityResult:
         """Full Algorithm 1 result for the current graph state."""
-        if self._mode == "scratch":
-            return self._computer.evaluate(self._graph)
         if self._current is None:
             counts = {key: int(within)
                       for key, within in zip(self._type_keys, self._withins)}
@@ -346,8 +291,6 @@ class OpacitySession:
     def evaluate_edit(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = ()) -> EditEvaluation:
         """Opacity outcome after tentatively applying the edit (no trace left)."""
-        if self._mode == "scratch":
-            return self._scratch_evaluate(removals, insertions)
         delta = self._distance.preview(removals, insertions)
         changes = self._count_changes(delta)
         return self._summarize(changes)
@@ -370,9 +313,6 @@ class OpacitySession:
         """
         pairs = [(tuple(removals), tuple(insertions))
                  for removals, insertions in candidates]
-        if self._mode == "scratch":
-            return [self._scratch_evaluate(removals, insertions)
-                    for removals, insertions in pairs]
         if self._computer.length_threshold == 1:
             return self._summarize_batch(self._l1_changes_batch(pairs))
         if self._use_parallel_scan(pairs):
@@ -394,8 +334,6 @@ class OpacitySession:
 
     def take_scan_stats(self) -> Tuple[int, int]:
         """Drain the distance session's ``(affected rows, candidates)``."""
-        if self._distance is None:
-            return (0, 0)
         return self._distance.take_observed_stats()
 
     def _collect_changes(self, pairs: List[EditCandidate]
@@ -419,7 +357,6 @@ class OpacitySession:
     def _use_parallel_scan(self, pairs: List[EditCandidate]) -> bool:
         return (self._scan_workers > 1
                 and not self._scan_failed
-                and self._mode == "incremental"
                 and len(pairs) > self._scan_workers)
 
     def _ensure_scan_pool(self):
@@ -469,21 +406,14 @@ class OpacitySession:
     def close(self) -> None:
         """Release pool workers and store resources (idempotent)."""
         self._teardown_scan_pool(failed=False)
-        if self._distance is not None:
-            self._distance.close()
+        self._distance.close()
 
     def apply_edit(self, removals: Sequence[Edge] = (),
                    insertions: Sequence[Edge] = ()) -> None:
         """Permanently apply the edit, keeping all session state in sync."""
-        if self._mode == "scratch":
-            for u, v in removals:
-                self._graph.remove_edge(u, v)
-            for u, v in insertions:
-                self._graph.add_edge(u, v)
-            return
-        # Two-phase: stage mutates the graph exactly once (the same mutation
-        # sequence scratch mode performs), count deltas are diffed against
-        # the still-pre-edit matrix, then the delta is folded in.
+        # Two-phase: stage mutates the graph exactly once (removals, then
+        # insertions), count deltas are diffed against the still-pre-edit
+        # matrix, then the delta is folded in.
         delta = self._distance.stage(removals, insertions)
         if delta.from_scratch:
             changes = self._count_changes(delta)
@@ -506,45 +436,35 @@ class OpacitySession:
 
     def resync(self) -> None:
         """Rebuild all incremental state from scratch (testing / recovery)."""
-        if self._mode == "incremental":
-            self._distance.refresh()
-            self._init_counts()
+        self._distance.refresh()
+        self._init_counts()
         self._within_flat = None
         self._within_codes = None
 
     # ------------------------------------------------------------------
     # pruning support
     # ------------------------------------------------------------------
-    def violating_pair_indices(self, max_types,
-                               distances: Optional[np.ndarray] = None
-                               ) -> Tuple[np.ndarray, np.ndarray]:
+    def violating_pair_indices(self, max_types) -> Tuple[np.ndarray, np.ndarray]:
         """Upper-triangle ``(i, j)`` pairs within L whose type is in ``max_types``.
 
         The candidate-pruning pass of the removal heuristics asks this every
-        step.  In incremental mode the within-L pairs are kept as a sorted
-        set of triu flat indices ``i·(2n−i−1)/2 + (j−i−1)``: seeded lazily
-        on the first query by streaming the store's row blocks, then folded
-        forward by each applied delta's flipped cells.  For degree typings
-        the set carries the pairs' frozen degree-pair codes alongside, so a
-        query is one membership test over the within-L pairs only; other
-        typings call ``type_of`` on those pairs.  Scratch mode builds the
-        set from ``distances`` (or a fresh matrix) per call.  Either way the
-        result is int64 ``(rows, cols)`` in ``np.triu_indices(n, 1)`` order,
-        and no state grows with ``n²``.
+        step.  The within-L pairs are kept as a sorted set of triu flat
+        indices ``i·(2n−i−1)/2 + (j−i−1)``: seeded lazily on the first
+        query by streaming the store's row blocks, then folded forward by
+        each applied delta's flipped cells.  For degree typings the set
+        carries the pairs' frozen degree-pair codes alongside, so a query
+        is one membership test over the within-L pairs only; other typings
+        call ``type_of`` on those pairs.  The result is int64
+        ``(rows, cols)`` in ``np.triu_indices(n, 1)`` order, and no state
+        grows with ``n²``.
         """
         n = self._graph.num_vertices
         length = self._computer.length_threshold
         typing = self._computer.typing
-        if self._mode == "incremental":
-            if self._within_flat is None:
-                self._set_within_pairs(_within_pair_set(
-                    self._distance.store, length))
-            flat, codes = self._within_flat, self._within_codes
-        else:
-            if distances is None:
-                distances = self._computer.distances(self._graph)
-            flat = _within_pair_set(DenseStore(distances, length), length)
-            codes = self._pair_codes(flat)
+        if self._within_flat is None:
+            self._set_within_pairs(_within_pair_set(self._distance.store,
+                                                    length))
+        flat, codes = self._within_flat, self._within_codes
         if codes is not None:
             span = degree_code_span(typing.degrees)
             wanted = np.fromiter((g * span + h for g, h in max_types),
@@ -603,27 +523,6 @@ class OpacitySession:
                     self._computer.typing.degrees,
                     i[gained][order], j[gained][order])[0], at)
         self._within_flat, self._within_codes = within, codes
-
-    # ------------------------------------------------------------------
-    # scratch reference path
-    # ------------------------------------------------------------------
-    def _scratch_evaluate(self, removals: Sequence[Edge],
-                          insertions: Sequence[Edge]) -> EditEvaluation:
-        for u, v in removals:
-            self._graph.remove_edge(u, v)
-        for u, v in insertions:
-            self._graph.add_edge(u, v)
-        try:
-            outcome = self._computer.evaluate(self._graph)
-        finally:
-            for u, v in insertions:
-                self._graph.remove_edge(u, v)
-            for u, v in removals:
-                self._graph.add_edge(u, v)
-        total = float(sum(entry.opacity for entry in outcome.per_type.values()))
-        return EditEvaluation(fraction=outcome.max_fraction,
-                              types_at_max=outcome.types_at_max,
-                              total_opacity=total)
 
     # ------------------------------------------------------------------
     # incremental machinery
@@ -699,7 +598,7 @@ class OpacitySession:
         candidate, in order, with the same mutation sequence a
         :meth:`DistanceSession.preview` performs, so adjacency-set
         iteration histories — and with them every seeded tie-break
-        downstream — stay identical across evaluation and scan modes.
+        downstream — stay identical to the per-candidate path.
         """
         graph = self._graph
         edges: List[Edge] = []

@@ -113,7 +113,6 @@ def _scan_worker_main(conn, descriptor, computer,
         else:
             initial = cache.matrix(length)
         session = OpacitySession(computer, attached.graph,
-                                 mode="incremental",
                                  fallback_row_fraction=fallback_row_fraction,
                                  initial_distances=initial)
         conn.send(("ready",))

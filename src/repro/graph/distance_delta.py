@@ -446,8 +446,9 @@ class DistanceSession:
         Removals are processed before insertions, each against the state
         produced by its predecessors, exactly mirroring how the greedy
         algorithms apply a chosen combination.  The graph is touched (and
-        restored) with the same mutation sequence the scratch reference
-        uses, so adjacency-set iteration order stays mode-independent.
+        restored) with the same mutation sequence as the paper's
+        copy-evaluate-restore loop, so adjacency-set iteration order
+        matches that reference.
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
@@ -562,13 +563,13 @@ class DistanceSession:
         candidate_cap = self._batch_candidate_cap()
         for chunk_start in range(0, len(edges), candidate_cap):
             chunk = edges[chunk_start:chunk_start + candidate_cap]
-            rows_per_candidate = self._batch_affected_rows(chunk, removal=True)
+            candidate_rows = self._batch_affected_rows(chunk, removal=True)
             for local, (u, v) in enumerate(chunk):
                 index = chunk_start + local
                 # Same mutate/restore sequence as a sequential preview, so
                 # adjacency sets end up with identical iteration histories.
                 self._graph.remove_edge(u, v)
-                rows = rows_per_candidate[local]
+                rows = candidate_rows[local]
                 if rows.size > threshold:
                     full = bounded_distance_matrix(self._graph, self._length,
                                                    engine=self._engine)
@@ -693,11 +694,11 @@ class DistanceSession:
         candidate_cap = self._batch_candidate_cap()
         for chunk_start in range(0, len(edges), candidate_cap):
             chunk = edges[chunk_start:chunk_start + candidate_cap]
-            rows_per_candidate = self._batch_affected_rows(chunk, removal=False)
+            candidate_rows = self._batch_affected_rows(chunk, removal=False)
             for local, (u, v) in enumerate(chunk):
                 index = chunk_start + local
                 self._graph.add_edge(u, v)
-                rows = rows_per_candidate[local]
+                rows = candidate_rows[local]
                 if rows.size == 0:
                     if not skip_unchanged:
                         deltas[index] = DistanceDelta((), (edges[index],),

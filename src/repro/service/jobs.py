@@ -163,10 +163,10 @@ class JobManager:
         Service-wide default of the parallel-scan pool size (the
         ``--scan-workers`` flag of ``repro-lopacity serve``).  Applied at
         execution time — like the scale defaults, the stored request and
-        its dedup fingerprint stay untouched — to every request that kept
-        the default ``scan_mode="batched"`` and chose no ``scan_workers``
-        of its own: those requests run with ``scan_mode="parallel"``.
-        Requests naming a scan mode or worker count explicitly always win.
+        its dedup fingerprint stay untouched — to every request that chose
+        no ``scan_workers`` of its own: those requests run with
+        ``scan_mode="parallel"``.  A request naming a worker count (0 for a
+        serial scan) always wins.
     """
 
     def __init__(self, store: RunStore, *, data_dir: Optional[str] = None,
@@ -396,8 +396,8 @@ class JobManager:
 
         Only requests that did not choose for themselves are touched
         (``scale_tier == "auto"`` / ``scale_budget_bytes is None`` /
-        default ``scan_mode`` with no ``scan_workers``), so a job spec
-        naming an explicit tier, budget, or scan configuration keeps it.
+        ``scan_workers is None``), so a job spec naming an explicit tier,
+        budget, or scan-pool size keeps it.
         Applied at execution time — the stored ``request_json`` (and with
         it the dedup fingerprint) stays exactly what the client submitted.
         """
@@ -413,11 +413,8 @@ class JobManager:
                     and req.scale_budget_bytes is None):
                 overrides["scale_budget_bytes"] = self._scale_budget_bytes
             if self._scan_workers is not None and req.scan_workers is None:
-                if req.scan_mode == "batched":
-                    overrides["scan_mode"] = "parallel"
-                    overrides["scan_workers"] = self._scan_workers
-                elif req.scan_mode == "parallel":
-                    overrides["scan_workers"] = self._scan_workers
+                overrides["scan_mode"] = "parallel"
+                overrides["scan_workers"] = self._scan_workers
             return dataclasses.replace(req, **overrides) if overrides else req
 
         if kind == "anonymize":

@@ -14,6 +14,7 @@ from repro.api import (
 )
 from repro.api.sweeps import execute_sample_group, sample_groups
 from repro.errors import ConfigurationError
+from tests.oracles import ScratchSession, oracle_sessions
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
                             include_utility=True)
@@ -155,14 +156,19 @@ class TestExecution:
         for request, response in zip(requests, responses):
             assert_response_parity(response, anonymize(request))
 
-    def test_scratch_groups_skip_the_distance_cache(self):
-        requests = [BASE.with_overrides(evaluation_mode="scratch", theta=theta)
-                    for theta in (0.8, 0.6)]
+    def test_cached_groups_match_the_scratch_oracle(self):
+        # Sessions seeded from the shared distance cache against the
+        # copy-evaluate-restore oracle, which recomputes every matrix.
+        requests = [BASE.with_overrides(theta=theta) for theta in (0.8, 0.6)]
+        requests.append(BASE.with_overrides(length_threshold=3, theta=0.8))
         cache = ExecutionCache()
         responses = execute_sample_group(requests, cache=cache)
-        assert cache.distance_computes == 0
-        for request, response in zip(requests, responses):
-            assert_response_parity(response, anonymize(request))
+        assert cache.distance_computes == 1
+        with oracle_sessions(ScratchSession) as opened:
+            references = [anonymize(request) for request in requests]
+        assert sum(session.evaluations for session in opened) > 0
+        for response, reference in zip(responses, references):
+            assert_response_parity(response, reference)
 
     def test_responses_in_request_order(self):
         grid = GridRequest.from_axes(BASE, datasets=("gnutella", "google"),
@@ -283,18 +289,6 @@ class TestExecutionCache:
         cache.graph_for(BASE)
         assert cache.sample_loads == 2
 
-    def test_l_max_ignores_scratch_requests(self):
-        # A scratch-mode L=3 request must not inflate the shared engine
-        # run of the incremental L=1 groups.
-        requests = [BASE.with_overrides(theta=theta) for theta in (0.8, 0.6)]
-        requests.append(BASE.with_overrides(evaluation_mode="scratch",
-                                            length_threshold=3, theta=0.8))
-        cache = ExecutionCache()
-        responses = execute_sample_group(requests, cache=cache)
-        assert cache.distance_computes == 1
-        for request, response in zip(requests, responses):
-            assert_response_parity(response, anonymize(request))
-
 
 class TestCustomRegistry:
     def test_independent_serial_grid_honours_custom_registry(self):
@@ -304,8 +298,8 @@ class TestCustomRegistry:
         registry = AnonymizerRegistry()
         registry.register("custom-rem", EdgeRemovalAnonymizer,
                           accepts=("theta", "length_threshold", "lookahead",
-                                   "seed", "engine", "evaluation_mode",
-                                   "scan_mode", "sweep_mode", "max_steps"))
+                                   "seed", "engine", "scan_mode",
+                                   "sweep_mode", "max_steps"))
         requests = [BASE.with_overrides(algorithm="custom-rem", theta=theta,
                                         include_utility=False)
                     for theta in (0.8, 0.6)]

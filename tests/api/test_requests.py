@@ -25,26 +25,23 @@ class TestAnonymizationRequest:
         assert restored == request
         assert restored.edges == request.edges
 
-    def test_evaluation_mode_round_trips_and_reaches_algorithms(self):
-        request = AnonymizationRequest(algorithm="rem", edges=EDGES,
-                                       evaluation_mode="scratch")
-        restored = AnonymizationRequest.from_json(request.to_json())
-        assert restored.evaluation_mode == "scratch"
-        assert request.algorithm_params()["evaluation_mode"] == "scratch"
-        # Defaults to the delta-evaluated sessions.
-        assert AnonymizationRequest(algorithm="rem", edges=EDGES).evaluation_mode \
-            == "incremental"
-
     def test_unknown_evaluation_mode_raises_at_construction_time(self):
-        with pytest.raises(ConfigurationError, match="evaluation_mode"):
+        # The knob is retired, so every value is unknown: the anonymizer
+        # rejects the keyword and a stored request naming the field fails
+        # to load with a typed error.
+        with pytest.raises(TypeError, match="evaluation_mode"):
             EdgeRemovalAnonymizer(evaluation_mode="lazy")
+        payload = AnonymizationRequest(algorithm="rem", edges=EDGES).to_dict()
+        payload["evaluation_mode"] = "incremental"
+        with pytest.raises(ConfigurationError, match="evaluation_mode"):
+            AnonymizationRequest.from_dict(payload)
 
     def test_scan_mode_round_trips_and_reaches_algorithms(self):
         request = AnonymizationRequest(algorithm="rem", edges=EDGES,
-                                       scan_mode="per_candidate")
+                                       scan_mode="parallel")
         restored = AnonymizationRequest.from_json(request.to_json())
-        assert restored.scan_mode == "per_candidate"
-        assert request.algorithm_params()["scan_mode"] == "per_candidate"
+        assert restored.scan_mode == "parallel"
+        assert request.algorithm_params()["scan_mode"] == "parallel"
         # Defaults to the stacked batch scans.
         assert AnonymizationRequest(algorithm="rem", edges=EDGES).scan_mode \
             == "batched"

@@ -11,6 +11,8 @@ from repro.core.anonymizer import (
     TieBreaker,
 )
 from repro.core.edge_removal import EdgeRemovalAnonymizer
+from repro.core.opacity import DegreePairTyping, OpacityComputer
+from repro.graph.distance import bounded_distance_matrix
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph.generators import complete_graph, erdos_renyi_graph
 from repro.graph.graph import Graph
@@ -29,7 +31,6 @@ class TestAnonymizerConfig:
         ("max_combinations", 0),
         ("insertion_candidate_cap", 0),
         ("engine", "no-such-engine"),
-        ("evaluation_mode", "lazy"),
         ("scan_mode", "vectorized"),
         ("swap_sample_size", 0),
     ])
@@ -54,6 +55,30 @@ class TestAnonymizerConfig:
         assert EdgeRemovalAnonymizer(theta=0.4).config.theta == 0.4
         with pytest.raises(ConfigurationError):
             EdgeRemovalAnonymizer(config, theta=0.3)
+
+    @pytest.mark.parametrize("scan_mode,scan_workers,expected", [
+        ("batched", None, 0),
+        ("batched", 3, 0),
+        ("parallel", 2, 2),
+    ])
+    def test_open_session_builds_the_configured_session(
+            self, scan_mode, scan_workers, expected):
+        graph = erdos_renyi_graph(14, 0.3, seed=4)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        config = AnonymizerConfig(scan_mode=scan_mode,
+                                  scan_workers=scan_workers)
+        initial = bounded_distance_matrix(graph, 2)
+        session = config.open_session(computer, graph,
+                                      initial_distances=initial)
+        try:
+            assert session.graph is graph
+            assert session.scan_workers == expected
+            assert (session.distance_rows(range(graph.num_vertices))
+                    == initial).all()
+            expected_result = computer.evaluate(graph)
+            assert session.current().max_fraction == expected_result.max_fraction
+        finally:
+            session.close()
 
     def test_invalid_kwargs_rejected_at_construction(self):
         with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from repro.core import EdgeRemovalAnonymizer
 from repro.core.anonymizer import CandidateOutcome
 from repro.core.lookahead import _combinations_capped, search_best_combination
 from repro.graph import erdos_renyi_graph
+from tests.oracles import PerCandidateSession, run_on
 
 
 def _make_evaluator(scores):
@@ -257,8 +258,9 @@ class _StopAtEvaluation(NullObserver):
 
 
 class TestStopInsideCombinationLevels:
-    """A stop inside the size-2 level lands on the exact evaluation in every
-    scan mode, even though the batched modes compute a whole chunk first."""
+    """A stop inside the size-2 level lands on the exact evaluation, on the
+    product session and on the per-candidate oracle alike, even though the
+    product computes a whole chunk first."""
 
     @staticmethod
     def _graph():
@@ -272,10 +274,15 @@ class TestStopInsideCombinationLevels:
         graph = self._graph()
         assert graph.num_edges == 15
         observer = _StopAtEvaluation(limit)
-        result = EdgeRemovalAnonymizer(
+        anonymizer = EdgeRemovalAnonymizer(
             length_threshold=1, theta=0.0, seed=0, lookahead=2,
-            prune_candidates=False, scan_mode=scan_mode,
-        ).anonymize(graph, observer=observer)
+            prune_candidates=False)
+        if scan_mode == "per_candidate":
+            result, served = run_on(PerCandidateSession, anonymizer, graph,
+                                    observer=observer)
+            assert served >= limit
+        else:
+            result = anonymizer.anonymize(graph, observer=observer)
         assert observer.seen == limit
         assert result.stop_reason == "observer"
         # The stop's re-evaluation of the current graph adds one.

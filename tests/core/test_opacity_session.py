@@ -1,4 +1,4 @@
-"""Unit tests for the stateful opacity session and the evaluation modes."""
+"""Unit tests for the stateful opacity session against its reference oracles."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from repro.errors import ConfigurationError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import StoreConfig
+from tests.oracles import PerCandidateSession, ScratchSession, run_on
 
 ALL_ALGORITHMS = [
     (EdgeRemovalAnonymizer, dict(length_threshold=2, theta=0.4, seed=0)),
@@ -35,6 +36,11 @@ ALL_ALGORITHMS = [
     (GadedMaxAnonymizer, dict(theta=0.4, seed=0)),
     (GadesAnonymizer, dict(theta=0.55, seed=0, max_steps=4, swap_sample_size=200)),
 ]
+
+#: The product session and its copy-evaluate-restore oracle, with the ids
+#: of the evaluation modes they replaced.
+SESSION_CLASSES = [pytest.param(ScratchSession, id="scratch"),
+                   pytest.param(OpacitySession, id="incremental")]
 
 
 def assert_results_identical(first, second):
@@ -52,24 +58,28 @@ def assert_results_identical(first, second):
 
 class TestSessionBasics:
     def test_rejects_unknown_mode(self, paper_example_graph):
+        # One evaluation path: the session takes no ``mode`` at all.
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        with pytest.raises(ConfigurationError):
-            OpacitySession(computer, paper_example_graph, mode="lazy")
+        for mode in ("lazy", "scratch", "incremental"):
+            with pytest.raises(TypeError, match="mode"):
+                OpacitySession(computer, paper_example_graph, mode=mode)
 
-    @pytest.mark.parametrize("mode", ["scratch", "incremental"])
-    def test_current_matches_stateless_evaluator(self, paper_example_graph, mode):
+    @pytest.mark.parametrize("session_class", SESSION_CLASSES)
+    def test_current_matches_stateless_evaluator(self, paper_example_graph,
+                                                 session_class):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode=mode)
+        session = session_class(computer, paper_example_graph)
         expected = computer.evaluate(paper_example_graph)
         observed = session.current()
         assert observed.max_fraction == expected.max_fraction
         assert observed.types_at_max == expected.types_at_max
         assert dict(observed.per_type) == dict(expected.per_type)
 
-    @pytest.mark.parametrize("mode", ["scratch", "incremental"])
-    def test_evaluate_edit_leaves_no_trace(self, paper_example_graph, mode):
+    @pytest.mark.parametrize("session_class", SESSION_CLASSES)
+    def test_evaluate_edit_leaves_no_trace(self, paper_example_graph,
+                                           session_class):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode=mode)
+        session = session_class(computer, paper_example_graph)
         before = paper_example_graph.edge_set()
         session.evaluate_edit(removals=[(0, 1)])
         session.evaluate_edit(insertions=[(0, 6)])
@@ -78,10 +88,8 @@ class TestSessionBasics:
     def test_evaluate_edit_matches_scratch_reference(self, paper_example_graph):
         typing = DegreePairTyping(paper_example_graph)
         computer = OpacityComputer(typing, 2)
-        incremental = OpacitySession(computer, paper_example_graph.copy(),
-                                     mode="incremental")
-        scratch = OpacitySession(computer, paper_example_graph.copy(),
-                                 mode="scratch")
+        incremental = OpacitySession(computer, paper_example_graph.copy())
+        scratch = ScratchSession(computer, paper_example_graph.copy())
         for edge in list(paper_example_graph.edges()):
             left = incremental.evaluate_edit(removals=[edge])
             right = scratch.evaluate_edit(removals=[edge])
@@ -94,7 +102,7 @@ class TestSessionBasics:
     def test_apply_edit_keeps_state_in_sync(self, paper_example_graph):
         typing = DegreePairTyping(paper_example_graph)
         computer = OpacityComputer(typing, 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         session.apply_edit(removals=[(0, 1)])
         session.apply_edit(insertions=[(0, 6)])
         expected = computer.evaluate(paper_example_graph)
@@ -106,8 +114,8 @@ class TestSessionBasics:
         graph = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
         typing = ExplicitPairTyping({(0, 2): "near", (0, 4): "far", (1, 3): "near"})
         computer = OpacityComputer(typing, 2)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         assert incremental.evaluate_edit(removals=[(1, 2)]) == \
             scratch.evaluate_edit(removals=[(1, 2)])
         assert incremental.evaluate_edit(insertions=[(0, 4)]) == \
@@ -121,8 +129,9 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
     def test_end_to_end_runs_are_bit_identical(self, algorithm, params):
         graph = erdos_renyi_graph(22, 0.25, seed=9)
-        incremental = algorithm(evaluation_mode="incremental", **params).anonymize(graph)
-        scratch = algorithm(evaluation_mode="scratch", **params).anonymize(graph)
+        incremental = algorithm(**params).anonymize(graph)
+        scratch, evaluations = run_on(ScratchSession, algorithm(**params), graph)
+        assert evaluations == scratch.evaluations > 0
         assert_results_identical(incremental, scratch)
 
 
@@ -140,36 +149,50 @@ class _StopAfterEvaluations(NullObserver):
         return self.seen >= self.limit
 
 
+def _stopped_outcome(result):
+    return (result.evaluations, result.stop_reason,
+            [step.edges for step in result.steps],
+            result.anonymized_graph.edge_set())
+
+
+def _assert_stops_alike(session_class, algorithm, params, graph, limit):
+    """A ``limit``-evaluation stop ends product and oracle runs alike."""
+    product = algorithm(**params).anonymize(
+        graph, observer=_StopAfterEvaluations(limit))
+    oracle, evaluations = run_on(session_class, algorithm(**params), graph,
+                                 observer=_StopAfterEvaluations(limit))
+    # A stop may land mid-chunk, so the oracle can serve a few extra.
+    assert evaluations >= oracle.evaluations > 0
+    assert _stopped_outcome(product) == _stopped_outcome(oracle)
+    return product
+
+
 class TestObserverParity:
-    """Cancellation latency is unchanged by the session refactor: observers
-    are still polled after *every* tentative evaluation inside a scan, so an
-    eval-count stop fires at the same point in both modes (satellite #6)."""
+    """Cancellation latency is independent of the session: observers are
+    polled after *every* tentative evaluation inside a scan, so an
+    eval-count stop fires at the same point on the product session and on
+    the scratch oracle."""
 
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
     @pytest.mark.parametrize("limit", [3, 17])
     def test_stop_mid_scan_is_mode_independent(self, algorithm, params, limit):
         graph = erdos_renyi_graph(22, 0.25, seed=9)
-        outcomes = {}
-        for mode in ("incremental", "scratch"):
-            observer = _StopAfterEvaluations(limit)
-            result = algorithm(evaluation_mode=mode, **params).anonymize(
-                graph, observer=observer)
-            outcomes[mode] = (result.evaluations, result.stop_reason,
-                              [step.edges for step in result.steps],
-                              result.anonymized_graph.edge_set())
-        assert outcomes["incremental"] == outcomes["scratch"]
+        result = _assert_stops_alike(ScratchSession, algorithm, params, graph,
+                                     limit)
         # The stop happened promptly: no more than one full step beyond the
         # evaluation budget was recorded.
-        assert outcomes["incremental"][1] in ("observer", None)
+        assert result.stop_reason in ("observer", None)
 
     def test_stop_interrupts_within_a_single_scan(self):
         graph = erdos_renyi_graph(25, 0.3, seed=2)
         limit = 5
-        for mode in ("incremental", "scratch"):
-            observer = _StopAfterEvaluations(limit)
-            result = EdgeRemovalAnonymizer(
-                length_threshold=2, theta=0.0, seed=0,
-                evaluation_mode=mode).anonymize(graph, observer=observer)
+        anonymizer = EdgeRemovalAnonymizer(length_threshold=2, theta=0.0,
+                                           seed=0)
+        for result in (
+                anonymizer.anonymize(graph,
+                                     observer=_StopAfterEvaluations(limit)),
+                run_on(ScratchSession, anonymizer, graph,
+                       observer=_StopAfterEvaluations(limit))[0]):
             assert result.stop_reason == "observer"
             # The scan for a single step spans |E| evaluations, so stopping
             # at 5 proves per-evaluation polling survived the refactor.
@@ -179,21 +202,22 @@ class TestObserverParity:
 class TestEvaluateEdits:
     """The batched scan API must reproduce per-candidate evaluation exactly."""
 
-    @pytest.mark.parametrize("mode", ["scratch", "incremental"])
-    def test_single_edge_batches_match_per_candidate(self, paper_example_graph, mode):
+    @pytest.mark.parametrize("session_class", SESSION_CLASSES)
+    def test_single_edge_batches_match_per_candidate(self, paper_example_graph,
+                                                     session_class):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode=mode)
+        session = session_class(computer, paper_example_graph)
         removals = [((edge,), ()) for edge in paper_example_graph.edges()]
         insertions = [((), (edge,)) for edge in paper_example_graph.non_edges()]
         for candidates in (removals, insertions):
             expected = [session.evaluate_edit(r, i) for r, i in candidates]
             assert session.evaluate_edits(candidates) == expected
 
-    @pytest.mark.parametrize("mode", ["scratch", "incremental"])
-    def test_multi_edge_candidates_match_per_candidate(self, mode):
+    @pytest.mark.parametrize("session_class", SESSION_CLASSES)
+    def test_multi_edge_candidates_match_per_candidate(self, session_class):
         graph = erdos_renyi_graph(14, 0.3, seed=5)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph, mode=mode)
+        session = session_class(computer, graph)
         edges = list(graph.edges())
         absent = list(graph.non_edges())
         candidates = [((edges[0], edges[1]), (absent[0], absent[1])),
@@ -204,7 +228,7 @@ class TestEvaluateEdits:
 
     def test_batch_leaves_no_trace(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         before = paper_example_graph.edge_set()
         current = session.current()
         session.evaluate_edits([((edge,), ()) for edge in before])
@@ -213,21 +237,21 @@ class TestEvaluateEdits:
 
     def test_empty_candidate_list(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         assert session.evaluate_edits([]) == []
 
     def test_explicit_typing_batches_match_per_candidate(self):
         graph = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
         typing = ExplicitPairTyping({(0, 2): "near", (0, 4): "far", (1, 3): "near"})
         computer = OpacityComputer(typing, 2)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         candidates = [((edge,), ()) for edge in graph.edges()]
         expected = [session.evaluate_edit(r, i) for r, i in candidates]
         assert session.evaluate_edits(candidates) == expected
 
     def test_batches_interleaved_with_applied_edits(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
-        session = OpacitySession(computer, paper_example_graph, mode="incremental")
+        session = OpacitySession(computer, paper_example_graph)
         for _ in range(3):
             candidates = [((edge,), ()) for edge in session.graph.edges()]
             evaluations = session.evaluate_edits(candidates)
@@ -311,8 +335,8 @@ class TestViolatingPairIndices:
     def test_incremental_mask_tracks_scratch_across_edits(self):
         graph = erdos_renyi_graph(16, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         for _ in range(6):
             max_types = self._max_types(incremental)
             left = incremental.violating_pair_indices(max_types)
@@ -328,9 +352,9 @@ class TestViolatingPairIndices:
     def test_mask_survives_from_scratch_fallback_deltas(self):
         graph = erdos_renyi_graph(16, 0.25, seed=4)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental",
+        incremental = OpacitySession(computer, graph.copy(),
                                      fallback_row_fraction=0.0)
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        scratch = ScratchSession(computer, graph.copy())
         max_types = self._max_types(incremental)
         incremental.violating_pair_indices(max_types)  # seed the within-L set
         for edge in list(graph.edges())[:4]:
@@ -344,12 +368,12 @@ class TestViolatingPairIndices:
 
     @staticmethod
     def _sessions(graph, length):
-        """Incremental dense, incremental tiled, and scratch sessions."""
+        """Dense and tiled product sessions, and the scratch oracle."""
         computer = OpacityComputer(DegreePairTyping(graph), length)
         tiled = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=1)
         return [OpacitySession(computer, graph.copy()),
                 OpacitySession(computer, graph.copy(), store_config=tiled),
-                OpacitySession(computer, graph.copy(), mode="scratch")]
+                ScratchSession(computer, graph.copy())]
 
     @pytest.mark.parametrize("num_vertices,edges,expected", [
         (0, [], []),
@@ -450,21 +474,15 @@ class TestScanModeEquivalence:
     def test_end_to_end_runs_are_bit_identical(self, algorithm, params):
         graph = erdos_renyi_graph(22, 0.25, seed=9)
         batched = algorithm(scan_mode="batched", **params).anonymize(graph)
-        sequential = algorithm(scan_mode="per_candidate", **params).anonymize(graph)
+        sequential, evaluations = run_on(PerCandidateSession,
+                                         algorithm(**params), graph)
+        assert evaluations == sequential.evaluations > 0
         assert_results_identical(batched, sequential)
 
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
     def test_stop_mid_scan_is_scan_mode_independent(self, algorithm, params):
         graph = erdos_renyi_graph(22, 0.25, seed=9)
-        outcomes = {}
-        for scan_mode in ("per_candidate", "batched"):
-            observer = _StopAfterEvaluations(9)
-            result = algorithm(scan_mode=scan_mode, **params).anonymize(
-                graph, observer=observer)
-            outcomes[scan_mode] = (result.evaluations, result.stop_reason,
-                                   [step.edges for step in result.steps],
-                                   result.anonymized_graph.edge_set())
-        assert outcomes["per_candidate"] == outcomes["batched"]
+        _assert_stops_alike(PerCandidateSession, algorithm, params, graph, 9)
 
     def test_rejects_unknown_scan_mode(self):
         with pytest.raises(ConfigurationError):
@@ -480,8 +498,8 @@ class TestLengthOneFastPath:
     def test_l1_batch_matches_per_candidate_and_scratch(self):
         graph = erdos_renyi_graph(16, 0.3, seed=9)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         edges = list(graph.edges())
         absent = list(graph.non_edges())
         candidates = ([((edge,), ()) for edge in edges[:8]]
@@ -495,7 +513,7 @@ class TestLengthOneFastPath:
     def test_l1_batch_leaves_no_trace(self):
         graph = erdos_renyi_graph(12, 0.3, seed=4)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         before = graph.edge_set()
         session.evaluate_edits([((edge,), ()) for edge in before])
         assert graph.edge_set() == before
@@ -503,7 +521,7 @@ class TestLengthOneFastPath:
     def test_l1_batch_after_applied_edits(self):
         graph = erdos_renyi_graph(12, 0.35, seed=6)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         for _ in range(2):
             candidates = [((edge,), ()) for edge in session.graph.edges()]
             evaluations = session.evaluate_edits(candidates)

@@ -33,8 +33,10 @@ from repro.core import (
     EdgeRemovalAnonymizer,
     EdgeRemovalInsertionAnonymizer,
     OpacityComputer,
+    SCAN_MODES,
     OpacitySession,
 )
+from repro.api.requests import AnonymizationRequest
 from repro.core import scan_pool as scan_pool_module
 from repro.core.anonymizer import AnonymizerConfig
 from repro.core.scan_pool import (
@@ -47,6 +49,7 @@ from repro.graph import erdos_renyi_graph
 from repro.graph.distance import available_engines
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
+from tests.oracles import PerCandidateSession, run_on
 from tests.property.strategies import graphs, length_bounds
 
 engines = st.sampled_from(sorted(available_engines()))
@@ -70,7 +73,6 @@ def make_candidates(graph, insertions=4):
 class TestResolveScanWorkers:
     def test_serial_modes_never_start_pools(self):
         assert resolve_scan_workers("batched", 4) == 0
-        assert resolve_scan_workers("per_candidate", 4) == 0
 
     def test_explicit_request_wins(self):
         assert resolve_scan_workers("parallel", 3) == 3
@@ -94,9 +96,19 @@ class TestResolveScanWorkers:
         assert resolve_scan_workers("parallel", None) == 0
 
     def test_parallel_scratch_config_rejected(self):
-        with pytest.raises(ConfigurationError, match="scratch"):
-            AnonymizerConfig(scan_mode="parallel",
-                             evaluation_mode="scratch").validate()
+        # Scratch evaluation is retired, so the combination can no longer
+        # be configured, neither directly nor from a stored request.
+        with pytest.raises(TypeError, match="evaluation_mode"):
+            AnonymizerConfig(scan_mode="parallel", evaluation_mode="scratch")
+        with pytest.raises(ConfigurationError, match="evaluation_mode"):
+            AnonymizationRequest.from_dict(
+                {"algorithm": "rem", "dataset": "gnutella",
+                 "scan_mode": "parallel", "evaluation_mode": "scratch"})
+
+    def test_only_batched_and_parallel_scans_exist(self):
+        assert SCAN_MODES == ("batched", "parallel")
+        with pytest.raises(ConfigurationError, match="per_candidate"):
+            AnonymizerConfig(scan_mode="per_candidate").validate()
 
     def test_negative_scan_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="scan_workers"):
@@ -104,7 +116,7 @@ class TestResolveScanWorkers:
 
 
 class TestParallelScanEquivalence:
-    """Differential suite: ``parallel`` ≡ ``batched`` ≡ ``per_candidate``."""
+    """Differential suite: ``parallel`` ≡ ``batched`` ≡ the per-candidate oracle."""
 
     @given(graphs(min_vertices=6, max_vertices=12), length_bounds, engines)
     @settings(max_examples=10, deadline=None)
@@ -112,8 +124,8 @@ class TestParallelScanEquivalence:
                                                     engine):
         computer = OpacityComputer(DegreePairTyping(graph), length,
                                    engine=engine)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -133,8 +145,8 @@ class TestParallelScanEquivalence:
     def test_scan_survives_applied_edits(self, graph, length, seed):
         """Apply a few edits between scans — pool stays in sync with parent."""
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             for _ in range(3):
@@ -187,10 +199,10 @@ class TestParallelScanEquivalence:
         graph = erdos_renyi_graph(24, 0.18, seed=5)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
         reference = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="batched",
+            scan_mode="batched",
             scale_tier="dense", **params).anonymize(graph)
         observed = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="parallel",
+            scan_mode="parallel",
             scan_workers=WORKERS, scale_tier="tiled",
             scale_budget_bytes=4096, **params).anonymize(graph)
         self._assert_results_equal(observed, reference)
@@ -208,12 +220,11 @@ class TestParallelScanEquivalence:
 
     @classmethod
     def _assert_identical(cls, algorithm, params, graph):
-        reference = algorithm(evaluation_mode="incremental",
-                              scan_mode="batched", **params).anonymize(graph)
-        serial = algorithm(evaluation_mode="incremental",
-                           scan_mode="per_candidate", **params).anonymize(graph)
-        observed = algorithm(evaluation_mode="incremental",
-                             scan_mode="parallel", scan_workers=WORKERS,
+        reference = algorithm(scan_mode="batched", **params).anonymize(graph)
+        serial, evaluations = run_on(PerCandidateSession, algorithm(**params),
+                                     graph)
+        assert evaluations == serial.evaluations > 0
+        observed = algorithm(scan_mode="parallel", scan_workers=WORKERS,
                              **params).anonymize(graph)
         cls._assert_results_equal(serial, reference)
         cls._assert_results_equal(observed, reference)
@@ -225,7 +236,7 @@ class TestCrashSafety:
     def test_arena_is_unlinked_while_the_pool_runs(self):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        session = OpacitySession(computer, graph.copy(), mode="incremental",
+        session = OpacitySession(computer, graph.copy(),
                                  scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -242,8 +253,8 @@ class TestCrashSafety:
     def test_sigkilled_worker_falls_back_serially(self):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
-        parallel = OpacitySession(computer, graph.copy(), mode="incremental",
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
@@ -268,7 +279,7 @@ class TestCrashSafety:
         graph = erdos_renyi_graph(18, 0.25, seed=7)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
         reference = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="batched",
+            scan_mode="batched",
             **params).anonymize(graph)
 
         killed = []
@@ -286,7 +297,7 @@ class TestCrashSafety:
                 return outcome
 
         observed = KillAfterFirstStep(
-            evaluation_mode="incremental", scan_mode="parallel",
+            scan_mode="parallel",
             scan_workers=WORKERS, **params).anonymize(graph)
         assert killed, "the run never started a scan pool"
         TestParallelScanEquivalence._assert_results_equal(observed, reference)
@@ -299,13 +310,13 @@ class TestDebugInfoAndFallbackFraction:
         graph = erdos_renyi_graph(18, 0.25, seed=2)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=3)
         serial = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="batched",
+            scan_mode="batched",
             **params).anonymize(graph)
         assert serial.debug_info["scan_workers"] == 0
         assert serial.debug_info["parallel_scans"] == 0
         assert 0.05 <= serial.debug_info["fallback_row_fraction"] <= 1.0
         parallel = EdgeRemovalAnonymizer(
-            evaluation_mode="incremental", scan_mode="parallel",
+            scan_mode="parallel",
             scan_workers=WORKERS, **params).anonymize(graph)
         assert parallel.debug_info["scan_workers"] == WORKERS
         assert parallel.debug_info["parallel_scans"] > 0
@@ -354,22 +365,18 @@ class TestChunkScaling:
     def test_scan_parallelism_reflects_the_pool(self):
         graph = erdos_renyi_graph(16, 0.3, seed=1)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        session = OpacitySession(computer, graph.copy(), mode="incremental",
+        session = OpacitySession(computer, graph.copy(),
                                  scan_workers=4)
         assert session.scan_parallelism == 4
         session.close()
-        serial = OpacitySession(computer, graph.copy(), mode="incremental")
+        serial = OpacitySession(computer, graph.copy())
         assert serial.scan_parallelism == 1
         serial.close()
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch",
-                                 scan_workers=4)
-        assert scratch.scan_parallelism == 1
-        scratch.close()
 
     def test_l1_sessions_stay_serial(self):
         graph = erdos_renyi_graph(16, 0.3, seed=1)
         computer = OpacityComputer(DegreePairTyping(graph), 1)
-        session = OpacitySession(computer, graph.copy(), mode="incremental",
+        session = OpacitySession(computer, graph.copy(),
                                  scan_workers=4)
         assert session.scan_parallelism == 1
         session.close()

@@ -138,9 +138,8 @@ class TestLegacyScheduleSignature:
         register_anonymizer(
             "rem", LegacySchedule, replace=True,
             accepts=("theta", "length_threshold", "lookahead", "seed",
-                     "engine", "evaluation_mode", "scan_mode", "sweep_mode",
-                     "max_steps", "prune_candidates", "max_combinations",
-                     "strict"))
+                     "engine", "scan_mode", "sweep_mode", "max_steps",
+                     "prune_candidates", "max_combinations", "strict"))
         try:
             grid = runner.run_grid([_plan(1), _plan(2)])
             assert all(records for records in grid)
@@ -148,9 +147,8 @@ class TestLegacyScheduleSignature:
             register_anonymizer(
                 "rem", EdgeRemovalAnonymizer, replace=True,
                 accepts=("theta", "length_threshold", "lookahead", "seed",
-                         "engine", "evaluation_mode", "scan_mode",
-                         "sweep_mode", "max_steps", "prune_candidates",
-                         "max_combinations", "strict"))
+                         "engine", "scan_mode", "sweep_mode", "max_steps",
+                         "prune_candidates", "max_combinations", "strict"))
 
 
 class TestMixedSweepModes:

@@ -4,7 +4,8 @@ The incremental sessions promise *bit-identical* results to the stateless
 from-scratch evaluator: same ``Fraction`` opacities, same ``types_at_max``,
 same per-type counts, and — for whole anonymization runs — the same step
 sequence under a fixed seed.  These tests drive random graphs through random
-edit sequences across every distance engine and check exactly that.
+edit sequences across every distance engine and check exactly that,
+against the reference sessions of :mod:`tests.oracles`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
 from repro.graph.graph import Graph
+from tests.oracles import PerCandidateSession, ScratchSession, run_on
 from tests.property.strategies import graphs, length_bounds, thetas
 
 engines = st.sampled_from(sorted(available_engines()))
@@ -121,7 +123,7 @@ class TestOpacitySessionProperties:
         graph, script = script_case
         typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length, engine=engine)
-        session = OpacitySession(computer, graph, mode="incremental")
+        session = OpacitySession(computer, graph)
         for kind, edge in script:
             session.apply_edit(
                 removals=[edge] if kind == "remove" else (),
@@ -138,8 +140,8 @@ class TestOpacitySessionProperties:
         graph, script = script_case
         typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         for kind, edge in script:
             removals = [edge] if kind == "remove" else ()
             insertions = [edge] if kind == "insert" else ()
@@ -165,11 +167,11 @@ def typings(draw, graph: Graph):
 
 
 class TestViolatingPairProperties:
-    """The pruning query is tier-, fallback- and mode-independent.
+    """The pruning query is tier- and fallback-independent.
 
     The sparse within-L set of a tiled session (spill-forcing budget, tiny
     tiles), a dense session, and a dense session whose every delta is a
-    from-scratch fallback must all return exactly the scratch-mode pairs,
+    from-scratch fallback must all return exactly the scratch oracle's pairs,
     in the same order, after every applied edit of a random script.
     """
 
@@ -186,7 +188,7 @@ class TestViolatingPairProperties:
             OpacitySession(computer, graph.copy()),
             OpacitySession(computer, graph.copy(), fallback_row_fraction=0.0),
         ]
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        scratch = ScratchSession(computer, graph.copy())
         every_type = set(computer.typing.types())
         try:
             for step in range(len(script) + 1):
@@ -249,12 +251,18 @@ class TestEndToEndModeEquivalence:
 
     @staticmethod
     def _assert_identical(algorithm, params, graph):
-        reference = algorithm(evaluation_mode="scratch",
-                              scan_mode="per_candidate", **params).anonymize(graph)
-        for evaluation_mode, scan_mode in (("incremental", "batched"),
-                                           ("incremental", "per_candidate")):
-            observed = algorithm(evaluation_mode=evaluation_mode,
-                                 scan_mode=scan_mode, **params).anonymize(graph)
+        """The product run equals runs on both oracle sessions.
+
+        Each oracle must have served exactly the run's evaluations, so the
+        comparison can never silently pit the product against itself.
+        """
+        reference, evaluations = run_on(ScratchSession, algorithm(**params),
+                                        graph)
+        assert evaluations == reference.evaluations > 0
+        per_candidate, evaluations = run_on(PerCandidateSession,
+                                            algorithm(**params), graph)
+        assert evaluations == per_candidate.evaluations
+        for observed in (algorithm(**params).anonymize(graph), per_candidate):
             assert [(step.operation, step.edges, step.max_opacity_after)
                     for step in observed.steps] == \
                    [(step.operation, step.edges, step.max_opacity_after)
@@ -266,8 +274,8 @@ class TestEndToEndModeEquivalence:
 
 
 class TestLookaheadModeEquivalence:
-    """Look-ahead levels run through the same batch evaluator in every scan
-    mode; scratch, per-candidate and batched runs must agree exactly.  A
+    """Look-ahead levels run through one batch evaluator; runs on the
+    scratch and per-candidate oracles and the product must agree exactly.  A
     ``max_combinations`` of 4 forces the sampled level whenever a step has
     five or more candidates."""
 
@@ -335,7 +343,7 @@ class TestEvaluateEditsProperties:
                                                  fallback):
         graph, candidates = scan_case
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        session = OpacitySession(computer, graph, mode="incremental",
+        session = OpacitySession(computer, graph,
                                  fallback_row_fraction=fallback)
         expected = [session.evaluate_edit(removals, insertions)
                     for removals, insertions in candidates]
@@ -347,8 +355,8 @@ class TestEvaluateEditsProperties:
     def test_batch_matches_scratch_mode(self, scan_case, length):
         graph, candidates = scan_case
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        incremental = OpacitySession(computer, graph.copy(), mode="incremental")
-        scratch = OpacitySession(computer, graph.copy(), mode="scratch")
+        incremental = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
         assert incremental.evaluate_edits(candidates) == \
             scratch.evaluate_edits(candidates)
 

@@ -35,7 +35,9 @@ def service(tmp_path):
     manager = JobManager(store)
     manager.start()
     server = create_server("127.0.0.1", 0, manager, store)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps each teardown's shutdown() wait brief.
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")

@@ -352,6 +352,31 @@ class TestResume:
             manager.stop()
 
 
+    def test_stored_request_with_retired_field_errors_and_worker_moves_on(
+            self, store):
+        """A job stored before ``evaluation_mode`` was retired ends ``error``
+        with a typed message naming the field; the next job still runs."""
+        payload = BASE.to_dict()
+        payload["evaluation_mode"] = "scratch"
+        stale = store.create_job("anonymize", "stale-fingerprint",
+                                 json.dumps(payload), 1)
+        store.set_status(stale, "running")
+        time.sleep(0.01)  # resume order follows creation time
+        fresh = store.create_job("anonymize", request_fingerprint(BASE),
+                                 BASE.to_json(), 1)
+        manager = JobManager(store)
+        resumed = manager.start()
+        try:
+            assert resumed == [stale, fresh]
+            job = manager.wait_for(stale, timeout=120)
+            assert job["status"] == "error"
+            assert job["error"].startswith("ConfigurationError: ")
+            assert "['evaluation_mode']" in job["error"]
+            assert manager.wait_for(fresh, timeout=120)["status"] == "done"
+        finally:
+            manager.stop()
+
+
 class TestWrapResult:
     def test_sweep_and_grid_wrapping(self):
         sweep = SweepRequest(requests=(BASE.with_overrides(theta=0.8),))
@@ -429,7 +454,7 @@ class TestScanDefaults:
 
     def test_explicit_scan_choices_beat_the_default(self, store):
         manager = JobManager(store, scan_workers=2)
-        serial = BASE.with_overrides(scan_mode="per_candidate")
+        serial = BASE.with_overrides(scan_workers=0)
         assert manager._apply_scale_defaults("anonymize", serial) == serial
         chosen = BASE.with_overrides(scan_mode="parallel", scan_workers=1)
         assert manager._apply_scale_defaults("anonymize", chosen) == chosen

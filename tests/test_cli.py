@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _load_batch_spec, build_parser, main
+from repro.errors import ConfigurationError
+from tests.oracles import PerCandidateSession, ScratchSession, oracle_sessions
 
 
 class TestParser:
@@ -42,34 +44,44 @@ class TestCommands:
         assert output.exists()
         assert "distortion=" in captured
 
+    @staticmethod
+    def _anonymize_output(path, session_class=None, extra=()):
+        """Edge list written by ``anonymize``, on ``session_class`` if given."""
+        argv = ["anonymize", "--dataset", "gnutella", "--size", "40",
+                "--algorithm", "rem", "--theta", "0.6", "--length", "1",
+                "--seed", "0", "--output", str(path), *extra]
+        if session_class is None:
+            assert main(argv) == 0
+            return path.read_text()
+        with oracle_sessions(session_class) as opened:
+            assert main(argv) == 0
+        assert sum(session.evaluations for session in opened) > 0
+        return path.read_text()
+
     def test_anonymize_command_evaluation_modes_agree(self, tmp_path, capsys):
-        outputs = {}
-        for mode in ("incremental", "scratch"):
-            output = tmp_path / f"anon-{mode}.edges"
-            exit_code = main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                              "--algorithm", "rem", "--theta", "0.6", "--length", "1",
-                              "--seed", "0", "--evaluation-mode", mode,
-                              "--output", str(output)])
-            assert exit_code == 0
-            outputs[mode] = output.read_text()
-        assert outputs["incremental"] == outputs["scratch"]
+        # The product's incremental session against the copy-evaluate-restore
+        # oracle, end to end through the CLI.
+        product = self._anonymize_output(tmp_path / "anon-product.edges")
+        scratch = self._anonymize_output(tmp_path / "anon-scratch.edges",
+                                         ScratchSession)
+        assert product == scratch
 
     def test_anonymize_command_rejects_unknown_evaluation_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                  "--evaluation-mode", "lazy"])
+        # The flag is retired: every value is an unrecognised argument.
+        for mode in ("lazy", "scratch", "incremental"):
+            with pytest.raises(SystemExit):
+                main(["anonymize", "--dataset", "gnutella", "--size", "40",
+                      "--evaluation-mode", mode])
+            assert "--evaluation-mode" in capsys.readouterr().err
 
     def test_anonymize_command_scan_modes_agree(self, tmp_path, capsys):
-        outputs = {}
-        for mode in ("batched", "per_candidate"):
-            output = tmp_path / f"anon-{mode}.edges"
-            exit_code = main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                              "--algorithm", "rem", "--theta", "0.6", "--length", "1",
-                              "--seed", "0", "--scan-mode", mode,
-                              "--output", str(output)])
-            assert exit_code == 0
-            outputs[mode] = output.read_text()
-        assert outputs["batched"] == outputs["per_candidate"]
+        # Stacked batch scans against the per-candidate oracle.
+        batched = self._anonymize_output(tmp_path / "anon-batched.edges",
+                                         extra=("--scan-mode", "batched"))
+        per_candidate = self._anonymize_output(
+            tmp_path / "anon-per-candidate.edges", PerCandidateSession,
+            extra=("--scan-mode", "batched"))
+        assert batched == per_candidate
 
     def test_anonymize_command_rejects_unknown_scan_mode(self, capsys):
         with pytest.raises(SystemExit):
@@ -179,6 +191,18 @@ class TestCommands:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert message in captured.err
+
+    def test_batch_spec_with_retired_evaluation_mode_is_rejected(
+            self, tmp_path, capsys):
+        spec_path = tmp_path / "jobs.json"
+        spec_path.write_text(json.dumps(
+            {"defaults": {"dataset": "gnutella", "sample_size": 30},
+             "jobs": [{"algorithm": "rem", "evaluation_mode": "scratch"}]}))
+        with pytest.raises(ConfigurationError, match="evaluation_mode"):
+            _load_batch_spec(str(spec_path))
+        assert main(["batch", str(spec_path)]) == 2
+        assert "unknown request field(s) ['evaluation_mode']" in \
+            capsys.readouterr().err
 
     def test_batch_command_rejects_invalid_json(self, tmp_path, capsys):
         spec_path = tmp_path / "jobs.json"
