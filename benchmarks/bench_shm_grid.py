@@ -20,6 +20,12 @@ under the CI smoke knob as well; the wall-clock comparison is only
 *asserted* when the machine actually has the cores to parallelize
 (``os.cpu_count() >= workers``) — on smaller boxes the numbers are
 printed for inspection but a speedup is physically impossible.
+
+The speedup also rests on the pool workers running BLAS on one thread
+each (DESIGN.md §14): with OpenBLAS's default of one thread per core,
+every worker's dense frontier products would spin threads on cores the
+other workers occupy.  Both benchmarks record each pooled θ-group's BLAS
+thread count and assert it is 1 whenever OpenBLAS is loaded.
 """
 
 import os
@@ -27,6 +33,8 @@ import time
 
 from benchmarks.conftest import smoke
 from repro.api import AnonymizationRequest, GridRequest, run_grid
+from repro.api import theta_sweep
+from repro.core.scan_pool import blas_threads
 
 DATASET = "gnutella"
 #: n=200 is the sweet spot for this sample: the rem-ins L=2 groups take
@@ -58,7 +66,31 @@ def _grid() -> GridRequest:
                                  lookaheads=LOOKAHEADS, thetas=THETAS)
 
 
-def bench_shm_grid(benchmark):
+def _record_worker_blas_threads(monkeypatch, directory) -> None:
+    """Make every θ-group write its process's BLAS thread count to
+    ``directory`` (pool workers are forked and inherit the patch)."""
+    execute = theta_sweep.execute_sweep_group
+
+    def recording(*args, **kwargs):
+        (directory / str(os.getpid())).write_text(str(blas_threads()))
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(theta_sweep, "execute_sweep_group", recording)
+
+
+def _assert_workers_ran_one_blas_thread(directory) -> None:
+    """The premise of the pooled timing: one BLAS thread per pool worker."""
+    recorded = {int(path.name): path.read_text()
+                for path in directory.iterdir()}
+    parent = blas_threads()
+    print(f"\n  BLAS threads: parent {parent}, pool workers "
+          f"{sorted(set(recorded.values()))} ({len(recorded)} worker(s))")
+    assert recorded and os.getpid() not in recorded
+    if parent is not None:  # OpenBLAS is loaded
+        assert set(recorded.values()) == {"1"}, recorded
+
+
+def bench_shm_grid(benchmark, monkeypatch, tmp_path):
     grid = _grid()
     benchmark.group = (f"shm grid, {DATASET} n={SAMPLE_SIZE} "
                        f"{len(grid.groups())} theta-groups x{WORKERS}w")
@@ -71,9 +103,11 @@ def bench_shm_grid(benchmark):
     legacy = run_grid(grid, max_workers=WORKERS, shared_memory=False)
     legacy_s = time.perf_counter() - start
 
+    _record_worker_blas_threads(monkeypatch, tmp_path)
     pooled = benchmark.pedantic(
         run_grid, args=(grid,), kwargs={"max_workers": WORKERS},
         rounds=1, iterations=1)
+    _assert_workers_ran_one_blas_thread(tmp_path)
 
     print(f"\n  grid: {len(grid.requests)} configs in {len(grid.groups())} "
           f"theta group(s) over {len(grid.sample_groups())} sample group(s)"
@@ -97,7 +131,7 @@ def bench_shm_grid(benchmark):
             assert getattr(ours, field) == getattr(theirs, field), field
 
 
-def bench_shm_grid_speedup(benchmark):
+def bench_shm_grid_speedup(benchmark, monkeypatch, tmp_path):
     """Wall-clock: θ-group fan-out vs the serial baseline (core-gated)."""
     grid = _grid()
     benchmark.group = f"shm grid speedup x{WORKERS}w"
@@ -106,11 +140,13 @@ def bench_shm_grid_speedup(benchmark):
     run_grid(grid, max_workers=0)
     serial_s = time.perf_counter() - start
 
+    _record_worker_blas_threads(monkeypatch, tmp_path)
     start = time.perf_counter()
     pooled = benchmark.pedantic(
         run_grid, args=(grid,), kwargs={"max_workers": WORKERS},
         rounds=1, iterations=1)
     pooled_s = time.perf_counter() - start
+    _assert_workers_ran_one_blas_thread(tmp_path)
 
     cores = os.cpu_count() or 1
     speedup = serial_s / pooled_s if pooled_s else float("inf")

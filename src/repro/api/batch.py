@@ -62,8 +62,8 @@ def _initialize_worker(data_dir: Optional[str]) -> None:
     from repro.api.cache import ExecutionCache
     from repro.core.scan_pool import mark_pool_worker
 
-    # θ-group workers already saturate the machine; nested scan pools
-    # inside them would oversubscribe it (DESIGN.md §14).
+    # θ-group workers already saturate the machine; nested scan pools or
+    # multi-threaded BLAS inside them would oversubscribe it (DESIGN.md §14).
     mark_pool_worker()
     _WORKER_CACHE = ExecutionCache(data_dir=data_dir)
 

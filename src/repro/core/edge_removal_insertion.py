@@ -13,7 +13,10 @@ evaluate their candidates through the step's
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import chain
+from typing import AbstractSet, List, Optional, Tuple
 
 from repro.api.registry import register_anonymizer
 from repro.core.anonymizer import AnonymizationResult, TieBreaker
@@ -109,11 +112,49 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
 
         The paper scans every absent edge; ``insertion_candidate_cap``
         optionally bounds the scan with a seeded uniform sample for large
-        graphs (documented deviation, DESIGN.md §5.4).
+        graphs (documented deviation, DESIGN.md §5.4).  The sample is drawn
+        from :class:`EligiblePairs`, so it costs O(m log m + cap log n)
+        instead of a walk over all n(n-1)/2 pairs, and it draws the same
+        edges as sampling the enumerated list would.
         """
         removed = result.removed_edges
-        candidates = [edge for edge in working.non_edges() if edge not in removed]
         cap = self._config.insertion_candidate_cap
-        if cap is not None and len(candidates) > cap:
-            candidates = rng.sample(candidates, cap)
-        return candidates
+        if cap is not None:
+            eligible = EligiblePairs(working, removed)
+            if len(eligible) > cap:
+                return rng.sample(eligible, cap)
+        return [edge for edge in working.non_edges() if edge not in removed]
+
+
+class EligiblePairs(Sequence):
+    """The sorted absent, never-removed vertex pairs of a graph, by position.
+
+    Equal, as a sequence, to ``[e for e in graph.non_edges() if e not in
+    removed]``, but never enumerated: pair ``(u, v)``, ``u < v``, of an
+    n-vertex graph has rank ``u(2n-u-1)/2 + v-u-1`` among all sorted pairs,
+    and the ``i``-th eligible pair has rank ``i + k``, where ``k`` counts the
+    excluded (edge or removed) ranks below it — one bisection.  A snapshot:
+    build it after the graph's last mutation.
+    """
+
+    def __init__(self, graph: Graph, removed: AbstractSet[Edge]) -> None:
+        n = graph.num_vertices
+        #: First rank of every row ``u``.
+        self._starts = [u * (2 * n - u - 1) // 2 for u in range(n)]
+        excluded = sorted({self._starts[u] + v - u - 1
+                           for u, v in chain(graph.edges(), removed)})
+        #: Eligible ranks below each excluded rank, ascending.
+        self._below = [rank - index for index, rank in enumerate(excluded)]
+        self._length = n * (n - 1) // 2 - len(excluded)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index: int) -> Edge:  # type: ignore[override]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("eligible pair index out of range")
+        rank = index + bisect_right(self._below, index)
+        u = bisect_right(self._starts, rank) - 1
+        return (u, rank - self._starts[u] + u + 1)

@@ -33,14 +33,19 @@ every worker has attached, so a crashed worker — or a crashed parent —
 cannot leak ``/dev/shm`` segments.
 
 Pool nesting: θ-group pool workers (:mod:`repro.api.batch`) call
-:func:`mark_pool_worker` from their initializer, and
-:func:`resolve_scan_workers` returns 0 inside such a process — a grid that
-already fans θ-groups across all cores must not oversubscribe them with
-nested scan pools.
+:func:`mark_pool_worker` from their initializer, and scan-pool workers at
+startup.  Inside such a process :func:`resolve_scan_workers` returns 0 and
+the OpenBLAS thread pool is capped at one thread — a pool that already
+fans work across all cores must not oversubscribe them, neither with
+nested scan pools nor with native BLAS threads.  Thread count cannot
+change a result: the dense tier's float32 products sum 0/1 terms, exact
+below 2**24.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import multiprocessing
 import os
 import weakref
@@ -48,6 +53,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ScanPool",
+    "blas_threads",
     "in_pool_worker",
     "mark_pool_worker",
     "resolve_scan_workers",
@@ -62,15 +68,93 @@ _READY_TIMEOUT = 60.0
 _IN_POOL_WORKER = False
 
 
+#: Thread-count setters OpenBLAS builds export, in lookup order: numpy's
+#: wheels bundle a ``scipy_openblas`` ILP64 build, a system OpenBLAS has
+#: the plain names.  Each getter is the setter's name with ``get``.
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
+
+
 def mark_pool_worker() -> None:
-    """Mark this process as a pool worker (disables nested scan pools)."""
+    """Mark this process as a pool worker.
+
+    Disables nested scan pools and caps the process's BLAS thread pool at
+    one thread: the pool's processes already occupy the cores.
+    """
     global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
+    _set_blas_threads(1)
 
 
 def in_pool_worker() -> bool:
     """Whether this process is a pool worker."""
     return _IN_POOL_WORKER
+
+
+def _find_openblas() -> Optional[ctypes.CDLL]:
+    """The OpenBLAS library loaded in this process, or ``None``.
+
+    Reads the process's mappings (Linux); where they name none, falls back
+    to the library bundled in the numpy wheel.
+    """
+    paths: List[str] = []
+    try:
+        with open("/proc/self/maps") as maps:
+            for line in maps:
+                fields = line.split(maxsplit=5)
+                path = fields[5].strip() if len(fields) == 6 else ""
+                if "openblas" in os.path.basename(path).lower():
+                    paths.append(path)
+    except OSError:
+        pass
+    if not paths:
+        import numpy
+
+        site = os.path.dirname(os.path.dirname(numpy.__file__))
+        paths = sorted(glob.glob(os.path.join(site, "numpy.libs",
+                                              "*openblas*")))
+    for path in dict.fromkeys(paths):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _blas_function(verb: str) -> Optional[Any]:
+    """OpenBLAS's ``{verb}_num_threads`` function, or ``None``."""
+    library = _find_openblas()
+    if library is None:
+        return None
+    for setter in _BLAS_SETTERS:
+        function = getattr(library, setter.replace("_set_", f"_{verb}_"),
+                           None)
+        if function is not None:
+            return function
+    return None
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set this process's OpenBLAS thread count; no-op without OpenBLAS."""
+    setter = _blas_function("set")
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(count)
+
+
+def blas_threads() -> Optional[int]:
+    """This process's OpenBLAS thread count, or ``None`` without OpenBLAS."""
+    getter = _blas_function("get")
+    if getter is None:
+        return None
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    return int(getter())
 
 
 def resolve_scan_workers(scan_mode: str,

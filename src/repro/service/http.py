@@ -20,12 +20,14 @@ POST      ``/admin/init``          ``{"reset": bool}`` — re-init the store
 GET       ``/healthz``             Liveness probe.
 ========  =======================  ==========================================
 
-Malformed JSON, unknown job kinds, and invalid request payloads
-(:class:`~repro.errors.ReproError`) all map to HTTP 400 with
-``{"error": ...}`` — one bad client never takes the server down.  The
-server is a ``ThreadingHTTPServer`` (one thread per connection, daemon
-threads); all state lives in the shared :class:`~repro.service.jobs.JobManager`
-/ :class:`~repro.service.store.RunStore` pair, which are thread-safe.
+Malformed JSON, unknown job kinds, invalid request payloads
+(:class:`~repro.errors.ReproError`) and a ``Content-Length`` that is not a
+non-negative integer all map to HTTP 400 with ``{"error": ...}``; a body
+over the 64 MiB cap gets 413.  One bad client never takes the server
+down.  The server is a ``ThreadingHTTPServer`` (one thread per
+connection, daemon threads); all state lives in the shared
+:class:`~repro.service.jobs.JobManager` /
+:class:`~repro.service.store.RunStore` pair, which are thread-safe.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ __all__ = ["create_server", "make_handler"]
 _MAX_BODY = 64 * 1024 * 1024  # refuse absurd request bodies outright
 
 
+class _RejectedBody(Exception):
+    """A request body refused before it is read (its HTTP status attached)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 def make_handler(manager: JobManager, store: RunStore) -> type:
     """Build the request-handler class bound to one manager/store pair."""
 
@@ -55,18 +65,28 @@ def make_handler(manager: JobManager, store: RunStore) -> type:
         def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
             pass  # keep test/CI output clean; errors surface as responses
 
-        def _send(self, status: int, payload: Dict[str, Any]) -> None:
+        def _send(self, status: int, payload: Dict[str, Any], *,
+                  close: bool = False) -> None:
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
         def _read_json(self) -> Any:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _RejectedBody(400, f"invalid Content-Length {header!r}")
             if length > _MAX_BODY:
-                raise ValueError(f"request body too large ({length} bytes)")
+                raise _RejectedBody(413, f"request body of {length} bytes "
+                                         f"exceeds the {_MAX_BODY}-byte limit")
             raw = self.rfile.read(length) if length else b""
             if not raw:
                 raise ValueError("request body must be JSON")
@@ -152,6 +172,9 @@ def make_handler(manager: JobManager, store: RunStore) -> type:
                         reset=bool(payload.get("reset", False))))
                     return
                 self._send(404, {"error": f"unknown path {self.path!r}"})
+            except _RejectedBody as exc:
+                # Closing: the unread body would parse as the next request.
+                self._send(exc.status, {"error": str(exc)}, close=True)
             except (ReproError, ValueError, KeyError, TypeError,
                     json.JSONDecodeError) as exc:
                 self._send(400, {"error": f"{type(exc).__name__}: {exc}"})

@@ -1,12 +1,22 @@
 """Unit tests for the Edge Removal/Insertion heuristic (Algorithm 5)."""
 
-import pytest
+import dataclasses
+import random
+from types import SimpleNamespace
 
-from repro.core.edge_removal_insertion import EdgeRemovalInsertionAnonymizer
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.edge_removal_insertion import (
+    EdgeRemovalInsertionAnonymizer,
+    EligiblePairs,
+)
 from repro.core.opacity import max_lo
 from repro.core.pair_types import DegreePairTyping
 from repro.graph.generators import complete_graph, erdos_renyi_graph
 from repro.graph.graph import Graph
+from tests.property.strategies import graphs
 
 
 class TestBasicBehaviour:
@@ -96,6 +106,68 @@ class TestInsertionCandidateCap:
             length_threshold=1, theta=0.6, seed=0,
             insertion_candidate_cap=10).anonymize(graph)
         assert result.anonymized_graph.num_edges == graph.num_edges
+
+
+def enumerate_then_sample(graph, removed, cap, rng):
+    """The reference: list every eligible pair, then sample the list."""
+    candidates = [edge for edge in graph.non_edges() if edge not in removed]
+    if cap is not None and len(candidates) > cap:
+        candidates = rng.sample(candidates, cap)
+    return candidates
+
+
+def assert_sampling_matches_reference(graph, removed, cap, seed):
+    anonymizer = EdgeRemovalInsertionAnonymizer(length_threshold=1)
+    # Bypasses validation, so that cap 0 is exercised too.
+    anonymizer._config = dataclasses.replace(anonymizer._config,
+                                             insertion_candidate_cap=cap)
+    ours, theirs = random.Random(seed), random.Random(seed)
+    observed = anonymizer._insertion_candidates(
+        graph, ours, SimpleNamespace(removed_edges=removed))
+    expected = enumerate_then_sample(graph, removed, cap, theirs)
+    assert observed == expected
+    assert ours.getstate() == theirs.getstate()  # the same draws
+
+
+class TestInsertionSampling:
+    """Sampling by rank ≡ sampling the enumerated list, draw for draw."""
+
+    @given(st.data(), graphs(min_vertices=0, max_vertices=30),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumerate_then_sample(self, data, graph, seed):
+        n = graph.num_vertices
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # Removed pairs are usually absent edges, but may be any pair.
+        removed = (set(data.draw(st.lists(st.sampled_from(pairs),
+                                          max_size=40)))
+                   if pairs else set())
+        count = len(EligiblePairs(graph, removed))
+        cap = data.draw(st.one_of(st.none(),
+                                  st.integers(min_value=0,
+                                              max_value=count + 3)))
+        assert_sampling_matches_reference(graph, removed, cap, seed)
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 5, 80, 10_000])
+    @pytest.mark.parametrize("size", [7, 40])
+    def test_caps_around_the_count(self, cap, size):
+        # n=7 with cap <= 5 takes random.sample's small-population path,
+        # which copies the population; n=40 with cap 80 its set path.
+        graph = erdos_renyi_graph(size, 0.2, seed=size)
+        removed = set(list(graph.non_edges())[::7])
+        for seed in range(3):
+            assert_sampling_matches_reference(graph, removed, cap, seed)
+
+    def test_sequence_equals_the_enumeration(self):
+        graph = erdos_renyi_graph(25, 0.3, seed=8)
+        removed = set(list(graph.non_edges())[::3])
+        eligible = EligiblePairs(graph, removed)
+        expected = [edge for edge in graph.non_edges() if edge not in removed]
+        assert len(eligible) == len(expected)
+        assert list(eligible) == expected
+        assert eligible[-1] == expected[-1]
+        with pytest.raises(IndexError):
+            eligible[len(expected)]
 
 
 class TestEdgeCases:

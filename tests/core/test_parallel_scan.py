@@ -12,7 +12,8 @@ The scan pool promises three things, and these tests pin all of them:
   nothing under ``/dev/shm``; the session falls back to the serial scan
   permanently and keeps producing identical results.
 * **No nested pools** — pool workers (θ-group or scan) never start scan
-  pools of their own.
+  pools of their own, and run BLAS on one thread, while the parent keeps
+  its own thread count.
 
 The CI machine may be single-core, so every test passes an explicit
 ``scan_workers`` (the auto heuristic resolves to 0 there by design).
@@ -36,10 +37,12 @@ from repro.core import (
     SCAN_MODES,
     OpacitySession,
 )
-from repro.api.requests import AnonymizationRequest
+from repro.api import AnonymizationRequest, GridRequest, run_grid
+from repro.api import theta_sweep as theta_sweep_module
 from repro.core import scan_pool as scan_pool_module
 from repro.core.anonymizer import AnonymizerConfig
 from repro.core.scan_pool import (
+    blas_threads,
     in_pool_worker,
     mark_pool_worker,
     resolve_scan_workers,
@@ -88,10 +91,15 @@ class TestResolveScanWorkers:
 
     def test_pool_workers_refuse_nested_pools(self, monkeypatch):
         monkeypatch.setattr(scan_pool_module, "_IN_POOL_WORKER", False)
+        # Marking this process must not pin the whole test session's BLAS.
+        pinned = []
+        monkeypatch.setattr(scan_pool_module, "_set_blas_threads",
+                            pinned.append)
         assert not in_pool_worker()
         assert resolve_scan_workers("parallel", 3) == 3
         mark_pool_worker()
         assert in_pool_worker()
+        assert pinned == [1]
         assert resolve_scan_workers("parallel", 3) == 0
         assert resolve_scan_workers("parallel", None) == 0
 
@@ -113,6 +121,90 @@ class TestResolveScanWorkers:
     def test_negative_scan_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="scan_workers"):
             AnonymizerConfig(scan_workers=-1).validate()
+
+
+@pytest.fixture
+def parent_blas_threads():
+    """This process's OpenBLAS thread count, raised to at least 2 for the
+    test, so that a worker's pin to one thread shows on any core count."""
+    before = blas_threads()
+    if before is None:
+        pytest.skip("no OpenBLAS loaded in this process")
+    scan_pool_module._set_blas_threads(max(before, 2))
+    try:
+        yield blas_threads()
+    finally:
+        scan_pool_module._set_blas_threads(before)
+
+
+def record_blas_threads(directory):
+    """Write ``pid -> BLAS threads`` of every call into ``directory``."""
+    (directory / str(os.getpid())).write_text(str(blas_threads()))
+
+
+def recorded_blas_threads(directory):
+    return {int(path.name): int(path.read_text())
+            for path in directory.iterdir()}
+
+
+class TestBlasThreadRule:
+    """Pool workers run BLAS on one thread; the parent keeps its count."""
+
+    def test_theta_group_workers_run_one_blas_thread(
+            self, parent_blas_threads, monkeypatch, tmp_path):
+        execute = theta_sweep_module.execute_sweep_group
+
+        def recording(*args, **kwargs):
+            record_blas_threads(tmp_path)
+            return execute(*args, **kwargs)
+
+        # Pool workers are forked, so they inherit the patched module.
+        monkeypatch.setattr(theta_sweep_module, "execute_sweep_group",
+                            recording)
+        base = AnonymizationRequest(dataset="gnutella", sample_size=24,
+                                    seed=0)
+        grid = GridRequest.from_axes(base, length_thresholds=(1, 2),
+                                     thetas=(0.8, 0.6))
+        response = run_grid(grid, max_workers=2)
+        assert response.ok
+        recorded = recorded_blas_threads(tmp_path)
+        assert recorded and os.getpid() not in recorded
+        assert set(recorded.values()) == {1}
+        assert blas_threads() == parent_blas_threads
+
+    def test_scan_workers_run_one_blas_thread(
+            self, parent_blas_threads, monkeypatch, tmp_path):
+        collect = OpacitySession.collect_edit_changes
+
+        def recording(session, *args, **kwargs):
+            record_blas_threads(tmp_path)
+            return collect(session, *args, **kwargs)
+
+        monkeypatch.setattr(OpacitySession, "collect_edit_changes",
+                            recording)
+        graph = erdos_renyi_graph(18, 0.25, seed=2)
+        result = EdgeRemovalAnonymizer(
+            length_threshold=2, theta=0.5, seed=0, max_steps=2,
+            scan_mode="parallel", scan_workers=WORKERS).anonymize(graph)
+        assert result.debug_info["parallel_scans"] > 0
+        recorded = recorded_blas_threads(tmp_path)
+        assert len(recorded) == WORKERS and os.getpid() not in recorded
+        assert set(recorded.values()) == {1}
+        assert blas_threads() == parent_blas_threads
+        assert leaked_arenas() == []
+
+    def test_missing_openblas_makes_the_pin_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(scan_pool_module, "_IN_POOL_WORKER", False)
+        monkeypatch.setattr(scan_pool_module, "_find_openblas", lambda: None)
+        mark_pool_worker()
+        assert in_pool_worker()
+        assert blas_threads() is None
+
+    def test_openblas_without_thread_symbols_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(scan_pool_module, "_find_openblas",
+                            lambda: object())
+        scan_pool_module._set_blas_threads(1)
+        assert blas_threads() is None
 
 
 class TestParallelScanEquivalence:

@@ -1,5 +1,7 @@
 """HTTP API tests: an in-thread server exercised through ServiceClient."""
 
+import json
+import socket
 import threading
 
 import pytest
@@ -11,7 +13,7 @@ from repro.api import (
     run_grid,
 )
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import create_server
+from repro.service.http import _MAX_BODY, create_server
 from repro.service.jobs import JobManager
 from repro.service.store import RunStore
 
@@ -169,6 +171,53 @@ class TestErrorPaths:
         with pytest.raises(ServiceError) as caught:
             client.cancel("nope")
         assert caught.value.status == 404
+
+
+def raw_post(client, path, content_length, body=b""):
+    """POST with a verbatim ``Content-Length``; the reply's status and JSON.
+
+    A socket timeout bounds the wait, so a handler that blocks reading a
+    body that never comes fails the test instead of hanging it.
+    """
+    host, port = client._base_url.rsplit("//", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=3) as sock:
+        sock.sendall(f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Type: application/json\r\n"
+                     f"Content-Length: {content_length}\r\n\r\n"
+                     .encode("ascii") + body)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)  # the server closes after replying
+            if not chunk:
+                break
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    assert b"connection: close" in head.lower()
+    return status, json.loads(payload)
+
+
+class TestContentLength:
+    @pytest.mark.parametrize("path", ["/jobs", "/admin/init"])
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_invalid_length_is_400_at_once(self, service, path, value):
+        client, store, _manager = service
+        status, payload = raw_post(client, path, value, b"{}")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+        assert store.list_jobs() == []
+
+    def test_body_over_the_cap_is_413_naming_the_limit(self, service):
+        client, _store, _manager = service
+        status, payload = raw_post(client, "/jobs", _MAX_BODY + 1, b"{")
+        assert status == 413
+        assert str(_MAX_BODY) in payload["error"]
+
+    def test_server_keeps_serving_after_rejections(self, service):
+        client, _store, _manager = service
+        raw_post(client, "/jobs", -1)
+        raw_post(client, "/jobs", _MAX_BODY + 1)
+        assert client.health() == {"ok": True}
 
 
 class TestAdminInit:
