@@ -1,25 +1,20 @@
-"""Ablation: checkpointed θ sweeps vs independent per-θ runs.
+"""Ablation: one checkpointed θ pass vs independent per-θ runs.
 
 Every figure of the paper's evaluation (Figures 6-12) sweeps the confidence
 threshold θ for an otherwise fixed configuration.  θ only gates the greedy
-loops' termination, so a descending θ grid can be served by *one*
-anonymization pass with per-θ checkpoints (``sweep_mode="checkpointed"``,
-DESIGN.md §9) instead of one full run per grid point
-(``sweep_mode="independent"``).
+loops' termination, so a descending θ grid is served by *one*
+anonymization pass with per-θ checkpoints (DESIGN.md §9) instead of one
+full run per grid point.
 
-This bench runs the paper's default 5-point grid in both modes on the same
-sample, verifies the per-θ records are identical (edits, opacity,
-distortion, evaluation counts), and asserts the headline speedup: the
-checkpointed pass performs at least ``MIN_EVALUATION_RATIO``× fewer
-candidate evaluations than the independent runs combined.  Unlike the
+This bench times the checkpointed plan on the paper's default 5-point
+grid, verifies its per-θ records equal per-θ ``runner.run`` calls (edits,
+opacity, distortion, evaluation counts), and asserts the headline speedup:
+the checkpointed pass performs at least ``MIN_EVALUATION_RATIO``× fewer
+candidate evaluations than those independent runs combined.  Unlike the
 timing assertions of the other benches, the evaluation-count ratio is a
 deterministic property of the engine, so it is asserted under the CI smoke
 knob as well.
 """
-
-from dataclasses import replace
-
-import pytest
 
 from benchmarks.conftest import print_series, smoke
 from repro.experiments import SweepPlan
@@ -38,26 +33,22 @@ SEED = 0
 MIN_EVALUATION_RATIO = 3.0
 
 
-def _plan(sweep_mode: str) -> SweepPlan:
-    return SweepPlan(dataset=DATASET, sample_size=SAMPLE_SIZE, algorithm="rem",
-                     thetas=THETAS, length_threshold=LENGTH, seed=SEED,
-                     sweep_mode=sweep_mode)
+PLAN = SweepPlan(dataset=DATASET, sample_size=SAMPLE_SIZE, algorithm="rem",
+                 thetas=THETAS, length_threshold=LENGTH, seed=SEED)
 
 
-@pytest.mark.parametrize("sweep_mode", ["checkpointed", "independent"])
-def bench_theta_sweep(benchmark, runner, sweep_mode):
+def bench_theta_sweep(benchmark, runner):
     benchmark.group = f"theta sweep, {DATASET} n={SAMPLE_SIZE} L={LENGTH}"
-    records = benchmark.pedantic(runner.run_sweep, args=(_plan(sweep_mode),),
+    records = benchmark.pedantic(runner.run_sweep, args=(PLAN,),
                                  rounds=1, iterations=1)
-    print_series(f"Figure-series sweep ({sweep_mode})",
+    print_series("Figure-series sweep (checkpointed)",
                  {"rem L=1": [(record.config.theta, record.distortion)
                               for record in records]},
                  y_label="distortion")
 
     # Differential parity: the records must be indistinguishable from
-    # independent per-θ runs (runtime aside) regardless of sweep mode.
-    reference = [runner.run(replace(config, sweep_mode="independent"))
-                 for config in _plan(sweep_mode).configs()]
+    # independent per-θ runs (runtime aside).
+    reference = [runner.run(config) for config in PLAN.configs()]
     for record, expected in zip(records, reference):
         assert record.final_opacity == expected.final_opacity
         assert record.distortion == expected.distortion
@@ -74,5 +65,4 @@ def bench_theta_sweep(benchmark, runner, sweep_mode):
     print(f"\n  independent evaluations: {independent_cost:,}"
           f"\n  checkpointed evaluations: {checkpointed_cost:,}"
           f"\n  ratio: {ratio:.2f}x (required >= {MIN_EVALUATION_RATIO}x)")
-    if sweep_mode == "checkpointed":
-        assert ratio >= MIN_EVALUATION_RATIO
+    assert ratio >= MIN_EVALUATION_RATIO

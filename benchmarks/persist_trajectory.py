@@ -13,14 +13,17 @@ performance trajectory as a first-class artifact)::
     ]}
 
 ``seconds`` is the mean; ``commit`` is ``null`` when the script does not
-run inside a git checkout.
+run inside a git checkout.  Without ``--pr`` the PR number is the highest
+``PR <n>`` entry of the repository's ``CHANGES.md`` (shallow CI checkouts
+have no git history to count), and a ``{pr}`` in ``--output`` is replaced
+by that number.
 
 Usage::
 
     python -m pytest benchmarks -q -o python_files='bench_*.py' \\
         -o python_functions='bench_*' --benchmark-json=/tmp/bench.json
     python benchmarks/persist_trajectory.py /tmp/bench.json \\
-        --pr 6 --output BENCH_6.json
+        --output 'BENCH_{pr}.json'
 """
 
 from __future__ import annotations
@@ -29,10 +32,18 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
 from typing import Optional
+
+#: The changelog whose newest entry names the PR a run belongs to.
+CHANGES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "CHANGES.md")
+
+#: A changelog entry: a list item opening with ``PR <n>``, optionally bold.
+_ENTRY = re.compile(r"^[-*]\s+(?:\*\*)?PR\s+(\d+)\b", re.MULTILINE)
 
 
 def _group_for(bench: dict) -> str:
@@ -63,6 +74,18 @@ def git_commit(directory: str) -> Optional[str]:
         return None
     commit = completed.stdout.strip()
     return commit if completed.returncode == 0 and commit else None
+
+
+def pr_from_changes(path: str) -> int:
+    """The highest ``PR <n>`` entry of the changelog at ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            numbers = [int(number) for number in _ENTRY.findall(handle.read())]
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    if not numbers:
+        raise ValueError(f"{path} has no 'PR <n>' entry")
+    return max(numbers)
 
 
 def condense(raw: dict, pr: int, commit: Optional[str] = None) -> dict:
@@ -100,22 +123,31 @@ def condense(raw: dict, pr: int, commit: Optional[str] = None) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dump", help="pytest-benchmark --benchmark-json file")
-    parser.add_argument("--pr", type=int, required=True,
-                        help="PR number this run belongs to")
+    parser.add_argument("--pr", type=int, default=None,
+                        help="PR number this run belongs to (default: the "
+                             "highest 'PR <n>' entry of CHANGES.md)")
     parser.add_argument("--output", required=True,
-                        help="trajectory file to write (BENCH_<pr>.json)")
+                        help="trajectory file to write; '{pr}' is replaced "
+                             "by the PR number (BENCH_{pr}.json)")
     parser.add_argument("--smoke", action="store_true",
                         help="mark the entry as a smoke-sized run")
     args = parser.parse_args(argv)
+    pr = args.pr
+    if pr is None:
+        try:
+            pr = pr_from_changes(CHANGES)
+        except ValueError as exc:
+            parser.error(f"--pr not given and {exc}")
+    output = args.output.replace("{pr}", str(pr))
     with open(args.dump, "r", encoding="utf-8") as handle:
         raw = json.load(handle)
     raw["_smoke"] = args.smoke
-    entry = condense(raw, args.pr,
+    entry = condense(raw, pr,
                      commit=git_commit(os.path.dirname(os.path.abspath(__file__))))
-    with open(args.output, "w", encoding="utf-8") as handle:
+    with open(output, "w", encoding="utf-8") as handle:
         json.dump(entry, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {args.output} ({len(entry['benchmarks'])} benchmarks)")
+    print(f"wrote {output} ({len(entry['benchmarks'])} benchmarks)")
     return 0
 
 

@@ -11,8 +11,9 @@ Layers (see DESIGN.md §8):
   anonymizer's greedy loop.
 * :mod:`repro.api.facade` — :func:`anonymize`, :func:`compute_opacity`,
   :func:`sweep`.
-* :mod:`repro.api.theta_sweep` — :class:`SweepRequest` / :class:`SweepResponse`
-  and the grouped checkpointed θ-sweep engine (DESIGN.md §9).
+* :mod:`repro.api.theta_sweep` — the θ-sweep group executor: requests
+  identical in everything but θ run as one checkpointed pass
+  (DESIGN.md §9).
 * :mod:`repro.api.sweeps` — :class:`GridRequest` / :class:`GridResponse`
   and the multi-axis grid engine behind :func:`sweep` and
   ``repro-lopacity sweep``: dataset × size × seed × L × θ × algorithm
@@ -23,9 +24,9 @@ Layers (see DESIGN.md §8):
   batch workers.
 * :mod:`repro.api.batch` — :class:`BatchRunner` fan-out over worker
   processes, powering ``repro-lopacity batch`` and parallel experiment
-  sweeps; sweeps fan θ-sweep groups and grids fan sample groups instead
-  of single requests, and every worker holds a process-level
-  :class:`ExecutionCache`.
+  grids; grids fan θ-sweep groups (or, off the shared-memory plane,
+  sample groups) instead of single requests, and every worker holds a
+  process-level :class:`ExecutionCache`.
 
 Quickstart::
 
@@ -77,7 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover — lazy at runtime, eager for type checke
         OpacityReport,
         anonymize,
         compute_opacity,
-        expand_sweep,
         run_requests,
         sweep,
     )
@@ -89,12 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover — lazy at runtime, eager for type checke
         expand_grid,
         run_grid,
     )
-    from repro.api.theta_sweep import (
-        SweepRequest,
-        SweepResponse,
-        execute_sweep_group,
-        run_sweep,
-    )
+    from repro.api.theta_sweep import execute_sweep_group
 
 #: Lazily resolved attribute -> defining submodule (PEP 562).
 _LAZY = {
@@ -111,7 +106,6 @@ _LAZY = {
     "OpacityReport": "repro.api.facade",
     "anonymize": "repro.api.facade",
     "compute_opacity": "repro.api.facade",
-    "expand_sweep": "repro.api.facade",
     "run_requests": "repro.api.facade",
     "sweep": "repro.api.facade",
     "BatchRunner": "repro.api.batch",
@@ -124,10 +118,7 @@ _LAZY = {
     "expand_grid": "repro.api.sweeps",
     "run_grid": "repro.api.sweeps",
     "validate_error_policy": "repro.api.sweeps",
-    "SweepRequest": "repro.api.theta_sweep",
-    "SweepResponse": "repro.api.theta_sweep",
     "execute_sweep_group": "repro.api.theta_sweep",
-    "run_sweep": "repro.api.theta_sweep",
 }
 
 __all__ = [
@@ -153,8 +144,6 @@ __all__ = [
     "OpacityReport",
     "ProgressObserver",
     "StepLimitObserver",
-    "SweepRequest",
-    "SweepResponse",
     "TimeoutObserver",
     "anonymize",
     "available_algorithms",
@@ -170,7 +159,6 @@ __all__ = [
     "execute_sample_group",
     "execute_sweep_group",
     "expand_grid",
-    "expand_sweep",
     "materialize_response",
     "notify_checkpoint",
     "notify_group",
@@ -178,7 +166,6 @@ __all__ = [
     "request_fingerprint",
     "run_grid",
     "run_requests",
-    "run_sweep",
     "sweep",
     "validate_error_policy",
 ]

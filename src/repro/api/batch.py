@@ -8,17 +8,17 @@ themselves when :mod:`repro` is imported in the worker.  Custom registries
 with process-local registrations therefore require ``max_workers=0``
 (in-process execution), which is also the deterministic mode used in tests.
 
-:meth:`BatchRunner.run_sweep` fans θ-sweep *groups* (not single requests)
+:meth:`BatchRunner.run_grid` fans *θ-sweep groups* (not single requests)
 across the pool: each group is one checkpointed anonymization pass
-(:mod:`repro.api.theta_sweep`), so a worker amortizes a whole θ grid instead of
-re-running the anonymization per grid point.  :meth:`BatchRunner.run_grid`
-fans *θ-sweep groups* over the zero-copy shared-memory data plane
-(:mod:`repro.api.shm`): the parent loads each sample group's graph and runs
-its L_max distance computation exactly once, publishes both to
-shared-memory segments, and workers attach read-only views — so even a
-single-sample grid parallelizes across all cores with zero redundant
-loads or BFS runs.  ``shared_memory=False`` falls back to fanning whole
-*sample groups*, each worker re-deriving its own artifacts.
+(:mod:`repro.api.theta_sweep`), so a worker amortizes a whole θ grid
+instead of re-running the anonymization per grid point.  On the default
+zero-copy shared-memory data plane (:mod:`repro.api.shm`) the parent loads
+each sample group's graph and runs its L_max distance computation exactly
+once, publishes both to shared-memory segments, and workers attach
+read-only views — so even a single-sample grid parallelizes across all
+cores with zero redundant loads or BFS runs.  ``shared_memory=False``
+falls back to fanning whole *sample groups*, each worker re-deriving its
+own artifacts.
 
 Every pool is started with an initializer that installs a process-level
 :class:`~repro.api.cache.ExecutionCache` in the worker, so a worker loads
@@ -49,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover — avoids an import cycle at runtime
     from repro.api.cache import ExecutionCache, GridStats
     from repro.api.shm import ArenaDescriptor
     from repro.api.sweeps import GridRequest
-    from repro.api.theta_sweep import SweepRequest
 
 #: Process-level cache of the current worker (installed by the pool
 #: initializer; ``None`` in the parent process and in unpooled execution).
@@ -94,7 +93,7 @@ def _execute_payload(payload: Dict[str, Any], data_dir: Optional[str]) -> Dict[s
     return execute_request(request, data_dir=data_dir).to_dict()
 
 
-def _execute_group_payload(payloads: List[Dict[str, Any]], sweep_mode: str,
+def _execute_group_payload(payloads: List[Dict[str, Any]],
                            data_dir: Optional[str],
                            l_max_hint: Optional[int] = None) -> List[Dict[str, Any]]:
     """Worker-side entry point for one θ-sweep group (module-level for pickling)."""
@@ -103,12 +102,12 @@ def _execute_group_payload(payloads: List[Dict[str, Any]], sweep_mode: str,
     requests = [AnonymizationRequest.from_dict(payload) for payload in payloads]
     graph = initial_distances = baseline = None
     cache = worker_cache()
-    if cache is not None and sweep_mode != "independent":
+    if cache is not None:
         # The worker's process-level cache: groups sharing a sample load it
         # once per worker instead of once per group, and the per-sample
         # baseline and L-bounded matrix are likewise derived once.
-        # ``l_max_hint`` carries the sweep-wide maximum L of this sample's
-        # incremental groups, so a worker executing an L sweep computes the
+        # ``l_max_hint`` carries the grid-wide maximum L of this sample's
+        # groups, so a worker executing an L sweep computes the
         # matrix once at L_max instead of once per distinct L.
         first = requests[0]
         try:
@@ -120,15 +119,13 @@ def _execute_group_payload(payloads: List[Dict[str, Any]], sweep_mode: str,
         except Exception as exc:  # noqa: BLE001 — same isolation as the group
             return [AnonymizationResponse.failure(request, exc).to_dict()
                     for request in requests]
-    responses = execute_sweep_group(requests, sweep_mode=sweep_mode,
-                                    data_dir=data_dir, graph=graph,
+    responses = execute_sweep_group(requests, data_dir=data_dir, graph=graph,
                                     initial_distances=initial_distances,
                                     baseline=baseline)
     return [response.to_dict() for response in responses]
 
 
 def _execute_sample_group_payload(payloads: List[Dict[str, Any]],
-                                  sweep_mode: str,
                                   data_dir: Optional[str],
                                   on_error: str = "isolate") -> Dict[str, Any]:
     """Worker-side entry point for one grid sample group (module-level).
@@ -144,9 +141,8 @@ def _execute_sample_group_payload(payloads: List[Dict[str, Any]],
     cache = worker_cache() or ExecutionCache(data_dir=data_dir)
     loads, computes = cache.sample_loads, cache.distance_computes
     try:
-        responses = execute_sample_group(requests, sweep_mode=sweep_mode,
-                                         data_dir=data_dir, cache=cache,
-                                         on_error=on_error)
+        responses = execute_sample_group(requests, data_dir=data_dir,
+                                         cache=cache, on_error=on_error)
     finally:
         # A sample group is handed to a worker exactly once, so its entries
         # can never be hit again — drop them to bound worker memory.
@@ -157,7 +153,6 @@ def _execute_sample_group_payload(payloads: List[Dict[str, Any]],
 
 
 def _execute_shm_group_payload(payloads: List[Dict[str, Any]],
-                               sweep_mode: str,
                                data_dir: Optional[str],
                                descriptor: "ArenaDescriptor",
                                baseline: Optional[Any] = None) -> Dict[str, Any]:
@@ -191,8 +186,7 @@ def _execute_shm_group_payload(payloads: List[Dict[str, Any]],
                               for request in requests],
                 "stats": (cache.sample_loads - loads,
                           cache.distance_computes - computes)}
-    responses = execute_sweep_group(requests, sweep_mode=sweep_mode,
-                                    data_dir=data_dir, graph=graph,
+    responses = execute_sweep_group(requests, data_dir=data_dir, graph=graph,
                                     initial_distances=initial_distances,
                                     baseline=baseline)
     return {"responses": [response.to_dict() for response in responses],
@@ -254,17 +248,6 @@ class BatchRunner:
         return [execute_request(request, data_dir=self._data_dir)
                 for request in requests]
 
-    def _run_independent(self, requests: List[AnonymizationRequest],
-                         registry: Optional[AnonymizerRegistry]
-                         ) -> List[AnonymizationResponse]:
-        """The sweep/grid opt-out path: per-request fan-out, registry honoured
-        in-process (workers always resolve through the default registry)."""
-        if self._max_workers == 0 and registry is not None:
-            return [execute_request(request, registry=registry,
-                                    data_dir=self._data_dir)
-                    for request in requests]
-        return self.run(requests)
-
     def _worker_count(self, num_jobs: int) -> int:
         """Pool size for ``num_jobs`` independent submissions."""
         workers = self._max_workers or os.cpu_count() or 1
@@ -275,70 +258,6 @@ class BatchRunner:
         return ProcessPoolExecutor(max_workers=workers,
                                    initializer=_initialize_worker,
                                    initargs=(self._data_dir,))
-
-    # ------------------------------------------------------------------
-    # θ-sweep groups
-    # ------------------------------------------------------------------
-    def run_sweep(self, sweep: "SweepRequest", *,
-                  registry: Optional[AnonymizerRegistry] = None
-                  ) -> List[AnonymizationResponse]:
-        """Execute a sweep, fanning θ-sweep *groups* across the pool.
-
-        Each group runs as one checkpointed anonymization pass; responses
-        come back in request order.  ``sweep_mode="independent"`` opts out
-        of grouping entirely and takes :meth:`run`'s per-request fan-out
-        (per-request timeouts, failure isolation, and parallelism).  A
-        custom ``registry`` is only honoured with ``max_workers=0`` —
-        workers resolve algorithms through the default registry, like
-        :meth:`run`.
-        """
-        from repro.api.theta_sweep import execute_sweep_group
-
-        if sweep.sweep_mode == "independent":
-            return self._run_independent(list(sweep.requests), registry)
-        groups = sweep.groups()
-        ordered: List[Optional[AnonymizationResponse]] = [None] * len(sweep.requests)
-        if self._max_workers == 0 or len(groups) == 1:
-            for indices in groups:
-                responses = execute_sweep_group(
-                    [sweep.requests[index] for index in indices],
-                    sweep_mode=sweep.sweep_mode, registry=registry,
-                    data_dir=self._data_dir)
-                for index, response in zip(indices, responses):
-                    ordered[index] = response
-            return ordered  # type: ignore[return-value]
-        # Sweep-wide maximum L per (sample, engine) over incremental groups:
-        # a worker that executes several L groups of one sample computes the
-        # shared matrix once, at the hinted bound, instead of once per L.
-        from repro.api.cache import sample_key
-
-        l_max_hints: Dict[Any, int] = {}
-        for request in sweep.requests:
-            hint_key = (sample_key(request), request.engine)
-            l_max_hints[hint_key] = max(l_max_hints.get(hint_key, 1),
-                                        request.length_threshold)
-        workers = self._worker_count(len(groups))
-        with self._pool(workers) as pool:
-            futures: List[Future] = [
-                pool.submit(_execute_group_payload,
-                            [sweep.requests[index].to_dict() for index in indices],
-                            sweep.sweep_mode, self._data_dir,
-                            l_max_hints.get(
-                                (sample_key(sweep.requests[indices[0]]),
-                                 sweep.requests[indices[0]].engine)))
-                for indices in groups
-            ]
-            for indices, future in zip(groups, futures):
-                try:
-                    payloads = future.result()
-                    responses = [AnonymizationResponse.from_dict(payload)
-                                 for payload in payloads]
-                except Exception as exc:  # worker crash / pool breakage
-                    responses = [AnonymizationResponse.failure(
-                        sweep.requests[index], exc) for index in indices]
-                for index, response in zip(indices, responses):
-                    ordered[index] = response
-        return ordered  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # multi-axis grids
@@ -360,16 +279,13 @@ class BatchRunner:
         a dataset/size/seed runs on one worker that derives its own
         artifacts.  Responses come back in request order and are
         bit-identical between the planes and the ``max_workers=0`` serial
-        path.  ``sweep_mode="independent"`` opts out of all grouping and
-        takes :meth:`run`'s per-request fan-out.  A custom ``registry``
-        (or an injected ``cache``, the instrumentation/sharing hook of the
-        benches) is only honoured with ``max_workers=0``; workers build
-        their own process-level caches.
+        path.  A custom ``registry`` (or an injected ``cache``, the
+        instrumentation/sharing hook of the benches) is only honoured with
+        ``max_workers=0``; workers build their own process-level caches.
 
         ``stats``, when given, accumulates grid-wide sample-load and
         distance-computation counts across every participating process;
-        its ``tracked`` flag is set on the paths that can observe them
-        (all grouped executions — not independent mode).
+        its ``tracked`` flag is set on the paths that can observe them.
 
         The grid's ``on_error`` policy governs failure handling:
         ``"isolate"`` (default) keeps the historical behaviour, while
@@ -378,15 +294,10 @@ class BatchRunner:
         (in-flight workers finish their current group).
         """
         from repro.api.cache import ExecutionCache
-        from repro.api.sweeps import _abort_on_error, execute_sample_group
+        from repro.api.sweeps import execute_sample_group
         from repro.errors import GridAbortedError
 
-        on_error = getattr(grid, "on_error", "isolate")
-        if grid.sweep_mode == "independent":
-            responses = self._run_independent(list(grid.requests), registry)
-            if on_error == "fail_fast":
-                _abort_on_error(responses)
-            return responses
+        on_error = grid.on_error
         groups = grid.sample_groups()
         pooled = self._max_workers != 0 and len(grid.groups()) > 1
         use_shm = True if self._shared_memory is None else self._shared_memory
@@ -396,15 +307,12 @@ class BatchRunner:
         if self._max_workers != 0 and not use_shm and len(groups) == 1 \
                 and cache is None and registry is None and on_error == "isolate":
             # Legacy plane, single sample group: nothing to fan at sample
-            # granularity, so take run_sweep's θ-group fan-out (each
-            # worker derives its own sample artifacts).  On the shm plane
-            # a single θ-group grid instead runs serially below — one
-            # group has no parallelism to exploit, and the serial path
-            # tracks the work counters.
-            from repro.api.theta_sweep import SweepRequest
-
-            return self.run_sweep(SweepRequest(requests=grid.requests,
-                                               sweep_mode=grid.sweep_mode))
+            # granularity, so fan its θ-groups instead (each worker
+            # derives its own sample artifacts).  On the shm plane a
+            # single θ-group grid instead runs serially below — one group
+            # has no parallelism to exploit, and the serial path tracks
+            # the work counters.
+            return self._run_theta_groups(grid)
         if self._max_workers == 0 or len(groups) == 1:
             owned = cache is None
             if owned:
@@ -414,7 +322,7 @@ class BatchRunner:
             for indices in groups:
                 group = [grid.requests[index] for index in indices]
                 responses = execute_sample_group(
-                    group, sweep_mode=grid.sweep_mode, registry=registry,
+                    group, registry=registry,
                     data_dir=self._data_dir, cache=cache, on_error=on_error)
                 if owned:
                     # Each sample group is visited exactly once, so its
@@ -433,7 +341,7 @@ class BatchRunner:
             futures: List[Future] = [
                 pool.submit(_execute_sample_group_payload,
                             [grid.requests[index].to_dict() for index in indices],
-                            grid.sweep_mode, self._data_dir, on_error)
+                            self._data_dir, on_error)
                 for indices in groups
             ]
             for indices, future in zip(groups, futures):
@@ -460,6 +368,49 @@ class BatchRunner:
                     ordered[index] = response
         if stats is not None:
             stats.tracked = True
+        return ordered  # type: ignore[return-value]
+
+    def _run_theta_groups(self, grid: "GridRequest"
+                          ) -> List[AnonymizationResponse]:
+        """Fan one sample's θ-sweep groups across the pool, off the shm plane.
+
+        Every worker derives the sample's artifacts through its own
+        process-level cache; a single θ-group runs in this process.
+        """
+        from repro.api.cache import sample_key
+        from repro.api.theta_sweep import execute_sweep_group
+
+        groups = grid.groups()
+        ordered: List[Optional[AnonymizationResponse]] = [None] * len(grid.requests)
+        if len(groups) == 1:
+            return execute_sweep_group(grid.requests, data_dir=self._data_dir)
+        # Grid-wide maximum L per (sample, engine): a worker that executes
+        # several L groups of one sample computes the shared matrix once,
+        # at the hinted bound, instead of once per L.
+        l_max_hints: Dict[Any, int] = {}
+        for request in grid.requests:
+            hint_key = (sample_key(request), request.engine)
+            l_max_hints[hint_key] = max(l_max_hints.get(hint_key, 1),
+                                        request.length_threshold)
+        workers = self._worker_count(len(groups))
+        with self._pool(workers) as pool:
+            futures: List[Future] = []
+            for indices in groups:
+                first = grid.requests[indices[0]]
+                futures.append(pool.submit(
+                    _execute_group_payload,
+                    [grid.requests[index].to_dict() for index in indices],
+                    self._data_dir,
+                    l_max_hints[(sample_key(first), first.engine)]))
+            for indices, future in zip(groups, futures):
+                try:
+                    responses = [AnonymizationResponse.from_dict(payload)
+                                 for payload in future.result()]
+                except Exception as exc:  # worker crash / pool breakage
+                    responses = [AnonymizationResponse.failure(
+                        grid.requests[index], exc) for index in indices]
+                for index, response in zip(indices, responses):
+                    ordered[index] = response
         return ordered  # type: ignore[return-value]
 
     def _run_grid_shared(self, grid: "GridRequest", on_error: str,
@@ -587,7 +538,7 @@ class BatchRunner:
                         future = pool.submit(
                             _execute_shm_group_payload,
                             [request.to_dict() for request in sub],
-                            grid.sweep_mode, self._data_dir,
+                            self._data_dir,
                             arena.descriptor,
                             baseline if needs_baseline else None)
                         tasks.append((todo, future, arena))

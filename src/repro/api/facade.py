@@ -1,6 +1,6 @@
 """High-level entry points of the service layer.
 
-Three facade functions cover the workloads every front end (CLI, experiment
+Four facade functions cover the workloads every front end (CLI, experiment
 runner, batch workers, library users) needs:
 
 * :func:`anonymize` — execute one :class:`AnonymizationRequest` end to end
@@ -8,7 +8,9 @@ runner, batch workers, library users) needs:
 * :func:`compute_opacity` — measure the L-opacity of a request's input
   graph without modifying it;
 * :func:`sweep` — expand a base request over parameter axes (algorithms,
-  thetas, ...) and execute the grid, optionally across worker processes.
+  thetas, ...) and execute the grid, optionally across worker processes;
+* :func:`run_requests` — execute an explicit request list one run per
+  request, optionally across worker processes.
 
 All of them resolve algorithms exclusively through the registry, so any
 anonymizer registered with :func:`repro.api.register_anonymizer` — built-in
@@ -18,7 +20,6 @@ or third-party — is reachable by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.progress import ProgressObserver, TimeoutObserver, combine_observers
@@ -110,34 +111,6 @@ def compute_opacity(request: AnonymizationRequest, *,
     )
 
 
-def expand_sweep(base: AnonymizationRequest, *,
-                 algorithms: Optional[Sequence[str]] = None,
-                 thetas: Optional[Sequence[float]] = None,
-                 length_thresholds: Optional[Sequence[int]] = None,
-                 lookaheads: Optional[Sequence[int]] = None,
-                 seeds: Optional[Sequence[int]] = None) -> List[AnonymizationRequest]:
-    """Cartesian-product expansion of ``base`` over the given axes.
-
-    Axes left ``None`` keep the base request's value.  Nesting order, from
-    outermost to innermost: algorithms, length_thresholds, lookaheads,
-    seeds, thetas — i.e. thetas vary fastest, matching how the paper's
-    figures sweep θ for an otherwise fixed configuration.  (The multi-axis
-    superset, with dataset and sample-size axes, is
-    :func:`repro.api.sweeps.expand_grid`.)
-    """
-    axes = {
-        "algorithm": tuple(algorithms) if algorithms is not None else (base.algorithm,),
-        "length_threshold": (tuple(length_thresholds) if length_thresholds is not None
-                             else (base.length_threshold,)),
-        "lookahead": tuple(lookaheads) if lookaheads is not None else (base.lookahead,),
-        "seed": tuple(seeds) if seeds is not None else (base.seed,),
-        "theta": tuple(thetas) if thetas is not None else (base.theta,),
-    }
-    names = tuple(axes)
-    return [base.with_overrides(**dict(zip(names, values)))
-            for values in product(*axes.values())]
-
-
 def sweep(base: AnonymizationRequest, *,
           datasets: Optional[Sequence[str]] = None,
           sample_sizes: Optional[Sequence[int]] = None,
@@ -146,7 +119,6 @@ def sweep(base: AnonymizationRequest, *,
           length_thresholds: Optional[Sequence[int]] = None,
           lookaheads: Optional[Sequence[int]] = None,
           seeds: Optional[Sequence[int]] = None,
-          sweep_mode: str = "checkpointed",
           max_workers: Optional[int] = 0,
           data_dir: Optional[str] = None,
           shared_memory: Optional[bool] = None) -> List[AnonymizationResponse]:
@@ -155,16 +127,14 @@ def sweep(base: AnonymizationRequest, *,
     The grid is partitioned into sample groups (requests sharing a
     dataset/size/seed, which share one loaded sample and one L_max
     bounded-distance computation) and, within them, into θ-sweep groups
-    (requests identical in everything but θ); with
-    ``sweep_mode="checkpointed"`` (the default) each θ-sweep group runs as
+    (requests identical in everything but θ); each θ-sweep group runs as
     *one* anonymization pass with per-θ checkpoints — a k-point θ grid
-    costs roughly one run instead of k — while ``"independent"`` preserves
-    the one-run-per-request path.  All modes return identical responses.
-    ``max_workers=0`` (the default) runs in-process; any other value fans
-    the *θ-sweep groups* across a :class:`repro.api.batch.BatchRunner`
-    process pool over the zero-copy shared-memory data plane (``None`` =
-    one worker per CPU; ``shared_memory=False`` falls back to fanning
-    whole sample groups).  Responses come back in expansion order (θ
+    costs roughly one run instead of k — with responses identical to one
+    run per request.  ``max_workers=0`` (the default) runs in-process;
+    any other value fans the *θ-sweep groups* across a
+    :class:`repro.api.batch.BatchRunner` process pool over the zero-copy
+    shared-memory data plane (``None`` = one worker per CPU;
+    ``shared_memory=False`` falls back to fanning whole sample groups).  Responses come back in expansion order (θ
     fastest), with failures isolated into error responses at group
     granularity.
     """
@@ -174,7 +144,7 @@ def sweep(base: AnonymizationRequest, *,
         base, datasets=datasets, sample_sizes=sample_sizes,
         algorithms=algorithms, thetas=thetas,
         length_thresholds=length_thresholds, lookaheads=lookaheads,
-        seeds=seeds, sweep_mode=sweep_mode)
+        seeds=seeds)
     return list(run_grid(request, max_workers=max_workers,
                          data_dir=data_dir,
                          shared_memory=shared_memory).responses)
@@ -183,7 +153,16 @@ def sweep(base: AnonymizationRequest, *,
 def run_requests(requests: Iterable[AnonymizationRequest], *,
                  max_workers: Optional[int] = 0,
                  data_dir: Optional[str] = None) -> List[AnonymizationResponse]:
-    """Execute an explicit list of requests (same semantics as :func:`sweep`)."""
+    """Execute an explicit list of requests, one run per request.
+
+    Unlike :func:`sweep`, nothing is grouped: every request runs on its
+    own (with its own ``timeout_seconds``), and a failing request becomes
+    an error response without aborting the rest.  Responses come back in
+    input order.  ``max_workers=0`` (the default) runs in-process; any
+    other value fans the requests across a
+    :class:`repro.api.batch.BatchRunner` process pool (``None`` = one
+    worker per CPU).
+    """
     from repro.api.batch import BatchRunner
 
     return BatchRunner(max_workers=max_workers, data_dir=data_dir).run(list(requests))

@@ -45,7 +45,6 @@ _TUNING_PARAMS = frozenset({
     "engine",
     "scan_mode",
     "scan_workers",
-    "sweep_mode",
     "max_steps",
     "scale_tier",
     "scale_budget_bytes",

@@ -53,7 +53,6 @@ class AnonymizationRequest:
     engine: str = "numpy"
     scan_mode: str = "batched"
     scan_workers: Optional[int] = None
-    sweep_mode: str = "checkpointed"
     max_steps: Optional[int] = None
     insertion_candidate_cap: Optional[int] = None
     swap_sample_size: Optional[int] = None
@@ -105,7 +104,6 @@ class AnonymizationRequest:
             "engine": self.engine,
             "scan_mode": self.scan_mode,
             "scan_workers": self.scan_workers,
-            "sweep_mode": self.sweep_mode,
             "max_steps": self.max_steps,
             "insertion_candidate_cap": self.insertion_candidate_cap,
             "swap_sample_size": self.swap_sample_size,
@@ -322,8 +320,7 @@ def request_fingerprint(request: Any) -> str:
     client-chosen ``request_id`` label — fingerprint identically, because
     the hash is taken over version-stamped, sorted-key, minimal-separator
     JSON of the request's ``to_dict()`` form.  Works for any record with a
-    ``to_dict`` method (:class:`AnonymizationRequest`, ``SweepRequest``,
-    ``GridRequest``).
+    ``to_dict`` method (:class:`AnonymizationRequest`, ``GridRequest``).
     """
     to_dict = getattr(request, "to_dict", None)
     if to_dict is None:

@@ -45,7 +45,6 @@ from repro.api.progress import ProgressObserver, notify_group
 from repro.api.registry import AnonymizerRegistry
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
 from repro.api.theta_sweep import execute_sweep_group, group_requests
-from repro.core.anonymizer import validate_sweep_mode
 from repro.errors import ConfigurationError, GridAbortedError
 
 __all__ = [
@@ -76,9 +75,8 @@ def validate_error_policy(on_error: str) -> None:
             f"unknown error policy {on_error!r}; choose from {ERROR_POLICIES}")
 
 #: Grid axes in canonical nesting order (outermost first, θ varies
-#: fastest).  The relative order of the non-sample axes matches
-#: :func:`repro.api.facade.expand_sweep`, so grids without dataset/size
-#: axes expand in exactly the order the θ-sweep engine always used.
+#: fastest, matching how the paper's figures sweep θ for an otherwise
+#: fixed configuration).
 GRID_AXES: Tuple[str, ...] = ("dataset", "sample_size", "algorithm",
                               "length_threshold", "lookahead", "seed", "theta")
 
@@ -134,18 +132,16 @@ class GridRequest:
     and each sample group into θ-sweep groups, so the θ axis costs one
     checkpointed pass per group and the remaining axes share one loaded
     sample and one L_max distance computation.  Every field survives a
-    JSON round-trip, mirroring :class:`~repro.api.theta_sweep.SweepRequest`.
+    JSON round-trip, mirroring the single-run records.
     """
 
     requests: Tuple[AnonymizationRequest, ...]
-    sweep_mode: str = "checkpointed"
     on_error: str = "isolate"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(self.requests))
         if not self.requests:
             raise ConfigurationError("a grid requires at least one request")
-        validate_sweep_mode(self.sweep_mode)
         validate_error_policy(self.on_error)
 
     @classmethod
@@ -157,7 +153,6 @@ class GridRequest:
                   lookaheads: Optional[Sequence[int]] = None,
                   seeds: Optional[Sequence[int]] = None,
                   thetas: Optional[Sequence[float]] = None,
-                  sweep_mode: str = "checkpointed",
                   on_error: str = "isolate") -> "GridRequest":
         """Expand ``base`` over the given axes (see :func:`expand_grid`)."""
         axes: Dict[str, Sequence[Any]] = {}
@@ -170,8 +165,7 @@ class GridRequest:
                              ("theta", thetas)):
             if values is not None:
                 axes[name] = values
-        return cls(requests=tuple(expand_grid(base, axes)),
-                   sweep_mode=sweep_mode, on_error=on_error)
+        return cls(requests=tuple(expand_grid(base, axes)), on_error=on_error)
 
     def sample_groups(self) -> List[List[int]]:
         """Indices of :attr:`requests` grouped by shared graph source."""
@@ -188,7 +182,6 @@ class GridRequest:
         """Plain-data (JSON-safe) form."""
         return {
             "requests": [request.to_dict() for request in self.requests],
-            "sweep_mode": self.sweep_mode,
             "on_error": self.on_error,
         }
 
@@ -223,11 +216,10 @@ class GridResponse:
     the grid performed across *every* participating process (parent and
     pool workers) — the observable the shared caches and the shared-memory
     data plane are judged by.  They are ``None`` when the execution path
-    could not track them (custom registries, independent mode).
+    could not track them.
     """
 
     responses: Tuple[AnonymizationResponse, ...]
-    sweep_mode: str = "checkpointed"
     num_groups: int = 0
     num_sample_groups: int = 0
     num_sample_loads: Optional[int] = None
@@ -248,7 +240,6 @@ class GridResponse:
         """Plain-data (JSON-safe) form."""
         return {
             "responses": [response.to_dict() for response in self.responses],
-            "sweep_mode": self.sweep_mode,
             "num_groups": self.num_groups,
             "num_sample_groups": self.num_sample_groups,
             "num_sample_loads": self.num_sample_loads,
@@ -363,7 +354,6 @@ def _abort_on_error(responses: Sequence[AnonymizationResponse]) -> None:
 
 
 def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
-                         sweep_mode: str = "checkpointed",
                          registry: Optional[AnonymizerRegistry] = None,
                          observer: Optional[ProgressObserver] = None,
                          data_dir: Optional[str] = None,
@@ -396,29 +386,12 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
     θ-group the executor announces the indices about to run via the
     observer's optional ``on_group`` hook, so checkpoint-persisting
     observers can attribute the stream.
-
-    ``sweep_mode="independent"`` opts out of all sharing and executes the
-    requests one by one, exactly like the θ-sweep engine's opt-out path
-    (independent runs emit no checkpoints, so ``resume_from`` is ignored).
     """
-    validate_sweep_mode(sweep_mode)
     validate_error_policy(on_error)
     requests = list(requests)
     resume = dict(resume_from) if resume_from else {}
     if not requests:
         return []
-    if sweep_mode == "independent":
-        from repro.api.batch import execute_request
-
-        responses = []
-        for index, request in enumerate(requests):
-            notify_group(observer, (index,))
-            response = execute_request(request, registry=registry,
-                                       observer=observer, data_dir=data_dir)
-            if on_error == "fail_fast":
-                _abort_on_error([response])
-            responses.append(response)
-        return responses
     if cache is None:
         cache = ExecutionCache(data_dir=data_dir)
     try:
@@ -488,7 +461,7 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
                 continue
         notify_group(observer, tuple(todo))
         responses = execute_sweep_group(
-            group, sweep_mode=sweep_mode, registry=registry,
+            group, registry=registry,
             observer=observer, data_dir=data_dir, graph=graph,
             initial_distances=initial_distances, baseline=baseline,
             resume_from=resume_checkpoint)
@@ -516,8 +489,8 @@ def run_grid(grid: GridRequest, *,
     distance computation exactly once, publishes them to shared-memory
     segments, and workers attach zero-copy views — so even a single-sample
     grid parallelizes across all cores.  ``shared_memory=False`` falls
-    back to the PR-5 plane that fans whole *sample groups*, trading
-    θ-group parallelism for per-worker process-local caches.  Either way
+    back to the plane that fans whole *sample groups*, trading θ-group
+    parallelism for per-worker process-local caches.  Either way
     responses are bit-identical to the serial path.
     """
     from repro.api.batch import BatchRunner
@@ -527,7 +500,6 @@ def run_grid(grid: GridRequest, *,
                          shared_memory=shared_memory)
     responses = runner.run_grid(grid, registry=registry, stats=stats)
     return GridResponse(responses=tuple(responses),
-                        sweep_mode=grid.sweep_mode,
                         num_groups=len(grid.groups()),
                         num_sample_groups=len(grid.sample_groups()),
                         num_sample_loads=(stats.sample_loads

@@ -4,47 +4,31 @@ Every figure of the paper's evaluation sweeps the confidence threshold θ
 for an otherwise fixed configuration.  θ only gates the greedy loops'
 termination, so all grid points of such a sweep can be served by *one*
 anonymization pass with per-θ checkpoints (DESIGN.md §9).  This module
-holds the request/response records and the grouping/execution machinery:
+holds the grouping/execution machinery the grid engine
+(:mod:`repro.api.sweeps`) runs every θ axis through:
 
-* :class:`SweepRequest` — an arbitrary grid of
-  :class:`~repro.api.requests.AnonymizationRequest` records plus the
-  ``sweep_mode`` governing execution, JSON-round-trippable like the
-  single-run records;
 * :func:`group_requests` — partition a grid into θ-sweep groups (requests
   identical in everything but θ and ``request_id``);
 * :func:`execute_sweep_group` — run one group as a single checkpointed
-  pass (or per-θ independent runs) and materialize per-θ responses
-  identical to independent execution;
-* :func:`run_sweep` — group a whole :class:`SweepRequest`, fan the groups
-  across a :class:`~repro.api.batch.BatchRunner` process pool, and return
-  a :class:`SweepResponse` in request order.
+  pass and materialize per-θ responses identical to independent
+  execution.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence
 
-from repro.core.anonymizer import (
-    SWEEP_MODES,
-    validate_sweep_mode,
-    validate_theta_schedule,
-)
+from repro.core.anonymizer import validate_theta_schedule
 from repro.api.progress import ProgressObserver, TimeoutObserver, combine_observers
 from repro.api.registry import AnonymizerRegistry, default_registry
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
-from repro.errors import ConfigurationError
 
 __all__ = [
-    "SWEEP_MODES",
-    "SweepRequest",
-    "SweepResponse",
     "accepts_initial_distances",
     "accepts_kwarg",
     "execute_sweep_group",
     "group_requests",
-    "run_sweep",
 ]
 
 
@@ -68,132 +52,7 @@ def group_requests(requests: Sequence[AnonymizationRequest]) -> List[List[int]]:
     return list(groups.values())
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    """A grid of anonymization jobs executed as grouped θ sweeps.
-
-    ``requests`` is an arbitrary configuration grid; :func:`run_sweep`
-    groups it by everything-but-θ and executes each group as one
-    checkpointed anonymization (``sweep_mode="checkpointed"``, the
-    default) or as independent per-θ runs (``"independent"``).  Both modes
-    return identical responses; only the runtime differs.  Every field
-    survives a JSON round-trip, mirroring the single-run records.
-    """
-
-    requests: Tuple[AnonymizationRequest, ...]
-    sweep_mode: str = "checkpointed"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "requests", tuple(self.requests))
-        if not self.requests:
-            raise ConfigurationError("a sweep requires at least one request")
-        validate_sweep_mode(self.sweep_mode)
-
-    @classmethod
-    def from_axes(cls, base: AnonymizationRequest, *,
-                  algorithms: Optional[Sequence[str]] = None,
-                  thetas: Optional[Sequence[float]] = None,
-                  length_thresholds: Optional[Sequence[int]] = None,
-                  lookaheads: Optional[Sequence[int]] = None,
-                  seeds: Optional[Sequence[int]] = None,
-                  sweep_mode: str = "checkpointed") -> "SweepRequest":
-        """Cartesian-product expansion of ``base`` (see :func:`expand_sweep`)."""
-        from repro.api.facade import expand_sweep
-
-        return cls(requests=tuple(expand_sweep(
-            base, algorithms=algorithms, thetas=thetas,
-            length_thresholds=length_thresholds, lookaheads=lookaheads,
-            seeds=seeds)), sweep_mode=sweep_mode)
-
-    def groups(self) -> List[List[int]]:
-        """Indices of :attr:`requests` partitioned into θ-sweep groups."""
-        return group_requests(self.requests)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data (JSON-safe) form."""
-        return {
-            "requests": [request.to_dict() for request in self.requests],
-            "sweep_mode": self.sweep_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SweepRequest":
-        """Inverse of :meth:`to_dict`; unknown keys raise (typo protection)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown sweep field(s) {unknown}; known: {sorted(known)}")
-        data = dict(payload)
-        data["requests"] = tuple(AnonymizationRequest.from_dict(entry)
-                                 for entry in data.get("requests", ()))
-        return cls(**data)
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepRequest":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class SweepResponse:
-    """Outcome of a :class:`SweepRequest`, responses in request order."""
-
-    responses: Tuple[AnonymizationResponse, ...]
-    sweep_mode: str = "checkpointed"
-    num_groups: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "responses", tuple(self.responses))
-
-    @property
-    def ok(self) -> bool:
-        """Whether every response completed without raising."""
-        return all(response.ok for response in self.responses)
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data (JSON-safe) form."""
-        return {
-            "responses": [response.to_dict() for response in self.responses],
-            "sweep_mode": self.sweep_mode,
-            "num_groups": self.num_groups,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SweepResponse":
-        """Inverse of :meth:`to_dict`."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown sweep response field(s) {unknown}; known: {sorted(known)}")
-        data = dict(payload)
-        data["responses"] = tuple(AnonymizationResponse.from_dict(entry)
-                                  for entry in data.get("responses", ()))
-        return cls(**data)
-
-    def to_json(self, **dumps_kwargs: Any) -> str:
-        """JSON form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResponse":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-
 def execute_sweep_group(requests: Sequence[AnonymizationRequest], *,
-                        sweep_mode: str = "checkpointed",
                         registry: Optional[AnonymizerRegistry] = None,
                         observer: Optional[ProgressObserver] = None,
                         data_dir: Optional[str] = None,
@@ -204,14 +63,12 @@ def execute_sweep_group(requests: Sequence[AnonymizationRequest], *,
     All requests must share a group key (everything but θ/request id); the
     group's graph is loaded once, the algorithm is built once, and the θ
     grid runs through :meth:`anonymize_schedule` — a single checkpointed
-    pass by default.  Per-θ responses are identical to independently
-    executed requests.  Failures are isolated at group granularity: an
-    exception anywhere in the shared pass yields error responses for every
-    request of the group (one bad group never poisons the rest of a
-    sweep).  ``timeout_seconds``, when set, bounds the whole shared pass
-    with the largest timeout of the group; ``sweep_mode="independent"``
-    executes the requests one by one instead (per-request timeouts and
-    failure isolation, exactly like :func:`~repro.api.batch.execute_request`).
+    pass.  Per-θ responses are identical to independently executed
+    requests.  Failures are isolated at group granularity: an exception
+    anywhere in the shared pass yields error responses for every request
+    of the group (one bad group never poisons the rest of a grid).
+    ``timeout_seconds``, when set, bounds the whole shared pass with the
+    largest timeout of the group.
 
     The grid engine (:mod:`repro.api.sweeps`) amortizes work *across*
     groups that share a sample through the optional keywords: ``graph`` (a
@@ -231,20 +88,11 @@ def execute_sweep_group(requests: Sequence[AnonymizationRequest], *,
     group never receives ``initial_distances``: the matrix describes the
     original graph, not the checkpoint's.
     """
-    validate_sweep_mode(sweep_mode)
     requests = list(requests)
     if not requests:
         return []
-    if sweep_mode == "independent":
-        # The opt-out path keeps the pre-engine per-request semantics:
-        # each run gets its own timeout budget and failure isolation.
-        from repro.api.batch import execute_request
-
-        return [execute_request(request, registry=registry, observer=observer,
-                                data_dir=data_dir)
-                for request in requests]
     try:
-        return _run_group(requests, sweep_mode, registry, observer, data_dir,
+        return _run_group(requests, registry, observer, data_dir,
                           graph, initial_distances, baseline, resume_from)
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
         return [AnonymizationResponse.failure(request, exc)
@@ -277,7 +125,7 @@ def accepts_initial_distances(anonymize_schedule) -> bool:
     return accepts_kwarg(anonymize_schedule, "initial_distances")
 
 
-def _run_group(requests: List[AnonymizationRequest], sweep_mode: str,
+def _run_group(requests: List[AnonymizationRequest],
                registry: Optional[AnonymizerRegistry],
                observer: Optional[ProgressObserver],
                data_dir: Optional[str],
@@ -291,7 +139,6 @@ def _run_group(requests: List[AnonymizationRequest], sweep_mode: str,
     schedule = validate_theta_schedule([request.theta for request in requests])
     params = dict(first.algorithm_params())
     params["theta"] = schedule[-1]
-    params["sweep_mode"] = sweep_mode
     algorithm = registry.create(first.algorithm, **params)
     if not hasattr(algorithm, "anonymize_schedule"):
         # Third-party algorithm without schedule support: independent runs.
@@ -333,23 +180,3 @@ def _run_group(requests: List[AnonymizationRequest], sweep_mode: str,
                                                            metrics=metrics))
     return responses
 
-
-def run_sweep(sweep: SweepRequest, *,
-              max_workers: Optional[int] = 0,
-              registry: Optional[AnonymizerRegistry] = None,
-              data_dir: Optional[str] = None) -> SweepResponse:
-    """Group and execute a :class:`SweepRequest`, responses in request order.
-
-    ``max_workers=0`` (the default) runs the groups serially in-process
-    (the only mode that honours a custom ``registry``); any other value
-    fans *groups* — not individual requests — across a
-    :class:`~repro.api.batch.BatchRunner` process pool (``None`` = one
-    worker per CPU).
-    """
-    from repro.api.batch import BatchRunner
-
-    runner = BatchRunner(max_workers=max_workers, data_dir=data_dir)
-    responses = runner.run_sweep(sweep, registry=registry)
-    return SweepResponse(responses=tuple(responses),
-                         sweep_mode=sweep.sweep_mode,
-                         num_groups=len(sweep.groups()))

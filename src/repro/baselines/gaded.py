@@ -39,7 +39,6 @@ from repro.core.anonymizer import (
     AnonymizationStep,
     AnonymizerConfig,
     iter_batched_evaluations,
-    validate_sweep_mode,
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer
@@ -57,7 +56,6 @@ class _GadedBase:
                  max_steps: Optional[int] = None, engine: str = "numpy",
                  strict: bool = False, scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
-                 sweep_mode: str = "checkpointed",
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
         if not 0.0 <= theta <= 1.0:
@@ -66,7 +64,6 @@ class _GadedBase:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {scan_workers}")
         validate_scan_mode(scan_mode)
-        validate_sweep_mode(sweep_mode)
         validate_scale_tier(scale_tier)
         if scale_budget_bytes is not None and scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -78,7 +75,6 @@ class _GadedBase:
         self._strict = strict
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
-        self._sweep_mode = sweep_mode
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
 
@@ -113,9 +109,9 @@ class _GadedBase:
         disclosure when its type's opacity exceeds θ), not merely the
         stopping rule, so a shared checkpointed pass would choose different
         edits than an independent run at each grid point.  The schedule
-        therefore executes one run per θ regardless of ``sweep_mode`` —
-        only the frozen typing and the caller's loaded graph are shared —
-        keeping every result bit-identical to its independent counterpart.
+        therefore executes one run per θ — only the frozen typing and the
+        caller's loaded graph are shared — keeping every result
+        bit-identical to its independent counterpart.
         """
         schedule = validate_theta_schedule(
             thetas if thetas is not None else (self._theta,))
@@ -142,7 +138,6 @@ class _GadedBase:
                                   max_steps=self._max_steps,
                                   scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
-                                  sweep_mode=self._sweep_mode,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
         session = config.open_session(computer, working, initial_distances)
@@ -225,7 +220,7 @@ class _GadedBase:
     "gaded-rand",
     description="GADED-Rand baseline (Zhang & Zhang, single-edge disclosure)",
     accepts=("theta", "seed", "max_steps", "engine", "strict", "scan_mode",
-             "scan_workers", "sweep_mode", "scale_tier", "scale_budget_bytes"),
+             "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadedRandAnonymizer(_GadedBase):
     """GADED-Rand: remove a random edge participating in disclosure."""
@@ -242,7 +237,7 @@ class GadedRandAnonymizer(_GadedBase):
     "gaded-max",
     description="GADED-Max baseline (Zhang & Zhang, single-edge disclosure)",
     accepts=("theta", "seed", "max_steps", "engine", "strict", "scan_mode",
-             "scan_workers", "sweep_mode", "scale_tier", "scale_budget_bytes"),
+             "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadedMaxAnonymizer(_GadedBase):
     """GADED-Max: remove the edge with the greatest reduction of the maximum

@@ -18,8 +18,6 @@ import random
 import time
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.api.progress import NULL_OBSERVER, AnonymizationStopped, ProgressObserver
 from repro.api.registry import register_anonymizer
 from repro.core.anonymizer import (
@@ -29,7 +27,6 @@ from repro.core.anonymizer import (
     ThetaScheduleTracker,
     iter_batched_evaluations,
     materialize_checkpoints,
-    validate_sweep_mode,
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer
@@ -46,8 +43,7 @@ Swap = Tuple[Edge, Edge, Edge, Edge]  # (removed1, removed2, added1, added2)
     "gades",
     description="GADES baseline (Zhang & Zhang, degree-preserving swaps)",
     accepts=("theta", "seed", "max_steps", "swap_sample_size", "engine",
-             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
-             "scale_budget_bytes"),
+             "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadesAnonymizer:
     """GADES: greedy degree-preserving edge swapping against link disclosure.
@@ -66,17 +62,12 @@ class GadesAnonymizer:
         passes — an L = 1 swap only flips its four edited cells, so a pass
         is one grouped count; ``"parallel"`` shards the passes across a
         scan pool.  Both choose identical swaps.
-    sweep_mode:
-        How :meth:`anonymize_schedule` executes a θ grid: one checkpointed
-        pass (``"checkpointed"``, default) or one run per grid point
-        (``"independent"``).  Both produce identical per-θ results.
     """
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None, swap_sample_size: int = 2000,
                  engine: str = "numpy", scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
-                 sweep_mode: str = "checkpointed",
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
         if not 0.0 <= theta <= 1.0:
@@ -87,7 +78,6 @@ class GadesAnonymizer:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {scan_workers}")
         validate_scan_mode(scan_mode)
-        validate_sweep_mode(sweep_mode)
         validate_scale_tier(scale_tier)
         if scale_budget_bytes is not None and scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -99,7 +89,6 @@ class GadesAnonymizer:
         self._engine = engine
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
-        self._sweep_mode = sweep_mode
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
 
@@ -131,32 +120,15 @@ class GadesAnonymizer:
         """Run GADES for a whole θ grid, one result per grid point.
 
         θ only gates the swap loop's termination (candidate swaps are
-        scored against the current maximum, never θ), so the checkpointed
-        single-pass execution returns per-θ results identical to
-        independent runs — see :meth:`BaseAnonymizer.anonymize_schedule`
-        for the schedule semantics.
+        scored against the current maximum, never θ), so one checkpointed
+        pass returns per-θ results identical to independent runs — see
+        :meth:`BaseAnonymizer.anonymize_schedule` for the schedule
+        semantics.
         """
         schedule = validate_theta_schedule(
             thetas if thetas is not None else (self._theta,))
-        if self._sweep_mode == "independent" and len(schedule) > 1:
-            # Store payloads (tiled tier) have no cheap copy; each per-theta
-            # run recomputes its own deterministic session state instead.
-            return [self._with_theta(theta).anonymize(
-                        graph, typing=typing, observer=observer,
-                        initial_distances=(initial_distances.copy()
-                                           if isinstance(initial_distances, np.ndarray)
-                                           else None))
-                    for theta in schedule]
         return self._run_schedule(graph, schedule, typing, observer,
                                   initial_distances)
-
-    def _with_theta(self, theta: float) -> "GadesAnonymizer":
-        return GadesAnonymizer(
-            theta=theta, seed=self._seed, max_steps=self._max_steps,
-            swap_sample_size=self._swap_sample_size, engine=self._engine,
-            scan_mode=self._scan_mode, scan_workers=self._scan_workers,
-            sweep_mode=self._sweep_mode, scale_tier=self._scale_tier,
-            scale_budget_bytes=self._scale_budget_bytes)
 
     def _run_schedule(self, graph: Graph, schedule: Sequence[float],
                       typing: Optional[PairTyping],
@@ -176,7 +148,6 @@ class GadesAnonymizer:
                                   swap_sample_size=self._swap_sample_size,
                                   scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
-                                  sweep_mode=self._sweep_mode,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
         session = config.open_session(computer, working, initial_distances)

@@ -30,7 +30,6 @@ Examples
         --timeout 30 --progress
     repro-lopacity sweep --dataset gnutella --size 60 \
         --algorithms rem rem-ins --thetas 0.9 0.8 0.7 0.6 0.5
-    repro-lopacity sweep --dataset google --size 50 --sweep-mode independent
     repro-lopacity sweep --axis dataset=gnutella,google --axis l=1,2 \
         --thetas 0.9 0.7 0.5
     repro-lopacity batch jobs.json --max-workers 4 --output results.json
@@ -75,7 +74,6 @@ from repro.api import (
     anonymize as api_anonymize,
     available_algorithms,
 )
-from repro.core.anonymizer import SWEEP_MODES
 from repro.core.opacity_session import SCAN_MODES
 from repro.graph.distance_store import SCALE_TIERS
 from repro.datasets import dataset_names
@@ -207,6 +205,8 @@ def _parse_axes(specs: List[str]) -> dict:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.api import GridRequest, run_grid
 
+    if args.max_workers < 0:
+        raise ReproError(f"--max-workers must be >= 0, got {args.max_workers}")
     axes = _parse_axes(args.axis or [])
     common = dict(
         theta=args.thetas[0],
@@ -239,13 +239,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         length_thresholds=axes.get("length_threshold"),
         lookaheads=axes.get("lookahead"),
         seeds=axes.get("seed"),
-        thetas=axes.get("theta"),
-        sweep_mode=args.sweep_mode)
+        thetas=axes.get("theta"))
     response = run_grid(request, max_workers=args.max_workers,
                         shared_memory=args.shared_memory == "on")
     print(f"{len(request.requests)} runs in {response.num_groups} group(s) "
-          f"over {response.num_sample_groups} sample group(s), "
-          f"sweep_mode={response.sweep_mode}")
+          f"over {response.num_sample_groups} sample group(s)")
     for entry in response.responses:
         print(entry.summary())
     if args.output:
@@ -317,14 +315,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import JobManager, RunStore, create_server
 
     store = RunStore(args.db)
-    manager = JobManager(store, data_dir=args.data_dir,
-                         max_workers=args.max_workers,
-                         shared_memory=args.shared_memory == "on",
-                         scale_tier=args.scale_tier,
-                         scale_budget_bytes=(args.scale_budget_mb * 1024 * 1024
-                                             if args.scale_budget_mb is not None
-                                             else None),
-                         scan_workers=args.scan_workers)
+    try:
+        manager = JobManager(
+            store, data_dir=args.data_dir, max_workers=args.max_workers,
+            shared_memory=args.shared_memory == "on",
+            scale_tier=args.scale_tier,
+            scale_budget_bytes=(args.scale_budget_mb * 1024 * 1024
+                                if args.scale_budget_mb is not None else None),
+            scan_workers=args.scan_workers)
+    except ReproError:
+        store.close()
+        raise
     if args.reset:
         summary = store.init_db(reset=True)
         print(f"reset {summary['db_path']} "
@@ -374,22 +375,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.name == "fig6":
         series = figure6_series(args.dataset, length_threshold=args.length,
                                 sample_size=args.size, thetas=thetas,
-                                sweep_mode=args.sweep_mode, runner=runner)
+                                runner=runner)
         emit(series, "theta", "distortion", f"Figure 6 — {args.dataset}, L={args.length}")
     elif args.name == "fig7":
         both = figure7_series(args.dataset, sample_size=args.size, thetas=thetas,
-                              sweep_mode=args.sweep_mode, runner=runner)
+                              runner=runner)
         for metric, series in both.items():
             print(f"== {metric} ==")
             emit(series, "theta", metric, f"Figure 7 — {args.dataset}")
     elif args.name == "fig8":
         series = figure8_series(args.dataset, length_threshold=args.length,
                                 sample_size=args.size, thetas=thetas,
-                                sweep_mode=args.sweep_mode, runner=runner)
+                                runner=runner)
         emit(series, "theta", "mean_cc_diff", f"Figure 8 — {args.dataset}, L={args.length}")
     elif args.name == "fig10":
-        series = figure10_series(args.dataset, theta=args.theta,
-                                 sweep_mode=args.sweep_mode, runner=runner)
+        series = figure10_series(args.dataset, theta=args.theta, runner=runner)
         emit(series, "size", "runtime_s", f"Figure 10 — {args.dataset}")
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)
@@ -457,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "the corresponding flag")
     sweep.add_argument("--length", "-L", type=int, default=1)
     sweep.add_argument("--lookahead", type=int, default=1)
-    sweep.add_argument("--sweep-mode", choices=SWEEP_MODES,
-                       default="checkpointed", dest="sweep_mode",
-                       help="checkpointed: one anonymization pass per "
-                            "(algorithm, L, lookahead, seed) group with per-θ "
-                            "checkpoints; independent: one run per grid point; "
-                            "both produce identical results")
     sweep.add_argument("--scan-mode", choices=SCAN_MODES,
                        default="batched", dest="scan_mode")
     sweep.add_argument("--scan-workers", type=int, default=None,
@@ -522,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-workers", type=int, default=0,
                        help="0 = execute jobs in the service process with "
                             "checkpoint streaming and per-θ resume "
-                            "(default); n/–1 = fan jobs across a process "
-                            "pool (resume at group granularity only)")
+                            "(default); n > 0 = fan jobs across a pool of n "
+                            "processes (resume at group granularity only)")
     serve.add_argument("--shared-memory", choices=("on", "off"), default="on",
                        dest="shared_memory",
                        help="zero-copy shared-memory data plane for pooled "
@@ -562,10 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--length", "-L", type=int, default=1)
     figure.add_argument("--theta", type=float, default=0.5)
     figure.add_argument("--thetas", type=float, nargs="*")
-    figure.add_argument("--sweep-mode", choices=SWEEP_MODES,
-                        default="checkpointed", dest="sweep_mode",
-                        help="execute each θ series as one checkpointed pass "
-                             "(default) or as independent per-θ runs")
     figure.add_argument("--chart", action="store_true",
                         help="render an ASCII chart instead of the numeric series")
     figure.set_defaults(func=_cmd_figure)

@@ -26,7 +26,6 @@ from repro.core.opacity_session import (
     OpacitySession,
 )
 from repro.core.anonymizer import (
-    SWEEP_MODES,
     AnonymizationCheckpoint,
     AnonymizationResult,
     AnonymizationStep,
@@ -57,7 +56,6 @@ __all__ = [
     "SCAN_MODES",
     "EditEvaluation",
     "OpacitySession",
-    "SWEEP_MODES",
     "AnonymizationCheckpoint",
     "AnonymizationResult",
     "AnonymizationStep",

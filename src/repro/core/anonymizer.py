@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.api.progress import (
     NULL_OBSERVER,
     AnonymizationStopped,
@@ -54,22 +52,6 @@ from repro.metrics.distortion import edit_distance_ratio
 #: request (observer/timeout) never waits on more than one chunk's worth of
 #: computed-but-unreported evaluations.
 BATCH_SCAN_CHUNK = 256
-
-#: Valid values of the ``sweep_mode`` knob: how a θ schedule is executed.
-#: ``"checkpointed"`` runs one anonymization pass per grid, emitting a
-#: checkpoint at every crossed grid point; ``"independent"`` runs one full
-#: anonymization per θ (the pre-sweep-engine path).  Both produce identical
-#: per-θ results (edits, opacity, evaluation counts) — only the work
-#: performed (and hence the runtime) differs.
-SWEEP_MODES: Tuple[str, ...] = ("checkpointed", "independent")
-
-
-def validate_sweep_mode(mode: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``mode`` is a known sweep mode."""
-    if mode not in SWEEP_MODES:
-        raise ConfigurationError(
-            f"unknown sweep_mode {mode!r}; available: {SWEEP_MODES}")
-
 
 def validate_theta_schedule(thetas: Sequence[float]) -> Tuple[float, ...]:
     """Coerce ``thetas`` into the strictly-descending grid the engine runs.
@@ -156,11 +138,6 @@ class AnonymizerConfig:
         falls back to serial scanning on single-core ones; explicit values
         are used as-is (0/1 = serial).  Ignored by ``"batched"`` scans
         and inside θ-group pool workers (no nested oversubscription).
-    sweep_mode:
-        How :meth:`BaseAnonymizer.anonymize_schedule` executes a θ grid:
-        ``"checkpointed"`` (default) runs one pass with per-θ checkpoints;
-        ``"independent"`` runs one full anonymization per grid point.
-        Both modes produce identical per-θ results.
     swap_sample_size:
         GADES only: candidate swap pairs examined per step.  Recorded here
         so a result's config reproduces the run; ``None`` for the other
@@ -190,7 +167,6 @@ class AnonymizerConfig:
     strict: bool = False
     scan_mode: str = "batched"
     scan_workers: Optional[int] = None
-    sweep_mode: str = "checkpointed"
     swap_sample_size: Optional[int] = None
     scale_tier: str = "auto"
     scale_budget_bytes: Optional[int] = None
@@ -241,7 +217,6 @@ class AnonymizerConfig:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {self.scan_workers}")
         validate_scan_mode(self.scan_mode)
-        validate_sweep_mode(self.sweep_mode)
         validate_scale_tier(self.scale_tier)
         if self.scale_budget_bytes is not None and self.scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -546,18 +521,15 @@ class BaseAnonymizer(ABC):
         """Run the heuristic for a whole θ grid, one result per grid point.
 
         ``thetas`` (default: the config's single θ) is deduplicated and
-        sorted descending; results come back in that schedule order.  With
-        ``sweep_mode="checkpointed"`` the grid is executed as *one*
-        anonymization pass: θ only gates the greedy loop's termination, so
-        the edit sequence at a lower θ extends the sequence at every higher
-        θ, and a checkpoint taken when the maximum opacity first crosses a
-        grid point captures exactly the state an independent run at that θ
-        would have returned.  ``sweep_mode="independent"`` runs one full
-        anonymization per grid point instead; both modes produce identical
-        per-θ results (only ``runtime_seconds`` reflects the execution
-        strategy).  ``initial_distances`` seeds the evaluation session like
-        in :meth:`anonymize` (independent mode hands each per-θ run its own
-        copy, since every run consumes one).
+        sorted descending; results come back in that schedule order.  The
+        grid is executed as *one* anonymization pass: θ only gates the
+        greedy loop's termination, so the edit sequence at a lower θ
+        extends the sequence at every higher θ, and a checkpoint taken
+        when the maximum opacity first crosses a grid point captures
+        exactly the state an independent run at that θ would have returned
+        (only ``runtime_seconds`` reflects the shared pass; the per-θ
+        reference lives in ``tests/oracles.py``).  ``initial_distances``
+        seeds the evaluation session like in :meth:`anonymize`.
 
         ``resume_from`` continues an earlier pass over the same ``graph``
         and seed from one of its checkpoints: the working graph, applied
@@ -566,26 +538,10 @@ class BaseAnonymizer(ABC):
         strictly below the checkpoint's θ — are executed.  The results are
         bit-identical (runtime aside) to the corresponding tail of an
         uninterrupted pass; ``graph`` must still be the *original* graph
-        (results and the frozen typing refer to it).  Independent mode
-        ignores ``resume_from`` and re-runs each grid point from scratch,
-        which yields the same results.
+        (results and the frozen typing refer to it).
         """
-        config = self._config
         schedule = validate_theta_schedule(
-            thetas if thetas is not None else (config.theta,))
-        if config.sweep_mode == "independent" and len(schedule) > 1:
-            # Each per-θ run consumes its seed.  Dense arrays are cheap to
-            # copy; store payloads (tiled tier) are not, so every run
-            # recomputes its own store from the graph instead — the
-            # per-tile engine is deterministic, so results are unchanged.
-            def seed_distances():
-                if isinstance(initial_distances, np.ndarray):
-                    return initial_distances.copy()
-                return None
-            return [type(self)(config=replace(config, theta=theta)).anonymize(
-                        graph, typing=typing, observer=observer,
-                        initial_distances=seed_distances())
-                    for theta in schedule]
+            thetas if thetas is not None else (self._config.theta,))
         return self._run_schedule(graph, schedule, typing, observer,
                                   initial_distances, resume_from)
 

@@ -29,8 +29,7 @@ from repro.graph.graph import Edge
     description="Edge Removal (paper Algorithm 4)",
     accepts=("length_threshold", "theta", "lookahead", "engine", "seed",
              "max_steps", "prune_candidates", "max_combinations", "strict",
-             "scan_mode", "scan_workers", "sweep_mode", "scale_tier",
-             "scale_budget_bytes"),
+             "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class EdgeRemovalAnonymizer(BaseAnonymizer):
     """Algorithm 4: greedy L-opacification via edge removal.

@@ -33,7 +33,7 @@ from repro.graph.graph import Edge, Graph
     accepts=("length_threshold", "theta", "lookahead", "engine", "seed",
              "max_steps", "prune_candidates", "max_combinations",
              "insertion_candidate_cap", "strict", "scan_mode",
-             "scan_workers", "sweep_mode", "scale_tier", "scale_budget_bytes"),
+             "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
     """Algorithm 5: greedy L-opacification via alternating removal and insertion.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.anonymizer import validate_sweep_mode, validate_theta_schedule
+from repro.core.anonymizer import validate_theta_schedule
 from repro.errors import ConfigurationError
 
 #: Algorithms understood by the runner.
@@ -43,7 +43,6 @@ class ExperimentConfig:
     insertion_candidate_cap: Optional[int] = None
     max_steps: Optional[int] = None
     engine: str = "numpy"
-    sweep_mode: str = "checkpointed"
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -55,7 +54,6 @@ class ExperimentConfig:
             raise ConfigurationError("length_threshold must be >= 1")
         if self.lookahead < 1:
             raise ConfigurationError("lookahead must be >= 1")
-        validate_sweep_mode(self.sweep_mode)
 
     def label(self) -> str:
         """Short label used in series legends (mirrors the paper's legends)."""
@@ -76,9 +74,8 @@ class SweepPlan:
     of Figures 6-12 sweeps θ for a fixed (dataset, size, algorithm, L,
     look-ahead, seed) tuple, which
     :meth:`~repro.experiments.runner.ExperimentRunner.run_sweep` serves
-    with a *single* checkpointed anonymization pass
-    (``sweep_mode="checkpointed"``) or with one run per grid point
-    (``"independent"``) — both yielding identical records.
+    with a *single* checkpointed anonymization pass, yielding records
+    identical to one run per grid point.
     """
 
     dataset: str
@@ -91,7 +88,6 @@ class SweepPlan:
     insertion_candidate_cap: Optional[int] = None
     max_steps: Optional[int] = None
     engine: str = "numpy"
-    sweep_mode: str = "checkpointed"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thetas", tuple(self.thetas))
@@ -112,7 +108,6 @@ class SweepPlan:
             insertion_candidate_cap=self.insertion_candidate_cap,
             max_steps=self.max_steps,
             engine=self.engine,
-            sweep_mode=self.sweep_mode,
         ) for theta in self.thetas]
 
     @classmethod
@@ -130,7 +125,6 @@ class SweepPlan:
             insertion_candidate_cap=config.insertion_candidate_cap,
             max_steps=config.max_steps,
             engine=config.engine,
-            sweep_mode=config.sweep_mode,
         )
 
 
@@ -148,7 +142,6 @@ class SweepSpec:
     insertion_candidate_cap: Optional[int] = None
     max_steps: Optional[int] = None
     engine: str = "numpy"
-    sweep_mode: str = "checkpointed"
 
     def configurations(self) -> Iterator[ExperimentConfig]:
         """Iterate over every configuration of the grid (θ varies fastest)."""
@@ -171,7 +164,6 @@ class SweepSpec:
                 insertion_candidate_cap=self.insertion_candidate_cap,
                 max_steps=self.max_steps,
                 engine=self.engine,
-                sweep_mode=self.sweep_mode,
             )
 
     def __len__(self) -> int:

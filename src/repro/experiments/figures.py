@@ -10,12 +10,10 @@ Every figure is declared as a list of
 :class:`~repro.experiments.config.SweepPlan` series and executed as **one
 grid job** through
 :meth:`~repro.experiments.runner.ExperimentRunner.run_grid`: each θ grid
-costs roughly one anonymization pass (``sweep_mode="checkpointed"``, the
-default; pass ``sweep_mode="independent"`` to any builder for the
-one-run-per-θ path — both produce identical series), and series sharing a
-sample — the L sweeps of Figures 6g/6h/8c especially — additionally share
-one loaded graph and one L_max bounded-distance computation
-(DESIGN.md §10).
+costs roughly one anonymization pass (with series identical to one run
+per θ), and series sharing a sample — the L sweeps of Figures 6g/6h/8c
+especially — additionally share one loaded graph and one L_max
+bounded-distance computation (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -38,14 +36,13 @@ L1_ALGORITHMS: Tuple[str, ...] = ("rem", "rem-ins", "gaded-rand", "gaded-max", "
 
 def _plan(dataset: str, sample_size: int, algorithm: str, length_threshold: int,
           lookahead: int, thetas: Sequence[float], seed: int,
-          insertion_cap: Optional[int], max_steps: Optional[int],
-          sweep_mode: str) -> SweepPlan:
+          insertion_cap: Optional[int], max_steps: Optional[int]) -> SweepPlan:
     """One figure series: a θ sweep of one fixed configuration."""
     return SweepPlan(
         dataset=dataset, sample_size=sample_size, algorithm=algorithm,
         thetas=tuple(thetas), length_threshold=length_threshold,
         lookahead=lookahead, seed=seed, insertion_candidate_cap=insertion_cap,
-        max_steps=max_steps, sweep_mode=sweep_mode)
+        max_steps=max_steps)
 
 
 def _run_labelled(runner: ExperimentRunner,
@@ -69,7 +66,6 @@ def figure6_series(dataset: str, length_threshold: int = 1, sample_size: int = 6
                    include_baselines: Optional[bool] = None, seed: int = 0,
                    insertion_cap: Optional[int] = 150,
                    max_steps: Optional[int] = None,
-                   sweep_mode: str = "checkpointed",
                    runner: Optional[ExperimentRunner] = None) -> SeriesMap:
     """Distortion as a function of θ (Figures 6a-6f).
 
@@ -81,14 +77,13 @@ def figure6_series(dataset: str, length_threshold: int = 1, sample_size: int = 6
         include_baselines = length_threshold == 1
     labelled = [(f"{algorithm} la={lookahead}",
                  _plan(dataset, sample_size, algorithm, length_threshold,
-                       lookahead, thetas, seed, insertion_cap, max_steps,
-                       sweep_mode))
+                       lookahead, thetas, seed, insertion_cap, max_steps))
                 for lookahead in lookaheads
                 for algorithm in ("rem", "rem-ins")]
     if include_baselines:
         labelled += [(algorithm,
                       _plan(dataset, sample_size, algorithm, 1, 1, thetas,
-                            seed, insertion_cap, max_steps, sweep_mode))
+                            seed, insertion_cap, max_steps))
                      for algorithm in ("gaded-rand", "gaded-max", "gades")]
     return {label: _series(records, "distortion")
             for label, records in _run_labelled(runner, labelled)}
@@ -99,7 +94,6 @@ def figure6_lsweep_series(dataset: str, lengths: Sequence[int] = (1, 2, 3, 4),
                           thetas: Sequence[float] = DEFAULT_THETAS, seed: int = 0,
                           insertion_cap: Optional[int] = 150,
                           max_steps: Optional[int] = None,
-                          sweep_mode: str = "checkpointed",
                           runner: Optional[ExperimentRunner] = None) -> SeriesMap:
     """Distortion vs θ while varying L at fixed look-ahead 1 (Figures 6g, 6h).
 
@@ -110,7 +104,7 @@ def figure6_lsweep_series(dataset: str, lengths: Sequence[int] = (1, 2, 3, 4),
     runner = runner or ExperimentRunner()
     labelled = [(f"{algorithm} L={length}",
                  _plan(dataset, sample_size, algorithm, length, 1, thetas,
-                       seed, insertion_cap, max_steps, sweep_mode))
+                       seed, insertion_cap, max_steps))
                 for length in lengths
                 for algorithm in ("rem", "rem-ins")]
     return {label: _series(records, "distortion")
@@ -126,7 +120,6 @@ def figure7_series(dataset: str = "enron", sample_size: int = 60,
                    insertion_cap: Optional[int] = 150,
                    max_steps: Optional[int] = None,
                    include_baselines: bool = True,
-                   sweep_mode: str = "checkpointed",
                    runner: Optional[ExperimentRunner] = None) -> Dict[str, SeriesMap]:
     """EMD of the degree (7a) and geodesic (7b) distributions vs θ, L = 1."""
     runner = runner or ExperimentRunner()
@@ -138,7 +131,7 @@ def figure7_series(dataset: str = "enron", sample_size: int = 60,
     labelled = [(f"{algorithm} la={lookahead}"
                  if algorithm in ("rem", "rem-ins") else algorithm,
                  _plan(dataset, sample_size, algorithm, 1, lookahead, thetas,
-                       seed, insertion_cap, max_steps, sweep_mode))
+                       seed, insertion_cap, max_steps))
                 for algorithm, lookahead in algorithms]
     degree: SeriesMap = {}
     geodesic: SeriesMap = {}
@@ -157,7 +150,6 @@ def figure8_series(dataset: str = "wikipedia", length_threshold: int = 1,
                    insertion_cap: Optional[int] = 150,
                    max_steps: Optional[int] = None,
                    include_baselines: Optional[bool] = None,
-                   sweep_mode: str = "checkpointed",
                    runner: Optional[ExperimentRunner] = None) -> SeriesMap:
     """Mean of per-vertex |ΔCC| vs θ (Figures 8a-8b)."""
     runner = runner or ExperimentRunner()
@@ -165,14 +157,13 @@ def figure8_series(dataset: str = "wikipedia", length_threshold: int = 1,
         include_baselines = length_threshold == 1
     labelled = [(f"{algorithm} la={lookahead}",
                  _plan(dataset, sample_size, algorithm, length_threshold,
-                       lookahead, thetas, seed, insertion_cap, max_steps,
-                       sweep_mode))
+                       lookahead, thetas, seed, insertion_cap, max_steps))
                 for lookahead in lookaheads
                 for algorithm in ("rem", "rem-ins")]
     if include_baselines:
         labelled += [(algorithm,
                       _plan(dataset, sample_size, algorithm, 1, 1, thetas,
-                            seed, insertion_cap, max_steps, sweep_mode))
+                            seed, insertion_cap, max_steps))
                      for algorithm in ("gaded-rand", "gaded-max", "gades")]
     return {label: _series(records, "mean_cc_difference")
             for label, records in _run_labelled(runner, labelled)}
@@ -183,7 +174,6 @@ def figure8_lsweep_series(dataset: str = "epinions", lengths: Sequence[int] = (1
                           thetas: Sequence[float] = DEFAULT_THETAS, seed: int = 0,
                           insertion_cap: Optional[int] = 150,
                           max_steps: Optional[int] = None,
-                          sweep_mode: str = "checkpointed",
                           runner: Optional[ExperimentRunner] = None) -> SeriesMap:
     """Mean |ΔCC| vs θ while varying L at look-ahead 1 (Figure 8c).
 
@@ -193,7 +183,7 @@ def figure8_lsweep_series(dataset: str = "epinions", lengths: Sequence[int] = (1
     runner = runner or ExperimentRunner()
     labelled = [(f"{algorithm} L={length}",
                  _plan(dataset, sample_size, algorithm, length, 1, thetas,
-                       seed, insertion_cap, max_steps, sweep_mode))
+                       seed, insertion_cap, max_steps))
                 for length in lengths
                 for algorithm in ("rem", "rem-ins")]
     return {label: _series(records, "mean_cc_difference")
@@ -209,14 +199,13 @@ def figure9_series(dataset: str = "google", sample_sizes: Sequence[int] = (40, 6
                    insertion_cap: Optional[int] = 100,
                    max_steps: Optional[int] = None,
                    include_baselines: bool = True,
-                   sweep_mode: str = "checkpointed",
                    runner: Optional[ExperimentRunner] = None) -> Dict[int, SeriesMap]:
     """Runtime vs θ for each sample size (Figures 9a-9c).
 
     The paper uses 100/500/1000-node Google samples; the default sizes here
     are scaled down so the full sweep stays laptop-friendly, preserving the
-    growth *shape* across sizes.  In checkpointed mode each point's runtime
-    is the elapsed time of the shared pass when it crossed that θ.  All
+    growth *shape* across sizes.  Each point's runtime is the elapsed
+    time of the shared checkpointed pass when it crossed that θ.  All
     sizes run as one grid job (one sample group per size).
     """
     runner = runner or ExperimentRunner()
@@ -228,7 +217,7 @@ def figure9_series(dataset: str = "google", sample_sizes: Sequence[int] = (40, 6
     labelled = [((size, f"{algorithm} la={lookahead}"
                   if algorithm in ("rem", "rem-ins") else algorithm),
                  _plan(dataset, size, algorithm, 1, lookahead, thetas, seed,
-                       insertion_cap, max_steps, sweep_mode))
+                       insertion_cap, max_steps))
                 for size in sample_sizes
                 for algorithm, lookahead in algorithms]
     results: Dict[int, SeriesMap] = {size: {} for size in sample_sizes}
@@ -244,7 +233,6 @@ def figure10_series(dataset: str = "gnutella", sample_sizes: Sequence[int] = (40
                     lengths: Sequence[int] = (1, 2), theta: float = 0.5, seed: int = 0,
                     insertion_cap: Optional[int] = 100,
                     max_steps: Optional[int] = None,
-                    sweep_mode: str = "checkpointed",
                     runner: Optional[ExperimentRunner] = None) -> Dict[str, List[Tuple[int, float]]]:
     """Runtime for growing graph sizes, Rem and Rem-Ins, L ∈ {1, 2} (Figure 10).
 
@@ -254,7 +242,7 @@ def figure10_series(dataset: str = "gnutella", sample_sizes: Sequence[int] = (40
     runner = runner or ExperimentRunner()
     labelled = [((f"{algorithm} L={length}", size),
                  _plan(dataset, size, algorithm, length, 1, (theta,), seed,
-                       insertion_cap, max_steps, sweep_mode))
+                       insertion_cap, max_steps))
                 for algorithm in ("rem", "rem-ins")
                 for length in lengths
                 for size in sample_sizes]
@@ -269,12 +257,10 @@ def figure10_series(dataset: str = "gnutella", sample_sizes: Sequence[int] = (40
 # ----------------------------------------------------------------------
 def _acm_scaling_records(sample_sizes: Sequence[int], thetas: Sequence[float],
                          seed: int, max_steps: Optional[int],
-                         sweep_mode: str,
                          runner: Optional[ExperimentRunner]) -> Dict[float, List[RunRecord]]:
     """Per-θ record rows of the ACM sweep, one checkpointed pass per size."""
     runner = runner or ExperimentRunner()
-    plans = [_plan("acm", size, "rem", 1, 1, thetas, seed, None, max_steps,
-                   sweep_mode)
+    plans = [_plan("acm", size, "rem", 1, 1, thetas, seed, None, max_steps)
              for size in sample_sizes]
     records: Dict[float, List[RunRecord]] = {theta: [] for theta in thetas}
     for rows in runner.run_grid(plans):
@@ -286,7 +272,6 @@ def _acm_scaling_records(sample_sizes: Sequence[int], thetas: Sequence[float],
 def figure11_series(sample_sizes: Sequence[int] = (50, 100, 150, 200),
                     thetas: Sequence[float] = (0.9, 0.8, 0.7, 0.6, 0.5), seed: int = 0,
                     max_steps: Optional[int] = None,
-                    sweep_mode: str = "checkpointed",
                     runner: Optional[ExperimentRunner] = None) -> Dict[float, List[Tuple[int, float]]]:
     """Runtime vs graph size for several θ, Edge Removal, L = 1 (Figure 11).
 
@@ -295,8 +280,7 @@ def figure11_series(sample_sizes: Sequence[int] = (50, 100, 150, 200),
     the same sweep so the growth trend can be inspected.  One checkpointed
     pass per sample size serves every θ series at once.
     """
-    records = _acm_scaling_records(sample_sizes, thetas, seed, max_steps,
-                                   sweep_mode, runner)
+    records = _acm_scaling_records(sample_sizes, thetas, seed, max_steps, runner)
     return {theta: [(record.config.sample_size, record.runtime_seconds) for record in rows]
             for theta, rows in records.items()}
 
@@ -304,10 +288,8 @@ def figure11_series(sample_sizes: Sequence[int] = (50, 100, 150, 200),
 def figure12_series(sample_sizes: Sequence[int] = (50, 100, 150, 200),
                     thetas: Sequence[float] = (0.9, 0.8, 0.7, 0.6, 0.5), seed: int = 0,
                     max_steps: Optional[int] = None,
-                    sweep_mode: str = "checkpointed",
                     runner: Optional[ExperimentRunner] = None) -> Dict[float, List[Tuple[int, float]]]:
     """Distortion vs graph size for several θ, Edge Removal, L = 1 (Figure 12)."""
-    records = _acm_scaling_records(sample_sizes, thetas, seed, max_steps,
-                                   sweep_mode, runner)
+    records = _acm_scaling_records(sample_sizes, thetas, seed, max_steps, runner)
     return {theta: [(record.config.sample_size, record.distortion) for record in rows]
             for theta, rows in records.items()}

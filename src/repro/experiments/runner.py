@@ -89,7 +89,6 @@ def request_for(config: ExperimentConfig) -> AnonymizationRequest:
         engine=config.engine,
         max_steps=config.max_steps,
         insertion_candidate_cap=config.insertion_candidate_cap,
-        sweep_mode=config.sweep_mode,
         include_utility=True,
     )
 
@@ -97,10 +96,8 @@ def request_for(config: ExperimentConfig) -> AnonymizationRequest:
 class ExperimentRunner:
     """Runs experiment configurations, caching dataset samples between runs."""
 
-    def __init__(self, data_dir: Optional[str] = None,
-                 compute_spectral: bool = False) -> None:
+    def __init__(self, data_dir: Optional[str] = None) -> None:
         self._data_dir = data_dir
-        self._compute_spectral = compute_spectral
         self._graph_cache: Dict[Tuple[str, int, int], Graph] = {}
         self._baseline_cache: Dict[Tuple[str, int, int], GraphBaseline] = {}
 
@@ -129,8 +126,7 @@ class ExperimentRunner:
         """
         key = (config.dataset, config.sample_size, config.seed)
         if key not in self._baseline_cache:
-            self._baseline_cache[key] = graph_baseline(
-                self.graph_for(config), include_spectral=self._compute_spectral)
+            self._baseline_cache[key] = graph_baseline(self.graph_for(config))
         return self._baseline_cache[key]
 
     # ------------------------------------------------------------------
@@ -154,13 +150,12 @@ class ExperimentRunner:
                   initial_distances: Optional[np.ndarray] = None) -> List[RunRecord]:
         """Execute a θ-sweep plan and return one record per grid point.
 
-        With ``plan.sweep_mode == "checkpointed"`` the whole grid runs as
-        one anonymization pass (per-θ checkpoints); the records are
-        identical to independent :meth:`run` calls per θ except for
-        ``runtime_seconds``, which reports the elapsed time of the shared
-        pass when the grid point was crossed.  Records come back in the
-        plan's θ order.  ``initial_distances`` may seed the pass with the
-        plan's precomputed L-bounded matrix (a
+        The whole grid runs as one anonymization pass (per-θ
+        checkpoints); the records are identical to independent :meth:`run`
+        calls per θ except for ``runtime_seconds``, which reports the
+        elapsed time of the shared pass when the grid point was crossed.
+        Records come back in the plan's θ order.  ``initial_distances`` may
+        seed the pass with the plan's precomputed L-bounded matrix (a
         :class:`~repro.graph.distance_cache.LMaxDistanceCache` slice, as
         :meth:`run_grid` supplies); the pass consumes the array.
         """
@@ -202,22 +197,15 @@ class ExperimentRunner:
         """
         plans = list(plans)
         if max_workers != 0:
-            # Partition by sweep_mode so a plan's explicit opt-out survives
-            # the fan-out (a GridRequest carries one mode for all requests).
-            ordered_parallel: List[Optional[List[RunRecord]]] = [None] * len(plans)
-            by_mode: Dict[str, List[int]] = {}
-            for index, plan in enumerate(plans):
-                by_mode.setdefault(plan.sweep_mode, []).append(index)
-            for indices in by_mode.values():
-                configs = [config for index in indices
-                           for config in plans[index].configs()]
-                records = self.run_all(configs, max_workers=max_workers)
-                cursor = 0
-                for index in indices:
-                    count = len(plans[index].thetas)
-                    ordered_parallel[index] = records[cursor:cursor + count]
-                    cursor += count
-            return ordered_parallel  # type: ignore[return-value]
+            records = self.run_all(
+                [config for plan in plans for config in plan.configs()],
+                max_workers=max_workers)
+            split: List[List[RunRecord]] = []
+            cursor = 0
+            for plan in plans:
+                split.append(records[cursor:cursor + len(plan.thetas)])
+                cursor += len(plan.thetas)
+            return split
         ordered: List[Optional[List[RunRecord]]] = [None] * len(plans)
         groups: Dict[Tuple[str, int, int], List[int]] = {}
         for index, plan in enumerate(plans):
@@ -225,21 +213,13 @@ class ExperimentRunner:
                               []).append(index)
         for indices in groups.values():
             group = [plans[index] for index in indices]
-            # The shared computation bound, per engine, over the plans that
-            # will consume a matrix (independent-mode plans run cold and
-            # must not inflate the single engine run).
+            # One engine run per engine, at the group's largest L.
             l_max_by_engine: Dict[str, int] = {}
             for plan in group:
-                if plan.sweep_mode != "independent":
-                    l_max_by_engine[plan.engine] = max(
-                        l_max_by_engine.get(plan.engine, 0),
-                        plan.length_threshold)
+                l_max_by_engine[plan.engine] = max(
+                    l_max_by_engine.get(plan.engine, 0), plan.length_threshold)
             caches: Dict[str, LMaxDistanceCache] = {}
             for index, plan in zip(indices, group):
-                if plan.sweep_mode == "independent":
-                    # The opt-out path keeps per-θ cold runs end to end.
-                    ordered[index] = self.run_sweep(plan)
-                    continue
                 cache = caches.get(plan.engine)
                 if cache is None:
                     cache = LMaxDistanceCache(self.graph_for(plan.configs()[0]),
@@ -255,9 +235,8 @@ class ExperimentRunner:
         """Execute every configuration and return the records in order.
 
         Configurations identical in everything but θ form θ-sweep groups
-        executed as checkpointed passes (unless their ``sweep_mode`` is
-        ``"independent"``), so a grid sweeping k thresholds costs ~1 run
-        per group instead of k.  ``max_workers=0`` (the default) runs the
+        executed as checkpointed passes, so a grid sweeping k thresholds
+        costs ~1 run per group instead of k.  ``max_workers=0`` (the default) runs the
         groups serially in this process; any other value fans the grid's
         *sample groups* over a :class:`repro.api.BatchRunner` process pool
         (``None`` = one worker per CPU), so groups sharing a sample also
@@ -271,8 +250,7 @@ class ExperimentRunner:
         from repro.api.sweeps import GridRequest
 
         grid = GridRequest(
-            requests=tuple(request_for(config) for config in configs),
-            sweep_mode=configs[0].sweep_mode)
+            requests=tuple(request_for(config) for config in configs))
         runner = BatchRunner(max_workers=max_workers, data_dir=self._data_dir)
         responses = runner.run_grid(grid)
         records = []
@@ -306,7 +284,7 @@ class ExperimentRunner:
             groups.setdefault(replace(config, theta=0.0), []).append(index)
         for indices in groups.values():
             group = [configs[index] for index in indices]
-            if len(group) == 1 or group[0].sweep_mode == "independent":
+            if len(group) == 1:
                 for index in indices:
                     records[index] = self.run(configs[index])
                 continue
@@ -326,13 +304,12 @@ class ExperimentRunner:
             engine=config.engine,
             max_steps=config.max_steps,
             insertion_candidate_cap=config.insertion_candidate_cap,
-            sweep_mode=config.sweep_mode,
         )
 
     def _record(self, config: ExperimentConfig, result: AnonymizationResult,
                 runtime_seconds: Optional[float]) -> RunRecord:
         report = utility_report(result.original_graph, result.anonymized_graph,
-                                include_spectral=self._compute_spectral,
+                                include_spectral=False,
                                 baseline=self.baseline_for(config))
         return RunRecord(
             config=config,

@@ -18,7 +18,6 @@ from typing import Any, Dict, Optional
 
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
 from repro.api.sweeps import GridRequest, GridResponse
-from repro.api.theta_sweep import SweepRequest, SweepResponse
 from repro.errors import ReproError
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -26,13 +25,11 @@ __all__ = ["ServiceClient", "ServiceError"]
 #: Request record type -> job kind, mirrored by the response parsers.
 _KIND_OF = {
     AnonymizationRequest: "anonymize",
-    SweepRequest: "sweep",
     GridRequest: "grid",
 }
 
 _RESPONSE_OF = {
     "anonymize": AnonymizationResponse,
-    "sweep": SweepResponse,
     "grid": GridResponse,
 }
 

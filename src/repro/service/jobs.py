@@ -2,8 +2,7 @@
 
 A :class:`JobManager` owns one worker thread and one
 :class:`~repro.service.store.RunStore`.  Submitted jobs — single
-:class:`~repro.api.requests.AnonymizationRequest` records,
-:class:`~repro.api.theta_sweep.SweepRequest` sweeps, or
+:class:`~repro.api.requests.AnonymizationRequest` records or
 :class:`~repro.api.sweeps.GridRequest` grids — are persisted first and
 executed in submission order on the existing grid engine
 (:func:`~repro.api.sweeps.execute_sample_group`, the unit
@@ -46,7 +45,6 @@ from repro.api.requests import (
     request_fingerprint,
 )
 from repro.api.sweeps import GridRequest, GridResponse, sample_groups
-from repro.api.theta_sweep import SweepRequest, SweepResponse
 from repro.errors import ConfigurationError, ReproError
 from repro.service.store import RunStore
 
@@ -55,7 +53,6 @@ __all__ = ["JOB_KINDS", "JobManager", "parse_request", "wrap_result"]
 #: Submittable job kinds and their request record types.
 JOB_KINDS: Dict[str, type] = {
     "anonymize": AnonymizationRequest,
-    "sweep": SweepRequest,
     "grid": GridRequest,
 }
 
@@ -86,12 +83,7 @@ def wrap_result(kind: str, request: Any,
     """Wrap per-request responses into the job kind's response record."""
     if kind == "anonymize":
         return responses[0]
-    if kind == "sweep":
-        return SweepResponse(responses=tuple(responses),
-                             sweep_mode=request.sweep_mode,
-                             num_groups=len(request.groups()))
     return GridResponse(responses=tuple(responses),
-                        sweep_mode=request.sweep_mode,
                         num_groups=len(request.groups()),
                         num_sample_groups=len(request.sample_groups()))
 
@@ -140,8 +132,9 @@ class JobManager:
     max_workers:
         ``0`` (default) executes sample groups serially in the worker
         thread with checkpoint streaming — the mode that powers resume.
-        Any other value fans whole jobs across a
-        :class:`~repro.api.batch.BatchRunner` process pool instead;
+        ``n > 0`` fans whole jobs across a
+        :class:`~repro.api.batch.BatchRunner` process pool of at most
+        ``n`` workers instead (negative values are rejected);
         responses are still persisted per request, but checkpoints do not
         stream across process boundaries, so interrupted pooled jobs
         restart from their last finished *group* rather than θ.
@@ -178,6 +171,9 @@ class JobManager:
         from repro.graph.distance_store import validate_scale_tier
 
         validate_scale_tier(scale_tier)
+        if max_workers < 0:
+            raise ConfigurationError(
+                f"max_workers must be >= 0, got {max_workers}")
         if scan_workers is not None and scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {scan_workers}")
@@ -338,8 +334,7 @@ class JobManager:
         request = self._apply_scale_defaults(kind, request)
         self._store.set_status(job_id, "running")
         requests = _requests_of(kind, request)
-        sweep_mode = getattr(request, "sweep_mode", requests[0].sweep_mode)
-        on_error = getattr(request, "on_error", "isolate")
+        on_error = request.on_error if kind == "grid" else "isolate"
         if self._max_workers != 0:
             self._execute_pooled(job_id, kind, request, requests, token)
             return
@@ -370,7 +365,7 @@ class JobManager:
             observer = combine_observers(token,
                                          CheckpointBuffer(sink=persister))
             responses = execute_sample_group(
-                group, sweep_mode=sweep_mode, observer=observer,
+                group, observer=observer,
                 data_dir=self._data_dir, cache=cache,
                 resume_from=resume_local, on_error=on_error)
             cache.release(group[0])
@@ -452,8 +447,6 @@ class JobManager:
         stats = None
         if kind == "anonymize":
             responses = runner.run(requests)
-        elif kind == "sweep":
-            responses = runner.run_sweep(request)
         else:
             from repro.api.cache import GridStats
 

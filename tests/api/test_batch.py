@@ -94,8 +94,7 @@ class TestWorkerGroupPayloadCache:
             payloads = [base.with_overrides(algorithm=algorithm,
                                             theta=theta).to_dict()
                         for theta in (0.8, 0.6)]
-            results = batch_module._execute_group_payload(payloads,
-                                                          "checkpointed", None)
+            results = batch_module._execute_group_payload(payloads, None)
             for payload, result in zip(payloads, results):
                 response = AnonymizationResponse.from_dict(result)
                 reference = anonymize(AnonymizationRequest.from_dict(payload))
@@ -118,7 +117,6 @@ class TestWorkerGroupPayloadCache:
             payloads = [base.with_overrides(length_threshold=length,
                                             theta=theta).to_dict()
                         for theta in (0.8, 0.6)]
-            batch_module._execute_group_payload(payloads, "checkpointed",
-                                                None, 2)
+            batch_module._execute_group_payload(payloads, None, 2)
         assert cache.sample_loads == 1
         assert cache.distance_computes == 1

@@ -7,7 +7,7 @@ from repro.api import (
     anonymize,
     available_algorithms,
     compute_opacity,
-    expand_sweep,
+    expand_grid,
     sweep,
 )
 from repro.api.progress import CancellationToken
@@ -100,15 +100,23 @@ class TestComputeOpacity:
 
 
 class TestSweep:
-    def test_expand_sweep_cartesian_product_order(self):
+    def test_expand_grid_cartesian_product_order(self):
         base = _edges_request()
-        requests = expand_sweep(base, algorithms=("rem", "gades"), thetas=(0.8, 0.5))
+        # Mapping order is irrelevant: θ always varies fastest.
+        requests = expand_grid(base, {"theta": (0.8, 0.5),
+                                      "algorithm": ("rem", "gades")})
         assert [(r.algorithm, r.theta) for r in requests] == [
             ("rem", 0.8), ("rem", 0.5), ("gades", 0.8), ("gades", 0.5)]
+        requests = expand_grid(base, {"seed": (1, 2), "lookahead": (1, 2),
+                                      "length_threshold": (1, 2),
+                                      "algorithm": ("rem",)})
+        assert [(r.length_threshold, r.lookahead, r.seed) for r in requests] \
+            == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2),
+                (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2)]
 
-    def test_expand_sweep_defaults_to_base_values(self):
+    def test_expand_grid_defaults_to_base_values(self):
         base = _edges_request(theta=0.7)
-        requests = expand_sweep(base)
+        requests = expand_grid(base, {})
         assert requests == [base]
 
     def test_sweep_runs_serially_by_default(self):

@@ -6,7 +6,6 @@ from repro.api import (
     AnonymizationRequest,
     FINGERPRINT_VERSION,
     GridRequest,
-    SweepRequest,
     request_fingerprint,
 )
 from repro.errors import ConfigurationError
@@ -45,10 +44,16 @@ class TestRequestFingerprint:
             != request_fingerprint(BASE)
 
     def test_kind_is_part_of_the_hash(self):
-        sweep = SweepRequest(requests=(BASE,))
         grid = GridRequest(requests=(BASE,))
-        assert request_fingerprint(sweep) != request_fingerprint(grid)
-        assert request_fingerprint(sweep) != request_fingerprint(BASE)
+
+        class Twin:
+            """Another record type with the grid's exact payload."""
+
+            def to_dict(self):
+                return grid.to_dict()
+
+        assert request_fingerprint(Twin()) != request_fingerprint(grid)
+        assert request_fingerprint(grid) != request_fingerprint(BASE)
 
     def test_nested_request_ids_are_stripped(self):
         plain = GridRequest(requests=(BASE,))

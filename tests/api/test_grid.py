@@ -14,7 +14,7 @@ from repro.api import (
 )
 from repro.api.sweeps import execute_sample_group, sample_groups
 from repro.errors import ConfigurationError
-from tests.oracles import ScratchSession, oracle_sessions
+from tests.oracles import ScratchSession, independent_responses, oracle_sessions
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
                             include_utility=True)
@@ -72,13 +72,24 @@ class TestExpansion:
             GridRequest(requests=())
 
     def test_unknown_sweep_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridRequest(requests=(BASE,), sweep_mode="sideways")
+        # The knob is retired: every grid runs as checkpointed passes, so
+        # the keyword is unknown and a stored grid naming the field fails
+        # to load with a typed error that names it.
+        with pytest.raises(TypeError, match="sweep_mode"):
+            GridRequest(requests=(BASE,), sweep_mode="independent")
+        payload = GridRequest(requests=(BASE,)).to_dict()
+        payload["sweep_mode"] = "checkpointed"
+        with pytest.raises(ConfigurationError, match="sweep_mode"):
+            GridRequest.from_dict(payload)
+        nested = GridRequest(requests=(BASE,)).to_dict()
+        nested["requests"][0]["sweep_mode"] = "independent"
+        with pytest.raises(ConfigurationError, match="sweep_mode"):
+            GridRequest.from_dict(nested)
 
     def test_json_round_trip(self):
         grid = GridRequest.from_axes(BASE, datasets=("gnutella", "google"),
                                      length_thresholds=(1, 2), thetas=THETAS,
-                                     sweep_mode="independent")
+                                     on_error="fail_fast")
         assert GridRequest.from_json(grid.to_json()) == grid
 
     def test_response_json_round_trip(self):
@@ -216,11 +227,13 @@ class TestExecution:
             assert_response_parity(response, anonymize(request))
 
     def test_independent_mode_skips_grouping(self):
-        grid = GridRequest.from_axes(BASE, thetas=(0.8, 0.6),
-                                     sweep_mode="independent")
-        responses = run_grid(grid).responses
-        for request, response in zip(grid.requests, responses):
-            assert_response_parity(response, anonymize(request))
+        # The grouped pass against the per-request oracle, pooled too.
+        grid = GridRequest.from_axes(BASE, thetas=(0.8, 0.6))
+        references = independent_responses(grid.requests)
+        for max_workers in (0, 2):
+            responses = run_grid(grid, max_workers=max_workers).responses
+            for response, reference in zip(responses, references):
+                assert_response_parity(response, reference)
 
 
 class TestFacadeAxes:
@@ -236,8 +249,9 @@ class TestFacadeAxes:
     def test_sweep_matches_independent_mode(self):
         checkpointed = sweep(BASE, sample_sizes=(25,), length_thresholds=(1, 2),
                              thetas=THETAS)
-        independent = sweep(BASE, sample_sizes=(25,), length_thresholds=(1, 2),
-                            thetas=THETAS, sweep_mode="independent")
+        independent = independent_responses(GridRequest.from_axes(
+            BASE, sample_sizes=(25,), length_thresholds=(1, 2),
+            thetas=THETAS).requests)
         for ours, theirs in zip(checkpointed, independent):
             assert_response_parity(ours, theirs)
 
@@ -298,16 +312,17 @@ class TestCustomRegistry:
         registry = AnonymizerRegistry()
         registry.register("custom-rem", EdgeRemovalAnonymizer,
                           accepts=("theta", "length_threshold", "lookahead",
-                                   "seed", "engine", "scan_mode",
-                                   "sweep_mode", "max_steps"))
+                                   "seed", "engine", "scan_mode", "max_steps"))
         requests = [BASE.with_overrides(algorithm="custom-rem", theta=theta,
                                         include_utility=False)
                     for theta in (0.8, 0.6)]
-        for sweep_mode in ("checkpointed", "independent"):
-            grid = GridRequest(requests=tuple(requests), sweep_mode=sweep_mode)
-            responses = BatchRunner(max_workers=0).run_grid(grid,
-                                                            registry=registry)
-            assert all(response.ok for response in responses), sweep_mode
+        grid = GridRequest(requests=tuple(requests))
+        responses = BatchRunner(max_workers=0).run_grid(grid,
+                                                        registry=registry)
+        references = independent_responses(requests, registry=registry)
+        assert all(response.ok for response in references)
+        for response, reference in zip(responses, references):
+            assert_response_parity(response, reference)
 
 
 class TestBaselineFailureIsolation:
@@ -411,13 +426,15 @@ class TestErrorPolicy:
             run_grid(grid)
 
     def test_independent_mode_fail_fast(self):
+        # A lone failing request aborts the grid, serial and pooled.
         from repro.errors import GridAbortedError
 
         grid = GridRequest(requests=(
             BASE.with_overrides(algorithm="no-such-algo", theta=0.8),),
-            sweep_mode="independent", on_error="fail_fast")
-        with pytest.raises(GridAbortedError):
-            run_grid(grid)
+            on_error="fail_fast")
+        for max_workers in (0, 2):
+            with pytest.raises(GridAbortedError):
+                run_grid(grid, max_workers=max_workers)
 
 
 class TestSampleGroupResume:

@@ -36,6 +36,25 @@ class TestAnonymizationRequest:
         with pytest.raises(ConfigurationError, match="evaluation_mode"):
             AnonymizationRequest.from_dict(payload)
 
+    def test_unknown_sweep_mode_raises_at_construction_time(self):
+        # Retired like evaluation_mode: every θ grid runs as one
+        # checkpointed pass, so no anonymizer, config or request takes it.
+        from repro.baselines import GadedMaxAnonymizer, GadesAnonymizer
+        from repro.core import AnonymizerConfig
+
+        for factory in (EdgeRemovalAnonymizer, GadesAnonymizer,
+                        GadedMaxAnonymizer, AnonymizerConfig,
+                        AnonymizationRequest):
+            with pytest.raises(TypeError, match="sweep_mode"):
+                factory(sweep_mode="independent")
+        assert "sweep_mode" not in AnonymizationRequest(
+            algorithm="rem", edges=EDGES).algorithm_params()
+        payload = AnonymizationRequest(algorithm="rem", edges=EDGES).to_dict()
+        payload["sweep_mode"] = "checkpointed"
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown request field\(s\) \['sweep_mode'\]"):
+            AnonymizationRequest.from_dict(payload)
+
     def test_scan_mode_round_trips_and_reaches_algorithms(self):
         request = AnonymizationRequest(algorithm="rem", edges=EDGES,
                                        scan_mode="parallel")

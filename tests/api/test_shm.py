@@ -19,6 +19,7 @@ from repro.api.shm import (
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_cache import LMaxDistanceCache
 from repro.graph.graph import Graph
+from tests.oracles import independent_responses
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
                             include_utility=True)
@@ -220,11 +221,16 @@ class TestShmGridPlane:
         assert response.num_distance_computes == 1
 
     def test_independent_mode_reports_untracked_counters(self):
-        grid = GridRequest.from_axes(BASE, thetas=(0.8, 0.6),
-                                     sweep_mode="independent")
-        response = run_grid(grid)
+        # Off the shm plane, a single sample's θ-groups fan out to workers
+        # that derive their own artifacts: the parent cannot count them.
+        grid = GridRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
+                                     thetas=(0.8, 0.6))
+        response = run_grid(grid, max_workers=2, shared_memory=False)
         assert response.num_sample_loads is None
         assert response.num_distance_computes is None
+        for ours, theirs in zip(response.responses,
+                                independent_responses(grid.requests)):
+            assert_response_parity(ours, theirs)
 
     def test_shared_memory_off_falls_back_with_identical_responses(self):
         serial = run_grid(self.GRID, max_workers=0)
@@ -278,13 +284,13 @@ CRASH_SCRIPT = textwrap.dedent("""
 
     _real = batch._execute_shm_group_payload
 
-    def _killer(payloads, sweep_mode, data_dir, descriptor, baseline=None):
+    def _killer(payloads, data_dir, descriptor, baseline=None):
         # First θ-group dies hard mid-task; the rest run normally.  Workers
         # inherit this patched module via fork, and the submitted callable
         # resolves back through __main__ in the child.
         if payloads[0]["theta"] >= 0.85:
             os.kill(os.getpid(), signal.SIGKILL)
-        return _real(payloads, sweep_mode, data_dir, descriptor, baseline)
+        return _real(payloads, data_dir, descriptor, baseline)
 
     batch._execute_shm_group_payload = _killer
 

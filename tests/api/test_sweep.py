@@ -1,53 +1,25 @@
-"""Tests for the service-layer θ-sweep engine (requests, grouping, execution)."""
+"""Tests for the service-layer θ-sweep engine (grouping and execution)."""
 
 import pytest
 
 from repro.api import (
     AnonymizationRequest,
-    SweepRequest,
-    SweepResponse,
-    anonymize,
-    run_sweep,
+    GridRequest,
+    run_grid,
     sweep,
 )
 from repro.api.theta_sweep import execute_sweep_group, group_requests
-from repro.errors import ConfigurationError
+from tests.oracles import independent_responses
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
                             include_utility=True)
 THETAS = (0.9, 0.7, 0.5)
 
 
-class TestSweepRequest:
-    def test_from_axes_expands_grid(self):
-        request = SweepRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
-                                         thetas=THETAS)
-        assert len(request.requests) == 6
-        assert request.sweep_mode == "checkpointed"
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRequest(requests=())
-
-    def test_unknown_sweep_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SweepRequest(requests=(BASE,), sweep_mode="sideways")
-
-    def test_json_round_trip(self):
-        request = SweepRequest.from_axes(BASE, algorithms=("rem", "rem-ins"),
-                                         thetas=THETAS, sweep_mode="independent")
-        assert SweepRequest.from_json(request.to_json()) == request
-
-    def test_response_json_round_trip(self):
-        request = SweepRequest.from_axes(BASE, thetas=(0.8, 0.6))
-        response = run_sweep(request)
-        assert SweepResponse.from_json(response.to_json()) == response
-
-
 class TestGrouping:
     def test_groups_by_everything_but_theta(self):
-        request = SweepRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
-                                         thetas=THETAS)
+        request = GridRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
+                                        thetas=THETAS)
         groups = request.groups()
         assert [len(group) for group in groups] == [3, 3]
         algorithms = {request.requests[group[0]].algorithm for group in groups}
@@ -71,8 +43,7 @@ class TestExecution:
         requests = [BASE.with_overrides(algorithm=algorithm, theta=theta)
                     for theta in THETAS]
         grouped = execute_sweep_group(requests)
-        for request, response in zip(requests, grouped):
-            reference = anonymize(request)
+        for response, reference in zip(grouped, independent_responses(requests)):
             assert response.success == reference.success
             assert response.final_opacity == reference.final_opacity
             assert response.distortion == reference.distortion
@@ -83,37 +54,42 @@ class TestExecution:
             assert response.stop_reason == reference.stop_reason
 
     def test_sweep_modes_agree(self):
+        # The facade's single checkpointed pass against one run per θ.
         checkpointed = sweep(BASE, thetas=THETAS)
-        independent = sweep(BASE, thetas=THETAS, sweep_mode="independent")
+        independent = independent_responses(
+            GridRequest.from_axes(BASE, thetas=THETAS).requests)
         for ours, theirs in zip(checkpointed, independent):
             assert ours.final_opacity == theirs.final_opacity
             assert ours.anonymized_edges == theirs.anonymized_edges
             assert ours.evaluations == theirs.evaluations
 
     def test_responses_in_request_order(self):
-        request = SweepRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
-                                         thetas=(0.5, 0.9))
-        response = run_sweep(request)
+        request = GridRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
+                                        thetas=(0.5, 0.9))
+        response = run_grid(request)
         observed = [(entry.request.algorithm, entry.request.theta)
                     for entry in response.responses]
         assert observed == [("rem", 0.5), ("rem", 0.9),
                             ("gaded-max", 0.5), ("gaded-max", 0.9)]
 
     def test_group_failure_is_isolated(self):
-        # An unknown dataset fails at graph resolution inside its group;
-        # the other group must still complete.
-        bad = AnonymizationRequest(dataset="no-such-dataset", sample_size=10,
-                                   theta=0.7)
+        # An unregistered algorithm fails its θ-group; the sibling group
+        # on the same sample must still complete.
+        bad = BASE.with_overrides(algorithm="no-such-algo", theta=0.7)
         good = [BASE.with_overrides(theta=theta) for theta in (0.8, 0.6)]
-        response = run_sweep(SweepRequest(requests=(bad, *good)))
+        response = run_grid(GridRequest(requests=(bad, *good)))
         assert response.responses[0].error is not None
         assert response.responses[1].ok and response.responses[2].ok
 
-    def test_parallel_groups_match_serial(self):
-        request = SweepRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
-                                         thetas=(0.8, 0.6))
-        serial = run_sweep(request)
-        parallel = run_sweep(request, max_workers=2)
+    @pytest.mark.parametrize("shared_memory", (True, False))
+    def test_parallel_groups_match_serial(self, shared_memory):
+        # One sample, two θ-groups: the shm plane fans them over one
+        # published arena, the off plane over per-worker caches.
+        request = GridRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
+                                        thetas=(0.8, 0.6))
+        serial = run_grid(request)
+        parallel = run_grid(request, max_workers=2,
+                            shared_memory=shared_memory)
         assert parallel.num_groups == 2
         for ours, theirs in zip(parallel.responses, serial.responses):
             assert ours.final_opacity == theirs.final_opacity

@@ -5,6 +5,7 @@ import pytest
 from repro.api.progress import CheckpointBuffer
 from repro.api.registry import default_registry
 from repro.datasets import load_sample
+from tests.oracles import independent_schedule
 
 THETAS = [0.9, 0.7, 0.5, 0.3]
 SPLIT = 2  # interrupt after the first two grid points
@@ -94,18 +95,19 @@ class TestResumeValidation:
                                                        resume_from=stripped)
 
     def test_independent_mode_ignores_resume(self, graph):
+        # A resumed tail equals cold per-θ runs of the tail's grid points,
+        # which never see the checkpoint.
         registry = default_registry()
         buffer = CheckpointBuffer()
         registry.create("rem", theta=0.7, length_threshold=1,
                         seed=0).anonymize_schedule(graph, [0.9, 0.7],
                                                    observer=buffer)
         checkpoint = buffer.records[-1][1]
-        independent = registry.create(
-            "rem", theta=0.5, length_threshold=1, seed=0,
-            sweep_mode="independent")
         full = registry.create("rem", theta=0.5, length_threshold=1, seed=0)
-        resumed = independent.anonymize_schedule(graph, [0.5, 0.3],
-                                                 resume_from=checkpoint)
+        resumed = full.anonymize_schedule(graph, [0.5, 0.3],
+                                          resume_from=checkpoint)
+        independent = independent_schedule(full, graph, [0.5, 0.3])
         reference = full.anonymize_schedule(graph, [0.9, 0.7, 0.5, 0.3])
         assert [_result_key(result) for result in resumed] \
+            == [_result_key(result) for result in independent] \
             == [_result_key(result) for result in reference[2:]]

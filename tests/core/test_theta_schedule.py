@@ -8,11 +8,12 @@ from repro.core import (
     AnonymizerConfig,
     EdgeRemovalAnonymizer,
     EdgeRemovalInsertionAnonymizer,
-    SWEEP_MODES,
     validate_theta_schedule,
 )
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph import erdos_renyi_graph
+from repro.graph.distance_cache import LMaxDistanceCache
+from tests.oracles import independent_schedule
 
 #: One factory per registered algorithm, all seeded.
 ALGORITHM_FACTORIES = {
@@ -43,10 +44,11 @@ class TestValidateThetaSchedule:
             validate_theta_schedule([0.5, 1.5])
 
     def test_sweep_mode_validated_on_config(self):
-        with pytest.raises(ConfigurationError):
-            AnonymizerConfig(sweep_mode="sideways").validate()
-        for mode in SWEEP_MODES:
-            AnonymizerConfig(sweep_mode=mode).validate()
+        # Retired: a θ grid always runs as one checkpointed pass, so the
+        # config has no execution mode to validate.
+        with pytest.raises(TypeError, match="sweep_mode"):
+            AnonymizerConfig(sweep_mode="checkpointed")
+        AnonymizerConfig().validate()
 
 
 class TestScheduleResults:
@@ -93,9 +95,9 @@ class TestScheduleResults:
         make = ALGORITHM_FACTORIES[name]
         thetas = (0.9, 0.7, 0.5)
         scheduled = make(0.5).anonymize_schedule(graph, thetas)
-        for theta, run in zip(thetas, scheduled):
-            independent = make(theta).anonymize(graph)
-            assert run.config.theta == theta
+        references = independent_schedule(make(0.5), graph, thetas)
+        for theta, run, independent in zip(thetas, scheduled, references):
+            assert run.config.theta == independent.config.theta == theta
             assert [(s.operation, s.edges) for s in run.steps] == \
                    [(s.operation, s.edges) for s in independent.steps]
             assert run.final_opacity == independent.final_opacity
@@ -108,17 +110,47 @@ class TestScheduleResults:
 
     @pytest.mark.parametrize("name", sorted(ALGORITHM_FACTORIES))
     def test_independent_sweep_mode_matches_checkpointed(self, graph, name):
+        # A seeded pass against per-θ runs that each consume a copy of the
+        # seed, over an unsorted grid with a repeated point.
         make = ALGORITHM_FACTORIES[name]
-        thetas = (0.8, 0.6)
-        checkpointed = make(0.6).anonymize_schedule(graph, thetas)
-        independent = make(0.6, sweep_mode="independent").anonymize_schedule(
-            graph, thetas)
+        thetas = (0.6, 0.8, 0.6)
+        seed = LMaxDistanceCache(graph, 1).matrix(1)
+        checkpointed = make(0.6).anonymize_schedule(
+            graph, thetas, initial_distances=seed.copy())
+        independent = independent_schedule(make(0.6), graph, thetas,
+                                           initial_distances=seed)
+        assert [run.config.theta for run in checkpointed] == [0.8, 0.6]
+        assert len(independent) == len(checkpointed)
         for a, b in zip(checkpointed, independent):
             assert a.config.theta == b.config.theta
             assert [s.edges for s in a.steps] == [s.edges for s in b.steps]
             assert a.final_opacity == b.final_opacity
             assert a.evaluations == b.evaluations
             assert a.anonymized_graph == b.anonymized_graph
+
+
+    @pytest.mark.parametrize("tier", ["dense", "tiled"])
+    @pytest.mark.parametrize("name", ["rem", "rem-ins"])
+    def test_l2_schedule_matches_independent_runs_on_each_tier(self, name,
+                                                               tier):
+        # L=2 on both distance tiers; the 1 KiB budget makes the tiled
+        # tier spill, so every tile is recomputed or reloaded mid-pass.
+        make = ALGORITHM_FACTORIES[name]
+        graph = erdos_renyi_graph(24, 0.2, seed=5)
+        anonymizer = make(0.4, length_threshold=2, scale_tier=tier,
+                          scale_budget_bytes=1024)
+        thetas = (0.8, 0.6, 0.4)
+        scheduled = anonymizer.anonymize_schedule(graph, thetas)
+        references = independent_schedule(anonymizer, graph, thetas)
+        assert any(run.steps for run in scheduled)
+        for run, independent in zip(scheduled, references):
+            assert run.config == independent.config
+            assert [(s.operation, s.edges) for s in run.steps] == \
+                   [(s.operation, s.edges) for s in independent.steps]
+            assert run.final_opacity == independent.final_opacity
+            assert run.evaluations == independent.evaluations
+            assert run.anonymized_graph == independent.anonymized_graph
+            assert run.stop_reason == independent.stop_reason
 
 
 class TestStopPropagation:

@@ -14,6 +14,7 @@ from repro.experiments.figures import (
     figure12_series,
 )
 from repro.experiments.runner import ExperimentRunner
+from tests.oracles import independent_grids
 
 #: Tiny parameters so the whole module stays fast; the benchmarks run the
 #: realistic sizes.
@@ -97,9 +98,10 @@ class TestRuntimeFigures:
     def test_sweep_modes_produce_identical_series(self, runner):
         checkpointed = figure6_series("gnutella", length_threshold=1,
                                       lookaheads=(1,), runner=runner, **TINY)
-        independent = figure6_series("gnutella", length_threshold=1,
-                                     lookaheads=(1,), sweep_mode="independent",
-                                     runner=runner, **TINY)
+        with independent_grids():
+            independent = figure6_series("gnutella", length_threshold=1,
+                                         lookaheads=(1,), runner=runner,
+                                         **TINY)
         assert set(checkpointed) == set(independent)
         for label, points in checkpointed.items():
             assert points == independent[label]

@@ -6,6 +6,7 @@ import repro.graph.distance_cache as distance_cache_module
 from repro.experiments.config import SweepPlan
 from repro.experiments.figures import figure6_lsweep_series, figure10_series
 from repro.experiments.runner import ExperimentRunner
+from tests.oracles import independent_grids, independent_records
 
 #: RunRecord fields compared bit-for-bit (everything except runtime).
 COMPARED_FIELDS = ("success", "final_opacity", "distortion", "degree_emd",
@@ -70,10 +71,11 @@ class TestRunGrid:
         assert sorted(computes) == [2, 2]
 
     def test_independent_plans_skip_the_shared_matrix(self, runner):
-        plans = [_plan(length, sweep_mode="independent") for length in (1, 2)]
+        # Plans seeded from the shared L_max matrix against cold per-θ runs.
+        plans = [_plan(length) for length in (1, 2)]
         grid = runner.run_grid(plans)
-        for plan, records in zip(plans, grid):
-            assert_records_match(records, runner.run_sweep(plan))
+        for records, reference in zip(grid, independent_records(runner, plans)):
+            assert_records_match(records, reference)
 
     def test_parallel_grid_matches_serial(self, runner):
         plans = [_plan(length) for length in (1, 2)]
@@ -93,11 +95,12 @@ class TestFigureBuildersOnGrid:
         shared = figure6_lsweep_series("gnutella", lengths=(1, 2),
                                        sample_size=30, thetas=(0.8, 0.6),
                                        insertion_cap=100, runner=runner)
-        independent = figure6_lsweep_series("gnutella", lengths=(1, 2),
-                                            sample_size=30, thetas=(0.8, 0.6),
-                                            insertion_cap=100,
-                                            sweep_mode="independent",
-                                            runner=runner)
+        with independent_grids():
+            independent = figure6_lsweep_series("gnutella", lengths=(1, 2),
+                                                sample_size=30,
+                                                thetas=(0.8, 0.6),
+                                                insertion_cap=100,
+                                                runner=runner)
         assert shared == independent
 
     def test_lsweep_builder_is_one_grid_job(self, runner, monkeypatch):
@@ -135,29 +138,31 @@ class TestLegacyScheduleSignature:
                 return super().anonymize_schedule(graph, thetas, typing,
                                                   observer)
 
-        register_anonymizer(
-            "rem", LegacySchedule, replace=True,
-            accepts=("theta", "length_threshold", "lookahead", "seed",
-                     "engine", "scan_mode", "sweep_mode", "max_steps",
-                     "prune_candidates", "max_combinations", "strict"))
+        from repro.api.registry import default_registry
+
+        original = default_registry().get("rem")
+        assert original.factory is EdgeRemovalAnonymizer
+        register_anonymizer("rem", LegacySchedule, replace=True,
+                            accepts=original.accepts)
         try:
             grid = runner.run_grid([_plan(1), _plan(2)])
             assert all(records for records in grid)
         finally:
-            register_anonymizer(
-                "rem", EdgeRemovalAnonymizer, replace=True,
-                accepts=("theta", "length_threshold", "lookahead", "seed",
-                         "engine", "scan_mode", "sweep_mode", "max_steps",
-                         "prune_candidates", "max_combinations", "strict"))
+            register_anonymizer("rem", original.factory, replace=True,
+                                description=original.description,
+                                accepts=original.accepts)
 
 
 class TestMixedSweepModes:
     def test_parallel_grid_honours_per_plan_sweep_mode(self, runner):
-        plans = [_plan(1), _plan(1, algorithm="rem-ins",
-                                 sweep_mode="independent")]
+        # Mixed plans fanned out together keep their own configs and match
+        # both the serial grid and the per-θ reference.
+        plans = [_plan(1), _plan(1, algorithm="rem-ins")]
         serial = runner.run_grid(plans)
         parallel = runner.run_grid(plans, max_workers=2)
-        for ours, theirs in zip(parallel, serial):
+        reference = independent_records(runner, plans)
+        for ours, theirs, expected in zip(parallel, serial, reference):
             assert_records_match(ours, theirs)
-        assert [records[0].config.sweep_mode for records in parallel] == \
-               ["checkpointed", "independent"]
+            assert_records_match(ours, expected)
+        assert [[record.config for record in records]
+                for records in parallel] == [plan.configs() for plan in plans]

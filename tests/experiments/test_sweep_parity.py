@@ -5,11 +5,10 @@ records *bit-identical* to independent per-θ runs — same edits, opacity,
 distortion, utility metrics, step and evaluation counts — for every
 registered algorithm; only ``runtime_seconds`` reflects the execution
 strategy.  These tests assert exactly that at the experiments layer
-(``RunRecord``), plus a hypothesis sweep over random θ grids at the core
-layer.
+(``RunRecord``, against per-θ :meth:`ExperimentRunner.run` calls), plus a
+hypothesis sweep over random θ grids at the core layer (against
+``tests.oracles.independent_schedule``).
 """
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +19,10 @@ from repro.core import EdgeRemovalAnonymizer
 from repro.experiments.config import ALGORITHMS, ExperimentConfig, SweepPlan
 from repro.experiments.runner import ExperimentRunner
 from repro.graph import erdos_renyi_graph
+from tests.oracles import independent_schedule
 
 #: Fields of a RunRecord compared bit-for-bit (everything except runtime
-#: and the config record, whose sweep_mode field names the execution path).
+#: and the config record, compared whole).
 COMPARED_FIELDS = ("success", "final_opacity", "distortion", "degree_emd",
                    "geodesic_emd", "mean_cc_difference", "steps", "evaluations")
 
@@ -37,9 +37,7 @@ def runner():
 def assert_records_match(checkpointed, reference):
     assert len(checkpointed) == len(reference)
     for ours, theirs in zip(checkpointed, reference):
-        assert ours.config.theta == theirs.config.theta
-        assert replace(ours.config, sweep_mode="checkpointed") == \
-               replace(theirs.config, sweep_mode="checkpointed")
+        assert ours.config == theirs.config
         for field in COMPARED_FIELDS:
             assert getattr(ours, field) == getattr(theirs, field), \
                 (field, ours.config.label(), ours.config.theta)
@@ -61,7 +59,7 @@ class TestRunSweepParity:
                          thetas=(0.8, 0.6), length_threshold=2, seed=0,
                          insertion_candidate_cap=100)
         checkpointed = runner.run_sweep(plan)
-        independent = runner.run_sweep(replace(plan, sweep_mode="independent"))
+        independent = [runner.run(config) for config in plan.configs()]
         assert_records_match(checkpointed, independent)
 
     def test_records_follow_plan_theta_order(self, runner):
@@ -119,11 +117,12 @@ class TestRandomGridParity:
     @given(grid=theta_grids, seed=st.integers(min_value=0, max_value=3))
     def test_rem_schedule_matches_independent(self, grid, seed):
         graph = erdos_renyi_graph(16, 0.3, seed=seed)
-        scheduled = EdgeRemovalAnonymizer(theta=min(grid), seed=seed)\
-            .anonymize_schedule(graph, grid)
-        for run in scheduled:
-            independent = EdgeRemovalAnonymizer(theta=run.config.theta,
-                                                seed=seed).anonymize(graph)
+        anonymizer = EdgeRemovalAnonymizer(theta=min(grid), seed=seed)
+        scheduled = anonymizer.anonymize_schedule(graph, grid)
+        references = independent_schedule(anonymizer, graph, grid)
+        assert len(scheduled) == len(references) == len(set(grid))
+        for run, independent in zip(scheduled, references):
+            assert run.config == independent.config
             assert [s.edges for s in run.steps] == \
                    [s.edges for s in independent.steps]
             assert run.final_opacity == independent.final_opacity
@@ -135,12 +134,13 @@ class TestRandomGridParity:
     @given(grid=theta_grids, seed=st.integers(min_value=0, max_value=3))
     def test_gades_schedule_matches_independent(self, grid, seed):
         graph = erdos_renyi_graph(14, 0.3, seed=seed)
-        scheduled = GadesAnonymizer(theta=min(grid), seed=seed,
-                                    swap_sample_size=50)\
-            .anonymize_schedule(graph, grid)
-        for run in scheduled:
-            independent = GadesAnonymizer(theta=run.config.theta, seed=seed,
-                                          swap_sample_size=50).anonymize(graph)
+        anonymizer = GadesAnonymizer(theta=min(grid), seed=seed,
+                                     swap_sample_size=50)
+        scheduled = anonymizer.anonymize_schedule(graph, grid)
+        references = independent_schedule(anonymizer, graph, grid)
+        assert len(scheduled) == len(references) == len(set(grid))
+        for run, independent in zip(scheduled, references):
+            assert run.config == independent.config
             assert [s.edges for s in run.steps] == \
                    [s.edges for s in independent.steps]
             assert run.final_opacity == independent.final_opacity
@@ -166,10 +166,13 @@ class TestRunAllGrouping:
                 assert getattr(ours, field) == getattr(theirs, field)
 
     def test_independent_sweep_mode_skips_grouping(self, runner):
+        # Single-θ groups run as plain runs; a θ pair shares one pass.
+        # Both equal the per-configuration reference.
         configs = [ExperimentConfig(dataset="gnutella", sample_size=30,
-                                    algorithm="rem", theta=theta, seed=0,
-                                    sweep_mode="independent")
+                                    algorithm="rem", theta=theta, seed=0)
                    for theta in (0.8, 0.6)]
+        configs.append(ExperimentConfig(dataset="gnutella", sample_size=30,
+                                        algorithm="rem", theta=0.7, seed=1))
         records = runner.run_all(configs)
         reference = [runner.run(config) for config in configs]
         for ours, theirs in zip(records, reference):

@@ -10,6 +10,16 @@ it is proven against live here:
 * :class:`PerCandidateSession` — an incremental session whose batch scans
   loop the single-candidate :meth:`~OpacitySession.evaluate_edit` path
   instead of the stacked passes.
+* :func:`independent_schedule` — one full single-θ
+  :meth:`~repro.core.anonymizer.BaseAnonymizer.anonymize` run per grid
+  point, the reference every checkpointed θ pass
+  (``anonymize_schedule``) is proven against;
+  :func:`independent_responses` is the same reference one layer up: one
+  error-isolated :func:`~repro.api.batch.execute_request` per request of
+  a grid; :func:`independent_records` one
+  :meth:`~repro.experiments.runner.ExperimentRunner.run` per θ of every
+  plan, and :func:`independent_grids` routes the figure builders through
+  it.
 
 :func:`oracle_sessions` runs any anonymizer on either one by patching
 :meth:`~repro.core.anonymizer.AnonymizerConfig.open_session`, the single
@@ -20,13 +30,19 @@ seam through which every greedy algorithm opens its session.  It uses
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator, List, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
 
-from repro.core.anonymizer import AnonymizerConfig
+from repro.core.anonymizer import (
+    AnonymizationResult,
+    AnonymizerConfig,
+    validate_theta_schedule,
+)
 from repro.core.opacity import OpacityComputer, OpacityResult
 from repro.core.opacity_session import EditEvaluation, OpacitySession
 from repro.graph.graph import Edge, Graph
@@ -172,3 +188,68 @@ def run_on(session_class, anonymizer, graph, **kwargs):
     with oracle_sessions(session_class) as opened:
         result = anonymizer.anonymize(graph, **kwargs)
     return result, sum(session.evaluations for session in opened)
+
+
+def at_theta(anonymizer, theta: float):
+    """A copy of ``anonymizer`` whose single-run threshold is ``theta``.
+
+    :class:`~repro.core.anonymizer.BaseAnonymizer` subclasses rebuild from
+    their config; the baselines keep θ in ``_theta`` next to immutable
+    scalar knobs, so a shallow copy with θ replaced is the same run.
+    """
+    config = getattr(anonymizer, "config", None)
+    if isinstance(config, AnonymizerConfig):
+        return type(anonymizer)(config=replace(config, theta=theta))
+    clone = copy.copy(anonymizer)
+    clone._theta = theta
+    return clone
+
+
+def independent_schedule(anonymizer, graph: Graph, thetas: Sequence[float],
+                         **kwargs) -> List[AnonymizationResult]:
+    """One single-θ ``anonymize`` run per grid point, in schedule order.
+
+    The reference for ``anonymizer.anonymize_schedule(graph, thetas)``:
+    ``thetas`` is deduplicated and sorted descending like the product's
+    schedule, and every run starts cold from ``graph``.  ``kwargs`` go to
+    each ``anonymize`` call; an ``initial_distances`` array is copied per
+    run (every run consumes its seed), and store payloads are dropped so
+    each run recomputes its own.
+    """
+    seed = kwargs.pop("initial_distances", None)
+    results = []
+    for theta in validate_theta_schedule(thetas):
+        if isinstance(seed, np.ndarray):
+            kwargs["initial_distances"] = seed.copy()
+        results.append(at_theta(anonymizer, theta).anonymize(graph, **kwargs))
+    return results
+
+
+def independent_responses(requests, **kwargs) -> List:
+    """One error-isolated single run per request, in request order.
+
+    The reference for the grid engine's grouped, checkpointed execution:
+    ``kwargs`` (``registry``, ``observer``, ``data_dir``) go to every
+    :func:`~repro.api.batch.execute_request` call.
+    """
+    from repro.api.batch import execute_request
+
+    return [execute_request(request, **kwargs) for request in requests]
+
+
+def independent_records(runner, plans) -> List[List]:
+    """One ``runner.run`` per θ of every plan: ``run_grid``'s reference."""
+    return [[runner.run(config) for config in plan.configs()]
+            for plan in plans]
+
+
+@contextmanager
+def independent_grids() -> Iterator[None]:
+    """Serve every ``ExperimentRunner.run_grid`` with :func:`independent_records`."""
+    from repro.experiments.runner import ExperimentRunner
+
+    def run_grid(runner, plans, max_workers=0):
+        return independent_records(runner, list(plans))
+
+    with mock.patch.object(ExperimentRunner, "run_grid", run_grid):
+        yield

@@ -138,6 +138,28 @@ class TestErrorPaths:
         assert caught.value.status == 400
         assert "banana" in caught.value.payload["error"]
 
+    def test_retired_sweep_kind_is_400_listing_known_kinds(self, service):
+        client, store, _manager = service
+        with pytest.raises(ServiceError) as caught:
+            client._call("POST", "/jobs",
+                         {"kind": "sweep",
+                          "request": {"requests": [BASE.to_dict()]}})
+        assert caught.value.status == 400
+        assert caught.value.payload["error"] == (
+            "ConfigurationError: unknown job kind 'sweep'; "
+            "known: ['anonymize', 'grid']")
+        assert store.list_jobs() == []
+
+    def test_retired_sweep_mode_field_is_400_naming_it(self, service):
+        client, _store, _manager = service
+        payload = BASE.to_dict()
+        payload["sweep_mode"] = "checkpointed"
+        with pytest.raises(ServiceError) as caught:
+            client._call("POST", "/jobs",
+                         {"kind": "anonymize", "request": payload})
+        assert caught.value.status == 400
+        assert "['sweep_mode']" in caught.value.payload["error"]
+
     def test_malformed_request_payload_is_400(self, service):
         client, _store, _manager = service
         with pytest.raises(ServiceError) as caught:

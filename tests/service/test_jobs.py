@@ -12,7 +12,6 @@ from repro.api import (
     CheckpointBuffer,
     GridRequest,
     GridResponse,
-    SweepRequest,
     checkpoint_to_json,
     execute_sample_group,
     request_fingerprint,
@@ -60,10 +59,16 @@ def manager(store):
 class TestParseRequest:
     def test_each_kind_parses(self):
         assert parse_request("anonymize", BASE.to_dict()) == BASE
-        sweep = SweepRequest(requests=(BASE,))
-        assert parse_request("sweep", sweep.to_dict()) == sweep
         grid = small_grid()
         assert parse_request("grid", grid.to_dict()) == grid
+
+    def test_retired_sweep_kind_rejected(self):
+        # θ sweeps are grid jobs; the retired kind names the known ones.
+        payload = {"requests": [BASE.to_dict()]}
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown job kind 'sweep'; "
+                                 r"known: \['anonymize', 'grid'\]"):
+            parse_request("sweep", payload)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="kind"):
@@ -376,12 +381,54 @@ class TestResume:
         finally:
             manager.stop()
 
+    def test_stored_rows_of_the_retired_sweep_mode_error_on_resume(
+            self, store):
+        """Rows stored before ``sweep_mode`` and the ``sweep`` kind were
+        retired end ``error`` with a typed message; the worker survives."""
+        payload = BASE.to_dict()
+        payload["sweep_mode"] = "independent"
+        stale_request = store.create_job("anonymize", "stale-request",
+                                         json.dumps(payload), 1)
+        time.sleep(0.01)  # resume order follows creation time
+        stale_grid = store.create_job(
+            "grid", "stale-grid",
+            json.dumps({"requests": [BASE.to_dict()],
+                        "sweep_mode": "checkpointed"}), 1)
+        time.sleep(0.01)
+        stale_kind = store.create_job(
+            "sweep", "stale-kind",
+            json.dumps({"requests": [BASE.to_dict()]}), 1)
+        store.set_status(stale_kind, "running")
+        time.sleep(0.01)
+        fresh = store.create_job("anonymize", request_fingerprint(BASE),
+                                 BASE.to_json(), 1)
+        manager = JobManager(store)
+        resumed = manager.start()
+        try:
+            assert resumed == [stale_request, stale_grid, stale_kind, fresh]
+            expected = {stale_request: "unknown request field(s) "
+                                       "['sweep_mode']",
+                        stale_grid: "unknown grid field(s) ['sweep_mode']",
+                        stale_kind: "unknown job kind 'sweep'; "
+                                    "known: ['anonymize', 'grid']"}
+            for job_id, message in expected.items():
+                job = manager.wait_for(job_id, timeout=120)
+                assert job["status"] == "error"
+                assert job["error"].startswith("ConfigurationError: ")
+                assert message in job["error"]
+            assert manager.wait_for(fresh, timeout=120)["status"] == "done"
+        finally:
+            manager.stop()
+
 
 class TestWrapResult:
     def test_sweep_and_grid_wrapping(self):
-        sweep = SweepRequest(requests=(BASE.with_overrides(theta=0.8),))
+        single = [AnonymizationResponse(request=BASE)]
+        assert wrap_result("anonymize", BASE, single) is single[0]
+        sweep = GridRequest(requests=(BASE.with_overrides(theta=0.8),))
         responses = [AnonymizationResponse(request=sweep.requests[0])]
-        wrapped = wrap_result("sweep", sweep, responses)
+        wrapped = wrap_result("grid", sweep, responses)
+        assert isinstance(wrapped, GridResponse)
         assert wrapped.num_groups == 1
         grid = small_grid()
         grid_responses = [AnonymizationResponse(request=request)
@@ -441,6 +488,12 @@ class TestScanDefaults:
     def test_negative_scan_workers_rejected_up_front(self, store):
         with pytest.raises(ConfigurationError, match="scan_workers"):
             JobManager(store, scan_workers=-1)
+
+    def test_negative_max_workers_rejected_up_front(self, store):
+        # A negative pool size used to start fine and then fail every job.
+        with pytest.raises(ConfigurationError,
+                           match=r"max_workers must be >= 0, got -1"):
+            JobManager(store, max_workers=-1)
 
     def test_default_promotes_batched_requests_at_execution(self, store):
         manager = JobManager(store, scan_workers=2)

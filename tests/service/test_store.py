@@ -12,8 +12,6 @@ from repro.api import (
     CheckpointBuffer,
     GridRequest,
     GridResponse,
-    SweepRequest,
-    SweepResponse,
     checkpoint_from_json,
     checkpoint_to_json,
     execute_sample_group,
@@ -147,15 +145,18 @@ class TestSqliteRoundTrips:
         assert restored.error is not None
 
     def test_sweep_types_round_trip(self, store):
-        sweep = SweepRequest(requests=(BASE, BASE.with_overrides(theta=0.7)))
-        job_id = store.create_job("sweep", request_fingerprint(sweep),
+        # A θ sweep is a grid job whose requests differ only in θ.
+        sweep = GridRequest(requests=(BASE, BASE.with_overrides(theta=0.7)))
+        job_id = store.create_job("grid", request_fingerprint(sweep),
                                   sweep.to_json(), 2)
-        assert SweepRequest.from_json(
+        assert GridRequest.from_json(
             store.get_job(job_id)["request_json"]) == sweep
-        result = SweepResponse(responses=(AnonymizationResponse(request=BASE),),
-                               num_groups=1)
+        result = GridResponse(
+            responses=tuple(AnonymizationResponse(request=request)
+                            for request in sweep.requests),
+            num_groups=1, num_sample_groups=1)
         store.record_result(job_id, result.to_json())
-        assert SweepResponse.from_json(store.get_result(job_id)) == result
+        assert GridResponse.from_json(store.get_result(job_id)) == result
 
     def test_grid_types_round_trip(self, store):
         grid = GridRequest(requests=(BASE,), on_error="fail_fast")

@@ -304,6 +304,24 @@ class TestSweepAxes:
         assert exit_code == 2
         assert message in captured.err
 
+    def test_sweep_command_rejects_negative_max_workers(self, capsys):
+        exit_code = main(["sweep", "--dataset", "gnutella", "--size", "25",
+                          "--thetas", "0.8", "--max-workers", "-1"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == "error: --max-workers must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    def test_serve_command_rejects_negative_max_workers(self, tmp_path,
+                                                        capsys):
+        exit_code = main(["serve", "--port", "0",
+                          "--db", str(tmp_path / "runs.db"),
+                          "--max-workers", "-1"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == "error: max_workers must be >= 0, got -1\n"
+        assert "listening" not in captured.out
+
     def test_sweep_command_rejects_repeated_axis(self, capsys):
         exit_code = main(["sweep", "--dataset", "gnutella", "--size", "25",
                           "--axis", "l=1", "--axis", "l=2"])

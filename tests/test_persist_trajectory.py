@@ -81,3 +81,45 @@ def test_main_writes_the_trajectory_file(persist, tmp_path, capsys):
     assert commit is None or len(commit) == 40
     assert [bench["name"] for bench in entry["benchmarks"]] == ["bench_a", "bench_b"]
     assert "2 benchmarks" in capsys.readouterr().out
+
+
+CHANGELOG = """\
+- PR 2 (multi_layer_refactor): an entry that mentions PR 40 in passing.
+- **PR 11 (benchmark definition)**: a bold entry.
+- **PR 11 fix (benchmark refused)**: a fix to an earlier entry.
+- PR 9 (perf_opt): entries are not kept in order.
+"""
+
+
+class TestPrFromChanges:
+    def test_highest_entry_wins_and_mentions_do_not_count(self, persist,
+                                                          tmp_path):
+        changes = tmp_path / "CHANGES.md"
+        changes.write_text(CHANGELOG, encoding="utf-8")
+        assert persist.pr_from_changes(str(changes)) == 11
+
+    def test_no_entry_is_an_error(self, persist, tmp_path):
+        changes = tmp_path / "CHANGES.md"
+        changes.write_text("nothing here, not even PR 3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no 'PR <n>' entry"):
+            persist.pr_from_changes(str(changes))
+
+    def test_repository_changelog_names_a_pr(self, persist):
+        assert persist.pr_from_changes(persist.CHANGES) >= 15
+
+
+def test_main_derives_the_pr_and_fills_the_output_name(persist, tmp_path,
+                                                       monkeypatch, capsys):
+    changes = tmp_path / "CHANGES.md"
+    changes.write_text(CHANGELOG, encoding="utf-8")
+    monkeypatch.setattr(persist, "CHANGES", str(changes))
+    dump = tmp_path / "dump.json"
+    dump.write_text(json.dumps(FAKE_DUMP))
+    pattern = str(tmp_path / "BENCH_{pr}.ci.json")
+    assert persist.main([str(dump), "--smoke", "--output", pattern]) == 0
+    entry = json.loads((tmp_path / "BENCH_11.ci.json").read_text())
+    assert entry["pr"] == 11
+    assert "BENCH_11.ci.json" in capsys.readouterr().out
+    # An explicit --pr still wins over the changelog.
+    assert persist.main([str(dump), "--pr", "7", "--output", pattern]) == 0
+    assert json.loads((tmp_path / "BENCH_7.ci.json").read_text())["pr"] == 7
