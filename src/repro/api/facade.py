@@ -25,6 +25,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.api.progress import ProgressObserver, TimeoutObserver, combine_observers
 from repro.api.registry import AnonymizerRegistry, default_registry
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
+from repro.errors import ConfigurationError
 
 
 def anonymize(request: AnonymizationRequest, *,
@@ -90,11 +91,14 @@ def compute_opacity(request: AnonymizationRequest, *,
     Only the graph source, ``length_threshold``, and ``engine`` fields of
     the request are used; the algorithm name is ignored.  ``worst_types``
     lists the ``top`` most exposed pair types as
-    ``(type_key, within_threshold, total_pairs, opacity)`` rows.
+    ``(type_key, within_threshold, total_pairs, opacity)`` rows; ``top``
+    must be non-negative.
     """
     from repro.core.opacity import OpacityComputer
     from repro.core.pair_types import DegreePairTyping
 
+    if top < 0:
+        raise ConfigurationError(f"top must be >= 0, got {top}")
     graph = request.resolve_graph(data_dir=data_dir)
     computer = OpacityComputer(DegreePairTyping(graph), request.length_threshold,
                                engine=request.engine)

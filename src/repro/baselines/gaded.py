@@ -194,14 +194,19 @@ class _GadedBase:
                 f"(final disclosure {result.final_opacity:.3f})")
         return result
 
-    def _disclosing_edges(self, session: OpacitySession, current,
-                          theta: float) -> List[Edge]:
-        """Edges whose degree-pair type currently exceeds the threshold."""
-        typing = session.computer.typing
-        exceeding = {key for key, entry in current.per_type.items()
-                     if entry.opacity > theta}
-        return [edge for edge in session.graph.edges()
-                if typing.type_of(*edge) in exceeding]
+    @staticmethod
+    def _disclosing_edges(session: OpacitySession,
+                          theta: Optional[float]) -> List[Edge]:
+        """Edges whose degree-pair type currently exceeds ``theta``.
+
+        Read from the session's arrays: the θ-exceeding types are a mask
+        over the type opacities, and the edges come from the session's
+        sorted edge array with their type positions.  ``theta=None`` lists
+        every edge.
+        """
+        mask = None if theta is None else session.type_opacities() > theta
+        edge_u, edge_v = session.edge_endpoints(mask)
+        return list(zip(edge_u.tolist(), edge_v.tolist()))
 
     def _choose_edge(self, session: OpacitySession, current, theta: float,
                      rng: random.Random, result: AnonymizationResult) -> Optional[Edge]:
@@ -227,7 +232,7 @@ class GadedRandAnonymizer(_GadedBase):
 
     def _choose_edge(self, session: OpacitySession, current, theta: float,
                      rng: random.Random, result: AnonymizationResult) -> Optional[Edge]:
-        candidates = self._disclosing_edges(session, current, theta)
+        candidates = self._disclosing_edges(session, theta)
         if not candidates:
             return None
         return candidates[rng.randrange(len(candidates))]
@@ -245,9 +250,9 @@ class GadedMaxAnonymizer(_GadedBase):
 
     def _choose_edge(self, session: OpacitySession, current, theta: float,
                      rng: random.Random, result: AnonymizationResult) -> Optional[Edge]:
-        candidates = self._disclosing_edges(session, current, theta)
+        candidates = self._disclosing_edges(session, theta)
         if not candidates:
-            candidates = list(session.graph.edges())
+            candidates = self._disclosing_edges(session, None)
         if not candidates:
             return None
         outcomes = iter_batched_evaluations(session, candidates,

@@ -431,16 +431,26 @@ def materialize_checkpoints(checkpoints: Sequence[AnonymizationCheckpoint],
 
 @dataclass
 class CandidateOutcome:
-    """Evaluation of one candidate edge combination."""
+    """Evaluation of one candidate edge combination.
+
+    ``numerator / denominator`` is the exact maximum opacity after applying
+    the candidate (see :class:`~repro.core.opacity_session.EditEvaluation`).
+    """
 
     edges: Tuple[Edge, ...]
-    fraction: Fraction
+    numerator: int
+    denominator: int
     types_at_max: int
+
+    @property
+    def fraction(self) -> Fraction:
+        """Maximum opacity after applying this candidate, exactly."""
+        return Fraction(self.numerator, self.denominator)
 
     @property
     def opacity(self) -> float:
         """Maximum opacity after applying this candidate."""
-        return float(self.fraction)
+        return self.numerator / self.denominator
 
 
 class TieBreaker:
@@ -449,7 +459,8 @@ class TieBreaker:
     Candidates are preferred by (1) lowest resulting maximum opacity, then
     (2) fewest types attaining that maximum (``N``), then (3) uniformly at
     random among remaining ties, implemented with the same incremental
-    reservoir counter as the pseudo-code.
+    reservoir counter as the pseudo-code.  Exact maxima are compared by
+    integer cross-multiplication, the ordering ``Fraction`` induces.
     """
 
     def __init__(self, rng: random.Random) -> None:
@@ -459,15 +470,19 @@ class TieBreaker:
 
     def offer(self, candidate: CandidateOutcome) -> None:
         """Consider one candidate outcome."""
-        if self.best is None or candidate.fraction < self.best.fraction:
+        best = self.best
+        ordering = 0 if best is None else (
+            candidate.numerator * best.denominator
+            - best.numerator * candidate.denominator)
+        if best is None or ordering < 0:
             self.best = candidate
             self._tie_count = 1
             return
-        if candidate.fraction == self.best.fraction:
-            if candidate.types_at_max < self.best.types_at_max:
+        if ordering == 0:
+            if candidate.types_at_max < best.types_at_max:
                 self.best = candidate
                 self._tie_count = 1
-            elif candidate.types_at_max == self.best.types_at_max:
+            elif candidate.types_at_max == best.types_at_max:
                 self._tie_count += 1
                 if self._rng.random() < 1.0 / self._tie_count:
                     self.best = candidate
@@ -694,7 +709,8 @@ class BaseAnonymizer(ABC):
                     combos, iter_batched_evaluations(session, combos, to_edit)):
                 self._record_evaluation(result)
                 yield CandidateOutcome(edges=tuple(combo),
-                                       fraction=evaluation.fraction,
+                                       numerator=evaluation.numerator,
+                                       denominator=evaluation.denominator,
                                        types_at_max=evaluation.types_at_max)
         return evaluate_batch
 

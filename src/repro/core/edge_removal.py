@@ -12,7 +12,7 @@ uniform random choice.  The loop ends when the graph satisfies
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
                       rng: random.Random,
                       result: AnonymizationResult
                       ) -> Optional[Tuple[str, Tuple[Edge, ...], Tuple[Edge, ...]]]:
-        candidates = self._removal_candidates(session, current)
+        candidates = self._removal_candidates(session)
         if not candidates:
             return None
         best = search_best_combination(
@@ -67,45 +67,47 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
     # ------------------------------------------------------------------
     # candidate selection
     # ------------------------------------------------------------------
-    def _removal_candidates(self, session: OpacitySession,
-                            current: OpacityResult) -> List[Edge]:
+    def _removal_candidates(self, session: OpacitySession) -> List[Edge]:
         """Edges considered for removal in this step.
 
         With ``prune_candidates`` enabled, only edges lying on a path of
         length ≤ L between a pair of a type currently attaining the maximum
         opacity are scanned; removing any other edge cannot lower the
         maximum (edge removal never shortens a geodesic), so the greedy
-        choice is preserved whenever an improving move exists.
+        choice is preserved whenever an improving move exists.  Edges come
+        from the session's sorted edge array, in :meth:`Graph.edges` order.
         """
-        edges = list(session.graph.edges())
-        if not edges or not self._config.prune_candidates:
-            return edges
-        pruned = self._prune_to_short_paths(session, current, edges)
-        # Fall back to the full scan if pruning removed every candidate
-        # (e.g. the maximum is attained only by already-unreachable types).
-        return pruned if pruned else edges
+        edge_u, edge_v = session.edge_endpoints()
+        if edge_u.size and self._config.prune_candidates:
+            keep = self._on_short_paths(session, edge_u, edge_v)
+            # Fall back to the full scan if pruning removed every candidate
+            # (e.g. the maximum is attained only by already-unreachable types).
+            if keep.any():
+                edge_u, edge_v = edge_u[keep], edge_v[keep]
+        return list(zip(edge_u.tolist(), edge_v.tolist()))
 
-    def _prune_to_short_paths(self, session: OpacitySession,
-                              current: OpacityResult, edges: Sequence[Edge]) -> List[Edge]:
+    def _on_short_paths(self, session: OpacitySession, edge_u: np.ndarray,
+                        edge_v: np.ndarray) -> np.ndarray:
+        """Flags the edges on a ≤L path between a within-L pair of a max type."""
         length = self._config.length_threshold
-        # Collect the vertex pairs of the types at the current maximum that
-        # are within distance L — only breaking one of their short paths can
-        # reduce the maximum opacity.  The session keeps the within-L pairs
-        # as a sparse sorted set, folded forward by each applied step, so
-        # this query never rebuilds per-pair state or allocates n² arrays.
-        max_fraction = current.max_fraction
-        max_types = {key for key, entry in current.per_type.items()
-                     if entry.fraction == max_fraction}
-        rows, cols = session.violating_pair_indices(max_types)
-        if rows.size == 0:
-            return []
+        # Only breaking a short path of a within-L pair of a type at the
+        # current maximum can reduce the maximum opacity.  The session keeps
+        # the within-L pairs as a sparse sorted set, folded forward by each
+        # applied step, and the max types as a mask, so this query never
+        # rebuilds per-pair or per-type state or allocates n² arrays.
+        rows, cols = session.violating_pair_indices(session.max_type_mask())
+        keep = np.zeros(edge_u.size, dtype=bool)
         # Too many violating pairs: the pruning pass would cost more than it
         # saves, so scan every edge instead.
         if rows.size > 5000:
-            return list(edges)
-        edge_u = np.fromiter((edge[0] for edge in edges), dtype=np.int64, count=len(edges))
-        edge_v = np.fromiter((edge[1] for edge in edges), dtype=np.int64, count=len(edges))
-        keep = np.zeros(len(edges), dtype=bool)
+            return ~keep
+        if length == 1 and rows.size:
+            # A path of length ≤ 1 between i and j is the edge (i, j) itself;
+            # edges and pairs both come sorted, so one binary search matches.
+            n = session.graph.num_vertices
+            pairs, edges = rows * n + cols, edge_u * n + edge_v
+            at = np.searchsorted(pairs, edges).clip(max=pairs.size - 1)
+            return pairs[at] == edges
         # Chunked vectorized membership test: a removal candidate survives
         # when it lies on a ≤L path of some violating pair.  Distances come
         # in row blocks through the store seam (the tiled tier has no dense
@@ -118,4 +120,4 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
             keep |= on_path.any(axis=0)
             if keep.all():
                 break
-        return [edge for edge, flag in zip(edges, keep) if flag]
+        return keep

@@ -69,7 +69,7 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
     def _removal_phase(self, session: OpacitySession, current: OpacityResult,
                        rng: random.Random,
                        result: AnonymizationResult) -> Optional[Tuple[Edge, ...]]:
-        candidates = [edge for edge in self._removal_candidates(session, current)
+        candidates = [edge for edge in self._removal_candidates(session)
                       if edge not in result.inserted_edges]
         if not candidates:
             return None

@@ -10,9 +10,11 @@ which Algorithms 4 and 5 use for tie-breaking.
 
 from __future__ import annotations
 
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping, PairTypi
 from repro.errors import ConfigurationError
 from repro.graph.distance import DistanceEngine, bounded_distance_matrix
 from repro.graph.graph import Graph
-from repro.graph.matrices import UNREACHABLE, triu_pair_indices
 
 
 def degree_code_span(degrees: np.ndarray) -> int:
@@ -29,26 +30,18 @@ def degree_code_span(degrees: np.ndarray) -> int:
 
 
 def encode_degree_pairs(degrees: np.ndarray, first: np.ndarray,
-                        second: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Encode the degree pairs of vertex pairs as integers for ``bincount``.
+                        second: np.ndarray) -> np.ndarray:
+    """Encode the degree pairs of vertex pairs as integers.
 
-    Returns ``(codes, span)`` with ``code = min(g, h) * span + max(g, h)``
-    and ``span = max degree + 1``.  The single authoritative scheme shared by
-    the stateless tally (:meth:`OpacityComputer.within_counts`) and the
-    incremental count deltas
-    (:class:`repro.core.opacity_session.OpacitySession`) — their bit-identity
-    depends on both using the same codes.
+    ``code = min(g, h) * span + max(g, h)`` with ``span = max degree + 1``:
+    the interned type codes :meth:`OpacityComputer.type_indices` looks
+    pairs up by.
     """
     span = degree_code_span(degrees)
     d_first = degrees[first]
     d_second = degrees[second]
     codes = np.minimum(d_first, d_second) * span + np.maximum(d_first, d_second)
-    return codes.astype(np.int64), span
-
-
-def decode_degree_pair(code: int, span: int) -> Tuple[int, int]:
-    """Invert :func:`encode_degree_pairs` for one code."""
-    return (int(code // span), int(code % span))
+    return codes.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,13 @@ class TypeOpacity:
 
 @dataclass(frozen=True)
 class OpacityResult:
-    """Result of one opacity evaluation (Algorithm 1 output plus bookkeeping)."""
+    """Result of one opacity evaluation (Algorithm 1 output plus bookkeeping).
+
+    ``max_fraction`` is the exact maximum and ``max_opacity`` its float.
+    ``per_type`` maps every non-empty type to its :class:`TypeOpacity`; the
+    results :class:`OpacityComputer` builds hand it out as a
+    :class:`PerTypeView` that creates the entries on first read.
+    """
 
     max_opacity: float
     max_fraction: Fraction
@@ -104,8 +103,85 @@ class OpacityResult:
         return tuple(key for key, entry in self.per_type.items() if entry.opacity > theta)
 
 
+class PerTypeView(MappingABC):
+    """``OpacityResult.per_type`` of a count vector, built on first lookup.
+
+    The greedy loops only read a result's maximum; iterating keys builds
+    nothing either.
+    """
+
+    def __init__(self, keys: Sequence[TypeKey], withins: np.ndarray,
+                 totals: np.ndarray) -> None:
+        self._keys = keys
+        self._counts = (withins, totals)
+
+    @cached_property
+    def _entries(self) -> Dict[TypeKey, TypeOpacity]:
+        withins, totals = self._counts
+        return {key: TypeOpacity(type_key=key, within_threshold=within,
+                                 total_pairs=total)
+                for key, within, total in zip(self._keys, withins.tolist(),
+                                              totals.tolist())}
+
+    def __getitem__(self, key: TypeKey) -> TypeOpacity:
+        return self._entries[key]
+
+    def __iter__(self) -> Iterator[TypeKey]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
+def summarize_counts(withins: np.ndarray, totals: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
+    """Algorithm 1's maximum over every row of a within-L count matrix.
+
+    ``withins`` holds one row of per-type within-L counts per graph state,
+    in type order; ``totals`` are the types' (positive) pair counts.
+    Returns ``(numerators, denominators, at_max, sums)``: each row's exact
+    maximum opacity as a reduced integer pair, a boolean matrix flagging
+    the columns attaining it, and the float sum of the row's opacities
+    added left to right (``cumsum``, like Python's ``sum``).
+
+    Correctly rounded float division is monotone, so the exact maximum
+    lives among the columns at the row's float maximum, and only they can
+    tie it.  Integer cross-multiplication with the row's first such column
+    confirms the tie; only a row of distinct fractions sharing one float
+    (``|T|`` above ~2**26) is settled with ``Fraction`` comparisons.
+    """
+    count, width = withins.shape
+    if width == 0:
+        empty = np.zeros(count, dtype=np.int64)
+        return empty, empty + 1, np.zeros((count, 0), dtype=bool), [0.0] * count
+    ratios = withins / totals[None, :]
+    sums = np.cumsum(ratios, axis=1)[:, -1].tolist()
+    at_max = ratios == ratios.max(axis=1)[:, None]
+    rows, cols = np.nonzero(at_max)
+    # nonzero walks row-major and every row has a column at its maximum.
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    nums, dens = withins[rows, cols], totals[cols]
+    lead = first[rows]
+    # Cross products of counts up to 2**31 fit int64; beyond, use Python ints.
+    wide = nums.astype(np.int64 if totals.max() < 1 << 31 else object)
+    exact = wide * dens[lead] == wide[lead] * dens
+    best_num, best_den = nums[first], dens[first]
+    for row in ([] if exact.all() else np.unique(rows[~exact]).tolist()):
+        span = slice(first[row], first[row + 1] if row + 1 < count else rows.size)
+        fractions = [Fraction(a, b) for a, b in zip(nums[span].tolist(),
+                                                   dens[span].tolist())]
+        best = max(fractions)
+        at_max[row, cols[span]] = [value == best for value in fractions]
+        best_num[row], best_den[row] = best.numerator, best.denominator
+    divisor = np.gcd(best_num, best_den)
+    return best_num // divisor, best_den // divisor, at_max, sums
+
+
 class OpacityComputer:
     """Computes L-opacity values for a fixed typing and threshold L.
+
+    Every count vector, here and in the sessions, is over the typing's
+    non-empty types in iteration order (:attr:`type_order`).
 
     Parameters
     ----------
@@ -125,11 +201,6 @@ class OpacityComputer:
         self._typing = typing
         self._length = int(length_threshold)
         self._engine = engine
-        # Lazy interned view of an ExplicitPairTyping: pair endpoint arrays
-        # plus per-pair type codes, built once so every tally is a gather
-        # and a bincount instead of a per-pair Python loop.
-        self._explicit_pairs: Optional[Tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, List[TypeKey]]] = None
 
     @property
     def typing(self) -> PairTyping:
@@ -161,188 +232,118 @@ class OpacityComputer:
         """
         if distances is None:
             distances = self.distances(graph)
-        return self.result_from_counts(self.within_counts(distances))
+        return self.summarize(self.within_counts(distances))[0]
 
     def max_opacity(self, graph: Graph, distances: Optional[np.ndarray] = None) -> float:
         """Return ``maxLO`` — the maximum opacity over all types."""
         return self.evaluate(graph, distances=distances).max_opacity
 
-    def within_counts(self, distances: np.ndarray) -> Dict[TypeKey, int]:
+    @cached_property
+    def type_order(self) -> Tuple[List[TypeKey], np.ndarray]:
+        """The typing's non-empty types in iteration order, with their ``|T|``.
+
+        Built once: the typing is frozen for the computer's lifetime.
+        """
+        keys = [key for key in self._typing.types()
+                if self._typing.pair_count(key) > 0]
+        return keys, np.array([self._typing.pair_count(key) for key in keys],
+                              dtype=np.int64)
+
+    def summarize(self, withins: np.ndarray) -> Tuple[OpacityResult, np.ndarray]:
+        """The result of a count vector (adopted, not copied) and its max-type mask."""
+        keys, totals = self.type_order
+        nums, dens, at_max, _ = summarize_counts(withins[None, :], totals)
+        num, den, mask = int(nums[0]), int(dens[0]), at_max[0]
+        result = OpacityResult(max_opacity=num / den,
+                               max_fraction=Fraction(num, den),
+                               types_at_max=int(mask.sum()),
+                               per_type=PerTypeView(keys, withins, totals))
+        return result, mask
+
+    def within_counts(self, distances) -> np.ndarray:
         """Per-type counts of pairs within distance L (Algorithm 1's tally).
 
-        Exposed separately from :meth:`evaluate` so the stateful
-        :class:`repro.core.opacity_session.OpacitySession` can seed and
-        re-derive its incremental count state from the same code path.
+        Returned as an int64 vector in :attr:`type_order`.  ``distances``
+        is a dense L-bounded matrix or a
+        :class:`~repro.graph.distance_store.DistanceStore`, streamed in
+        ``|block| × n`` slabs so the tiled tier never materializes
+        ``n × n``; the blocks partition the strict upper triangle, so the
+        sum is exact.
         """
-        if isinstance(self._typing, DegreePairTyping):
-            return self._degree_pair_counts(distances)
-        return self._generic_counts(distances)
+        if isinstance(distances, np.ndarray):
+            return self._tally_rows(distances, 0)
+        counts = np.zeros(len(self.type_order[0]), dtype=np.int64)
+        for start, stop in distances.row_blocks():
+            counts += self._tally_rows(distances.rows(np.arange(start, stop)),
+                                       start)
+        return counts
 
-    def result_from_counts(self, counts: Mapping[TypeKey, int]) -> OpacityResult:
-        """Assemble the full :class:`OpacityResult` from within-L counts."""
-        return self._build_result(counts)
+    def type_indices(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Position in :attr:`type_order` of the type of each pair ``(first, second)``.
 
-    def within_counts_store(self, store) -> Dict[TypeKey, int]:
-        """:meth:`within_counts` read through a distance store, block by block.
-
-        Streams ``|block| × n`` slabs from a
-        :class:`~repro.graph.distance_store.DistanceStore` instead of
-        requiring the dense matrix, so the tiled scale tier can seed
-        incremental sessions without ever materializing ``n × n``.  The
-        per-block tallies partition the strict upper triangle, and integer
-        sums are order-independent, so the result equals
-        ``within_counts(store.to_array())`` exactly.
+        Untyped pairs map to ``len(types)``.  Degree and explicit typings
+        answer with one binary search over interned pair codes; other
+        typings call ``type_of`` per pair.
         """
         typing = self._typing
-        n = store.num_vertices
-        counts: Dict[TypeKey, int] = {}
-        if n < 2:
-            return counts
+        keys, _ = self.type_order
+        if not isinstance(typing, (DegreePairTyping, ExplicitPairTyping)):
+            index = {key: position for position, key in enumerate(keys)}
+            return np.fromiter(
+                (index.get(typing.type_of(u, v), len(keys))
+                 for u, v in zip(first.tolist(), second.tolist())),
+                dtype=np.int64, count=len(first))
+        span, codes, positions = self._code_table
         if isinstance(typing, DegreePairTyping):
-            degrees = typing.degrees
-            columns = np.arange(n)[None, :]
-            for start, stop in store.row_blocks():
-                slab = store.rows(np.arange(start, stop))
-                mask = ((slab <= self._length)
-                        & (columns > np.arange(start, stop)[:, None]))
-                if not mask.any():
-                    continue
-                local_rows, cols = np.nonzero(mask)
-                encoded, span = encode_degree_pairs(degrees,
-                                                    local_rows + start, cols)
-                counted = np.bincount(encoded)
-                for code in np.nonzero(counted)[0]:
-                    key = decode_degree_pair(int(code), span)
-                    counts[key] = counts.get(key, 0) + int(counted[code])
-            return counts
-        if isinstance(typing, ExplicitPairTyping):
-            rows, cols, codes, keys = self._explicit_pair_arrays()
-            if rows.size == 0:
-                return counts
-            totals = np.zeros(len(keys), dtype=np.int64)
-            for start, stop in store.row_blocks():
-                selector = (rows >= start) & (rows < stop)
-                if not selector.any():
-                    continue
-                slab = store.rows(np.arange(start, stop))
-                within = (slab[rows[selector] - start, cols[selector]]
-                          <= self._length)
-                totals += np.bincount(codes[selector][within],
-                                      minlength=len(keys))
-            return {keys[code]: int(totals[code])
-                    for code in np.nonzero(totals)[0]}
-        # Fallback for arbitrary typings: scan every pair (the sentinel is
-        # always above L, so one comparison covers reachability too).
-        for start, stop in store.row_blocks():
-            slab = store.rows(np.arange(start, stop))
-            for local, u in enumerate(range(start, stop)):
-                row = slab[local]
-                for v in range(u + 1, n):
-                    if int(row[v]) > self._length:
-                        continue
-                    key = typing.type_of(u, v)
-                    if key is not None:
-                        counts[key] = counts.get(key, 0) + 1
-        return counts
+            wanted = encode_degree_pairs(typing.degrees, first, second)
+        else:
+            low, high = np.minimum(first, second), np.maximum(first, second)
+            wanted = np.where(high < span, low * span + high, -1)
+        at = np.searchsorted(codes, wanted)
+        return np.where(codes[at] == wanted, positions[at], len(keys))
 
     # ------------------------------------------------------------------
-    # counting strategies
+    # counting
     # ------------------------------------------------------------------
-    def _degree_pair_counts(self, distances: np.ndarray) -> Dict[TypeKey, int]:
-        typing = self._typing
-        assert isinstance(typing, DegreePairTyping)
-        degrees = typing.degrees
-        n = distances.shape[0]
-        if n < 2:
-            return {}
-        rows, cols = triu_pair_indices(n)
-        within = distances[rows, cols] <= self._length
-        if not within.any():
-            return {}
-        encoded, span = encode_degree_pairs(degrees, rows[within], cols[within])
-        counted = np.bincount(encoded)
-        nonzero = np.nonzero(counted)[0]
-        return {decode_degree_pair(code, span): int(counted[code]) for code in nonzero}
+    def _tally_rows(self, slab: np.ndarray, start: int) -> np.ndarray:
+        """Counts of the within-L pairs ``i < j`` of the rows ``start, start + 1, …``.
 
-    def _generic_counts(self, distances: np.ndarray) -> Dict[TypeKey, int]:
-        typing = self._typing
-        counts: Dict[TypeKey, int] = {}
-        if isinstance(typing, ExplicitPairTyping):
-            rows, cols, codes, keys = self._explicit_pair_arrays()
-            if rows.size == 0:
-                return counts
-            # UNREACHABLE is far above any admissible L, so a single
-            # comparison covers both the reachability and threshold tests.
-            within = distances[rows, cols] <= self._length
-            counted = np.bincount(codes[within], minlength=len(keys))
-            return {keys[code]: int(counted[code])
-                    for code in np.nonzero(counted)[0]}
-        # Fallback for arbitrary typings: scan every pair.
-        n = distances.shape[0]
-        for u in range(n):
-            for v in range(u + 1, n):
-                distance = int(distances[u, v])
-                if distance == UNREACHABLE or distance > self._length:
-                    continue
-                key = typing.type_of(u, v)
-                if key is not None:
-                    counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def _explicit_pair_arrays(self) -> Tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, List[TypeKey]]:
-        """Interned ``(rows, cols, type codes, code -> key)`` of the typing.
-
-        Built lazily and cached: the typing is frozen for the computer's
-        lifetime, so the enumeration order (and with it the counting
-        result) never changes between calls.
+        The distance sentinel is far above any admissible L, so one
+        comparison covers both reachability and the threshold.
         """
-        if self._explicit_pairs is None:
-            typing = self._typing
-            assert isinstance(typing, ExplicitPairTyping)
-            pairs = typing.all_pairs()
-            rows = np.fromiter((u for u, _ in pairs), dtype=np.int64,
-                               count=len(pairs))
-            cols = np.fromiter((v for _, v in pairs), dtype=np.int64,
-                               count=len(pairs))
-            keys: List[TypeKey] = []
-            code_of: Dict[TypeKey, int] = {}
-            codes = np.empty(len(pairs), dtype=np.int64)
-            for position, (u, v) in enumerate(pairs):
-                key = typing.type_of(u, v)
-                code = code_of.get(key)
-                if code is None:
-                    code = len(keys)
-                    code_of[key] = code
-                    keys.append(key)
-                codes[position] = code
-            self._explicit_pairs = (rows, cols, codes, keys)
-        return self._explicit_pairs
+        rows, cols = np.nonzero(slab <= self._length)
+        rows += start
+        upper = cols > rows
+        size = len(self.type_order[0])
+        return np.bincount(self.type_indices(rows[upper], cols[upper]),
+                           minlength=size + 1)[:size]
 
-    # ------------------------------------------------------------------
-    # result assembly
-    # ------------------------------------------------------------------
-    def _build_result(self, counts: Mapping[TypeKey, int]) -> OpacityResult:
-        per_type: Dict[TypeKey, TypeOpacity] = {}
-        max_fraction = Fraction(0)
-        for type_key in self._typing.types():
-            total = self._typing.pair_count(type_key)
-            if total == 0:
-                continue
-            within = counts.get(type_key, 0)
-            entry = TypeOpacity(type_key=type_key, within_threshold=within, total_pairs=total)
-            per_type[type_key] = entry
-            if entry.fraction > max_fraction:
-                max_fraction = entry.fraction
-        types_at_max = sum(1 for entry in per_type.values() if entry.fraction == max_fraction)
-        if not per_type:
-            types_at_max = 0
-        return OpacityResult(
-            max_opacity=float(max_fraction),
-            max_fraction=max_fraction,
-            types_at_max=types_at_max,
-            per_type=per_type,
-        )
+    @cached_property
+    def _code_table(self) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Interned ``(span, sorted pair codes, type position per code)``.
+
+        Degree typings code a type as ``g·span + h``
+        (:func:`encode_degree_pairs`); explicit typings code every typed
+        pair ``u < v`` as ``u·span + v``, with ``span`` one past the largest
+        typed vertex.  A final sentinel code above every pair's keeps
+        binary searches in range and maps to no type.
+        """
+        typing = self._typing
+        keys, _ = self.type_order
+        if isinstance(typing, DegreePairTyping):
+            span = degree_code_span(typing.degrees)
+            codes = [g * span + h for g, h in keys]
+            positions = list(range(len(keys)))
+        else:
+            pairs = typing.all_pairs()
+            span = 1 + max((v for _, v in pairs), default=0)
+            index = {key: position for position, key in enumerate(keys)}
+            codes = [u * span + v for u, v in pairs]
+            positions = [index[typing.type_of(u, v)] for u, v in pairs]
+        order = np.argsort(codes)
+        sentinel = np.iinfo(np.int64).max
+        return (span, np.append(np.asarray(codes, np.int64)[order], sentinel),
+                np.append(np.asarray(positions, np.int64)[order], len(keys)))
 
 
 def max_lo(graph: Graph, typing: PairTyping, length_threshold: int,

@@ -13,8 +13,9 @@ A session owns a working graph together with
   typing's iteration order.
 
 A tentative edit then costs one distance delta plus a count delta over the
-flipped cells — for :class:`~repro.core.pair_types.DegreePairTyping` a
-vectorized bincount over the changed pairs; at L = 1 a batched scan skips
+flipped cells — a vectorized bincount over the changed pairs' type
+positions (:meth:`~repro.core.opacity.OpacityComputer.type_indices`); at
+L = 1 a batched scan skips
 the distance machinery entirely (a flipped cell is exactly an edited edge,
 so the tally reduces to a bincount over the candidates' own edges).  The
 session reproduces the
@@ -40,6 +41,11 @@ within-L pairs incrementally (:meth:`violating_pair_indices`) as a sparse
 sorted set of upper-triangle flat indices — O(within-L pairs), never an
 ``n(n-1)/2``-sized array, so the tiled tier's memory bound holds through
 the pruning pass too.
+
+Every per-step query a greedy loop makes is served from the session's
+arrays: :meth:`OpacitySession.current` and :meth:`~OpacitySession.max_type_mask`
+summarize the count vector, and :meth:`~OpacitySession.edge_endpoints`
+reads a sorted edge array kept in step with :meth:`~OpacitySession.apply_edit`.
 """
 
 from __future__ import annotations
@@ -51,14 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.opacity import (
-    OpacityComputer,
-    OpacityResult,
-    decode_degree_pair,
-    degree_code_span,
-    encode_degree_pairs,
-)
-from repro.core.pair_types import DegreePairTyping, TypeKey
+from repro.core.opacity import OpacityComputer, OpacityResult, summarize_counts
 from repro.errors import ConfigurationError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
@@ -104,19 +103,6 @@ def _triu_unflat(flat: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return i, flat - row_starts[i] + i + 1
 
 
-def _members(values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """``np.isin(values, wanted)`` by binary search over the sorted ``wanted``.
-
-    Same answer without ``np.isin``'s per-call overhead, which dominates at
-    the small set sizes most pruning queries see.
-    """
-    if wanted.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    wanted = np.sort(wanted)
-    at = np.searchsorted(wanted, values).clip(max=wanted.size - 1)
-    return wanted[at] == values
-
-
 def _splice(kept: np.ndarray, slots: np.ndarray, added: np.ndarray,
             at: np.ndarray) -> np.ndarray:
     """Merge ``kept`` into ``slots`` and ``added`` into positions ``at``."""
@@ -157,19 +143,28 @@ def validate_scan_mode(mode: str) -> None:
 class EditEvaluation:
     """Outcome of one tentative edit — exactly what the candidate scans need.
 
-    ``total_opacity`` is the float sum of per-type opacities in typing order
-    (GADED-Max's secondary objective), accumulated identically to the
-    stateless evaluator's ``sum(entry.opacity for entry in per_type)``.
+    ``numerator / denominator`` is the exact ``maxLO`` after the edit, a
+    reduced integer pair, so scans compare outcomes by cross-multiplication
+    without building a ``Fraction`` per candidate.  ``total_opacity`` is the
+    float sum of per-type opacities in typing order (GADED-Max's secondary
+    objective), accumulated identically to the stateless evaluator's
+    ``sum(entry.opacity for entry in per_type)``.
     """
 
-    fraction: Fraction
+    numerator: int
+    denominator: int
     types_at_max: int
     total_opacity: float
 
     @property
+    def fraction(self) -> Fraction:
+        """``maxLO`` after the edit, as an exact fraction."""
+        return Fraction(self.numerator, self.denominator)
+
+    @property
     def max_opacity(self) -> float:
         """``maxLO`` after the edit, as a float."""
-        return float(self.fraction)
+        return self.numerator / self.denominator
 
 
 class OpacitySession:
@@ -220,11 +215,15 @@ class OpacitySession:
         self._computer = computer
         self._graph = graph
         self._current: Optional[OpacityResult] = None
+        self._max_mask: Optional[np.ndarray] = None
         # Lazy pruning-pass state: the sorted triu flat indices of the
-        # within-L pairs and, for degree typings, their frozen degree-pair
-        # codes aligned with them.
+        # within-L pairs, and the type position of each.
         self._within_flat: Optional[np.ndarray] = None
-        self._within_codes: Optional[np.ndarray] = None
+        self._within_types: Optional[np.ndarray] = None
+        # Lazy sorted edge array (flat codes u·n + v, u < v) of the working
+        # graph, and the type position of each edge.
+        self._edge_codes: Optional[np.ndarray] = None
+        self._edge_types: Optional[np.ndarray] = None
         # Parallel-scan state: the pool is started lazily on the first
         # large-enough scan and torn down permanently on any failure.
         self._scan_workers = max(0, int(scan_workers))
@@ -281,19 +280,55 @@ class OpacitySession:
     # evaluation
     # ------------------------------------------------------------------
     def current(self) -> OpacityResult:
-        """Full Algorithm 1 result for the current graph state."""
+        """Full Algorithm 1 result for the current graph state.
+
+        Summarized from the count arrays once per applied edit; the
+        result's ``per_type`` entries are only built if a caller reads
+        them.
+        """
+        return self._summary()[0]
+
+    def max_type_mask(self) -> np.ndarray:
+        """Read-only flags, in type order, of the types at the current maximum."""
+        return self._summary()[1]
+
+    def _summary(self) -> Tuple[OpacityResult, np.ndarray]:
         if self._current is None:
-            counts = {key: int(within)
-                      for key, within in zip(self._type_keys, self._withins)}
-            self._current = self._computer.result_from_counts(counts)
-        return self._current
+            self._current, self._max_mask = self._computer.summarize(
+                self._withins.copy())
+            self._max_mask.setflags(write=False)
+        return self._current, self._max_mask
+
+    def type_opacities(self) -> np.ndarray:
+        """Current opacity of every type, in type order, as floats."""
+        return self._withins / self._totals
+
+    def edge_endpoints(self, type_mask: Optional[np.ndarray] = None
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+        """The working graph's edges as int64 ``(u, v)`` arrays, ``u < v``.
+
+        In :meth:`Graph.edges` order (sorted), read from the session's edge
+        array: seeded from the graph on first use and updated by
+        :meth:`apply_edit`.  ``type_mask`` (a flag per type, in type order)
+        keeps only the edges whose pair type is flagged.
+        """
+        if self._edge_codes is None:
+            edges = np.array(list(self._graph.edges()),
+                             dtype=np.int64).reshape(-1, 2)
+            self._edge_codes = edges[:, 0] * self._graph.num_vertices + edges[:, 1]
+            self._edge_types = self._computer.type_indices(edges[:, 0],
+                                                           edges[:, 1])
+        codes = self._edge_codes
+        if type_mask is not None:
+            codes = codes[np.append(type_mask, False)[self._edge_types]]
+        return np.divmod(codes, self._graph.num_vertices)
 
     def evaluate_edit(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = ()) -> EditEvaluation:
         """Opacity outcome after tentatively applying the edit (no trace left)."""
         delta = self._distance.preview(removals, insertions)
         changes = self._count_changes(delta)
-        return self._summarize(changes)
+        return self._summarize_batch([changes])[0]
 
     def evaluate_edits(self, candidates: Sequence[EditCandidate]) -> List[EditEvaluation]:
         """Outcomes of many *independent* tentative edits, batch-evaluated.
@@ -430,6 +465,8 @@ class OpacitySession:
         for index, change in changes.items():
             self._withins[index] += change
         self._current = None
+        if self._edge_codes is not None:
+            self._fold_edges(removals, insertions)
         if self._scan_pool is not None \
                 and not self._scan_pool.apply(removals, insertions):
             self._teardown_scan_pool(failed=True)
@@ -439,56 +476,61 @@ class OpacitySession:
         self._distance.refresh()
         self._init_counts()
         self._within_flat = None
-        self._within_codes = None
+        self._within_types = None
+        self._edge_codes = None
+        self._edge_types = None
 
     # ------------------------------------------------------------------
     # pruning support
     # ------------------------------------------------------------------
-    def violating_pair_indices(self, max_types) -> Tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle ``(i, j)`` pairs within L whose type is in ``max_types``.
+    def violating_pair_indices(self, type_mask: np.ndarray
+                               ) -> Tuple[np.ndarray, np.ndarray]:
+        """Upper-triangle ``(i, j)`` pairs within L of the types ``type_mask`` flags.
 
-        The candidate-pruning pass of the removal heuristics asks this every
-        step.  The within-L pairs are kept as a sorted set of triu flat
-        indices ``i·(2n−i−1)/2 + (j−i−1)``: seeded lazily on the first
-        query by streaming the store's row blocks, then folded forward by
-        each applied delta's flipped cells.  For degree typings the set
-        carries the pairs' frozen degree-pair codes alongside, so a query
-        is one membership test over the within-L pairs only; other typings
-        call ``type_of`` on those pairs.  The result is int64
-        ``(rows, cols)`` in ``np.triu_indices(n, 1)`` order, and no state
-        grows with ``n²``.
+        ``type_mask`` holds one flag per type, in type order — the pruning
+        pass of the removal heuristics asks with :meth:`max_type_mask`
+        every step.  The within-L pairs are kept as a sorted set of triu
+        flat indices ``i·(2n−i−1)/2 + (j−i−1)`` with the type position of
+        each alongside: seeded lazily on the first query by streaming the
+        store's row blocks, then folded forward by each applied delta's
+        flipped cells, so a query is one gather over the within-L pairs.
+        The result is int64 ``(rows, cols)`` in ``np.triu_indices(n, 1)``
+        order, and no state grows with ``n²``.
         """
-        n = self._graph.num_vertices
-        length = self._computer.length_threshold
-        typing = self._computer.typing
         if self._within_flat is None:
+            length = self._computer.length_threshold
             self._set_within_pairs(_within_pair_set(self._distance.store,
                                                     length))
-        flat, codes = self._within_flat, self._within_codes
-        if codes is not None:
-            span = degree_code_span(typing.degrees)
-            wanted = np.fromiter((g * span + h for g, h in max_types),
-                                 dtype=np.int64, count=len(max_types))
-            return _triu_unflat(flat[_members(codes, wanted)], n)
-        rows, cols = _triu_unflat(flat, n)
-        member = np.fromiter(
-            (typing.type_of(i, j) in max_types
-             for i, j in zip(rows.tolist(), cols.tolist())),
-            dtype=bool, count=rows.size)
-        return rows[member], cols[member]
-
-    def _pair_codes(self, flat: np.ndarray) -> Optional[np.ndarray]:
-        """Frozen degree-pair codes of the set's pairs (``None``: other typings)."""
-        typing = self._computer.typing
-        if not isinstance(typing, DegreePairTyping):
-            return None
-        return encode_degree_pairs(
-            typing.degrees, *_triu_unflat(flat, self._graph.num_vertices))[0]
+        flagged = np.append(type_mask, False)[self._within_types]
+        return _triu_unflat(self._within_flat[flagged],
+                            self._graph.num_vertices)
 
     def _set_within_pairs(self, flat: np.ndarray) -> None:
-        """Adopt ``flat`` as the within-L set, with its aligned codes."""
+        """Adopt ``flat`` as the within-L set, with its aligned type positions."""
         self._within_flat = flat
-        self._within_codes = self._pair_codes(flat)
+        self._within_types = self._computer.type_indices(
+            *_triu_unflat(flat, self._graph.num_vertices))
+
+    def _fold_edges(self, removals: Sequence[Edge],
+                    insertions: Sequence[Edge]) -> None:
+        """Fold one applied edit into the sorted edge array and its types."""
+        n = self._graph.num_vertices
+        codes, types = self._edge_codes, self._edge_types
+        if removals:
+            gone = np.array([min(u, v) * n + max(u, v) for u, v in removals],
+                            dtype=np.int64)
+            keep = np.ones(codes.size, dtype=bool)
+            keep[np.searchsorted(codes, gone)] = False
+            codes, types = codes[keep], types[keep]
+        if insertions:
+            added = np.sort(np.array(
+                [min(u, v) * n + max(u, v) for u, v in insertions],
+                dtype=np.int64))
+            at = np.searchsorted(codes, added)
+            codes = np.insert(codes, at, added)
+            types = np.insert(types, at,
+                              self._computer.type_indices(*np.divmod(added, n)))
+        self._edge_codes, self._edge_types = codes, types
 
     def _fold_flipped_cells(self, row_idx: np.ndarray, col_idx: np.ndarray,
                             gained: np.ndarray) -> None:
@@ -497,20 +539,18 @@ class OpacitySession:
         ``_flipped_cells`` yields one cell per pair, so every lost pair is
         in the set and every gained one is not: a searchsorted locates
         both, a keep mask drops the lost ones and one slot mask splices the
-        gained ones in, for the set and its codes alike, without re-sorting
-        either.  A removal-only step never reaches the splice.
+        gained ones in, for the set and its type positions alike, without
+        re-sorting either.  A removal-only step never reaches the splice.
         """
         i = np.minimum(row_idx, col_idx)
         j = np.maximum(row_idx, col_idx)
         flat = _triu_flat(i, j, self._graph.num_vertices)
-        within, codes = self._within_flat, self._within_codes
+        within, types = self._within_flat, self._within_types
         lost = flat[~gained]
         if lost.size:
             keep = np.ones(within.size, dtype=bool)
             keep[np.searchsorted(within, lost)] = False
-            within = within[keep]
-            if codes is not None:
-                codes = codes[keep]
+            within, types = within[keep], types[keep]
         if gained.any():
             order = np.argsort(flat[gained])
             added = flat[gained][order]
@@ -518,71 +558,19 @@ class OpacitySession:
             slots = np.ones(within.size + added.size, dtype=bool)
             slots[at] = False
             within = _splice(within, slots, added, at)
-            if codes is not None:
-                codes = _splice(codes, slots, encode_degree_pairs(
-                    self._computer.typing.degrees,
-                    i[gained][order], j[gained][order])[0], at)
-        self._within_flat, self._within_codes = within, codes
+            types = _splice(types, slots, self._computer.type_indices(
+                i[gained][order], j[gained][order]), at)
+        self._within_flat, self._within_types = within, types
 
     # ------------------------------------------------------------------
     # incremental machinery
     # ------------------------------------------------------------------
     def _init_counts(self) -> None:
-        typing = self._computer.typing
         store = self._distance.store
-        if isinstance(store, DenseStore):
-            counts = self._computer.within_counts(store.array)
-        else:
-            counts = self._computer.within_counts_store(store)
-        type_keys: List[TypeKey] = []
-        totals: List[int] = []
-        withins: List[int] = []
-        for key in typing.types():
-            total = typing.pair_count(key)
-            if total == 0:
-                continue
-            type_keys.append(key)
-            totals.append(total)
-            withins.append(counts.get(key, 0))
-        self._type_keys = type_keys
-        self._totals = np.asarray(totals, dtype=np.int64)
-        self._withins = np.asarray(withins, dtype=np.int64)
-        self._type_index: Dict[TypeKey, int] = {
-            key: index for index, key in enumerate(type_keys)}
+        self._withins = self._computer.within_counts(
+            store.array if isinstance(store, DenseStore) else store)
+        self._totals = self._computer.type_order[1]
         self._current = None
-
-    def _summarize(self, changes: Dict[int, int]) -> EditEvaluation:
-        """Max/tie/total scan over the per-type counts with ``changes`` applied.
-
-        Exactness without per-type ``Fraction`` objects: correctly-rounded
-        float division is monotone, so the exact maximum must live among the
-        types whose float ratio equals the float maximum; only those few are
-        compared by integer cross-multiplication (the ordering ``Fraction``
-        induces), and only they can tie the exact maximum.  The float total
-        accumulates left-to-right like the stateless evaluator's
-        ``sum(entry.opacity ...)``, so GADED-Max sees bit-identical keys.
-        """
-        withins = self._withins
-        if changes:
-            withins = withins.copy()
-            for index, change in changes.items():
-                withins[index] += change
-        if withins.size == 0:
-            return EditEvaluation(fraction=Fraction(0), types_at_max=0,
-                                  total_opacity=0.0)
-        ratios = withins / self._totals
-        total = sum(ratios.tolist())
-        candidates = np.nonzero(ratios == ratios.max())[0].tolist()
-        best_num, best_den = 0, 1
-        for index in candidates:
-            num = int(withins[index])
-            den = int(self._totals[index])
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-        ties = sum(1 for index in candidates
-                   if int(withins[index]) * best_den == best_num * int(self._totals[index]))
-        return EditEvaluation(fraction=Fraction(best_num, best_den),
-                              types_at_max=ties, total_opacity=float(total))
 
     def _l1_changes_batch(self, pairs: List[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]]
                           ) -> List[Dict[int, int]]:
@@ -593,8 +581,7 @@ class OpacitySession:
         insertion the reverse: a candidate's flipped cells are its edited
         edges themselves.  Every candidate's edges are stacked with their
         candidate index and gained flag and tallied in one grouped count
-        (:meth:`_tally_cells`); non-degree typings tally each candidate's
-        slice alone.  The graph is still touched and restored per
+        (:meth:`_tally_cells`).  The graph is still touched and restored per
         candidate, in order, with the same mutation sequence a
         :meth:`DistanceSession.preview` performs, so adjacency-set
         iteration histories — and with them every seeded tie-break
@@ -618,20 +605,9 @@ class OpacitySession:
             gained.extend([False] * len(removals) + [True] * len(insertions))
             sizes.append(len(removals) + len(insertions))
         cells = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        row_idx, col_idx = cells[:, 0], cells[:, 1]
-        flags = np.array(gained, dtype=bool)
-        if isinstance(self._computer.typing, DegreePairTyping):
-            candidate = np.repeat(np.arange(len(pairs)), sizes)
-            return self._tally_cells(len(pairs), candidate, row_idx, col_idx,
-                                     flags)
-        changes_list: List[Dict[int, int]] = []
-        stop = 0
-        for size in sizes:
-            start, stop = stop, stop + size
-            changes_list.append(
-                self._changes_from_cells(row_idx[start:stop], col_idx[start:stop],
-                                         flags[start:stop]) if size else {})
-        return changes_list
+        candidate = np.repeat(np.arange(len(pairs)), sizes)
+        return self._tally_cells(len(pairs), candidate, cells[:, 0],
+                                 cells[:, 1], np.array(gained, dtype=bool))
 
     def _count_changes(self, delta: DistanceDelta) -> Dict[int, int]:
         """Per-type within-L count deltas implied by a distance delta.
@@ -642,13 +618,9 @@ class OpacitySession:
         if delta.rows.size == 0:
             return {}
         if delta.from_scratch:
-            new_counts = self._computer.within_counts(delta.new_rows)
-            changes = {}
-            for index, key in enumerate(self._type_keys):
-                change = new_counts.get(key, 0) - self._withins[index]
-                if change:
-                    changes[index] = change
-            return changes
+            net = self._computer.within_counts(delta.new_rows) - self._withins
+            changed = np.nonzero(net)[0]
+            return dict(zip(changed.tolist(), net[changed].tolist()))
         cells = self._flipped_cells(delta)
         if cells is None:
             return {}
@@ -683,30 +655,8 @@ class OpacitySession:
     def _changes_from_cells(self, row_idx: np.ndarray, col_idx: np.ndarray,
                             gained: np.ndarray) -> Dict[int, int]:
         """Tally one candidate's flipped cells into per-type count changes."""
-        typing = self._computer.typing
-        changes: Dict[int, int] = {}
-        if isinstance(typing, DegreePairTyping):
-            encoded, span = encode_degree_pairs(typing.degrees, row_idx, col_idx)
-            for codes, sign in ((encoded[gained], 1), (encoded[~gained], -1)):
-                if codes.size == 0:
-                    continue
-                counted = np.bincount(codes)
-                for code in np.nonzero(counted)[0]:
-                    index = self._type_index.get(decode_degree_pair(code, span))
-                    if index is None:
-                        continue
-                    changes[index] = changes.get(index, 0) + sign * int(counted[code])
-        else:
-            for i, j, is_gain in zip(row_idx.tolist(), col_idx.tolist(),
-                                     gained.tolist()):
-                key = typing.type_of(i, j)
-                if key is None:
-                    continue
-                index = self._type_index.get(key)
-                if index is None:
-                    continue
-                changes[index] = changes.get(index, 0) + (1 if is_gain else -1)
-        return {index: change for index, change in changes.items() if change}
+        return self._tally_cells(1, np.zeros(row_idx.size, dtype=np.int64),
+                                 row_idx, col_idx, gained)[0]
 
     def _preview_deltas(self, pairs: List[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]]
                         ) -> List[Optional[DistanceDelta]]:
@@ -741,16 +691,14 @@ class OpacitySession:
         per-candidate results are exactly what :meth:`_count_changes`
         returns for each delta alone.  ``None`` entries (fused no-op
         candidates) contribute empty changes without any delta object;
-        from-scratch fallbacks and non-degree typings take the
-        per-candidate path.
+        from-scratch fallbacks take the per-candidate path.
         """
         changes_list: List[Optional[Dict[int, int]]] = [None] * len(deltas)
-        batchable = isinstance(self._computer.typing, DegreePairTyping)
         stacked: List[Tuple[int, DistanceDelta]] = []
         for position, delta in enumerate(deltas):
             if delta is None or delta.rows.size == 0:
                 changes_list[position] = {}
-            elif delta.from_scratch or not batchable:
+            elif delta.from_scratch:
                 changes_list[position] = self._count_changes(delta)
             else:
                 stacked.append((position, delta))
@@ -793,79 +741,48 @@ class OpacitySession:
         """Count changes of ``count`` candidates from their stacked flipped cells.
 
         ``candidate`` names the candidate each cell belongs to.  The cells'
-        degree-pair codes go through one ``np.unique`` and one grouped
-        ``bincount`` over ``(candidate, type-code, sign)``; entry ``c`` of
-        the result equals :meth:`_changes_from_cells` over candidate ``c``'s
-        cells alone (a gain and a loss of the same type net to no entry).
-        Degree typings only.
+        type positions go through one ``np.unique`` and one grouped
+        ``bincount`` over ``(candidate, type, sign)``; entry ``c`` of the
+        result holds the net change of every type candidate ``c``'s cells
+        touch (a gain and a loss of the same type net to no entry, and
+        untyped pairs count for nothing).
         """
         changes_list: List[Dict[int, int]] = [{} for _ in range(count)]
         if row_idx.size == 0:
             return changes_list
-        encoded, span = encode_degree_pairs(self._computer.typing.degrees,
-                                            row_idx, col_idx)
-        codes, inverse = np.unique(encoded, return_inverse=True)
-        type_of_code = [self._type_index.get(decode_degree_pair(int(code), span))
-                        for code in codes]
-        grouped = (candidate * codes.size + inverse) * 2 + gained.astype(np.int64)
-        counts = np.bincount(grouped, minlength=count * codes.size * 2)
-        net = counts.reshape(count, codes.size, 2)
+        types, inverse = np.unique(
+            self._computer.type_indices(row_idx, col_idx), return_inverse=True)
+        grouped = (candidate * types.size + inverse) * 2 + gained.astype(np.int64)
+        counts = np.bincount(grouped, minlength=count * types.size * 2)
+        net = counts.reshape(count, types.size, 2)
         net = net[:, :, 1].astype(np.int64) - net[:, :, 0]
-        positions, code_positions = np.nonzero(net)
-        for position, code_pos, change in zip(positions.tolist(),
-                                              code_positions.tolist(),
-                                              net[positions, code_positions].tolist()):
-            index = type_of_code[code_pos]
-            if index is not None:
+        untyped = self._totals.size
+        positions, type_positions = np.nonzero(net)
+        for position, index, change in zip(positions.tolist(),
+                                           types[type_positions].tolist(),
+                                           net[positions, type_positions].tolist()):
+            if index != untyped:
                 changes_list[position][index] = change
         return changes_list
 
     def _summarize_batch(self, changes_list: List[Dict[int, int]]
                          ) -> List[EditEvaluation]:
-        """:meth:`_summarize` across candidates without per-candidate passes.
+        """Exact max, tie count and float total of every candidate's counts.
 
-        The float ratio matrix, its row maxima, and the left-to-right float
-        totals (``cumsum`` accumulates element by element, exactly like the
-        stateless evaluator's ``sum``) are computed for all candidates at
-        once; only the exact cross-multiplied refinement of each row's few
-        float-argmax columns stays scalar.  Bit-identical to mapping
-        :meth:`_summarize` over ``changes_list``.
+        The base counts are tiled once per candidate, each row gets its
+        candidate's changes, and :func:`~repro.core.opacity.summarize_counts`
+        — the one summarizer :meth:`current` and the stateless evaluator
+        use too — scans all rows at once.
         """
-        if self._withins.size == 0:
-            return [EditEvaluation(fraction=Fraction(0), types_at_max=0,
-                                   total_opacity=0.0)
-                    for _ in changes_list]
-        count = len(changes_list)
-        if count == 0:
+        if not changes_list:
             return []
-        withins = np.tile(self._withins, (count, 1))
+        withins = np.tile(self._withins, (len(changes_list), 1))
         for row, changes in enumerate(changes_list):
             for index, change in changes.items():
                 withins[row, index] += change
-        ratios = withins / self._totals[None, :]
-        totals = np.cumsum(ratios, axis=1)[:, -1]
-        at_max = ratios == ratios.max(axis=1)[:, None]
-        tie_rows, tie_cols = np.nonzero(at_max)
-        rows_list = tie_rows.tolist()
-        nums = withins[tie_rows, tie_cols].tolist()
-        dens = self._totals[tie_cols].tolist()
-        totals_list = totals.tolist()
-        evaluations: List[Optional[EditEvaluation]] = [None] * count
-        best_num, best_den, ties, current = 0, 1, 0, -1
-        for row, num, den in zip(rows_list, nums, dens):
-            if row != current:
-                if current >= 0:
-                    evaluations[current] = EditEvaluation(
-                        fraction=Fraction(best_num, best_den),
-                        types_at_max=ties,
-                        total_opacity=totals_list[current])
-                best_num, best_den, ties, current = 0, 1, 0, row
-            ordering = num * best_den - best_num * den
-            if ordering > 0:
-                best_num, best_den, ties = num, den, 1
-            elif ordering == 0:
-                ties += 1
-        evaluations[current] = EditEvaluation(
-            fraction=Fraction(best_num, best_den), types_at_max=ties,
-            total_opacity=totals_list[current])
-        return evaluations  # type: ignore[return-value]
+        nums, dens, at_max, sums = summarize_counts(withins, self._totals)
+        return [EditEvaluation(numerator=num, denominator=den,
+                               types_at_max=ties, total_opacity=total)
+                for num, den, ties, total in zip(
+                    nums.tolist(), dens.tolist(),
+                    at_max.sum(axis=1).tolist(), sums)]

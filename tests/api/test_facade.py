@@ -91,6 +91,15 @@ class TestComputeOpacity:
         assert opacities == sorted(opacities, reverse=True)
         assert report.worst_types[0][3] == pytest.approx(report.max_opacity)
 
+    @pytest.mark.parametrize("top", [-1, -3])
+    def test_negative_top_is_rejected(self, top):
+        # A negative slice bound would silently drop the least-exposed rows.
+        with pytest.raises(ConfigurationError, match="top"):
+            compute_opacity(_edges_request(), top=top)
+
+    def test_zero_top_lists_no_rows(self):
+        assert compute_opacity(_edges_request(), top=0).worst_types == ()
+
     def test_to_dict_is_json_safe(self):
         import json
 

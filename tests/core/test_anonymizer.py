@@ -87,7 +87,9 @@ class TestAnonymizerConfig:
 
 class TestTieBreaker:
     def _outcome(self, edge, fraction, types_at_max):
-        return CandidateOutcome(edges=(edge,), fraction=fraction, types_at_max=types_at_max)
+        return CandidateOutcome(edges=(edge,), numerator=fraction.numerator,
+                                denominator=fraction.denominator,
+                                types_at_max=types_at_max)
 
     def test_lower_opacity_wins(self):
         breaker = TieBreaker(random.Random(0))

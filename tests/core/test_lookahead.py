@@ -27,8 +27,10 @@ def _make_evaluator(scores):
         batches.append(list(combos))
         for combo in combos:
             calls.append(tuple(combo))
+            score = scores[frozenset(combo)]
             yield CandidateOutcome(edges=tuple(combo),
-                                   fraction=scores[frozenset(combo)],
+                                   numerator=score.numerator,
+                                   denominator=score.denominator,
                                    types_at_max=1)
 
     evaluate_batch.calls = calls

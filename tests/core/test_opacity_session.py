@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import StoreConfig
-from tests.oracles import PerCandidateSession, ScratchSession, run_on
+from tests.oracles import PerCandidateSession, ScratchSession, run_on, type_mask
 
 ALL_ALGORITHMS = [
     (EdgeRemovalAnonymizer, dict(length_threshold=2, theta=0.4, seed=0)),
@@ -339,8 +339,10 @@ class TestViolatingPairIndices:
         scratch = ScratchSession(computer, graph.copy())
         for _ in range(6):
             max_types = self._max_types(incremental)
-            left = incremental.violating_pair_indices(max_types)
-            right = scratch.violating_pair_indices(max_types)
+            left = incremental.violating_pair_indices(
+                type_mask(incremental.computer.typing, max_types))
+            right = scratch.violating_pair_indices(
+                type_mask(scratch.computer.typing, max_types))
             assert left[0].tolist() == right[0].tolist()
             assert left[1].tolist() == right[1].tolist()
             edges = list(incremental.graph.edges())
@@ -356,13 +358,17 @@ class TestViolatingPairIndices:
                                      fallback_row_fraction=0.0)
         scratch = ScratchSession(computer, graph.copy())
         max_types = self._max_types(incremental)
-        incremental.violating_pair_indices(max_types)  # seed the within-L set
+        # Seed the within-L set.
+        incremental.violating_pair_indices(
+            type_mask(incremental.computer.typing, max_types))
         for edge in list(graph.edges())[:4]:
             incremental.apply_edit(removals=[edge])
             scratch.apply_edit(removals=[edge])
         max_types = self._max_types(incremental)
-        left = incremental.violating_pair_indices(max_types)
-        right = scratch.violating_pair_indices(max_types)
+        left = incremental.violating_pair_indices(
+            type_mask(incremental.computer.typing, max_types))
+        right = scratch.violating_pair_indices(
+            type_mask(scratch.computer.typing, max_types))
         assert left[0].tolist() == right[0].tolist()
         assert left[1].tolist() == right[1].tolist()
 
@@ -385,7 +391,7 @@ class TestViolatingPairIndices:
         graph = Graph(num_vertices, edges=edges)
         for session in self._sessions(graph, 2):
             rows, cols = session.violating_pair_indices(
-                self._max_types(session))
+                type_mask(session.computer.typing, self._max_types(session)))
             assert rows.dtype == np.int64 and cols.dtype == np.int64
             assert list(zip(rows.tolist(), cols.tolist())) == expected
             session.close()
@@ -393,7 +399,8 @@ class TestViolatingPairIndices:
     def test_empty_max_types_selects_nothing(self):
         graph = erdos_renyi_graph(12, 0.3, seed=5)
         for session in self._sessions(graph, 2):
-            rows, cols = session.violating_pair_indices(set())
+            rows, cols = session.violating_pair_indices(
+                type_mask(session.computer.typing, set()))
             assert rows.dtype == np.int64 and rows.size == 0 and cols.size == 0
             session.close()
 
@@ -401,7 +408,8 @@ class TestViolatingPairIndices:
         graph = Graph(7)
         for session in self._sessions(graph, 3):
             every_type = set(session.computer.typing.types())
-            rows, cols = session.violating_pair_indices(every_type)
+            rows, cols = session.violating_pair_indices(
+                type_mask(session.computer.typing, every_type))
             assert rows.size == 0 and cols.size == 0
             session.close()
 
@@ -411,7 +419,8 @@ class TestViolatingPairIndices:
         typing = DegreePairTyping(graph)
         for session in self._sessions(graph, 2):
             max_types = self._max_types(session)
-            rows, cols = session.violating_pair_indices(max_types)
+            rows, cols = session.violating_pair_indices(
+                type_mask(session.computer.typing, max_types))
             assert rows.dtype == np.int64 and cols.dtype == np.int64
             expected = [(i, j) for i in range(14) for j in range(i + 1, 14)
                         if matrix[i, j] <= 2 and typing.type_of(i, j) in max_types]
@@ -424,13 +433,16 @@ class TestViolatingPairIndices:
         non_edge = next(iter(graph.non_edges()))
         for session in self._sessions(graph, 2):
             every_type = set(session.computer.typing.types())
-            before = session.violating_pair_indices(every_type)
+            before = session.violating_pair_indices(
+                type_mask(session.computer.typing, every_type))
             session.apply_edit(removals=[edge])
-            session.violating_pair_indices(every_type)
+            session.violating_pair_indices(
+                type_mask(session.computer.typing, every_type))
             session.apply_edit(insertions=[edge])
             session.apply_edit(insertions=[non_edge])
             session.apply_edit(removals=[non_edge])
-            after = session.violating_pair_indices(every_type)
+            after = session.violating_pair_indices(
+                type_mask(session.computer.typing, every_type))
             assert before[0].tolist() == after[0].tolist()
             assert before[1].tolist() == after[1].tolist()
             session.close()
@@ -453,7 +465,8 @@ class TestViolatingPairMemory:
                          if entry.fraction == current.max_fraction}
             tracemalloc.start()
             try:
-                rows, _ = session.violating_pair_indices(max_types)
+                rows, _ = session.violating_pair_indices(
+                    type_mask(session.computer.typing, max_types))
                 return tracemalloc.get_traced_memory()[1], rows
             finally:
                 tracemalloc.stop()

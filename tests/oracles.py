@@ -5,11 +5,16 @@ The product scores every candidate through one
 it is proven against live here:
 
 * :class:`ScratchSession` — the paper's copy-evaluate-restore loop: every
-  query applies the edit to the working graph, runs the stateless
-  Algorithm 1 evaluator, and reverts.
+  query applies the edit to the working graph, recounts it from a fresh
+  distance matrix, and reverts.  Its results are assembled by
+  :func:`result_from_counts`, which builds a ``Fraction`` per type and
+  compares them — the reference for the product's array summarizer.
 * :class:`PerCandidateSession` — an incremental session whose batch scans
   loop the single-candidate :meth:`~OpacitySession.evaluate_edit` path
   instead of the stacked passes.
+* :class:`FractionTieBreaker` — Algorithm 4's selection rule comparing
+  ``Fraction`` maxima, the reference for the product's cross-multiplied
+  :class:`~repro.core.anonymizer.TieBreaker`.
 * :func:`independent_schedule` — one full single-θ
   :meth:`~repro.core.anonymizer.BaseAnonymizer.anonymize` run per grid
   point, the reference every checkpointed θ pass
@@ -31,9 +36,11 @@ seam through which every greedy algorithm opens its session.  It uses
 from __future__ import annotations
 
 import copy
+import random
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterator, List, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
@@ -41,11 +48,85 @@ import numpy as np
 from repro.core.anonymizer import (
     AnonymizationResult,
     AnonymizerConfig,
+    CandidateOutcome,
     validate_theta_schedule,
 )
-from repro.core.opacity import OpacityComputer, OpacityResult
+from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
 from repro.core.opacity_session import EditEvaluation, OpacitySession
+from repro.core.pair_types import PairTyping, TypeKey
 from repro.graph.graph import Edge, Graph
+
+
+def result_from_counts(typing: PairTyping, counts: Mapping[TypeKey, int]
+                       ) -> OpacityResult:
+    """Algorithm 1's result from within-L counts, one ``Fraction`` per type.
+
+    Every non-empty type of ``typing`` gets a :class:`TypeOpacity`; the
+    maximum is found by comparing their ``Fraction`` values, and the types at
+    the maximum are counted by ``Fraction`` equality.
+    """
+    per_type: Dict[TypeKey, TypeOpacity] = {}
+    max_fraction = Fraction(0)
+    for type_key in typing.types():
+        total = typing.pair_count(type_key)
+        if total == 0:
+            continue
+        entry = TypeOpacity(type_key=type_key,
+                            within_threshold=counts.get(type_key, 0),
+                            total_pairs=total)
+        per_type[type_key] = entry
+        if entry.fraction > max_fraction:
+            max_fraction = entry.fraction
+    types_at_max = sum(1 for entry in per_type.values()
+                       if entry.fraction == max_fraction)
+    return OpacityResult(max_opacity=float(max_fraction),
+                         max_fraction=max_fraction,
+                         types_at_max=types_at_max, per_type=per_type)
+
+
+def evaluate_with_fractions(computer: OpacityComputer, graph: Graph) -> OpacityResult:
+    """``computer.evaluate(graph)`` assembled by :func:`result_from_counts`."""
+    keys, _ = computer.type_order
+    counts = computer.within_counts(computer.distances(graph)).tolist()
+    return result_from_counts(computer.typing, dict(zip(keys, counts)))
+
+
+def type_keys(typing: PairTyping) -> List[TypeKey]:
+    """The typing's non-empty types in iteration order: the order of a type mask."""
+    return [key for key in typing.types() if typing.pair_count(key) > 0]
+
+
+def type_mask(typing: PairTyping, wanted) -> np.ndarray:
+    """The flags, in type order, of the types in ``wanted``."""
+    return np.array([key in wanted for key in type_keys(typing)], dtype=bool)
+
+
+class FractionTieBreaker:
+    """Algorithm 4's selection rule (lines 8-18) comparing ``Fraction`` maxima.
+
+    The reference for :class:`~repro.core.anonymizer.TieBreaker`: the same
+    preference order and reservoir draws, with each candidate's exact
+    maximum compared as a ``Fraction``.
+    """
+
+    def __init__(self, rng: random.Random) -> None:
+        self._rng = rng
+        self.best: Optional[CandidateOutcome] = None
+        self._tie_count = 0
+
+    def offer(self, candidate: CandidateOutcome) -> None:
+        if self.best is None or candidate.fraction < self.best.fraction:
+            self.best = candidate
+            self._tie_count = 1
+            return
+        if candidate.fraction == self.best.fraction:
+            if candidate.types_at_max < self.best.types_at_max:
+                self.best = candidate
+                self._tie_count = 1
+            elif candidate.types_at_max == self.best.types_at_max:
+                self._tie_count += 1
+                if self._rng.random() < 1.0 / self._tie_count:
+                    self.best = candidate
 
 
 class ScratchSession:
@@ -57,7 +138,9 @@ class ScratchSession:
     tie-break downstream — is the same in both.  ``initial_distances`` and
     ``store_config`` are accepted for interface parity and ignored: every
     query recomputes a dense matrix.  ``evaluations`` counts the stateless
-    evaluations served, :meth:`current` included.
+    evaluations served, :meth:`current` included.  Type masks are read in
+    the typing's order of non-empty types (:func:`type_keys`) and turned
+    into key sets; pair types come from ``type_of``.
     """
 
     scan_workers = 0
@@ -81,7 +164,32 @@ class ScratchSession:
 
     def current(self) -> OpacityResult:
         self.evaluations += 1
-        return self._computer.evaluate(self._graph)
+        return evaluate_with_fractions(self._computer, self._graph)
+
+    def max_type_mask(self) -> np.ndarray:
+        current = evaluate_with_fractions(self._computer, self._graph)
+        return type_mask(self._computer.typing,
+                         {key for key, entry in current.per_type.items()
+                          if entry.fraction == current.max_fraction})
+
+    def type_opacities(self) -> np.ndarray:
+        current = evaluate_with_fractions(self._computer, self._graph)
+        return np.array([current.per_type[key].opacity
+                         for key in type_keys(self._computer.typing)])
+
+    def edge_endpoints(self, mask=None) -> Tuple[np.ndarray, np.ndarray]:
+        """``graph.edges()`` as arrays, filtered by ``type_of`` membership."""
+        edges = list(self._graph.edges())
+        if mask is not None:
+            wanted = self._masked_types(mask)
+            edges = [edge for edge in edges
+                     if self._computer.typing.type_of(*edge) in wanted]
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
+    def _masked_types(self, mask) -> set:
+        return {key for key, flag in zip(type_keys(self._computer.typing), mask)
+                if flag}
 
     def evaluate_edit(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = ()) -> EditEvaluation:
@@ -91,14 +199,15 @@ class ScratchSession:
         for u, v in insertions:
             self._graph.add_edge(u, v)
         try:
-            outcome = self._computer.evaluate(self._graph)
+            outcome = evaluate_with_fractions(self._computer, self._graph)
         finally:
             for u, v in insertions:
                 self._graph.remove_edge(u, v)
             for u, v in removals:
                 self._graph.add_edge(u, v)
         total = float(sum(entry.opacity for entry in outcome.per_type.values()))
-        return EditEvaluation(fraction=outcome.max_fraction,
+        return EditEvaluation(numerator=outcome.max_fraction.numerator,
+                              denominator=outcome.max_fraction.denominator,
                               types_at_max=outcome.types_at_max,
                               total_opacity=total)
 
@@ -117,8 +226,8 @@ class ScratchSession:
         """Rows of a freshly computed dense L-bounded matrix."""
         return self._computer.distances(self._graph)[np.asarray(block)]
 
-    def violating_pair_indices(self, max_types) -> Tuple[np.ndarray, np.ndarray]:
-        """Within-L pairs of a type in ``max_types``, from a fresh matrix.
+    def violating_pair_indices(self, mask) -> Tuple[np.ndarray, np.ndarray]:
+        """Within-L pairs of a type flagged in ``mask``, from a fresh matrix.
 
         A plain scan of ``np.triu_indices`` order with ``type_of`` per pair
         — independent of the product's sparse within-L set.
@@ -129,6 +238,7 @@ class ScratchSession:
         within = distances[rows, cols] <= self._computer.length_threshold
         rows, cols = rows[within].astype(np.int64), cols[within].astype(np.int64)
         typing = self._computer.typing
+        max_types = self._masked_types(mask)
         member = np.fromiter(
             (typing.type_of(i, j) in max_types
              for i, j in zip(rows.tolist(), cols.tolist())),

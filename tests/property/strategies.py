@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping
 from repro.graph.graph import Graph
 
 
@@ -34,6 +35,53 @@ def graphs_with_edge(draw, **kwargs):
     edges = graph.edge_list()
     index = draw(st.integers(min_value=0, max_value=len(edges) - 1))
     return graph, edges[index]
+
+
+@st.composite
+def edit_scripts(draw, max_edits: int = 8):
+    """A graph plus a feasible sequence of alternating random edits.
+
+    Each entry is ``("remove" | "insert", edge)``; feasibility (edges exist /
+    are absent at that point) is guaranteed by replaying the script while it
+    is generated.
+    """
+    graph = draw(graphs(max_vertices=10))
+    working = graph.copy()
+    script = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edits))):
+        edges = working.edge_list()
+        non_edges = sorted(working.non_edges())
+        choices = []
+        if edges:
+            choices.append("remove")
+        if non_edges:
+            choices.append("insert")
+        if not choices:
+            break
+        kind = draw(st.sampled_from(choices))
+        pool = edges if kind == "remove" else non_edges
+        edge = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+        if kind == "remove":
+            working.remove_edge(*edge)
+        else:
+            working.add_edge(*edge)
+        script.append((kind, edge))
+    return graph, script
+
+
+@st.composite
+def typings(draw, graph: Graph):
+    """The degree-pair typing, or a random explicit typing of some pairs."""
+    if draw(st.booleans()):
+        return DegreePairTyping(graph)
+    labels = st.sampled_from([None, "a", "b", "c"])
+    assignment = {}
+    for u in range(graph.num_vertices):
+        for v in range(u + 1, graph.num_vertices):
+            label = draw(labels)
+            if label is not None:
+                assignment[(u, v)] = label
+    return ExplicitPairTyping(assignment)
 
 
 length_bounds = st.integers(min_value=1, max_value=4)

@@ -23,51 +23,23 @@ from repro.core import (
     DegreePairTyping,
     EdgeRemovalAnonymizer,
     EdgeRemovalInsertionAnonymizer,
-    ExplicitPairTyping,
     OpacityComputer,
     OpacitySession,
 )
 from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
-from repro.graph.graph import Graph
-from tests.oracles import PerCandidateSession, ScratchSession, run_on
-from tests.property.strategies import graphs, length_bounds, thetas
+from tests.oracles import PerCandidateSession, ScratchSession, run_on, type_mask
+from tests.property.strategies import (
+    edit_scripts,
+    graphs,
+    length_bounds,
+    thetas,
+    typings,
+)
 
 engines = st.sampled_from(sorted(available_engines()))
 fallback_fractions = st.sampled_from([0.0, 0.5, 1.0])
-
-
-@st.composite
-def edit_scripts(draw, max_edits: int = 8):
-    """A graph plus a feasible sequence of alternating random edits.
-
-    Each entry is ``("remove" | "insert", edge)``; feasibility (edges exist /
-    are absent at that point) is guaranteed by replaying the script while it
-    is generated.
-    """
-    graph = draw(graphs(max_vertices=10))
-    working = graph.copy()
-    script = []
-    for _ in range(draw(st.integers(min_value=0, max_value=max_edits))):
-        edges = working.edge_list()
-        non_edges = sorted(working.non_edges())
-        choices = []
-        if edges:
-            choices.append("remove")
-        if non_edges:
-            choices.append("insert")
-        if not choices:
-            break
-        kind = draw(st.sampled_from(choices))
-        pool = edges if kind == "remove" else non_edges
-        edge = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
-        if kind == "remove":
-            working.remove_edge(*edge)
-        else:
-            working.add_edge(*edge)
-        script.append((kind, edge))
-    return graph, script
 
 
 class TestDistanceSessionProperties:
@@ -151,21 +123,6 @@ class TestOpacitySessionProperties:
             scratch.apply_edit(removals, insertions)
 
 
-@st.composite
-def typings(draw, graph: Graph):
-    """The degree-pair typing, or a random explicit typing of some pairs."""
-    if draw(st.booleans()):
-        return DegreePairTyping(graph)
-    labels = st.sampled_from([None, "a", "b", "c"])
-    assignment = {}
-    for u in range(graph.num_vertices):
-        for v in range(u + 1, graph.num_vertices):
-            label = draw(labels)
-            if label is not None:
-                assignment[(u, v)] = label
-    return ExplicitPairTyping(assignment)
-
-
 class TestViolatingPairProperties:
     """The pruning query is tier- and fallback-independent.
 
@@ -202,10 +159,11 @@ class TestViolatingPairProperties:
                 max_types = {key for key, entry in current.per_type.items()
                              if entry.fraction == current.max_fraction}
                 for wanted in (max_types, every_type):
-                    rows, cols = scratch.violating_pair_indices(wanted)
+                    mask = type_mask(computer.typing, wanted)
+                    rows, cols = scratch.violating_pair_indices(mask)
                     for session in sessions:
                         got_rows, got_cols = session.violating_pair_indices(
-                            wanted)
+                            mask)
                         assert got_rows.dtype == np.int64
                         assert np.array_equal(got_rows, rows)
                         assert np.array_equal(got_cols, cols)

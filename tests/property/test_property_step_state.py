@@ -1,0 +1,298 @@
+"""Differential tests for the per-step state a greedy loop reads.
+
+After every applied edit, an :class:`~repro.core.opacity_session.OpacitySession`
+answers three per-step queries from its arrays: :meth:`current` (summarized
+from the count vector, ``per_type`` built lazily), :meth:`max_type_mask`
+and :meth:`edge_endpoints` (the sorted edge array folded forward by each
+edit).  Each must equal the oracle of :mod:`tests.oracles`: a result built
+from one ``Fraction`` per type over a fresh distance matrix, the key set of
+the types at its maximum, and ``list(graph.edges())``.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api.progress import NullObserver
+from repro.core import (
+    DegreePairTyping,
+    EdgeRemovalAnonymizer,
+    EdgeRemovalInsertionAnonymizer,
+    ExplicitPairTyping,
+    OpacityComputer,
+    OpacitySession,
+)
+from repro.core.anonymizer import AnonymizerConfig, CandidateOutcome, TieBreaker
+from repro.core.opacity import summarize_counts
+from repro.graph.graph import Graph
+from tests.oracles import (
+    FractionTieBreaker,
+    evaluate_with_fractions,
+    result_from_counts,
+    type_keys,
+)
+from tests.property.strategies import edit_scripts, graphs, length_bounds, typings
+
+
+def assert_state_matches_oracle(session: OpacitySession, graph: Graph) -> None:
+    """The session's per-step state equals the oracle's for ``graph``."""
+    computer = session.computer
+    expected = evaluate_with_fractions(computer, graph)
+    observed = session.current()
+    assert isinstance(observed.max_fraction, Fraction)
+    assert observed.max_fraction == expected.max_fraction
+    assert observed.max_opacity == expected.max_opacity
+    assert observed.types_at_max == expected.types_at_max
+    assert dict(observed.per_type) == dict(expected.per_type)
+
+    at_max = {key for key, entry in expected.per_type.items()
+              if entry.fraction == expected.max_fraction}
+    mask = session.max_type_mask()
+    assert mask.dtype == bool and not mask.flags.writeable
+    keys = type_keys(computer.typing)
+    assert {key for key, flag in zip(keys, mask.tolist()) if flag} == at_max
+    assert session.type_opacities().tolist() == [
+        expected.per_type[key].opacity for key in keys]
+
+    edge_u, edge_v = session.edge_endpoints()
+    assert edge_u.dtype == np.int64 and edge_v.dtype == np.int64
+    assert list(zip(edge_u.tolist(), edge_v.tolist())) == list(graph.edges())
+    edge_u, edge_v = session.edge_endpoints(mask)
+    assert list(zip(edge_u.tolist(), edge_v.tolist())) == [
+        edge for edge in graph.edges()
+        if computer.typing.type_of(*edge) in at_max]
+
+
+class TestStateAfterEveryEdit:
+    @given(edit_scripts(), length_bounds, st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_scripts(self, script_case, length, seed_edges, data):
+        graph, script = script_case
+        computer = OpacityComputer(data.draw(typings(graph)), length)
+        session = OpacitySession(computer, graph)
+        if seed_edges:  # fold every edit into the edge array, not just seed it
+            session.edge_endpoints()
+        try:
+            assert_state_matches_oracle(session, graph)
+            for kind, edge in script:
+                session.apply_edit(
+                    removals=[edge] if kind == "remove" else (),
+                    insertions=[edge] if kind == "insert" else ())
+                assert_state_matches_oracle(session, graph)
+        finally:
+            session.close()
+
+    @given(edit_scripts(max_edits=5), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=25, deadline=None)
+    def test_multi_edge_edits(self, script_case, split):
+        """Edits applying several removals and insertions at once."""
+        graph, script = script_case
+        session = OpacitySession(OpacityComputer(DegreePairTyping(graph), 2),
+                                 graph)
+        session.edge_endpoints()
+        try:
+            for start in range(0, len(script), split + 1):
+                chunk = script[start:start + split + 1]
+                removals = [edge for kind, edge in chunk if kind == "remove"]
+                insertions = [edge for kind, edge in chunk if kind == "insert"]
+                # A chunk may remove what it inserted (or vice versa);
+                # apply it in order when the kinds interleave that way.
+                if set(removals) & set(insertions):
+                    for kind, edge in chunk:
+                        session.apply_edit(
+                            removals=[edge] if kind == "remove" else (),
+                            insertions=[edge] if kind == "insert" else ())
+                else:
+                    session.apply_edit(removals=removals,
+                                       insertions=insertions)
+                assert_state_matches_oracle(session, graph)
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    @pytest.mark.parametrize("num_vertices", [0, 1, 2, 6])
+    def test_zero_edge_graph(self, num_vertices, length):
+        graph = Graph(num_vertices)
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), length), graph)
+        try:
+            assert_state_matches_oracle(session, graph)
+            if num_vertices >= 2:
+                session.apply_edit(insertions=[(0, num_vertices - 1)])
+                assert_state_matches_oracle(session, graph)
+                session.apply_edit(removals=[(0, num_vertices - 1)])
+                assert_state_matches_oracle(session, graph)
+        finally:
+            session.close()
+
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_all_typed_pairs_unreachable(self, length):
+        """Two components; only cross-component pairs are typed."""
+        graph = Graph(6, edges=[(0, 1), (1, 2), (3, 4), (4, 5)])
+        typing = ExplicitPairTyping({(u, v): ("x", u % 2)
+                                     for u in range(3) for v in range(3, 6)})
+        session = OpacitySession(OpacityComputer(typing, length), graph)
+        try:
+            assert_state_matches_oracle(session, graph)
+            current = session.current()
+            assert current.max_fraction == 0
+            assert session.max_type_mask().all()
+            for edit in ({"removals": [(0, 1)]}, {"insertions": [(0, 2)]},
+                         {"removals": [(3, 4)]}):
+                session.apply_edit(**edit)
+                assert_state_matches_oracle(session, graph)
+        finally:
+            session.close()
+
+
+class _StateChecker(NullObserver):
+    """Checks every session a run opens against the oracle after each step."""
+
+    def __init__(self) -> None:
+        self.sessions = []
+        self.steps = 0
+
+    def on_step(self, step, result) -> None:
+        session = self.sessions[-1]
+        assert session.graph is result.anonymized_graph
+        assert_state_matches_oracle(session, result.anonymized_graph)
+        self.steps += 1
+
+    def capture(self):
+        checker = self
+        original = AnonymizerConfig.open_session
+
+        def open_session(config, computer, graph, initial_distances=None):
+            session = original(config, computer, graph, initial_distances)
+            checker.sessions.append(session)
+            return session
+
+        return mock.patch.object(AnonymizerConfig, "open_session", open_session)
+
+
+class TestStateThroughGreedyRuns:
+    @given(graphs(min_vertices=4, max_vertices=11), st.sampled_from([1, 2]),
+           st.integers(min_value=0, max_value=3), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_rem_and_rem_ins_steps(self, graph, length, seed, insert):
+        algorithm = (EdgeRemovalInsertionAnonymizer if insert
+                     else EdgeRemovalAnonymizer)
+        checker = _StateChecker()
+        with checker.capture():
+            algorithm(length_threshold=length, theta=0.2, seed=seed,
+                      max_steps=6).anonymize(graph, observer=checker)
+        assert len(checker.sessions) == 1
+
+    def test_rem_ins_inserts_edges(self):
+        """The premise of the rem-ins leg: its steps really insert edges."""
+        from repro.graph import erdos_renyi_graph
+
+        graph = erdos_renyi_graph(14, 0.3, seed=2)
+        checker = _StateChecker()
+        with checker.capture():
+            result = EdgeRemovalInsertionAnonymizer(
+                length_threshold=2, theta=0.3, seed=0,
+                max_steps=5).anonymize(graph, observer=checker)
+        assert result.inserted_edges and checker.steps == result.num_steps
+
+    @given(graphs(min_vertices=5, max_vertices=11),
+           st.integers(min_value=0, max_value=3), st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_resumed_pass(self, graph, seed, insert):
+        algorithm = (EdgeRemovalInsertionAnonymizer if insert
+                     else EdgeRemovalAnonymizer)
+        anonymizer = algorithm(length_threshold=2, seed=seed, max_steps=8)
+        thetas = (0.8, 0.5, 0.2)
+        keep = _CheckpointKeeper()
+        full = anonymizer.anonymize_schedule(graph, thetas, observer=keep)
+        checker = _StateChecker()
+        with checker.capture():
+            resumed = anonymizer.anonymize_schedule(
+                graph, thetas[1:], observer=checker,
+                resume_from=keep.checkpoints[0])
+        assert [run.steps for run in resumed] == [run.steps for run in full[1:]]
+
+
+class _CheckpointKeeper(NullObserver):
+    def __init__(self) -> None:
+        self.checkpoints = []
+
+    def on_checkpoint(self, checkpoint) -> None:
+        self.checkpoints.append(checkpoint)
+
+
+class TestSummarizer:
+    @given(st.lists(st.tuples(st.one_of(st.integers(min_value=1, max_value=60),
+                                        st.integers(min_value=1,
+                                                    max_value=1 << 40)),
+                              st.floats(min_value=0.0, max_value=1.0)),
+                    min_size=1, max_size=8),
+           st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_fraction_reference(self, columns, count, data):
+        totals = np.array([total for total, _ in columns], dtype=np.int64)
+        rows = []
+        for _ in range(count):
+            rows.append([data.draw(st.sampled_from(
+                [0, total, int(total * share), max(0, total - 1)]))
+                for total, share in columns])
+        withins = np.array(rows, dtype=np.int64)
+        nums, dens, at_max, sums = summarize_counts(withins, totals)
+        for row in range(count):
+            fractions = [Fraction(int(w), int(t))
+                         for w, t in zip(withins[row], totals)]
+            best = max(fractions)
+            assert (nums[row], dens[row]) == (best.numerator, best.denominator)
+            assert at_max[row].tolist() == [f == best for f in fractions]
+            assert sums[row] == float(sum(float(f) for f in fractions))
+
+    @pytest.mark.parametrize("base", [1 << 30, 1 << 33])
+    def test_distinct_fractions_sharing_a_float(self, base):
+        """(b-1)/b and b/(b+1) round to one float for large b."""
+        totals = np.array([base, base + 1, 7], dtype=np.int64)
+        withins = np.array([[base - 1, base, 3]], dtype=np.int64)
+        assert (withins[0, 0] / totals[0]) == (withins[0, 1] / totals[1])
+        nums, dens, at_max, _ = summarize_counts(withins, totals)
+        assert Fraction(int(nums[0]), int(dens[0])) == Fraction(base, base + 1)
+        assert at_max[0].tolist() == [False, True, False]
+
+    def test_oracle_reference_agrees_with_the_product_on_a_sample(self):
+        from repro.graph import erdos_renyi_graph
+
+        graph = erdos_renyi_graph(20, 0.2, seed=4)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        keys, _ = computer.type_order
+        counts = computer.within_counts(computer.distances(graph)).tolist()
+        expected = result_from_counts(computer.typing, dict(zip(keys, counts)))
+        observed = computer.evaluate(graph)
+        assert observed == expected
+
+
+class TestTieBreakerReference:
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                              st.integers(min_value=1, max_value=6),
+                              st.integers(min_value=0, max_value=2)),
+                    max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_same_winner_and_rng_state_as_fraction_reference(self, seed,
+                                                             stream):
+        outcomes = [CandidateOutcome(edges=((index, index + 1),),
+                                     numerator=num, denominator=den,
+                                     types_at_max=ties)
+                    for index, (num, den, ties) in enumerate(stream)]
+        product_rng, reference_rng = random.Random(seed), random.Random(seed)
+        product = TieBreaker(product_rng)
+        reference = FractionTieBreaker(reference_rng)
+        for outcome in outcomes:
+            product.offer(outcome)
+            reference.offer(outcome)
+        assert product.best is reference.best
+        assert product_rng.getstate() == reference_rng.getstate()
