@@ -21,8 +21,8 @@ matrix (:mod:`repro.graph.distance_cache`).
 
 One instance lives per worker process — installed by the
 ``ProcessPoolExecutor`` initializer of :class:`~repro.api.batch.BatchRunner`
-— so a worker loads each sample once across *all* groups it executes; the
-in-process execution paths create one per grid run.  Cached graphs are
+— so a worker loads each sample once across *all* tasks it executes; the
+in-process grid executor creates one per grid run.  Cached graphs are
 never mutated: every anonymization copies its working graph, so handing the
 same :class:`Graph` object to consecutive groups is safe and (because
 loading is deterministic) bit-identical to a cold load.
@@ -49,20 +49,17 @@ __all__ = ["ExecutionCache", "GridStats", "sample_key"]
 class GridStats:
     """Grid-wide work counters, aggregated across every participating process.
 
-    ``run_grid`` sums the parent cache's counter deltas with the deltas
-    each worker reports per task, so a :class:`~repro.api.sweeps.GridResponse`
-    can state how many sample loads and full bounded-distance computations
-    the *whole* grid performed — the observable the shared-memory plane is
-    judged by (exactly one of each per sample group, not per worker).
+    The grid executor (:meth:`~repro.api.batch.BatchRunner.iter_grid`)
+    sums the parent cache's counter deltas with the deltas each worker
+    task reports, so a :class:`~repro.api.sweeps.GridResponse` can state
+    how many sample loads and full bounded-distance computations the
+    *whole* grid performed, on every route — the observable the
+    shared-memory plane is judged by (exactly one of each per sample
+    group, not per worker).
     """
 
     sample_loads: int = 0
     distance_computes: int = 0
-    #: Whether any execution path actually reported counters.  Routing
-    #: modes that cannot observe the work (custom registries, independent
-    #: mode) leave this ``False`` so ``run_grid`` reports ``None`` instead
-    #: of a misleading zero.
-    tracked: bool = False
 
     def add(self, sample_loads: int, distance_computes: int) -> None:
         """Accumulate one process's counter deltas."""
@@ -237,15 +234,16 @@ class ExecutionCache:
         return f"{self._spill_prefix}-{digest}.tiles"
 
     def adopt_arena(self, request: AnonymizationRequest,
-                    descriptor: "ArenaDescriptor") -> None:
+                    descriptor: "ArenaDescriptor", baseline=None) -> None:
         """Install a parent-published arena as this cache's copy of a sample.
 
         Attaches the descriptor's segments (once per arena — repeated
         adoption of the same ``token`` is a no-op), installs the rebuilt
         graph where :meth:`graph_for` will find it, and wraps each shared
         L_max matrix in a zero-copy cache served by :meth:`distances_for`.
-        Neither counter moves: the sample load and the engine run were the
-        parent's, and they were performed exactly once per grid.
+        ``baseline``, the parent's utility baseline, is served by
+        :meth:`baseline_for`.  Neither counter moves: the sample load and
+        the engine run were the parent's, performed once per grid.
         """
         from repro.api.shm import attach_arena
 
@@ -253,13 +251,15 @@ class ExecutionCache:
         current = self._arenas.get(key)
         if current is not None and current.token == descriptor.token:
             self._touch(key)
-            return
-        attached = attach_arena(descriptor)
-        self._evict(key)  # a stale same-key entry must not shadow the arena
-        self._install_graph(key, attached.graph)
-        for engine, cache in attached.caches.items():
-            self._distances[(key, engine)] = cache
-        self._arenas[key] = attached
+        else:
+            attached = attach_arena(descriptor)
+            self._evict(key)  # a stale same-key entry must not shadow it
+            self._install_graph(key, attached.graph)
+            for engine, cache in attached.caches.items():
+                self._distances[(key, engine)] = cache
+            self._arenas[key] = attached
+        if baseline is not None:
+            self._baselines[key] = baseline
 
     def release(self, request: AnonymizationRequest) -> None:
         """Drop the sample's cached graph, baseline, and distance matrices.

@@ -16,17 +16,17 @@ This module generalizes the sweep into a **grid**:
 * :func:`sample_groups` — partition a grid by *graph source* (dataset,
   size, seed — or explicit edges), the unit across which loaded samples,
   baselines, and distance matrices are shared;
-* :func:`execute_sample_group` — run one sample group: load the sample
-  once (through an :class:`~repro.api.cache.ExecutionCache`), run one full
-  bounded-distance computation at the group's maximum L and serve every
-  smaller L by thresholding
-  (:class:`~repro.graph.distance_cache.LMaxDistanceCache`), then execute
-  each θ-sweep group through the checkpointed schedule with failure
-  isolated per θ-group;
-* :func:`run_grid` — fan the sample groups of a whole :class:`GridRequest`
-  across a :class:`~repro.api.batch.BatchRunner` process pool (each worker
-  holds a process-level cache, so it loads each sample once across all the
-  groups it executes) and return a :class:`GridResponse` in request order.
+* :func:`plan_grid` / :func:`plan_sample_group` — split each sample group
+  into θ-group plans (done / todo / resume checkpoint) and the per-engine
+  L_max of its single distance computation;
+* :func:`prepare_sample` / :func:`run_prepared` — the two halves of a
+  sample group: load the sample, derive each engine's L_max base (every
+  smaller L is a thresholded copy) and the baseline once, then run each
+  θ-sweep group through the checkpointed schedule
+  (:func:`execute_sample_group` is both, in-process); every failure goes
+  through :func:`settle_failure`;
+* :func:`run_grid` — a whole :class:`GridRequest` through the one grid
+  executor, :meth:`~repro.api.batch.BatchRunner.iter_grid`.
 
 Per-configuration responses are bit-identical to independent
 :func:`~repro.api.facade.anonymize` runs (asserted by
@@ -36,15 +36,17 @@ Per-configuration responses are bit-identical to independent
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import product
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Collection, Dict, Iterable, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from repro.api.cache import ExecutionCache, GridStats, sample_key
 from repro.api.progress import ProgressObserver, notify_group
 from repro.api.registry import AnonymizerRegistry
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
-from repro.api.theta_sweep import execute_sweep_group, group_requests
+from repro.api import theta_sweep
+from repro.api.theta_sweep import group_requests
 from repro.errors import ConfigurationError, GridAbortedError
 
 __all__ = [
@@ -52,12 +54,18 @@ __all__ = [
     "GRID_AXES",
     "GridRequest",
     "GridResponse",
+    "PreparedSample",
+    "SamplePlan",
     "ThetaGroupPlan",
     "expand_grid",
     "execute_sample_group",
+    "plan_grid",
     "plan_sample_group",
+    "prepare_sample",
     "run_grid",
+    "run_prepared",
     "sample_groups",
+    "settle_failure",
     "validate_error_policy",
 ]
 
@@ -215,8 +223,8 @@ class GridResponse:
     ``num_sample_loads`` / ``num_distance_computes`` report the total work
     the grid performed across *every* participating process (parent and
     pool workers) — the observable the shared caches and the shared-memory
-    data plane are judged by.  They are ``None`` when the execution path
-    could not track them.
+    data plane are judged by.  Every execution route reports them; they
+    are ``None`` only on responses assembled without running the grid.
     """
 
     responses: Tuple[AnonymizationResponse, ...]
@@ -291,10 +299,10 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
                       ) -> Tuple[List[ThetaGroupPlan], Dict[str, int]]:
     """Split a sample group into θ-group plans and shared L_max bounds.
 
-    This is the planning half of :func:`execute_sample_group`, shared with
-    the shared-memory fan-out in :class:`~repro.api.batch.BatchRunner`:
-    both must agree on which grid points resume from checkpoints and on
-    the per-engine L_max the single distance computation runs at.
+    Every execution route plans through here (:func:`plan_grid` maps the
+    result to global request indices), so all of them agree on which grid
+    points resume from checkpoints and on the per-engine L_max the single
+    distance computation runs at.
 
     Returns ``(plans, l_max_by_engine)``: one :class:`ThetaGroupPlan` per
     θ-sweep group of ``requests`` (group order), and the largest
@@ -340,7 +348,64 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
     return plans, l_max_by_engine
 
 
-def _abort_on_error(responses: Sequence[AnonymizationResponse]) -> None:
+class SamplePlan(NamedTuple):
+    """One sample group planned in global request indices: the ``members``
+    it executes, its θ-group ``plans`` and its per-engine ``l_max``."""
+
+    members: Tuple[int, ...]
+    plans: Tuple[ThetaGroupPlan, ...]
+    l_max: Dict[str, int]
+
+
+def plan_grid(requests: Sequence[AnonymizationRequest], *,
+              skip: Collection[int] = (),
+              resume_from: Optional[Mapping[int, Any]] = None
+              ) -> List[SamplePlan]:
+    """:func:`plan_sample_group` over every sample group, in grid indices.
+
+    Indices in ``skip`` are left out (a sample group with nothing left is
+    dropped); ``resume_from`` maps grid indices to stored checkpoints.
+    """
+    resume = resume_from or {}
+    planned: List[SamplePlan] = []
+    for indices in sample_groups(requests):
+        members = [index for index in indices if index not in skip]
+        if not members:
+            continue
+        plans, l_max = plan_sample_group(
+            [requests[index] for index in members],
+            {local: resume[index] for local, index in enumerate(members)
+             if index in resume})
+        planned.append(SamplePlan(
+            members=tuple(members),
+            plans=tuple(ThetaGroupPlan(
+                indices=tuple(members[local] for local in plan.indices),
+                done={members[local]: checkpoint
+                      for local, checkpoint in plan.done.items()},
+                todo=tuple(members[local] for local in plan.todo),
+                resume_checkpoint=plan.resume_checkpoint) for plan in plans),
+            l_max=l_max))
+    return planned
+
+
+def settle_failure(on_error: str, stage: str, exc: Exception,
+                   requests: Any, indices: Iterable[int],
+                   settled: Dict[int, AnonymizationResponse]) -> None:
+    """Apply ``on_error`` to a failure blocking the grid points ``indices``.
+
+    ``fail_fast`` raises :class:`~repro.errors.GridAbortedError`;
+    ``isolate`` settles each index not settled yet with an error response.
+    """
+    if on_error == "fail_fast":
+        raise GridAbortedError(
+            f"grid aborted (on_error='fail_fast'): {stage} failed with "
+            f"{type(exc).__name__}: {exc}") from exc
+    for index in indices:
+        if index not in settled:
+            settled[index] = AnonymizationResponse.failure(requests[index], exc)
+
+
+def _abort_on_error(responses: Iterable[AnonymizationResponse]) -> None:
     """Raise :class:`GridAbortedError` for the first failed response."""
     for response in responses:
         if response.error is not None:
@@ -353,6 +418,132 @@ def _abort_on_error(responses: Sequence[AnonymizationResponse]) -> None:
                 f"failed with {response.error}")
 
 
+@dataclass
+class PreparedSample:
+    """What a sample group's θ-groups share, derived once per process.
+
+    ``matrices`` (dense, ``engine -> (L_max matrix, l_max)``) and ``tiled``
+    (``engine -> TiledMatrixSpec``) are what the shm parent publishes;
+    ``responses`` holds the grid points already settled (materialized
+    checkpoints, error responses of points whose artifact failed).
+    """
+
+    l_max: Dict[str, int]
+    graph: Any = None
+    matrices: Dict[str, Any] = field(default_factory=dict)
+    tiled: Dict[str, Any] = field(default_factory=dict)
+    baseline: Any = None
+    responses: Dict[int, AnonymizationResponse] = field(default_factory=dict)
+
+
+def prepare_sample(requests: Any, plans: Sequence[ThetaGroupPlan],
+                   l_max_by_engine: Mapping[str, int],
+                   cache: ExecutionCache, *, on_error: str = "isolate",
+                   data_dir: Optional[str] = None) -> PreparedSample:
+    """The prepare half of a sample group: load, L_max bases, baseline.
+
+    ``requests`` is indexable by every index of ``plans``.  Loads the
+    sample once through ``cache``, derives each engine's L_max base (the
+    dense matrix, or the tiled tier's spec — tiles are computed lazily by
+    whoever runs), the utility baseline when any grid point needs one,
+    and materializes the grid points served by stored checkpoints.  Each
+    failure goes through :func:`settle_failure`.
+    """
+    from repro.api.checkpoints import materialize_response
+    from repro.api.shm import TiledMatrixSpec
+    from repro.graph.matrices import distance_dtype
+
+    prepared = PreparedSample(l_max=dict(l_max_by_engine))
+    settled = prepared.responses
+    indices = [index for plan in plans for index in plan.indices]
+    first = requests[indices[0]]
+    try:
+        prepared.graph = cache.graph_for(first)
+    except Exception as exc:  # noqa: BLE001 — isolation is the contract
+        settle_failure(on_error, "sample load", exc, requests, indices, settled)
+        return prepared
+    utility = [index for plan in plans for index in plan.indices
+               if any(requests[member].include_utility
+                      for member in plan.indices)]
+    if utility:
+        try:
+            prepared.baseline = cache.baseline_for(first)
+        except Exception as exc:  # noqa: BLE001
+            settle_failure(on_error, "baseline", exc, requests, utility,
+                           settled)
+    for engine, l_max in prepared.l_max.items():
+        runs = [index for plan in plans if plan.resume_checkpoint is None
+                for index in plan.todo if requests[index].engine == engine]
+        if not runs:  # another task's engine
+            continue
+        probe = requests[runs[0]]
+        try:
+            # Tiled-tier engines never materialize the dense L_max matrix
+            # (resolve also fires the memory guard of explicit dense).
+            config = probe.store_config()
+            if config.resolve(prepared.graph.num_vertices,
+                              distance_dtype(l_max)) == "tiled":
+                prepared.tiled[engine] = TiledMatrixSpec(
+                    l_max=l_max, budget_bytes=config.budget_bytes)
+            else:
+                prepared.matrices[engine] = (
+                    cache.base_matrix_for(probe, l_max), l_max)
+        except Exception as exc:  # noqa: BLE001 — e.g. unknown engine
+            settle_failure(on_error, "distance matrix", exc, requests, runs,
+                           settled)
+    for plan in plans:
+        for index, checkpoint in plan.done.items():
+            if index in settled:
+                continue
+            try:
+                settled[index] = materialize_response(
+                    requests[index], checkpoint, original_graph=prepared.graph,
+                    baseline=prepared.baseline, data_dir=data_dir)
+            except Exception as exc:  # noqa: BLE001
+                settle_failure(on_error, "stored checkpoint", exc, requests,
+                               (index,), settled)
+    return prepared
+
+
+def run_prepared(requests: Any, plans: Sequence[ThetaGroupPlan],
+                 prepared: PreparedSample, cache: ExecutionCache, *,
+                 registry: Optional[AnonymizerRegistry] = None,
+                 observer: Optional[ProgressObserver] = None,
+                 data_dir: Optional[str] = None,
+                 on_error: str = "isolate") -> Dict[int, AnonymizationResponse]:
+    """The run half: every unsettled θ-group through ``execute_sweep_group``.
+
+    Each θ-group's initial matrix is thresholded from the prepared L_max
+    base; the observer hears the indices about to run (``on_group``)
+    before each pass.  Returns the settled responses plus the new ones,
+    keyed by request index.
+    """
+    responses = dict(prepared.responses)
+    for plan in plans:
+        todo = [index for index in plan.todo if index not in responses]
+        if not todo:
+            continue
+        group = [requests[index] for index in todo]
+        initial_distances = None
+        if plan.resume_checkpoint is None:
+            try:
+                initial_distances = cache.distances_for(
+                    group[0], prepared.l_max[group[0].engine])
+            except Exception as exc:  # noqa: BLE001 — e.g. unknown engine
+                settle_failure(on_error, "distance matrix", exc, requests,
+                               todo, responses)
+                continue
+        notify_group(observer, tuple(todo))
+        outcome = theta_sweep.execute_sweep_group(
+            group, registry=registry, observer=observer, data_dir=data_dir,
+            graph=prepared.graph, initial_distances=initial_distances,
+            baseline=prepared.baseline, resume_from=plan.resume_checkpoint)
+        if on_error == "fail_fast":
+            _abort_on_error(outcome)
+        responses.update(zip(todo, outcome))
+    return responses
+
+
 def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
                          registry: Optional[AnonymizerRegistry] = None,
                          observer: Optional[ProgressObserver] = None,
@@ -361,115 +552,39 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
                          resume_from: Optional[Mapping[int, Any]] = None,
                          on_error: str = "isolate"
                          ) -> List[AnonymizationResponse]:
-    """Execute one sample group of a grid, responses in request order.
+    """Execute one sample group of a grid in-process, in request order.
 
     All requests must share a graph source (one :func:`sample_groups`
-    partition).  The sample is loaded once through ``cache`` (a throwaway
-    cache is created when none is given — within-group amortization still
-    applies), the utility baseline is derived once, and one full
-    bounded-distance computation at the group's maximum L serves every
-    θ-sweep group's initial matrix by thresholding.  Each θ-sweep group
-    then runs through :func:`~repro.api.theta_sweep.execute_sweep_group`
-    with its own failure isolation: a failing group (or a failing sample
-    load) yields error responses without aborting its neighbours —
-    unless ``on_error="fail_fast"``, which turns the first failure into a
-    :class:`~repro.errors.GridAbortedError` instead.
+    partition).  :func:`prepare_sample` loads the sample once through
+    ``cache`` (a throwaway one by default), derives the baseline and one
+    L_max distance computation per engine; :func:`run_prepared` runs each
+    θ-sweep group on a thresholded copy.  A failing θ-group (or sample
+    load) yields error responses without aborting its neighbours, unless
+    ``on_error="fail_fast"`` turns the first failure into a
+    :class:`~repro.errors.GridAbortedError`.
 
-    ``resume_from`` maps request indices (into ``requests``) to
-    ``AnonymizationCheckpoint`` records persisted by an earlier,
-    interrupted run of the same group.  Grid points whose checkpoint is
-    present are *materialized* from it (no anonymization work); each
-    θ-group's remaining grid points either continue the interrupted pass
-    from its lowest-θ checkpoint (when the algorithm supports
-    ``resume_from`` and the checkpoint carries an RNG state) or re-run
-    cold — both bit-identical to the uninterrupted run.  Before running a
-    θ-group the executor announces the indices about to run via the
-    observer's optional ``on_group`` hook, so checkpoint-persisting
-    observers can attribute the stream.
+    ``resume_from`` maps request indices to ``AnonymizationCheckpoint``
+    records of an earlier, interrupted run of the same group.  Those grid
+    points are *materialized* (no anonymization work); each θ-group's
+    remaining points continue the interrupted pass from its lowest-θ
+    checkpoint when the algorithm and checkpoint allow it, or re-run
+    cold — both bit-identical to the uninterrupted run.  The observer's
+    optional ``on_group`` hook hears the indices of each θ-group before
+    it runs, so checkpoint-persisting observers can attribute the stream.
     """
     validate_error_policy(on_error)
     requests = list(requests)
-    resume = dict(resume_from) if resume_from else {}
     if not requests:
         return []
     if cache is None:
         cache = ExecutionCache(data_dir=data_dir)
-    try:
-        graph = cache.graph_for(requests[0])
-    except Exception as exc:  # noqa: BLE001 — isolation is the contract
-        if on_error == "fail_fast":
-            raise GridAbortedError(
-                f"grid aborted (on_error='fail_fast'): sample load failed "
-                f"with {type(exc).__name__}: {exc}") from exc
-        return [AnonymizationResponse.failure(request, exc)
-                for request in requests]
-    # Split every θ-group into grid points already served by a persisted
-    # checkpoint ("done") and points still to run ("todo"), and derive the
-    # shared per-engine computation bound (see plan_sample_group).
-    plans, l_max_by_engine = plan_sample_group(requests, resume)
-    ordered: List[Optional[AnonymizationResponse]] = [None] * len(requests)
-    for plan in plans:
-        indices, done, todo = plan.indices, plan.done, plan.todo
-        resume_checkpoint = plan.resume_checkpoint
-        first = requests[indices[0]]
-        baseline = None
-        if any(requests[index].include_utility for index in indices):
-            try:
-                baseline = cache.baseline_for(first)
-            except Exception as exc:  # noqa: BLE001 — same isolation contract
-                if on_error == "fail_fast":
-                    raise GridAbortedError(
-                        f"grid aborted (on_error='fail_fast'): baseline "
-                        f"failed with {type(exc).__name__}: {exc}") from exc
-                for index in indices:
-                    ordered[index] = AnonymizationResponse.failure(
-                        requests[index], exc)
-                continue
-        if done:
-            from repro.api.checkpoints import materialize_response
-
-            for index, checkpoint in done.items():
-                try:
-                    ordered[index] = materialize_response(
-                        requests[index], checkpoint, original_graph=graph,
-                        baseline=baseline, data_dir=data_dir)
-                except Exception as exc:  # noqa: BLE001
-                    if on_error == "fail_fast":
-                        raise GridAbortedError(
-                            f"grid aborted (on_error='fail_fast'): stored "
-                            f"checkpoint failed to materialize with "
-                            f"{type(exc).__name__}: {exc}") from exc
-                    ordered[index] = AnonymizationResponse.failure(
-                        requests[index], exc)
-        if not todo:
-            continue
-        group = [requests[index] for index in todo]
-        initial_distances = None
-        if resume_checkpoint is None:
-            try:
-                initial_distances = cache.distances_for(
-                    group[0], l_max_by_engine[group[0].engine])
-            except Exception as exc:  # noqa: BLE001 — e.g. unknown engine
-                if on_error == "fail_fast":
-                    raise GridAbortedError(
-                        f"grid aborted (on_error='fail_fast'): distance "
-                        f"matrix failed with {type(exc).__name__}: {exc}"
-                        ) from exc
-                for index in todo:
-                    ordered[index] = AnonymizationResponse.failure(
-                        requests[index], exc)
-                continue
-        notify_group(observer, tuple(todo))
-        responses = execute_sweep_group(
-            group, registry=registry,
-            observer=observer, data_dir=data_dir, graph=graph,
-            initial_distances=initial_distances, baseline=baseline,
-            resume_from=resume_checkpoint)
-        if on_error == "fail_fast":
-            _abort_on_error(responses)
-        for index, response in zip(todo, responses):
-            ordered[index] = response
-    return ordered  # type: ignore[return-value]
+    plans, l_max_by_engine = plan_sample_group(requests, resume_from)
+    prepared = prepare_sample(requests, plans, l_max_by_engine, cache,
+                              on_error=on_error, data_dir=data_dir)
+    responses = run_prepared(requests, plans, prepared, cache,
+                             registry=registry, observer=observer,
+                             data_dir=data_dir, on_error=on_error)
+    return [responses[index] for index in range(len(requests))]
 
 
 def run_grid(grid: GridRequest, *,
@@ -479,19 +594,14 @@ def run_grid(grid: GridRequest, *,
              shared_memory: Optional[bool] = None) -> GridResponse:
     """Group and execute a :class:`GridRequest`, responses in request order.
 
-    ``max_workers=0`` (the default) runs the sample groups serially
-    in-process with one shared :class:`~repro.api.cache.ExecutionCache`
-    (the only mode that honours a custom ``registry``); any other value
-    fans the grid across a :class:`~repro.api.batch.BatchRunner` process
-    pool (``None`` = one worker per CPU).  On the default shared-memory
-    data plane (``shared_memory=None`` or ``True``) the pool fans out
-    *θ-sweep groups*: the parent loads each sample and runs each L_max
-    distance computation exactly once, publishes them to shared-memory
-    segments, and workers attach zero-copy views — so even a single-sample
-    grid parallelizes across all cores.  ``shared_memory=False`` falls
-    back to the plane that fans whole *sample groups*, trading θ-group
-    parallelism for per-worker process-local caches.  Either way
-    responses are bit-identical to the serial path.
+    ``max_workers=0`` (the default) runs in-process, as does any grid
+    with a custom ``registry`` (only this process knows it); otherwise the
+    θ-groups fan across a :class:`~repro.api.batch.BatchRunner` pool
+    (``None`` = one worker per CPU).  On the default shared-memory plane
+    the parent loads each sample and runs each L_max computation once and
+    workers attach zero-copy views; ``shared_memory=False`` lets workers
+    prepare their own samples.  Responses are bit-identical on every
+    route, and the counters total the work of every process.
     """
     from repro.api.batch import BatchRunner
 
@@ -502,7 +612,5 @@ def run_grid(grid: GridRequest, *,
     return GridResponse(responses=tuple(responses),
                         num_groups=len(grid.groups()),
                         num_sample_groups=len(grid.sample_groups()),
-                        num_sample_loads=(stats.sample_loads
-                                          if stats.tracked else None),
-                        num_distance_computes=(stats.distance_computes
-                                               if stats.tracked else None))
+                        num_sample_loads=stats.sample_loads,
+                        num_distance_computes=stats.distance_computes)

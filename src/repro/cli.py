@@ -475,8 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "grids: the parent loads each sample and runs "
                             "each L_max distance computation once, workers "
                             "attach read-only views and fan out per θ-sweep "
-                            "group (default: on; 'off' fans whole sample "
-                            "groups instead; ignored with --max-workers 0)")
+                            "group (default: on; 'off' lets every worker "
+                            "load its own samples, one task per sample group "
+                            "when the grid has several, per θ-sweep group "
+                            "otherwise; ignored with --max-workers 0)")
     sweep.add_argument("--scale-tier", choices=SCALE_TIERS, default="auto",
                        dest="scale_tier",
                        help="distance-plane scale tier: dense keeps the full "
@@ -516,8 +518,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-workers", type=int, default=0,
                        help="0 = execute jobs in the service process with "
                             "checkpoint streaming and per-θ resume "
-                            "(default); n > 0 = fan jobs across a pool of n "
-                            "processes (resume at group granularity only)")
+                            "(default); n > 0 = fan each job's θ-sweep "
+                            "groups across a pool of n processes (responses "
+                            "persist per sample group, so an interrupted "
+                            "job resumes at sample-group granularity)")
     serve.add_argument("--shared-memory", choices=("on", "off"), default="on",
                        dest="shared_memory",
                        help="zero-copy shared-memory data plane for pooled "

@@ -16,9 +16,10 @@ configuration — as a *single* checkpointed anonymization pass
 executes *many* plans as one grid job (DESIGN.md §10): plans sharing a
 sample additionally share one L_max bounded-distance computation (smaller
 L matrices are thresholded slices, so an L sweep costs one engine run),
-and ``max_workers`` fans the grid's sample groups across worker processes
-via :class:`repro.api.BatchRunner`; ``run_all(..., max_workers=...)``
-does the same for an explicit configuration list.
+and ``max_workers`` fans the grid's θ-groups across worker processes
+through :class:`repro.api.BatchRunner`'s grid executor;
+``run_all(..., max_workers=...)`` does the same for an explicit
+configuration list.
 """
 
 from __future__ import annotations
@@ -188,10 +189,10 @@ class ExperimentRunner:
         cache, and **one** bounded-distance computation at the group's
         maximum L seeds every plan's checkpointed pass (smaller-L matrices
         are thresholded slices — DESIGN.md §10), so an L sweep over one
-        sample costs a single engine run.  Any other ``max_workers`` fans
-        the grid's sample groups across a
+        sample costs a single engine run.  Any other ``max_workers`` runs
+        the grid through :meth:`run_all`: its θ-groups fan across a
         :class:`repro.api.BatchRunner` process pool (``None`` = one worker
-        per CPU), where each worker holds the same caches process-locally.
+        per CPU) over the shared-memory plane.
         Records are identical to per-plan :meth:`run_sweep` calls either
         way; lists come back in plan order.
         """
@@ -238,10 +239,11 @@ class ExperimentRunner:
         executed as checkpointed passes, so a grid sweeping k thresholds
         costs ~1 run per group instead of k.  ``max_workers=0`` (the default) runs the
         groups serially in this process; any other value fans the grid's
-        *sample groups* over a :class:`repro.api.BatchRunner` process pool
-        (``None`` = one worker per CPU), so groups sharing a sample also
-        share one loaded graph and one L_max distance computation.  A
-        failure in any configuration raises either way.
+        *θ-groups* over a :class:`repro.api.BatchRunner` process pool
+        (``None`` = one worker per CPU) on the shared-memory plane, where
+        the parent loads each sample and runs its L_max distance
+        computation once for all of them.  A failure in any configuration
+        raises either way.
         """
         configs = list(configs)
         if max_workers == 0 or not configs:

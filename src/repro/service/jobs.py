@@ -4,17 +4,17 @@ A :class:`JobManager` owns one worker thread and one
 :class:`~repro.service.store.RunStore`.  Submitted jobs — single
 :class:`~repro.api.requests.AnonymizationRequest` records or
 :class:`~repro.api.sweeps.GridRequest` grids — are persisted first and
-executed in submission order on the existing grid engine
-(:func:`~repro.api.sweeps.execute_sample_group`, the unit
-:class:`~repro.api.batch.BatchRunner` fans out).  While a sample group
-runs, a checkpoint-persisting observer streams every crossed θ into the
-store; each finished group's responses land as well.  The payoff is the
-restart path: :meth:`JobManager.start` re-enqueues every job a dead
-process left ``queued``/``running``, and :meth:`_execute` serves finished
-requests from their stored responses, materializes already-crossed grid
-points from their checkpoints, and *continues* each interrupted
-checkpointed pass from its lowest-θ checkpoint — bit-identical to the
-uninterrupted run (DESIGN.md §11).
+executed in submission order through the one grid executor
+(:meth:`~repro.api.batch.BatchRunner.iter_grid`; a single request is a
+one-point grid), in-process or across a process pool.  Each finished
+sample group's responses land in the store as the group completes, and
+in-process execution additionally streams every crossed θ's checkpoint.
+The payoff is the restart path: :meth:`JobManager.start` re-enqueues
+every job a dead process left ``queued``/``running``, and
+:meth:`_execute` serves finished requests from their stored responses,
+materializes already-crossed grid points from their checkpoints, and
+*continues* each interrupted checkpointed pass from its lowest-θ
+checkpoint — bit-identical to the uninterrupted run (DESIGN.md §11).
 
 Dedup rides on the canonical fingerprint: re-submitting a semantically
 identical request returns the finished (or in-flight) job instead of
@@ -31,8 +31,9 @@ import queue
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.api.cache import ExecutionCache, GridStats
 from repro.api.checkpoints import checkpoint_from_json, checkpoint_to_json
 from repro.api.progress import (
     CancellationToken,
@@ -44,7 +45,7 @@ from repro.api.requests import (
     AnonymizationResponse,
     request_fingerprint,
 )
-from repro.api.sweeps import GridRequest, GridResponse, sample_groups
+from repro.api.sweeps import GridRequest, GridResponse
 from repro.errors import ConfigurationError, ReproError
 from repro.service.store import RunStore
 
@@ -71,51 +72,46 @@ def parse_request(kind: str, payload: Any) -> Any:
     return record.from_dict(payload)
 
 
-def _requests_of(kind: str, request: Any) -> List[AnonymizationRequest]:
-    """Flatten any job kind into its ordered request list."""
-    if kind == "anonymize":
-        return [request]
-    return list(request.requests)
-
-
 def wrap_result(kind: str, request: Any,
-                responses: List[AnonymizationResponse]) -> Any:
-    """Wrap per-request responses into the job kind's response record."""
+                responses: List[AnonymizationResponse],
+                stats: Optional[GridStats] = None) -> Any:
+    """Wrap per-request responses into the job kind's response record
+    (``stats`` fills a grid response's work counters)."""
     if kind == "anonymize":
         return responses[0]
+    counters = {} if stats is None else dict(
+        num_sample_loads=stats.sample_loads,
+        num_distance_computes=stats.distance_computes)
     return GridResponse(responses=tuple(responses),
                         num_groups=len(request.groups()),
-                        num_sample_groups=len(request.sample_groups()))
+                        num_sample_groups=len(request.sample_groups()),
+                        **counters)
 
 
 class _StorePersister:
-    """Observer streaming a sample group's checkpoints into the store.
+    """Observer streaming a job's checkpoints into the store.
 
-    ``execute_sample_group`` announces each θ-group's *local* todo indices
-    via ``on_group``; this sink maps them to the job's global request
-    indices and records each subsequent checkpoint under every announced
-    request whose θ matches.  Checkpoints emitted because the observer
-    stopped the pass (``stop_reason="observer"``, i.e. cancellation) are
-    skipped: a fresh run would have kept going, so they must not be
-    materialized as final state on resume.
+    The grid executor announces each θ-group's global todo indices via
+    ``on_group``; this sink records each subsequent checkpoint under every
+    announced request whose θ matches.  Checkpoints emitted because the
+    observer stopped the pass (``stop_reason="observer"``, i.e.
+    cancellation) are skipped: a fresh run would have kept going, so they
+    must not be materialized as final state on resume.
     """
 
     def __init__(self, store: RunStore, job_id: str,
-                 group_global: List[int],
-                 requests: List[AnonymizationRequest]) -> None:
+                 requests: Sequence[AnonymizationRequest]) -> None:
         self._store = store
         self._job_id = job_id
-        self._group_global = group_global
         self._requests = requests
 
-    def __call__(self, local_indices: Tuple[int, ...], checkpoint: Any) -> None:
+    def __call__(self, indices: Tuple[int, ...], checkpoint: Any) -> None:
         if checkpoint.stop_reason == "observer":
             return
         payload = checkpoint_to_json(checkpoint)
-        for local in local_indices:
-            global_index = self._group_global[local]
-            if abs(self._requests[global_index].theta - checkpoint.theta) <= 1e-12:
-                self._store.record_checkpoint(self._job_id, global_index,
+        for index in indices:
+            if abs(self._requests[index].theta - checkpoint.theta) <= 1e-12:
+                self._store.record_checkpoint(self._job_id, index,
                                               checkpoint.theta, payload)
 
 
@@ -130,20 +126,21 @@ class JobManager:
         Optional directory with real SNAP dataset files (forwarded to the
         engine's dataset loaders).
     max_workers:
-        ``0`` (default) executes sample groups serially in the worker
-        thread with checkpoint streaming — the mode that powers resume.
-        ``n > 0`` fans whole jobs across a
+        ``0`` (default) executes jobs in the worker thread with
+        checkpoint streaming, so an interrupted job resumes at θ
+        granularity.  ``n > 0`` fans each job's θ-groups across a
         :class:`~repro.api.batch.BatchRunner` process pool of at most
-        ``n`` workers instead (negative values are rejected);
-        responses are still persisted per request, but checkpoints do not
-        stream across process boundaries, so interrupted pooled jobs
-        restart from their last finished *group* rather than θ.
+        ``n`` workers instead (negative values are rejected); responses
+        are still persisted per sample group as each completes, but
+        checkpoints do not stream across process boundaries, so an
+        interrupted pooled job resumes from its last finished *sample
+        group* rather than θ.
     shared_memory:
-        Forwarded to the :class:`~repro.api.batch.BatchRunner` of pooled
-        grid jobs — ``None``/``True`` executes grids on the zero-copy
+        Forwarded to the :class:`~repro.api.batch.BatchRunner` —
+        ``None``/``True`` executes pooled grids on the zero-copy
         shared-memory data plane (θ-sweep groups fan out over
-        parent-published arenas), ``False`` falls back to the
-        sample-group fan-out.  Irrelevant with ``max_workers=0``.
+        parent-published arenas), ``False`` lets workers prepare their
+        own samples.  Irrelevant with ``max_workers=0``.
     scale_tier:
         Service-wide default of the distance-plane scale tier (the
         ``--scale-tier`` flag of ``repro-lopacity serve``).  Applied at
@@ -234,7 +231,7 @@ class JobManager:
         if in_flight is not None:
             return {"job_id": in_flight["id"],
                     "status": in_flight["status"], "deduped": True}
-        num_requests = len(_requests_of(kind, request))
+        num_requests = 1 if kind == "anonymize" else len(request.requests)
         job_id = self._store.create_job(kind, fingerprint,
                                         request.to_json(), num_requests)
         self._queue.put(job_id)
@@ -325,64 +322,42 @@ class JobManager:
                 self._cleanup_spills(job_id)
 
     def _execute(self, job: Dict[str, Any], token: CancellationToken) -> None:
-        from repro.api.cache import ExecutionCache
-        from repro.api.sweeps import execute_sample_group
+        from repro.api.batch import BatchRunner
 
         job_id = job["id"]
         kind = job["kind"]
         request = parse_request(kind, json.loads(job["request_json"]))
         request = self._apply_scale_defaults(kind, request)
         self._store.set_status(job_id, "running")
-        requests = _requests_of(kind, request)
-        on_error = request.on_error if kind == "grid" else "isolate"
-        if self._max_workers != 0:
-            self._execute_pooled(job_id, kind, request, requests, token)
-            return
+        grid = request if kind == "grid" else GridRequest(requests=(request,))
         stored = {index: AnonymizationResponse.from_json(text)
                   for index, text in self._store.responses(job_id).items()}
         checkpoints = {index: checkpoint_from_json(text)
                        for index, text
                        in self._store.checkpoints(job_id).items()}
-        ordered: List[Optional[AnonymizationResponse]] = [None] * len(requests)
-        cache = ExecutionCache(data_dir=self._data_dir,
-                               spill_prefix=self._spill_prefix(job_id))
-        for group_global in sample_groups(requests):
-            if token.cancelled:
-                self._store.set_status(job_id, "cancelled")
-                return
-            pending = [index for index in group_global
-                       if index not in stored]
-            if not pending:
-                for index in group_global:
-                    ordered[index] = stored[index]
-                continue
-            group = [requests[index] for index in group_global]
-            resume_local = {local: checkpoints[global_index]
-                            for local, global_index in enumerate(group_global)
-                            if global_index in checkpoints}
-            persister = _StorePersister(self._store, job_id, group_global,
-                                        requests)
-            observer = combine_observers(token,
-                                         CheckpointBuffer(sink=persister))
-            responses = execute_sample_group(
-                group, observer=observer,
-                data_dir=self._data_dir, cache=cache,
-                resume_from=resume_local, on_error=on_error)
-            cache.release(group[0])
+        ordered = [stored.get(index) for index in range(len(grid.requests))]
+        persister = _StorePersister(self._store, job_id, grid.requests)
+        runner = BatchRunner(max_workers=self._max_workers,
+                             data_dir=self._data_dir,
+                             shared_memory=self._shared_memory)
+        stats = GridStats()
+        for indices, responses in runner.iter_grid(
+                grid, observer=combine_observers(
+                    token, CheckpointBuffer(sink=persister)),
+                cache=ExecutionCache(data_dir=self._data_dir,
+                                     spill_prefix=self._spill_prefix(job_id)),
+                resume_from=checkpoints, skip=stored, stats=stats):
             if token.cancelled:
                 # Best-effort responses of an interrupted pass must not be
                 # served as final on resume; the persisted checkpoints
                 # already carry everything worth keeping.
                 self._store.set_status(job_id, "cancelled")
                 return
-            for local, global_index in enumerate(group_global):
-                response = stored.get(global_index, responses[local])
-                ordered[global_index] = response
-                if global_index not in stored:
-                    self._store.record_response(job_id, global_index,
-                                                response.to_json())
-        result = wrap_result(kind, request,
-                             ordered)  # type: ignore[arg-type]
+            for index, response in zip(indices, responses):
+                ordered[index] = response
+                self._store.record_response(job_id, index, response.to_json())
+        result = wrap_result(kind, request, ordered,  # type: ignore[arg-type]
+                             stats=stats)
         self._store.record_result(job_id, result.to_json())
         self._store.set_status(job_id, "done")
 
@@ -434,33 +409,3 @@ class JobManager:
                 os.remove(path)
             except OSError:
                 pass
-
-    def _execute_pooled(self, job_id: str, kind: str, request: Any,
-                        requests: List[AnonymizationRequest],
-                        token: CancellationToken) -> None:
-        """Fan a whole job across a process pool (no checkpoint streaming)."""
-        from repro.api.batch import BatchRunner
-
-        runner = BatchRunner(max_workers=self._max_workers,
-                             data_dir=self._data_dir,
-                             shared_memory=self._shared_memory)
-        stats = None
-        if kind == "anonymize":
-            responses = runner.run(requests)
-        else:
-            from repro.api.cache import GridStats
-
-            stats = GridStats()
-            responses = runner.run_grid(request, stats=stats)
-        if token.cancelled:
-            self._store.set_status(job_id, "cancelled")
-            return
-        for index, response in enumerate(responses):
-            self._store.record_response(job_id, index, response.to_json())
-        result = wrap_result(kind, request, list(responses))
-        if stats is not None and stats.tracked:
-            result = dataclasses.replace(
-                result, num_sample_loads=stats.sample_loads,
-                num_distance_computes=stats.distance_computes)
-        self._store.record_result(job_id, result.to_json())
-        self._store.set_status(job_id, "done")

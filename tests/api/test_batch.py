@@ -80,6 +80,20 @@ class TestBatchRunnerProcessPool:
         assert len(responses) == 1 and responses[0].ok
 
 
+def _theta_group_task(requests, l_max_floor=1):
+    """A worker task running one θ-group, the off plane's single-sample unit
+    (``l_max_floor`` stands in for the grid-wide L_max of its sample)."""
+    from repro.api.batch import GridTask
+    from repro.api.sweeps import plan_sample_group
+
+    (plan,), l_max = plan_sample_group(requests)
+    return GridTask(payloads={index: request.to_dict()
+                              for index, request in enumerate(requests)},
+                    plans=(plan,),
+                    l_max={engine: max(bound, l_max_floor)
+                           for engine, bound in l_max.items()})
+
+
 class TestWorkerGroupPayloadCache:
     def test_group_payload_serves_all_artifacts_from_worker_cache(self, monkeypatch):
         import repro.api.batch as batch_module
@@ -91,13 +105,14 @@ class TestWorkerGroupPayloadCache:
         base = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
                                     include_utility=True)
         for algorithm in ("rem", "gaded-max"):
-            payloads = [base.with_overrides(algorithm=algorithm,
-                                            theta=theta).to_dict()
+            requests = [base.with_overrides(algorithm=algorithm, theta=theta)
                         for theta in (0.8, 0.6)]
-            results = batch_module._execute_group_payload(payloads, None)
-            for payload, result in zip(payloads, results):
-                response = AnonymizationResponse.from_dict(result)
-                reference = anonymize(AnonymizationRequest.from_dict(payload))
+            result = batch_module._execute_task(
+                _theta_group_task(requests), None, "isolate")
+            for index, request in enumerate(requests):
+                response = AnonymizationResponse.from_dict(
+                    result["responses"][index])
+                reference = anonymize(request)
                 assert response.anonymized_edges == reference.anonymized_edges
                 assert response.evaluations == reference.evaluations
                 assert response.metrics == reference.metrics
@@ -114,9 +129,10 @@ class TestWorkerGroupPayloadCache:
         monkeypatch.setattr(batch_module, "_WORKER_CACHE", cache)
         base = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0)
         for length in (1, 2):
-            payloads = [base.with_overrides(length_threshold=length,
-                                            theta=theta).to_dict()
+            requests = [base.with_overrides(length_threshold=length,
+                                            theta=theta)
                         for theta in (0.8, 0.6)]
-            batch_module._execute_group_payload(payloads, None, 2)
+            batch_module._execute_task(
+                _theta_group_task(requests, 2), None, "isolate")
         assert cache.sample_loads == 1
         assert cache.distance_computes == 1

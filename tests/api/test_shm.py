@@ -220,14 +220,15 @@ class TestShmGridPlane:
         assert response.num_sample_loads == 1
         assert response.num_distance_computes == 1
 
-    def test_independent_mode_reports_untracked_counters(self):
+    def test_off_plane_single_sample_reports_worker_counters(self):
         # Off the shm plane, a single sample's θ-groups fan out to workers
-        # that derive their own artifacts: the parent cannot count them.
+        # that derive their own artifacts: each worker reports its loads
+        # and computes, at most one of each per worker.
         grid = GridRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
                                      thetas=(0.8, 0.6))
         response = run_grid(grid, max_workers=2, shared_memory=False)
-        assert response.num_sample_loads is None
-        assert response.num_distance_computes is None
+        assert 1 <= response.num_sample_loads <= 2
+        assert 1 <= response.num_distance_computes <= 2
         for ours, theirs in zip(response.responses,
                                 independent_responses(grid.requests)):
             assert_response_parity(ours, theirs)
@@ -282,17 +283,18 @@ CRASH_SCRIPT = textwrap.dedent("""
     from repro.api import AnonymizationRequest, GridRequest, run_grid
     from repro.api.shm import SHM_NAME_PREFIX
 
-    _real = batch._execute_shm_group_payload
+    _real = batch._execute_task
 
-    def _killer(payloads, data_dir, descriptor, baseline=None):
+    def _killer(task, data_dir, on_error):
         # First θ-group dies hard mid-task; the rest run normally.  Workers
         # inherit this patched module via fork, and the submitted callable
         # resolves back through __main__ in the child.
-        if payloads[0]["theta"] >= 0.85:
+        assert task.arena is not None  # the shm plane's tasks
+        if task.payloads[min(task.payloads)]["theta"] >= 0.85:
             os.kill(os.getpid(), signal.SIGKILL)
-        return _real(payloads, data_dir, descriptor, baseline)
+        return _real(task, data_dir, on_error)
 
-    batch._execute_shm_group_payload = _killer
+    batch._execute_task = _killer
 
     base = AnonymizationRequest(dataset="gnutella", sample_size=25, seed=0)
     grid = GridRequest.from_axes(base, length_thresholds=(1, 2),

@@ -189,12 +189,12 @@ class TestDedup:
         first = manager.submit("grid", grid)
         manager.wait_for(first["job_id"], timeout=120)
 
-        import repro.api.sweeps as sweeps_module
+        import repro.api.theta_sweep as theta_sweep_module
 
         def explode(*_args, **_kwargs):
             raise AssertionError("a deduped resubmission must not execute")
 
-        monkeypatch.setattr(sweeps_module, "execute_sweep_group", explode)
+        monkeypatch.setattr(theta_sweep_module, "execute_sweep_group", explode)
         again = manager.submit("grid", grid)
         assert again["deduped"] is True
         assert GridResponse.from_json(store.get_result(again["job_id"])) \
@@ -301,13 +301,13 @@ class TestResume:
         job_id = self._interrupt(store, grid, len(grid.requests))
         reference = run_grid(grid, max_workers=1)
 
-        import repro.api.sweeps as sweeps_module
+        import repro.api.theta_sweep as theta_sweep_module
 
         def explode(*_args, **_kwargs):
             raise AssertionError(
                 "every θ is checkpointed; nothing may re-run")
 
-        monkeypatch.setattr(sweeps_module, "execute_sweep_group", explode)
+        monkeypatch.setattr(theta_sweep_module, "execute_sweep_group", explode)
         manager = JobManager(store)
         manager.start()
         try:
@@ -328,10 +328,10 @@ class TestResume:
         for index, response in enumerate(reference.responses):
             store.record_response(job_id, index, response.to_json())
 
-        import repro.api.sweeps as sweeps_module
+        import repro.api.theta_sweep as theta_sweep_module
 
         monkeypatch.setattr(
-            sweeps_module, "execute_sweep_group",
+            theta_sweep_module, "execute_sweep_group",
             lambda *a, **k: pytest.fail("all responses are stored"))
         manager = JobManager(store)
         manager.start()
@@ -356,6 +356,56 @@ class TestResume:
         finally:
             manager.stop()
 
+    def test_pooled_job_resumes_at_sample_group_granularity(self, store):
+        # A pooled job killed after its first sample group finished: the
+        # resumed run serves that group from the store and loads only the
+        # second sample.
+        grid = GridRequest.from_axes(BASE, seeds=(0, 1),
+                                     length_thresholds=(1, 2),
+                                     thetas=THETAS)
+        reference = run_grid(grid, max_workers=0)
+        job_id = store.create_job("grid", request_fingerprint(grid),
+                                  grid.to_json(), len(grid.requests))
+        store.set_status(job_id, "running")
+        for index in grid.sample_groups()[0]:
+            store.record_response(job_id, index,
+                                  reference.responses[index].to_json())
+        manager = JobManager(store, max_workers=2)
+        resumed = manager.start()
+        try:
+            assert resumed == [job_id]
+            job = manager.wait_for(job_id, timeout=120)
+            assert job["status"] == "done"
+            result = GridResponse.from_json(store.get_result(job_id))
+            assert_grid_parity(result, reference)
+            assert result.num_sample_loads == 1
+            assert result.num_distance_computes == 1
+        finally:
+            manager.stop()
+
+    def test_serial_and_pooled_jobs_store_the_same_counters(self, tmp_path):
+        grid = GridRequest.from_axes(BASE, seeds=(0, 1),
+                                     length_thresholds=(1, 2),
+                                     thetas=THETAS)
+        results = []
+        for max_workers in (0, 2):
+            run_store = RunStore(str(tmp_path / f"runs-{max_workers}.db"))
+            manager = JobManager(run_store, max_workers=max_workers)
+            manager.start()
+            try:
+                submitted = manager.submit("grid", grid)
+                job = manager.wait_for(submitted["job_id"], timeout=120)
+                assert job["status"] == "done"
+                results.append(GridResponse.from_json(
+                    run_store.get_result(job["id"])))
+            finally:
+                manager.stop()
+                run_store.close()
+        serial, pooled = results
+        assert_grid_parity(pooled, serial)
+        assert serial.num_sample_loads == pooled.num_sample_loads == 2
+        assert serial.num_distance_computes \
+            == pooled.num_distance_computes == 2
 
     def test_stored_request_with_retired_field_errors_and_worker_moves_on(
             self, store):
