@@ -6,14 +6,16 @@ co-author) is far more revealing than a path of length 5.  This example
 loads the ACM Digital Library co-authorship proxy, requires that no
 degree-pair type discloses a <=2-hop connection with more than 30%
 confidence, and compares the two heuristics of the paper on the same input.
-The anonymized graph is written as an edge list next to this script.
+The anonymized graph is written as an edge list to ``output_path``
+(default: ``acm_anonymized.edges`` in the system temporary directory).
 
 Run with::
 
-    python examples/coauthorship_privacy.py [sample_size]
+    python examples/coauthorship_privacy.py [sample_size] [output_path]
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 from repro import (
@@ -66,7 +68,8 @@ def main() -> None:
     # paper reports for hard-to-attain thresholds).
     candidates = [result for result in (removal, removal_insertion) if result.success]
     chosen = min(candidates or [removal], key=lambda result: result.distortion)
-    output = Path(__file__).with_name("acm_anonymized.edges")
+    output = Path(sys.argv[2]) if len(sys.argv) > 2 else \
+        Path(tempfile.gettempdir()) / "acm_anonymized.edges"
     write_edge_list(chosen.anonymized_graph, output,
                     header=f"ACM sample, L={LENGTH_THRESHOLD}, theta={THETA}")
     print(f"\nWrote the published graph to {output}")

@@ -137,8 +137,10 @@ def sweep(base: AnonymizationRequest, *,
     run per request.  ``max_workers=0`` (the default) runs in-process;
     any other value fans the *θ-sweep groups* across a
     :class:`repro.api.batch.BatchRunner` process pool over the zero-copy
-    shared-memory data plane (``None`` = one worker per CPU;
-    ``shared_memory=False`` falls back to fanning whole sample groups).  Responses come back in expansion order (θ
+    shared-memory data plane (``None`` = one worker per CPU).
+    ``shared_memory=False`` lets every worker prepare its own sample: it
+    fans whole sample groups when the grid has several samples and
+    θ-groups when it has one.  Responses come back in expansion order (θ
     fastest), with failures isolated into error responses at group
     granularity.
     """

@@ -25,7 +25,6 @@ from repro.api.registry import AnonymizerRegistry, default_registry
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
 
 __all__ = [
-    "accepts_initial_distances",
     "accepts_kwarg",
     "execute_sweep_group",
     "group_requests",
@@ -115,16 +114,6 @@ def accepts_kwarg(func, name: str) -> bool:
     return name in parameters
 
 
-def accepts_initial_distances(anonymize_schedule) -> bool:
-    """Whether a schedule method takes ``initial_distances``.
-
-    Shared by every layer that seeds precomputed matrices into
-    registry-resolved algorithms (this module and
-    :class:`~repro.experiments.runner.ExperimentRunner`).
-    """
-    return accepts_kwarg(anonymize_schedule, "initial_distances")
-
-
 def _run_group(requests: List[AnonymizationRequest],
                registry: Optional[AnonymizerRegistry],
                observer: Optional[ProgressObserver],
@@ -160,7 +149,7 @@ def _run_group(requests: List[AnonymizationRequest],
         # from the checkpoint graph, never seeded from the original's.
         kwargs["resume_from"] = resume_from
     elif initial_distances is not None and \
-            accepts_initial_distances(algorithm.anonymize_schedule):
+            accepts_kwarg(algorithm.anonymize_schedule, "initial_distances"):
         kwargs["initial_distances"] = initial_distances
     results = algorithm.anonymize_schedule(graph, schedule, **kwargs)
     by_theta = {result.config.theta: result for result in results}

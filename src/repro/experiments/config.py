@@ -110,23 +110,6 @@ class SweepPlan:
             engine=self.engine,
         ) for theta in self.thetas]
 
-    @classmethod
-    def for_config(cls, config: ExperimentConfig,
-                   thetas: Sequence[float]) -> "SweepPlan":
-        """The plan sweeping ``config`` over ``thetas``."""
-        return cls(
-            dataset=config.dataset,
-            sample_size=config.sample_size,
-            algorithm=config.algorithm,
-            thetas=tuple(thetas),
-            length_threshold=config.length_threshold,
-            lookahead=config.lookahead,
-            seed=config.seed,
-            insertion_candidate_cap=config.insertion_candidate_cap,
-            max_steps=config.max_steps,
-            engine=config.engine,
-        )
-
 
 @dataclass(frozen=True)
 class SweepSpec:

@@ -9,11 +9,13 @@ explicitly when more time is available.
 Every figure is declared as a list of
 :class:`~repro.experiments.config.SweepPlan` series and executed as **one
 grid job** through
-:meth:`~repro.experiments.runner.ExperimentRunner.run_grid`: each θ grid
-costs roughly one anonymization pass (with series identical to one run
-per θ), and series sharing a sample — the L sweeps of Figures 6g/6h/8c
-especially — additionally share one loaded graph and one L_max
-bounded-distance computation (DESIGN.md §10).
+:meth:`~repro.experiments.runner.ExperimentRunner.run_grid`, which hands
+it to the service layer's grid executor
+(:meth:`repro.api.BatchRunner.run_grid`): each θ grid costs roughly one
+anonymization pass (with series identical to one run per θ), and series
+sharing a sample — the L sweeps of Figures 6g/6h/8c especially —
+additionally share one loaded graph and one L_max bounded-distance
+computation (DESIGN.md §10).
 """
 
 from __future__ import annotations

@@ -8,13 +8,11 @@ experiments actually run on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from repro.datasets import load_sample
 from repro.datasets.registry import DATASETS
 from repro.graph.properties import graph_properties
-
-if TYPE_CHECKING:  # pragma: no cover — import kept lazy at runtime
-    from repro.experiments.runner import ExperimentRunner
 
 
 def table1_rows() -> List[Dict[str, object]]:
@@ -47,21 +45,14 @@ def table2_rows() -> List[Dict[str, object]]:
 
 def table3_rows(sample_sizes: Optional[Sequence[int]] = None, seed: int = 42,
                 data_dir: Optional[str] = None,
-                measure: bool = True,
-                runner: Optional["ExperimentRunner"] = None) -> List[Dict[str, object]]:
+                measure: bool = True) -> List[Dict[str, object]]:
     """Table 3: sampled graph properties — published values and measured proxies.
 
     For every (dataset, size) pair the paper reports, the row carries the
     published statistics; with ``measure=True`` the same statistics are also
-    measured on the graph actually loaded (real sample or synthetic proxy).
-    Samples are loaded through an :class:`ExperimentRunner` so they are
-    cached and shared with any figure sweeps using the same runner (pass
-    the sweep's ``runner`` to reuse its cache).
+    measured on the graph actually loaded with
+    :func:`~repro.datasets.load_sample` (real sample or synthetic proxy).
     """
-    if measure and runner is None:
-        from repro.experiments.runner import ExperimentRunner
-
-        runner = ExperimentRunner(data_dir=data_dir)
     rows: List[Dict[str, object]] = []
     for spec in DATASETS.values():
         for size, sample in sorted(spec.samples.items()):
@@ -77,7 +68,8 @@ def table3_rows(sample_sizes: Optional[Sequence[int]] = None, seed: int = 42,
                 "paper_acc": sample.clustering,
             }
             if measure:
-                graph = runner.sample(spec.name, size, seed=seed)
+                graph = load_sample(spec.name, size, data_dir=data_dir,
+                                    seed=seed)
                 measured = graph_properties(graph)
                 row.update({
                     "links": measured.num_edges,

@@ -4,7 +4,10 @@ import pytest
 
 import repro.graph.distance_cache as distance_cache_module
 from repro.experiments.config import SweepPlan
-from repro.experiments.figures import figure6_lsweep_series, figure10_series
+from repro.experiments.figures import (figure6_lsweep_series, figure6_series,
+                                       figure7_series, figure8_lsweep_series,
+                                       figure8_series, figure10_series,
+                                       figure12_series)
 from repro.experiments.runner import ExperimentRunner
 from tests.oracles import independent_grids, independent_records
 
@@ -90,17 +93,32 @@ class TestRunGrid:
         assert [records[0].config.length_threshold for records in grid] == [2, 1]
 
 
+TINY = dict(sample_size=30, thetas=(0.8, 0.6), seed=0)
+
+#: Every grid-built figure at n <= 30, keyed by its CLI name.
+FIGURE_BUILDERS = {
+    "figure6": lambda runner: figure6_series(
+        "gnutella", lookaheads=(1, 2), runner=runner, **TINY),
+    "figure6-lsweep": lambda runner: figure6_lsweep_series(
+        "gnutella", lengths=(1, 2), insertion_cap=100, runner=runner, **TINY),
+    "figure7": lambda runner: figure7_series(
+        "enron", lookaheads=(1,), runner=runner, **TINY),
+    "figure8": lambda runner: figure8_series(
+        "wikipedia", lookaheads=(1,), runner=runner, **TINY),
+    "figure8-lsweep": lambda runner: figure8_lsweep_series(
+        "epinions", lengths=(1, 2), runner=runner, **TINY),
+    "figure12": lambda runner: figure12_series(
+        sample_sizes=(20, 30), thetas=(0.8, 0.6), runner=runner),
+}
+
+
 class TestFigureBuildersOnGrid:
-    def test_lsweep_builder_matches_independent_mode(self, runner):
-        shared = figure6_lsweep_series("gnutella", lengths=(1, 2),
-                                       sample_size=30, thetas=(0.8, 0.6),
-                                       insertion_cap=100, runner=runner)
+    @pytest.mark.parametrize("name", sorted(FIGURE_BUILDERS))
+    def test_builder_matches_independent_mode(self, runner, name):
+        build = FIGURE_BUILDERS[name]
+        shared = build(runner)
         with independent_grids():
-            independent = figure6_lsweep_series("gnutella", lengths=(1, 2),
-                                                sample_size=30,
-                                                thetas=(0.8, 0.6),
-                                                insertion_cap=100,
-                                                runner=runner)
+            independent = build(runner)
         assert shared == independent
 
     def test_lsweep_builder_is_one_grid_job(self, runner, monkeypatch):

@@ -4,9 +4,13 @@ import pytest
 
 from repro.baselines import GadedMaxAnonymizer, GadedRandAnonymizer, GadesAnonymizer
 from repro.core import EdgeRemovalAnonymizer, EdgeRemovalInsertionAnonymizer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GridAbortedError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner, request_for
+
+#: RunRecord fields compared bit-for-bit (everything except runtime).
+COMPARED_FIELDS = ("success", "final_opacity", "distortion", "degree_emd",
+                   "geodesic_emd", "mean_cc_difference", "steps", "evaluations")
 
 
 def _config(**overrides):
@@ -60,18 +64,6 @@ class TestExperimentRunner:
         assert payload["dataset"] == "gnutella"
         assert payload["L"] == 1
 
-    def test_graph_cache_reuses_same_sample(self):
-        runner = ExperimentRunner()
-        first = runner.graph_for(_config(theta=0.9))
-        second = runner.graph_for(_config(theta=0.3))
-        assert first is second
-
-    def test_different_seeds_load_different_graphs(self):
-        runner = ExperimentRunner()
-        first = runner.graph_for(_config(seed=0))
-        second = runner.graph_for(_config(seed=1))
-        assert first is not second
-
     def test_baselines_restricted_to_l1(self):
         runner = ExperimentRunner()
         with pytest.raises(ConfigurationError):
@@ -85,12 +77,23 @@ class TestExperimentRunner:
 
     def test_run_all_parallel_matches_serial(self):
         runner = ExperimentRunner()
-        configs = [_config(sample_size=30, theta=theta) for theta in (0.8, 0.6)]
+        # Two θ-groups, so the pooled route really fans out.
+        configs = [_config(sample_size=30, algorithm=algorithm, theta=theta)
+                   for algorithm in ("rem", "gades") for theta in (0.8, 0.6)]
         serial = runner.run_all(configs)
         parallel = runner.run_all(configs, max_workers=2)
-        assert [r.config for r in parallel] == [r.config for r in serial]
+        assert [r.config for r in parallel] == [r.config for r in serial] == configs
         for left, right in zip(serial, parallel):
-            assert left.success == right.success
-            assert left.final_opacity == pytest.approx(right.final_opacity)
-            assert left.distortion == pytest.approx(right.distortion)
-            assert left.degree_emd == pytest.approx(right.degree_emd)
+            for field in COMPARED_FIELDS:
+                assert getattr(left, field) == getattr(right, field), field
+
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_first_failure_aborts_the_grid_on_every_route(self, max_workers):
+        # Both routes run one fail-fast grid: the failing configuration is
+        # named in the same GridAbortedError, never a raw or bare error.
+        runner = ExperimentRunner()
+        configs = [_config(sample_size=30, algorithm="gaded-max",
+                           length_threshold=2),
+                   _config(sample_size=30)]
+        with pytest.raises(GridAbortedError, match="gaded-max L=2 theta=0.6"):
+            runner.run_all(configs, max_workers=max_workers)
