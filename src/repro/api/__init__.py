@@ -17,7 +17,7 @@ Layers (see DESIGN.md §8):
 * :mod:`repro.api.sweeps` — :class:`GridRequest` / :class:`GridResponse`
   and the multi-axis grid engine behind :func:`sweep` and
   ``repro-lopacity sweep``: dataset × size × seed × L × θ × algorithm
-  grids executed with shared sample/baseline/distance caches
+  grids that share each sample's graph, baseline and L_max distances
   (DESIGN.md §10).
 * :mod:`repro.api.cache` — :class:`ExecutionCache`, the per-process
   sample/baseline/L_max-distance cache behind the grid engine and the

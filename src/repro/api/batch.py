@@ -14,7 +14,7 @@ run pipeline (:mod:`repro.api.sweeps`): each θ-sweep group is one
 checkpointed pass, run in this process or through the one worker entry
 point, :func:`_execute_task`.  On the default shared-memory plane
 (:mod:`repro.api.shm`) the parent prepares each sample — graph, L_max
-bases, baseline — once and publishes it, and workers attach read-only
+base, baseline — once and publishes it, and workers attach read-only
 views, so even a single-sample grid parallelizes with zero redundant
 loads or BFS runs.  ``shared_memory=False`` lets every worker prepare its
 own sample: one task per sample group when the grid has several samples,
@@ -92,14 +92,14 @@ class GridTask:
     """θ-groups of one sample group, shipped to a pool worker.
 
     ``payloads`` holds the dict form of every request the ``plans`` touch,
-    by grid index; ``l_max`` is the sample's grid-wide per-engine bound.
+    by grid index; ``l_max`` is the sample's grid-wide distance bound.
     ``arena`` and ``baseline`` carry the parent's published sample;
     ``release`` drops the sample from the worker cache afterwards.
     """
 
     payloads: Mapping[int, Dict[str, Any]]
     plans: Tuple["ThetaGroupPlan", ...]
-    l_max: Mapping[str, int]
+    l_max: int
     arena: Optional["ArenaDescriptor"] = None
     baseline: Any = None
     release: bool = False
@@ -346,8 +346,8 @@ class BatchRunner:
         if prepared.graph is not None:
             try:
                 arena = SharedSampleArena.publish(prepared.graph,
-                                                  prepared.matrices,
-                                                  tiled=prepared.tiled)
+                                                  prepared.base,
+                                                  prepared.l_max)
                 arenas.append(arena)
             except Exception as exc:  # noqa: BLE001 — e.g. /dev/shm full
                 settle_failure(grid.on_error, "arena publish", exc, requests,

@@ -1,4 +1,4 @@
-"""Process-local caches amortizing repeated work across sweep groups.
+"""Process-local cache amortizing repeated work across sweep groups.
 
 A multi-axis grid (:mod:`repro.api.sweeps`) executes many θ-sweep groups
 that share an input sample: same dataset/size/seed, different L, algorithm,
@@ -15,9 +15,9 @@ matrix (:mod:`repro.graph.distance_cache`).
 * the original-graph utility baseline
   (:class:`~repro.metrics.GraphBaseline`), shared by every
   ``include_utility`` response of the sample;
-* one :class:`~repro.graph.distance_cache.LMaxDistanceCache` per
-  (sample, engine), serving every L ≤ L_max from a single engine run
-  (counted by :attr:`distance_computes`).
+* one :class:`~repro.graph.distance_cache.LMaxDistanceCache` per sample,
+  serving every L ≤ L_max from a single distance computation (counted by
+  :attr:`distance_computes`).
 
 One instance lives per worker process — installed by the
 ``ProcessPoolExecutor`` initializer of :class:`~repro.api.batch.BatchRunner`
@@ -31,16 +31,17 @@ loading is deterministic) bit-identical to a cold load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Union
 
 import numpy as np
 
 from repro.api.requests import AnonymizationRequest
 from repro.graph.distance_cache import LMaxDistanceCache
 from repro.graph.graph import Graph
+from repro.graph.matrices import distance_dtype
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (shm imports graph)
-    from repro.api.shm import ArenaDescriptor
+    from repro.api.shm import ArenaDescriptor, TiledMatrixSpec
 
 __all__ = ["ExecutionCache", "GridStats", "sample_key"]
 
@@ -93,10 +94,10 @@ class ExecutionCache:
     On the shared-memory data plane a worker cache additionally holds an
     *arena tier* ahead of its process-local tier: :meth:`adopt_arena`
     installs a sample published by the parent — the graph rebuilt from the
-    shared edge array and one zero-copy
-    :meth:`~repro.graph.distance_cache.LMaxDistanceCache.from_matrix`
-    cache per engine — without incrementing either counter, because the
-    load and the engine run happened exactly once, in the parent.
+    shared edge array and a zero-copy
+    :class:`~repro.graph.distance_cache.LMaxDistanceCache` over its L_max
+    base — without incrementing either counter, because the load and the
+    distance computation happened exactly once, in the parent.
     """
 
     def __init__(self, data_dir: Optional[str] = None, *,
@@ -112,7 +113,7 @@ class ExecutionCache:
         self._spill_prefix = spill_prefix
         self._graphs: Dict[Hashable, Graph] = {}
         self._baselines: Dict[Hashable, object] = {}
-        self._distances: Dict[Tuple[Hashable, str], LMaxDistanceCache] = {}
+        self._distances: Dict[Hashable, LMaxDistanceCache] = {}
         #: Arena attachments (shared-memory tier), keyed like ``_graphs``;
         #: the values pin the worker's read-only segment mappings.
         self._arenas: Dict[Hashable, object] = {}
@@ -167,8 +168,8 @@ class ExecutionCache:
         """Fresh L-bounded distances for the request, served from L_max.
 
         ``l_max`` is the largest L the request's sample group sweeps; the
-        underlying engine runs once per (sample, engine) at that bound, and
-        every request's own ``length_threshold`` view is derived by
+        distances are computed once per sample at that bound, and every
+        request's own ``length_threshold`` view is derived by
         thresholding.  In the dense tier each call returns a fresh array
         (sessions take ownership of the matrices they are given); in the
         tiled tier it returns a thresholded
@@ -180,26 +181,39 @@ class ExecutionCache:
             return cache.store(request.length_threshold)
         return cache.matrix(request.length_threshold)
 
-    def base_matrix_for(self, request: AnonymizationRequest,
-                        l_max: int) -> np.ndarray:
-        """The raw L_max matrix of the request's sample (read-only contract).
+    def base_for(self, request: AnonymizationRequest, l_max: int
+                 ) -> Union[np.ndarray, "TiledMatrixSpec"]:
+        """The L_max base of the request's sample, in the cache's tier.
 
-        The shared-memory publisher reads this to copy the matrix into a
-        segment; unlike :meth:`distances_for` it returns the *base* matrix
-        itself, so no private thresholded copy is materialized in the
-        parent.
+        Dense tier: the raw L_max matrix itself (read-only contract) — the
+        shared-memory publisher copies it into a segment, so no private
+        thresholded copy is materialized in the parent.  Tiled tier: the
+        :class:`~repro.api.shm.TiledMatrixSpec` workers rebuild the tile
+        base from; no tile is computed here.  Resolving the tier fires the
+        memory guard of an explicitly dense request over budget.
         """
-        return self._lmax_cache_for(request, l_max).base_matrix()
+        from repro.api.shm import TiledMatrixSpec
+
+        cache = self._lmax_cache_for(request, l_max)
+        if cache.tier == "tiled":
+            return TiledMatrixSpec(
+                budget_bytes=cache.store_config.budget_bytes)
+        return cache.base_matrix()
 
     def _lmax_cache_for(self, request: AnonymizationRequest,
                         l_max: int) -> LMaxDistanceCache:
-        key = (sample_key(request), request.engine)
+        key = sample_key(request)
         cache = self._distances.get(key)
-        # Arena-adopted caches are served as-is: the published payload
-        # fixes their tier, and requests landing on them were grouped by
-        # matching scale fields.  Private caches rebuild when the sweep's
-        # bound grows or the requested store configuration changed.
-        adopted = key[0] in self._arenas
+        # An arena-adopted cache is served as-is to every request of its
+        # sample: the published base fixes the tier, whatever tier each
+        # request asks for.  That is safe because tiers are result-neutral
+        # (the base took the tier of the group's first runnable request).
+        # A private cache (also one a worker computes for an arena
+        # published without a base) rebuilds when the sweep's bound grows
+        # or the requested store configuration changed.
+        arena = self._arenas.get(key)
+        adopted = arena is not None and cache is not None \
+            and cache is arena.cache
         store_config = request.store_config()
         stale = cache is not None and (
             cache.l_max < l_max
@@ -208,17 +222,21 @@ class ExecutionCache:
             if cache is not None:
                 self._retired_computes += cache.compute_count
             cache = LMaxDistanceCache(self.graph_for(request), l_max,
-                                      engine=request.engine,
                                       store_config=store_config,
                                       spill_path=self._spill_path(key, l_max))
             self._distances[key] = cache
         else:
-            self._touch(key[0])
+            self._touch(key)
+        if adopted:
+            # The request's own memory guard still fires, so an explicit
+            # dense request over budget fails as it does on a private
+            # cache, whichever base the arena published.
+            store_config.resolve(self.graph_for(request).num_vertices,
+                                 distance_dtype(cache.l_max))
         return cache
 
-    def _spill_path(self, key: Tuple[Hashable, str],
-                    l_max: int) -> Optional[str]:
-        """Deterministic per-(sample, engine, L_max) spill path, if configured.
+    def _spill_path(self, key: Hashable, l_max: int) -> Optional[str]:
+        """Deterministic per-(sample, L_max) spill path, if configured.
 
         The same identity always hashes to the same path, so a resumed
         job's rebuilt cache re-opens the spill file its predecessor warmed
@@ -230,7 +248,7 @@ class ExecutionCache:
         import hashlib
 
         digest = hashlib.sha1(
-            repr((key[0], key[1], int(l_max))).encode()).hexdigest()[:16]
+            repr((key, int(l_max))).encode()).hexdigest()[:16]
         return f"{self._spill_prefix}-{digest}.tiles"
 
     def adopt_arena(self, request: AnonymizationRequest,
@@ -239,11 +257,11 @@ class ExecutionCache:
 
         Attaches the descriptor's segments (once per arena — repeated
         adoption of the same ``token`` is a no-op), installs the rebuilt
-        graph where :meth:`graph_for` will find it, and wraps each shared
-        L_max matrix in a zero-copy cache served by :meth:`distances_for`.
+        graph where :meth:`graph_for` will find it, and installs the zero-copy
+        cache over the shared L_max base served by :meth:`distances_for`.
         ``baseline``, the parent's utility baseline, is served by
         :meth:`baseline_for`.  Neither counter moves: the sample load and
-        the engine run were the parent's, performed once per grid.
+        the distance computation were the parent's, performed once per grid.
         """
         from repro.api.shm import attach_arena
 
@@ -255,8 +273,8 @@ class ExecutionCache:
             attached = attach_arena(descriptor)
             self._evict(key)  # a stale same-key entry must not shadow it
             self._install_graph(key, attached.graph)
-            for engine, cache in attached.caches.items():
-                self._distances[(key, engine)] = cache
+            if attached.cache is not None:
+                self._distances[key] = attached.cache
             self._arenas[key] = attached
         if baseline is not None:
             self._baselines[key] = baseline
@@ -285,9 +303,10 @@ class ExecutionCache:
     def _evict(self, key: Hashable) -> None:
         self._graphs.pop(key, None)
         self._baselines.pop(key, None)
-        # Dropping the distance caches before the arena attachment keeps
+        # Dropping the distance cache before the arena attachment keeps
         # the teardown order views-then-segments (close cannot be blocked
         # by a still-exported buffer).
-        for cache_key in [k for k in self._distances if k[0] == key]:
-            self._retired_computes += self._distances.pop(cache_key).compute_count
+        cache = self._distances.pop(key, None)
+        if cache is not None:
+            self._retired_computes += cache.compute_count
         self._arenas.pop(key, None)

@@ -88,8 +88,8 @@ def compute_opacity(request: AnonymizationRequest, *,
                     data_dir: Optional[str] = None) -> OpacityReport:
     """Measure the L-opacity of the request's input graph.
 
-    Only the graph source, ``length_threshold``, and ``engine`` fields of
-    the request are used; the algorithm name is ignored.  ``worst_types``
+    Only the graph source and ``length_threshold`` fields of the request
+    are used; the algorithm name is ignored.  ``worst_types``
     lists the ``top`` most exposed pair types as
     ``(type_key, within_threshold, total_pairs, opacity)`` rows; ``top``
     must be non-negative.
@@ -100,8 +100,7 @@ def compute_opacity(request: AnonymizationRequest, *,
     if top < 0:
         raise ConfigurationError(f"top must be >= 0, got {top}")
     graph = request.resolve_graph(data_dir=data_dir)
-    computer = OpacityComputer(DegreePairTyping(graph), request.length_threshold,
-                               engine=request.engine)
+    computer = OpacityComputer(DegreePairTyping(graph), request.length_threshold)
     outcome = computer.evaluate(graph)
     worst = sorted(outcome.per_type.values(), key=lambda entry: -entry.opacity)[:top]
     return OpacityReport(

@@ -50,7 +50,6 @@ class AnonymizationRequest:
     length_threshold: int = 1
     lookahead: int = 1
     seed: Optional[int] = 0
-    engine: str = "numpy"
     scan_mode: str = "batched"
     scan_workers: Optional[int] = None
     max_steps: Optional[int] = None
@@ -101,7 +100,6 @@ class AnonymizationRequest:
             "length_threshold": self.length_threshold,
             "lookahead": self.lookahead,
             "seed": self.seed,
-            "engine": self.engine,
             "scan_mode": self.scan_mode,
             "scan_workers": self.scan_workers,
             "max_steps": self.max_steps,

@@ -6,15 +6,15 @@ the grid engine kept its single-load / single-compute guarantee by
 *serializing* every θ-sweep group of a sample group onto one worker — a
 single-sample grid sweeping algorithm × L × look-ahead × θ ran on one
 core.  The arena breaks that trade-off: the **parent** resolves the graph
-and runs the distance engine once, publishes the edge array and the L_max
-matrix (one per engine) into :mod:`multiprocessing.shared_memory`
-segments, and fans the θ-groups across the pool carrying only an
-:class:`ArenaDescriptor` — segment names, dtypes, shapes, and per-engine
-L_max bounds.  Workers attach read-only views, rebuild the
-:class:`~repro.graph.graph.Graph` from the shared edge array with zero
-disk I/O, and derive their own ``length_threshold`` matrix by thresholding
-the shared L_max view — the same monotone-restriction argument the serial
-path uses (DESIGN.md §10), with the one unavoidable copy deferred to the
+and computes the distances once, publishes the edge array and the L_max
+base — one dense matrix, or the CSR adjacency of a tiled-tier spec — into
+:mod:`multiprocessing.shared_memory` segments, and fans the θ-groups
+across the pool carrying only an :class:`ArenaDescriptor` — segment
+names, dtypes, shapes, and the L_max bound.  Workers attach read-only
+views, rebuild the :class:`~repro.graph.graph.Graph` from the shared edge
+array with zero disk I/O, and derive their own ``length_threshold``
+matrix by thresholding the shared L_max view — the same
+monotone-restriction argument the serial path uses (DESIGN.md §10), with the one unavoidable copy deferred to the
 moment a :class:`~repro.graph.distance_delta.DistanceSession` takes
 ownership of its (mutable) matrix.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,20 +68,20 @@ _CSR_DTYPE = np.int64
 
 @dataclass(frozen=True)
 class TiledMatrixSpec:
-    """One engine's tiled-tier publication request (parent side).
+    """A tiled-tier publication request (parent side).
 
     In the tiled scale tier there is no dense L_max matrix to publish —
     the whole point is never materializing it.  The parent instead
-    publishes the sample's CSR adjacency (shared by every engine) plus
-    this spec: the geometry workers need to rebuild an equivalent
+    publishes the sample's CSR adjacency plus this spec: the geometry
+    workers need to rebuild an equivalent
     :class:`~repro.graph.distance_store.TiledStore`, and optionally the
     parent's *hot tiles* — already-computed L_max tiles seeded into the
     worker's cache so they are not recomputed per worker.  A typical grid
     parent computes no tiles at all (workers do the lazy work), so
-    ``hot_tiles`` defaults to empty.
+    ``hot_tiles`` defaults to empty.  The bound is the one
+    :meth:`SharedSampleArena.publish` is given.
     """
 
-    l_max: int
     budget_bytes: int
     tile_rows: Optional[int] = None
     hot_tiles: Mapping[int, np.ndarray] = field(default_factory=dict)
@@ -93,36 +93,26 @@ class ArenaDescriptor:
 
     A descriptor is a few hundred bytes of plain data — it crosses the
     process boundary instead of the pickled graph and matrices.  ``token``
-    identifies the arena (workers cache attachments by it), ``matrices``
-    maps each dense-tier engine to its ``(segment_name, l_max, dtype)``
-    entry, ``tiled`` carries the tiled-tier engines — store geometry plus
-    ``(tile_id, segment_name)`` hot-tile names over the shared CSR arrays
-    named by ``csr_segments`` — and the remaining fields carry the array
-    geometry needed to rebuild the NumPy views.
+    identifies the arena (workers cache attachments by it) and ``l_max``
+    bounds its distance payload, which is at most one of: ``matrix``, the
+    dense tier's ``(segment_name, dtype)``, or ``tiled``, the tiled tier's
+    shared CSR arrays, store geometry and ``(tile_id, segment_name)``
+    hot-tile names.  The remaining fields
+    carry the array geometry needed to rebuild the NumPy views.
     """
 
     token: str
     num_vertices: int
     num_edges: int
     edges_segment: Optional[str]
-    #: Dense tier: (engine, segment, l_max, dtype string).
-    matrices: Tuple[Tuple[str, str, int, str], ...] = ()
-    #: Tiled tier: (indptr segment, indices segment), shared per sample.
-    csr_segments: Optional[Tuple[str, str]] = None
-    #: Tiled tier: (engine, l_max, budget_bytes, tile_rows,
-    #: ((tile_id, segment), ...)).
-    tiled: Tuple[Tuple[str, int, int, int,
-                       Tuple[Tuple[int, str], ...]], ...] = ()
-
-    def l_max_for(self, engine: str) -> Optional[int]:
-        """The published L_max bound of ``engine``, or ``None``."""
-        for name, _segment, l_max, _dtype in self.matrices:
-            if name == engine:
-                return l_max
-        for name, l_max, _budget, _tile_rows, _tiles in self.tiled:
-            if name == engine:
-                return l_max
-        return None
+    #: The distance payload's bound (``None`` without a payload).
+    l_max: Optional[int] = None
+    #: Dense tier: (segment, dtype string).
+    matrix: Optional[Tuple[str, str]] = None
+    #: Tiled tier: (indptr segment, indices segment, budget_bytes,
+    #: tile_rows, ((tile_id, segment), ...)).
+    tiled: Optional[Tuple[str, str, int, int,
+                          Tuple[Tuple[int, str], ...]]] = None
 
 
 def _create_segment(name: str, data: np.ndarray) -> shared_memory.SharedMemory:
@@ -162,26 +152,17 @@ class SharedSampleArena:
 
     @classmethod
     def publish(cls, graph: Graph,
-                matrices: Optional[Mapping[str, Tuple[np.ndarray, int]]] = None,
-                tiled: Optional[Mapping[str, TiledMatrixSpec]] = None
-                ) -> "SharedSampleArena":
-        """Publish ``graph`` (and per-engine distance payloads) to shm.
+                base: Union[np.ndarray, TiledMatrixSpec, None] = None,
+                l_max: Optional[int] = None) -> "SharedSampleArena":
+        """Publish ``graph`` (and its L_max distance base) to shm.
 
-        ``matrices`` maps a dense-tier engine name to
-        ``(l_max_matrix, l_max)``; each matrix must be the full ``n × n``
-        bounded matrix computed at that engine's group-wide L_max, in
-        whatever dtype the engine chose (recorded in the descriptor).
-        ``tiled`` maps a tiled-tier engine name to a
-        :class:`TiledMatrixSpec`; any tiled entry additionally publishes
-        the sample's CSR adjacency arrays (once, shared by every tiled
-        engine) instead of a dense matrix.  All data is *copied* into the
-        segments — the caller may release its own references immediately
-        afterwards.
+        ``base`` is the sample's one base at bound ``l_max``: either the
+        full ``n × n`` bounded matrix, in its contract dtype (recorded in
+        the descriptor), or a :class:`TiledMatrixSpec`, published as the
+        sample's CSR adjacency arrays instead of a dense matrix.  All data
+        is *copied* into the segments — the caller may release its own
+        references immediately afterwards.
         """
-        overlap = sorted(set(matrices or ()) & set(tiled or ()))
-        if overlap:
-            raise ConfigurationError(
-                f"engines {overlap} published as both dense and tiled")
         token = f"{SHM_NAME_PREFIX}-{uuid.uuid4().hex[:12]}"
         segments: Dict[str, shared_memory.SharedMemory] = {}
         try:
@@ -192,21 +173,13 @@ class SharedSampleArena:
                 edges_segment = f"{token}-edges"
                 segments[edges_segment] = _create_segment(edges_segment, edges)
             n = graph.num_vertices
-            entries = []
-            for index, (engine, (matrix, l_max)) in enumerate(
-                    sorted((matrices or {}).items())):
-                if matrix.shape != (n, n):
+            matrix_entry = tiled_entry = None
+            l_max = None if base is None else int(l_max)
+            if isinstance(base, TiledMatrixSpec):
+                if base.hot_tiles and base.tile_rows is None:
                     raise ConfigurationError(
-                        f"matrix for engine {engine!r} has shape "
-                        f"{matrix.shape}, expected {(n, n)}")
-                segment_name = f"{token}-m{index}"
-                data = np.ascontiguousarray(matrix)
-                segments[segment_name] = _create_segment(segment_name, data)
-                entries.append((engine, segment_name, int(l_max),
-                                data.dtype.str))
-            csr_segments = None
-            tiled_entries = []
-            if tiled:
+                        "a tiled spec publishes hot tiles without fixing "
+                        "tile_rows")
                 csr = CSRAdjacency.from_graph(graph)
                 indptr_name = f"{token}-csr-indptr"
                 indices_name = f"{token}-csr-indices"
@@ -216,22 +189,25 @@ class SharedSampleArena:
                 segments[indices_name] = _create_segment(
                     indices_name, np.ascontiguousarray(csr.indices,
                                                        dtype=_CSR_DTYPE))
-                csr_segments = (indptr_name, indices_name)
-                for index, (engine, spec) in enumerate(sorted(tiled.items())):
-                    if spec.hot_tiles and spec.tile_rows is None:
-                        raise ConfigurationError(
-                            f"tiled engine {engine!r} publishes hot tiles "
-                            f"without fixing tile_rows")
-                    tile_entries = []
-                    for tile_id, tile in sorted(spec.hot_tiles.items()):
-                        segment_name = f"{token}-t{index}-{int(tile_id)}"
-                        segments[segment_name] = _create_segment(
-                            segment_name, np.ascontiguousarray(tile))
-                        tile_entries.append((int(tile_id), segment_name))
-                    tiled_entries.append(
-                        (engine, int(spec.l_max), int(spec.budget_bytes),
-                         0 if spec.tile_rows is None else int(spec.tile_rows),
-                         tuple(tile_entries)))
+                tile_entries = []
+                for tile_id, tile in sorted(base.hot_tiles.items()):
+                    segment_name = f"{token}-tile-{int(tile_id)}"
+                    segments[segment_name] = _create_segment(
+                        segment_name, np.ascontiguousarray(tile))
+                    tile_entries.append((int(tile_id), segment_name))
+                tiled_entry = (indptr_name, indices_name,
+                               int(base.budget_bytes),
+                               0 if base.tile_rows is None
+                               else int(base.tile_rows),
+                               tuple(tile_entries))
+            elif base is not None:
+                data = np.ascontiguousarray(base)
+                if data.shape != (n, n):
+                    raise ConfigurationError(
+                        f"matrix has shape {data.shape}, expected {(n, n)}")
+                segment_name = f"{token}-matrix"
+                segments[segment_name] = _create_segment(segment_name, data)
+                matrix_entry = (segment_name, data.dtype.str)
         except BaseException:
             for segment in segments.values():
                 _release_segment(segment, unlink=True)
@@ -240,9 +216,8 @@ class SharedSampleArena:
                                      num_vertices=graph.num_vertices,
                                      num_edges=graph.num_edges,
                                      edges_segment=edges_segment,
-                                     matrices=tuple(entries),
-                                     csr_segments=csr_segments,
-                                     tiled=tuple(tiled_entries))
+                                     l_max=l_max, matrix=matrix_entry,
+                                     tiled=tiled_entry)
         return cls(token, segments, descriptor)
 
     @property
@@ -264,8 +239,7 @@ class SharedSampleArena:
         self._segments = {}
 
 
-def publish_session_store(graph: Graph, engine: str,
-                          store) -> SharedSampleArena:
+def publish_session_store(graph: Graph, store) -> SharedSampleArena:
     """Publish a live session's current graph + distance store as an arena.
 
     The intra-group scan pool's publication path: unlike the grid plane —
@@ -280,23 +254,20 @@ def publish_session_store(graph: Graph, engine: str,
     """
     from repro.graph.distance_store import DenseStore
 
-    length = store.length_bound
     if isinstance(store, TiledStore):
         hot: Dict[int, np.ndarray] = {}
         for tile_id in store.cached_tiles():
             start = tile_id * store.tile_rows
             stop = min(store.num_vertices, start + store.tile_rows)
             hot[tile_id] = store.rows(np.arange(start, stop, dtype=np.int64))
-        spec = TiledMatrixSpec(l_max=length,
-                               budget_bytes=store.budget_bytes,
-                               tile_rows=store.tile_rows,
-                               hot_tiles=hot)
-        return SharedSampleArena.publish(graph, tiled={engine: spec})
-    if not isinstance(store, DenseStore):
+        base = TiledMatrixSpec(budget_bytes=store.budget_bytes,
+                               tile_rows=store.tile_rows, hot_tiles=hot)
+    elif isinstance(store, DenseStore):
+        base = store.array
+    else:
         raise ConfigurationError(
             f"cannot publish a {type(store).__name__} store")
-    return SharedSampleArena.publish(graph,
-                                     matrices={engine: (store.array, length)})
+    return SharedSampleArena.publish(graph, base, store.length_bound)
 
 
 def _release_segment(segment: shared_memory.SharedMemory,
@@ -318,9 +289,10 @@ class AttachedArena:
     """A worker's read-only window onto a published sample group.
 
     ``graph`` is rebuilt from the shared edge array (O(E) set
-    construction, no disk I/O, no n² copy); ``caches`` wraps each shared
-    L_max matrix in a :class:`~repro.graph.distance_cache.LMaxDistanceCache`
-    whose ``compute_count`` stays 0 — thresholded *copies* are only made
+    construction, no disk I/O, no n² copy); ``cache`` wraps the shared
+    L_max base (``None`` without one) in a
+    :class:`~repro.graph.distance_cache.LMaxDistanceCache` whose
+    ``compute_count`` stays 0 — thresholded *copies* are only made
     when a session takes ownership.  The segment handles are kept solely
     to pin the mappings; dropping the ``AttachedArena`` releases them via
     reference counting.
@@ -328,13 +300,13 @@ class AttachedArena:
 
     token: str
     graph: Graph
-    caches: Dict[str, LMaxDistanceCache]
+    cache: Optional[LMaxDistanceCache]
     segments: Tuple[shared_memory.SharedMemory, ...] = field(repr=False,
                                                              default=())
 
 
 def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
-    """Attach a published arena and rebuild its graph and distance caches."""
+    """Attach a published arena and rebuild its graph and distance cache."""
     segments = []
     edges: Tuple[Tuple[int, int], ...] = ()
     if descriptor.edges_segment is not None:
@@ -343,34 +315,32 @@ def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
         segments.append(segment)
         edges = [(int(u), int(v)) for u, v in view]
     graph = Graph(descriptor.num_vertices, edges=edges)
-    caches: Dict[str, LMaxDistanceCache] = {}
-    n = descriptor.num_vertices
-    for engine, segment_name, l_max, dtype_str in descriptor.matrices:
+    cache: Optional[LMaxDistanceCache] = None
+    n, l_max = descriptor.num_vertices, descriptor.l_max
+    if descriptor.matrix is not None:
+        segment_name, dtype_str = descriptor.matrix
         segment, view = _attach_view(segment_name, (n, n),
                                      np.dtype(dtype_str))
         segments.append(segment)
-        caches[engine] = LMaxDistanceCache.from_matrix(graph, view, l_max,
-                                                       engine=engine)
-    if descriptor.tiled:
-        indptr_name, indices_name = descriptor.csr_segments
+        cache = LMaxDistanceCache.from_matrix(graph, view, l_max)
+    if descriptor.tiled is not None:
+        indptr_name, indices_name, budget_bytes, tile_rows, tiles = \
+            descriptor.tiled
         segment, indptr = _attach_view(indptr_name, (n + 1,), _CSR_DTYPE)
         segments.append(segment)
         segment, indices = _attach_view(
             indices_name, (int(indptr[-1]),), _CSR_DTYPE)
         segments.append(segment)
-        csr = CSRAdjacency(indptr, indices)
-        for engine, l_max, budget_bytes, tile_rows, tiles in descriptor.tiled:
-            base = TiledStore(None, l_max, csr=csr,
-                              budget_bytes=budget_bytes,
-                              tile_rows=tile_rows or None)
-            for tile_id, tile_segment in tiles:
-                start = tile_id * base.tile_rows
-                stop = min(n, start + base.tile_rows)
-                segment, tile = _attach_view(tile_segment, (stop - start, n),
-                                             base.dtype)
-                segments.append(segment)
-                base.preload_tile(tile_id, tile)
-            caches[engine] = LMaxDistanceCache.from_tiled_base(graph, base,
-                                                              engine=engine)
-    return AttachedArena(token=descriptor.token, graph=graph, caches=caches,
+        base = TiledStore(None, l_max, csr=CSRAdjacency(indptr, indices),
+                          budget_bytes=budget_bytes,
+                          tile_rows=tile_rows or None)
+        for tile_id, tile_segment in tiles:
+            start = tile_id * base.tile_rows
+            stop = min(n, start + base.tile_rows)
+            segment, tile = _attach_view(tile_segment, (stop - start, n),
+                                         base.dtype)
+            segments.append(segment)
+            base.preload_tile(tile_id, tile)
+        cache = LMaxDistanceCache.from_tiled_base(graph, base)
+    return AttachedArena(token=descriptor.token, graph=graph, cache=cache,
                          segments=tuple(segments))

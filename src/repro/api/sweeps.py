@@ -17,11 +17,11 @@ This module generalizes the sweep into a **grid**:
   size, seed — or explicit edges), the unit across which loaded samples,
   baselines, and distance matrices are shared;
 * :func:`plan_grid` / :func:`plan_sample_group` — split each sample group
-  into θ-group plans (done / todo / resume checkpoint) and the per-engine
-  L_max of its single distance computation;
+  into θ-group plans (done / todo / resume checkpoint) and the L_max of
+  its single distance computation;
 * :func:`prepare_sample` / :func:`run_prepared` — the two halves of a
-  sample group: load the sample, derive each engine's L_max base (every
-  smaller L is a thresholded copy) and the baseline once, then run each
+  sample group: load the sample, derive its L_max base (every smaller L
+  is a thresholded copy) and the baseline once, then run each
   θ-sweep group through the checkpointed schedule
   (:func:`execute_sample_group` is both, in-process); every failure goes
   through :func:`settle_failure`;
@@ -122,7 +122,7 @@ def sample_groups(requests: Sequence[AnonymizationRequest]) -> List[List[int]]:
 
     Requests agreeing on dataset/size/seed (or on an explicit edge list)
     resolve to bit-identical input graphs, so one loaded sample — and one
-    L_max distance computation per engine — can serve all of them.  Group
+    L_max distance computation — can serve all of them.  Group
     order follows first appearance; indices keep their input order.
     """
     groups: Dict[Any, List[int]] = {}
@@ -133,7 +133,7 @@ def sample_groups(requests: Sequence[AnonymizationRequest]) -> List[List[int]]:
 
 @dataclass(frozen=True)
 class GridRequest:
-    """A multi-axis grid of anonymization jobs executed with shared caches.
+    """A multi-axis grid of anonymization jobs sharing samples and distances.
 
     ``requests`` is an arbitrary configuration grid (usually built with
     :meth:`from_axes`); :func:`run_grid` partitions it into sample groups,
@@ -222,7 +222,7 @@ class GridResponse:
 
     ``num_sample_loads`` / ``num_distance_computes`` report the total work
     the grid performed across *every* participating process (parent and
-    pool workers) — the observable the shared caches and the shared-memory
+    pool workers) — the observable the sample cache and the shared-memory
     data plane are judged by.  Every execution route reports them; they
     are ``None`` only on responses assembled without running the grid.
     """
@@ -296,20 +296,20 @@ class ThetaGroupPlan:
 
 def plan_sample_group(requests: Sequence[AnonymizationRequest],
                       resume_from: Optional[Mapping[int, Any]] = None
-                      ) -> Tuple[List[ThetaGroupPlan], Dict[str, int]]:
-    """Split a sample group into θ-group plans and shared L_max bounds.
+                      ) -> Tuple[List[ThetaGroupPlan], int]:
+    """Split a sample group into θ-group plans and the shared L_max bound.
 
     Every execution route plans through here (:func:`plan_grid` maps the
     result to global request indices), so all of them agree on which grid
-    points resume from checkpoints and on the per-engine L_max the single
-    distance computation runs at.
+    points resume from checkpoints and on the L_max the single distance
+    computation runs at.
 
-    Returns ``(plans, l_max_by_engine)``: one :class:`ThetaGroupPlan` per
-    θ-sweep group of ``requests`` (group order), and the largest
-    ``length_threshold`` per engine over the grid points that will
-    actually consume a matrix — resumed/materialized grid points never read
-    the original graph's matrix, so they may not inflate the single engine
-    run.
+    Returns ``(plans, l_max)``: one :class:`ThetaGroupPlan` per θ-sweep
+    group of ``requests`` (group order), and the largest
+    ``length_threshold`` over the grid points that will actually consume
+    a matrix — resumed/materialized grid points never read the original
+    graph's matrix, so they may not inflate the single computation.  It
+    is 0 when no grid point needs one.
     """
     requests = list(requests)
     resume = dict(resume_from) if resume_from else {}
@@ -336,25 +336,19 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
         plans.append(ThetaGroupPlan(indices=tuple(indices), done=done,
                                     todo=tuple(todo),
                                     resume_checkpoint=resume_checkpoint))
-    l_max_by_engine: Dict[str, int] = {}
-    for plan in plans:
-        if plan.resume_checkpoint is not None:
-            continue
-        for index in plan.todo:
-            request = requests[index]
-            l_max_by_engine[request.engine] = max(
-                l_max_by_engine.get(request.engine, 0),
-                request.length_threshold)
-    return plans, l_max_by_engine
+    l_max = max((requests[index].length_threshold for plan in plans
+                 if plan.resume_checkpoint is None for index in plan.todo),
+                default=0)
+    return plans, l_max
 
 
 class SamplePlan(NamedTuple):
     """One sample group planned in global request indices: the ``members``
-    it executes, its θ-group ``plans`` and its per-engine ``l_max``."""
+    it executes, its θ-group ``plans`` and its ``l_max`` bound."""
 
     members: Tuple[int, ...]
     plans: Tuple[ThetaGroupPlan, ...]
-    l_max: Dict[str, int]
+    l_max: int
 
 
 def plan_grid(requests: Sequence[AnonymizationRequest], *,
@@ -422,38 +416,39 @@ def _abort_on_error(responses: Iterable[AnonymizationResponse]) -> None:
 class PreparedSample:
     """What a sample group's θ-groups share, derived once per process.
 
-    ``matrices`` (dense, ``engine -> (L_max matrix, l_max)``) and ``tiled``
-    (``engine -> TiledMatrixSpec``) are what the shm parent publishes;
-    ``responses`` holds the grid points already settled (materialized
-    checkpoints, error responses of points whose artifact failed).
+    ``base`` is the L_max base the shm parent publishes: the dense L_max
+    matrix or the tiled tier's ``TiledMatrixSpec`` (``None`` when no grid
+    point needs distances, or their computation failed); ``responses``
+    holds the grid points already settled (materialized checkpoints,
+    error responses of points whose artifact failed).
     """
 
-    l_max: Dict[str, int]
+    l_max: int
     graph: Any = None
-    matrices: Dict[str, Any] = field(default_factory=dict)
-    tiled: Dict[str, Any] = field(default_factory=dict)
+    base: Any = None
     baseline: Any = None
     responses: Dict[int, AnonymizationResponse] = field(default_factory=dict)
 
 
 def prepare_sample(requests: Any, plans: Sequence[ThetaGroupPlan],
-                   l_max_by_engine: Mapping[str, int],
-                   cache: ExecutionCache, *, on_error: str = "isolate",
+                   l_max: int, cache: ExecutionCache, *,
+                   on_error: str = "isolate",
                    data_dir: Optional[str] = None) -> PreparedSample:
-    """The prepare half of a sample group: load, L_max bases, baseline.
+    """The prepare half of a sample group: load, L_max base, baseline.
 
     ``requests`` is indexable by every index of ``plans``.  Loads the
-    sample once through ``cache``, derives each engine's L_max base (the
-    dense matrix, or the tiled tier's spec — tiles are computed lazily by
-    whoever runs), the utility baseline when any grid point needs one,
-    and materializes the grid points served by stored checkpoints.  Each
-    failure goes through :func:`settle_failure`.
+    sample once through ``cache``, derives its L_max base in the tier of
+    the first runnable request (the dense matrix, or the tiled tier's
+    spec — tiles are computed lazily by whoever runs; tiers are
+    result-neutral, so one base serves every request), the utility
+    baseline when any grid point needs one, and materializes the grid
+    points served by stored checkpoints.  Each failure goes through
+    :func:`settle_failure`, except the base's: that is left to the run
+    half, where each θ-group's own distances settle it.
     """
     from repro.api.checkpoints import materialize_response
-    from repro.api.shm import TiledMatrixSpec
-    from repro.graph.matrices import distance_dtype
 
-    prepared = PreparedSample(l_max=dict(l_max_by_engine))
+    prepared = PreparedSample(l_max=l_max)
     settled = prepared.responses
     indices = [index for plan in plans for index in plan.indices]
     first = requests[indices[0]]
@@ -471,26 +466,16 @@ def prepare_sample(requests: Any, plans: Sequence[ThetaGroupPlan],
         except Exception as exc:  # noqa: BLE001
             settle_failure(on_error, "baseline", exc, requests, utility,
                            settled)
-    for engine, l_max in prepared.l_max.items():
-        runs = [index for plan in plans if plan.resume_checkpoint is None
-                for index in plan.todo if requests[index].engine == engine]
-        if not runs:  # another task's engine
-            continue
-        probe = requests[runs[0]]
+    runs = [index for plan in plans if plan.resume_checkpoint is None
+            for index in plan.todo]
+    if runs:
         try:
-            # Tiled-tier engines never materialize the dense L_max matrix
-            # (resolve also fires the memory guard of explicit dense).
-            config = probe.store_config()
-            if config.resolve(prepared.graph.num_vertices,
-                              distance_dtype(l_max)) == "tiled":
-                prepared.tiled[engine] = TiledMatrixSpec(
-                    l_max=l_max, budget_bytes=config.budget_bytes)
-            else:
-                prepared.matrices[engine] = (
-                    cache.base_matrix_for(probe, l_max), l_max)
-        except Exception as exc:  # noqa: BLE001 — e.g. unknown engine
-            settle_failure(on_error, "distance matrix", exc, requests, runs,
-                           settled)
+            prepared.base = cache.base_for(requests[runs[0]], l_max)
+        except Exception:  # noqa: BLE001 — e.g. DistanceMemoryError
+            # Not settled here: the run half asks for each θ-group's own
+            # distances, so a failure such as an explicit dense request
+            # over budget fails only that request's grid points.
+            pass
     for plan in plans:
         for index, checkpoint in plan.done.items():
             if index in settled:
@@ -527,9 +512,9 @@ def run_prepared(requests: Any, plans: Sequence[ThetaGroupPlan],
         initial_distances = None
         if plan.resume_checkpoint is None:
             try:
-                initial_distances = cache.distances_for(
-                    group[0], prepared.l_max[group[0].engine])
-            except Exception as exc:  # noqa: BLE001 — e.g. unknown engine
+                initial_distances = cache.distances_for(group[0],
+                                                        prepared.l_max)
+            except Exception as exc:  # noqa: BLE001 — e.g. DistanceMemoryError
                 settle_failure(on_error, "distance matrix", exc, requests,
                                todo, responses)
                 continue
@@ -557,7 +542,7 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
     All requests must share a graph source (one :func:`sample_groups`
     partition).  :func:`prepare_sample` loads the sample once through
     ``cache`` (a throwaway one by default), derives the baseline and one
-    L_max distance computation per engine; :func:`run_prepared` runs each
+    L_max distance computation; :func:`run_prepared` runs each
     θ-sweep group on a thresholded copy.  A failing θ-group (or sample
     load) yields error responses without aborting its neighbours, unless
     ``on_error="fail_fast"`` turns the first failure into a
@@ -578,8 +563,8 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
         return []
     if cache is None:
         cache = ExecutionCache(data_dir=data_dir)
-    plans, l_max_by_engine = plan_sample_group(requests, resume_from)
-    prepared = prepare_sample(requests, plans, l_max_by_engine, cache,
+    plans, l_max = plan_sample_group(requests, resume_from)
+    prepared = prepare_sample(requests, plans, l_max, cache,
                               on_error=on_error, data_dir=data_dir)
     responses = run_prepared(requests, plans, prepared, cache,
                              registry=registry, observer=observer,

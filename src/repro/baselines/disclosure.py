@@ -14,7 +14,6 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.opacity import OpacityComputer, OpacityResult
 from repro.core.pair_types import DegreePairTyping, PairTyping
-from repro.graph.distance import DistanceEngine
 from repro.graph.graph import Graph
 
 
@@ -31,31 +30,29 @@ class DisclosureSummary:
         return self.maximum > theta
 
 
-def _evaluate(graph: Graph, typing: Optional[PairTyping],
-              engine: DistanceEngine) -> OpacityResult:
+def _evaluate(graph: Graph, typing: Optional[PairTyping]) -> OpacityResult:
     if typing is None:
         typing = DegreePairTyping(graph)
-    computer = OpacityComputer(typing, length_threshold=1, engine=engine)
-    return computer.evaluate(graph)
+    return OpacityComputer(typing, length_threshold=1).evaluate(graph)
 
 
-def link_disclosure_summary(graph: Graph, typing: Optional[PairTyping] = None,
-                            engine: DistanceEngine = "numpy") -> DisclosureSummary:
+def link_disclosure_summary(graph: Graph, typing: Optional[PairTyping] = None
+                            ) -> DisclosureSummary:
     """Compute maximum, total, and per-type single-edge disclosure."""
-    result = _evaluate(graph, typing, engine)
+    result = _evaluate(graph, typing)
     per_type: Dict[Tuple[int, int], float] = {
         key: entry.opacity for key, entry in result.per_type.items()}
     total = float(sum(per_type.values()))
     return DisclosureSummary(maximum=result.max_opacity, total=total, per_type=per_type)
 
 
-def max_link_disclosure(graph: Graph, typing: Optional[PairTyping] = None,
-                        engine: DistanceEngine = "numpy") -> float:
+def max_link_disclosure(graph: Graph,
+                        typing: Optional[PairTyping] = None) -> float:
     """Maximum single-edge disclosure over degree pairs."""
-    return link_disclosure_summary(graph, typing, engine).maximum
+    return link_disclosure_summary(graph, typing).maximum
 
 
-def total_link_disclosure(graph: Graph, typing: Optional[PairTyping] = None,
-                          engine: DistanceEngine = "numpy") -> float:
+def total_link_disclosure(graph: Graph,
+                          typing: Optional[PairTyping] = None) -> float:
     """Sum of single-edge disclosures over degree pairs."""
-    return link_disclosure_summary(graph, typing, engine).total
+    return link_disclosure_summary(graph, typing).total

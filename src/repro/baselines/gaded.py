@@ -53,7 +53,7 @@ class _GadedBase:
     """Shared driver for the two GADED variants (single-edge disclosure, L = 1)."""
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
-                 max_steps: Optional[int] = None, engine: str = "numpy",
+                 max_steps: Optional[int] = None,
                  strict: bool = False, scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
                  scale_tier: str = "auto",
@@ -71,7 +71,6 @@ class _GadedBase:
         self._theta = theta
         self._seed = seed
         self._max_steps = max_steps
-        self._engine = engine
         self._strict = strict
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
@@ -129,12 +128,12 @@ class _GadedBase:
     def _run_single(self, graph: Graph, theta: float, typing: PairTyping,
                     observer: Optional[ProgressObserver],
                     initial_distances=None) -> AnonymizationResult:
-        computer = OpacityComputer(typing, length_threshold=1, engine=self._engine)
+        computer = OpacityComputer(typing, length_threshold=1)
         working = graph.copy()
         # The full constructor state (max_steps included) is recorded so the
         # result's config round-trips through the api layer for reproduction.
         config = AnonymizerConfig(length_threshold=1, theta=theta, seed=self._seed,
-                                  engine=self._engine, strict=self._strict,
+                                  strict=self._strict,
                                   max_steps=self._max_steps,
                                   scan_mode=self._scan_mode,
                                   scan_workers=self._scan_workers,
@@ -224,7 +223,7 @@ class _GadedBase:
 @register_anonymizer(
     "gaded-rand",
     description="GADED-Rand baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "engine", "strict", "scan_mode",
+    accepts=("theta", "seed", "max_steps", "strict", "scan_mode",
              "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadedRandAnonymizer(_GadedBase):
@@ -241,7 +240,7 @@ class GadedRandAnonymizer(_GadedBase):
 @register_anonymizer(
     "gaded-max",
     description="GADED-Max baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "engine", "strict", "scan_mode",
+    accepts=("theta", "seed", "max_steps", "strict", "scan_mode",
              "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadedMaxAnonymizer(_GadedBase):

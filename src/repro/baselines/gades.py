@@ -42,7 +42,7 @@ Swap = Tuple[Edge, Edge, Edge, Edge]  # (removed1, removed2, added1, added2)
 @register_anonymizer(
     "gades",
     description="GADES baseline (Zhang & Zhang, degree-preserving swaps)",
-    accepts=("theta", "seed", "max_steps", "swap_sample_size", "engine",
+    accepts=("theta", "seed", "max_steps", "swap_sample_size",
              "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class GadesAnonymizer:
@@ -66,7 +66,7 @@ class GadesAnonymizer:
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None, swap_sample_size: int = 2000,
-                 engine: str = "numpy", scan_mode: str = "batched",
+                 scan_mode: str = "batched",
                  scan_workers: Optional[int] = None,
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
@@ -86,7 +86,6 @@ class GadesAnonymizer:
         self._seed = seed
         self._max_steps = max_steps
         self._swap_sample_size = swap_sample_size
-        self._engine = engine
         self._scan_mode = scan_mode
         self._scan_workers = scan_workers
         self._scale_tier = scale_tier
@@ -137,13 +136,13 @@ class GadesAnonymizer:
                       ) -> List[AnonymizationResult]:
         if typing is None:
             typing = DegreePairTyping(graph)
-        computer = OpacityComputer(typing, length_threshold=1, engine=self._engine)
+        computer = OpacityComputer(typing, length_threshold=1)
         working = graph.copy()
         # The full constructor state (max_steps and swap_sample_size
         # included) is recorded so the result's config round-trips through
         # the api layer for reproduction.
         config = AnonymizerConfig(length_threshold=1, theta=schedule[-1],
-                                  seed=self._seed, engine=self._engine,
+                                  seed=self._seed,
                                   max_steps=self._max_steps,
                                   swap_sample_size=self._swap_sample_size,
                                   scan_mode=self._scan_mode,

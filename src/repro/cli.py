@@ -6,8 +6,8 @@ Subcommands
   with any registered algorithm and write the result.
 * ``sweep`` — run a multi-axis grid (θ and algorithms via flags; dataset,
   size, seed, L, look-ahead via repeatable ``--axis name=v1,v2``) as
-  grouped checkpointed passes with shared sample/distance caches: one
-  anonymization per θ group, one sample load and one L_max distance
+  grouped checkpointed passes that share each sample and its distances:
+  one anonymization per θ group, one sample load and one L_max distance
   computation per sample group.
 * ``batch`` — execute a JSON job spec of anonymization requests, fanning
   the jobs across worker processes.
@@ -53,8 +53,9 @@ with ``defaults`` merged into every job::
 Each job object takes the fields of
 :class:`repro.api.AnonymizationRequest` (``algorithm``, ``dataset`` +
 ``sample_size`` or ``edges``, ``theta``, ``length_threshold``,
-``lookahead``, ``seed``, ``engine``, ``max_steps``,
-``insertion_candidate_cap``, ``timeout_seconds``, ``include_utility``,
+``lookahead``, ``seed``, ``max_steps``, ``insertion_candidate_cap``,
+``swap_sample_size``, ``scan_mode``, ``scan_workers``, ``scale_tier``,
+``scale_budget_bytes``, ``timeout_seconds``, ``include_utility``,
 ``request_id``).  Results are written as a JSON array of response objects
 in job order; a failing job yields an ``error`` response without aborting
 the rest of the batch.
@@ -442,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = subparsers.add_parser(
         "sweep", help="run a multi-axis grid as grouped checkpointed "
-                      "anonymization passes with shared caches")
+                      "anonymization passes over shared samples")
     add_graph_arguments(sweep)
     sweep.add_argument("--algorithms", nargs="+", default=["rem"],
                        choices=available_algorithms(),

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.pair_types import DegreePairTyping
 from repro.errors import ConfigurationError
-from repro.graph.distance import DistanceEngine, bounded_distance_matrix
+from repro.graph.distance import bounded_distance_matrix
 from repro.graph.graph import Graph
 from repro.graph.matrices import UNREACHABLE
 
@@ -59,19 +59,15 @@ class DegreeAdversary:
         publication model releases alongside the anonymized structure.  When
         omitted, the published graph's own degrees are used (the adversary of
         a naive publication).
-    engine:
-        Distance engine used for the ≤L reachability computation.
     """
 
     def __init__(self, published_graph: Graph,
-                 original_typing: Optional[DegreePairTyping] = None,
-                 engine: DistanceEngine = "numpy") -> None:
+                 original_typing: Optional[DegreePairTyping] = None) -> None:
         self._graph = published_graph
         self._typing = original_typing or DegreePairTyping(published_graph)
         if len(self._typing.degrees) != published_graph.num_vertices:
             raise ConfigurationError(
                 "original_typing must describe the same vertex set as the published graph")
-        self._engine = engine
 
     # ------------------------------------------------------------------
     # candidate identification
@@ -97,8 +93,7 @@ class DegreeAdversary:
             raise ConfigurationError("length_threshold must be >= 1")
         targets = tuple(dict.fromkeys(int(v) for v in target_candidates))
         subjects = tuple(dict.fromkeys(int(v) for v in subject_candidates))
-        distances = bounded_distance_matrix(self._graph, length_threshold,
-                                            engine=self._engine)
+        distances = bounded_distance_matrix(self._graph, length_threshold)
         linked = 0
         total = 0
         for target in targets:

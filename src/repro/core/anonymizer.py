@@ -38,7 +38,6 @@ from repro.core.opacity_session import OpacitySession, validate_scan_mode
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.core.scan_pool import resolve_scan_workers
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.graph.distance import DistanceEngine, available_engines
 from repro.graph.distance_store import (
     DEFAULT_SCALE_BUDGET_BYTES,
     StoreConfig,
@@ -104,8 +103,6 @@ class AnonymizerConfig:
     lookahead:
         The ``la`` parameter: maximum number of edges considered jointly in
         one greedy step (Section 5).
-    engine:
-        Distance engine used for opacity evaluation.
     seed:
         Seed for the uniform tie-breaking of Algorithm 4 (lines 14-18).
     max_steps:
@@ -158,7 +155,6 @@ class AnonymizerConfig:
     length_threshold: int = 1
     theta: float = 0.5
     lookahead: int = 1
-    engine: DistanceEngine = "numpy"
     seed: Optional[int] = None
     max_steps: Optional[int] = None
     prune_candidates: bool = True
@@ -201,10 +197,6 @@ class AnonymizerConfig:
             raise ConfigurationError(f"theta must be in [0, 1], got {self.theta}")
         if self.lookahead < 1:
             raise ConfigurationError(f"lookahead must be >= 1, got {self.lookahead}")
-        if self.engine not in available_engines():
-            raise ConfigurationError(
-                f"unknown distance engine {self.engine!r}; "
-                f"available: {available_engines()}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.max_combinations < 1:
@@ -520,7 +512,7 @@ class BaseAnonymizer(ABC):
         ``initial_distances`` may carry the precomputed L-bounded distance
         matrix of ``graph`` (e.g. a
         :class:`~repro.graph.distance_cache.LMaxDistanceCache` slice) so the
-        evaluation session skips its from-scratch engine run; the run takes
+        evaluation session skips its from-scratch distance computation; the run takes
         ownership of the array.
         """
         return self._run_schedule(graph, (self._config.theta,), typing,
@@ -584,7 +576,7 @@ class BaseAnonymizer(ABC):
                     f"checkpoint's theta={resume_from.theta}; got {above}")
         if typing is None:
             typing = DegreePairTyping(graph)
-        computer = OpacityComputer(typing, config.length_threshold, engine=config.engine)
+        computer = OpacityComputer(typing, config.length_threshold)
         working = (resume_from.graph.copy() if resume_from is not None
                    else graph.copy())
         session = config.open_session(computer, working, initial_distances)

@@ -27,7 +27,7 @@ from repro.graph.graph import Edge
 @register_anonymizer(
     "rem",
     description="Edge Removal (paper Algorithm 4)",
-    accepts=("length_threshold", "theta", "lookahead", "engine", "seed",
+    accepts=("length_threshold", "theta", "lookahead", "seed",
              "max_steps", "prune_candidates", "max_combinations", "strict",
              "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
 )

@@ -30,7 +30,7 @@ from repro.graph.graph import Edge, Graph
 @register_anonymizer(
     "rem-ins",
     description="Edge Removal/Insertion (paper Algorithm 5)",
-    accepts=("length_threshold", "theta", "lookahead", "engine", "seed",
+    accepts=("length_threshold", "theta", "lookahead", "seed",
              "max_steps", "prune_candidates", "max_combinations",
              "insertion_candidate_cap", "strict", "scan_mode",
              "scan_workers", "scale_tier", "scale_budget_bytes"),

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping, PairTyping, TypeKey
 from repro.errors import ConfigurationError
-from repro.graph.distance import DistanceEngine, bounded_distance_matrix
+from repro.graph.distance import bounded_distance_matrix
 from repro.graph.graph import Graph
 
 
@@ -189,18 +189,13 @@ class OpacityComputer:
         The vertex-pair typing (frozen from the original graph).
     length_threshold:
         The L parameter — the path length considered a privacy threat.
-    engine:
-        Which distance engine to use (see
-        :func:`repro.graph.distance.available_engines`).
     """
 
-    def __init__(self, typing: PairTyping, length_threshold: int,
-                 engine: DistanceEngine = "numpy") -> None:
+    def __init__(self, typing: PairTyping, length_threshold: int) -> None:
         if length_threshold < 1:
             raise ConfigurationError(f"length_threshold must be >= 1, got {length_threshold}")
         self._typing = typing
         self._length = int(length_threshold)
-        self._engine = engine
 
     @property
     def typing(self) -> PairTyping:
@@ -212,17 +207,12 @@ class OpacityComputer:
         """The L parameter."""
         return self._length
 
-    @property
-    def engine(self) -> DistanceEngine:
-        """The configured distance engine."""
-        return self._engine
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def distances(self, graph: Graph) -> np.ndarray:
         """Return the L-bounded distance matrix of ``graph``."""
-        return bounded_distance_matrix(graph, self._length, engine=self._engine)
+        return bounded_distance_matrix(graph, self._length)
 
     def evaluate(self, graph: Graph, distances: Optional[np.ndarray] = None) -> OpacityResult:
         """Compute the full opacity result for ``graph`` (Algorithm 1).
@@ -346,7 +336,6 @@ class OpacityComputer:
                 np.append(np.asarray(positions, np.int64)[order], len(keys)))
 
 
-def max_lo(graph: Graph, typing: PairTyping, length_threshold: int,
-           engine: DistanceEngine = "numpy") -> float:
+def max_lo(graph: Graph, typing: PairTyping, length_threshold: int) -> float:
     """Convenience wrapper for Algorithm 1: return ``max_T LO_G(T)``."""
-    return OpacityComputer(typing, length_threshold, engine=engine).max_opacity(graph)
+    return OpacityComputer(typing, length_threshold).max_opacity(graph)

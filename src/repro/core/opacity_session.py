@@ -177,7 +177,7 @@ class OpacitySession:
     Parameters
     ----------
     computer:
-        The stateless evaluator fixing typing, L, and the distance engine.
+        The stateless evaluator fixing typing and L.
     graph:
         The working graph (shared, not copied).
     fallback_row_fraction:
@@ -200,8 +200,8 @@ class OpacitySession:
         :class:`~repro.graph.distance_cache.LMaxDistanceCache`) or a
         :class:`~repro.graph.distance_store.DistanceStore` served by the
         tier-aware cache — adopted as the session's starting state so
-        construction skips the from-scratch engine run.  The session takes
-        ownership of the payload.
+        construction skips the from-scratch distance computation.  The
+        session takes ownership of the payload.
     store_config:
         Scale-tier policy for a session that must compute its own
         distances (ignored when ``initial_distances`` is given).
@@ -231,7 +231,7 @@ class OpacitySession:
         self._scan_failed = False
         self.parallel_scans = 0
         self._distance = DistanceSession(
-            graph, computer.length_threshold, engine=computer.engine,
+            graph, computer.length_threshold,
             fallback_row_fraction=fallback_row_fraction,
             initial_distances=initial_distances,
             store_config=store_config)

@@ -179,7 +179,7 @@ def _scan_worker_main(conn, descriptor, computer,
                       fallback_row_fraction: Optional[float]) -> None:
     """Worker entry point: attach the arena, serve scan/apply requests.
 
-    Runs in a forked child, so ``computer`` (typing, L, engine) arrives by
+    Runs in a forked child, so ``computer`` (typing, L) arrives by
     inheritance; only the arena descriptor and small message payloads ever
     cross the pipe.  Any failure is reported once and ends the worker — the
     parent treats a dead worker as a permanent fallback signal.
@@ -190,7 +190,7 @@ def _scan_worker_main(conn, descriptor, computer,
     mark_pool_worker()
     try:
         attached = attach_arena(descriptor)
-        cache = attached.caches[computer.engine]
+        cache = attached.cache
         length = computer.length_threshold
         if cache.tier == "tiled":
             initial = cache.store(length)
@@ -294,7 +294,7 @@ class ScanPool:
         processes: List[Any] = []
         connections: List[Any] = []
         try:
-            arena = publish_session_store(graph, computer.engine, store)
+            arena = publish_session_store(graph, store)
             for _ in range(workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 process = ctx.Process(

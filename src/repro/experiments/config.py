@@ -42,7 +42,6 @@ class ExperimentConfig:
     seed: int = 0
     insertion_candidate_cap: Optional[int] = None
     max_steps: Optional[int] = None
-    engine: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -87,7 +86,6 @@ class SweepPlan:
     seed: int = 0
     insertion_candidate_cap: Optional[int] = None
     max_steps: Optional[int] = None
-    engine: str = "numpy"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thetas", tuple(self.thetas))
@@ -107,7 +105,6 @@ class SweepPlan:
             seed=self.seed,
             insertion_candidate_cap=self.insertion_candidate_cap,
             max_steps=self.max_steps,
-            engine=self.engine,
         ) for theta in self.thetas]
 
 
@@ -124,7 +121,6 @@ class SweepSpec:
     seed: int = 0
     insertion_candidate_cap: Optional[int] = None
     max_steps: Optional[int] = None
-    engine: str = "numpy"
 
     def configurations(self) -> Iterator[ExperimentConfig]:
         """Iterate over every configuration of the grid (θ varies fastest)."""
@@ -146,7 +142,6 @@ class SweepSpec:
                 seed=self.seed,
                 insertion_candidate_cap=self.insertion_candidate_cap,
                 max_steps=self.max_steps,
-                engine=self.engine,
             )
 
     def __len__(self) -> int:

@@ -72,7 +72,6 @@ def request_for(config: ExperimentConfig) -> AnonymizationRequest:
         length_threshold=config.length_threshold,
         lookahead=config.lookahead,
         seed=config.seed,
-        engine=config.engine,
         max_steps=config.max_steps,
         insertion_candidate_cap=config.insertion_candidate_cap,
         include_utility=True,

@@ -17,6 +17,14 @@ return the same *bounded distance matrix*:
 * ``numpy_bounded_distances`` — vectorized frontier expansion with boolean
   matrix products (fast for the graph sizes used in the experiments).
 
+The property suites prove the five engines bit-identical, so the engine is
+not a pipeline choice.  Each scale tier runs one kernel, chosen in code:
+the dense tier calls :func:`bounded_distance_matrix` with its default
+``"numpy"`` engine, and the tiled tier expands CSR frontiers row block by
+row block (:func:`~repro.graph.distance_store.csr_bounded_rows`).  The
+``engine=`` argument and :func:`available_engines` remain for the
+engine ablation benchmark and the cross-engine tests.
+
 Contract shared by every engine: the returned matrix ``D`` is a dense
 integer array of :func:`~repro.graph.matrices.distance_dtype` (uint8 for
 L ≤ 254, uint16 up to 65534, int32 beyond) with ``D[i, i] = 0``,

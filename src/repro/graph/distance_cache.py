@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.graph.distance import DistanceEngine, bounded_distance_matrix
+from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import (
     DenseStore,
     DistanceStore,
@@ -87,10 +87,6 @@ class LMaxDistanceCache:
         pristine samples and copy before editing).
     l_max:
         The largest L this cache can serve (the group's maximum).
-    engine:
-        Distance engine used for the single full computation (dense tier
-        only; the tiled tier always expands CSR frontiers, which is
-        bit-identical by the bounded-matrix contract).
     store_config:
         Scale-tier policy; defaults to ``auto`` under the default budget,
         which keeps every historical workload on the dense path.
@@ -102,14 +98,12 @@ class LMaxDistanceCache:
     """
 
     def __init__(self, graph: Graph, l_max: int,
-                 engine: DistanceEngine = "numpy",
                  store_config: Optional[StoreConfig] = None,
                  spill_path: Optional[str] = None) -> None:
         if l_max < 1:
             raise ConfigurationError(f"l_max must be >= 1, got {l_max}")
         self._graph = graph
         self._l_max = int(l_max)
-        self._engine = engine
         self._store_config = store_config or StoreConfig()
         self._store_config.validate()
         self._spill_path = spill_path
@@ -123,7 +117,6 @@ class LMaxDistanceCache:
 
     @classmethod
     def from_matrix(cls, graph: Graph, matrix: np.ndarray, l_max: int,
-                    engine: DistanceEngine = "numpy",
                     store_config: Optional[StoreConfig] = None,
                     ) -> "LMaxDistanceCache":
         """Wrap an already-computed L_max matrix (zero-copy adoption).
@@ -142,13 +135,12 @@ class LMaxDistanceCache:
             raise ConfigurationError(
                 f"matrix shape {matrix.shape} does not match the graph's "
                 f"{(n, n)}")
-        cache = cls(graph, l_max, engine=engine, store_config=store_config)
+        cache = cls(graph, l_max, store_config=store_config)
         cache._matrix = matrix
         return cache
 
     @classmethod
     def from_tiled_base(cls, graph: Graph, base: TiledStore,
-                        engine: DistanceEngine = "numpy",
                         store_config: Optional[StoreConfig] = None,
                         ) -> "LMaxDistanceCache":
         """Adopt a pre-built L_max tile base (the shm CSR-adoption path).
@@ -157,7 +149,7 @@ class LMaxDistanceCache:
         0 and the base's lazily computed tiles are shared by every
         :meth:`store` child this cache hands out.
         """
-        cache = cls(graph, base.length_bound, engine=engine,
+        cache = cls(graph, base.length_bound,
                     store_config=store_config or StoreConfig(tier="tiled"))
         cache._base_store = base
         return cache
@@ -166,11 +158,6 @@ class LMaxDistanceCache:
     def l_max(self) -> int:
         """The largest L this cache can serve."""
         return self._l_max
-
-    @property
-    def engine(self) -> DistanceEngine:
-        """The engine used for the single full computation."""
-        return self._engine
 
     @property
     def store_config(self) -> StoreConfig:
@@ -222,8 +209,7 @@ class LMaxDistanceCache:
                 raise ConfigurationError(
                     "base_matrix() is a dense-tier accessor; this cache "
                     "resolved to the tiled tier — use store()/base_store()")
-            self._matrix = bounded_distance_matrix(self._graph, self._l_max,
-                                                   engine=self._engine)
+            self._matrix = bounded_distance_matrix(self._graph, self._l_max)
             self.compute_count += 1
         return self._matrix
 

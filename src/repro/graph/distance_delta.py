@@ -27,7 +27,7 @@ plus their new values — without a from-scratch recomputation:
   the edited graph, restricted to those source rows (the ``numpy`` engine's
   recurrence on an ``|rows| × n`` slab); when the affected region exceeds a
   size heuristic the session falls back to an exact from-scratch
-  recomputation with the configured engine.
+  recomputation, :func:`~repro.graph.distance.bounded_distance_matrix`.
 
 Every matrix access is phrased in row blocks (columns are rows transposed —
 the matrix is symmetric), which is exactly the store seam's contract; the
@@ -62,7 +62,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, DistanceMemoryError
-from repro.graph.distance import DistanceEngine, bounded_distance_matrix
+from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import (
     CSRAdjacency,
     DenseStore,
@@ -209,9 +209,6 @@ class DistanceSession:
         The working graph (shared, not copied).
     length_bound:
         The L truncation of the distance matrix.
-    engine:
-        Distance engine used for the initial computation and for the
-        from-scratch fallback (dense tier).
     fallback_row_fraction:
         When a removal would touch more than ``max(16, fraction * n)`` rows,
         the preview recomputes the full matrix instead of the affected slab
@@ -243,7 +240,6 @@ class DistanceSession:
     """
 
     def __init__(self, graph: Graph, length_bound: int,
-                 engine: DistanceEngine = "numpy",
                  fallback_row_fraction: Optional[float] = None,
                  initial_distances: Union[np.ndarray, DistanceStore, None] = None,
                  store_config: Optional[StoreConfig] = None) -> None:
@@ -255,7 +251,6 @@ class DistanceSession:
                 f"fallback_row_fraction must be in [0, 1], got {fallback_row_fraction}")
         self._graph = graph
         self._length = int(length_bound)
-        self._engine = engine
         self._requested_fraction = fallback_row_fraction
         self._auto_fraction = fallback_row_fraction is None
         self._fallback_fraction = (self._estimate_fraction()
@@ -320,8 +315,7 @@ class DistanceSession:
                               tile_rows=config.tile_rows,
                               budget_bytes=config.budget_bytes,
                               spill_dir=config.spill_dir)
-        matrix = bounded_distance_matrix(self._graph, self._length,
-                                         engine=self._engine)
+        matrix = bounded_distance_matrix(self._graph, self._length)
         return DenseStore(matrix, self._length)
 
     # ------------------------------------------------------------------
@@ -571,8 +565,7 @@ class DistanceSession:
                 self._graph.remove_edge(u, v)
                 rows = candidate_rows[local]
                 if rows.size > threshold:
-                    full = bounded_distance_matrix(self._graph, self._length,
-                                                   engine=self._engine)
+                    full = bounded_distance_matrix(self._graph, self._length)
                     deltas[index] = DistanceDelta(
                         (edges[index],), (), np.arange(n, dtype=np.int64), full,
                         from_scratch=True)
@@ -893,8 +886,7 @@ class DistanceSession:
             for position, index in enumerate(rows.tolist()):
                 overlay[index] = block[position]
         if scratch:
-            full = bounded_distance_matrix(self._graph, self._length,
-                                           engine=self._engine)
+            full = bounded_distance_matrix(self._graph, self._length)
             return DistanceDelta(removals, insertions,
                                  np.arange(n, dtype=np.int64), full,
                                  from_scratch=True)
@@ -938,8 +930,7 @@ class DistanceSession:
             old.close()
         else:
             self._store = DenseStore(
-                bounded_distance_matrix(self._graph, self._length,
-                                        engine=self._engine),
+                bounded_distance_matrix(self._graph, self._length),
                 self._length)
         self._mirror.rebuild()
 

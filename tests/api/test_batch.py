@@ -89,9 +89,7 @@ def _theta_group_task(requests, l_max_floor=1):
     (plan,), l_max = plan_sample_group(requests)
     return GridTask(payloads={index: request.to_dict()
                               for index, request in enumerate(requests)},
-                    plans=(plan,),
-                    l_max={engine: max(bound, l_max_floor)
-                           for engine, bound in l_max.items()})
+                    plans=(plan,), l_max=max(l_max, l_max_floor))
 
 
 class TestWorkerGroupPayloadCache:

@@ -71,19 +71,26 @@ class TestExpansion:
         with pytest.raises(ConfigurationError):
             GridRequest(requests=())
 
-    def test_unknown_sweep_mode_rejected(self):
-        # The knob is retired: every grid runs as checkpointed passes, so
-        # the keyword is unknown and a stored grid naming the field fails
-        # to load with a typed error that names it.
-        with pytest.raises(TypeError, match="sweep_mode"):
-            GridRequest(requests=(BASE,), sweep_mode="independent")
+    @pytest.mark.parametrize("field,value", (("sweep_mode", "independent"),
+                                             ("engine", "numpy")))
+    def test_retired_field_rejected(self, field, value):
+        # Retired knobs (every grid runs as checkpointed passes; distance
+        # engines are result-neutral): the keyword is unknown, and a
+        # stored grid or request naming the field fails to load with a
+        # typed error that names it.
+        with pytest.raises(TypeError, match=field):
+            GridRequest(requests=(BASE,), **{field: value})
+        with pytest.raises(TypeError, match=field):
+            BASE.with_overrides(**{field: value})
         payload = GridRequest(requests=(BASE,)).to_dict()
-        payload["sweep_mode"] = "checkpointed"
-        with pytest.raises(ConfigurationError, match="sweep_mode"):
+        payload[field] = value
+        with pytest.raises(ConfigurationError,
+                           match=rf"unknown grid field\(s\) \['{field}'\]"):
             GridRequest.from_dict(payload)
         nested = GridRequest(requests=(BASE,)).to_dict()
-        nested["requests"][0]["sweep_mode"] = "independent"
-        with pytest.raises(ConfigurationError, match="sweep_mode"):
+        nested["requests"][0][field] = value
+        with pytest.raises(ConfigurationError,
+                           match=rf"unknown request field\(s\) \['{field}'\]"):
             GridRequest.from_dict(nested)
 
     def test_json_round_trip(self):
@@ -154,16 +161,6 @@ class TestExecution:
         requests = [BASE.with_overrides(algorithm=algorithm, theta=theta)
                     for theta in THETAS]
         responses = execute_sample_group(requests)
-        for request, response in zip(requests, responses):
-            assert_response_parity(response, anonymize(request))
-
-    def test_multi_engine_groups_share_nothing_incorrectly(self):
-        requests = [BASE.with_overrides(engine=engine, theta=theta)
-                    for engine in ("numpy", "bfs") for theta in (0.8, 0.6)]
-        cache = ExecutionCache()
-        responses = execute_sample_group(requests, cache=cache)
-        assert cache.sample_loads == 1
-        assert cache.distance_computes == 2  # one L_max run per engine
         for request, response in zip(requests, responses):
             assert_response_parity(response, anonymize(request))
 
@@ -312,7 +309,7 @@ class TestCustomRegistry:
         registry = AnonymizerRegistry()
         registry.register("custom-rem", EdgeRemovalAnonymizer,
                           accepts=("theta", "length_threshold", "lookahead",
-                                   "seed", "engine", "scan_mode", "max_steps"))
+                                   "seed", "scan_mode", "max_steps"))
         requests = [BASE.with_overrides(algorithm="custom-rem", theta=theta,
                                         include_utility=False)
                     for theta in (0.8, 0.6)]

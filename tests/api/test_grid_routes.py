@@ -144,20 +144,43 @@ class TestArenaPublishFailure:
         assert leaked_segments() == before
 
 
-@pytest.mark.parametrize("shared_memory", (True, False))
-def test_multi_engine_grid_on_the_pooled_routes(shared_memory):
-    # θ-group tasks carry the sample's per-engine bounds; each prepares
-    # only the engine its own θ-groups run on.
+#: Scale fields per tier; "over-budget" is an explicit dense request whose
+#: matrix does not fit, so its memory guard fails its own grid points.
+TIERS = {"dense": dict(scale_tier="dense", scale_budget_bytes=4096),
+         "tiled": dict(scale_tier="tiled", scale_budget_bytes=4096),
+         "over-budget": dict(scale_tier="dense", scale_budget_bytes=64)}
+
+
+@pytest.mark.parametrize("first_tier", tuple(TIERS))
+@pytest.mark.parametrize("max_workers,shared_memory",
+                         ((0, None), (WORKERS, True), (WORKERS, False)))
+def test_mixed_tier_sample_group_on_every_route(first_tier, max_workers,
+                                                shared_memory):
+    # One sample group whose θ-groups ask for different scale tiers gets
+    # one L_max base, in the tier of its first runnable request; every
+    # request is served from it, whatever tier it asked for, and still
+    # fires its own memory guard.  Tiers are result-neutral, so each route
+    # matches the independent runs, failures included.
+    tiers = (first_tier,) + tuple(tier for tier in TIERS if tier != first_tier)
     grid = GridRequest(requests=tuple(
-        BASE.with_overrides(engine=engine, length_threshold=length,
+        BASE.with_overrides(**TIERS[tier], length_threshold=length,
                             theta=theta)
-        for engine in ("numpy", "bfs") for length in (1, 2)
-        for theta in (0.8, 0.6)))
-    response = run_grid(grid, max_workers=WORKERS,
+        for tier in tiers for length in (2, 3) for theta in (0.8, 0.6)))
+    references = independent_responses(grid.requests)
+    assert [reference.error is not None for reference in references] \
+        == [tier == "over-budget" for tier in tiers for _ in range(4)]
+    response = run_grid(grid, max_workers=max_workers,
                         shared_memory=shared_memory)
-    assert_parity(response.responses, independent_responses(grid.requests))
-    if shared_memory:
-        assert response.num_distance_computes == 2  # one per engine
+    assert_parity(response.responses, references)
+    if max_workers == 0:
+        # The private cache rebuilds once between the two fitting tiers.
+        assert response.num_sample_loads == 1
+        assert response.num_distance_computes == 2
+    elif shared_memory and first_tier != "over-budget":
+        # Workers adopt the published base; only a dense one is computed
+        # by the parent (tiles are computed lazily, outside the counter).
+        assert response.num_sample_loads == 1
+        assert response.num_distance_computes == (first_tier == "dense")
 
 
 @pytest.mark.parametrize("shared_memory", (True, False))

@@ -25,34 +25,32 @@ class TestAnonymizationRequest:
         assert restored == request
         assert restored.edges == request.edges
 
-    def test_unknown_evaluation_mode_raises_at_construction_time(self):
-        # The knob is retired, so every value is unknown: the anonymizer
-        # rejects the keyword and a stored request naming the field fails
-        # to load with a typed error.
-        with pytest.raises(TypeError, match="evaluation_mode"):
-            EdgeRemovalAnonymizer(evaluation_mode="lazy")
-        payload = AnonymizationRequest(algorithm="rem", edges=EDGES).to_dict()
-        payload["evaluation_mode"] = "incremental"
-        with pytest.raises(ConfigurationError, match="evaluation_mode"):
-            AnonymizationRequest.from_dict(payload)
-
-    def test_unknown_sweep_mode_raises_at_construction_time(self):
-        # Retired like evaluation_mode: every θ grid runs as one
-        # checkpointed pass, so no anonymizer, config or request takes it.
+    @pytest.mark.parametrize("field,value", (
+        ("evaluation_mode", "lazy"),
+        ("sweep_mode", "independent"),
+        ("engine", "numpy"),
+    ))
+    def test_retired_field_raises_at_construction_time(self, field, value):
+        # Retired knobs: sessions always evaluate incrementally
+        # (evaluation_mode), every θ grid runs as one checkpointed pass
+        # (sweep_mode) and the five distance engines are bit-identical
+        # (engine).  No anonymizer, config or request takes them, and a
+        # stored request naming one fails to load with a typed error.
         from repro.baselines import GadedMaxAnonymizer, GadesAnonymizer
         from repro.core import AnonymizerConfig
 
         for factory in (EdgeRemovalAnonymizer, GadesAnonymizer,
                         GadedMaxAnonymizer, AnonymizerConfig,
                         AnonymizationRequest):
-            with pytest.raises(TypeError, match="sweep_mode"):
-                factory(sweep_mode="independent")
-        assert "sweep_mode" not in AnonymizationRequest(
-            algorithm="rem", edges=EDGES).algorithm_params()
-        payload = AnonymizationRequest(algorithm="rem", edges=EDGES).to_dict()
-        payload["sweep_mode"] = "checkpointed"
+            with pytest.raises(TypeError, match=field):
+                factory(**{field: value})
+        request = AnonymizationRequest(algorithm="rem", edges=EDGES)
+        assert field not in request.algorithm_params()
+        payload = request.to_dict()
+        assert field not in payload
+        payload[field] = value
         with pytest.raises(ConfigurationError,
-                           match=r"unknown request field\(s\) \['sweep_mode'\]"):
+                           match=rf"unknown request field\(s\) \['{field}'\]"):
             AnonymizationRequest.from_dict(payload)
 
     def test_scan_mode_round_trips_and_reaches_algorithms(self):

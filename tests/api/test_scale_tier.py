@@ -166,15 +166,16 @@ class TestTiledGridAcceptance:
 class TestShmTiledPlane:
     def test_publish_and_attach_tiled_descriptor(self):
         graph = small_graph()
-        spec = TiledMatrixSpec(l_max=3, budget_bytes=1 << 16)
-        arena = SharedSampleArena.publish(graph, {}, tiled={"numpy": spec})
+        spec = TiledMatrixSpec(budget_bytes=1 << 16)
+        arena = SharedSampleArena.publish(graph, spec, 3)
         try:
             descriptor = arena.descriptor
-            assert descriptor.l_max_for("numpy") == 3
-            assert descriptor.csr_segments is not None
+            assert descriptor.l_max == 3
+            assert descriptor.matrix is None
+            assert descriptor.tiled is not None
             attached = attach_arena(descriptor)
             assert attached.graph == graph
-            cache = attached.caches["numpy"]
+            cache = attached.cache
             assert cache.tier == "tiled"
             assert cache.compute_count == 0
             store = cache.store(2)
@@ -187,12 +188,12 @@ class TestShmTiledPlane:
         graph = small_graph()
         base = TiledStore(graph, 2, tile_rows=2, budget_bytes=1 << 16)
         hot = base.rows(np.array([0, 1])).astype(distance_dtype(2))
-        spec = TiledMatrixSpec(l_max=2, budget_bytes=1 << 16, tile_rows=2,
+        spec = TiledMatrixSpec(budget_bytes=1 << 16, tile_rows=2,
                                hot_tiles={0: hot})
-        arena = SharedSampleArena.publish(graph, {}, tiled={"numpy": spec})
+        arena = SharedSampleArena.publish(graph, spec, 2)
         try:
             attached = attach_arena(arena.descriptor)
-            worker_base = attached.caches["numpy"].base_store()
+            worker_base = attached.cache.base_store()
             assert 0 in worker_base.cached_tiles()
             np.testing.assert_array_equal(
                 worker_base.rows(np.array([0, 1])), hot)
@@ -202,29 +203,23 @@ class TestShmTiledPlane:
 
     def test_hot_tiles_without_tile_rows_are_rejected(self):
         graph = small_graph()
-        spec = TiledMatrixSpec(l_max=2, budget_bytes=1 << 16,
+        spec = TiledMatrixSpec(budget_bytes=1 << 16,
                                hot_tiles={0: np.zeros((2, 5), dtype=np.uint8)})
         with pytest.raises(ConfigurationError, match="tile_rows"):
-            SharedSampleArena.publish(graph, {}, tiled={"numpy": spec})
-
-    def test_same_engine_dense_and_tiled_is_rejected(self):
-        graph = small_graph()
-        matrix = bounded_distance_matrix(graph, 2)
-        spec = TiledMatrixSpec(l_max=2, budget_bytes=1 << 16)
-        with pytest.raises(ConfigurationError, match="both dense and tiled"):
-            SharedSampleArena.publish(graph, {"numpy": (matrix, 2)},
-                                      tiled={"numpy": spec})
+            SharedSampleArena.publish(graph, spec, 2)
 
     def test_dense_segments_keep_their_narrow_dtype(self):
         graph = small_graph()
         matrix = bounded_distance_matrix(graph, 2)
         assert matrix.dtype == np.uint8  # the dtype satellite
-        arena = SharedSampleArena.publish(graph, {"numpy": (matrix, 2)})
+        arena = SharedSampleArena.publish(graph, matrix, 2)
         try:
-            (_engine, _segment, _l_max, dtype_str), = arena.descriptor.matrices
+            _segment, dtype_str = arena.descriptor.matrix
             assert np.dtype(dtype_str) == np.uint8
+            assert arena.descriptor.l_max == 2
+            assert arena.descriptor.tiled is None
             attached = attach_arena(arena.descriptor)
-            served = attached.caches["numpy"].base_matrix()
+            served = attached.cache.base_matrix()
             assert served.dtype == np.uint8
             np.testing.assert_array_equal(served, matrix)
         finally:

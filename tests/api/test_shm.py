@@ -47,12 +47,12 @@ class TestArenaRoundTrip:
     def test_graph_and_matrix_survive_publish_attach(self):
         graph = small_graph()
         matrix = bounded_distance_matrix(graph, 3)
-        arena = SharedSampleArena.publish(graph, {"numpy": (matrix, 3)})
+        arena = SharedSampleArena.publish(graph, matrix, 3)
         try:
             attached = attach_arena(arena.descriptor)
             assert attached.graph == graph
             assert attached.graph is not graph  # rebuilt, not pickled
-            served = attached.caches["numpy"]
+            served = attached.cache
             np.testing.assert_array_equal(served.base_matrix(), matrix)
             assert served.l_max == 3
             assert served.compute_count == 0
@@ -62,49 +62,51 @@ class TestArenaRoundTrip:
     def test_attached_views_are_read_only(self):
         graph = small_graph()
         matrix = bounded_distance_matrix(graph, 2)
-        arena = SharedSampleArena.publish(graph, {"numpy": (matrix, 2)})
+        arena = SharedSampleArena.publish(graph, matrix, 2)
         try:
             attached = attach_arena(arena.descriptor)
             with pytest.raises(ValueError):
-                attached.caches["numpy"].base_matrix()[0, 0] = 99
+                attached.cache.base_matrix()[0, 0] = 99
         finally:
             arena.unlink()
 
     def test_thresholded_matrices_are_private_copies(self):
         graph = small_graph()
         matrix = bounded_distance_matrix(graph, 3)
-        arena = SharedSampleArena.publish(graph, {"numpy": (matrix, 3)})
+        arena = SharedSampleArena.publish(graph, matrix, 3)
         try:
             attached = attach_arena(arena.descriptor)
-            served = attached.caches["numpy"].matrix(2)
+            served = attached.cache.matrix(2)
             served[0, 0] = 99  # caller owns the copy — writable
             np.testing.assert_array_equal(
-                attached.caches["numpy"].matrix(2),
+                attached.cache.matrix(2),
                 LMaxDistanceCache(graph, 3).matrix(2))
         finally:
             arena.unlink()
 
     def test_edgeless_graph_publishes_without_segment(self):
         graph = Graph(4, edges=[])
-        arena = SharedSampleArena.publish(graph, {})
+        arena = SharedSampleArena.publish(graph)
         try:
             assert arena.descriptor.edges_segment is None
+            assert arena.descriptor.l_max is None
             attached = attach_arena(arena.descriptor)
             assert attached.graph == graph
+            assert attached.cache is None
         finally:
             arena.unlink()
 
     def test_descriptor_is_lightweight_and_picklable(self):
         graph = small_graph()
         matrix = bounded_distance_matrix(graph, 2)
-        arena = SharedSampleArena.publish(graph, {"numpy": (matrix, 2)})
+        arena = SharedSampleArena.publish(graph, matrix, 2)
         try:
             payload = pickle.dumps(arena.descriptor)
             assert len(payload) < 1024  # descriptors, not arrays, cross the pipe
             clone = pickle.loads(payload)
             assert clone == arena.descriptor
-            assert clone.l_max_for("numpy") == 2
-            assert clone.l_max_for("bfs") is None
+            assert clone.l_max == 2
+            assert clone.matrix is not None and clone.tiled is None
         finally:
             arena.unlink()
 
@@ -115,7 +117,7 @@ class TestArenaRoundTrip:
         wrong = np.zeros((3, 3), dtype=np.int32)
         before = set(leaked_segments())
         with pytest.raises(ConfigurationError, match="shape"):
-            SharedSampleArena.publish(graph, {"numpy": (wrong, 2)})
+            SharedSampleArena.publish(graph, wrong, 2)
         assert set(leaked_segments()) == before
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -124,7 +126,7 @@ class TestArenaRoundTrip:
         graph = small_graph()
         matrix = bounded_distance_matrix(graph, 2)
         before = set(leaked_segments())
-        arena = SharedSampleArena.publish(graph, {"numpy": (matrix, 2)})
+        arena = SharedSampleArena.publish(graph, matrix, 2)
         assert len(set(leaked_segments()) - before) == 2  # edges + matrix
         arena.unlink()
         assert set(leaked_segments()) == before
@@ -135,7 +137,7 @@ class TestArenaAdoption:
     def test_adoption_moves_no_counters(self):
         graph = BASE.resolve_graph()
         matrix = bounded_distance_matrix(graph, 2)
-        arena = SharedSampleArena.publish(graph, {"numpy": (matrix, 2)})
+        arena = SharedSampleArena.publish(graph, matrix, 2)
         try:
             cache = ExecutionCache()
             cache.adopt_arena(BASE, arena.descriptor)
@@ -151,7 +153,7 @@ class TestArenaAdoption:
 
     def test_same_token_re_adoption_is_a_no_op(self):
         graph = BASE.resolve_graph()
-        arena = SharedSampleArena.publish(graph, {})
+        arena = SharedSampleArena.publish(graph)
         try:
             cache = ExecutionCache()
             cache.adopt_arena(BASE, arena.descriptor)
@@ -163,7 +165,7 @@ class TestArenaAdoption:
 
     def test_adoption_replaces_stale_private_entries(self):
         graph = BASE.resolve_graph()
-        arena = SharedSampleArena.publish(graph, {})
+        arena = SharedSampleArena.publish(graph)
         try:
             cache = ExecutionCache()
             cache.graph_for(BASE)  # private copy, counted

@@ -30,7 +30,7 @@ class TestAnonymizerConfig:
         ("max_steps", 0),
         ("max_combinations", 0),
         ("insertion_candidate_cap", 0),
-        ("engine", "no-such-engine"),
+        ("scan_workers", -1),
         ("scan_mode", "vectorized"),
         ("swap_sample_size", 0),
     ])
@@ -40,14 +40,24 @@ class TestAnonymizerConfig:
             config.validate()
 
     def test_every_available_engine_is_valid(self):
+        # The engine knob is retired (the engines are bit-identical), so
+        # naming any engine, valid or not, is an unexpected keyword.
         from repro.graph import available_engines
 
-        for engine in available_engines():
-            AnonymizerConfig(engine=engine).validate()
+        for engine in available_engines() + ("no-such-engine",):
+            with pytest.raises(TypeError, match="engine"):
+                AnonymizerConfig(engine=engine)
 
     def test_invalid_engine_rejected_up_front_at_construction(self):
-        with pytest.raises(ConfigurationError, match="engine"):
-            EdgeRemovalAnonymizer(engine="typo")
+        from repro.baselines import (GadedMaxAnonymizer, GadedRandAnonymizer,
+                                     GadesAnonymizer)
+        from repro.core import EdgeRemovalInsertionAnonymizer
+
+        for factory in (EdgeRemovalAnonymizer, EdgeRemovalInsertionAnonymizer,
+                        GadesAnonymizer, GadedRandAnonymizer,
+                        GadedMaxAnonymizer):
+            with pytest.raises(TypeError, match="engine"):
+                factory(engine="numpy")
 
     def test_constructor_accepts_either_config_or_kwargs(self):
         config = AnonymizerConfig(theta=0.4)

@@ -7,7 +7,7 @@ import pytest
 from repro.core.opacity import OpacityComputer, max_lo
 from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping
 from repro.errors import ConfigurationError
-from repro.graph.distance import available_engines
+from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.generators import complete_graph, erdos_renyi_graph, path_graph
 from repro.graph.graph import Graph
 
@@ -51,9 +51,12 @@ class TestPaperExampleOpacity:
     def test_all_engines_agree_on_example(self, paper_example_graph, engine):
         typing = DegreePairTyping(paper_example_graph)
         for length in (1, 2, 3):
-            value = OpacityComputer(typing, length, engine=engine).max_opacity(
-                paper_example_graph)
-            reference = OpacityComputer(typing, length).max_opacity(paper_example_graph)
+            computer = OpacityComputer(typing, length)
+            value = computer.max_opacity(
+                paper_example_graph,
+                distances=bounded_distance_matrix(paper_example_graph, length,
+                                                  engine=engine))
+            reference = computer.max_opacity(paper_example_graph)
             assert value == pytest.approx(reference)
 
     def test_l3_makes_everything_visible(self, paper_example_graph):

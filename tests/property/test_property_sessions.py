@@ -4,7 +4,7 @@ The incremental sessions promise *bit-identical* results to the stateless
 from-scratch evaluator: same ``Fraction`` opacities, same ``types_at_max``,
 same per-type counts, and — for whole anonymization runs — the same step
 sequence under a fixed seed.  These tests drive random graphs through random
-edit sequences across every distance engine and check exactly that,
+edit sequences and check exactly that,
 against the reference sessions of :mod:`tests.oracles`.
 """
 
@@ -26,7 +26,7 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
-from repro.graph.distance import available_engines, bounded_distance_matrix
+from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
 from tests.oracles import PerCandidateSession, ScratchSession, run_on, type_mask
@@ -38,24 +38,23 @@ from tests.property.strategies import (
     typings,
 )
 
-engines = st.sampled_from(sorted(available_engines()))
 fallback_fractions = st.sampled_from([0.0, 0.5, 1.0])
 
 
 class TestDistanceSessionProperties:
-    @given(edit_scripts(), length_bounds, engines, fallback_fractions)
+    @given(edit_scripts(), length_bounds, fallback_fractions)
     @settings(max_examples=40, deadline=None)
     def test_applied_edits_track_scratch_matrices(self, script_case, length,
-                                                  engine, fallback):
+                                                  fallback):
         graph, script = script_case
-        session = DistanceSession(graph, length, engine=engine,
+        session = DistanceSession(graph, length,
                                   fallback_row_fraction=fallback)
         for kind, edge in script:
             if kind == "remove":
                 session.apply(removals=[edge])
             else:
                 session.apply(insertions=[edge])
-            expected = bounded_distance_matrix(graph, length, engine=engine)
+            expected = bounded_distance_matrix(graph, length)
             assert np.array_equal(session.distances, expected)
 
     @given(edit_scripts(max_edits=4), length_bounds, fallback_fractions)
@@ -88,13 +87,13 @@ class TestDistanceSessionProperties:
 
 
 class TestOpacitySessionProperties:
-    @given(edit_scripts(), length_bounds, engines)
+    @given(edit_scripts(), length_bounds)
     @settings(max_examples=40, deadline=None)
     def test_session_state_matches_from_scratch_evaluation(self, script_case,
-                                                           length, engine):
+                                                           length):
         graph, script = script_case
         typing = DegreePairTyping(graph)
-        computer = OpacityComputer(typing, length, engine=engine)
+        computer = OpacityComputer(typing, length)
         session = OpacitySession(computer, graph)
         for kind, edge in script:
             session.apply_edit(
@@ -318,23 +317,23 @@ class TestEvaluateEditsProperties:
         assert incremental.evaluate_edits(candidates) == \
             scratch.evaluate_edits(candidates)
 
-    @given(candidate_scans(max_candidates=6), length_bounds, engines,
+    @given(candidate_scans(max_candidates=6), length_bounds,
            fallback_fractions)
     @settings(max_examples=30, deadline=None)
     def test_preview_batch_matches_sequential_previews(self, scan_case, length,
-                                                       engine, fallback):
+                                                       fallback):
         graph, candidates = scan_case
         single_removals = [removals[0] for removals, insertions in candidates
                            if len(removals) == 1 and not insertions]
         single_insertions = [insertions[0] for removals, insertions in candidates
                              if len(insertions) == 1 and not removals]
-        sequential = DistanceSession(graph.copy(), length, engine=engine,
+        sequential = DistanceSession(graph.copy(), length,
                                      fallback_row_fraction=fallback)
         expected = [sequential.preview(removals=[edge])
                     for edge in single_removals]
         expected += [sequential.preview(insertions=[edge])
                      for edge in single_insertions]
-        batch = DistanceSession(graph, length, engine=engine,
+        batch = DistanceSession(graph, length,
                                 fallback_row_fraction=fallback)
         observed = batch.preview_batch(removals=single_removals,
                                        insertions=single_insertions)

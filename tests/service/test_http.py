@@ -150,15 +150,36 @@ class TestErrorPaths:
             "known: ['anonymize', 'grid']")
         assert store.list_jobs() == []
 
-    def test_retired_sweep_mode_field_is_400_naming_it(self, service):
-        client, _store, _manager = service
-        payload = BASE.to_dict()
-        payload["sweep_mode"] = "checkpointed"
-        with pytest.raises(ServiceError) as caught:
-            client._call("POST", "/jobs",
-                         {"kind": "anonymize", "request": payload})
-        assert caught.value.status == 400
-        assert "['sweep_mode']" in caught.value.payload["error"]
+    @pytest.mark.parametrize("field,value", (("sweep_mode", "checkpointed"),
+                                             ("engine", "numpy")))
+    def test_retired_field_is_400_naming_it(self, service, field, value):
+        client, store, _manager = service
+        payload = dict(BASE.to_dict(), **{field: value})
+        for kind, request in (("anonymize", payload),
+                              ("grid", {"requests": [payload]})):
+            with pytest.raises(ServiceError) as caught:
+                client._call("POST", "/jobs", {"kind": kind, "request": request})
+            assert caught.value.status == 400
+            assert f"unknown request field(s) ['{field}']" in \
+                caught.value.payload["error"]
+        assert store.list_jobs() == []
+
+    def test_result_stored_before_the_engine_retirement_is_served_verbatim(
+            self, service):
+        # A finished job's result is served as stored: its request still
+        # names the retired field, and nothing re-parses it.
+        client, store, _manager = service
+        request = dict(BASE.to_dict(), engine="numpy")
+        result = run_grid(small_grid()).to_dict()
+        for response in result["responses"]:
+            response["request"]["engine"] = "numpy"
+        job_id = store.create_job("grid", "pre-retirement",
+                                  json.dumps({"requests": [request]}), 1)
+        store.record_result(job_id, json.dumps(result))
+        store.set_status(job_id, "done")
+        answer = client.result(job_id, parse=False)
+        assert answer == {"job_id": job_id, "kind": "grid", "result": result}
+        assert client.status(job_id)["status"] == "done"
 
     def test_malformed_request_payload_is_400(self, service):
         client, _store, _manager = service

@@ -12,6 +12,7 @@ from repro.api import (
     CheckpointBuffer,
     GridRequest,
     GridResponse,
+    anonymize,
     checkpoint_to_json,
     execute_sample_group,
     request_fingerprint,
@@ -466,6 +467,38 @@ class TestResume:
                 assert job["status"] == "error"
                 assert job["error"].startswith("ConfigurationError: ")
                 assert message in job["error"]
+            assert manager.wait_for(fresh, timeout=120)["status"] == "done"
+        finally:
+            manager.stop()
+
+    def test_stored_rows_naming_the_retired_engine_error_on_resume(
+            self, store):
+        """Interrupted rows stored before ``engine`` was retired — in the
+        request or in a stored response — end ``error`` with a typed
+        message naming the field; the worker runs the next job."""
+        payload = dict(BASE.to_dict(), engine="numpy")
+        stale_request = store.create_job("anonymize", "stale-request",
+                                         json.dumps(payload), 1)
+        time.sleep(0.01)  # resume order follows creation time
+        grid = GridRequest.from_axes(BASE, thetas=(0.9, 0.6))
+        stale_response = store.create_job("grid", "stale-response",
+                                          grid.to_json(), 1)
+        stored = anonymize(grid.requests[0]).to_dict()
+        stored["request"]["engine"] = "numpy"
+        store.record_response(stale_response, 0, json.dumps(stored))
+        store.set_status(stale_response, "running")
+        time.sleep(0.01)
+        fresh = store.create_job("anonymize", request_fingerprint(BASE),
+                                 BASE.to_json(), 1)
+        manager = JobManager(store)
+        resumed = manager.start()
+        try:
+            assert resumed == [stale_request, stale_response, fresh]
+            for job_id in (stale_request, stale_response):
+                job = manager.wait_for(job_id, timeout=120)
+                assert job["status"] == "error"
+                assert job["error"].startswith("ConfigurationError: ")
+                assert "unknown request field(s) ['engine']" in job["error"]
             assert manager.wait_for(fresh, timeout=120)["status"] == "done"
         finally:
             manager.stop()

@@ -192,16 +192,19 @@ class TestCommands:
         assert exit_code == 2
         assert message in captured.err
 
-    def test_batch_spec_with_retired_evaluation_mode_is_rejected(
-            self, tmp_path, capsys):
+    @pytest.mark.parametrize("field,value", (("evaluation_mode", "scratch"),
+                                             ("sweep_mode", "independent"),
+                                             ("engine", "numpy")))
+    def test_batch_spec_with_retired_field_is_rejected(self, tmp_path, capsys,
+                                                       field, value):
         spec_path = tmp_path / "jobs.json"
         spec_path.write_text(json.dumps(
             {"defaults": {"dataset": "gnutella", "sample_size": 30},
-             "jobs": [{"algorithm": "rem", "evaluation_mode": "scratch"}]}))
-        with pytest.raises(ConfigurationError, match="evaluation_mode"):
+             "jobs": [{"algorithm": "rem", field: value}]}))
+        with pytest.raises(ConfigurationError, match=field):
             _load_batch_spec(str(spec_path))
         assert main(["batch", str(spec_path)]) == 2
-        assert "unknown request field(s) ['evaluation_mode']" in \
+        assert f"unknown request field(s) ['{field}']" in \
             capsys.readouterr().err
 
     def test_batch_command_rejects_invalid_json(self, tmp_path, capsys):
