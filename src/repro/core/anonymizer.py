@@ -25,7 +25,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat, starmap
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.api.progress import (
     NULL_OBSERVER,
@@ -33,7 +36,7 @@ from repro.api.progress import (
     ProgressObserver,
     notify_checkpoint,
 )
-from repro.core.opacity import OpacityComputer, OpacityResult
+from repro.core.opacity import OpacityComputer, OpacityResult, exact_ranks
 from repro.core.opacity_session import OpacitySession, validate_scan_mode
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.core.scan_pool import resolve_scan_workers
@@ -51,6 +54,11 @@ from repro.metrics.distortion import edit_distance_ratio
 #: request (observer/timeout) never waits on more than one chunk's worth of
 #: computed-but-unreported evaluations.
 BATCH_SCAN_CHUNK = 256
+
+#: Combinations per :meth:`OpacitySession.score_combinations` call at
+#: L = 1, where a combination costs a few array cells and no distance
+#: work: the chunk only bounds the summarizer's arrays.
+COMPOSED_SCAN_CHUNK = 1 << 13
 
 def validate_theta_schedule(thetas: Sequence[float]) -> Tuple[float, ...]:
     """Coerce ``thetas`` into the strictly-descending grid the engine runs.
@@ -77,7 +85,8 @@ def iter_batched_evaluations(session: OpacitySession, candidates: Sequence,
     ``BATCH_SCAN_CHUNK``-sized :meth:`OpacitySession.evaluate_edits` pass at
     a time, so the consumer's per-candidate accounting (and any stop raised
     from it) never waits on more than one chunk of computed-but-unreported
-    work.  Shared by every candidate scan loop.
+    work.  The baselines' scans use it; look-ahead levels go through
+    :meth:`BaseAnonymizer._combo_evaluator` instead.
     """
     # A parallel scan amortizes one pool round-trip per chunk, so chunks
     # scale with the pool size — each worker still sees ~BATCH_SCAN_CHUNK
@@ -445,6 +454,36 @@ class CandidateOutcome:
         return self.numerator / self.denominator
 
 
+@dataclass(frozen=True)
+class ScoredBatch:
+    """Outcomes of consecutive candidates, as aligned arrays.
+
+    Entry ``i`` is the :class:`CandidateOutcome` of ``candidates[i]`` (an
+    edge tuple), built only by :meth:`outcome`.
+    """
+
+    candidates: Sequence[Tuple[Edge, ...]]
+    numerators: np.ndarray
+    denominators: np.ndarray
+    types_at_max: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def outcome(self, index: int) -> CandidateOutcome:
+        """The outcome of candidate ``index``."""
+        return CandidateOutcome(edges=tuple(self.candidates[index]),
+                                numerator=int(self.numerators[index]),
+                                denominator=int(self.denominators[index]),
+                                types_at_max=int(self.types_at_max[index]))
+
+    def head(self, count: int) -> "ScoredBatch":
+        """The first ``count`` outcomes."""
+        return ScoredBatch(self.candidates[:count], self.numerators[:count],
+                           self.denominators[:count],
+                           self.types_at_max[:count])
+
+
 class TieBreaker:
     """The selection rule of Algorithm 4, lines 8-18.
 
@@ -453,6 +492,8 @@ class TieBreaker:
     random among remaining ties, implemented with the same incremental
     reservoir counter as the pseudo-code.  Exact maxima are compared by
     integer cross-multiplication, the ordering ``Fraction`` induces.
+    :meth:`offer_batch` replays the same rule over a whole
+    :class:`ScoredBatch` at once.
     """
 
     def __init__(self, rng: random.Random) -> None:
@@ -478,6 +519,69 @@ class TieBreaker:
                 self._tie_count += 1
                 if self._rng.random() < 1.0 / self._tie_count:
                     self.best = candidate
+
+    @staticmethod
+    def offer_batch(breakers: Sequence["TieBreaker"],
+                    batch: ScoredBatch) -> None:
+        """Offer every outcome of ``batch`` to each of ``breakers``.
+
+        Equal to ``for i in range(len(batch)): for b in breakers:
+        b.offer(batch.outcome(i))`` — the same winners, tie counters and
+        RNG draws — for breakers sharing one RNG.  Every outcome and each
+        breaker's current best get one integer key, the exact rank of the
+        maximum then ``types_at_max``, so a breaker's running best is a
+        running minimum of keys.  An outcome below it resets the counter;
+        one equal to it is a reservoir draw, whose counter is the number of
+        equal keys since the last reset.  The draws are taken in the
+        per-outcome order, outcome-major and breaker-minor, and a breaker's
+        winner is its last reset or successful draw.
+        """
+        size = len(batch)
+        if not size or not breakers:
+            return
+        priors = [breaker.best for breaker in breakers
+                  if breaker.best is not None]
+        nums, dens, ties = (
+            np.concatenate([np.asarray(values, dtype=np.int64),
+                            np.array([getattr(best, name) for best in priors],
+                                     dtype=np.int64)])
+            for values, name in ((batch.numerators, "numerator"),
+                                 (batch.denominators, "denominator"),
+                                 (batch.types_at_max, "types_at_max")))
+        keys = exact_ranks(nums, dens) * (int(ties.max()) + 1) + ties
+        prior_keys = iter(keys[size:].tolist())
+        keys = keys[:size]
+        plans = []
+        for breaker in breakers:
+            start = (next(prior_keys) if breaker.best is not None
+                     else np.iinfo(np.int64).max)
+            running = np.minimum.accumulate(np.concatenate(([start], keys)))
+            resets = keys < running[:-1]
+            draws = keys == running[:-1]
+            seen = np.cumsum(draws)
+            # Draws before each stretch's reset; stretch 0 continues the
+            # breaker's own counter.
+            before = np.concatenate(([0], seen[resets]))
+            stretch = np.cumsum(resets)
+            counters = np.where(stretch == 0, breaker._tie_count, 1) \
+                + seen - before[stretch]
+            plans.append((resets, np.flatnonzero(draws), counters))
+        slots = np.concatenate([positions * len(breakers) + index
+                                for index, (_, positions, _) in enumerate(plans)])
+        values = np.empty(slots.size)
+        values[np.argsort(slots)] = np.fromiter(
+            starmap(breakers[0]._rng.random, repeat((), slots.size)),
+            dtype=float, count=slots.size)
+        offset = 0
+        for breaker, (resets, positions, counters) in zip(breakers, plans):
+            drawn = values[offset:offset + positions.size]
+            offset += positions.size
+            taken = positions[drawn < 1.0 / counters[positions]]
+            winner = max(np.flatnonzero(resets)[-1:].tolist()
+                         + taken[-1:].tolist(), default=None)
+            if winner is not None:
+                breaker.best = batch.outcome(winner)
+            breaker._tie_count = int(counters[-1])
 
 
 class BaseAnonymizer(ABC):
@@ -682,39 +786,35 @@ class BaseAnonymizer(ABC):
                          result: AnonymizationResult, kind: str):
         """Batch evaluator of ``kind`` (``"remove"``/``"insert"``) combinations.
 
-        Returns a callable mapping a list of edge combinations to an
-        iterator of :class:`CandidateOutcome`\\ s, each counted (and each
-        stop request honoured) as it is yielded.  The outcomes are computed
-        in stacked :meth:`OpacitySession.evaluate_edits` chunks
-        (:func:`iter_batched_evaluations`), so a stop request never waits
-        on more than one chunk.
+        Returns a callable mapping a
+        :class:`~repro.core.lookahead.CombinationLevel` to an iterator of
+        :class:`ScoredBatch` chunks, scored by
+        :meth:`OpacitySession.score_combinations`.  Every evaluation of a
+        chunk is counted (and every stop request honoured) before the chunk
+        is yielded; a stop at evaluation ``k`` yields the outcomes before
+        ``k`` first, so the consumer's tie-break draws stop exactly where
+        per-candidate offers would.  Chunks hold ``BATCH_SCAN_CHUNK``
+        combinations (times the pool size) at L >= 2, so a stop never waits
+        on more than one of them, and ``COMPOSED_SCAN_CHUNK`` at L = 1.
         """
-        if kind == "remove":
-            def to_edit(combo):
-                return (tuple(combo), ())
+        if session.computer.length_threshold == 1:
+            chunk = COMPOSED_SCAN_CHUNK
         else:
-            def to_edit(combo):
-                return ((), tuple(combo))
+            chunk = BATCH_SCAN_CHUNK * max(1, session.scan_parallelism)
 
-        def evaluate_batch(combos):
-            for combo, evaluation in zip(
-                    combos, iter_batched_evaluations(session, combos, to_edit)):
-                self._record_evaluation(result)
-                yield CandidateOutcome(edges=tuple(combo),
-                                       numerator=evaluation.numerator,
-                                       denominator=evaluation.denominator,
-                                       types_at_max=evaluation.types_at_max)
+        def evaluate_batch(level):
+            observer = result.observer
+            for start in range(0, len(level), chunk):
+                part = level[start:start + chunk]
+                scored = ScoredBatch(part, *session.score_combinations(
+                    part.endpoints, part.members, kind))
+                for position in range(len(part)):
+                    result.evaluations += 1
+                    observer.on_evaluation(result.evaluations)
+                    if observer.should_stop():
+                        # Raised mid-step, so cancellation is responsive
+                        # within a scan of thousands of evaluations.
+                        yield scored.head(position)
+                        raise AnonymizationStopped()
+                yield scored
         return evaluate_batch
-
-    @staticmethod
-    def _record_evaluation(result: AnonymizationResult) -> None:
-        """Count one tentative evaluation and honour stop requests.
-
-        Raising :class:`AnonymizationStopped` here (the working graph is
-        already restored) makes cancellation responsive *within* a greedy
-        step, whose candidate scan can span thousands of evaluations.
-        """
-        result.evaluations += 1
-        result.observer.on_evaluation(result.evaluations)
-        if result.observer.should_stop():
-            raise AnonymizationStopped()

@@ -18,10 +18,12 @@ from collections.abc import Sequence
 from itertools import chain
 from typing import AbstractSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.api.registry import register_anonymizer
 from repro.core.anonymizer import AnonymizationResult, TieBreaker
 from repro.core.edge_removal import EdgeRemovalAnonymizer
-from repro.core.lookahead import search_best_combination
+from repro.core.lookahead import CombinationLevel, search_best_combination
 from repro.core.opacity import OpacityResult
 from repro.core.opacity_session import OpacitySession
 from repro.graph.graph import Edge, Graph
@@ -97,8 +99,9 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
             return None
         breaker = TieBreaker(rng)
         evaluate_batch = self._combo_evaluator(session, result, "insert")
-        for outcome in evaluate_batch([(edge,) for edge in candidates]):
-            breaker.offer(outcome)
+        singles = np.arange(len(candidates), dtype=np.int64).reshape(-1, 1)
+        for scored in evaluate_batch(CombinationLevel(candidates, singles)):
+            TieBreaker.offer_batch((breaker,), scored)
         best = breaker.best
         if best is None:
             return None

@@ -3,32 +3,79 @@
 The default greedy step considers single-edge moves.  With look-ahead
 ``la > 1``, whenever no single move strictly improves the current maximum
 opacity the search widens to combinations of two edges, then three, up to
-``la`` edges (the paper's recursive combination generator).  Every level
-hands its whole combination list to one batch evaluator, which streams the
-outcomes back in combination order, computed in stacked
-:meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits` chunks.  If no combination improves at any size, the best single-size
+``la`` edges (the paper's recursive combination generator).
+
+Every level is drawn whole as a :class:`CombinationLevel`, rows of
+candidate indices, and handed to one batch evaluator.  The evaluator
+streams the level's outcomes back as :class:`~repro.core.anonymizer.ScoredBatch`
+chunks in combination order, scored by
+:meth:`~repro.core.opacity_session.OpacitySession.score_combinations`.
+:meth:`TieBreaker.offer_batch` replays Algorithm 4's tie-break over each
+chunk.  If no combination improves at any size, the best single-size
 candidate found is returned so the greedy loop still progresses.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence as SequenceABC
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.anonymizer import CandidateOutcome, TieBreaker
+import numpy as np
+
+from repro.core.anonymizer import CandidateOutcome, ScoredBatch, TieBreaker
 from repro.graph.graph import Edge
 
-#: Batch evaluator: maps a list of combinations to their outcomes (an
-#: iterator, so evaluation accounting interleaves per candidate).
-EvaluateComboBatch = Callable[[Sequence[Tuple[Edge, ...]]],
-                              Iterator[CandidateOutcome]]
+
+class CombinationLevel(SequenceABC):
+    """The combinations of one look-ahead level, as candidate-index rows.
+
+    ``members`` is an int64 ``(combinations, size)`` array indexing
+    ``candidates``.  As a sequence the level yields edge tuples, the
+    combinations it stands for; scoring reads ``members`` and the
+    candidates' :attr:`endpoints` array instead.  Slices share the
+    endpoints.
+    """
+
+    def __init__(self, candidates: Sequence[Edge], members: np.ndarray,
+                 endpoints: Optional[np.ndarray] = None) -> None:
+        self.candidates = candidates
+        self.members = members
+        self._endpoints = endpoints
+
+    @property
+    def endpoints(self) -> np.ndarray:
+        """The candidates as an int64 ``(len(candidates), 2)`` array."""
+        if self._endpoints is None:
+            self._endpoints = np.array(self.candidates,
+                                       dtype=np.int64).reshape(-1, 2)
+        return self._endpoints
+
+    def __len__(self) -> int:
+        return self.members.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CombinationLevel(self.candidates, self.members[index],
+                                    self.endpoints)
+        return tuple(self.candidates[j] for j in self.members[index].tolist())
+
+    def __iter__(self) -> Iterator[Tuple[Edge, ...]]:
+        candidates = self.candidates
+        for row in self.members.tolist():
+            yield tuple(candidates[j] for j in row)
+
+
+#: Batch evaluator: maps a level to its outcomes, in combination order, as
+#: an iterator of chunks (so evaluation accounting interleaves per chunk).
+EvaluateComboBatch = Callable[[CombinationLevel], Iterator[ScoredBatch]]
 
 
 def _combinations_capped(candidates: Sequence[Edge], size: int, cap: int,
-                         rng: random.Random) -> List[Tuple[Edge, ...]]:
+                         rng: random.Random) -> CombinationLevel:
     """All combinations of ``size`` edges, or a uniform sample of ``cap`` of them.
 
     The exact number of combinations can explode for large candidate sets and
@@ -39,19 +86,30 @@ def _combinations_capped(candidates: Sequence[Edge], size: int, cap: int,
     435``), and acting on that overestimate would leave the rejection-
     sampling loop below asking for more distinct combinations than exist,
     never terminating.
+
+    Sampling draws candidate positions: :meth:`random.Random.sample`
+    consumes the RNG by population length alone, so it picks the same
+    candidates as sampling the edge list would, and each draw is sorted by
+    edge.
     """
-    total = comb(len(candidates), size)
+    count = len(candidates)
+    total = comb(count, size)
     if total <= cap:
-        return list(combinations(candidates, size))
-    pool = list(candidates)
-    sampled: List[Tuple[Edge, ...]] = []
+        members = np.fromiter(chain.from_iterable(combinations(range(count), size)),
+                              dtype=np.int64, count=total * size)
+        return CombinationLevel(candidates, members.reshape(total, size))
+    in_order = all(a < b for a, b in zip(candidates, candidates[1:]))
+    key = None if in_order else candidates.__getitem__
+    positions = range(count)
+    sampled: List[Tuple[int, ...]] = []
     seen = set()
     while len(sampled) < cap:
-        combo = tuple(sorted(rng.sample(pool, size)))
+        combo = tuple(sorted(rng.sample(positions, size), key=key))
         if combo not in seen:
             seen.add(combo)
             sampled.append(combo)
-    return sampled
+    return CombinationLevel(candidates,
+                            np.array(sampled, dtype=np.int64).reshape(cap, size))
 
 
 def search_best_combination(candidates: Sequence[Edge],
@@ -71,12 +129,11 @@ def search_best_combination(candidates: Sequence[Edge],
     is returned only when there are no candidates at all.
 
     Each level's combinations are drawn (sampled ones included) before any
-    of them is evaluated, then passed to ``evaluate_batch`` in one list.
-    Its outcomes reach both tie-breakers in combination order, so the
-    seeded draws of :meth:`TieBreaker.offer` follow the same sequence
-    whatever the evaluator computes per call; stop requests are the
-    evaluator's business (the batched scans raise them at most one
-    ``BATCH_SCAN_CHUNK`` apart).
+    of them is evaluated, then passed to ``evaluate_batch`` as one
+    :class:`CombinationLevel`.  Its outcome chunks reach both tie-breakers
+    through :meth:`TieBreaker.offer_batch`, which draws from ``rng``
+    exactly as per-combination offers to the level breaker, then the
+    overall one, would; stop requests are the evaluator's business.
 
     ``_unused`` must stay ``None``: it only keeps seven-argument positional
     calls valid, such as the one ``perfbench/tracing.py`` makes when it
@@ -91,9 +148,8 @@ def search_best_combination(candidates: Sequence[Edge],
     for size in range(1, min(lookahead, len(candidates)) + 1):
         level = TieBreaker(rng)
         combos = _combinations_capped(candidates, size, max_combinations, rng)
-        for outcome in evaluate_batch(combos):
-            level.offer(outcome)
-            overall.offer(outcome)
+        for scored in evaluate_batch(combos):
+            TieBreaker.offer_batch((level, overall), scored)
         best_at_level = level.best
         if best_at_level is not None and best_at_level.fraction < current_fraction:
             return best_at_level

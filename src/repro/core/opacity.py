@@ -141,14 +141,9 @@ def summarize_counts(withins: np.ndarray, totals: np.ndarray
     in type order; ``totals`` are the types' (positive) pair counts.
     Returns ``(numerators, denominators, at_max, sums)``: each row's exact
     maximum opacity as a reduced integer pair, a boolean matrix flagging
-    the columns attaining it, and the float sum of the row's opacities
-    added left to right (``cumsum``, like Python's ``sum``).
-
-    Correctly rounded float division is monotone, so the exact maximum
-    lives among the columns at the row's float maximum, and only they can
-    tie it.  Integer cross-multiplication with the row's first such column
-    confirms the tie; only a row of distinct fractions sharing one float
-    (``|T|`` above ~2**26) is settled with ``Fraction`` comparisons.
+    the columns attaining it (:func:`row_maxima`), and the float sum of
+    the row's opacities added left to right (``cumsum``, like Python's
+    ``sum``).
     """
     count, width = withins.shape
     if width == 0:
@@ -156,25 +151,76 @@ def summarize_counts(withins: np.ndarray, totals: np.ndarray
         return empty, empty + 1, np.zeros((count, 0), dtype=bool), [0.0] * count
     ratios = withins / totals[None, :]
     sums = np.cumsum(ratios, axis=1)[:, -1].tolist()
+    nums, dens, at_max = row_maxima(withins, np.broadcast_to(totals, withins.shape),
+                                    ratios)
+    return nums, dens, at_max, sums
+
+
+def row_maxima(nums: np.ndarray, dens: np.ndarray,
+               ratios: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's exact maximum of the fractions ``nums / dens``.
+
+    ``nums`` and ``dens`` are matching ``(rows, columns)`` integer matrices
+    with positive denominators and at least one column; ``ratios`` may
+    carry their float quotients.  Returns the maxima as reduced
+    ``(numerators, denominators)`` and a boolean matrix flagging the
+    columns attaining them.
+
+    Correctly rounded float division is monotone, so the exact maximum
+    lives among the columns at the row's float maximum, and only they can
+    tie it.  Integer cross-multiplication with the row's first such column
+    confirms the tie; only a row of distinct fractions sharing one float
+    (denominators above ~2**26) is settled with ``Fraction`` comparisons.
+    """
+    count = nums.shape[0]
+    if ratios is None:
+        ratios = nums / dens
     at_max = ratios == ratios.max(axis=1)[:, None]
     rows, cols = np.nonzero(at_max)
     # nonzero walks row-major and every row has a column at its maximum.
     first = np.flatnonzero(np.diff(rows, prepend=-1))
-    nums, dens = withins[rows, cols], totals[cols]
+    tops, bottoms = nums[rows, cols], dens[rows, cols]
     lead = first[rows]
     # Cross products of counts up to 2**31 fit int64; beyond, use Python ints.
-    wide = nums.astype(np.int64 if totals.max() < 1 << 31 else object)
-    exact = wide * dens[lead] == wide[lead] * dens
-    best_num, best_den = nums[first], dens[first]
+    wide = tops.astype(np.int64 if bottoms.max(initial=0) < 1 << 31 else object)
+    exact = wide * bottoms[lead] == wide[lead] * bottoms
+    best_num, best_den = tops[first], bottoms[first]
     for row in ([] if exact.all() else np.unique(rows[~exact]).tolist()):
         span = slice(first[row], first[row + 1] if row + 1 < count else rows.size)
-        fractions = [Fraction(a, b) for a, b in zip(nums[span].tolist(),
-                                                   dens[span].tolist())]
+        fractions = [Fraction(a, b) for a, b in zip(tops[span].tolist(),
+                                                   bottoms[span].tolist())]
         best = max(fractions)
         at_max[row, cols[span]] = [value == best for value in fractions]
         best_num[row], best_den[row] = best.numerator, best.denominator
     divisor = np.gcd(best_num, best_den)
-    return best_num // divisor, best_den // divisor, at_max, sums
+    return best_num // divisor, best_den // divisor, at_max
+
+
+def exact_ranks(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Dense ascending ranks of the fractions ``nums / dens`` by exact value.
+
+    Equal values share a rank, however they are written.  Floats order the
+    reduced fractions; only distinct fractions sharing a float are ordered
+    with ``Fraction``.
+    """
+    divisor = np.gcd(nums, dens)
+    nums, dens = nums // divisor, dens // divisor
+    values = nums / dens
+    order = np.lexsort((dens, nums, values))
+    new = np.ones(nums.size, dtype=bool)
+    new[1:] = ((nums[order][1:] != nums[order][:-1])
+               | (dens[order][1:] != dens[order][:-1]))
+    if np.any(new[1:] & (values[order][1:] == values[order][:-1])):
+        fractions = [Fraction(a, b) for a, b in zip(nums.tolist(),
+                                                   dens.tolist())]
+        order = np.array(sorted(range(nums.size), key=fractions.__getitem__),
+                         dtype=np.int64)
+        new[1:] = [fractions[a] != fractions[b]
+                   for a, b in zip(order[1:].tolist(), order[:-1].tolist())]
+    ranks = np.empty(nums.size, dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
 
 
 class OpacityComputer:

@@ -25,11 +25,18 @@ float-summed total opacity, so a greedy run chooses the same edits as the
 stateless evaluator would.
 
 The paper's copy-evaluate-restore loop is the reference semantics: apply
-the edit, run the stateless evaluator, revert.  The session applies and
-reverts tentative edits through the same :class:`~repro.graph.graph.Graph`
-mutations in the same order, so adjacency-set iteration (and with it every
-seeded tie-break downstream) matches that loop; the test suite keeps the
-loop itself as a reference session and runs every algorithm on both.
+the edit, run the stateless evaluator, revert.  The test suite keeps that
+loop as a reference session and runs every algorithm on both.  A
+tentative edit never touches the working graph here: candidate scans
+read the distance store, the adjacency mirror and the session's arrays,
+so nothing downstream can depend on how a scan ran.
+
+Look-ahead levels go through :meth:`OpacitySession.score_combinations`,
+which returns exact maxima and tie counts as arrays, summarized from the
+types each combination changes (:meth:`~OpacitySession._summarize_changed`)
+instead of a full count vector per candidate.  At L = 1 a combination's
+count change is the sum of its members' own ±1 type hits, so a whole
+level is scored from one index array over the candidates' type positions.
 
 Whole candidate scans go through :meth:`OpacitySession.evaluate_edits`,
 which stacks the distance deltas of all single-edge candidates into one
@@ -57,8 +64,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.opacity import OpacityComputer, OpacityResult, summarize_counts
-from repro.errors import ConfigurationError
+from repro.core.opacity import (
+    OpacityComputer,
+    OpacityResult,
+    exact_ranks,
+    row_maxima,
+    summarize_counts,
+)
+from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
@@ -224,6 +237,8 @@ class OpacitySession:
         # graph, and the type position of each edge.
         self._edge_codes: Optional[np.ndarray] = None
         self._edge_types: Optional[np.ndarray] = None
+        # Lazy exact ordering of the current type ratios (_type_ranking).
+        self._ranking: Optional[Tuple[np.ndarray, ...]] = None
         # Parallel-scan state: the pool is started lazily on the first
         # large-enough scan and torn down permanently on any failure.
         self._scan_workers = max(0, int(scan_workers))
@@ -334,8 +349,8 @@ class OpacitySession:
         """Outcomes of many *independent* tentative edits, batch-evaluated.
 
         Bit-identical to ``[self.evaluate_edit(r, i) for r, i in candidates]``
-        — same ``Fraction`` maxima, tie counts, float totals, and the same
-        graph-mutation history — but a homogeneous scan of single-edge
+        — same ``Fraction`` maxima, tie counts and float totals — but a
+        homogeneous scan of single-edge
         removals (resp. insertions) computes all distance deltas in one
         stacked :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
         pass and tallies every candidate's count deltas with a single grouped
@@ -348,11 +363,62 @@ class OpacitySession:
         """
         pairs = [(tuple(removals), tuple(insertions))
                  for removals, insertions in candidates]
+        return self._summarize_batch(self._edit_changes(pairs))
+
+    def score_combinations(self, endpoints: np.ndarray, members: np.ndarray,
+                           kind: str
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact outcomes of a look-ahead level's combinations, as arrays.
+
+        ``endpoints`` is an int64 ``(c, 2)`` array of candidate edges and
+        each row of ``members`` names one combination by candidate index;
+        ``kind`` is ``"remove"`` or ``"insert"``.  Returns the
+        combinations' maxima as reduced ``(numerators, denominators)`` and
+        their ``types_at_max`` — exactly what :meth:`evaluate_edits` would
+        report for each combination, without the float total.
+
+        At L = 1 an edit flips only its own cells, so a combination's count
+        change is the sum of its members' ±1 hits on their types: the level
+        is scored from the members' type positions alone.  At L >= 2 the
+        combinations are previewed like :meth:`evaluate_edits` candidates.
+        Either way the summary comes from the changed types only
+        (:meth:`_summarize_changed`).
+        """
         if self._computer.length_threshold == 1:
-            return self._summarize_batch(self._l1_changes_batch(pairs))
+            # Look the candidates up once each, or only the members used
+            # when the chunk names fewer cells than there are candidates.
+            if len(endpoints) <= members.size:
+                cells, at = endpoints, members
+            else:
+                cells = endpoints[members.ravel()]
+                at = np.arange(members.size).reshape(members.shape)
+            self._check_cells(cells[:, 0], cells[:, 1],
+                              np.full(len(cells), kind == "insert"))
+            types = self._computer.type_indices(cells[:, 0], cells[:, 1])[at]
+            # A type hit by several members carries their summed change in
+            # its first column; the repeats become padding.
+            types = np.sort(types, axis=1)
+            hits = (types[:, :, None] == types[:, None, :]).sum(axis=2)
+            repeat = np.zeros(types.shape, dtype=bool)
+            repeat[:, 1:] = types[:, 1:] == types[:, :-1]
+            types[repeat] = self._totals.size
+            return self._summarize_changed(
+                types, hits if kind == "insert" else -hits)
+        combos = [tuple(map(tuple, combo))
+                  for combo in endpoints[members].tolist()]
+        pairs = [((), combo) if kind == "insert" else (combo, ())
+                 for combo in combos]
+        return self._summarize_changed(
+            *_change_matrix(self._edit_changes(pairs), self._totals.size))
+
+    def _edit_changes(self, pairs: List[EditCandidate]
+                      ) -> List[Dict[int, int]]:
+        """Per-candidate count-change dicts, by the scan path ``pairs`` need."""
+        if self._computer.length_threshold == 1:
+            return self._l1_changes_batch(pairs)
         if self._use_parallel_scan(pairs):
-            return self._summarize_batch(self._parallel_changes(pairs))
-        return self._summarize_batch(self._collect_changes(pairs))
+            return self._parallel_changes(pairs)
+        return self._collect_changes(pairs)
 
     def collect_edit_changes(self, pairs: Sequence[EditCandidate]
                              ) -> List[Dict[int, int]]:
@@ -377,7 +443,7 @@ class OpacitySession:
         # group, so peak retained memory is bounded by ~128 MB of delta
         # cells even when many removal candidates hit the from-scratch
         # fallback (each such delta holds a full n × n matrix); grouping
-        # changes neither the per-candidate math nor the mutation order.
+        # does not change the per-candidate math.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
         changes: List[Dict[int, int]] = []
@@ -412,10 +478,9 @@ class OpacitySession:
 
         On success the concatenated worker changes are exactly what
         :meth:`_collect_changes` would have produced (distance values are
-        canonical, shards preserve candidate order), the workers' observed
-        affected-row stats are folded into the parent's auto fallback
-        fraction, and the scan's graph mutate/restore sequence is replayed
-        so adjacency-set histories stay scan-mode-independent.
+        canonical, shards preserve candidate order), and the workers'
+        observed affected-row stats are folded into the parent's auto
+        fallback fraction.
         """
         pool = self._ensure_scan_pool()
         if pool is not None:
@@ -425,7 +490,6 @@ class OpacitySession:
                 for rows_total, candidates in stats:
                     self._distance.observe_affected_rows(rows_total,
                                                          candidates)
-                self._distance.replay_scan_mutations(pairs)
                 self.parallel_scans += 1
                 return changes
             self._teardown_scan_pool(failed=True)
@@ -465,6 +529,7 @@ class OpacitySession:
         for index, change in changes.items():
             self._withins[index] += change
         self._current = None
+        self._ranking = None
         if self._edge_codes is not None:
             self._fold_edges(removals, insertions)
         if self._scan_pool is not None \
@@ -571,6 +636,7 @@ class OpacitySession:
             store.array if isinstance(store, DenseStore) else store)
         self._totals = self._computer.type_order[1]
         self._current = None
+        self._ranking = None
 
     def _l1_changes_batch(self, pairs: List[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]]
                           ) -> List[Dict[int, int]]:
@@ -581,33 +647,43 @@ class OpacitySession:
         insertion the reverse: a candidate's flipped cells are its edited
         edges themselves.  Every candidate's edges are stacked with their
         candidate index and gained flag and tallied in one grouped count
-        (:meth:`_tally_cells`).  The graph is still touched and restored per
-        candidate, in order, with the same mutation sequence a
-        :meth:`DistanceSession.preview` performs, so adjacency-set
-        iteration histories — and with them every seeded tie-break
-        downstream — stay identical to the per-candidate path.
+        (:meth:`_tally_cells`).
         """
-        graph = self._graph
         edges: List[Edge] = []
         gained: List[bool] = []
         sizes: List[int] = []
         for removals, insertions in pairs:
-            for u, v in removals:
-                graph.remove_edge(u, v)
-            for u, v in insertions:
-                graph.add_edge(u, v)
-            for u, v in insertions:
-                graph.remove_edge(u, v)
-            for u, v in removals:
-                graph.add_edge(u, v)
             edges.extend(removals)
             edges.extend(insertions)
             gained.extend([False] * len(removals) + [True] * len(insertions))
             sizes.append(len(removals) + len(insertions))
         cells = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        gained = np.array(gained, dtype=bool)
+        self._check_cells(cells[:, 0], cells[:, 1], gained)
         candidate = np.repeat(np.arange(len(pairs)), sizes)
         return self._tally_cells(len(pairs), candidate, cells[:, 0],
-                                 cells[:, 1], np.array(gained, dtype=bool))
+                                 cells[:, 1], gained)
+
+    def _check_cells(self, first: np.ndarray, second: np.ndarray,
+                     gained: np.ndarray) -> None:
+        """Raise :class:`InvalidEdgeError` unless every L = 1 edit is valid.
+
+        A removed pair must be an edge of the working graph and an
+        inserted one must not, each judged against the current graph; the
+        lookup is one binary search over the sorted edge array.
+        """
+        self.edge_endpoints()
+        codes = self._edge_codes
+        n = self._graph.num_vertices
+        wanted = np.minimum(first, second) * n + np.maximum(first, second)
+        at = np.searchsorted(codes, wanted).clip(max=max(codes.size - 1, 0))
+        present = codes[at] == wanted if codes.size else np.zeros(wanted.size, bool)
+        wrong = np.flatnonzero(present == gained)
+        if wrong.size:
+            index = wrong[0]
+            state = "already present" if gained[index] else "not present"
+            raise InvalidEdgeError(
+                f"edge ({first[index]}, {second[index]}) {state}")
 
     def _count_changes(self, delta: DistanceDelta) -> Dict[int, int]:
         """Per-type within-L count deltas implied by a distance delta.
@@ -769,10 +845,11 @@ class OpacitySession:
                          ) -> List[EditEvaluation]:
         """Exact max, tie count and float total of every candidate's counts.
 
-        The base counts are tiled once per candidate, each row gets its
-        candidate's changes, and :func:`~repro.core.opacity.summarize_counts`
-        — the one summarizer :meth:`current` and the stateless evaluator
-        use too — scans all rows at once.
+        The dense path, for the float total only GADED-Max reads: the base
+        counts are tiled once per candidate, each row gets its candidate's
+        changes, and :func:`~repro.core.opacity.summarize_counts` — the
+        summarizer :meth:`current` and the stateless evaluator use too —
+        scans all rows at once.
         """
         if not changes_list:
             return []
@@ -786,3 +863,80 @@ class OpacitySession:
                 for num, den, ties, total in zip(
                     nums.tolist(), dens.tolist(),
                     at_max.sum(axis=1).tolist(), sums)]
+
+    def _type_ranking(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The current type ratios in exact descending order, built once per state.
+
+        Returns ``(order, rank, group, group_size)``: type positions by
+        descending ratio, each type's place in that order, the index of its
+        exact-ratio group (0 = the maximum) and the size of every group.
+        """
+        if self._ranking is None:
+            ranks = exact_ranks(self._withins, self._totals)
+            group = ranks.max(initial=0) - ranks
+            order = np.argsort(group, kind="stable")
+            rank = np.empty(order.size, dtype=np.int64)
+            rank[order] = np.arange(order.size)
+            self._ranking = (order, rank, group, np.bincount(group))
+        return self._ranking
+
+    def _summarize_changed(self, types: np.ndarray, deltas: np.ndarray
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact max and tie count of every candidate, from the types it changes.
+
+        Row ``c`` of the ``(candidates, k)`` matrices lists candidate
+        ``c``'s distinct changed type positions and their count changes;
+        padding entries hold the number of types.  The maximum after an edit is
+        the larger of the changed types' new ratios and the best
+        *untouched* ratio: the first type of the step's exact descending
+        order (:meth:`_type_ranking`) the candidate does not touch, found
+        as the smallest order position missing from its touched ones.  The
+        untouched types at that ratio are its exact-ratio group less the
+        touched members of the group.  Memory is O(candidates × k), never
+        candidates × types.
+        """
+        size = self._totals.size
+        count, width = types.shape
+        if size == 0:
+            empty = np.zeros(count, dtype=np.int64)
+            return empty, empty + 1, empty
+        order, rank, group, group_size = self._type_ranking()
+        touched = types < size
+        safe = np.where(touched, types, 0)
+        # Sorted touched places; the first place j not held is the first
+        # untouched type in the order (k + 1 probes at most).
+        places = np.sort(np.where(touched, rank[safe], size), axis=1)
+        held = (places == np.arange(width)).cumprod(axis=1).sum(axis=1)
+        untouched = order[np.minimum(held, size - 1)]
+        exists = held < size
+        nums = np.empty((count, width + 1), dtype=np.int64)
+        dens = np.ones((count, width + 1), dtype=np.int64)
+        nums[:, :width] = np.where(touched, self._withins[safe] + deltas, -1)
+        dens[:, :width] = np.where(touched, self._totals[safe], 1)
+        nums[:, width] = np.where(exists, self._withins[untouched], -1)
+        dens[:, width] = np.where(exists, self._totals[untouched], 1)
+        # Weight of each column at the maximum: one per touched type, and
+        # the untouched group's size for the untouched column.
+        same_group = touched & (group[safe] == group[untouched][:, None])
+        weights = np.empty((count, width + 1), dtype=np.int64)
+        weights[:, :width] = touched
+        weights[:, width] = np.where(
+            exists, group_size[group[untouched]] - same_group.sum(axis=1), 0)
+        best_num, best_den, at_max = row_maxima(nums, dens)
+        return best_num, best_den, (at_max * weights).sum(axis=1)
+
+
+def _change_matrix(changes_list: List[Dict[int, int]], padding: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-candidate change dicts as padded ``(types, deltas)`` matrices."""
+    sizes = np.fromiter(map(len, changes_list), dtype=np.int64,
+                        count=len(changes_list))
+    width = int(sizes.max(initial=0))
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    types = np.full((sizes.size, width), padding, dtype=np.int64)
+    deltas = np.zeros((sizes.size, width), dtype=np.int64)
+    types[rows, cols] = [index for changes in changes_list for index in changes]
+    deltas[rows, cols] = [change for changes in changes_list
+                          for change in changes.values()]
+    return types, deltas

@@ -19,11 +19,7 @@ Bit-identity is preserved by construction:
   change dicts match the serial scan's bit for bit;
 * candidates are sharded *contiguously* in candidate order and the parent
   concatenates shard results back in that order before running its own
-  summarize pass — same ``Fraction`` maxima, tie counts, and float totals;
-* the parent replays the scan's graph mutate/restore sequence afterwards
-  (:meth:`~repro.graph.distance_delta.DistanceSession.replay_scan_mutations`),
-  so adjacency-set iteration histories — and every seeded tie-break
-  downstream — stay scan-mode-independent.
+  summarize pass — same ``Fraction`` maxima, tie counts, and float totals.
 
 Failure handling is all-or-nothing: any send/recv error (including a worker
 killed with SIGKILL mid-scan) makes :meth:`ScanPool.scan` return ``None``;

@@ -23,11 +23,11 @@ plus their new values — without a from-scratch recomputation:
 * **Removal** of ``{u, v}``: distances only grow, and a row ``i`` can only
   change when some shortest path from ``i`` crosses the edge, which forces
   ``|D[i, u] - D[i, v]| = 1`` and ``min(D[i, u], D[i, v]) ≤ L - 1``.  The
-  (few) affected rows are recomputed by vectorized frontier expansion on
-  the edited graph, restricted to those source rows (the ``numpy`` engine's
+  (few) affected rows are recomputed by vectorized frontier expansion over
+  the edited adjacency, restricted to those source rows (the ``numpy`` engine's
   recurrence on an ``|rows| × n`` slab); when the affected region exceeds a
-  size heuristic the session falls back to an exact from-scratch
-  recomputation, :func:`~repro.graph.distance.bounded_distance_matrix`.
+  size heuristic the session falls back to expanding every row, the
+  same recurrence as :func:`~repro.graph.distance.bounded_distance_matrix`.
 
 Every matrix access is phrased in row blocks (columns are rows transposed —
 the matrix is symmetric), which is exactly the store seam's contract; the
@@ -49,9 +49,11 @@ single-edge candidates* of the same kind in one stacked pass: all removal
 candidates share one ``|rows_total| × n`` slab recompute (with per-row
 corrections for each candidate's own removed edge), and all insertion
 candidates share one broadcast relaxation.  The batch is bit-identical to
-the equivalent sequence of :meth:`preview` calls — including the per-edit
-fallback heuristic and the graph-mutation order the sequential path leaves
-behind.
+the equivalent sequence of :meth:`preview` calls, including the per-edit
+fallback heuristic.
+
+Neither kind of preview touches the graph: tentative edits live in the
+adjacency mirror only.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DistanceMemoryError
+from repro.errors import ConfigurationError, DistanceMemoryError, InvalidEdgeError
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import (
     CSRAdjacency,
@@ -72,6 +74,31 @@ from repro.graph.distance_store import (
 )
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.matrices import distance_dtype
+
+
+def _edit_graph(graph: Graph, removals: Sequence[Edge],
+                insertions: Sequence[Edge]) -> None:
+    """Apply an edit to ``graph``: removals, then insertions."""
+    for u, v in removals:
+        graph.remove_edge(u, v)
+    for u, v in insertions:
+        graph.add_edge(u, v)
+
+
+def _check_edit(graph: Graph, removals: Sequence[Edge],
+                insertions: Sequence[Edge]) -> None:
+    """Raise :class:`InvalidEdgeError` where :func:`_edit_graph` would.
+
+    Each removal must be present and each insertion absent, in the state
+    the edit's earlier operations leave.
+    """
+    changed = {}
+    for present, edges in ((False, removals), (True, insertions)):
+        for edge in edges:
+            if changed.get(edge, graph.has_edge(*edge)) == present:
+                state = "already present" if present else "not present"
+                raise InvalidEdgeError(f"edge {edge} {state}")
+            changed[edge] = present
 
 
 @dataclass(frozen=True)
@@ -120,6 +147,9 @@ class _DenseAdjacency:
     def set_edge(self, u: int, v: int, present: bool) -> None:
         self._matrix[u, v] = self._matrix[v, u] = 1.0 if present else 0.0
 
+    def compact(self) -> None:
+        """Nothing to fold: the matrix is edited in place."""
+
     def rebuild(self) -> None:
         self._matrix = self._graph.adjacency_matrix(dtype=np.float32)
 
@@ -131,10 +161,10 @@ class _CSROverlayAdjacency:
     the CSR arrays and counts them with an exact integer ``bincount``, so
     the ``> 0`` reachability booleans equal the dense float32 product bit
     for bit.  Edits accumulate in small add/remove override sets (previews
-    cancel their own overrides on revert); once the net override count
-    passes a threshold the snapshot is rebuilt from the graph — every call
-    site mutates the graph *before* :meth:`set_edge`, so the graph is
-    always the source of truth.
+    cancel their own overrides on revert); :meth:`compact` rebuilds the
+    snapshot from the graph once the net override count passes a
+    threshold.  It is only called after a committed edit, when the graph
+    holds exactly the mirrored state.
     """
 
     _REBUILD_THRESHOLD = 256
@@ -186,6 +216,9 @@ class _CSROverlayAdjacency:
                 self._added.discard(edge)
             else:
                 self._removed.add(edge)
+
+    def compact(self) -> None:
+        """Fold the overrides into a fresh snapshot once they pile up."""
         if len(self._added) + len(self._removed) > self._REBUILD_THRESHOLD:
             self.rebuild()
 
@@ -377,33 +410,6 @@ class DistanceSession:
         self._observed_candidates = 0
         return stats
 
-    def replay_scan_mutations(
-            self, candidates: Sequence[Tuple[Sequence[Edge],
-                                             Sequence[Edge]]]) -> None:
-        """Replay the serial scan's graph mutate/restore sequence.
-
-        A parallel scan evaluates candidates in worker processes, so the
-        parent's graph never sees the per-candidate mutate/restore churn a
-        serial scan performs — but adjacency-*set* iteration order is
-        mutation-history-dependent, and seeded tie-breaks downstream
-        consume it.  This replays, per candidate, exactly the sequence
-        every serial path leaves behind (removals removed, insertions
-        added, insertions removed, removals re-added — the batched stacked
-        passes, the sequential previews, and the L=1 tally all reduce to
-        it), touching only the graph: the adjacency mirror and the store
-        are skipped because their outputs are exact values independent of
-        internal mutation history.
-        """
-        for removals, insertions in candidates:
-            for u, v in removals:
-                self._graph.remove_edge(u, v)
-            for u, v in insertions:
-                self._graph.add_edge(u, v)
-            for u, v in insertions:
-                self._graph.remove_edge(u, v)
-            for u, v in removals:
-                self._graph.add_edge(u, v)
-
     def close(self) -> None:
         """Release store resources (tiled spill files); idempotent."""
         if isinstance(self._store, TiledStore):
@@ -439,18 +445,16 @@ class DistanceSession:
 
         Removals are processed before insertions, each against the state
         produced by its predecessors, exactly mirroring how the greedy
-        algorithms apply a chosen combination.  The graph is touched (and
-        restored) with the same mutation sequence as the paper's
-        copy-evaluate-restore loop, so adjacency-set iteration order
-        matches that reference.
+        algorithms apply a chosen combination.
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
+        _check_edit(self._graph, removals, insertions)
         applied = []
         try:
             return self._compute_delta(removals, insertions, applied)
         finally:
-            self._revert(applied)
+            self._revert_mirror(applied)
 
     def preview_batch(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = (),
@@ -464,9 +468,7 @@ class DistanceSession:
         candidates share a single ``|rows_total| × n`` slab recompute and
         all insertion candidates share a single broadcast relaxation,
         eliminating the per-candidate numpy call overhead that dominates
-        the greedy scans.  The graph is touched (and restored) per
-        candidate with the same mutation sequence the sequential previews
-        use, so adjacency-set iteration order stays scan-mode-independent.
+        the greedy scans.
 
         ``skip_unchanged=True`` is the fused-scan variant for consumers
         that only tally *within-L membership flips* (the opacity sessions):
@@ -479,6 +481,10 @@ class DistanceSession:
         """
         removal_edges = [normalize_edge(u, v) for u, v in removals]
         insertion_edges = [normalize_edge(u, v) for u, v in insertions]
+        for edge in removal_edges:
+            _check_edit(self._graph, (edge,), ())
+        for edge in insertion_edges:
+            _check_edit(self._graph, (), (edge,))
         deltas = self._batch_removal_deltas(removal_edges, skip_unchanged)
         deltas += self._batch_insertion_deltas(insertion_edges, skip_unchanged)
         return deltas
@@ -558,20 +564,20 @@ class DistanceSession:
         for chunk_start in range(0, len(edges), candidate_cap):
             chunk = edges[chunk_start:chunk_start + candidate_cap]
             candidate_rows = self._batch_affected_rows(chunk, removal=True)
-            for local, (u, v) in enumerate(chunk):
+            for local, rows in enumerate(candidate_rows):
                 index = chunk_start + local
-                # Same mutate/restore sequence as a sequential preview, so
-                # adjacency sets end up with identical iteration histories.
-                self._graph.remove_edge(u, v)
-                rows = candidate_rows[local]
                 if rows.size > threshold:
-                    full = bounded_distance_matrix(self._graph, self._length)
+                    u, v = edges[index]
+                    self._mirror.set_edge(u, v, False)
+                    try:
+                        full = self._rows_block(np.arange(n))
+                    finally:
+                        self._mirror.set_edge(u, v, True)
                     deltas[index] = DistanceDelta(
                         (edges[index],), (), np.arange(n, dtype=np.int64), full,
                         from_scratch=True)
                 else:
                     slab.append((index, rows))
-                self._graph.add_edge(u, v)
         for slab_chunk in self._slab_chunks(slab):
             self._fill_removal_chunk(edges, slab_chunk, deltas, skip_unchanged)
         return deltas
@@ -688,17 +694,14 @@ class DistanceSession:
         for chunk_start in range(0, len(edges), candidate_cap):
             chunk = edges[chunk_start:chunk_start + candidate_cap]
             candidate_rows = self._batch_affected_rows(chunk, removal=False)
-            for local, (u, v) in enumerate(chunk):
+            for local, rows in enumerate(candidate_rows):
                 index = chunk_start + local
-                self._graph.add_edge(u, v)
-                rows = candidate_rows[local]
                 if rows.size == 0:
                     if not skip_unchanged:
                         deltas[index] = DistanceDelta((), (edges[index],),
                                                       empty_rows, empty_block)
                 else:
                     slab.append((index, rows))
-                self._graph.remove_edge(u, v)
         for slab_chunk in self._slab_chunks(slab):
             self._fill_insertion_chunk(edges, slab_chunk, deltas, skip_unchanged)
         return deltas
@@ -787,12 +790,15 @@ class DistanceSession:
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
+        _check_edit(self._graph, removals, insertions)
         applied = []
         try:
-            return self._compute_delta(removals, insertions, applied)
+            delta = self._compute_delta(removals, insertions, applied)
         except BaseException:
-            self._revert(applied)
+            self._revert_mirror(applied)
             raise
+        _edit_graph(self._graph, removals, insertions)
+        return delta
 
     def commit(self, delta: DistanceDelta) -> None:
         """Fold a :meth:`stage`-d delta into the store."""
@@ -800,6 +806,7 @@ class DistanceSession:
             self._store.replace(delta.new_rows)
         elif delta.rows.size:
             self._store.write_rows(delta.rows, delta.new_rows)
+        self._mirror.compact()
 
     def apply(self, removals: Sequence[Edge] = (),
               insertions: Sequence[Edge] = (),
@@ -816,11 +823,10 @@ class DistanceSession:
         else:
             if (delta.removals, delta.insertions) != (norm_removals, norm_insertions):
                 raise ConfigurationError("delta does not describe the requested edit")
+            _edit_graph(self._graph, norm_removals, norm_insertions)
             for u, v in norm_removals:
-                self._graph.remove_edge(u, v)
                 self._mirror.set_edge(u, v, False)
             for u, v in norm_insertions:
-                self._graph.add_edge(u, v)
                 self._mirror.set_edge(u, v, True)
         self.commit(delta)
         return delta
@@ -828,10 +834,12 @@ class DistanceSession:
     def _compute_delta(self, removals: Tuple[Edge, ...],
                        insertions: Tuple[Edge, ...],
                        applied: list) -> DistanceDelta:
-        """Build the delta, applying ops to graph/adjacency as it goes.
+        """Build the delta, applying ops to the adjacency mirror as it goes.
 
         Every applied op is recorded in ``applied`` (for the caller to
-        revert, or keep); the distance matrix itself is never written.
+        revert, or keep); neither the graph nor the distance matrix is
+        written.  A from-scratch fallback expands every row over the
+        edited mirror.
 
         Multi-op sequences track intermediate state in a sparse *row
         overlay* instead of a full matrix copy: every changed cell has both
@@ -857,12 +865,7 @@ class DistanceSession:
 
         scratch = False
         for kind, (u, v) in ops:
-            if kind == "remove":
-                self._graph.remove_edge(u, v)
-                self._mirror.set_edge(u, v, False)
-            else:
-                self._graph.add_edge(u, v)
-                self._mirror.set_edge(u, v, True)
+            self._mirror.set_edge(u, v, kind == "insert")
             applied.append((kind, (u, v)))
             if scratch:
                 continue
@@ -886,7 +889,7 @@ class DistanceSession:
             for position, index in enumerate(rows.tolist()):
                 overlay[index] = block[position]
         if scratch:
-            full = bounded_distance_matrix(self._graph, self._length)
+            full = self._rows_block(np.arange(n))
             return DistanceDelta(removals, insertions,
                                  np.arange(n, dtype=np.int64), full,
                                  from_scratch=True)
@@ -903,21 +906,10 @@ class DistanceSession:
                              np.ascontiguousarray(block,
                                                   dtype=self._store.dtype))
 
-    def _revert(self, applied: list) -> None:
-        """Undo applied ops: insertions first, then removals, forward order.
-
-        This is the exact restore sequence of the pre-session
-        copy-evaluate-restore loops, preserved so both evaluation modes
-        leave identical adjacency-set histories behind.
-        """
-        for kind, (u, v) in applied:
-            if kind == "insert":
-                self._graph.remove_edge(u, v)
-                self._mirror.set_edge(u, v, False)
-        for kind, (u, v) in applied:
-            if kind == "remove":
-                self._graph.add_edge(u, v)
-                self._mirror.set_edge(u, v, True)
+    def _revert_mirror(self, applied: list) -> None:
+        """Undo the mirror ops :meth:`_compute_delta` applied."""
+        for kind, (u, v) in reversed(applied):
+            self._mirror.set_edge(u, v, kind == "remove")
 
     def refresh(self) -> None:
         """Recompute the distances from scratch (after out-of-band graph edits)."""

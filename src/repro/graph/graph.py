@@ -110,10 +110,10 @@ class Graph:
         The order is a function of the edge *content* only, never of the
         mutation history.  Python sets iterate in a history-dependent order
         (deletions leave holes, table sizes depend on peak occupancy), and
-        the greedy candidate scans draw tie-breaks from a seeded RNG in
-        iteration order — a checkpoint-resumed pass rebuilds its adjacency
-        sets from scratch and would silently diverge from the uninterrupted
-        run if this order were left history-dependent.
+        the greedy candidate lists draw tie-breaks from a seeded RNG in
+        this order — a checkpoint-resumed pass rebuilds its adjacency sets
+        from scratch and would silently diverge from the uninterrupted run
+        if this order were left history-dependent.
         """
         for u in range(self._num_vertices):
             for v in sorted(self._adjacency[u]):

@@ -4,11 +4,16 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.api.progress import NullObserver
-from repro.core import EdgeRemovalAnonymizer
-from repro.core.anonymizer import CandidateOutcome
+from repro.core import (
+    EdgeRemovalAnonymizer,
+    EdgeRemovalInsertionAnonymizer,
+    ExplicitPairTyping,
+)
+from repro.core.anonymizer import ScoredBatch
 from repro.core.lookahead import _combinations_capped, search_best_combination
 from repro.graph import erdos_renyi_graph
 from tests.oracles import PerCandidateSession, run_on
@@ -18,20 +23,21 @@ def _make_evaluator(scores):
     """Build a batch evaluator from a mapping frozenset(edges) -> fraction.
 
     ``calls`` lists every evaluated combination in order, ``batches`` the
-    combination list each call received.
+    combination list each call received; each level comes back as one
+    :class:`ScoredBatch` with one type at every maximum.
     """
     calls = []
     batches = []
 
     def evaluate_batch(combos):
-        batches.append(list(combos))
-        for combo in combos:
-            calls.append(tuple(combo))
-            score = scores[frozenset(combo)]
-            yield CandidateOutcome(edges=tuple(combo),
-                                   numerator=score.numerator,
-                                   denominator=score.denominator,
-                                   types_at_max=1)
+        combos = list(combos)
+        batches.append(combos)
+        calls.extend(tuple(combo) for combo in combos)
+        fractions = [scores[frozenset(combo)] for combo in combos]
+        yield ScoredBatch(combos,
+                          np.array([f.numerator for f in fractions], dtype=np.int64),
+                          np.array([f.denominator for f in fractions], dtype=np.int64),
+                          np.ones(len(combos), dtype=np.int64))
 
     evaluate_batch.calls = calls
     evaluate_batch.batches = batches
@@ -259,6 +265,26 @@ class _StopAtEvaluation(NullObserver):
         return self.seen >= self.limit
 
 
+class _StopAndRecord(_StopAtEvaluation):
+    """Stop at evaluation ``limit`` and keep the checkpoints' RNG states."""
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.rng_states = []
+
+    def on_checkpoint(self, checkpoint):
+        self.rng_states.append(checkpoint.rng_state)
+
+
+def _explicit_typing(graph):
+    """Pairs labelled by ``(u + v) % 3``: two labels, every third pair untyped."""
+    labels = {0: "a", 1: "b"}
+    return ExplicitPairTyping({(u, v): labels[(u + v) % 3]
+                               for u in range(graph.num_vertices)
+                               for v in range(u + 1, graph.num_vertices)
+                               if (u + v) % 3 in labels})
+
+
 class TestStopInsideCombinationLevels:
     """A stop inside the size-2 level lands on the exact evaluation, on the
     product session and on the per-candidate oracle alike, even though the
@@ -267,8 +293,53 @@ class TestStopInsideCombinationLevels:
     @staticmethod
     def _graph():
         # 15 edges whose first step has no improving single removal: the
-        # initial evaluation, 15 singles, then C(15, 2) = 105 pairs.
+        # initial evaluation, 15 singles, then C(15, 2) = 105 pairs.  Nine
+        # degree-pair types share the 15 edges, so many pairs remove two
+        # edges of one type.
         return erdos_renyi_graph(12, 0.3, seed=3)
+
+    @pytest.mark.parametrize("algorithm,params,typed,limit", [
+        # Inside the size-3 level: 1 + 15 + 105 evaluations precede it.
+        (EdgeRemovalAnonymizer, dict(lookahead=3), False, 200),
+        # A sampled size-2 level: 20 of C(15, 2) = 105 pairs.
+        (EdgeRemovalAnonymizer, dict(lookahead=2, max_combinations=20),
+         False, 30),
+        # Removal/Insertion: inside the pair level, then inside the
+        # insertion scan that follows the first removal.
+        (EdgeRemovalInsertionAnonymizer, dict(lookahead=2), False, 60),
+        (EdgeRemovalInsertionAnonymizer, dict(lookahead=2), False, 150),
+        # An explicit typing with untyped pairs, look-ahead 3.
+        (EdgeRemovalAnonymizer, dict(lookahead=3), True, 25),
+        (EdgeRemovalAnonymizer, dict(lookahead=3), True, 90),
+    ])
+    def test_stop_matches_per_candidate_oracle(self, algorithm, params, typed,
+                                               limit):
+        """Same stop point, edits, graph and RNG state as the oracle.
+
+        The RNG state travels in the stop's checkpoints, so it proves the
+        batched tie-break drew exactly the per-candidate draws before the
+        stop.
+        """
+        graph = self._graph()
+        typing = _explicit_typing(graph) if typed else None
+        runs = []
+        for session_class in (None, PerCandidateSession):
+            observer = _StopAndRecord(limit)
+            anonymizer = algorithm(length_threshold=1, theta=0.0, seed=0,
+                                   prune_candidates=False, **params)
+            if session_class is None:
+                result = anonymizer.anonymize(graph, typing=typing,
+                                              observer=observer)
+            else:
+                result, served = run_on(session_class, anonymizer, graph,
+                                        typing=typing, observer=observer)
+                assert served >= limit
+            assert observer.seen == limit
+            assert result.stop_reason == "observer"
+            assert result.evaluations == limit + 1
+            runs.append((result.steps, result.anonymized_graph,
+                         observer.rng_states))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("scan_mode", ["per_candidate", "batched"])
     @pytest.mark.parametrize("limit", [17, 40, 121])

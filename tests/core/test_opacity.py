@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.opacity import OpacityComputer, max_lo
+from repro.core.opacity import OpacityComputer, exact_ranks, max_lo
 from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping
 from repro.errors import ConfigurationError
 from repro.graph.distance import available_engines, bounded_distance_matrix
@@ -184,3 +187,23 @@ class TestExplicitTypingVectorizedCounts:
         computer = OpacityComputer(typing, 1)
         first = computer._code_table
         assert computer._code_table is first
+
+
+class TestExactRanks:
+    def test_distinct_fractions_sharing_a_float_are_ordered_exactly(self):
+        # 1 + 1e-17 and 1 + 1/(1e17 + 2) both round to the float 1.0.
+        nums = np.array([10 ** 17 + 1, 10 ** 17 + 3, 1, 2], dtype=np.int64)
+        dens = np.array([10 ** 17, 10 ** 17 + 2, 1, 2], dtype=np.int64)
+        assert (nums / dens).tolist() == [1.0] * 4
+        assert exact_ranks(nums, dens).tolist() == [2, 1, 0, 0]
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=9),
+                              st.integers(min_value=1, max_value=9)),
+                    max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_ranks_follow_fraction_order(self, pairs):
+        nums = np.array([num for num, _ in pairs], dtype=np.int64)
+        dens = np.array([den for _, den in pairs], dtype=np.int64)
+        values = sorted({Fraction(num, den) for num, den in pairs})
+        assert exact_ranks(nums, dens).tolist() == [
+            values.index(Fraction(num, den)) for num, den in pairs]

@@ -10,8 +10,9 @@ it is proven against live here:
   :func:`result_from_counts`, which builds a ``Fraction`` per type and
   compares them — the reference for the product's array summarizer.
 * :class:`PerCandidateSession` — an incremental session whose batch scans
-  loop the single-candidate :meth:`~OpacitySession.evaluate_edit` path
-  instead of the stacked passes.
+  and look-ahead levels loop the single-candidate
+  :meth:`~OpacitySession.evaluate_edit` path instead of the stacked passes
+  and the composed level scoring.
 * :class:`FractionTieBreaker` — Algorithm 4's selection rule comparing
   ``Fraction`` maxima, the reference for the product's cross-multiplied
   :class:`~repro.core.anonymizer.TieBreaker`.
@@ -28,7 +29,9 @@ it is proven against live here:
 
 :func:`oracle_sessions` runs any anonymizer on either one by patching
 :meth:`~repro.core.anonymizer.AnonymizerConfig.open_session`, the single
-seam through which every greedy algorithm opens its session.  It uses
+seam through which every greedy algorithm opens its session, and scores
+look-ahead levels one combination per chunk (:func:`one_at_a_time`), so
+the product's chunking and its stop handling are checked too.  It uses
 :func:`unittest.mock.patch.object`, so it is safe inside hypothesis
 ``@given`` tests (no function-scoped fixture involved).
 """
@@ -45,10 +48,13 @@ from unittest import mock
 
 import numpy as np
 
+from repro.api.progress import AnonymizationStopped
 from repro.core.anonymizer import (
     AnonymizationResult,
     AnonymizerConfig,
+    BaseAnonymizer,
     CandidateOutcome,
+    ScoredBatch,
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
@@ -129,13 +135,24 @@ class FractionTieBreaker:
                     self.best = candidate
 
 
+def score_by_evaluation(session, endpoints: np.ndarray, members: np.ndarray,
+                        kind: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``score_combinations`` as one ``session.evaluate_edit`` per combination."""
+    outcomes = []
+    for row in np.asarray(members).tolist():
+        combo = tuple(tuple(endpoints[j].tolist()) for j in row)
+        edit = ((), combo) if kind == "insert" else (combo, ())
+        outcomes.append(session.evaluate_edit(*edit))
+    return tuple(np.array([getattr(outcome, name) for outcome in outcomes],
+                          dtype=np.int64)
+                 for name in ("numerator", "denominator", "types_at_max"))
+
+
 class ScratchSession:
     """Copy-evaluate-restore behind the session interface the algorithms use.
 
-    Tentative edits mutate and restore the shared working graph in the
-    same order as the incremental session (removals, then insertions;
-    undone in reverse), so adjacency-set iteration — and every seeded
-    tie-break downstream — is the same in both.  ``initial_distances`` and
+    Every tentative edit is applied to the shared working graph, evaluated
+    from scratch and undone.  ``initial_distances`` and
     ``store_config`` are accepted for interface parity and ignored: every
     query recomputes a dense matrix.  ``evaluations`` counts the stateless
     evaluations served, :meth:`current` included.  Type masks are read in
@@ -215,6 +232,9 @@ class ScratchSession:
         return [self.evaluate_edit(removals, insertions)
                 for removals, insertions in candidates]
 
+    def score_combinations(self, endpoints, members, kind):
+        return score_by_evaluation(self, endpoints, members, kind)
+
     def apply_edit(self, removals: Sequence[Edge] = (),
                    insertions: Sequence[Edge] = ()) -> None:
         for u, v in removals:
@@ -269,13 +289,38 @@ class PerCandidateSession(OpacitySession):
         return [self.evaluate_edit(removals, insertions)
                 for removals, insertions in candidates]
 
+    def score_combinations(self, endpoints, members, kind):
+        self.evaluations += len(members)
+        return score_by_evaluation(self, endpoints, members, kind)
+
+
+def one_at_a_time(anonymizer, session, result, kind: str):
+    """``_combo_evaluator`` that scores and counts one combination at a time.
+
+    Each combination is counted, then offered as a one-outcome
+    :class:`~repro.core.anonymizer.ScoredBatch`: the per-candidate cadence
+    the product's chunked evaluator must reproduce.
+    """
+    def evaluate_batch(level):
+        for index in range(len(level)):
+            one = level[index:index + 1]
+            scored = ScoredBatch(one, *session.score_combinations(
+                one.endpoints, one.members, kind))
+            result.evaluations += 1
+            result.observer.on_evaluation(result.evaluations)
+            if result.observer.should_stop():
+                raise AnonymizationStopped()
+            yield scored
+    return evaluate_batch
+
 
 @contextmanager
 def oracle_sessions(session_class) -> Iterator[List]:
     """Open every anonymizer session inside the block as ``session_class``.
 
-    Yields the list of sessions opened so far, so a test can assert the
-    oracle really ran.
+    Look-ahead levels are scored by :func:`one_at_a_time`.  Yields the
+    list of sessions opened so far, so a test can assert the oracle really
+    ran.
     """
     opened: List = []
 
@@ -286,7 +331,9 @@ def oracle_sessions(session_class) -> Iterator[List]:
         opened.append(session)
         return session
 
-    with mock.patch.object(AnonymizerConfig, "open_session", open_session):
+    with mock.patch.object(AnonymizerConfig, "open_session", open_session), \
+            mock.patch.object(BaseAnonymizer, "_combo_evaluator",
+                              one_at_a_time):
         yield opened
 
 

@@ -10,9 +10,15 @@ against the reference sessions of :mod:`tests.oracles`.
 
 from __future__ import annotations
 
+import random
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.api.progress import NullObserver
 
 from repro.baselines import (
     GadedMaxAnonymizer,
@@ -29,6 +35,7 @@ from repro.core import (
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
+from repro.graph.graph import Graph
 from tests.oracles import PerCandidateSession, ScratchSession, run_on, type_mask
 from tests.property.strategies import (
     edit_scripts,
@@ -207,19 +214,22 @@ class TestEndToEndModeEquivalence:
             dict(theta=0.5, seed=seed, max_steps=3, swap_sample_size=50), graph)
 
     @staticmethod
-    def _assert_identical(algorithm, params, graph):
+    def _assert_identical(algorithm, params, graph, **run_kwargs):
         """The product run equals runs on both oracle sessions.
 
         Each oracle must have served exactly the run's evaluations, so the
         comparison can never silently pit the product against itself.
+        ``run_kwargs`` (a ``typing``) go to every ``anonymize`` call.
         """
         reference, evaluations = run_on(ScratchSession, algorithm(**params),
-                                        graph)
+                                        graph, **run_kwargs)
         assert evaluations == reference.evaluations > 0
         per_candidate, evaluations = run_on(PerCandidateSession,
-                                            algorithm(**params), graph)
+                                            algorithm(**params), graph,
+                                            **run_kwargs)
         assert evaluations == per_candidate.evaluations
-        for observed in (algorithm(**params).anonymize(graph), per_candidate):
+        for observed in (algorithm(**params).anonymize(graph, **run_kwargs),
+                         per_candidate):
             assert [(step.operation, step.edges, step.max_opacity_after)
                     for step in observed.steps] == \
                    [(step.operation, step.edges, step.max_opacity_after)
@@ -234,32 +244,48 @@ class TestLookaheadModeEquivalence:
     """Look-ahead levels run through one batch evaluator; runs on the
     scratch and per-candidate oracles and the product must agree exactly.  A
     ``max_combinations`` of 4 forces the sampled level whenever a step has
-    five or more candidates."""
+    five or more candidates.  The typing is the degree typing or an explicit
+    one with untyped pairs and three labels, so combinations often pair two
+    edges of one type (composed at L = 1 as one double hit)."""
 
     @given(graphs(max_vertices=8), st.sampled_from([1, 2]),
            st.sampled_from([2, 3]), thetas, st.integers(min_value=0, max_value=3),
-           st.sampled_from([4, 100_000]))
-    @settings(max_examples=20, deadline=None)
+           st.sampled_from([4, 100_000]), st.data())
+    @settings(max_examples=30, deadline=None)
     def test_edge_removal_lookahead_runs_identically(self, graph, length,
                                                      lookahead, theta, seed,
-                                                     max_combinations):
+                                                     max_combinations, data):
         TestEndToEndModeEquivalence._assert_identical(
             EdgeRemovalAnonymizer,
             dict(length_threshold=length, theta=theta, seed=seed,
                  lookahead=lookahead, max_combinations=max_combinations,
-                 max_steps=4), graph)
+                 max_steps=4), graph, typing=data.draw(typings(graph)))
 
     @given(graphs(max_vertices=7), st.sampled_from([1, 2]),
            st.sampled_from([2, 3]), thetas, st.integers(min_value=0, max_value=3),
-           st.sampled_from([4, 100_000]))
-    @settings(max_examples=15, deadline=None)
+           st.sampled_from([4, 100_000]), st.data())
+    @settings(max_examples=20, deadline=None)
     def test_edge_removal_insertion_lookahead_runs_identically(
-            self, graph, length, lookahead, theta, seed, max_combinations):
+            self, graph, length, lookahead, theta, seed, max_combinations,
+            data):
         TestEndToEndModeEquivalence._assert_identical(
             EdgeRemovalInsertionAnonymizer,
             dict(length_threshold=length, theta=theta, seed=seed,
                  lookahead=lookahead, max_combinations=max_combinations,
-                 max_steps=3), graph)
+                 max_steps=3), graph, typing=data.draw(typings(graph)))
+
+    def test_same_type_pairs_compose_identically(self):
+        """A 10-cycle under the degree typing: every pair is of type (2, 2).
+
+        Every size-2 combination removes two edges of that one type; the
+        sampled level (cap 6 of C(10, 2) = 45) runs whenever a step finds
+        no improving single removal."""
+        cycle = Graph(10, [(v, (v + 1) % 10) for v in range(10)])
+        for lookahead in (2, 3):
+            TestEndToEndModeEquivalence._assert_identical(
+                EdgeRemovalAnonymizer,
+                dict(length_threshold=1, theta=0.0, seed=1,
+                     lookahead=lookahead, max_combinations=6), cycle)
 
 
 @st.composite
@@ -344,3 +370,159 @@ class TestEvaluateEditsProperties:
             assert got.from_scratch == want.from_scratch
             assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.new_rows, want.new_rows)
+
+
+@st.composite
+def combination_levels(draw):
+    """A graph, a typing, and one look-ahead level over its edges or non-edges.
+
+    The level is an index array over the candidates, as
+    ``search_best_combination`` draws it: sorted rows of distinct
+    candidates, of one size.
+    """
+    graph = draw(graphs(max_vertices=9))
+    typing = draw(typings(graph))
+    kind = draw(st.sampled_from(["remove", "insert"]))
+    candidates = (graph.edge_list() if kind == "remove"
+                  else sorted(graph.non_edges()))
+    size = draw(st.integers(min_value=1, max_value=3))
+    rows = []
+    if len(candidates) >= size:
+        rows = draw(st.lists(
+            st.permutations(range(len(candidates))).map(
+                lambda order: sorted(order[:size])),
+            max_size=15))
+    members = np.array(rows, dtype=np.int64).reshape(len(rows), size)
+    endpoints = np.array(candidates, dtype=np.int64).reshape(-1, 2)
+    return graph, typing, kind, endpoints, members
+
+
+class TestScoreCombinationsProperties:
+    """``score_combinations`` equals per-combination evaluations exactly."""
+
+    @given(combination_levels(), length_bounds, fallback_fractions)
+    @settings(max_examples=80, deadline=None)
+    def test_level_matches_evaluate_edits_and_scratch(self, level, length,
+                                                      fallback):
+        graph, typing, kind, endpoints, members = level
+        computer = OpacityComputer(typing, length)
+        session = OpacitySession(computer, graph.copy(),
+                                 fallback_row_fraction=fallback)
+        scratch = ScratchSession(computer, graph.copy())
+        combos = [tuple(map(tuple, endpoints[row].tolist())) for row in members]
+        edits = [((), combo) if kind == "insert" else (combo, ())
+                 for combo in combos]
+        expected = session.evaluate_edits(edits)
+        observed = session.score_combinations(endpoints, members, kind)
+        for values in (observed, scratch.score_combinations(endpoints, members,
+                                                            kind)):
+            assert [array.tolist() for array in values] == [
+                [evaluation.numerator for evaluation in expected],
+                [evaluation.denominator for evaluation in expected],
+                [evaluation.types_at_max for evaluation in expected]]
+
+
+class TestScansLeaveTheGraphAlone:
+    """No candidate scan mutates the working graph, on any tier or path."""
+
+    @given(combination_levels(), st.sampled_from([1, 2, 3]),
+           fallback_fractions, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_scans_never_call_graph_mutators(self, level, length, fallback,
+                                             tiled):
+        graph, typing, kind, endpoints, members = level
+        computer = OpacityComputer(typing, length)
+        config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
+            if tiled else None
+        session = OpacitySession(computer, graph, store_config=config,
+                                 fallback_row_fraction=fallback)
+        singles = [((), (tuple(edge),)) if kind == "insert" else
+                   ((tuple(edge),), ()) for edge in endpoints.tolist()]
+        forbidden = mock.Mock(side_effect=AssertionError("graph mutated"))
+        try:
+            with mock.patch.object(Graph, "add_edge", forbidden), \
+                    mock.patch.object(Graph, "remove_edge", forbidden):
+                session.score_combinations(endpoints, members, kind)
+                session.evaluate_edits(singles)
+                for removals, insertions in singles:
+                    session.evaluate_edit(removals, insertions)
+        finally:
+            session.close()
+
+
+def _shuffle_adjacency(graph: Graph, rng: random.Random) -> None:
+    """Rebuild every adjacency set of ``graph`` with a different history.
+
+    Members go in in shuffled order, and half of the sets first grow
+    through junk members that are then discarded: both change a set's
+    iteration order without changing its content.
+    """
+    for vertex, members in enumerate(graph._adjacency):
+        order = list(members)
+        rng.shuffle(order)
+        rebuilt = set()
+        junk = [graph.num_vertices + rng.randrange(1 << 20)
+                for _ in range(rng.choice([0, 0, 8, 40]))]
+        for member in junk + order:
+            rebuilt.add(member)
+        for member in junk:
+            rebuilt.discard(member)
+        graph._adjacency[vertex] = rebuilt
+
+
+class _ShuffleBetweenSteps(NullObserver):
+    """Shuffle the working graph's adjacency sets after every greedy step."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+
+    def on_step(self, step, result) -> None:
+        _shuffle_adjacency(result.anonymized_graph, self._rng)
+
+
+_ALGORITHMS = {
+    "rem": lambda length, workers, seed: EdgeRemovalAnonymizer(
+        length_threshold=length, theta=0.2, seed=seed, lookahead=2,
+        max_steps=4, scan_mode="parallel", scan_workers=workers),
+    "rem-ins": lambda length, workers, seed: EdgeRemovalInsertionAnonymizer(
+        length_threshold=length, theta=0.2, seed=seed, lookahead=2,
+        max_steps=3, scan_mode="parallel", scan_workers=workers),
+    "gades": lambda length, workers, seed: GadesAnonymizer(
+        theta=0.5, seed=seed, max_steps=3, swap_sample_size=20,
+        scan_mode="parallel", scan_workers=workers),
+    "gaded-rand": lambda length, workers, seed: GadedRandAnonymizer(
+        theta=0.2, seed=seed, max_steps=4, scan_mode="parallel",
+        scan_workers=workers),
+    "gaded-max": lambda length, workers, seed: GadedMaxAnonymizer(
+        theta=0.2, seed=seed, max_steps=4, scan_mode="parallel",
+        scan_workers=workers),
+}
+
+
+class TestAdjacencyOrderIndependence:
+    """Results never depend on adjacency-set iteration order.
+
+    Between greedy steps an observer rebuilds every adjacency set of the
+    working graph in a shuffled order; serial and two-worker parallel scans
+    must still equal the unshuffled serial run — at L = 1 and 2 for the
+    paper's heuristics, at the baselines' fixed L = 1.
+    """
+
+    @pytest.mark.parametrize("algorithm,length", [
+        ("rem", 1), ("rem", 2), ("rem-ins", 1), ("rem-ins", 2),
+        ("gades", 1), ("gaded-rand", 1), ("gaded-max", 1)])
+    @given(graph=graphs(min_vertices=6, max_vertices=10),
+           seed=st.integers(min_value=0, max_value=3),
+           shuffle_seed=st.integers(min_value=0, max_value=2 ** 16))
+    @settings(max_examples=6, deadline=None)
+    def test_shuffled_adjacency_between_steps(self, algorithm, length, graph,
+                                              seed, shuffle_seed):
+        build = _ALGORITHMS[algorithm]
+        reference = build(length, 0, seed).anonymize(graph)
+        for workers in (0, 2):
+            shuffled = build(length, workers, seed).anonymize(
+                graph, observer=_ShuffleBetweenSteps(shuffle_seed))
+            assert shuffled.steps == reference.steps
+            assert shuffled.evaluations == reference.evaluations
+            assert shuffled.final_opacity == reference.final_opacity
+            assert shuffled.anonymized_graph == reference.anonymized_graph

@@ -29,7 +29,12 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
-from repro.core.anonymizer import AnonymizerConfig, CandidateOutcome, TieBreaker
+from repro.core.anonymizer import (
+    AnonymizerConfig,
+    CandidateOutcome,
+    ScoredBatch,
+    TieBreaker,
+)
 from repro.core.opacity import summarize_counts
 from repro.graph.graph import Graph
 from tests.oracles import (
@@ -295,4 +300,83 @@ class TestTieBreakerReference:
             product.offer(outcome)
             reference.offer(outcome)
         assert product.best is reference.best
+        assert product_rng.getstate() == reference_rng.getstate()
+
+
+#: One outcome: (numerator, denominator, types_at_max).  Small values make
+#: exact ties frequent, and equal fractions arrive unreduced (1/2, 2/4, 3/6).
+outcome_values = st.tuples(st.integers(min_value=0, max_value=4),
+                           st.integers(min_value=1, max_value=6),
+                           st.integers(min_value=0, max_value=2))
+
+
+@st.composite
+def chunked_levels(draw):
+    """Look-ahead levels of outcomes, each cut into scan chunks."""
+    levels = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        stream = draw(st.lists(outcome_values, max_size=30))
+        cuts = sorted(draw(st.sets(st.integers(min_value=0,
+                                               max_value=len(stream)))))
+        bounds = [0] + cuts + [len(stream)]
+        levels.append([stream[start:stop]
+                       for start, stop in zip(bounds, bounds[1:])])
+    return levels
+
+
+class TestBatchTieBreakerReplay:
+    """:meth:`TieBreaker.offer_batch` replays per-candidate offers exactly.
+
+    A level breaker and an overall breaker share one RNG, as in
+    ``search_best_combination``: every outcome goes to the level breaker,
+    then the overall one, and the overall breaker carries across levels.
+    The batched replay must pick the same outcomes as per-candidate
+    :class:`FractionTieBreaker` offers and leave the RNG in the same state,
+    however the levels are chunked.
+    """
+
+    @given(st.integers(min_value=0, max_value=2 ** 32), chunked_levels())
+    @settings(max_examples=300, deadline=None)
+    def test_same_winners_and_rng_state_as_fraction_reference(self, seed,
+                                                              levels):
+        product_rng, reference_rng = random.Random(seed), random.Random(seed)
+        overall = TieBreaker(product_rng)
+        reference_overall = FractionTieBreaker(reference_rng)
+        index = 0
+        for chunks in levels:
+            level = TieBreaker(product_rng)
+            reference_level = FractionTieBreaker(reference_rng)
+            for chunk in chunks:
+                edges = [((index + offset, index + offset + 1),)
+                         for offset in range(len(chunk))]
+                index += len(chunk)
+                batch = ScoredBatch(edges,
+                                    *(np.array(column, dtype=np.int64)
+                                      for column in zip(*chunk))
+                                    if chunk else
+                                    (np.empty(0, dtype=np.int64),) * 3)
+                TieBreaker.offer_batch((level, overall), batch)
+                for position in range(len(batch)):
+                    outcome = batch.outcome(position)
+                    reference_level.offer(outcome)
+                    reference_overall.offer(outcome)
+            assert level.best == reference_level.best
+            assert overall.best == reference_overall.best
+            assert product_rng.getstate() == reference_rng.getstate()
+
+    @given(st.integers(min_value=0, max_value=2 ** 32),
+           st.lists(outcome_values, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_single_breaker_matches_per_candidate_offers(self, seed, stream):
+        product_rng, reference_rng = random.Random(seed), random.Random(seed)
+        product, reference = TieBreaker(product_rng), TieBreaker(reference_rng)
+        columns = [np.array(column, dtype=np.int64)
+                   for column in zip(*stream)] or \
+            [np.empty(0, dtype=np.int64)] * 3
+        batch = ScoredBatch([((k, k + 1),) for k in range(len(stream))],
+                            *columns)
+        TieBreaker.offer_batch((product,), batch)
+        for position in range(len(batch)):
+            reference.offer(batch.outcome(position))
+        assert product.best == reference.best
         assert product_rng.getstate() == reference_rng.getstate()
