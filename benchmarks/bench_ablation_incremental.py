@@ -8,10 +8,10 @@ that cost, and the product ships only their optimized ends:
   that updates only the distance-matrix rows an edit can touch, where the
   scratch reference (``tests.oracles.ScratchSession``) recomputes the
   bounded matrix and the Algorithm 1 recount per candidate;
-* batched scans — ``evaluate_edits`` evaluates all single-edge candidates
-  of a greedy step in one stacked numpy pass (shared removal slab, grouped
-  bincount), where the per-candidate reference
-  (``tests.oracles.PerCandidateSession``) previews them one at a time.
+* batched scans — ``score_combinations`` scores the single-edge
+  candidates of a greedy step in stacked numpy passes (shared removal
+  slab, grouped bincount), where the per-candidate reference
+  (``tests.oracles.PerCandidateSession``) scores them one at a time.
 
 The two references run through ``AnonymizerConfig.open_session``, the seam
 every algorithm opens its session with.  This bench measures candidate

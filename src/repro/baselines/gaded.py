@@ -35,18 +35,23 @@ import numpy as np
 from repro.api.progress import NULL_OBSERVER, AnonymizationStopped, ProgressObserver
 from repro.api.registry import register_anonymizer
 from repro.core.anonymizer import (
+    BATCH_SCAN_CHUNK,
     AnonymizationResult,
     AnonymizationStep,
     AnonymizerConfig,
-    iter_batched_evaluations,
+    scored_chunks,
     validate_theta_schedule,
 )
+from repro.core.lookahead import CombinationLevel
 from repro.core.opacity import OpacityComputer
 from repro.core.opacity_session import OpacitySession, validate_scan_mode
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph.distance_store import validate_scale_tier
 from repro.graph.graph import Edge, Graph
+
+#: Insertion flag of a removal candidate's single member.
+_REMOVAL = np.array([False])
 
 
 class _GadedBase:
@@ -163,8 +168,8 @@ class _GadedBase:
                 try:
                     edge = self._choose_edge(session, current, theta, rng, result)
                 except AnonymizationStopped:
-                    # Raised between candidate evaluations (graph restored), so
-                    # `current` still describes the working graph.
+                    # Scans never touch the graph, so `current` still
+                    # describes the working graph.
                     result.stop_reason = "observer"
                     break
                 if edge is None:
@@ -203,21 +208,14 @@ class _GadedBase:
         sorted edge array with their type positions.  ``theta=None`` lists
         every edge.
         """
-        mask = None if theta is None else session.type_opacities() > theta
+        mask = (None if theta is None
+                else np.divide(*session.type_counts()) > theta)
         edge_u, edge_v = session.edge_endpoints(mask)
         return list(zip(edge_u.tolist(), edge_v.tolist()))
 
     def _choose_edge(self, session: OpacitySession, current, theta: float,
                      rng: random.Random, result: AnonymizationResult) -> Optional[Edge]:
         raise NotImplementedError
-
-    @staticmethod
-    def _record_evaluation(result: AnonymizationResult) -> None:
-        """Count one candidate evaluation and honour stop requests mid-scan."""
-        result.evaluations += 1
-        result.observer.on_evaluation(result.evaluations)
-        if result.observer.should_stop():
-            raise AnonymizationStopped()
 
 
 @register_anonymizer(
@@ -254,20 +252,52 @@ class GadedMaxAnonymizer(_GadedBase):
             candidates = self._disclosing_edges(session, None)
         if not candidates:
             return None
-        outcomes = iter_batched_evaluations(session, candidates,
-                                            lambda edge: ((edge,), ()))
+        level = CombinationLevel(
+            candidates, np.arange(len(candidates), dtype=np.int64)[:, None])
+        totals = removal_totals(session, level.endpoints).tolist()
         best_edge: Optional[Edge] = None
         best_key: Optional[Tuple[float, float]] = None
         tie_count = 0
-        for edge, outcome in zip(candidates, outcomes):
-            self._record_evaluation(result)
-            key = (outcome.max_opacity, outcome.total_opacity)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_edge = edge
-                tie_count = 1
-            elif key == best_key:
-                tie_count += 1
-                if rng.random() < 1.0 / tie_count:
-                    best_edge = edge
+        position = 0
+        for scored in scored_chunks(session, result, level, _REMOVAL):
+            maxima = (scored.numerators / scored.denominators).tolist()
+            for max_opacity in maxima:
+                key = (max_opacity, totals[position])
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_edge = candidates[position]
+                    tie_count = 1
+                elif key == best_key:
+                    tie_count += 1
+                    if rng.random() < 1.0 / tie_count:
+                        best_edge = candidates[position]
+                position += 1
         return best_edge
+
+
+def removal_totals(session: OpacitySession,
+                   endpoints: np.ndarray) -> np.ndarray:
+    """GADED-Max's total disclosure after removing each edge of ``endpoints``.
+
+    The total is the float sum of every type's opacity, added left to
+    right in type order.  At L = 1 a removal lowers only its own type's
+    within count, by one, so the total is computed once per distinct
+    removed type from the session's counts: elementwise
+    ``withins / totals`` with that type's count less one, then a
+    ``cumsum``.  An untyped edge leaves the total unchanged.
+    """
+    withins, totals = session.type_counts()
+    if totals.size == 0:
+        return np.zeros(len(endpoints))
+    types = session.computer.type_indices(endpoints[:, 0], endpoints[:, 1])
+    distinct, inverse = np.unique(types, return_inverse=True)
+    ratios = withins / totals
+    sums = np.empty(distinct.size)
+    for start in range(0, distinct.size, BATCH_SCAN_CHUNK):
+        removed = distinct[start:start + BATCH_SCAN_CHUNK]
+        rows = np.tile(ratios, (removed.size, 1))
+        typed = np.flatnonzero(removed < totals.size)
+        lowered = removed[typed]
+        rows[typed, lowered] = (withins[lowered] - 1) / totals[lowered]
+        sums[start:start + removed.size] = np.cumsum(rows, axis=1)[:, -1]
+    return sums[inverse.ravel()]

@@ -18,6 +18,8 @@ import random
 import time
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.api.progress import NULL_OBSERVER, AnonymizationStopped, ProgressObserver
 from repro.api.registry import register_anonymizer
 from repro.core.anonymizer import (
@@ -25,10 +27,11 @@ from repro.core.anonymizer import (
     AnonymizationStep,
     AnonymizerConfig,
     ThetaScheduleTracker,
-    iter_batched_evaluations,
     materialize_checkpoints,
+    scored_chunks,
     validate_theta_schedule,
 )
+from repro.core.lookahead import CombinationLevel
 from repro.core.opacity import OpacityComputer
 from repro.core.opacity_session import OpacitySession, validate_scan_mode
 from repro.core.pair_types import DegreePairTyping, PairTyping
@@ -37,6 +40,9 @@ from repro.graph.distance_store import validate_scale_tier
 from repro.graph.graph import Edge, Graph, normalize_edge
 
 Swap = Tuple[Edge, Edge, Edge, Edge]  # (removed1, removed2, added1, added2)
+
+#: Insertion flags of a swap's four members.
+_SWAP_GAINED = np.array([False, False, True, True])
 
 
 @register_anonymizer(
@@ -57,11 +63,12 @@ class GadesAnonymizer:
         formulation scans all pairs of edges; a seeded sample keeps the
         reimplementation tractable and is documented in DESIGN.md).
     scan_mode:
-        ``"batched"`` (default) scores a step's sampled swaps in stacked
-        :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
-        passes — an L = 1 swap only flips its four edited cells, so a pass
-        is one grouped count; ``"parallel"`` shards the passes across a
-        scan pool.  Both choose identical swaps.
+        ``"batched"`` (default) or ``"parallel"``; either way a step's
+        sampled swaps are scored in the calling process, as rows of four
+        members through
+        :meth:`~repro.core.opacity_session.OpacitySession.score_combinations`
+        — an L = 1 swap only flips its four edited cells, so a row's count
+        change is the sum of their signed type hits.
     """
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
@@ -178,8 +185,8 @@ class GadesAnonymizer:
                 try:
                     swap = self._best_swap(session, current.max_opacity, rng, result)
                 except AnonymizationStopped:
-                    # Raised between candidate evaluations (swap undone), so
-                    # `current` still describes the working graph.
+                    # Scans never touch the graph, so `current` still
+                    # describes the working graph.
                     tracker.emit_remaining(current, result, "observer")
                     break
                 if swap is None:
@@ -253,17 +260,19 @@ class GadesAnonymizer:
     def _best_swap(self, session: OpacitySession, current_max: float,
                    rng: random.Random,
                    result: AnonymizationResult) -> Optional[Swap]:
-        candidates = self._candidate_swaps(session.graph, rng)
-        outcomes = iter_batched_evaluations(session, candidates,
-                                            lambda swap: (swap[:2], swap[2:]))
+        """The first swap with the lowest maximum below ``current_max``."""
+        swaps = self._candidate_swaps(session.graph, rng)
+        level = CombinationLevel(
+            [edge for swap in swaps for edge in swap],
+            np.arange(4 * len(swaps), dtype=np.int64).reshape(-1, 4))
         best: Optional[Swap] = None
         best_value = current_max
-        for swap, outcome in zip(candidates, outcomes):
-            result.evaluations += 1
-            result.observer.on_evaluation(result.evaluations)
-            if result.observer.should_stop():
-                raise AnonymizationStopped()
-            if outcome.max_opacity < best_value:
-                best_value = outcome.max_opacity
-                best = swap
+        for scored in scored_chunks(session, result, level, _SWAP_GAINED):
+            if not len(scored):
+                continue
+            opacities = scored.numerators / scored.denominators
+            first = int(np.argmin(opacities))
+            if opacities[first] < best_value:
+                best_value = opacities[first]
+                best = scored.candidates[first]
         return best

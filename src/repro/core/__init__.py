@@ -20,11 +20,7 @@ from repro.core.pair_types import (
     TypeKey,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
-from repro.core.opacity_session import (
-    SCAN_MODES,
-    EditEvaluation,
-    OpacitySession,
-)
+from repro.core.opacity_session import SCAN_MODES, OpacitySession
 from repro.core.anonymizer import (
     AnonymizationCheckpoint,
     AnonymizationResult,
@@ -54,7 +50,6 @@ __all__ = [
     "OpacityResult",
     "TypeOpacity",
     "SCAN_MODES",
-    "EditEvaluation",
     "OpacitySession",
     "AnonymizationCheckpoint",
     "AnonymizationResult",

@@ -23,10 +23,9 @@ import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat, starmap
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +36,12 @@ from repro.api.progress import (
     notify_checkpoint,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, exact_ranks
-from repro.core.opacity_session import OpacitySession, validate_scan_mode
+from repro.core.opacity_session import (
+    CandidateOutcome,
+    OpacitySession,
+    ScoredBatch,
+    validate_scan_mode,
+)
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.core.scan_pool import resolve_scan_workers
 from repro.errors import ConfigurationError, InfeasibleError
@@ -49,15 +53,15 @@ from repro.graph.distance_store import (
 from repro.graph.graph import Edge, Graph
 from repro.metrics.distortion import edit_distance_ratio
 
-#: Candidates per stacked ``evaluate_edits`` call in batched scans.  Large
-#: enough to amortize the per-pass numpy dispatch, small enough that a stop
-#: request (observer/timeout) never waits on more than one chunk's worth of
-#: computed-but-unreported evaluations.
+#: Candidates per :meth:`OpacitySession.score_combinations` call at L >= 2.
+#: Large enough to amortize the per-pass numpy dispatch, small enough that
+#: a stop request (observer/timeout) never waits on more than one chunk's
+#: worth of computed-but-unreported evaluations.
 BATCH_SCAN_CHUNK = 256
 
-#: Combinations per :meth:`OpacitySession.score_combinations` call at
-#: L = 1, where a combination costs a few array cells and no distance
-#: work: the chunk only bounds the summarizer's arrays.
+#: Candidates per :meth:`OpacitySession.score_combinations` call at L = 1,
+#: where a candidate costs a few array cells and no distance work: the
+#: chunk only bounds the summarizer's arrays.
 COMPOSED_SCAN_CHUNK = 1 << 13
 
 def validate_theta_schedule(thetas: Sequence[float]) -> Tuple[float, ...]:
@@ -74,28 +78,6 @@ def validate_theta_schedule(thetas: Sequence[float]) -> Tuple[float, ...]:
         if not 0.0 <= theta <= 1.0:
             raise ConfigurationError(f"theta must be in [0, 1], got {theta}")
     return tuple(sorted({float(theta) for theta in thetas}, reverse=True))
-
-
-def iter_batched_evaluations(session: OpacitySession, candidates: Sequence,
-                             to_edit):
-    """Stream a batched candidate scan's evaluations in stop-friendly chunks.
-
-    ``to_edit`` maps one candidate to its ``(removals, insertions)`` edit.
-    Evaluations arrive in candidate order, computed one
-    ``BATCH_SCAN_CHUNK``-sized :meth:`OpacitySession.evaluate_edits` pass at
-    a time, so the consumer's per-candidate accounting (and any stop raised
-    from it) never waits on more than one chunk of computed-but-unreported
-    work.  The baselines' scans use it; look-ahead levels go through
-    :meth:`BaseAnonymizer._combo_evaluator` instead.
-    """
-    # A parallel scan amortizes one pool round-trip per chunk, so chunks
-    # scale with the pool size — each worker still sees ~BATCH_SCAN_CHUNK
-    # candidates per round, and stop latency per process is unchanged.
-    chunk_size = BATCH_SCAN_CHUNK * max(1, session.scan_parallelism)
-    for start in range(0, len(candidates), chunk_size):
-        chunk = candidates[start:start + chunk_size]
-        yield from session.evaluate_edits([to_edit(candidate)
-                                           for candidate in chunk])
 
 
 @dataclass(frozen=True)
@@ -132,8 +114,8 @@ class AnonymizerConfig:
         be met; otherwise return a best-effort result with ``success=False``.
     scan_mode:
         How a step's candidate list is walked: ``"batched"`` (default)
-        evaluates the candidates of a scan in stacked
-        :meth:`~repro.core.opacity_session.OpacitySession.evaluate_edits`
+        scores the candidates of a scan in chunked
+        :meth:`~repro.core.opacity_session.OpacitySession.score_combinations`
         passes in the calling process; ``"parallel"`` shards those passes
         across a pool of ``scan_workers`` processes attached to a
         shared-memory publication of the session state (DESIGN.md §14).
@@ -428,60 +410,6 @@ def materialize_checkpoints(checkpoints: Sequence[AnonymizationCheckpoint],
         stop_reason=checkpoint.stop_reason,
         observer=observer,
     ) for checkpoint in checkpoints]
-
-
-@dataclass
-class CandidateOutcome:
-    """Evaluation of one candidate edge combination.
-
-    ``numerator / denominator`` is the exact maximum opacity after applying
-    the candidate (see :class:`~repro.core.opacity_session.EditEvaluation`).
-    """
-
-    edges: Tuple[Edge, ...]
-    numerator: int
-    denominator: int
-    types_at_max: int
-
-    @property
-    def fraction(self) -> Fraction:
-        """Maximum opacity after applying this candidate, exactly."""
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def opacity(self) -> float:
-        """Maximum opacity after applying this candidate."""
-        return self.numerator / self.denominator
-
-
-@dataclass(frozen=True)
-class ScoredBatch:
-    """Outcomes of consecutive candidates, as aligned arrays.
-
-    Entry ``i`` is the :class:`CandidateOutcome` of ``candidates[i]`` (an
-    edge tuple), built only by :meth:`outcome`.
-    """
-
-    candidates: Sequence[Tuple[Edge, ...]]
-    numerators: np.ndarray
-    denominators: np.ndarray
-    types_at_max: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.numerators)
-
-    def outcome(self, index: int) -> CandidateOutcome:
-        """The outcome of candidate ``index``."""
-        return CandidateOutcome(edges=tuple(self.candidates[index]),
-                                numerator=int(self.numerators[index]),
-                                denominator=int(self.denominators[index]),
-                                types_at_max=int(self.types_at_max[index]))
-
-    def head(self, count: int) -> "ScoredBatch":
-        """The first ``count`` outcomes."""
-        return ScoredBatch(self.candidates[:count], self.numerators[:count],
-                           self.denominators[:count],
-                           self.types_at_max[:count])
 
 
 class TieBreaker:
@@ -787,34 +715,46 @@ class BaseAnonymizer(ABC):
         """Batch evaluator of ``kind`` (``"remove"``/``"insert"``) combinations.
 
         Returns a callable mapping a
-        :class:`~repro.core.lookahead.CombinationLevel` to an iterator of
-        :class:`ScoredBatch` chunks, scored by
-        :meth:`OpacitySession.score_combinations`.  Every evaluation of a
-        chunk is counted (and every stop request honoured) before the chunk
-        is yielded; a stop at evaluation ``k`` yields the outcomes before
-        ``k`` first, so the consumer's tie-break draws stop exactly where
-        per-candidate offers would.  Chunks hold ``BATCH_SCAN_CHUNK``
-        combinations (times the pool size) at L >= 2, so a stop never waits
-        on more than one of them, and ``COMPOSED_SCAN_CHUNK`` at L = 1.
+        :class:`~repro.core.lookahead.CombinationLevel` to its
+        :func:`scored_chunks`, every member flagged as ``kind``.
         """
-        if session.computer.length_threshold == 1:
-            chunk = COMPOSED_SCAN_CHUNK
-        else:
-            chunk = BATCH_SCAN_CHUNK * max(1, session.scan_parallelism)
-
         def evaluate_batch(level):
-            observer = result.observer
-            for start in range(0, len(level), chunk):
-                part = level[start:start + chunk]
-                scored = ScoredBatch(part, *session.score_combinations(
-                    part.endpoints, part.members, kind))
-                for position in range(len(part)):
-                    result.evaluations += 1
-                    observer.on_evaluation(result.evaluations)
-                    if observer.should_stop():
-                        # Raised mid-step, so cancellation is responsive
-                        # within a scan of thousands of evaluations.
-                        yield scored.head(position)
-                        raise AnonymizationStopped()
-                yield scored
+            return scored_chunks(session, result, level,
+                                 np.full(level.members.shape[1],
+                                         kind == "insert"))
         return evaluate_batch
+
+
+def scored_chunks(session: OpacitySession, result: AnonymizationResult,
+                  level, gained: np.ndarray) -> Iterator[ScoredBatch]:
+    """Score a level's candidates in chunks, counting every evaluation.
+
+    ``level`` is a :class:`~repro.core.lookahead.CombinationLevel` and
+    ``gained`` flags its member columns as insertions
+    (:meth:`OpacitySession.score_combinations`).  Every evaluation of a
+    chunk is counted (and every stop request honoured) before the chunk
+    is yielded; a stop at evaluation ``k`` yields the outcomes before
+    ``k`` first, then raises :class:`AnonymizationStopped`, so a consumer
+    that acts per outcome stops exactly where per-candidate evaluation
+    would.  Chunks hold ``BATCH_SCAN_CHUNK`` candidates (times the pool
+    size) at L >= 2, so a stop never waits on more than one of them, and
+    ``COMPOSED_SCAN_CHUNK`` at L = 1.
+    """
+    if session.computer.length_threshold == 1:
+        chunk = COMPOSED_SCAN_CHUNK
+    else:
+        chunk = BATCH_SCAN_CHUNK * max(1, session.scan_parallelism)
+    observer = result.observer
+    for start in range(0, len(level), chunk):
+        part = level[start:start + chunk]
+        scored = ScoredBatch(part, *session.score_combinations(
+            part.endpoints, part.members, gained))
+        for position in range(len(part)):
+            result.evaluations += 1
+            observer.on_evaluation(result.evaluations)
+            if observer.should_stop():
+                # Raised mid-step, so cancellation is responsive within a
+                # scan of thousands of evaluations.
+                yield scored.head(position)
+                raise AnonymizationStopped()
+        yield scored

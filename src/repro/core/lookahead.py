@@ -7,8 +7,9 @@ opacity the search widens to combinations of two edges, then three, up to
 
 Every level is drawn whole as a :class:`CombinationLevel`, rows of
 candidate indices, and handed to one batch evaluator.  The evaluator
-streams the level's outcomes back as :class:`~repro.core.anonymizer.ScoredBatch`
-chunks in combination order, scored by
+streams the level's outcomes back as
+:class:`~repro.core.opacity_session.ScoredBatch` chunks in combination
+order, scored by
 :meth:`~repro.core.opacity_session.OpacitySession.score_combinations`.
 :meth:`TieBreaker.offer_batch` replays Algorithm 4's tie-break over each
 chunk.  If no combination improves at any size, the best single-size
@@ -26,7 +27,8 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.anonymizer import CandidateOutcome, ScoredBatch, TieBreaker
+from repro.core.anonymizer import TieBreaker
+from repro.core.opacity_session import CandidateOutcome, ScoredBatch
 from repro.graph.graph import Edge
 
 

@@ -133,39 +133,14 @@ class PerTypeView(MappingABC):
         return len(self._keys)
 
 
-def summarize_counts(withins: np.ndarray, totals: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
-    """Algorithm 1's maximum over every row of a within-L count matrix.
-
-    ``withins`` holds one row of per-type within-L counts per graph state,
-    in type order; ``totals`` are the types' (positive) pair counts.
-    Returns ``(numerators, denominators, at_max, sums)``: each row's exact
-    maximum opacity as a reduced integer pair, a boolean matrix flagging
-    the columns attaining it (:func:`row_maxima`), and the float sum of
-    the row's opacities added left to right (``cumsum``, like Python's
-    ``sum``).
-    """
-    count, width = withins.shape
-    if width == 0:
-        empty = np.zeros(count, dtype=np.int64)
-        return empty, empty + 1, np.zeros((count, 0), dtype=bool), [0.0] * count
-    ratios = withins / totals[None, :]
-    sums = np.cumsum(ratios, axis=1)[:, -1].tolist()
-    nums, dens, at_max = row_maxima(withins, np.broadcast_to(totals, withins.shape),
-                                    ratios)
-    return nums, dens, at_max, sums
-
-
-def row_maxima(nums: np.ndarray, dens: np.ndarray,
-               ratios: Optional[np.ndarray] = None
+def row_maxima(nums: np.ndarray, dens: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's exact maximum of the fractions ``nums / dens``.
 
     ``nums`` and ``dens`` are matching ``(rows, columns)`` integer matrices
-    with positive denominators and at least one column; ``ratios`` may
-    carry their float quotients.  Returns the maxima as reduced
-    ``(numerators, denominators)`` and a boolean matrix flagging the
-    columns attaining them.
+    with positive denominators and at least one column.  Returns the
+    maxima as reduced ``(numerators, denominators)`` and a boolean matrix
+    flagging the columns attaining them.
 
     Correctly rounded float division is monotone, so the exact maximum
     lives among the columns at the row's float maximum, and only they can
@@ -174,8 +149,7 @@ def row_maxima(nums: np.ndarray, dens: np.ndarray,
     (denominators above ~2**26) is settled with ``Fraction`` comparisons.
     """
     count = nums.shape[0]
-    if ratios is None:
-        ratios = nums / dens
+    ratios = nums / dens
     at_max = ratios == ratios.max(axis=1)[:, None]
     rows, cols = np.nonzero(at_max)
     # nonzero walks row-major and every row has a column at its maximum.
@@ -288,8 +262,11 @@ class OpacityComputer:
     def summarize(self, withins: np.ndarray) -> Tuple[OpacityResult, np.ndarray]:
         """The result of a count vector (adopted, not copied) and its max-type mask."""
         keys, totals = self.type_order
-        nums, dens, at_max, _ = summarize_counts(withins[None, :], totals)
-        num, den, mask = int(nums[0]), int(dens[0]), at_max[0]
+        if totals.size:
+            nums, dens, at_max = row_maxima(withins[None, :], totals[None, :])
+            num, den, mask = int(nums[0]), int(dens[0]), at_max[0]
+        else:
+            num, den, mask = 0, 1, np.zeros(0, dtype=bool)
         result = OpacityResult(max_opacity=num / den,
                                max_fraction=Fraction(num, den),
                                types_at_max=int(mask.sum()),

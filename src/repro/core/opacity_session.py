@@ -13,16 +13,13 @@ A session owns a working graph together with
   typing's iteration order.
 
 A tentative edit then costs one distance delta plus a count delta over the
-flipped cells — a vectorized bincount over the changed pairs' type
-positions (:meth:`~repro.core.opacity.OpacityComputer.type_indices`); at
-L = 1 a batched scan skips
-the distance machinery entirely (a flipped cell is exactly an edited edge,
-so the tally reduces to a bincount over the candidates' own edges).  The
-session reproduces the
-stateless evaluator *bit-identically*: the same ``Fraction`` maxima, the
-same ``types_at_max`` tie-break counts, and (for GADED-Max) the same
-float-summed total opacity, so a greedy run chooses the same edits as the
-stateless evaluator would.
+flipped cells, tallied by their type positions
+(:meth:`~repro.core.opacity.OpacityComputer.type_indices`); at L = 1 it
+skips the distance machinery entirely, since a flipped cell is exactly
+an edited edge.  The session reproduces the stateless evaluator
+*bit-identically*: the same ``Fraction`` maxima and the same
+``types_at_max`` tie-break counts, so a greedy run chooses the same edits
+as the stateless evaluator would.
 
 The paper's copy-evaluate-restore loop is the reference semantics: apply
 the edit, run the stateless evaluator, revert.  The test suite keeps that
@@ -31,19 +28,20 @@ tentative edit never touches the working graph here: candidate scans
 read the distance store, the adjacency mirror and the session's arrays,
 so nothing downstream can depend on how a scan ran.
 
-Look-ahead levels go through :meth:`OpacitySession.score_combinations`,
-which returns exact maxima and tie counts as arrays, summarized from the
-types each combination changes (:meth:`~OpacitySession._summarize_changed`)
-instead of a full count vector per candidate.  At L = 1 a combination's
-count change is the sum of its members' own ±1 type hits, so a whole
-level is scored from one index array over the candidates' type positions.
-
-Whole candidate scans go through :meth:`OpacitySession.evaluate_edits`,
-which stacks the distance deltas of all single-edge candidates into one
-:meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` pass and
-tallies every candidate with a single grouped bincount — the ``"batched"``
-scan mode of the algorithms (DESIGN.md §7), bit-identical to the
-per-candidate loop.  The session also maintains the pruning pass's
+Every candidate scan goes through :meth:`OpacitySession.score_combinations`:
+rows of candidate indices with one insertion flag per member, scored to
+exact maxima and tie counts as arrays.  Look-ahead levels, GADES swaps and
+GADED removals are such rows; :meth:`OpacitySession.evaluate_edits` is the
+adapter for ``(removals, insertions)`` tuples.  A candidate's change is a
+row of padded ``(types, deltas)`` matrices, and the summary comes from the
+types it changes only (:meth:`~OpacitySession._summarize_changed`).  At
+L = 1 a candidate's count change is the sum of its members' signed type
+hits, so a whole scan is scored from one index array over the candidates'
+type positions.  At L >= 2 the candidates' distance deltas are stacked
+into :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
+passes where they are homogeneous single edges, and every candidate's
+flipped cells are tallied with a single grouped bincount.  The session
+also maintains the pruning pass's
 within-L pairs incrementally (:meth:`violating_pair_indices`) as a sparse
 sorted set of upper-triangle flat indices — O(within-L pairs), never an
 ``n(n-1)/2``-sized array, so the tiled tier's memory bound holds through
@@ -60,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +67,6 @@ from repro.core.opacity import (
     OpacityResult,
     exact_ranks,
     row_maxima,
-    summarize_counts,
 )
 from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
@@ -152,32 +149,89 @@ def validate_scan_mode(mode: str) -> None:
             f"unknown scan_mode {mode!r}; available: {SCAN_MODES}")
 
 
-@dataclass(frozen=True)
-class EditEvaluation:
-    """Outcome of one tentative edit — exactly what the candidate scans need.
+@dataclass
+class CandidateOutcome:
+    """Evaluation of one candidate edge combination.
 
-    ``numerator / denominator`` is the exact ``maxLO`` after the edit, a
-    reduced integer pair, so scans compare outcomes by cross-multiplication
-    without building a ``Fraction`` per candidate.  ``total_opacity`` is the
-    float sum of per-type opacities in typing order (GADED-Max's secondary
-    objective), accumulated identically to the stateless evaluator's
-    ``sum(entry.opacity for entry in per_type)``.
+    ``numerator / denominator`` is the exact maximum opacity after applying
+    the candidate, a reduced integer pair, so scans compare outcomes by
+    cross-multiplication without building a ``Fraction`` per candidate.
     """
 
+    edges: Tuple[Edge, ...]
     numerator: int
     denominator: int
     types_at_max: int
-    total_opacity: float
 
     @property
     def fraction(self) -> Fraction:
-        """``maxLO`` after the edit, as an exact fraction."""
+        """Maximum opacity after applying this candidate, exactly."""
         return Fraction(self.numerator, self.denominator)
 
-    @property
-    def max_opacity(self) -> float:
-        """``maxLO`` after the edit, as a float."""
-        return self.numerator / self.denominator
+
+@dataclass(frozen=True)
+class ScoredBatch:
+    """Outcomes of consecutive candidates, as aligned arrays.
+
+    Entry ``i`` is the :class:`CandidateOutcome` of ``candidates[i]`` (an
+    edge tuple), built only by :meth:`outcome`.
+    """
+
+    candidates: Sequence[Tuple[Edge, ...]]
+    numerators: np.ndarray
+    denominators: np.ndarray
+    types_at_max: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def outcome(self, index: int) -> CandidateOutcome:
+        """The outcome of candidate ``index``."""
+        return CandidateOutcome(edges=tuple(self.candidates[index]),
+                                numerator=int(self.numerators[index]),
+                                denominator=int(self.denominators[index]),
+                                types_at_max=int(self.types_at_max[index]))
+
+    def head(self, count: int) -> "ScoredBatch":
+        """The first ``count`` outcomes."""
+        return ScoredBatch(self.candidates[:count], self.numerators[:count],
+                           self.denominators[:count],
+                           self.types_at_max[:count])
+
+
+#: Per-candidate count changes: int64 ``(types, deltas)`` matrices with one
+#: row per candidate, listing its distinct changed type positions and their
+#: signed count changes.  Padding entries hold the number of types and a
+#: change of 0.
+Changes = Tuple[np.ndarray, np.ndarray]
+
+
+def _padded_changes(count: int, rows: np.ndarray, types: np.ndarray,
+                    deltas: np.ndarray, padding: int) -> Changes:
+    """Flat ``(row, type, delta)`` entries, rows ascending, as matrices."""
+    sizes = np.bincount(rows, minlength=count)
+    width = int(sizes.max(initial=0))
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    padded_types = np.full((count, width), padding, dtype=np.int64)
+    padded_deltas = np.zeros((count, width), dtype=np.int64)
+    padded_types[rows, cols] = types
+    padded_deltas[rows, cols] = deltas
+    return padded_types, padded_deltas
+
+
+def _stack_changes(parts: Sequence[Changes], padding: int) -> Changes:
+    """Row blocks of changes, in order, padded to the widest block."""
+    width = max((types.shape[1] for types, _ in parts), default=0)
+    count = sum(types.shape[0] for types, _ in parts)
+    stacked_types = np.full((count, width), padding, dtype=np.int64)
+    stacked_deltas = np.zeros((count, width), dtype=np.int64)
+    row = 0
+    for types, deltas in parts:
+        rows, cols = types.shape
+        stacked_types[row:row + rows, :cols] = types
+        stacked_deltas[row:row + rows, :cols] = deltas
+        row += rows
+    return stacked_types, stacked_deltas
 
 
 class OpacitySession:
@@ -314,9 +368,13 @@ class OpacitySession:
             self._max_mask.setflags(write=False)
         return self._current, self._max_mask
 
-    def type_opacities(self) -> np.ndarray:
-        """Current opacity of every type, in type order, as floats."""
-        return self._withins / self._totals
+    def type_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Current within-L count and pair count of every type, in type order.
+
+        The session's live int64 arrays: read them before the next
+        :meth:`apply_edit`, and do not write to them.
+        """
+        return self._withins, self._totals
 
     def edge_endpoints(self, type_mask: Optional[np.ndarray] = None
                        ) -> Tuple[np.ndarray, np.ndarray]:
@@ -339,127 +397,126 @@ class OpacitySession:
         return np.divmod(codes, self._graph.num_vertices)
 
     def evaluate_edit(self, removals: Sequence[Edge] = (),
-                      insertions: Sequence[Edge] = ()) -> EditEvaluation:
+                      insertions: Sequence[Edge] = ()) -> CandidateOutcome:
         """Opacity outcome after tentatively applying the edit (no trace left)."""
-        delta = self._distance.preview(removals, insertions)
-        changes = self._count_changes(delta)
-        return self._summarize_batch([changes])[0]
+        return self.evaluate_edits([(removals, insertions)]).outcome(0)
 
-    def evaluate_edits(self, candidates: Sequence[EditCandidate]) -> List[EditEvaluation]:
-        """Outcomes of many *independent* tentative edits, batch-evaluated.
+    def evaluate_edits(self, candidates: Sequence[EditCandidate]) -> ScoredBatch:
+        """Outcomes of many *independent* tentative edits, as one batch.
 
-        Bit-identical to ``[self.evaluate_edit(r, i) for r, i in candidates]``
-        — same ``Fraction`` maxima, tie counts and float totals — but a
-        homogeneous scan of single-edge
-        removals (resp. insertions) computes all distance deltas in one
-        stacked :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
-        pass and tallies every candidate's count deltas with a single grouped
-        bincount over the stacked flipped cells.  Heterogeneous or multi-edge
-        candidate lists (GADES swaps, look-ahead combinations) fall back to
-        sequential previews at L >= 2 but still share the grouped count
-        stage.  At L = 1 every candidate list, multi-edge ones included,
-        skips the distance machinery: the flipped cells are the candidates'
-        own edited edges, stacked and tallied in one grouped count.
+        The adapter from ``(removals, insertions)`` tuples to
+        :meth:`score_combinations`: every candidate's edges are stacked
+        into one cell array and each candidate becomes a row naming its
+        cells, removals first, padded to the widest row (the empty edit
+        ``((), ())`` is a row of padding).  Entry ``i`` of the result
+        scores ``candidates[i]``, whose edges are its removals then its
+        insertions.
         """
-        pairs = [(tuple(removals), tuple(insertions))
+        edits = [(tuple(removals), tuple(insertions))
                  for removals, insertions in candidates]
-        return self._summarize_batch(self._edit_changes(pairs))
+        flags = np.array([flag for removals, insertions in edits
+                          for flag in [0] * len(removals) + [1] * len(insertions)],
+                         dtype=np.int64)
+        owners = np.repeat(np.arange(len(edits)),
+                           [len(removals) + len(insertions)
+                            for removals, insertions in edits])
+        members, gained = _padded_changes(len(edits), owners,
+                                          np.arange(owners.size), flags, -1)
+        cells = np.array([edge for removals, insertions in edits
+                          for edge in removals + insertions],
+                         dtype=np.int64).reshape(-1, 2)
+        return ScoredBatch([removals + insertions for removals, insertions in edits],
+                           *self.score_combinations(cells, members,
+                                                    gained.astype(bool)))
 
     def score_combinations(self, endpoints: np.ndarray, members: np.ndarray,
-                           kind: str
+                           gained: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact outcomes of a look-ahead level's combinations, as arrays.
+        """Exact outcomes of a batch of candidates, as arrays.
 
-        ``endpoints`` is an int64 ``(c, 2)`` array of candidate edges and
-        each row of ``members`` names one combination by candidate index;
-        ``kind`` is ``"remove"`` or ``"insert"``.  Returns the
-        combinations' maxima as reduced ``(numerators, denominators)`` and
-        their ``types_at_max`` — exactly what :meth:`evaluate_edits` would
-        report for each combination, without the float total.
+        ``endpoints`` is an int64 ``(c, 2)`` array of edges and each row of
+        ``members`` names one candidate by edge index; a negative index is
+        padding.  ``gained`` flags each member as an insertion (True) or a
+        removal; it broadcasts against ``members``, so a look-ahead level
+        passes one flag per column and a GADES swap row of four members
+        ``[False, False, True, True]``.  Every member edit is judged
+        against the current graph.  Returns the candidates' maxima as
+        reduced ``(numerators, denominators)`` and their ``types_at_max``.
 
-        At L = 1 an edit flips only its own cells, so a combination's count
-        change is the sum of its members' ±1 hits on their types: the level
-        is scored from the members' type positions alone.  At L >= 2 the
-        combinations are previewed like :meth:`evaluate_edits` candidates.
-        Either way the summary comes from the changed types only
+        At L = 1 an edit flips only its own cells, so a candidate's count
+        change is the sum of its members' signed hits on their types: the
+        batch is scored from the members' type positions alone.  At L >= 2
+        the candidates are previewed (:meth:`_scan_changes`).  Either way
+        the summary comes from the changed types only
         (:meth:`_summarize_changed`).
         """
+        size = self._totals.size
         if self._computer.length_threshold == 1:
-            # Look the candidates up once each, or only the members used
-            # when the chunk names fewer cells than there are candidates.
+            # Look the edges up once each, or only the members used when
+            # the chunk names fewer cells than there are edges.  Padding
+            # members stay at -1, which reads a sentinel appended to each
+            # per-cell lookup.
             if len(endpoints) <= members.size:
                 cells, at = endpoints, members
             else:
                 cells = endpoints[members.ravel()]
-                at = np.arange(members.size).reshape(members.shape)
-            self._check_cells(cells[:, 0], cells[:, 1],
-                              np.full(len(cells), kind == "insert"))
-            types = self._computer.type_indices(cells[:, 0], cells[:, 1])[at]
-            # A type hit by several members carries their summed change in
-            # its first column; the repeats become padding.
-            types = np.sort(types, axis=1)
-            hits = (types[:, :, None] == types[:, None, :]).sum(axis=2)
+                at = np.where(members < 0, -1,
+                              np.arange(members.size).reshape(members.shape))
+            self._check_cells(cells, at, gained)
+            types = np.append(
+                self._computer.type_indices(cells[:, 0], cells[:, 1]), size)[at]
+            # A type hit by several members carries their summed signed
+            # change in its first column; the repeats become padding.  The
+            # sort key keeps each member's flag in its lowest bit.
+            keys = np.sort(types * 2 + gained, axis=1)
+            types = keys >> 1
+            signs = np.where(keys & 1, 1, -1)
+            hits = np.zeros(types.shape, dtype=np.int64)
+            for column in range(types.shape[1]):
+                hits += (types == types[:, column, None]) * signs[:, column, None]
             repeat = np.zeros(types.shape, dtype=bool)
             repeat[:, 1:] = types[:, 1:] == types[:, :-1]
-            types[repeat] = self._totals.size
-            return self._summarize_changed(
-                types, hits if kind == "insert" else -hits)
-        combos = [tuple(map(tuple, combo))
-                  for combo in endpoints[members].tolist()]
-        pairs = [((), combo) if kind == "insert" else (combo, ())
-                 for combo in combos]
-        return self._summarize_changed(
-            *_change_matrix(self._edit_changes(pairs), self._totals.size))
+            types[repeat] = size
+            return self._summarize_changed(types, hits)
+        gained = np.broadcast_to(gained, members.shape)
+        edges = list(map(tuple, endpoints.tolist()))
+        pairs = [(tuple(edges[j] for j, flag in zip(row, flags)
+                        if j >= 0 and not flag),
+                  tuple(edges[j] for j, flag in zip(row, flags)
+                        if j >= 0 and flag))
+                 for row, flags in zip(members.tolist(), gained.tolist())]
+        return self._summarize_changed(*self._scan_changes(pairs))
 
-    def _edit_changes(self, pairs: List[EditCandidate]
-                      ) -> List[Dict[int, int]]:
-        """Per-candidate count-change dicts, by the scan path ``pairs`` need."""
-        if self._computer.length_threshold == 1:
-            return self._l1_changes_batch(pairs)
-        if self._use_parallel_scan(pairs):
-            return self._parallel_changes(pairs)
-        return self._collect_changes(pairs)
-
-    def collect_edit_changes(self, pairs: Sequence[EditCandidate]
-                             ) -> List[Dict[int, int]]:
-        """Per-candidate count-change dicts of a shard (scan-pool workers).
+    def collect_edit_changes(self, pairs: Sequence[EditCandidate]) -> Changes:
+        """Per-candidate count changes of a shard (scan-pool workers).
 
         The worker-side half of the parallel scan: exactly the serial
         batched collection over ``pairs`` against this session's state,
-        returning the raw per-type change dicts (keyed by frozen type
-        index) for the parent to concatenate and summarize.
+        returning the padded ``(types, deltas)`` matrices for the parent
+        to stack and summarize.
         """
-        pairs = [(tuple(removals), tuple(insertions))
-                 for removals, insertions in pairs]
-        return self._collect_changes(pairs)
+        return self._collect_changes(list(pairs))
 
     def take_scan_stats(self) -> Tuple[int, int]:
         """Drain the distance session's ``(affected rows, candidates)``."""
         return self._distance.take_observed_stats()
 
-    def _collect_changes(self, pairs: List[EditCandidate]
-                         ) -> List[Dict[int, int]]:
-        # Deltas are consumed into (small) per-type change dicts group by
-        # group, so peak retained memory is bounded by ~128 MB of delta
-        # cells even when many removal candidates hit the from-scratch
-        # fallback (each such delta holds a full n × n matrix); grouping
-        # does not change the per-candidate math.
+    def _collect_changes(self, pairs: List[EditCandidate]) -> Changes:
+        # Deltas are consumed into (small) change matrices group by group,
+        # so peak retained memory is bounded by ~128 MB of delta cells even
+        # when many removal candidates hit the from-scratch fallback (each
+        # such delta holds a full n × n matrix); grouping does not change
+        # the per-candidate math.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
-        changes: List[Dict[int, int]] = []
-        for start in range(0, len(pairs), group):
-            deltas = self._preview_deltas(pairs[start:start + group])
-            changes.extend(self._count_changes_batch(deltas))
-        return changes
+        parts = [self._count_changes_batch(
+                     self._preview_deltas(pairs[start:start + group]))
+                 for start in range(0, len(pairs), group)]
+        return _stack_changes(parts, self._totals.size)
 
     # ------------------------------------------------------------------
     # parallel scan machinery
     # ------------------------------------------------------------------
-    def _use_parallel_scan(self, pairs: List[EditCandidate]) -> bool:
-        return (self._scan_workers > 1
-                and not self._scan_failed
-                and len(pairs) > self._scan_workers)
-
     def _ensure_scan_pool(self):
         if self._scan_pool is None and not self._scan_failed:
             from repro.core.scan_pool import ScanPool
@@ -472,26 +529,29 @@ class OpacitySession:
                 self._scan_failed = True
         return self._scan_pool
 
-    def _parallel_changes(self, pairs: List[EditCandidate]
-                          ) -> List[Dict[int, int]]:
-        """Shard the scan across the pool; serial fallback on any failure.
+    def _scan_changes(self, pairs: List[EditCandidate]) -> Changes:
+        """Per-candidate count changes at L >= 2, sharded when a pool pays.
 
-        On success the concatenated worker changes are exactly what
-        :meth:`_collect_changes` would have produced (distance values are
-        canonical, shards preserve candidate order), and the workers'
-        observed affected-row stats are folded into the parent's auto
-        fallback fraction.
+        A scan wider than the pool goes to the workers; any pool failure
+        falls back to the serial scan permanently.  On success the shards'
+        matrices, stacked in candidate order, are exactly what
+        :meth:`_collect_changes` would have produced up to padding width
+        (distance values are canonical, shards preserve candidate order),
+        and the workers' observed affected-row stats are folded into the
+        parent's auto fallback fraction.
         """
-        pool = self._ensure_scan_pool()
+        pool = None
+        if self._scan_workers > 1 and len(pairs) > self._scan_workers:
+            pool = self._ensure_scan_pool()
         if pool is not None:
             outcome = pool.scan(pairs)
             if outcome is not None:
-                changes, stats = outcome
+                parts, stats = outcome
                 for rows_total, candidates in stats:
                     self._distance.observe_affected_rows(rows_total,
                                                          candidates)
                 self.parallel_scans += 1
-                return changes
+                return _stack_changes(parts, self._totals.size)
             self._teardown_scan_pool(failed=True)
         return self._collect_changes(pairs)
 
@@ -515,19 +575,19 @@ class OpacitySession:
         # matrix, then the delta is folded in.
         delta = self._distance.stage(removals, insertions)
         if delta.from_scratch:
-            changes = self._count_changes(delta)
+            types, changes = self._scratch_changes(delta)
             if self._within_flat is not None:
                 length = self._computer.length_threshold
                 self._set_within_pairs(_within_pair_set(
                     DenseStore(delta.new_rows, length), length))
         else:
-            cells = self._flipped_cells(delta)
-            changes = {} if cells is None else self._changes_from_cells(*cells)
-            if self._within_flat is not None and cells is not None:
+            owner, *cells = self._flipped_cells([delta])
+            types, changes = self._tally_cells(1, owner, *cells)
+            if self._within_flat is not None:
                 self._fold_flipped_cells(*cells)
         self._distance.commit(delta)
-        for index, change in changes.items():
-            self._withins[index] += change
+        # One candidate's row lists distinct types and has no padding.
+        self._withins[types[0]] += changes[0]
         self._current = None
         self._ranking = None
         if self._edge_codes is not None:
@@ -638,101 +698,69 @@ class OpacitySession:
         self._current = None
         self._ranking = None
 
-    def _l1_changes_batch(self, pairs: List[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]]
-                          ) -> List[Dict[int, int]]:
-        """Per-candidate count changes at L = 1, no distance delta needed.
-
-        At L = 1 the within-L pairs are exactly the edges, so a removal
-        flips exactly its own cell from within-L to outside and an
-        insertion the reverse: a candidate's flipped cells are its edited
-        edges themselves.  Every candidate's edges are stacked with their
-        candidate index and gained flag and tallied in one grouped count
-        (:meth:`_tally_cells`).
-        """
-        edges: List[Edge] = []
-        gained: List[bool] = []
-        sizes: List[int] = []
-        for removals, insertions in pairs:
-            edges.extend(removals)
-            edges.extend(insertions)
-            gained.extend([False] * len(removals) + [True] * len(insertions))
-            sizes.append(len(removals) + len(insertions))
-        cells = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        gained = np.array(gained, dtype=bool)
-        self._check_cells(cells[:, 0], cells[:, 1], gained)
-        candidate = np.repeat(np.arange(len(pairs)), sizes)
-        return self._tally_cells(len(pairs), candidate, cells[:, 0],
-                                 cells[:, 1], gained)
-
-    def _check_cells(self, first: np.ndarray, second: np.ndarray,
+    def _check_cells(self, cells: np.ndarray, at: np.ndarray,
                      gained: np.ndarray) -> None:
-        """Raise :class:`InvalidEdgeError` unless every L = 1 edit is valid.
+        """Raise :class:`InvalidEdgeError` unless every L = 1 member edit is valid.
 
-        A removed pair must be an edge of the working graph and an
-        inserted one must not, each judged against the current graph; the
-        lookup is one binary search over the sorted edge array.
+        Member ``at[r, k]`` edits edge ``cells[at[r, k]]``, inserting it
+        where ``gained`` (broadcast against ``at``) and removing it
+        elsewhere; members at -1 are padding.  A removed pair must be an
+        edge of the working graph and an inserted one must not, each
+        judged against the current graph; the lookup is one binary search
+        over the sorted edge array.
         """
         self.edge_endpoints()
         codes = self._edge_codes
         n = self._graph.num_vertices
+        first, second = cells[:, 0], cells[:, 1]
         wanted = np.minimum(first, second) * n + np.maximum(first, second)
-        at = np.searchsorted(codes, wanted).clip(max=max(codes.size - 1, 0))
-        present = codes[at] == wanted if codes.size else np.zeros(wanted.size, bool)
-        wrong = np.flatnonzero(present == gained)
-        if wrong.size:
-            index = wrong[0]
-            state = "already present" if gained[index] else "not present"
-            raise InvalidEdgeError(
-                f"edge ({first[index]}, {second[index]}) {state}")
+        found = np.searchsorted(codes, wanted).clip(max=max(codes.size - 1, 0))
+        present = (codes[found] == wanted if codes.size
+                   else np.zeros(wanted.size, dtype=bool))
+        # Padding reads 2, which equals neither flag.
+        wrong = np.append(present, 2)[at] == gained
+        if wrong.any():
+            member = tuple(np.argwhere(wrong)[0])
+            u, v = cells[at[member]].tolist()
+            inserted = np.broadcast_to(gained, at.shape)[member]
+            state = "already present" if inserted else "not present"
+            raise InvalidEdgeError(f"edge ({u}, {v}) {state}")
 
-    def _count_changes(self, delta: DistanceDelta) -> Dict[int, int]:
-        """Per-type within-L count deltas implied by a distance delta.
+    def _scratch_changes(self, delta: DistanceDelta) -> Changes:
+        """A from-scratch delta's count changes, as a one-row matrix pair."""
+        net = self._computer.within_counts(delta.new_rows) - self._withins
+        changed = np.flatnonzero(net)
+        return _padded_changes(1, np.zeros(changed.size, dtype=np.int64),
+                               changed, net[changed], self._totals.size)
 
-        Returns a mapping from type *index* (position in the frozen typing
-        order) to the signed change of its within-L pair count.
-        """
-        if delta.rows.size == 0:
-            return {}
-        if delta.from_scratch:
-            net = self._computer.within_counts(delta.new_rows) - self._withins
-            changed = np.nonzero(net)[0]
-            return dict(zip(changed.tolist(), net[changed].tolist()))
-        cells = self._flipped_cells(delta)
-        if cells is None:
-            return {}
-        return self._changes_from_cells(*cells)
+    def _flipped_cells(self, deltas: Sequence[DistanceDelta]
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cells whose within-L membership flips under (non-scratch) deltas.
 
-    def _flipped_cells(self, delta: DistanceDelta
-                       ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Cells whose within-L membership flips under a (non-scratch) delta.
-
-        Returns ``(row_idx, col_idx, gained)`` with exactly one
-        representative per unordered pair, or ``None`` when nothing flips.
+        Returns ``(owner, row_idx, col_idx, gained)``: each cell with the
+        index of its delta in ``deltas``, exactly one representative per
+        unordered pair and delta.  Every delta's flips come from one
+        stacked comparison over the concatenated delta rows.
         """
         length = self._computer.length_threshold
-        rows = delta.rows
-        old_within = self._distance.rows(rows) <= length
-        new_within = delta.new_rows <= length
-        flips = old_within != new_within
-        if not flips.any():
-            return None
-        # Each changed cell appears in its row and (when both endpoints are
-        # affected rows) again transposed; keep exactly one representative.
         n = self._graph.num_vertices
-        in_rows = np.zeros(n, dtype=bool)
-        in_rows[rows] = True
-        columns = np.arange(n)
-        keep = flips & (~in_rows[None, :] | (columns[None, :] > rows[:, None]))
-        row_pos, col_idx = np.nonzero(keep)
-        if row_pos.size == 0:
-            return None
-        return rows[row_pos], col_idx, new_within[row_pos, col_idx]
-
-    def _changes_from_cells(self, row_idx: np.ndarray, col_idx: np.ndarray,
-                            gained: np.ndarray) -> Dict[int, int]:
-        """Tally one candidate's flipped cells into per-type count changes."""
-        return self._tally_cells(1, np.zeros(row_idx.size, dtype=np.int64),
-                                 row_idx, col_idx, gained)[0]
+        rows_cat = np.concatenate([delta.rows for delta in deltas])
+        new_within = np.concatenate([delta.new_rows for delta in deltas],
+                                    axis=0) <= length
+        group_of_row = np.repeat(np.arange(len(deltas)),
+                                 [delta.rows.size for delta in deltas])
+        flips = (self._distance.rows(rows_cat) <= length) != new_within
+        # Each changed cell appears in its delta's row and (when both
+        # endpoints are that delta's affected rows) again transposed; keep
+        # exactly one representative per delta, looking the affected-row
+        # membership up per delta.
+        in_rows = np.zeros((len(deltas), n), dtype=bool)
+        in_rows[group_of_row, rows_cat] = True
+        keep = flips & (~in_rows[group_of_row]
+                        | (np.arange(n)[None, :] > rows_cat[:, None]))
+        slab_pos, col_idx = np.nonzero(keep)
+        return (group_of_row[slab_pos], rows_cat[slab_pos], col_idx,
+                new_within[slab_pos, col_idx])
 
     def _preview_deltas(self, pairs: List[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]]
                         ) -> List[Optional[DistanceDelta]]:
@@ -758,111 +786,59 @@ class OpacitySession:
                 for removals, insertions in pairs]
 
     def _count_changes_batch(self, deltas: List[Optional[DistanceDelta]]
-                             ) -> List[Dict[int, int]]:
+                             ) -> Changes:
         """Per-candidate count changes, one grouped bincount over all flips.
 
-        Every candidate's flipped cells are extracted from one stacked
-        comparison over the concatenated delta rows and tallied in a single
-        ``bincount`` over ``(candidate, type-code, sign)`` groups — the
-        per-candidate results are exactly what :meth:`_count_changes`
-        returns for each delta alone.  ``None`` entries (fused no-op
-        candidates) contribute empty changes without any delta object;
-        from-scratch fallbacks take the per-candidate path.
+        The flipped cells of every non-scratch delta are tallied together
+        by :meth:`_tally_cells`; row ``c`` holds exactly what delta ``c``
+        alone would give.  ``None`` entries (fused no-op candidates) are
+        rows of padding without any delta object; from-scratch fallbacks
+        take the per-candidate path and are stacked in at their positions.
         """
-        changes_list: List[Optional[Dict[int, int]]] = [None] * len(deltas)
-        stacked: List[Tuple[int, DistanceDelta]] = []
+        scratch: List[int] = []
+        stacked: List[int] = []
         for position, delta in enumerate(deltas):
-            if delta is None or delta.rows.size == 0:
-                changes_list[position] = {}
-            elif delta.from_scratch:
-                changes_list[position] = self._count_changes(delta)
-            else:
-                stacked.append((position, delta))
-        if not stacked:
-            return changes_list  # type: ignore[return-value]
-        length = self._computer.length_threshold
-        n = self._graph.num_vertices
-        rows_cat = np.concatenate([delta.rows for _, delta in stacked])
-        new_cat = np.concatenate([delta.new_rows for _, delta in stacked], axis=0)
-        group_of_row = np.repeat(np.arange(len(stacked)),
-                                 [delta.rows.size for _, delta in stacked])
-        old_within = self._distance.rows(rows_cat) <= length
-        new_within = new_cat <= length
-        flips = old_within != new_within
-        # Each changed cell appears in its candidate's row and (when both
-        # endpoints are that candidate's affected rows) again transposed;
-        # keep exactly one representative per candidate — the same dedupe
-        # rule as :meth:`_flipped_cells`, with the affected-row membership
-        # looked up per candidate group.
-        in_rows = np.zeros((len(stacked), n), dtype=bool)
-        in_rows[group_of_row, rows_cat] = True
-        columns = np.arange(n)
-        keep = flips & (~in_rows[group_of_row]
-                        | (columns[None, :] > rows_cat[:, None]))
-        slab_pos, col_idx = np.nonzero(keep)
-        row_idx = rows_cat[slab_pos]
-        gained = new_within[slab_pos, col_idx]
-        position_of_group = np.fromiter((position for position, _ in stacked),
-                                        dtype=np.int64, count=len(stacked))
-        candidate = position_of_group[group_of_row[slab_pos]]
-        tallied = self._tally_cells(len(deltas), candidate, row_idx, col_idx,
-                                    gained)
-        for position, _ in stacked:
-            changes_list[position] = tallied[position]
-        return changes_list  # type: ignore[return-value]
+            if delta is not None and delta.rows.size:
+                (scratch if delta.from_scratch else stacked).append(position)
+        types = net = np.zeros((len(deltas), 0), dtype=np.int64)
+        if stacked:
+            owner, *cells = self._flipped_cells([deltas[p] for p in stacked])
+            types, net = self._tally_cells(
+                len(deltas), np.array(stacked, dtype=np.int64)[owner], *cells)
+        if not scratch:
+            return types, net
+        parts: List[Changes] = []
+        last = 0
+        for position in scratch:
+            parts.append((types[last:position], net[last:position]))
+            parts.append(self._scratch_changes(deltas[position]))
+            last = position + 1
+        parts.append((types[last:], net[last:]))
+        return _stack_changes(parts, self._totals.size)
 
     def _tally_cells(self, count: int, candidate: np.ndarray,
                      row_idx: np.ndarray, col_idx: np.ndarray,
-                     gained: np.ndarray) -> List[Dict[int, int]]:
+                     gained: np.ndarray) -> Changes:
         """Count changes of ``count`` candidates from their stacked flipped cells.
 
         ``candidate`` names the candidate each cell belongs to.  The cells'
         type positions go through one ``np.unique`` and one grouped
-        ``bincount`` over ``(candidate, type, sign)``; entry ``c`` of the
+        ``bincount`` over ``(candidate, type, sign)``; row ``c`` of the
         result holds the net change of every type candidate ``c``'s cells
-        touch (a gain and a loss of the same type net to no entry, and
-        untyped pairs count for nothing).
+        touch, in type order (a gain and a loss of the same type net to no
+        entry, and untyped pairs count for nothing).
         """
-        changes_list: List[Dict[int, int]] = [{} for _ in range(count)]
-        if row_idx.size == 0:
-            return changes_list
+        untyped = self._totals.size
         types, inverse = np.unique(
             self._computer.type_indices(row_idx, col_idx), return_inverse=True)
         grouped = (candidate * types.size + inverse) * 2 + gained.astype(np.int64)
         counts = np.bincount(grouped, minlength=count * types.size * 2)
         net = counts.reshape(count, types.size, 2)
         net = net[:, :, 1].astype(np.int64) - net[:, :, 0]
-        untyped = self._totals.size
+        net[:, types == untyped] = 0
         positions, type_positions = np.nonzero(net)
-        for position, index, change in zip(positions.tolist(),
-                                           types[type_positions].tolist(),
-                                           net[positions, type_positions].tolist()):
-            if index != untyped:
-                changes_list[position][index] = change
-        return changes_list
-
-    def _summarize_batch(self, changes_list: List[Dict[int, int]]
-                         ) -> List[EditEvaluation]:
-        """Exact max, tie count and float total of every candidate's counts.
-
-        The dense path, for the float total only GADED-Max reads: the base
-        counts are tiled once per candidate, each row gets its candidate's
-        changes, and :func:`~repro.core.opacity.summarize_counts` — the
-        summarizer :meth:`current` and the stateless evaluator use too —
-        scans all rows at once.
-        """
-        if not changes_list:
-            return []
-        withins = np.tile(self._withins, (len(changes_list), 1))
-        for row, changes in enumerate(changes_list):
-            for index, change in changes.items():
-                withins[row, index] += change
-        nums, dens, at_max, sums = summarize_counts(withins, self._totals)
-        return [EditEvaluation(numerator=num, denominator=den,
-                               types_at_max=ties, total_opacity=total)
-                for num, den, ties, total in zip(
-                    nums.tolist(), dens.tolist(),
-                    at_max.sum(axis=1).tolist(), sums)]
+        return _padded_changes(count, positions, types[type_positions],
+                               net[positions, type_positions], untyped)
 
     def _type_ranking(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The current type ratios in exact descending order, built once per state.
@@ -925,18 +901,3 @@ class OpacitySession:
         best_num, best_den, at_max = row_maxima(nums, dens)
         return best_num, best_den, (at_max * weights).sum(axis=1)
 
-
-def _change_matrix(changes_list: List[Dict[int, int]], padding: int
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-candidate change dicts as padded ``(types, deltas)`` matrices."""
-    sizes = np.fromiter(map(len, changes_list), dtype=np.int64,
-                        count=len(changes_list))
-    width = int(sizes.max(initial=0))
-    rows = np.repeat(np.arange(sizes.size), sizes)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    types = np.full((sizes.size, width), padding, dtype=np.int64)
-    deltas = np.zeros((sizes.size, width), dtype=np.int64)
-    types[rows, cols] = [index for changes in changes_list for index in changes]
-    deltas[rows, cols] = [change for changes in changes_list
-                          for change in changes.values()]
-    return types, deltas

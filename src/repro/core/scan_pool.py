@@ -6,8 +6,9 @@ across a small pool of worker processes.  The parent publishes its session's
 :class:`~repro.api.shm.SharedSampleArena` exactly once per pool lifetime;
 each worker attaches the segments read-only, rebuilds an equivalent
 incremental :class:`~repro.core.opacity_session.OpacitySession`, and from
-then on answers ``("scan", candidates)`` requests with the per-candidate
-within-L count-change dicts of its shard.  Follow-up ``("apply", ...)``
+then on answers ``("scan", candidates)`` requests with its shard's
+per-candidate count changes, padded int64 ``(types, deltas)`` matrices
+with one row per candidate.  Follow-up ``("apply", ...)``
 messages keep every worker's session in lock-step with the parent's applied
 edits, so one arena publication serves the whole greedy run.
 
@@ -16,13 +17,15 @@ Bit-identity is preserved by construction:
 * distance values are canonical — a worker's freshly attached store holds
   exactly the parent's current matrix (dense copy) or computes canonical
   tiles lazily from the current CSR adjacency (tiled), so per-candidate
-  change dicts match the serial scan's bit for bit;
+  change rows match the serial scan's bit for bit;
 * candidates are sharded *contiguously* in candidate order and the parent
-  concatenates shard results back in that order before running its own
-  summarize pass — same ``Fraction`` maxima, tie counts, and float totals.
+  pads every shard's matrices to the widest one and stacks them back in
+  that order before running its own summarize pass — same ``Fraction``
+  maxima and tie counts.
 
 Failure handling is all-or-nothing: any send/recv error (including a worker
-killed with SIGKILL mid-scan) makes :meth:`ScanPool.scan` return ``None``;
+killed with SIGKILL mid-scan), an error reply, or a reply with the wrong
+row count makes :meth:`ScanPool.scan` return ``None``;
 the caller tears the pool down and permanently falls back to the serial
 batched scan, which is result-identical.  The arena is unlinked the moment
 every worker has attached, so a crashed worker — or a crashed parent —
@@ -45,7 +48,7 @@ import glob
 import multiprocessing
 import os
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 __all__ = [
     "ScanPool",
@@ -327,14 +330,15 @@ class ScanPool:
         return tuple(process.pid for process in self._processes)
 
     def scan(self, pairs: Sequence[Tuple[Any, Any]]
-             ) -> Optional[Tuple[List[Dict[int, int]],
+             ) -> Optional[Tuple[List[Tuple[Any, Any]],
                                  List[Tuple[int, int]]]]:
-        """Shard ``pairs`` across the workers and merge in candidate order.
+        """Shard ``pairs`` across the workers and collect in candidate order.
 
-        Returns ``(changes, stats)`` — the concatenated per-candidate
-        count-change dicts, in exactly the input order, plus each shard's
+        Returns ``(parts, stats)`` — each shard's ``(types, deltas)``
+        change matrices, in shard order, plus each shard's
         ``(affected_rows, candidates)`` observation totals — or ``None`` on
-        any worker failure (the all-or-nothing fallback signal).
+        any worker failure, error reply or reply whose row count is not
+        its shard's (the all-or-nothing fallback signal).
         """
         if self._closed:
             return None
@@ -350,15 +354,15 @@ class ScanPool:
                 conn.send(("scan", pairs[start:start + size]))
                 shards.append((conn, size))
                 start += size
-            changes: List[Dict[int, int]] = []
+            parts: List[Tuple[Any, Any]] = []
             stats: List[Tuple[int, int]] = []
             for conn, size in shards:
                 reply = conn.recv()
-                if reply[0] != "ok" or len(reply[1]) != size:
+                if reply[0] != "ok" or len(reply[1][0]) != size:
                     return None
-                changes.extend(reply[1])
+                parts.append(reply[1])
                 stats.append(reply[2])
-            return changes, stats
+            return parts, stats
         except (OSError, EOFError, BrokenPipeError):
             return None
 

@@ -5,13 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.anonymizer import (
-    AnonymizerConfig,
-    CandidateOutcome,
-    TieBreaker,
-)
+from repro.core.anonymizer import AnonymizerConfig, TieBreaker
 from repro.core.edge_removal import EdgeRemovalAnonymizer
 from repro.core.opacity import DegreePairTyping, OpacityComputer
+from repro.core.opacity_session import CandidateOutcome
 from repro.graph.distance import bounded_distance_matrix
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph.generators import complete_graph, erdos_renyi_graph

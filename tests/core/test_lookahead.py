@@ -13,8 +13,8 @@ from repro.core import (
     EdgeRemovalInsertionAnonymizer,
     ExplicitPairTyping,
 )
-from repro.core.anonymizer import ScoredBatch
 from repro.core.lookahead import _combinations_capped, search_best_combination
+from repro.core.opacity_session import ScoredBatch
 from repro.graph import erdos_renyi_graph
 from tests.oracles import PerCandidateSession, run_on
 

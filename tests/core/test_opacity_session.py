@@ -22,11 +22,17 @@ from repro.core import (
     OpacitySession,
 )
 from repro.datasets import load_sample
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import StoreConfig
-from tests.oracles import PerCandidateSession, ScratchSession, run_on, type_mask
+from tests.oracles import (
+    PerCandidateSession,
+    ScratchSession,
+    outcomes,
+    run_on,
+    type_mask,
+)
 
 ALL_ALGORITHMS = [
     (EdgeRemovalAnonymizer, dict(length_threshold=2, theta=0.4, seed=0)),
@@ -211,7 +217,7 @@ class TestEvaluateEdits:
         insertions = [((), (edge,)) for edge in paper_example_graph.non_edges()]
         for candidates in (removals, insertions):
             expected = [session.evaluate_edit(r, i) for r, i in candidates]
-            assert session.evaluate_edits(candidates) == expected
+            assert outcomes(session.evaluate_edits(candidates)) == expected
 
     @pytest.mark.parametrize("session_class", SESSION_CLASSES)
     def test_multi_edge_candidates_match_per_candidate(self, session_class):
@@ -224,7 +230,7 @@ class TestEvaluateEdits:
                       ((edges[2],), (absent[2],)),
                       ((), (absent[3], absent[4]))]
         expected = [session.evaluate_edit(r, i) for r, i in candidates]
-        assert session.evaluate_edits(candidates) == expected
+        assert outcomes(session.evaluate_edits(candidates)) == expected
 
     def test_batch_leaves_no_trace(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
@@ -238,7 +244,7 @@ class TestEvaluateEdits:
     def test_empty_candidate_list(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
         session = OpacitySession(computer, paper_example_graph)
-        assert session.evaluate_edits([]) == []
+        assert len(session.evaluate_edits([])) == 0
 
     def test_explicit_typing_batches_match_per_candidate(self):
         graph = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -247,14 +253,14 @@ class TestEvaluateEdits:
         session = OpacitySession(computer, graph)
         candidates = [((edge,), ()) for edge in graph.edges()]
         expected = [session.evaluate_edit(r, i) for r, i in candidates]
-        assert session.evaluate_edits(candidates) == expected
+        assert outcomes(session.evaluate_edits(candidates)) == expected
 
     def test_batches_interleaved_with_applied_edits(self, paper_example_graph):
         computer = OpacityComputer(DegreePairTyping(paper_example_graph), 2)
         session = OpacitySession(computer, paper_example_graph)
         for _ in range(3):
             candidates = [((edge,), ()) for edge in session.graph.edges()]
-            evaluations = session.evaluate_edits(candidates)
+            evaluations = outcomes(session.evaluate_edits(candidates))
             expected = [session.evaluate_edit(r, i) for r, i in candidates]
             assert evaluations == expected
             best = min(range(len(evaluations)),
@@ -263,14 +269,14 @@ class TestEvaluateEdits:
 
 
 class TestStackedL1Count:
-    """At L = 1 ``evaluate_edits`` tallies every candidate's edited edges in
-    one grouped count; it must equal the per-candidate previews exactly."""
+    """At L = 1 ``evaluate_edits`` composes every candidate from its edited
+    edges' signed type hits; a batch must equal its candidates scored alone."""
 
     @staticmethod
     def _assert_matches_per_candidate(session, candidates):
         before = session.graph.edge_set()
         expected = [session.evaluate_edit(r, i) for r, i in candidates]
-        assert session.evaluate_edits(candidates) == expected
+        assert outcomes(session.evaluate_edits(candidates)) == expected
         assert session.graph.edge_set() == before
 
     def test_explicit_typing(self):
@@ -295,7 +301,7 @@ class TestStackedL1Count:
                  (((2, 3), (6, 7)), ((2, 6), (3, 7)))]
         self._assert_matches_per_candidate(session, swaps)
         unchanged = session.current()
-        for evaluation in session.evaluate_edits(swaps):
+        for evaluation in outcomes(session.evaluate_edits(swaps)):
             assert evaluation.fraction == unchanged.max_fraction
             assert evaluation.types_at_max == unchanged.types_at_max
 
@@ -316,14 +322,29 @@ class TestStackedL1Count:
         edge = next(iter(graph.edges()))
         candidates = [((), ()), ((edge,), ()), ((), ())]
         self._assert_matches_per_candidate(session, candidates)
-        assert session.evaluate_edits([((), ())])[0].fraction == \
+        assert session.evaluate_edits([((), ())]).outcome(0).fraction == \
             session.current().max_fraction
 
     def test_empty_list(self):
         graph = erdos_renyi_graph(10, 0.3, seed=1)
         session = OpacitySession(
             OpacityComputer(DegreePairTyping(graph), 1), graph)
-        assert session.evaluate_edits([]) == []
+        assert len(session.evaluate_edits([])) == 0
+
+    def test_invalid_member_raises_and_padding_never_does(self):
+        graph = erdos_renyi_graph(10, 0.3, seed=1)
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), 1), graph)
+        edge = min(graph.edges())
+        absent = min(graph.non_edges())
+        # Ragged rows pad with -1; the padding must pass the check.
+        assert len(session.evaluate_edits(
+            [((edge,), (absent,)), ((), ()), ((edge,), ())])) == 3
+        for candidates, message in (
+                ([((), ()), ((absent,), ())], "not present"),
+                ([((edge,), ()), ((), (edge,))], "already present")):
+            with pytest.raises(InvalidEdgeError, match=message):
+                session.evaluate_edits(candidates)
 
 
 class TestViolatingPairIndices:
@@ -519,9 +540,9 @@ class TestLengthOneFastPath:
                       + [((), (edge,)) for edge in absent[:5]]
                       # a GADES-style swap: two removals plus two insertions
                       + [((edges[0], edges[1]), (absent[5], absent[6]))])
-        batched = incremental.evaluate_edits(candidates)
+        batched = outcomes(incremental.evaluate_edits(candidates))
         assert batched == [incremental.evaluate_edit(r, i) for r, i in candidates]
-        assert batched == scratch.evaluate_edits(candidates)
+        assert batched == outcomes(scratch.evaluate_edits(candidates))
 
     def test_l1_batch_leaves_no_trace(self):
         graph = erdos_renyi_graph(12, 0.3, seed=4)
@@ -537,7 +558,7 @@ class TestLengthOneFastPath:
         session = OpacitySession(computer, graph)
         for _ in range(2):
             candidates = [((edge,), ()) for edge in session.graph.edges()]
-            evaluations = session.evaluate_edits(candidates)
+            evaluations = outcomes(session.evaluate_edits(candidates))
             assert evaluations == [session.evaluate_edit(r, i)
                                    for r, i in candidates]
             best = min(range(len(evaluations)),

@@ -52,7 +52,7 @@ from repro.graph import erdos_renyi_graph
 from repro.graph.distance import available_engines, bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
-from tests.oracles import PerCandidateSession, run_on
+from tests.oracles import PerCandidateSession, outcomes, run_on
 from tests.property.strategies import graphs, length_bounds
 
 #: Explicit pool size used throughout — the auto heuristic returns 0 on
@@ -217,8 +217,8 @@ class TestParallelScanEquivalence:
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
-            expected = serial.evaluate_edits(pairs)
-            assert parallel.evaluate_edits(pairs) == expected
+            expected = outcomes(serial.evaluate_edits(pairs))
+            assert outcomes(parallel.evaluate_edits(pairs)) == expected
             assert [parallel.evaluate_edit(removals, insertions)
                     for removals, insertions in pairs] == expected
             assert parallel.graph == serial.graph
@@ -241,8 +241,8 @@ class TestParallelScanEquivalence:
                 pairs = make_candidates(parallel.graph)
                 if not pairs:
                     break
-                assert parallel.evaluate_edits(pairs) == \
-                    serial.evaluate_edits(pairs)
+                assert outcomes(parallel.evaluate_edits(pairs)) == \
+                    outcomes(serial.evaluate_edits(pairs))
                 removals, insertions = pairs[seed % len(pairs)]
                 serial.apply_edit(removals=removals, insertions=insertions)
                 parallel.apply_edit(removals=removals, insertions=insertions)
@@ -355,18 +355,60 @@ class TestCrashSafety:
                                   scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
-            expected = serial.evaluate_edits(pairs)
-            assert parallel.evaluate_edits(pairs) == expected
+            expected = outcomes(serial.evaluate_edits(pairs))
+            assert outcomes(parallel.evaluate_edits(pairs)) == expected
             pool = parallel._scan_pool
             assert pool is not None and pool.num_workers == WORKERS
             for pid in pool.worker_pids:
                 os.kill(pid, signal.SIGKILL)
             # The next scan notices the dead pool, tears it down, and
             # falls back to the serial path — bit-identically, for good.
-            assert parallel.evaluate_edits(pairs) == expected
+            assert outcomes(parallel.evaluate_edits(pairs)) == expected
             assert parallel._scan_pool is None
             assert parallel.scan_parallelism == 1
-            assert parallel.evaluate_edits(pairs) == expected
+            assert outcomes(parallel.evaluate_edits(pairs)) == expected
+        finally:
+            serial.close()
+            parallel.close()
+        assert leaked_arenas() == []
+
+    @pytest.mark.parametrize("failure", ["short", "error"])
+    def test_bad_shard_reply_falls_back_serially(self, monkeypatch, failure):
+        """A shard answered with too few rows, or with an error reply, fails
+        the whole scan: the session drops the pool and rescans serially."""
+        graph = erdos_renyi_graph(20, 0.25, seed=3)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        pairs = make_candidates(graph)
+        # Workers fork with the patch in place; only a shard that starts
+        # with the trigger misbehaves, and forward scans never start one.
+        trigger = pairs[-1]
+        collect = OpacitySession.collect_edit_changes
+
+        def misbehaving(session, shard):
+            if tuple(shard[0]) != trigger:
+                return collect(session, shard)
+            if failure == "error":
+                raise RuntimeError("injected shard failure")
+            types, deltas = collect(session, shard)
+            return types[:-1], deltas[:-1]
+
+        monkeypatch.setattr(OpacitySession, "collect_edit_changes",
+                            misbehaving)
+        serial = OpacitySession(computer, graph.copy())
+        parallel = OpacitySession(computer, graph.copy(),
+                                  scan_workers=WORKERS)
+        try:
+            assert outcomes(parallel.evaluate_edits(pairs)) == \
+                outcomes(serial.evaluate_edits(pairs))
+            assert parallel.parallel_scans == 1
+            reversed_pairs = pairs[::-1]
+            expected = outcomes(serial.evaluate_edits(reversed_pairs))
+            assert outcomes(parallel.evaluate_edits(reversed_pairs)) == expected
+            assert parallel.parallel_scans == 1
+            assert parallel._scan_pool is None
+            assert parallel.scan_parallelism == 1
+            assert outcomes(parallel.evaluate_edits(reversed_pairs)) == expected
+            assert parallel.parallel_scans == 1
         finally:
             serial.close()
             parallel.close()

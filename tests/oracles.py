@@ -9,13 +9,17 @@ it is proven against live here:
   distance matrix, and reverts.  Its results are assembled by
   :func:`result_from_counts`, which builds a ``Fraction`` per type and
   compares them — the reference for the product's array summarizer.
-* :class:`PerCandidateSession` — an incremental session whose batch scans
-  and look-ahead levels loop the single-candidate
-  :meth:`~OpacitySession.evaluate_edit` path instead of the stacked passes
-  and the composed level scoring.
+* :class:`PerCandidateSession` — an incremental session that scores every
+  candidate of a scan alone, one
+  :meth:`~OpacitySession.score_combinations` row per call, so no
+  candidate's result can depend on the batch around it: its padding
+  width, its stacked tallies or its shared cell lookups.
 * :class:`FractionTieBreaker` — Algorithm 4's selection rule comparing
   ``Fraction`` maxima, the reference for the product's cross-multiplied
   :class:`~repro.core.anonymizer.TieBreaker`.
+* :func:`outcomes` — a :class:`~repro.core.opacity_session.ScoredBatch` as
+  a list of :class:`~repro.core.opacity_session.CandidateOutcome`, the
+  form the differential suites compare.
 * :func:`independent_schedule` — one full single-θ
   :meth:`~repro.core.anonymizer.BaseAnonymizer.anonymize` run per grid
   point, the reference every checkpointed θ pass
@@ -53,12 +57,14 @@ from repro.core.anonymizer import (
     AnonymizationResult,
     AnonymizerConfig,
     BaseAnonymizer,
-    CandidateOutcome,
-    ScoredBatch,
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
-from repro.core.opacity_session import EditEvaluation, OpacitySession
+from repro.core.opacity_session import (
+    CandidateOutcome,
+    OpacitySession,
+    ScoredBatch,
+)
 from repro.core.pair_types import PairTyping, TypeKey
 from repro.graph.graph import Edge, Graph
 
@@ -135,15 +141,28 @@ class FractionTieBreaker:
                     self.best = candidate
 
 
+def outcomes(batch: ScoredBatch) -> List[CandidateOutcome]:
+    """Every outcome of ``batch``, in candidate order."""
+    return [batch.outcome(index) for index in range(len(batch))]
+
+
 def score_by_evaluation(session, endpoints: np.ndarray, members: np.ndarray,
-                        kind: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``score_combinations`` as one ``session.evaluate_edit`` per combination."""
-    outcomes = []
-    for row in np.asarray(members).tolist():
-        combo = tuple(tuple(endpoints[j].tolist()) for j in row)
-        edit = ((), combo) if kind == "insert" else (combo, ())
-        outcomes.append(session.evaluate_edit(*edit))
-    return tuple(np.array([getattr(outcome, name) for outcome in outcomes],
+                        gained) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``score_combinations`` as one ``session.evaluate_edit`` per row.
+
+    A member is an insertion where ``gained`` (broadcast against
+    ``members``) flags it and a removal elsewhere; negative members are
+    padding.
+    """
+    results = []
+    flags = np.broadcast_to(gained, np.shape(members)).tolist()
+    for row, row_flags in zip(np.asarray(members).tolist(), flags):
+        edges = [(tuple(endpoints[j].tolist()), flag)
+                 for j, flag in zip(row, row_flags) if j >= 0]
+        results.append(session.evaluate_edit(
+            tuple(edge for edge, flag in edges if not flag),
+            tuple(edge for edge, flag in edges if flag)))
+    return tuple(np.array([getattr(outcome, name) for outcome in results],
                           dtype=np.int64)
                  for name in ("numerator", "denominator", "types_at_max"))
 
@@ -189,10 +208,11 @@ class ScratchSession:
                          {key for key, entry in current.per_type.items()
                           if entry.fraction == current.max_fraction})
 
-    def type_opacities(self) -> np.ndarray:
-        current = evaluate_with_fractions(self._computer, self._graph)
-        return np.array([current.per_type[key].opacity
-                         for key in type_keys(self._computer.typing)])
+    def type_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Within-L and pair counts per type, from a fresh distance matrix."""
+        _, totals = self._computer.type_order
+        return (self._computer.within_counts(
+            self._computer.distances(self._graph)), totals)
 
     def edge_endpoints(self, mask=None) -> Tuple[np.ndarray, np.ndarray]:
         """``graph.edges()`` as arrays, filtered by ``type_of`` membership."""
@@ -208,32 +228,41 @@ class ScratchSession:
         return {key for key, flag in zip(type_keys(self._computer.typing), mask)
                 if flag}
 
-    def evaluate_edit(self, removals: Sequence[Edge] = (),
-                      insertions: Sequence[Edge] = ()) -> EditEvaluation:
-        self.evaluations += 1
+    def result_after(self, removals: Sequence[Edge] = (),
+                     insertions: Sequence[Edge] = ()) -> OpacityResult:
+        """Algorithm 1's result after the edit: apply, recount, revert."""
         for u, v in removals:
             self._graph.remove_edge(u, v)
         for u, v in insertions:
             self._graph.add_edge(u, v)
         try:
-            outcome = evaluate_with_fractions(self._computer, self._graph)
+            return evaluate_with_fractions(self._computer, self._graph)
         finally:
             for u, v in insertions:
                 self._graph.remove_edge(u, v)
             for u, v in removals:
                 self._graph.add_edge(u, v)
-        total = float(sum(entry.opacity for entry in outcome.per_type.values()))
-        return EditEvaluation(numerator=outcome.max_fraction.numerator,
-                              denominator=outcome.max_fraction.denominator,
-                              types_at_max=outcome.types_at_max,
-                              total_opacity=total)
 
-    def evaluate_edits(self, candidates) -> List[EditEvaluation]:
-        return [self.evaluate_edit(removals, insertions)
-                for removals, insertions in candidates]
+    def evaluate_edit(self, removals: Sequence[Edge] = (),
+                      insertions: Sequence[Edge] = ()) -> CandidateOutcome:
+        self.evaluations += 1
+        outcome = self.result_after(removals, insertions)
+        return CandidateOutcome(edges=tuple(removals) + tuple(insertions),
+                                numerator=outcome.max_fraction.numerator,
+                                denominator=outcome.max_fraction.denominator,
+                                types_at_max=outcome.types_at_max)
 
-    def score_combinations(self, endpoints, members, kind):
-        return score_by_evaluation(self, endpoints, members, kind)
+    def evaluate_edits(self, candidates) -> ScoredBatch:
+        results = [self.evaluate_edit(removals, insertions)
+                   for removals, insertions in candidates]
+        return ScoredBatch(
+            [outcome.edges for outcome in results],
+            *(np.array([getattr(outcome, name) for outcome in results],
+                       dtype=np.int64)
+              for name in ("numerator", "denominator", "types_at_max")))
+
+    def score_combinations(self, endpoints, members, gained):
+        return score_by_evaluation(self, endpoints, members, gained)
 
     def apply_edit(self, removals: Sequence[Edge] = (),
                    insertions: Sequence[Edge] = ()) -> None:
@@ -270,9 +299,12 @@ class ScratchSession:
 
 
 class PerCandidateSession(OpacitySession):
-    """An incremental session whose batch scans loop :meth:`evaluate_edit`.
+    """An incremental session that scores every candidate alone.
 
-    ``evaluations`` counts the evaluations served, :meth:`current`
+    :meth:`score_combinations` calls the product's once per row, so every
+    scan — look-ahead levels, GADES swaps, GADED removals and
+    :meth:`evaluate_edits` lists alike — is scored one candidate at a
+    time.  ``evaluations`` counts the evaluations served, :meth:`current`
     included, like :class:`ScratchSession`.
     """
 
@@ -284,28 +316,29 @@ class PerCandidateSession(OpacitySession):
         self.evaluations += 1
         return super().current()
 
-    def evaluate_edits(self, candidates) -> List[EditEvaluation]:
-        self.evaluations += len(candidates)
-        return [self.evaluate_edit(removals, insertions)
-                for removals, insertions in candidates]
-
-    def score_combinations(self, endpoints, members, kind):
+    def score_combinations(self, endpoints, members, gained):
         self.evaluations += len(members)
-        return score_by_evaluation(self, endpoints, members, kind)
+        gained = np.broadcast_to(gained, members.shape)
+        rows = [super(PerCandidateSession, self).score_combinations(
+                    endpoints, members[row:row + 1], gained[row:row + 1])
+                for row in range(len(members))]
+        return tuple(np.array([row[part][0] for row in rows], dtype=np.int64)
+                     for part in range(3))
 
 
 def one_at_a_time(anonymizer, session, result, kind: str):
     """``_combo_evaluator`` that scores and counts one combination at a time.
 
     Each combination is counted, then offered as a one-outcome
-    :class:`~repro.core.anonymizer.ScoredBatch`: the per-candidate cadence
-    the product's chunked evaluator must reproduce.
+    :class:`~repro.core.opacity_session.ScoredBatch`: the per-candidate
+    cadence the product's chunked evaluator must reproduce.
     """
     def evaluate_batch(level):
+        gained = np.full(level.members.shape[1], kind == "insert")
         for index in range(len(level)):
             one = level[index:index + 1]
             scored = ScoredBatch(one, *session.score_combinations(
-                one.endpoints, one.members, kind))
+                one.endpoints, one.members, gained))
             result.evaluations += 1
             result.observer.on_evaluation(result.evaluations)
             if result.observer.should_stop():

@@ -36,7 +36,13 @@ from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
 from repro.graph.graph import Graph
-from tests.oracles import PerCandidateSession, ScratchSession, run_on, type_mask
+from tests.oracles import (
+    PerCandidateSession,
+    ScratchSession,
+    outcomes,
+    run_on,
+    type_mask,
+)
 from tests.property.strategies import (
     edit_scripts,
     graphs,
@@ -330,7 +336,7 @@ class TestEvaluateEditsProperties:
                                  fallback_row_fraction=fallback)
         expected = [session.evaluate_edit(removals, insertions)
                     for removals, insertions in candidates]
-        observed = session.evaluate_edits(candidates)
+        observed = outcomes(session.evaluate_edits(candidates))
         assert observed == expected
 
     @given(candidate_scans(), length_bounds)
@@ -340,8 +346,8 @@ class TestEvaluateEditsProperties:
         computer = OpacityComputer(DegreePairTyping(graph), length)
         incremental = OpacitySession(computer, graph.copy())
         scratch = ScratchSession(computer, graph.copy())
-        assert incremental.evaluate_edits(candidates) == \
-            scratch.evaluate_edits(candidates)
+        assert outcomes(incremental.evaluate_edits(candidates)) == \
+            outcomes(scratch.evaluate_edits(candidates))
 
     @given(candidate_scans(max_candidates=6), length_bounds,
            fallback_fractions)
@@ -374,52 +380,84 @@ class TestEvaluateEditsProperties:
 
 @st.composite
 def combination_levels(draw):
-    """A graph, a typing, and one look-ahead level over its edges or non-edges.
+    """A graph, a typing, and one batch of candidate rows over its pairs.
 
-    The level is an index array over the candidates, as
-    ``search_best_combination`` draws it: sorted rows of distinct
-    candidates, of one size.
+    ``endpoints`` lists the graph's edges, then its non-edges.  Each row of
+    ``members`` names one candidate by endpoint index, and ``gained``
+    holds one insertion flag per column: a flagged column draws from the
+    non-edges, the others from the edges.  The flags are all removals or
+    all insertions — a look-ahead level, rows sorted as
+    ``search_best_combination`` draws them — or mixed, swap-like rows of
+    up to four members whose first insertion may share the type of their
+    first removal, so the type nets to zero.  ``edits`` is a ragged
+    ``evaluate_edits`` list over the same rows: each cut to a random
+    prefix, with empty edits ``((), ())`` among them.
     """
     graph = draw(graphs(max_vertices=9))
     typing = draw(typings(graph))
-    kind = draw(st.sampled_from(["remove", "insert"]))
-    candidates = (graph.edge_list() if kind == "remove"
-                  else sorted(graph.non_edges()))
-    size = draw(st.integers(min_value=1, max_value=3))
+    edges = graph.edge_list()
+    endpoints = np.array(edges + sorted(graph.non_edges()),
+                         dtype=np.int64).reshape(-1, 2)
+    shape = draw(st.sampled_from(["remove", "insert", "mixed", "mixed"]))
+    if shape == "mixed":
+        # Up to a GADES swap's width, with a removal and an insertion.
+        size = draw(st.integers(min_value=2, max_value=4))
+        flags = draw(st.permutations([False, True] + draw(st.lists(
+            st.booleans(), min_size=size - 2, max_size=size - 2))))
+    else:
+        size = draw(st.integers(min_value=1, max_value=3))
+        flags = [shape == "insert"] * size
+    pools = {False: range(len(edges)), True: range(len(edges), len(endpoints))}
+    columns = {flag: [column for column in range(size) if flags[column] == flag]
+               for flag in (False, True)}
     rows = []
-    if len(candidates) >= size:
-        rows = draw(st.lists(
-            st.permutations(range(len(candidates))).map(
-                lambda order: sorted(order[:size])),
-            max_size=15))
+    if all(len(columns[flag]) <= len(pools[flag]) for flag in (False, True)):
+        for _ in range(draw(st.integers(min_value=0, max_value=15))):
+            row = [0] * size
+            for flag in (False, True):
+                picked = draw(st.permutations(pools[flag]))[:len(columns[flag])]
+                if shape != "mixed":
+                    picked = sorted(picked)
+                for column, member in zip(columns[flag], picked):
+                    row[column] = member
+            if columns[False] and columns[True] and draw(st.booleans()):
+                removed = typing.type_of(*endpoints[row[columns[False][0]]])
+                same = [member for member in pools[True] if member not in row
+                        and typing.type_of(*endpoints[member]) == removed]
+                if same:
+                    row[columns[True][0]] = draw(st.sampled_from(same))
+            rows.append(row)
     members = np.array(rows, dtype=np.int64).reshape(len(rows), size)
-    endpoints = np.array(candidates, dtype=np.int64).reshape(-1, 2)
-    return graph, typing, kind, endpoints, members
+    edits = []
+    for row in rows:
+        if draw(st.booleans()):
+            edits.append(((), ()))
+        cut = draw(st.integers(min_value=0, max_value=size))
+        kept = list(zip(row[:cut], flags[:cut]))
+        edits.append(
+            (tuple(tuple(endpoints[j].tolist()) for j, flag in kept if not flag),
+             tuple(tuple(endpoints[j].tolist()) for j, flag in kept if flag)))
+    return graph, typing, np.array(flags), endpoints, members, edits
 
 
 class TestScoreCombinationsProperties:
-    """``score_combinations`` equals per-combination evaluations exactly."""
+    """``score_combinations`` and ``evaluate_edits`` equal the scratch oracle."""
 
     @given(combination_levels(), length_bounds, fallback_fractions)
     @settings(max_examples=80, deadline=None)
     def test_level_matches_evaluate_edits_and_scratch(self, level, length,
                                                       fallback):
-        graph, typing, kind, endpoints, members = level
+        graph, typing, gained, endpoints, members, edits = level
         computer = OpacityComputer(typing, length)
         session = OpacitySession(computer, graph.copy(),
                                  fallback_row_fraction=fallback)
         scratch = ScratchSession(computer, graph.copy())
-        combos = [tuple(map(tuple, endpoints[row].tolist())) for row in members]
-        edits = [((), combo) if kind == "insert" else (combo, ())
-                 for combo in combos]
-        expected = session.evaluate_edits(edits)
-        observed = session.score_combinations(endpoints, members, kind)
-        for values in (observed, scratch.score_combinations(endpoints, members,
-                                                            kind)):
-            assert [array.tolist() for array in values] == [
-                [evaluation.numerator for evaluation in expected],
-                [evaluation.denominator for evaluation in expected],
-                [evaluation.types_at_max for evaluation in expected]]
+        expected = scratch.score_combinations(endpoints, members, gained)
+        observed = session.score_combinations(endpoints, members, gained)
+        assert [array.tolist() for array in observed] == \
+            [array.tolist() for array in expected]
+        assert outcomes(session.evaluate_edits(edits)) == \
+            outcomes(scratch.evaluate_edits(edits))
 
 
 class TestScansLeaveTheGraphAlone:
@@ -430,20 +468,22 @@ class TestScansLeaveTheGraphAlone:
     @settings(max_examples=40, deadline=None)
     def test_scans_never_call_graph_mutators(self, level, length, fallback,
                                              tiled):
-        graph, typing, kind, endpoints, members = level
+        graph, typing, gained, endpoints, members, edits = level
         computer = OpacityComputer(typing, length)
         config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
             if tiled else None
         session = OpacitySession(computer, graph, store_config=config,
                                  fallback_row_fraction=fallback)
-        singles = [((), (tuple(edge),)) if kind == "insert" else
-                   ((tuple(edge),), ()) for edge in endpoints.tolist()]
+        singles = [((), (tuple(edge),)) if index >= graph.num_edges else
+                   ((tuple(edge),), ())
+                   for index, edge in enumerate(endpoints.tolist())]
         forbidden = mock.Mock(side_effect=AssertionError("graph mutated"))
         try:
             with mock.patch.object(Graph, "add_edge", forbidden), \
                     mock.patch.object(Graph, "remove_edge", forbidden):
-                session.score_combinations(endpoints, members, kind)
+                session.score_combinations(endpoints, members, gained)
                 session.evaluate_edits(singles)
+                session.evaluate_edits(edits)
                 for removals, insertions in singles:
                     session.evaluate_edit(removals, insertions)
         finally:

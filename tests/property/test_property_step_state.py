@@ -29,21 +29,25 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
-from repro.core.anonymizer import (
-    AnonymizerConfig,
-    CandidateOutcome,
-    ScoredBatch,
-    TieBreaker,
-)
-from repro.core.opacity import summarize_counts
+from repro.baselines.gaded import GadedMaxAnonymizer, removal_totals
+from repro.core.anonymizer import AnonymizerConfig, TieBreaker
+from repro.core.opacity import row_maxima
+from repro.core.opacity_session import CandidateOutcome, ScoredBatch
 from repro.graph.graph import Graph
 from tests.oracles import (
     FractionTieBreaker,
+    ScratchSession,
     evaluate_with_fractions,
     result_from_counts,
     type_keys,
 )
-from tests.property.strategies import edit_scripts, graphs, length_bounds, typings
+from tests.property.strategies import (
+    edit_scripts,
+    graphs,
+    length_bounds,
+    thetas,
+    typings,
+)
 
 
 def assert_state_matches_oracle(session: OpacitySession, graph: Graph) -> None:
@@ -63,7 +67,8 @@ def assert_state_matches_oracle(session: OpacitySession, graph: Graph) -> None:
     assert mask.dtype == bool and not mask.flags.writeable
     keys = type_keys(computer.typing)
     assert {key for key, flag in zip(keys, mask.tolist()) if flag} == at_max
-    assert session.type_opacities().tolist() == [
+    withins, totals = session.type_counts()
+    assert (withins / totals).tolist() == [
         expected.per_type[key].opacity for key in keys]
 
     edge_u, edge_v = session.edge_endpoints()
@@ -249,14 +254,14 @@ class TestSummarizer:
                 [0, total, int(total * share), max(0, total - 1)]))
                 for total, share in columns])
         withins = np.array(rows, dtype=np.int64)
-        nums, dens, at_max, sums = summarize_counts(withins, totals)
+        nums, dens, at_max = row_maxima(
+            withins, np.broadcast_to(totals, withins.shape))
         for row in range(count):
             fractions = [Fraction(int(w), int(t))
                          for w, t in zip(withins[row], totals)]
             best = max(fractions)
             assert (nums[row], dens[row]) == (best.numerator, best.denominator)
             assert at_max[row].tolist() == [f == best for f in fractions]
-            assert sums[row] == float(sum(float(f) for f in fractions))
 
     @pytest.mark.parametrize("base", [1 << 30, 1 << 33])
     def test_distinct_fractions_sharing_a_float(self, base):
@@ -264,7 +269,7 @@ class TestSummarizer:
         totals = np.array([base, base + 1, 7], dtype=np.int64)
         withins = np.array([[base - 1, base, 3]], dtype=np.int64)
         assert (withins[0, 0] / totals[0]) == (withins[0, 1] / totals[1])
-        nums, dens, at_max, _ = summarize_counts(withins, totals)
+        nums, dens, at_max = row_maxima(withins, totals[None, :])
         assert Fraction(int(nums[0]), int(dens[0])) == Fraction(base, base + 1)
         assert at_max[0].tolist() == [False, True, False]
 
@@ -278,6 +283,29 @@ class TestSummarizer:
         expected = result_from_counts(computer.typing, dict(zip(keys, counts)))
         observed = computer.evaluate(graph)
         assert observed == expected
+
+
+class TestGadedMaxTotal:
+    """GADED-Max's secondary key, computed once per distinct removed type,
+    equals the scratch oracle's float sum of per-type opacities bit for bit."""
+
+    @given(graphs(max_vertices=10), thetas, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_totals_match_scratch_sum(self, graph, theta, data):
+        # The degree typing, or an explicit one with untyped pairs, whose
+        # removal leaves the total unchanged.
+        computer = OpacityComputer(data.draw(typings(graph)), 1)
+        session = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
+        for mask_theta in (theta, None):
+            edges = GadedMaxAnonymizer._disclosing_edges(session, mask_theta)
+            endpoints = np.array(edges, dtype=np.int64).reshape(-1, 2)
+            totals = removal_totals(session, endpoints).tolist()
+            assert len(totals) == len(edges)
+            for edge, total in zip(edges, totals):
+                per_type = scratch.result_after(removals=[edge]).per_type
+                assert total == float(sum(entry.opacity
+                                          for entry in per_type.values()))
 
 
 class TestTieBreakerReference:
