@@ -71,8 +71,7 @@ def bench_parallel_scan(benchmark):
 
     start = time.perf_counter()
     parallel = benchmark.pedantic(
-        anonymize, args=(_request(scan_mode="parallel",
-                                  scan_workers=WORKERS),),
+        anonymize, args=(_request(scan_workers=WORKERS),),
         rounds=1, iterations=1)
     parallel_s = time.perf_counter() - start
 
@@ -123,7 +122,6 @@ def _measure_parallel_tiled_run(queue, sample_size, budget_bytes):
                                    seed=0, algorithm="rem", theta=THETA,
                                    length_threshold=LENGTH,
                                    max_steps=RSS_MAX_STEPS,
-                                   scan_mode="parallel",
                                    scan_workers=RSS_WORKERS,
                                    scale_tier="tiled",
                                    scale_budget_bytes=budget_bytes)

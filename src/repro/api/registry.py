@@ -42,7 +42,6 @@ _TUNING_PARAMS = frozenset({
     "prune_candidates",
     "swap_sample_size",
     "seed",
-    "scan_mode",
     "scan_workers",
     "max_steps",
     "scale_tier",

@@ -50,7 +50,6 @@ class AnonymizationRequest:
     length_threshold: int = 1
     lookahead: int = 1
     seed: Optional[int] = 0
-    scan_mode: str = "batched"
     scan_workers: Optional[int] = None
     max_steps: Optional[int] = None
     insertion_candidate_cap: Optional[int] = None
@@ -100,7 +99,6 @@ class AnonymizationRequest:
             "length_threshold": self.length_threshold,
             "lookahead": self.lookahead,
             "seed": self.seed,
-            "scan_mode": self.scan_mode,
             "scan_workers": self.scan_workers,
             "max_steps": self.max_steps,
             "insertion_candidate_cap": self.insertion_candidate_cap,
@@ -291,12 +289,15 @@ class AnonymizationResponse:
 # ----------------------------------------------------------------------
 # canonical request fingerprints
 # ----------------------------------------------------------------------
-FINGERPRINT_VERSION = 3
+FINGERPRINT_VERSION = 4
 """Version stamp mixed into every fingerprint.
 
-Bump it whenever request semantics change in a way that should invalidate
-stored results keyed by fingerprint (new defaulted field with behavioural
-effect, changed canonicalization, ...).
+Bump it whenever the hashed input changes — a field added to or removed
+from ``to_dict()``, a changed canonicalization — or request semantics
+change in a way that should invalidate stored results keyed by
+fingerprint.  ``tests/api/test_fingerprint.py`` pins one golden
+fingerprint, so a change to the hashed input fails there until it is
+bumped.
 """
 
 

@@ -44,7 +44,7 @@ from repro.core.anonymizer import (
 )
 from repro.core.lookahead import CombinationLevel
 from repro.core.opacity import OpacityComputer
-from repro.core.opacity_session import OpacitySession, validate_scan_mode
+from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph.distance_store import validate_scale_tier
@@ -59,16 +59,11 @@ class _GadedBase:
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None,
-                 strict: bool = False, scan_mode: str = "batched",
-                 scan_workers: Optional[int] = None,
+                 strict: bool = False,
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ConfigurationError(f"theta must be in [0, 1], got {theta}")
-        if scan_workers is not None and scan_workers < 0:
-            raise ConfigurationError(
-                f"scan_workers must be >= 0, got {scan_workers}")
-        validate_scan_mode(scan_mode)
         validate_scale_tier(scale_tier)
         if scale_budget_bytes is not None and scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -77,8 +72,6 @@ class _GadedBase:
         self._seed = seed
         self._max_steps = max_steps
         self._strict = strict
-        self._scan_mode = scan_mode
-        self._scan_workers = scan_workers
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
 
@@ -140,8 +133,6 @@ class _GadedBase:
         config = AnonymizerConfig(length_threshold=1, theta=theta, seed=self._seed,
                                   strict=self._strict,
                                   max_steps=self._max_steps,
-                                  scan_mode=self._scan_mode,
-                                  scan_workers=self._scan_workers,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
         session = config.open_session(computer, working, initial_distances)
@@ -221,8 +212,8 @@ class _GadedBase:
 @register_anonymizer(
     "gaded-rand",
     description="GADED-Rand baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "strict", "scan_mode",
-             "scan_workers", "scale_tier", "scale_budget_bytes"),
+    accepts=("theta", "seed", "max_steps", "strict", "scale_tier",
+             "scale_budget_bytes"),
 )
 class GadedRandAnonymizer(_GadedBase):
     """GADED-Rand: remove a random edge participating in disclosure."""
@@ -238,8 +229,8 @@ class GadedRandAnonymizer(_GadedBase):
 @register_anonymizer(
     "gaded-max",
     description="GADED-Max baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "strict", "scan_mode",
-             "scan_workers", "scale_tier", "scale_budget_bytes"),
+    accepts=("theta", "seed", "max_steps", "strict", "scale_tier",
+             "scale_budget_bytes"),
 )
 class GadedMaxAnonymizer(_GadedBase):
     """GADED-Max: remove the edge with the greatest reduction of the maximum

@@ -33,7 +33,7 @@ from repro.core.anonymizer import (
 )
 from repro.core.lookahead import CombinationLevel
 from repro.core.opacity import OpacityComputer
-from repro.core.opacity_session import OpacitySession, validate_scan_mode
+from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.errors import ConfigurationError
 from repro.graph.distance_store import validate_scale_tier
@@ -49,10 +49,16 @@ _SWAP_GAINED = np.array([False, False, True, True])
     "gades",
     description="GADES baseline (Zhang & Zhang, degree-preserving swaps)",
     accepts=("theta", "seed", "max_steps", "swap_sample_size",
-             "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
+             "scale_tier", "scale_budget_bytes"),
 )
 class GadesAnonymizer:
     """GADES: greedy degree-preserving edge swapping against link disclosure.
+
+    A step's sampled swaps are scored in the calling process, as rows of
+    four members through
+    :meth:`~repro.core.opacity_session.OpacitySession.score_combinations`:
+    an L = 1 swap only flips its four edited cells, so a row's count change
+    is the sum of their signed type hits.
 
     Parameters
     ----------
@@ -62,29 +68,16 @@ class GadesAnonymizer:
         Number of candidate swap pairs examined per step (the original
         formulation scans all pairs of edges; a seeded sample keeps the
         reimplementation tractable and is documented in DESIGN.md).
-    scan_mode:
-        ``"batched"`` (default) or ``"parallel"``; either way a step's
-        sampled swaps are scored in the calling process, as rows of four
-        members through
-        :meth:`~repro.core.opacity_session.OpacitySession.score_combinations`
-        — an L = 1 swap only flips its four edited cells, so a row's count
-        change is the sum of their signed type hits.
     """
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None, swap_sample_size: int = 2000,
-                 scan_mode: str = "batched",
-                 scan_workers: Optional[int] = None,
                  scale_tier: str = "auto",
                  scale_budget_bytes: Optional[int] = None) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ConfigurationError(f"theta must be in [0, 1], got {theta}")
         if swap_sample_size < 1:
             raise ConfigurationError("swap_sample_size must be >= 1")
-        if scan_workers is not None and scan_workers < 0:
-            raise ConfigurationError(
-                f"scan_workers must be >= 0, got {scan_workers}")
-        validate_scan_mode(scan_mode)
         validate_scale_tier(scale_tier)
         if scale_budget_bytes is not None and scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -93,8 +86,6 @@ class GadesAnonymizer:
         self._seed = seed
         self._max_steps = max_steps
         self._swap_sample_size = swap_sample_size
-        self._scan_mode = scan_mode
-        self._scan_workers = scan_workers
         self._scale_tier = scale_tier
         self._scale_budget_bytes = scale_budget_bytes
 
@@ -152,8 +143,6 @@ class GadesAnonymizer:
                                   seed=self._seed,
                                   max_steps=self._max_steps,
                                   swap_sample_size=self._swap_sample_size,
-                                  scan_mode=self._scan_mode,
-                                  scan_workers=self._scan_workers,
                                   scale_tier=self._scale_tier,
                                   scale_budget_bytes=self._scale_budget_bytes)
         session = config.open_session(computer, working, initial_distances)

@@ -54,7 +54,7 @@ Each job object takes the fields of
 :class:`repro.api.AnonymizationRequest` (``algorithm``, ``dataset`` +
 ``sample_size`` or ``edges``, ``theta``, ``length_threshold``,
 ``lookahead``, ``seed``, ``max_steps``, ``insertion_candidate_cap``,
-``swap_sample_size``, ``scan_mode``, ``scan_workers``, ``scale_tier``,
+``swap_sample_size``, ``scan_workers``, ``scale_tier``,
 ``scale_budget_bytes``, ``timeout_seconds``, ``include_utility``,
 ``request_id``).  Results are written as a JSON array of response objects
 in job order; a failing job yields an ``error`` response without aborting
@@ -75,7 +75,6 @@ from repro.api import (
     anonymize as api_anonymize,
     available_algorithms,
 )
-from repro.core.opacity_session import SCAN_MODES
 from repro.graph.distance_store import SCALE_TIERS
 from repro.datasets import dataset_names
 from repro.errors import ReproError
@@ -95,17 +94,19 @@ from repro.experiments import (
 from repro.graph.io import read_edge_list, write_edge_list
 
 
+def _graph_source(args: argparse.Namespace) -> dict:
+    """The request fields naming the input graph: ``--input`` or a sample."""
+    if args.input:
+        graph, _labels = read_edge_list(args.input)
+        return dict(edges=tuple(graph.edges()), num_vertices=graph.num_vertices)
+    return dict(dataset=args.dataset, sample_size=args.size)
+
+
 def _cmd_opacity(args: argparse.Namespace) -> int:
     from repro.api import compute_opacity
 
-    if args.input:
-        graph, _labels = read_edge_list(args.input)
-        request = AnonymizationRequest(edges=tuple(graph.edges()),
-                                       num_vertices=graph.num_vertices,
-                                       length_threshold=args.length)
-    else:
-        request = AnonymizationRequest(dataset=args.dataset, sample_size=args.size,
-                                       seed=args.seed, length_threshold=args.length)
+    request = AnonymizationRequest(**_graph_source(args), seed=args.seed,
+                                   length_threshold=args.length)
     report = compute_opacity(request)
     print(f"vertices={report.num_vertices} edges={report.num_edges}")
     print(f"L={args.length} max L-opacity={report.max_opacity:.4f} "
@@ -117,23 +118,18 @@ def _cmd_opacity(args: argparse.Namespace) -> int:
 
 def _request_from_args(args: argparse.Namespace) -> AnonymizationRequest:
     """Build the service-layer request described by the CLI arguments."""
-    common = dict(
+    return AnonymizationRequest(
+        **_graph_source(args),
         algorithm=args.algorithm,
         theta=args.theta,
         length_threshold=args.length,
         lookahead=args.lookahead,
         seed=args.seed,
-        scan_mode=args.scan_mode,
         scan_workers=args.scan_workers,
         insertion_candidate_cap=args.insertion_cap,
         timeout_seconds=args.timeout,
         include_utility=True,
     )
-    if args.input:
-        graph, _labels = read_edge_list(args.input)
-        return AnonymizationRequest(edges=tuple(graph.edges()),
-                                    num_vertices=graph.num_vertices, **common)
-    return AnonymizationRequest(dataset=args.dataset, sample_size=args.size, **common)
 
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:
@@ -209,12 +205,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.max_workers < 0:
         raise ReproError(f"--max-workers must be >= 0, got {args.max_workers}")
     axes = _parse_axes(args.axis or [])
-    common = dict(
+    base = AnonymizationRequest(
+        **_graph_source(args),
         theta=args.thetas[0],
         length_threshold=args.length,
         lookahead=args.lookahead,
         seed=args.seed,
-        scan_mode=args.scan_mode,
         scan_workers=args.scan_workers,
         insertion_candidate_cap=args.insertion_cap,
         include_utility=not args.no_utility,
@@ -222,13 +218,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale_budget_bytes=(args.scale_budget_mb * 1024 * 1024
                             if args.scale_budget_mb is not None else None),
     )
-    if args.input:
-        graph, _labels = read_edge_list(args.input)
-        base = AnonymizationRequest(edges=tuple(graph.edges()),
-                                    num_vertices=graph.num_vertices, **common)
-    else:
-        base = AnonymizationRequest(dataset=args.dataset, sample_size=args.size,
-                                    **common)
     # Flags provide the algorithm/θ axes; explicit --axis entries win.
     axes.setdefault("algorithm", tuple(args.algorithms))
     axes.setdefault("theta", tuple(args.thetas))
@@ -422,17 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument("--theta", type=float, default=0.5)
     anonymize.add_argument("--length", "-L", type=int, default=1)
     anonymize.add_argument("--lookahead", type=int, default=1)
-    anonymize.add_argument("--scan-mode", choices=SCAN_MODES,
-                           default="batched", dest="scan_mode",
-                           help="candidate scan strategy: stacked passes over "
-                                "a step's candidates in this process (batched) "
-                                "or sharded across a worker pool (parallel); "
-                                "both choose identical edits")
     anonymize.add_argument("--scan-workers", type=int, default=None,
                            dest="scan_workers",
-                           help="worker pool size for --scan-mode parallel "
-                                "(default: min(4, cpu count) on multi-core "
-                                "machines, serial otherwise)")
+                           help="shard each L >= 2 candidate scan across a "
+                                "pool of this many worker processes (0 or 1 = "
+                                "serial, the default); identical edits "
+                                "either way")
     anonymize.add_argument("--insertion-cap", type=int, default=None)
     anonymize.add_argument("--timeout", type=float, default=None,
                            help="wall-clock budget in seconds (best-effort stop)")
@@ -458,12 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "the corresponding flag")
     sweep.add_argument("--length", "-L", type=int, default=1)
     sweep.add_argument("--lookahead", type=int, default=1)
-    sweep.add_argument("--scan-mode", choices=SCAN_MODES,
-                       default="batched", dest="scan_mode")
     sweep.add_argument("--scan-workers", type=int, default=None,
                        dest="scan_workers",
-                       help="worker pool size for --scan-mode parallel "
-                            "(ignored inside pooled grid workers)")
+                       help="scan-pool size per run (0 or 1 = serial, the "
+                            "default; ignored inside pooled grid workers)")
     sweep.add_argument("--insertion-cap", type=int, default=None)
     sweep.add_argument("--no-utility", action="store_true",
                        help="skip the per-θ utility metrics")

@@ -20,7 +20,7 @@ from repro.core.pair_types import (
     TypeKey,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
-from repro.core.opacity_session import SCAN_MODES, OpacitySession
+from repro.core.opacity_session import OpacitySession
 from repro.core.anonymizer import (
     AnonymizationCheckpoint,
     AnonymizationResult,
@@ -49,7 +49,6 @@ __all__ = [
     "OpacityComputer",
     "OpacityResult",
     "TypeOpacity",
-    "SCAN_MODES",
     "OpacitySession",
     "AnonymizationCheckpoint",
     "AnonymizationResult",

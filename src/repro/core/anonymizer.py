@@ -40,7 +40,6 @@ from repro.core.opacity_session import (
     CandidateOutcome,
     OpacitySession,
     ScoredBatch,
-    validate_scan_mode,
 )
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.core.scan_pool import resolve_scan_workers
@@ -112,20 +111,13 @@ class AnonymizerConfig:
     strict:
         If ``True``, raise :class:`InfeasibleError` when the threshold cannot
         be met; otherwise return a best-effort result with ``success=False``.
-    scan_mode:
-        How a step's candidate list is walked: ``"batched"`` (default)
-        scores the candidates of a scan in chunked
-        :meth:`~repro.core.opacity_session.OpacitySession.score_combinations`
-        passes in the calling process; ``"parallel"`` shards those passes
-        across a pool of ``scan_workers`` processes attached to a
-        shared-memory publication of the session state (DESIGN.md §14).
-        Both scan modes choose bit-identical edits.
     scan_workers:
-        Pool size for ``scan_mode="parallel"``.  ``None`` (default)
-        auto-sizes to ``min(4, cpu_count)`` on multi-core machines and
-        falls back to serial scanning on single-core ones; explicit values
-        are used as-is (0/1 = serial).  Ignored by ``"batched"`` scans
-        and inside θ-group pool workers (no nested oversubscription).
+        Scan-pool size.  ``None`` (default), 0 and 1 scan serially; N >= 2
+        shards each L >= 2 candidate scan across a pool of N processes
+        attached to a shared-memory publication of the session state
+        (DESIGN.md §14).  Inside θ-group pool workers scans stay serial
+        (no nested oversubscription).  Either way the run chooses
+        bit-identical edits.
     swap_sample_size:
         GADES only: candidate swap pairs examined per step.  Recorded here
         so a result's config reproduces the run; ``None`` for the other
@@ -152,7 +144,6 @@ class AnonymizerConfig:
     max_combinations: int = 100_000
     insertion_candidate_cap: Optional[int] = None
     strict: bool = False
-    scan_mode: str = "batched"
     scan_workers: Optional[int] = None
     swap_sample_size: Optional[int] = None
     scale_tier: str = "auto"
@@ -170,14 +161,13 @@ class AnonymizerConfig:
 
         Every greedy algorithm opens its session here: the scale tier comes
         from :meth:`store_config` and the scan-pool size from
-        ``scan_mode``/``scan_workers``.  ``initial_distances`` seeds the
+        ``scan_workers``.  ``initial_distances`` seeds the
         session like in :meth:`BaseAnonymizer.anonymize`.
         """
         return OpacitySession(
             computer, graph, initial_distances=initial_distances,
             store_config=self.store_config(),
-            scan_workers=resolve_scan_workers(self.scan_mode,
-                                              self.scan_workers))
+            scan_workers=resolve_scan_workers(self.scan_workers))
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for invalid parameter values."""
@@ -199,7 +189,6 @@ class AnonymizerConfig:
         if self.scan_workers is not None and self.scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {self.scan_workers}")
-        validate_scan_mode(self.scan_mode)
         validate_scale_tier(self.scale_tier)
         if self.scale_budget_bytes is not None and self.scale_budget_bytes < 1:
             raise ConfigurationError(
@@ -248,7 +237,8 @@ class AnonymizationResult:
     observer: ProgressObserver = field(default=NULL_OBSERVER, repr=False, compare=False)
     #: Execution diagnostics that do not affect the anonymization outcome
     #: (effective fallback row fraction, parallel-scan usage, ...).
-    #: Excluded from equality so results stay comparable across scan modes.
+    #: Excluded from equality so results stay comparable across scan-pool
+    #: sizes.
     debug_info: Dict[str, Any] = field(default_factory=dict, repr=False,
                                        compare=False)
 
@@ -418,10 +408,8 @@ class TieBreaker:
     Candidates are preferred by (1) lowest resulting maximum opacity, then
     (2) fewest types attaining that maximum (``N``), then (3) uniformly at
     random among remaining ties, implemented with the same incremental
-    reservoir counter as the pseudo-code.  Exact maxima are compared by
-    integer cross-multiplication, the ordering ``Fraction`` induces.
-    :meth:`offer_batch` replays the same rule over a whole
-    :class:`ScoredBatch` at once.
+    reservoir counter as the pseudo-code.  :meth:`offer_batch` applies the
+    rule to a whole :class:`ScoredBatch` at once.
     """
 
     def __init__(self, rng: random.Random) -> None:
@@ -429,40 +417,27 @@ class TieBreaker:
         self.best: Optional[CandidateOutcome] = None
         self._tie_count = 0
 
-    def offer(self, candidate: CandidateOutcome) -> None:
-        """Consider one candidate outcome."""
-        best = self.best
-        ordering = 0 if best is None else (
-            candidate.numerator * best.denominator
-            - best.numerator * candidate.denominator)
-        if best is None or ordering < 0:
-            self.best = candidate
-            self._tie_count = 1
-            return
-        if ordering == 0:
-            if candidate.types_at_max < best.types_at_max:
-                self.best = candidate
-                self._tie_count = 1
-            elif candidate.types_at_max == best.types_at_max:
-                self._tie_count += 1
-                if self._rng.random() < 1.0 / self._tie_count:
-                    self.best = candidate
-
     @staticmethod
     def offer_batch(breakers: Sequence["TieBreaker"],
                     batch: ScoredBatch) -> None:
-        """Offer every outcome of ``batch`` to each of ``breakers``.
+        """Offer every outcome of ``batch``, in order, to each of ``breakers``.
 
-        Equal to ``for i in range(len(batch)): for b in breakers:
-        b.offer(batch.outcome(i))`` — the same winners, tie counters and
-        RNG draws — for breakers sharing one RNG.  Every outcome and each
-        breaker's current best get one integer key, the exact rank of the
-        maximum then ``types_at_max``, so a breaker's running best is a
-        running minimum of keys.  An outcome below it resets the counter;
-        one equal to it is a reservoir draw, whose counter is the number of
-        equal keys since the last reset.  The draws are taken in the
-        per-outcome order, outcome-major and breaker-minor, and a breaker's
-        winner is its last reset or successful draw.
+        Each breaker keeps the rule over the outcomes it has been offered:
+        an outcome with a lower exact maximum, or an equal maximum and
+        fewer ``types_at_max``, becomes the best and restarts the tie
+        counter at 1; an outcome equal on both counts increments the
+        counter ``k`` and replaces the best with probability ``1/k`` (one
+        ``rng.random()`` draw).  Breakers sharing one RNG draw in
+        outcome-major, breaker-minor order, as if each outcome were
+        offered to every breaker before the next.
+
+        Every outcome and each breaker's current best get one integer key,
+        the exact rank of the maximum (:func:`exact_ranks`, no ``Fraction``)
+        then ``types_at_max``, so a breaker's running best is a running
+        minimum of keys.  An outcome below it resets the counter; one equal
+        to it is a reservoir draw, whose counter is the number of equal
+        keys since the last reset.  A breaker's winner is its last reset or
+        successful draw.
         """
         size = len(batch)
         if not size or not breakers:

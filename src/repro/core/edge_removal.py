@@ -29,7 +29,7 @@ from repro.graph.graph import Edge
     description="Edge Removal (paper Algorithm 4)",
     accepts=("length_threshold", "theta", "lookahead", "seed",
              "max_steps", "prune_candidates", "max_combinations", "strict",
-             "scan_mode", "scan_workers", "scale_tier", "scale_budget_bytes"),
+             "scan_workers", "scale_tier", "scale_budget_bytes"),
 )
 class EdgeRemovalAnonymizer(BaseAnonymizer):
     """Algorithm 4: greedy L-opacification via edge removal.

@@ -34,8 +34,8 @@ from repro.graph.graph import Edge, Graph
     description="Edge Removal/Insertion (paper Algorithm 5)",
     accepts=("length_threshold", "theta", "lookahead", "seed",
              "max_steps", "prune_candidates", "max_combinations",
-             "insertion_candidate_cap", "strict", "scan_mode",
-             "scan_workers", "scale_tier", "scale_budget_bytes"),
+             "insertion_candidate_cap", "strict", "scan_workers",
+             "scale_tier", "scale_budget_bytes"),
 )
 class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
     """Algorithm 5: greedy L-opacification via alternating removal and insertion.

@@ -68,18 +68,10 @@ from repro.core.opacity import (
     exact_ranks,
     row_maxima,
 )
-from repro.errors import ConfigurationError, InvalidEdgeError
+from repro.errors import InvalidEdgeError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
-
-#: Valid values of the ``scan_mode`` knob: how the greedy algorithms walk a
-#: step's candidate list — :meth:`OpacitySession.evaluate_edits` passes in
-#: the calling process (``"batched"``), or those same passes sharded across
-#: a persistent pool of scan workers over a shared-memory arena
-#: (``"parallel"``, :mod:`repro.core.scan_pool`).  Both scan modes choose
-#: bit-identical edits.
-SCAN_MODES: Tuple[str, ...] = ("batched", "parallel")
 
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
@@ -140,13 +132,6 @@ def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
             upper = cols > rows
             parts.append(_triu_flat(rows[upper], cols[upper], n))
     return np.concatenate(parts)
-
-
-def validate_scan_mode(mode: str) -> None:
-    """Raise :class:`ConfigurationError` unless ``mode`` is a known scan mode."""
-    if mode not in SCAN_MODES:
-        raise ConfigurationError(
-            f"unknown scan_mode {mode!r}; available: {SCAN_MODES}")
 
 
 @dataclass
@@ -239,7 +224,9 @@ class OpacitySession:
 
     All graph mutations of an anonymization run must go through
     :meth:`apply_edit` so the incremental state stays in sync; tentative
-    candidates go through :meth:`evaluate_edit`, which leaves no trace.
+    candidates are scored by :meth:`score_combinations`, which leaves no
+    trace (:meth:`evaluate_edit` and :meth:`evaluate_edits` are its
+    adapters for ``(removals, insertions)`` tuples).
 
     Parameters
     ----------
@@ -254,13 +241,14 @@ class OpacitySession:
         from measured density × L; the chosen value is routing-only and
         never changes results.
     scan_workers:
-        Size of the parallel scan pool (``scan_mode="parallel"``, resolved
-        by :func:`repro.core.scan_pool.resolve_scan_workers`).  With a
-        value > 1, :meth:`evaluate_edits` shards large candidate scans
-        across that many worker processes attached to a shared-memory
-        publication of this session's state; 0/1 keeps every scan serial.
-        Any pool failure falls back to the serial scan permanently —
-        results are bit-identical either way.
+        Size of the scan pool, as resolved by
+        :func:`repro.core.scan_pool.resolve_scan_workers`.  With a value
+        >= 2, :meth:`score_combinations` shards each L >= 2 scan wider than
+        the pool across that many worker processes attached to a
+        shared-memory publication of this session's state; 0 or 1 keeps
+        every scan serial, and so does L = 1, where scans compose from
+        type positions.  Any pool failure falls back to the serial scan
+        permanently — results are bit-identical either way.
     initial_distances:
         Optional precomputed L-bounded distances of ``graph`` — a matrix
         (e.g. a thresholded slice of a shared

@@ -1,7 +1,7 @@
 """Persistent worker pool sharding one candidate scan over a shared arena.
 
-``scan_mode="parallel"`` splits the batched candidate scan of a greedy step
-across a small pool of worker processes.  The parent publishes its session's
+A ``scan_workers`` count of 2 or more splits each L >= 2 candidate scan of a
+greedy step across a pool of that many worker processes.  The parent publishes its session's
 *current* graph and distance store into a
 :class:`~repro.api.shm.SharedSampleArena` exactly once per pool lifetime;
 each worker attaches the segments read-only, rebuilds an equivalent
@@ -156,22 +156,15 @@ def blas_threads() -> Optional[int]:
     return int(getter())
 
 
-def resolve_scan_workers(scan_mode: str,
-                         scan_workers: Optional[int]) -> int:
-    """Effective scan-pool size for a run's (scan_mode, scan_workers) knobs.
+def resolve_scan_workers(scan_workers: Optional[int]) -> int:
+    """Effective scan-pool size for a run's ``scan_workers`` knob.
 
-    Returns 0 (serial scan) unless ``scan_mode == "parallel"`` — and always
-    inside a pool worker, the no-oversubscription rule.  An explicit
-    ``scan_workers`` wins; ``None`` auto-sizes to ``min(4, cpu_count)`` on
-    multi-core machines and 0 on single-core ones (where the pool could
-    only lose).
+    ``None``, 0 and 1 mean a serial scan; N >= 2 means a pool of N.  Inside
+    a pool worker it is always 0, the no-oversubscription rule.
     """
-    if scan_mode != "parallel" or in_pool_worker():
+    if scan_workers is None or in_pool_worker():
         return 0
-    if scan_workers is not None:
-        return max(0, int(scan_workers))
-    cpus = os.cpu_count() or 1
-    return min(4, cpus) if cpus >= 2 else 0
+    return max(0, int(scan_workers))
 
 
 def _scan_worker_main(conn, descriptor, computer,

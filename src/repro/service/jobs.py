@@ -154,9 +154,8 @@ class JobManager:
         ``--scan-workers`` flag of ``repro-lopacity serve``).  Applied at
         execution time — like the scale defaults, the stored request and
         its dedup fingerprint stay untouched — to every request that chose
-        no ``scan_workers`` of its own: those requests run with
-        ``scan_mode="parallel"``.  A request naming a worker count (0 for a
-        serial scan) always wins.
+        no ``scan_workers`` of its own.  A request naming a worker count
+        (0 for a serial scan) always wins.
     """
 
     def __init__(self, store: RunStore, *, data_dir: Optional[str] = None,
@@ -383,7 +382,6 @@ class JobManager:
                     and req.scale_budget_bytes is None):
                 overrides["scale_budget_bytes"] = self._scale_budget_bytes
             if self._scan_workers is not None and req.scan_workers is None:
-                overrides["scan_mode"] = "parallel"
                 overrides["scan_workers"] = self._scan_workers
             return dataclasses.replace(req, **overrides) if overrides else req
 

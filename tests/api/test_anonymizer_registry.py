@@ -51,14 +51,14 @@ class TestBuiltinRegistrations:
         assert isinstance(algorithm, EdgeRemovalAnonymizer)
 
     def test_execution_knobs_dropped_for_minimal_algorithms(self):
-        # The facade always passes seed/scan_mode/max_steps from the
+        # The facade always passes seed/scan_workers/max_steps from the
         # request; an algorithm accepting only theta must still be
         # constructible.
         registry = AnonymizerRegistry()
         registry.register("minimal", factory=lambda theta=0.5: ("built", theta),
                           accepts=("theta",))
         assert registry.create("minimal", theta=0.3, seed=0,
-                               scan_mode="batched", max_steps=None,
+                               scan_workers=None, max_steps=None,
                                lookahead=1) == ("built", 0.3)
 
     def test_semantic_unknown_parameter_raises(self):

@@ -74,6 +74,17 @@ class TestRequestFingerprint:
     def test_version_is_stamped(self):
         assert isinstance(FINGERPRINT_VERSION, int)
 
+    def test_golden_fingerprint_is_pinned(self):
+        # Any change to the hashed input (a field added to or dropped from
+        # to_dict(), a changed canonicalization) moves this value; so must
+        # FINGERPRINT_VERSION, or stored results dedup against the wrong
+        # requests.  Bump it, then re-pin the new value here.
+        request = AnonymizationRequest(dataset="gnutella", sample_size=30)
+        assert request_fingerprint(request) == (
+            "2e8163c7a9af9510ccf792b40874a7743075a21a09cca192a42aeae9bbf5d0dc"
+        ), (f"the fingerprint input changed (version {FINGERPRINT_VERSION}): "
+            "bump FINGERPRINT_VERSION and re-pin this value")
+
     def test_unfingerprintable_object_raises(self):
         with pytest.raises(ConfigurationError, match="to_dict"):
             request_fingerprint(object())

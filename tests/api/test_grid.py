@@ -309,7 +309,7 @@ class TestCustomRegistry:
         registry = AnonymizerRegistry()
         registry.register("custom-rem", EdgeRemovalAnonymizer,
                           accepts=("theta", "length_threshold", "lookahead",
-                                   "seed", "scan_mode", "max_steps"))
+                                   "seed", "scan_workers", "max_steps"))
         requests = [BASE.with_overrides(algorithm="custom-rem", theta=theta,
                                         include_utility=False)
                     for theta in (0.8, 0.6)]
@@ -497,8 +497,7 @@ class TestParallelScanGrid:
         base = BASE.with_overrides(length_threshold=2)
         serial = run_grid(GridRequest.from_axes(base, thetas=thetas),
                           max_workers=0)
-        parallel_base = base.with_overrides(scan_mode="parallel",
-                                            scan_workers=4)
+        parallel_base = base.with_overrides(scan_workers=4)
         observed = run_grid(GridRequest.from_axes(parallel_base,
                                                   thetas=thetas),
                             max_workers=0)

@@ -29,13 +29,16 @@ class TestAnonymizationRequest:
         ("evaluation_mode", "lazy"),
         ("sweep_mode", "independent"),
         ("engine", "numpy"),
+        ("scan_mode", "parallel"),
     ))
     def test_retired_field_raises_at_construction_time(self, field, value):
         # Retired knobs: sessions always evaluate incrementally
         # (evaluation_mode), every θ grid runs as one checkpointed pass
-        # (sweep_mode) and the five distance engines are bit-identical
-        # (engine).  No anonymizer, config or request takes them, and a
-        # stored request naming one fails to load with a typed error.
+        # (sweep_mode), the five distance engines are bit-identical
+        # (engine) and scan_workers alone decides whether a scan is
+        # sharded (scan_mode).  No anonymizer, config or request takes
+        # them, and a stored request naming one fails to load with a typed
+        # error.
         from repro.baselines import GadedMaxAnonymizer, GadesAnonymizer
         from repro.core import AnonymizerConfig
 
@@ -53,29 +56,20 @@ class TestAnonymizationRequest:
                            match=rf"unknown request field\(s\) \['{field}'\]"):
             AnonymizationRequest.from_dict(payload)
 
-    def test_scan_mode_round_trips_and_reaches_algorithms(self):
-        request = AnonymizationRequest(algorithm="rem", edges=EDGES,
-                                       scan_mode="parallel")
-        restored = AnonymizationRequest.from_json(request.to_json())
-        assert restored.scan_mode == "parallel"
-        assert request.algorithm_params()["scan_mode"] == "parallel"
-        # Defaults to the stacked batch scans.
-        assert AnonymizationRequest(algorithm="rem", edges=EDGES).scan_mode \
-            == "batched"
-
-    def test_unknown_scan_mode_raises_at_construction_time(self):
-        with pytest.raises(ConfigurationError, match="scan_mode"):
-            EdgeRemovalAnonymizer(scan_mode="vectorized")
-
     def test_scan_workers_round_trips_and_reaches_algorithms(self):
         request = AnonymizationRequest(algorithm="rem", edges=EDGES,
-                                       scan_mode="parallel", scan_workers=3)
+                                       scan_workers=3)
         restored = AnonymizationRequest.from_json(request.to_json())
         assert restored.scan_workers == 3
         assert request.algorithm_params()["scan_workers"] == 3
-        # Defaults to auto sizing (None).
+        # Defaults to a serial scan (None).
         assert AnonymizationRequest(algorithm="rem", edges=EDGES).scan_workers \
             is None
+        # The L = 1-only baselines never start a pool: the registry drops
+        # the knob for them.
+        from repro.api.registry import create_anonymizer
+        for name in ("gades", "gaded-rand", "gaded-max"):
+            create_anonymizer(name, **request.algorithm_params())
 
     def test_negative_scan_workers_raises_at_construction_time(self):
         with pytest.raises(ConfigurationError, match="scan_workers"):

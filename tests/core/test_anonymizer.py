@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core.anonymizer import AnonymizerConfig, TieBreaker
 from repro.core.edge_removal import EdgeRemovalAnonymizer
 from repro.core.opacity import DegreePairTyping, OpacityComputer
-from repro.core.opacity_session import CandidateOutcome
+from repro.core.opacity_session import ScoredBatch
 from repro.graph.distance import bounded_distance_matrix
 from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph.generators import complete_graph, erdos_renyi_graph
@@ -28,7 +29,6 @@ class TestAnonymizerConfig:
         ("max_combinations", 0),
         ("insertion_candidate_cap", 0),
         ("scan_workers", -1),
-        ("scan_mode", "vectorized"),
         ("swap_sample_size", 0),
     ])
     def test_invalid_values_rejected(self, field, value):
@@ -63,17 +63,16 @@ class TestAnonymizerConfig:
         with pytest.raises(ConfigurationError):
             EdgeRemovalAnonymizer(config, theta=0.3)
 
-    @pytest.mark.parametrize("scan_mode,scan_workers,expected", [
-        ("batched", None, 0),
-        ("batched", 3, 0),
-        ("parallel", 2, 2),
+    @pytest.mark.parametrize("scan_workers,expected", [
+        (None, 0),
+        (0, 0),
+        (2, 2),
     ])
     def test_open_session_builds_the_configured_session(
-            self, scan_mode, scan_workers, expected):
+            self, scan_workers, expected):
         graph = erdos_renyi_graph(14, 0.3, seed=4)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        config = AnonymizerConfig(scan_mode=scan_mode,
-                                  scan_workers=scan_workers)
+        config = AnonymizerConfig(scan_workers=scan_workers)
         initial = bounded_distance_matrix(graph, 2)
         session = config.open_session(computer, graph,
                                       initial_distances=initial)
@@ -93,36 +92,37 @@ class TestAnonymizerConfig:
 
 
 class TestTieBreaker:
-    def _outcome(self, edge, fraction, types_at_max):
-        return CandidateOutcome(edges=(edge,), numerator=fraction.numerator,
-                                denominator=fraction.denominator,
-                                types_at_max=types_at_max)
+    def _offer(self, breaker, edge, fraction, types_at_max):
+        # One outcome, offered on its own: a one-row batch.
+        TieBreaker.offer_batch((breaker,), ScoredBatch(
+            [(edge,)], np.array([fraction.numerator]),
+            np.array([fraction.denominator]), np.array([types_at_max])))
 
     def test_lower_opacity_wins(self):
         breaker = TieBreaker(random.Random(0))
-        breaker.offer(self._outcome((0, 1), Fraction(1, 2), 3))
-        breaker.offer(self._outcome((0, 2), Fraction(1, 3), 5))
+        self._offer(breaker, (0, 1), Fraction(1, 2), 3)
+        self._offer(breaker, (0, 2), Fraction(1, 3), 5)
         assert breaker.best.edges == ((0, 2),)
 
     def test_fewer_types_at_max_break_ties(self):
         breaker = TieBreaker(random.Random(0))
-        breaker.offer(self._outcome((0, 1), Fraction(1, 2), 3))
-        breaker.offer(self._outcome((0, 2), Fraction(1, 2), 1))
+        self._offer(breaker, (0, 1), Fraction(1, 2), 3)
+        self._offer(breaker, (0, 2), Fraction(1, 2), 1)
         assert breaker.best.edges == ((0, 2),)
 
     def test_worse_candidate_never_replaces(self):
         breaker = TieBreaker(random.Random(0))
-        breaker.offer(self._outcome((0, 1), Fraction(1, 4), 1))
-        breaker.offer(self._outcome((0, 2), Fraction(1, 2), 1))
-        breaker.offer(self._outcome((0, 3), Fraction(1, 4), 2))
+        self._offer(breaker, (0, 1), Fraction(1, 4), 1)
+        self._offer(breaker, (0, 2), Fraction(1, 2), 1)
+        self._offer(breaker, (0, 3), Fraction(1, 4), 2)
         assert breaker.best.edges == ((0, 1),)
 
     def test_random_tie_break_is_uniformish(self):
         counts = {(0, 1): 0, (0, 2): 0}
         for seed in range(200):
             breaker = TieBreaker(random.Random(seed))
-            breaker.offer(self._outcome((0, 1), Fraction(1, 2), 1))
-            breaker.offer(self._outcome((0, 2), Fraction(1, 2), 1))
+            self._offer(breaker, (0, 1), Fraction(1, 2), 1)
+            self._offer(breaker, (0, 2), Fraction(1, 2), 1)
             counts[breaker.best.edges[0]] += 1
         # Both candidates should win a non-trivial share of the seeds.
         assert counts[(0, 1)] > 40

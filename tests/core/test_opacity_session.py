@@ -507,7 +507,7 @@ class TestScanModeEquivalence:
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
     def test_end_to_end_runs_are_bit_identical(self, algorithm, params):
         graph = erdos_renyi_graph(22, 0.25, seed=9)
-        batched = algorithm(scan_mode="batched", **params).anonymize(graph)
+        batched = algorithm(**params).anonymize(graph)
         sequential, evaluations = run_on(PerCandidateSession,
                                          algorithm(**params), graph)
         assert evaluations == sequential.evaluations > 0
@@ -518,11 +518,17 @@ class TestScanModeEquivalence:
         graph = erdos_renyi_graph(22, 0.25, seed=9)
         _assert_stops_alike(PerCandidateSession, algorithm, params, graph, 9)
 
-    def test_rejects_unknown_scan_mode(self):
-        with pytest.raises(ConfigurationError):
-            EdgeRemovalAnonymizer(scan_mode="vectorized")
-        with pytest.raises(ConfigurationError):
-            GadesAnonymizer(scan_mode="vectorized")
+    def test_rejects_retired_scan_knobs(self):
+        # scan_workers alone chooses the scan, and the L = 1-only baselines
+        # never start a pool, so they take no scan knob at all.
+        with pytest.raises(TypeError, match="scan_mode"):
+            EdgeRemovalAnonymizer(scan_mode="parallel")
+        for baseline in (GadesAnonymizer, GadedRandAnonymizer,
+                         GadedMaxAnonymizer):
+            for knob, value in (("scan_mode", "parallel"),
+                                ("scan_workers", 2)):
+                with pytest.raises(TypeError, match=knob):
+                    baseline(**{knob: value})
 
 
 class TestLengthOneFastPath:

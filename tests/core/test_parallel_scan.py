@@ -1,4 +1,4 @@
-"""Tests for the intra-group parallel candidate scan (``scan_mode="parallel"``).
+"""Tests for the intra-group parallel candidate scan (``scan_workers >= 2``).
 
 The scan pool promises three things, and these tests pin all of them:
 
@@ -15,8 +15,8 @@ The scan pool promises three things, and these tests pin all of them:
   pools of their own, and run BLAS on one thread, while the parent keeps
   its own thread count.
 
-The CI machine may be single-core, so every test passes an explicit
-``scan_workers`` (the auto heuristic resolves to 0 there by design).
+Every test that wants a pool passes an explicit ``scan_workers``: ``None``,
+0 and 1 all mean a serial scan.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.core import (
     EdgeRemovalAnonymizer,
     EdgeRemovalInsertionAnonymizer,
     OpacityComputer,
-    SCAN_MODES,
     OpacitySession,
 )
 from repro.api import AnonymizationRequest, GridRequest, run_grid
@@ -55,8 +54,7 @@ from repro.graph.distance_store import StoreConfig
 from tests.oracles import PerCandidateSession, outcomes, run_on
 from tests.property.strategies import graphs, length_bounds
 
-#: Explicit pool size used throughout — the auto heuristic returns 0 on
-#: the single-core CI machine, which would silently skip the pool path.
+#: Explicit pool size used throughout.
 WORKERS = 2
 
 
@@ -72,20 +70,30 @@ def make_candidates(graph, insertions=4):
 
 
 class TestResolveScanWorkers:
-    def test_serial_modes_never_start_pools(self):
-        assert resolve_scan_workers("batched", 4) == 0
+    def test_serial_counts_never_start_pools(self):
+        assert resolve_scan_workers(None) == 0
+        assert resolve_scan_workers(0) == 0
+        graph = erdos_renyi_graph(20, 0.25, seed=3)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        session = OpacitySession(computer, graph.copy(),
+                                 scan_workers=resolve_scan_workers(1))
+        try:
+            assert session.scan_parallelism == 1
+            session.evaluate_edits(make_candidates(graph))
+            assert session.parallel_scans == 0
+            assert session._scan_pool is None
+        finally:
+            session.close()
 
     def test_explicit_request_wins(self):
-        assert resolve_scan_workers("parallel", 3) == 3
-        assert resolve_scan_workers("parallel", 0) == 0
+        assert resolve_scan_workers(3) == 3
+        assert resolve_scan_workers(0) == 0
 
-    def test_auto_sizes_by_core_count(self, monkeypatch):
-        monkeypatch.setattr(scan_pool_module.os, "cpu_count", lambda: 8)
-        assert resolve_scan_workers("parallel", None) == 4
-        monkeypatch.setattr(scan_pool_module.os, "cpu_count", lambda: 2)
-        assert resolve_scan_workers("parallel", None) == 2
-        monkeypatch.setattr(scan_pool_module.os, "cpu_count", lambda: 1)
-        assert resolve_scan_workers("parallel", None) == 0
+    def test_none_is_serial_on_any_core_count(self, monkeypatch):
+        for cores in (8, 2, 1):
+            monkeypatch.setattr(scan_pool_module.os, "cpu_count",
+                                lambda: cores)
+            assert resolve_scan_workers(None) == 0
 
     def test_pool_workers_refuse_nested_pools(self, monkeypatch):
         monkeypatch.setattr(scan_pool_module, "_IN_POOL_WORKER", False)
@@ -94,27 +102,22 @@ class TestResolveScanWorkers:
         monkeypatch.setattr(scan_pool_module, "_set_blas_threads",
                             pinned.append)
         assert not in_pool_worker()
-        assert resolve_scan_workers("parallel", 3) == 3
+        assert resolve_scan_workers(3) == 3
         mark_pool_worker()
         assert in_pool_worker()
         assert pinned == [1]
-        assert resolve_scan_workers("parallel", 3) == 0
-        assert resolve_scan_workers("parallel", None) == 0
+        assert resolve_scan_workers(3) == 0
+        assert resolve_scan_workers(None) == 0
 
     def test_parallel_scratch_config_rejected(self):
         # Scratch evaluation is retired, so the combination can no longer
         # be configured, neither directly nor from a stored request.
         with pytest.raises(TypeError, match="evaluation_mode"):
-            AnonymizerConfig(scan_mode="parallel", evaluation_mode="scratch")
+            AnonymizerConfig(scan_workers=WORKERS, evaluation_mode="scratch")
         with pytest.raises(ConfigurationError, match="evaluation_mode"):
             AnonymizationRequest.from_dict(
                 {"algorithm": "rem", "dataset": "gnutella",
-                 "scan_mode": "parallel", "evaluation_mode": "scratch"})
-
-    def test_only_batched_and_parallel_scans_exist(self):
-        assert SCAN_MODES == ("batched", "parallel")
-        with pytest.raises(ConfigurationError, match="per_candidate"):
-            AnonymizerConfig(scan_mode="per_candidate").validate()
+                 "scan_workers": WORKERS, "evaluation_mode": "scratch"})
 
     def test_negative_scan_workers_rejected(self):
         with pytest.raises(ConfigurationError, match="scan_workers"):
@@ -183,7 +186,7 @@ class TestBlasThreadRule:
         graph = erdos_renyi_graph(18, 0.25, seed=2)
         result = EdgeRemovalAnonymizer(
             length_threshold=2, theta=0.5, seed=0, max_steps=2,
-            scan_mode="parallel", scan_workers=WORKERS).anonymize(graph)
+            scan_workers=WORKERS).anonymize(graph)
         assert result.debug_info["parallel_scans"] > 0
         recorded = recorded_blas_threads(tmp_path)
         assert len(recorded) == WORKERS and os.getpid() not in recorded
@@ -206,7 +209,7 @@ class TestBlasThreadRule:
 
 
 class TestParallelScanEquivalence:
-    """Differential suite: ``parallel`` ≡ ``batched`` ≡ the per-candidate oracle."""
+    """Differential suite: pooled scan ≡ serial scan ≡ per-candidate oracle."""
 
     @given(graphs(min_vertices=6, max_vertices=12), length_bounds)
     @settings(max_examples=10, deadline=None)
@@ -275,15 +278,15 @@ class TestParallelScanEquivalence:
     @pytest.mark.parametrize("engine", sorted(available_engines()))
     def test_engines_run_identically(self, engine):
         # Engines are result-neutral: a run seeded with any engine's
-        # matrix equals the default run, on the batched and parallel scans,
+        # matrix equals the default run, on the serial and pooled scans,
         # and the default run equals the per-candidate oracle at L=3.
         graph = erdos_renyi_graph(20, 0.2, seed=11)
         params = dict(length_threshold=3, theta=0.5, seed=0, max_steps=3)
         self._assert_identical(EdgeRemovalAnonymizer, params, graph)
         reference = EdgeRemovalAnonymizer(**params).anonymize(graph)
-        for scan in (dict(scan_mode="batched"),
-                     dict(scan_mode="parallel", scan_workers=WORKERS)):
-            seeded = EdgeRemovalAnonymizer(**scan, **params).anonymize(
+        for scan_workers in (0, WORKERS):
+            seeded = EdgeRemovalAnonymizer(
+                scan_workers=scan_workers, **params).anonymize(
                 graph, initial_distances=bounded_distance_matrix(
                     graph, 3, engine=engine))
             self._assert_results_equal(seeded, reference)
@@ -296,10 +299,9 @@ class TestParallelScanEquivalence:
         graph = erdos_renyi_graph(24, 0.18, seed=5)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
         reference = EdgeRemovalAnonymizer(
-            scan_mode="batched",
+            scan_workers=0,
             scale_tier="dense", **params).anonymize(graph)
         observed = EdgeRemovalAnonymizer(
-            scan_mode="parallel",
             scan_workers=WORKERS, scale_tier="tiled",
             scale_budget_bytes=4096, **params).anonymize(graph)
         self._assert_results_equal(observed, reference)
@@ -317,12 +319,11 @@ class TestParallelScanEquivalence:
 
     @classmethod
     def _assert_identical(cls, algorithm, params, graph):
-        reference = algorithm(scan_mode="batched", **params).anonymize(graph)
+        reference = algorithm(scan_workers=0, **params).anonymize(graph)
         serial, evaluations = run_on(PerCandidateSession, algorithm(**params),
                                      graph)
         assert evaluations == serial.evaluations > 0
-        observed = algorithm(scan_mode="parallel", scan_workers=WORKERS,
-                             **params).anonymize(graph)
+        observed = algorithm(scan_workers=WORKERS, **params).anonymize(graph)
         cls._assert_results_equal(serial, reference)
         cls._assert_results_equal(observed, reference)
         assert observed.debug_info["scan_workers"] == WORKERS
@@ -418,7 +419,7 @@ class TestCrashSafety:
         graph = erdos_renyi_graph(18, 0.25, seed=7)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
         reference = EdgeRemovalAnonymizer(
-            scan_mode="batched",
+            scan_workers=0,
             **params).anonymize(graph)
 
         killed = []
@@ -436,7 +437,6 @@ class TestCrashSafety:
                 return outcome
 
         observed = KillAfterFirstStep(
-            scan_mode="parallel",
             scan_workers=WORKERS, **params).anonymize(graph)
         assert killed, "the run never started a scan pool"
         TestParallelScanEquivalence._assert_results_equal(observed, reference)
@@ -449,13 +449,12 @@ class TestDebugInfoAndFallbackFraction:
         graph = erdos_renyi_graph(18, 0.25, seed=2)
         params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=3)
         serial = EdgeRemovalAnonymizer(
-            scan_mode="batched",
+            scan_workers=0,
             **params).anonymize(graph)
         assert serial.debug_info["scan_workers"] == 0
         assert serial.debug_info["parallel_scans"] == 0
         assert 0.05 <= serial.debug_info["fallback_row_fraction"] <= 1.0
         parallel = EdgeRemovalAnonymizer(
-            scan_mode="parallel",
             scan_workers=WORKERS, **params).anonymize(graph)
         assert parallel.debug_info["scan_workers"] == WORKERS
         assert parallel.debug_info["parallel_scans"] > 0

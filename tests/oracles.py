@@ -15,8 +15,12 @@ it is proven against live here:
   candidate's result can depend on the batch around it: its padding
   width, its stacked tallies or its shared cell lookups.
 * :class:`FractionTieBreaker` — Algorithm 4's selection rule comparing
-  ``Fraction`` maxima, the reference for the product's cross-multiplied
+  ``Fraction`` maxima, the reference for the product's exactly ranked
   :class:`~repro.core.anonymizer.TieBreaker`.
+* :class:`SerialTieBreaker` — a :class:`~repro.core.anonymizer.TieBreaker`
+  offered one outcome at a time, comparing maxima by integer
+  cross-multiplication: the per-outcome reference for
+  :meth:`~repro.core.anonymizer.TieBreaker.offer_batch`.
 * :func:`outcomes` — a :class:`~repro.core.opacity_session.ScoredBatch` as
   a list of :class:`~repro.core.opacity_session.CandidateOutcome`, the
   form the differential suites compare.
@@ -57,6 +61,7 @@ from repro.core.anonymizer import (
     AnonymizationResult,
     AnonymizerConfig,
     BaseAnonymizer,
+    TieBreaker,
     validate_theta_schedule,
 )
 from repro.core.opacity import OpacityComputer, OpacityResult, TypeOpacity
@@ -136,6 +141,35 @@ class FractionTieBreaker:
                 self.best = candidate
                 self._tie_count = 1
             elif candidate.types_at_max == self.best.types_at_max:
+                self._tie_count += 1
+                if self._rng.random() < 1.0 / self._tie_count:
+                    self.best = candidate
+
+
+class SerialTieBreaker(TieBreaker):
+    """Algorithm 4's selection rule applied one outcome per :meth:`offer`.
+
+    Exact maxima are compared by integer cross-multiplication, the
+    ordering ``Fraction`` induces.  Its state is the product's, so a
+    breaker can take offers from both :meth:`offer` and
+    :meth:`~repro.core.anonymizer.TieBreaker.offer_batch`.
+    """
+
+    def offer(self, candidate: CandidateOutcome) -> None:
+        """Consider one candidate outcome."""
+        best = self.best
+        ordering = 0 if best is None else (
+            candidate.numerator * best.denominator
+            - best.numerator * candidate.denominator)
+        if best is None or ordering < 0:
+            self.best = candidate
+            self._tie_count = 1
+            return
+        if ordering == 0:
+            if candidate.types_at_max < best.types_at_max:
+                self.best = candidate
+                self._tie_count = 1
+            elif candidate.types_at_max == best.types_at_max:
                 self._tie_count += 1
                 if self._rng.random() < 1.0 / self._tie_count:
                     self.best = candidate

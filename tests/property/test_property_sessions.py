@@ -523,19 +523,18 @@ class _ShuffleBetweenSteps(NullObserver):
 _ALGORITHMS = {
     "rem": lambda length, workers, seed: EdgeRemovalAnonymizer(
         length_threshold=length, theta=0.2, seed=seed, lookahead=2,
-        max_steps=4, scan_mode="parallel", scan_workers=workers),
+        max_steps=4, scan_workers=workers),
     "rem-ins": lambda length, workers, seed: EdgeRemovalInsertionAnonymizer(
         length_threshold=length, theta=0.2, seed=seed, lookahead=2,
-        max_steps=3, scan_mode="parallel", scan_workers=workers),
+        max_steps=3, scan_workers=workers),
+    # The baselines run at L = 1, where scans compose from type positions
+    # and never start a pool, so they take no scan knob.
     "gades": lambda length, workers, seed: GadesAnonymizer(
-        theta=0.5, seed=seed, max_steps=3, swap_sample_size=20,
-        scan_mode="parallel", scan_workers=workers),
+        theta=0.5, seed=seed, max_steps=3, swap_sample_size=20),
     "gaded-rand": lambda length, workers, seed: GadedRandAnonymizer(
-        theta=0.2, seed=seed, max_steps=4, scan_mode="parallel",
-        scan_workers=workers),
+        theta=0.2, seed=seed, max_steps=4),
     "gaded-max": lambda length, workers, seed: GadedMaxAnonymizer(
-        theta=0.2, seed=seed, max_steps=4, scan_mode="parallel",
-        scan_workers=workers),
+        theta=0.2, seed=seed, max_steps=4),
 }
 
 
@@ -543,7 +542,7 @@ class TestAdjacencyOrderIndependence:
     """Results never depend on adjacency-set iteration order.
 
     Between greedy steps an observer rebuilds every adjacency set of the
-    working graph in a shuffled order; serial and two-worker parallel scans
+    working graph in a shuffled order; serial and two-worker pooled scans
     must still equal the unshuffled serial run — at L = 1 and 2 for the
     paper's heuristics, at the baselines' fixed L = 1.
     """

@@ -37,6 +37,7 @@ from repro.graph.graph import Graph
 from tests.oracles import (
     FractionTieBreaker,
     ScratchSession,
+    SerialTieBreaker,
     evaluate_with_fractions,
     result_from_counts,
     type_keys,
@@ -321,14 +322,14 @@ class TestTieBreakerReference:
                                      numerator=num, denominator=den,
                                      types_at_max=ties)
                     for index, (num, den, ties) in enumerate(stream)]
-        product_rng, reference_rng = random.Random(seed), random.Random(seed)
-        product = TieBreaker(product_rng)
+        serial_rng, reference_rng = random.Random(seed), random.Random(seed)
+        serial = SerialTieBreaker(serial_rng)
         reference = FractionTieBreaker(reference_rng)
         for outcome in outcomes:
-            product.offer(outcome)
+            serial.offer(outcome)
             reference.offer(outcome)
-        assert product.best is reference.best
-        assert product_rng.getstate() == reference_rng.getstate()
+        assert serial.best is reference.best
+        assert serial_rng.getstate() == reference_rng.getstate()
 
 
 #: One outcome: (numerator, denominator, types_at_max).  Small values make
@@ -397,7 +398,8 @@ class TestBatchTieBreakerReplay:
     @settings(max_examples=150, deadline=None)
     def test_single_breaker_matches_per_candidate_offers(self, seed, stream):
         product_rng, reference_rng = random.Random(seed), random.Random(seed)
-        product, reference = TieBreaker(product_rng), TieBreaker(reference_rng)
+        product = TieBreaker(product_rng)
+        reference = SerialTieBreaker(reference_rng)
         columns = [np.array(column, dtype=np.int64)
                    for column in zip(*stream)] or \
             [np.empty(0, dtype=np.int64)] * 3

@@ -151,7 +151,8 @@ class TestErrorPaths:
         assert store.list_jobs() == []
 
     @pytest.mark.parametrize("field,value", (("sweep_mode", "checkpointed"),
-                                             ("engine", "numpy")))
+                                             ("engine", "numpy"),
+                                             ("scan_mode", "parallel")))
     def test_retired_field_is_400_naming_it(self, service, field, value):
         client, store, _manager = service
         payload = dict(BASE.to_dict(), **{field: value})
@@ -164,15 +165,17 @@ class TestErrorPaths:
                 caught.value.payload["error"]
         assert store.list_jobs() == []
 
-    def test_result_stored_before_the_engine_retirement_is_served_verbatim(
-            self, service):
+    @pytest.mark.parametrize("field,value", (("engine", "numpy"),
+                                             ("scan_mode", "parallel")))
+    def test_result_stored_before_a_field_retirement_is_served_verbatim(
+            self, service, field, value):
         # A finished job's result is served as stored: its request still
         # names the retired field, and nothing re-parses it.
         client, store, _manager = service
-        request = dict(BASE.to_dict(), engine="numpy")
+        request = dict(BASE.to_dict(), **{field: value})
         result = run_grid(small_grid()).to_dict()
         for response in result["responses"]:
-            response["request"]["engine"] = "numpy"
+            response["request"][field] = value
         job_id = store.create_job("grid", "pre-retirement",
                                   json.dumps({"requests": [request]}), 1)
         store.record_result(job_id, json.dumps(result))

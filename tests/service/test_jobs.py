@@ -471,12 +471,14 @@ class TestResume:
         finally:
             manager.stop()
 
-    def test_stored_rows_naming_the_retired_engine_error_on_resume(
-            self, store):
-        """Interrupted rows stored before ``engine`` was retired — in the
+    @pytest.mark.parametrize("field,value", (("engine", "numpy"),
+                                             ("scan_mode", "parallel")))
+    def test_stored_rows_naming_a_retired_field_error_on_resume(
+            self, store, field, value):
+        """Interrupted rows stored before a field was retired — in the
         request or in a stored response — end ``error`` with a typed
         message naming the field; the worker runs the next job."""
-        payload = dict(BASE.to_dict(), engine="numpy")
+        payload = dict(BASE.to_dict(), **{field: value})
         stale_request = store.create_job("anonymize", "stale-request",
                                          json.dumps(payload), 1)
         time.sleep(0.01)  # resume order follows creation time
@@ -484,7 +486,7 @@ class TestResume:
         stale_response = store.create_job("grid", "stale-response",
                                           grid.to_json(), 1)
         stored = anonymize(grid.requests[0]).to_dict()
-        stored["request"]["engine"] = "numpy"
+        stored["request"][field] = value
         store.record_response(stale_response, 0, json.dumps(stored))
         store.set_status(stale_response, "running")
         time.sleep(0.01)
@@ -498,7 +500,7 @@ class TestResume:
                 job = manager.wait_for(job_id, timeout=120)
                 assert job["status"] == "error"
                 assert job["error"].startswith("ConfigurationError: ")
-                assert "unknown request field(s) ['engine']" in job["error"]
+                assert f"unknown request field(s) ['{field}']" in job["error"]
             assert manager.wait_for(fresh, timeout=120)["status"] == "done"
         finally:
             manager.stop()
@@ -578,26 +580,24 @@ class TestScanDefaults:
                            match=r"max_workers must be >= 0, got -1"):
             JobManager(store, max_workers=-1)
 
-    def test_default_promotes_batched_requests_at_execution(self, store):
+    def test_default_promotes_serial_requests_at_execution(self, store):
         manager = JobManager(store, scan_workers=2)
         patched = manager._apply_scale_defaults("anonymize", BASE)
-        assert patched.scan_mode == "parallel"
-        assert patched.scan_workers == 2
+        assert patched == BASE.with_overrides(scan_workers=2)
         patched_grid = manager._apply_scale_defaults("grid", small_grid())
-        assert all(request.scan_mode == "parallel"
-                   and request.scan_workers == 2
+        assert all(request.scan_workers == 2
                    for request in patched_grid.requests)
 
     def test_explicit_scan_choices_beat_the_default(self, store):
         manager = JobManager(store, scan_workers=2)
         serial = BASE.with_overrides(scan_workers=0)
         assert manager._apply_scale_defaults("anonymize", serial) == serial
-        chosen = BASE.with_overrides(scan_mode="parallel", scan_workers=1)
+        chosen = BASE.with_overrides(scan_workers=1)
         assert manager._apply_scale_defaults("anonymize", chosen) == chosen
-        # Mode chosen but size left open: only the size is filled in.
-        open_size = BASE.with_overrides(scan_mode="parallel")
+        # Size left open: only the size is filled in.
+        open_size = BASE.with_overrides(scan_workers=None)
         assert manager._apply_scale_defaults(
-            "anonymize", open_size).scan_workers == 2
+            "anonymize", open_size) == BASE.with_overrides(scan_workers=2)
 
     def test_parallel_default_job_matches_a_serial_run(self, store):
         grid = small_grid()

@@ -74,38 +74,42 @@ class TestCommands:
                       "--evaluation-mode", mode])
             assert "--evaluation-mode" in capsys.readouterr().err
 
-    def test_anonymize_command_scan_modes_agree(self, tmp_path, capsys):
+    def test_anonymize_command_batched_and_per_candidate_scans_agree(
+            self, tmp_path, capsys):
         # Stacked batch scans against the per-candidate oracle.
-        batched = self._anonymize_output(tmp_path / "anon-batched.edges",
-                                         extra=("--scan-mode", "batched"))
+        batched = self._anonymize_output(tmp_path / "anon-batched.edges")
         per_candidate = self._anonymize_output(
-            tmp_path / "anon-per-candidate.edges", PerCandidateSession,
-            extra=("--scan-mode", "batched"))
+            tmp_path / "anon-per-candidate.edges", PerCandidateSession)
         assert batched == per_candidate
 
-    def test_anonymize_command_rejects_unknown_scan_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                  "--scan-mode", "turbo"])
+    def test_anonymize_and_sweep_reject_the_retired_scan_mode_flag(
+            self, capsys):
+        # The flag is retired (--scan-workers alone decides): every value
+        # is an unrecognised argument.
+        for command in ("anonymize", "sweep"):
+            for mode in ("batched", "parallel"):
+                with pytest.raises(SystemExit):
+                    main([command, "--dataset", "gnutella", "--size", "40",
+                          "--scan-mode", mode])
+                assert "--scan-mode" in capsys.readouterr().err
 
-    def test_anonymize_command_parallel_scan_agrees_with_batched(
+    def test_anonymize_command_parallel_scan_agrees_with_serial(
             self, tmp_path, capsys):
         outputs = {}
-        for mode, extra in (("batched", []),
-                            ("parallel", ["--scan-workers", "2"])):
-            output = tmp_path / f"anon-{mode}.edges"
+        for workers in ("0", "2"):
+            output = tmp_path / f"anon-{workers}.edges"
             exit_code = main(["anonymize", "--dataset", "gnutella",
                               "--size", "40", "--algorithm", "rem",
                               "--theta", "0.6", "--length", "2",
-                              "--seed", "0", "--scan-mode", mode,
-                              "--output", str(output)] + extra)
+                              "--seed", "0", "--scan-workers", workers,
+                              "--output", str(output)])
             assert exit_code == 0
-            outputs[mode] = output.read_text()
-        assert outputs["batched"] == outputs["parallel"]
+            outputs[workers] = output.read_text()
+        assert outputs["0"] == outputs["2"]
 
     def test_anonymize_command_rejects_negative_scan_workers(self, capsys):
         exit_code = main(["anonymize", "--dataset", "gnutella", "--size", "40",
-                          "--scan-mode", "parallel", "--scan-workers", "-1"])
+                          "--scan-workers", "-1"])
         assert exit_code != 0
 
     def test_anonymize_command_reads_edge_list(self, tmp_path, capsys):
@@ -194,7 +198,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("field,value", (("evaluation_mode", "scratch"),
                                              ("sweep_mode", "independent"),
-                                             ("engine", "numpy")))
+                                             ("engine", "numpy"),
+                                             ("scan_mode", "parallel")))
     def test_batch_spec_with_retired_field_is_rejected(self, tmp_path, capsys,
                                                        field, value):
         spec_path = tmp_path / "jobs.json"
