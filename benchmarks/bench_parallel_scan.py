@@ -21,6 +21,11 @@ asserts the peak-RSS deltas — the measuring parent's own, and the pool
 workers' over the parent's baseline — stay under the tile budget plus a
 fixed overhead slack, i.e. parallel scans stream tiles instead of
 materializing the matrix per worker.
+
+Both run at L = 3: L <= 2 scans score from type positions or
+common-neighbour counts and never start a pool.  Each asserts its premise
+first — the run took greedy steps and at least one scan ran pooled — so
+neither can pass by measuring nothing.
 """
 
 import multiprocessing
@@ -29,19 +34,20 @@ import resource
 import time
 
 from benchmarks.conftest import smoke
-from repro.api import AnonymizationRequest, anonymize
+from repro.api import AnonymizationRequest, AnonymizationResponse, anonymize
+from repro.api.registry import default_registry
 from repro.graph.distance_store import dense_matrix_bytes
 from repro.graph.matrices import distance_dtype
 
 DATASET = "gnutella"
-#: The scan must dominate pool startup.  rem-ins at L=2 scans every
-#: absent edge in its insertion phase — ~40k candidate evaluations per
-#: step at n=300 (~2.4s/step serial), the exact single-θ-group workload
-#: the pool shards; the smoke shape keeps tens of thousands of
-#: evaluations at CI cost.
+#: The scan must dominate pool startup.  rem-ins at L=3 scans every
+#: absent edge in its insertion phase through distance slabs — ~20k
+#: candidate evaluations per step at n=200 (~4.5s/step serial), the exact
+#: single-θ-group workload the pool shards; the smoke shape keeps tens of
+#: thousands of evaluations at CI cost.
 SAMPLE_SIZE = smoke(300, 200)
 ALGORITHM = "rem-ins"
-LENGTH = 2
+LENGTH = 3
 THETA = 0.1
 MAX_STEPS = smoke(3, 2)
 WORKERS = 4
@@ -61,6 +67,15 @@ def _request(**overrides) -> AnonymizationRequest:
     return AnonymizationRequest(**params)
 
 
+def _run(request: AnonymizationRequest):
+    """:func:`repro.api.anonymize`, also returning the run's ``debug_info``."""
+    graph = request.resolve_graph()
+    algorithm = default_registry().create(request.algorithm,
+                                          **request.algorithm_params())
+    result = algorithm.anonymize(graph)
+    return AnonymizationResponse.from_result(request, result), result.debug_info
+
+
 def bench_parallel_scan(benchmark):
     benchmark.group = (f"parallel scan, {DATASET} n={SAMPLE_SIZE} "
                        f"L={LENGTH} x{WORKERS}w")
@@ -70,12 +85,15 @@ def bench_parallel_scan(benchmark):
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = benchmark.pedantic(
-        anonymize, args=(_request(scan_workers=WORKERS),),
+    parallel, debug_info = benchmark.pedantic(
+        _run, args=(_request(scan_workers=WORKERS),),
         rounds=1, iterations=1)
     parallel_s = time.perf_counter() - start
 
     assert serial.ok and parallel.ok
+    # Premise: the run took steps and its scans really were sharded.
+    assert parallel.num_steps > 0
+    assert debug_info["parallel_scans"] > 0
     cores = os.cpu_count() or 1
     serial_eps = serial.evaluations / serial_s if serial_s else float("inf")
     parallel_eps = (parallel.evaluations / parallel_s
@@ -102,9 +120,11 @@ def bench_parallel_scan(benchmark):
 
 #: Same premise as bench_scale_tier: the dense matrix must not fit the
 #: budget + slack, so the RSS bound is unsatisfiable if any process
-#: materializes it.
+#: materializes it.  At L=3 gnutella n=12000 starts at maxLO ≈ 0.083, so
+#: RSS_THETA = 0.05 makes the run take a pooled greedy step.
 RSS_SAMPLE_SIZE = smoke(16000, 12000)
 RSS_MAX_STEPS = smoke(2, 1)
+RSS_THETA = 0.05
 RSS_WORKERS = 2
 BUDGET_BYTES = 8 << 20
 #: Interpreter + numpy temporaries + the sample's edge arrays + the
@@ -119,19 +139,20 @@ def _measure_parallel_tiled_run(queue, sample_size, budget_bytes):
     anonymize(warm)
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     request = AnonymizationRequest(dataset=DATASET, sample_size=sample_size,
-                                   seed=0, algorithm="rem", theta=THETA,
+                                   seed=0, algorithm="rem", theta=RSS_THETA,
                                    length_threshold=LENGTH,
                                    max_steps=RSS_MAX_STEPS,
                                    scan_workers=RSS_WORKERS,
                                    scale_tier="tiled",
                                    scale_budget_bytes=budget_bytes)
-    response = anonymize(request)
+    response, debug_info = _run(request)
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     # The pool workers were forked from this process and joined when the
     # session closed, so RUSAGE_CHILDREN holds their high-water mark.
     rss_workers = resource.getrusage(
         resource.RUSAGE_CHILDREN).ru_maxrss * 1024
-    queue.put((rss0, rss1, rss_workers, response.success, response.error))
+    queue.put((rss0, rss1, rss_workers, response.num_steps,
+               debug_info["parallel_scans"], response.error))
 
 
 def bench_parallel_scan_tiled_rss(benchmark):
@@ -153,7 +174,7 @@ def bench_parallel_scan_tiled_rss(benchmark):
         return result
 
     start = time.perf_counter()
-    rss0, rss1, rss_workers, success, error = benchmark.pedantic(
+    rss0, rss1, rss_workers, steps, pooled, error = benchmark.pedantic(
         run_child, rounds=1, iterations=1)
     elapsed = time.perf_counter() - start
 
@@ -164,8 +185,13 @@ def bench_parallel_scan_tiled_rss(benchmark):
           f"\n  parent peak-RSS delta:   {delta / 2**20:8.1f} MiB"
           f"\n  worker peak over base:   {worker_delta / 2**20:8.1f} MiB"
           f"\n  bound (budget + slack):  {bound / 2**20:8.1f} MiB"
-          f"\n  run: success={success} in {elapsed:.1f}s")
+          f"\n  run: {steps} step(s), {pooled} pooled scan(s) in "
+          f"{elapsed:.1f}s")
     assert error is None
+    # Premise: the run took steps through the pool, or the worker bound
+    # below measures nothing.
+    assert steps > 0
+    assert pooled > 0
     # Every process of the sharded tiled scan streams tiles under the
     # byte budget — nobody materializes the n x n matrix.
     assert delta <= bound, (

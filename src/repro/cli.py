@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     anonymize.add_argument("--lookahead", type=int, default=1)
     anonymize.add_argument("--scan-workers", type=int, default=None,
                            dest="scan_workers",
-                           help="shard each L >= 2 candidate scan across a "
+                           help="shard each L >= 3 candidate scan across a "
                                 "pool of this many worker processes (0 or 1 = "
                                 "serial, the default); identical edits "
                                 "either way")

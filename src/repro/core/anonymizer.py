@@ -52,14 +52,15 @@ from repro.graph.distance_store import (
 from repro.graph.graph import Edge, Graph
 from repro.metrics.distortion import edit_distance_ratio
 
-#: Candidates per :meth:`OpacitySession.score_combinations` call at L >= 2.
+#: Candidates per :meth:`OpacitySession.score_combinations` call at L >= 3.
 #: Large enough to amortize the per-pass numpy dispatch, small enough that
 #: a stop request (observer/timeout) never waits on more than one chunk's
 #: worth of computed-but-unreported evaluations.
 BATCH_SCAN_CHUNK = 256
 
-#: Candidates per :meth:`OpacitySession.score_combinations` call at L = 1,
-#: where a candidate costs a few array cells and no distance work: the
+#: Candidates per :meth:`OpacitySession.score_combinations` call at L <= 2,
+#: where a candidate costs a few array cells (L = 1) or its footprint of
+#: 2-paths (L = 2, chunked further by footprint) and no distance work: the
 #: chunk only bounds the summarizer's arrays.
 COMPOSED_SCAN_CHUNK = 1 << 13
 
@@ -113,7 +114,7 @@ class AnonymizerConfig:
         be met; otherwise return a best-effort result with ``success=False``.
     scan_workers:
         Scan-pool size.  ``None`` (default), 0 and 1 scan serially; N >= 2
-        shards each L >= 2 candidate scan across a pool of N processes
+        shards each L >= 3 candidate scan across a pool of N processes
         attached to a shared-memory publication of the session state
         (DESIGN.md §14).  Inside θ-group pool workers scans stay serial
         (no nested oversubscription).  Either way the run chooses
@@ -712,10 +713,10 @@ def scored_chunks(session: OpacitySession, result: AnonymizationResult,
     ``k`` first, then raises :class:`AnonymizationStopped`, so a consumer
     that acts per outcome stops exactly where per-candidate evaluation
     would.  Chunks hold ``BATCH_SCAN_CHUNK`` candidates (times the pool
-    size) at L >= 2, so a stop never waits on more than one of them, and
-    ``COMPOSED_SCAN_CHUNK`` at L = 1.
+    size) at L >= 3, so a stop never waits on more than one of them, and
+    ``COMPOSED_SCAN_CHUNK`` at L <= 2.
     """
-    if session.computer.length_threshold == 1:
+    if session.computer.length_threshold <= 2:
         chunk = COMPOSED_SCAN_CHUNK
     else:
         chunk = BATCH_SCAN_CHUNK * max(1, session.scan_parallelism)

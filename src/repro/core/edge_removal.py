@@ -108,6 +108,18 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
             pairs, edges = rows * n + cols, edge_u * n + edge_v
             at = np.searchsorted(pairs, edges).clip(max=pairs.size - 1)
             return pairs[at] == edges
+        if length == 2 and rows.size:
+            # A path of length ≤ 2 between i and j is the edge (i, j) or a
+            # pair of edges (i, m), (m, j) through a common neighbour m:
+            # the session lists them from the adjacency alone.
+            n = session.graph.num_vertices
+            path_u, path_v = session.short_path_edges(rows, cols)
+            on_paths = np.sort(path_u * n + path_v)
+            if not on_paths.size:
+                return keep
+            edges = edge_u * n + edge_v
+            at = np.searchsorted(on_paths, edges).clip(max=on_paths.size - 1)
+            return on_paths[at] == edges
         # Chunked vectorized membership test: a removal candidate survives
         # when it lies on a ≤L path of some violating pair.  Distances come
         # in row blocks through the store seam (the tiled tier has no dense

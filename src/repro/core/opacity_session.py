@@ -16,17 +16,19 @@ A tentative edit then costs one distance delta plus a count delta over the
 flipped cells, tallied by their type positions
 (:meth:`~repro.core.opacity.OpacityComputer.type_indices`); at L = 1 it
 skips the distance machinery entirely, since a flipped cell is exactly
-an edited edge.  The session reproduces the stateless evaluator
-*bit-identically*: the same ``Fraction`` maxima and the same
-``types_at_max`` tie-break counts, so a greedy run chooses the same edits
-as the stateless evaluator would.
+an edited edge, and at L = 2 it reads the common-neighbour counts of
+:class:`~repro.graph.two_hop.TwoHopCounts` instead of distance rows.  The
+session reproduces the stateless evaluator *bit-identically*: the same
+``Fraction`` maxima and the same ``types_at_max`` tie-break counts, so a
+greedy run chooses the same edits as the stateless evaluator would.
 
 The paper's copy-evaluate-restore loop is the reference semantics: apply
 the edit, run the stateless evaluator, revert.  The test suite keeps that
 loop as a reference session and runs every algorithm on both.  A
 tentative edit never touches the working graph here: candidate scans
-read the distance store, the adjacency mirror and the session's arrays,
-so nothing downstream can depend on how a scan ran.
+read the distance store, the adjacency mirror, the common-neighbour
+counts and the session's arrays, so nothing downstream can depend on how
+a scan ran.
 
 Every candidate scan goes through :meth:`OpacitySession.score_combinations`:
 rows of candidate indices with one insertion flag per member, scored to
@@ -37,10 +39,13 @@ row of padded ``(types, deltas)`` matrices, and the summary comes from the
 types it changes only (:meth:`~OpacitySession._summarize_changed`).  At
 L = 1 a candidate's count change is the sum of its members' signed type
 hits, so a whole scan is scored from one index array over the candidates'
-type positions.  At L >= 2 the candidates' distance deltas are stacked
-into :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
-passes where they are homogeneous single edges, and every candidate's
-flipped cells are tallied with a single grouped bincount.  The session
+type positions.  At L = 2 a pair is within reach exactly when it is an
+edge or has a common neighbour, so a candidate's flipped pairs follow from
+the 2-paths its members break or create (:mod:`repro.graph.two_hop`),
+with no distance slab.  At L >= 3 the candidates' distance deltas are
+stacked into :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
+passes where they are homogeneous single edges.  Either way every
+candidate's flipped cells are tallied with one grouped count.  The session
 also maintains the pruning pass's
 within-L pairs incrementally (:meth:`violating_pair_indices`) as a sparse
 sorted set of upper-triangle flat indices — O(within-L pairs), never an
@@ -56,7 +61,6 @@ reads a sorted edge array kept in step with :meth:`~OpacitySession.apply_edit`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -72,6 +76,7 @@ from repro.errors import InvalidEdgeError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
+from repro.graph.two_hop import TwoHopCounts, splice, triu_flat, triu_unflat
 
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
@@ -79,39 +84,6 @@ EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
 #: Cells per row chunk when a distance matrix is streamed into the sparse
 #: within-L pair set (bounds the chunk's boolean temporaries to ~4 MiB).
 _WITHIN_CHUNK_CELLS = 1 << 22
-
-
-def _triu_flat(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Flat position of pair ``(i, j)``, ``i < j``, in ``triu_indices(n, 1)`` order.
-
-    That is ``i·(2n−i−1)/2 + (j−i−1)``, folded to five array operations.
-    """
-    return i * (2 * n - 3 - i) // 2 + j - 1
-
-
-@lru_cache(maxsize=8)
-def _triu_row_starts(n: int) -> np.ndarray:
-    """Flat position of each row's first pair ``(i, i + 1)`` (read-only)."""
-    rows = np.arange(n, dtype=np.int64)
-    starts = _triu_flat(rows, rows + 1, n)
-    starts.setflags(write=False)
-    return starts
-
-
-def _triu_unflat(flat: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Invert :func:`_triu_flat`: a searchsorted over the row starts."""
-    row_starts = _triu_row_starts(n)
-    i = np.searchsorted(row_starts, flat, side="right") - 1
-    return i, flat - row_starts[i] + i + 1
-
-
-def _splice(kept: np.ndarray, slots: np.ndarray, added: np.ndarray,
-            at: np.ndarray) -> np.ndarray:
-    """Merge ``kept`` into ``slots`` and ``added`` into positions ``at``."""
-    out = np.empty(slots.size, dtype=np.int64)
-    out[slots] = kept
-    out[at] = added
-    return out
 
 
 def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
@@ -130,7 +102,7 @@ def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
             rows, cols = np.nonzero(slab <= length)
             rows += low
             upper = cols > rows
-            parts.append(_triu_flat(rows[upper], cols[upper], n))
+            parts.append(triu_flat(rows[upper], cols[upper], n))
     return np.concatenate(parts)
 
 
@@ -243,12 +215,13 @@ class OpacitySession:
     scan_workers:
         Size of the scan pool, as resolved by
         :func:`repro.core.scan_pool.resolve_scan_workers`.  With a value
-        >= 2, :meth:`score_combinations` shards each L >= 2 scan wider than
+        >= 2, :meth:`score_combinations` shards each L >= 3 scan wider than
         the pool across that many worker processes attached to a
         shared-memory publication of this session's state; 0 or 1 keeps
-        every scan serial, and so does L = 1, where scans compose from
-        type positions.  Any pool failure falls back to the serial scan
-        permanently — results are bit-identical either way.
+        every scan serial, and so does L <= 2, where scans compose from
+        type positions or common-neighbour counts.  Any pool failure falls
+        back to the serial scan permanently — results are bit-identical
+        either way.
     initial_distances:
         Optional precomputed L-bounded distances of ``graph`` — a matrix
         (e.g. a thresholded slice of a shared
@@ -292,6 +265,9 @@ class OpacitySession:
             fallback_row_fraction=fallback_row_fraction,
             initial_distances=initial_distances,
             store_config=store_config)
+        # L = 2 scans score from the common-neighbour counts alone.
+        self._two_hop = (TwoHopCounts(graph)
+                         if computer.length_threshold == 2 else None)
         self._init_counts()
 
     # ------------------------------------------------------------------
@@ -316,7 +292,7 @@ class OpacitySession:
     def scan_parallelism(self) -> int:
         """How many processes a candidate scan currently spans (>= 1)."""
         if self._scan_workers > 1 and not self._scan_failed \
-                and self._computer.length_threshold > 1:
+                and self._computer.length_threshold > 2:
             return self._scan_workers
         return 1
 
@@ -433,10 +409,11 @@ class OpacitySession:
 
         At L = 1 an edit flips only its own cells, so a candidate's count
         change is the sum of its members' signed hits on their types: the
-        batch is scored from the members' type positions alone.  At L >= 2
-        the candidates are previewed (:meth:`_scan_changes`).  Either way
-        the summary comes from the changed types only
-        (:meth:`_summarize_changed`).
+        batch is scored from the members' type positions alone.  At L = 2
+        the flipped pairs come from the common-neighbour counts
+        (:meth:`_two_hop_changes`).  At L >= 3 the candidates are previewed
+        (:meth:`_scan_changes`).  In every case the summary comes from the
+        changed types only (:meth:`_summarize_changed`).
         """
         size = self._totals.size
         if self._computer.length_threshold == 1:
@@ -466,6 +443,9 @@ class OpacitySession:
             repeat[:, 1:] = types[:, 1:] == types[:, :-1]
             types[repeat] = size
             return self._summarize_changed(types, hits)
+        if self._two_hop is not None:
+            return self._summarize_changed(
+                *self._two_hop_changes(endpoints, members, gained))
         gained = np.broadcast_to(gained, members.shape)
         edges = list(map(tuple, endpoints.tolist()))
         pairs = [(tuple(edges[j] for j, flag in zip(row, flags)
@@ -474,6 +454,21 @@ class OpacitySession:
                         if j >= 0 and flag))
                  for row, flags in zip(members.tolist(), gained.tolist())]
         return self._summarize_changed(*self._scan_changes(pairs))
+
+    def _two_hop_changes(self, endpoints: np.ndarray, members: np.ndarray,
+                         gained: np.ndarray) -> Changes:
+        """Per-candidate count changes at L = 2, from the common-neighbour counts.
+
+        :meth:`TwoHopCounts.flips` yields each footprint-sized chunk's
+        flipped pairs; each chunk is tallied alone and the chunks are
+        stacked in candidate order.
+        """
+        n = self._graph.num_vertices
+        parts = [self._tally_cells(stop - start, owner, *triu_unflat(flat, n),
+                                   now_within)
+                 for start, stop, owner, flat, now_within
+                 in self._two_hop.flips(endpoints, members, gained)]
+        return _stack_changes(parts, self._totals.size)
 
     def collect_edit_changes(self, pairs: Sequence[EditCandidate]) -> Changes:
         """Per-candidate count changes of a shard (scan-pool workers).
@@ -518,7 +513,7 @@ class OpacitySession:
         return self._scan_pool
 
     def _scan_changes(self, pairs: List[EditCandidate]) -> Changes:
-        """Per-candidate count changes at L >= 2, sharded when a pool pays.
+        """Per-candidate count changes at L >= 3, sharded when a pool pays.
 
         A scan wider than the pool goes to the workers; any pool failure
         falls back to the serial scan permanently.  On success the shards'
@@ -574,6 +569,8 @@ class OpacitySession:
             if self._within_flat is not None:
                 self._fold_flipped_cells(*cells)
         self._distance.commit(delta)
+        if self._two_hop is not None:
+            self._two_hop.apply(removals, insertions)
         # One candidate's row lists distinct types and has no padding.
         self._withins[types[0]] += changes[0]
         self._current = None
@@ -587,6 +584,8 @@ class OpacitySession:
     def resync(self) -> None:
         """Rebuild all incremental state from scratch (testing / recovery)."""
         self._distance.refresh()
+        if self._two_hop is not None:
+            self._two_hop = TwoHopCounts(self._graph)
         self._init_counts()
         self._within_flat = None
         self._within_types = None
@@ -605,24 +604,42 @@ class OpacitySession:
         every step.  The within-L pairs are kept as a sorted set of triu
         flat indices ``i·(2n−i−1)/2 + (j−i−1)`` with the type position of
         each alongside: seeded lazily on the first query by streaming the
-        store's row blocks, then folded forward by each applied delta's
-        flipped cells, so a query is one gather over the within-L pairs.
+        store's row blocks (at L = 2, from the common-neighbour counts and
+        the edges, with no store read), then folded forward by each applied
+        delta's flipped cells, so a query is one gather over the within-L
+        pairs.
         The result is int64 ``(rows, cols)`` in ``np.triu_indices(n, 1)``
         order, and no state grows with ``n²``.
         """
         if self._within_flat is None:
-            length = self._computer.length_threshold
-            self._set_within_pairs(_within_pair_set(self._distance.store,
-                                                    length))
+            if self._two_hop is not None:
+                self._set_within_pairs(self._two_hop.within_pairs())
+            else:
+                length = self._computer.length_threshold
+                self._set_within_pairs(_within_pair_set(self._distance.store,
+                                                        length))
         flagged = np.append(type_mask, False)[self._within_types]
-        return _triu_unflat(self._within_flat[flagged],
-                            self._graph.num_vertices)
+        return triu_unflat(self._within_flat[flagged],
+                           self._graph.num_vertices)
+
+    def short_path_edges(self, rows: np.ndarray, cols: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+        """The edges on a path of length <= 2 between each pair ``(rows[k], cols[k])``.
+
+        An L = 2 session's pruning query, answered from the adjacency
+        alone (:meth:`TwoHopCounts.path_edges`): int64 ``(u, v)`` arrays,
+        ``u < v``, unordered and with repeats.
+        """
+        if self._two_hop is None:
+            raise ValueError("short_path_edges needs an L = 2 session")
+        return self._two_hop.path_edges(np.asarray(rows, dtype=np.int64),
+                                        np.asarray(cols, dtype=np.int64))
 
     def _set_within_pairs(self, flat: np.ndarray) -> None:
         """Adopt ``flat`` as the within-L set, with its aligned type positions."""
         self._within_flat = flat
         self._within_types = self._computer.type_indices(
-            *_triu_unflat(flat, self._graph.num_vertices))
+            *triu_unflat(flat, self._graph.num_vertices))
 
     def _fold_edges(self, removals: Sequence[Edge],
                     insertions: Sequence[Edge]) -> None:
@@ -657,7 +674,7 @@ class OpacitySession:
         """
         i = np.minimum(row_idx, col_idx)
         j = np.maximum(row_idx, col_idx)
-        flat = _triu_flat(i, j, self._graph.num_vertices)
+        flat = triu_flat(i, j, self._graph.num_vertices)
         within, types = self._within_flat, self._within_types
         lost = flat[~gained]
         if lost.size:
@@ -670,8 +687,8 @@ class OpacitySession:
             at = np.searchsorted(within, added) + np.arange(added.size)
             slots = np.ones(within.size + added.size, dtype=bool)
             slots[at] = False
-            within = _splice(within, slots, added, at)
-            types = _splice(types, slots, self._computer.type_indices(
+            within = splice(within, slots, added, at)
+            types = splice(types, slots, self._computer.type_indices(
                 i[gained][order], j[gained][order]), at)
         self._within_flat, self._within_types = within, types
 
@@ -809,24 +826,24 @@ class OpacitySession:
                      gained: np.ndarray) -> Changes:
         """Count changes of ``count`` candidates from their stacked flipped cells.
 
-        ``candidate`` names the candidate each cell belongs to.  The cells'
-        type positions go through one ``np.unique`` and one grouped
-        ``bincount`` over ``(candidate, type, sign)``; row ``c`` of the
-        result holds the net change of every type candidate ``c``'s cells
-        touch, in type order (a gain and a loss of the same type net to no
-        entry, and untyped pairs count for nothing).
+        ``candidate`` names the candidate each cell belongs to.  The cells
+        are grouped by ``(candidate, type position)`` with one ``np.unique``
+        and their gains and losses counted per group, so the work is
+        O(cells) whatever the number of types or candidates; row ``c`` of
+        the result holds the net change of every type candidate ``c``'s
+        cells touch, in type order (a gain and a loss of the same type net
+        to no entry, and untyped pairs count for nothing).
         """
         untyped = self._totals.size
-        types, inverse = np.unique(
-            self._computer.type_indices(row_idx, col_idx), return_inverse=True)
-        grouped = (candidate * types.size + inverse) * 2 + gained.astype(np.int64)
-        counts = np.bincount(grouped, minlength=count * types.size * 2)
-        net = counts.reshape(count, types.size, 2)
-        net = net[:, :, 1].astype(np.int64) - net[:, :, 0]
-        net[:, types == untyped] = 0
-        positions, type_positions = np.nonzero(net)
-        return _padded_changes(count, positions, types[type_positions],
-                               net[positions, type_positions], untyped)
+        keys = (candidate * (untyped + 1)
+                + self._computer.type_indices(row_idx, col_idx))
+        groups, inverse = np.unique(keys, return_inverse=True)
+        net = (np.bincount(inverse[gained], minlength=groups.size)
+               - np.bincount(inverse[~gained], minlength=groups.size))
+        positions, types = np.divmod(groups, untyped + 1)
+        kept = (net != 0) & (types != untyped)
+        return _padded_changes(count, positions[kept], types[kept], net[kept],
+                               untyped)
 
     def _type_ranking(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The current type ratios in exact descending order, built once per state.

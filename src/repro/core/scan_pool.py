@@ -1,6 +1,6 @@
 """Persistent worker pool sharding one candidate scan over a shared arena.
 
-A ``scan_workers`` count of 2 or more splits each L >= 2 candidate scan of a
+A ``scan_workers`` count of 2 or more splits each L >= 3 candidate scan of a
 greedy step across a pool of that many worker processes.  The parent publishes its session's
 *current* graph and distance store into a
 :class:`~repro.api.shm.SharedSampleArena` exactly once per pool lifetime;

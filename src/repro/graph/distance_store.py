@@ -146,14 +146,19 @@ class CSRAdjacency:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRAdjacency":
-        n = graph.num_vertices
         edges = np.fromiter((vertex for edge in graph.edges() for vertex in edge),
                             dtype=np.int64).reshape(-1, 2)
-        if edges.size == 0:
+        return cls.from_edges(graph.num_vertices, edges[:, 0], edges[:, 1])
+
+    @classmethod
+    def from_edges(cls, n: int, first: np.ndarray,
+                   second: np.ndarray) -> "CSRAdjacency":
+        """The CSR of the ``n``-vertex graph with edges ``(first[k], second[k])``."""
+        if first.size == 0:
             return cls(np.zeros(n + 1, dtype=np.int64),
                        np.empty(0, dtype=np.int64))
-        src = np.concatenate([edges[:, 0], edges[:, 1]])
-        dst = np.concatenate([edges[:, 1], edges[:, 0]])
+        src = np.concatenate([first, second])
+        dst = np.concatenate([second, first])
         order = np.argsort(src, kind="stable")
         counts = np.bincount(src, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)

@@ -185,7 +185,7 @@ class TestBlasThreadRule:
                             recording)
         graph = erdos_renyi_graph(18, 0.25, seed=2)
         result = EdgeRemovalAnonymizer(
-            length_threshold=2, theta=0.5, seed=0, max_steps=2,
+            length_threshold=3, theta=0.5, seed=0, max_steps=2,
             scan_workers=WORKERS).anonymize(graph)
         assert result.debug_info["parallel_scans"] > 0
         recorded = recorded_blas_threads(tmp_path)
@@ -261,7 +261,7 @@ class TestParallelScanEquivalence:
         graph = erdos_renyi_graph(18, 0.25, seed=seed % 97)
         self._assert_identical(
             EdgeRemovalAnonymizer,
-            dict(length_threshold=2, theta=0.5, seed=seed, max_steps=4),
+            dict(length_threshold=3, theta=0.5, seed=seed, max_steps=4),
             graph)
 
     @given(st.integers(min_value=0, max_value=2 ** 16))
@@ -297,7 +297,7 @@ class TestParallelScanEquivalence:
         """Parallel scan over streamed tiles ≡ serial scan over the dense
         matrix — the strongest cross-tier differential."""
         graph = erdos_renyi_graph(24, 0.18, seed=5)
-        params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
+        params = dict(length_threshold=3, theta=0.5, seed=0, max_steps=4)
         reference = EdgeRemovalAnonymizer(
             scan_workers=0,
             scale_tier="dense", **params).anonymize(graph)
@@ -306,6 +306,22 @@ class TestParallelScanEquivalence:
             scale_budget_bytes=4096, **params).anonymize(graph)
         self._assert_results_equal(observed, reference)
         assert observed.debug_info["scan_workers"] == WORKERS
+        assert observed.debug_info["parallel_scans"] > 0
+        assert leaked_arenas() == []
+
+    def test_l2_runs_never_start_a_pool(self):
+        """L = 2 scans score from common-neighbour counts, serially: a
+        requested pool never starts and the run equals the serial one."""
+        graph = erdos_renyi_graph(18, 0.25, seed=2)
+        params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
+        reference = EdgeRemovalAnonymizer(scan_workers=0,
+                                          **params).anonymize(graph)
+        observed = EdgeRemovalAnonymizer(scan_workers=WORKERS,
+                                         **params).anonymize(graph)
+        assert reference.num_steps > 0
+        self._assert_results_equal(observed, reference)
+        assert observed.debug_info["scan_workers"] == WORKERS
+        assert observed.debug_info["parallel_scans"] == 0
         assert leaked_arenas() == []
 
     @staticmethod
@@ -333,7 +349,7 @@ class TestParallelScanEquivalence:
 class TestCrashSafety:
     def test_arena_is_unlinked_while_the_pool_runs(self):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
-        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        computer = OpacityComputer(DegreePairTyping(graph), 3)
         session = OpacitySession(computer, graph.copy(),
                                  scan_workers=WORKERS)
         try:
@@ -350,7 +366,7 @@ class TestCrashSafety:
 
     def test_sigkilled_worker_falls_back_serially(self):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
-        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        computer = OpacityComputer(DegreePairTyping(graph), 3)
         serial = OpacitySession(computer, graph.copy())
         parallel = OpacitySession(computer, graph.copy(),
                                   scan_workers=WORKERS)
@@ -378,7 +394,7 @@ class TestCrashSafety:
         """A shard answered with too few rows, or with an error reply, fails
         the whole scan: the session drops the pool and rescans serially."""
         graph = erdos_renyi_graph(20, 0.25, seed=3)
-        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        computer = OpacityComputer(DegreePairTyping(graph), 3)
         pairs = make_candidates(graph)
         # Workers fork with the patch in place; only a shard that starts
         # with the trigger misbehaves, and forward scans never start one.
@@ -417,7 +433,7 @@ class TestCrashSafety:
 
     def test_sigkill_mid_greedy_run_keeps_results_identical(self):
         graph = erdos_renyi_graph(18, 0.25, seed=7)
-        params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=4)
+        params = dict(length_threshold=3, theta=0.5, seed=0, max_steps=4)
         reference = EdgeRemovalAnonymizer(
             scan_workers=0,
             **params).anonymize(graph)
@@ -447,7 +463,7 @@ class TestCrashSafety:
 class TestDebugInfoAndFallbackFraction:
     def test_debug_info_reports_the_scan_configuration(self):
         graph = erdos_renyi_graph(18, 0.25, seed=2)
-        params = dict(length_threshold=2, theta=0.5, seed=0, max_steps=3)
+        params = dict(length_threshold=3, theta=0.5, seed=0, max_steps=3)
         serial = EdgeRemovalAnonymizer(
             scan_workers=0,
             **params).anonymize(graph)
@@ -502,7 +518,7 @@ class TestDebugInfoAndFallbackFraction:
 class TestChunkScaling:
     def test_scan_parallelism_reflects_the_pool(self):
         graph = erdos_renyi_graph(16, 0.3, seed=1)
-        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        computer = OpacityComputer(DegreePairTyping(graph), 3)
         session = OpacitySession(computer, graph.copy(),
                                  scan_workers=4)
         assert session.scan_parallelism == 4
@@ -512,9 +528,19 @@ class TestChunkScaling:
         serial.close()
 
     def test_l1_sessions_stay_serial(self):
+        self._assert_stays_serial(1)
+
+    def test_l2_sessions_stay_serial(self):
+        self._assert_stays_serial(2)
+
+    @staticmethod
+    def _assert_stays_serial(length):
         graph = erdos_renyi_graph(16, 0.3, seed=1)
-        computer = OpacityComputer(DegreePairTyping(graph), 1)
+        computer = OpacityComputer(DegreePairTyping(graph), length)
         session = OpacitySession(computer, graph.copy(),
                                  scan_workers=4)
         assert session.scan_parallelism == 1
+        session.evaluate_edits(make_candidates(graph))
+        assert session.parallel_scans == 0
+        assert session._scan_pool is None
         session.close()

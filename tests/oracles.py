@@ -309,6 +309,20 @@ class ScratchSession:
         """Rows of a freshly computed dense L-bounded matrix."""
         return self._computer.distances(self._graph)[np.asarray(block)]
 
+    def short_path_edges(self, rows, cols) -> Tuple[np.ndarray, np.ndarray]:
+        """Edges on a path of length <= 2 between a pair, from a fresh matrix.
+
+        An edge ``(u, v)`` lies on such a path of ``(i, j)`` when
+        ``D[i, u] + 1 + D[v, j] <= 2`` or the mirror image holds — the
+        distance test the product's adjacency-only query replaces.
+        """
+        distances = self._computer.distances(self._graph).astype(np.int64)
+        edge_u, edge_v = self.edge_endpoints()
+        di, dj = distances[np.asarray(rows)], distances[np.asarray(cols)]
+        on_path = ((di[:, edge_u] + dj[:, edge_v] + 1 <= 2)
+                   | (di[:, edge_v] + dj[:, edge_u] + 1 <= 2)).any(axis=0)
+        return edge_u[on_path], edge_v[on_path]
+
     def violating_pair_indices(self, mask) -> Tuple[np.ndarray, np.ndarray]:
         """Within-L pairs of a type flagged in ``mask``, from a fresh matrix.
 

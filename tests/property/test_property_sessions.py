@@ -44,6 +44,7 @@ from tests.oracles import (
     type_mask,
 )
 from tests.property.strategies import (
+    combination_levels,
     edit_scripts,
     graphs,
     length_bounds,
@@ -376,68 +377,6 @@ class TestEvaluateEditsProperties:
             assert got.from_scratch == want.from_scratch
             assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(got.new_rows, want.new_rows)
-
-
-@st.composite
-def combination_levels(draw):
-    """A graph, a typing, and one batch of candidate rows over its pairs.
-
-    ``endpoints`` lists the graph's edges, then its non-edges.  Each row of
-    ``members`` names one candidate by endpoint index, and ``gained``
-    holds one insertion flag per column: a flagged column draws from the
-    non-edges, the others from the edges.  The flags are all removals or
-    all insertions — a look-ahead level, rows sorted as
-    ``search_best_combination`` draws them — or mixed, swap-like rows of
-    up to four members whose first insertion may share the type of their
-    first removal, so the type nets to zero.  ``edits`` is a ragged
-    ``evaluate_edits`` list over the same rows: each cut to a random
-    prefix, with empty edits ``((), ())`` among them.
-    """
-    graph = draw(graphs(max_vertices=9))
-    typing = draw(typings(graph))
-    edges = graph.edge_list()
-    endpoints = np.array(edges + sorted(graph.non_edges()),
-                         dtype=np.int64).reshape(-1, 2)
-    shape = draw(st.sampled_from(["remove", "insert", "mixed", "mixed"]))
-    if shape == "mixed":
-        # Up to a GADES swap's width, with a removal and an insertion.
-        size = draw(st.integers(min_value=2, max_value=4))
-        flags = draw(st.permutations([False, True] + draw(st.lists(
-            st.booleans(), min_size=size - 2, max_size=size - 2))))
-    else:
-        size = draw(st.integers(min_value=1, max_value=3))
-        flags = [shape == "insert"] * size
-    pools = {False: range(len(edges)), True: range(len(edges), len(endpoints))}
-    columns = {flag: [column for column in range(size) if flags[column] == flag]
-               for flag in (False, True)}
-    rows = []
-    if all(len(columns[flag]) <= len(pools[flag]) for flag in (False, True)):
-        for _ in range(draw(st.integers(min_value=0, max_value=15))):
-            row = [0] * size
-            for flag in (False, True):
-                picked = draw(st.permutations(pools[flag]))[:len(columns[flag])]
-                if shape != "mixed":
-                    picked = sorted(picked)
-                for column, member in zip(columns[flag], picked):
-                    row[column] = member
-            if columns[False] and columns[True] and draw(st.booleans()):
-                removed = typing.type_of(*endpoints[row[columns[False][0]]])
-                same = [member for member in pools[True] if member not in row
-                        and typing.type_of(*endpoints[member]) == removed]
-                if same:
-                    row[columns[True][0]] = draw(st.sampled_from(same))
-            rows.append(row)
-    members = np.array(rows, dtype=np.int64).reshape(len(rows), size)
-    edits = []
-    for row in rows:
-        if draw(st.booleans()):
-            edits.append(((), ()))
-        cut = draw(st.integers(min_value=0, max_value=size))
-        kept = list(zip(row[:cut], flags[:cut]))
-        edits.append(
-            (tuple(tuple(endpoints[j].tolist()) for j, flag in kept if not flag),
-             tuple(tuple(endpoints[j].tolist()) for j, flag in kept if flag)))
-    return graph, typing, np.array(flags), endpoints, members, edits
 
 
 class TestScoreCombinationsProperties:

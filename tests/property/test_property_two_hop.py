@@ -1,0 +1,308 @@
+"""Differential tests for the exact L = 2 kernel (``graph/two_hop.py``).
+
+At L = 2 every candidate scan scores from the common-neighbour counts:
+``d(i, j) <= 2`` exactly when ``A[i, j] = 1`` or ``|N(i) ∩ N(j)| > 0``.
+The kernel is checked against two independent oracles:
+
+* the distance-slab path (:meth:`OpacitySession._collect_changes`, the
+  L >= 3 production path, called directly at L = 2), on each candidate's
+  ``(type, count change)`` multiset;
+* :class:`~tests.oracles.ScratchSession`, on the scored outcomes and on
+  whole greedy runs.
+
+Invalid member edits must raise :class:`InvalidEdgeError` exactly where the
+slab path does.  After every applied edit, the count set must describe the
+same within-2 pairs as the distance store and the pruning query.  Finally,
+no L = 2 scan or pruning pass may preview a slab or read distance rows.
+"""
+
+from __future__ import annotations
+
+from contextlib import ExitStack
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import (
+    DegreePairTyping,
+    EdgeRemovalAnonymizer,
+    EdgeRemovalInsertionAnonymizer,
+    OpacityComputer,
+    OpacitySession,
+)
+from repro.errors import InvalidEdgeError
+from repro.graph.distance_delta import DistanceSession
+from repro.graph.distance_store import DenseStore, StoreConfig, TiledStore
+from repro.graph.generators import erdos_renyi_graph
+from repro.graph.graph import Graph
+from repro.graph.two_hop import triu_flat, triu_unflat
+from tests.oracles import ScratchSession, outcomes, run_on
+from tests.property.strategies import (
+    combination_levels,
+    edit_scripts,
+    graphs,
+    thetas,
+    typings,
+)
+
+
+def change_sets(changes):
+    """Each row of padded ``(types, deltas)`` matrices as a ``{type: delta}`` dict."""
+    types, deltas = changes
+    return [{int(t): int(d) for t, d in zip(type_row, delta_row) if d}
+            for type_row, delta_row in zip(types.tolist(), deltas.tolist())]
+
+
+def level_pairs(endpoints, members, gained):
+    """The rows of a level as ``(removals, insertions)`` tuples."""
+    flags = np.broadcast_to(gained, members.shape).tolist()
+    edges = [tuple(edge) for edge in endpoints.tolist()]
+    return [(tuple(edges[j] for j, flag in zip(row, row_flags)
+                   if j >= 0 and not flag),
+             tuple(edges[j] for j, flag in zip(row, row_flags)
+                   if j >= 0 and flag))
+            for row, row_flags in zip(members.tolist(), flags)]
+
+
+def raised(call):
+    """``call()``'s :class:`InvalidEdgeError` message, or ``None``."""
+    try:
+        call()
+    except InvalidEdgeError as error:
+        return str(error)
+    return None
+
+
+@st.composite
+def messy_levels(draw):
+    """A level whose rows may hold invalid or self-cancelling members.
+
+    Members draw from every pair of the graph (edges and non-edges) with
+    a random insertion flag, so removals of absent edges, insertions of
+    present ones, repeats within a row and a removal re-inserted by the
+    same row (valid: it nets to nothing) all occur.
+    """
+    graph = draw(graphs(min_vertices=2, max_vertices=8))
+    typing = draw(typings(graph))
+    # A handful of pairs, so rows often repeat one.
+    pairs = draw(st.lists(st.sampled_from(
+        [(u, v) for u in range(graph.num_vertices)
+         for v in range(u + 1, graph.num_vertices)]),
+        min_size=1, max_size=6, unique=True))
+    endpoints = np.array([draw(st.sampled_from([pair, pair[::-1]]))
+                          for pair in pairs], dtype=np.int64).reshape(-1, 2)
+    width = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=1, max_value=6))
+    member = st.integers(min_value=-1, max_value=len(pairs) - 1)
+    members = np.array(draw(st.lists(st.lists(member, min_size=width,
+                                              max_size=width),
+                                     min_size=count, max_size=count)),
+                       dtype=np.int64).reshape(count, width)
+    gained = np.array(draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                             max_size=width),
+                                    min_size=count, max_size=count)),
+                      dtype=bool).reshape(count, width)
+    return graph, typing, endpoints, members, gained
+
+
+class TestKernelMatchesTheSlabPath:
+    @given(combination_levels())
+    @settings(max_examples=80, deadline=None)
+    def test_changes_equal_the_slab_path_per_candidate(self, level):
+        graph, typing, gained, endpoints, members, edits = level
+        session = OpacitySession(OpacityComputer(typing, 2), graph)
+        kernel = session._two_hop_changes(endpoints, members, gained)
+        slab = session._collect_changes(level_pairs(endpoints, members, gained))
+        assert change_sets(kernel) == change_sets(slab)
+        assert kernel[0].shape[0] == len(members)
+
+    @given(messy_levels())
+    @settings(max_examples=120, deadline=None)
+    def test_invalid_members_raise_where_the_slab_path_does(self, level):
+        graph, typing, endpoints, members, gained = level
+        session = OpacitySession(OpacityComputer(typing, 2), graph)
+        pairs = level_pairs(endpoints, members, gained)
+        expected = raised(lambda: session._collect_changes(pairs))
+        observed = raised(
+            lambda: session._two_hop_changes(endpoints, members, gained))
+        assert (observed is None) == (expected is None)
+        if expected is None:
+            kernel = session._two_hop_changes(endpoints, members, gained)
+            assert change_sets(kernel) == \
+                change_sets(session._collect_changes(pairs))
+        else:
+            assert observed == expected
+
+    def test_a_reinserted_removal_nets_to_nothing(self):
+        # A path: no edge has a common neighbour, so only the edge itself
+        # keeps its pair within 2.
+        graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), 2), graph)
+        endpoints = np.array([(0, 1), (3, 4)], dtype=np.int64)
+        members = np.array([[0, 0], [0, 1]])
+        gained = np.array([[False, True], [False, False]])
+        kernel = session._two_hop_changes(endpoints, members, gained)
+        assert change_sets(kernel) == change_sets(session._collect_changes(
+            level_pairs(endpoints, members, gained)))
+        assert change_sets(kernel)[0] == {}
+
+    def test_self_loops_raise(self):
+        graph = erdos_renyi_graph(6, 0.5, seed=1)
+        session = OpacitySession(
+            OpacityComputer(DegreePairTyping(graph), 2), graph)
+        with pytest.raises(InvalidEdgeError, match="self-loops"):
+            session.score_combinations(np.array([[0, 0]]), np.array([[0]]),
+                                       np.array([True]))
+
+
+class TestKernelMatchesScratch:
+    @given(combination_levels())
+    @settings(max_examples=60, deadline=None)
+    def test_level_outcomes_equal_scratch(self, level):
+        graph, typing, gained, endpoints, members, edits = level
+        computer = OpacityComputer(typing, 2)
+        session = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
+        assert [array.tolist() for array in
+                session.score_combinations(endpoints, members, gained)] == \
+            [array.tolist() for array in
+             scratch.score_combinations(endpoints, members, gained)]
+        assert outcomes(session.evaluate_edits(edits)) == \
+            outcomes(scratch.evaluate_edits(edits))
+
+    @given(graphs(max_vertices=8), st.sampled_from([1, 2, 3]), thetas,
+           st.integers(min_value=0, max_value=3), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_removal_runs_equal_scratch(self, graph, lookahead, theta, seed,
+                                        data):
+        self._assert_run_matches(
+            EdgeRemovalAnonymizer,
+            dict(length_threshold=2, theta=theta, seed=seed,
+                 lookahead=lookahead, max_combinations=6, max_steps=4),
+            graph, data.draw(typings(graph)))
+
+    @given(graphs(max_vertices=7), st.sampled_from([1, 2]), thetas,
+           st.integers(min_value=0, max_value=3), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_rem_ins_runs_equal_scratch(self, graph, lookahead, theta, seed,
+                                        data):
+        self._assert_run_matches(
+            EdgeRemovalInsertionAnonymizer,
+            dict(length_threshold=2, theta=theta, seed=seed,
+                 lookahead=lookahead, max_combinations=6, max_steps=3),
+            graph, data.draw(typings(graph)))
+
+    @staticmethod
+    def _assert_run_matches(algorithm, params, graph, typing):
+        reference, evaluations = run_on(ScratchSession, algorithm(**params),
+                                        graph, typing=typing)
+        assert evaluations == reference.evaluations > 0
+        observed = algorithm(**params).anonymize(graph, typing=typing)
+        assert [(step.operation, step.edges, step.max_opacity_after)
+                for step in observed.steps] == \
+               [(step.operation, step.edges, step.max_opacity_after)
+                for step in reference.steps]
+        assert observed.evaluations == reference.evaluations
+        assert observed.anonymized_graph == reference.anonymized_graph
+
+
+class TestCountSetInvariant:
+    """After every applied edit the count set, the store and the pruning
+    query describe the same within-2 pairs."""
+
+    @given(edit_scripts(), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_within_pairs_agree_after_every_edit(self, script_case, tiled,
+                                                 data):
+        graph, script = script_case
+        computer = OpacityComputer(data.draw(typings(graph)), 2)
+        config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
+            if tiled else None
+        session = OpacitySession(computer, graph, store_config=config)
+        n = graph.num_vertices
+        size = len(computer.type_order[0])
+        try:
+            for step in range(len(script) + 1):
+                if step:
+                    kind, edge = script[step - 1]
+                    session.apply_edit(
+                        removals=[edge] if kind == "remove" else (),
+                        insertions=[edge] if kind == "insert" else ())
+                within = session._two_hop.within_pairs()
+                rows, cols = np.nonzero(
+                    session.distance_rows(np.arange(n)) <= 2)
+                upper = cols > rows
+                assert within.tolist() == \
+                    triu_flat(rows[upper], cols[upper], n).tolist()
+                # The pruning query lists the typed ones among them.
+                typed = computer.type_indices(*triu_unflat(within, n)) < size
+                rows, cols = session.violating_pair_indices(
+                    np.ones(size, dtype=bool))
+                assert triu_flat(rows, cols, n).tolist() == \
+                    within[typed].tolist()
+                self._assert_counts_are_common_neighbours(session, graph)
+        finally:
+            session.close()
+
+    @staticmethod
+    def _assert_counts_are_common_neighbours(session, graph):
+        n = graph.num_vertices
+        adjacency = graph.adjacency_matrix(dtype=np.int64)
+        common = adjacency @ adjacency
+        rows, cols = np.nonzero(np.triu(common, 1))
+        pairs, counts = session._two_hop.pairs
+        assert pairs.tolist() == triu_flat(rows, cols, n).tolist()
+        assert counts.tolist() == common[rows, cols].tolist()
+
+
+class TestNoSlabWorkAtL2:
+    """No L = 2 scan or pruning pass previews a slab or reads distance rows."""
+
+    FORBIDDEN = ("preview", "preview_batch", "rows")
+
+    @given(combination_levels(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_scans_and_pruning_never_touch_distances(self, level, tiled):
+        graph, typing, gained, endpoints, members, edits = level
+        computer = OpacityComputer(typing, 2)
+        config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
+            if tiled else None
+        session = OpacitySession(computer, graph, store_config=config)
+        pruner = EdgeRemovalAnonymizer(length_threshold=2)
+        try:
+            with self._forbidden():
+                session.score_combinations(endpoints, members, gained)
+                session.evaluate_edits(edits)
+                pruner._removal_candidates(session)
+        finally:
+            session.close()
+
+    def test_greedy_runs_never_preview(self):
+        graph = erdos_renyi_graph(12, 0.3, seed=4)
+        forbidden = mock.Mock(side_effect=AssertionError("slab preview"))
+        with mock.patch.object(DistanceSession, "preview", forbidden), \
+                mock.patch.object(DistanceSession, "preview_batch", forbidden):
+            for algorithm in (EdgeRemovalAnonymizer,
+                              EdgeRemovalInsertionAnonymizer):
+                result = algorithm(length_threshold=2, theta=0.3, lookahead=2,
+                                   seed=0, max_steps=3,
+                                   scan_workers=2).anonymize(graph)
+                assert result.num_steps > 0
+                assert result.debug_info["parallel_scans"] == 0
+        assert forbidden.call_count == 0
+
+    def _forbidden(self):
+        forbidden = mock.Mock(side_effect=AssertionError("distance read"))
+        stack = ExitStack()
+        for name in self.FORBIDDEN:
+            stack.enter_context(
+                mock.patch.object(DistanceSession, name, forbidden))
+        stack.enter_context(
+            mock.patch.object(OpacitySession, "distance_rows", forbidden))
+        for store in (DenseStore, TiledStore):
+            stack.enter_context(mock.patch.object(store, "rows", forbidden))
+        return stack
