@@ -76,7 +76,13 @@ from repro.errors import InvalidEdgeError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
-from repro.graph.two_hop import TwoHopCounts, splice, triu_flat, triu_unflat
+from repro.graph.two_hop import (
+    TwoHopCounts,
+    group_sums,
+    splice,
+    triu_flat,
+    triu_unflat,
+)
 
 #: One candidate edit: the removals and insertions applied together.
 EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
@@ -827,19 +833,19 @@ class OpacitySession:
         """Count changes of ``count`` candidates from their stacked flipped cells.
 
         ``candidate`` names the candidate each cell belongs to.  The cells
-        are grouped by ``(candidate, type position)`` with one ``np.unique``
-        and their gains and losses counted per group, so the work is
+        are grouped by ``(candidate, type position)`` with one sort
+        (:func:`~repro.graph.two_hop.group_sums`) and their gains and
+        losses counted per group, so the work is
         O(cells) whatever the number of types or candidates; row ``c`` of
         the result holds the net change of every type candidate ``c``'s
         cells touch, in type order (a gain and a loss of the same type net
         to no entry, and untyped pairs count for nothing).
         """
         untyped = self._totals.size
-        keys = (candidate * (untyped + 1)
-                + self._computer.type_indices(row_idx, col_idx))
-        groups, inverse = np.unique(keys, return_inverse=True)
-        net = (np.bincount(inverse[gained], minlength=groups.size)
-               - np.bincount(inverse[~gained], minlength=groups.size))
+        groups, gains, cells = group_sums(
+            candidate * (untyped + 1)
+            + self._computer.type_indices(row_idx, col_idx), gained, 2)
+        net = 2 * gains - cells
         positions, types = np.divmod(groups, untyped + 1)
         kept = (net != 0) & (types != untyped)
         return _padded_changes(count, positions[kept], types[kept], net[kept],

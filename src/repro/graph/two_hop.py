@@ -72,6 +72,24 @@ def splice(kept: np.ndarray, slots: np.ndarray, added: np.ndarray,
     return out
 
 
+def group_sums(keys: np.ndarray, values: np.ndarray, spread: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` ascending, with the sum and count of their ``values``.
+
+    ``keys`` are non-negative and every value lies in ``[0, spread)``: each
+    key carries its value in its low digits, so one ``np.sort`` groups
+    them (an ``argsort`` or a ``np.unique`` inverse costs several times
+    more).
+    """
+    packed = np.sort(keys * spread + values)
+    grouped = packed // spread
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    if not starts.size:
+        return grouped, grouped.copy(), grouped.copy()
+    return (grouped[starts], np.add.reduceat(packed % spread, starts),
+            np.diff(np.append(starts, packed.size)))
+
+
 def _contains(sorted_codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     """Flags of the ``wanted`` codes present in ``sorted_codes``."""
     if not sorted_codes.size:
@@ -314,10 +332,12 @@ class TwoHopCounts:
         on its other leg is not created.  Each member's own pair is listed
         too (with no count change), since its adjacency flips.  With one
         member per candidate every entry is already distinct; wider
-        candidates are merged by one ``np.unique`` over ``flat · rows +
+        candidates are merged by :func:`group_sums` over ``flat · rows +
         row`` keys.
         """
         n, (rows, width) = self._n, lo.shape
+        # Each candidate's live member codes, to test pairs against.
+        member = np.where(live, codes, -1)
         row, column = np.nonzero(live)
         m_lo, m_hi = lo[row, column], hi[row, column]
         code, insert = codes[row, column], gained[row, column]
@@ -332,9 +352,8 @@ class TwoHopCounts:
         if width > 1:
             # A removal keeps a doubly-broken path from its lower-coded leg
             # only; an insertion's path through a removed leg is never made.
-            edited = np.sort(code * rows + row)
             leg = _pair_flat(middle[source], other, n)
-            both = _contains(edited, leg * rows + entry_row)
+            both = (member[entry_row] == leg[:, None]).any(axis=1)
             keep &= np.where(entry_insert, ~both,
                              ~both | (np.concatenate([code, code])[source] < leg))
         flat = [_pair_flat(entry_far[keep], other[keep], n), code]
@@ -360,10 +379,9 @@ class TwoHopCounts:
                     flat.append(_pair_flat(x, w, n))
                     owner.append(hit)
                     change.append(np.ones(hit.size, dtype=np.int64))
-        change = np.concatenate(change)
-        keys, inverse = np.unique(np.concatenate(flat) * rows
-                                  + np.concatenate(owner), return_inverse=True)
-        gains = np.bincount(inverse[change > 0], minlength=keys.size)
-        losses = np.bincount(inverse[change < 0], minlength=keys.size)
+        keys, shifted, count = group_sums(
+            np.concatenate(flat) * rows + np.concatenate(owner),
+            np.concatenate(change) + 1, 3)
         flat, owner = np.divmod(keys, rows)
-        return flat, owner, gains - losses, _contains(edited, keys)
+        return (flat, owner, shifted - count,
+                (member[owner] == flat[:, None]).any(axis=1))
