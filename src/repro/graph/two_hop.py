@@ -90,14 +90,6 @@ def group_sums(keys: np.ndarray, values: np.ndarray, spread: int
             np.diff(np.append(starts, packed.size)))
 
 
-def _contains(sorted_codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Flags of the ``wanted`` codes present in ``sorted_codes``."""
-    if not sorted_codes.size:
-        return np.zeros(wanted.shape, dtype=bool)
-    at = np.searchsorted(sorted_codes, wanted).clip(max=sorted_codes.size - 1)
-    return sorted_codes[at] == wanted
-
-
 class TwoHopCounts:
     """Common-neighbour counts of a graph, and exact L = 2 edit footprints.
 
@@ -222,7 +214,8 @@ class TwoHopCounts:
         # once, so the new ones (gains or inserted edges) splice in.
         counts, is_edge = self._counts.copy(), self._is_edge.copy()
         at = np.searchsorted(self._codes, flat)
-        known = _contains(self._codes, flat)
+        known = at < self._codes.size
+        known[known] = self._codes[at[known]] == flat[known]
         counts[at[known]] += change[known]
         is_edge[at[known]] ^= edited[known]
         keep = (counts > 0) | is_edge
