@@ -237,7 +237,7 @@ class AnonymizationResult:
     stop_reason: Optional[str] = None
     observer: ProgressObserver = field(default=NULL_OBSERVER, repr=False, compare=False)
     #: Execution diagnostics that do not affect the anonymization outcome
-    #: (effective fallback row fraction, parallel-scan usage, ...).
+    #: (the scan-pool size and how many scans it served).
     #: Excluded from equality so results stay comparable across scan-pool
     #: sizes.
     debug_info: Dict[str, Any] = field(default_factory=dict, repr=False,
@@ -654,7 +654,6 @@ class BaseAnonymizer(ABC):
                 result.observer.on_step(step_record, result)
                 step_index += 1
             debug_info: Dict[str, Any] = {
-                "fallback_row_fraction": session.fallback_row_fraction,
                 "scan_workers": session.scan_workers,
                 "parallel_scans": session.parallel_scans,
             }

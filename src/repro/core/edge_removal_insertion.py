@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import chain
 from typing import AbstractSet, List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +25,7 @@ from repro.core.edge_removal import EdgeRemovalAnonymizer
 from repro.core.lookahead import CombinationLevel, search_best_combination
 from repro.core.opacity import OpacityResult
 from repro.core.opacity_session import OpacitySession
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Edge
 
 
 @register_anonymizer(
@@ -94,7 +93,7 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
     # ------------------------------------------------------------------
     def _insertion_phase(self, session: OpacitySession, rng: random.Random,
                          result: AnonymizationResult) -> Optional[Tuple[Edge, ...]]:
-        candidates = self._insertion_candidates(session.graph, rng, result)
+        candidates = self._insertion_candidates(session, rng, result)
         if not candidates:
             return None
         breaker = TieBreaker(rng)
@@ -109,21 +108,25 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
         result.inserted_edges.update(best.edges)
         return best.edges
 
-    def _insertion_candidates(self, working: Graph, rng: random.Random,
+    def _insertion_candidates(self, session: OpacitySession,
+                              rng: random.Random,
                               result: AnonymizationResult) -> List[Edge]:
         """Absent edges eligible for insertion (never removed before).
 
         The paper scans every absent edge; ``insertion_candidate_cap``
         optionally bounds the scan with a seeded uniform sample for large
         graphs (documented deviation, DESIGN.md §5.4).  The sample is drawn
-        from :class:`EligiblePairs`, so it costs O(m log m + cap log n)
+        from :class:`EligiblePairs`, built from the session's sorted edge
+        array, so it costs O(m + r log r + cap log n) for r removed edges
         instead of a walk over all n(n-1)/2 pairs, and it draws the same
         edges as sampling the enumerated list would.
         """
+        working = session.graph
         removed = result.removed_edges
         cap = self._config.insertion_candidate_cap
         if cap is not None:
-            eligible = EligiblePairs(working, removed)
+            eligible = EligiblePairs(working.num_vertices,
+                                     session.edge_endpoints(), removed)
             if len(eligible) > cap:
                 return rng.sample(eligible, cap)
         return [edge for edge in working.non_edges() if edge not in removed]
@@ -136,19 +139,33 @@ class EligiblePairs(Sequence):
     removed]``, but never enumerated: pair ``(u, v)``, ``u < v``, of an
     n-vertex graph has rank ``u(2n-u-1)/2 + v-u-1`` among all sorted pairs,
     and the ``i``-th eligible pair has rank ``i + k``, where ``k`` counts the
-    excluded (edge or removed) ranks below it — one bisection.  A snapshot:
-    build it after the graph's last mutation.
+    excluded (edge or removed) ranks below it — one bisection.  ``edges``
+    is the graph's ``(u, v)`` arrays in sorted order, as
+    :meth:`OpacitySession.edge_endpoints` returns them, and ``removed``
+    holds pairs ``(u, v)``, ``u < v``.  A snapshot: build it after the
+    graph's last mutation.
     """
 
-    def __init__(self, graph: Graph, removed: AbstractSet[Edge]) -> None:
-        n = graph.num_vertices
+    def __init__(self, num_vertices: int,
+                 edges: Tuple[np.ndarray, np.ndarray],
+                 removed: AbstractSet[Edge]) -> None:
+        n = num_vertices
         #: First rank of every row ``u``.
-        self._starts = [u * (2 * n - u - 1) // 2 for u in range(n)]
-        excluded = sorted({self._starts[u] + v - u - 1
-                           for u, v in chain(graph.edges(), removed)})
+        starts = np.arange(n, dtype=np.int64)
+        starts = starts * (2 * n - starts - 1) // 2
+        self._starts = starts.tolist()
+        first, second = edges
+        gone = np.array(list(removed), dtype=np.int64).reshape(-1, 2)
+        excluded = np.sort(np.concatenate([
+            starts[first] + second - first - 1,
+            starts[gone[:, 0]] + gone[:, 1] - gone[:, 0] - 1]))
+        # A removed pair may still be an edge; count its rank once.
+        distinct = np.ones(excluded.size, dtype=bool)
+        distinct[1:] = excluded[1:] != excluded[:-1]
+        excluded = excluded[distinct]
         #: Eligible ranks below each excluded rank, ascending.
-        self._below = [rank - index for index, rank in enumerate(excluded)]
-        self._length = n * (n - 1) // 2 - len(excluded)
+        self._below = (excluded - np.arange(excluded.size)).tolist()
+        self._length = n * (n - 1) // 2 - excluded.size
 
     def __len__(self) -> int:
         return self._length

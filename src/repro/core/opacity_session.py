@@ -212,12 +212,6 @@ class OpacitySession:
         The stateless evaluator fixing typing and L.
     graph:
         The working graph (shared, not copied).
-    fallback_row_fraction:
-        Passed to :class:`DistanceSession` — removal deltas touching more
-        than this fraction of rows fall back to a from-scratch matrix.
-        ``None`` (default) derives and keeps recalibrating the fraction
-        from measured density × L; the chosen value is routing-only and
-        never changes results.
     scan_workers:
         Size of the scan pool, as resolved by
         :func:`repro.core.scan_pool.resolve_scan_workers`.  With a value
@@ -242,7 +236,6 @@ class OpacitySession:
     """
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
-                 fallback_row_fraction: Optional[float] = None,
                  initial_distances: Optional[np.ndarray | DistanceStore] = None,
                  store_config: Optional[StoreConfig] = None,
                  scan_workers: int = 0) -> None:
@@ -268,7 +261,6 @@ class OpacitySession:
         self.parallel_scans = 0
         self._distance = DistanceSession(
             graph, computer.length_threshold,
-            fallback_row_fraction=fallback_row_fraction,
             initial_distances=initial_distances,
             store_config=store_config)
         # L = 2 scans score from the common-neighbour counts alone.
@@ -301,11 +293,6 @@ class OpacitySession:
                 and self._computer.length_threshold > 2:
             return self._scan_workers
         return 1
-
-    @property
-    def fallback_row_fraction(self) -> float:
-        """The distance session's effective fallback fraction (debug hook)."""
-        return self._distance.fallback_row_fraction
 
     def distance_rows(self, block: Sequence[int]) -> np.ndarray:
         """Fresh ``|block| × n`` distance rows.
@@ -486,15 +473,11 @@ class OpacitySession:
         """
         return self._collect_changes(list(pairs))
 
-    def take_scan_stats(self) -> Tuple[int, int]:
-        """Drain the distance session's ``(affected rows, candidates)``."""
-        return self._distance.take_observed_stats()
-
     def _collect_changes(self, pairs: List[EditCandidate]) -> Changes:
         # Deltas are consumed into (small) change matrices group by group,
         # so peak retained memory is bounded by ~128 MB of delta cells even
-        # when many removal candidates hit the from-scratch fallback (each
-        # such delta holds a full n × n matrix); grouping does not change
+        # in the worst case, where every candidate's affected rows span the
+        # whole vertex set (an n × n slab each); grouping does not change
         # the per-candidate math.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
@@ -512,7 +495,6 @@ class OpacitySession:
 
             self._scan_pool = ScanPool.start(
                 self._computer, self._graph, self._distance.store,
-                self._distance.requested_fallback_fraction,
                 self._scan_workers)
             if self._scan_pool is None:
                 self._scan_failed = True
@@ -525,20 +507,14 @@ class OpacitySession:
         falls back to the serial scan permanently.  On success the shards'
         matrices, stacked in candidate order, are exactly what
         :meth:`_collect_changes` would have produced up to padding width
-        (distance values are canonical, shards preserve candidate order),
-        and the workers' observed affected-row stats are folded into the
-        parent's auto fallback fraction.
+        (distance values are canonical, shards preserve candidate order).
         """
         pool = None
         if self._scan_workers > 1 and len(pairs) > self._scan_workers:
             pool = self._ensure_scan_pool()
         if pool is not None:
-            outcome = pool.scan(pairs)
-            if outcome is not None:
-                parts, stats = outcome
-                for rows_total, candidates in stats:
-                    self._distance.observe_affected_rows(rows_total,
-                                                         candidates)
+            parts = pool.scan(pairs)
+            if parts is not None:
                 self.parallel_scans += 1
                 return _stack_changes(parts, self._totals.size)
             self._teardown_scan_pool(failed=True)
@@ -563,17 +539,10 @@ class OpacitySession:
         # insertions), count deltas are diffed against the still-pre-edit
         # matrix, then the delta is folded in.
         delta = self._distance.stage(removals, insertions)
-        if delta.from_scratch:
-            types, changes = self._scratch_changes(delta)
-            if self._within_flat is not None:
-                length = self._computer.length_threshold
-                self._set_within_pairs(_within_pair_set(
-                    DenseStore(delta.new_rows, length), length))
-        else:
-            owner, *cells = self._flipped_cells([delta])
-            types, changes = self._tally_cells(1, owner, *cells)
-            if self._within_flat is not None:
-                self._fold_flipped_cells(*cells)
+        owner, *cells = self._flipped_cells([delta])
+        types, changes = self._tally_cells(1, owner, *cells)
+        if self._within_flat is not None:
+            self._fold_flipped_cells(*cells)
         self._distance.commit(delta)
         if self._two_hop is not None:
             self._two_hop.apply(removals, insertions)
@@ -737,16 +706,9 @@ class OpacitySession:
             state = "already present" if inserted else "not present"
             raise InvalidEdgeError(f"edge ({u}, {v}) {state}")
 
-    def _scratch_changes(self, delta: DistanceDelta) -> Changes:
-        """A from-scratch delta's count changes, as a one-row matrix pair."""
-        net = self._computer.within_counts(delta.new_rows) - self._withins
-        changed = np.flatnonzero(net)
-        return _padded_changes(1, np.zeros(changed.size, dtype=np.int64),
-                               changed, net[changed], self._totals.size)
-
     def _flipped_cells(self, deltas: Sequence[DistanceDelta]
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cells whose within-L membership flips under (non-scratch) deltas.
+        """Cells whose within-L membership flips under the deltas.
 
         Returns ``(owner, row_idx, col_idx, gained)``: each cell with the
         index of its delta in ``deltas``, exactly one representative per
@@ -777,55 +739,37 @@ class OpacitySession:
                         ) -> List[Optional[DistanceDelta]]:
         """Distance deltas of independent candidates, stacked when possible.
 
-        The stacked single-edge paths run fused (``skip_unchanged=True``):
-        candidates whose edit flips no distance cell come back as ``None``
-        instead of an empty :class:`DistanceDelta`, so the grouped bincount
-        downstream never allocates per-candidate delta objects for no-op
-        rows.
+        The stacked single-edge paths return ``None`` for candidates whose
+        edit flips no within-L membership, so the grouped count downstream
+        never allocates per-candidate delta objects for no-op rows.
         """
         if pairs and all(len(removals) == 1 and not insertions
                          for removals, insertions in pairs):
             return self._distance.preview_batch(
-                removals=[removals[0] for removals, _ in pairs],
-                skip_unchanged=True)
+                removals=[removals[0] for removals, _ in pairs])
         if pairs and all(not removals and len(insertions) == 1
                          for removals, insertions in pairs):
             return self._distance.preview_batch(
-                insertions=[insertions[0] for _, insertions in pairs],
-                skip_unchanged=True)
+                insertions=[insertions[0] for _, insertions in pairs])
         return [self._distance.preview(removals, insertions)
                 for removals, insertions in pairs]
 
     def _count_changes_batch(self, deltas: List[Optional[DistanceDelta]]
                              ) -> Changes:
-        """Per-candidate count changes, one grouped bincount over all flips.
+        """Per-candidate count changes, one grouped count over all flips.
 
-        The flipped cells of every non-scratch delta are tallied together
-        by :meth:`_tally_cells`; row ``c`` holds exactly what delta ``c``
-        alone would give.  ``None`` entries (fused no-op candidates) are
-        rows of padding without any delta object; from-scratch fallbacks
-        take the per-candidate path and are stacked in at their positions.
+        The flipped cells of every delta are tallied together by
+        :meth:`_tally_cells`; row ``c`` holds exactly what delta ``c``
+        alone would give.  ``None`` entries (no-op candidates) and empty
+        deltas are rows of padding.
         """
-        scratch: List[int] = []
-        stacked: List[int] = []
-        for position, delta in enumerate(deltas):
-            if delta is not None and delta.rows.size:
-                (scratch if delta.from_scratch else stacked).append(position)
-        types = net = np.zeros((len(deltas), 0), dtype=np.int64)
-        if stacked:
-            owner, *cells = self._flipped_cells([deltas[p] for p in stacked])
-            types, net = self._tally_cells(
-                len(deltas), np.array(stacked, dtype=np.int64)[owner], *cells)
-        if not scratch:
-            return types, net
-        parts: List[Changes] = []
-        last = 0
-        for position in scratch:
-            parts.append((types[last:position], net[last:position]))
-            parts.append(self._scratch_changes(deltas[position]))
-            last = position + 1
-        parts.append((types[last:], net[last:]))
-        return _stack_changes(parts, self._totals.size)
+        stacked = [position for position, delta in enumerate(deltas)
+                   if delta is not None and delta.rows.size]
+        if not stacked:
+            return (np.zeros((len(deltas), 0), dtype=np.int64),) * 2
+        owner, *cells = self._flipped_cells([deltas[p] for p in stacked])
+        return self._tally_cells(
+            len(deltas), np.array(stacked, dtype=np.int64)[owner], *cells)
 
     def _tally_cells(self, count: int, candidate: np.ndarray,
                      row_idx: np.ndarray, col_idx: np.ndarray,

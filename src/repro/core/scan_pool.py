@@ -167,8 +167,7 @@ def resolve_scan_workers(scan_workers: Optional[int]) -> int:
     return max(0, int(scan_workers))
 
 
-def _scan_worker_main(conn, descriptor, computer,
-                      fallback_row_fraction: Optional[float]) -> None:
+def _scan_worker_main(conn, descriptor, computer) -> None:
     """Worker entry point: attach the arena, serve scan/apply requests.
 
     Runs in a forked child, so ``computer`` (typing, L) arrives by
@@ -189,7 +188,6 @@ def _scan_worker_main(conn, descriptor, computer,
         else:
             initial = cache.matrix(length)
         session = OpacitySession(computer, attached.graph,
-                                 fallback_row_fraction=fallback_row_fraction,
                                  initial_distances=initial)
         conn.send(("ready",))
     except Exception as exc:  # noqa: BLE001 — reported to the parent
@@ -210,7 +208,7 @@ def _scan_worker_main(conn, descriptor, computer,
             try:
                 if kind == "scan":
                     changes = session.collect_edit_changes(message[1])
-                    conn.send(("ok", changes, session.take_scan_stats()))
+                    conn.send(("ok", changes))
                 elif kind == "apply":
                     session.apply_edit(message[1], message[2])
                 else:
@@ -265,7 +263,6 @@ class ScanPool:
 
     @classmethod
     def start(cls, computer, graph, store,
-              fallback_row_fraction: Optional[float],
               workers: int) -> Optional["ScanPool"]:
         """Publish the session state and fork ``workers`` scan workers.
 
@@ -291,8 +288,7 @@ class ScanPool:
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 process = ctx.Process(
                     target=_scan_worker_main,
-                    args=(child_conn, arena.descriptor, computer,
-                          fallback_row_fraction),
+                    args=(child_conn, arena.descriptor, computer),
                     daemon=True)
                 process.start()
                 child_conn.close()
@@ -323,15 +319,13 @@ class ScanPool:
         return tuple(process.pid for process in self._processes)
 
     def scan(self, pairs: Sequence[Tuple[Any, Any]]
-             ) -> Optional[Tuple[List[Tuple[Any, Any]],
-                                 List[Tuple[int, int]]]]:
+             ) -> Optional[List[Tuple[Any, Any]]]:
         """Shard ``pairs`` across the workers and collect in candidate order.
 
-        Returns ``(parts, stats)`` — each shard's ``(types, deltas)``
-        change matrices, in shard order, plus each shard's
-        ``(affected_rows, candidates)`` observation totals — or ``None`` on
-        any worker failure, error reply or reply whose row count is not
-        its shard's (the all-or-nothing fallback signal).
+        Returns each shard's ``(types, deltas)`` change matrices, in shard
+        order, or ``None`` on any worker failure, error reply or reply
+        whose row count is not its shard's (the all-or-nothing fallback
+        signal).
         """
         if self._closed:
             return None
@@ -348,14 +342,12 @@ class ScanPool:
                 shards.append((conn, size))
                 start += size
             parts: List[Tuple[Any, Any]] = []
-            stats: List[Tuple[int, int]] = []
             for conn, size in shards:
                 reply = conn.recv()
                 if reply[0] != "ok" or len(reply[1][0]) != size:
                     return None
                 parts.append(reply[1])
-                stats.append(reply[2])
-            return parts, stats
+            return parts
         except (OSError, EOFError, BrokenPipeError):
             return None
 

@@ -25,9 +25,9 @@ plus their new values — without a from-scratch recomputation:
   ``|D[i, u] - D[i, v]| = 1`` and ``min(D[i, u], D[i, v]) ≤ L - 1``.  The
   (few) affected rows are recomputed by vectorized frontier expansion over
   the edited adjacency, restricted to those source rows (the ``numpy`` engine's
-  recurrence on an ``|rows| × n`` slab); when the affected region exceeds a
-  size heuristic the session falls back to expanding every row, the
-  same recurrence as :func:`~repro.graph.distance.bounded_distance_matrix`.
+  recurrence on an ``|rows| × n`` slab).  However large the affected region,
+  the delta is that slab: oversized slabs stream through a row cap in
+  chunks, so no edit ever recomputes the whole matrix.
 
 Every matrix access is phrased in row blocks (columns are rows transposed —
 the matrix is symmetric), which is exactly the store seam's contract; the
@@ -48,9 +48,9 @@ the property suite asserts this bit-for-bit.
 single-edge candidates* of the same kind in one stacked pass: all removal
 candidates share one ``|rows_total| × n`` slab recompute (with per-row
 corrections for each candidate's own removed edge), and all insertion
-candidates share one broadcast relaxation.  The batch is bit-identical to
-the equivalent sequence of :meth:`preview` calls, including the per-edit
-fallback heuristic.
+candidates share one broadcast relaxation.  Each candidate's delta is
+bit-identical to the equivalent :meth:`preview`, except that a candidate
+whose edit flips no cell across the L boundary comes back as ``None``.
 
 Neither kind of preview touches the graph: tentative edits live in the
 adjacency mirror only.
@@ -107,17 +107,13 @@ class DistanceDelta:
 
     ``rows`` lists the affected row indices and ``new_rows`` their updated
     values; every cell outside ``rows × V ∪ V × rows`` is unchanged, and the
-    symmetric counterpart of each listed cell changes identically.  When the
-    affected region exceeded the session's fallback heuristic,
-    ``from_scratch`` is set and ``new_rows`` is the full recomputed matrix
-    (with ``rows`` spanning every vertex).
+    symmetric counterpart of each listed cell changes identically.
     """
 
     removals: Tuple[Edge, ...]
     insertions: Tuple[Edge, ...]
     rows: np.ndarray
     new_rows: np.ndarray
-    from_scratch: bool = False
 
     @property
     def num_affected_rows(self) -> int:
@@ -242,21 +238,6 @@ class DistanceSession:
         The working graph (shared, not copied).
     length_bound:
         The L truncation of the distance matrix.
-    fallback_row_fraction:
-        When a removal would touch more than ``max(16, fraction * n)`` rows,
-        the preview recomputes the full matrix instead of the affected slab
-        (the slab path would cost more than it saves).  ``None`` (default)
-        derives the fraction from the graph's measured density × L — the
-        expected L-ball size — and keeps *recalibrating* it from the
-        affected-row counts the batched scans observe, so the heuristic
-        tracks the graph instead of a hard-coded 0.5.  An explicit float
-        pins the fraction; ``0.0`` forces the from-scratch path on every
-        removal (useful for testing).  Either way the chosen value only
-        routes between two value-identical code paths (slab vs
-        from-scratch), so results never depend on it.  The tiled tier pins
-        the fraction to ``1.0``: a from-scratch fallback would materialize
-        the dense matrix the tier exists to avoid, and the slab path is
-        bit-identical by the property-suite contract.
     initial_distances:
         Optional precomputed L-bounded distances of ``graph`` — either a
         matrix (e.g. a thresholded slice of a shared
@@ -273,45 +254,17 @@ class DistanceSession:
     """
 
     def __init__(self, graph: Graph, length_bound: int,
-                 fallback_row_fraction: Optional[float] = None,
                  initial_distances: Union[np.ndarray, DistanceStore, None] = None,
                  store_config: Optional[StoreConfig] = None) -> None:
         if length_bound < 1:
             raise ConfigurationError(f"length_bound must be >= 1, got {length_bound}")
-        if fallback_row_fraction is not None \
-                and not 0.0 <= fallback_row_fraction <= 1.0:
-            raise ConfigurationError(
-                f"fallback_row_fraction must be in [0, 1], got {fallback_row_fraction}")
         self._graph = graph
         self._length = int(length_bound)
-        self._requested_fraction = fallback_row_fraction
-        self._auto_fraction = fallback_row_fraction is None
-        self._fallback_fraction = (self._estimate_fraction()
-                                   if self._auto_fraction
-                                   else float(fallback_row_fraction))
-        self._observed_rows = 0
-        self._observed_candidates = 0
         self._store = self._init_store(initial_distances, store_config)
         if isinstance(self._store, TiledStore):
-            self._fallback_fraction = 1.0
-            self._auto_fraction = False
             self._mirror = _CSROverlayAdjacency(graph)
         else:
             self._mirror = _DenseAdjacency(graph)
-
-    def _estimate_fraction(self) -> float:
-        """Initial auto fraction: the expected relative L-ball size.
-
-        A removal's affected rows live within L of an endpoint, so the
-        density-derived ball size ``degree^(L-1)`` (doubled for the two
-        endpoints, with generous 8x headroom before the from-scratch path
-        can pay off) estimates the fraction of rows a typical removal
-        touches; the batched scans keep refining it with measured counts.
-        """
-        n = max(1, self._graph.num_vertices)
-        degree = max(1.0, 2.0 * self._graph.num_edges / n)
-        ball = min(float(n), 2.0 * degree ** max(0, self._length - 1))
-        return min(1.0, max(0.05, 8.0 * ball / n))
 
     def _init_store(self,
                     initial_distances: Union[np.ndarray, DistanceStore, None],
@@ -369,47 +322,6 @@ class DistanceSession:
         """The distance store backing this session (row-block reads)."""
         return self._store
 
-    @property
-    def fallback_row_fraction(self) -> float:
-        """The currently effective fallback fraction (auto-recalibrated)."""
-        return self._fallback_fraction
-
-    @property
-    def requested_fallback_fraction(self) -> Optional[float]:
-        """The constructor's fraction (``None`` = auto-derived)."""
-        return self._requested_fraction
-
-    def observe_affected_rows(self, rows_total: int, candidates: int) -> None:
-        """Feed measured affected-row counts into the auto fraction.
-
-        The batched scans call this with their per-chunk totals (parallel
-        shards ship their workers' totals through the same hook); once
-        enough candidates have been observed the fraction is re-derived
-        from the measured mean so the heuristic tracks the *actual* graph
-        instead of the density estimate.  Routing-only: recalibration never
-        changes any result.
-        """
-        if candidates <= 0:
-            return
-        self._observed_rows += int(rows_total)
-        self._observed_candidates += int(candidates)
-        if not self._auto_fraction or self._observed_candidates < 16:
-            return
-        n = max(1, self._graph.num_vertices)
-        mean_rows = self._observed_rows / self._observed_candidates
-        self._fallback_fraction = min(1.0, max(0.05, 8.0 * mean_rows / n))
-
-    def take_observed_stats(self) -> Tuple[int, int]:
-        """Return and reset ``(affected rows, candidates)`` observed so far.
-
-        The scan-pool workers drain their counters through this after every
-        shard so the parent can fold them into its own auto fraction.
-        """
-        stats = (self._observed_rows, self._observed_candidates)
-        self._observed_rows = 0
-        self._observed_candidates = 0
-        return stats
-
     def close(self) -> None:
         """Release store resources (tiled spill files); idempotent."""
         if isinstance(self._store, TiledStore):
@@ -457,27 +369,23 @@ class DistanceSession:
             self._revert_mirror(applied)
 
     def preview_batch(self, removals: Sequence[Edge] = (),
-                      insertions: Sequence[Edge] = (),
-                      skip_unchanged: bool = False) -> List[DistanceDelta | None]:
+                      insertions: Sequence[Edge] = ()
+                      ) -> List[DistanceDelta | None]:
         """Deltas of *independent* single-edge candidates, one stacked pass.
 
         Unlike :meth:`preview` — where the listed edges form one combined
-        edit — every edge here is its own candidate: the result is
-        bit-identical to ``[preview(removals=[e]) for e in removals] +
-        [preview(insertions=[e]) for e in insertions]``, but all removal
-        candidates share a single ``|rows_total| × n`` slab recompute and
-        all insertion candidates share a single broadcast relaxation,
-        eliminating the per-candidate numpy call overhead that dominates
-        the greedy scans.
+        edit — every edge here is its own candidate, in the order
+        ``removals + insertions``.  All removal candidates share a single
+        ``|rows_total| × n`` slab recompute and all insertion candidates
+        share a single broadcast relaxation, eliminating the per-candidate
+        numpy call overhead that dominates the greedy scans.
 
-        ``skip_unchanged=True`` is the fused-scan variant for consumers
-        that only tally *within-L membership flips* (the opacity sessions):
-        candidates whose edit flips no cell across the L boundary — e.g. a
-        removal whose every perturbed pair stays within L via an alternate
-        path — yield ``None`` instead of a :class:`DistanceDelta`, so no
-        per-candidate delta object (or row copy) is materialized for no-op
-        rows.  From-scratch fallbacks always materialize (their consumers
-        recount from the full matrix).
+        The pass serves consumers that only tally *within-L membership
+        flips* (the opacity sessions): a candidate whose edit flips no cell
+        across the L boundary — e.g. a removal whose every perturbed pair
+        stays within L via an alternate path — yields ``None``, so no delta
+        object (or row copy) is materialized for it.  Every other entry is
+        bit-identical to the candidate's own :meth:`preview`.
         """
         removal_edges = [normalize_edge(u, v) for u, v in removals]
         insertion_edges = [normalize_edge(u, v) for u, v in insertions]
@@ -485,8 +393,8 @@ class DistanceSession:
             _check_edit(self._graph, (edge,), ())
         for edge in insertion_edges:
             _check_edit(self._graph, (), (edge,))
-        deltas = self._batch_removal_deltas(removal_edges, skip_unchanged)
-        deltas += self._batch_insertion_deltas(insertion_edges, skip_unchanged)
+        deltas = self._batch_deltas(removal_edges, removal=True)
+        deltas += self._batch_deltas(insertion_edges, removal=False)
         return deltas
 
     def _batch_slab_row_cap(self) -> int:
@@ -547,82 +455,62 @@ class DistanceSession:
         near = np.minimum(du, dv) <= self._length - 1
         affected = (near & (np.abs(du - dv) == 1)) if removal else near
         counts = affected.sum(axis=1)
-        if removal:
-            self.observe_affected_rows(int(counts.sum()), len(edges))
         candidate_index, row_index = np.nonzero(affected)
         del candidate_index
         return np.split(row_index, np.cumsum(counts)[:-1])
 
-    def _batch_removal_deltas(self, edges: List[Edge],
-                              skip_unchanged: bool = False
-                              ) -> List[DistanceDelta | None]:
-        n = self._graph.num_vertices
+    def _batch_deltas(self, edges: List[Edge], removal: bool
+                      ) -> List[DistanceDelta | None]:
+        """Deltas of single-edge candidates of one kind, slab chunk by chunk."""
         deltas: List[DistanceDelta | None] = [None] * len(edges)
         slab: List[Tuple[int, np.ndarray]] = []  # (candidate index, affected rows)
-        threshold = self._fallback_threshold(n)
         candidate_cap = self._batch_candidate_cap()
         for chunk_start in range(0, len(edges), candidate_cap):
             chunk = edges[chunk_start:chunk_start + candidate_cap]
-            candidate_rows = self._batch_affected_rows(chunk, removal=True)
-            for local, rows in enumerate(candidate_rows):
-                index = chunk_start + local
-                if rows.size > threshold:
-                    u, v = edges[index]
-                    self._mirror.set_edge(u, v, False)
-                    try:
-                        full = self._rows_block(np.arange(n))
-                    finally:
-                        self._mirror.set_edge(u, v, True)
-                    deltas[index] = DistanceDelta(
-                        (edges[index],), (), np.arange(n, dtype=np.int64), full,
-                        from_scratch=True)
-                else:
-                    slab.append((index, rows))
+            for local, rows in enumerate(self._batch_affected_rows(chunk,
+                                                                   removal)):
+                if rows.size:
+                    slab.append((chunk_start + local, rows))
         for slab_chunk in self._slab_chunks(slab):
-            self._fill_removal_chunk(edges, slab_chunk, deltas, skip_unchanged)
+            self._fill_chunk(edges, slab_chunk, deltas, removal)
         return deltas
 
-    def _fill_removal_chunk(self, edges: List[Edge],
-                            chunk: List[Tuple[int, np.ndarray]],
-                            deltas: List[DistanceDelta | None],
-                            skip_unchanged: bool) -> None:
-        """Recompute one chunk's affected rows in a shared stacked slab."""
-        n = self._graph.num_vertices
-        empty_rows = np.empty(0, dtype=np.int64)
-        empty_block = np.empty((0, n), dtype=self._store.dtype)
-        live = [(index, rows) for index, rows in chunk if rows.size]
-        if not skip_unchanged:
-            for index, rows in chunk:
-                if not rows.size:
-                    deltas[index] = DistanceDelta((edges[index],), (),
-                                                  empty_rows, empty_block)
-        if not live:
-            return
-        rows_cat = np.concatenate([rows for _, rows in live])
-        sizes = [rows.size for _, rows in live]
-        edge_u = np.repeat(np.fromiter((edges[index][0] for index, _ in live),
-                                       dtype=np.int64, count=len(live)), sizes)
-        edge_v = np.repeat(np.fromiter((edges[index][1] for index, _ in live),
-                                       dtype=np.int64, count=len(live)), sizes)
-        block = self._rows_block_batch(rows_cat, edge_u, edge_v)
+    def _fill_chunk(self, edges: List[Edge],
+                    chunk: List[Tuple[int, np.ndarray]],
+                    deltas: List[DistanceDelta | None], removal: bool) -> None:
+        """Recompute one chunk's affected rows in a shared stacked pass.
+
+        Removals re-expand the stacked rows in one slab
+        (:meth:`_rows_block_batch`); insertions relax them in one broadcast
+        pass (:meth:`_relax_rows_batch`).  A candidate gets a delta only
+        when some cell of its rows crosses the L boundary (a within-L
+        membership flip).
+        """
+        rows_cat = np.concatenate([rows for _, rows in chunk])
+        sizes = [rows.size for _, rows in chunk]
+        edge_u = np.repeat(np.fromiter((edges[index][0] for index, _ in chunk),
+                                       dtype=np.int64, count=len(chunk)), sizes)
+        edge_v = np.repeat(np.fromiter((edges[index][1] for index, _ in chunk),
+                                       dtype=np.int64, count=len(chunk)), sizes)
         old_block = self._store.rows(rows_cat)
+        if removal:
+            block = self._rows_block_batch(rows_cat, edge_u, edge_v)
+        else:
+            block = self._relax_rows_batch(old_block, edge_u, edge_v)
         changed_cat = (block != old_block).any(axis=1)
-        if skip_unchanged:
-            # A candidate only matters to flip-tallying consumers when some
-            # cell crosses the L boundary (within-L membership flips).
-            flips_cat = ((block <= self._length)
-                         != (old_block <= self._length)).any(axis=1)
+        flips_cat = ((block <= self._length)
+                     != (old_block <= self._length)).any(axis=1)
         offset = 0
-        for index, rows in live:
-            candidate_block = block[offset:offset + rows.size]
-            changed = changed_cat[offset:offset + rows.size]
-            if skip_unchanged and not flips_cat[offset:offset + rows.size].any():
-                offset += rows.size
-                continue
+        for index, rows in chunk:
+            span = slice(offset, offset + rows.size)
             offset += rows.size
+            if not flips_cat[span].any():
+                continue
+            changed = changed_cat[span]
+            edit = ((edges[index],), ()) if removal else ((), (edges[index],))
             deltas[index] = DistanceDelta(
-                (edges[index],), (), rows[changed],
-                np.ascontiguousarray(candidate_block[changed],
+                *edit, rows[changed],
+                np.ascontiguousarray(block[span][changed],
                                      dtype=self._store.dtype))
 
     def _rows_block_batch(self, rows: np.ndarray, edge_u: np.ndarray,
@@ -682,75 +570,17 @@ class DistanceSession:
             step += 1
         return block
 
-    def _batch_insertion_deltas(self, edges: List[Edge],
-                                skip_unchanged: bool = False
-                                ) -> List[DistanceDelta | None]:
-        n = self._graph.num_vertices
-        deltas: List[DistanceDelta | None] = [None] * len(edges)
-        empty_rows = np.empty(0, dtype=np.int64)
-        empty_block = np.empty((0, n), dtype=self._store.dtype)
-        slab: List[Tuple[int, np.ndarray]] = []
-        candidate_cap = self._batch_candidate_cap()
-        for chunk_start in range(0, len(edges), candidate_cap):
-            chunk = edges[chunk_start:chunk_start + candidate_cap]
-            candidate_rows = self._batch_affected_rows(chunk, removal=False)
-            for local, rows in enumerate(candidate_rows):
-                index = chunk_start + local
-                if rows.size == 0:
-                    if not skip_unchanged:
-                        deltas[index] = DistanceDelta((), (edges[index],),
-                                                      empty_rows, empty_block)
-                else:
-                    slab.append((index, rows))
-        for slab_chunk in self._slab_chunks(slab):
-            self._fill_insertion_chunk(edges, slab_chunk, deltas, skip_unchanged)
-        return deltas
-
-    def _fill_insertion_chunk(self, edges: List[Edge],
-                              chunk: List[Tuple[int, np.ndarray]],
-                              deltas: List[DistanceDelta | None],
-                              skip_unchanged: bool) -> None:
-        """Relax one chunk's affected rows in a shared broadcast pass.
-
-        The single-edge relaxation of :meth:`_relax_insertion` applied to the
-        stacked ``(candidate, row)`` pairs at once; the matrix is symmetric,
-        so each pair's endpoint columns are read as matrix rows.
-        """
-        rows_cat = np.concatenate([rows for _, rows in chunk])
-        sizes = [rows.size for _, rows in chunk]
-        edge_u = np.repeat(np.fromiter((edges[index][0] for index, _ in chunk),
-                                       dtype=np.int64, count=len(chunk)), sizes)
-        edge_v = np.repeat(np.fromiter((edges[index][1] for index, _ in chunk),
-                                       dtype=np.int64, count=len(chunk)), sizes)
-        # Only the gathered slab rows are widened to int64 (the arithmetic
-        # must not wrap on sentinel + 1 + d), never the full matrix.
-        old_block = self._store.rows(rows_cat)
-        block = self._relax_rows_batch(old_block, edge_u, edge_v)
-        changed_cat = (block != old_block).any(axis=1)
-        if skip_unchanged:
-            flips_cat = ((block <= self._length)
-                         != (old_block <= self._length)).any(axis=1)
-        offset = 0
-        for index, rows in chunk:
-            candidate_block = block[offset:offset + rows.size]
-            changed = changed_cat[offset:offset + rows.size]
-            if skip_unchanged and not flips_cat[offset:offset + rows.size].any():
-                offset += rows.size
-                continue
-            offset += rows.size
-            deltas[index] = DistanceDelta(
-                (), (edges[index],), rows[changed],
-                np.ascontiguousarray(candidate_block[changed],
-                                     dtype=self._store.dtype))
-
     def _relax_rows_batch(self, old_block: np.ndarray, edge_u: np.ndarray,
                           edge_v: np.ndarray) -> np.ndarray:
         """Stacked single-edge relaxation of ``old_block``'s rows.
 
-        Rows are independent, so slabs beyond the row cap stream through
-        it in chunks — the int64 widening and the per-row endpoint gathers
-        (the pass's transient workspace) stay bounded by the cap while the
-        result is bit-identical.
+        The relaxation of :meth:`_relax_insertion` applied to the stacked
+        ``(candidate, row)`` pairs at once; the matrix is symmetric, so each
+        pair's endpoint columns are read as matrix rows.  Rows are
+        independent, so slabs beyond the row cap stream through it in
+        chunks — the int64 widening and the per-row endpoint gathers (the
+        pass's transient workspace) stay bounded by the cap while the result
+        is bit-identical.
         """
         cap = self._batch_slab_row_cap()
         if old_block.shape[0] > cap:
@@ -802,32 +632,14 @@ class DistanceSession:
 
     def commit(self, delta: DistanceDelta) -> None:
         """Fold a :meth:`stage`-d delta into the store."""
-        if delta.from_scratch:
-            self._store.replace(delta.new_rows)
-        elif delta.rows.size:
+        if delta.rows.size:
             self._store.write_rows(delta.rows, delta.new_rows)
         self._mirror.compact()
 
     def apply(self, removals: Sequence[Edge] = (),
-              insertions: Sequence[Edge] = (),
-              delta: DistanceDelta | None = None) -> DistanceDelta:
-        """Apply the edit to the graph and fold its delta into the matrix.
-
-        ``delta`` may carry the result of a matching :meth:`preview` to avoid
-        recomputing it; it must describe exactly the same edit.
-        """
-        norm_removals = tuple(normalize_edge(u, v) for u, v in removals)
-        norm_insertions = tuple(normalize_edge(u, v) for u, v in insertions)
-        if delta is None:
-            delta = self.stage(norm_removals, norm_insertions)
-        else:
-            if (delta.removals, delta.insertions) != (norm_removals, norm_insertions):
-                raise ConfigurationError("delta does not describe the requested edit")
-            _edit_graph(self._graph, norm_removals, norm_insertions)
-            for u, v in norm_removals:
-                self._mirror.set_edge(u, v, False)
-            for u, v in norm_insertions:
-                self._mirror.set_edge(u, v, True)
+              insertions: Sequence[Edge] = ()) -> DistanceDelta:
+        """Apply the edit to the graph and fold its delta into the matrix."""
+        delta = self.stage(removals, insertions)
         self.commit(delta)
         return delta
 
@@ -838,8 +650,7 @@ class DistanceSession:
 
         Every applied op is recorded in ``applied`` (for the caller to
         revert, or keep); neither the graph nor the distance matrix is
-        written.  A from-scratch fallback expands every row over the
-        edited mirror.
+        written.
 
         Multi-op sequences track intermediate state in a sparse *row
         overlay* instead of a full matrix copy: every changed cell has both
@@ -863,19 +674,12 @@ class DistanceSession:
                 col[i] = row[j]
             return col
 
-        scratch = False
         for kind, (u, v) in ops:
             self._mirror.set_edge(u, v, kind == "insert")
             applied.append((kind, (u, v)))
-            if scratch:
-                continue
             du, dv = column(u), column(v)
             if kind == "remove":
                 rows = self._removal_rows(du, dv)
-                self.observe_affected_rows(int(rows.size), 1)
-                if rows.size > self._fallback_threshold(n):
-                    scratch = True
-                    continue
                 block = self._rows_block(rows)
             else:
                 rows = np.nonzero(np.minimum(du, dv) <= self._length - 1)[0]
@@ -888,11 +692,6 @@ class DistanceSession:
                 block = self._relax_insertion(base, du, dv, rows)
             for position, index in enumerate(rows.tolist()):
                 overlay[index] = block[position]
-        if scratch:
-            full = self._rows_block(np.arange(n))
-            return DistanceDelta(removals, insertions,
-                                 np.arange(n, dtype=np.int64), full,
-                                 from_scratch=True)
         rows = np.fromiter(sorted(overlay), dtype=np.int64, count=len(overlay))
         block = (np.stack([overlay[int(i)] for i in rows])
                  if rows.size else np.empty((0, n), dtype=self._store.dtype))
@@ -929,11 +728,6 @@ class DistanceSession:
     # ------------------------------------------------------------------
     # per-edit machinery
     # ------------------------------------------------------------------
-    def _fallback_threshold(self, n: int) -> int:
-        if self._fallback_fraction == 0.0:
-            return 0
-        return max(16, int(n * self._fallback_fraction))
-
     def _removal_rows(self, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Rows that can change when the edge between the columns is removed.
 

@@ -231,8 +231,7 @@ class DistanceStore:
     The matrix is symmetric, so this interface is complete: column gathers
     are ``rows(cols).T`` and a delta commit is one symmetric
     :meth:`write_rows`.  ``rows`` always returns a *fresh* slab the caller
-    may mutate; writes only go through :meth:`write_rows` /
-    :meth:`replace`.
+    may mutate; writes only go through :meth:`write_rows`.
     """
 
     num_vertices: int
@@ -250,10 +249,6 @@ class DistanceStore:
 
     def write_rows(self, rows: np.ndarray, new_rows: np.ndarray) -> None:
         """Symmetric write: set ``D[rows, :] = new_rows`` and ``D[:, rows] = new_rows.T``."""
-        raise NotImplementedError
-
-    def replace(self, matrix: np.ndarray) -> None:
-        """Adopt a full recomputed matrix (the from-scratch fallback path)."""
         raise NotImplementedError
 
     def row_blocks(self) -> Iterator[Tuple[int, int]]:
@@ -289,10 +284,6 @@ class DenseStore(DistanceStore):
     def write_rows(self, rows: np.ndarray, new_rows: np.ndarray) -> None:
         self._matrix[rows, :] = new_rows
         self._matrix[:, rows] = new_rows.T
-
-    def replace(self, matrix: np.ndarray) -> None:
-        self._matrix = matrix
-        self.dtype = matrix.dtype
 
     def row_blocks(self) -> Iterator[Tuple[int, int]]:
         yield 0, self.num_vertices
@@ -613,22 +604,6 @@ class TiledStore(DistanceStore):
             selector = tile_ids == tile_id
             if selector.any():
                 tile[rows[selector] - start] = new_rows[selector]
-
-    def replace(self, matrix: np.ndarray) -> None:
-        if matrix.shape != (self.num_vertices, self.num_vertices):
-            raise ConfigurationError(
-                f"replacement matrix must be "
-                f"{(self.num_vertices, self.num_vertices)}, got {matrix.shape}")
-        self._edited = True
-        self._retire_persistence()
-        self._cache.clear()
-        self._cache_bytes = 0
-        self._on_disk[:] = False
-        for tile_id in range(self.num_tiles):
-            start, stop = self._tile_span(tile_id)
-            self._insert(tile_id,
-                         np.ascontiguousarray(matrix[start:stop],
-                                              dtype=self.dtype))
 
     def row_blocks(self) -> Iterator[Tuple[int, int]]:
         for tile_id in range(self.num_tiles):

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,8 @@ from repro.core.edge_removal_insertion import (
     EdgeRemovalInsertionAnonymizer,
     EligiblePairs,
 )
-from repro.core.opacity import max_lo
+from repro.core.opacity import OpacityComputer, max_lo
+from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping
 from repro.graph.generators import complete_graph, erdos_renyi_graph
 from repro.graph.graph import Graph
@@ -116,14 +118,22 @@ def enumerate_then_sample(graph, removed, cap, rng):
     return candidates
 
 
+def eligible_pairs(graph, removed):
+    edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+    return EligiblePairs(graph.num_vertices, (edges[:, 0], edges[:, 1]),
+                         removed)
+
+
 def assert_sampling_matches_reference(graph, removed, cap, seed):
     anonymizer = EdgeRemovalInsertionAnonymizer(length_threshold=1)
     # Bypasses validation, so that cap 0 is exercised too.
     anonymizer._config = dataclasses.replace(anonymizer._config,
                                              insertion_candidate_cap=cap)
+    session = OpacitySession(OpacityComputer(DegreePairTyping(graph), 1),
+                             graph)
     ours, theirs = random.Random(seed), random.Random(seed)
     observed = anonymizer._insertion_candidates(
-        graph, ours, SimpleNamespace(removed_edges=removed))
+        session, ours, SimpleNamespace(removed_edges=removed))
     expected = enumerate_then_sample(graph, removed, cap, theirs)
     assert observed == expected
     assert ours.getstate() == theirs.getstate()  # the same draws
@@ -142,7 +152,7 @@ class TestInsertionSampling:
         removed = (set(data.draw(st.lists(st.sampled_from(pairs),
                                           max_size=40)))
                    if pairs else set())
-        count = len(EligiblePairs(graph, removed))
+        count = len(eligible_pairs(graph, removed))
         cap = data.draw(st.one_of(st.none(),
                                   st.integers(min_value=0,
                                               max_value=count + 3)))
@@ -161,7 +171,7 @@ class TestInsertionSampling:
     def test_sequence_equals_the_enumeration(self):
         graph = erdos_renyi_graph(25, 0.3, seed=8)
         removed = set(list(graph.non_edges())[::3])
-        eligible = EligiblePairs(graph, removed)
+        eligible = eligible_pairs(graph, removed)
         expected = [edge for edge in graph.non_edges() if edge not in removed]
         assert len(eligible) == len(expected)
         assert list(eligible) == expected

@@ -29,6 +29,7 @@ from repro.graph.distance_store import StoreConfig
 from tests.oracles import (
     PerCandidateSession,
     ScratchSession,
+    largest_region_removal,
     outcomes,
     run_on,
     type_mask,
@@ -372,26 +373,31 @@ class TestViolatingPairIndices:
             incremental.apply_edit(removals=[edges[0]])
             scratch.apply_edit(removals=[edges[0]])
 
-    def test_mask_survives_from_scratch_fallback_deltas(self):
+    def test_mask_survives_largest_region_removals(self):
+        # Each step removes the edge whose slab of affected rows is widest;
+        # its flipped cells are folded into the within-L set.
         graph = erdos_renyi_graph(16, 0.25, seed=4)
         computer = OpacityComputer(DegreePairTyping(graph), 2)
-        incremental = OpacitySession(computer, graph.copy(),
-                                     fallback_row_fraction=0.0)
+        incremental = OpacitySession(computer, graph.copy())
         scratch = ScratchSession(computer, graph.copy())
         max_types = self._max_types(incremental)
         # Seed the within-L set.
         incremental.violating_pair_indices(
             type_mask(incremental.computer.typing, max_types))
-        for edge in list(graph.edges())[:4]:
+        every_row = np.arange(graph.num_vertices)
+        for _ in range(4):
+            edge, region = largest_region_removal(
+                incremental.distance_rows(every_row), 2)
+            assert region > graph.num_vertices // 2
             incremental.apply_edit(removals=[edge])
             scratch.apply_edit(removals=[edge])
-        max_types = self._max_types(incremental)
-        left = incremental.violating_pair_indices(
-            type_mask(incremental.computer.typing, max_types))
-        right = scratch.violating_pair_indices(
-            type_mask(scratch.computer.typing, max_types))
-        assert left[0].tolist() == right[0].tolist()
-        assert left[1].tolist() == right[1].tolist()
+            max_types = self._max_types(incremental)
+            left = incremental.violating_pair_indices(
+                type_mask(incremental.computer.typing, max_types))
+            right = scratch.violating_pair_indices(
+                type_mask(scratch.computer.typing, max_types))
+            assert left[0].tolist() == right[0].tolist()
+            assert left[1].tolist() == right[1].tolist()
 
     @staticmethod
     def _sessions(graph, length):

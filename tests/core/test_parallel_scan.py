@@ -49,7 +49,6 @@ from repro.core.scan_pool import (
 from repro.errors import ConfigurationError
 from repro.graph import erdos_renyi_graph
 from repro.graph.distance import available_engines, bounded_distance_matrix
-from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
 from tests.oracles import PerCandidateSession, outcomes, run_on
 from tests.property.strategies import graphs, length_bounds
@@ -460,22 +459,18 @@ class TestCrashSafety:
         assert leaked_arenas() == []
 
 
-class TestDebugInfoAndFallbackFraction:
+class TestDebugInfo:
     def test_debug_info_reports_the_scan_configuration(self):
         graph = erdos_renyi_graph(18, 0.25, seed=2)
         params = dict(length_threshold=3, theta=0.5, seed=0, max_steps=3)
         serial = EdgeRemovalAnonymizer(
             scan_workers=0,
             **params).anonymize(graph)
-        assert serial.debug_info["scan_workers"] == 0
-        assert serial.debug_info["parallel_scans"] == 0
-        assert 0.05 <= serial.debug_info["fallback_row_fraction"] <= 1.0
+        assert serial.debug_info == {"scan_workers": 0, "parallel_scans": 0}
         parallel = EdgeRemovalAnonymizer(
             scan_workers=WORKERS, **params).anonymize(graph)
         assert parallel.debug_info["scan_workers"] == WORKERS
         assert parallel.debug_info["parallel_scans"] > 0
-        assert parallel.debug_info["fallback_row_fraction"] == \
-            serial.debug_info["fallback_row_fraction"]
 
     def test_debug_info_does_not_affect_result_equality(self):
         graph = erdos_renyi_graph(14, 0.3, seed=4)
@@ -485,34 +480,6 @@ class TestDebugInfoAndFallbackFraction:
         second.runtime_seconds = first.runtime_seconds
         second.debug_info["scan_workers"] = 99
         assert first == second
-
-    def test_auto_fraction_recalibrates_from_observed_rows(self):
-        graph = erdos_renyi_graph(40, 0.05, seed=9)
-        session = DistanceSession(graph, 2)
-        assert session.requested_fallback_fraction is None
-        initial = session.fallback_row_fraction
-        assert 0.05 <= initial <= 1.0
-        edges = graph.edge_list()
-        assert len(edges) >= 16
-        for edge in edges:
-            session.preview(removals=[edge])
-        rows, candidates = session.take_observed_stats()
-        assert candidates == len(edges)
-        # The default is now measurement-driven: re-derived from the mean
-        # affected-row count of the observed candidates.
-        expected = min(1.0, max(
-            0.05, 8.0 * (rows / candidates) / graph.num_vertices))
-        assert session.fallback_row_fraction == expected
-        # take_observed_stats drained the counters for the next window.
-        assert session.take_observed_stats() == (0, 0)
-
-    def test_explicit_fraction_is_never_recalibrated(self):
-        graph = erdos_renyi_graph(30, 0.1, seed=9)
-        session = DistanceSession(graph, 2, fallback_row_fraction=0.5)
-        assert session.requested_fallback_fraction == 0.5
-        for edge in graph.edge_list():
-            session.preview(removals=[edge])
-        assert session.fallback_row_fraction == 0.5
 
 
 class TestChunkScaling:

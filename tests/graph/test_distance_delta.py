@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,11 @@ from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
+from tests.oracles import assert_batch_entry_matches, largest_region_removal
 
 
 def apply_delta(session, delta):
     """Materialize a previewed delta into a full matrix (for comparison)."""
-    if delta.from_scratch:
-        return delta.new_rows.copy()
     matrix = session.distances.copy()
     if delta.rows.size:
         matrix[delta.rows, :] = delta.new_rows
@@ -73,23 +74,12 @@ class TestPreview:
         session = DistanceSession(paper_example_graph, 2)
         delta = session.preview()
         assert delta.num_affected_rows == 0
-        assert not delta.from_scratch
-
-    def test_fallback_produces_full_scratch_matrix(self, paper_example_graph):
-        session = DistanceSession(paper_example_graph, 2, fallback_row_fraction=0.0)
-        delta = session.preview(removals=[(0, 1)])
-        assert delta.from_scratch
-        expected = reference_after(paper_example_graph, [(0, 1)], [], 2)
-        assert np.array_equal(delta.new_rows, expected)
-        # The graph is restored even on the fallback path.
-        assert paper_example_graph.has_edge(0, 1)
 
 
 class TestApply:
-    @pytest.mark.parametrize("fallback", [0.0, 0.5, 1.0])
-    def test_random_edit_sequence_stays_exact(self, fallback):
+    def test_random_edit_sequence_stays_exact(self):
         graph = erdos_renyi_graph(30, 0.2, seed=5)
-        session = DistanceSession(graph, 2, fallback_row_fraction=fallback)
+        session = DistanceSession(graph, 2)
         for index in range(25):
             edges = list(graph.edges())
             non_edges = list(graph.non_edges())
@@ -100,19 +90,15 @@ class TestApply:
             assert np.array_equal(session.distances,
                                   bounded_distance_matrix(graph, 2))
 
-    def test_apply_accepts_matching_preview(self, paper_example_graph):
+    def test_apply_returns_the_previewed_delta(self, paper_example_graph):
         session = DistanceSession(paper_example_graph, 2)
-        delta = session.preview(removals=[(0, 1)])
-        session.apply(removals=[(0, 1)], delta=delta)
+        previewed = session.preview(removals=[(0, 1)])
+        applied = session.apply(removals=[(0, 1)])
+        assert np.array_equal(applied.rows, previewed.rows)
+        assert np.array_equal(applied.new_rows, previewed.new_rows)
         assert not paper_example_graph.has_edge(0, 1)
         assert np.array_equal(session.distances,
                               bounded_distance_matrix(paper_example_graph, 2))
-
-    def test_apply_rejects_mismatched_delta(self, paper_example_graph):
-        session = DistanceSession(paper_example_graph, 2)
-        delta = session.preview(removals=[(0, 1)])
-        with pytest.raises(ConfigurationError):
-            session.apply(removals=[(1, 2)], delta=delta)
 
     def test_refresh_resyncs_after_out_of_band_edit(self, paper_example_graph):
         session = DistanceSession(paper_example_graph, 2)
@@ -122,39 +108,78 @@ class TestApply:
                               bounded_distance_matrix(paper_example_graph, 2))
 
 
-class TestFallbackTransition:
-    def test_mid_sequence_fallback_after_incremental_op(self):
-        # n must exceed the threshold floor of 16 affected rows for the
-        # fallback to be reachable at all; a dense L=3 sample guarantees a
-        # removal's affected region blows past it.
+class TestLargeAffectedRegion:
+    """Removals touching most rows stay slab deltas through every path."""
+
+    def test_largest_region_removal_after_an_insertion(self):
+        # A dense L = 3 sample, where a removal's affected rows are most
+        # of the graph.
         graph = erdos_renyi_graph(40, 0.3, seed=11)
-        session = DistanceSession(graph, 3, fallback_row_fraction=0.05)
-        removal = next(edge for edge in graph.edges()
-                       if session.preview(removals=[edge]).from_scratch)
+        session = DistanceSession(graph, 3)
+        removal, region = largest_region_removal(session.distances, 3)
+        assert region > graph.num_vertices // 2
         insertion = next(iter(graph.non_edges()))
-        # Insertions never fall back, so the first op is processed
-        # incrementally and the removal then flips the preview to scratch.
+        alone = session.preview(removals=[removal])
+        assert np.array_equal(apply_delta(session, alone),
+                              reference_after(graph, [removal], [], 3))
+        # The removal follows the insertion, as greedy combinations apply.
         delta = session.preview(removals=[removal], insertions=[insertion])
-        assert delta.from_scratch
         expected = reference_after(graph, [removal], [insertion], 3)
-        assert np.array_equal(delta.new_rows, expected)
-        # The same transition through the permanent-application path.
-        session.apply(removals=[removal], insertions=[insertion])
+        assert np.array_equal(apply_delta(session, delta), expected)
+        staged = session.stage(removals=[removal], insertions=[insertion])
+        assert np.array_equal(staged.rows, delta.rows)
+        assert np.array_equal(staged.new_rows, delta.new_rows)
+        session.commit(staged)
+        assert np.array_equal(session.distances, expected)
         assert np.array_equal(session.distances,
                               bounded_distance_matrix(graph, 3))
 
-    def test_mixed_incremental_and_fallback_sequence_stays_exact(self):
+    def test_mixed_sequence_of_largest_region_removals_stays_exact(self):
         graph = erdos_renyi_graph(40, 0.3, seed=12)
-        session = DistanceSession(graph, 3, fallback_row_fraction=0.05)
+        session = DistanceSession(graph, 3)
         for index in range(12):
-            edges = list(graph.edges())
             non_edges = list(graph.non_edges())
-            if index % 2 == 0 and edges:
-                session.apply(removals=[edges[index % len(edges)]])
+            if index % 2 == 0 and graph.num_edges:
+                removal, _ = largest_region_removal(session.distances, 3)
+                session.apply(removals=[removal])
             elif non_edges:
                 session.apply(insertions=[non_edges[index % len(non_edges)]])
             assert np.array_equal(session.distances,
                                   bounded_distance_matrix(graph, 3))
+
+
+class TestSlabBeyondTheRowCap:
+    def test_one_removal_streams_through_the_row_cap(self):
+        # A broom: hub 1 carries every leaf and vertex 0 hangs off it with a
+        # short tail.  Removing (0, 1) changes every leaf's row, more rows
+        # than one stacked pass holds at this n, so the slab is recomputed
+        # in chunks.
+        n = 2100
+        tail = n - 2
+        edges = [(0, 1), (0, tail), (tail, n - 1)]
+        edges += [(1, leaf) for leaf in range(2, tail)]
+        graph = Graph(n, edges=edges)
+        session = DistanceSession(graph, 3)
+        cap = session._batch_slab_row_cap()
+        expected = reference_after(graph, [(0, 1)], [], 3)
+        with mock.patch.object(DistanceSession, "_rows_block_chunk",
+                               autospec=True,
+                               side_effect=DistanceSession._rows_block_chunk
+                               ) as single, \
+                mock.patch.object(DistanceSession, "_rows_block_batch_chunk",
+                                  autospec=True,
+                                  side_effect=DistanceSession
+                                  ._rows_block_batch_chunk) as stacked:
+            delta = session.preview(removals=[(0, 1)])
+            [batched] = session.preview_batch(removals=[(0, 1)])
+            staged = session.stage(removals=[(0, 1)])
+        assert delta.num_affected_rows > cap
+        assert single.call_count == 4  # two chunks each for preview and stage
+        assert stacked.call_count == 2
+        assert np.array_equal(apply_delta(session, delta), expected)
+        assert np.array_equal(apply_delta(session, batched), expected)
+        session.commit(staged)
+        assert np.array_equal(session.distances, expected)
 
 
 class TestWideFrontiers:
@@ -171,7 +196,7 @@ class TestWideFrontiers:
         assert reference[0, sink] == 3
         assert np.array_equal(bounded_distance_matrix(graph, 3, engine="numpy"),
                               reference)
-        session = DistanceSession(graph, 3, fallback_row_fraction=1.0)
+        session = DistanceSession(graph, 3)
         session.apply(removals=[(0, hub)])
         session.apply(insertions=[(0, hub)])
         assert np.array_equal(session.distances, reference)
@@ -181,10 +206,6 @@ class TestValidation:
     def test_rejects_bad_length(self):
         with pytest.raises(ConfigurationError):
             DistanceSession(Graph(3), 0)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ConfigurationError):
-            DistanceSession(Graph(3), 1, fallback_row_fraction=1.5)
 
     def test_preview_of_present_edge_insertion_raises_and_restores(self, paper_example_graph):
         session = DistanceSession(paper_example_graph, 2)
@@ -197,26 +218,24 @@ class TestValidation:
 
 
 class TestPreviewBatch:
-    """The stacked batch pass must equal the sequential previews bit for bit."""
+    """Every batch entry equals its sequential preview bit for bit.
+
+    The one exception: a candidate that flips no cell across the L
+    boundary comes back as ``None``.
+    """
 
     @pytest.mark.parametrize("length", [1, 2, 3])
-    @pytest.mark.parametrize("fallback", [0.0, 0.5, 1.0])
     def test_removal_batch_matches_sequential_previews(self, paper_example_graph,
-                                                       length, fallback):
+                                                       length):
         edges = list(paper_example_graph.edges())
-        sequential_session = DistanceSession(paper_example_graph.copy(), length,
-                                             fallback_row_fraction=fallback)
+        sequential_session = DistanceSession(paper_example_graph.copy(), length)
         expected = [sequential_session.preview(removals=[edge]) for edge in edges]
-        batch_session = DistanceSession(paper_example_graph, length,
-                                        fallback_row_fraction=fallback)
+        batch_session = DistanceSession(paper_example_graph, length)
         observed = batch_session.preview_batch(removals=edges)
         assert len(observed) == len(expected)
         for got, want in zip(observed, expected):
-            assert got.removals == want.removals
-            assert got.insertions == want.insertions
-            assert got.from_scratch == want.from_scratch
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.new_rows, want.new_rows)
+            assert_batch_entry_matches(batch_session.distances, got, want,
+                                       length)
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_insertion_batch_matches_sequential_previews(self, paper_example_graph,
@@ -224,26 +243,31 @@ class TestPreviewBatch:
         edges = list(paper_example_graph.non_edges())
         sequential_session = DistanceSession(paper_example_graph.copy(), length)
         expected = [sequential_session.preview(insertions=[edge]) for edge in edges]
-        observed = DistanceSession(paper_example_graph, length).preview_batch(
-            insertions=edges)
+        batch_session = DistanceSession(paper_example_graph, length)
+        observed = batch_session.preview_batch(insertions=edges)
+        assert len(observed) == len(expected)
         for got, want in zip(observed, expected):
-            assert got.insertions == want.insertions
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.new_rows, want.new_rows)
+            assert_batch_entry_matches(batch_session.distances, got, want,
+                                       length)
 
     def test_batch_on_random_graphs_matches_scratch_matrices(self):
         for seed in range(4):
             graph = erdos_renyi_graph(18, 0.2, seed=seed)
             session = DistanceSession(graph, 2)
             edges = list(graph.edges())
-            for edge, delta in zip(edges, session.preview_batch(removals=edges)):
-                expected = reference_after(graph, [edge], [], 2)
-                assert np.array_equal(apply_delta(session, delta), expected)
             non_edges = list(graph.non_edges())[:40]
-            for edge, delta in zip(non_edges,
-                                   session.preview_batch(insertions=non_edges)):
-                expected = reference_after(graph, [], [edge], 2)
-                assert np.array_equal(apply_delta(session, delta), expected)
+            edits = [([edge], []) for edge in edges]
+            edits += [([], [edge]) for edge in non_edges]
+            deltas = session.preview_batch(removals=edges, insertions=non_edges)
+            for (removals, insertions), delta in zip(edits, deltas):
+                expected = reference_after(graph, removals, insertions, 2)
+                if delta is None:
+                    # No pair crosses L: the within-2 pairs are unchanged.
+                    assert np.array_equal(expected <= 2,
+                                          session.distances <= 2)
+                else:
+                    assert np.array_equal(apply_delta(session, delta),
+                                          expected)
 
     def test_batch_leaves_no_trace(self, paper_example_graph):
         session = DistanceSession(paper_example_graph, 2)
@@ -258,16 +282,6 @@ class TestPreviewBatch:
         session = DistanceSession(paper_example_graph, 2)
         assert session.preview_batch() == []
 
-    def test_forced_fallback_yields_from_scratch_deltas(self, paper_example_graph):
-        session = DistanceSession(paper_example_graph, 2,
-                                  fallback_row_fraction=0.0)
-        edges = list(paper_example_graph.edges())
-        deltas = session.preview_batch(removals=edges)
-        assert all(delta.from_scratch for delta in deltas)
-        for edge, delta in zip(edges, deltas):
-            expected = reference_after(paper_example_graph, [edge], [], 2)
-            assert np.array_equal(delta.new_rows, expected)
-
     def test_small_slab_chunks_do_not_change_results(self, monkeypatch):
         graph = erdos_renyi_graph(16, 0.25, seed=1)
         session = DistanceSession(graph, 2)
@@ -277,9 +291,12 @@ class TestPreviewBatch:
         monkeypatch.setattr(DistanceSession, "_batch_slab_row_cap", lambda self: 1)
         monkeypatch.setattr(DistanceSession, "_batch_candidate_cap", lambda self: 1)
         chunked = session.preview_batch(removals=edges, insertions=non_edges)
+        assert [got is None for got in chunked] == \
+            [want is None for want in expected]
         for got, want in zip(chunked, expected):
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.new_rows, want.new_rows)
+            if want is not None:
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.new_rows, want.new_rows)
 
 
 class TestInitialDistances:
@@ -309,7 +326,7 @@ class TestInitialDistances:
 
 
 class TestFusedPreviewBatch:
-    """skip_unchanged=True drops flip-free candidates to None, nothing else."""
+    """Flip-free candidates come back as ``None``, and only they do."""
 
     @pytest.mark.parametrize("length", [1, 2, 3])
     def test_none_exactly_where_no_membership_flips(self, paper_example_graph,
@@ -317,45 +334,24 @@ class TestFusedPreviewBatch:
         session = DistanceSession(paper_example_graph, length)
         edges = list(paper_example_graph.edges())
         non_edges = list(paper_example_graph.non_edges())
-        plain = session.preview_batch(removals=edges, insertions=non_edges)
-        fused = session.preview_batch(removals=edges, insertions=non_edges,
-                                      skip_unchanged=True)
-        assert len(plain) == len(fused)
-        for full_delta, fused_delta in zip(plain, fused):
-            if fused_delta is None:
-                # Skipped candidates flip no cell across the L boundary.
-                assert not full_delta.from_scratch
-                old = session.distances[full_delta.rows]
-                assert np.array_equal(old <= length,
-                                      full_delta.new_rows <= length)
-            else:
-                assert np.array_equal(full_delta.rows, fused_delta.rows)
-                assert np.array_equal(full_delta.new_rows, fused_delta.new_rows)
-                assert full_delta.from_scratch == fused_delta.from_scratch
-
-    def test_fused_pass_leaves_no_trace(self, paper_example_graph):
-        session = DistanceSession(paper_example_graph, 2)
-        before_edges = paper_example_graph.edge_set()
-        before = session.distances.copy()
-        session.preview_batch(removals=list(paper_example_graph.edges()),
-                              insertions=list(paper_example_graph.non_edges()),
-                              skip_unchanged=True)
-        assert paper_example_graph.edge_set() == before_edges
-        assert np.array_equal(session.distances, before)
+        previews = [session.preview(removals=[edge]) for edge in edges]
+        previews += [session.preview(insertions=[edge]) for edge in non_edges]
+        fused = session.preview_batch(removals=edges, insertions=non_edges)
+        assert len(previews) == len(fused)
+        for want, got in zip(previews, fused):
+            assert_batch_entry_matches(session.distances, got, want, length)
 
     def test_triangle_removal_at_l2_is_skipped(self):
         # Removing one triangle edge at L = 2 lengthens its pair to 2 via
         # the third vertex: distances change but nothing crosses L, so the
-        # fused scan materializes no delta at all.
+        # batch materializes no delta at all.
         triangle = Graph(3, edges=[(0, 1), (1, 2), (0, 2)])
         session = DistanceSession(triangle, 2)
-        fused = session.preview_batch(removals=[(0, 1)], skip_unchanged=True)
-        assert fused == [None]
-        plain = session.preview_batch(removals=[(0, 1)])
-        assert plain[0].rows.size > 0  # the plain path does see the change
+        assert session.preview_batch(removals=[(0, 1)]) == [None]
+        # The preview does see the change.
+        assert session.preview(removals=[(0, 1)]).rows.size > 0
 
     def test_removal_at_l1_always_flips(self):
         triangle = Graph(3, edges=[(0, 1), (1, 2), (0, 2)])
         session = DistanceSession(triangle, 1)
-        fused = session.preview_batch(removals=[(0, 1)], skip_unchanged=True)
-        assert fused[0] is not None
+        assert session.preview_batch(removals=[(0, 1)])[0] is not None

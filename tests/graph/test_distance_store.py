@@ -204,14 +204,6 @@ class TestTiledStore:
         tiled.write_rows(rows, new_rows.copy())
         np.testing.assert_array_equal(tiled.to_array(), dense.to_array())
 
-    def test_replace_installs_the_new_matrix(self):
-        graph = sample_graph(18)
-        store = TiledStore(graph, 2, tile_rows=4)
-        replacement = bounded_distance_matrix(graph, 1)
-        store.replace(replacement.astype(store.dtype))
-        np.testing.assert_array_equal(
-            store.to_array(), replacement.astype(store.dtype))
-
     def test_thresholded_child_matches_dense_thresholding(self):
         graph = sample_graph(30)
         base = TiledStore(graph, 3, tile_rows=6)

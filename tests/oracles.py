@@ -35,6 +35,12 @@ it is proven against live here:
   plan, and :func:`independent_grids` routes the figure builders through
   it.
 
+:func:`assert_batch_entry_matches` holds one entry of
+:meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` to its
+candidate's own :meth:`~repro.graph.distance_delta.DistanceSession.preview`,
+and :func:`largest_region_removal` picks the removal whose slab of
+affected rows is widest.
+
 :func:`oracle_sessions` runs any anonymizer on either one by patching
 :meth:`~repro.core.anonymizer.AnonymizerConfig.open_session`, the single
 seam through which every greedy algorithm opens its session, and scores
@@ -201,6 +207,41 @@ def score_by_evaluation(session, endpoints: np.ndarray, members: np.ndarray,
                  for name in ("numerator", "denominator", "types_at_max"))
 
 
+def assert_batch_entry_matches(distances: np.ndarray, got, want,
+                               length: int) -> None:
+    """``got`` (a batch entry) is ``want`` (the preview), or ``None`` without flips.
+
+    ``distances`` is the pre-edit matrix.  The entry is ``None`` exactly
+    when the preview flips no cell across the L boundary; otherwise it
+    equals the preview field for field.
+    """
+    flips = not np.array_equal(distances[want.rows] <= length,
+                               want.new_rows <= length)
+    assert (got is not None) == flips
+    if got is not None:
+        assert got.removals == want.removals
+        assert got.insertions == want.insertions
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.new_rows, want.new_rows)
+
+
+def largest_region_removal(distances: np.ndarray, length: int
+                           ) -> Tuple[Edge, int]:
+    """The edge whose removal can change the most rows, and that row count.
+
+    A row ``i`` of ``distances`` can change when some shortest path from
+    ``i`` crosses the edge ``{u, v}``: ``|D[i, u] - D[i, v]| = 1`` with the
+    nearer endpoint within ``length - 1``.  These rows are the removal's
+    slab.  Ties go to the first edge in sorted order.
+    """
+    first, second = np.nonzero(np.triu(distances == 1))
+    near = np.minimum(distances[first], distances[second]) <= length - 1
+    sizes = (near & (np.abs(distances[first].astype(np.int64)
+                            - distances[second]) == 1)).sum(axis=1)
+    best = int(np.argmax(sizes))
+    return (int(first[best]), int(second[best])), int(sizes[best])
+
+
 class ScratchSession:
     """Copy-evaluate-restore behind the session interface the algorithms use.
 
@@ -216,7 +257,6 @@ class ScratchSession:
     scan_workers = 0
     scan_parallelism = 1
     parallel_scans = 0
-    fallback_row_fraction = None
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
                  initial_distances=None, store_config=None) -> None:

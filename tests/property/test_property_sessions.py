@@ -39,6 +39,7 @@ from repro.graph.graph import Graph
 from tests.oracles import (
     PerCandidateSession,
     ScratchSession,
+    assert_batch_entry_matches,
     outcomes,
     run_on,
     type_mask,
@@ -52,17 +53,13 @@ from tests.property.strategies import (
     typings,
 )
 
-fallback_fractions = st.sampled_from([0.0, 0.5, 1.0])
-
 
 class TestDistanceSessionProperties:
-    @given(edit_scripts(), length_bounds, fallback_fractions)
+    @given(edit_scripts(), length_bounds)
     @settings(max_examples=40, deadline=None)
-    def test_applied_edits_track_scratch_matrices(self, script_case, length,
-                                                  fallback):
+    def test_applied_edits_track_scratch_matrices(self, script_case, length):
         graph, script = script_case
-        session = DistanceSession(graph, length,
-                                  fallback_row_fraction=fallback)
+        session = DistanceSession(graph, length)
         for kind, edge in script:
             if kind == "remove":
                 session.apply(removals=[edge])
@@ -71,12 +68,12 @@ class TestDistanceSessionProperties:
             expected = bounded_distance_matrix(graph, length)
             assert np.array_equal(session.distances, expected)
 
-    @given(edit_scripts(max_edits=4), length_bounds, fallback_fractions)
+    @given(edit_scripts(max_edits=4), length_bounds)
     @settings(max_examples=40, deadline=None)
     def test_previews_match_scratch_and_leave_no_trace(self, script_case,
-                                                       length, fallback):
+                                                       length):
         graph, script = script_case
-        session = DistanceSession(graph, length, fallback_row_fraction=fallback)
+        session = DistanceSession(graph, length)
         for kind, edge in script:
             before = graph.edge_set()
             matrix_before = session.distances.copy()
@@ -85,13 +82,10 @@ class TestDistanceSessionProperties:
                 insertions=[edge] if kind == "insert" else ())
             assert graph.edge_set() == before
             assert np.array_equal(session.distances, matrix_before)
-            if delta.from_scratch:
-                materialized = delta.new_rows
-            else:
-                materialized = session.distances.copy()
-                if delta.rows.size:
-                    materialized[delta.rows, :] = delta.new_rows
-                    materialized[:, delta.rows] = delta.new_rows.T
+            materialized = session.distances.copy()
+            if delta.rows.size:
+                materialized[delta.rows, :] = delta.new_rows
+                materialized[:, delta.rows] = delta.new_rows.T
             if kind == "remove":
                 graph.remove_edge(*edge)
             else:
@@ -103,8 +97,8 @@ class TestDistanceSessionProperties:
 class TestOpacitySessionProperties:
     @given(edit_scripts(), length_bounds)
     @settings(max_examples=40, deadline=None)
-    def test_session_state_matches_from_scratch_evaluation(self, script_case,
-                                                           length):
+    def test_session_state_matches_stateless_evaluation(self, script_case,
+                                                        length):
         graph, script = script_case
         typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length)
@@ -137,12 +131,12 @@ class TestOpacitySessionProperties:
 
 
 class TestViolatingPairProperties:
-    """The pruning query is tier- and fallback-independent.
+    """The pruning query is tier-independent.
 
     The sparse within-L set of a tiled session (spill-forcing budget, tiny
-    tiles), a dense session, and a dense session whose every delta is a
-    from-scratch fallback must all return exactly the scratch oracle's pairs,
-    in the same order, after every applied edit of a random script.
+    tiles) and of a dense session must both return exactly the scratch
+    oracle's pairs, in the same order, after every applied edit of a random
+    script.
     """
 
     @given(edit_scripts(), st.sampled_from([1, 2, 3]),
@@ -156,7 +150,6 @@ class TestViolatingPairProperties:
         sessions = [
             OpacitySession(computer, graph.copy(), store_config=tiled),
             OpacitySession(computer, graph.copy()),
-            OpacitySession(computer, graph.copy(), fallback_row_fraction=0.0),
         ]
         scratch = ScratchSession(computer, graph.copy())
         every_type = set(computer.typing.types())
@@ -327,14 +320,12 @@ def candidate_scans(draw, max_candidates: int = 12):
 
 
 class TestEvaluateEditsProperties:
-    @given(candidate_scans(), length_bounds, fallback_fractions)
+    @given(candidate_scans(), length_bounds)
     @settings(max_examples=60, deadline=None)
-    def test_batch_matches_per_candidate_exactly(self, scan_case, length,
-                                                 fallback):
+    def test_batch_matches_per_candidate_exactly(self, scan_case, length):
         graph, candidates = scan_case
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        session = OpacitySession(computer, graph,
-                                 fallback_row_fraction=fallback)
+        session = OpacitySession(computer, graph)
         expected = [session.evaluate_edit(removals, insertions)
                     for removals, insertions in candidates]
         observed = outcomes(session.evaluate_edits(candidates))
@@ -350,46 +341,36 @@ class TestEvaluateEditsProperties:
         assert outcomes(incremental.evaluate_edits(candidates)) == \
             outcomes(scratch.evaluate_edits(candidates))
 
-    @given(candidate_scans(max_candidates=6), length_bounds,
-           fallback_fractions)
+    @given(candidate_scans(max_candidates=6), length_bounds)
     @settings(max_examples=30, deadline=None)
-    def test_preview_batch_matches_sequential_previews(self, scan_case, length,
-                                                       fallback):
+    def test_preview_batch_matches_sequential_previews(self, scan_case, length):
         graph, candidates = scan_case
         single_removals = [removals[0] for removals, insertions in candidates
                            if len(removals) == 1 and not insertions]
         single_insertions = [insertions[0] for removals, insertions in candidates
                              if len(insertions) == 1 and not removals]
-        sequential = DistanceSession(graph.copy(), length,
-                                     fallback_row_fraction=fallback)
+        sequential = DistanceSession(graph.copy(), length)
         expected = [sequential.preview(removals=[edge])
                     for edge in single_removals]
         expected += [sequential.preview(insertions=[edge])
                      for edge in single_insertions]
-        batch = DistanceSession(graph, length,
-                                fallback_row_fraction=fallback)
+        batch = DistanceSession(graph, length)
         observed = batch.preview_batch(removals=single_removals,
                                        insertions=single_insertions)
         assert len(observed) == len(expected)
         for got, want in zip(observed, expected):
-            assert got.removals == want.removals
-            assert got.insertions == want.insertions
-            assert got.from_scratch == want.from_scratch
-            assert np.array_equal(got.rows, want.rows)
-            assert np.array_equal(got.new_rows, want.new_rows)
+            assert_batch_entry_matches(batch.distances, got, want, length)
 
 
 class TestScoreCombinationsProperties:
     """``score_combinations`` and ``evaluate_edits`` equal the scratch oracle."""
 
-    @given(combination_levels(), length_bounds, fallback_fractions)
+    @given(combination_levels(), length_bounds)
     @settings(max_examples=80, deadline=None)
-    def test_level_matches_evaluate_edits_and_scratch(self, level, length,
-                                                      fallback):
+    def test_level_matches_evaluate_edits_and_scratch(self, level, length):
         graph, typing, gained, endpoints, members, edits = level
         computer = OpacityComputer(typing, length)
-        session = OpacitySession(computer, graph.copy(),
-                                 fallback_row_fraction=fallback)
+        session = OpacitySession(computer, graph.copy())
         scratch = ScratchSession(computer, graph.copy())
         expected = scratch.score_combinations(endpoints, members, gained)
         observed = session.score_combinations(endpoints, members, gained)
@@ -402,17 +383,14 @@ class TestScoreCombinationsProperties:
 class TestScansLeaveTheGraphAlone:
     """No candidate scan mutates the working graph, on any tier or path."""
 
-    @given(combination_levels(), st.sampled_from([1, 2, 3]),
-           fallback_fractions, st.booleans())
+    @given(combination_levels(), st.sampled_from([1, 2, 3]), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_scans_never_call_graph_mutators(self, level, length, fallback,
-                                             tiled):
+    def test_scans_never_call_graph_mutators(self, level, length, tiled):
         graph, typing, gained, endpoints, members, edits = level
         computer = OpacityComputer(typing, length)
         config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
             if tiled else None
-        session = OpacitySession(computer, graph, store_config=config,
-                                 fallback_row_fraction=fallback)
+        session = OpacitySession(computer, graph, store_config=config)
         singles = [((), (tuple(edge),)) if index >= graph.num_edges else
                    ((tuple(edge),), ())
                    for index, edge in enumerate(endpoints.tolist())]
