@@ -180,6 +180,45 @@ class TestInsertionSampling:
             eligible[len(expected)]
 
 
+class TestEligiblePairs:
+    """The excluded ranks built from the session's sorted edge arrays."""
+
+    def test_removed_pair_that_is_still_an_edge_counts_once(self):
+        graph = erdos_renyi_graph(12, 0.3, seed=2)
+        edges = list(graph.edges())
+        removed = set(edges[::2]) | set(list(graph.non_edges())[:3])
+        eligible = eligible_pairs(graph, removed)
+        expected = [edge for edge in graph.non_edges() if edge not in removed]
+        assert len(eligible) == len(expected)
+        assert list(eligible) == expected
+
+    @pytest.mark.parametrize("num_vertices", [0, 1])
+    def test_graph_without_pairs_is_empty(self, num_vertices):
+        eligible = eligible_pairs(Graph(num_vertices), set())
+        assert len(eligible) == 0
+        with pytest.raises(IndexError):
+            eligible[0]
+
+    def test_session_edge_arrays_track_applied_edits(self):
+        # The session's edge array, not Graph.edges(), feeds the ranks: it
+        # must stay sorted and exact across applied removals and insertions.
+        graph = erdos_renyi_graph(20, 0.2, seed=6)
+        session = OpacitySession(OpacityComputer(DegreePairTyping(graph), 2),
+                                 graph)
+        session.edge_endpoints()  # seed the edge array before the edits
+        removed = set()
+        for step in range(6):
+            removal = list(graph.edges())[step * 3 % graph.num_edges]
+            insertion = list(graph.non_edges())[step * 5]
+            session.apply_edit(removals=[removal], insertions=[insertion])
+            removed.add(removal)
+            eligible = EligiblePairs(graph.num_vertices,
+                                     session.edge_endpoints(), removed)
+            expected = [edge for edge in graph.non_edges()
+                        if edge not in removed]
+            assert list(eligible) == expected
+
+
 class TestEdgeCases:
     def test_complete_graph_has_no_insertion_slots(self):
         # On a complete graph there is no absent edge to insert, so the

@@ -399,6 +399,36 @@ class TestViolatingPairIndices:
             assert left[0].tolist() == right[0].tolist()
             assert left[1].tolist() == right[1].tolist()
 
+    def test_mask_survives_removals_past_the_tiled_row_cap(self):
+        # The tiled session's 64-byte budget caps a stacked pass at 16
+        # rows; each step's widest slab is larger, so it streams in chunks
+        # before its flipped cells are folded into the within-L set.
+        graph = erdos_renyi_graph(40, 0.15, seed=4)
+        sessions = self._sessions(graph, 3)
+        tiled, scratch = sessions[1], sessions[2]
+        max_types = self._max_types(tiled)
+        # Seed the within-L set.
+        tiled.violating_pair_indices(type_mask(tiled.computer.typing,
+                                               max_types))
+        every_row = np.arange(graph.num_vertices)
+        for _ in range(3):
+            edge, region = largest_region_removal(
+                tiled.distance_rows(every_row), 3)
+            assert region > 16
+            for session in sessions:
+                session.apply_edit(removals=[edge])
+            max_types = self._max_types(scratch)
+            expected = scratch.violating_pair_indices(
+                type_mask(scratch.computer.typing, max_types))
+            for session in sessions[:2]:
+                assert self._max_types(session) == max_types
+                rows, cols = session.violating_pair_indices(
+                    type_mask(session.computer.typing, max_types))
+                assert rows.tolist() == expected[0].tolist()
+                assert cols.tolist() == expected[1].tolist()
+        for session in sessions:
+            session.close()
+
     @staticmethod
     def _sessions(graph, length):
         """Dense and tiled product sessions, and the scratch oracle."""

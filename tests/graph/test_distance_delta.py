@@ -11,16 +11,28 @@ from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
+from repro.graph.distance_store import StoreConfig
 from tests.oracles import assert_batch_entry_matches, largest_region_removal
+
+
+def full_matrix(session):
+    """The session's whole matrix, read as rows (works on either tier)."""
+    return session.rows(np.arange(session.graph.num_vertices))
 
 
 def apply_delta(session, delta):
     """Materialize a previewed delta into a full matrix (for comparison)."""
-    matrix = session.distances.copy()
+    matrix = full_matrix(session)
     if delta.rows.size:
         matrix[delta.rows, :] = delta.new_rows
         matrix[:, delta.rows] = delta.new_rows.T
     return matrix
+
+
+def tiled_session(graph, length, budget_bytes=64):
+    """A session on the tiled tier, two rows per tile."""
+    return DistanceSession(graph, length, store_config=StoreConfig(
+        tier="tiled", budget_bytes=budget_bytes, tile_rows=2))
 
 
 def reference_after(graph, removals, insertions, length):
@@ -77,9 +89,10 @@ class TestPreview:
 
 
 class TestApply:
-    def test_random_edit_sequence_stays_exact(self):
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_random_edit_sequence_stays_exact(self, length):
         graph = erdos_renyi_graph(30, 0.2, seed=5)
-        session = DistanceSession(graph, 2)
+        session = DistanceSession(graph, length)
         for index in range(25):
             edges = list(graph.edges())
             non_edges = list(graph.non_edges())
@@ -88,7 +101,7 @@ class TestApply:
             elif non_edges:
                 session.apply(insertions=[non_edges[index % len(non_edges)]])
             assert np.array_equal(session.distances,
-                                  bounded_distance_matrix(graph, 2))
+                                  bounded_distance_matrix(graph, length))
 
     def test_apply_returns_the_previewed_delta(self, paper_example_graph):
         session = DistanceSession(paper_example_graph, 2)
@@ -148,28 +161,35 @@ class TestLargeAffectedRegion:
                                   bounded_distance_matrix(graph, 3))
 
 
+def broom(n, with_handle=True):
+    """Hub 1 carries every leaf; vertex 0 hangs off it with a short tail.
+
+    Toggling the handle ``(0, 1)`` changes every row at L = 3.
+    """
+    tail = n - 2
+    edges = [(0, tail), (tail, n - 1)]
+    edges += [(1, leaf) for leaf in range(2, tail)]
+    if with_handle:
+        edges.append((0, 1))
+    return Graph(n, edges=edges)
+
+
+def chunk_counter(name):
+    """Patch ``DistanceSession.<name>`` with a call-counting passthrough."""
+    return mock.patch.object(DistanceSession, name, autospec=True,
+                             side_effect=getattr(DistanceSession, name))
+
+
 class TestSlabBeyondTheRowCap:
     def test_one_removal_streams_through_the_row_cap(self):
-        # A broom: hub 1 carries every leaf and vertex 0 hangs off it with a
-        # short tail.  Removing (0, 1) changes every leaf's row, more rows
-        # than one stacked pass holds at this n, so the slab is recomputed
-        # in chunks.
-        n = 2100
-        tail = n - 2
-        edges = [(0, 1), (0, tail), (tail, n - 1)]
-        edges += [(1, leaf) for leaf in range(2, tail)]
-        graph = Graph(n, edges=edges)
+        # Removing (0, 1) changes every leaf's row, more rows than one
+        # stacked pass holds at this n, so the slab is recomputed in chunks.
+        graph = broom(2100)
         session = DistanceSession(graph, 3)
         cap = session._batch_slab_row_cap()
         expected = reference_after(graph, [(0, 1)], [], 3)
-        with mock.patch.object(DistanceSession, "_rows_block_chunk",
-                               autospec=True,
-                               side_effect=DistanceSession._rows_block_chunk
-                               ) as single, \
-                mock.patch.object(DistanceSession, "_rows_block_batch_chunk",
-                                  autospec=True,
-                                  side_effect=DistanceSession
-                                  ._rows_block_batch_chunk) as stacked:
+        with chunk_counter("_rows_block_chunk") as single, \
+                chunk_counter("_rows_block_batch_chunk") as stacked:
             delta = session.preview(removals=[(0, 1)])
             [batched] = session.preview_batch(removals=[(0, 1)])
             staged = session.stage(removals=[(0, 1)])
@@ -180,6 +200,56 @@ class TestSlabBeyondTheRowCap:
         assert np.array_equal(apply_delta(session, batched), expected)
         session.commit(staged)
         assert np.array_equal(session.distances, expected)
+
+    def test_one_insertion_streams_through_the_row_cap(self):
+        # Inserting the handle brings every leaf within 2 of vertex 0: the
+        # relaxed rows outnumber one stacked pass and stream in chunks.
+        graph = broom(2100, with_handle=False)
+        session = DistanceSession(graph, 3)
+        cap = session._batch_slab_row_cap()
+        expected = reference_after(graph, [], [(0, 1)], 3)
+        with chunk_counter("_relax_insertion_chunk") as single, \
+                chunk_counter("_relax_rows_chunk") as stacked:
+            delta = session.preview(insertions=[(0, 1)])
+            [batched] = session.preview_batch(insertions=[(0, 1)])
+            staged = session.stage(insertions=[(0, 1)])
+        assert delta.num_affected_rows > cap
+        assert single.call_count == 4  # two chunks each for preview and stage
+        assert stacked.call_count == 2
+        assert np.array_equal(apply_delta(session, delta), expected)
+        assert np.array_equal(apply_delta(session, batched), expected)
+        session.commit(staged)
+        assert np.array_equal(session.distances, expected)
+
+    @pytest.mark.parametrize("removal", [True, False],
+                             ids=["removal", "insertion"])
+    def test_tiled_budget_cap_streams_one_edit(self, removal):
+        # The tiled tier caps a stacked pass at budget // (16 n) rows: 20
+        # here, so toggling the handle streams through five chunks.
+        n = 100
+        graph = broom(n, with_handle=removal)
+        session = tiled_session(graph, 3, budget_bytes=16 * n * 20)
+        cap = session._batch_slab_row_cap()
+        assert cap == 20
+        removals, insertions = (([(0, 1)], []) if removal
+                                else ([], [(0, 1)]))
+        edit = {"removals": removals, "insertions": insertions}
+        expected = reference_after(graph, removals, insertions, 3)
+        names = (("_rows_block_chunk", "_rows_block_batch_chunk") if removal
+                 else ("_relax_insertion_chunk", "_relax_rows_chunk"))
+        with chunk_counter(names[0]) as single, \
+                chunk_counter(names[1]) as stacked:
+            delta = session.preview(**edit)
+            [batched] = session.preview_batch(**edit)
+            staged = session.stage(**edit)
+        assert delta.num_affected_rows == n
+        assert single.call_count == 10  # five chunks each for preview and stage
+        assert stacked.call_count == 5
+        assert np.array_equal(apply_delta(session, delta), expected)
+        assert np.array_equal(apply_delta(session, batched), expected)
+        session.commit(staged)
+        assert np.array_equal(full_matrix(session), expected)
+        session.close()
 
 
 class TestWideFrontiers:
@@ -250,6 +320,24 @@ class TestPreviewBatch:
             assert_batch_entry_matches(batch_session.distances, got, want,
                                        length)
 
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    @pytest.mark.parametrize("removal", [True, False],
+                             ids=["removal", "insertion"])
+    def test_tiled_batch_matches_dense_previews(self, length, removal):
+        # Eighteen rows overflow the tiled tier's 16-row stacked pass, so
+        # candidates' slabs split across chunks and tiles.
+        graph = erdos_renyi_graph(18, 0.25, seed=3)
+        edges = list(graph.edges() if removal else graph.non_edges())
+        dense = DistanceSession(graph.copy(), length)
+        kind = "removals" if removal else "insertions"
+        expected = [dense.preview(**{kind: [edge]}) for edge in edges]
+        tiled = tiled_session(graph, length)
+        observed = tiled.preview_batch(**{kind: edges})
+        assert len(observed) == len(expected)
+        for got, want in zip(observed, expected):
+            assert_batch_entry_matches(dense.distances, got, want, length)
+        tiled.close()
+
     def test_batch_on_random_graphs_matches_scratch_matrices(self):
         for seed in range(4):
             graph = erdos_renyi_graph(18, 0.2, seed=seed)
@@ -277,6 +365,16 @@ class TestPreviewBatch:
                               insertions=list(paper_example_graph.non_edges()))
         assert paper_example_graph.edge_set() == before_edges
         assert np.array_equal(session.distances, before_matrix)
+
+    def test_tiled_batch_leaves_no_trace(self, paper_example_graph):
+        session = tiled_session(paper_example_graph, 2)
+        before_edges = paper_example_graph.edge_set()
+        before_matrix = full_matrix(session)
+        session.preview_batch(removals=list(paper_example_graph.edges()),
+                              insertions=list(paper_example_graph.non_edges()))
+        assert paper_example_graph.edge_set() == before_edges
+        assert np.array_equal(full_matrix(session), before_matrix)
+        session.close()
 
     def test_empty_batch_returns_no_deltas(self, paper_example_graph):
         session = DistanceSession(paper_example_graph, 2)
