@@ -11,10 +11,9 @@ from repro.experiments import figure10_series
 SIZES = smoke((40, 60, 80), (40,))
 
 
-def bench_fig10_gnutella_runtime(benchmark, runner):
+def bench_fig10_gnutella_runtime(benchmark):
     series = run_once(benchmark, figure10_series, "gnutella", sample_sizes=SIZES,
-                      lengths=(1, 2), theta=0.2, seed=0, insertion_cap=100,
-                      runner=runner)
+                      lengths=(1, 2), theta=0.2, seed=0, insertion_cap=100)
     print("\n== Figure 10 — runtime (s) vs size, Gnutella, theta=0.2 ==")
     for label, points in series.items():
         rendered = ", ".join(f"|V|={size}: {seconds:.3f}s" for size, seconds in points)

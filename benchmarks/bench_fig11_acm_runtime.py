@@ -12,9 +12,9 @@ SIZES = smoke((50, 100, 150), (50,))
 THETAS = smoke((0.9, 0.7, 0.5), (0.9,))
 
 
-def bench_fig11_acm_runtime(benchmark, runner):
+def bench_fig11_acm_runtime(benchmark):
     result = run_once(benchmark, figure11_series, sample_sizes=SIZES, thetas=THETAS,
-                      seed=0, runner=runner)
+                      seed=0)
     print("\n== Figure 11 — Edge Removal runtime (s) vs size, ACM proxy ==")
     for theta, points in sorted(result.items(), reverse=True):
         rendered = ", ".join(f"|V|={size}: {seconds:.3f}s" for size, seconds in points)

@@ -12,9 +12,9 @@ SIZES = smoke((50, 100, 150, 200), (50,))
 THETAS = smoke((0.9, 0.7, 0.5), (0.9,))
 
 
-def bench_fig12_acm_distortion(benchmark, runner):
+def bench_fig12_acm_distortion(benchmark):
     result = run_once(benchmark, figure12_series, sample_sizes=SIZES, thetas=THETAS,
-                      seed=0, runner=runner)
+                      seed=0)
     print("\n== Figure 12 — Edge Removal distortion vs size, ACM proxy ==")
     for theta, points in sorted(result.items(), reverse=True):
         rendered = ", ".join(f"|V|={size}: {distortion:.4f}"

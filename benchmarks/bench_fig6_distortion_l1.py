@@ -18,10 +18,10 @@ THETAS = smoke((0.8, 0.6, 0.5), (0.8,))
 
 
 @pytest.mark.parametrize("dataset", ["google", "wikipedia", "enron", "berkeley-stanford"])
-def bench_fig6_l1(benchmark, runner, dataset):
+def bench_fig6_l1(benchmark, dataset):
     series = run_once(benchmark, figure6_series, dataset, length_threshold=1,
                       sample_size=SAMPLE_SIZE, thetas=THETAS, lookaheads=(1, 2),
-                      insertion_cap=100, seed=0, runner=runner)
+                      insertion_cap=100, seed=0)
     print_series(f"Figure 6 (L=1) — {dataset}", series, y_label="distortion")
 
     rem = dict(series["rem la=1"])

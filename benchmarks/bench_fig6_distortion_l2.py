@@ -22,12 +22,12 @@ CASES = {
 
 
 @pytest.mark.parametrize("dataset", sorted(CASES))
-def bench_fig6_l2(benchmark, runner, dataset):
+def bench_fig6_l2(benchmark, dataset):
     parameters = CASES[dataset]
     series = run_once(benchmark, figure6_series, dataset, length_threshold=2,
                       sample_size=parameters["sample_size"],
                       thetas=parameters["thetas"], lookaheads=(1, 2),
-                      insertion_cap=100, seed=0, runner=runner)
+                      insertion_cap=100, seed=0)
     print_series(f"Figure 6 (L=2) — {dataset}", series, y_label="distortion")
 
     assert set(series) == {"rem la=1", "rem la=2", "rem-ins la=1", "rem-ins la=2"}

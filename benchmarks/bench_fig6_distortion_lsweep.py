@@ -20,12 +20,11 @@ LENGTHS = (1, 2, 3)
 
 
 @pytest.mark.parametrize("dataset", sorted(CASES))
-def bench_fig6_lsweep(benchmark, runner, dataset):
+def bench_fig6_lsweep(benchmark, dataset):
     parameters = CASES[dataset]
     series = run_once(benchmark, figure6_lsweep_series, dataset, lengths=LENGTHS,
                       sample_size=parameters["sample_size"],
-                      thetas=parameters["thetas"], insertion_cap=100, seed=0,
-                      runner=runner)
+                      thetas=parameters["thetas"], insertion_cap=100, seed=0)
     print_series(f"Figure 6 (L sweep) — {dataset}", series, y_label="distortion")
 
     tightest = parameters["thetas"][-1]

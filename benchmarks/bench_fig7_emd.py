@@ -14,10 +14,10 @@ SAMPLE_SIZE = smoke(50, 30)
 THETAS = smoke((0.8, 0.6, 0.5), (0.8,))
 
 
-def bench_fig7_enron_emd(benchmark, runner):
+def bench_fig7_enron_emd(benchmark):
     result = run_once(benchmark, figure7_series, "enron", sample_size=SAMPLE_SIZE,
                       thetas=THETAS, lookaheads=(1, 2), insertion_cap=100, seed=0,
-                      include_baselines=True, runner=runner)
+                      include_baselines=True)
     print_series("Figure 7a — EMD of degree distributions (Enron, L=1)",
                  result["degree_emd"], y_label="emd")
     print_series("Figure 7b — EMD of geodesic distributions (Enron, L=1)",

@@ -14,10 +14,10 @@ SIZES = smoke((40, 60, 80), (40,))
 THETAS = smoke((0.9, 0.8), (0.9,))
 
 
-def bench_fig9_google_runtime(benchmark, runner):
+def bench_fig9_google_runtime(benchmark):
     result = run_once(benchmark, figure9_series, "google", sample_sizes=SIZES,
                       thetas=THETAS, lookaheads=(1,), insertion_cap=80, seed=0,
-                      include_baselines=True, runner=runner)
+                      include_baselines=True)
     print("\n== Figure 9 — runtime (s) vs theta, Google samples ==")
     for size, series in result.items():
         print(f"  |V| = {size}")

@@ -6,9 +6,10 @@ loops' termination, so a descending θ grid is served by *one*
 anonymization pass with per-θ checkpoints (DESIGN.md §9) instead of one
 full run per grid point.
 
-This bench times the checkpointed plan on the paper's default 5-point
-grid, verifies its per-θ records equal per-θ ``runner.run`` calls (edits,
-opacity, distortion, evaluation counts), and asserts the headline speedup:
+This bench times the checkpointed grid on the paper's default 5-point θ
+axis, verifies its per-θ responses equal per-θ facade ``anonymize`` calls
+(opacity, distortion, step and evaluation counts), and asserts the
+headline speedup:
 the checkpointed pass performs at least ``MIN_EVALUATION_RATIO``× fewer
 candidate evaluations than those independent runs combined.  Unlike the
 timing assertions of the other benches, the evaluation-count ratio is a
@@ -17,7 +18,7 @@ knob as well.
 """
 
 from benchmarks.conftest import print_series, smoke
-from repro.experiments import SweepPlan
+from repro.api import AnonymizationRequest, GridRequest, anonymize, run_grid
 
 DATASET = "google"
 SAMPLE_SIZE = smoke(60, 40)
@@ -33,34 +34,39 @@ SEED = 0
 MIN_EVALUATION_RATIO = 3.0
 
 
-PLAN = SweepPlan(dataset=DATASET, sample_size=SAMPLE_SIZE, algorithm="rem",
-                 thetas=THETAS, length_threshold=LENGTH, seed=SEED)
+GRID = GridRequest.from_axes(
+    AnonymizationRequest(dataset=DATASET, sample_size=SAMPLE_SIZE,
+                         algorithm="rem", length_threshold=LENGTH, seed=SEED,
+                         include_utility=True),
+    thetas=THETAS, on_error="fail_fast")
 
 
-def bench_theta_sweep(benchmark, runner):
+def bench_theta_sweep(benchmark):
     benchmark.group = f"theta sweep, {DATASET} n={SAMPLE_SIZE} L={LENGTH}"
-    records = benchmark.pedantic(runner.run_sweep, args=(PLAN,),
-                                 rounds=1, iterations=1)
+    responses = benchmark.pedantic(run_grid, args=(GRID,),
+                                   kwargs={"max_workers": 0},
+                                   rounds=1, iterations=1).responses
     print_series("Figure-series sweep (checkpointed)",
-                 {"rem L=1": [(record.config.theta, record.distortion)
-                              for record in records]},
+                 {"rem L=1": [(response.request.theta,
+                               response.metrics["distortion"])
+                              for response in responses]},
                  y_label="distortion")
 
-    # Differential parity: the records must be indistinguishable from
+    # Differential parity: the responses must be indistinguishable from
     # independent per-θ runs (runtime aside).
-    reference = [runner.run(config) for config in PLAN.configs()]
-    for record, expected in zip(records, reference):
-        assert record.final_opacity == expected.final_opacity
-        assert record.distortion == expected.distortion
-        assert record.steps == expected.steps
-        assert record.evaluations == expected.evaluations
+    reference = [anonymize(request) for request in GRID.requests]
+    for response, expected in zip(responses, reference):
+        assert response.final_opacity == expected.final_opacity
+        assert response.metrics == expected.metrics
+        assert response.num_steps == expected.num_steps
+        assert response.evaluations == expected.evaluations
 
     # The headline speedup: one checkpointed pass serves the whole grid.
-    # Each record's ``evaluations`` reports what an independent run at its
-    # θ would count, so the independent cost is their sum while the
+    # Each response's ``evaluations`` reports what an independent run at
+    # its θ would count, so the independent cost is their sum while the
     # checkpointed pass's true cost is the deepest (lowest-θ) checkpoint.
-    independent_cost = sum(record.evaluations for record in reference)
-    checkpointed_cost = max(record.evaluations for record in records)
+    independent_cost = sum(response.evaluations for response in reference)
+    checkpointed_cost = max(response.evaluations for response in responses)
     ratio = independent_cost / max(checkpointed_cost, 1)
     print(f"\n  independent evaluations: {independent_cost:,}"
           f"\n  checkpointed evaluations: {checkpointed_cost:,}"

@@ -13,10 +13,6 @@ from __future__ import annotations
 import os
 from typing import Callable, Mapping, Sequence, Tuple, TypeVar
 
-import pytest
-
-from repro.experiments import ExperimentRunner
-
 T = TypeVar("T")
 
 
@@ -43,9 +39,3 @@ def print_series(title: str, series: Mapping[str, Sequence[Tuple[float, float]]]
     for label, points in series.items():
         rendered = ", ".join(f"{x_label}={x:g}: {y_label}={y:.4f}" for x, y in points)
         print(f"  {label:<16} {rendered}")
-
-
-@pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """One experiment runner shared across benchmarks (caches dataset samples)."""
-    return ExperimentRunner()

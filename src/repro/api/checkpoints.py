@@ -27,7 +27,8 @@ from repro.core.anonymizer import (
     AnonymizerConfig,
 )
 from repro.api.progress import NULL_OBSERVER
-from repro.api.requests import AnonymizationRequest, AnonymizationResponse
+from repro.api.requests import (AnonymizationRequest, AnonymizationResponse,
+                                response_metrics)
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 
@@ -197,14 +198,6 @@ def materialize_response(request: AnonymizationRequest,
         stop_reason=checkpoint.stop_reason,
         observer=NULL_OBSERVER,
     )
-    metrics = None
-    if request.include_utility:
-        from repro.metrics import graph_baseline, utility_report
-
-        if baseline is None:
-            baseline = graph_baseline(original_graph)
-        report = utility_report(original_graph, checkpoint.graph,
-                                include_spectral=False, baseline=baseline)
-        metrics = {key: value for key, value in report.as_dict().items()
-                   if key not in ("eigenvalue_shift", "connectivity_shift")}
+    metrics = (response_metrics(original_graph, checkpoint.graph, baseline)
+               if request.include_utility else None)
     return AnonymizationResponse.from_result(request, result, metrics=metrics)

@@ -20,11 +20,12 @@ or third-party — is reachable by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.progress import ProgressObserver, TimeoutObserver, combine_observers
 from repro.api.registry import AnonymizerRegistry, default_registry
-from repro.api.requests import AnonymizationRequest, AnonymizationResponse
+from repro.api.requests import (AnonymizationRequest, AnonymizationResponse,
+                                response_metrics)
 from repro.errors import ConfigurationError
 
 
@@ -40,8 +41,6 @@ def anonymize(request: AnonymizationRequest, *,
     figures to ``response.metrics``.  Exceptions propagate — use
     :func:`repro.api.batch.execute_request` for the error-isolating variant.
     """
-    from repro.metrics import utility_report
-
     registry = registry if registry is not None else default_registry()
     graph = request.resolve_graph(data_dir=data_dir)
     algorithm = registry.create(request.algorithm, **request.algorithm_params())
@@ -51,12 +50,8 @@ def anonymize(request: AnonymizationRequest, *,
         result = algorithm.anonymize(graph, observer=observer)
     else:
         result = algorithm.anonymize(graph)
-    metrics: Optional[Mapping[str, float]] = None
-    if request.include_utility:
-        report = utility_report(result.original_graph, result.anonymized_graph,
-                                include_spectral=False)
-        metrics = {key: value for key, value in report.as_dict().items()
-                   if key not in ("eigenvalue_shift", "connectivity_shift")}
+    metrics = (response_metrics(result.original_graph, result.anonymized_graph)
+               if request.include_utility else None)
     return AnonymizationResponse.from_result(request, result, metrics=metrics)
 
 

@@ -73,11 +73,6 @@ class AnonymizerSpec:
     description: str = ""
     accepts: Tuple[str, ...] = ()
 
-    @property
-    def supports_length_threshold(self) -> bool:
-        """Whether the algorithm handles L > 1 (the baselines do not)."""
-        return "length_threshold" in self.accepts
-
     def create(self, **params: Any) -> Any:
         """Instantiate the algorithm from a uniform parameter mapping.
 

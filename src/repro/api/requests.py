@@ -166,6 +166,22 @@ class AnonymizationRequest:
         return cls.from_dict(json.loads(text))
 
 
+def response_metrics(original: Graph, anonymized: Graph,
+                     baseline: Any = None) -> Dict[str, float]:
+    """The utility metrics a response carries when ``include_utility`` is set.
+
+    :func:`~repro.metrics.report.utility_report` without its spectral
+    terms, which no response reports; ``baseline`` is the original graph's
+    precomputed side, shared by every response of a sample.
+    """
+    from repro.metrics import utility_report
+
+    report = utility_report(original, anonymized, include_spectral=False,
+                            baseline=baseline)
+    return {key: value for key, value in report.as_dict().items()
+            if key not in ("eigenvalue_shift", "connectivity_shift")}
+
+
 @dataclass(frozen=True)
 class AnonymizationResponse:
     """Outcome of one request, self-contained and JSON-serializable.

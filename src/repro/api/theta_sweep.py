@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.anonymizer import validate_theta_schedule
 from repro.api.progress import ProgressObserver, TimeoutObserver, combine_observers
 from repro.api.registry import AnonymizerRegistry, default_registry
-from repro.api.requests import AnonymizationRequest, AnonymizationResponse
+from repro.api.requests import (AnonymizationRequest, AnonymizationResponse,
+                                response_metrics)
 
 __all__ = [
     "accepts_kwarg",
@@ -121,7 +122,7 @@ def _run_group(requests: List[AnonymizationRequest],
                graph=None, initial_distances=None,
                baseline=None, resume_from=None) -> List[AnonymizationResponse]:
     from repro.api.batch import execute_request
-    from repro.metrics import graph_baseline, utility_report
+    from repro.metrics import graph_baseline
 
     registry = registry if registry is not None else default_registry()
     first = requests[0]
@@ -160,11 +161,8 @@ def _run_group(requests: List[AnonymizationRequest],
         if request.include_utility:
             if baseline is None:
                 baseline = graph_baseline(result.original_graph)
-            report = utility_report(result.original_graph,
-                                    result.anonymized_graph,
-                                    include_spectral=False, baseline=baseline)
-            metrics = {key: value for key, value in report.as_dict().items()
-                       if key not in ("eigenvalue_shift", "connectivity_shift")}
+            metrics = response_metrics(result.original_graph,
+                                       result.anonymized_graph, baseline)
         responses.append(AnonymizationResponse.from_result(request, result,
                                                            metrics=metrics))
     return responses

@@ -79,7 +79,6 @@ from repro.graph.distance_store import SCALE_TIERS
 from repro.datasets import dataset_names
 from repro.errors import ReproError
 from repro.experiments import (
-    ExperimentRunner,
     figure6_series,
     figure7_series,
     figure8_series,
@@ -352,7 +351,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    runner = ExperimentRunner()
     thetas = tuple(args.thetas) if args.thetas else (0.9, 0.8, 0.7, 0.6, 0.5)
 
     def emit(series, x_label, y_label, title):
@@ -364,22 +362,19 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
     if args.name == "fig6":
         series = figure6_series(args.dataset, length_threshold=args.length,
-                                sample_size=args.size, thetas=thetas,
-                                runner=runner)
+                                sample_size=args.size, thetas=thetas)
         emit(series, "theta", "distortion", f"Figure 6 — {args.dataset}, L={args.length}")
     elif args.name == "fig7":
-        both = figure7_series(args.dataset, sample_size=args.size, thetas=thetas,
-                              runner=runner)
+        both = figure7_series(args.dataset, sample_size=args.size, thetas=thetas)
         for metric, series in both.items():
             print(f"== {metric} ==")
             emit(series, "theta", metric, f"Figure 7 — {args.dataset}")
     elif args.name == "fig8":
         series = figure8_series(args.dataset, length_threshold=args.length,
-                                sample_size=args.size, thetas=thetas,
-                                runner=runner)
+                                sample_size=args.size, thetas=thetas)
         emit(series, "theta", "mean_cc_diff", f"Figure 8 — {args.dataset}, L={args.length}")
     elif args.name == "fig10":
-        series = figure10_series(args.dataset, theta=args.theta, runner=runner)
+        series = figure10_series(args.dataset, theta=args.theta)
         emit(series, "size", "runtime_s", f"Figure 10 — {args.dataset}")
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)

@@ -72,7 +72,6 @@ from repro.core.opacity import (
     exact_ranks,
     row_maxima,
 )
-from repro.errors import InvalidEdgeError
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph
@@ -82,6 +81,7 @@ from repro.graph.two_hop import (
     splice,
     triu_flat,
     triu_unflat,
+    validate_members,
 )
 
 #: One candidate edit: the removals and insertions applied together.
@@ -556,17 +556,6 @@ class OpacitySession:
                 and not self._scan_pool.apply(removals, insertions):
             self._teardown_scan_pool(failed=True)
 
-    def resync(self) -> None:
-        """Rebuild all incremental state from scratch (testing / recovery)."""
-        self._distance.refresh()
-        if self._two_hop is not None:
-            self._two_hop = TwoHopCounts(self._graph)
-        self._init_counts()
-        self._within_flat = None
-        self._within_types = None
-        self._edge_codes = None
-        self._edge_types = None
-
     # ------------------------------------------------------------------
     # pruning support
     # ------------------------------------------------------------------
@@ -684,27 +673,20 @@ class OpacitySession:
 
         Member ``at[r, k]`` edits edge ``cells[at[r, k]]``, inserting it
         where ``gained`` (broadcast against ``at``) and removing it
-        elsewhere; members at -1 are padding.  A removed pair must be an
-        edge of the working graph and an inserted one must not, each
-        judged against the current graph; the lookup is one binary search
-        over the sorted edge array.
+        elsewhere; members at -1 are padding.  Each cell is looked up once,
+        by one binary search over the sorted edge array; the members are
+        then judged in order by :func:`validate_members`, as at L = 2.
         """
         self.edge_endpoints()
         codes = self._edge_codes
         n = self._graph.num_vertices
-        first, second = cells[:, 0], cells[:, 1]
-        wanted = np.minimum(first, second) * n + np.maximum(first, second)
+        lo = np.minimum(cells[:, 0], cells[:, 1])
+        hi = np.maximum(cells[:, 0], cells[:, 1])
+        wanted = lo * n + hi
         found = np.searchsorted(codes, wanted).clip(max=max(codes.size - 1, 0))
         present = (codes[found] == wanted if codes.size
                    else np.zeros(wanted.size, dtype=bool))
-        # Padding reads 2, which equals neither flag.
-        wrong = np.append(present, 2)[at] == gained
-        if wrong.any():
-            member = tuple(np.argwhere(wrong)[0])
-            u, v = cells[at[member]].tolist()
-            inserted = np.broadcast_to(gained, at.shape)[member]
-            state = "already present" if inserted else "not present"
-            raise InvalidEdgeError(f"edge ({u}, {v}) {state}")
+        validate_members(at, lo, hi, wanted, present, gained)
 
     def _flipped_cells(self, deltas: Sequence[DistanceDelta]
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

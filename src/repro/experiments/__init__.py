@@ -1,12 +1,12 @@
-"""Experiment harness: parameter sweeps and per-table/figure series builders.
+"""Experiment harness: per-table/figure series builders and their rendering.
 
 Every table and figure of the paper's Section 6 has a corresponding builder
-here (see DESIGN.md §4 for the index); the ``benchmarks/`` directory wires
-those builders into pytest-benchmark targets.
+here (see DESIGN.md §4 for the index); the figure builders declare their
+series as service-layer requests and run them as one grid
+(:mod:`repro.api.sweeps`).  The ``benchmarks/`` directory wires those
+builders into pytest-benchmark targets.
 """
 
-from repro.experiments.config import ExperimentConfig, SweepPlan, SweepSpec
-from repro.experiments.runner import ExperimentRunner, RunRecord, request_for
 from repro.experiments.tables import table1_rows, table2_rows, table3_rows
 from repro.experiments.figures import (
     figure6_series,
@@ -23,12 +23,6 @@ from repro.experiments.charts import render_series_chart
 from repro.experiments.reporting import format_series, format_table, records_to_csv
 
 __all__ = [
-    "ExperimentConfig",
-    "SweepPlan",
-    "SweepSpec",
-    "ExperimentRunner",
-    "RunRecord",
-    "request_for",
     "table1_rows",
     "table2_rows",
     "table3_rows",

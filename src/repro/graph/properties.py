@@ -13,9 +13,13 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.graph.distance import floyd_warshall
+from repro.graph.distance_store import CSRAdjacency, csr_bounded_rows
 from repro.graph.graph import Graph
-from repro.graph.matrices import UNREACHABLE
+from repro.graph.matrices import UNREACHABLE, distance_dtype, unreachable_value
+
+#: Source rows per block of :func:`geodesic_histogram`; its working set is
+#: a few ``GEODESIC_BLOCK × n`` arrays.
+GEODESIC_BLOCK = 64
 
 
 def average_degree(graph: Graph) -> float:
@@ -73,25 +77,32 @@ def diameter(graph: Graph) -> int:
     graphs that are not necessarily connected.  Returns 0 for graphs with no
     reachable pairs.
     """
-    if graph.num_vertices <= 1:
-        return 0
-    distances = floyd_warshall(graph)
-    finite = distances[(distances != UNREACHABLE)]
-    if finite.size == 0:
-        return 0
-    return int(finite.max())
+    return max((value for value in geodesic_histogram(graph)
+                if value != UNREACHABLE), default=0)
 
 
 def geodesic_histogram(graph: Graph) -> Dict[int, int]:
-    """Histogram of geodesic distances over all vertex pairs.
+    """Histogram of geodesic distances over all vertex pairs, keys ascending.
 
-    Unreachable pairs are counted under the key :data:`UNREACHABLE`.
+    Unreachable pairs are counted under the key :data:`UNREACHABLE`.  The
+    distances come from CSR frontier expansions over blocks of source rows
+    (:func:`~repro.graph.distance_store.csr_bounded_rows`), each block
+    counting its pairs ``j > i`` only: O(block · n) memory and no n × n
+    matrix.
     """
-    distances = floyd_warshall(graph)
     n = graph.num_vertices
-    upper = distances[np.triu_indices(n, k=1)]
-    values, counts = np.unique(upper, return_counts=True)
-    return {int(value): int(count) for value, count in zip(values, counts)}
+    csr = CSRAdjacency.from_graph(graph)
+    sentinel = unreachable_value(distance_dtype(n))
+    # Distances 0..n-1 are counted at their value, unreachable pairs at n.
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, n, GEODESIC_BLOCK):
+        sources = np.arange(start, min(start + GEODESIC_BLOCK, n))
+        rows = csr_bounded_rows(csr, sources, n)
+        later = rows[np.arange(n)[None, :] > sources[:, None]]
+        counts += np.bincount(np.where(later == sentinel, n, later),
+                              minlength=n + 1)
+    return {(UNREACHABLE if value == n else value): int(count)
+            for value, count in enumerate(counts.tolist()) if count}
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,82 @@ def group_sums(keys: np.ndarray, values: np.ndarray, spread: int
             np.diff(np.append(starts, packed.size)))
 
 
+def validate_members(at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     codes: np.ndarray, present: np.ndarray, gained: np.ndarray
+                     ) -> np.ndarray:
+    """Raise :class:`InvalidEdgeError` where applying the members in order would.
+
+    Row ``r`` of ``at`` is one candidate and column ``k`` its member ``k``,
+    an edit of cell ``at[r, k]`` (negative = padding).  Cell ``c`` is the
+    pair ``(lo[c], hi[c])``, ``lo <= hi``, with ``codes[c]`` a non-negative
+    code unique to the pair and ``present[c]`` whether the pair is an edge
+    of the current graph, so each edge is looked up once however many
+    members name it; ``gained`` (broadcast against ``at``) flags
+    insertions.  Each candidate removes its removal members in column
+    order, then inserts its insertion members: a removal must find its
+    edge present and an insertion absent, in the state the candidate's
+    earlier operations leave.  The first invalid candidate raises, at its
+    first bad removal, else its first bad insertion; a self-loop anywhere
+    raises first.  Returns the live members: a removal re-inserted by the
+    same candidate nets to nothing, so neither of the two is live, nor is
+    padding.
+    """
+    pad = at < 0
+    if not codes.size:  # no cells: every member is padding
+        return ~pad
+    gained = np.broadcast_to(gained, at.shape)
+    if (lo == hi).any():
+        loops = (lo == hi)[at] & ~pad
+        if loops.any():
+            order = np.argwhere(loops[:, None, :] & (
+                gained[:, None, :] == np.array([False, True])[None, :, None]))
+            row, _, column = order[0]
+            vertex = int(lo[at[row, column]])
+            raise InvalidEdgeError(
+                f"self-loops are not allowed: ({vertex}, {vertex})")
+    present = present[at]
+    width = at.shape[1]
+    # Whether each member repeats the pair of an earlier member of its
+    # candidate, one column pair at a time (widths are small).
+    member = np.where(pad, -1, codes[at]) if width > 1 else None
+    repeats = [(k, j, (member[:, k] == member[:, j]) & ~pad[:, k])
+               for k in range(1, width) for j in range(k)]
+    if not any(hit.any() for _, _, hit in repeats):
+        # No pair repeats within a candidate: each member is judged alone.
+        bad = (present == gained) & ~pad
+        if bad.any():
+            _raise_first(at, lo, hi, bad & ~gained, bad & gained)
+        return ~pad
+    repeat = np.zeros(at.shape + (width,), dtype=bool)
+    for k, j, hit in repeats:
+        repeat[:, k, j] = hit
+    same = repeat | repeat.transpose(0, 2, 1)
+    removal, insertion = ~pad & ~gained, ~pad & gained
+    removed_before = (repeat & removal[:, None, :]).any(axis=2)
+    removed_ever = (same & removal[:, None, :]).any(axis=2)
+    inserted_before = (repeat & insertion[:, None, :]).any(axis=2)
+    bad_removal = removal & (~present | removed_before)
+    bad_insertion = insertion & ((present & ~removed_ever) | inserted_before)
+    _raise_first(at, lo, hi, bad_removal, bad_insertion)
+    cancelled = (same & (removal[:, :, None] & insertion[:, None, :]
+                         | insertion[:, :, None] & removal[:, None, :])).any(axis=2)
+    return ~pad & ~cancelled
+
+
+def _raise_first(at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 bad_removal: np.ndarray, bad_insertion: np.ndarray) -> None:
+    """Raise for the first candidate with a bad member, if any."""
+    bad = bad_removal.any(axis=1) | bad_insertion.any(axis=1)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        if bad_removal[row].any():
+            column, state = int(np.argmax(bad_removal[row])), "not present"
+        else:
+            column, state = int(np.argmax(bad_insertion[row])), "already present"
+        cell = at[row, column]
+        raise InvalidEdgeError(f"edge ({int(lo[cell])}, {int(hi[cell])}) {state}")
+
+
 class TwoHopCounts:
     """Common-neighbour counts of a graph, and exact L = 2 edit footprints.
 
@@ -249,66 +325,21 @@ class TwoHopCounts:
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Raise :class:`InvalidEdgeError` where a sequential preview would.
 
-        Each candidate removes its removal members in column order, then
-        inserts its insertion members: a removal must find its edge
-        present and an insertion absent, in the state the candidate's
-        earlier operations leave.  The first invalid candidate raises, at
-        its first bad removal, else its first bad insertion; a self-loop
-        anywhere raises first.  Returns the members' ``(lo, hi, flat
-        code, live)`` matrices: a removal re-inserted by the same
-        candidate nets to nothing, so neither of the two is live, nor is
-        padding.
+        Each edge is looked up once and the members are judged in order
+        by :func:`validate_members`.  Returns the members' ``(lo, hi,
+        flat code, live)`` matrices, padding at code -1.
         """
+        cells = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
+        cell_lo = np.minimum(cells[:, 0], cells[:, 1])
+        cell_hi = np.maximum(cells[:, 0], cells[:, 1])
+        cell_codes = triu_flat(cell_lo, cell_hi, self._n)
+        live = validate_members(members, cell_lo, cell_hi, cell_codes,
+                                self._state(cell_codes)[1], gained)
         pad = members < 0
-        width = members.shape[1]
-        if endpoints.size:
-            cells = np.asarray(endpoints, dtype=np.int64)[np.where(pad, 0, members)]
-        else:
-            cells = np.zeros(members.shape + (2,), dtype=np.int64)
-        first, second = cells[..., 0], cells[..., 1]
-        loops = ~pad & (first == second)
-        if loops.any():
-            order = np.argwhere(loops[:, None, :] & (
-                gained[:, None, :] == np.array([False, True])[None, :, None]))
-            row, _, column = order[0]
-            vertex = int(first[row, column])
-            raise InvalidEdgeError(
-                f"self-loops are not allowed: ({vertex}, {vertex})")
-        lo, hi = np.minimum(first, second), np.maximum(first, second)
-        codes = np.where(pad, -1, triu_flat(lo, hi, self._n))
-        present = self._state(codes)[1]
-        removal, insertion = ~pad & ~gained, ~pad & gained
-        if width == 1:
-            # One member per candidate: nothing repeats or cancels.
-            bad_removal, bad_insertion = removal & ~present, insertion & present
-            self._raise_first(lo, hi, bad_removal, bad_insertion)
-            return lo, hi, codes, ~pad
-        same = (codes[:, :, None] == codes[:, None, :]) \
-            & ~pad[:, :, None] & ~pad[:, None, :]
-        earlier = np.tri(width, k=-1, dtype=bool)[None, :, :]
-        removed_before = (same & earlier & removal[:, None, :]).any(axis=2)
-        removed_ever = (same & removal[:, None, :]).any(axis=2)
-        inserted_before = (same & earlier & insertion[:, None, :]).any(axis=2)
-        bad_removal = removal & (~present | removed_before)
-        bad_insertion = insertion & ((present & ~removed_ever) | inserted_before)
-        self._raise_first(lo, hi, bad_removal, bad_insertion)
-        cancelled = (same & (removal[:, :, None] & insertion[:, None, :]
-                             | insertion[:, :, None] & removal[:, None, :])).any(axis=2)
-        return lo, hi, codes, ~pad & ~cancelled
-
-    @staticmethod
-    def _raise_first(lo: np.ndarray, hi: np.ndarray, bad_removal: np.ndarray,
-                     bad_insertion: np.ndarray) -> None:
-        """Raise for the first candidate with a bad member, if any."""
-        bad = bad_removal.any(axis=1) | bad_insertion.any(axis=1)
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            if bad_removal[row].any():
-                column, state = int(np.argmax(bad_removal[row])), "not present"
-            else:
-                column, state = int(np.argmax(bad_insertion[row])), "already present"
-            raise InvalidEdgeError(
-                f"edge ({int(lo[row, column])}, {int(hi[row, column])}) {state}")
+        # A trailing zero cell serves the padding (and an empty batch).
+        at = np.where(pad, -1, members)
+        lo, hi = np.append(cell_lo, 0)[at], np.append(cell_hi, 0)[at]
+        return lo, hi, np.where(pad, -1, np.append(cell_codes, 0)[at]), live
 
     def _footprint(self, lo: np.ndarray, hi: np.ndarray, codes: np.ndarray,
                    gained: np.ndarray, live: np.ndarray

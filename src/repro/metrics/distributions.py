@@ -6,9 +6,9 @@ from typing import Dict
 
 import numpy as np
 
-from repro.graph.distance import floyd_warshall
 from repro.graph.graph import Graph
 from repro.graph.matrices import UNREACHABLE
+from repro.graph.properties import geodesic_histogram
 
 
 def degree_distribution(graph: Graph) -> Dict[int, float]:
@@ -31,10 +31,8 @@ def geodesic_distribution(graph: Graph, include_unreachable: bool = True) -> Dic
     total_pairs = n * (n - 1) // 2
     if total_pairs == 0:
         return {}
-    distances = floyd_warshall(graph)
-    upper = distances[np.triu_indices(n, k=1)]
-    values, counts = np.unique(upper, return_counts=True)
-    histogram = {int(value): float(count) / total_pairs for value, count in zip(values, counts)}
+    histogram = {value: float(count) / total_pairs
+                 for value, count in geodesic_histogram(graph).items()}
     if not include_unreachable:
         histogram.pop(UNREACHABLE, None)
     return histogram

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -606,3 +607,41 @@ class TestLengthOneFastPath:
             best = min(range(len(evaluations)),
                        key=lambda pos: evaluations[pos].fraction)
             session.apply_edit(*candidates[best])
+
+
+class TestInOrderMemberValidation:
+    """Every L validates a candidate's members in order — removals, then
+    insertions, each against the graph its earlier members leave — as
+    applying them to the graph one by one does."""
+
+    EDGE = (0, 2)
+    CASES = {
+        "remove-twice": (((0, 2), (0, 2)), (), "not present"),
+        "insert-twice": ((), ((0, 2), (0, 2)), "already present"),
+        "remove-then-reinsert": (((0, 2),), ((0, 2),), None),
+    }
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_session_matches_a_fresh_scratch_session(self, length, case):
+        removals, insertions, error = self.CASES[case]
+        graph = erdos_renyi_graph(30, 0.2, seed=7)
+        assert graph.has_edge(*self.EDGE)
+        if not removals:
+            graph.remove_edge(*self.EDGE)  # the insertions need it absent
+        computer = OpacityComputer(DegreePairTyping(graph), length)
+        session = OpacitySession(computer, graph.copy())
+        scratch = ScratchSession(computer, graph.copy())
+        if error is None:
+            assert session.evaluate_edit(removals, insertions) == \
+                scratch.evaluate_edit(removals, insertions)
+            assert session.evaluate_edit(removals, insertions).fraction == \
+                session.current().max_fraction
+        else:
+            message = re.escape(f"edge {self.EDGE} {error}")
+            for evaluator in (session, scratch):
+                with pytest.raises(InvalidEdgeError, match=message):
+                    evaluator.evaluate_edit(removals, insertions)
+        # Nothing is left applied, by the product or by the oracle.
+        assert session.graph == graph
+        assert scratch.graph == graph

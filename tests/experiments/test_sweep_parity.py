@@ -1,87 +1,86 @@
 """Differential parity suite for the checkpointed θ-sweep engine.
 
 The engine's contract (DESIGN.md §9): a checkpointed sweep produces per-θ
-records *bit-identical* to independent per-θ runs — same edits, opacity,
+responses *bit-identical* to independent per-θ runs — same edits, opacity,
 distortion, utility metrics, step and evaluation counts — for every
 registered algorithm; only ``runtime_seconds`` reflects the execution
-strategy.  These tests assert exactly that at the experiments layer
-(``RunRecord``, against per-θ :meth:`ExperimentRunner.run` calls), plus a
-hypothesis sweep over random θ grids at the core layer (against
-``tests.oracles.independent_schedule``).
+strategy.  These tests assert exactly that for figure series (one
+request swept over θ and run as a fail-fast grid, against one facade
+``anonymize`` per θ), plus a hypothesis sweep over random θ grids at the
+core layer (against ``tests.oracles.independent_schedule``).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import AnonymizationRequest, GridRequest, available_algorithms, run_grid
 from repro.baselines import GadesAnonymizer
 from repro.core import EdgeRemovalAnonymizer
-from repro.experiments.config import ALGORITHMS, ExperimentConfig, SweepPlan
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.figures import _run
 from repro.graph import erdos_renyi_graph
-from tests.oracles import independent_schedule
+from tests.oracles import independent_runs, independent_schedule
 
-#: Fields of a RunRecord compared bit-for-bit (everything except runtime
-#: and the config record, compared whole).
-COMPARED_FIELDS = ("success", "final_opacity", "distortion", "degree_emd",
-                   "geodesic_emd", "mean_cc_difference", "steps", "evaluations")
+#: Response fields compared bit-for-bit (everything except runtime).
+PARITY_FIELDS = ("request", "success", "final_opacity", "distortion",
+                 "num_steps", "evaluations", "removed_edges", "inserted_edges",
+                 "anonymized_edges", "stop_reason", "metrics")
 
 THETAS = (0.9, 0.7, 0.5)
 
 
-@pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner()
+def _request(**fields):
+    base = dict(dataset="gnutella", sample_size=30, seed=0,
+                include_utility=True)
+    base.update(fields)
+    return AnonymizationRequest(**base)
 
 
-def assert_records_match(checkpointed, reference):
+def _sweep(request, thetas):
+    """One figure series: ``request`` swept over ``thetas`` as a grid."""
+    return _run([("series", request)], thetas, None)[0][1]
+
+
+def assert_responses_match(checkpointed, reference):
     assert len(checkpointed) == len(reference)
     for ours, theirs in zip(checkpointed, reference):
-        assert ours.config == theirs.config
-        for field in COMPARED_FIELDS:
+        for field in PARITY_FIELDS:
             assert getattr(ours, field) == getattr(theirs, field), \
-                (field, ours.config.label(), ours.config.theta)
+                (field, ours.request.algorithm, ours.request.theta)
 
 
-class TestRunSweepParity:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_checkpointed_matches_independent_runs(self, runner, algorithm):
-        plan = SweepPlan(dataset="gnutella", sample_size=30,
-                         algorithm=algorithm, thetas=THETAS, seed=0,
-                         insertion_candidate_cap=100)
-        checkpointed = runner.run_sweep(plan)
-        reference = [runner.run(config) for config in plan.configs()]
-        assert_records_match(checkpointed, reference)
+def _per_theta(request, thetas):
+    return independent_runs(GridRequest.from_axes(request, thetas=thetas).requests)
+
+
+class TestSweepParity:
+    @pytest.mark.parametrize("algorithm", available_algorithms())
+    def test_checkpointed_matches_independent_runs(self, algorithm):
+        request = _request(algorithm=algorithm, insertion_candidate_cap=100)
+        assert_responses_match(_sweep(request, THETAS),
+                               _per_theta(request, THETAS))
 
     @pytest.mark.parametrize("algorithm", ("rem", "rem-ins"))
-    def test_checkpointed_matches_independent_mode_at_l2(self, runner, algorithm):
-        plan = SweepPlan(dataset="enron", sample_size=30, algorithm=algorithm,
-                         thetas=(0.8, 0.6), length_threshold=2, seed=0,
-                         insertion_candidate_cap=100)
-        checkpointed = runner.run_sweep(plan)
-        independent = [runner.run(config) for config in plan.configs()]
-        assert_records_match(checkpointed, independent)
+    def test_checkpointed_matches_independent_mode_at_l2(self, algorithm):
+        request = _request(dataset="enron", algorithm=algorithm,
+                           length_threshold=2, insertion_candidate_cap=100)
+        assert_responses_match(_sweep(request, (0.8, 0.6)),
+                               _per_theta(request, (0.8, 0.6)))
 
-    def test_records_follow_plan_theta_order(self, runner):
-        plan = SweepPlan(dataset="gnutella", sample_size=30, algorithm="rem",
-                         thetas=(0.5, 0.9, 0.7), seed=0)
-        records = runner.run_sweep(plan)
-        assert [record.config.theta for record in records] == [0.5, 0.9, 0.7]
+    def test_responses_follow_the_theta_order(self):
+        responses = _sweep(_request(), (0.5, 0.9, 0.7))
+        assert [response.request.theta for response in responses] == [0.5, 0.9, 0.7]
 
-    def test_duplicate_thetas_share_one_checkpoint(self, runner):
-        plan = SweepPlan(dataset="gnutella", sample_size=30, algorithm="rem",
-                         thetas=(0.7, 0.7), seed=0)
-        records = runner.run_sweep(plan)
-        assert len(records) == 2
-        assert records[0].final_opacity == records[1].final_opacity
-        assert records[0].evaluations == records[1].evaluations
+    def test_duplicate_thetas_share_one_checkpoint(self):
+        responses = _sweep(_request(), (0.7, 0.7))
+        assert len(responses) == 2
+        assert responses[0].final_opacity == responses[1].final_opacity
+        assert responses[0].evaluations == responses[1].evaluations
 
-    def test_lookahead_plan_parity(self, runner):
-        plan = SweepPlan(dataset="gnutella", sample_size=25, algorithm="rem",
-                         thetas=(0.8, 0.6), lookahead=2, seed=0)
-        checkpointed = runner.run_sweep(plan)
-        reference = [runner.run(config) for config in plan.configs()]
-        assert_records_match(checkpointed, reference)
+    def test_lookahead_series_parity(self):
+        request = _request(sample_size=25, lookahead=2)
+        assert_responses_match(_sweep(request, (0.8, 0.6)),
+                               _per_theta(request, (0.8, 0.6)))
 
 
 class TestBaselineCache:
@@ -140,33 +139,22 @@ class TestRandomGridParity:
             assert run.stop_reason == independent.stop_reason
 
 
-class TestRunAllGrouping:
-    def test_serial_run_all_groups_and_preserves_order(self, runner):
-        configs = []
-        for algorithm in ("rem", "gaded-max"):
-            for theta in (0.9, 0.6):
-                configs.append(ExperimentConfig(
-                    dataset="gnutella", sample_size=30, algorithm=algorithm,
-                    theta=theta, seed=0))
-        # Interleave so grouping must re-scatter records into input order.
-        interleaved = [configs[0], configs[2], configs[1], configs[3]]
-        grouped = runner.run_all(interleaved)
-        assert [record.config for record in grouped] == interleaved
-        reference = [runner.run(config) for config in interleaved]
-        for ours, theirs in zip(grouped, reference):
-            for field in COMPARED_FIELDS:
-                assert getattr(ours, field) == getattr(theirs, field)
+class TestGridGrouping:
+    def test_interleaved_grid_groups_and_preserves_order(self):
+        requests = [_request(algorithm=algorithm, theta=theta)
+                    for algorithm in ("rem", "gaded-max") for theta in (0.9, 0.6)]
+        # Interleave so grouping must re-scatter responses into input order.
+        interleaved = (requests[0], requests[2], requests[1], requests[3])
+        grouped = run_grid(GridRequest(requests=interleaved,
+                                       on_error="fail_fast")).responses
+        assert_responses_match(grouped, independent_runs(interleaved))
 
-    def test_independent_sweep_mode_skips_grouping(self, runner):
+    def test_single_theta_groups_run_alone(self):
         # Single-θ groups run as plain runs; a θ pair shares one pass.
-        # Both equal the per-configuration reference.
-        configs = [ExperimentConfig(dataset="gnutella", sample_size=30,
-                                    algorithm="rem", theta=theta, seed=0)
-                   for theta in (0.8, 0.6)]
-        configs.append(ExperimentConfig(dataset="gnutella", sample_size=30,
-                                        algorithm="rem", theta=0.7, seed=1))
-        records = runner.run_all(configs)
-        reference = [runner.run(config) for config in configs]
-        for ours, theirs in zip(records, reference):
-            for field in COMPARED_FIELDS:
-                assert getattr(ours, field) == getattr(theirs, field)
+        # Both equal the per-request reference.
+        requests = (_request(theta=0.8), _request(theta=0.6),
+                    _request(theta=0.7, seed=1))
+        grid = GridRequest(requests=requests, on_error="fail_fast")
+        assert len(grid.groups()) == 2
+        assert_responses_match(run_grid(grid).responses,
+                               independent_runs(requests))

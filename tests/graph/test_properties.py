@@ -1,8 +1,10 @@
 """Unit tests for structural property computation (Tables 2/3 columns)."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.graph.distance import floyd_warshall
 from repro.graph.generators import complete_graph, erdos_renyi_graph, path_graph, star_graph
 from repro.graph.graph import Graph
 from repro.graph.matrices import UNREACHABLE
@@ -85,6 +87,42 @@ class TestGeodesicHistogram:
     def test_matches_figure_4a_counts(self, paper_example_graph):
         histogram = geodesic_histogram(paper_example_graph)
         assert histogram == {1: 10, 2: 8, 3: 3}
+
+
+def _floyd_warshall_histogram(graph):
+    """The Floyd–Warshall reference: a dense matrix, pairs i < j counted."""
+    distances = floyd_warshall(graph)
+    upper = distances[np.triu_indices(graph.num_vertices, k=1)]
+    values, counts = np.unique(upper, return_counts=True)
+    return {int(value): int(count) for value, count in zip(values, counts)}
+
+
+class TestGeodesicHistogramAgainstFloydWarshall:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_graphs(self, n):
+        for graph in (Graph(n), complete_graph(n)):
+            assert geodesic_histogram(graph) == _floyd_warshall_histogram(graph)
+            assert diameter(graph) == (1 if graph.num_edges else 0)
+
+    @pytest.mark.parametrize("n,p", [(12, 0.0), (30, 0.05), (40, 0.1),
+                                     (60, 0.3), (300, 0.01), (300, 0.02)])
+    def test_random_graphs_connected_or_not(self, n, p):
+        for seed in range(3):
+            graph = erdos_renyi_graph(n, p, seed=seed)
+            expected = _floyd_warshall_histogram(graph)
+            histogram = geodesic_histogram(graph)
+            assert histogram == expected
+            assert list(histogram) == sorted(histogram)
+            finite = [value for value in expected if value != UNREACHABLE]
+            assert diameter(graph) == max(finite, default=0)
+
+    def test_blocks_cover_every_pair(self, monkeypatch):
+        # Source blocks smaller than n must still count each pair once.
+        import repro.graph.properties as properties
+
+        graph = erdos_renyi_graph(50, 0.06, seed=5)
+        monkeypatch.setattr(properties, "GEODESIC_BLOCK", 7)
+        assert geodesic_histogram(graph) == _floyd_warshall_histogram(graph)
 
 
 class TestGraphProperties:

@@ -30,10 +30,10 @@ it is proven against live here:
   (``anonymize_schedule``) is proven against;
   :func:`independent_responses` is the same reference one layer up: one
   error-isolated :func:`~repro.api.batch.execute_request` per request of
-  a grid; :func:`independent_records` one
-  :meth:`~repro.experiments.runner.ExperimentRunner.run` per θ of every
-  plan, and :func:`independent_grids` routes the figure builders through
-  it.
+  a grid; :func:`independent_runs` is one facade
+  :func:`~repro.api.facade.anonymize` per request, the reference of a
+  fail-fast grid, and :func:`independent_grids` routes the figure
+  builders through it.
 
 :func:`assert_batch_entry_matches` holds one entry of
 :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` to its
@@ -304,18 +304,24 @@ class ScratchSession:
 
     def result_after(self, removals: Sequence[Edge] = (),
                      insertions: Sequence[Edge] = ()) -> OpacityResult:
-        """Algorithm 1's result after the edit: apply, recount, revert."""
-        for u, v in removals:
-            self._graph.remove_edge(u, v)
-        for u, v in insertions:
-            self._graph.add_edge(u, v)
+        """Algorithm 1's result after the edit: apply, recount, revert.
+
+        Members apply in order, removals then insertions; a member that
+        fails leaves the graph as it was, since exactly the members applied
+        before it are undone, last first.
+        """
+        applied = []
         try:
+            for u, v in removals:
+                self._graph.remove_edge(u, v)
+                applied.append((self._graph.add_edge, u, v))
+            for u, v in insertions:
+                self._graph.add_edge(u, v)
+                applied.append((self._graph.remove_edge, u, v))
             return evaluate_with_fractions(self._computer, self._graph)
         finally:
-            for u, v in insertions:
-                self._graph.remove_edge(u, v)
-            for u, v in removals:
-                self._graph.add_edge(u, v)
+            for undo, u, v in reversed(applied):
+                undo(u, v)
 
     def evaluate_edit(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = ()) -> CandidateOutcome:
@@ -515,19 +521,22 @@ def independent_responses(requests, **kwargs) -> List:
     return [execute_request(request, **kwargs) for request in requests]
 
 
-def independent_records(runner, plans) -> List[List]:
-    """One ``runner.run`` per θ of every plan: ``run_grid``'s reference."""
-    return [[runner.run(config) for config in plan.configs()]
-            for plan in plans]
+def independent_runs(requests, data_dir=None) -> List:
+    """One facade ``anonymize`` per request: a fail-fast grid's reference."""
+    from repro.api.facade import anonymize
+
+    return [anonymize(request, data_dir=data_dir) for request in requests]
 
 
 @contextmanager
 def independent_grids() -> Iterator[None]:
-    """Serve every ``ExperimentRunner.run_grid`` with :func:`independent_records`."""
-    from repro.experiments.runner import ExperimentRunner
+    """Serve every figure builder's grid with :func:`independent_runs`."""
+    from repro.api.sweeps import GridResponse
+    from repro.experiments import figures
 
-    def run_grid(runner, plans, max_workers=0):
-        return independent_records(runner, list(plans))
+    def run_grid(grid, max_workers=0, data_dir=None):
+        return GridResponse(responses=independent_runs(grid.requests,
+                                                       data_dir=data_dir))
 
-    with mock.patch.object(ExperimentRunner, "run_grid", run_grid):
+    with mock.patch.object(figures, "run_grid", run_grid):
         yield
