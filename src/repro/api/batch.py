@@ -14,9 +14,9 @@ run pipeline (:mod:`repro.api.sweeps`): each θ-sweep group is one
 checkpointed pass, run in this process or through the one worker entry
 point, :func:`_execute_task`.  On the default shared-memory plane
 (:mod:`repro.api.shm`) the parent prepares each sample — graph, L_max
-base, baseline — once and publishes it, and workers attach read-only
-views, so even a single-sample grid parallelizes with zero redundant
-loads or BFS runs.  ``shared_memory=False`` lets every worker prepare its
+base (only for θ-groups at L >= 2), baseline — once and publishes it, and
+workers attach read-only views, so even a single-sample grid parallelizes
+with zero redundant loads or BFS runs.  ``shared_memory=False`` lets every worker prepare its
 own sample: one task per sample group when the grid has several samples,
 one per θ-group when it has one.  Pool workers carry a process-level
 :class:`~repro.api.cache.ExecutionCache`, so each loads a sample at most

@@ -20,8 +20,9 @@ This module generalizes the sweep into a **grid**:
   into θ-group plans (done / todo / resume checkpoint) and the L_max of
   its single distance computation;
 * :func:`prepare_sample` / :func:`run_prepared` — the two halves of a
-  sample group: load the sample, derive its L_max base (every smaller L
-  is a thresholded copy) and the baseline once, then run each
+  sample group: load the sample, derive its L_max base for the θ-groups
+  at L >= 2 (every smaller L is a thresholded copy; an L = 1 session
+  reads no distances) and the baseline once, then run each
   θ-sweep group through the checkpointed schedule
   (:func:`execute_sample_group` is both, in-process); every failure goes
   through :func:`settle_failure`;
@@ -308,8 +309,8 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
     group of ``requests`` (group order), and the largest
     ``length_threshold`` over the grid points that will actually consume
     a matrix — resumed/materialized grid points never read the original
-    graph's matrix, so they may not inflate the single computation.  It
-    is 0 when no grid point needs one.
+    graph's matrix and L = 1 sessions read none, so neither may inflate
+    the single computation.  It is 0 when no grid point needs one.
     """
     requests = list(requests)
     resume = dict(resume_from) if resume_from else {}
@@ -337,7 +338,8 @@ def plan_sample_group(requests: Sequence[AnonymizationRequest],
                                     todo=tuple(todo),
                                     resume_checkpoint=resume_checkpoint))
     l_max = max((requests[index].length_threshold for plan in plans
-                 if plan.resume_checkpoint is None for index in plan.todo),
+                 if plan.resume_checkpoint is None for index in plan.todo
+                 if requests[index].length_threshold > 1),
                 default=0)
     return plans, l_max
 
@@ -418,8 +420,8 @@ class PreparedSample:
 
     ``base`` is the L_max base the shm parent publishes: the dense L_max
     matrix or the tiled tier's ``TiledMatrixSpec`` (``None`` when no grid
-    point needs distances, or their computation failed); ``responses``
-    holds the grid points already settled (materialized checkpoints,
+    point needs distances, e.g. an L = 1 grid, or their computation
+    failed); ``responses`` holds the grid points already settled (materialized checkpoints,
     error responses of points whose artifact failed).
     """
 
@@ -438,8 +440,8 @@ def prepare_sample(requests: Any, plans: Sequence[ThetaGroupPlan],
 
     ``requests`` is indexable by every index of ``plans``.  Loads the
     sample once through ``cache``, derives its L_max base in the tier of
-    the first runnable request (the dense matrix, or the tiled tier's
-    spec — tiles are computed lazily by whoever runs; tiers are
+    the first runnable request at L >= 2 (the dense matrix, or the tiled
+    tier's spec — tiles are computed lazily by whoever runs; tiers are
     result-neutral, so one base serves every request), the utility
     baseline when any grid point needs one, and materializes the grid
     points served by stored checkpoints.  Each failure goes through
@@ -467,7 +469,7 @@ def prepare_sample(requests: Any, plans: Sequence[ThetaGroupPlan],
             settle_failure(on_error, "baseline", exc, requests, utility,
                            settled)
     runs = [index for plan in plans if plan.resume_checkpoint is None
-            for index in plan.todo]
+            for index in plan.todo if requests[index].length_threshold > 1]
     if runs:
         try:
             prepared.base = cache.base_for(requests[runs[0]], l_max)
@@ -498,9 +500,9 @@ def run_prepared(requests: Any, plans: Sequence[ThetaGroupPlan],
                  on_error: str = "isolate") -> Dict[int, AnonymizationResponse]:
     """The run half: every unsettled θ-group through ``execute_sweep_group``.
 
-    Each θ-group's initial matrix is thresholded from the prepared L_max
-    base; the observer hears the indices about to run (``on_group``)
-    before each pass.  Returns the settled responses plus the new ones,
+    Each θ-group at L >= 2 thresholds its initial matrix from the
+    prepared L_max base; the observer hears the indices about to run
+    (``on_group``) before each pass.  Returns the settled responses plus the new ones,
     keyed by request index.
     """
     responses = dict(prepared.responses)
@@ -510,7 +512,7 @@ def run_prepared(requests: Any, plans: Sequence[ThetaGroupPlan],
             continue
         group = [requests[index] for index in todo]
         initial_distances = None
-        if plan.resume_checkpoint is None:
+        if plan.resume_checkpoint is None and group[0].length_threshold > 1:
             try:
                 initial_distances = cache.distances_for(group[0],
                                                         prepared.l_max)
@@ -542,9 +544,10 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
     All requests must share a graph source (one :func:`sample_groups`
     partition).  :func:`prepare_sample` loads the sample once through
     ``cache`` (a throwaway one by default), derives the baseline and one
-    L_max distance computation; :func:`run_prepared` runs each
-    θ-sweep group on a thresholded copy.  A failing θ-group (or sample
-    load) yields error responses without aborting its neighbours, unless
+    L_max distance computation (none when every point is at L = 1);
+    :func:`run_prepared` runs each θ-sweep group, at L >= 2 on a
+    thresholded copy.  A failing θ-group (or sample load) yields error
+    responses without aborting its neighbours, unless
     ``on_error="fail_fast"`` turns the first failure into a
     :class:`~repro.errors.GridAbortedError`.
 

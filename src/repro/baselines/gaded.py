@@ -47,7 +47,6 @@ from repro.core.opacity import OpacityComputer
 from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.errors import ConfigurationError, InfeasibleError
-from repro.graph.distance_store import validate_scale_tier
 from repro.graph.graph import Edge, Graph
 
 #: Insertion flag of a removal candidate's single member.
@@ -59,21 +58,13 @@ class _GadedBase:
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
                  max_steps: Optional[int] = None,
-                 strict: bool = False,
-                 scale_tier: str = "auto",
-                 scale_budget_bytes: Optional[int] = None) -> None:
+                 strict: bool = False) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ConfigurationError(f"theta must be in [0, 1], got {theta}")
-        validate_scale_tier(scale_tier)
-        if scale_budget_bytes is not None and scale_budget_bytes < 1:
-            raise ConfigurationError(
-                f"scale_budget_bytes must be >= 1, got {scale_budget_bytes}")
         self._theta = theta
         self._seed = seed
         self._max_steps = max_steps
         self._strict = strict
-        self._scale_tier = scale_tier
-        self._scale_budget_bytes = scale_budget_bytes
 
     @property
     def theta(self) -> float:
@@ -81,24 +72,17 @@ class _GadedBase:
         return self._theta
 
     def anonymize(self, graph: Graph, typing: Optional[PairTyping] = None,
-                  observer: Optional[ProgressObserver] = None,
-                  initial_distances=None) -> AnonymizationResult:
-        """Run the heuristic and return the anonymization result.
-
-        ``initial_distances`` may seed the evaluation session with a
-        precomputed 1-bounded distance matrix of ``graph`` (the run takes
-        ownership of the array).
-        """
+                  observer: Optional[ProgressObserver] = None
+                  ) -> AnonymizationResult:
+        """Run the heuristic and return the anonymization result."""
         if typing is None:
             typing = DegreePairTyping(graph)
-        return self._run_single(graph, self._theta, typing, observer,
-                                initial_distances)
+        return self._run_single(graph, self._theta, typing, observer)
 
     def anonymize_schedule(self, graph: Graph,
                            thetas: Optional[Sequence[float]] = None,
                            typing: Optional[PairTyping] = None,
-                           observer: Optional[ProgressObserver] = None,
-                           initial_distances=None
+                           observer: Optional[ProgressObserver] = None
                            ) -> List[AnonymizationResult]:
         """Run the heuristic for a θ grid, one result per grid point.
 
@@ -114,28 +98,20 @@ class _GadedBase:
             thetas if thetas is not None else (self._theta,))
         if typing is None:
             typing = DegreePairTyping(graph)
-        # Every per-θ run consumes its own session matrix, so the shared
-        # precomputed matrix is copied per grid point.  Store payloads
-        # (tiled tier) have no cheap copy; those runs recompute instead.
-        return [self._run_single(graph, theta, typing, observer,
-                                 initial_distances.copy()
-                                 if isinstance(initial_distances, np.ndarray)
-                                 else None)
+        return [self._run_single(graph, theta, typing, observer)
                 for theta in schedule]
 
     def _run_single(self, graph: Graph, theta: float, typing: PairTyping,
-                    observer: Optional[ProgressObserver],
-                    initial_distances=None) -> AnonymizationResult:
+                    observer: Optional[ProgressObserver]
+                    ) -> AnonymizationResult:
         computer = OpacityComputer(typing, length_threshold=1)
         working = graph.copy()
         # The full constructor state (max_steps included) is recorded so the
         # result's config round-trips through the api layer for reproduction.
         config = AnonymizerConfig(length_threshold=1, theta=theta, seed=self._seed,
                                   strict=self._strict,
-                                  max_steps=self._max_steps,
-                                  scale_tier=self._scale_tier,
-                                  scale_budget_bytes=self._scale_budget_bytes)
-        session = config.open_session(computer, working, initial_distances)
+                                  max_steps=self._max_steps)
+        session = config.open_session(computer, working)
         rng = random.Random(self._seed)
         result = AnonymizationResult(
             original_graph=graph.copy(),
@@ -212,8 +188,7 @@ class _GadedBase:
 @register_anonymizer(
     "gaded-rand",
     description="GADED-Rand baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "strict", "scale_tier",
-             "scale_budget_bytes"),
+    accepts=("theta", "seed", "max_steps", "strict"),
 )
 class GadedRandAnonymizer(_GadedBase):
     """GADED-Rand: remove a random edge participating in disclosure."""
@@ -229,8 +204,7 @@ class GadedRandAnonymizer(_GadedBase):
 @register_anonymizer(
     "gaded-max",
     description="GADED-Max baseline (Zhang & Zhang, single-edge disclosure)",
-    accepts=("theta", "seed", "max_steps", "strict", "scale_tier",
-             "scale_budget_bytes"),
+    accepts=("theta", "seed", "max_steps", "strict"),
 )
 class GadedMaxAnonymizer(_GadedBase):
     """GADED-Max: remove the edge with the greatest reduction of the maximum

@@ -36,7 +36,6 @@ from repro.core.opacity import OpacityComputer
 from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping, PairTyping
 from repro.errors import ConfigurationError
-from repro.graph.distance_store import validate_scale_tier
 from repro.graph.graph import Edge, Graph, normalize_edge
 
 Swap = Tuple[Edge, Edge, Edge, Edge]  # (removed1, removed2, added1, added2)
@@ -48,8 +47,7 @@ _SWAP_GAINED = np.array([False, False, True, True])
 @register_anonymizer(
     "gades",
     description="GADES baseline (Zhang & Zhang, degree-preserving swaps)",
-    accepts=("theta", "seed", "max_steps", "swap_sample_size",
-             "scale_tier", "scale_budget_bytes"),
+    accepts=("theta", "seed", "max_steps", "swap_sample_size"),
 )
 class GadesAnonymizer:
     """GADES: greedy degree-preserving edge swapping against link disclosure.
@@ -71,23 +69,16 @@ class GadesAnonymizer:
     """
 
     def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
-                 max_steps: Optional[int] = None, swap_sample_size: int = 2000,
-                 scale_tier: str = "auto",
-                 scale_budget_bytes: Optional[int] = None) -> None:
+                 max_steps: Optional[int] = None, swap_sample_size: int = 2000
+                 ) -> None:
         if not 0.0 <= theta <= 1.0:
             raise ConfigurationError(f"theta must be in [0, 1], got {theta}")
         if swap_sample_size < 1:
             raise ConfigurationError("swap_sample_size must be >= 1")
-        validate_scale_tier(scale_tier)
-        if scale_budget_bytes is not None and scale_budget_bytes < 1:
-            raise ConfigurationError(
-                f"scale_budget_bytes must be >= 1, got {scale_budget_bytes}")
         self._theta = theta
         self._seed = seed
         self._max_steps = max_steps
         self._swap_sample_size = swap_sample_size
-        self._scale_tier = scale_tier
-        self._scale_budget_bytes = scale_budget_bytes
 
     @property
     def theta(self) -> float:
@@ -95,24 +86,20 @@ class GadesAnonymizer:
         return self._theta
 
     def anonymize(self, graph: Graph, typing: Optional[PairTyping] = None,
-                  observer: Optional[ProgressObserver] = None,
-                  initial_distances=None) -> AnonymizationResult:
+                  observer: Optional[ProgressObserver] = None
+                  ) -> AnonymizationResult:
         """Run GADES and return the anonymization result.
 
         ``success`` is only reported when the threshold was actually reached;
         GADES frequently stalls because no degree-preserving swap can lower
-        the maximum disclosure further.  ``initial_distances`` may seed the
-        evaluation session with a precomputed 1-bounded distance matrix of
-        ``graph`` (the run takes ownership of the array).
+        the maximum disclosure further.
         """
-        return self._run_schedule(graph, (self._theta,), typing, observer,
-                                  initial_distances)[0]
+        return self._run_schedule(graph, (self._theta,), typing, observer)[0]
 
     def anonymize_schedule(self, graph: Graph,
                            thetas: Optional[Sequence[float]] = None,
                            typing: Optional[PairTyping] = None,
-                           observer: Optional[ProgressObserver] = None,
-                           initial_distances=None
+                           observer: Optional[ProgressObserver] = None
                            ) -> List[AnonymizationResult]:
         """Run GADES for a whole θ grid, one result per grid point.
 
@@ -124,13 +111,11 @@ class GadesAnonymizer:
         """
         schedule = validate_theta_schedule(
             thetas if thetas is not None else (self._theta,))
-        return self._run_schedule(graph, schedule, typing, observer,
-                                  initial_distances)
+        return self._run_schedule(graph, schedule, typing, observer)
 
     def _run_schedule(self, graph: Graph, schedule: Sequence[float],
                       typing: Optional[PairTyping],
-                      observer: Optional[ProgressObserver],
-                      initial_distances=None
+                      observer: Optional[ProgressObserver]
                       ) -> List[AnonymizationResult]:
         if typing is None:
             typing = DegreePairTyping(graph)
@@ -142,10 +127,8 @@ class GadesAnonymizer:
         config = AnonymizerConfig(length_threshold=1, theta=schedule[-1],
                                   seed=self._seed,
                                   max_steps=self._max_steps,
-                                  swap_sample_size=self._swap_sample_size,
-                                  scale_tier=self._scale_tier,
-                                  scale_budget_bytes=self._scale_budget_bytes)
-        session = config.open_session(computer, working, initial_distances)
+                                  swap_sample_size=self._swap_sample_size)
+        session = config.open_session(computer, working)
         rng = random.Random(self._seed)
         original = graph.copy()
         result = AnonymizationResult(

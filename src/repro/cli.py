@@ -77,7 +77,7 @@ from repro.api import (
 )
 from repro.graph.distance_store import SCALE_TIERS
 from repro.datasets import dataset_names
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import (
     figure6_series,
     figure7_series,
@@ -352,6 +352,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     thetas = tuple(args.thetas) if args.thetas else (0.9, 0.8, 0.7, 0.6, 0.5)
+    size = args.size if args.size is not None else 50
+    length = args.length if args.length is not None else 1
 
     def emit(series, x_label, y_label, title):
         if args.chart:
@@ -361,19 +363,27 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             print(format_series(series, x_label=x_label, y_label=y_label))
 
     if args.name == "fig6":
-        series = figure6_series(args.dataset, length_threshold=args.length,
-                                sample_size=args.size, thetas=thetas)
-        emit(series, "theta", "distortion", f"Figure 6 — {args.dataset}, L={args.length}")
+        series = figure6_series(args.dataset, length_threshold=length,
+                                sample_size=size, thetas=thetas)
+        emit(series, "theta", "distortion", f"Figure 6 — {args.dataset}, L={length}")
     elif args.name == "fig7":
-        both = figure7_series(args.dataset, sample_size=args.size, thetas=thetas)
+        both = figure7_series(args.dataset, sample_size=size, thetas=thetas)
         for metric, series in both.items():
             print(f"== {metric} ==")
             emit(series, "theta", metric, f"Figure 7 — {args.dataset}")
     elif args.name == "fig8":
-        series = figure8_series(args.dataset, length_threshold=args.length,
-                                sample_size=args.size, thetas=thetas)
-        emit(series, "theta", "mean_cc_diff", f"Figure 8 — {args.dataset}, L={args.length}")
+        series = figure8_series(args.dataset, length_threshold=length,
+                                sample_size=size, thetas=thetas)
+        emit(series, "theta", "mean_cc_diff", f"Figure 8 — {args.dataset}, L={length}")
     elif args.name == "fig10":
+        # Figure 10 sweeps sample sizes and L at one theta.
+        ignored = [flag for flag, value in (("--size", args.size),
+                                            ("--thetas", args.thetas),
+                                            ("-L", args.length))
+                   if value is not None]
+        if ignored:
+            raise ConfigurationError(
+                f"figure fig10 does not take {', '.join(ignored)}")
         series = figure10_series(args.dataset, theta=args.theta)
         emit(series, "size", "runtime_s", f"Figure 10 — {args.dataset}")
     else:
@@ -534,8 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
     figure = subparsers.add_parser("figure", help="compute one figure's series")
     figure.add_argument("--name", required=True, choices=("fig6", "fig7", "fig8", "fig10"))
     figure.add_argument("--dataset", default="google", choices=dataset_names())
-    figure.add_argument("--size", type=int, default=50)
-    figure.add_argument("--length", "-L", type=int, default=1)
+    figure.add_argument("--size", type=int,
+                        help="sample size (fig6/7/8; default 50)")
+    figure.add_argument("--length", "-L", type=int,
+                        help="path length bound L (fig6/8; default 1)")
     figure.add_argument("--theta", type=float, default=0.5)
     figure.add_argument("--thetas", type=float, nargs="*")
     figure.add_argument("--chart", action="store_true",

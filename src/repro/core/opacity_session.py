@@ -7,10 +7,12 @@ greedy step without a from-scratch recount.
 
 A session owns a working graph together with
 
-* a :class:`repro.graph.distance_delta.DistanceSession` maintaining the
-  L-bounded distance matrix, and
 * the per-type within-L counts of the *current* graph, kept in the frozen
-  typing's iteration order.
+  typing's iteration order, and
+* at L >= 2, a :class:`repro.graph.distance_delta.DistanceSession`
+  maintaining the L-bounded distance matrix.  At L = 1 the within-L pairs
+  are the edges, so the session keeps only its sorted edge array: no
+  distance store and no adjacency mirror.
 
 A tentative edit then costs one distance delta plus a count delta over the
 flipped cells, tallied by their type positions
@@ -72,9 +74,14 @@ from repro.core.opacity import (
     exact_ranks,
     row_maxima,
 )
-from repro.graph.distance_delta import DistanceDelta, DistanceSession
+from repro.graph.distance_delta import (
+    DistanceDelta,
+    DistanceSession,
+    check_edit,
+    edit_graph,
+)
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
-from repro.graph.graph import Edge, Graph
+from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.two_hop import (
     TwoHopCounts,
     group_sums,
@@ -229,10 +236,12 @@ class OpacitySession:
         :class:`~repro.graph.distance_store.DistanceStore` served by the
         tier-aware cache — adopted as the session's starting state so
         construction skips the from-scratch distance computation.  The
-        session takes ownership of the payload.
+        session takes ownership of the payload.  An L = 1 session keeps
+        no distances and ignores it.
     store_config:
         Scale-tier policy for a session that must compute its own
-        distances (ignored when ``initial_distances`` is given).
+        distances (ignored when ``initial_distances`` is given, and at
+        L = 1).
     """
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
@@ -259,10 +268,12 @@ class OpacitySession:
         self._scan_pool = None
         self._scan_failed = False
         self.parallel_scans = 0
-        self._distance = DistanceSession(
+        # At L = 1 the within-L pairs are the edges: no distance store.
+        self._distance = (DistanceSession(
             graph, computer.length_threshold,
             initial_distances=initial_distances,
             store_config=store_config)
+            if computer.length_threshold > 1 else None)
         # L = 2 scans score from the common-neighbour counts alone.
         self._two_hop = (TwoHopCounts(graph)
                          if computer.length_threshold == 2 else None)
@@ -295,7 +306,7 @@ class OpacitySession:
         return 1
 
     def distance_rows(self, block: Sequence[int]) -> np.ndarray:
-        """Fresh ``|block| × n`` distance rows.
+        """Fresh ``|block| × n`` distance rows (L >= 2 sessions only).
 
         Columns follow by symmetry; this is the tier-independent way to
         read distances, sized to the store's tile budget.
@@ -530,20 +541,25 @@ class OpacitySession:
     def close(self) -> None:
         """Release pool workers and store resources (idempotent)."""
         self._teardown_scan_pool(failed=False)
-        self._distance.close()
+        if self._distance is not None:
+            self._distance.close()
 
     def apply_edit(self, removals: Sequence[Edge] = (),
                    insertions: Sequence[Edge] = ()) -> None:
         """Permanently apply the edit, keeping all session state in sync."""
-        # Two-phase: stage mutates the graph exactly once (removals, then
-        # insertions), count deltas are diffed against the still-pre-edit
-        # matrix, then the delta is folded in.
-        delta = self._distance.stage(removals, insertions)
-        owner, *cells = self._flipped_cells([delta])
+        if self._distance is None:
+            owner, *cells = self._edit_edges(removals, insertions)
+        else:
+            # Two-phase: stage mutates the graph exactly once (removals,
+            # then insertions), count deltas are diffed against the
+            # still-pre-edit matrix, then the delta is folded in.
+            delta = self._distance.stage(removals, insertions)
+            owner, *cells = self._flipped_cells([delta])
         types, changes = self._tally_cells(1, owner, *cells)
         if self._within_flat is not None:
             self._fold_flipped_cells(*cells)
-        self._distance.commit(delta)
+        if self._distance is not None:
+            self._distance.commit(delta)
         if self._two_hop is not None:
             self._two_hop.apply(removals, insertions)
         # One candidate's row lists distinct types and has no padding.
@@ -571,10 +587,13 @@ class OpacitySession:
         store's row blocks (at L = 2, from the common-neighbour counts and
         the edges, with no store read), then folded forward by each applied
         delta's flipped cells, so a query is one gather over the within-L
-        pairs.
+        pairs.  At L = 1 the within-L pairs are the edges, so the query is
+        :meth:`edge_endpoints`.
         The result is int64 ``(rows, cols)`` in ``np.triu_indices(n, 1)``
         order, and no state grows with ``n²``.
         """
+        if self._distance is None:
+            return self.edge_endpoints(type_mask)
         if self._within_flat is None:
             if self._two_hop is not None:
                 self._set_within_pairs(self._two_hop.within_pairs())
@@ -660,10 +679,16 @@ class OpacitySession:
     # incremental machinery
     # ------------------------------------------------------------------
     def _init_counts(self) -> None:
-        store = self._distance.store
-        self._withins = self._computer.within_counts(
-            store.array if isinstance(store, DenseStore) else store)
         self._totals = self._computer.type_order[1]
+        if self._distance is None:
+            self.edge_endpoints()
+            self._withins = np.bincount(
+                self._edge_types, minlength=self._totals.size + 1
+            )[:self._totals.size]
+        else:
+            store = self._distance.store
+            self._withins = self._computer.within_counts(
+                store.array if isinstance(store, DenseStore) else store)
         self._current = None
         self._ranking = None
 
@@ -677,7 +702,6 @@ class OpacitySession:
         by one binary search over the sorted edge array; the members are
         then judged in order by :func:`validate_members`, as at L = 2.
         """
-        self.edge_endpoints()
         codes = self._edge_codes
         n = self._graph.num_vertices
         lo = np.minimum(cells[:, 0], cells[:, 1])
@@ -687,6 +711,25 @@ class OpacitySession:
         present = (codes[found] == wanted if codes.size
                    else np.zeros(wanted.size, dtype=bool))
         validate_members(at, lo, hi, wanted, present, gained)
+
+    def _edit_edges(self, removals: Sequence[Edge], insertions: Sequence[Edge]
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Validate and apply an L = 1 edit, returning its flipped cells.
+
+        The edit is checked by the rule
+        :meth:`~repro.graph.distance_delta.DistanceSession.stage` applies.
+        The flipped cells (:meth:`_flipped_cells` format) are the edit's
+        own pairs; a removal the same edit re-inserts nets to nothing.
+        """
+        removals = [normalize_edge(u, v) for u, v in removals]
+        insertions = [normalize_edge(u, v) for u, v in insertions]
+        check_edit(self._graph, removals, insertions)
+        edit_graph(self._graph, removals, insertions)
+        flips = [(*edge, 0) for edge in removals if edge not in insertions]
+        flips += [(*edge, 1) for edge in insertions if edge not in removals]
+        cells = np.array(flips, dtype=np.int64).reshape(-1, 3)
+        return (np.zeros(len(flips), dtype=np.int64), cells[:, 0], cells[:, 1],
+                cells[:, 2].astype(bool))
 
     def _flipped_cells(self, deltas: Sequence[DistanceDelta]
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -76,8 +76,8 @@ from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.matrices import distance_dtype
 
 
-def _edit_graph(graph: Graph, removals: Sequence[Edge],
-                insertions: Sequence[Edge]) -> None:
+def edit_graph(graph: Graph, removals: Sequence[Edge],
+               insertions: Sequence[Edge]) -> None:
     """Apply an edit to ``graph``: removals, then insertions."""
     for u, v in removals:
         graph.remove_edge(u, v)
@@ -85,9 +85,9 @@ def _edit_graph(graph: Graph, removals: Sequence[Edge],
         graph.add_edge(u, v)
 
 
-def _check_edit(graph: Graph, removals: Sequence[Edge],
-                insertions: Sequence[Edge]) -> None:
-    """Raise :class:`InvalidEdgeError` where :func:`_edit_graph` would.
+def check_edit(graph: Graph, removals: Sequence[Edge],
+               insertions: Sequence[Edge]) -> None:
+    """Raise :class:`InvalidEdgeError` where :func:`edit_graph` would.
 
     Each removal must be present and each insertion absent, in the state
     the edit's earlier operations leave.
@@ -129,7 +129,6 @@ class _DenseAdjacency:
     """
 
     def __init__(self, graph: Graph) -> None:
-        self._graph = graph
         self._matrix = graph.adjacency_matrix(dtype=np.float32)
 
     def block(self, rows: np.ndarray) -> np.ndarray:
@@ -145,9 +144,6 @@ class _DenseAdjacency:
 
     def compact(self) -> None:
         """Nothing to fold: the matrix is edited in place."""
-
-    def rebuild(self) -> None:
-        self._matrix = self._graph.adjacency_matrix(dtype=np.float32)
 
 
 class _CSROverlayAdjacency:
@@ -228,8 +224,8 @@ class DistanceSession:
     """Stateful owner of a working graph's L-bounded distance matrix.
 
     The session holds a *reference* to ``graph``; all mutations of the graph
-    must go through :meth:`apply` (or be followed by :meth:`refresh`) so the
-    matrix stays in sync.  :meth:`preview` answers tentative edits without
+    must go through :meth:`apply` (or :meth:`stage` and :meth:`commit`) so
+    the matrix stays in sync.  :meth:`preview` answers tentative edits without
     leaving any lasting change on either the graph or the matrix.
 
     Parameters
@@ -361,7 +357,7 @@ class DistanceSession:
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
-        _check_edit(self._graph, removals, insertions)
+        check_edit(self._graph, removals, insertions)
         applied = []
         try:
             return self._compute_delta(removals, insertions, applied)
@@ -390,9 +386,9 @@ class DistanceSession:
         removal_edges = [normalize_edge(u, v) for u, v in removals]
         insertion_edges = [normalize_edge(u, v) for u, v in insertions]
         for edge in removal_edges:
-            _check_edit(self._graph, (edge,), ())
+            check_edit(self._graph, (edge,), ())
         for edge in insertion_edges:
-            _check_edit(self._graph, (), (edge,))
+            check_edit(self._graph, (), (edge,))
         deltas = self._batch_deltas(removal_edges, removal=True)
         deltas += self._batch_deltas(insertion_edges, removal=False)
         return deltas
@@ -620,14 +616,14 @@ class DistanceSession:
         """
         removals = tuple(normalize_edge(u, v) for u, v in removals)
         insertions = tuple(normalize_edge(u, v) for u, v in insertions)
-        _check_edit(self._graph, removals, insertions)
+        check_edit(self._graph, removals, insertions)
         applied = []
         try:
             delta = self._compute_delta(removals, insertions, applied)
         except BaseException:
             self._revert_mirror(applied)
             raise
-        _edit_graph(self._graph, removals, insertions)
+        edit_graph(self._graph, removals, insertions)
         return delta
 
     def commit(self, delta: DistanceDelta) -> None:
@@ -709,21 +705,6 @@ class DistanceSession:
         """Undo the mirror ops :meth:`_compute_delta` applied."""
         for kind, (u, v) in reversed(applied):
             self._mirror.set_edge(u, v, kind == "remove")
-
-    def refresh(self) -> None:
-        """Recompute the distances from scratch (after out-of-band graph edits)."""
-        if isinstance(self._store, TiledStore):
-            old = self._store
-            self._store = TiledStore(self._graph, self._length,
-                                     tile_rows=old.tile_rows,
-                                     budget_bytes=old.budget_bytes,
-                                     spill_dir=old.spill_dir)
-            old.close()
-        else:
-            self._store = DenseStore(
-                bounded_distance_matrix(self._graph, self._length),
-                self._length)
-        self._mirror.rebuild()
 
     # ------------------------------------------------------------------
     # per-edit machinery

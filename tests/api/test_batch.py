@@ -100,9 +100,10 @@ class TestWorkerGroupPayloadCache:
 
         cache = ExecutionCache()
         monkeypatch.setattr(batch_module, "_WORKER_CACHE", cache)
+        # L = 2: an L = 1 group reads no distance matrix at all.
         base = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
-                                    include_utility=True)
-        for algorithm in ("rem", "gaded-max"):
+                                    length_threshold=2, include_utility=True)
+        for algorithm in ("rem", "rem-ins"):
             requests = [base.with_overrides(algorithm=algorithm, theta=theta)
                         for theta in (0.8, 0.6)]
             result = batch_module._execute_task(

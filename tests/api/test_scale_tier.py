@@ -144,8 +144,10 @@ class TestTiledGridAcceptance:
         assert tiled.num_distance_computes == 0
 
     def test_explicit_dense_over_budget_is_isolated_per_group(self):
+        # At L = 2: an L = 1 run holds no matrix for the guard to refuse.
         grid = GridRequest.from_axes(
-            BASE.with_overrides(scale_tier="dense", scale_budget_bytes=64),
+            BASE.with_overrides(length_threshold=2, scale_tier="dense",
+                                scale_budget_bytes=64),
             thetas=(0.8, 0.6))
         for workers in (0, 2):
             response = run_grid(grid, max_workers=workers)
@@ -154,7 +156,9 @@ class TestTiledGridAcceptance:
                 assert "DistanceMemoryError" in entry.error
                 assert "tiled" in entry.error
 
-    def test_gades_baseline_runs_on_the_tiled_tier(self):
+    def test_gades_baseline_ignores_the_tier_knobs(self):
+        # GADES runs at L = 1, which holds no distances: the registry drops
+        # the tier fields and both grids run the same session.
         grid_axes = dict(algorithms=("gades",), thetas=(0.8,))
         dense = run_grid(GridRequest.from_axes(BASE, **grid_axes))
         tiled = run_grid(GridRequest.from_axes(TILED, **grid_axes))

@@ -225,8 +225,10 @@ class TestShmGridPlane:
     def test_off_plane_single_sample_reports_worker_counters(self):
         # Off the shm plane, a single sample's θ-groups fan out to workers
         # that derive their own artifacts: each worker reports its loads
-        # and computes, at most one of each per worker.
-        grid = GridRequest.from_axes(BASE, algorithms=("rem", "gaded-max"),
+        # and computes, at most one of each per worker (at L = 2: an L = 1
+        # group computes no distances).
+        grid = GridRequest.from_axes(BASE.with_overrides(length_threshold=2),
+                                     algorithms=("rem", "rem-ins"),
                                      thetas=(0.8, 0.6))
         response = run_grid(grid, max_workers=2, shared_memory=False)
         assert 1 <= response.num_sample_loads <= 2

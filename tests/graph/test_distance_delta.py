@@ -113,13 +113,6 @@ class TestApply:
         assert np.array_equal(session.distances,
                               bounded_distance_matrix(paper_example_graph, 2))
 
-    def test_refresh_resyncs_after_out_of_band_edit(self, paper_example_graph):
-        session = DistanceSession(paper_example_graph, 2)
-        paper_example_graph.remove_edge(0, 1)
-        session.refresh()
-        assert np.array_equal(session.distances,
-                              bounded_distance_matrix(paper_example_graph, 2))
-
 
 class TestLargeAffectedRegion:
     """Removals touching most rows stay slab deltas through every path."""

@@ -75,23 +75,20 @@ class TestDistanceSessionProperties:
         graph, script = script_case
         session = DistanceSession(graph, length)
         for kind, edge in script:
+            edit = dict(removals=[edge] if kind == "remove" else (),
+                        insertions=[edge] if kind == "insert" else ())
             before = graph.edge_set()
             matrix_before = session.distances.copy()
-            delta = session.preview(
-                removals=[edge] if kind == "remove" else (),
-                insertions=[edge] if kind == "insert" else ())
+            delta = session.preview(**edit)
             assert graph.edge_set() == before
             assert np.array_equal(session.distances, matrix_before)
             materialized = session.distances.copy()
             if delta.rows.size:
                 materialized[delta.rows, :] = delta.new_rows
                 materialized[:, delta.rows] = delta.new_rows.T
-            if kind == "remove":
-                graph.remove_edge(*edge)
-            else:
-                graph.add_edge(*edge)
+            # Advance to the edited graph the way every caller does.
+            session.apply(**edit)
             assert np.array_equal(materialized, bounded_distance_matrix(graph, length))
-            session.refresh()
 
 
 class TestOpacitySessionProperties:

@@ -225,6 +225,14 @@ class TestCommands:
         assert exit_code == 2
         assert "error: gades only supports L = 1" in captured.err
 
+    def test_figure10_rejects_the_flags_it_does_not_take(self, capsys):
+        exit_code = main(["figure", "--name", "fig10", "--dataset", "gnutella",
+                          "--size", "30", "-L", "2"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err == "error: figure fig10 does not take --size, -L\n"
+
     def test_figure_command_chart_mode(self, capsys):
         exit_code = main(["figure", "--name", "fig6", "--dataset", "gnutella",
                           "--size", "30", "--thetas", "0.8", "0.6", "--chart"])
