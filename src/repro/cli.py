@@ -350,7 +350,20 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The ``figure`` flags each figure's builder does not take.
+_FIGURE_UNUSED_FLAGS = {"fig6": ("--theta",), "fig7": ("-L", "--theta"),
+                        "fig8": ("--theta",),
+                        "fig10": ("--size", "--thetas", "-L")}
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
+    given = {"--size": args.size, "--thetas": args.thetas, "-L": args.length,
+             "--theta": args.theta}
+    ignored = [flag for flag in _FIGURE_UNUSED_FLAGS.get(args.name, ())
+               if given[flag] is not None]
+    if ignored:
+        raise ConfigurationError(
+            f"figure {args.name} does not take {', '.join(ignored)}")
     thetas = tuple(args.thetas) if args.thetas else (0.9, 0.8, 0.7, 0.6, 0.5)
     size = args.size if args.size is not None else 50
     length = args.length if args.length is not None else 1
@@ -377,14 +390,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         emit(series, "theta", "mean_cc_diff", f"Figure 8 — {args.dataset}, L={length}")
     elif args.name == "fig10":
         # Figure 10 sweeps sample sizes and L at one theta.
-        ignored = [flag for flag, value in (("--size", args.size),
-                                            ("--thetas", args.thetas),
-                                            ("-L", args.length))
-                   if value is not None]
-        if ignored:
-            raise ConfigurationError(
-                f"figure fig10 does not take {', '.join(ignored)}")
-        series = figure10_series(args.dataset, theta=args.theta)
+        series = figure10_series(
+            args.dataset, theta=args.theta if args.theta is not None else 0.5)
         emit(series, "size", "runtime_s", f"Figure 10 — {args.dataset}")
     else:
         print(f"unknown figure {args.name!r}", file=sys.stderr)
@@ -548,8 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample size (fig6/7/8; default 50)")
     figure.add_argument("--length", "-L", type=int,
                         help="path length bound L (fig6/8; default 1)")
-    figure.add_argument("--theta", type=float, default=0.5)
-    figure.add_argument("--thetas", type=float, nargs="*")
+    figure.add_argument("--theta", type=float,
+                        help="privacy threshold (fig10; default 0.5)")
+    figure.add_argument("--thetas", type=float, nargs="*",
+                        help="privacy thresholds (fig6/7/8)")
     figure.add_argument("--chart", action="store_true",
                         help="render an ASCII chart instead of the numeric series")
     figure.set_defaults(func=_cmd_figure)

@@ -9,13 +9,15 @@ A session owns a working graph together with
 
 * the per-type within-L counts of the *current* graph, kept in the frozen
   typing's iteration order, and
-* at L >= 2, a :class:`repro.graph.distance_delta.DistanceSession`
+* at L >= 3, a :class:`repro.graph.distance_delta.DistanceSession`
   maintaining the L-bounded distance matrix.  At L = 1 the within-L pairs
   are the edges, so the session keeps only its sorted edge array: no
-  distance store and no adjacency mirror.
+  distance store and no adjacency mirror.  At L = 2 the store serves only
+  the opening count; afterwards the common-neighbour counts of
+  :class:`~repro.graph.two_hop.TwoHopCounts` are the state of record.
 
-A tentative edit then costs one distance delta plus a count delta over the
-flipped cells, tallied by their type positions
+A tentative or applied edit then costs one distance delta plus a count
+delta over the flipped cells, tallied by their type positions
 (:meth:`~repro.core.opacity.OpacityComputer.type_indices`); at L = 1 it
 skips the distance machinery entirely, since a flipped cell is exactly
 an edited edge, and at L = 2 it reads the common-neighbour counts of
@@ -237,11 +239,13 @@ class OpacitySession:
         tier-aware cache — adopted as the session's starting state so
         construction skips the from-scratch distance computation.  The
         session takes ownership of the payload.  An L = 1 session keeps
-        no distances and ignores it.
+        no distances and ignores it; an L = 2 session reads only its
+        opening count from it and then releases it.
     store_config:
         Scale-tier policy for a session that must compute its own
         distances (ignored when ``initial_distances`` is given, and at
-        L = 1).
+        L = 1; at L = 2 the store it picks serves only the opening
+        count).
     """
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
@@ -274,10 +278,15 @@ class OpacitySession:
             initial_distances=initial_distances,
             store_config=store_config)
             if computer.length_threshold > 1 else None)
-        # L = 2 scans score from the common-neighbour counts alone.
+        # L = 2 scans and edits run on the common-neighbour counts alone.
         self._two_hop = (TwoHopCounts(graph)
                          if computer.length_threshold == 2 else None)
         self._init_counts()
+        if self._two_hop is not None:
+            # The store served the opening count only; nothing reads it
+            # again at L = 2.
+            self._distance.close()
+            self._distance = None
 
     # ------------------------------------------------------------------
     # accessors
@@ -306,11 +315,15 @@ class OpacitySession:
         return 1
 
     def distance_rows(self, block: Sequence[int]) -> np.ndarray:
-        """Fresh ``|block| × n`` distance rows (L >= 2 sessions only).
+        """Fresh ``|block| × n`` distance rows (L >= 3 sessions only).
 
         Columns follow by symmetry; this is the tier-independent way to
-        read distances, sized to the store's tile budget.
+        read distances, sized to the store's tile budget.  An L <= 2
+        session keeps no distances.
         """
+        if self._distance is None:
+            raise ValueError("distance_rows needs an L >= 3 session, not "
+                             f"L = {self._computer.length_threshold}")
         return self._distance.rows(block)
 
     # ------------------------------------------------------------------
@@ -546,22 +559,30 @@ class OpacitySession:
 
     def apply_edit(self, removals: Sequence[Edge] = (),
                    insertions: Sequence[Edge] = ()) -> None:
-        """Permanently apply the edit, keeping all session state in sync."""
+        """Permanently apply the edit, keeping all session state in sync.
+
+        At L <= 2 the edit is validated and applied to the graph
+        (:meth:`_edit_graph`) and its flipped pairs are the edit's own
+        pairs (L = 1) or come from the common-neighbour counts (L = 2).
+        """
         if self._distance is None:
-            owner, *cells = self._edit_edges(removals, insertions)
+            removals, insertions = self._edit_graph(removals, insertions)
+            flat, now_within = (
+                self._two_hop.apply(removals, insertions)
+                if self._two_hop is not None
+                else self._edge_flips(removals, insertions))
+            cells = (*triu_unflat(flat, self._graph.num_vertices), now_within)
+            owner = np.zeros(flat.size, dtype=np.int64)
         else:
             # Two-phase: stage mutates the graph exactly once (removals,
             # then insertions), count deltas are diffed against the
             # still-pre-edit matrix, then the delta is folded in.
             delta = self._distance.stage(removals, insertions)
             owner, *cells = self._flipped_cells([delta])
+            self._distance.commit(delta)
         types, changes = self._tally_cells(1, owner, *cells)
         if self._within_flat is not None:
             self._fold_flipped_cells(*cells)
-        if self._distance is not None:
-            self._distance.commit(delta)
-        if self._two_hop is not None:
-            self._two_hop.apply(removals, insertions)
         # One candidate's row lists distinct types and has no padding.
         self._withins[types[0]] += changes[0]
         self._current = None
@@ -592,7 +613,7 @@ class OpacitySession:
         The result is int64 ``(rows, cols)`` in ``np.triu_indices(n, 1)``
         order, and no state grows with ``n²``.
         """
-        if self._distance is None:
+        if self._computer.length_threshold == 1:
             return self.edge_endpoints(type_mask)
         if self._within_flat is None:
             if self._two_hop is not None:
@@ -680,7 +701,7 @@ class OpacitySession:
     # ------------------------------------------------------------------
     def _init_counts(self) -> None:
         self._totals = self._computer.type_order[1]
-        if self._distance is None:
+        if self._computer.length_threshold == 1:
             self.edge_endpoints()
             self._withins = np.bincount(
                 self._edge_types, minlength=self._totals.size + 1
@@ -712,23 +733,31 @@ class OpacitySession:
                    else np.zeros(wanted.size, dtype=bool))
         validate_members(at, lo, hi, wanted, present, gained)
 
-    def _edit_edges(self, removals: Sequence[Edge], insertions: Sequence[Edge]
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Validate and apply an L = 1 edit, returning its flipped cells.
+    def _edit_graph(self, removals: Sequence[Edge], insertions: Sequence[Edge]
+                    ) -> Tuple[List[Edge], List[Edge]]:
+        """Validate an L <= 2 edit and apply it to the graph.
 
         The edit is checked by the rule
-        :meth:`~repro.graph.distance_delta.DistanceSession.stage` applies.
-        The flipped cells (:meth:`_flipped_cells` format) are the edit's
-        own pairs; a removal the same edit re-inserts nets to nothing.
+        :meth:`~repro.graph.distance_delta.DistanceSession.stage` applies
+        before the graph is touched.  Returns the normalized removals and
+        insertions.
         """
         removals = [normalize_edge(u, v) for u, v in removals]
         insertions = [normalize_edge(u, v) for u, v in insertions]
         check_edit(self._graph, removals, insertions)
         edit_graph(self._graph, removals, insertions)
+        return removals, insertions
+
+    def _edge_flips(self, removals: List[Edge], insertions: List[Edge]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The pairs an L = 1 edit flips: its own, as ``(flat codes, gained)``.
+
+        A removal the same edit re-inserts nets to nothing.
+        """
         flips = [(*edge, 0) for edge in removals if edge not in insertions]
         flips += [(*edge, 1) for edge in insertions if edge not in removals]
         cells = np.array(flips, dtype=np.int64).reshape(-1, 3)
-        return (np.zeros(len(flips), dtype=np.int64), cells[:, 0], cells[:, 1],
+        return (triu_flat(cells[:, 0], cells[:, 1], self._graph.num_vertices),
                 cells[:, 2].astype(bool))
 
     def _flipped_cells(self, deltas: Sequence[DistanceDelta]

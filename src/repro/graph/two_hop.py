@@ -13,8 +13,9 @@ the pairs with ``c > 0`` — with each pair's count and edge flag alongside,
 so one binary search answers both halves of the test, plus a CSR snapshot
 of the adjacency.  It scores candidate
 edits without changing state (:meth:`TwoHopCounts.flips`) and folds an
-applied edit in (:meth:`TwoHopCounts.apply`); both go through one footprint
-routine.  Memory is O(2-paths + edges), never ``n²``.
+applied edit in, returning the pairs it flips (:meth:`TwoHopCounts.apply`);
+both go through one footprint routine.  Memory is O(2-paths + edges),
+never ``n²``.
 """
 
 from __future__ import annotations
@@ -271,15 +272,20 @@ class TwoHopCounts:
             yield start, stop, owner[flipped], flat[flipped], after[flipped]
             start = stop
 
-    def apply(self, removals: Sequence[Edge], insertions: Sequence[Edge]) -> None:
-        """Fold one applied edit (removals, then insertions) into the counts."""
+    def apply(self, removals: Sequence[Edge], insertions: Sequence[Edge]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fold one applied edit (removals, then insertions) into the counts.
+
+        Returns the pairs whose within-2 membership the edit flips: their
+        flat codes and whether each is within 2 hops after the edit.
+        """
         removed = {normalize_edge(u, v) for u, v in removals}
         inserted = {normalize_edge(u, v) for u, v in insertions}
-        # The edit is valid (the distance session staged it first); a
-        # removal it re-inserts nets to nothing.
+        # The session's ``check_edit`` validated the edit; a removal it
+        # re-inserts nets to nothing.
         edits = sorted(removed - inserted) + sorted(inserted - removed)
         if not edits:
-            return
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
         ends = np.array(edits, dtype=np.int64).T[:, None, :]
         gained = (np.arange(len(edits)) >= len(removed - inserted))[None, :]
         flat, _, change, edited = self._footprint(
@@ -307,6 +313,11 @@ class TwoHopCounts:
         self._is_edge = splice(is_edge[keep], slots, edited[new][order], spot)
         self._csr = CSRAdjacency.from_edges(
             self._n, *triu_unflat(self._codes[self._is_edge], self._n))
+        # Every pair in the set was within 2: those that drop out are lost,
+        # and every spliced-in pair is gained.
+        lost = flat[known][~keep[at[known]]]
+        return (np.concatenate([lost, added]),
+                np.arange(lost.size + added.size) >= lost.size)
 
     # ------------------------------------------------------------------
     # internals

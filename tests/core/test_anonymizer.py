@@ -79,8 +79,11 @@ class TestAnonymizerConfig:
         try:
             assert session.graph is graph
             assert session.scan_workers == expected
-            assert (session.distance_rows(range(graph.num_vertices))
+            assert (bounded_distance_matrix(session.graph, 2)
                     == initial).all()
+            # The opening count is read from the adopted distances.
+            assert session.type_counts()[0].tolist() == \
+                computer.within_counts(initial).tolist()
             expected_result = computer.evaluate(graph)
             assert session.current().max_fraction == expected_result.max_fraction
         finally:

@@ -1,4 +1,4 @@
-"""L = 1 sessions keep only the edge set.
+"""L = 1 sessions keep only the edge set; L = 2 sessions drop the store.
 
 At L = 1 the within-L pairs are exactly the edges, so an
 :class:`~repro.core.opacity_session.OpacitySession` keeps its sorted edge
@@ -7,6 +7,14 @@ mirror; a grid whose every point is at L = 1 computes and publishes no
 L_max base.  The spies below make every such constructor raise and run
 all five algorithms through the facade and through a pooled
 shared-memory grid.
+
+At L = 2 the store serves the opening count only: every applied edit
+takes its flipped pairs from the common-neighbour counts.  A second set of
+spies makes every ``stage``, ``commit`` and distance-row read raise and
+checks that no session holds a distance session when it applies an edit,
+for ``rem`` and ``rem-ins`` at look-ahead 1 and 2 on both tiers, through
+the facade and a pooled grid.  A hypothesis sequence holds the counts and
+the within-2 set to fresh recounts after every applied edit.
 """
 
 from __future__ import annotations
@@ -15,6 +23,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import AnonymizationRequest, GridRequest, anonymize, run_grid
 from repro.api.shm import SharedSampleArena
@@ -22,8 +32,13 @@ from repro.core import DegreePairTyping, OpacityComputer, OpacitySession
 from repro.errors import InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph import distance_delta, distance_store
+from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_cache import LMaxDistanceCache
 from repro.graph.distance_delta import DistanceSession
+from repro.graph.distance_store import StoreConfig
+from repro.graph.two_hop import triu_flat
+from tests.oracles import ScratchSession
+from tests.property.strategies import graphs, typings
 
 ALGORITHMS = ("rem", "rem-ins", "gaded-rand", "gaded-max", "gades")
 
@@ -142,3 +157,129 @@ class TestL1ApplyEdit:
         assert _state(session) == before
         assert session.current().max_fraction == \
             session.computer.evaluate(graph).max_fraction
+
+
+#: The distance-session calls an L = 2 edit no longer makes.
+L2_FORBIDDEN = ("stage", "commit", "rows")
+
+L2 = BASE.with_overrides(length_threshold=2)
+
+
+@pytest.fixture
+def no_store_after_opening(monkeypatch):
+    """Make every ``stage``, ``commit`` and distance-row read raise, and
+    check before every applied edit that the session holds no distance
+    session, in this process and in pool workers forked from it.
+
+    Returns the list of edits applied in this process.
+    """
+    def refuse(name):
+        def method(self, *args, **kwargs):
+            raise AssertionError(f"DistanceSession.{name} called")
+        return method
+
+    for name in L2_FORBIDDEN:
+        monkeypatch.setattr(DistanceSession, name, refuse(name))
+    applied = []
+    apply_edit = OpacitySession.apply_edit
+
+    def checked(self, removals=(), insertions=()):
+        assert self._distance is None, "the session holds a DistanceSession"
+        applied.append((tuple(removals), tuple(insertions)))
+        return apply_edit(self, removals, insertions)
+
+    monkeypatch.setattr(OpacitySession, "apply_edit", checked)
+    return applied
+
+
+class TestL2AppliesFromCounts:
+    @pytest.mark.parametrize("tier", ("dense", "tiled"))
+    @pytest.mark.parametrize("algorithm,lookahead", [
+        ("rem", 1), ("rem", 2), ("rem-ins", 1), ("rem-ins", 2)])
+    def test_facade_runs_never_stage_commit_or_read_rows(
+            self, no_store_after_opening, algorithm, lookahead, tier):
+        request = L2.with_overrides(
+            algorithm=algorithm, lookahead=lookahead, scale_tier=tier,
+            scale_budget_bytes=1024 if tier == "tiled" else None)
+        response = anonymize(request)
+        assert response.error is None
+        assert response.num_steps > 0  # premise: edits were applied
+        # rem-ins applies each step's removal and insertion phases apart.
+        assert len(no_store_after_opening) >= response.num_steps
+
+    def test_pooled_grid_never_stages_commits_or_reads_rows(
+            self, no_store_after_opening):
+        # The spies reach the pool workers only when they are forked.
+        assert multiprocessing.get_context().get_start_method() == "fork"
+        grid = GridRequest.from_axes(L2, algorithms=("rem", "rem-ins"),
+                                     lookaheads=(1, 2), thetas=(0.5, 0.3))
+        response = run_grid(grid, max_workers=2)
+        assert response.ok
+        assert response.num_distance_computes == 1  # the L_max base stays
+        assert all(point.num_steps > 0 for point in response.responses)
+
+    def test_distance_rows_names_the_length(self):
+        graph = erdos_renyi_graph(10, 0.3, seed=2)
+        for length in (1, 2):
+            session = OpacitySession(
+                OpacityComputer(DegreePairTyping(graph), length), graph)
+            with pytest.raises(ValueError, match=f"L = {length}"):
+                session.distance_rows([0])
+
+
+@st.composite
+def valid_edits(draw, graph: Graph):
+    """One valid edit of ``graph``: up to two removals and two insertions.
+
+    Sometimes the edit also re-inserts one of its removals (given in the
+    other orientation), which nets to nothing; the empty edit can occur.
+    """
+    present = sorted(graph.edge_set())
+    absent = list(graph.non_edges())
+    removals = draw(st.lists(st.sampled_from(present), max_size=2,
+                             unique=True)) if present else []
+    insertions = draw(st.lists(st.sampled_from(absent), max_size=2,
+                               unique=True)) if absent else []
+    if removals and draw(st.booleans()):
+        insertions.insert(draw(st.integers(0, len(insertions))),
+                          removals[0][::-1])
+    return removals, insertions
+
+
+class TestL2EditSequences:
+    @given(graphs(min_vertices=3, max_vertices=10), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_and_within_set_match_fresh_recounts(self, graph, tiled,
+                                                        data):
+        computer = OpacityComputer(data.draw(typings(graph)), 2)
+        config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
+            if tiled else None
+        session = OpacitySession(computer, graph.copy(), store_config=config)
+        scratch = ScratchSession(computer, graph.copy())
+        assert session._distance is None
+        n = graph.num_vertices
+        size = len(computer.type_order[0])
+        everything = np.ones(size, dtype=bool)
+        # Seed the pruning set, so every edit below is folded into it.
+        session.violating_pair_indices(everything)
+        try:
+            for _ in range(data.draw(st.integers(1, 6))):
+                removals, insertions = data.draw(valid_edits(session.graph))
+                session.apply_edit(removals, insertions)
+                scratch.apply_edit(removals, insertions)
+                assert session.graph == scratch.graph
+                assert session.type_counts()[0].tolist() == \
+                    scratch.type_counts()[0].tolist()
+                rows, cols = np.nonzero(np.triu(
+                    bounded_distance_matrix(session.graph, 2) <= 2, 1))
+                within = triu_flat(rows, cols, n)
+                assert session._two_hop.within_pairs().tolist() == \
+                    within.tolist()
+                typed = computer.type_indices(rows, cols) < size
+                pruning = session.violating_pair_indices(everything)
+                assert triu_flat(*pruning, n).tolist() == \
+                    within[typed].tolist()
+                assert session.current().max_fraction == \
+                    scratch.current().max_fraction
+        finally:
+            session.close()

@@ -388,7 +388,7 @@ class TestViolatingPairIndices:
         every_row = np.arange(graph.num_vertices)
         for _ in range(4):
             edge, region = largest_region_removal(
-                incremental.distance_rows(every_row), 2)
+                scratch.distance_rows(every_row), 2)
             assert region > graph.num_vertices // 2
             incremental.apply_edit(removals=[edge])
             scratch.apply_edit(removals=[edge])

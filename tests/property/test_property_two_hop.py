@@ -5,20 +5,23 @@ At L = 2 every candidate scan scores from the common-neighbour counts:
 The kernel is checked against two independent oracles:
 
 * the distance-slab path (:meth:`OpacitySession._collect_changes`, the
-  L >= 3 production path, called directly at L = 2), on each candidate's
-  ``(type, count change)`` multiset;
+  L >= 3 production path, run at L = 2 by a second session over a
+  :class:`DistanceSession` on a copy of the graph, :func:`slab_session`),
+  on each candidate's ``(type, count change)`` multiset;
 * :class:`~tests.oracles.ScratchSession`, on the scored outcomes and on
   whole greedy runs.
 
 Invalid member edits must raise :class:`InvalidEdgeError` exactly where the
 slab path does.  After every applied edit, the count set must describe the
-same within-2 pairs as the distance store and the pruning query.  Finally,
-no L = 2 scan or pruning pass may preview a slab or read distance rows.
+same within-2 pairs as a fresh :func:`bounded_distance_matrix` and the
+pruning query.  Finally, no L = 2 scan, pruning pass or applied edit may
+preview, stage or commit a slab or read distance rows, and no L = 2
+session keeps a distance session once it has opened.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
@@ -34,6 +37,7 @@ from repro.core import (
     OpacitySession,
 )
 from repro.errors import InvalidEdgeError
+from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import DenseStore, StoreConfig, TiledStore
 from repro.graph.generators import erdos_renyi_graph
@@ -65,6 +69,24 @@ def level_pairs(endpoints, members, gained):
              tuple(edges[j] for j, flag in zip(row, row_flags)
                    if j >= 0 and flag))
             for row, row_flags in zip(members.tolist(), flags)]
+
+
+@contextmanager
+def slab_session(typing, graph):
+    """An L = 2 session whose slab path runs on its own distance session.
+
+    An L = 2 :class:`OpacitySession` keeps no distances once it has opened,
+    so this one is handed a :class:`DistanceSession` over its own copy of
+    ``graph``: its :meth:`~OpacitySession._collect_changes` is the L >= 3
+    production path at L = 2, sharing no state with the session under
+    test.
+    """
+    oracle = OpacitySession(OpacityComputer(typing, 2), graph.copy())
+    oracle._distance = DistanceSession(oracle.graph, 2)
+    try:
+        yield oracle
+    finally:
+        oracle.close()
 
 
 def raised(call):
@@ -115,7 +137,9 @@ class TestKernelMatchesTheSlabPath:
         graph, typing, gained, endpoints, members, edits = level
         session = OpacitySession(OpacityComputer(typing, 2), graph)
         kernel = session._two_hop_changes(endpoints, members, gained)
-        slab = session._collect_changes(level_pairs(endpoints, members, gained))
+        with slab_session(typing, graph) as oracle:
+            slab = oracle._collect_changes(
+                level_pairs(endpoints, members, gained))
         assert change_sets(kernel) == change_sets(slab)
         assert kernel[0].shape[0] == len(members)
 
@@ -125,29 +149,32 @@ class TestKernelMatchesTheSlabPath:
         graph, typing, endpoints, members, gained = level
         session = OpacitySession(OpacityComputer(typing, 2), graph)
         pairs = level_pairs(endpoints, members, gained)
-        expected = raised(lambda: session._collect_changes(pairs))
-        observed = raised(
-            lambda: session._two_hop_changes(endpoints, members, gained))
-        assert (observed is None) == (expected is None)
-        if expected is None:
-            kernel = session._two_hop_changes(endpoints, members, gained)
-            assert change_sets(kernel) == \
-                change_sets(session._collect_changes(pairs))
-        else:
-            assert observed == expected
+        with slab_session(typing, graph) as oracle:
+            expected = raised(lambda: oracle._collect_changes(pairs))
+            observed = raised(
+                lambda: session._two_hop_changes(endpoints, members, gained))
+            assert (observed is None) == (expected is None)
+            if expected is None:
+                kernel = session._two_hop_changes(endpoints, members, gained)
+                assert change_sets(kernel) == \
+                    change_sets(oracle._collect_changes(pairs))
+            else:
+                assert observed == expected
 
     def test_a_reinserted_removal_nets_to_nothing(self):
         # A path: no edge has a common neighbour, so only the edge itself
         # keeps its pair within 2.
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        session = OpacitySession(
-            OpacityComputer(DegreePairTyping(graph), 2), graph)
+        typing = DegreePairTyping(graph)
+        session = OpacitySession(OpacityComputer(typing, 2), graph)
         endpoints = np.array([(0, 1), (3, 4)], dtype=np.int64)
         members = np.array([[0, 0], [0, 1]])
         gained = np.array([[False, True], [False, False]])
         kernel = session._two_hop_changes(endpoints, members, gained)
-        assert change_sets(kernel) == change_sets(session._collect_changes(
-            level_pairs(endpoints, members, gained)))
+        with slab_session(typing, graph) as oracle:
+            slab = oracle._collect_changes(
+                level_pairs(endpoints, members, gained))
+        assert change_sets(kernel) == change_sets(slab)
         assert change_sets(kernel)[0] == {}
 
     def test_self_loops_raise(self):
@@ -211,8 +238,8 @@ class TestKernelMatchesScratch:
 
 
 class TestCountSetInvariant:
-    """After every applied edit the count set, the store and the pruning
-    query describe the same within-2 pairs."""
+    """After every applied edit the count set, a fresh bounded distance
+    matrix and the pruning query describe the same within-2 pairs."""
 
     @given(edit_scripts(), st.booleans(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -234,7 +261,7 @@ class TestCountSetInvariant:
                         insertions=[edge] if kind == "insert" else ())
                 within = session._two_hop.within_pairs()
                 rows, cols = np.nonzero(
-                    session.distance_rows(np.arange(n)) <= 2)
+                    bounded_distance_matrix(session.graph, 2) <= 2)
                 upper = cols > rows
                 assert within.tolist() == \
                     triu_flat(rows[upper], cols[upper], n).tolist()

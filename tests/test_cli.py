@@ -233,6 +233,23 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: figure fig10 does not take --size, -L\n"
 
+    @pytest.mark.parametrize("name,flags,rejected", [
+        ("fig6", ["--theta", "0.1"], "--theta"),
+        ("fig7", ["-L", "3"], "-L"),
+        ("fig7", ["-L", "3", "--theta", "0.1", "--thetas", "0.8"],
+         "-L, --theta"),
+        ("fig8", ["--theta", "0.1", "-L", "2"], "--theta"),
+    ])
+    def test_figures_reject_the_flags_they_do_not_take(self, capsys, name,
+                                                       flags, rejected):
+        exit_code = main(["figure", "--name", name, "--dataset", "enron",
+                          "--size", "20"] + flags)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: figure {name} does not take {rejected}\n"
+
     def test_figure_command_chart_mode(self, capsys):
         exit_code = main(["figure", "--name", "fig6", "--dataset", "gnutella",
                           "--size", "30", "--thetas", "0.8", "0.6", "--chart"])
