@@ -22,6 +22,7 @@ from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping, PairTypi
 from repro.errors import ConfigurationError
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.graph import Graph
+from repro.graph.matrices import block_within_pairs
 
 
 def degree_code_span(degrees: np.ndarray) -> int:
@@ -319,16 +320,10 @@ class OpacityComputer:
     # counting
     # ------------------------------------------------------------------
     def _tally_rows(self, slab: np.ndarray, start: int) -> np.ndarray:
-        """Counts of the within-L pairs ``i < j`` of the rows ``start, start + 1, …``.
-
-        The distance sentinel is far above any admissible L, so one
-        comparison covers both reachability and the threshold.
-        """
-        rows, cols = np.nonzero(slab <= self._length)
-        rows += start
-        upper = cols > rows
+        """Counts of the within-L pairs ``i < j`` of the rows ``start, start + 1, …``."""
         size = len(self.type_order[0])
-        return np.bincount(self.type_indices(rows[upper], cols[upper]),
+        pairs = block_within_pairs(slab, start, self._length)
+        return np.bincount(self.type_indices(*pairs),
                            minlength=size + 1)[:size]
 
     @cached_property

@@ -84,6 +84,7 @@ from repro.graph.distance_delta import (
 )
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.matrices import block_within_pairs
 from repro.graph.two_hop import (
     TwoHopCounts,
     group_sums,
@@ -105,8 +106,8 @@ def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
     """Sorted triu flat indices of the pairs ``i < j`` with ``D[i, j] <= length``.
 
     Streams ``store.row_blocks()`` in ascending row chunks of at most
-    :data:`_WITHIN_CHUNK_CELLS` cells; ``nonzero`` walks each chunk
-    row-major, so the concatenation is already sorted.
+    :data:`_WITHIN_CHUNK_CELLS` cells; :func:`block_within_pairs` walks
+    each chunk row-major, so the concatenation is already sorted.
     """
     n = store.num_vertices
     step = max(1, _WITHIN_CHUNK_CELLS // max(1, n))
@@ -114,10 +115,7 @@ def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
     for start, stop in store.row_blocks():
         for low in range(start, stop, step):
             slab = store.rows(np.arange(low, min(low + step, stop)))
-            rows, cols = np.nonzero(slab <= length)
-            rows += low
-            upper = cols > rows
-            parts.append(triu_flat(rows[upper], cols[upper], n))
+            parts.append(triu_flat(*block_within_pairs(slab, low, length), n))
     return np.concatenate(parts)
 
 

@@ -20,10 +20,14 @@ return the same *bounded distance matrix*:
 The property suites prove the five engines bit-identical, so the engine is
 not a pipeline choice.  Each scale tier runs one kernel, chosen in code:
 the dense tier calls :func:`bounded_distance_matrix` with its default
-``"numpy"`` engine, and the tiled tier expands CSR frontiers row block by
-row block (:func:`~repro.graph.distance_store.csr_bounded_rows`).  The
-``engine=`` argument and :func:`available_engines` remain for the
-engine ablation benchmark and the cross-engine tests.
+``"numpy"`` engine, and the tiled tier runs a breadth-first search with a
+sparse frontier over CSR row blocks
+(:func:`~repro.graph.distance_store.csr_bounded_rows`), whose work grows
+with the cells it reaches rather than with ``rows × n``.  The matrix
+products win on small or dense samples, the CSR rows on sparse samples
+of a thousand vertices and more; the engine ablation benchmark times
+both.  The ``engine=`` argument and :func:`available_engines` remain for
+that benchmark and the cross-engine tests.
 
 Contract shared by every engine: the returned matrix ``D`` is a dense
 integer array of :func:`~repro.graph.matrices.distance_dtype` (uint8 for

@@ -257,10 +257,8 @@ class DistanceSession:
         self._graph = graph
         self._length = int(length_bound)
         self._store = self._init_store(initial_distances, store_config)
-        if isinstance(self._store, TiledStore):
-            self._mirror = _CSROverlayAdjacency(graph)
-        else:
-            self._mirror = _DenseAdjacency(graph)
+        self._adjacency: Union[_DenseAdjacency, _CSROverlayAdjacency,
+                               None] = None
 
     def _init_store(self,
                     initial_distances: Union[np.ndarray, DistanceStore, None],
@@ -299,6 +297,21 @@ class DistanceSession:
                               spill_dir=config.spill_dir)
         matrix = bounded_distance_matrix(self._graph, self._length)
         return DenseStore(matrix, self._length)
+
+    @property
+    def _mirror(self) -> Union[_DenseAdjacency, _CSROverlayAdjacency]:
+        """The adjacency mirror, built on first use.
+
+        Only previews and edits read it, and each reads it before it edits
+        the graph, so the mirror is built from the graph the store
+        describes.  A session that only serves reads (an L = 2 opening
+        count) never builds it.
+        """
+        if self._adjacency is None:
+            self._adjacency = (_CSROverlayAdjacency(self._graph)
+                               if isinstance(self._store, TiledStore)
+                               else _DenseAdjacency(self._graph))
+        return self._adjacency
 
     # ------------------------------------------------------------------
     # accessors
@@ -630,7 +643,8 @@ class DistanceSession:
         """Fold a :meth:`stage`-d delta into the store."""
         if delta.rows.size:
             self._store.write_rows(delta.rows, delta.new_rows)
-        self._mirror.compact()
+        if self._adjacency is not None:
+            self._adjacency.compact()
 
     def apply(self, removals: Sequence[Edge] = (),
               insertions: Sequence[Edge] = ()) -> DistanceDelta:

@@ -82,6 +82,24 @@ def _cached_triu_pair_indices(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def block_within_pairs(slab: np.ndarray, start: int,
+                       length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle pairs within ``length`` of the distance rows in ``slab``.
+
+    ``slab`` holds the rows ``start, start + 1, …`` of a symmetric bounded
+    distance matrix.  Returns the int64 ``(rows, cols)`` of every pair
+    ``i < j`` with ``slab[i - start, j] <= length``, in row-major order.
+    Only the columns from ``start`` on can hold such a pair, so one
+    ``flatnonzero`` over them and a ``divmod`` find every candidate cell.
+    The sentinel is above any admissible ``length``, so one comparison
+    covers both reachability and the threshold.
+    """
+    rows, cols = np.divmod(np.flatnonzero(slab[:, start:] <= length),
+                           slab.shape[1] - start)
+    upper = cols > rows
+    return rows[upper] + start, cols[upper] + start
+
+
 class TriangularMatrix:
     """Upper-triangular symmetric matrix over vertex pairs ``i < j``.
 

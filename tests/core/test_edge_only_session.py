@@ -10,10 +10,11 @@ shared-memory grid.
 
 At L = 2 the store serves the opening count only: every applied edit
 takes its flipped pairs from the common-neighbour counts.  A second set of
-spies makes every ``stage``, ``commit`` and distance-row read raise and
-checks that no session holds a distance session when it applies an edit,
-for ``rem`` and ``rem-ins`` at look-ahead 1 and 2 on both tiers, through
-the facade and a pooled grid.  A hypothesis sequence holds the counts and
+spies makes every ``stage``, ``commit`` and distance-row read raise, makes
+both adjacency-mirror constructors raise, and checks that no session
+holds a distance session when it applies an edit, for ``rem`` and
+``rem-ins`` at look-ahead 1 and 2 on both tiers, through the facade and a
+pooled grid.  A control shows that the mirror spies fire at L = 3.  A hypothesis sequence holds the counts and
 the within-2 set to fresh recounts after every applied edit.
 """
 
@@ -165,11 +166,28 @@ L2_FORBIDDEN = ("stage", "commit", "rows")
 L2 = BASE.with_overrides(length_threshold=2)
 
 
+#: The adjacency mirrors a distance session builds on its first preview
+#: or edit, and never for a read-only opening count.
+MIRRORS = (distance_delta._DenseAdjacency, distance_delta._CSROverlayAdjacency)
+
+
 @pytest.fixture
-def no_store_after_opening(monkeypatch):
+def no_mirror(monkeypatch):
+    """Make both adjacency-mirror constructors raise, in this process and
+    in pool workers forked from it."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in MIRRORS:
+        monkeypatch.setattr(cls, "__init__", refuse)
+
+
+@pytest.fixture
+def no_store_after_opening(monkeypatch, no_mirror):
     """Make every ``stage``, ``commit`` and distance-row read raise, and
     check before every applied edit that the session holds no distance
-    session, in this process and in pool workers forked from it.
+    session, in this process and in pool workers forked from it.  No
+    adjacency mirror may be built either.
 
     Returns the list of edits applied in this process.
     """
@@ -217,6 +235,15 @@ class TestL2AppliesFromCounts:
         assert response.ok
         assert response.num_distance_computes == 1  # the L_max base stays
         assert all(point.num_steps > 0 for point in response.responses)
+
+    @pytest.mark.parametrize("tier,mirror", [
+        ("dense", "_DenseAdjacency"), ("tiled", "_CSROverlayAdjacency")])
+    def test_mirror_spies_fire_at_l3(self, no_mirror, tier, mirror):
+        request = L2.with_overrides(
+            length_threshold=3, scale_tier=tier,
+            scale_budget_bytes=1024 if tier == "tiled" else None)
+        with pytest.raises(AssertionError, match=f"built a {mirror}"):
+            anonymize(request)
 
     def test_distance_rows_names_the_length(self):
         graph = erdos_renyi_graph(10, 0.3, seed=2)
