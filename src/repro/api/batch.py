@@ -41,7 +41,7 @@ from typing import (TYPE_CHECKING, Any, Collection, Dict, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
 from repro.api.progress import ProgressObserver
-from repro.api.registry import AnonymizerRegistry
+from repro.api.registry import AnonymizerRegistry, default_registry
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
 
 if TYPE_CHECKING:  # pragma: no cover — avoids an import cycle at runtime
@@ -291,9 +291,18 @@ class BatchRunner:
             for sample in samples:
                 settled, tasks, arena = self._tasks(grid, sample, cache,
                                                     whole_samples, arenas)
+                # Costliest θ-groups start first; collection stays in
+                # grid order.
+                futures = {}
+                for position in sorted(
+                        range(len(tasks)),
+                        key=lambda i: _task_cost_key(grid.requests, tasks[i])):
+                    futures[position] = pool.submit(
+                        _execute_task, tasks[position], self._data_dir,
+                        grid.on_error)
                 submitted.append((sample, settled, arena, [
-                    (task, pool.submit(_execute_task, task, self._data_dir,
-                                       grid.on_error)) for task in tasks]))
+                    (task, futures[position])
+                    for position, task in enumerate(tasks)]))
             for sample, responses, arena, pending in submitted:
                 for task, future in pending:
                     try:
@@ -361,6 +370,25 @@ class BatchRunner:
                  for plan in sample.plans
                  if any(index not in settled for index in plan.todo)]
         return settled, tasks, arena
+
+
+def _cost_key(request: AnonymizationRequest) -> Tuple[int, int, bool]:
+    """Sort key putting the requests likely to run longest first.
+
+    Longer L first, then deeper look-ahead, then algorithms with an
+    insertion phase (they also scan non-edges): a pool that starts them
+    first keeps the grid's critical path off the back of its queue.
+    """
+    registry = default_registry()
+    inserts = (request.algorithm in registry and "insertion_candidate_cap"
+               in registry.get(request.algorithm).accepts)
+    return -request.length_threshold, -request.lookahead, not inserts
+
+
+def _task_cost_key(requests: Sequence[AnonymizationRequest],
+                   task: GridTask) -> Tuple[int, int, bool]:
+    """:func:`_cost_key` of the costliest request a task runs."""
+    return min(_cost_key(requests[index]) for index in task.payloads)
 
 
 def _task_for(requests: Sequence[AnonymizationRequest],

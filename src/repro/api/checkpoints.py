@@ -109,7 +109,7 @@ def checkpoint_to_dict(checkpoint: AnonymizationCheckpoint) -> Dict[str, Any]:
         "success": checkpoint.success,
         "stop_reason": checkpoint.stop_reason,
         "num_vertices": checkpoint.graph.num_vertices,
-        "edges": _edges_out(checkpoint.graph.edges()),
+        "edges": checkpoint.graph.edge_array().tolist(),
         "rng_state": (None if checkpoint.rng_state is None
                       else [checkpoint.rng_state[0],
                             list(checkpoint.rng_state[1]),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -26,6 +26,20 @@ EdgeTuple = Tuple[Edge, ...]
 def _normalize_edges(edges: Any) -> EdgeTuple:
     """Coerce any iterable of 2-sequences into a sorted tuple of edges."""
     return tuple(sorted(normalize_edge(int(u), int(v)) for u, v in edges))
+
+
+def _edge_lists(edges: EdgeTuple) -> list:
+    """``[u, v]`` lists of canonical edge tuples, for a JSON payload."""
+    return list(map(list, edges))
+
+
+def _shallow_fields(record: Any) -> Dict[str, Any]:
+    """A dataclass's fields by name, in declaration order, uncopied.
+
+    The ``to_dict`` methods replace the non-scalar fields themselves, so
+    the deep copy of ``dataclasses.asdict`` would only be thrown away.
+    """
+    return {field.name: getattr(record, field.name) for field in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -138,9 +152,9 @@ class AnonymizationRequest:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (edges become ``[u, v]`` lists), JSON-safe."""
-        payload = asdict(self)
-        if payload["edges"] is not None:
-            payload["edges"] = [[u, v] for u, v in payload["edges"]]
+        payload = _shallow_fields(self)
+        if self.edges is not None:
+            payload["edges"] = _edge_lists(self.edges)
         return payload
 
     @classmethod
@@ -244,8 +258,14 @@ class AnonymizationResponse:
     @classmethod
     def from_result(cls, request: AnonymizationRequest, result: Any,
                     metrics: Optional[Mapping[str, float]] = None) -> "AnonymizationResponse":
-        """Build a response from a core ``AnonymizationResult``."""
-        return cls(
+        """Build a response from a core ``AnonymizationResult``.
+
+        The anonymized edges come from the graph's cached
+        :meth:`~repro.graph.graph.Graph.edge_array` (which the distortion
+        has just read), already sorted and canonical, so they are adopted
+        without the normalization :meth:`from_dict` gives outside input.
+        """
+        response = cls(
             request=request,
             success=result.success,
             final_opacity=float(result.final_opacity),
@@ -256,10 +276,12 @@ class AnonymizationResponse:
             num_vertices=result.anonymized_graph.num_vertices,
             removed_edges=tuple(result.removed_edges),
             inserted_edges=tuple(result.inserted_edges),
-            anonymized_edges=tuple(result.anonymized_graph.edges()),
             stop_reason=result.stop_reason,
             metrics=metrics,
         )
+        object.__setattr__(response, "anonymized_edges", tuple(map(
+            tuple, result.anonymized_graph.edge_array().tolist())))
+        return response
 
     @classmethod
     def failure(cls, request: AnonymizationRequest, exc: BaseException) -> "AnonymizationResponse":
@@ -272,12 +294,12 @@ class AnonymizationResponse:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-data form (edges become ``[u, v]`` lists), JSON-safe."""
-        payload = asdict(self)
+        payload = _shallow_fields(self)
         payload["request"] = self.request.to_dict()
         for name in ("removed_edges", "inserted_edges", "anonymized_edges"):
-            payload[name] = [[u, v] for u, v in payload[name]]
-        if payload["metrics"] is not None:
-            payload["metrics"] = dict(payload["metrics"])
+            payload[name] = _edge_lists(payload[name])
+        if self.metrics is not None:
+            payload["metrics"] = dict(self.metrics)
         return payload
 
     @classmethod

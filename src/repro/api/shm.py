@@ -39,7 +39,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -166,8 +166,7 @@ class SharedSampleArena:
         token = f"{SHM_NAME_PREFIX}-{uuid.uuid4().hex[:12]}"
         segments: Dict[str, shared_memory.SharedMemory] = {}
         try:
-            edges = np.asarray(graph.edge_list(), dtype=_EDGE_DTYPE)
-            edges = edges.reshape(graph.num_edges, 2)
+            edges = graph.edge_array().astype(_EDGE_DTYPE, copy=False)
             edges_segment = None
             if graph.num_edges:
                 edges_segment = f"{token}-edges"
@@ -308,12 +307,12 @@ class AttachedArena:
 def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
     """Attach a published arena and rebuild its graph and distance cache."""
     segments = []
-    edges: Tuple[Tuple[int, int], ...] = ()
+    edges: List[List[int]] = []
     if descriptor.edges_segment is not None:
         segment, view = _attach_view(descriptor.edges_segment,
                                      (descriptor.num_edges, 2), _EDGE_DTYPE)
         segments.append(segment)
-        edges = [(int(u), int(v)) for u, v in view]
+        edges = view.tolist()
     graph = Graph(descriptor.num_vertices, edges=edges)
     cache: Optional[LMaxDistanceCache] = None
     n, l_max = descriptor.num_vertices, descriptor.l_max

@@ -199,7 +199,7 @@ class GadesAnonymizer:
         degree-preserving rewiring is tried before the pair is discarded —
         both previously wasted draws against ``swap_sample_size``.
         """
-        edges = list(working.edges())
+        edges = working.edge_list()
         if len(edges) < 2:
             return []
         swaps: List[Swap] = []

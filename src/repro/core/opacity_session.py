@@ -365,8 +365,7 @@ class OpacitySession:
         keeps only the edges whose pair type is flagged.
         """
         if self._edge_codes is None:
-            edges = np.array(list(self._graph.edges()),
-                             dtype=np.int64).reshape(-1, 2)
+            edges = self._graph.edge_array()
             self._edge_codes = edges[:, 0] * self._graph.num_vertices + edges[:, 1]
             self._edge_types = self._computer.type_indices(edges[:, 0],
                                                            edges[:, 1])

@@ -69,9 +69,12 @@ def _adjust_edge_count(graph: Graph, target_edges: int, rng: random.Random) -> G
     """Randomly add or remove edges until ``graph`` has exactly ``target_edges``."""
     max_edges = graph.num_vertices * (graph.num_vertices - 1) // 2
     target_edges = min(target_edges, max_edges)
-    while graph.num_edges > target_edges:
+    if graph.num_edges > target_edges:
+        # One sorted list, kept in step by popping each drawn edge: the
+        # same draws over the same edges as re-listing after every trim.
         edges = graph.edge_list()
-        graph.remove_edge(*edges[rng.randrange(len(edges))])
+        while graph.num_edges > target_edges:
+            graph.remove_edge(*edges.pop(rng.randrange(len(edges))))
     while graph.num_edges < target_edges:
         u = rng.randrange(graph.num_vertices)
         v = rng.randrange(graph.num_vertices)

@@ -107,9 +107,9 @@ def _empty_matrix(num_vertices: int, length_bound: int = UNREACHABLE) -> np.ndar
 
 def _adjacency_distances(graph: Graph, length_bound: int = UNREACHABLE) -> np.ndarray:
     matrix = _empty_matrix(graph.num_vertices, length_bound)
-    for u, v in graph.edges():
-        matrix[u, v] = 1
-        matrix[v, u] = 1
+    edges = graph.edge_array()
+    matrix[edges[:, 0], edges[:, 1]] = 1
+    matrix[edges[:, 1], edges[:, 0]] = 1
     return matrix
 
 

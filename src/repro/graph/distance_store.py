@@ -32,7 +32,7 @@ import tempfile
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -146,8 +146,7 @@ class CSRAdjacency:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRAdjacency":
-        edges = np.fromiter((vertex for edge in graph.edges() for vertex in edge),
-                            dtype=np.int64).reshape(-1, 2)
+        edges = graph.edge_array()
         return cls.from_edges(graph.num_vertices, edges[:, 0], edges[:, 1])
 
     @classmethod
@@ -322,7 +321,9 @@ class TiledStore(DistanceStore):
     Tiles are computed on first touch from the graph's CSR snapshot (or,
     for a :meth:`thresholded` child, by per-tile truncation of the shared
     parent's tiles), held in an LRU dict bounded by ``budget_bytes``, and
-    written to a fixed slot of a lazily-created temp file on eviction.
+    written to a fixed slot of a lazily-created temp file on eviction if
+    its slot is missing or stale (the tile was computed, preloaded or
+    written since it was last spilled or loaded).
     After the first :meth:`write_rows` the store is *edited*: every tile is
     materialized once (the CSR snapshot no longer describes the mutating
     graph) and from then on tiles only move between cache and spill file.
@@ -372,6 +373,9 @@ class TiledStore(DistanceStore):
         self._spill_dir = spill_dir
         self._cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
         self._cache_bytes = 0
+        # Cached tiles whose spill slot is missing or stale: only these
+        # are written back on eviction.
+        self._dirty: Set[int] = set()
         self._on_disk = np.zeros(max(1, self.num_tiles), dtype=bool)
         self._edited = False
         self._spill_fd: Optional[int] = None
@@ -391,6 +395,7 @@ class TiledStore(DistanceStore):
         """Drop the tile cache and the spill file (persistent spills stay)."""
         self._cache.clear()
         self._cache_bytes = 0
+        self._dirty.clear()
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
@@ -541,6 +546,7 @@ class TiledStore(DistanceStore):
         fd = self._ensure_spill_file()
         os.pwrite(fd, tile.tobytes(), tile_id * self._slot_bytes())
         self._on_disk[tile_id] = True
+        self._dirty.discard(tile_id)
         self.tile_spills += 1
         if self._persistent:
             self._write_sidecar()
@@ -557,7 +563,8 @@ class TiledStore(DistanceStore):
         while self._cache and self._cache_bytes + tile.nbytes > self._budget:
             victim, evicted = self._cache.popitem(last=False)
             self._cache_bytes -= evicted.nbytes
-            self._spill(victim, evicted)
+            if victim in self._dirty:
+                self._spill(victim, evicted)
             self.tile_evictions += 1
         self._cache[tile_id] = tile
         self._cache_bytes += tile.nbytes
@@ -571,6 +578,7 @@ class TiledStore(DistanceStore):
                 f"got {tile.shape}")
         if tile_id not in self._cache:
             self._insert(tile_id, np.ascontiguousarray(tile, dtype=self.dtype))
+            self._dirty.add(tile_id)
 
     def _tile(self, tile_id: int) -> np.ndarray:
         tile = self._cache.get(tile_id)
@@ -582,6 +590,7 @@ class TiledStore(DistanceStore):
         else:
             tile = self._compute_tile(tile_id)
             self.tile_computes += 1
+            self._dirty.add(tile_id)
         self._insert(tile_id, tile)
         return tile
 
@@ -625,6 +634,7 @@ class TiledStore(DistanceStore):
             # dense commit (row values win on the rows × rows overlap,
             # which is symmetric anyway).
             tile[:, rows] = new_rows[:, start:stop].T
+            self._dirty.add(tile_id)
             selector = tile_ids == tile_id
             if selector.any():
                 tile[rows[selector] - start] = new_rows[selector]

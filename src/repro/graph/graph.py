@@ -4,12 +4,15 @@ The anonymization heuristics of the paper repeatedly try removing and
 inserting single edges, evaluate the resulting opacity, and revert the
 change.  The :class:`Graph` type is therefore designed around O(1) edge
 mutation, O(1) adjacency membership tests, and cheap snapshots of the edge
-set.  Vertices are integers ``0 .. n-1`` so distance matrices and NumPy
-adjacency exports can index directly by vertex id.
+set: :meth:`Graph.edge_array` is the one O(m) edge walk every bulk reader
+shares, built in C and cached until the next mutation.  Vertices are
+integers ``0 .. n-1`` so distance matrices and NumPy adjacency exports can
+index directly by vertex id.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,7 +48,7 @@ class Graph:
     2
     """
 
-    __slots__ = ("_num_vertices", "_adjacency", "_num_edges")
+    __slots__ = ("_num_vertices", "_adjacency", "_num_edges", "_edge_array")
 
     def __init__(self, num_vertices: int, edges: Optional[Iterable[Edge]] = None) -> None:
         if num_vertices < 0:
@@ -53,6 +56,7 @@ class Graph:
         self._num_vertices = int(num_vertices)
         self._adjacency: List[Set[int]] = [set() for _ in range(self._num_vertices)]
         self._num_edges = 0
+        self._edge_array: Optional[np.ndarray] = None
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -95,7 +99,7 @@ class Graph:
 
     def degree_array(self) -> np.ndarray:
         """Return the degree sequence as a NumPy integer array."""
-        return np.fromiter((len(adj) for adj in self._adjacency), dtype=np.int64,
+        return np.fromiter(map(len, self._adjacency), dtype=np.int64,
                            count=self._num_vertices)
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -120,13 +124,34 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only int64 ``(m, 2)`` array, in :meth:`edges` order.
+
+        Built in one C-level pass (the adjacency sets chained into
+        ``np.fromiter``, then one sort of the ``u·n + v`` codes) and cached
+        until the next :meth:`add_edge` or :meth:`remove_edge`, so every
+        bulk reader of one graph state shares a single walk.
+        """
+        if self._edge_array is None:
+            n = self._num_vertices
+            heads = np.fromiter(chain.from_iterable(self._adjacency),
+                                dtype=np.int64, count=2 * self._num_edges)
+            tails = np.repeat(np.arange(n, dtype=np.int64), self.degree_array())
+            upper = tails < heads
+            codes = np.sort(tails[upper] * n + heads[upper])
+            edges = np.empty((codes.size, 2), dtype=np.int64)
+            np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
+            edges.setflags(write=False)
+            self._edge_array = edges
+        return self._edge_array
+
     def edge_set(self) -> Set[Edge]:
         """Return a snapshot of the edge set (canonical tuples)."""
-        return set(self.edges())
+        return set(map(tuple, self.edge_array().tolist()))
 
     def edge_list(self) -> List[Edge]:
         """Return a sorted list of edges (canonical tuples)."""
-        return sorted(self.edges())
+        return list(map(tuple, self.edge_array().tolist()))
 
     def non_edges(self) -> Iterator[Edge]:
         """Iterate over all vertex pairs that are *not* edges (u < v)."""
@@ -155,6 +180,7 @@ class Graph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._num_edges += 1
+        self._edge_array = None
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove the edge ``{u, v}``.
@@ -172,6 +198,7 @@ class Graph:
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
         self._num_edges -= 1
+        self._edge_array = None
 
     def add_edge_if_absent(self, u: int, v: int) -> bool:
         """Insert ``{u, v}`` if absent; return whether an insertion happened."""
@@ -197,15 +224,16 @@ class Graph:
         clone = Graph(self._num_vertices)
         clone._adjacency = [set(adj) for adj in self._adjacency]
         clone._num_edges = self._num_edges
+        clone._edge_array = self._edge_array  # read-only, so shareable
         return clone
 
     def adjacency_matrix(self, dtype=np.bool_) -> np.ndarray:
         """Return the dense symmetric adjacency matrix of the graph."""
         n = self._num_vertices
         matrix = np.zeros((n, n), dtype=dtype)
-        for u, v in self.edges():
-            matrix[u, v] = True
-            matrix[v, u] = True
+        edges = self.edge_array()
+        matrix[edges[:, 0], edges[:, 1]] = True
+        matrix[edges[:, 1], edges[:, 0]] = True
         return matrix
 
     def subgraph(self, vertices: Sequence[int]) -> Tuple["Graph", Dict[int, int]]:
@@ -255,7 +283,7 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return (self._num_vertices == other._num_vertices
-                and self.edge_set() == other.edge_set())
+                and np.array_equal(self.edge_array(), other.edge_array()))
 
     def __hash__(self) -> int:  # pragma: no cover - graphs are mutable
         raise TypeError("Graph objects are mutable and unhashable")

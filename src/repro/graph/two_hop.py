@@ -176,8 +176,7 @@ class TwoHopCounts:
 
     def __init__(self, graph: Graph) -> None:
         n = self._n = graph.num_vertices
-        edges = np.fromiter((vertex for edge in graph.edges() for vertex in edge),
-                            dtype=np.int64).reshape(-1, 2)
+        edges = graph.edge_array()
         csr = CSRAdjacency.from_edges(n, edges[:, 0], edges[:, 1])
         # Every pair of neighbours of every middle vertex is one 2-path.
         ends = np.repeat(csr.indptr[1:], np.diff(csr.indptr))

@@ -7,6 +7,8 @@ count:  ``D(E, Ê) = |E Δ Ê| / |E|``.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 
@@ -17,7 +19,10 @@ def edge_edit_distance(original: Graph, modified: Graph) -> int:
         raise ConfigurationError(
             "edit distance requires graphs over the same vertex set "
             f"({original.num_vertices} vs {modified.num_vertices} vertices)")
-    return len(original.edge_set() ^ modified.edge_set())
+    n = original.num_vertices
+    codes = [edges[:, 0] * n + edges[:, 1]
+             for edges in (original.edge_array(), modified.edge_array())]
+    return int(np.setxor1d(*codes, assume_unique=True).size)
 
 
 def edit_distance_ratio(original: Graph, modified: Graph) -> float:

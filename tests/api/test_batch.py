@@ -135,3 +135,47 @@ class TestWorkerGroupPayloadCache:
                 _theta_group_task(requests, 2), None, "isolate")
         assert cache.sample_loads == 1
         assert cache.distance_computes == 1
+
+
+class TestGridDispatchOrder:
+    """Pooled grids start each sample's costliest θ-group first."""
+
+    @pytest.mark.parametrize("shared_memory", [None, False])
+    def test_costliest_theta_group_is_submitted_first(self, monkeypatch,
+                                                      shared_memory):
+        from repro.api.sweeps import GridRequest, run_grid
+
+        submitted = []
+        make_pool = BatchRunner._pool
+
+        def recording_pool(self, workers):
+            pool = make_pool(self, workers)
+            submit = pool.submit
+
+            def record(fn, task, *args, **kwargs):
+                submitted.append([grid.requests[index]
+                                  for index in sorted(task.payloads)])
+                return submit(fn, task, *args, **kwargs)
+
+            pool.submit = record
+            return pool
+
+        monkeypatch.setattr(BatchRunner, "_pool", recording_pool)
+        base = AnonymizationRequest(dataset="enron", sample_size=30, seed=0)
+        grid = GridRequest.from_axes(base, algorithms=("rem", "rem-ins"),
+                                     length_thresholds=(1, 2),
+                                     thetas=(0.7, 0.5))
+        pooled = run_grid(grid, max_workers=2, shared_memory=shared_memory)
+        # Grid order is rem L1, rem L2, rem-ins L1, rem-ins L2; the
+        # dispatch order is L descending, insertion phase first, ties in
+        # grid order.
+        assert [(group[0].algorithm, group[0].length_threshold)
+                for group in submitted] == [("rem-ins", 2), ("rem", 2),
+                                            ("rem-ins", 1), ("rem", 1)]
+        serial = run_grid(grid, max_workers=0)
+        assert pooled.ok
+        for ours, theirs in zip(pooled.responses, serial.responses):
+            assert ours.request == theirs.request
+            assert ours.anonymized_edges == theirs.anonymized_edges
+            assert (ours.num_steps, ours.evaluations, ours.final_opacity) == (
+                theirs.num_steps, theirs.evaluations, theirs.final_opacity)

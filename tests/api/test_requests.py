@@ -1,11 +1,14 @@
 """Tests for the request/response records and their JSON round-trips."""
 
+import json
+
 import pytest
 
 from repro.api.requests import AnonymizationRequest, AnonymizationResponse
 from repro.core import EdgeRemovalAnonymizer
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi_graph
+from tests.oracles import response_dict_by_asdict
 
 EDGES = ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3))
 
@@ -185,6 +188,40 @@ class TestAnonymizationResponse:
         assert "rem" in summary
         assert "theta=0.50" in summary
         assert "distortion=" in summary
+
+    @pytest.mark.parametrize("metrics", [None, {"degree_emd": 0.125}])
+    def test_to_dict_matches_the_asdict_oracle(self, metrics):
+        request, result = self._run()
+        for response in (
+                AnonymizationResponse.from_result(request, result,
+                                                  metrics=metrics),
+                AnonymizationResponse.failure(request, ValueError("boom"))):
+            payload = response.to_dict()
+            oracle = response_dict_by_asdict(response)
+            assert payload == oracle
+            # The same keys in the same order: the JSON text is unchanged.
+            assert json.dumps(payload) == json.dumps(oracle)
+            assert AnonymizationResponse.from_json(response.to_json()) == response
+
+    def test_from_result_edges_equal_the_validated_path(self):
+        request, result = self._run()
+        response = AnonymizationResponse.from_result(request, result)
+        assert response.anonymized_edges == tuple(
+            result.anonymized_graph.edges())
+        # from_dict normalizes outside input; the trusted edges survive it.
+        revalidated = AnonymizationResponse.from_dict(response.to_dict())
+        assert revalidated.anonymized_edges == response.anonymized_edges
+        assert all(type(u) is int and type(v) is int
+                   for u, v in response.anonymized_edges)
+
+    def test_from_dict_still_normalizes_outside_edges(self):
+        request, result = self._run()
+        payload = AnonymizationResponse.from_result(request, result).to_dict()
+        payload["anonymized_edges"] = [[v, u] for u, v in
+                                       reversed(payload["anonymized_edges"])]
+        restored = AnonymizationResponse.from_dict(payload)
+        assert restored.anonymized_edges == tuple(
+            result.anonymized_graph.edges())
 
     def test_unknown_field_rejected_on_deserialization(self):
         request, result = self._run()

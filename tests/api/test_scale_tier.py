@@ -228,3 +228,41 @@ class TestShmTiledPlane:
             np.testing.assert_array_equal(served, matrix)
         finally:
             arena.unlink()
+
+
+class TestTiledSpillsOnlyDirtyTiles:
+    """An L = 3 tiled run rewrites a spilled tile only after a write."""
+
+    REQUEST = AnonymizationRequest(dataset="enron", sample_size=40, seed=0,
+                                   algorithm="rem", theta=0.3,
+                                   length_threshold=3, max_steps=4)
+
+    def test_spills_are_first_evictions_plus_written_tiles(self, monkeypatch):
+        from repro.api import anonymize
+
+        stores, writes = [], []
+        init, write = TiledStore.__init__, TiledStore.write_rows
+
+        def spy_init(store, *args, **kwargs):
+            init(store, *args, **kwargs)
+            stores.append(store)
+
+        def spy_write(store, rows, new_rows):
+            writes.append(store)
+            return write(store, rows, new_rows)
+
+        monkeypatch.setattr(TiledStore, "__init__", spy_init)
+        monkeypatch.setattr(TiledStore, "write_rows", spy_write)
+        # 40 rows of 16: three tiles of 640 bytes, one resident.
+        tiled = anonymize(self.REQUEST.with_overrides(
+            scale_tier="tiled", scale_budget_bytes=700))
+        dense = anonymize(self.REQUEST.with_overrides(scale_tier="dense"))
+        assert tiled.num_steps > 0
+        assert_response_parity(tiled, dense)
+        (store,) = stores
+        written = writes.count(store)
+        assert written > 0 and store.tile_loads > store.num_tiles  # premise
+        # Each tile is spilled once when first evicted, and again at most
+        # once per write (a write touches every tile); clean reloads never.
+        assert store.tile_spills <= store.num_tiles * (1 + written)
+        assert store.tile_spills < store.tile_evictions

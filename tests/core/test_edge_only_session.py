@@ -16,6 +16,11 @@ holds a distance session when it applies an edit, for ``rem`` and
 ``rem-ins`` at look-ahead 1 and 2 on both tiers, through the facade and a
 pooled grid.  A control shows that the mirror spies fire at L = 3.  A hypothesis sequence holds the counts and
 the within-2 set to fresh recounts after every applied edit.
+
+From the moment a session opens to the finished response, no run at
+L <= 2 walks the graph's edges in Python: every bulk reader shares the
+graph's cached :meth:`~repro.graph.graph.Graph.edge_array`.  A spy on
+:meth:`Graph.edges` armed when the session opens checks it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 from repro.api import AnonymizationRequest, GridRequest, anonymize, run_grid
 from repro.api.shm import SharedSampleArena
 from repro.core import DegreePairTyping, OpacityComputer, OpacitySession
+from repro.core.anonymizer import AnonymizerConfig
 from repro.errors import InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph import distance_delta, distance_store
@@ -51,6 +57,47 @@ BASE = AnonymizationRequest(dataset="enron", sample_size=40, seed=0,
 SPIED = (distance_delta.DistanceSession, distance_store.DenseStore,
          distance_store.TiledStore, distance_delta._DenseAdjacency,
          distance_delta._CSROverlayAdjacency, LMaxDistanceCache)
+
+
+@pytest.fixture
+def edge_walks(monkeypatch):
+    """The ``Graph.edges`` calls made after the first session opened."""
+    opened, calls = [], []
+    edges, open_session = Graph.edges, AnonymizerConfig.open_session
+
+    def spy_edges(self):
+        if opened:
+            calls.append(self.num_edges)
+        return edges(self)
+
+    def spy_open(self, *args, **kwargs):
+        opened.append(True)
+        return open_session(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "edges", spy_edges)
+    monkeypatch.setattr(AnonymizerConfig, "open_session", spy_open)
+    return opened, calls
+
+
+class TestNoPythonEdgeWalks:
+    @pytest.mark.parametrize("tier", ["dense", "tiled"])
+    @pytest.mark.parametrize("length", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["rem", "rem-ins"])
+    def test_session_to_response_never_calls_edges(self, edge_walks, algorithm,
+                                                   length, tier):
+        opened, calls = edge_walks
+        response = anonymize(BASE.with_overrides(
+            algorithm=algorithm, length_threshold=length, scale_tier=tier,
+            scale_budget_bytes=1 << 12, include_utility=True))
+        assert response.error is None
+        assert opened and response.num_steps > 0  # premise: a real run
+        assert calls == []
+
+    def test_the_spy_fires(self, edge_walks):
+        opened, calls = edge_walks
+        opened.append(True)
+        list(Graph(3, edges=[(0, 1)]).edges())
+        assert calls == [1]
 
 
 @pytest.fixture

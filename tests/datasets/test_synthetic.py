@@ -1,5 +1,8 @@
 """Unit tests for the calibrated synthetic dataset proxies."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.datasets.registry import get_dataset
@@ -47,6 +50,27 @@ class TestSynthesizeSample:
         assert average_clustering_coefficient(graph) > 0.05
         degrees = sorted(graph.degrees(), reverse=True)
         assert degrees[0] >= 2 * (2 * graph.num_edges / graph.num_vertices)
+
+
+#: sha256 of ``json.dumps(synthesize_sample(name, size, seed=0).edge_list())``,
+#: pinned from the implementation that re-listed the edges after every
+#: trimmed edge; trimming from one list must draw the same edges.
+SAMPLE_DIGESTS = {
+    ("acm", 10000): "426bcd3f0853782d0c988863ae960058f61cbd7f8964ed4fe74419440f5459b6",
+    ("acm", 1000): "240d92f85d34ddbdcc4cc23df35ad8c08e47f184fb0c4e8fbd8ec9981a1a224f",
+    ("google", 1000): "c7dc31724ce7d2d8a9bb6196d94098badacad7216fd8e625f5f92cc9358dc100",
+    ("enron", 100): "d64a041dc2fdbc85cbad17948e0bfc46c56f6be597dc8db1d9b661758d41067e",
+    ("gnutella", 5000): "863aa6efb36410b35b79b261f7eff6ca908a7004d975850a524d3d283907caf9",
+    ("wikipedia", 25): "ee4f286bbe9f273ea9f2fb73810306a6dfe2f7e32994e246bda4da080121665a",
+    ("epinions", 500): "91c713778b584fdcef03e94134778d8e061f85aabe595ad4ad9e24c7d03f6202",
+}
+
+
+@pytest.mark.parametrize("name,size", sorted(SAMPLE_DIGESTS))
+def test_sample_edges_are_pinned(name, size):
+    edges = synthesize_sample(name, size, seed=0).edge_list()
+    digest = hashlib.sha256(json.dumps(edges).encode()).hexdigest()
+    assert digest == SAMPLE_DIGESTS[(name, size)]
 
 
 class TestSynthesizeDataset:

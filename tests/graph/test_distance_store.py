@@ -160,6 +160,32 @@ class TestTiledStore:
         assert store.tile_computes == store.num_tiles
         assert store.tile_loads > 0
 
+    def test_only_dirty_tiles_are_spilled(self, tmp_path):
+        graph = sample_graph(40)
+        dense = bounded_distance_matrix(graph, 3)
+        store = TiledStore(graph, 3, tile_rows=5,
+                           budget_bytes=5 * 40 * dense.dtype.itemsize,
+                           spill_dir=str(tmp_path))  # one tile resident
+        tiles = store.num_tiles
+        np.testing.assert_array_equal(store.to_array(), dense)
+        assert store.tile_spills == store.tile_evictions == tiles - 1
+        # Rereads reload tiles; only the never-spilled last one is written.
+        for _ in range(2):
+            np.testing.assert_array_equal(store.to_array(), dense)
+        assert store.tile_loads > tiles
+        assert store.tile_evictions == 3 * tiles - 1
+        assert store.tile_spills == tiles
+        # A write dirties every tile (row 3 and column 3), so each is
+        # spilled once more, and rereads return the written values.
+        new_row = dense[3].copy()
+        new_row[[10, 30]] = 1
+        store.write_rows(np.array([3]), new_row[None, :])
+        expected = dense.copy()
+        expected[3, :] = expected[:, 3] = new_row
+        for _ in range(2):
+            np.testing.assert_array_equal(store.to_array(), expected)
+        assert store.tile_spills == 2 * tiles
+
     def test_close_removes_the_spill_file(self, tmp_path):
         graph = sample_graph(24)
         store = TiledStore(graph, 2, tile_rows=3, budget_bytes=200,

@@ -41,6 +41,13 @@ candidate's own :meth:`~repro.graph.distance_delta.DistanceSession.preview`,
 and :func:`largest_region_removal` picks the removal whose slab of
 affected rows is widest.
 
+:func:`set_edge_edit_distance` is Equation 1's numerator over two Python
+edge sets, the reference for the product's sorted-code
+:func:`~repro.metrics.distortion.edge_edit_distance`, and
+:func:`response_dict_by_asdict` is the ``dataclasses.asdict`` form of a
+response, the reference for its field-by-field
+:meth:`~repro.api.requests.AnonymizationResponse.to_dict`.
+
 :func:`oracle_sessions` runs any anonymizer on either one by patching
 :meth:`~repro.core.anonymizer.AnonymizerConfig.open_session`, the single
 seam through which every greedy algorithm opens its session, and scores
@@ -55,7 +62,7 @@ from __future__ import annotations
 import copy
 import random
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from unittest import mock
@@ -540,3 +547,22 @@ def independent_grids() -> Iterator[None]:
 
     with mock.patch.object(figures, "run_grid", run_grid):
         yield
+
+
+def set_edge_edit_distance(original: Graph, modified: Graph) -> int:
+    """``|E Δ Ê|`` over the two graphs' Python edge sets."""
+    return len(set(original.edges()) ^ set(modified.edges()))
+
+
+def response_dict_by_asdict(response) -> Dict:
+    """An ``AnonymizationResponse`` as plain data, by ``dataclasses.asdict``."""
+    payload = asdict(response)
+    payload["request"] = asdict(response.request)
+    if payload["request"]["edges"] is not None:
+        payload["request"]["edges"] = [[u, v] for u, v in
+                                       payload["request"]["edges"]]
+    for name in ("removed_edges", "inserted_edges", "anonymized_edges"):
+        payload[name] = [[u, v] for u, v in payload[name]]
+    if payload["metrics"] is not None:
+        payload["metrics"] = dict(payload["metrics"])
+    return payload

@@ -7,7 +7,8 @@ from repro.metrics.clustering import mean_clustering_difference
 from repro.metrics.distortion import edge_edit_distance, edit_distance_ratio
 from repro.metrics.distributions import degree_distribution, geodesic_distribution
 from repro.metrics.emd import emd_between_histograms
-from tests.property.strategies import graphs, graphs_with_edge
+from tests.oracles import set_edge_edit_distance
+from tests.property.strategies import edit_scripts, graphs, graphs_with_edge
 
 histograms = st.dictionaries(st.integers(min_value=0, max_value=15),
                              st.floats(min_value=0.0, max_value=10.0,
@@ -36,6 +37,24 @@ class TestDistortionProperties:
         if first.num_vertices != second.num_vertices:
             return
         assert edge_edit_distance(first, second) == edge_edit_distance(second, first)
+
+    @given(edit_scripts(max_edits=10))
+    @settings(max_examples=60, deadline=None)
+    def test_edit_distance_matches_the_edge_set_oracle(self, graph_and_script):
+        graph, script = graph_and_script
+        modified = graph.copy()
+        for kind, edge in script:
+            (modified.remove_edge if kind == "remove" else modified.add_edge)(*edge)
+            assert (edge_edit_distance(graph, modified)
+                    == set_edge_edit_distance(graph, modified))
+
+    @given(graphs(), graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_unrelated_graphs_match_the_edge_set_oracle(self, first, second):
+        if first.num_vertices != second.num_vertices:
+            return
+        assert (edge_edit_distance(first, second)
+                == set_edge_edit_distance(first, second))
 
 
 class TestEmdProperties:
