@@ -372,23 +372,23 @@ class BatchRunner:
         return settled, tasks, arena
 
 
-def _cost_key(request: AnonymizationRequest) -> Tuple[int, int, bool]:
-    """Sort key putting the requests likely to run longest first.
+def _task_cost_key(requests: Sequence[AnonymizationRequest],
+                   task: GridTask) -> Tuple[int, bool]:
+    """Sort key putting the tasks likely to run longest first.
 
-    Longer L first, then deeper look-ahead, then algorithms with an
-    insertion phase (they also scan non-edges): a pool that starts them
-    first keeps the grid's critical path off the back of its queue.
+    Taken from the task's costliest request: longer L first, then
+    algorithms with an insertion phase (they also scan non-edges).  A
+    pool that starts them first keeps the grid's critical path off the
+    back of its queue.
     """
     registry = default_registry()
-    inserts = (request.algorithm in registry and "insertion_candidate_cap"
-               in registry.get(request.algorithm).accepts)
-    return -request.length_threshold, -request.lookahead, not inserts
-
-
-def _task_cost_key(requests: Sequence[AnonymizationRequest],
-                   task: GridTask) -> Tuple[int, int, bool]:
-    """:func:`_cost_key` of the costliest request a task runs."""
-    return min(_cost_key(requests[index]) for index in task.payloads)
+    keys = []
+    for index in task.payloads:
+        request = requests[index]
+        inserts = (request.algorithm in registry and "insertion_candidate_cap"
+                   in registry.get(request.algorithm).accepts)
+        keys.append((-request.length_threshold, not inserts))
+    return min(keys)
 
 
 def _task_for(requests: Sequence[AnonymizationRequest],

@@ -279,8 +279,9 @@ class AnonymizationResponse:
             stop_reason=result.stop_reason,
             metrics=metrics,
         )
-        object.__setattr__(response, "anonymized_edges", tuple(map(
-            tuple, result.anonymized_graph.edge_array().tolist())))
+        edges = result.anonymized_graph.edge_array()
+        object.__setattr__(response, "anonymized_edges", tuple(zip(
+            edges[:, 0].tolist(), edges[:, 1].tolist())))
         return response
 
     @classmethod

@@ -585,6 +585,9 @@ class BaseAnonymizer(ABC):
         if typing is None:
             typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, config.length_threshold)
+        # Snapshot the caller's edges before copying: ``original`` keeps
+        # the snapshot for the distortion, shared rather than rebuilt.
+        graph.edge_array()
         working = (resume_from.graph.copy() if resume_from is not None
                    else graph.copy())
         session = config.open_session(computer, working, initial_distances)
