@@ -12,6 +12,7 @@ boundaries: every field survives a JSON round-trip
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
@@ -31,6 +32,26 @@ def _normalize_edges(edges: Any) -> EdgeTuple:
 def _edge_lists(edges: EdgeTuple) -> list:
     """``[u, v]`` lists of canonical edge tuples, for a JSON payload."""
     return list(map(list, edges))
+
+
+def _edge_tuples(graph: Graph) -> EdgeTuple:
+    """The graph's edges as canonical ``(u, v)`` tuples, in sorted order.
+
+    Read from the cached :meth:`~repro.graph.graph.Graph.edge_array`.  The
+    cyclic collector is held off while the m tuples are made: each one
+    counts as an allocation towards a young-generation pass, so a large
+    graph would otherwise set off a dozen passes (and, now and then, a
+    full collection of the whole heap) inside this one call.  The tuples
+    hold only ints, so the first pass after it untracks them all at once.
+    """
+    edges = graph.edge_array()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(zip(edges[:, 0].tolist(), edges[:, 1].tolist()))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _shallow_fields(record: Any) -> Dict[str, Any]:
@@ -279,9 +300,8 @@ class AnonymizationResponse:
             stop_reason=result.stop_reason,
             metrics=metrics,
         )
-        edges = result.anonymized_graph.edge_array()
-        object.__setattr__(response, "anonymized_edges", tuple(zip(
-            edges[:, 0].tolist(), edges[:, 1].tolist())))
+        object.__setattr__(response, "anonymized_edges",
+                           _edge_tuples(result.anonymized_graph))
         return response
 
     @classmethod

@@ -1,6 +1,8 @@
 """Tests for the request/response records and their JSON round-trips."""
 
+import gc
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -213,6 +215,36 @@ class TestAnonymizationResponse:
         assert revalidated.anonymized_edges == response.anonymized_edges
         assert all(type(u) is int and type(v) is int
                    for u, v in response.anonymized_edges)
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_from_result_edges_set_off_no_collection(self, collecting):
+        request, result = self._run()
+        # Thousands of edges: far past the young generation's threshold.
+        graph = erdos_renyi_graph(300, 0.1, seed=1)
+        big = replace(result, original_graph=graph, anonymized_graph=graph)
+        graph.edge_array()
+        passes = []
+
+        def count(phase, info):
+            if phase == "start":
+                passes.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            if not collecting:
+                gc.disable()
+            gc.collect()
+            passes.clear()
+            response = AnonymizationResponse.from_result(request, big)
+            assert passes == []
+            assert gc.isenabled() is collecting
+        finally:
+            gc.callbacks.remove(count)
+            if was_enabled:
+                gc.enable()
+        assert len(response.anonymized_edges) > 2000
+        assert response.anonymized_edges == tuple(big.anonymized_graph.edges())
 
     def test_from_dict_still_normalizes_outside_edges(self):
         request, result = self._run()
