@@ -105,6 +105,7 @@ class _GadedBase:
                     observer: Optional[ProgressObserver]
                     ) -> AnonymizationResult:
         computer = OpacityComputer(typing, length_threshold=1)
+        graph.edge_array()  # shared by the working copy and the distortion
         working = graph.copy()
         # The full constructor state (max_steps included) is recorded so the
         # result's config round-trips through the api layer for reproduction.
@@ -114,7 +115,7 @@ class _GadedBase:
         session = config.open_session(computer, working)
         rng = random.Random(self._seed)
         result = AnonymizationResult(
-            original_graph=graph.copy(),
+            original_graph=graph,
             anonymized_graph=working,
             config=config,
             observer=observer if observer is not None else NULL_OBSERVER,

@@ -120,6 +120,7 @@ class GadesAnonymizer:
         if typing is None:
             typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length_threshold=1)
+        graph.edge_array()  # shared by the working copy and the distortion
         working = graph.copy()
         # The full constructor state (max_steps and swap_sample_size
         # included) is recorded so the result's config round-trips through
@@ -130,9 +131,8 @@ class GadesAnonymizer:
                                   swap_sample_size=self._swap_sample_size)
         session = config.open_session(computer, working)
         rng = random.Random(self._seed)
-        original = graph.copy()
         result = AnonymizationResult(
-            original_graph=original,
+            original_graph=graph,
             anonymized_graph=working,
             config=config,
             observer=observer if observer is not None else NULL_OBSERVER,
@@ -183,7 +183,7 @@ class GadesAnonymizer:
                 step_index += 1
         finally:
             session.close()
-        return materialize_checkpoints(tracker.checkpoints, original, config,
+        return materialize_checkpoints(tracker.checkpoints, graph, config,
                                        result.observer)
 
     # ------------------------------------------------------------------

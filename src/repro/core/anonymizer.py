@@ -222,6 +222,11 @@ class AnonymizationResult:
     was met; otherwise it names why the loop stopped early: ``"observer"``
     (a progress observer asked to stop), ``"max_steps"``, or
     ``"exhausted"`` (no candidate modification could improve further).
+
+    ``original_graph`` is the graph the caller passed in, not a copy: a
+    run edits only its working copy, ``anonymized_graph``, and never
+    mutates the caller's graph.  A caller that edits that graph afterwards
+    edits the result's original too.
     """
 
     original_graph: Graph
@@ -585,16 +590,17 @@ class BaseAnonymizer(ABC):
         if typing is None:
             typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, config.length_threshold)
-        # Snapshot the caller's edges before copying: ``original`` keeps
-        # the snapshot for the distortion, shared rather than rebuilt.
+        # Snapshot the caller's edges before copying, so the working copy
+        # shares the snapshot and the distortion reads it for both graphs.
+        # Only the working copy takes edits: the caller's graph is the
+        # result's original, never mutated.
         graph.edge_array()
         working = (resume_from.graph.copy() if resume_from is not None
                    else graph.copy())
         session = config.open_session(computer, working, initial_distances)
         rng = random.Random(config.seed)
-        original = graph.copy()
         result = AnonymizationResult(
-            original_graph=original,
+            original_graph=graph,
             anonymized_graph=working,
             config=replace(config, theta=schedule[-1]),
             observer=observer if observer is not None else NULL_OBSERVER,
@@ -662,7 +668,7 @@ class BaseAnonymizer(ABC):
             }
         finally:
             session.close()
-        results = materialize_checkpoints(tracker.checkpoints, original,
+        results = materialize_checkpoints(tracker.checkpoints, graph,
                                           config, result.observer)
         for run in results:
             run.debug_info = dict(debug_info)

@@ -76,19 +76,13 @@ from repro.core.opacity import (
     exact_ranks,
     row_maxima,
 )
-from repro.graph.distance_delta import (
-    DistanceDelta,
-    DistanceSession,
-    check_edit,
-    edit_graph,
-)
+from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
-from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.graph import Edge, Graph, splice
 from repro.graph.matrices import block_within_pairs
 from repro.graph.two_hop import (
     TwoHopCounts,
     group_sums,
-    splice,
     triu_flat,
     triu_unflat,
     validate_members,
@@ -258,9 +252,8 @@ class OpacitySession:
         # within-L pairs, and the type position of each.
         self._within_flat: Optional[np.ndarray] = None
         self._within_types: Optional[np.ndarray] = None
-        # Lazy sorted edge array (flat codes u·n + v, u < v) of the working
-        # graph, and the type position of each edge.
-        self._edge_codes: Optional[np.ndarray] = None
+        # Lazy type position of each edge of the working graph, aligned
+        # with the graph's sorted edge snapshot (Graph.edge_codes).
         self._edge_types: Optional[np.ndarray] = None
         # Lazy exact ordering of the current type ratios (_type_ranking).
         self._ranking: Optional[Tuple[np.ndarray, ...]] = None
@@ -359,20 +352,22 @@ class OpacitySession:
                        ) -> Tuple[np.ndarray, np.ndarray]:
         """The working graph's edges as int64 ``(u, v)`` arrays, ``u < v``.
 
-        In :meth:`Graph.edges` order (sorted), read from the session's edge
-        array: seeded from the graph on first use and updated by
-        :meth:`apply_edit`.  ``type_mask`` (a flag per type, in type order)
-        keeps only the edges whose pair type is flagged.
+        In :meth:`Graph.edges` order (sorted), read from the graph's edge
+        snapshot (:meth:`Graph.edge_array`), which :meth:`apply_edit`
+        carries forward; read-only.  ``type_mask`` (a flag per type, in type
+        order) keeps only the edges whose pair type is flagged, by the type
+        positions the session keeps aligned with the snapshot.
         """
-        if self._edge_codes is None:
-            edges = self._graph.edge_array()
-            self._edge_codes = edges[:, 0] * self._graph.num_vertices + edges[:, 1]
+        edges = self._graph.edge_array()
+        if self._edge_types is None:
             self._edge_types = self._computer.type_indices(edges[:, 0],
                                                            edges[:, 1])
-        codes = self._edge_codes
         if type_mask is not None:
-            codes = codes[np.append(type_mask, False)[self._edge_types]]
-        return np.divmod(codes, self._graph.num_vertices)
+            # ``np.compress`` selects whole rows several times faster than
+            # a boolean row index into an (m, 2) array.
+            edges = np.compress(np.append(type_mask, False)[self._edge_types],
+                                edges, axis=0)
+        return edges[:, 0], edges[:, 1]
 
     def evaluate_edit(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = ()) -> CandidateOutcome:
@@ -558,12 +553,15 @@ class OpacitySession:
                    insertions: Sequence[Edge] = ()) -> None:
         """Permanently apply the edit, keeping all session state in sync.
 
-        At L <= 2 the edit is validated and applied to the graph
-        (:meth:`_edit_graph`) and its flipped pairs are the edit's own
-        pairs (L = 1) or come from the common-neighbour counts (L = 2).
+        The graph takes the edit through :meth:`Graph.edit` (at L >= 3 by
+        way of :meth:`DistanceSession.stage`), which validates it first
+        and carries the graph's edge snapshot forward.  At L <= 2 the
+        flipped pairs are the edit's own pairs (L = 1) or come from the
+        common-neighbour counts (L = 2).
         """
+        before = self._graph.edge_codes() if self._edge_types is not None else None
         if self._distance is None:
-            removals, insertions = self._edit_graph(removals, insertions)
+            removals, insertions = self._graph.edit(removals, insertions)
             flat, now_within = (
                 self._two_hop.apply(removals, insertions)
                 if self._two_hop is not None
@@ -575,6 +573,7 @@ class OpacitySession:
             # then insertions), count deltas are diffed against the
             # still-pre-edit matrix, then the delta is folded in.
             delta = self._distance.stage(removals, insertions)
+            removals, insertions = delta.removals, delta.insertions
             owner, *cells = self._flipped_cells([delta])
             self._distance.commit(delta)
         types, changes = self._tally_cells(1, owner, *cells)
@@ -584,8 +583,8 @@ class OpacitySession:
         self._withins[types[0]] += changes[0]
         self._current = None
         self._ranking = None
-        if self._edge_codes is not None:
-            self._fold_edges(removals, insertions)
+        if before is not None:
+            self._fold_edge_types(before, removals, insertions)
         if self._scan_pool is not None \
                 and not self._scan_pool.apply(removals, insertions):
             self._teardown_scan_pool(failed=True)
@@ -642,26 +641,25 @@ class OpacitySession:
         self._within_types = self._computer.type_indices(
             *triu_unflat(flat, self._graph.num_vertices))
 
-    def _fold_edges(self, removals: Sequence[Edge],
-                    insertions: Sequence[Edge]) -> None:
-        """Fold one applied edit into the sorted edge array and its types."""
+    def _fold_edge_types(self, before: np.ndarray, removals: Sequence[Edge],
+                         insertions: Sequence[Edge]) -> None:
+        """Carry the edge types across one applied edit.
+
+        ``before`` holds the graph's sorted edge codes before the edit and
+        the edges are canonical; the removed edges' types go from their
+        positions there, and the inserted ones' go in at their positions
+        in the graph's codes now (less the insertions ahead of each).
+        """
         n = self._graph.num_vertices
-        codes, types = self._edge_codes, self._edge_types
-        if removals:
-            gone = np.array([min(u, v) * n + max(u, v) for u, v in removals],
-                            dtype=np.int64)
-            keep = np.ones(codes.size, dtype=bool)
-            keep[np.searchsorted(codes, gone)] = False
-            codes, types = codes[keep], types[keep]
-        if insertions:
-            added = np.sort(np.array(
-                [min(u, v) * n + max(u, v) for u, v in insertions],
-                dtype=np.int64))
-            at = np.searchsorted(codes, added)
-            codes = np.insert(codes, at, added)
-            types = np.insert(types, at,
-                              self._computer.type_indices(*np.divmod(added, n)))
-        self._edge_codes, self._edge_types = codes, types
+        added = np.array(sorted(u * n + v for u, v in insertions),
+                         dtype=np.int64)
+        self._edge_types = splice(
+            self._edge_types,
+            np.searchsorted(before, [u * n + v for u, v in removals]),
+            np.searchsorted(self._graph.edge_codes(), added)
+            - np.arange(added.size),
+            self._computer.type_indices(*np.divmod(added, n))
+            if added.size else added)
 
     def _fold_flipped_cells(self, row_idx: np.ndarray, col_idx: np.ndarray,
                             gained: np.ndarray) -> None:
@@ -669,29 +667,25 @@ class OpacitySession:
 
         ``_flipped_cells`` yields one cell per pair, so every lost pair is
         in the set and every gained one is not: a searchsorted locates
-        both, a keep mask drops the lost ones and one slot mask splices the
-        gained ones in, for the set and its type positions alike, without
-        re-sorting either.  A removal-only step never reaches the splice.
+        both, and one :func:`~repro.graph.graph.splice` drops the lost
+        ones and puts the gained ones in at their sorted places, for the
+        set and its type positions alike, without re-sorting either.
         """
         i = np.minimum(row_idx, col_idx)
         j = np.maximum(row_idx, col_idx)
         flat = triu_flat(i, j, self._graph.num_vertices)
-        within, types = self._within_flat, self._within_types
-        lost = flat[~gained]
-        if lost.size:
-            keep = np.ones(within.size, dtype=bool)
-            keep[np.searchsorted(within, lost)] = False
-            within, types = within[keep], types[keep]
-        if gained.any():
-            order = np.argsort(flat[gained])
-            added = flat[gained][order]
-            at = np.searchsorted(within, added) + np.arange(added.size)
-            slots = np.ones(within.size + added.size, dtype=bool)
-            slots[at] = False
-            within = splice(within, slots, added, at)
-            types = splice(types, slots, self._computer.type_indices(
-                i[gained][order], j[gained][order]), at)
-        self._within_flat, self._within_types = within, types
+        within = self._within_flat
+        gone = np.sort(np.searchsorted(within, flat[~gained]))
+        order = np.argsort(flat[gained])
+        added = flat[gained][order]
+        # Insertion points among the pairs left once ``gone`` is dropped.
+        at = np.searchsorted(within, added)
+        at -= np.searchsorted(gone, at)
+        self._within_flat = splice(within, gone, at, added)
+        self._within_types = splice(
+            self._within_types, gone, at,
+            self._computer.type_indices(i[gained][order], j[gained][order])
+            if added.size else added)
 
     # ------------------------------------------------------------------
     # incremental machinery
@@ -720,7 +714,7 @@ class OpacitySession:
         by one binary search over the sorted edge array; the members are
         then judged in order by :func:`validate_members`, as at L = 2.
         """
-        codes = self._edge_codes
+        codes = self._graph.edge_codes()
         n = self._graph.num_vertices
         lo = np.minimum(cells[:, 0], cells[:, 1])
         hi = np.maximum(cells[:, 0], cells[:, 1])
@@ -729,21 +723,6 @@ class OpacitySession:
         present = (codes[found] == wanted if codes.size
                    else np.zeros(wanted.size, dtype=bool))
         validate_members(at, lo, hi, wanted, present, gained)
-
-    def _edit_graph(self, removals: Sequence[Edge], insertions: Sequence[Edge]
-                    ) -> Tuple[List[Edge], List[Edge]]:
-        """Validate an L <= 2 edit and apply it to the graph.
-
-        The edit is checked by the rule
-        :meth:`~repro.graph.distance_delta.DistanceSession.stage` applies
-        before the graph is touched.  Returns the normalized removals and
-        insertions.
-        """
-        removals = [normalize_edge(u, v) for u, v in removals]
-        insertions = [normalize_edge(u, v) for u, v in insertions]
-        check_edit(self._graph, removals, insertions)
-        edit_graph(self._graph, removals, insertions)
-        return removals, insertions
 
     def _edge_flips(self, removals: List[Edge], insertions: List[Edge]
                     ) -> Tuple[np.ndarray, np.ndarray]:

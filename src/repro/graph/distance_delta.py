@@ -63,7 +63,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DistanceMemoryError, InvalidEdgeError
+from repro.errors import ConfigurationError, DistanceMemoryError
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import (
     CSRAdjacency,
@@ -74,31 +74,6 @@ from repro.graph.distance_store import (
 )
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.graph.matrices import distance_dtype
-
-
-def edit_graph(graph: Graph, removals: Sequence[Edge],
-               insertions: Sequence[Edge]) -> None:
-    """Apply an edit to ``graph``: removals, then insertions."""
-    for u, v in removals:
-        graph.remove_edge(u, v)
-    for u, v in insertions:
-        graph.add_edge(u, v)
-
-
-def check_edit(graph: Graph, removals: Sequence[Edge],
-               insertions: Sequence[Edge]) -> None:
-    """Raise :class:`InvalidEdgeError` where :func:`edit_graph` would.
-
-    Each removal must be present and each insertion absent, in the state
-    the edit's earlier operations leave.
-    """
-    changed = {}
-    for present, edges in ((False, removals), (True, insertions)):
-        for edge in edges:
-            if changed.get(edge, graph.has_edge(*edge)) == present:
-                state = "already present" if present else "not present"
-                raise InvalidEdgeError(f"edge {edge} {state}")
-            changed[edge] = present
 
 
 @dataclass(frozen=True)
@@ -368,9 +343,8 @@ class DistanceSession:
         produced by its predecessors, exactly mirroring how the greedy
         algorithms apply a chosen combination.
         """
-        removals = tuple(normalize_edge(u, v) for u, v in removals)
-        insertions = tuple(normalize_edge(u, v) for u, v in insertions)
-        check_edit(self._graph, removals, insertions)
+        removals, insertions = map(tuple, self._graph.check_edit(removals,
+                                                                  insertions))
         applied = []
         try:
             return self._compute_delta(removals, insertions, applied)
@@ -399,9 +373,9 @@ class DistanceSession:
         removal_edges = [normalize_edge(u, v) for u, v in removals]
         insertion_edges = [normalize_edge(u, v) for u, v in insertions]
         for edge in removal_edges:
-            check_edit(self._graph, (edge,), ())
+            self._graph.check_edit((edge,), ())
         for edge in insertion_edges:
-            check_edit(self._graph, (), (edge,))
+            self._graph.check_edit((), (edge,))
         deltas = self._batch_deltas(removal_edges, removal=True)
         deltas += self._batch_deltas(insertion_edges, removal=False)
         return deltas
@@ -627,16 +601,15 @@ class DistanceSession:
         folds the delta in — callers can diff counts against the old matrix
         in between.
         """
-        removals = tuple(normalize_edge(u, v) for u, v in removals)
-        insertions = tuple(normalize_edge(u, v) for u, v in insertions)
-        check_edit(self._graph, removals, insertions)
+        removals, insertions = map(tuple, self._graph.check_edit(removals,
+                                                                  insertions))
         applied = []
         try:
             delta = self._compute_delta(removals, insertions, applied)
         except BaseException:
             self._revert_mirror(applied)
             raise
-        edit_graph(self._graph, removals, insertions)
+        self._graph.edit(removals, insertions)
         return delta
 
     def commit(self, delta: DistanceDelta) -> None:

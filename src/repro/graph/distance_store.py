@@ -37,7 +37,7 @@ from typing import Iterator, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, DistanceMemoryError
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, splice
 from repro.graph.matrices import distance_dtype, unreachable_value
 
 __all__ = [
@@ -135,7 +135,14 @@ class StoreConfig:
 # CSR adjacency + frontier-expansion kernel
 # ----------------------------------------------------------------------
 class CSRAdjacency:
-    """Immutable CSR snapshot of a graph's adjacency (both edge directions)."""
+    """Immutable CSR snapshot of a graph's adjacency (both edge directions).
+
+    Built from sorted edges (:meth:`from_graph`, or :meth:`from_edges` over
+    a sorted edge array), row ``r`` lists its neighbours above ``r``
+    ascending, then those below ``r`` ascending: the entry ``(r, x)`` has
+    rank ``(x − r − 1) mod n`` in its row.  :meth:`edited` keeps that
+    order.
+    """
 
     __slots__ = ("indptr", "indices", "num_vertices")
 
@@ -163,6 +170,40 @@ class CSRAdjacency:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr, dst[order])
+
+    def edited(self, removals: np.ndarray, insertions: np.ndarray
+               ) -> "CSRAdjacency":
+        """The CSR after removing the edges ``removals``, then inserting ``insertions``.
+
+        Both are int64 ``(k, 2)`` edge arrays; each removal is an edge and
+        each insertion is absent once the removals are gone.  The result
+        equals :meth:`from_edges` of the new sorted edge set, array for
+        array, but only the 2·k changed entries move: one gather over the
+        touched rows counts the entries ranked ahead of each, which places
+        it; one :func:`~repro.graph.graph.splice` drops and inserts them in
+        ``indices``, and a cumulative sum of the rows' degree changes
+        shifts ``indptr``.
+        """
+        n = self.num_vertices
+        ends = np.concatenate([removals, insertions]).astype(np.int64)
+        # Both entries of every edge, the removals' first.
+        rows, cols = ends.ravel(), ends[:, ::-1].ravel()
+        cut = 2 * len(removals)
+        rank = (cols - rows - 1) % n
+        source, neighbors = self.gather(rows)
+        ahead = np.bincount(source, minlength=rows.size, weights=(
+            (neighbors - rows[source] - 1) % n < rank[source]))
+        at = self.indptr[rows] + ahead.astype(np.int64)
+        # Insertions in (row, rank) order, each placed among the entries
+        # left once the removed ones are dropped.
+        order = np.argsort(rows[cut:] * n + rank[cut:])
+        place = at[cut:][order]
+        place -= np.searchsorted(np.sort(at[:cut]), place)
+        indices = splice(self.indices, at[:cut], place, cols[cut:][order])
+        indptr = self.indptr + np.cumsum(
+            np.bincount(rows[cut:] + 1, minlength=n + 1)
+            - np.bincount(rows[:cut] + 1, minlength=n + 1))
+        return CSRAdjacency(indptr, indices)
 
     def gather(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Neighbors of ``vertices``: ``(source positions, neighbor ids)``.

@@ -5,7 +5,9 @@ inserting single edges, evaluate the resulting opacity, and revert the
 change.  The :class:`Graph` type is therefore designed around O(1) edge
 mutation, O(1) adjacency membership tests, and cheap snapshots of the edge
 set: :meth:`Graph.edge_array` is the one O(m) edge walk every bulk reader
-shares, built in C and cached until the next mutation.  Vertices are
+shares, built in C and cached.  A single :meth:`Graph.add_edge` or
+:meth:`Graph.remove_edge` drops the cache; :meth:`Graph.edit`, the path a
+greedy step's edit takes, carries it forward instead.  Vertices are
 integers ``0 .. n-1`` so distance matrices and NumPy adjacency exports can
 index directly by vertex id.
 """
@@ -29,6 +31,31 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def splice(array: np.ndarray, gone, at: np.ndarray,
+           values: np.ndarray) -> np.ndarray:
+    """``np.insert(np.delete(array, gone), at, values)`` for a 1-D ``array``.
+
+    ``gone`` lists distinct positions of ``array`` to drop; ``values[k]``
+    then goes in before the entry at position ``at[k]`` of what is left
+    (``at`` ascending; equal positions keep the order of ``values``).
+    A few C-level passes: numpy's pair spends tens of microseconds in
+    Python per call, which outweighs the copies on a small graph's arrays.
+    """
+    if len(gone):
+        keep = np.ones(array.size, dtype=bool)
+        keep[gone] = False
+        array = array[keep]
+    if not len(at):
+        return array
+    spot = at + np.arange(len(at))
+    out = np.empty(array.size + len(at), dtype=array.dtype)
+    slots = np.ones(out.size, dtype=bool)
+    slots[spot] = False
+    out[slots] = array
+    out[spot] = values
+    return out
+
+
 class Graph:
     """Simple undirected graph (no self-loops, no parallel edges).
 
@@ -48,7 +75,8 @@ class Graph:
     2
     """
 
-    __slots__ = ("_num_vertices", "_adjacency", "_num_edges", "_edge_array")
+    __slots__ = ("_num_vertices", "_adjacency", "_num_edges", "_edge_array",
+                 "_edge_codes")
 
     def __init__(self, num_vertices: int, edges: Optional[Iterable[Edge]] = None) -> None:
         if num_vertices < 0:
@@ -57,6 +85,7 @@ class Graph:
         self._adjacency: List[Set[int]] = [set() for _ in range(self._num_vertices)]
         self._num_edges = 0
         self._edge_array: Optional[np.ndarray] = None
+        self._edge_codes: Optional[np.ndarray] = None
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -128,9 +157,14 @@ class Graph:
         """The edges as a read-only int64 ``(m, 2)`` array, in :meth:`edges` order.
 
         Built in one C-level pass (the adjacency sets chained into
-        ``np.fromiter``, then one sort of the ``u·n + v`` codes) and cached
-        until the next :meth:`add_edge` or :meth:`remove_edge`, so every
-        bulk reader of one graph state shares a single walk.
+        ``np.fromiter``, then one sort of the ``u·n + v`` codes) and cached,
+        so every bulk reader of one graph state shares a single walk.  A
+        single :meth:`add_edge` or :meth:`remove_edge` drops the cache, so a
+        loop of them costs O(1) per edge; :meth:`edit` carries the cache
+        forward instead (a searchsorted delete and insert on the sorted
+        codes, then one ``divmod``), so a greedy run never walks the sets
+        again.  The carried arrays are new ones, so a :meth:`copy`, which
+        shares them, keeps the ones it was taken with.
         """
         if self._edge_array is None:
             n = self._num_vertices
@@ -138,12 +172,16 @@ class Graph:
                                 dtype=np.int64, count=2 * self._num_edges)
             tails = np.repeat(np.arange(n, dtype=np.int64), self.degree_array())
             upper = tails < heads
-            codes = np.sort(tails[upper] * n + heads[upper])
-            edges = np.empty((codes.size, 2), dtype=np.int64)
-            np.divmod(codes, n, out=(edges[:, 0], edges[:, 1]))
-            edges.setflags(write=False)
-            self._edge_array = edges
+            self._adopt_snapshot(np.sort(tails[upper] * n + heads[upper]))
         return self._edge_array
+
+    def edge_codes(self) -> np.ndarray:
+        """The sorted flat codes ``u·n + v`` of :meth:`edge_array`'s rows (read-only).
+
+        Cached and carried forward with the array.
+        """
+        self.edge_array()
+        return self._edge_codes
 
     def edge_set(self) -> Set[Edge]:
         """Return a snapshot of the edge set (canonical tuples)."""
@@ -180,7 +218,7 @@ class Graph:
         self._adjacency[u].add(v)
         self._adjacency[v].add(u)
         self._num_edges += 1
-        self._edge_array = None
+        self._edge_array = self._edge_codes = None
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove the edge ``{u, v}``.
@@ -198,7 +236,65 @@ class Graph:
         self._adjacency[u].discard(v)
         self._adjacency[v].discard(u)
         self._num_edges -= 1
-        self._edge_array = None
+        self._edge_array = self._edge_codes = None
+
+    def check_edit(self, removals: Iterable[Edge], insertions: Iterable[Edge]
+                   ) -> Tuple[List[Edge], List[Edge]]:
+        """Raise where removing ``removals`` then inserting ``insertions`` would.
+
+        Each removal must be present and each insertion absent, in the
+        state the edit's earlier operations leave; the error is the one
+        the sequential :meth:`remove_edge` and :meth:`add_edge` calls would
+        raise first.  Nothing changes.  Returns the canonical removals and
+        insertions.
+        """
+        changed: Dict[Edge, bool] = {}
+        checked: Tuple[List[Edge], List[Edge]] = ([], [])
+        for present, edges, out in ((False, removals, checked[0]),
+                                    (True, insertions, checked[1])):
+            for u, v in edges:
+                edge = normalize_edge(int(u), int(v))
+                self._check_vertex(edge[0])
+                self._check_vertex(edge[1])
+                if changed.get(edge, edge[1] in self._adjacency[edge[0]]) == present:
+                    state = "already present" if present else "not present"
+                    raise InvalidEdgeError(f"edge {edge} {state}")
+                changed[edge] = present
+                out.append(edge)
+        return checked
+
+    def edit(self, removals: Iterable[Edge], insertions: Iterable[Edge]
+             ) -> Tuple[List[Edge], List[Edge]]:
+        """Remove ``removals``, then insert ``insertions``, as one edit.
+
+        Validated by :meth:`check_edit` before anything changes, so an
+        invalid edit raises and leaves the graph as it was.  A cached
+        snapshot is carried forward: the removed edges' codes are deleted
+        and the inserted ones inserted at their searchsorted positions,
+        and :meth:`edge_array` is decoded from the new codes, O(m) in C
+        with no walk over the adjacency sets.  Returns the canonical
+        removals and insertions.
+        """
+        removals, insertions = self.check_edit(removals, insertions)
+        adjacency = self._adjacency
+        for u, v in removals:
+            adjacency[u].discard(v)
+            adjacency[v].discard(u)
+        for u, v in insertions:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        self._num_edges += len(insertions) - len(removals)
+        codes = self._edge_codes
+        if codes is not None:
+            n = self._num_vertices
+            gone = np.searchsorted(codes, sorted(u * n + v for u, v in removals))
+            added = np.array(sorted(u * n + v for u, v in insertions),
+                             dtype=np.int64)
+            # Insertion points among the codes left once ``gone`` is dropped.
+            at = np.searchsorted(codes, added)
+            at -= np.searchsorted(gone, at)
+            self._adopt_snapshot(splice(codes, gone, at, added))
+        return removals, insertions
 
     def add_edge_if_absent(self, u: int, v: int) -> bool:
         """Insert ``{u, v}`` if absent; return whether an insertion happened."""
@@ -224,7 +320,9 @@ class Graph:
         clone = Graph(self._num_vertices)
         clone._adjacency = [set(adj) for adj in self._adjacency]
         clone._num_edges = self._num_edges
-        clone._edge_array = self._edge_array  # read-only, so shareable
+        # Read-only and replaced, never written, so shareable.
+        clone._edge_array = self._edge_array
+        clone._edge_codes = self._edge_codes
         return clone
 
     def adjacency_matrix(self, dtype=np.bool_) -> np.ndarray:
@@ -315,6 +413,14 @@ class Graph:
     # ------------------------------------------------------------------
     # internal helpers
     # ------------------------------------------------------------------
+    def _adopt_snapshot(self, codes: np.ndarray) -> None:
+        """Cache the sorted edge ``codes`` and the ``(m, 2)`` array they encode."""
+        edges = np.empty((codes.size, 2), dtype=np.int64)
+        np.divmod(codes, self._num_vertices, out=(edges[:, 0], edges[:, 1]))
+        codes.setflags(write=False)
+        edges.setflags(write=False)
+        self._edge_codes, self._edge_array = codes, edges
+
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._num_vertices:
             raise GraphError(

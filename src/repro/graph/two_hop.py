@@ -14,8 +14,10 @@ so one binary search answers both halves of the test, plus a CSR snapshot
 of the adjacency.  It scores candidate
 edits without changing state (:meth:`TwoHopCounts.flips`) and folds an
 applied edit in, returning the pairs it flips (:meth:`TwoHopCounts.apply`);
-both go through one footprint routine.  Memory is O(2-paths + edges),
-never ``n²``.
+both go through one footprint routine.  An applied edit edits the CSR in
+place (:meth:`~repro.graph.distance_store.CSRAdjacency.edited`): only the
+edit's own entries move, and the result equals a CSR rebuilt from the new
+edge set.  Memory is O(2-paths + edges), never ``n²``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from repro.errors import InvalidEdgeError
 from repro.graph.distance_store import CSRAdjacency
-from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.graph import Edge, Graph, normalize_edge, splice
 
 #: Footprint entries (2-paths a sub-chunk's member edits break or create)
 #: per :meth:`TwoHopCounts.flips` pass, bounding its temporaries to a few
@@ -62,15 +64,6 @@ def triu_unflat(flat: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     row_starts = _triu_row_starts(n)
     i = np.searchsorted(row_starts, flat, side="right") - 1
     return i, flat - row_starts[i] + i + 1
-
-
-def splice(kept: np.ndarray, slots: np.ndarray, added: np.ndarray,
-           at: np.ndarray) -> np.ndarray:
-    """Merge ``kept`` into ``slots`` and ``added`` into positions ``at``."""
-    out = np.empty(slots.size, dtype=kept.dtype)
-    out[slots] = kept
-    out[at] = added
-    return out
 
 
 def group_sums(keys: np.ndarray, values: np.ndarray, spread: int
@@ -276,45 +269,48 @@ class TwoHopCounts:
         """Fold one applied edit (removals, then insertions) into the counts.
 
         Returns the pairs whose within-2 membership the edit flips: their
-        flat codes and whether each is within 2 hops after the edit.
+        flat codes and whether each is within 2 hops after the edit.  The
+        CSR takes the net edit in place (:meth:`CSRAdjacency.edited`).
         """
         removed = {normalize_edge(u, v) for u, v in removals}
         inserted = {normalize_edge(u, v) for u, v in insertions}
-        # The session's ``check_edit`` validated the edit; a removal it
-        # re-inserts nets to nothing.
+        # ``Graph.edit`` validated the edit; a removal it re-inserts nets
+        # to nothing.
         edits = sorted(removed - inserted) + sorted(inserted - removed)
         if not edits:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-        ends = np.array(edits, dtype=np.int64).T[:, None, :]
-        gained = (np.arange(len(edits)) >= len(removed - inserted))[None, :]
+        edges = np.array(edits, dtype=np.int64)
+        num_removed = len(removed - inserted)
+        ends = edges.T[:, None, :]
+        gained = (np.arange(len(edits)) >= num_removed)[None, :]
         flat, _, change, edited = self._footprint(
             ends[0], ends[1], triu_flat(ends[0], ends[1], self._n), gained,
             np.ones(gained.shape, dtype=bool))
         # Pairs already within 2 take their count change and edge flip
         # and drop out when neither is left; the footprint lists each pair
-        # once, so the new ones (gains or inserted edges) splice in.
-        counts, is_edge = self._counts.copy(), self._is_edge.copy()
+        # once, so the new ones (gains or inserted edges) go in at their
+        # sorted places.  Only footprint entries are computed on.
         at = np.searchsorted(self._codes, flat)
         known = at < self._codes.size
         known[known] = self._codes[at[known]] == flat[known]
-        counts[at[known]] += change[known]
-        is_edge[at[known]] ^= edited[known]
-        keep = (counts > 0) | is_edge
+        hit = at[known]
+        self._counts[hit] += change[known]
+        self._is_edge[hit] ^= edited[known]
+        stays = (self._counts[hit] > 0) | self._is_edge[hit]
+        gone = hit[~stays]
         new = ~known & ((change > 0) | edited)
         order = np.argsort(flat[new])
         added = flat[new][order]
-        codes = self._codes[keep]
-        spot = np.searchsorted(codes, added) + np.arange(added.size)
-        slots = np.ones(codes.size + added.size, dtype=bool)
-        slots[spot] = False
-        self._codes = splice(codes, slots, added, spot)
-        self._counts = splice(counts[keep], slots, change[new][order], spot)
-        self._is_edge = splice(is_edge[keep], slots, edited[new][order], spot)
-        self._csr = CSRAdjacency.from_edges(
-            self._n, *triu_unflat(self._codes[self._is_edge], self._n))
+        # Insertion points among the codes left once ``gone`` is dropped.
+        spot = np.searchsorted(self._codes, added)
+        spot -= np.searchsorted(np.sort(gone), spot)
+        self._codes = splice(self._codes, gone, spot, added)
+        self._counts = splice(self._counts, gone, spot, change[new][order])
+        self._is_edge = splice(self._is_edge, gone, spot, edited[new][order])
+        self._csr = self._csr.edited(edges[:num_removed], edges[num_removed:])
         # Every pair in the set was within 2: those that drop out are lost,
-        # and every spliced-in pair is gained.
-        lost = flat[known][~keep[at[known]]]
+        # and every inserted pair is gained.
+        lost = flat[known][~stays]
         return (np.concatenate([lost, added]),
                 np.arange(lost.size + added.size) >= lost.size)
 

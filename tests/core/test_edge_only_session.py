@@ -20,7 +20,11 @@ the within-2 set to fresh recounts after every applied edit.
 From the moment a session opens to the finished response, no run at
 L <= 2 walks the graph's edges in Python: every bulk reader shares the
 graph's cached :meth:`~repro.graph.graph.Graph.edge_array`.  A spy on
-:meth:`Graph.edges` armed when the session opens checks it.
+:meth:`Graph.edges` armed when the session opens checks it.  Applied
+edits carry that snapshot forward (:meth:`Graph.edit`), so no graph
+rebuilds it from its adjacency sets after the session opens either; and
+an L = 2 edit edits the common-neighbour counts' CSR in place, never
+calling :meth:`CSRAdjacency.from_edges`.  Two more spies check those.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.graph import distance_delta, distance_store
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_cache import LMaxDistanceCache
 from repro.graph.distance_delta import DistanceSession
-from repro.graph.distance_store import StoreConfig
+from repro.graph.distance_store import CSRAdjacency, StoreConfig
 from repro.graph.two_hop import triu_flat
 from tests.oracles import ScratchSession
 from tests.property.strategies import graphs, typings
@@ -79,6 +83,61 @@ def edge_walks(monkeypatch):
     return opened, calls
 
 
+@pytest.fixture
+def snapshot_builds(monkeypatch):
+    """The ``Graph.edge_array`` calls, made after the first session opened,
+    that found no cached snapshot and so walked the adjacency sets."""
+    opened, builds = [], []
+    edge_array, open_session = Graph.edge_array, AnonymizerConfig.open_session
+
+    def spy_edge_array(self):
+        if opened and self._edge_array is None:
+            builds.append(self.num_edges)
+        return edge_array(self)
+
+    def spy_open(self, *args, **kwargs):
+        opened.append(True)
+        return open_session(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "edge_array", spy_edge_array)
+    monkeypatch.setattr(AnonymizerConfig, "open_session", spy_open)
+    return opened, builds
+
+
+@pytest.fixture
+def csr_builds_in_apply(monkeypatch):
+    """The ``CSRAdjacency.from_edges`` calls made inside ``apply_edit``,
+    and the number of ``apply_edit`` calls."""
+    applying, builds, applied = [], [], []
+    from_edges, apply_edit = CSRAdjacency.from_edges.__func__, OpacitySession.apply_edit
+
+    def spy_from_edges(cls, n, first, second):
+        if applying:
+            builds.append(first.size)
+        return from_edges(cls, n, first, second)
+
+    def spy_apply(self, removals=(), insertions=()):
+        applying.append(True)
+        applied.append(True)
+        try:
+            return apply_edit(self, removals, insertions)
+        finally:
+            applying.pop()
+
+    monkeypatch.setattr(CSRAdjacency, "from_edges", classmethod(spy_from_edges))
+    monkeypatch.setattr(OpacitySession, "apply_edit", spy_apply)
+    return applying, builds, applied
+
+
+def _run(algorithm: str, length: int, tier: str):
+    response = anonymize(BASE.with_overrides(
+        algorithm=algorithm, length_threshold=length, scale_tier=tier,
+        scale_budget_bytes=1 << 12, include_utility=True))
+    assert response.error is None
+    assert response.num_steps > 0  # premise: a real run
+    return response
+
+
 class TestNoPythonEdgeWalks:
     @pytest.mark.parametrize("tier", ["dense", "tiled"])
     @pytest.mark.parametrize("length", [1, 2])
@@ -86,11 +145,8 @@ class TestNoPythonEdgeWalks:
     def test_session_to_response_never_calls_edges(self, edge_walks, algorithm,
                                                    length, tier):
         opened, calls = edge_walks
-        response = anonymize(BASE.with_overrides(
-            algorithm=algorithm, length_threshold=length, scale_tier=tier,
-            scale_budget_bytes=1 << 12, include_utility=True))
-        assert response.error is None
-        assert opened and response.num_steps > 0  # premise: a real run
+        _run(algorithm, length, tier)
+        assert opened
         assert calls == []
 
     def test_the_spy_fires(self, edge_walks):
@@ -98,6 +154,43 @@ class TestNoPythonEdgeWalks:
         opened.append(True)
         list(Graph(3, edges=[(0, 1)]).edges())
         assert calls == [1]
+
+    @pytest.mark.parametrize("tier", ["dense", "tiled"])
+    @pytest.mark.parametrize("length", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["rem", "rem-ins"])
+    def test_session_to_response_never_rebuilds_the_edge_snapshot(
+            self, snapshot_builds, algorithm, length, tier):
+        opened, builds = snapshot_builds
+        _run(algorithm, length, tier)
+        assert opened
+        assert builds == []
+
+    def test_the_snapshot_spy_fires_after_a_single_mutation(self,
+                                                            snapshot_builds):
+        opened, builds = snapshot_builds
+        opened.append(True)
+        graph = Graph(3, edges=[(0, 1)])
+        graph.edge_array()
+        graph.edit([(0, 1)], [(1, 2)])
+        graph.edge_array()  # carried: no build
+        graph.add_edge(0, 2)
+        graph.edge_array()
+        assert builds == [1, 2]
+
+    @pytest.mark.parametrize("tier", ["dense", "tiled"])
+    @pytest.mark.parametrize("algorithm", ["rem", "rem-ins"])
+    def test_no_l2_edit_rebuilds_the_csr(self, csr_builds_in_apply, algorithm,
+                                         tier):
+        _, builds, applied = csr_builds_in_apply
+        _run(algorithm, 2, tier)
+        assert applied  # premise: edits were applied
+        assert builds == []
+
+    def test_the_csr_spy_fires(self, csr_builds_in_apply):
+        applying, builds, _ = csr_builds_in_apply
+        applying.append(True)
+        CSRAdjacency.from_graph(Graph(3, edges=[(0, 1)]))
+        assert builds == [1]
 
 
 @pytest.fixture
