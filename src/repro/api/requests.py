@@ -115,6 +115,9 @@ class AnonymizationRequest:
             raise ConfigurationError("length_threshold must be >= 1")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ConfigurationError("timeout_seconds must be > 0")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ConfigurationError(
+                f"max_steps must be >= 0, got {self.max_steps}")
         if self.scan_workers is not None and self.scan_workers < 0:
             raise ConfigurationError(
                 f"scan_workers must be >= 0, got {self.scan_workers}")

@@ -82,9 +82,10 @@ def execute_sweep_group(requests: Sequence[AnonymizationRequest], *,
     pass over the *same* configuration, at a θ strictly above every θ of
     ``requests``) continues that pass instead of starting cold — the
     service layer's restart path.  Algorithms whose ``anonymize_schedule``
-    predates the keyword fall back to a cold run of the requested θs,
-    which produces identical responses (each checkpoint equals an
-    independent run at its θ), just without the saved work.  A resumed
+    takes no such keyword (GADED, whose θ shapes its candidate pool, and
+    third-party ones) run the requested θs cold, which produces identical
+    responses (each checkpoint equals an independent run at its θ), just
+    without the saved work.  A resumed
     group never receives ``initial_distances``: the matrix describes the
     original graph, not the checkpoint's.
     """

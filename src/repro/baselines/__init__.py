@@ -4,7 +4,9 @@ Section 6: GADED-Rand, GADED-Max, and GADES.
 
 These baselines address single-edge linkage only, i.e. they are the L = 1
 special case of the L-opacity model, which is why the paper compares against
-them only for L = 1.
+them only for L = 1.  All three run on the paper's heuristics' greedy driver,
+:class:`~repro.core.anonymizer.BaseAnonymizer`, built under the L = 1
+construction rule of :mod:`repro.baselines.single_edge`.
 """
 
 from repro.baselines.disclosure import (

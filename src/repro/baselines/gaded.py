@@ -11,7 +11,9 @@ disclosure drops to the requested confidence threshold:
   of the total link disclosure.
 
 Both are the L = 1 counterparts of the paper's Edge Removal heuristic, used
-in Figures 6-9 for comparison.
+in Figures 6-9 for comparison, and both run on
+:class:`~repro.core.anonymizer.BaseAnonymizer`'s greedy loop, one removal
+per step.
 
 Unlike the paper's heuristics (and GADES), θ shapes GADED's *candidate
 pool*: an edge participates in disclosure exactly when its type's opacity
@@ -19,65 +21,39 @@ exceeds θ, so the edges eligible for removal — and with them GADED-Rand's
 random draw and GADED-Max's argmin — differ between grid points from the
 very first step.  A checkpointed prefix-sharing pass would therefore pick
 different edits than an independent run at each θ;
-:meth:`_GadedBase.anonymize_schedule` instead executes one run per grid
-point, sharing the frozen typing (and the caller's loaded graph) across
-the grid (DESIGN.md §9).
+:meth:`_GadedBase.anonymize_schedule` instead runs one single-θ pass per
+grid point, sharing the frozen typing (and the caller's loaded graph)
+across the grid, and takes no ``resume_from``: a GADED checkpoint never
+seeds another θ (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 import random
-import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.progress import NULL_OBSERVER, AnonymizationStopped, ProgressObserver
-from repro.api.registry import register_anonymizer
+from repro.api.progress import ProgressObserver
+from repro.baselines.single_edge import SingleEdgeBaseline, register_baseline
 from repro.core.anonymizer import (
     BATCH_SCAN_CHUNK,
     AnonymizationResult,
-    AnonymizationStep,
-    AnonymizerConfig,
     scored_chunks,
     validate_theta_schedule,
 )
 from repro.core.lookahead import CombinationLevel
-from repro.core.opacity import OpacityComputer
+from repro.core.opacity import OpacityResult
 from repro.core.opacity_session import OpacitySession
 from repro.core.pair_types import DegreePairTyping, PairTyping
-from repro.errors import ConfigurationError, InfeasibleError
 from repro.graph.graph import Edge, Graph
 
 #: Insertion flag of a removal candidate's single member.
 _REMOVAL = np.array([False])
 
 
-class _GadedBase:
-    """Shared driver for the two GADED variants (single-edge disclosure, L = 1)."""
-
-    def __init__(self, theta: float = 0.5, seed: Optional[int] = None,
-                 max_steps: Optional[int] = None,
-                 strict: bool = False) -> None:
-        if not 0.0 <= theta <= 1.0:
-            raise ConfigurationError(f"theta must be in [0, 1], got {theta}")
-        self._theta = theta
-        self._seed = seed
-        self._max_steps = max_steps
-        self._strict = strict
-
-    @property
-    def theta(self) -> float:
-        """The confidence threshold."""
-        return self._theta
-
-    def anonymize(self, graph: Graph, typing: Optional[PairTyping] = None,
-                  observer: Optional[ProgressObserver] = None
-                  ) -> AnonymizationResult:
-        """Run the heuristic and return the anonymization result."""
-        if typing is None:
-            typing = DegreePairTyping(graph)
-        return self._run_single(graph, self._theta, typing, observer)
+class _GadedBase(SingleEdgeBaseline):
+    """Shared step and θ schedule of the two GADED variants (L = 1)."""
 
     def anonymize_schedule(self, graph: Graph,
                            thetas: Optional[Sequence[float]] = None,
@@ -90,81 +66,28 @@ class _GadedBase:
         disclosure when its type's opacity exceeds θ), not merely the
         stopping rule, so a shared checkpointed pass would choose different
         edits than an independent run at each grid point.  The schedule
-        therefore executes one run per θ — only the frozen typing and the
-        caller's loaded graph are shared — keeping every result
-        bit-identical to its independent counterpart.
+        therefore runs one single-θ pass per grid point, each streaming its
+        own checkpoint — only the frozen typing and the caller's loaded
+        graph are shared — keeping every result bit-identical to its
+        independent counterpart.
         """
         schedule = validate_theta_schedule(
-            thetas if thetas is not None else (self._theta,))
+            thetas if thetas is not None else (self._config.theta,))
         if typing is None:
             typing = DegreePairTyping(graph)
-        return [self._run_single(graph, theta, typing, observer)
+        return [self._run_schedule(graph, (theta,), typing, observer)[0]
                 for theta in schedule]
 
-    def _run_single(self, graph: Graph, theta: float, typing: PairTyping,
-                    observer: Optional[ProgressObserver]
-                    ) -> AnonymizationResult:
-        computer = OpacityComputer(typing, length_threshold=1)
-        graph.edge_array()  # shared by the working copy and the distortion
-        working = graph.copy()
-        # The full constructor state (max_steps included) is recorded so the
-        # result's config round-trips through the api layer for reproduction.
-        config = AnonymizerConfig(length_threshold=1, theta=theta, seed=self._seed,
-                                  strict=self._strict,
-                                  max_steps=self._max_steps)
-        session = config.open_session(computer, working)
-        rng = random.Random(self._seed)
-        result = AnonymizationResult(
-            original_graph=graph,
-            anonymized_graph=working,
-            config=config,
-            observer=observer if observer is not None else NULL_OBSERVER,
-        )
-        started = time.perf_counter()
-        try:
-            current = session.current()
-            result.evaluations += 1
-            result.observer.on_evaluation(result.evaluations)
-            step_index = 0
-            while current.max_opacity > theta and working.num_edges > 0:
-                if result.observer.should_stop():
-                    result.stop_reason = "observer"
-                    break
-                if self._max_steps is not None and step_index >= self._max_steps:
-                    result.stop_reason = "max_steps"
-                    break
-                try:
-                    edge = self._choose_edge(session, current, theta, rng, result)
-                except AnonymizationStopped:
-                    # Scans never touch the graph, so `current` still
-                    # describes the working graph.
-                    result.stop_reason = "observer"
-                    break
-                if edge is None:
-                    result.stop_reason = "exhausted"
-                    break
-                session.apply_edit(removals=(edge,))
-                result.removed_edges.add(edge)
-                current = session.current()
-                result.evaluations += 1
-                result.observer.on_evaluation(result.evaluations)
-                step_record = AnonymizationStep(
-                    index=step_index, operation="remove", edges=(edge,),
-                    max_opacity_after=current.max_opacity,
-                    removals=(edge,))
-                result.steps.append(step_record)
-                result.observer.on_step(step_record, result)
-                step_index += 1
-        finally:
-            session.close()
-        result.final_opacity = current.max_opacity
-        result.success = current.max_opacity <= theta
-        result.runtime_seconds = time.perf_counter() - started
-        if not result.success and self._strict:
-            raise InfeasibleError(
-                f"GADED could not reach theta={theta} "
-                f"(final disclosure {result.final_opacity:.3f})")
-        return result
+    def _perform_step(self, session: OpacitySession, current: OpacityResult,
+                      rng: random.Random, result: AnonymizationResult
+                      ) -> Optional[Tuple[str, Tuple[Edge, ...], Tuple[Edge, ...]]]:
+        edge = self._choose_edge(session, current, result.config.theta, rng,
+                                 result)
+        if edge is None:
+            return None
+        session.apply_edit(removals=(edge,))
+        result.removed_edges.add(edge)
+        return ("remove", (edge,), ())
 
     @staticmethod
     def _disclosing_edges(session: OpacitySession,
@@ -186,7 +109,7 @@ class _GadedBase:
         raise NotImplementedError
 
 
-@register_anonymizer(
+@register_baseline(
     "gaded-rand",
     description="GADED-Rand baseline (Zhang & Zhang, single-edge disclosure)",
     accepts=("theta", "seed", "max_steps", "strict"),
@@ -202,7 +125,7 @@ class GadedRandAnonymizer(_GadedBase):
         return candidates[rng.randrange(len(candidates))]
 
 
-@register_anonymizer(
+@register_baseline(
     "gaded-max",
     description="GADED-Max baseline (Zhang & Zhang, single-edge disclosure)",
     accepts=("theta", "seed", "max_steps", "strict"),

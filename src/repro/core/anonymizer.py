@@ -97,7 +97,8 @@ class AnonymizerConfig:
     seed:
         Seed for the uniform tie-breaking of Algorithm 4 (lines 14-18).
     max_steps:
-        Optional hard cap on greedy steps (safety valve for experiments).
+        Optional hard cap on greedy steps (safety valve for experiments);
+        0 applies none.
     prune_candidates:
         If ``True`` (default), the removal scan is restricted to edges that
         lie on a path of length ≤ L between a pair of a type currently at
@@ -179,8 +180,8 @@ class AnonymizerConfig:
             raise ConfigurationError(f"theta must be in [0, 1], got {self.theta}")
         if self.lookahead < 1:
             raise ConfigurationError(f"lookahead must be >= 1, got {self.lookahead}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ConfigurationError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.max_combinations < 1:
             raise ConfigurationError("max_combinations must be >= 1")
         if self.insertion_candidate_cap is not None and self.insertion_candidate_cap < 1:

@@ -249,7 +249,8 @@ class OpacitySession:
         self._current: Optional[OpacityResult] = None
         self._max_mask: Optional[np.ndarray] = None
         # Lazy pruning-pass state: the sorted triu flat indices of the
-        # within-L pairs, and the type position of each.
+        # within-L pairs (kept at L >= 3 only: at L = 2 they are the
+        # common-neighbour counts' own codes), and the type position of each.
         self._within_flat: Optional[np.ndarray] = None
         self._within_types: Optional[np.ndarray] = None
         # Lazy type position of each edge of the working graph, aligned
@@ -562,10 +563,17 @@ class OpacitySession:
         before = self._graph.edge_codes() if self._edge_types is not None else None
         if self._distance is None:
             removals, insertions = self._graph.edit(removals, insertions)
-            flat, now_within = (
-                self._two_hop.apply(removals, insertions)
-                if self._two_hop is not None
-                else self._edge_flips(removals, insertions))
+            if self._two_hop is not None:
+                flat, now_within, gone, spot = self._two_hop.apply(
+                    removals, insertions)
+                if self._within_types is not None:
+                    # The counts' codes moved by ``gone``/``spot``; their
+                    # type positions follow.
+                    self._within_types = splice(
+                        self._within_types, gone, spot,
+                        self._pair_types(flat[now_within]))
+            else:
+                flat, now_within = self._edge_flips(removals, insertions)
             cells = (*triu_unflat(flat, self._graph.num_vertices), now_within)
             owner = np.zeros(flat.size, dtype=np.int64)
         else:
@@ -600,27 +608,31 @@ class OpacitySession:
         pass of the removal heuristics asks with :meth:`max_type_mask`
         every step.  The within-L pairs are kept as a sorted set of triu
         flat indices ``i·(2n−i−1)/2 + (j−i−1)`` with the type position of
-        each alongside: seeded lazily on the first query by streaming the
-        store's row blocks (at L = 2, from the common-neighbour counts and
-        the edges, with no store read), then folded forward by each applied
-        delta's flipped cells, so a query is one gather over the within-L
-        pairs.  At L = 1 the within-L pairs are the edges, so the query is
+        each alongside, so a query is one gather over the within-L pairs.
+        At L >= 3 the set is seeded lazily on the first query by streaming
+        the store's row blocks, then folded forward by each applied delta's
+        flipped cells.  At L = 2 the set is the common-neighbour counts'
+        own codes (:meth:`TwoHopCounts.within_pairs`), which their
+        :meth:`~TwoHopCounts.apply` keeps; only the type positions are kept
+        here, spliced where ``apply`` moved the codes.  At L = 1 the
+        within-L pairs are the edges, so the query is
         :meth:`edge_endpoints`.
         The result is int64 ``(rows, cols)`` in ``np.triu_indices(n, 1)``
         order, and no state grows with ``n²``.
         """
         if self._computer.length_threshold == 1:
             return self.edge_endpoints(type_mask)
-        if self._within_flat is None:
-            if self._two_hop is not None:
-                self._set_within_pairs(self._two_hop.within_pairs())
-            else:
-                length = self._computer.length_threshold
-                self._set_within_pairs(_within_pair_set(self._distance.store,
-                                                        length))
+        if self._two_hop is not None:
+            within = self._two_hop.within_pairs()
+        else:
+            if self._within_flat is None:
+                self._within_flat = _within_pair_set(
+                    self._distance.store, self._computer.length_threshold)
+            within = self._within_flat
+        if self._within_types is None:
+            self._within_types = self._pair_types(within)
         flagged = np.append(type_mask, False)[self._within_types]
-        return triu_unflat(self._within_flat[flagged],
-                           self._graph.num_vertices)
+        return triu_unflat(within[flagged], self._graph.num_vertices)
 
     def short_path_edges(self, rows: np.ndarray, cols: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray]:
@@ -635,10 +647,11 @@ class OpacitySession:
         return self._two_hop.path_edges(np.asarray(rows, dtype=np.int64),
                                         np.asarray(cols, dtype=np.int64))
 
-    def _set_within_pairs(self, flat: np.ndarray) -> None:
-        """Adopt ``flat`` as the within-L set, with its aligned type positions."""
-        self._within_flat = flat
-        self._within_types = self._computer.type_indices(
+    def _pair_types(self, flat: np.ndarray) -> np.ndarray:
+        """The type position of each pair of the triu flat codes ``flat``."""
+        if not flat.size:
+            return flat
+        return self._computer.type_indices(
             *triu_unflat(flat, self._graph.num_vertices))
 
     def _fold_edge_types(self, before: np.ndarray, removals: Sequence[Edge],
@@ -663,7 +676,7 @@ class OpacitySession:
 
     def _fold_flipped_cells(self, row_idx: np.ndarray, col_idx: np.ndarray,
                             gained: np.ndarray) -> None:
-        """Fold one applied delta's flipped cells into the within-L set.
+        """Fold one applied delta's flipped cells into the L >= 3 within-L set.
 
         ``_flipped_cells`` yields one cell per pair, so every lost pair is
         in the set and every gained one is not: a searchsorted locates
@@ -682,10 +695,8 @@ class OpacitySession:
         at = np.searchsorted(within, added)
         at -= np.searchsorted(gone, at)
         self._within_flat = splice(within, gone, at, added)
-        self._within_types = splice(
-            self._within_types, gone, at,
-            self._computer.type_indices(i[gained][order], j[gained][order])
-            if added.size else added)
+        self._within_types = splice(self._within_types, gone, at,
+                                    self._pair_types(added))
 
     # ------------------------------------------------------------------
     # incremental machinery

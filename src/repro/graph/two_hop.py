@@ -265,12 +265,18 @@ class TwoHopCounts:
             start = stop
 
     def apply(self, removals: Sequence[Edge], insertions: Sequence[Edge]
-              ) -> Tuple[np.ndarray, np.ndarray]:
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Fold one applied edit (removals, then insertions) into the counts.
 
-        Returns the pairs whose within-2 membership the edit flips: their
-        flat codes and whether each is within 2 hops after the edit.  The
-        CSR takes the net edit in place (:meth:`CSRAdjacency.edited`).
+        Returns ``(flat, within, gone, spot)``: the pairs whose within-2
+        membership the edit flips — their flat codes, lost pairs first,
+        then the gained ones in sorted order, and whether each is within 2
+        hops after the edit — and how :meth:`within_pairs` moved: the
+        positions it dropped (the lost pairs) and the insertion points
+        of the gained pairs, as :func:`~repro.graph.graph.splice` takes
+        them.  An array aligned with :meth:`within_pairs` stays aligned by
+        the same splice.  The CSR takes the net edit in place
+        (:meth:`CSRAdjacency.edited`).
         """
         removed = {normalize_edge(u, v) for u, v in removals}
         inserted = {normalize_edge(u, v) for u, v in insertions}
@@ -278,7 +284,8 @@ class TwoHopCounts:
         # to nothing.
         edits = sorted(removed - inserted) + sorted(inserted - removed)
         if not edits:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+            empty = np.empty(0, dtype=np.int64)
+            return empty, np.empty(0, dtype=bool), empty, empty
         edges = np.array(edits, dtype=np.int64)
         num_removed = len(removed - inserted)
         ends = edges.T[:, None, :]
@@ -312,7 +319,7 @@ class TwoHopCounts:
         # and every inserted pair is gained.
         lost = flat[known][~stays]
         return (np.concatenate([lost, added]),
-                np.arange(lost.size + added.size) >= lost.size)
+                np.arange(lost.size + added.size) >= lost.size, gone, spot)
 
     # ------------------------------------------------------------------
     # internals

@@ -41,6 +41,29 @@ class TestBuiltinRegistrations:
             with pytest.raises(ConfigurationError, match="only supports L = 1"):
                 create_anonymizer(name, length_threshold=2)
 
+    @pytest.mark.parametrize("name,cls", [
+        ("gaded-rand", GadedRandAnonymizer),
+        ("gaded-max", GadedMaxAnonymizer),
+        ("gades", GadesAnonymizer),
+    ])
+    def test_baselines_refuse_at_construction_like_the_registry(self, name,
+                                                                cls):
+        # Built directly, a baseline refuses what the registry refuses, with
+        # the registry's message; the registry itself drops an unaccepted
+        # tuning knob before construction.
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name} only supports L = 1 \(requested L=2\)"):
+            cls(length_threshold=2)
+        with pytest.raises(ConfigurationError,
+                           match=f"anonymizer '{name}' does not accept "
+                                 f"parameter 'lookahead'"):
+            cls(lookahead=2)
+        assert create_anonymizer(name, lookahead=2).config.lookahead == 1
+
+    def test_gades_records_its_default_swap_sample(self):
+        assert GadesAnonymizer().config.swap_sample_size == 2000
+        assert GadedMaxAnonymizer().config.swap_sample_size is None
+
     def test_baselines_accept_default_length_threshold(self):
         assert create_anonymizer("gades", length_threshold=1, theta=0.5) is not None
 

@@ -80,6 +80,22 @@ class TestAnonymizationRequest:
         with pytest.raises(ConfigurationError, match="scan_workers"):
             AnonymizationRequest(algorithm="rem", edges=EDGES, scan_workers=-1)
 
+    @pytest.mark.parametrize("algorithm", (
+        "rem", "rem-ins", "gades", "gaded-rand", "gaded-max"))
+    def test_one_max_steps_rule_for_every_algorithm(self, algorithm):
+        # max_steps >= 0: 0 runs no step, and a negative cap is refused
+        # when the request is built, whichever algorithm it names.
+        from repro.api.facade import anonymize
+
+        request = AnonymizationRequest(dataset="enron", sample_size=40,
+                                       algorithm=algorithm, theta=0.1,
+                                       max_steps=0)
+        response = anonymize(request)
+        assert response.num_steps == 0
+        assert response.stop_reason == "max_steps"
+        with pytest.raises(ConfigurationError, match="max_steps"):
+            replace(request, max_steps=-1)
+
     def test_swap_sample_size_round_trips_to_gades(self):
         from repro.api.registry import create_anonymizer
 

@@ -1,5 +1,7 @@
 """Tests for the service-layer θ-sweep engine (grouping and execution)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -8,7 +10,10 @@ from repro.api import (
     run_grid,
     sweep,
 )
+from repro.api.checkpoints import materialize_response
+from repro.api.progress import CheckpointBuffer
 from repro.api.theta_sweep import execute_sweep_group, group_requests
+from repro.graph.generators import erdos_renyi_graph
 from tests.oracles import independent_responses
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0,
@@ -106,3 +111,78 @@ class TestExecution:
         responses = execute_sweep_group(requests)
         assert all(response.ok for response in responses)
         assert any(response.stop_reason == "observer" for response in responses)
+
+
+def _without_runtime(responses):
+    return [replace(response, runtime_seconds=0.0) for response in responses]
+
+
+class _FirstEvaluation(CheckpointBuffer):
+    """A checkpoint buffer that also records the first evaluation count seen."""
+
+    def __init__(self):
+        super().__init__()
+        self.first = None
+
+    def on_evaluation(self, evaluations):
+        if self.first is None:
+            self.first = evaluations
+
+
+class TestBaselineGroups:
+    """GADES groups resume; GADED groups run one checkpointed pass per θ."""
+
+    EDGES = tuple(erdos_renyi_graph(25, 0.2, seed=0).edges())
+
+    def _requests(self, algorithm, thetas, **knobs):
+        return [AnonymizationRequest(algorithm=algorithm, edges=self.EDGES,
+                                     seed=0, theta=theta, **knobs)
+                for theta in thetas]
+
+    def test_gades_group_resumes_from_a_checkpoint(self):
+        requests = self._requests("gades", (0.7, 0.65, 0.55, 0.4),
+                                  swap_sample_size=200)
+        head = _FirstEvaluation()
+        execute_sweep_group(requests[:2], observer=head)
+        checkpoint = head.records[-1][1]
+        assert checkpoint.stop_reason is None and checkpoint.num_steps > 0
+        tail = _FirstEvaluation()
+        resumed = execute_sweep_group(requests[2:], resume_from=checkpoint,
+                                      observer=tail)
+        # The pass continued from the checkpoint's evaluation count: it
+        # did not start cold.
+        assert tail.first == checkpoint.evaluations + 1
+        assert _without_runtime(resumed) \
+            == _without_runtime(execute_sweep_group(requests)[2:])
+
+    @pytest.mark.parametrize("algorithm", ("gaded-rand", "gaded-max"))
+    def test_gaded_group_streams_one_checkpoint_per_theta(self, algorithm):
+        requests = self._requests(algorithm, (0.3, 0.6, 0.45))
+        buffer = CheckpointBuffer()
+        responses = execute_sweep_group(requests, observer=buffer)
+        checkpoints = [checkpoint for _, checkpoint in buffer.records]
+        assert [checkpoint.theta for checkpoint in checkpoints] \
+            == [0.6, 0.45, 0.3]
+        by_theta = {request.theta: (request, response)
+                    for request, response in zip(requests, responses)}
+        for checkpoint in checkpoints:
+            request, response = by_theta[checkpoint.theta]
+            assert _without_runtime([materialize_response(request,
+                                                          checkpoint)]) \
+                == _without_runtime([response])
+
+    @pytest.mark.parametrize("algorithm", ("gaded-rand", "gaded-max"))
+    def test_gaded_group_given_a_checkpoint_runs_cold(self, algorithm):
+        requests = self._requests(algorithm, (0.6, 0.45, 0.3))
+        head = CheckpointBuffer()
+        execute_sweep_group(requests[:1], observer=head)
+        checkpoint = head.records[-1][1]
+        assert checkpoint.stop_reason is None and checkpoint.num_steps > 0
+        tail = _FirstEvaluation()
+        given = execute_sweep_group(requests[1:], resume_from=checkpoint,
+                                    observer=tail)
+        # θ shapes GADED's candidate pool, so no checkpoint seeds another
+        # θ: the pass starts from the original graph's evaluation.
+        assert tail.first == 1
+        assert _without_runtime(given) \
+            == _without_runtime(execute_sweep_group(requests[1:]))

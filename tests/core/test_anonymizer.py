@@ -25,7 +25,7 @@ class TestAnonymizerConfig:
         ("theta", -0.1),
         ("theta", 1.5),
         ("lookahead", 0),
-        ("max_steps", 0),
+        ("max_steps", -1),
         ("max_combinations", 0),
         ("insertion_candidate_cap", 0),
         ("scan_workers", -1),

@@ -111,3 +111,37 @@ class TestResumeValidation:
         assert [_result_key(result) for result in resumed] \
             == [_result_key(result) for result in independent] \
             == [_result_key(result) for result in reference[2:]]
+
+
+class TestGadesResume:
+    """GADES runs on the shared checkpointed loop, so it resumes too."""
+
+    GRID = [0.7, 0.65, 0.55, 0.4]  # crossed after steps 2, 3, 4; 0.4 never
+
+    @pytest.fixture(scope="class")
+    def swap_graph(self):
+        from repro.graph.generators import erdos_renyi_graph
+
+        return erdos_renyi_graph(25, 0.2, seed=0)
+
+    def _gades(self, theta):
+        return default_registry().create("gades", theta=theta, seed=0,
+                                         swap_sample_size=200)
+
+    def test_resumed_tail_equals_uninterrupted_pass(self, swap_graph):
+        from dataclasses import replace
+
+        full = self._gades(self.GRID[-1]).anonymize_schedule(swap_graph,
+                                                             self.GRID)
+        buffer = CheckpointBuffer()
+        self._gades(self.GRID[SPLIT - 1]).anonymize_schedule(
+            swap_graph, self.GRID[:SPLIT], observer=buffer)
+        checkpoint = buffer.records[-1][1]
+        # Premise: the split lies mid-pass, with steps on both sides.
+        assert checkpoint.stop_reason is None
+        assert 0 < checkpoint.num_steps < full[-1].num_steps
+        resumed = self._gades(self.GRID[-1]).anonymize_schedule(
+            swap_graph, self.GRID[SPLIT:], resume_from=checkpoint)
+        assert [replace(result, runtime_seconds=0.0) for result in resumed] \
+            == [replace(result, runtime_seconds=0.0)
+                for result in full[SPLIT:]]

@@ -59,7 +59,6 @@ the product's chunking and its stop handling are checked too.  It uses
 
 from __future__ import annotations
 
-import copy
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -484,16 +483,10 @@ def run_on(session_class, anonymizer, graph, **kwargs):
 def at_theta(anonymizer, theta: float):
     """A copy of ``anonymizer`` whose single-run threshold is ``theta``.
 
-    :class:`~repro.core.anonymizer.BaseAnonymizer` subclasses rebuild from
-    their config; the baselines keep θ in ``_theta`` next to immutable
-    scalar knobs, so a shallow copy with θ replaced is the same run.
+    Every algorithm is a :class:`~repro.core.anonymizer.BaseAnonymizer`
+    and rebuilds from its config.
     """
-    config = getattr(anonymizer, "config", None)
-    if isinstance(config, AnonymizerConfig):
-        return type(anonymizer)(config=replace(config, theta=theta))
-    clone = copy.copy(anonymizer)
-    clone._theta = theta
-    return clone
+    return type(anonymizer)(config=replace(anonymizer.config, theta=theta))
 
 
 def independent_schedule(anonymizer, graph: Graph, thetas: Sequence[float],
