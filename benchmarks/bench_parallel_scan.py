@@ -2,9 +2,9 @@
 
 The tentpole scenario of the scan pool (DESIGN.md §14): a *single*
 anonymization run — one sample, one θ — whose per-step candidate scans
-shard across ``scan_workers`` processes attached to the session's
-shared-memory publication.  The §12 plane cannot help here (there is
-only one θ-group); the scan pool parallelizes *inside* it.
+shard across ``scan_workers`` processes, each a forked copy of the run's
+session.  The §12 plane cannot help here (there is only one θ-group);
+the scan pool parallelizes *inside* it.
 
 Two assertions, mirroring the other accelerator benchmarks:
 
@@ -19,8 +19,8 @@ The tiled-tier companion (`bench_parallel_scan_tiled_rss`) re-runs the
 scenario on `scale_tier="tiled"` in a fresh ``spawn`` subprocess and
 asserts the peak-RSS deltas — the measuring parent's own, and the pool
 workers' over the parent's baseline — stay under the tile budget plus a
-fixed overhead slack, i.e. parallel scans stream tiles instead of
-materializing the matrix per worker.
+fixed overhead slack, i.e. each worker streams the tiles of its private
+store instead of materializing the matrix.
 
 Both run at L = 3: L <= 2 scans score from type positions or
 common-neighbour counts and never start a pool.  Each asserts its premise

@@ -101,16 +101,11 @@ class ExecutionCache:
     """
 
     def __init__(self, data_dir: Optional[str] = None, *,
-                 max_samples: int = 8,
-                 spill_prefix: Optional[str] = None) -> None:
+                 max_samples: int = 8) -> None:
         if max_samples < 1:
             raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         self._data_dir = data_dir
         self._max_samples = max_samples
-        #: When set, tiled-tier L_max bases spill to deterministic
-        #: ``{prefix}-{digest}.tiles`` paths so a resumed job's later
-        #: θ-groups re-adopt tiles warmed by earlier ones.
-        self._spill_prefix = spill_prefix
         self._graphs: Dict[Hashable, Graph] = {}
         self._baselines: Dict[Hashable, object] = {}
         self._distances: Dict[Hashable, LMaxDistanceCache] = {}
@@ -222,8 +217,7 @@ class ExecutionCache:
             if cache is not None:
                 self._retired_computes += cache.compute_count
             cache = LMaxDistanceCache(self.graph_for(request), l_max,
-                                      store_config=store_config,
-                                      spill_path=self._spill_path(key, l_max))
+                                      store_config=store_config)
             self._distances[key] = cache
         else:
             self._touch(key)
@@ -234,22 +228,6 @@ class ExecutionCache:
             store_config.resolve(self.graph_for(request).num_vertices,
                                  distance_dtype(cache.l_max))
         return cache
-
-    def _spill_path(self, key: Hashable, l_max: int) -> Optional[str]:
-        """Deterministic per-(sample, L_max) spill path, if configured.
-
-        The same identity always hashes to the same path, so a resumed
-        job's rebuilt cache re-opens the spill file its predecessor warmed
-        (:class:`~repro.graph.distance_store.TiledStore` validates the
-        sidecar index before trusting any tiles).
-        """
-        if self._spill_prefix is None:
-            return None
-        import hashlib
-
-        digest = hashlib.sha1(
-            repr((key, int(l_max))).encode()).hexdigest()[:16]
-        return f"{self._spill_prefix}-{digest}.tiles"
 
     def adopt_arena(self, request: AnonymizationRequest,
                     descriptor: "ArenaDescriptor", baseline=None) -> None:

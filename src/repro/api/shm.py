@@ -18,6 +18,11 @@ monotone-restriction argument the serial path uses (DESIGN.md §10), with the on
 moment a :class:`~repro.graph.distance_delta.DistanceSession` takes
 ownership of its (mutable) matrix.
 
+The grid executor is the only publisher, so this module is the only
+creator of ``/dev/shm`` segments: the intra-group scan pool
+(:mod:`repro.core.scan_pool`) forks workers that inherit their session
+and publishes nothing.
+
 Ownership rules (DESIGN.md §12):
 
 * the parent that calls :meth:`SharedSampleArena.publish` owns the
@@ -39,7 +44,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +60,6 @@ __all__ = [
     "SharedSampleArena",
     "TiledMatrixSpec",
     "attach_arena",
-    "publish_session_store",
 ]
 
 #: Prefix of every segment name this module creates; the crash-safety
@@ -72,19 +76,14 @@ class TiledMatrixSpec:
 
     In the tiled scale tier there is no dense L_max matrix to publish —
     the whole point is never materializing it.  The parent instead
-    publishes the sample's CSR adjacency plus this spec: the geometry
-    workers need to rebuild an equivalent
-    :class:`~repro.graph.distance_store.TiledStore`, and optionally the
-    parent's *hot tiles* — already-computed L_max tiles seeded into the
-    worker's cache so they are not recomputed per worker.  A typical grid
-    parent computes no tiles at all (workers do the lazy work), so
-    ``hot_tiles`` defaults to empty.  The bound is the one
-    :meth:`SharedSampleArena.publish` is given.
+    publishes the sample's CSR adjacency plus this spec: the byte budget
+    under which workers rebuild an equivalent
+    :class:`~repro.graph.distance_store.TiledStore`, whose tiles they
+    compute lazily.  The bound is the one :meth:`SharedSampleArena.publish`
+    is given.
     """
 
     budget_bytes: int
-    tile_rows: Optional[int] = None
-    hot_tiles: Mapping[int, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ class ArenaDescriptor:
     identifies the arena (workers cache attachments by it) and ``l_max``
     bounds its distance payload, which is at most one of: ``matrix``, the
     dense tier's ``(segment_name, dtype)``, or ``tiled``, the tiled tier's
-    shared CSR arrays, store geometry and ``(tile_id, segment_name)``
-    hot-tile names.  The remaining fields
+    shared CSR arrays and byte budget.  The remaining fields
     carry the array geometry needed to rebuild the NumPy views.
     """
 
@@ -109,10 +107,8 @@ class ArenaDescriptor:
     l_max: Optional[int] = None
     #: Dense tier: (segment, dtype string).
     matrix: Optional[Tuple[str, str]] = None
-    #: Tiled tier: (indptr segment, indices segment, budget_bytes,
-    #: tile_rows, ((tile_id, segment), ...)).
-    tiled: Optional[Tuple[str, str, int, int,
-                          Tuple[Tuple[int, str], ...]]] = None
+    #: Tiled tier: (indptr segment, indices segment, budget_bytes).
+    tiled: Optional[Tuple[str, str, int]] = None
 
 
 def _create_segment(name: str, data: np.ndarray) -> shared_memory.SharedMemory:
@@ -175,10 +171,6 @@ class SharedSampleArena:
             matrix_entry = tiled_entry = None
             l_max = None if base is None else int(l_max)
             if isinstance(base, TiledMatrixSpec):
-                if base.hot_tiles and base.tile_rows is None:
-                    raise ConfigurationError(
-                        "a tiled spec publishes hot tiles without fixing "
-                        "tile_rows")
                 csr = CSRAdjacency.from_graph(graph)
                 indptr_name = f"{token}-csr-indptr"
                 indices_name = f"{token}-csr-indices"
@@ -188,17 +180,8 @@ class SharedSampleArena:
                 segments[indices_name] = _create_segment(
                     indices_name, np.ascontiguousarray(csr.indices,
                                                        dtype=_CSR_DTYPE))
-                tile_entries = []
-                for tile_id, tile in sorted(base.hot_tiles.items()):
-                    segment_name = f"{token}-tile-{int(tile_id)}"
-                    segments[segment_name] = _create_segment(
-                        segment_name, np.ascontiguousarray(tile))
-                    tile_entries.append((int(tile_id), segment_name))
                 tiled_entry = (indptr_name, indices_name,
-                               int(base.budget_bytes),
-                               0 if base.tile_rows is None
-                               else int(base.tile_rows),
-                               tuple(tile_entries))
+                               int(base.budget_bytes))
             elif base is not None:
                 data = np.ascontiguousarray(base)
                 if data.shape != (n, n):
@@ -236,37 +219,6 @@ class SharedSampleArena:
         for segment in self._segments.values():
             _release_segment(segment, unlink=True)
         self._segments = {}
-
-
-def publish_session_store(graph: Graph, store) -> SharedSampleArena:
-    """Publish a live session's current graph + distance store as an arena.
-
-    The intra-group scan pool's publication path: unlike the grid plane —
-    which publishes a *pristine* sample before any edit — this captures a
-    session mid-run.  Correctness rests on distance values being canonical:
-    a dense store's current matrix is copied as-is, and a tiled store is
-    published as the *current* graph's CSR adjacency plus store geometry,
-    so tiles a worker computes lazily equal the parent's incrementally
-    maintained ones bit for bit.  The tiled path additionally ships the
-    parent's in-RAM cached tiles as hot tiles, sparing each worker their
-    recomputation.
-    """
-    from repro.graph.distance_store import DenseStore
-
-    if isinstance(store, TiledStore):
-        hot: Dict[int, np.ndarray] = {}
-        for tile_id in store.cached_tiles():
-            start = tile_id * store.tile_rows
-            stop = min(store.num_vertices, start + store.tile_rows)
-            hot[tile_id] = store.rows(np.arange(start, stop, dtype=np.int64))
-        base = TiledMatrixSpec(budget_bytes=store.budget_bytes,
-                               tile_rows=store.tile_rows, hot_tiles=hot)
-    elif isinstance(store, DenseStore):
-        base = store.array
-    else:
-        raise ConfigurationError(
-            f"cannot publish a {type(store).__name__} store")
-    return SharedSampleArena.publish(graph, base, store.length_bound)
 
 
 def _release_segment(segment: shared_memory.SharedMemory,
@@ -323,23 +275,14 @@ def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
         segments.append(segment)
         cache = LMaxDistanceCache.from_matrix(graph, view, l_max)
     if descriptor.tiled is not None:
-        indptr_name, indices_name, budget_bytes, tile_rows, tiles = \
-            descriptor.tiled
+        indptr_name, indices_name, budget_bytes = descriptor.tiled
         segment, indptr = _attach_view(indptr_name, (n + 1,), _CSR_DTYPE)
         segments.append(segment)
         segment, indices = _attach_view(
             indices_name, (int(indptr[-1]),), _CSR_DTYPE)
         segments.append(segment)
         base = TiledStore(None, l_max, csr=CSRAdjacency(indptr, indices),
-                          budget_bytes=budget_bytes,
-                          tile_rows=tile_rows or None)
-        for tile_id, tile_segment in tiles:
-            start = tile_id * base.tile_rows
-            stop = min(n, start + base.tile_rows)
-            segment, tile = _attach_view(tile_segment, (stop - start, n),
-                                         base.dtype)
-            segments.append(segment)
-            base.preload_tile(tile_id, tile)
+                          budget_bytes=budget_bytes)
         cache = LMaxDistanceCache.from_tiled_base(graph, base)
     return AttachedArena(token=descriptor.token, graph=graph, cache=cache,
                          segments=tuple(segments))

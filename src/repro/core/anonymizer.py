@@ -115,9 +115,8 @@ class AnonymizerConfig:
         be met; otherwise return a best-effort result with ``success=False``.
     scan_workers:
         Scan-pool size.  ``None`` (default), 0 and 1 scan serially; N >= 2
-        shards each L >= 3 candidate scan across a pool of N processes
-        attached to a shared-memory publication of the session state
-        (DESIGN.md §14).  Inside θ-group pool workers scans stay serial
+        shards each L >= 3 candidate scan across a pool of N processes,
+        each a forked copy of the session (DESIGN.md §14).  Inside θ-group pool workers scans stay serial
         (no nested oversubscription).  Either way the run chooses
         bit-identical edits.
     swap_sample_size:

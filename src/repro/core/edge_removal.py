@@ -47,7 +47,22 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
                       rng: random.Random,
                       result: AnonymizationResult
                       ) -> Optional[Tuple[str, Tuple[Edge, ...], Tuple[Edge, ...]]]:
-        candidates = self._removal_candidates(session)
+        removed = self._removal_phase(session, current, rng, result)
+        if removed is None:
+            return None
+        return ("remove", removed, ())
+
+    def _removal_phase(self, session: OpacitySession, current: OpacityResult,
+                       rng: random.Random,
+                       result: AnonymizationResult) -> Optional[Tuple[Edge, ...]]:
+        """Apply the best removal (or look-ahead combination) of this step.
+
+        Edges this run inserted are never removed again (Algorithm 5's
+        ``E_A``; a plain removal run inserts none).  Returns the removed
+        edges, or ``None`` when no candidate remains.
+        """
+        candidates = [edge for edge in self._removal_candidates(session)
+                      if edge not in result.inserted_edges]
         if not candidates:
             return None
         best = search_best_combination(
@@ -62,7 +77,7 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
             return None
         session.apply_edit(removals=best.edges)
         result.removed_edges.update(best.edges)
-        return ("remove", best.edges, ())
+        return best.edges
 
     # ------------------------------------------------------------------
     # candidate selection

@@ -22,7 +22,7 @@ import numpy as np
 from repro.api.registry import register_anonymizer
 from repro.core.anonymizer import AnonymizationResult, TieBreaker
 from repro.core.edge_removal import EdgeRemovalAnonymizer
-from repro.core.lookahead import CombinationLevel, search_best_combination
+from repro.core.lookahead import CombinationLevel
 from repro.core.opacity import OpacityResult
 from repro.core.opacity_session import OpacitySession
 from repro.graph.graph import Edge
@@ -39,9 +39,9 @@ from repro.graph.graph import Edge
 class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
     """Algorithm 5: greedy L-opacification via alternating removal and insertion.
 
-    Inherits the removal-step machinery (candidate pruning, look-ahead,
-    tie-breaking) from :class:`EdgeRemovalAnonymizer` and adds the
-    compensating insertion phase.
+    Runs :class:`EdgeRemovalAnonymizer`'s removal phase (lines 3-9:
+    candidate pruning, look-ahead, tie-breaking, never removing an edge it
+    inserted) and adds the compensating insertion phase.
 
     Examples
     --------
@@ -63,30 +63,6 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
         inserted = self._insertion_phase(session, rng, result)
         operation = "remove+insert" if inserted else "remove"
         return (operation, removed, inserted if inserted is not None else ())
-
-    # ------------------------------------------------------------------
-    # removal phase (lines 3-9 of Algorithm 5)
-    # ------------------------------------------------------------------
-    def _removal_phase(self, session: OpacitySession, current: OpacityResult,
-                       rng: random.Random,
-                       result: AnonymizationResult) -> Optional[Tuple[Edge, ...]]:
-        candidates = [edge for edge in self._removal_candidates(session)
-                      if edge not in result.inserted_edges]
-        if not candidates:
-            return None
-        best = search_best_combination(
-            candidates,
-            self._combo_evaluator(session, result, "remove"),
-            current_fraction=current.max_fraction,
-            lookahead=self._config.lookahead,
-            rng=rng,
-            max_combinations=self._config.max_combinations,
-        )
-        if best is None:
-            return None
-        session.apply_edit(removals=best.edges)
-        result.removed_edges.update(best.edges)
-        return best.edges
 
     # ------------------------------------------------------------------
     # insertion phase (lines 10-18 of Algorithm 5)

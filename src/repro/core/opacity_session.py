@@ -217,8 +217,8 @@ class OpacitySession:
         Size of the scan pool, as resolved by
         :func:`repro.core.scan_pool.resolve_scan_workers`.  With a value
         >= 2, :meth:`score_combinations` shards each L >= 3 scan wider than
-        the pool across that many worker processes attached to a
-        shared-memory publication of this session's state; 0 or 1 keeps
+        the pool across that many worker processes, each a forked copy of
+        this session; 0 or 1 keeps
         every scan serial, and so does L <= 2, where scans compose from
         type positions or common-neighbour counts.  Any pool failure falls
         back to the serial scan permanently — results are bit-identical
@@ -510,12 +510,19 @@ class OpacitySession:
         if self._scan_pool is None and not self._scan_failed:
             from repro.core.scan_pool import ScanPool
 
-            self._scan_pool = ScanPool.start(
-                self._computer, self._graph, self._distance.store,
-                self._scan_workers)
+            self._scan_pool = ScanPool.start(self, self._scan_workers)
             if self._scan_pool is None:
                 self._scan_failed = True
         return self._scan_pool
+
+    def privatize_store(self) -> None:
+        """Give this (forked) process a tiled store of its own.
+
+        Scan-pool workers call it first thing: see
+        :meth:`DistanceSession.privatize_store`.
+        """
+        if self._distance is not None:
+            self._distance.privatize_store()
 
     def _scan_changes(self, pairs: List[EditCandidate]) -> Changes:
         """Per-candidate count changes at L >= 3, sharded when a pool pays.

@@ -1,23 +1,34 @@
-"""Persistent worker pool sharding one candidate scan over a shared arena.
+"""Persistent worker pool sharding one candidate scan across forked copies.
 
 A ``scan_workers`` count of 2 or more splits each L >= 3 candidate scan of a
-greedy step across a pool of that many worker processes.  The parent publishes its session's
-*current* graph and distance store into a
-:class:`~repro.api.shm.SharedSampleArena` exactly once per pool lifetime;
-each worker attaches the segments read-only, rebuilds an equivalent
-incremental :class:`~repro.core.opacity_session.OpacitySession`, and from
-then on answers ``("scan", candidates)`` requests with its shard's
-per-candidate count changes, padded int64 ``(types, deltas)`` matrices
-with one row per candidate.  Follow-up ``("apply", ...)``
-messages keep every worker's session in lock-step with the parent's applied
-edits, so one arena publication serves the whole greedy run.
+greedy step across a pool of that many worker processes.  The pool starts
+by forking the parent mid-run: each worker inherits the parent's
+:class:`~repro.core.opacity_session.OpacitySession` — working graph,
+distance store, count arrays — as it stands, and from then on answers
+``("scan", candidates)`` requests with its shard's per-candidate count
+changes, padded int64 ``(types, deltas)`` matrices with one row per
+candidate.  Follow-up ``("apply", ...)`` messages keep every worker's
+session in lock-step with the parent's applied edits.  Nothing is
+published, attached, rebuilt or recounted, and only candidate lists,
+edits and change matrices cross the pipes.
+
+On the dense tier a worker scans with the inherited session as it is: its
+matrix is a copy-on-write image of the parent's.  On the tiled tier the
+worker first swaps in a fresh, private
+:class:`~repro.graph.distance_store.TiledStore` over the current graph with
+the same tile geometry, whose tiles it computes lazily
+(:meth:`~repro.core.opacity_session.OpacitySession.privatize_store`).  The
+inherited store is never read, written or closed in the worker: the parent
+keeps rewriting its spill file's slots, which a worker reading them would
+see change under it, and its spill finalizer releases the file only in the
+process that created it.
 
 Bit-identity is preserved by construction:
 
-* distance values are canonical — a worker's freshly attached store holds
-  exactly the parent's current matrix (dense copy) or computes canonical
-  tiles lazily from the current CSR adjacency (tiled), so per-candidate
-  change rows match the serial scan's bit for bit;
+* distance values are canonical — a worker's store holds exactly the
+  parent's current matrix (dense copy-on-write image) or computes canonical
+  tiles lazily from the current graph (tiled), so per-candidate change
+  rows match the serial scan's bit for bit;
 * candidates are sharded *contiguously* in candidate order and the parent
   pads every shard's matrices to the widest one and stacks them back in
   that order before running its own summarize pass — same ``Fraction``
@@ -27,9 +38,11 @@ Failure handling is all-or-nothing: any send/recv error (including a worker
 killed with SIGKILL mid-scan), an error reply, or a reply with the wrong
 row count makes :meth:`ScanPool.scan` return ``None``;
 the caller tears the pool down and permanently falls back to the serial
-batched scan, which is result-identical.  The arena is unlinked the moment
-every worker has attached, so a crashed worker — or a crashed parent —
-cannot leak ``/dev/shm`` segments.
+batched scan, which is result-identical.  The pool creates no shared
+memory, so no ``/dev/shm`` entry can outlive it.  A tiled worker's private
+store deletes its spill file when the worker closes; a worker killed
+outright leaves that file behind, as any killed process leaves its
+temporary files.
 
 Pool nesting: θ-group pool workers (:mod:`repro.api.batch`) call
 :func:`mark_pool_worker` from their initializer, and scan-pool workers at
@@ -58,7 +71,7 @@ __all__ = [
     "resolve_scan_workers",
 ]
 
-#: Seconds a worker gets to attach the arena and report readiness.
+#: Seconds a worker gets to report readiness.
 _READY_TIMEOUT = 60.0
 
 #: Set in processes that are themselves pool workers (θ-group workers of
@@ -167,28 +180,17 @@ def resolve_scan_workers(scan_workers: Optional[int]) -> int:
     return max(0, int(scan_workers))
 
 
-def _scan_worker_main(conn, descriptor, computer) -> None:
-    """Worker entry point: attach the arena, serve scan/apply requests.
+def _scan_worker_main(conn, session) -> None:
+    """Worker entry point: serve scan/apply requests with the inherited session.
 
-    Runs in a forked child, so ``computer`` (typing, L) arrives by
-    inheritance; only the arena descriptor and small message payloads ever
-    cross the pipe.  Any failure is reported once and ends the worker — the
-    parent treats a dead worker as a permanent fallback signal.
+    Runs in a forked child, so ``session`` is the parent's session as it
+    stood at the fork; only small message payloads ever cross the pipe.
+    Any failure is reported once and ends the worker — the parent treats a
+    dead worker as a permanent fallback signal.
     """
-    from repro.api.shm import attach_arena
-    from repro.core.opacity_session import OpacitySession
-
     mark_pool_worker()
     try:
-        attached = attach_arena(descriptor)
-        cache = attached.cache
-        length = computer.length_threshold
-        if cache.tier == "tiled":
-            initial = cache.store(length)
-        else:
-            initial = cache.matrix(length)
-        session = OpacitySession(computer, attached.graph,
-                                 initial_distances=initial)
+        session.privatize_store()
         conn.send(("ready",))
     except Exception as exc:  # noqa: BLE001 — reported to the parent
         try:
@@ -246,7 +248,7 @@ def _shutdown(processes: List[Any], connections: List[Any],
 
 
 class ScanPool:
-    """A started pool of scan workers attached to one published arena.
+    """A started pool of scan workers, each a forked copy of one session.
 
     Build one with :meth:`start`; hand candidate lists to :meth:`scan` and
     applied edits to :meth:`apply`; :meth:`close` (idempotent, also run by
@@ -262,34 +264,27 @@ class ScanPool:
                                            processes, connections)
 
     @classmethod
-    def start(cls, computer, graph, store,
-              workers: int) -> Optional["ScanPool"]:
-        """Publish the session state and fork ``workers`` scan workers.
+    def start(cls, session, workers: int) -> Optional["ScanPool"]:
+        """Fork ``workers`` scan workers, each inheriting ``session``.
 
-        Returns ``None`` when the pool cannot be built (no fork start
-        method, arena publication failure, a worker failing to attach) —
-        the caller falls back to the serial scan.  On success the arena is
-        already unlinked: every worker attached during startup, and POSIX
-        keeps their mappings alive, so nothing can leak ``/dev/shm``
-        entries no matter how the processes die later.
+        ``session`` is the parent's
+        :class:`~repro.core.opacity_session.OpacitySession` in its current
+        state.  Returns ``None`` when the pool cannot be built (no fork
+        start method, a worker failing to report ready) — the caller falls
+        back to the serial scan.
         """
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover — non-POSIX platform
             return None
-        from repro.api.shm import publish_session_store
-
-        arena = None
         processes: List[Any] = []
         connections: List[Any] = []
         try:
-            arena = publish_session_store(graph, store)
             for _ in range(workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
-                process = ctx.Process(
-                    target=_scan_worker_main,
-                    args=(child_conn, arena.descriptor, computer),
-                    daemon=True)
+                process = ctx.Process(target=_scan_worker_main,
+                                      args=(child_conn, session),
+                                      daemon=True)
                 process.start()
                 child_conn.close()
                 processes.append(process)
@@ -302,10 +297,7 @@ class ScanPool:
                     raise RuntimeError(f"scan worker failed: {reply[1]}")
         except Exception:  # noqa: BLE001 — pool startup is best-effort
             _shutdown(processes, connections)
-            if arena is not None:
-                arena.unlink()
             return None
-        arena.unlink()
         return cls(processes, connections)
 
     @property

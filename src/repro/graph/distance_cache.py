@@ -90,23 +90,16 @@ class LMaxDistanceCache:
     store_config:
         Scale-tier policy; defaults to ``auto`` under the default budget,
         which keeps every historical workload on the dense path.
-    spill_path:
-        Optional fixed spill-file path for the tiled tier's shared L_max
-        base.  When given, the base store persists its warm tiles (and a
-        sidecar index) at this path and re-adopts them on the next run —
-        the cross-θ-group tile reuse of a resumed job (DESIGN.md §14).
     """
 
     def __init__(self, graph: Graph, l_max: int,
-                 store_config: Optional[StoreConfig] = None,
-                 spill_path: Optional[str] = None) -> None:
+                 store_config: Optional[StoreConfig] = None) -> None:
         if l_max < 1:
             raise ConfigurationError(f"l_max must be >= 1, got {l_max}")
         self._graph = graph
         self._l_max = int(l_max)
         self._store_config = store_config or StoreConfig()
         self._store_config.validate()
-        self._spill_path = spill_path
         self._matrix: Optional[np.ndarray] = None
         self._base_store: Optional[TiledStore] = None
         #: Number of full engine computations performed (0 or 1); the
@@ -221,8 +214,7 @@ class LMaxDistanceCache:
                 self._graph, self._l_max,
                 tile_rows=config.tile_rows,
                 budget_bytes=config.budget_bytes,
-                spill_dir=config.spill_dir,
-                spill_path=self._spill_path)
+                spill_dir=config.spill_dir)
             self.compute_count += 1
         return self._base_store
 

@@ -311,6 +311,25 @@ class DistanceSession:
         if isinstance(self._store, TiledStore):
             self._store.close()
 
+    def privatize_store(self) -> None:
+        """Swap an inherited tiled store for a fresh one over the current graph.
+
+        A forked process shares its parent's tiled store: the tile cache as
+        it stood at the fork, and the spill file whose slots the parent
+        keeps rewriting.  The fresh store has the same tile geometry and
+        computes its tiles lazily from the current graph — canonical values,
+        so equal to the parent's edited tiles — and the inherited one is
+        left untouched (its finalizer releases the spill file only in the
+        process that created it).  A dense store is the process's own
+        copy-on-write matrix and stays.
+        """
+        store = self._store
+        if isinstance(store, TiledStore):
+            self._store = TiledStore(self._graph, self._length,
+                                     tile_rows=store.tile_rows,
+                                     budget_bytes=store.budget_bytes,
+                                     spill_dir=store.spill_dir)
+
     @property
     def distances(self) -> np.ndarray:
         """The current dense matrix (dense tier only; treat as read-only).

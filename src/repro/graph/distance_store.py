@@ -363,8 +363,9 @@ class TiledStore(DistanceStore):
     for a :meth:`thresholded` child, by per-tile truncation of the shared
     parent's tiles), held in an LRU dict bounded by ``budget_bytes``, and
     written to a fixed slot of a lazily-created temp file on eviction if
-    its slot is missing or stale (the tile was computed, preloaded or
-    written since it was last spilled or loaded).
+    its slot is missing or stale (the tile was computed or
+    written since it was last spilled or loaded).  The file is private to
+    this store and deleted by :meth:`close` or when the store is collected.
     After the first :meth:`write_rows` the store is *edited*: every tile is
     materialized once (the CSR snapshot no longer describes the mutating
     graph) and from then on tiles only move between cache and spill file.
@@ -378,7 +379,6 @@ class TiledStore(DistanceStore):
                  tile_rows: Optional[int] = None,
                  budget_bytes: int = DEFAULT_SCALE_BUDGET_BYTES,
                  spill_dir: Optional[str] = None,
-                 spill_path: Optional[str] = None,
                  csr: Optional[CSRAdjacency] = None,
                  parent: Optional["TiledStore"] = None) -> None:
         if length_bound < 1:
@@ -422,18 +422,14 @@ class TiledStore(DistanceStore):
         self._spill_fd: Optional[int] = None
         self._spill_path: Optional[str] = None
         self._finalizer = None
-        self._persistent = False
         self.tile_computes = 0
         self.tile_loads = 0
         self.tile_evictions = 0
         self.tile_spills = 0
-        self.tile_reuses = 0
-        if spill_path is not None:
-            self._open_persistent_spill(spill_path)
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Drop the tile cache and the spill file (persistent spills stay)."""
+        """Drop the tile cache and delete the spill file."""
         self._cache.clear()
         self._cache_bytes = 0
         self._dirty.clear()
@@ -444,20 +440,17 @@ class TiledStore(DistanceStore):
         self._spill_path = None
 
     @staticmethod
-    def _cleanup_spill(fd: int, path: str) -> None:
+    def _cleanup_spill(fd: int, path: str, owner: int) -> None:
+        # A forked process inherits the finalizer along with the store; the
+        # file and its descriptor stay the creating process's to release.
+        if os.getpid() != owner:
+            return
         try:
             os.close(fd)
         except OSError:
             pass
         try:
             os.unlink(path)
-        except OSError:
-            pass
-
-    @staticmethod
-    def _close_fd(fd: int) -> None:
-        try:
-            os.close(fd)
         except OSError:
             pass
 
@@ -468,77 +461,8 @@ class TiledStore(DistanceStore):
             self._spill_fd = fd
             self._spill_path = path
             self._finalizer = weakref.finalize(
-                self, TiledStore._cleanup_spill, fd, path)
+                self, TiledStore._cleanup_spill, fd, path, os.getpid())
         return self._spill_fd
-
-    # -- persistent spill (warm tiles across θ-groups / restarts) --------
-    def _sidecar_path(self, path: str) -> str:
-        return path + ".index.npz"
-
-    def _open_persistent_spill(self, path: str) -> None:
-        """Adopt ``path`` as a *persistent* spill file.
-
-        Unlike the anonymous mkstemp spill — deleted with the store — a
-        persistent spill survives :meth:`close`, and a valid sidecar index
-        (geometry + which tile slots hold data) written next to it lets a
-        later store over the same pristine matrix *reuse* the spilled
-        tiles instead of recomputing them (``tile_reuses`` counts the
-        adopted slots).  A geometry mismatch or missing sidecar truncates
-        the file and starts fresh.  Only pristine base stores should be
-        opened this way: the first edit retires persistence (the sidecar
-        is removed) so stale distances can never leak into a later run.
-        """
-        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o600)
-        self._spill_fd = fd
-        self._spill_path = path
-        self._persistent = True
-        self._finalizer = weakref.finalize(self, TiledStore._close_fd, fd)
-        sidecar = self._sidecar_path(path)
-        adopted = False
-        try:
-            with np.load(sidecar) as index:
-                if (int(index["num_vertices"]) == self.num_vertices
-                        and int(index["length_bound"]) == self.length_bound
-                        and int(index["tile_rows"]) == self.tile_rows
-                        and str(index["dtype"]) == self.dtype.str):
-                    on_disk = np.asarray(index["on_disk"], dtype=bool)
-                    if on_disk.shape == self._on_disk.shape:
-                        self._on_disk = on_disk.copy()
-                        self.tile_reuses = int(on_disk.sum())
-                        adopted = True
-        except (OSError, KeyError, ValueError):
-            adopted = False
-        if not adopted:
-            try:
-                os.ftruncate(fd, 0)
-            except OSError:
-                pass
-            try:
-                os.unlink(sidecar)
-            except OSError:
-                pass
-
-    def _write_sidecar(self) -> None:
-        sidecar = self._sidecar_path(self._spill_path)
-        tmp = sidecar + ".tmp"
-        with open(tmp, "wb") as handle:
-            np.savez(handle,
-                     num_vertices=self.num_vertices,
-                     length_bound=self.length_bound,
-                     tile_rows=self.tile_rows,
-                     dtype=self.dtype.str,
-                     on_disk=self._on_disk)
-        os.replace(tmp, sidecar)
-
-    def _retire_persistence(self) -> None:
-        """Stop advertising the spill for reuse (first edit)."""
-        if not self._persistent:
-            return
-        self._persistent = False
-        try:
-            os.unlink(self._sidecar_path(self._spill_path))
-        except OSError:
-            pass
 
     @property
     def spill_path(self) -> Optional[str]:
@@ -558,10 +482,6 @@ class TiledStore(DistanceStore):
     def cache_bytes(self) -> int:
         """Bytes currently pinned by the LRU tile cache."""
         return self._cache_bytes
-
-    def cached_tiles(self) -> Tuple[int, ...]:
-        """Tile ids currently resident in the LRU cache, hottest last."""
-        return tuple(self._cache)
 
     # -- tile machinery ------------------------------------------------
     def _tile_span(self, tile_id: int) -> Tuple[int, int]:
@@ -589,8 +509,6 @@ class TiledStore(DistanceStore):
         self._on_disk[tile_id] = True
         self._dirty.discard(tile_id)
         self.tile_spills += 1
-        if self._persistent:
-            self._write_sidecar()
 
     def _load_spilled(self, tile_id: int) -> np.ndarray:
         start, stop = self._tile_span(tile_id)
@@ -609,17 +527,6 @@ class TiledStore(DistanceStore):
             self.tile_evictions += 1
         self._cache[tile_id] = tile
         self._cache_bytes += tile.nbytes
-
-    def preload_tile(self, tile_id: int, tile: np.ndarray) -> None:
-        """Seed one tile (e.g. a published hot tile from a shared arena)."""
-        start, stop = self._tile_span(tile_id)
-        if tile.shape != (stop - start, self.num_vertices):
-            raise ConfigurationError(
-                f"tile {tile_id} must be {(stop - start, self.num_vertices)}, "
-                f"got {tile.shape}")
-        if tile_id not in self._cache:
-            self._insert(tile_id, np.ascontiguousarray(tile, dtype=self.dtype))
-            self._dirty.add(tile_id)
 
     def _tile(self, tile_id: int) -> np.ndarray:
         tile = self._cache.get(tile_id)
@@ -661,7 +568,6 @@ class TiledStore(DistanceStore):
         if not self._edited:
             self._materialize_all()
             self._edited = True
-            self._retire_persistence()
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return

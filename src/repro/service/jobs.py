@@ -24,11 +24,8 @@ recomputing anything.
 from __future__ import annotations
 
 import dataclasses
-import glob
 import json
-import os
 import queue
-import tempfile
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -303,22 +300,11 @@ class JobManager:
         token = CancellationToken()
         with self._tokens_lock:
             self._tokens[job_id] = token
-        failed = False
         try:
             self._execute(job, token)
-        except Exception:
-            failed = True
-            raise
         finally:
             with self._tokens_lock:
                 self._tokens.pop(job_id, None)
-            # A terminal job has no future resume to serve, so its warmed
-            # tile spills go; an *interrupted* job (process died while the
-            # store still says "running") keeps them for the resumed pass.
-            row = self._store.get_job(job_id)
-            status = None if row is None else row["status"]
-            if failed or status in ("done", "error", "cancelled"):
-                self._cleanup_spills(job_id)
 
     def _execute(self, job: Dict[str, Any], token: CancellationToken) -> None:
         from repro.api.batch import BatchRunner
@@ -343,8 +329,7 @@ class JobManager:
         for indices, responses in runner.iter_grid(
                 grid, observer=combine_observers(
                     token, CheckpointBuffer(sink=persister)),
-                cache=ExecutionCache(data_dir=self._data_dir,
-                                     spill_prefix=self._spill_prefix(job_id)),
+                cache=ExecutionCache(data_dir=self._data_dir),
                 resume_from=checkpoints, skip=stored, stats=stats):
             if token.cancelled:
                 # Best-effort responses of an interrupted pass must not be
@@ -389,21 +374,3 @@ class JobManager:
             return patch(request)
         return dataclasses.replace(
             request, requests=tuple(patch(req) for req in request.requests))
-
-    @staticmethod
-    def _spill_prefix(job_id: str) -> str:
-        """Deterministic per-job prefix of the tiled tier's spill files.
-
-        Stable across restarts (it depends only on the job id), so a
-        resumed job's rebuilt :class:`~repro.api.cache.ExecutionCache`
-        re-opens the spill files its interrupted predecessor warmed.
-        """
-        return os.path.join(tempfile.gettempdir(), f"repro-job-{job_id}")
-
-    def _cleanup_spills(self, job_id: str) -> None:
-        """Remove the job's spill files and sidecar indexes (best-effort)."""
-        for path in glob.glob(self._spill_prefix(job_id) + "-*.tiles*"):
-            try:
-                os.remove(path)
-            except OSError:
-                pass

@@ -17,7 +17,6 @@ from repro.errors import ConfigurationError
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_store import DistanceStore, TiledStore
 from repro.graph.graph import Graph
-from repro.graph.matrices import distance_dtype
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0)
 TILED = BASE.with_overrides(scale_tier="tiled", scale_budget_bytes=1 << 20)
@@ -187,30 +186,6 @@ class TestShmTiledPlane:
                 store.to_array(), bounded_distance_matrix(graph, 2))
         finally:
             arena.unlink()
-
-    def test_hot_tiles_seed_the_worker_cache(self):
-        graph = small_graph()
-        base = TiledStore(graph, 2, tile_rows=2, budget_bytes=1 << 16)
-        hot = base.rows(np.array([0, 1])).astype(distance_dtype(2))
-        spec = TiledMatrixSpec(budget_bytes=1 << 16, tile_rows=2,
-                               hot_tiles={0: hot})
-        arena = SharedSampleArena.publish(graph, spec, 2)
-        try:
-            attached = attach_arena(arena.descriptor)
-            worker_base = attached.cache.base_store()
-            assert 0 in worker_base.cached_tiles()
-            np.testing.assert_array_equal(
-                worker_base.rows(np.array([0, 1])), hot)
-            assert worker_base.tile_computes == 0  # tile 0 was preloaded
-        finally:
-            arena.unlink()
-
-    def test_hot_tiles_without_tile_rows_are_rejected(self):
-        graph = small_graph()
-        spec = TiledMatrixSpec(budget_bytes=1 << 16,
-                               hot_tiles={0: np.zeros((2, 5), dtype=np.uint8)})
-        with pytest.raises(ConfigurationError, match="tile_rows"):
-            SharedSampleArena.publish(graph, spec, 2)
 
     def test_dense_segments_keep_their_narrow_dtype(self):
         graph = small_graph()

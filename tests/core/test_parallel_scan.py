@@ -2,15 +2,16 @@
 
 The scan pool promises three things, and these tests pin all of them:
 
-* **Bit-identity** — sharding a candidate scan across workers over the
-  shared-memory arena returns exactly the evaluations (``Fraction``
-  maxima, tie counts, per-type counts) of the serial batched scan, so
-  whole anonymization runs produce identical step sequences under a
-  fixed seed, on the dense and the tiled tier alike.
-* **Crash safety** — the arena segment is unlinked the moment every
-  worker has attached, so even ``SIGKILL``-ing workers mid-run leaks
-  nothing under ``/dev/shm``; the session falls back to the serial scan
-  permanently and keeps producing identical results.
+* **Bit-identity** — sharding a candidate scan across workers, each a
+  forked copy of the session, returns exactly the evaluations
+  (``Fraction`` maxima, tie counts, per-type counts) of the serial batched
+  scan, so whole anonymization runs produce identical step sequences under
+  a fixed seed, on the dense and the tiled tier alike — also while the
+  parent keeps rewriting its tiled store's spill slots.
+* **Crash safety** — the pool creates no ``/dev/shm`` segment and never
+  touches the parent's spill file, so even ``SIGKILL``-ing workers mid-run
+  leaks nothing; the session falls back to the serial scan permanently and
+  keeps producing identical results.
 * **No nested pools** — pool workers (θ-group or scan) never start scan
   pools of their own, and run BLAS on one thread, while the parent keeps
   its own thread count.
@@ -22,9 +23,11 @@ Every test that wants a pool passes an explicit ``scan_workers``: ``None``,
 from __future__ import annotations
 
 import glob
+import json
 import os
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,12 +270,13 @@ class TestParallelScanEquivalence:
     @settings(max_examples=3, deadline=None)
     def test_rem_ins_with_lookahead_runs_identically(self, seed):
         graph = erdos_renyi_graph(14, 0.3, seed=seed % 89)
-        self._assert_identical(
+        observed = self._assert_identical(
             EdgeRemovalInsertionAnonymizer,
-            dict(length_threshold=2, theta=0.4, seed=seed, max_steps=2,
+            dict(length_threshold=3, theta=0.4, seed=seed, max_steps=2,
                  lookahead=2, max_combinations=40,
                  insertion_candidate_cap=20),
             graph)
+        assert observed.debug_info["parallel_scans"] > 0
 
     @pytest.mark.parametrize("engine", sorted(available_engines()))
     def test_engines_run_identically(self, engine):
@@ -343,26 +347,182 @@ class TestParallelScanEquivalence:
         cls._assert_results_equal(observed, reference)
         assert observed.debug_info["scan_workers"] == WORKERS
         assert leaked_arenas() == []
+        return observed
 
 
-class TestCrashSafety:
-    def test_arena_is_unlinked_while_the_pool_runs(self):
-        graph = erdos_renyi_graph(20, 0.25, seed=3)
+class TestForkedSessions:
+    """Workers scan with the session they inherit; nothing is published."""
+
+    @staticmethod
+    def _tiled(spill_dir):
+        """16-row tiles of a 40-vertex L = 3 graph are 640 bytes, so 1300
+        bytes hold two tiles of three."""
+        return StoreConfig(tier="tiled", budget_bytes=1300,
+                           spill_dir=str(spill_dir))
+
+    @staticmethod
+    def _session(graph, **kwargs):
         computer = OpacityComputer(DegreePairTyping(graph), 3)
-        session = OpacitySession(computer, graph.copy(),
+        return OpacitySession(computer, graph.copy(), **kwargs)
+
+    def test_scans_match_while_the_parent_rewrites_spill_slots(self,
+                                                               tmp_path):
+        graph = erdos_renyi_graph(40, 0.1, seed=4)
+        serial = self._session(graph, store_config=StoreConfig(tier="dense"))
+        parallel = self._session(graph, store_config=self._tiled(tmp_path),
                                  scan_workers=WORKERS)
+        try:
+            parent_store = parallel._distance.store
+            assert parent_store.num_tiles == 3  # premise: the budget holds 2
+            spills_at_start = None
+            for step in range(4):
+                pairs = make_candidates(parallel.graph)
+                assert outcomes(parallel.evaluate_edits(pairs)) == \
+                    outcomes(serial.evaluate_edits(pairs))
+                if spills_at_start is None:
+                    spills_at_start = parent_store.tile_spills
+                removals, insertions = pairs[(7 * step) % len(pairs)]
+                serial.apply_edit(removals, insertions)
+                parallel.apply_edit(removals, insertions)
+                assert parallel.current() == serial.current()
+            assert parallel._scan_pool is not None
+            assert parallel.parallel_scans == 4
+            # The parent rewrote spill slots while the workers lived.
+            assert parent_store.tile_spills > spills_at_start
+        finally:
+            serial.close()
+            parallel.close()
+
+    @pytest.mark.parametrize("algorithm", [EdgeRemovalAnonymizer,
+                                           EdgeRemovalInsertionAnonymizer])
+    def test_tiled_runs_match_serial_with_a_two_tile_budget(self, algorithm):
+        graph = erdos_renyi_graph(40, 0.1, seed=4)
+        params = dict(length_threshold=3, theta=0.3, seed=0, max_steps=4,
+                      insertion_candidate_cap=30)
+        if algorithm is EdgeRemovalAnonymizer:
+            del params["insertion_candidate_cap"]
+        reference = algorithm(scan_workers=0, scale_tier="dense",
+                              **params).anonymize(graph)
+        observed = algorithm(scan_workers=WORKERS, scale_tier="tiled",
+                             scale_budget_bytes=1300,
+                             **params).anonymize(graph)
+        assert reference.num_steps >= 3
+        TestParallelScanEquivalence._assert_results_equal(observed, reference)
+        assert observed.debug_info["parallel_scans"] > 0
+
+    @pytest.mark.parametrize("tier", ["dense", "tiled"])
+    def test_pooled_scan_creates_no_shm_segment(self, tier, monkeypatch,
+                                                tmp_path):
+        from multiprocessing import shared_memory
+
+        created = []
+        init = shared_memory.SharedMemory.__init__
+
+        def recording(segment, *args, **kwargs):
+            created.append((args, kwargs))
+            init(segment, *args, **kwargs)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "__init__", recording)
+        graph = erdos_renyi_graph(40, 0.1, seed=4)
+        config = (self._tiled(tmp_path) if tier == "tiled"
+                  else StoreConfig(tier="dense"))
+        session = self._session(graph, store_config=config,
+                                scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
             session.evaluate_edits(pairs)
-            assert session.parallel_scans == 1
+            session.apply_edit(*pairs[0])
+            session.evaluate_edits(make_candidates(session.graph))
+            assert session.parallel_scans == 2
             assert session._scan_pool is not None
-            # The segment was unlinked right after the ready handshake;
-            # the live pool holds only private mappings.
             assert leaked_arenas() == []
         finally:
             session.close()
+        assert created == []
         assert leaked_arenas() == []
 
+    def test_workers_scan_a_private_store_of_the_same_geometry(
+            self, monkeypatch, tmp_path):
+        collect = OpacitySession.collect_edit_changes
+
+        def recording(session, shard):
+            changes = collect(session, shard)
+            store = session._distance.store
+            (tmp_path / str(os.getpid())).write_text(json.dumps(
+                [type(store).__name__, store.tile_rows, store.budget_bytes,
+                 store.tile_computes > 0, id(store)]))
+            return changes
+
+        monkeypatch.setattr(OpacitySession, "collect_edit_changes",
+                            recording)
+        graph = erdos_renyi_graph(40, 0.1, seed=4)
+        (tmp_path / "spills").mkdir()
+        session = self._session(graph,
+                                store_config=self._tiled(tmp_path / "spills"),
+                                scan_workers=WORKERS)
+        try:
+            parent_store = session._distance.store
+            session.evaluate_edits(make_candidates(graph))
+            assert session.parallel_scans == 1
+        finally:
+            session.close()
+        seen = {path.name: json.loads(path.read_text())
+                for path in tmp_path.iterdir() if path.is_file()}
+        assert len(seen) == WORKERS and str(os.getpid()) not in seen
+        for name, tile_rows, budget, computed, identity in seen.values():
+            assert (name, tile_rows, budget) == (
+                "TiledStore", parent_store.tile_rows,
+                parent_store.budget_bytes)
+            assert computed  # the worker computed its own tiles
+            assert identity != id(parent_store)
+
+    @pytest.mark.parametrize("ending", ["close", "sigkill"])
+    def test_parent_spill_file_survives_the_pool(self, ending, tmp_path):
+        # A worker killed outright leaves its own spill file in tmp_path.
+        graph = erdos_renyi_graph(40, 0.1, seed=4)
+        session = self._session(graph, store_config=self._tiled(tmp_path),
+                                scan_workers=WORKERS)
+        try:
+            pairs = make_candidates(graph)
+            session.apply_edit(*pairs[3])  # every tile materialized
+            path = session._distance.store.spill_path
+            assert path is not None  # premise: the parent spilled tiles
+            with open(path, "rb") as handle:
+                before = handle.read()
+            # The session holds the only reference to its store as the
+            # workers fork, so each worker's copy dies when it swaps in its
+            # own store, and the inherited finalizer must do nothing.
+            session.evaluate_edits(make_candidates(session.graph))
+            assert session.parallel_scans == 1
+            pool = session._scan_pool
+            if ending == "sigkill":
+                for pid in pool.worker_pids:
+                    os.kill(pid, signal.SIGKILL)
+                for process in pool._processes:
+                    process.join(timeout=10)
+            session._teardown_scan_pool(failed=False)
+            assert os.path.exists(path)
+            with open(path, "rb") as handle:
+                assert handle.read() == before
+            np.testing.assert_array_equal(
+                session._distance.store.to_array(),
+                bounded_distance_matrix(session.graph, 3))
+        finally:
+            session.close()
+        assert not os.path.exists(path)
+
+    def test_scan_pool_imports_nothing_from_the_api_layer(self):
+        import ast
+
+        tree = ast.parse(open(scan_pool_module.__file__).read())
+        modules = [node.module for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)]
+        modules += [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        assert not [name for name in modules if name.startswith("repro.api")]
+
+
+class TestCrashSafety:
     def test_sigkilled_worker_falls_back_serially(self):
         graph = erdos_renyi_graph(20, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 3)

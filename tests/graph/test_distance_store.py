@@ -203,21 +203,6 @@ class TestTiledStore:
         store.to_array()
         assert 0 < store.cache_bytes() <= budget
 
-    def test_preload_tile_skips_the_compute(self):
-        graph = sample_graph(20)
-        dense = bounded_distance_matrix(graph, 2)
-        store = TiledStore(graph, 2, tile_rows=8)
-        store.preload_tile(0, dense[0:8])
-        np.testing.assert_array_equal(store.rows(np.arange(8)), dense[0:8])
-        assert store.tile_computes == 0
-        store.preload_tile(1, dense[8:16])  # idempotent over cached ids
-        assert store.cached_tiles() == (0, 1)
-
-    def test_preload_rejects_wrong_geometry(self):
-        store = TiledStore(sample_graph(20), 2, tile_rows=8)
-        with pytest.raises(ConfigurationError, match="tile 0"):
-            store.preload_tile(0, np.zeros((3, 20), dtype=store.dtype))
-
     def test_write_rows_matches_the_dense_store(self):
         graph = sample_graph(26)
         matrix = bounded_distance_matrix(graph, 2)
@@ -263,80 +248,56 @@ class TestTiledStore:
                 store.to_array(), bounded_distance_matrix(graph, 2))
 
 
-class TestPersistentSpill:
-    """``spill_path`` spills that survive ``close`` and warm later stores."""
+class TestSpillFileOwnership:
+    """One private ``mkstemp`` spill file per store, released by its creator."""
 
-    def _spill_all(self, graph, path, length=2, tile_rows=4):
-        row_bytes = graph.num_vertices * distance_dtype(length).itemsize
-        store = TiledStore(graph, length, tile_rows=tile_rows,
-                          budget_bytes=tile_rows * row_bytes,  # one tile
-                          spill_path=path)
+    def _spilled_store(self, tmp_path, n=32):
+        graph = sample_graph(n)
+        store = TiledStore(graph, 2, tile_rows=4,
+                           budget_bytes=4 * n * distance_dtype(2).itemsize,
+                           spill_dir=str(tmp_path))  # one tile resident
         store.to_array()
-        return store
+        assert store.tile_spills > 0  # premise: the file holds tiles
+        return graph, store
 
-    def test_spill_survives_close_and_is_reused(self, tmp_path):
-        graph = sample_graph(32)
-        dense = bounded_distance_matrix(graph, 2)
-        path = str(tmp_path / "job.tiles")
-        first = self._spill_all(graph, path)
-        assert first.tile_spills > 0
-        assert first.spill_path == path
+    def test_every_store_gets_its_own_file(self, tmp_path):
+        _, first = self._spilled_store(tmp_path)
+        _, second = self._spilled_store(tmp_path)
+        assert first.spill_path != second.spill_path
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(store.spill_path) for store in (first, second))
         first.close()
+        second.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_dropping_the_store_deletes_its_file(self, tmp_path):
+        _, store = self._spilled_store(tmp_path)
+        path = store.spill_path
+        del store
+        assert not os.path.exists(path)
+
+    def test_a_forked_process_never_deletes_the_file(self, tmp_path):
+        import multiprocessing
+
+        graph, store = self._spilled_store(tmp_path)
+        path = store.spill_path
+        with open(path, "rb") as handle:
+            before = handle.read()
+        # The list holds the only reference, so the child's copy of the
+        # store dies when the child pops it: its inherited finalizer must
+        # leave the parent's file alone.
+        holder = [store]
+        del store
+        child = multiprocessing.get_context("fork").Process(
+            target=holder.clear)
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        (store,) = holder
         assert os.path.exists(path)
-        assert os.path.exists(path + ".index.npz")
-        second = TiledStore(graph, 2, tile_rows=4, spill_path=path)
-        assert second.tile_reuses > 0
-        np.testing.assert_array_equal(second.to_array(), dense)
-        # Adopted slots are loaded, never recomputed.
-        assert second.tile_computes == second.num_tiles - second.tile_reuses
-        assert second.tile_loads >= second.tile_reuses
-        second.close()
-
-    def test_geometry_mismatch_starts_fresh(self, tmp_path):
-        graph = sample_graph(32)
-        path = str(tmp_path / "job.tiles")
-        self._spill_all(graph, path, tile_rows=4).close()
-        other = TiledStore(graph, 2, tile_rows=5, spill_path=path)
-        assert other.tile_reuses == 0
-        np.testing.assert_array_equal(
-            other.to_array(), bounded_distance_matrix(graph, 2))
-        other.close()
-
-    def test_different_bound_starts_fresh(self, tmp_path):
-        graph = sample_graph(32)
-        path = str(tmp_path / "job.tiles")
-        self._spill_all(graph, path, length=2).close()
-        other = TiledStore(graph, 3, tile_rows=4, spill_path=path)
-        assert other.tile_reuses == 0
-        np.testing.assert_array_equal(
-            other.to_array(), bounded_distance_matrix(graph, 3))
-        other.close()
-
-    def test_first_edit_retires_the_sidecar(self, tmp_path):
-        graph = sample_graph(32)
-        path = str(tmp_path / "job.tiles")
-        first = self._spill_all(graph, path)
-        rows = np.array([0, 1])
-        first.write_rows(rows, first.rows(rows))
-        # Edited stores never advertise their tiles for reuse: the spilled
-        # rows no longer describe the pristine matrix.
-        assert not os.path.exists(path + ".index.npz")
-        np.testing.assert_array_equal(
-            first.to_array(), bounded_distance_matrix(graph, 2))
-        first.close()
-        second = TiledStore(graph, 2, tile_rows=4, spill_path=path)
-        assert second.tile_reuses == 0
-        np.testing.assert_array_equal(
-            second.to_array(), bounded_distance_matrix(graph, 2))
-        second.close()
-
-    def test_missing_sidecar_truncates_stale_bytes(self, tmp_path):
-        graph = sample_graph(20)
-        path = tmp_path / "job.tiles"
-        path.write_bytes(b"stale garbage with no index")
-        store = TiledStore(graph, 2, tile_rows=4, spill_path=str(path))
-        assert store.tile_reuses == 0
-        assert os.path.getsize(path) == 0
-        np.testing.assert_array_equal(
-            store.to_array(), bounded_distance_matrix(graph, 2))
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        np.testing.assert_array_equal(store.to_array(),
+                                      bounded_distance_matrix(graph, 2))
         store.close()
+        assert not os.path.exists(path)

@@ -619,78 +619,113 @@ class TestScanDefaults:
             manager.stop()
 
 
-class TestSpillLifecycle:
-    """Per-job persistent spill files: stable prefix, terminal cleanup."""
+class TestTiledJobsLeaveNoSpills:
+    """A tiled job's spill files are private to their stores: none outlives
+    the job, however it ends."""
 
-    def test_prefix_is_deterministic_per_job(self):
-        assert JobManager._spill_prefix("abc") == JobManager._spill_prefix("abc")
-        assert JobManager._spill_prefix("abc") != JobManager._spill_prefix("abd")
+    #: L = 3 keeps each run's store for the whole pass, and 400 bytes hold
+    #: one 16-row tile of this 24-vertex sample, so tiles spill.
+    GRID = small_grid(length_threshold=3, scale_tier="tiled",
+                      scale_budget_bytes=400)
+    DENSE = small_grid(length_threshold=3, scale_tier="dense")
 
-    def test_cleanup_removes_only_the_jobs_files(self, store, tmp_path,
-                                                 monkeypatch):
-        import repro.service.jobs as jobs_module
-        monkeypatch.setattr(jobs_module.tempfile, "gettempdir",
-                            lambda: str(tmp_path))
+    @pytest.fixture
+    def spills(self, tmp_path, monkeypatch):
+        """Spill files created during the test, all under ``tmp_path``."""
+        import tempfile
+
+        from repro.graph.distance_store import TiledStore
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        created = []
+        ensure = TiledStore._ensure_spill_file
+
+        def recording(store):
+            fd = ensure(store)
+            if store.spill_path not in created:
+                created.append(store.spill_path)
+            return fd
+
+        monkeypatch.setattr(TiledStore, "_ensure_spill_file", recording)
+        yield created
+
+    @staticmethod
+    def _left_over(tmp_path):
+        return sorted(path.name for path in tmp_path.glob("repro-tiles-*"))
+
+    def test_finished_job_leaves_no_spill(self, store, spills, tmp_path):
         manager = JobManager(store)
-        mine = tmp_path / "repro-job-j1-deadbeef.tiles"
-        sidecar = tmp_path / "repro-job-j1-deadbeef.tiles.index.npz"
-        other = tmp_path / "repro-job-j2-deadbeef.tiles"
-        for path in (mine, sidecar, other):
-            path.write_bytes(b"x")
-        manager._cleanup_spills("j1")
-        assert not mine.exists() and not sidecar.exists()
-        assert other.exists()
-
-    def test_tiled_job_cleans_spills_on_completion(self, store, tmp_path,
-                                                   monkeypatch):
-        import glob as glob_module
-
-        import repro.service.jobs as jobs_module
-        monkeypatch.setattr(jobs_module.tempfile, "gettempdir",
-                            lambda: str(tmp_path))
-        grid = small_grid()
-        manager = JobManager(store, scale_tier="tiled",
-                             scale_budget_bytes=2048)
         manager.start()
         try:
-            submitted = manager.submit("grid", grid)
+            submitted = manager.submit("grid", self.GRID)
             job = manager.wait_for(submitted["job_id"], timeout=120)
             assert job["status"] == "done"
             assert_grid_parity(
                 GridResponse.from_json(store.get_result(job["id"])),
-                run_grid(grid, max_workers=0))
+                run_grid(self.DENSE, max_workers=0))
         finally:
             manager.stop()
-        prefix = jobs_module.JobManager._spill_prefix(submitted["job_id"])
-        assert glob_module.glob(prefix + "-*.tiles*") == []
+        assert spills  # premise: the job spilled tiles
+        assert self._left_over(tmp_path) == []
 
-    def test_interrupted_job_keeps_spills_for_resume(self, store, tmp_path,
-                                                     monkeypatch):
-        """A job killed mid-run leaves its warm tiles; the resumed run
-        adopts them and the terminal cleanup still fires at the end."""
-        import glob as glob_module
+    def test_failed_job_leaves_no_spill(self, store, spills, tmp_path,
+                                        monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("injected store failure")
 
-        import repro.service.jobs as jobs_module
-        monkeypatch.setattr(jobs_module.tempfile, "gettempdir",
-                            lambda: str(tmp_path))
-        grid = small_grid(scale_tier="tiled", scale_budget_bytes=2048)
-        # Persist the state of a process that died while "running" — the
-        # driver never reached the terminal-status cleanup.
-        job_id = store.create_job("grid", request_fingerprint(grid),
-                                  grid.to_json(), len(grid.requests))
-        store.set_status(job_id, "running")
-        warm = tmp_path / f"repro-job-{job_id}-deadbeef.tiles"
-        warm.write_bytes(b"x")
+        monkeypatch.setattr(store, "record_response", failing)
         manager = JobManager(store)
-        resumed = manager.start()
+        manager.start()
         try:
-            assert resumed == [job_id]
-            job = manager.wait_for(job_id, timeout=120)
+            submitted = manager.submit("grid", self.GRID)
+            job = manager.wait_for(submitted["job_id"], timeout=120)
+            assert job["status"] == "error"
+            assert "injected store failure" in job["error"]
+        finally:
+            manager.stop()
+        assert spills  # premise: the job spilled tiles before it failed
+        assert self._left_over(tmp_path) == []
+
+    def test_interrupted_then_resumed_job_leaves_no_spill(
+            self, store, spills, tmp_path, monkeypatch):
+        """The first pass dies mid-grid the way a killed process does —
+        the job row still says ``running`` — and a fresh manager resumes it
+        from the crossed θ's checkpoint."""
+        import repro.service.jobs as jobs_module
+
+        class Killed(BaseException):
+            """Escapes the worker's ``except Exception``, like a SIGKILL."""
+
+        record = jobs_module._StorePersister.__call__
+
+        def die_after_first_checkpoint(persister, indices, checkpoint):
+            record(persister, indices, checkpoint)
+            raise Killed()
+
+        monkeypatch.setattr(jobs_module._StorePersister, "__call__",
+                            die_after_first_checkpoint)
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        manager = JobManager(store)
+        manager.start()
+        submitted = manager.submit("grid", self.GRID)
+        job_id = submitted["job_id"]
+        deadline = time.monotonic() + 120
+        while not store.checkpoints(job_id) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        manager.stop()
+        assert store.get_job(job_id)["status"] == "running"
+        assert spills  # premise: the interrupted pass spilled tiles
+        assert self._left_over(tmp_path) == []
+        monkeypatch.setattr(jobs_module._StorePersister, "__call__", record)
+
+        resumed_manager = JobManager(store)
+        assert resumed_manager.start() == [job_id]
+        try:
+            job = resumed_manager.wait_for(job_id, timeout=120)
             assert job["status"] == "done"
             assert_grid_parity(
                 GridResponse.from_json(store.get_result(job_id)),
-                run_grid(grid, max_workers=0))
+                run_grid(self.DENSE, max_workers=0))
         finally:
-            manager.stop()
-        prefix = jobs_module.JobManager._spill_prefix(job_id)
-        assert glob_module.glob(prefix + "-*.tiles*") == []
+            resumed_manager.stop()
+        assert self._left_over(tmp_path) == []
