@@ -14,7 +14,9 @@ A session owns a working graph together with
   are the edges, so the session keeps only its sorted edge array: no
   distance store and no adjacency mirror.  At L = 2 the store serves only
   the opening count; afterwards the common-neighbour counts of
-  :class:`~repro.graph.two_hop.TwoHopCounts` are the state of record.
+  :class:`~repro.graph.two_hop.TwoHopCounts` are the state of record,
+  in triu planes where they fit the scale budget (with a pair-type plane
+  beside them), in sorted codes otherwise.
 
 A tentative or applied edit then costs one distance delta plus a count
 delta over the flipped cells, tallied by their type positions
@@ -54,7 +56,8 @@ also maintains the pruning pass's
 within-L pairs incrementally (:meth:`violating_pair_indices`) as a sparse
 sorted set of upper-triangle flat indices — O(within-L pairs), never an
 ``n(n-1)/2``-sized array, so the tiled tier's memory bound holds through
-the pruning pass too.
+the pruning pass too; only an L = 2 session on planes, which are
+``n(n-1)/2``-sized already, scans its count plane instead.
 
 Every per-step query a greedy loop makes is served from the session's
 arrays: :meth:`OpacitySession.current` and :meth:`~OpacitySession.max_type_mask`
@@ -83,6 +86,7 @@ from repro.graph.matrices import block_within_pairs
 from repro.graph.two_hop import (
     TwoHopCounts,
     group_sums,
+    state_dtype,
     triu_flat,
     triu_unflat,
     validate_members,
@@ -94,6 +98,29 @@ EditCandidate = Tuple[Sequence[Edge], Sequence[Edge]]
 #: Cells per row chunk when a distance matrix is streamed into the sparse
 #: within-L pair set (bounds the chunk's boolean temporaries to ~4 MiB).
 _WITHIN_CHUNK_CELLS = 1 << 22
+
+
+def _planes_fit(config: StoreConfig, n: int, num_types: int) -> bool:
+    """Whether an L = 2 session keeps its state in triu planes.
+
+    The count plane (:func:`~repro.graph.two_hop.state_dtype`) and the
+    pair-type plane (positions ``0..num_types``) take ``n(n−1)/2`` entries
+    each; they are taken when both fit ``config.budget_bytes`` and the
+    tier is not ``tiled``.
+    """
+    if config.tier == "tiled":
+        return False
+    entry = state_dtype(n).itemsize + _type_plane_dtype(num_types).itemsize
+    return n * (n - 1) // 2 * entry <= config.budget_bytes
+
+
+def _type_plane_dtype(num_types: int) -> np.dtype:
+    """The narrowest unsigned dtype of a stored type position plus one.
+
+    Positions run to ``num_types`` (untyped pairs) and 0 marks a pair not
+    typed yet, so the largest stored value is ``num_types + 1``.
+    """
+    return np.min_scalar_type(num_types + 1)
 
 
 def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
@@ -207,6 +234,11 @@ class OpacitySession:
     trace (:meth:`evaluate_edit` and :meth:`evaluate_edits` are its
     adapters for ``(removals, insertions)`` tuples).
 
+    The state of record depends on L: the edge set at L = 1, the
+    common-neighbour counts (:class:`~repro.graph.two_hop.TwoHopCounts`)
+    at L = 2 — in triu planes or sorted codes, as ``store_config``
+    decides — and the L-bounded distance store at L >= 3.
+
     Parameters
     ----------
     computer:
@@ -235,9 +267,15 @@ class OpacitySession:
         opening count from it and then releases it.
     store_config:
         Scale-tier policy for a session that must compute its own
-        distances (ignored when ``initial_distances`` is given, and at
-        L = 1; at L = 2 the store it picks serves only the opening
-        count).
+        distances (ignored for that when ``initial_distances`` is given,
+        and at L = 1; at L = 2 the store it picks serves only the opening
+        count).  At L = 2 it also picks where the common-neighbour counts
+        live: in triu planes of ``n(n-1)/2`` entries — the packed count
+        states and, beside them, the pair-type positions — when both fit
+        ``budget_bytes`` and the tier is not ``tiled``, so that every
+        lookup is one gather; in sorted codes, which hold no ``n²``
+        array, otherwise.  ``None`` means the default
+        :class:`~repro.graph.distance_store.StoreConfig`.
     """
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
@@ -270,15 +308,24 @@ class OpacitySession:
             initial_distances=initial_distances,
             store_config=store_config)
             if computer.length_threshold > 1 else None)
-        # L = 2 scans and edits run on the common-neighbour counts alone.
-        self._two_hop = (TwoHopCounts(graph)
-                         if computer.length_threshold == 2 else None)
+        self._two_hop: Optional[TwoHopCounts] = None
+        # One more than the type position of every pair, by triu flat
+        # code, 0 until the pair is first read (L = 2 planes only).
+        self._type_plane: Optional[np.ndarray] = None
         self._init_counts()
-        if self._two_hop is not None:
+        if computer.length_threshold == 2:
             # The store served the opening count only; nothing reads it
-            # again at L = 2.
+            # again at L = 2, where scans and edits run on the
+            # common-neighbour counts alone.
             self._distance.close()
             self._distance = None
+            plane = _planes_fit(store_config or StoreConfig(),
+                                graph.num_vertices, self._totals.size)
+            self._two_hop = TwoHopCounts(graph, plane=plane)
+            if plane:
+                self._type_plane = np.zeros(
+                    graph.num_vertices * (graph.num_vertices - 1) // 2,
+                    dtype=_type_plane_dtype(self._totals.size))
 
     # ------------------------------------------------------------------
     # accessors
@@ -473,9 +520,8 @@ class OpacitySession:
         flipped pairs; each chunk is tallied alone and the chunks are
         stacked in candidate order.
         """
-        n = self._graph.num_vertices
-        parts = [self._tally_cells(stop - start, owner, *triu_unflat(flat, n),
-                                   now_within)
+        parts = [self._tally_cells(stop - start, owner,
+                                   self._pair_types(flat), now_within)
                  for start, stop, owner, flat, now_within
                  in self._two_hop.flips(endpoints, members, gained)]
         return _stack_changes(parts, self._totals.size)
@@ -573,27 +619,28 @@ class OpacitySession:
             if self._two_hop is not None:
                 flat, now_within, gone, spot = self._two_hop.apply(
                     removals, insertions)
+                types = self._pair_types(flat)
                 if self._within_types is not None:
-                    # The counts' codes moved by ``gone``/``spot``; their
-                    # type positions follow.
+                    # The counts' sorted codes moved by ``gone``/``spot``;
+                    # their type positions follow.
                     self._within_types = splice(
-                        self._within_types, gone, spot,
-                        self._pair_types(flat[now_within]))
+                        self._within_types, gone, spot, types[now_within])
             else:
                 flat, now_within = self._edge_flips(removals, insertions)
-            cells = (*triu_unflat(flat, self._graph.num_vertices), now_within)
-            owner = np.zeros(flat.size, dtype=np.int64)
+                types = self._pair_types(flat)
         else:
             # Two-phase: stage mutates the graph exactly once (removals,
             # then insertions), count deltas are diffed against the
             # still-pre-edit matrix, then the delta is folded in.
             delta = self._distance.stage(removals, insertions)
             removals, insertions = delta.removals, delta.insertions
-            owner, *cells = self._flipped_cells([delta])
+            _, rows, cols, now_within = self._flipped_cells([delta])
             self._distance.commit(delta)
-        types, changes = self._tally_cells(1, owner, *cells)
-        if self._within_flat is not None:
-            self._fold_flipped_cells(*cells)
+            types = self._computer.type_indices(rows, cols)
+            if self._within_flat is not None:
+                self._fold_flipped_cells(rows, cols, now_within)
+        types, changes = self._tally_cells(
+            1, np.zeros(types.size, dtype=np.int64), types, now_within)
         # One candidate's row lists distinct types and has no padding.
         self._withins[types[0]] += changes[0]
         self._current = None
@@ -636,9 +683,13 @@ class OpacitySession:
                 self._within_flat = _within_pair_set(
                     self._distance.store, self._computer.length_threshold)
             within = self._within_flat
-        if self._within_types is None:
-            self._within_types = self._pair_types(within)
-        flagged = np.append(type_mask, False)[self._within_types]
+        if self._type_plane is not None:
+            types = self._pair_types(within)
+        else:
+            if self._within_types is None:
+                self._within_types = self._pair_types(within)
+            types = self._within_types
+        flagged = np.append(type_mask, False)[types]
         return triu_unflat(within[flagged], self._graph.num_vertices)
 
     def short_path_edges(self, rows: np.ndarray, cols: np.ndarray
@@ -655,7 +706,23 @@ class OpacitySession:
                                         np.asarray(cols, dtype=np.int64))
 
     def _pair_types(self, flat: np.ndarray) -> np.ndarray:
-        """The type position of each pair of the triu flat codes ``flat``."""
+        """The type position of each pair of the triu flat codes ``flat``.
+
+        With a pair-type plane this is one gather; a pair read for the
+        first time is typed then and its position stored.
+        """
+        plane = self._type_plane
+        if plane is None:
+            return self._typed(flat)
+        stored = plane[flat]
+        unknown = stored == 0
+        if unknown.any():
+            missing = flat[unknown]
+            stored[unknown] = plane[missing] = self._typed(missing) + 1
+        return stored - 1
+
+    def _typed(self, flat: np.ndarray) -> np.ndarray:
+        """:meth:`OpacityComputer.type_indices` of the triu flat codes ``flat``."""
         if not flat.size:
             return flat
         return self._computer.type_indices(
@@ -815,16 +882,18 @@ class OpacitySession:
                    if delta is not None and delta.rows.size]
         if not stacked:
             return (np.zeros((len(deltas), 0), dtype=np.int64),) * 2
-        owner, *cells = self._flipped_cells([deltas[p] for p in stacked])
+        owner, rows, cols, gained = self._flipped_cells(
+            [deltas[p] for p in stacked])
         return self._tally_cells(
-            len(deltas), np.array(stacked, dtype=np.int64)[owner], *cells)
+            len(deltas), np.array(stacked, dtype=np.int64)[owner],
+            self._computer.type_indices(rows, cols), gained)
 
     def _tally_cells(self, count: int, candidate: np.ndarray,
-                     row_idx: np.ndarray, col_idx: np.ndarray,
-                     gained: np.ndarray) -> Changes:
+                     types: np.ndarray, gained: np.ndarray) -> Changes:
         """Count changes of ``count`` candidates from their stacked flipped cells.
 
-        ``candidate`` names the candidate each cell belongs to.  The cells
+        ``candidate`` names the candidate each cell belongs to and
+        ``types`` its pair's type position.  The cells
         are grouped by ``(candidate, type position)`` with one sort
         (:func:`~repro.graph.two_hop.group_sums`) and their gains and
         losses counted per group, so the work is
@@ -835,8 +904,7 @@ class OpacitySession:
         """
         untyped = self._totals.size
         groups, gains, cells = group_sums(
-            candidate * (untyped + 1)
-            + self._computer.type_indices(row_idx, col_idx), gained, 2)
+            candidate * (untyped + 1) + types, gained, 2)
         net = 2 * gains - cells
         positions, types = np.divmod(groups, untyped + 1)
         kept = (net != 0) & (types != untyped)

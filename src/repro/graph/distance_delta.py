@@ -318,17 +318,15 @@ class DistanceSession:
         it stood at the fork, and the spill file whose slots the parent
         keeps rewriting.  The fresh store has the same tile geometry and
         computes its tiles lazily from the current graph — canonical values,
-        so equal to the parent's edited tiles — and the inherited one is
-        left untouched (its finalizer releases the spill file only in the
-        process that created it).  A dense store is the process's own
-        copy-on-write matrix and stays.
+        so equal to the parent's edited tiles — and its spill file is
+        unlinked as soon as it is made (:meth:`TiledStore.private_copy`).
+        The inherited one is left untouched (its finalizer releases the
+        spill file only in the process that created it).  A dense store is
+        the process's own copy-on-write matrix and stays.
         """
         store = self._store
         if isinstance(store, TiledStore):
-            self._store = TiledStore(self._graph, self._length,
-                                     tile_rows=store.tile_rows,
-                                     budget_bytes=store.budget_bytes,
-                                     spill_dir=store.spill_dir)
+            self._store = store.private_copy(self._graph)
 
     @property
     def distances(self) -> np.ndarray:

@@ -421,6 +421,9 @@ class TiledStore(DistanceStore):
         self._edited = False
         self._spill_fd: Optional[int] = None
         self._spill_path: Optional[str] = None
+        # Set by :meth:`private_copy`: the spill file loses its name as
+        # soon as it is made.
+        self._nameless_spill = False
         self._finalizer = None
         self.tile_computes = 0
         self.tile_loads = 0
@@ -458,11 +461,29 @@ class TiledStore(DistanceStore):
         if self._spill_fd is None:
             fd, path = tempfile.mkstemp(prefix="repro-tiles-",
                                         dir=self._spill_dir)
+            if self._nameless_spill:
+                # Nothing opens the file by name: it goes with its
+                # descriptor however the process ends.
+                os.unlink(path)
             self._spill_fd = fd
             self._spill_path = path
             self._finalizer = weakref.finalize(
                 self, TiledStore._cleanup_spill, fd, path, os.getpid())
         return self._spill_fd
+
+    def private_copy(self, graph: Graph) -> "TiledStore":
+        """A fresh store over ``graph`` with this store's tile geometry.
+
+        For a forked process (:meth:`DistanceSession.privatize_store`): its
+        tiles are computed lazily from ``graph``, and its spill file is
+        unlinked right after it is made, so a process killed outright
+        leaves no file behind.
+        """
+        store = TiledStore(graph, self.length_bound, tile_rows=self.tile_rows,
+                           budget_bytes=self.budget_bytes,
+                           spill_dir=self.spill_dir)
+        store._nameless_spill = True
+        return store
 
     @property
     def spill_path(self) -> Optional[str]:

@@ -7,17 +7,28 @@ neighbour of ``m`` (and the mirror image), so a candidate edit's effect on
 the within-2 pairs is local: O(deg u + deg v) cells per member edge, never
 a distance slab.
 
-:class:`TwoHopCounts` keeps one sorted int64 array of the upper-triangle
-flat codes (:func:`triu_flat`) of the pairs within 2 hops — the edges and
-the pairs with ``c > 0`` — with each pair's count and edge flag alongside,
-so one binary search answers both halves of the test, plus a CSR snapshot
-of the adjacency.  It scores candidate
-edits without changing state (:meth:`TwoHopCounts.flips`) and folds an
-applied edit in, returning the pairs it flips (:meth:`TwoHopCounts.apply`);
-both go through one footprint routine.  An applied edit edits the CSR in
-place (:meth:`~repro.graph.distance_store.CSRAdjacency.edited`): only the
+:class:`TwoHopCounts` keeps each pair's state packed as ``2·c + A`` (zero
+exactly when the pair is not within 2 hops), keyed by the pair's
+upper-triangle flat code (:func:`triu_flat`), plus a CSR snapshot of the
+adjacency.  The states live in one of two representations, fixed when
+the counts are built:
+
+* a *plane*: one triu array of ``n(n−1)/2`` states in the narrowest
+  unsigned dtype that holds ``2(n − 2) + 1`` (:func:`state_dtype`), so a
+  lookup is one gather and an applied edit writes only its footprint's
+  cells;
+* *sorted codes*: one sorted int64 array of the codes of the pairs within
+  2 hops (the edges and the pairs with ``c > 0``) with their states
+  aligned, so a lookup is one binary search and an applied edit splices
+  both arrays.  Memory is O(2-paths + edges), never ``n²``.
+
+It scores candidate edits without changing state
+(:meth:`TwoHopCounts.flips`) and folds an applied edit in, returning the
+pairs it flips (:meth:`TwoHopCounts.apply`); both go through one
+footprint routine.  An applied edit edits the CSR in place
+(:meth:`~repro.graph.distance_store.CSRAdjacency.edited`): only the
 edit's own entries move, and the result equals a CSR rebuilt from the new
-edge set.  Memory is O(2-paths + edges), never ``n²``.
+edge set.
 """
 
 from __future__ import annotations
@@ -64,6 +75,15 @@ def triu_unflat(flat: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     row_starts = _triu_row_starts(n)
     i = np.searchsorted(row_starts, flat, side="right") - 1
     return i, flat - row_starts[i] + i + 1
+
+
+def state_dtype(n: int) -> np.dtype:
+    """The narrowest unsigned dtype of a packed state ``2·c + A`` at ``n`` vertices.
+
+    A pair has at most ``n − 2`` common neighbours, so the largest state
+    is ``2(n − 2) + 1``.
+    """
+    return np.min_scalar_type(max(2 * n - 3, 0))
 
 
 def group_sums(keys: np.ndarray, values: np.ndarray, spread: int
@@ -164,10 +184,13 @@ class TwoHopCounts:
     """Common-neighbour counts of a graph, and exact L = 2 edit footprints.
 
     Built from the graph's adjacency; afterwards the graph is never read
-    again, and only :meth:`apply` changes the state.
+    again, and only :meth:`apply` changes the state.  ``plane`` picks the
+    representation (see the module docstring): a triu plane of
+    ``n(n−1)/2`` states when true, sorted codes otherwise.  Every query
+    and edit answers the same either way.
     """
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph: Graph, plane: bool = False) -> None:
         n = self._n = graph.num_vertices
         edges = graph.edge_array()
         csr = CSRAdjacency.from_edges(n, edges[:, 0], edges[:, 1])
@@ -180,14 +203,20 @@ class TwoHopCounts:
         a, b = csr.indices[first], csr.indices[second]
         pairs, counts = np.unique(_pair_flat(a, b, n), return_counts=True)
         edge_codes = triu_flat(edges[:, 0], edges[:, 1], n)
+        self._csr = csr
+        if plane:
+            self._plane = np.zeros(n * (n - 1) // 2, dtype=state_dtype(n))
+            self._plane[pairs] = 2 * counts
+            self._plane[edge_codes] += 1
+            self._codes = self._states = None
+            return
+        self._plane = None
         # A sorted merge: ``np.union1d`` hashes, many times slower here.
         merged = np.sort(np.concatenate([pairs, edge_codes]))
         self._codes = merged[np.diff(merged, prepend=-1) != 0]
-        self._counts = np.zeros(self._codes.size, dtype=np.int64)
-        self._counts[np.searchsorted(self._codes, pairs)] = counts
-        self._is_edge = np.zeros(self._codes.size, dtype=bool)
-        self._is_edge[np.searchsorted(self._codes, edge_codes)] = True
-        self._csr = csr
+        self._states = np.zeros(self._codes.size, dtype=np.int64)
+        self._states[np.searchsorted(self._codes, pairs)] = 2 * counts
+        self._states[np.searchsorted(self._codes, edge_codes)] += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -195,12 +224,20 @@ class TwoHopCounts:
     @property
     def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted flat codes of the pairs with ``c > 0``, and their counts."""
-        positive = self._counts > 0
-        return self._codes[positive], self._counts[positive]
+        if self._plane is not None:
+            codes = np.flatnonzero(self._plane > 1)
+            return codes, (self._plane[codes] >> 1).astype(np.int64)
+        positive = self._states > 1
+        return self._codes[positive], self._states[positive] >> 1
 
     def within_pairs(self) -> np.ndarray:
-        """Sorted flat codes of the pairs ``i < j`` with ``d(i, j) <= 2``."""
-        return self._codes
+        """Sorted flat codes of the pairs ``i < j`` with ``d(i, j) <= 2``.
+
+        The sorted codes themselves, or one scan of the plane.
+        """
+        if self._plane is None:
+            return self._codes
+        return np.flatnonzero(self._plane != 0)
 
     def path_edges(self, rows: np.ndarray, cols: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,11 +249,11 @@ class TwoHopCounts:
         """
         n = self._n
         direct = _pair_flat(rows, cols, n)
-        direct = direct[self._state(direct)[1]]
+        direct = direct[self._is_edge(direct)]
         source, middle = self._csr.gather(rows)
         far = cols[source]
         legs = _pair_flat(middle, far, n)
-        common = self._state(legs)[1] & (middle != far)
+        common = self._is_edge(legs) & (middle != far)
         near_legs = _pair_flat(rows[source], middle, n)
         return triu_unflat(np.concatenate([direct, legs[common],
                                            near_legs[common]]), n)
@@ -256,11 +293,9 @@ class TwoHopCounts:
             flat, owner, change, edited = self._footprint(
                 lo[window], hi[window], codes[window], gained[window],
                 live[window])
-            before_count, before_edge = self._state(flat)
-            after_edge = before_edge ^ edited
-            before = before_edge | (before_count > 0)
-            after = after_edge | (before_count + change > 0)
-            flipped = before != after
+            before = self._state(flat)
+            after = (before ^ edited) + 2 * change != 0
+            flipped = (before != 0) != after
             yield start, stop, owner[flipped], flat[flipped], after[flipped]
             start = stop
 
@@ -275,8 +310,9 @@ class TwoHopCounts:
         positions it dropped (the lost pairs) and the insertion points
         of the gained pairs, as :func:`~repro.graph.graph.splice` takes
         them.  An array aligned with :meth:`within_pairs` stays aligned by
-        the same splice.  The CSR takes the net edit in place
-        (:meth:`CSRAdjacency.edited`).
+        the same splice.  A plane writes its footprint's cells and moves
+        nothing: ``gone`` and ``spot`` are ``None`` there.  The CSR
+        takes the net edit in place (:meth:`CSRAdjacency.edited`).
         """
         removed = {normalize_edge(u, v) for u, v in removals}
         inserted = {normalize_edge(u, v) for u, v in insertions}
@@ -293,45 +329,47 @@ class TwoHopCounts:
         flat, _, change, edited = self._footprint(
             ends[0], ends[1], triu_flat(ends[0], ends[1], self._n), gained,
             np.ones(gained.shape, dtype=bool))
-        # Pairs already within 2 take their count change and edge flip
-        # and drop out when neither is left; the footprint lists each pair
-        # once, so the new ones (gains or inserted edges) go in at their
-        # sorted places.  Only footprint entries are computed on.
-        at = np.searchsorted(self._codes, flat)
-        known = at < self._codes.size
-        known[known] = self._codes[at[known]] == flat[known]
-        hit = at[known]
-        self._counts[hit] += change[known]
-        self._is_edge[hit] ^= edited[known]
-        stays = (self._counts[hit] > 0) | self._is_edge[hit]
-        gone = hit[~stays]
-        new = ~known & ((change > 0) | edited)
+        # The footprint lists each pair once, so each cell takes its count
+        # change and edge flip in one write; only footprint entries are
+        # computed on.
+        before = self._state(flat)
+        after = (before ^ edited) + 2 * change
+        lost = flat[(before != 0) & (after == 0)]
+        new = (before == 0) & (after != 0)
         order = np.argsort(flat[new])
         added = flat[new][order]
-        # Insertion points among the codes left once ``gone`` is dropped.
-        spot = np.searchsorted(self._codes, added)
-        spot -= np.searchsorted(np.sort(gone), spot)
-        self._codes = splice(self._codes, gone, spot, added)
-        self._counts = splice(self._counts, gone, spot, change[new][order])
-        self._is_edge = splice(self._is_edge, gone, spot, edited[new][order])
+        gone = spot = None
+        if self._plane is not None:
+            self._plane[flat] = after
+        else:
+            at = np.searchsorted(self._codes, flat)
+            known = before != 0
+            self._states[at[known]] = after[known]
+            gone = np.sort(at[known & (after == 0)])
+            # Insertion points among the codes left once ``gone`` is dropped.
+            spot = np.searchsorted(self._codes, added)
+            spot -= np.searchsorted(gone, spot)
+            self._codes = splice(self._codes, gone, spot, added)
+            self._states = splice(self._states, gone, spot, after[new][order])
         self._csr = self._csr.edited(edges[:num_removed], edges[num_removed:])
-        # Every pair in the set was within 2: those that drop out are lost,
-        # and every inserted pair is gained.
-        lost = flat[known][~stays]
         return (np.concatenate([lost, added]),
                 np.arange(lost.size + added.size) >= lost.size, gone, spot)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _state(self, flat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``c`` of each flat pair code, and whether the pair is an edge."""
+    def _state(self, flat: np.ndarray) -> np.ndarray:
+        """The packed state ``2·c + A`` of each flat pair code (0 = not within 2)."""
+        if self._plane is not None:
+            return self._plane[flat]
         if not self._codes.size:
-            return (np.zeros(flat.shape, dtype=np.int64),
-                    np.zeros(flat.shape, dtype=bool))
+            return np.zeros(flat.shape, dtype=np.int64)
         at = np.searchsorted(self._codes, flat).clip(max=self._codes.size - 1)
-        hit = self._codes[at] == flat
-        return np.where(hit, self._counts[at], 0), hit & self._is_edge[at]
+        return np.where(self._codes[at] == flat, self._states[at], 0)
+
+    def _is_edge(self, flat: np.ndarray) -> np.ndarray:
+        """Whether each flat pair code is an edge."""
+        return (self._state(flat) & 1).astype(bool)
 
     def _validate(self, endpoints: np.ndarray, members: np.ndarray,
                   gained: np.ndarray
@@ -347,7 +385,7 @@ class TwoHopCounts:
         cell_hi = np.maximum(cells[:, 0], cells[:, 1])
         cell_codes = triu_flat(cell_lo, cell_hi, self._n)
         live = validate_members(members, cell_lo, cell_hi, cell_codes,
-                                self._state(cell_codes)[1], gained)
+                                self._is_edge(cell_codes), gained)
         pad = members < 0
         # A trailing zero cell serves the padding (and an empty batch).
         at = np.where(pad, -1, members)

@@ -25,6 +25,13 @@ edits carry that snapshot forward (:meth:`Graph.edit`), so no graph
 rebuilds it from its adjacency sets after the session opens either; and
 an L = 2 edit edits the common-neighbour counts' CSR in place, never
 calling :meth:`CSRAdjacency.from_edges`.  Two more spies check those.
+
+An L = 2 session keeps its counts and pair types in triu planes of
+``n(n−1)/2`` entries only where both fit its scale budget and the tier is
+not ``tiled``.  A spy on numpy's array constructors checks that a run on
+the tiled tier, or under a budget below the planes' bytes, makes no array
+of that many entries, so the tiled tier still holds no ``n²`` state; a
+default-budget run makes and holds both planes.
 """
 
 from __future__ import annotations
@@ -348,6 +355,72 @@ def no_store_after_opening(monkeypatch, no_mirror):
 
     monkeypatch.setattr(OpacitySession, "apply_edit", checked)
     return applied
+
+
+@pytest.fixture
+def plane_sized(monkeypatch):
+    """Run an L = 2 request; return the sessions it opened and the number of
+    1-D arrays of ``n(n−1)/2`` entries numpy's constructors made meanwhile."""
+    sizes, sessions = [], []
+    open_session = AnonymizerConfig.open_session
+
+    def spy_open(self, *args, **kwargs):
+        session = open_session(self, *args, **kwargs)
+        sessions.append(session)
+        return session
+
+    def spied(make):
+        def spy(*args, **kwargs):
+            array = make(*args, **kwargs)
+            if array.ndim == 1:
+                sizes.append(array.size)
+            return array
+        return spy
+
+    for name in ("zeros", "empty", "full", "ones", "arange"):
+        monkeypatch.setattr(np, name, spied(getattr(np, name)))
+    monkeypatch.setattr(AnonymizerConfig, "open_session", spy_open)
+
+    def run(request):
+        response = anonymize(request)
+        assert response.error is None
+        assert response.num_steps > 0  # premise: a real run
+        n = response.num_vertices
+        return sessions, sizes.count(n * (n - 1) // 2)
+    return run
+
+
+class TestL2PlaneMemory:
+    N = 100
+    CELLS = N * (N - 1) // 2
+
+    @pytest.mark.parametrize("algorithm", ["rem", "rem-ins"])
+    @pytest.mark.parametrize("tier,budget", [
+        # The planes would fit this budget; the tiled tier never takes them.
+        ("tiled", 1 << 20),
+        # Each plane takes at least a byte per entry.
+        ("auto", CELLS),
+    ])
+    def test_no_plane_sized_array_without_the_planes(self, plane_sized,
+                                                     algorithm, tier, budget):
+        sessions, planes = plane_sized(BASE.with_overrides(
+            sample_size=self.N, length_threshold=2, algorithm=algorithm,
+            max_steps=4, scale_tier=tier, scale_budget_bytes=budget))
+        assert planes == 0
+        assert [session._two_hop._plane for session in sessions] == [None]
+        assert sessions[0]._type_plane is None
+
+    @pytest.mark.parametrize("algorithm", ["rem", "rem-ins"])
+    def test_a_default_budget_session_holds_both_planes(self, plane_sized,
+                                                        algorithm):
+        sessions, planes = plane_sized(BASE.with_overrides(
+            sample_size=self.N, length_threshold=2, algorithm=algorithm,
+            max_steps=4))
+        assert planes == 2  # the spy fires
+        (session,) = sessions
+        assert session._two_hop._plane.shape == \
+            session._type_plane.shape == (self.CELLS,)
+        assert session._two_hop._plane.dtype == np.uint8
 
 
 class TestL2AppliesFromCounts:

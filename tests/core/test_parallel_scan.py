@@ -478,7 +478,8 @@ class TestForkedSessions:
 
     @pytest.mark.parametrize("ending", ["close", "sigkill"])
     def test_parent_spill_file_survives_the_pool(self, ending, tmp_path):
-        # A worker killed outright leaves its own spill file in tmp_path.
+        # A worker's spill file has no name, so however the pool ends only
+        # the parent's file is left in tmp_path.
         graph = erdos_renyi_graph(40, 0.1, seed=4)
         session = self._session(graph, store_config=self._tiled(tmp_path),
                                 scan_workers=WORKERS)
@@ -501,7 +502,8 @@ class TestForkedSessions:
                 for process in pool._processes:
                     process.join(timeout=10)
             session._teardown_scan_pool(failed=False)
-            assert os.path.exists(path)
+            assert [entry.name for entry in tmp_path.iterdir()] == \
+                [os.path.basename(path)]
             with open(path, "rb") as handle:
                 assert handle.read() == before
             np.testing.assert_array_equal(

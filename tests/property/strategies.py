@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping
+from repro.graph.distance_store import StoreConfig
 from repro.graph.graph import Graph
 
 
@@ -87,6 +88,18 @@ def typings(draw, graph: Graph):
 
 length_bounds = st.integers(min_value=1, max_value=4)
 thetas = st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 1.0])
+
+#: The scale budget that picks each L = 2 state representation: the
+#: default budget holds the triu planes of any test graph, and one byte
+#: holds none of a graph with two or more vertices, which keeps the sorted
+#: codes.
+TWO_HOP_BUDGETS = {"plane": None, "sorted": 1}
+
+
+def two_hop_config(state: str):
+    """The ``store_config`` of an L = 2 session on representation ``state``."""
+    budget = TWO_HOP_BUDGETS[state]
+    return None if budget is None else StoreConfig(budget_bytes=budget)
 
 
 @st.composite

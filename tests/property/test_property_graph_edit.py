@@ -12,7 +12,8 @@ must leave:
   snapshot it was taken with;
 * the counts' CSR equal, array for array, to
   :meth:`CSRAdjacency.from_edges` of the new edge set, and the counts
-  equal to a fresh :class:`TwoHopCounts`.
+  equal to a fresh :class:`TwoHopCounts`, on the plane and on the sorted
+  codes alike.
 
 An invalid edit raises the error the sequential :meth:`Graph.remove_edge`
 and :meth:`Graph.add_edge` calls would raise first, and changes neither
@@ -84,10 +85,12 @@ def assert_csr_equal(csr: CSRAdjacency, graph: Graph) -> None:
 
 
 class TestCarriedEdits:
+    @pytest.mark.parametrize("plane", [True, False])
     @given(graphs(min_vertices=2, max_vertices=10), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_snapshot_csr_and_counts_match_rebuilds(self, graph, data):
-        counts = TwoHopCounts(graph)  # caches the graph's snapshot too
+    def test_snapshot_csr_and_counts_match_rebuilds(self, plane, graph, data):
+        # Building the counts caches the graph's snapshot too.
+        counts = TwoHopCounts(graph, plane=plane)
         copies = []
         for _ in range(data.draw(st.integers(1, 6))):
             removals, insertions = data.draw(edits(graph))
@@ -101,7 +104,7 @@ class TestCarriedEdits:
             assert not graph.edge_array().flags.writeable
             counts.apply(removals, insertions)
             assert_csr_equal(counts._csr, graph)
-            expected = TwoHopCounts(fresh)
+            expected = TwoHopCounts(fresh, plane=plane)
             assert np.array_equal(counts.within_pairs(), expected.within_pairs())
             assert all(np.array_equal(a, b) for a, b in
                        zip(counts.pairs, expected.pairs))

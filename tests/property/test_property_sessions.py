@@ -5,7 +5,9 @@ from-scratch evaluator: same ``Fraction`` opacities, same ``types_at_max``,
 same per-type counts, and — for whole anonymization runs — the same step
 sequence under a fixed seed.  These tests drive random graphs through random
 edit sequences and check exactly that,
-against the reference sessions of :mod:`tests.oracles`.
+against the reference sessions of :mod:`tests.oracles`.  At L = 2 every
+session check runs on both representations of the common-neighbour
+counts (triu planes and sorted codes, :func:`session_configs`).
 """
 
 from __future__ import annotations
@@ -45,13 +47,25 @@ from tests.oracles import (
     type_mask,
 )
 from tests.property.strategies import (
+    TWO_HOP_BUDGETS,
     combination_levels,
     edit_scripts,
     graphs,
     length_bounds,
     thetas,
+    two_hop_config,
     typings,
 )
+
+
+def session_configs(length):
+    """The ``store_config`` of each session a check at ``length`` opens.
+
+    At L = 2 one per representation of the counts, else the default.
+    """
+    if length == 2:
+        return [two_hop_config(state) for state in sorted(TWO_HOP_BUDGETS)]
+    return [None]
 
 
 class TestDistanceSessionProperties:
@@ -99,16 +113,19 @@ class TestOpacitySessionProperties:
         graph, script = script_case
         typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length)
-        session = OpacitySession(computer, graph)
+        sessions = [OpacitySession(computer, graph.copy(), store_config=config)
+                    for config in session_configs(length)]
         for kind, edge in script:
-            session.apply_edit(
-                removals=[edge] if kind == "remove" else (),
-                insertions=[edge] if kind == "insert" else ())
+            graph.edit(*(([edge], ()) if kind == "remove" else ((), [edge])))
             expected = computer.evaluate(graph)
-            observed = session.current()
-            assert observed.max_fraction == expected.max_fraction
-            assert observed.types_at_max == expected.types_at_max
-            assert dict(observed.per_type) == dict(expected.per_type)
+            for session in sessions:
+                session.apply_edit(
+                    removals=[edge] if kind == "remove" else (),
+                    insertions=[edge] if kind == "insert" else ())
+                observed = session.current()
+                assert observed.max_fraction == expected.max_fraction
+                assert observed.types_at_max == expected.types_at_max
+                assert dict(observed.per_type) == dict(expected.per_type)
 
     @given(edit_scripts(max_edits=5), length_bounds)
     @settings(max_examples=40, deadline=None)
@@ -116,14 +133,16 @@ class TestOpacitySessionProperties:
         graph, script = script_case
         typing = DegreePairTyping(graph)
         computer = OpacityComputer(typing, length)
-        incremental = OpacitySession(computer, graph.copy())
+        sessions = [OpacitySession(computer, graph.copy(), store_config=config)
+                    for config in session_configs(length)]
         scratch = ScratchSession(computer, graph.copy())
         for kind, edge in script:
             removals = [edge] if kind == "remove" else ()
             insertions = [edge] if kind == "insert" else ()
-            assert incremental.evaluate_edit(removals, insertions) == \
-                scratch.evaluate_edit(removals, insertions)
-            incremental.apply_edit(removals, insertions)
+            expected = scratch.evaluate_edit(removals, insertions)
+            for session in sessions:
+                assert session.evaluate_edit(removals, insertions) == expected
+                session.apply_edit(removals, insertions)
             scratch.apply_edit(removals, insertions)
 
 
@@ -146,8 +165,8 @@ class TestViolatingPairProperties:
         tiled = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=tile_rows)
         sessions = [
             OpacitySession(computer, graph.copy(), store_config=tiled),
-            OpacitySession(computer, graph.copy()),
-        ]
+        ] + [OpacitySession(computer, graph.copy(), store_config=config)
+             for config in session_configs(length)]
         scratch = ScratchSession(computer, graph.copy())
         every_type = set(computer.typing.types())
         try:
@@ -225,8 +244,12 @@ class TestEndToEndModeEquivalence:
                                             algorithm(**params), graph,
                                             **run_kwargs)
         assert evaluations == per_candidate.evaluations
-        for observed in (algorithm(**params).anonymize(graph, **run_kwargs),
-                         per_candidate):
+        products = [algorithm(**params, scale_budget_bytes=budget).anonymize(
+                        graph, **run_kwargs)
+                    for budget in (TWO_HOP_BUDGETS.values()
+                                   if params.get("length_threshold") == 2
+                                   else [None])]
+        for observed in products + [per_candidate]:
             assert [(step.operation, step.edges, step.max_opacity_after)
                     for step in observed.steps] == \
                    [(step.operation, step.edges, step.max_opacity_after)
@@ -322,21 +345,24 @@ class TestEvaluateEditsProperties:
     def test_batch_matches_per_candidate_exactly(self, scan_case, length):
         graph, candidates = scan_case
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        session = OpacitySession(computer, graph)
-        expected = [session.evaluate_edit(removals, insertions)
-                    for removals, insertions in candidates]
-        observed = outcomes(session.evaluate_edits(candidates))
-        assert observed == expected
+        for config in session_configs(length):
+            session = OpacitySession(computer, graph, store_config=config)
+            expected = [session.evaluate_edit(removals, insertions)
+                        for removals, insertions in candidates]
+            observed = outcomes(session.evaluate_edits(candidates))
+            assert observed == expected
 
     @given(candidate_scans(), length_bounds)
     @settings(max_examples=40, deadline=None)
     def test_batch_matches_scratch_mode(self, scan_case, length):
         graph, candidates = scan_case
         computer = OpacityComputer(DegreePairTyping(graph), length)
-        incremental = OpacitySession(computer, graph.copy())
         scratch = ScratchSession(computer, graph.copy())
-        assert outcomes(incremental.evaluate_edits(candidates)) == \
-            outcomes(scratch.evaluate_edits(candidates))
+        expected = outcomes(scratch.evaluate_edits(candidates))
+        for config in session_configs(length):
+            incremental = OpacitySession(computer, graph.copy(),
+                                         store_config=config)
+            assert outcomes(incremental.evaluate_edits(candidates)) == expected
 
     @given(candidate_scans(max_candidates=6), length_bounds)
     @settings(max_examples=30, deadline=None)
@@ -367,14 +393,16 @@ class TestScoreCombinationsProperties:
     def test_level_matches_evaluate_edits_and_scratch(self, level, length):
         graph, typing, gained, endpoints, members, edits = level
         computer = OpacityComputer(typing, length)
-        session = OpacitySession(computer, graph.copy())
         scratch = ScratchSession(computer, graph.copy())
         expected = scratch.score_combinations(endpoints, members, gained)
-        observed = session.score_combinations(endpoints, members, gained)
-        assert [array.tolist() for array in observed] == \
-            [array.tolist() for array in expected]
-        assert outcomes(session.evaluate_edits(edits)) == \
-            outcomes(scratch.evaluate_edits(edits))
+        for config in session_configs(length):
+            session = OpacitySession(computer, graph.copy(),
+                                     store_config=config)
+            observed = session.score_combinations(endpoints, members, gained)
+            assert [array.tolist() for array in observed] == \
+                [array.tolist() for array in expected]
+            assert outcomes(session.evaluate_edits(edits)) == \
+                outcomes(scratch.evaluate_edits(edits))
 
 
 class TestScansLeaveTheGraphAlone:

@@ -17,6 +17,11 @@ same within-2 pairs as a fresh :func:`bounded_distance_matrix` and the
 pruning query.  Finally, no L = 2 scan, pruning pass or applied edit may
 preview, stage or commit a slab or read distance rows, and no L = 2
 session keeps a distance session once it has opened.
+
+Every check runs on both representations of the counts: the triu planes
+a default-budget session keeps and the sorted codes a session whose
+budget is below the planes' bytes keeps (``TWO_HOP_BUDGETS``).  The two
+must also answer every flip, applied edit and query identically.
 """
 
 from __future__ import annotations
@@ -42,15 +47,36 @@ from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import DenseStore, StoreConfig, TiledStore
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.graph import Graph
-from repro.graph.two_hop import triu_flat, triu_unflat
+from repro.graph.two_hop import TwoHopCounts, triu_flat, triu_unflat
 from tests.oracles import ScratchSession, outcomes, run_on
 from tests.property.strategies import (
+    TWO_HOP_BUDGETS,
     combination_levels,
     edit_scripts,
     graphs,
     thetas,
+    two_hop_config,
     typings,
 )
+
+#: Run a test once per L = 2 state representation.
+STATES = pytest.mark.parametrize("state", sorted(TWO_HOP_BUDGETS))
+
+#: A spill-forcing tiled tier with tiny tiles.
+TILED = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2)
+
+
+def l2_session(typing, graph, state):
+    """An L = 2 :class:`OpacitySession` on representation ``state``.
+
+    ``state`` is ``"plane"`` or ``"sorted"`` (:data:`TWO_HOP_BUDGETS`), or
+    ``"tiled"``: the tiled tier, which keeps the sorted codes.
+    """
+    config = TILED if state == "tiled" else two_hop_config(state)
+    session = OpacitySession(OpacityComputer(typing, 2), graph,
+                             store_config=config)
+    assert (session._two_hop._plane is not None) == (state == "plane")
+    return session
 
 
 def change_sets(changes):
@@ -130,12 +156,13 @@ def messy_levels(draw):
     return graph, typing, endpoints, members, gained
 
 
+@STATES
 class TestKernelMatchesTheSlabPath:
     @given(combination_levels())
     @settings(max_examples=80, deadline=None)
-    def test_changes_equal_the_slab_path_per_candidate(self, level):
+    def test_changes_equal_the_slab_path_per_candidate(self, state, level):
         graph, typing, gained, endpoints, members, edits = level
-        session = OpacitySession(OpacityComputer(typing, 2), graph)
+        session = l2_session(typing, graph, state)
         kernel = session._two_hop_changes(endpoints, members, gained)
         with slab_session(typing, graph) as oracle:
             slab = oracle._collect_changes(
@@ -145,9 +172,10 @@ class TestKernelMatchesTheSlabPath:
 
     @given(messy_levels())
     @settings(max_examples=120, deadline=None)
-    def test_invalid_members_raise_where_the_slab_path_does(self, level):
+    def test_invalid_members_raise_where_the_slab_path_does(self, state,
+                                                            level):
         graph, typing, endpoints, members, gained = level
-        session = OpacitySession(OpacityComputer(typing, 2), graph)
+        session = l2_session(typing, graph, state)
         pairs = level_pairs(endpoints, members, gained)
         with slab_session(typing, graph) as oracle:
             expected = raised(lambda: oracle._collect_changes(pairs))
@@ -161,12 +189,12 @@ class TestKernelMatchesTheSlabPath:
             else:
                 assert observed == expected
 
-    def test_a_reinserted_removal_nets_to_nothing(self):
+    def test_a_reinserted_removal_nets_to_nothing(self, state):
         # A path: no edge has a common neighbour, so only the edge itself
         # keeps its pair within 2.
         graph = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         typing = DegreePairTyping(graph)
-        session = OpacitySession(OpacityComputer(typing, 2), graph)
+        session = l2_session(typing, graph, state)
         endpoints = np.array([(0, 1), (3, 4)], dtype=np.int64)
         members = np.array([[0, 0], [0, 1]])
         gained = np.array([[False, True], [False, False]])
@@ -177,22 +205,22 @@ class TestKernelMatchesTheSlabPath:
         assert change_sets(kernel) == change_sets(slab)
         assert change_sets(kernel)[0] == {}
 
-    def test_self_loops_raise(self):
+    def test_self_loops_raise(self, state):
         graph = erdos_renyi_graph(6, 0.5, seed=1)
-        session = OpacitySession(
-            OpacityComputer(DegreePairTyping(graph), 2), graph)
+        session = l2_session(DegreePairTyping(graph), graph, state)
         with pytest.raises(InvalidEdgeError, match="self-loops"):
             session.score_combinations(np.array([[0, 0]]), np.array([[0]]),
                                        np.array([True]))
 
 
+@STATES
 class TestKernelMatchesScratch:
     @given(combination_levels())
     @settings(max_examples=60, deadline=None)
-    def test_level_outcomes_equal_scratch(self, level):
+    def test_level_outcomes_equal_scratch(self, state, level):
         graph, typing, gained, endpoints, members, edits = level
         computer = OpacityComputer(typing, 2)
-        session = OpacitySession(computer, graph.copy())
+        session = l2_session(typing, graph.copy(), state)
         scratch = ScratchSession(computer, graph.copy())
         assert [array.tolist() for array in
                 session.score_combinations(endpoints, members, gained)] == \
@@ -204,23 +232,25 @@ class TestKernelMatchesScratch:
     @given(graphs(max_vertices=8), st.sampled_from([1, 2, 3]), thetas,
            st.integers(min_value=0, max_value=3), st.data())
     @settings(max_examples=25, deadline=None)
-    def test_removal_runs_equal_scratch(self, graph, lookahead, theta, seed,
-                                        data):
+    def test_removal_runs_equal_scratch(self, state, graph, lookahead, theta,
+                                        seed, data):
         self._assert_run_matches(
             EdgeRemovalAnonymizer,
             dict(length_threshold=2, theta=theta, seed=seed,
-                 lookahead=lookahead, max_combinations=6, max_steps=4),
+                 lookahead=lookahead, max_combinations=6, max_steps=4,
+                 scale_budget_bytes=TWO_HOP_BUDGETS[state]),
             graph, data.draw(typings(graph)))
 
     @given(graphs(max_vertices=7), st.sampled_from([1, 2]), thetas,
            st.integers(min_value=0, max_value=3), st.data())
     @settings(max_examples=20, deadline=None)
-    def test_rem_ins_runs_equal_scratch(self, graph, lookahead, theta, seed,
-                                        data):
+    def test_rem_ins_runs_equal_scratch(self, state, graph, lookahead, theta,
+                                        seed, data):
         self._assert_run_matches(
             EdgeRemovalInsertionAnonymizer,
             dict(length_threshold=2, theta=theta, seed=seed,
-                 lookahead=lookahead, max_combinations=6, max_steps=3),
+                 lookahead=lookahead, max_combinations=6, max_steps=3,
+                 scale_budget_bytes=TWO_HOP_BUDGETS[state]),
             graph, data.draw(typings(graph)))
 
     @staticmethod
@@ -237,19 +267,68 @@ class TestKernelMatchesScratch:
         assert observed.anonymized_graph == reference.anonymized_graph
 
 
+class TestRepresentationsAgree:
+    """The plane and the sorted codes answer every flip, edit and query alike.
+
+    Chunk for chunk and array for array; the sessions and greedy runs on
+    each are held to the oracles by the parametrized classes above.
+    """
+
+    @given(edit_scripts(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flips_applies_and_queries_are_identical(self, script_case, data):
+        graph, script = script_case
+        counts = [TwoHopCounts(graph, plane=True),
+                  TwoHopCounts(graph, plane=False)]
+        assert [count._plane is not None for count in counts] == [True, False]
+        working = graph.copy()
+        n = graph.num_vertices
+        rows, cols = triu_unflat(np.arange(n * (n - 1) // 2), n)
+        for step in range(len(script) + 1):
+            if step:
+                kind, edge = script[step - 1]
+                edit = ([edge], []) if kind == "remove" else ([], [edge])
+                working.edit(*edit)
+                # The flipped pairs and their after-states; how the sorted
+                # codes moved is theirs alone.
+                applied = [[array.tolist() for array in count.apply(*edit)[:2]]
+                           for count in counts]
+                assert applied[0] == applied[1]
+            # Every pair as a single-edge candidate: its edge removed, or
+            # its non-edge inserted.
+            endpoints = np.stack([rows, cols], axis=1)
+            members = np.arange(rows.size).reshape(-1, 1)
+            present = np.array([working.has_edge(int(u), int(v))
+                                for u, v in endpoints.tolist()], dtype=bool)
+            gained = ~present.reshape(-1, 1)
+            chunks = [[tuple(np.asarray(part).tolist() for part in chunk)
+                       for chunk in count.flips(endpoints, members, gained)]
+                      for count in counts]
+            assert chunks[0] == chunks[1]
+            assert counts[0].within_pairs().tolist() == \
+                counts[1].within_pairs().tolist()
+            assert [array.tolist() for array in counts[0].pairs] == \
+                [array.tolist() for array in counts[1].pairs]
+            picked = data.draw(st.lists(st.integers(0, rows.size - 1),
+                                        max_size=6))
+            paths = [sorted(zip(*(array.tolist() for array in
+                                  count.path_edges(rows[picked], cols[picked]))))
+                     for count in counts]
+            assert paths[0] == paths[1]
+
+
 class TestCountSetInvariant:
     """After every applied edit the count set, a fresh bounded distance
     matrix and the pruning query describe the same within-2 pairs."""
 
-    @given(edit_scripts(), st.booleans(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_within_pairs_agree_after_every_edit(self, script_case, tiled,
+    @given(edit_scripts(), st.sampled_from(["plane", "sorted", "tiled"]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_within_pairs_agree_after_every_edit(self, script_case, state,
                                                  data):
         graph, script = script_case
         computer = OpacityComputer(data.draw(typings(graph)), 2)
-        config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
-            if tiled else None
-        session = OpacitySession(computer, graph, store_config=config)
+        session = l2_session(computer.typing, graph, state)
         n = graph.num_vertices
         size = len(computer.type_order[0])
         try:
