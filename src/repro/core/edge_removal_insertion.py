@@ -13,9 +13,7 @@ evaluate their candidates through the step's
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from collections.abc import Sequence
-from typing import AbstractSet, List, Optional, Tuple
+from typing import AbstractSet, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from repro.core.lookahead import CombinationLevel
 from repro.core.opacity import OpacityResult
 from repro.core.opacity_session import OpacitySession
 from repro.graph.graph import Edge
+from repro.graph.two_hop import triu_flat, triu_unflat
 
 
 @register_anonymizer(
@@ -70,7 +69,7 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
     def _insertion_phase(self, session: OpacitySession, rng: random.Random,
                          result: AnonymizationResult) -> Optional[Tuple[Edge, ...]]:
         candidates = self._insertion_candidates(session, rng, result)
-        if not candidates:
+        if not len(candidates):
             return None
         breaker = TieBreaker(rng)
         evaluate_batch = self._combo_evaluator(session, result, "insert")
@@ -86,37 +85,38 @@ class EdgeRemovalInsertionAnonymizer(EdgeRemovalAnonymizer):
 
     def _insertion_candidates(self, session: OpacitySession,
                               rng: random.Random,
-                              result: AnonymizationResult) -> List[Edge]:
+                              result: AnonymizationResult) -> np.ndarray:
         """Absent edges eligible for insertion (never removed before).
 
-        The paper scans every absent edge; ``insertion_candidate_cap``
-        optionally bounds the scan with a seeded uniform sample for large
-        graphs (documented deviation, DESIGN.md §5.4).  The sample is drawn
-        from :class:`EligiblePairs`, built from the session's sorted edge
-        array, so it costs O(m + r log r + cap log n) for r removed edges
-        instead of a walk over all n(n-1)/2 pairs, and it draws the same
-        edges as sampling the enumerated list would.
+        Returned as an int64 ``(k, 2)`` endpoint array, ``u < v``, decoded
+        from :class:`EligiblePairs` (built from the session's sorted edge
+        array): every eligible pair in sorted order, as the paper scans
+        them.  ``insertion_candidate_cap`` optionally bounds the scan with
+        a seeded uniform sample for large graphs (documented deviation,
+        DESIGN.md §5.4): ``cap`` positions drawn by ``rng.sample``, which
+        draws the same positions, in the same order, as sampling the
+        enumerated list would.  No pair becomes a tuple here.
         """
-        working = session.graph
-        removed = result.removed_edges
+        eligible = EligiblePairs(session.graph.num_vertices,
+                                 session.edge_endpoints(), result.removed_edges)
         cap = self._config.insertion_candidate_cap
-        if cap is not None:
-            eligible = EligiblePairs(working.num_vertices,
-                                     session.edge_endpoints(), removed)
-            if len(eligible) > cap:
-                return rng.sample(eligible, cap)
-        return [edge for edge in working.non_edges() if edge not in removed]
+        if cap is not None and len(eligible) > cap:
+            return eligible.pairs(np.array(rng.sample(range(len(eligible)), cap),
+                                           dtype=np.int64))
+        return eligible.pairs()
 
 
-class EligiblePairs(Sequence):
+class EligiblePairs:
     """The sorted absent, never-removed vertex pairs of a graph, by position.
 
-    Equal, as a sequence, to ``[e for e in graph.non_edges() if e not in
-    removed]``, but never enumerated: pair ``(u, v)``, ``u < v``, of an
-    n-vertex graph has rank ``u(2n-u-1)/2 + v-u-1`` among all sorted pairs,
-    and the ``i``-th eligible pair has rank ``i + k``, where ``k`` counts the
-    excluded (edge or removed) ranks below it — one bisection.  ``edges``
-    is the graph's ``(u, v)`` arrays in sorted order, as
+    Position ``i`` holds pair ``i`` of ``[e for e in graph.non_edges() if e
+    not in removed]``, but the list is never built: pair ``(u, v)``,
+    ``u < v``, of an n-vertex graph has rank
+    :func:`~repro.graph.two_hop.triu_flat` among all sorted pairs, and the
+    ``i``-th eligible pair has rank ``i + k``, where ``k`` counts the
+    excluded (edge or removed) ranks below it.  :meth:`pairs` decodes any
+    positions at once, by two binary searches over arrays.  ``edges`` is
+    the graph's ``(u, v)`` arrays in sorted order, as
     :meth:`OpacitySession.edge_endpoints` returns them, and ``removed``
     holds pairs ``(u, v)``, ``u < v``.  A snapshot: build it after the
     graph's last mutation.
@@ -125,32 +125,30 @@ class EligiblePairs(Sequence):
     def __init__(self, num_vertices: int,
                  edges: Tuple[np.ndarray, np.ndarray],
                  removed: AbstractSet[Edge]) -> None:
-        n = num_vertices
-        #: First rank of every row ``u``.
-        starts = np.arange(n, dtype=np.int64)
-        starts = starts * (2 * n - starts - 1) // 2
-        self._starts = starts.tolist()
+        n = self._n = num_vertices
         first, second = edges
         gone = np.array(list(removed), dtype=np.int64).reshape(-1, 2)
         excluded = np.sort(np.concatenate([
-            starts[first] + second - first - 1,
-            starts[gone[:, 0]] + gone[:, 1] - gone[:, 0] - 1]))
+            triu_flat(first, second, n), triu_flat(gone[:, 0], gone[:, 1], n)]))
         # A removed pair may still be an edge; count its rank once.
         distinct = np.ones(excluded.size, dtype=bool)
         distinct[1:] = excluded[1:] != excluded[:-1]
         excluded = excluded[distinct]
         #: Eligible ranks below each excluded rank, ascending.
-        self._below = (excluded - np.arange(excluded.size)).tolist()
+        self._below = excluded - np.arange(excluded.size)
         self._length = n * (n - 1) // 2 - excluded.size
 
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index: int) -> Edge:  # type: ignore[override]
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("eligible pair index out of range")
-        rank = index + bisect_right(self._below, index)
-        u = bisect_right(self._starts, rank) - 1
-        return (u, rank - self._starts[u] + u + 1)
+    def pairs(self, positions: Optional[np.ndarray] = None) -> np.ndarray:
+        """The eligible pairs at ``positions`` (default: all, in order).
+
+        Returned as an int64 ``(len(positions), 2)`` array of ``(u, v)``,
+        ``u < v``; ``positions`` must lie in ``0 .. len(self) - 1``.
+        """
+        if positions is None:
+            positions = np.arange(self._length, dtype=np.int64)
+        ranks = positions + np.searchsorted(self._below, positions,
+                                            side="right")
+        return np.stack(triu_unflat(ranks, self._n), axis=1)

@@ -36,13 +36,15 @@ class CombinationLevel(SequenceABC):
     """The combinations of one look-ahead level, as candidate-index rows.
 
     ``members`` is an int64 ``(combinations, size)`` array indexing
-    ``candidates``.  As a sequence the level yields edge tuples, the
-    combinations it stands for; scoring reads ``members`` and the
-    candidates' :attr:`endpoints` array instead.  Slices share the
-    endpoints.
+    ``candidates``, a sequence of edges or an int64 ``(k, 2)`` endpoint
+    array.  Scoring reads ``members`` and the candidates' :attr:`endpoints`
+    array; as a sequence the level yields the combinations it stands for
+    as edge tuples, read off the same array, so only the combinations a
+    caller looks at become tuples.  Slices share the endpoints.
     """
 
-    def __init__(self, candidates: Sequence[Edge], members: np.ndarray,
+    def __init__(self, candidates: Sequence[Edge] | np.ndarray,
+                 members: np.ndarray,
                  endpoints: Optional[np.ndarray] = None) -> None:
         self.candidates = candidates
         self.members = members
@@ -52,8 +54,8 @@ class CombinationLevel(SequenceABC):
     def endpoints(self) -> np.ndarray:
         """The candidates as an int64 ``(len(candidates), 2)`` array."""
         if self._endpoints is None:
-            self._endpoints = np.array(self.candidates,
-                                       dtype=np.int64).reshape(-1, 2)
+            self._endpoints = np.asarray(self.candidates,
+                                         dtype=np.int64).reshape(-1, 2)
         return self._endpoints
 
     def __len__(self) -> int:
@@ -63,12 +65,11 @@ class CombinationLevel(SequenceABC):
         if isinstance(index, slice):
             return CombinationLevel(self.candidates, self.members[index],
                                     self.endpoints)
-        return tuple(self.candidates[j] for j in self.members[index].tolist())
+        return tuple(map(tuple, self.endpoints[self.members[index]].tolist()))
 
     def __iter__(self) -> Iterator[Tuple[Edge, ...]]:
-        candidates = self.candidates
-        for row in self.members.tolist():
-            yield tuple(candidates[j] for j in row)
+        for row in self.endpoints[self.members].tolist():
+            yield tuple(map(tuple, row))
 
 
 #: Batch evaluator: maps a level to its outcomes, in combination order, as

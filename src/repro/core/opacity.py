@@ -134,40 +134,42 @@ class PerTypeView(MappingABC):
         return len(self._keys)
 
 
-def row_maxima(nums: np.ndarray, dens: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's exact maximum of the fractions ``nums / dens``.
+def group_maxima(groups: np.ndarray, nums: np.ndarray, dens: np.ndarray,
+                 count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each group's exact maximum of the fractions ``nums / dens``.
 
-    ``nums`` and ``dens`` are matching ``(rows, columns)`` integer matrices
-    with positive denominators and at least one column.  Returns the
-    maxima as reduced ``(numerators, denominators)`` and a boolean matrix
-    flagging the columns attaining them.
+    Integer entry ``k`` (a positive denominator) belongs to group
+    ``groups[k]``, and each group ``0..count-1`` has one at least.  Returns
+    the maxima as reduced ``(numerators, denominators)`` and flags of the
+    entries at them.
 
     Correctly rounded float division is monotone, so the exact maximum
-    lives among the columns at the row's float maximum, and only they can
-    tie it.  Integer cross-multiplication with the row's first such column
-    confirms the tie; only a row of distinct fractions sharing one float
+    lives among the entries at the group's float maximum, and only they
+    can tie it.  Integer cross-multiplication with one such entry per group
+    confirms the tie; only a group of distinct fractions sharing one float
     (denominators above ~2**26) is settled with ``Fraction`` comparisons.
     """
-    count = nums.shape[0]
     ratios = nums / dens
-    at_max = ratios == ratios.max(axis=1)[:, None]
-    rows, cols = np.nonzero(at_max)
-    # nonzero walks row-major and every row has a column at its maximum.
-    first = np.flatnonzero(np.diff(rows, prepend=-1))
-    tops, bottoms = nums[rows, cols], dens[rows, cols]
-    lead = first[rows]
+    top = np.full(count, -np.inf)
+    np.maximum.at(top, groups, ratios)
+    at_max = ratios == top[groups]
+    where = np.flatnonzero(at_max)
+    owner = groups[where]
+    # One entry at the float maximum leads each group (any one will do).
+    lead = np.empty(count, dtype=np.int64)
+    lead[owner] = where
+    best_num, best_den = nums[lead], dens[lead]
     # Cross products of counts up to 2**31 fit int64; beyond, use Python ints.
-    wide = tops.astype(np.int64 if bottoms.max(initial=0) < 1 << 31 else object)
-    exact = wide * bottoms[lead] == wide[lead] * bottoms
-    best_num, best_den = tops[first], bottoms[first]
-    for row in ([] if exact.all() else np.unique(rows[~exact]).tolist()):
-        span = slice(first[row], first[row + 1] if row + 1 < count else rows.size)
-        fractions = [Fraction(a, b) for a, b in zip(tops[span].tolist(),
-                                                   bottoms[span].tolist())]
+    kind = np.int64 if dens.max(initial=0) < 1 << 31 else object
+    exact = (nums[where].astype(kind) * best_den[owner]
+             == best_num[owner] * dens[where].astype(kind))
+    for group in ([] if exact.all() else np.unique(owner[~exact]).tolist()):
+        span = where[owner == group]
+        fractions = [Fraction(a, b) for a, b in zip(nums[span].tolist(),
+                                                   dens[span].tolist())]
         best = max(fractions)
-        at_max[row, cols[span]] = [value == best for value in fractions]
-        best_num[row], best_den[row] = best.numerator, best.denominator
+        at_max[span] = [value == best for value in fractions]
+        best_num[group], best_den[group] = best.numerator, best.denominator
     divisor = np.gcd(best_num, best_den)
     return best_num // divisor, best_den // divisor, at_max
 
@@ -264,8 +266,9 @@ class OpacityComputer:
         """The result of a count vector (adopted, not copied) and its max-type mask."""
         keys, totals = self.type_order
         if totals.size:
-            nums, dens, at_max = row_maxima(withins[None, :], totals[None, :])
-            num, den, mask = int(nums[0]), int(dens[0]), at_max[0]
+            nums, dens, mask = group_maxima(np.zeros(totals.size, dtype=np.int64),
+                                            withins, totals, 1)
+            num, den = int(nums[0]), int(dens[0])
         else:
             num, den, mask = 0, 1, np.zeros(0, dtype=bool)
         result = OpacityResult(max_opacity=num / den,

@@ -40,18 +40,19 @@ Every candidate scan goes through :meth:`OpacitySession.score_combinations`:
 rows of candidate indices with one insertion flag per member, scored to
 exact maxima and tie counts as arrays.  Look-ahead levels, GADES swaps and
 GADED removals are such rows; :meth:`OpacitySession.evaluate_edits` is the
-adapter for ``(removals, insertions)`` tuples.  A candidate's change is a
-row of padded ``(types, deltas)`` matrices, and the summary comes from the
-types it changes only (:meth:`~OpacitySession._summarize_changed`).  At
-L = 1 a candidate's count change is the sum of its members' signed type
-hits, so a whole scan is scored from one index array over the candidates'
-type positions.  At L = 2 a pair is within reach exactly when it is an
-edge or has a common neighbour, so a candidate's flipped pairs follow from
-the 2-paths its members break or create (:mod:`repro.graph.two_hop`),
-with no distance slab.  At L >= 3 the candidates' distance deltas are
-stacked into :meth:`~repro.graph.distance_delta.DistanceSession.preview_batch`
-passes where they are homogeneous single edges.  Either way every
-candidate's flipped cells are tallied with one grouped count.  The session
+adapter for ``(removals, insertions)`` tuples.  At every L the candidates'
+changes are one sparse form, :data:`Changes`: int64 ``(candidate, type,
+delta)`` triples, sorted, one per type a candidate's edit changes; the
+summary comes from those types only, by 1-D grouped operations
+(:meth:`~OpacitySession._summarize_changed`).  At L = 1 a candidate's
+flipped pairs are its live members' own pairs.  At L = 2 a pair is within
+reach exactly when it is an edge or has a common neighbour, so a
+candidate's flipped pairs follow from the 2-paths its members break or
+create (:mod:`repro.graph.two_hop`), with no distance slab.  At L >= 3
+the candidates' distance deltas are stacked into
+:meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` passes
+where they are homogeneous single edges.  Every candidate's flipped cells
+are tallied with one grouped count, whose groups are the triples.  The session
 also maintains the pruning pass's
 within-L pairs incrementally (:meth:`violating_pair_indices`) as a sparse
 sorted set of upper-triangle flat indices — O(within-L pairs), never an
@@ -77,7 +78,7 @@ from repro.core.opacity import (
     OpacityComputer,
     OpacityResult,
     exact_ranks,
-    row_maxima,
+    group_maxima,
 )
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
@@ -190,39 +191,25 @@ class ScoredBatch:
                            self.types_at_max[:count])
 
 
-#: Per-candidate count changes: int64 ``(types, deltas)`` matrices with one
-#: row per candidate, listing its distinct changed type positions and their
-#: signed count changes.  Padding entries hold the number of types and a
-#: change of 0.
-Changes = Tuple[np.ndarray, np.ndarray]
+#: Per-candidate count changes: int64 ``(candidate, type, delta)`` triples,
+#: sorted by candidate then type position.  A candidate has one triple per
+#: type whose within-L count its edit changes (a nonzero net change over
+#: typed pairs), and none when it changes nothing.
+Changes = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _padded_changes(count: int, rows: np.ndarray, types: np.ndarray,
-                    deltas: np.ndarray, padding: int) -> Changes:
-    """Flat ``(row, type, delta)`` entries, rows ascending, as matrices."""
-    sizes = np.bincount(rows, minlength=count)
-    width = int(sizes.max(initial=0))
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    padded_types = np.full((count, width), padding, dtype=np.int64)
-    padded_deltas = np.zeros((count, width), dtype=np.int64)
-    padded_types[rows, cols] = types
-    padded_deltas[rows, cols] = deltas
-    return padded_types, padded_deltas
+def join_changes(parts: Sequence[Tuple[int, Changes]]) -> Changes:
+    """Consecutive chunks' changes as one triple set, in chunk order.
 
-
-def _stack_changes(parts: Sequence[Changes], padding: int) -> Changes:
-    """Row blocks of changes, in order, padded to the widest block."""
-    width = max((types.shape[1] for types, _ in parts), default=0)
-    count = sum(types.shape[0] for types, _ in parts)
-    stacked_types = np.full((count, width), padding, dtype=np.int64)
-    stacked_deltas = np.zeros((count, width), dtype=np.int64)
-    row = 0
-    for types, deltas in parts:
-        rows, cols = types.shape
-        stacked_types[row:row + rows, :cols] = types
-        stacked_deltas[row:row + rows, :cols] = deltas
-        row += rows
-    return stacked_types, stacked_deltas
+    Each part is ``(first, changes)``: the changes of the candidates
+    ``first, first + 1, ...``, numbered from 0 within the chunk.
+    """
+    if not parts:
+        return (np.empty(0, dtype=np.int64),) * 3
+    return (np.concatenate([first + candidate
+                            for first, (candidate, _, _) in parts]),
+            np.concatenate([types for _, (_, types, _) in parts]),
+            np.concatenate([deltas for _, (_, _, deltas) in parts]))
 
 
 class OpacitySession:
@@ -435,20 +422,23 @@ class OpacitySession:
         """
         edits = [(tuple(removals), tuple(insertions))
                  for removals, insertions in candidates]
-        flags = np.array([flag for removals, insertions in edits
-                          for flag in [0] * len(removals) + [1] * len(insertions)],
-                         dtype=np.int64)
-        owners = np.repeat(np.arange(len(edits)),
-                           [len(removals) + len(insertions)
-                            for removals, insertions in edits])
-        members, gained = _padded_changes(len(edits), owners,
-                                          np.arange(owners.size), flags, -1)
+        sizes = np.array([len(removals) + len(insertions)
+                          for removals, insertions in edits], dtype=np.int64)
+        owners = np.repeat(np.arange(len(edits)), sizes)
+        columns = np.arange(owners.size) - np.repeat(np.cumsum(sizes) - sizes,
+                                                     sizes)
+        members = np.full((len(edits), int(sizes.max(initial=0))), -1,
+                          dtype=np.int64)
+        gained = np.zeros(members.shape, dtype=bool)
+        members[owners, columns] = np.arange(owners.size)
+        gained[owners, columns] = [flag for removals, insertions in edits
+                                   for flag in [False] * len(removals)
+                                   + [True] * len(insertions)]
         cells = np.array([edge for removals, insertions in edits
                           for edge in removals + insertions],
                          dtype=np.int64).reshape(-1, 2)
         return ScoredBatch([removals + insertions for removals, insertions in edits],
-                           *self.score_combinations(cells, members,
-                                                    gained.astype(bool)))
+                           *self.score_combinations(cells, members, gained))
 
     def score_combinations(self, endpoints: np.ndarray, members: np.ndarray,
                            gained: np.ndarray
@@ -464,90 +454,86 @@ class OpacitySession:
         against the current graph.  Returns the candidates' maxima as
         reduced ``(numerators, denominators)`` and their ``types_at_max``.
 
-        At L = 1 an edit flips only its own cells, so a candidate's count
-        change is the sum of its members' signed hits on their types: the
-        batch is scored from the members' type positions alone.  At L = 2
+        A batch that names fewer cells than ``endpoints`` holds (a chunk of
+        a larger level) reads only its members' own cells.  At L = 1 an
+        edit flips only its own pair (:meth:`_edge_changes`).  At L = 2
         the flipped pairs come from the common-neighbour counts
         (:meth:`_two_hop_changes`).  At L >= 3 the candidates are previewed
-        (:meth:`_scan_changes`).  In every case the summary comes from the
+        (:meth:`_scan_changes`).  In every case the candidates' changes
+        are :data:`Changes` triples, and the summary comes from the
         changed types only (:meth:`_summarize_changed`).
         """
-        size = self._totals.size
+        count = len(members)
+        if len(endpoints) > members.size:
+            # Padding members stay at -1 (reading the last cell, unused).
+            endpoints = endpoints[members.ravel()]
+            members = np.where(members < 0, -1,
+                               np.arange(members.size).reshape(members.shape))
         if self._computer.length_threshold == 1:
-            # Look the edges up once each, or only the members used when
-            # the chunk names fewer cells than there are edges.  Padding
-            # members stay at -1, which reads a sentinel appended to each
-            # per-cell lookup.
-            if len(endpoints) <= members.size:
-                cells, at = endpoints, members
-            else:
-                cells = endpoints[members.ravel()]
-                at = np.where(members < 0, -1,
-                              np.arange(members.size).reshape(members.shape))
-            self._check_cells(cells, at, gained)
-            types = np.append(
-                self._computer.type_indices(cells[:, 0], cells[:, 1]), size)[at]
-            # A type hit by several members carries their summed signed
-            # change in its first column; the repeats become padding.  The
-            # sort key keeps each member's flag in its lowest bit.
-            keys = np.sort(types * 2 + gained, axis=1)
-            types = keys >> 1
-            signs = np.where(keys & 1, 1, -1)
-            hits = np.zeros(types.shape, dtype=np.int64)
-            for column in range(types.shape[1]):
-                hits += (types == types[:, column, None]) * signs[:, column, None]
-            repeat = np.zeros(types.shape, dtype=bool)
-            repeat[:, 1:] = types[:, 1:] == types[:, :-1]
-            types[repeat] = size
-            return self._summarize_changed(types, hits)
-        if self._two_hop is not None:
-            return self._summarize_changed(
-                *self._two_hop_changes(endpoints, members, gained))
-        gained = np.broadcast_to(gained, members.shape)
-        edges = list(map(tuple, endpoints.tolist()))
-        pairs = [(tuple(edges[j] for j, flag in zip(row, flags)
+            changes = self._edge_changes(endpoints, members, gained)
+        elif self._two_hop is not None:
+            changes = self._two_hop_changes(endpoints, members, gained)
+        else:
+            gained = np.broadcast_to(gained, members.shape)
+            edges = list(map(tuple, endpoints.tolist()))
+            changes = self._scan_changes(
+                [(tuple(edges[j] for j, flag in zip(row, flags)
                         if j >= 0 and not flag),
                   tuple(edges[j] for j, flag in zip(row, flags)
                         if j >= 0 and flag))
-                 for row, flags in zip(members.tolist(), gained.tolist())]
-        return self._summarize_changed(*self._scan_changes(pairs))
+                 for row, flags in zip(members.tolist(), gained.tolist())])
+        return self._summarize_changed(count, *changes)
+
+    def _edge_changes(self, endpoints: np.ndarray, members: np.ndarray,
+                      gained: np.ndarray) -> Changes:
+        """Per-candidate count changes at L = 1: each live member's own pair.
+
+        An insertion gains its pair and a removal loses it; a removal the
+        same candidate re-inserts is not live (:meth:`_check_cells`).
+        """
+        live = self._check_cells(endpoints, members, gained)
+        candidate, column = np.nonzero(live)
+        types = self._computer.type_indices(endpoints[:, 0], endpoints[:, 1])
+        return self._tally_cells(
+            candidate, types[members[candidate, column]],
+            np.broadcast_to(gained, members.shape)[candidate, column])
 
     def _two_hop_changes(self, endpoints: np.ndarray, members: np.ndarray,
                          gained: np.ndarray) -> Changes:
         """Per-candidate count changes at L = 2, from the common-neighbour counts.
 
         :meth:`TwoHopCounts.flips` yields each footprint-sized chunk's
-        flipped pairs; each chunk is tallied alone and the chunks are
-        stacked in candidate order.
+        flipped pairs; each chunk is tallied alone and the chunks' triples
+        are joined in candidate order.
         """
-        parts = [self._tally_cells(stop - start, owner,
-                                   self._pair_types(flat), now_within)
-                 for start, stop, owner, flat, now_within
-                 in self._two_hop.flips(endpoints, members, gained)]
-        return _stack_changes(parts, self._totals.size)
+        return join_changes([
+            (start, self._tally_cells(owner, self._pair_types(flat),
+                                      now_within))
+            for start, _, owner, flat, now_within
+            in self._two_hop.flips(endpoints, members, gained)])
 
     def collect_edit_changes(self, pairs: Sequence[EditCandidate]) -> Changes:
         """Per-candidate count changes of a shard (scan-pool workers).
 
         The worker-side half of the parallel scan: exactly the serial
         batched collection over ``pairs`` against this session's state,
-        returning the padded ``(types, deltas)`` matrices for the parent
-        to stack and summarize.
+        returning the shard's triples, numbered from 0, for the parent to
+        join and summarize.
         """
         return self._collect_changes(list(pairs))
 
     def _collect_changes(self, pairs: List[EditCandidate]) -> Changes:
-        # Deltas are consumed into (small) change matrices group by group,
-        # so peak retained memory is bounded by ~128 MB of delta cells even
+        # Deltas are consumed into (small) triple sets group by group, so
+        # peak retained memory is bounded by ~128 MB of delta cells even
         # in the worst case, where every candidate's affected rows span the
         # whole vertex set (an n × n slab each); grouping does not change
         # the per-candidate math.
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
-        parts = [self._count_changes_batch(
-                     self._preview_deltas(pairs[start:start + group]))
-                 for start in range(0, len(pairs), group)]
-        return _stack_changes(parts, self._totals.size)
+        return join_changes([
+            (start, self._count_changes_batch(
+                self._preview_deltas(pairs[start:start + group])))
+            for start in range(0, len(pairs), group)])
 
     # ------------------------------------------------------------------
     # parallel scan machinery
@@ -575,9 +561,9 @@ class OpacitySession:
 
         A scan wider than the pool goes to the workers; any pool failure
         falls back to the serial scan permanently.  On success the shards'
-        matrices, stacked in candidate order, are exactly what
-        :meth:`_collect_changes` would have produced up to padding width
-        (distance values are canonical, shards preserve candidate order).
+        triples, joined in candidate order, are exactly what
+        :meth:`_collect_changes` would have produced (distance values are
+        canonical, shards preserve candidate order).
         """
         pool = None
         if self._scan_workers > 1 and len(pairs) > self._scan_workers:
@@ -586,7 +572,7 @@ class OpacitySession:
             parts = pool.scan(pairs)
             if parts is not None:
                 self.parallel_scans += 1
-                return _stack_changes(parts, self._totals.size)
+                return join_changes(parts)
             self._teardown_scan_pool(failed=True)
         return self._collect_changes(pairs)
 
@@ -639,10 +625,9 @@ class OpacitySession:
             types = self._computer.type_indices(rows, cols)
             if self._within_flat is not None:
                 self._fold_flipped_cells(rows, cols, now_within)
-        types, changes = self._tally_cells(
-            1, np.zeros(types.size, dtype=np.int64), types, now_within)
-        # One candidate's row lists distinct types and has no padding.
-        self._withins[types[0]] += changes[0]
+        # Each flipped pair is listed once: its type gains or loses one.
+        typed = types < self._totals.size
+        np.add.at(self._withins, types[typed], np.where(now_within[typed], 1, -1))
         self._current = None
         self._ranking = None
         if before is not None:
@@ -790,14 +775,15 @@ class OpacitySession:
         self._ranking = None
 
     def _check_cells(self, cells: np.ndarray, at: np.ndarray,
-                     gained: np.ndarray) -> None:
+                     gained: np.ndarray) -> np.ndarray:
         """Raise :class:`InvalidEdgeError` unless every L = 1 member edit is valid.
 
         Member ``at[r, k]`` edits edge ``cells[at[r, k]]``, inserting it
         where ``gained`` (broadcast against ``at``) and removing it
         elsewhere; members at -1 are padding.  Each cell is looked up once,
         by one binary search over the sorted edge array; the members are
-        then judged in order by :func:`validate_members`, as at L = 2.
+        then judged in order by :func:`validate_members`, as at L = 2,
+        which also returns the live members.
         """
         codes = self._graph.edge_codes()
         n = self._graph.num_vertices
@@ -807,7 +793,7 @@ class OpacitySession:
         found = np.searchsorted(codes, wanted).clip(max=max(codes.size - 1, 0))
         present = (codes[found] == wanted if codes.size
                    else np.zeros(wanted.size, dtype=bool))
-        validate_members(at, lo, hi, wanted, present, gained)
+        return validate_members(at, lo, hi, wanted, present, gained)
 
     def _edge_flips(self, removals: List[Edge], insertions: List[Edge]
                     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -874,42 +860,40 @@ class OpacitySession:
         """Per-candidate count changes, one grouped count over all flips.
 
         The flipped cells of every delta are tallied together by
-        :meth:`_tally_cells`; row ``c`` holds exactly what delta ``c``
-        alone would give.  ``None`` entries (no-op candidates) and empty
-        deltas are rows of padding.
+        :meth:`_tally_cells`, candidate ``c`` being delta ``c``; ``None``
+        entries (no-op candidates) and empty deltas change nothing.
         """
         stacked = [position for position, delta in enumerate(deltas)
                    if delta is not None and delta.rows.size]
         if not stacked:
-            return (np.zeros((len(deltas), 0), dtype=np.int64),) * 2
+            return (np.empty(0, dtype=np.int64),) * 3
         owner, rows, cols, gained = self._flipped_cells(
             [deltas[p] for p in stacked])
-        return self._tally_cells(
-            len(deltas), np.array(stacked, dtype=np.int64)[owner],
-            self._computer.type_indices(rows, cols), gained)
+        return self._tally_cells(np.array(stacked, dtype=np.int64)[owner],
+                                 self._computer.type_indices(rows, cols),
+                                 gained)
 
-    def _tally_cells(self, count: int, candidate: np.ndarray,
-                     types: np.ndarray, gained: np.ndarray) -> Changes:
-        """Count changes of ``count`` candidates from their stacked flipped cells.
+    def _tally_cells(self, candidate: np.ndarray, types: np.ndarray,
+                     gained: np.ndarray) -> Changes:
+        """Count changes of candidates from their stacked flipped cells.
 
-        ``candidate`` names the candidate each cell belongs to and
-        ``types`` its pair's type position.  The cells
-        are grouped by ``(candidate, type position)`` with one sort
-        (:func:`~repro.graph.two_hop.group_sums`) and their gains and
-        losses counted per group, so the work is
-        O(cells) whatever the number of types or candidates; row ``c`` of
-        the result holds the net change of every type candidate ``c``'s
-        cells touch, in type order (a gain and a loss of the same type net
-        to no entry, and untyped pairs count for nothing).
+        ``candidate`` names the candidate each cell belongs to, ``types``
+        its pair's type position and ``gained`` whether the pair is within
+        L after the edit.  The cells are grouped by ``(candidate, type
+        position)`` with one sort (:func:`~repro.graph.two_hop.group_sums`)
+        and their gains and losses counted per group, so the work is
+        O(cells) whatever the number of types or candidates.  The groups
+        come out sorted, so the result is the :data:`Changes` triples as
+        they are: a gain and a loss of the same type net to no triple, and
+        untyped pairs count for nothing.
         """
         untyped = self._totals.size
         groups, gains, cells = group_sums(
             candidate * (untyped + 1) + types, gained, 2)
         net = 2 * gains - cells
-        positions, types = np.divmod(groups, untyped + 1)
+        candidate, types = np.divmod(groups, untyped + 1)
         kept = (net != 0) & (types != untyped)
-        return _padded_changes(count, positions[kept], types[kept], net[kept],
-                               untyped)
+        return candidate[kept], types[kept], net[kept]
 
     def _type_ranking(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The current type ratios in exact descending order, built once per state.
@@ -927,48 +911,46 @@ class OpacitySession:
             self._ranking = (order, rank, group, np.bincount(group))
         return self._ranking
 
-    def _summarize_changed(self, types: np.ndarray, deltas: np.ndarray
+    def _summarize_changed(self, count: int, candidate: np.ndarray,
+                           types: np.ndarray, deltas: np.ndarray
                            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact max and tie count of every candidate, from the types it changes.
+        """Exact max and tie count of ``count`` candidates, from the types they change.
 
-        Row ``c`` of the ``(candidates, k)`` matrices lists candidate
-        ``c``'s distinct changed type positions and their count changes;
-        padding entries hold the number of types.  The maximum after an edit is
-        the larger of the changed types' new ratios and the best
-        *untouched* ratio: the first type of the step's exact descending
-        order (:meth:`_type_ranking`) the candidate does not touch, found
-        as the smallest order position missing from its touched ones.  The
-        untouched types at that ratio are its exact-ratio group less the
-        touched members of the group.  Memory is O(candidates × k), never
-        candidates × types.
+        ``(candidate, types, deltas)`` are the candidates' :data:`Changes`
+        triples.  The maximum after an edit is the larger of the changed
+        types' new ratios and the best *untouched* ratio: the first type of
+        the step's exact descending order (:meth:`_type_ranking`) the
+        candidate does not touch.  The untouched types at that ratio are
+        its exact-ratio group less the touched members of the group.  Every
+        step is a 1-D grouped operation over the triples, so the work is
+        O(triples + candidates), never candidates × types.
         """
         size = self._totals.size
-        count, width = types.shape
         if size == 0:
             empty = np.zeros(count, dtype=np.int64)
             return empty, empty + 1, empty
         order, rank, group, group_size = self._type_ranking()
-        touched = types < size
-        safe = np.where(touched, types, 0)
-        # Sorted touched places; the first place j not held is the first
-        # untouched type in the order (k + 1 probes at most).
-        places = np.sort(np.where(touched, rank[safe], size), axis=1)
-        held = (places == np.arange(width)).cumprod(axis=1).sum(axis=1)
+        # Each candidate's touched places in that order, ascending: being
+        # distinct, they equal their position among the candidate's
+        # triples exactly on a prefix, whose length is the first untouched
+        # place.
+        sizes = np.bincount(candidate, minlength=count)
+        position = np.arange(candidate.size) - np.repeat(np.cumsum(sizes) - sizes,
+                                                         sizes)
+        places = np.sort(candidate * size + rank[types]) - candidate * size
+        held = np.bincount(candidate[places == position], minlength=count)
         untouched = order[np.minimum(held, size - 1)]
-        exists = held < size
-        nums = np.empty((count, width + 1), dtype=np.int64)
-        dens = np.ones((count, width + 1), dtype=np.int64)
-        nums[:, :width] = np.where(touched, self._withins[safe] + deltas, -1)
-        dens[:, :width] = np.where(touched, self._totals[safe], 1)
-        nums[:, width] = np.where(exists, self._withins[untouched], -1)
-        dens[:, width] = np.where(exists, self._totals[untouched], 1)
-        # Weight of each column at the maximum: one per touched type, and
-        # the untouched group's size for the untouched column.
-        same_group = touched & (group[safe] == group[untouched][:, None])
-        weights = np.empty((count, width + 1), dtype=np.int64)
-        weights[:, :width] = touched
-        weights[:, width] = np.where(
-            exists, group_size[group[untouched]] - same_group.sum(axis=1), 0)
-        best_num, best_den, at_max = row_maxima(nums, dens)
-        return best_num, best_den, (at_max * weights).sum(axis=1)
-
+        tied = group_size[group[untouched]] - np.bincount(
+            candidate[group[types] == group[untouched][candidate]],
+            minlength=count)
+        # The touched types' new ratios, then each candidate's untouched
+        # one, where a type is left untouched.
+        kept = np.flatnonzero(held < size)
+        first = untouched[kept]
+        best_num, best_den, at_max = group_maxima(
+            np.concatenate([candidate, kept]),
+            np.concatenate([self._withins[types] + deltas, self._withins[first]]),
+            np.concatenate([self._totals[types], self._totals[first]]), count)
+        ties = np.bincount(candidate[at_max[:candidate.size]], minlength=count)
+        ties[kept] += np.where(at_max[candidate.size:], tied[kept], 0)
+        return best_num, best_den, ties

@@ -6,11 +6,11 @@ by forking the parent mid-run: each worker inherits the parent's
 :class:`~repro.core.opacity_session.OpacitySession` — working graph,
 distance store, count arrays — as it stands, and from then on answers
 ``("scan", candidates)`` requests with its shard's per-candidate count
-changes, padded int64 ``(types, deltas)`` matrices with one row per
-candidate.  Follow-up ``("apply", ...)`` messages keep every worker's
-session in lock-step with the parent's applied edits.  Nothing is
+changes: int64 ``(candidate, type, delta)`` triples, candidates numbered
+from 0 within the shard.  Follow-up ``("apply", ...)`` messages keep every
+worker's session in lock-step with the parent's applied edits.  Nothing is
 published, attached, rebuilt or recounted, and only candidate lists,
-edits and change matrices cross the pipes.
+edits and change triples cross the pipes.
 
 On the dense tier a worker scans with the inherited session as it is: its
 matrix is a copy-on-write image of the parent's.  On the tiled tier the
@@ -28,15 +28,15 @@ Bit-identity is preserved by construction:
 * distance values are canonical — a worker's store holds exactly the
   parent's current matrix (dense copy-on-write image) or computes canonical
   tiles lazily from the current graph (tiled), so per-candidate change
-  rows match the serial scan's bit for bit;
+  triples match the serial scan's bit for bit;
 * candidates are sharded *contiguously* in candidate order and the parent
-  pads every shard's matrices to the widest one and stacks them back in
-  that order before running its own summarize pass — same ``Fraction``
-  maxima and tie counts.
+  joins the shards' triples back in that order, each offset by its shard's
+  first candidate, before running its own summarize pass — same
+  ``Fraction`` maxima and tie counts.
 
 Failure handling is all-or-nothing: any send/recv error (including a worker
-killed with SIGKILL mid-scan), an error reply, or a reply with the wrong
-row count makes :meth:`ScanPool.scan` return ``None``;
+killed with SIGKILL mid-scan), an error reply, or a reply naming a
+candidate outside its shard makes :meth:`ScanPool.scan` return ``None``;
 the caller tears the pool down and permanently falls back to the serial
 batched scan, which is result-identical.  The pool creates no shared
 memory, so no ``/dev/shm`` entry can outlive it.  A tiled worker's private
@@ -311,18 +311,22 @@ class ScanPool:
         return tuple(process.pid for process in self._processes)
 
     def scan(self, pairs: Sequence[Tuple[Any, Any]]
-             ) -> Optional[List[Tuple[Any, Any]]]:
+             ) -> Optional[List[Tuple[int, Tuple[Any, Any, Any]]]]:
         """Shard ``pairs`` across the workers and collect in candidate order.
 
-        Returns each shard's ``(types, deltas)`` change matrices, in shard
-        order, or ``None`` on any worker failure, error reply or reply
-        whose row count is not its shard's (the all-or-nothing fallback
-        signal).
+        Returns ``(first, changes)`` per shard, in shard order: the index
+        of the shard's first candidate in ``pairs`` and the shard's
+        ``(candidate, type, delta)`` triples, candidates numbered from 0
+        within the shard (as
+        :func:`~repro.core.opacity_session.join_changes` takes them).
+        Returns ``None`` on any worker failure, error reply or reply naming
+        a candidate index outside ``0 ..`` its shard size (the
+        all-or-nothing fallback signal).
         """
         if self._closed:
             return None
         pairs = list(pairs)
-        shards: List[Tuple[Any, int]] = []  # (connection, shard size)
+        shards: List[Tuple[Any, int, int]] = []  # (connection, first, size)
         base, extra = divmod(len(pairs), len(self._connections))
         start = 0
         try:
@@ -331,14 +335,18 @@ class ScanPool:
                 if size == 0:
                     continue
                 conn.send(("scan", pairs[start:start + size]))
-                shards.append((conn, size))
+                shards.append((conn, start, size))
                 start += size
-            parts: List[Tuple[Any, Any]] = []
-            for conn, size in shards:
+            parts: List[Tuple[int, Tuple[Any, Any, Any]]] = []
+            for conn, first, size in shards:
                 reply = conn.recv()
-                if reply[0] != "ok" or len(reply[1][0]) != size:
+                if reply[0] != "ok":
                     return None
-                parts.append(reply[1])
+                candidate = reply[1][0]
+                if candidate.size and not (0 <= candidate.min()
+                                           and candidate.max() < size):
+                    return None
+                parts.append((first, reply[1]))
             return parts
         except (OSError, EOFError, BrokenPipeError):
             return None

@@ -118,6 +118,11 @@ def enumerate_then_sample(graph, removed, cap, rng):
     return candidates
 
 
+def pair_list(endpoints):
+    """An int64 ``(k, 2)`` endpoint array as a list of edge tuples."""
+    return list(map(tuple, endpoints.tolist()))
+
+
 def eligible_pairs(graph, removed):
     edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
     return EligiblePairs(graph.num_vertices, (edges[:, 0], edges[:, 1]),
@@ -135,7 +140,9 @@ def assert_sampling_matches_reference(graph, removed, cap, seed):
     observed = anonymizer._insertion_candidates(
         session, ours, SimpleNamespace(removed_edges=removed))
     expected = enumerate_then_sample(graph, removed, cap, theirs)
-    assert observed == expected
+    # An endpoint array, row for row the sampled list.
+    assert observed.dtype == np.int64 and observed.shape == (len(expected), 2)
+    assert pair_list(observed) == expected
     assert ours.getstate() == theirs.getstate()  # the same draws
 
 
@@ -174,10 +181,10 @@ class TestInsertionSampling:
         eligible = eligible_pairs(graph, removed)
         expected = [edge for edge in graph.non_edges() if edge not in removed]
         assert len(eligible) == len(expected)
-        assert list(eligible) == expected
-        assert eligible[-1] == expected[-1]
-        with pytest.raises(IndexError):
-            eligible[len(expected)]
+        assert pair_list(eligible.pairs()) == expected
+        positions = np.array([len(expected) - 1, 0, 5, 5], dtype=np.int64)
+        assert pair_list(eligible.pairs(positions)) == \
+            [expected[p] for p in positions.tolist()]
 
 
 class TestEligiblePairs:
@@ -190,14 +197,13 @@ class TestEligiblePairs:
         eligible = eligible_pairs(graph, removed)
         expected = [edge for edge in graph.non_edges() if edge not in removed]
         assert len(eligible) == len(expected)
-        assert list(eligible) == expected
+        assert pair_list(eligible.pairs()) == expected
 
     @pytest.mark.parametrize("num_vertices", [0, 1])
     def test_graph_without_pairs_is_empty(self, num_vertices):
         eligible = eligible_pairs(Graph(num_vertices), set())
         assert len(eligible) == 0
-        with pytest.raises(IndexError):
-            eligible[0]
+        assert eligible.pairs().shape == (0, 2)
 
     def test_session_edge_arrays_track_applied_edits(self):
         # The session's edge array, not Graph.edges(), feeds the ranks: it
@@ -216,7 +222,7 @@ class TestEligiblePairs:
                                      session.edge_endpoints(), removed)
             expected = [edge for edge in graph.non_edges()
                         if edge not in removed]
-            assert list(eligible) == expected
+            assert pair_list(eligible.pairs()) == expected
 
 
 class TestEdgeCases:
@@ -242,3 +248,39 @@ class TestEdgeCases:
         second = EdgeRemovalInsertionAnonymizer(
             length_threshold=1, theta=0.5, seed=9).anonymize(graph)
         assert first.anonymized_graph == second.anonymized_graph
+
+
+class TestScanChunks:
+    """A scan chunk of a larger level reads only its own members' cells."""
+
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_no_chunk_looks_up_more_cells_than_it_names(self, length,
+                                                        monkeypatch):
+        from repro.core import anonymizer as anonymizer_module
+        from repro.graph.two_hop import TwoHopCounts
+
+        graph = erdos_renyi_graph(20, 0.2, seed=1)
+        params = dict(length_threshold=length, theta=0.3, seed=0, max_steps=2)
+        whole = EdgeRemovalInsertionAnonymizer(**params).anonymize(graph)
+        looked_up = []
+        validate = TwoHopCounts._validate
+        check = OpacitySession._check_cells
+
+        def spy_validate(counts, endpoints, members, gained):
+            looked_up.append((len(endpoints), members.size))
+            return validate(counts, endpoints, members, gained)
+
+        def spy_check(session, cells, at, gained):
+            looked_up.append((len(cells), at.size))
+            return check(session, cells, at, gained)
+
+        monkeypatch.setattr(TwoHopCounts, "_validate", spy_validate)
+        monkeypatch.setattr(OpacitySession, "_check_cells", spy_check)
+        monkeypatch.setattr(anonymizer_module, "COMPOSED_SCAN_CHUNK", 16)
+        chunked = EdgeRemovalInsertionAnonymizer(**params).anonymize(graph)
+        # Premise: insertion scans ran, each over many 16-candidate chunks.
+        assert chunked.inserted_edges and len(looked_up) > 2 * chunked.num_steps
+        assert all(cells <= members for cells, members in looked_up)
+        assert (chunked.removed_edges, chunked.inserted_edges,
+                chunked.evaluations) == \
+            (whole.removed_edges, whole.inserted_edges, whole.evaluations)

@@ -550,10 +550,11 @@ class TestCrashSafety:
             parallel.close()
         assert leaked_arenas() == []
 
-    @pytest.mark.parametrize("failure", ["short", "error"])
+    @pytest.mark.parametrize("failure", ["beyond", "error"])
     def test_bad_shard_reply_falls_back_serially(self, monkeypatch, failure):
-        """A shard answered with too few rows, or with an error reply, fails
-        the whole scan: the session drops the pool and rescans serially."""
+        """A shard answered with a candidate index at or past its size, or
+        with an error reply, fails the whole scan: the session drops the
+        pool and rescans serially."""
         graph = erdos_renyi_graph(20, 0.25, seed=3)
         computer = OpacityComputer(DegreePairTyping(graph), 3)
         pairs = make_candidates(graph)
@@ -567,8 +568,9 @@ class TestCrashSafety:
                 return collect(session, shard)
             if failure == "error":
                 raise RuntimeError("injected shard failure")
-            types, deltas = collect(session, shard)
-            return types[:-1], deltas[:-1]
+            candidate, types, deltas = collect(session, shard)
+            return (np.append(candidate, len(shard)), np.append(types, 0),
+                    np.append(deltas, 1))
 
         monkeypatch.setattr(OpacitySession, "collect_edit_changes",
                             misbehaving)

@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api.progress import NullObserver
@@ -31,7 +31,7 @@ from repro.core import (
 )
 from repro.baselines.gaded import GadedMaxAnonymizer, removal_totals
 from repro.core.anonymizer import AnonymizerConfig, TieBreaker
-from repro.core.opacity import row_maxima
+from repro.core.opacity import group_maxima
 from repro.core.opacity_session import CandidateOutcome, ScoredBatch
 from repro.graph.graph import Graph
 from tests.oracles import (
@@ -239,40 +239,133 @@ class _CheckpointKeeper(NullObserver):
         self.checkpoints.append(checkpoint)
 
 
+@st.composite
+def type_columns(draw):
+    """Types as ``(pair count, share)``: small counts, and large ones.
+
+    The large counts are ``b`` and ``b + 1`` for one ``b`` of ``2**26``,
+    ``2**30`` or ``2**33``; at the last two the ratios ``(b-1)/b`` and
+    ``b/(b+1)`` (:func:`within_values` makes both) are distinct fractions
+    sharing one float.
+    """
+    base = draw(st.sampled_from([1 << 26, 1 << 30, 1 << 33]))
+    total = st.one_of(st.integers(min_value=1, max_value=60),
+                      st.integers(min_value=1, max_value=1 << 40),
+                      st.sampled_from([base, base + 1]))
+    return draw(st.lists(st.tuples(total, st.floats(min_value=0.0,
+                                                    max_value=1.0)),
+                         min_size=1, max_size=8))
+
+
+def within_values(total, share):
+    """Counts of a type of ``total`` pairs that make ties and near-ties."""
+    return [0, total, int(total * share), max(0, total - 1)]
+
+
+@st.composite
+def changed_counts(draw):
+    """``(totals, withins, afters)``: types, their counts, and candidates' counts.
+
+    Each candidate's count vector after its edit redraws some of the
+    types' counts from :func:`within_values`.
+    """
+    columns = draw(type_columns())
+    totals = [total for total, _ in columns]
+    values = [within_values(total, share) for total, share in columns]
+    withins = [draw(st.sampled_from(choices)) for choices in values]
+    afters = draw(st.lists(st.tuples(*(
+        st.one_of(st.just(within), st.sampled_from(choices))
+        for within, choices in zip(withins, values))).map(list), max_size=5))
+    return totals, withins, afters
+
+
+def fraction_summary(withins, totals):
+    """The exact maximum of ``withins / totals`` and how many types reach it."""
+    fractions = [Fraction(w, t) for w, t in zip(withins, totals)]
+    best = max(fractions)
+    return best, [value == best for value in fractions]
+
+
+def summarizing_session(withins, totals):
+    """An :class:`OpacitySession` holding only the given count vectors.
+
+    Just enough state for :meth:`OpacitySession._summarize_changed`,
+    which reads the counts and the exact ordering built from them.
+    """
+    session = object.__new__(OpacitySession)
+    session._withins = np.array(withins, dtype=np.int64)
+    session._totals = np.array(totals, dtype=np.int64)
+    session._ranking = None
+    return session
+
+
 class TestSummarizer:
-    @given(st.lists(st.tuples(st.one_of(st.integers(min_value=1, max_value=60),
-                                        st.integers(min_value=1,
-                                                    max_value=1 << 40)),
-                              st.floats(min_value=0.0, max_value=1.0)),
-                    min_size=1, max_size=8),
-           st.integers(min_value=1, max_value=4), st.data())
+    @given(type_columns(), st.integers(min_value=1, max_value=4), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_rows_match_fraction_reference(self, columns, count, data):
-        totals = np.array([total for total, _ in columns], dtype=np.int64)
-        rows = []
-        for _ in range(count):
-            rows.append([data.draw(st.sampled_from(
-                [0, total, int(total * share), max(0, total - 1)]))
-                for total, share in columns])
-        withins = np.array(rows, dtype=np.int64)
-        nums, dens, at_max = row_maxima(
-            withins, np.broadcast_to(totals, withins.shape))
+    def test_groups_match_fraction_reference(self, columns, count, data):
+        totals = [total for total, _ in columns]
+        rows = [[data.draw(st.sampled_from(within_values(total, share)))
+                 for total, share in columns] for _ in range(count)]
+        # The entries of every group, in a drawn order.
+        entries = [(row, column) for row in range(count)
+                   for column in range(len(columns))]
+        entries = data.draw(st.permutations(entries))
+        groups = np.array([row for row, _ in entries], dtype=np.int64)
+        nums = np.array([rows[row][column] for row, column in entries],
+                        dtype=np.int64)
+        dens = np.array([totals[column] for _, column in entries],
+                        dtype=np.int64)
+        best_num, best_den, at_max = group_maxima(groups, nums, dens, count)
         for row in range(count):
-            fractions = [Fraction(int(w), int(t))
-                         for w, t in zip(withins[row], totals)]
-            best = max(fractions)
-            assert (nums[row], dens[row]) == (best.numerator, best.denominator)
-            assert at_max[row].tolist() == [f == best for f in fractions]
+            best, flags = fraction_summary(rows[row], totals)
+            assert (best_num[row], best_den[row]) == \
+                (best.numerator, best.denominator)
+            observed = {column: bool(flag) for (owner, column), flag
+                        in zip(entries, at_max.tolist()) if owner == row}
+            assert observed == dict(enumerate(flags))
 
     @pytest.mark.parametrize("base", [1 << 30, 1 << 33])
     def test_distinct_fractions_sharing_a_float(self, base):
         """(b-1)/b and b/(b+1) round to one float for large b."""
         totals = np.array([base, base + 1, 7], dtype=np.int64)
-        withins = np.array([[base - 1, base, 3]], dtype=np.int64)
-        assert (withins[0, 0] / totals[0]) == (withins[0, 1] / totals[1])
-        nums, dens, at_max = row_maxima(withins, totals[None, :])
+        withins = np.array([base - 1, base, 3], dtype=np.int64)
+        assert (withins[0] / totals[0]) == (withins[1] / totals[1])
+        nums, dens, at_max = group_maxima(np.zeros(3, dtype=np.int64),
+                                          withins, totals, 1)
         assert Fraction(int(nums[0]), int(dens[0])) == Fraction(base, base + 1)
-        assert at_max[0].tolist() == [False, True, False]
+        assert at_max.tolist() == [False, True, False]
+
+    @given(changed_counts())
+    @example(([1 << 30, (1 << 30) + 1, 7], [0, 1 << 30, 3],
+              [[(1 << 30) - 1, 1 << 30, 3], [(1 << 30) - 1, 1 << 30, 7]]))
+    @example(([1 << 33, (1 << 33) + 1], [1 << 33, 0],
+              [[(1 << 33) - 1, 1 << 33], [0, 0]]))
+    @settings(max_examples=120, deadline=None)
+    def test_changed_types_match_fraction_reference(self, case):
+        """The grouped summary of change triples equals ``Fraction`` maxima
+        and tie counts over each candidate's whole count vector.
+
+        The examples make the distinct ratios ``(b-1)/b`` and ``b/(b+1)``,
+        which share one float, a candidate's top two: ``Fraction`` settles
+        them.
+        """
+        totals, withins, afters = case
+        triples = sorted((candidate, position, new - old)
+                         for candidate, after in enumerate(afters)
+                         for position, (old, new) in enumerate(zip(withins,
+                                                                   after))
+                         if new != old)
+        candidate, types, deltas = (np.array([t[k] for t in triples],
+                                             dtype=np.int64).reshape(-1)
+                                    for k in range(3))
+        nums, dens, ties = summarizing_session(withins, totals) \
+            ._summarize_changed(len(afters), candidate, types, deltas)
+        expected = []
+        for after in afters:
+            best, flags = fraction_summary(after, totals)
+            expected.append((best.numerator, best.denominator, sum(flags)))
+        assert list(zip(nums.tolist(), dens.tolist(), ties.tolist())) == \
+            expected
 
     def test_oracle_reference_agrees_with_the_product_on_a_sample(self):
         from repro.graph import erdos_renyi_graph

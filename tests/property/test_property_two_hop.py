@@ -79,11 +79,22 @@ def l2_session(typing, graph, state):
     return session
 
 
-def change_sets(changes):
-    """Each row of padded ``(types, deltas)`` matrices as a ``{type: delta}`` dict."""
-    types, deltas = changes
-    return [{int(t): int(d) for t, d in zip(type_row, delta_row) if d}
-            for type_row, delta_row in zip(types.tolist(), deltas.tolist())]
+def change_sets(changes, count):
+    """Each of ``count`` candidates' change triples as a ``{type: delta}`` dict.
+
+    Asserts the triple form on the way: every candidate index is below
+    ``count``, the triples are sorted by candidate then type with no
+    repeat, and no delta is zero.
+    """
+    candidate, types, deltas = (part.tolist() for part in changes)
+    keys = list(zip(candidate, types))
+    assert keys == sorted(set(keys))
+    assert all(0 <= c < count for c in candidate)
+    assert 0 not in deltas
+    sets = [{} for _ in range(count)]
+    for c, t, d in zip(candidate, types, deltas):
+        sets[c][t] = d
+    return sets
 
 
 def level_pairs(endpoints, members, gained):
@@ -167,8 +178,8 @@ class TestKernelMatchesTheSlabPath:
         with slab_session(typing, graph) as oracle:
             slab = oracle._collect_changes(
                 level_pairs(endpoints, members, gained))
-        assert change_sets(kernel) == change_sets(slab)
-        assert kernel[0].shape[0] == len(members)
+        assert change_sets(kernel, len(members)) == \
+            change_sets(slab, len(members))
 
     @given(messy_levels())
     @settings(max_examples=120, deadline=None)
@@ -184,8 +195,8 @@ class TestKernelMatchesTheSlabPath:
             assert (observed is None) == (expected is None)
             if expected is None:
                 kernel = session._two_hop_changes(endpoints, members, gained)
-                assert change_sets(kernel) == \
-                    change_sets(oracle._collect_changes(pairs))
+                assert change_sets(kernel, len(members)) == \
+                    change_sets(oracle._collect_changes(pairs), len(members))
             else:
                 assert observed == expected
 
@@ -202,8 +213,8 @@ class TestKernelMatchesTheSlabPath:
         with slab_session(typing, graph) as oracle:
             slab = oracle._collect_changes(
                 level_pairs(endpoints, members, gained))
-        assert change_sets(kernel) == change_sets(slab)
-        assert change_sets(kernel)[0] == {}
+        assert change_sets(kernel, 2) == change_sets(slab, 2)
+        assert change_sets(kernel, 2)[0] == {}
 
     def test_self_loops_raise(self, state):
         graph = erdos_renyi_graph(6, 0.5, seed=1)
