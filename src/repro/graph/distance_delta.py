@@ -29,6 +29,12 @@ plus their new values — without a from-scratch recomputation:
   the delta is that slab: oversized slabs stream through a row cap in
   chunks, so no edit ever recomputes the whole matrix.
 
+Every delta goes through the same four pieces of
+:class:`DistanceSession`: one affected-rows rule (``_affected``), one
+frontier-expansion kernel for removals (``_expand_rows``), one relaxation
+kernel for insertions (``_relax_rows``), and one row cap that streams a
+slab through either kernel in chunks (``_row_capped``).
+
 Every matrix access is phrased in row blocks (columns are rows transposed —
 the matrix is symmetric), which is exactly the store seam's contract; the
 adjacency mirror follows the same split: the dense tier keeps the
@@ -46,11 +52,12 @@ the property suite asserts this bit-for-bit.
 
 :meth:`DistanceSession.preview_batch` evaluates *many independent
 single-edge candidates* of the same kind in one stacked pass: all removal
-candidates share one ``|rows_total| × n`` slab recompute (with per-row
-corrections for each candidate's own removed edge), and all insertion
-candidates share one broadcast relaxation.  Each candidate's delta is
-bit-identical to the equivalent :meth:`preview`, except that a candidate
-whose edit flips no cell across the L boundary comes back as ``None``.
+candidates share one ``|rows_total| × n`` slab expansion over the unedited
+mirror, each row cutting its own candidate's edge, and all insertion
+candidates share one relaxation, each row reading its own candidate's
+endpoint rows.  Each candidate's delta is bit-identical to the equivalent
+:meth:`preview`, except that a candidate whose edit flips no cell across
+the L boundary comes back as ``None``.
 
 Neither kind of preview touches the graph: tentative edits live in the
 adjacency mirror only.
@@ -318,11 +325,11 @@ class DistanceSession:
         it stood at the fork, and the spill file whose slots the parent
         keeps rewriting.  The fresh store has the same tile geometry and
         computes its tiles lazily from the current graph — canonical values,
-        so equal to the parent's edited tiles — and its spill file is
-        unlinked as soon as it is made (:meth:`TiledStore.private_copy`).
-        The inherited one is left untouched (its finalizer releases the
-        spill file only in the process that created it).  A dense store is
-        the process's own copy-on-write matrix and stays.
+        so equal to the parent's edited tiles — into its own spill file
+        (:meth:`TiledStore.private_copy`).  The inherited one is left
+        untouched (its finalizer releases the spill file only in the
+        process that created it).  A dense store is the process's own
+        copy-on-write matrix and stays.
         """
         store = self._store
         if isinstance(store, TiledStore):
@@ -377,7 +384,7 @@ class DistanceSession:
         edit — every edge here is its own candidate, in the order
         ``removals + insertions``.  All removal candidates share a single
         ``|rows_total| × n`` slab recompute and all insertion candidates
-        share a single broadcast relaxation, eliminating the per-candidate
+        share a single stacked relaxation, eliminating the per-candidate
         numpy call overhead that dominates the greedy scans.
 
         The pass serves consumers that only tally *within-L membership
@@ -441,10 +448,10 @@ class DistanceSession:
                              removal: bool) -> List[np.ndarray]:
         """Affected-row arrays of every candidate from one stacked gather.
 
-        Vectorizes :meth:`_removal_rows` (resp. the insertion row filter)
-        across the chunk's candidates: both endpoint columns are gathered at
-        once — as matrix *rows*, transposed by symmetry — and the
-        per-candidate row sets split out of a single ``nonzero``.
+        Applies :meth:`_affected` to the chunk's candidates at once: both
+        endpoint columns are gathered in one read — as matrix *rows*,
+        transposed by symmetry — and the per-candidate row sets split out
+        of a single ``nonzero``.
         """
         endpoint_u = np.fromiter((edge[0] for edge in edges), dtype=np.int64,
                                  count=len(edges))
@@ -452,12 +459,9 @@ class DistanceSession:
                                  count=len(edges))
         du = self._store.rows(endpoint_u).astype(np.int64)
         dv = self._store.rows(endpoint_v).astype(np.int64)
-        near = np.minimum(du, dv) <= self._length - 1
-        affected = (near & (np.abs(du - dv) == 1)) if removal else near
-        counts = affected.sum(axis=1)
-        candidate_index, row_index = np.nonzero(affected)
-        del candidate_index
-        return np.split(row_index, np.cumsum(counts)[:-1])
+        affected = self._affected(du, dv, removal)
+        _, row_index = np.nonzero(affected)
+        return np.split(row_index, np.cumsum(affected.sum(axis=1))[:-1])
 
     def _batch_deltas(self, edges: List[Edge], removal: bool
                       ) -> List[DistanceDelta | None]:
@@ -480,9 +484,9 @@ class DistanceSession:
                     deltas: List[DistanceDelta | None], removal: bool) -> None:
         """Recompute one chunk's affected rows in a shared stacked pass.
 
-        Removals re-expand the stacked rows in one slab
-        (:meth:`_rows_block_batch`); insertions relax them in one broadcast
-        pass (:meth:`_relax_rows_batch`).  A candidate gets a delta only
+        Removals re-expand the stacked rows in one slab, each row cut by
+        its candidate's edge (:meth:`_expand_rows`); insertions relax them
+        in one pass (:meth:`_relax_rows`).  A candidate gets a delta only
         when some cell of its rows crosses the L boundary (a within-L
         membership flip).
         """
@@ -494,9 +498,11 @@ class DistanceSession:
                                        dtype=np.int64, count=len(chunk)), sizes)
         old_block = self._store.rows(rows_cat)
         if removal:
-            block = self._rows_block_batch(rows_cat, edge_u, edge_v)
+            block = self._row_capped(self._expand_rows,
+                                     (rows_cat, edge_u, edge_v))
         else:
-            block = self._relax_rows_batch(old_block, edge_u, edge_v)
+            block = self._row_capped(self._relax_rows,
+                                     (old_block, edge_u, edge_v))
         changed_cat = (block != old_block).any(axis=1)
         flips_cat = ((block <= self._length)
                      != (old_block <= self._length)).any(axis=1)
@@ -512,101 +518,6 @@ class DistanceSession:
                 *edit, rows[changed],
                 np.ascontiguousarray(block[span][changed],
                                      dtype=self._store.dtype))
-
-    def _rows_block_batch(self, rows: np.ndarray, edge_u: np.ndarray,
-                          edge_v: np.ndarray) -> np.ndarray:
-        """:meth:`_rows_block` across candidates, one frontier expansion.
-
-        ``edge_u``/``edge_v`` name the removed edge of each slab row's
-        candidate.  The expansion runs against the *unedited* adjacency and
-        subtracts, per row, the single product term its candidate's removed
-        edge would have contributed — the mirror's neighbor weights are
-        exact (float32 0/1 dots or integer counts), so the corrected
-        frontier equals the one computed on the edited adjacency bit for
-        bit.
-
-        Source rows are independent, so slabs larger than the row cap (a
-        single giant candidate admitted alone by :meth:`_slab_chunks`) are
-        streamed through it in chunks — bit-identical, with the
-        frontier-expansion workspace bounded by the cap.
-        """
-        cap = self._batch_slab_row_cap()
-        if rows.size > cap:
-            return np.concatenate(
-                [self._rows_block_batch_chunk(rows[start:start + cap],
-                                              edge_u[start:start + cap],
-                                              edge_v[start:start + cap])
-                 for start in range(0, rows.size, cap)], axis=0)
-        return self._rows_block_batch_chunk(rows, edge_u, edge_v)
-
-    def _rows_block_batch_chunk(self, rows: np.ndarray, edge_u: np.ndarray,
-                                edge_v: np.ndarray) -> np.ndarray:
-        n = self._graph.num_vertices
-        total = rows.size
-        sentinel = self._store.sentinel
-        block = np.full((total, n), sentinel, dtype=self._store.dtype)
-        source_index = np.arange(total)
-        block[source_index, rows] = 0
-        reached = np.zeros((total, n), dtype=np.bool_)
-        reached[source_index, rows] = True
-        frontier = self._mirror.block(rows)
-        # A source row that is itself an endpoint of its candidate's removed
-        # edge must not start from the other endpoint.
-        at_u = rows == edge_u
-        frontier[source_index[at_u], edge_v[at_u]] = False
-        at_v = rows == edge_v
-        frontier[source_index[at_v], edge_u[at_v]] = False
-        step = 1
-        while step <= self._length and frontier.any():
-            new = frontier & ~reached
-            block[new & (block == sentinel)] = step
-            reached |= new
-            if step == self._length:
-                break
-            product = self._mirror.expand(new)
-            product[source_index, edge_v] -= new[source_index, edge_u]
-            product[source_index, edge_u] -= new[source_index, edge_v]
-            frontier = product > 0
-            step += 1
-        return block
-
-    def _relax_rows_batch(self, old_block: np.ndarray, edge_u: np.ndarray,
-                          edge_v: np.ndarray) -> np.ndarray:
-        """Stacked single-edge relaxation of ``old_block``'s rows.
-
-        The relaxation of :meth:`_relax_insertion` applied to the stacked
-        ``(candidate, row)`` pairs at once; the matrix is symmetric, so each
-        pair's endpoint columns are read as matrix rows.  Rows are
-        independent, so slabs beyond the row cap stream through it in
-        chunks — the int64 widening and the per-row endpoint gathers (the
-        pass's transient workspace) stay bounded by the cap while the result
-        is bit-identical.
-        """
-        cap = self._batch_slab_row_cap()
-        if old_block.shape[0] > cap:
-            return np.concatenate(
-                [self._relax_rows_chunk(old_block[start:start + cap],
-                                        edge_u[start:start + cap],
-                                        edge_v[start:start + cap])
-                 for start in range(0, old_block.shape[0], cap)], axis=0)
-        return self._relax_rows_chunk(old_block, edge_u, edge_v)
-
-    def _relax_rows_chunk(self, old_block: np.ndarray, edge_u: np.ndarray,
-                          edge_v: np.ndarray) -> np.ndarray:
-        block = old_block.astype(np.int64)
-        within = np.arange(old_block.shape[0])
-        du_values = block[within, edge_u]
-        dv_values = block[within, edge_v]
-        np.minimum(block,
-                   (du_values + 1)[:, None]
-                   + self._store.rows(edge_v).astype(np.int64),
-                   out=block)
-        np.minimum(block,
-                   (dv_values + 1)[:, None]
-                   + self._store.rows(edge_u).astype(np.int64),
-                   out=block)
-        block[block > self._length] = self._store.sentinel
-        return block.astype(self._store.dtype)
 
     def stage(self, removals: Sequence[Edge] = (),
               insertions: Sequence[Edge] = ()) -> DistanceDelta:
@@ -675,21 +586,22 @@ class DistanceSession:
             return col
 
         for kind, (u, v) in ops:
-            self._mirror.set_edge(u, v, kind == "insert")
+            removal = kind == "remove"
+            self._mirror.set_edge(u, v, not removal)
             applied.append((kind, (u, v)))
             du, dv = column(u), column(v)
-            if kind == "remove":
-                rows = self._removal_rows(du, dv)
-                block = self._rows_block(rows)
+            rows = np.nonzero(self._affected(du, dv, removal))[0]
+            if rows.size == 0:
+                continue
+            if removal:
+                block = self._row_capped(self._expand_rows, (rows,))
             else:
-                rows = np.nonzero(np.minimum(du, dv) <= self._length - 1)[0]
-                if rows.size == 0:
-                    continue
                 base = self._store.rows(rows)
                 for position, index in enumerate(rows.tolist()):
                     if index in overlay:
                         base[position] = overlay[index]
-                block = self._relax_insertion(base, du, dv, rows)
+                block = self._row_capped(self._relax_rows, (base,), u, v,
+                                         du[None, :], dv[None, :])
             for position, index in enumerate(rows.tolist()):
                 overlay[index] = block[position]
         rows = np.fromiter(sorted(overlay), dtype=np.int64, count=len(overlay))
@@ -713,76 +625,105 @@ class DistanceSession:
     # ------------------------------------------------------------------
     # per-edit machinery
     # ------------------------------------------------------------------
-    def _removal_rows(self, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-        """Rows that can change when the edge between the columns is removed.
+    def _affected(self, du: np.ndarray, dv: np.ndarray,
+                  removal: bool) -> np.ndarray:
+        """Mask of the rows an edit of the edge between the columns can change.
 
-        ``du`` / ``dv`` are the (pre-removal) int64 distance columns of the
-        edge's endpoints.  A shortest ≤L path from ``i`` crossing the edge
-        reaches one endpoint at distance ``d`` and the other at ``d + 1``
-        with ``d ≤ L - 1``; rows violating either condition are untouched.
+        ``du`` / ``dv`` are the pre-edit int64 distances to the edge's
+        endpoints (one column each, or one candidate per row).  A row more
+        than L - 1 from both endpoints gains or loses no ≤L path through
+        the edge.  A shortest path from ``i`` that crosses a removed edge
+        reaches one endpoint at distance ``d`` and the other at ``d + 1``,
+        so a removal also needs ``|du - dv| = 1``.
         """
         near = np.minimum(du, dv) <= self._length - 1
-        return np.nonzero(near & (np.abs(du - dv) == 1))[0]
+        return near & (np.abs(du - dv) == 1) if removal else near
 
-    def _rows_block(self, rows: np.ndarray) -> np.ndarray:
-        """Recompute ``rows`` of the matrix on the current (edited) graph.
+    def _row_capped(self, kernel, per_row: Tuple[np.ndarray, ...],
+                    *shared) -> np.ndarray:
+        """``kernel`` over row-capped chunks of the ``per_row`` arrays, stacked.
 
-        Vectorized multi-source frontier expansion — the ``numpy`` engine's
-        recurrence restricted to an ``|rows| × n`` slab, so the cost scales
-        with the affected region instead of the whole vertex set.  Rows are
-        independent sources, so oversized slabs stream through the row cap
-        in chunks (bit-identical, workspace bounded).
+        Slab rows are independent, so a slab beyond the row cap (one
+        applied edit's whole region, or a giant candidate that
+        :meth:`_slab_chunks` admits alone) streams through it chunk by
+        chunk: bit-identical, with the kernel's workspace bounded by the
+        cap.  ``shared`` arguments go whole to every chunk.
         """
         cap = self._batch_slab_row_cap()
-        if rows.size > cap:
-            return np.concatenate(
-                [self._rows_block_chunk(rows[start:start + cap])
-                 for start in range(0, rows.size, cap)], axis=0)
-        return self._rows_block_chunk(rows)
+        total = per_row[0].shape[0]
+        if total <= cap:
+            return kernel(*per_row, *shared)
+        return np.concatenate(
+            [kernel(*(array[start:start + cap] for array in per_row), *shared)
+             for start in range(0, total, cap)], axis=0)
 
-    def _rows_block_chunk(self, rows: np.ndarray) -> np.ndarray:
+    def _expand_rows(self, rows: np.ndarray, cut_u: Optional[np.ndarray] = None,
+                     cut_v: Optional[np.ndarray] = None) -> np.ndarray:
+        """Recompute ``rows`` of the matrix by frontier expansion.
+
+        The ``numpy`` engine's recurrence restricted to an ``|rows| × n``
+        slab, so the cost scales with the affected region instead of the
+        whole vertex set.  Without a cut it runs on the mirror as it stands
+        (a sequential edit has already removed its edge there).  With one,
+        ``cut_u[k]``/``cut_v[k]`` name the edge removed for slab row ``k``
+        (one stacked candidate each): the expansion runs on the unedited
+        mirror and subtracts, per row, the single term that edge would have
+        contributed.  The mirror's neighbour weights are exact (float32 0/1
+        dots or integer counts), so the corrected frontier equals the one on
+        the edited adjacency bit for bit.
+        """
         n = self._graph.num_vertices
-        sentinel = self._store.sentinel
-        block = np.full((rows.size, n), sentinel, dtype=self._store.dtype)
+        block = np.full((rows.size, n), self._store.sentinel,
+                        dtype=self._store.dtype)
         source_index = np.arange(rows.size)
         block[source_index, rows] = 0
         reached = np.zeros((rows.size, n), dtype=np.bool_)
         reached[source_index, rows] = True
         frontier = self._mirror.block(rows)
+        if cut_u is not None:
+            # A source on its own cut edge does not start from the far end.
+            at_u = rows == cut_u
+            frontier[source_index[at_u], cut_v[at_u]] = False
+            at_v = rows == cut_v
+            frontier[source_index[at_v], cut_u[at_v]] = False
         step = 1
         while step <= self._length and frontier.any():
             new = frontier & ~reached
-            block[new & (block == sentinel)] = step
+            block[new] = step
             reached |= new
             if step == self._length:
                 break
-            frontier = self._mirror.expand(new) > 0
+            product = self._mirror.expand(new)
+            if cut_u is not None:
+                product[source_index, cut_v] -= new[source_index, cut_u]
+                product[source_index, cut_u] -= new[source_index, cut_v]
+            frontier = product > 0
             step += 1
         return block
 
-    def _relax_insertion(self, base: np.ndarray, du: np.ndarray,
-                         dv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """New values of ``rows`` after inserting the edge between the columns.
+    def _relax_rows(self, base: np.ndarray, edge_u: Union[int, np.ndarray],
+                    edge_v: Union[int, np.ndarray],
+                    far_u: Optional[np.ndarray] = None,
+                    far_v: Optional[np.ndarray] = None) -> np.ndarray:
+        """New values of ``base``'s rows after inserting an edge.
 
-        ``base`` holds the pre-insertion values of ``rows``; only rows within
-        L - 1 of an endpoint can gain a new ≤L path, and their new values
-        follow from the single-edge relaxation (every improved shortest path
-        is simple, so it crosses the new edge exactly once).  Oversized row
-        sets stream through the row cap in chunks (rows are independent),
-        bounding the int64 widening workspace.
+        ``min(base, near_u + 1 + far_v, near_v + 1 + far_u)``, truncated at
+        L: every improved shortest path is simple, so it crosses the new
+        edge exactly once.  ``edge_u``/``edge_v`` are the inserted edge's
+        endpoints, one pair for every row (a sequential edit) or one per
+        row (stacked candidates); ``near_*`` are each row's own distances
+        to them.  ``far_*`` are the endpoints' distance rows (columns by
+        symmetry): one broadcast row for a sequential edit or, when
+        omitted, each row's endpoints read from the store.
         """
-        cap = self._batch_slab_row_cap()
-        if rows.size > cap:
-            return np.concatenate(
-                [self._relax_insertion_chunk(base[start:start + cap], du, dv,
-                                             rows[start:start + cap])
-                 for start in range(0, rows.size, cap)], axis=0)
-        return self._relax_insertion_chunk(base, du, dv, rows)
-
-    def _relax_insertion_chunk(self, base: np.ndarray, du: np.ndarray,
-                               dv: np.ndarray, rows: np.ndarray) -> np.ndarray:
         block = base.astype(np.int64)
-        np.minimum(block, (du[rows] + 1)[:, None] + dv[None, :], out=block)
-        np.minimum(block, (dv[rows] + 1)[:, None] + du[None, :], out=block)
+        within = np.arange(block.shape[0])
+        near_u = block[within, edge_u]
+        near_v = block[within, edge_v]
+        if far_u is None:
+            far_u = self._store.rows(edge_u).astype(np.int64)
+            far_v = self._store.rows(edge_v).astype(np.int64)
+        np.minimum(block, (near_u + 1)[:, None] + far_v, out=block)
+        np.minimum(block, (near_v + 1)[:, None] + far_u, out=block)
         block[block > self._length] = self._store.sentinel
         return block.astype(self._store.dtype)

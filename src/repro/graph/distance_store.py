@@ -365,7 +365,9 @@ class TiledStore(DistanceStore):
     written to a fixed slot of a lazily-created temp file on eviction if
     its slot is missing or stale (the tile was computed or
     written since it was last spilled or loaded).  The file is private to
-    this store and deleted by :meth:`close` or when the store is collected.
+    this store and unlinked as soon as it is made, so it has no name and
+    goes with its descriptor: :meth:`close`, the store's collection or the
+    end of the process, however it ends, releases it.
     After the first :meth:`write_rows` the store is *edited*: every tile is
     materialized once (the CSR snapshot no longer describes the mutating
     graph) and from then on tiles only move between cache and spill file.
@@ -420,10 +422,6 @@ class TiledStore(DistanceStore):
         self._on_disk = np.zeros(max(1, self.num_tiles), dtype=bool)
         self._edited = False
         self._spill_fd: Optional[int] = None
-        self._spill_path: Optional[str] = None
-        # Set by :meth:`private_copy`: the spill file loses its name as
-        # soon as it is made.
-        self._nameless_spill = False
         self._finalizer = None
         self.tile_computes = 0
         self.tile_loads = 0
@@ -432,7 +430,7 @@ class TiledStore(DistanceStore):
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        """Drop the tile cache and delete the spill file."""
+        """Drop the tile cache and release the spill file."""
         self._cache.clear()
         self._cache_bytes = 0
         self._dirty.clear()
@@ -440,20 +438,15 @@ class TiledStore(DistanceStore):
             self._finalizer()
             self._finalizer = None
         self._spill_fd = None
-        self._spill_path = None
 
     @staticmethod
-    def _cleanup_spill(fd: int, path: str, owner: int) -> None:
+    def _cleanup_spill(fd: int, owner: int) -> None:
         # A forked process inherits the finalizer along with the store; the
-        # file and its descriptor stay the creating process's to release.
+        # descriptor stays the creating process's to release.
         if os.getpid() != owner:
             return
         try:
             os.close(fd)
-        except OSError:
-            pass
-        try:
-            os.unlink(path)
         except OSError:
             pass
 
@@ -461,34 +454,28 @@ class TiledStore(DistanceStore):
         if self._spill_fd is None:
             fd, path = tempfile.mkstemp(prefix="repro-tiles-",
                                         dir=self._spill_dir)
-            if self._nameless_spill:
-                # Nothing opens the file by name: it goes with its
-                # descriptor however the process ends.
+            # Nothing opens the file by name: unlinked now, it goes with
+            # its descriptor however the process ends.
+            try:
                 os.unlink(path)
+            except OSError:
+                os.close(fd)
+                raise
             self._spill_fd = fd
-            self._spill_path = path
             self._finalizer = weakref.finalize(
-                self, TiledStore._cleanup_spill, fd, path, os.getpid())
+                self, TiledStore._cleanup_spill, fd, os.getpid())
         return self._spill_fd
 
     def private_copy(self, graph: Graph) -> "TiledStore":
         """A fresh store over ``graph`` with this store's tile geometry.
 
         For a forked process (:meth:`DistanceSession.privatize_store`): its
-        tiles are computed lazily from ``graph``, and its spill file is
-        unlinked right after it is made, so a process killed outright
-        leaves no file behind.
+        tiles are computed lazily from ``graph`` into its own cache and
+        spill file.
         """
-        store = TiledStore(graph, self.length_bound, tile_rows=self.tile_rows,
-                           budget_bytes=self.budget_bytes,
-                           spill_dir=self.spill_dir)
-        store._nameless_spill = True
-        return store
-
-    @property
-    def spill_path(self) -> Optional[str]:
-        """Path of the spill file, once one exists (observability hook)."""
-        return self._spill_path
+        return TiledStore(graph, self.length_bound, tile_rows=self.tile_rows,
+                          budget_bytes=self.budget_bytes,
+                          spill_dir=self.spill_dir)
 
     @property
     def budget_bytes(self) -> int:

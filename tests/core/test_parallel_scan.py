@@ -478,18 +478,17 @@ class TestForkedSessions:
 
     @pytest.mark.parametrize("ending", ["close", "sigkill"])
     def test_parent_spill_file_survives_the_pool(self, ending, tmp_path):
-        # A worker's spill file has no name, so however the pool ends only
-        # the parent's file is left in tmp_path.
+        # No spill file has a name, so however the pool ends tmp_path stays
+        # empty, and the parent's file still holds its bytes.
         graph = erdos_renyi_graph(40, 0.1, seed=4)
         session = self._session(graph, store_config=self._tiled(tmp_path),
                                 scan_workers=WORKERS)
         try:
             pairs = make_candidates(graph)
             session.apply_edit(*pairs[3])  # every tile materialized
-            path = session._distance.store.spill_path
-            assert path is not None  # premise: the parent spilled tiles
-            with open(path, "rb") as handle:
-                before = handle.read()
+            fd = session._distance.store._spill_fd
+            assert fd is not None  # premise: the parent spilled tiles
+            before = os.pread(fd, os.fstat(fd).st_size, 0)
             # The session holds the only reference to its store as the
             # workers fork, so each worker's copy dies when it swaps in its
             # own store, and the inherited finalizer must do nothing.
@@ -502,16 +501,16 @@ class TestForkedSessions:
                 for process in pool._processes:
                     process.join(timeout=10)
             session._teardown_scan_pool(failed=False)
-            assert [entry.name for entry in tmp_path.iterdir()] == \
-                [os.path.basename(path)]
-            with open(path, "rb") as handle:
-                assert handle.read() == before
+            assert list(tmp_path.iterdir()) == []
+            assert session._distance.store._spill_fd == fd
+            assert os.pread(fd, os.fstat(fd).st_size, 0) == before
             np.testing.assert_array_equal(
                 session._distance.store.to_array(),
                 bounded_distance_matrix(session.graph, 3))
         finally:
             session.close()
-        assert not os.path.exists(path)
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
     def test_scan_pool_imports_nothing_from_the_api_layer(self):
         import ast

@@ -181,14 +181,13 @@ class TestSlabBeyondTheRowCap:
         session = DistanceSession(graph, 3)
         cap = session._batch_slab_row_cap()
         expected = reference_after(graph, [(0, 1)], [], 3)
-        with chunk_counter("_rows_block_chunk") as single, \
-                chunk_counter("_rows_block_batch_chunk") as stacked:
+        with chunk_counter("_expand_rows") as kernel:
             delta = session.preview(removals=[(0, 1)])
             [batched] = session.preview_batch(removals=[(0, 1)])
             staged = session.stage(removals=[(0, 1)])
         assert delta.num_affected_rows > cap
-        assert single.call_count == 4  # two chunks each for preview and stage
-        assert stacked.call_count == 2
+        # Two chunks each for preview, preview_batch and stage.
+        assert kernel.call_count == 6
         assert np.array_equal(apply_delta(session, delta), expected)
         assert np.array_equal(apply_delta(session, batched), expected)
         session.commit(staged)
@@ -201,14 +200,13 @@ class TestSlabBeyondTheRowCap:
         session = DistanceSession(graph, 3)
         cap = session._batch_slab_row_cap()
         expected = reference_after(graph, [], [(0, 1)], 3)
-        with chunk_counter("_relax_insertion_chunk") as single, \
-                chunk_counter("_relax_rows_chunk") as stacked:
+        with chunk_counter("_relax_rows") as kernel:
             delta = session.preview(insertions=[(0, 1)])
             [batched] = session.preview_batch(insertions=[(0, 1)])
             staged = session.stage(insertions=[(0, 1)])
         assert delta.num_affected_rows > cap
-        assert single.call_count == 4  # two chunks each for preview and stage
-        assert stacked.call_count == 2
+        # Two chunks each for preview, preview_batch and stage.
+        assert kernel.call_count == 6
         assert np.array_equal(apply_delta(session, delta), expected)
         assert np.array_equal(apply_delta(session, batched), expected)
         session.commit(staged)
@@ -228,16 +226,14 @@ class TestSlabBeyondTheRowCap:
                                 else ([], [(0, 1)]))
         edit = {"removals": removals, "insertions": insertions}
         expected = reference_after(graph, removals, insertions, 3)
-        names = (("_rows_block_chunk", "_rows_block_batch_chunk") if removal
-                 else ("_relax_insertion_chunk", "_relax_rows_chunk"))
-        with chunk_counter(names[0]) as single, \
-                chunk_counter(names[1]) as stacked:
+        name = "_expand_rows" if removal else "_relax_rows"
+        with chunk_counter(name) as kernel:
             delta = session.preview(**edit)
             [batched] = session.preview_batch(**edit)
             staged = session.stage(**edit)
         assert delta.num_affected_rows == n
-        assert single.call_count == 10  # five chunks each for preview and stage
-        assert stacked.call_count == 5
+        # Five chunks each for preview, preview_batch and stage.
+        assert kernel.call_count == 15
         assert np.array_equal(apply_delta(session, delta), expected)
         assert np.array_equal(apply_delta(session, batched), expected)
         session.commit(staged)

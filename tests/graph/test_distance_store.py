@@ -1,6 +1,9 @@
 """Tests for the distance-store seam (dense and tiled scale tiers)."""
 
 import os
+import signal
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +28,35 @@ from repro.graph.matrices import distance_dtype
 
 def sample_graph(n=40, p=0.12, seed=3):
     return erdos_renyi_graph(n, p, seed=seed)
+
+
+def is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def spill_bytes(store):
+    """The store's whole spill file, read through its descriptor."""
+    fd = store._spill_fd
+    return os.pread(fd, os.fstat(fd).st_size, 0)
+
+
+@pytest.fixture
+def made_spills(monkeypatch):
+    """Paths ``mkstemp`` hands out during the test."""
+    made = []
+    mkstemp = tempfile.mkstemp
+
+    def recording(*args, **kwargs):
+        fd, path = mkstemp(*args, **kwargs)
+        made.append(path)
+        return fd, path
+
+    monkeypatch.setattr(tempfile, "mkstemp", recording)
+    return made
 
 
 class TestStoreConfig:
@@ -143,7 +175,8 @@ class TestTiledStore:
         block = np.array([0, 6, 7, 13, 29])
         np.testing.assert_array_equal(store.rows(block), dense[block])
 
-    def test_tiny_budget_forces_spills_without_changing_values(self, tmp_path):
+    def test_tiny_budget_forces_spills_without_changing_values(
+            self, tmp_path, made_spills):
         graph = sample_graph(40)
         dense = bounded_distance_matrix(graph, 3)
         row_bytes = 40 * dense.dtype.itemsize
@@ -153,8 +186,12 @@ class TestTiledStore:
         np.testing.assert_array_equal(store.to_array(), dense)
         assert store.tile_computes == store.num_tiles
         assert store.tile_spills > 0
-        assert store.spill_path is not None
-        assert os.path.dirname(store.spill_path) == str(tmp_path)
+        assert [os.path.dirname(path) for path in made_spills] == [
+            str(tmp_path)]
+        # The file lost its name as soon as it was made.
+        assert is_open(store._spill_fd)
+        assert os.fstat(store._spill_fd).st_nlink == 0
+        assert os.listdir(tmp_path) == []
         # A second full read reloads spilled tiles instead of recomputing.
         np.testing.assert_array_equal(store.to_array(), dense)
         assert store.tile_computes == store.num_tiles
@@ -191,10 +228,11 @@ class TestTiledStore:
         store = TiledStore(graph, 2, tile_rows=3, budget_bytes=200,
                            spill_dir=str(tmp_path))
         store.to_array()
-        path = store.spill_path
-        assert path is not None and os.path.exists(path)
+        fd = store._spill_fd
+        assert fd is not None and is_open(fd)
+        assert os.listdir(tmp_path) == []
         store.close()
-        assert not os.path.exists(path)
+        assert not is_open(fd)
 
     def test_cache_bytes_stay_under_budget(self):
         graph = sample_graph(36)
@@ -249,7 +287,8 @@ class TestTiledStore:
 
 
 class TestSpillFileOwnership:
-    """One private ``mkstemp`` spill file per store, released by its creator."""
+    """One private, nameless ``mkstemp`` spill file per store, released by
+    its creator."""
 
     def _spilled_store(self, tmp_path, n=32):
         graph = sample_graph(n)
@@ -263,26 +302,27 @@ class TestSpillFileOwnership:
     def test_every_store_gets_its_own_file(self, tmp_path):
         _, first = self._spilled_store(tmp_path)
         _, second = self._spilled_store(tmp_path)
-        assert first.spill_path != second.spill_path
-        assert sorted(os.listdir(tmp_path)) == sorted(
-            os.path.basename(store.spill_path) for store in (first, second))
+        fds = [store._spill_fd for store in (first, second)]
+        stats = [os.fstat(fd) for fd in fds]
+        assert stats[0].st_ino != stats[1].st_ino
+        assert [stat.st_nlink for stat in stats] == [0, 0]
+        assert os.listdir(tmp_path) == []
         first.close()
         second.close()
-        assert os.listdir(tmp_path) == []
+        assert not any(is_open(fd) for fd in fds)
 
     def test_dropping_the_store_deletes_its_file(self, tmp_path):
         _, store = self._spilled_store(tmp_path)
-        path = store.spill_path
+        fd = store._spill_fd
         del store
-        assert not os.path.exists(path)
+        assert not is_open(fd)
 
     def test_a_forked_process_never_deletes_the_file(self, tmp_path):
         import multiprocessing
 
         graph, store = self._spilled_store(tmp_path)
-        path = store.spill_path
-        with open(path, "rb") as handle:
-            before = handle.read()
+        fd = store._spill_fd
+        before = spill_bytes(store)
         # The list holds the only reference, so the child's copy of the
         # store dies when the child pops it: its inherited finalizer must
         # leave the parent's file alone.
@@ -294,10 +334,30 @@ class TestSpillFileOwnership:
         child.join(timeout=60)
         assert child.exitcode == 0
         (store,) = holder
-        assert os.path.exists(path)
-        with open(path, "rb") as handle:
-            assert handle.read() == before
+        assert store._spill_fd == fd and is_open(fd)
+        assert spill_bytes(store) == before
         np.testing.assert_array_equal(store.to_array(),
                                       bounded_distance_matrix(graph, 2))
         store.close()
-        assert not os.path.exists(path)
+        assert not is_open(fd)
+
+    def test_a_killed_process_leaves_no_file(self, tmp_path):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        spilled = context.Event()
+
+        def spill_then_wait():
+            _, store = self._spilled_store(tmp_path)
+            spilled.set()
+            time.sleep(60)
+
+        child = context.Process(target=spill_then_wait)
+        child.start()
+        try:
+            assert spilled.wait(timeout=60)  # premise: the child spilled
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=60)
+        assert child.exitcode == -signal.SIGKILL
+        assert list(tmp_path.glob("repro-tiles-*")) == []

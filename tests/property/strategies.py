@@ -72,6 +72,39 @@ def edit_scripts(draw, max_edits: int = 8):
 
 
 @st.composite
+def combined_edit_scripts(draw, max_edits: int = 4, max_ops: int = 3):
+    """A graph plus a feasible sequence of combined edits.
+
+    Each entry is ``(removals, insertions)`` with 1 to ``max_ops`` ops in
+    all: present edges to remove, then edges absent once those are gone
+    to insert, the order in which one edit applies them.  Feasibility is
+    guaranteed by replaying the script while it is generated.
+    """
+    graph = draw(graphs())
+    working = graph.copy()
+    script = []
+
+    def distinct(pool, count):
+        if count == 0:
+            return []
+        return draw(st.lists(st.sampled_from(pool), unique=True,
+                             min_size=count, max_size=count))
+
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edits))):
+        ops = draw(st.integers(min_value=1, max_value=max_ops))
+        removals = distinct(working.edge_list(), draw(st.integers(
+            min_value=0, max_value=min(ops, working.num_edges))))
+        working.edit(removals, ())
+        non_edges = sorted(working.non_edges())
+        insertions = distinct(non_edges,
+                              min(ops - len(removals), len(non_edges)))
+        working.edit((), insertions)
+        if removals or insertions:
+            script.append((removals, insertions))
+    return graph, script
+
+
+@st.composite
 def typings(draw, graph: Graph):
     """The degree-pair typing, or a random explicit typing of some pairs."""
     if draw(st.booleans()):

@@ -631,7 +631,8 @@ class TestTiledJobsLeaveNoSpills:
 
     @pytest.fixture
     def spills(self, tmp_path, monkeypatch):
-        """Spill files created during the test, all under ``tmp_path``."""
+        """One entry per spill file created during the test, all under
+        ``tmp_path``."""
         import tempfile
 
         from repro.graph.distance_store import TiledStore
@@ -641,9 +642,10 @@ class TestTiledJobsLeaveNoSpills:
         ensure = TiledStore._ensure_spill_file
 
         def recording(store):
+            new = store._spill_fd is None
             fd = ensure(store)
-            if store.spill_path not in created:
-                created.append(store.spill_path)
+            if new:
+                created.append(fd)
             return fd
 
         monkeypatch.setattr(TiledStore, "_ensure_spill_file", recording)
