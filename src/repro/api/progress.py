@@ -3,15 +3,28 @@
 Every anonymizer's ``anonymize()`` accepts an optional observer implementing
 the :class:`ProgressObserver` protocol:
 
-* ``on_evaluation(evaluations)`` — called after each opacity evaluation
-  (the unit of work that dominates runtime);
+* ``on_evaluation(evaluations)`` — called with the running total of
+  opacity evaluations (the unit of work that dominates runtime): once
+  after each scored chunk of a candidate scan, so the total may advance
+  by more than one, and once after each evaluation the driver makes
+  itself (the initial graph, each applied step);
 * ``on_step(step, result)`` — called after each applied greedy step;
 * ``on_checkpoint(checkpoint)`` — called when a checkpointed θ-schedule
   pass crosses a grid point (an ``AnonymizationCheckpoint``), so long
   sweeps report per-θ progress live instead of only at materialization;
-* ``should_stop()`` — polled between evaluations and between steps; return
+* ``should_stop()`` — polled after each report and between steps; return
   ``True`` to stop the run early (the anonymizer then returns a
   best-effort result with ``stop_reason="observer"``).
+
+A stop requested after a chunk's report lands on an exact evaluation: the
+driver bisects the chunk, reporting lower counts and polling again, until
+it finds the first count at which the observer stops, and leaves that
+count as the last report.  An observer that stops on a count, deciding
+from the last count reported, therefore stops at the same evaluation as
+if every evaluation were reported.  During that search the driver may
+report counts lower than one it already reported, so observers that
+print or accumulate per evaluation act only on counts above the highest
+they have seen.
 
 ``on_checkpoint`` is dispatched with a ``getattr`` guard, so observers
 written before the hook existed (without the method) keep working.
@@ -37,13 +50,21 @@ class ProgressObserver(Protocol):
     """Callbacks threaded through the greedy anonymization loops."""
 
     def on_evaluation(self, evaluations: int) -> None:
-        """One opacity evaluation finished (``evaluations`` so far this run)."""
+        """Evaluations so far this run; may advance by more than one.
+
+        A stop search may report a count below one already reported
+        (module docstring).
+        """
 
     def on_step(self, step: Any, result: Any) -> None:
         """One greedy step was applied (``step`` is an ``AnonymizationStep``)."""
 
     def should_stop(self) -> bool:
-        """Return ``True`` to stop the run at the next safe point."""
+        """Return ``True`` to stop the run at the next safe point.
+
+        Polled after every ``on_evaluation`` report; a count-based observer
+        decides from the last count reported.
+        """
 
     # ``on_checkpoint(checkpoint)`` is an *optional* fourth callback — it is
     # deliberately left off the Protocol so pre-hook observers still satisfy
@@ -169,16 +190,26 @@ class CancellationToken(NullObserver):
 
 
 class ConsoleProgressObserver(NullObserver):
-    """Print one line per applied step (and a heartbeat while evaluating)."""
+    """Print one line per applied step (and a heartbeat while evaluating).
+
+    The heartbeat prints one line for each multiple of
+    ``evaluation_interval`` that a report crosses; a report at or below
+    the highest count seen so far prints nothing.
+    """
 
     def __init__(self, stream: Optional[TextIO] = None,
                  evaluation_interval: int = 0) -> None:
         self._stream = stream if stream is not None else sys.stderr
         self._interval = evaluation_interval
+        self._seen = 0
 
     def on_evaluation(self, evaluations: int) -> None:
-        if self._interval and evaluations % self._interval == 0:
-            print(f"  ... {evaluations} opacity evaluations", file=self._stream)
+        if self._interval:
+            for multiple in range(self._seen // self._interval + 1,
+                                  evaluations // self._interval + 1):
+                print(f"  ... {multiple * self._interval} opacity evaluations",
+                      file=self._stream)
+        self._seen = max(self._seen, evaluations)
 
     def on_step(self, step: Any, result: Any) -> None:
         edges = ",".join(f"{u}-{v}" for u, v in step.edges)

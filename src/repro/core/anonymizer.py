@@ -520,8 +520,11 @@ class BaseAnonymizer(ABC):
         ``typing`` defaults to the degree-pair typing frozen from ``graph``,
         matching the paper's adversary model.  ``observer`` receives
         ``on_evaluation`` / ``on_step`` callbacks and is polled via
-        ``should_stop`` between opacity evaluations; a requested stop ends
-        the run at the next safe point with ``stop_reason="observer"``.
+        ``should_stop`` after each report: once per scored chunk of a
+        candidate scan and once per evaluation of the driver's own
+        (:func:`scored_chunks`).  A requested stop ends the run at the
+        exact evaluation the observer stops at, with
+        ``stop_reason="observer"``.
         ``initial_distances`` may carry the precomputed L-bounded distance
         matrix of ``graph`` (e.g. a
         :class:`~repro.graph.distance_cache.LMaxDistanceCache` slice) so the
@@ -715,13 +718,16 @@ def scored_chunks(session: OpacitySession, result: AnonymizationResult,
 
     ``level`` is a :class:`~repro.core.lookahead.CombinationLevel` and
     ``gained`` flags its member columns as insertions
-    (:meth:`OpacitySession.score_combinations`).  Every evaluation of a
-    chunk is counted (and every stop request honoured) before the chunk
-    is yielded; a stop at evaluation ``k`` yields the outcomes before
-    ``k`` first, then raises :class:`AnonymizationStopped`, so a consumer
-    that acts per outcome stops exactly where per-candidate evaluation
-    would.  Chunks hold ``BATCH_SCAN_CHUNK`` candidates (times the pool
-    size) at L >= 3, so a stop never waits on more than one of them, and
+    (:meth:`OpacitySession.score_combinations`).  A scored chunk of ``c``
+    candidates adds ``c`` to ``result.evaluations``, reports the new total
+    with one ``on_evaluation`` call and polls ``should_stop`` once, before
+    it is yielded.  When that poll asks to stop, :func:`_first_stop` finds
+    the first evaluation ``k`` of the chunk at which the observer stops;
+    the chunk's outcomes before ``k`` are yielded, then
+    :class:`AnonymizationStopped` is raised, so a consumer that acts per
+    outcome stops exactly where per-candidate evaluation would.  Chunks
+    hold ``BATCH_SCAN_CHUNK`` candidates (times the pool size) at L >= 3,
+    so a stop never waits on more than one of them, and
     ``COMPOSED_SCAN_CHUNK`` at L <= 2.
     """
     if session.computer.length_threshold <= 2:
@@ -733,12 +739,36 @@ def scored_chunks(session: OpacitySession, result: AnonymizationResult,
         part = level[start:start + chunk]
         scored = ScoredBatch(part, *session.score_combinations(
             part.endpoints, part.members, gained))
-        for position in range(len(part)):
-            result.evaluations += 1
-            observer.on_evaluation(result.evaluations)
-            if observer.should_stop():
-                # Raised mid-step, so cancellation is responsive within a
-                # scan of thousands of evaluations.
-                yield scored.head(position)
-                raise AnonymizationStopped()
+        first = result.evaluations
+        result.evaluations += len(part)
+        observer.on_evaluation(result.evaluations)
+        if observer.should_stop():
+            # Raised mid-step, so cancellation is responsive within a
+            # scan of thousands of evaluations.
+            stop = _first_stop(observer, first, len(part))
+            result.evaluations = first + stop
+            yield scored.head(stop - 1)
+            raise AnonymizationStopped()
         yield scored
+
+
+def _first_stop(observer: ProgressObserver, first: int, size: int) -> int:
+    """The first ``k`` in ``1..size`` at which ``observer`` stops.
+
+    The observer did not stop at count ``first`` and stops at
+    ``first + size``; bisection reports ``first + mid`` and polls until
+    the boundary is found, then leaves ``first + k`` as the last report.
+    An observer that decides from the last count reported thus stops at
+    exactly the evaluation it would stop at under per-evaluation reports.
+    """
+    low, high, reported = 0, size, size
+    while high - low > 1:
+        reported = (low + high) // 2
+        observer.on_evaluation(first + reported)
+        if observer.should_stop():
+            high = reported
+        else:
+            low = reported
+    if reported != high:
+        observer.on_evaluation(first + high)
+    return high

@@ -578,18 +578,19 @@ class DistanceSession:
                                  np.empty((0, n), dtype=self._store.dtype))
         overlay: dict = {}  # row index -> updated store-dtype row
 
-        def column(j: int) -> np.ndarray:
-            col = self._store.rows(np.asarray([j], dtype=np.int64))[0]
-            col = col.astype(np.int64)
+        def columns(u: int, v: int) -> np.ndarray:
+            # Both endpoints' rows in one store read (columns by symmetry).
+            cols = self._store.rows(np.asarray([u, v], dtype=np.int64))
+            cols = cols.astype(np.int64)
             for i, row in overlay.items():
-                col[i] = row[j]
-            return col
+                cols[0, i], cols[1, i] = row[u], row[v]
+            return cols
 
         for kind, (u, v) in ops:
             removal = kind == "remove"
             self._mirror.set_edge(u, v, not removal)
             applied.append((kind, (u, v)))
-            du, dv = column(u), column(v)
+            du, dv = columns(u, v)
             rows = np.nonzero(self._affected(du, dv, removal))[0]
             if rows.size == 0:
                 continue

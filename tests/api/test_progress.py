@@ -1,5 +1,8 @@
 """Tests for the progress-observer protocol threaded through the anonymizers."""
 
+import io
+import re
+
 import pytest
 
 from repro.api.progress import (
@@ -96,18 +99,22 @@ class TestObserverThreading:
         assert not result.success
 
     def test_evaluation_callbacks_match_result_count(self):
+        # Without a stop, reports strictly increase (a scored chunk advances
+        # the total by its size) from the initial evaluation to the total.
         counts = []
         observer = CallbackObserver(on_evaluation=counts.append)
         result = EdgeRemovalAnonymizer(theta=0.5, seed=0).anonymize(
             _hard_graph(), observer=observer)
-        assert counts == list(range(1, result.evaluations + 1))
+        assert result.num_steps > 0
+        assert counts[0] == 1 and counts[-1] == result.evaluations
+        assert all(later > earlier for earlier, later in zip(counts, counts[1:]))
 
     def test_cancellation_is_responsive_within_a_step(self):
         # Cancel during the very first candidate scan: no step completes.
         evals = []
 
         def stop_after_five():
-            return len(evals) >= 5
+            return bool(evals) and evals[-1] >= 5
 
         observer = CallbackObserver(on_evaluation=evals.append,
                                     should_stop=stop_after_five)
@@ -115,6 +122,10 @@ class TestObserverThreading:
             _hard_graph(), observer=observer)
         assert result.num_steps == 0
         assert result.stop_reason == "observer"
+        # The stop lands on evaluation 5 exactly; the driver's
+        # re-evaluation of the restored graph adds one.
+        assert evals[-1] == 5
+        assert result.evaluations == 5 + 1
         # The working graph was restored: anonymized == original.
         assert set(result.anonymized_graph.edges()) == set(result.original_graph.edges())
 
@@ -164,10 +175,14 @@ class TestObserverThreading:
         # Stop requests must take effect inside a candidate scan, not only
         # at step boundaries (one scan can span thousands of evaluations).
         evals = []
-        observer = CallbackObserver(on_evaluation=evals.append,
-                                    should_stop=lambda: len(evals) >= 3)
+        observer = CallbackObserver(
+            on_evaluation=evals.append,
+            should_stop=lambda: bool(evals) and evals[-1] >= 3)
         result = factory().anonymize(_hard_graph(), observer=observer)
-        assert result.evaluations <= 4  # initial + a handful, not a full scan
+        # The stop lands on evaluation 3 exactly, inside the first scan;
+        # the driver's re-evaluation adds one.
+        assert evals[-1] == 3
+        assert result.evaluations == 3 + 1
         assert result.stop_reason == "observer"
 
     @pytest.mark.parametrize("factory", [
@@ -190,6 +205,36 @@ class TestObserverThreading:
             _hard_graph(), observer=observer)
         out = capsys.readouterr().out
         assert "step 1: remove" in out
+
+    @staticmethod
+    def _heartbeats(stream):
+        return [int(count) for count in re.findall(
+            r"\.\.\. (\d+) opacity evaluations", stream.getvalue())]
+
+    def test_console_heartbeat_prints_each_multiple_once(self):
+        stream = io.StringIO()
+        result = EdgeRemovalAnonymizer(theta=0.3, seed=0, lookahead=2).anonymize(
+            _hard_graph(), observer=ConsoleProgressObserver(
+                stream=stream, evaluation_interval=7))
+        assert self._heartbeats(stream) == list(
+            range(7, result.evaluations + 1, 7))
+
+    def test_console_heartbeat_skips_counts_seen_in_a_stop_search(self):
+        # A stop inside a scan bisects the chunk, reporting counts below
+        # the chunk's total; the heartbeat prints none of them again.
+        stream = io.StringIO()
+        evals = []
+        observer = CompositeObserver(
+            ConsoleProgressObserver(stream=stream, evaluation_interval=7),
+            CallbackObserver(on_evaluation=evals.append,
+                             should_stop=lambda: bool(evals) and evals[-1] >= 40))
+        result = EdgeRemovalAnonymizer(theta=0.3, seed=0, lookahead=2).anonymize(
+            _hard_graph(), observer=observer)
+        assert result.stop_reason == "observer"
+        assert any(later < earlier for earlier, later in zip(evals, evals[1:]))
+        beats = self._heartbeats(stream)
+        assert beats == list(range(7, max(evals) + 1, 7))
+        assert len(beats) == len(set(beats))
 
 
 class TestCheckpointStreaming:

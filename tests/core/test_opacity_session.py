@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api.progress import NullObserver
+from repro.api.progress import CallbackObserver, NullObserver
 from repro.baselines import (
     GadedMaxAnonymizer,
     GadedRandAnonymizer,
     GadesAnonymizer,
 )
+from repro.core import anonymizer as anonymizer_module
 from repro.core import (
     DegreePairTyping,
     EdgeRemovalAnonymizer,
@@ -157,6 +162,17 @@ class _StopAfterEvaluations(NullObserver):
         return self.seen >= self.limit
 
 
+class _StopAndKeepRng(_StopAfterEvaluations):
+    """Stop at ``limit`` and keep the checkpoints' tie-breaking RNG states."""
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.rng_states = []
+
+    def on_checkpoint(self, checkpoint):
+        self.rng_states.append(checkpoint.rng_state)
+
+
 def _stopped_outcome(result):
     return (result.evaluations, result.stop_reason,
             [step.edges for step in result.steps],
@@ -205,6 +221,82 @@ class TestObserverParity:
             # The scan for a single step spans |E| evaluations, so stopping
             # at 5 proves per-evaluation polling survived the refactor.
             assert result.evaluations <= limit + 2
+
+
+def _scan_chunks(size):
+    """Patch both scan chunk sizes to ``size`` for the block."""
+    stack = ExitStack()
+    for name in ("COMPOSED_SCAN_CHUNK", "BATCH_SCAN_CHUNK"):
+        stack.enter_context(mock.patch.object(anonymizer_module, name, size))
+    return stack
+
+
+#: Every algorithm that scans through ``scored_chunks``, with the lengths
+#: it runs at (the baselines support L = 1 only).
+CHUNKED_SCANS = [
+    (EdgeRemovalAnonymizer, dict(lookahead=1), (1, 2, 3)),
+    (EdgeRemovalAnonymizer, dict(lookahead=2), (1, 2, 3)),
+    (EdgeRemovalInsertionAnonymizer, dict(lookahead=1), (1, 2, 3)),
+    (EdgeRemovalInsertionAnonymizer, dict(lookahead=2), (1, 2, 3)),
+    (GadesAnonymizer, dict(swap_sample_size=20), (1,)),
+    (GadedMaxAnonymizer, {}, (1,)),
+]
+
+
+class TestChunkReports:
+    """A scan reports once per scored chunk, yet a count-based stop lands
+    on the exact evaluation a per-evaluation report would stop at."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_stop_across_chunk_boundaries(self, data):
+        algorithm, params, lengths = data.draw(st.sampled_from(CHUNKED_SCANS))
+        length = data.draw(st.sampled_from(lengths))
+        anonymizer = algorithm(length_threshold=length, theta=0.0, seed=0,
+                               max_steps=2, **params)
+        graph = erdos_renyi_graph(12, 0.3, seed=3)
+        with _scan_chunks(data.draw(st.integers(2, 5))):
+            total = anonymizer.anonymize(graph).evaluations
+            limit = data.draw(st.integers(1, total))
+            stopped = _StopAndKeepRng(limit)
+            product = anonymizer.anonymize(graph, observer=stopped)
+        # One candidate per chunk reports every evaluation: the cadence of
+        # the per-candidate oracle, which look-ahead levels use anyway.
+        reference = _StopAndKeepRng(limit)
+        with _scan_chunks(1):
+            oracle, _ = run_on(PerCandidateSession, anonymizer, graph,
+                               observer=reference)
+        assert stopped.seen == reference.seen == limit
+        assert _stopped_outcome(product) == _stopped_outcome(oracle)
+        # The tie-break drew exactly the per-candidate draws before the stop.
+        assert stopped.rng_states == reference.rng_states
+
+    @pytest.mark.parametrize("algorithm,params,length", [
+        (algorithm, params, length)
+        for algorithm, params, lengths in CHUNKED_SCANS
+        for length in sorted({lengths[0], lengths[-1]})])
+    def test_one_report_per_scored_chunk(self, algorithm, params, length):
+        graph = erdos_renyi_graph(12, 0.3, seed=3)
+        chunks, reports = [], []
+        score = OpacitySession.score_combinations
+
+        def spy(session, endpoints, members, gained):
+            chunks.append(len(members))
+            return score(session, endpoints, members, gained)
+
+        with _scan_chunks(3), \
+                mock.patch.object(OpacitySession, "score_combinations", spy):
+            result = algorithm(length_threshold=length, theta=0.0, seed=0,
+                               max_steps=2, **params).anonymize(
+                graph, observer=CallbackObserver(on_evaluation=reports.append))
+        assert result.stop_reason != "observer"
+        # Some chunk held several candidates, so per-evaluation reports
+        # would have made more calls.
+        assert sum(chunks) > len(chunks)
+        # The driver evaluates the initial graph and each applied step.
+        driver = 1 + result.num_steps
+        assert len(reports) == len(chunks) + driver
+        assert sum(chunks) + driver == result.evaluations
 
 
 class TestEvaluateEdits:

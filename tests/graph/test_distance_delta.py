@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
-from repro.graph.distance_store import StoreConfig
+from repro.graph.distance_store import StoreConfig, TiledStore
 from tests.oracles import assert_batch_entry_matches, largest_region_removal
 
 
@@ -112,6 +112,31 @@ class TestApply:
         assert not paper_example_graph.has_edge(0, 1)
         assert np.array_equal(session.distances,
                               bounded_distance_matrix(paper_example_graph, 2))
+
+    @pytest.mark.parametrize("removal", [True, False])
+    def test_one_store_read_per_op_endpoints(self, removal):
+        # Each op reads both endpoint rows in one call; an insertion also
+        # reads its affected rows, and the delta ends with one read that
+        # drops unchanged rows.
+        graph = erdos_renyi_graph(12, 0.3, seed=3)
+        session = tiled_session(graph, 3)
+        edges = list(graph.edges() if removal else graph.non_edges())[:3]
+        removals, insertions = (edges, []) if removal else ([], edges)
+        expected = reference_after(graph, removals, insertions, 3)
+        reads = []
+        original = TiledStore.rows
+
+        def spy(store, block):
+            reads.append(np.asarray(block).tolist())
+            return original(store, block)
+
+        with mock.patch.object(TiledStore, "rows", spy):
+            delta = session.preview(removals, insertions)
+        per_op = 1 if removal else 2
+        assert len(reads) == per_op * len(edges) + 1
+        assert reads[:-1:per_op] == [list(edge) for edge in edges]
+        assert np.array_equal(apply_delta(session, delta), expected)
+        session.close()
 
 
 class TestLargeAffectedRegion:
@@ -228,7 +253,7 @@ class TestSlabBeyondTheRowCap:
         expected = reference_after(graph, removals, insertions, 3)
         name = "_expand_rows" if removal else "_relax_rows"
         with chunk_counter(name) as kernel:
-            delta = session.preview(**edit)
+            delta = session.preview(removals, insertions)
             [batched] = session.preview_batch(**edit)
             staged = session.stage(**edit)
         assert delta.num_affected_rows == n
