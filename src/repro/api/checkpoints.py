@@ -22,9 +22,9 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.core.anonymizer import (
     AnonymizationCheckpoint,
-    AnonymizationResult,
     AnonymizationStep,
     AnonymizerConfig,
+    materialize_checkpoints,
 )
 from repro.api.progress import NULL_OBSERVER
 from repro.api.requests import (AnonymizationRequest, AnonymizationResponse,
@@ -183,21 +183,10 @@ def materialize_response(request: AnonymizationRequest,
             f"request theta={request.theta}")
     if original_graph is None:
         original_graph = request.resolve_graph(data_dir=data_dir)
-    result = AnonymizationResult(
-        original_graph=original_graph,
-        anonymized_graph=checkpoint.graph,
-        config=AnonymizerConfig(theta=checkpoint.theta,
-                                length_threshold=request.length_threshold),
-        steps=list(checkpoint.steps),
-        removed_edges=set(checkpoint.removed_edges),
-        inserted_edges=set(checkpoint.inserted_edges),
-        final_opacity=checkpoint.max_opacity,
-        success=checkpoint.success,
-        runtime_seconds=checkpoint.runtime_seconds,
-        evaluations=checkpoint.evaluations,
-        stop_reason=checkpoint.stop_reason,
-        observer=NULL_OBSERVER,
-    )
+    [result] = materialize_checkpoints(
+        [checkpoint], original_graph,
+        AnonymizerConfig(length_threshold=request.length_threshold),
+        NULL_OBSERVER)
     metrics = (response_metrics(original_graph, checkpoint.graph, baseline)
                if request.include_utility else None)
     return AnonymizationResponse.from_result(request, result, metrics=metrics)

@@ -6,9 +6,11 @@ the grid engine kept its single-load / single-compute guarantee by
 *serializing* every θ-sweep group of a sample group onto one worker — a
 single-sample grid sweeping algorithm × L × look-ahead × θ ran on one
 core.  The arena breaks that trade-off: the **parent** resolves the graph
-and computes the distances once, publishes the edge array and the L_max
-base — one dense matrix, or the CSR adjacency of a tiled-tier spec — into
-:mod:`multiprocessing.shared_memory` segments, and fans the θ-groups
+and computes the distances once, publishes the edge array and, on the
+dense tier, the L_max base matrix into
+:mod:`multiprocessing.shared_memory` segments (a tiled-tier spec
+publishes no base: its workers derive the CSR adjacency from the shared
+edges), and fans the θ-groups
 across the pool carrying only an :class:`ArenaDescriptor` — segment
 names, dtypes, shapes, and the L_max bound.  Workers attach read-only
 views, rebuild the :class:`~repro.graph.graph.Graph` from the shared edge
@@ -44,7 +46,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,7 +69,6 @@ __all__ = [
 SHM_NAME_PREFIX = "repro-arena"
 
 _EDGE_DTYPE = np.int64
-_CSR_DTYPE = np.int64
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,12 @@ class TiledMatrixSpec:
     """A tiled-tier publication request (parent side).
 
     In the tiled scale tier there is no dense L_max matrix to publish —
-    the whole point is never materializing it.  The parent instead
-    publishes the sample's CSR adjacency plus this spec: the byte budget
-    under which workers rebuild an equivalent
-    :class:`~repro.graph.distance_store.TiledStore`, whose tiles they
-    compute lazily.  The bound is the one :meth:`SharedSampleArena.publish`
-    is given.
+    the whole point is never materializing it.  The parent publishes
+    only the sample's sorted edges plus this spec: the byte budget under
+    which workers rebuild an equivalent
+    :class:`~repro.graph.distance_store.TiledStore` over the CSR they
+    derive from the shared edges, whose tiles they compute lazily.  The
+    bound is the one :meth:`SharedSampleArena.publish` is given.
     """
 
     budget_bytes: int
@@ -95,8 +96,8 @@ class ArenaDescriptor:
     identifies the arena (workers cache attachments by it) and ``l_max``
     bounds its distance payload, which is at most one of: ``matrix``, the
     dense tier's ``(segment_name, dtype)``, or ``tiled``, the tiled tier's
-    shared CSR arrays and byte budget.  The remaining fields
-    carry the array geometry needed to rebuild the NumPy views.
+    byte budget (its tiles come from the shared edges).  The remaining
+    fields carry the array geometry needed to rebuild the NumPy views.
     """
 
     token: str
@@ -107,8 +108,8 @@ class ArenaDescriptor:
     l_max: Optional[int] = None
     #: Dense tier: (segment, dtype string).
     matrix: Optional[Tuple[str, str]] = None
-    #: Tiled tier: (indptr segment, indices segment, budget_bytes).
-    tiled: Optional[Tuple[str, str, int]] = None
+    #: Tiled tier: budget_bytes.
+    tiled: Optional[int] = None
 
 
 def _create_segment(name: str, data: np.ndarray) -> shared_memory.SharedMemory:
@@ -154,9 +155,9 @@ class SharedSampleArena:
 
         ``base`` is the sample's one base at bound ``l_max``: either the
         full ``n × n`` bounded matrix, in its contract dtype (recorded in
-        the descriptor), or a :class:`TiledMatrixSpec`, published as the
-        sample's CSR adjacency arrays instead of a dense matrix.  All data
-        is *copied* into the segments — the caller may release its own
+        the descriptor), or a :class:`TiledMatrixSpec`, which publishes
+        nothing beyond the edges: its budget rides in the descriptor.  All
+        data is *copied* into the segments — the caller may release its own
         references immediately afterwards.
         """
         token = f"{SHM_NAME_PREFIX}-{uuid.uuid4().hex[:12]}"
@@ -171,17 +172,7 @@ class SharedSampleArena:
             matrix_entry = tiled_entry = None
             l_max = None if base is None else int(l_max)
             if isinstance(base, TiledMatrixSpec):
-                csr = CSRAdjacency.from_graph(graph)
-                indptr_name = f"{token}-csr-indptr"
-                indices_name = f"{token}-csr-indices"
-                segments[indptr_name] = _create_segment(
-                    indptr_name, np.ascontiguousarray(csr.indptr,
-                                                      dtype=_CSR_DTYPE))
-                segments[indices_name] = _create_segment(
-                    indices_name, np.ascontiguousarray(csr.indices,
-                                                       dtype=_CSR_DTYPE))
-                tiled_entry = (indptr_name, indices_name,
-                               int(base.budget_bytes))
+                tiled_entry = int(base.budget_bytes)
             elif base is not None:
                 data = np.ascontiguousarray(base)
                 if data.shape != (n, n):
@@ -259,13 +250,12 @@ class AttachedArena:
 def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
     """Attach a published arena and rebuild its graph and distance cache."""
     segments = []
-    edges: List[List[int]] = []
+    view = np.empty((0, 2), dtype=_EDGE_DTYPE)
     if descriptor.edges_segment is not None:
         segment, view = _attach_view(descriptor.edges_segment,
                                      (descriptor.num_edges, 2), _EDGE_DTYPE)
         segments.append(segment)
-        edges = view.tolist()
-    graph = Graph(descriptor.num_vertices, edges=edges)
+    graph = Graph(descriptor.num_vertices, edges=view.tolist())
     cache: Optional[LMaxDistanceCache] = None
     n, l_max = descriptor.num_vertices, descriptor.l_max
     if descriptor.matrix is not None:
@@ -275,14 +265,11 @@ def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
         segments.append(segment)
         cache = LMaxDistanceCache.from_matrix(graph, view, l_max)
     if descriptor.tiled is not None:
-        indptr_name, indices_name, budget_bytes = descriptor.tiled
-        segment, indptr = _attach_view(indptr_name, (n + 1,), _CSR_DTYPE)
-        segments.append(segment)
-        segment, indices = _attach_view(
-            indices_name, (int(indptr[-1]),), _CSR_DTYPE)
-        segments.append(segment)
-        base = TiledStore(None, l_max, csr=CSRAdjacency(indptr, indices),
-                          budget_bytes=budget_bytes)
+        # The shared edges are sorted, so this is the parent's
+        # CSRAdjacency.from_graph, array for array.
+        csr = CSRAdjacency.from_edges(n, view[:, 0], view[:, 1])
+        base = TiledStore(None, l_max, csr=csr,
+                          budget_bytes=descriptor.tiled)
         cache = LMaxDistanceCache.from_tiled_base(graph, base)
     return AttachedArena(token=descriptor.token, graph=graph, cache=cache,
                          segments=tuple(segments))

@@ -105,17 +105,19 @@ class EdgeRemovalAnonymizer(BaseAnonymizer):
                         edge_v: np.ndarray) -> np.ndarray:
         """Flags the edges on a ≤L path between a within-L pair of a max type."""
         length = self._config.length_threshold
+        # Too many violating pairs — the max types' within-L counts say how
+        # many — and the pruning pass would cost more than it saves, so
+        # scan every edge instead, without listing the pairs.
+        max_types = session.max_type_mask()
+        keep = np.zeros(edge_u.size, dtype=bool)
+        if session.type_counts()[0][max_types].sum() > 5000:
+            return ~keep
         # Only breaking a short path of a within-L pair of a type at the
         # current maximum can reduce the maximum opacity.  The session keeps
         # the within-L pairs as a sparse sorted set, folded forward by each
         # applied step, and the max types as a mask, so this query never
         # rebuilds per-pair or per-type state or allocates n² arrays.
-        rows, cols = session.violating_pair_indices(session.max_type_mask())
-        keep = np.zeros(edge_u.size, dtype=bool)
-        # Too many violating pairs: the pruning pass would cost more than it
-        # saves, so scan every edge instead.
-        if rows.size > 5000:
-            return ~keep
+        rows, cols = session.violating_pair_indices(max_types)
         if length == 1 and rows.size:
             # A path of length ≤ 1 between i and j is the edge (i, j) itself;
             # edges and pairs both come sorted, so one binary search matches.

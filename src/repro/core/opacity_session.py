@@ -40,7 +40,10 @@ Every candidate scan goes through :meth:`OpacitySession.score_combinations`:
 rows of candidate indices with one insertion flag per member, scored to
 exact maxima and tie counts as arrays.  Look-ahead levels, GADES swaps and
 GADED removals are such rows; :meth:`OpacitySession.evaluate_edits` is the
-adapter for ``(removals, insertions)`` tuples.  At every L the candidates'
+adapter for ``(removals, insertions)`` tuples.  Each batch is checked
+once, at every L, by the rule of applying its candidates edit by edit
+(:meth:`~OpacitySession._check_cells`), and only its live members reach
+the scan of their L, as arrays.  At every L the candidates'
 changes are one sparse form, :data:`Changes`: int64 ``(candidate, type,
 delta)`` triples, sorted, one per type a candidate's edit changes; the
 summary comes from those types only, by 1-D grouped operations
@@ -49,12 +52,12 @@ flipped pairs are its live members' own pairs.  At L = 2 a pair is within
 reach exactly when it is an edge or has a common neighbour, so a
 candidate's flipped pairs follow from the 2-paths its members break or
 create (:mod:`repro.graph.two_hop`), with no distance slab.  At L >= 3
-the candidates' distance deltas are stacked into
-:meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` passes
-where they are homogeneous single edges.  Every candidate's flipped cells
-are tallied with one grouped count, whose groups are the triples.  The session
-also maintains the pruning pass's
-within-L pairs incrementally (:meth:`violating_pair_indices`) as a sparse
+every candidate of one live member is stacked into one
+:meth:`~repro.graph.distance_delta.DistanceSession.preview_batch` pass;
+only wider candidates are previewed one by one.  Every candidate's
+flipped cells are tallied with one grouped count, whose groups are the
+triples.  The session also maintains the pruning pass's within-L pairs
+incrementally (:meth:`violating_pair_indices`) as a sparse
 sorted set of upper-triangle flat indices — O(within-L pairs), never an
 ``n(n-1)/2``-sized array, so the tiled tier's memory bound holds through
 the pruning pass too; only an L = 2 session on planes, which are
@@ -82,7 +85,7 @@ from repro.core.opacity import (
 )
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
 from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
-from repro.graph.graph import Edge, Graph, splice
+from repro.graph.graph import Edge, Graph, splice, validate_members
 from repro.graph.matrices import block_within_pairs
 from repro.graph.two_hop import (
     TwoHopCounts,
@@ -90,7 +93,6 @@ from repro.graph.two_hop import (
     state_dtype,
     triu_flat,
     triu_unflat,
-    validate_members,
 )
 
 #: One candidate edit: the removals and insertions applied together.
@@ -196,6 +198,22 @@ class ScoredBatch:
 #: type whose within-L count its edit changes (a nonzero net change over
 #: typed pairs), and none when it changes nothing.
 Changes = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def own_cells(endpoints: np.ndarray, members: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The cells a batch's ``members`` name, and ``members`` renumbered to them.
+
+    A batch that names fewer cells than ``endpoints`` holds (a chunk or a
+    shard of a larger level) keeps only its members' own cells, one per
+    member in row-major order; padding stays at -1 (reading the last cell,
+    unused).  A batch that names as many or more is returned as it is.
+    """
+    if len(endpoints) <= members.size:
+        return endpoints, members
+    return (endpoints[members.ravel()],
+            np.where(members < 0, -1,
+                     np.arange(members.size).reshape(members.shape)))
 
 
 def join_changes(parts: Sequence[Tuple[int, Changes]]) -> Changes:
@@ -454,49 +472,42 @@ class OpacitySession:
         against the current graph.  Returns the candidates' maxima as
         reduced ``(numerators, denominators)`` and their ``types_at_max``.
 
-        A batch that names fewer cells than ``endpoints`` holds (a chunk of
-        a larger level) reads only its members' own cells.  At L = 1 an
-        edit flips only its own pair (:meth:`_edge_changes`).  At L = 2
-        the flipped pairs come from the common-neighbour counts
-        (:meth:`_two_hop_changes`).  At L >= 3 the candidates are previewed
+        A batch reads only its members' own cells (:func:`own_cells`) and
+        is checked once (:meth:`_check_cells`); its live members go on, as
+        arrays, to the changes of their L:
+        at L = 1 an edit flips only its own pair (:meth:`_edge_changes`);
+        at L = 2 the flipped pairs come from the common-neighbour counts
+        (:meth:`_two_hop_changes`); at L >= 3 the candidates are previewed
         (:meth:`_scan_changes`).  In every case the candidates' changes
         are :data:`Changes` triples, and the summary comes from the
         changed types only (:meth:`_summarize_changed`).
         """
         count = len(members)
-        if len(endpoints) > members.size:
-            # Padding members stay at -1 (reading the last cell, unused).
-            endpoints = endpoints[members.ravel()]
-            members = np.where(members < 0, -1,
-                               np.arange(members.size).reshape(members.shape))
+        endpoints, members = own_cells(endpoints, members)
+        gained = np.broadcast_to(gained, members.shape)
+        members = np.where(self._check_cells(endpoints, members, gained),
+                           members, -1)
         if self._computer.length_threshold == 1:
             changes = self._edge_changes(endpoints, members, gained)
         elif self._two_hop is not None:
             changes = self._two_hop_changes(endpoints, members, gained)
         else:
-            gained = np.broadcast_to(gained, members.shape)
-            edges = list(map(tuple, endpoints.tolist()))
-            changes = self._scan_changes(
-                [(tuple(edges[j] for j, flag in zip(row, flags)
-                        if j >= 0 and not flag),
-                  tuple(edges[j] for j, flag in zip(row, flags)
-                        if j >= 0 and flag))
-                 for row, flags in zip(members.tolist(), gained.tolist())])
+            changes = self._scan_changes(endpoints, members, gained)
         return self._summarize_changed(count, *changes)
 
     def _edge_changes(self, endpoints: np.ndarray, members: np.ndarray,
                       gained: np.ndarray) -> Changes:
         """Per-candidate count changes at L = 1: each live member's own pair.
 
-        An insertion gains its pair and a removal loses it; a removal the
-        same candidate re-inserts is not live (:meth:`_check_cells`).
+        An insertion gains its pair and a removal loses it.
         """
-        live = self._check_cells(endpoints, members, gained)
-        candidate, column = np.nonzero(live)
-        types = self._computer.type_indices(endpoints[:, 0], endpoints[:, 1])
-        return self._tally_cells(
-            candidate, types[members[candidate, column]],
-            np.broadcast_to(gained, members.shape)[candidate, column])
+        candidate, column = np.nonzero(members >= 0)
+        # Only live members' cells are read: the clip keeps a cell no member
+        # names, which was never checked, from indexing past the typing.
+        cells = np.clip(endpoints, 0, self._graph.num_vertices - 1)
+        types = self._computer.type_indices(cells[:, 0], cells[:, 1])
+        return self._tally_cells(candidate, types[members[candidate, column]],
+                                 gained[candidate, column])
 
     def _two_hop_changes(self, endpoints: np.ndarray, members: np.ndarray,
                          gained: np.ndarray) -> Changes:
@@ -512,17 +523,18 @@ class OpacitySession:
             for start, _, owner, flat, now_within
             in self._two_hop.flips(endpoints, members, gained)])
 
-    def collect_edit_changes(self, pairs: Sequence[EditCandidate]) -> Changes:
+    def collect_edit_changes(self, endpoints: np.ndarray, members: np.ndarray,
+                             gained: np.ndarray) -> Changes:
         """Per-candidate count changes of a shard (scan-pool workers).
 
         The worker-side half of the parallel scan: exactly the serial
-        batched collection over ``pairs`` against this session's state,
-        returning the shard's triples, numbered from 0, for the parent to
-        join and summarize.
+        :meth:`_collect_changes` against this session's state, returning
+        the shard's triples, numbered from 0, for the parent to join.
         """
-        return self._collect_changes(list(pairs))
+        return self._collect_changes(endpoints, members, gained)
 
-    def _collect_changes(self, pairs: List[EditCandidate]) -> Changes:
+    def _collect_changes(self, endpoints: np.ndarray, members: np.ndarray,
+                         gained: np.ndarray) -> Changes:
         # Deltas are consumed into (small) triple sets group by group, so
         # peak retained memory is bounded by ~128 MB of delta cells even
         # in the worst case, where every candidate's affected rows span the
@@ -531,9 +543,10 @@ class OpacitySession:
         n = self._graph.num_vertices
         group = max(1, (1 << 25) // max(1, n * n))
         return join_changes([
-            (start, self._count_changes_batch(
-                self._preview_deltas(pairs[start:start + group])))
-            for start in range(0, len(pairs), group)])
+            (start, self._count_changes_batch(self._row_deltas(
+                endpoints, members[start:start + group],
+                gained[start:start + group])))
+            for start in range(0, len(members), group)])
 
     # ------------------------------------------------------------------
     # parallel scan machinery
@@ -556,7 +569,8 @@ class OpacitySession:
         if self._distance is not None:
             self._distance.privatize_store()
 
-    def _scan_changes(self, pairs: List[EditCandidate]) -> Changes:
+    def _scan_changes(self, endpoints: np.ndarray, members: np.ndarray,
+                      gained: np.ndarray) -> Changes:
         """Per-candidate count changes at L >= 3, sharded when a pool pays.
 
         A scan wider than the pool goes to the workers; any pool failure
@@ -566,15 +580,15 @@ class OpacitySession:
         canonical, shards preserve candidate order).
         """
         pool = None
-        if self._scan_workers > 1 and len(pairs) > self._scan_workers:
+        if self._scan_workers > 1 and len(members) > self._scan_workers:
             pool = self._ensure_scan_pool()
         if pool is not None:
-            parts = pool.scan(pairs)
+            parts = pool.scan(endpoints, members, gained)
             if parts is not None:
                 self.parallel_scans += 1
                 return join_changes(parts)
             self._teardown_scan_pool(failed=True)
-        return self._collect_changes(pairs)
+        return self._collect_changes(endpoints, members, gained)
 
     def _teardown_scan_pool(self, failed: bool) -> None:
         if self._scan_pool is not None:
@@ -776,14 +790,14 @@ class OpacitySession:
 
     def _check_cells(self, cells: np.ndarray, at: np.ndarray,
                      gained: np.ndarray) -> np.ndarray:
-        """Raise :class:`InvalidEdgeError` unless every L = 1 member edit is valid.
+        """Raise unless every member edit is valid; return the live members.
 
-        Member ``at[r, k]`` edits edge ``cells[at[r, k]]``, inserting it
-        where ``gained`` (broadcast against ``at``) and removing it
-        elsewhere; members at -1 are padding.  Each cell is looked up once,
-        by one binary search over the sorted edge array; the members are
-        then judged in order by :func:`validate_members`, as at L = 2,
-        which also returns the live members.
+        The one check of every scan, at every L.  Member ``at[r, k]``
+        edits edge ``cells[at[r, k]]``, inserting it where ``gained``
+        (shaped like ``at``) and removing it elsewhere; members at
+        -1 are padding.  Each cell is looked up once, by one binary search
+        over the graph's sorted edge codes; the members are then judged in
+        order by :func:`~repro.graph.graph.validate_members`.
         """
         codes = self._graph.edge_codes()
         n = self._graph.num_vertices
@@ -793,7 +807,7 @@ class OpacitySession:
         found = np.searchsorted(codes, wanted).clip(max=max(codes.size - 1, 0))
         present = (codes[found] == wanted if codes.size
                    else np.zeros(wanted.size, dtype=bool))
-        return validate_members(at, lo, hi, wanted, present, gained)
+        return validate_members(at, lo, hi, wanted, present, gained, n)
 
     def _edge_flips(self, removals: List[Edge], insertions: List[Edge]
                     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -836,24 +850,33 @@ class OpacitySession:
         return (group_of_row[slab_pos], rows_cat[slab_pos], col_idx,
                 new_within[slab_pos, col_idx])
 
-    def _preview_deltas(self, pairs: List[Tuple[Tuple[Edge, ...], Tuple[Edge, ...]]]
-                        ) -> List[Optional[DistanceDelta]]:
-        """Distance deltas of independent candidates, stacked when possible.
+    def _row_deltas(self, endpoints: np.ndarray, members: np.ndarray,
+                    gained: np.ndarray) -> List[Optional[DistanceDelta]]:
+        """Distance deltas of independent candidates, one per row of ``members``.
 
-        The stacked single-edge paths return ``None`` for candidates whose
-        edit flips no within-L membership, so the grouped count downstream
-        never allocates per-candidate delta objects for no-op rows.
+        The rows with one live member go to one
+        :meth:`~DistanceSession.preview_batch` as endpoint arrays (``None``
+        where an edit flips no within-L membership); only a wider row
+        becomes an edit for :meth:`~DistanceSession.preview`.
         """
-        if pairs and all(len(removals) == 1 and not insertions
-                         for removals, insertions in pairs):
-            return self._distance.preview_batch(
-                removals=[removals[0] for removals, _ in pairs])
-        if pairs and all(not removals and len(insertions) == 1
-                         for removals, insertions in pairs):
-            return self._distance.preview_batch(
-                insertions=[insertions[0] for _, insertions in pairs])
-        return [self._distance.preview(removals, insertions)
-                for removals, insertions in pairs]
+        live = members >= 0
+        width = live.sum(axis=1)
+        deltas: List[Optional[DistanceDelta]] = [None] * len(members)
+        single = np.flatnonzero(width == 1)
+        if single.size:
+            column = live[single].argmax(axis=1)
+            cells, insert = members[single, column], gained[single, column]
+            batch = self._distance.preview_batch(endpoints[cells[~insert]],
+                                                 endpoints[cells[insert]])
+            order = np.concatenate([single[~insert], single[insert]])
+            for row, delta in zip(order.tolist(), batch):
+                deltas[row] = delta
+        for row in np.flatnonzero(width > 1).tolist():
+            cells, insert = members[row][live[row]], gained[row][live[row]]
+            deltas[row] = self._distance.preview(
+                endpoints[cells[~insert]].tolist(),
+                endpoints[cells[insert]].tolist())
+        return deltas
 
     def _count_changes_batch(self, deltas: List[Optional[DistanceDelta]]
                              ) -> Changes:

@@ -5,12 +5,15 @@ greedy step across a pool of that many worker processes.  The pool starts
 by forking the parent mid-run: each worker inherits the parent's
 :class:`~repro.core.opacity_session.OpacitySession` — working graph,
 distance store, count arrays — as it stands, and from then on answers
-``("scan", candidates)`` requests with its shard's per-candidate count
-changes: int64 ``(candidate, type, delta)`` triples, candidates numbered
-from 0 within the shard.  Follow-up ``("apply", ...)`` messages keep every
-worker's session in lock-step with the parent's applied edits.  Nothing is
-published, attached, rebuilt or recounted, and only candidate lists,
-edits and change triples cross the pipes.
+``("scan", endpoints, members, gained)`` requests with its shard's
+per-candidate count changes: int64 ``(candidate, type, delta)`` triples,
+candidates numbered from 0 within the shard.  A shard is a row slice of
+a batch the parent has checked, as arrays: its cells, live members (-1
+elsewhere) and insertion flags.  Follow-up
+``("apply", ...)`` messages keep every worker's session in lock-step with
+the parent's applied edits.  Nothing is published, attached, rebuilt or
+recounted, and only candidate arrays, edits and change triples cross the
+pipes.
 
 On the dense tier a worker scans with the inherited session as it is: its
 matrix is a copy-on-write image of the parent's.  On the tiled tier the
@@ -62,6 +65,10 @@ import multiprocessing
 import os
 import weakref
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.opacity_session import own_cells
 
 __all__ = [
     "ScanPool",
@@ -209,7 +216,7 @@ def _scan_worker_main(conn, session) -> None:
                 return
             try:
                 if kind == "scan":
-                    changes = session.collect_edit_changes(message[1])
+                    changes = session.collect_edit_changes(*message[1:])
                     conn.send(("ok", changes))
                 elif kind == "apply":
                     session.apply_edit(message[1], message[2])
@@ -250,7 +257,7 @@ def _shutdown(processes: List[Any], connections: List[Any],
 class ScanPool:
     """A started pool of scan workers, each a forked copy of one session.
 
-    Build one with :meth:`start`; hand candidate lists to :meth:`scan` and
+    Build one with :meth:`start`; hand checked batches to :meth:`scan` and
     applied edits to :meth:`apply`; :meth:`close` (idempotent, also run by
     a ``weakref`` finalizer) shuts the workers down.  All methods are
     parent-side only.
@@ -310,12 +317,16 @@ class ScanPool:
         """PIDs of the worker processes (crash-safety test hook)."""
         return tuple(process.pid for process in self._processes)
 
-    def scan(self, pairs: Sequence[Tuple[Any, Any]]
+    def scan(self, endpoints: np.ndarray, members: np.ndarray,
+             gained: np.ndarray
              ) -> Optional[List[Tuple[int, Tuple[Any, Any, Any]]]]:
-        """Shard ``pairs`` across the workers and collect in candidate order.
+        """Shard a checked batch across the workers and collect in candidate order.
 
-        Returns ``(first, changes)`` per shard, in shard order: the index
-        of the shard's first candidate in ``pairs`` and the shard's
+        The arrays are as ``score_combinations`` leaves them once checked;
+        each shard is a contiguous slice of the rows with its own cells
+        (:func:`~repro.core.opacity_session.own_cells`).  Returns
+        ``(first, changes)`` per shard, in shard order: the index of the
+        shard's first candidate and the shard's
         ``(candidate, type, delta)`` triples, candidates numbered from 0
         within the shard (as
         :func:`~repro.core.opacity_session.join_changes` takes them).
@@ -325,16 +336,17 @@ class ScanPool:
         """
         if self._closed:
             return None
-        pairs = list(pairs)
         shards: List[Tuple[Any, int, int]] = []  # (connection, first, size)
-        base, extra = divmod(len(pairs), len(self._connections))
+        base, extra = divmod(len(members), len(self._connections))
         start = 0
         try:
             for index, conn in enumerate(self._connections):
                 size = base + (1 if index < extra else 0)
                 if size == 0:
                     continue
-                conn.send(("scan", pairs[start:start + size]))
+                rows = slice(start, start + size)
+                conn.send(("scan", *own_cells(endpoints, members[rows]),
+                           gained[rows]))
                 shards.append((conn, start, size))
                 start += size
             parts: List[Tuple[int, Tuple[Any, Any, Any]]] = []

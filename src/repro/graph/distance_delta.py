@@ -55,7 +55,8 @@ single-edge candidates* of the same kind in one stacked pass: all removal
 candidates share one ``|rows_total| × n`` slab expansion over the unedited
 mirror, each row cutting its own candidate's edge, and all insertion
 candidates share one relaxation, each row reading its own candidate's
-endpoint rows.  Each candidate's delta is bit-identical to the equivalent
+endpoint rows, from ``(k, 2)`` endpoint arrays it does not validate.
+Each candidate's delta is bit-identical to the equivalent
 :meth:`preview`, except that a candidate whose edit flips no cell across
 the L boundary comes back as ``None``.
 
@@ -79,8 +80,13 @@ from repro.graph.distance_store import (
     StoreConfig,
     TiledStore,
 )
-from repro.graph.graph import Edge, Graph, normalize_edge
+from repro.graph.graph import Edge, Graph
 from repro.graph.matrices import distance_dtype
+
+
+def _edge_rows(edges: Union[np.ndarray, Sequence[Edge]]) -> np.ndarray:
+    """``edges`` as an int64 ``(k, 2)`` array of canonical ``(u, v)``, ``u < v``."""
+    return np.sort(np.asarray(edges, dtype=np.int64).reshape(-1, 2), axis=1)
 
 
 @dataclass(frozen=True)
@@ -375,17 +381,20 @@ class DistanceSession:
         finally:
             self._revert_mirror(applied)
 
-    def preview_batch(self, removals: Sequence[Edge] = (),
-                      insertions: Sequence[Edge] = ()
+    def preview_batch(self, removals: Union[np.ndarray, Sequence[Edge]] = (),
+                      insertions: Union[np.ndarray, Sequence[Edge]] = ()
                       ) -> List[DistanceDelta | None]:
         """Deltas of *independent* single-edge candidates, one stacked pass.
 
         Unlike :meth:`preview` — where the listed edges form one combined
         edit — every edge here is its own candidate, in the order
-        ``removals + insertions``.  All removal candidates share a single
-        ``|rows_total| × n`` slab recompute and all insertion candidates
-        share a single stacked relaxation, eliminating the per-candidate
-        numpy call overhead that dominates the greedy scans.
+        ``removals + insertions``; each side is a ``(k, 2)`` endpoint array
+        or a sequence of edges.  Callers pass validated single-edge
+        candidates, in either orientation: nothing is checked here.  All
+        removal candidates share a single ``|rows_total| × n`` slab
+        recompute and all insertion candidates share a single stacked
+        relaxation, eliminating the per-candidate numpy call overhead that
+        dominates the greedy scans.
 
         The pass serves consumers that only tally *within-L membership
         flips* (the opacity sessions): a candidate whose edit flips no cell
@@ -394,14 +403,8 @@ class DistanceSession:
         object (or row copy) is materialized for it.  Every other entry is
         bit-identical to the candidate's own :meth:`preview`.
         """
-        removal_edges = [normalize_edge(u, v) for u, v in removals]
-        insertion_edges = [normalize_edge(u, v) for u, v in insertions]
-        for edge in removal_edges:
-            self._graph.check_edit((edge,), ())
-        for edge in insertion_edges:
-            self._graph.check_edit((), (edge,))
-        deltas = self._batch_deltas(removal_edges, removal=True)
-        deltas += self._batch_deltas(insertion_edges, removal=False)
+        deltas = self._batch_deltas(_edge_rows(removals), removal=True)
+        deltas += self._batch_deltas(_edge_rows(insertions), removal=False)
         return deltas
 
     def _batch_slab_row_cap(self) -> int:
@@ -444,26 +447,22 @@ class DistanceSession:
             yield slab[start:stop]
             start = stop
 
-    def _batch_affected_rows(self, edges: Sequence[Edge],
+    def _batch_affected_rows(self, edges: np.ndarray,
                              removal: bool) -> List[np.ndarray]:
         """Affected-row arrays of every candidate from one stacked gather.
 
-        Applies :meth:`_affected` to the chunk's candidates at once: both
-        endpoint columns are gathered in one read — as matrix *rows*,
-        transposed by symmetry — and the per-candidate row sets split out
-        of a single ``nonzero``.
+        Applies :meth:`_affected` to the chunk's candidates (rows of the
+        ``(k, 2)`` array ``edges``) at once: both endpoint columns are
+        gathered in one read — as matrix *rows*, transposed by symmetry —
+        and the per-candidate row sets split out of a single ``nonzero``.
         """
-        endpoint_u = np.fromiter((edge[0] for edge in edges), dtype=np.int64,
-                                 count=len(edges))
-        endpoint_v = np.fromiter((edge[1] for edge in edges), dtype=np.int64,
-                                 count=len(edges))
-        du = self._store.rows(endpoint_u).astype(np.int64)
-        dv = self._store.rows(endpoint_v).astype(np.int64)
+        du = self._store.rows(edges[:, 0]).astype(np.int64)
+        dv = self._store.rows(edges[:, 1]).astype(np.int64)
         affected = self._affected(du, dv, removal)
         _, row_index = np.nonzero(affected)
         return np.split(row_index, np.cumsum(affected.sum(axis=1))[:-1])
 
-    def _batch_deltas(self, edges: List[Edge], removal: bool
+    def _batch_deltas(self, edges: np.ndarray, removal: bool
                       ) -> List[DistanceDelta | None]:
         """Deltas of single-edge candidates of one kind, slab chunk by chunk."""
         deltas: List[DistanceDelta | None] = [None] * len(edges)
@@ -479,7 +478,7 @@ class DistanceSession:
             self._fill_chunk(edges, slab_chunk, deltas, removal)
         return deltas
 
-    def _fill_chunk(self, edges: List[Edge],
+    def _fill_chunk(self, edges: np.ndarray,
                     chunk: List[Tuple[int, np.ndarray]],
                     deltas: List[DistanceDelta | None], removal: bool) -> None:
         """Recompute one chunk's affected rows in a shared stacked pass.
@@ -492,10 +491,9 @@ class DistanceSession:
         """
         rows_cat = np.concatenate([rows for _, rows in chunk])
         sizes = [rows.size for _, rows in chunk]
-        edge_u = np.repeat(np.fromiter((edges[index][0] for index, _ in chunk),
-                                       dtype=np.int64, count=len(chunk)), sizes)
-        edge_v = np.repeat(np.fromiter((edges[index][1] for index, _ in chunk),
-                                       dtype=np.int64, count=len(chunk)), sizes)
+        owners = [index for index, _ in chunk]
+        edge_u = np.repeat(edges[owners, 0], sizes)
+        edge_v = np.repeat(edges[owners, 1], sizes)
         old_block = self._store.rows(rows_cat)
         if removal:
             block = self._row_capped(self._expand_rows,
@@ -513,9 +511,9 @@ class DistanceSession:
             if not flips_cat[span].any():
                 continue
             changed = changed_cat[span]
-            edit = ((edges[index],), ()) if removal else ((), (edges[index],))
+            edge = (tuple(edges[index].tolist()),)
             deltas[index] = DistanceDelta(
-                *edit, rows[changed],
+                *((edge, ()) if removal else ((), edge)), rows[changed],
                 np.ascontiguousarray(block[span][changed],
                                      dtype=self._store.dtype))
 

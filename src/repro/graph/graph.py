@@ -31,6 +31,87 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def check_vertex(v: int, num_vertices: int) -> None:
+    """Raise :class:`GraphError` unless ``v`` is a vertex ``0 .. num_vertices - 1``."""
+    if not 0 <= v < num_vertices:
+        raise GraphError(
+            f"vertex {v} out of range for graph with {num_vertices} vertices")
+
+
+def validate_members(at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                     codes: np.ndarray, present: np.ndarray, gained: np.ndarray,
+                     num_vertices: int) -> np.ndarray:
+    """Raise where applying the members in order would; return the live ones.
+
+    The batch form of :meth:`Graph.check_edit`.  Row ``r`` of ``at`` is one
+    candidate and column ``k`` an edit of cell ``at[r, k]`` (negative =
+    padding).  Cell ``c`` is the pair ``(lo[c], hi[c])``, ``lo <= hi``, with
+    ``codes[c]`` unique to the pair among pairs of vertices ``0 ..
+    num_vertices - 1`` and ``present[c]`` whether it is an edge; ``gained``
+    (shaped like ``at``) flags insertions.  Each candidate removes
+    its removal members in column order, then inserts its insertions, as
+    :meth:`Graph.remove_edge` and :meth:`Graph.add_edge` would: the first
+    self-loop, out-of-range vertex, absent removal or present insertion
+    of the first bad candidate raises their error.  Returns the live
+    members: a removal re-inserted by the same candidate nets to nothing,
+    so neither of the two is live, nor is padding.
+    """
+    pad = at < 0
+    if not codes.size:  # no cells: every member is padding
+        return ~pad
+    # A member's verdict reads only the members applied before it, so a
+    # code a broken cell shares with another pair misleads no verdict up
+    # to the first bad member, the one that raises.
+    broken = (lo == hi) | (lo < 0) | (hi >= num_vertices)
+    broken = broken[at] if broken.any() else False
+    present = present[at]
+    width = at.shape[1]
+    # Whether each member repeats the pair of an earlier member of its
+    # candidate, one column pair at a time (widths are small).
+    member = np.where(pad, -1, codes[at]) if width > 1 else None
+    repeats = [(k, j, (member[:, k] == member[:, j]) & ~pad[:, k])
+               for k in range(1, width) for j in range(k)]
+    if not any(hit.any() for _, _, hit in repeats):
+        # No pair repeats within a candidate: each member is judged alone.
+        bad = (broken | (present == gained)) & ~pad
+        if bad.any():
+            _raise_first(at, lo, hi, num_vertices, bad & ~gained, bad & gained)
+        return ~pad
+    removal, insertion = ~pad & ~gained, ~pad & gained
+    repeat = np.zeros(at.shape + (width,), dtype=bool)
+    for k, j, hit in repeats:
+        repeat[:, k, j] = hit
+    same = repeat | repeat.transpose(0, 2, 1)
+    removed_before = (repeat & removal[:, None, :]).any(axis=2)
+    removed_ever = (same & removal[:, None, :]).any(axis=2)
+    inserted_before = (repeat & insertion[:, None, :]).any(axis=2)
+    _raise_first(at, lo, hi, num_vertices,
+                 removal & (broken | ~present | removed_before),
+                 insertion & (broken | present & ~removed_ever
+                              | inserted_before))
+    cancelled = (same & (removal[:, :, None] & insertion[:, None, :]
+                         | insertion[:, :, None] & removal[:, None, :])).any(axis=2)
+    return ~pad & ~cancelled
+
+
+def _raise_first(at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 num_vertices: int, bad_removal: np.ndarray,
+                 bad_insertion: np.ndarray) -> None:
+    """Raise for the first bad member of the first bad candidate, if any."""
+    bad = bad_removal.any(axis=1) | bad_insertion.any(axis=1)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        if bad_removal[row].any():
+            column, state = int(np.argmax(bad_removal[row])), "not present"
+        else:
+            column, state = int(np.argmax(bad_insertion[row])), "already present"
+        u, v = int(lo[at[row, column]]), int(hi[at[row, column]])
+        normalize_edge(u, v)
+        check_vertex(u, num_vertices)
+        check_vertex(v, num_vertices)
+        raise InvalidEdgeError(f"edge ({u}, {v}) {state}")
+
+
 def splice(array: np.ndarray, gone, at: np.ndarray,
            values: np.ndarray) -> np.ndarray:
     """``np.insert(np.delete(array, gone), at, values)`` for a 1-D ``array``.
@@ -422,6 +503,4 @@ class Graph:
         self._edge_codes, self._edge_array = codes, edges
 
     def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self._num_vertices:
-            raise GraphError(
-                f"vertex {v} out of range for graph with {self._num_vertices} vertices")
+        check_vertex(v, self._num_vertices)

@@ -23,7 +23,9 @@ the counts are built:
   both arrays.  Memory is O(2-paths + edges), never ``n²``.
 
 It scores candidate edits without changing state
-(:meth:`TwoHopCounts.flips`) and folds an applied edit in, returning the
+(:meth:`TwoHopCounts.flips`, over members the session has already checked
+and reduced to the live ones; it validates nothing itself) and folds an
+applied edit in, returning the
 pairs it flips (:meth:`TwoHopCounts.apply`); both go through one
 footprint routine.  An applied edit edits the CSR in place
 (:meth:`~repro.graph.distance_store.CSRAdjacency.edited`): only the
@@ -38,7 +40,6 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidEdgeError
 from repro.graph.distance_store import CSRAdjacency
 from repro.graph.graph import Edge, Graph, normalize_edge, splice
 
@@ -102,82 +103,6 @@ def group_sums(keys: np.ndarray, values: np.ndarray, spread: int
         return grouped, grouped.copy(), grouped.copy()
     return (grouped[starts], np.add.reduceat(packed % spread, starts),
             np.diff(np.append(starts, packed.size)))
-
-
-def validate_members(at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                     codes: np.ndarray, present: np.ndarray, gained: np.ndarray
-                     ) -> np.ndarray:
-    """Raise :class:`InvalidEdgeError` where applying the members in order would.
-
-    Row ``r`` of ``at`` is one candidate and column ``k`` its member ``k``,
-    an edit of cell ``at[r, k]`` (negative = padding).  Cell ``c`` is the
-    pair ``(lo[c], hi[c])``, ``lo <= hi``, with ``codes[c]`` a non-negative
-    code unique to the pair and ``present[c]`` whether the pair is an edge
-    of the current graph, so each edge is looked up once however many
-    members name it; ``gained`` (broadcast against ``at``) flags
-    insertions.  Each candidate removes its removal members in column
-    order, then inserts its insertion members: a removal must find its
-    edge present and an insertion absent, in the state the candidate's
-    earlier operations leave.  The first invalid candidate raises, at its
-    first bad removal, else its first bad insertion; a self-loop anywhere
-    raises first.  Returns the live members: a removal re-inserted by the
-    same candidate nets to nothing, so neither of the two is live, nor is
-    padding.
-    """
-    pad = at < 0
-    if not codes.size:  # no cells: every member is padding
-        return ~pad
-    gained = np.broadcast_to(gained, at.shape)
-    if (lo == hi).any():
-        loops = (lo == hi)[at] & ~pad
-        if loops.any():
-            order = np.argwhere(loops[:, None, :] & (
-                gained[:, None, :] == np.array([False, True])[None, :, None]))
-            row, _, column = order[0]
-            vertex = int(lo[at[row, column]])
-            raise InvalidEdgeError(
-                f"self-loops are not allowed: ({vertex}, {vertex})")
-    present = present[at]
-    width = at.shape[1]
-    # Whether each member repeats the pair of an earlier member of its
-    # candidate, one column pair at a time (widths are small).
-    member = np.where(pad, -1, codes[at]) if width > 1 else None
-    repeats = [(k, j, (member[:, k] == member[:, j]) & ~pad[:, k])
-               for k in range(1, width) for j in range(k)]
-    if not any(hit.any() for _, _, hit in repeats):
-        # No pair repeats within a candidate: each member is judged alone.
-        bad = (present == gained) & ~pad
-        if bad.any():
-            _raise_first(at, lo, hi, bad & ~gained, bad & gained)
-        return ~pad
-    repeat = np.zeros(at.shape + (width,), dtype=bool)
-    for k, j, hit in repeats:
-        repeat[:, k, j] = hit
-    same = repeat | repeat.transpose(0, 2, 1)
-    removal, insertion = ~pad & ~gained, ~pad & gained
-    removed_before = (repeat & removal[:, None, :]).any(axis=2)
-    removed_ever = (same & removal[:, None, :]).any(axis=2)
-    inserted_before = (repeat & insertion[:, None, :]).any(axis=2)
-    bad_removal = removal & (~present | removed_before)
-    bad_insertion = insertion & ((present & ~removed_ever) | inserted_before)
-    _raise_first(at, lo, hi, bad_removal, bad_insertion)
-    cancelled = (same & (removal[:, :, None] & insertion[:, None, :]
-                         | insertion[:, :, None] & removal[:, None, :])).any(axis=2)
-    return ~pad & ~cancelled
-
-
-def _raise_first(at: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 bad_removal: np.ndarray, bad_insertion: np.ndarray) -> None:
-    """Raise for the first candidate with a bad member, if any."""
-    bad = bad_removal.any(axis=1) | bad_insertion.any(axis=1)
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        if bad_removal[row].any():
-            column, state = int(np.argmax(bad_removal[row])), "not present"
-        else:
-            column, state = int(np.argmax(bad_insertion[row])), "already present"
-        cell = at[row, column]
-        raise InvalidEdgeError(f"edge ({int(lo[cell])}, {int(hi[cell])}) {state}")
 
 
 class TwoHopCounts:
@@ -267,18 +192,21 @@ class TwoHopCounts:
         """Within-2 pairs each candidate's edit flips, in footprint-sized chunks.
 
         ``endpoints``, ``members`` and ``gained`` are as in
-        :meth:`repro.core.opacity_session.OpacitySession.score_combinations`:
-        row ``r`` of ``members`` names candidate ``r``'s member edges
-        (negative = padding), ``gained`` flags insertions.  Every member
-        is validated first, exactly as a sequential preview would
-        (:meth:`_validate`).  Yields ``(start, stop, owner, flat, within)``
-        per chunk of candidates ``start:stop``: each flipped pair's
-        candidate (relative to ``start``), flat code and whether it is
-        within 2 hops after the edit.
+        :meth:`repro.core.opacity_session.OpacitySession.score_combinations`
+        once it has checked them: row ``r`` of ``members`` names candidate
+        ``r``'s live member edges (negative = padding or a member the
+        candidate cancels), ``gained`` (shaped like ``members``) flags
+        insertions.  Yields ``(start,
+        stop, owner, flat, within)`` per chunk of candidates
+        ``start:stop``: each flipped pair's candidate (relative to
+        ``start``), flat code and whether it is within 2 hops after the
+        edit.
         """
-        members = np.asarray(members, dtype=np.int64)
-        gained = np.broadcast_to(np.asarray(gained, dtype=bool), members.shape)
-        lo, hi, codes, live = self._validate(endpoints, members, gained)
+        live = members >= 0
+        # A trailing zero cell serves the padding (and an empty batch).
+        lo = np.append(np.minimum(endpoints[:, 0], endpoints[:, 1]), 0)[members]
+        hi = np.append(np.maximum(endpoints[:, 0], endpoints[:, 1]), 0)[members]
+        codes = np.where(live, triu_flat(lo, hi, self._n), -1)
         degree = np.append(np.diff(self._csr.indptr), 0)
         cost = (degree[np.where(live, lo, -1)] + degree[np.where(live, hi, -1)]
                 + live).sum(axis=1)
@@ -370,27 +298,6 @@ class TwoHopCounts:
     def _is_edge(self, flat: np.ndarray) -> np.ndarray:
         """Whether each flat pair code is an edge."""
         return (self._state(flat) & 1).astype(bool)
-
-    def _validate(self, endpoints: np.ndarray, members: np.ndarray,
-                  gained: np.ndarray
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Raise :class:`InvalidEdgeError` where a sequential preview would.
-
-        Each edge is looked up once and the members are judged in order
-        by :func:`validate_members`.  Returns the members' ``(lo, hi,
-        flat code, live)`` matrices, padding at code -1.
-        """
-        cells = np.asarray(endpoints, dtype=np.int64).reshape(-1, 2)
-        cell_lo = np.minimum(cells[:, 0], cells[:, 1])
-        cell_hi = np.maximum(cells[:, 0], cells[:, 1])
-        cell_codes = triu_flat(cell_lo, cell_hi, self._n)
-        live = validate_members(members, cell_lo, cell_hi, cell_codes,
-                                self._is_edge(cell_codes), gained)
-        pad = members < 0
-        # A trailing zero cell serves the padding (and an empty batch).
-        at = np.where(pad, -1, members)
-        lo, hi = np.append(cell_lo, 0)[at], np.append(cell_hi, 0)[at]
-        return lo, hi, np.where(pad, -1, np.append(cell_codes, 0)[at]), live
 
     def _footprint(self, lo: np.ndarray, hi: np.ndarray, codes: np.ndarray,
                    gained: np.ndarray, live: np.ndarray

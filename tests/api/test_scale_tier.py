@@ -15,7 +15,7 @@ from repro.api.requests import request_fingerprint
 from repro.api.shm import SharedSampleArena, TiledMatrixSpec, attach_arena
 from repro.errors import ConfigurationError
 from repro.graph.distance import bounded_distance_matrix
-from repro.graph.distance_store import DistanceStore, TiledStore
+from repro.graph.distance_store import CSRAdjacency, DistanceStore, TiledStore
 from repro.graph.graph import Graph
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0)
@@ -184,6 +184,24 @@ class TestShmTiledPlane:
             store = cache.store(2)
             np.testing.assert_array_equal(
                 store.to_array(), bounded_distance_matrix(graph, 2))
+        finally:
+            arena.unlink()
+
+    def test_tiled_arena_publishes_only_its_edges(self):
+        import glob
+
+        graph = small_graph()
+        arena = SharedSampleArena.publish(
+            graph, TiledMatrixSpec(budget_bytes=1 << 16), 3)
+        try:
+            assert glob.glob(f"/dev/shm/{arena.token}*") == \
+                [f"/dev/shm/{arena.token}-edges"]
+            assert arena.descriptor.tiled == 1 << 16
+            # Workers derive the parent's CSR from the shared edges.
+            csr = attach_arena(arena.descriptor).cache.base_store()._csr
+            expected = CSRAdjacency.from_graph(graph)
+            np.testing.assert_array_equal(csr.indptr, expected.indptr)
+            np.testing.assert_array_equal(csr.indices, expected.indices)
         finally:
             arena.unlink()
 

@@ -1,10 +1,14 @@
 """Unit tests for the Edge Removal heuristic (Algorithm 4)."""
 
+from itertools import combinations
+from unittest import mock
+
 import pytest
 
 from repro.core.edge_removal import EdgeRemovalAnonymizer
 from repro.core.opacity import OpacityComputer, max_lo
-from repro.core.pair_types import DegreePairTyping
+from repro.core.opacity_session import OpacitySession
+from repro.core.pair_types import DegreePairTyping, ExplicitPairTyping
 from repro.graph.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.graph.graph import Graph
 
@@ -105,6 +109,30 @@ class TestCandidatePruning:
         unpruned = EdgeRemovalAnonymizer(length_threshold=2, theta=0.7, seed=0,
                                          prune_candidates=False).anonymize(graph)
         assert pruned.evaluations <= unpruned.evaluations
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_the_cut_off_is_read_from_the_counts(self, length):
+        # One type over every pair, so its within-L count is every
+        # within-L pair: above 5000 the pass scans every edge and never
+        # lists the pairs; at or below it, it lists them.
+        graph = erdos_renyi_graph(120, 0.75, seed=0)
+        typing = ExplicitPairTyping(dict.fromkeys(
+            combinations(range(graph.num_vertices), 2), "pair"))
+        session = OpacitySession(OpacityComputer(typing, length), graph)
+        assert session.type_counts()[0].sum() > 5000
+        pruner = EdgeRemovalAnonymizer(length_threshold=length)
+        forbidden = mock.Mock(side_effect=AssertionError("pair query"))
+        with mock.patch.object(OpacitySession, "violating_pair_indices",
+                               forbidden):
+            assert pruner._removal_candidates(session) == graph.edge_list()
+        small = erdos_renyi_graph(25, 0.2, seed=2)
+        session = OpacitySession(OpacityComputer(DegreePairTyping(small),
+                                                 length), small)
+        query = mock.Mock(wraps=session.violating_pair_indices)
+        with mock.patch.object(session, "violating_pair_indices", query):
+            pruned = pruner._removal_candidates(session)
+        assert query.call_count == 1
+        assert set(pruned) <= small.edge_set()
 
 
 class TestLookAhead:

@@ -257,24 +257,17 @@ class TestScanChunks:
     def test_no_chunk_looks_up_more_cells_than_it_names(self, length,
                                                         monkeypatch):
         from repro.core import anonymizer as anonymizer_module
-        from repro.graph.two_hop import TwoHopCounts
 
         graph = erdos_renyi_graph(20, 0.2, seed=1)
         params = dict(length_threshold=length, theta=0.3, seed=0, max_steps=2)
         whole = EdgeRemovalInsertionAnonymizer(**params).anonymize(graph)
         looked_up = []
-        validate = TwoHopCounts._validate
         check = OpacitySession._check_cells
-
-        def spy_validate(counts, endpoints, members, gained):
-            looked_up.append((len(endpoints), members.size))
-            return validate(counts, endpoints, members, gained)
 
         def spy_check(session, cells, at, gained):
             looked_up.append((len(cells), at.size))
             return check(session, cells, at, gained)
 
-        monkeypatch.setattr(TwoHopCounts, "_validate", spy_validate)
         monkeypatch.setattr(OpacitySession, "_check_cells", spy_check)
         monkeypatch.setattr(anonymizer_module, "COMPOSED_SCAN_CHUNK", 16)
         chunked = EdgeRemovalInsertionAnonymizer(**params).anonymize(graph)

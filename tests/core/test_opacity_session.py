@@ -31,6 +31,7 @@ from repro.datasets import load_sample
 from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
+from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
 from tests.oracles import (
     PerCandidateSession,
@@ -192,10 +193,10 @@ def _assert_stops_alike(session_class, algorithm, params, graph, limit):
 
 
 class TestObserverParity:
-    """Cancellation latency is independent of the session: observers are
-    polled after *every* tentative evaluation inside a scan, so an
-    eval-count stop fires at the same point on the product session and on
-    the scratch oracle."""
+    """Cancellation latency is independent of the session: a scan reports
+    once per scored chunk and, when the observer asks to stop, bisects the
+    chunk to the exact evaluation it stops at, so an eval-count stop fires
+    at the same point on the product session and on the scratch oracle."""
 
     @pytest.mark.parametrize("algorithm,params", ALL_ALGORITHMS)
     @pytest.mark.parametrize("limit", [3, 17])
@@ -219,7 +220,7 @@ class TestObserverParity:
                        observer=_StopAfterEvaluations(limit))[0]):
             assert result.stop_reason == "observer"
             # The scan for a single step spans |E| evaluations, so stopping
-            # at 5 proves per-evaluation polling survived the refactor.
+            # at 5 proves the chunk-level report bisects to an exact stop.
             assert result.evaluations <= limit + 2
 
 
@@ -702,6 +703,87 @@ class TestLengthOneFastPath:
             best = min(range(len(evaluations)),
                        key=lambda pos: evaluations[pos].fraction)
             session.apply_edit(*candidates[best])
+
+
+class TestOneCheckPerBatch:
+    """Each scored batch is checked once, by ``_check_cells``, at every L."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_scored_chunk_checks_once(self, length, monkeypatch):
+        checks = []
+        score = OpacitySession.score_combinations
+        check = OpacitySession._check_cells
+
+        def spy_score(session, *args):
+            checks.append(0)
+            return score(session, *args)
+
+        def spy_check(session, *args):
+            checks[-1] += 1
+            return check(session, *args)
+
+        monkeypatch.setattr(OpacitySession, "score_combinations", spy_score)
+        monkeypatch.setattr(OpacitySession, "_check_cells", spy_check)
+        graph = erdos_renyi_graph(16, 0.3, seed=3)
+        with _scan_chunks(3):
+            result = EdgeRemovalInsertionAnonymizer(
+                length_threshold=length, theta=0.2, lookahead=2, seed=0,
+                max_steps=2).anonymize(graph)
+        # Premise: steps were taken, each over many scored chunks.
+        assert result.num_steps and len(checks) > 2 * result.num_steps
+        assert checks == [1] * len(checks)
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_cells_no_member_names_are_never_read(self, length):
+        # Vertex 2 is outside the graph, but only padding names its cell.
+        graph = Graph(2, [(0, 1)])
+        computer = OpacityComputer(DegreePairTyping(graph), length)
+        level = (np.array([[2, 0]]), np.array([[-1]]), np.array([[False]]))
+        session = OpacitySession(computer, graph.copy())
+        try:
+            observed = session.score_combinations(*level)
+        finally:
+            session.close()
+        expected = ScratchSession(computer, graph.copy()).score_combinations(
+            *level)
+        assert [array.tolist() for array in observed] == \
+            [array.tolist() for array in expected]
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["dense", "tiled"])
+    def test_single_member_levels_skip_per_edge_checks(self, tiled):
+        graph = erdos_renyi_graph(20, 0.25, seed=2)
+        computer = OpacityComputer(DegreePairTyping(graph), 3)
+        config = StoreConfig(tier="tiled", budget_bytes=2048) if tiled \
+            else None
+        session = OpacitySession(computer, graph.copy(), store_config=config)
+        edges = np.stack(session.edge_endpoints(), axis=1)
+        endpoints = np.concatenate(
+            [edges, np.array(sorted(graph.non_edges()), dtype=np.int64)])
+        members = np.arange(len(endpoints)).reshape(-1, 1)
+        gained = members >= len(edges)
+        forbidden = mock.Mock(side_effect=AssertionError("per-edge check"))
+        batches = []
+        preview_batch = DistanceSession.preview_batch
+
+        def counting(distance, *args):
+            batches.append(args)
+            return preview_batch(distance, *args)
+
+        try:
+            with mock.patch.object(Graph, "check_edit", forbidden), \
+                    mock.patch.object(DistanceSession, "preview", forbidden), \
+                    mock.patch.object(DistanceSession, "preview_batch",
+                                      counting):
+                observed = session.score_combinations(endpoints, members,
+                                                      gained)
+        finally:
+            session.close()
+        # One stacked pass over the removals and insertions together.
+        assert len(batches) == 1
+        expected = ScratchSession(computer, graph.copy()).score_combinations(
+            endpoints, members, gained)
+        assert [array.tolist() for array in observed] == \
+            [array.tolist() for array in expected]
 
 
 class TestInOrderMemberValidation:

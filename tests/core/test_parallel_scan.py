@@ -71,6 +71,15 @@ def make_candidates(graph, insertions=4):
     return pairs
 
 
+def first_candidate(endpoints, members, gained):
+    """A scan shard's first row as a ``(removals, insertions)`` pair."""
+    edits = [(tuple(endpoints[cell].tolist()), flag)
+             for cell, flag in zip(members[0].tolist(), gained[0].tolist())
+             if cell >= 0]
+    return (tuple(edge for edge, flag in edits if not flag),
+            tuple(edge for edge, flag in edits if flag))
+
+
 class TestResolveScanWorkers:
     def test_serial_counts_never_start_pools(self):
         assert resolve_scan_workers(None) == 0
@@ -445,8 +454,8 @@ class TestForkedSessions:
             self, monkeypatch, tmp_path):
         collect = OpacitySession.collect_edit_changes
 
-        def recording(session, shard):
-            changes = collect(session, shard)
+        def recording(session, *shard):
+            changes = collect(session, *shard)
             store = session._distance.store
             (tmp_path / str(os.getpid())).write_text(json.dumps(
                 [type(store).__name__, store.tile_rows, store.budget_bytes,
@@ -512,6 +521,35 @@ class TestForkedSessions:
         with pytest.raises(OSError):
             os.fstat(fd)
 
+    @pytest.mark.parametrize("lookahead", [1, 2])
+    def test_scan_messages_carry_arrays(self, lookahead, monkeypatch):
+        from multiprocessing.connection import Connection
+
+        sent = []
+        send = Connection.send
+
+        def recording(conn, message):
+            if message[0] == "scan":
+                sent.append(message)
+            return send(conn, message)
+
+        monkeypatch.setattr(Connection, "send", recording)
+        graph = erdos_renyi_graph(18, 0.25, seed=2)
+        result = EdgeRemovalInsertionAnonymizer(
+            length_threshold=3, theta=0.3, seed=0, max_steps=1,
+            lookahead=lookahead, scan_workers=WORKERS).anonymize(graph)
+        assert result.debug_info["parallel_scans"] > 0 and sent
+        for _, endpoints, members, gained in sent:
+            assert all(isinstance(part, np.ndarray)
+                       for part in (endpoints, members, gained))
+            # A shard carries no more cells than it names, and one flag
+            # per member.
+            assert endpoints.shape[1] == 2
+            assert len(endpoints) <= members.size
+            assert gained.shape == members.shape
+        assert {message[2].shape[1] for message in sent} == \
+            set(range(1, lookahead + 1))
+
     def test_scan_pool_imports_nothing_from_the_api_layer(self):
         import ast
 
@@ -562,13 +600,14 @@ class TestCrashSafety:
         trigger = pairs[-1]
         collect = OpacitySession.collect_edit_changes
 
-        def misbehaving(session, shard):
-            if tuple(shard[0]) != trigger:
-                return collect(session, shard)
+        def misbehaving(session, endpoints, members, gained):
+            if first_candidate(endpoints, members, gained) != trigger:
+                return collect(session, endpoints, members, gained)
             if failure == "error":
                 raise RuntimeError("injected shard failure")
-            candidate, types, deltas = collect(session, shard)
-            return (np.append(candidate, len(shard)), np.append(types, 0),
+            candidate, types, deltas = collect(session, endpoints, members,
+                                               gained)
+            return (np.append(candidate, len(members)), np.append(types, 0),
                     np.append(deltas, 1))
 
         monkeypatch.setattr(OpacitySession, "collect_edit_changes",

@@ -195,3 +195,40 @@ def combination_levels(draw):
             (tuple(tuple(endpoints[j].tolist()) for j, flag in kept if not flag),
              tuple(tuple(endpoints[j].tolist()) for j, flag in kept if flag)))
     return graph, typing, np.array(flags), endpoints, members, edits
+
+
+@st.composite
+def messy_levels(draw, broken: bool = False):
+    """A level whose rows may hold invalid or self-cancelling members.
+
+    Members draw from a handful of cells with a random insertion flag
+    each.  The cells are pairs of the graph (edges and non-edges, in
+    either orientation), so removals of absent edges, insertions of
+    present ones, repeats within a row and a removal re-inserted by the
+    same row (valid: it nets to nothing) all occur.  With ``broken`` some
+    cells are self-loops or name a vertex outside ``0 .. n - 1``.
+    """
+    graph = draw(graphs(min_vertices=2, max_vertices=8))
+    typing = draw(typings(graph))
+    n = graph.num_vertices
+    cell = st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)])
+    if broken:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        cell = st.one_of(cell, cell, vertex.map(lambda v: (v, v)),
+                         st.tuples(st.sampled_from([-1, n, n + 2]), vertex))
+    # A handful of cells, so rows often repeat one.
+    cells = draw(st.lists(cell, min_size=1, max_size=6, unique=True))
+    endpoints = np.array([draw(st.sampled_from([pair, pair[::-1]]))
+                          for pair in cells], dtype=np.int64).reshape(-1, 2)
+    width = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=1, max_value=6))
+    member = st.integers(min_value=-1, max_value=len(cells) - 1)
+    members = np.array(draw(st.lists(st.lists(member, min_size=width,
+                                              max_size=width),
+                                     min_size=count, max_size=count)),
+                       dtype=np.int64).reshape(count, width)
+    gained = np.array(draw(st.lists(st.lists(st.booleans(), min_size=width,
+                                             max_size=width),
+                                    min_size=count, max_size=count)),
+                      dtype=bool).reshape(count, width)
+    return graph, typing, endpoints, members, gained

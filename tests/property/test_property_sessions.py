@@ -34,6 +34,7 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
+from repro.errors import ReproError
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
 from repro.graph.distance_store import StoreConfig
@@ -53,6 +54,7 @@ from tests.property.strategies import (
     edit_scripts,
     graphs,
     length_bounds,
+    messy_levels,
     thetas,
     two_hop_config,
     typings,
@@ -419,6 +421,63 @@ class TestScoreCombinationsProperties:
                 [array.tolist() for array in expected]
             assert outcomes(session.evaluate_edits(edits)) == \
                 outcomes(scratch.evaluate_edits(edits))
+
+
+def _scored_or_raised(call):
+    """``call()``'s three outcome arrays as lists, or its error's type and message."""
+    try:
+        return [array.tolist() for array in call()]
+    except ReproError as error:
+        return type(error), str(error)
+
+
+class TestOneBatchCheck:
+    """Every L checks a batch by one rule, that of applying it edit by edit.
+
+    Batches hold absent removals, present insertions, repeats, self-loops,
+    removals re-inserted by the same row and vertices outside ``0 .. n -
+    1``.  :meth:`~OpacitySession.score_combinations` and
+    :meth:`~OpacitySession.evaluate_edits` must raise the error type and
+    message :class:`~tests.oracles.ScratchSession`'s sequential edits
+    raise, or score as they do, and leave the graph as it was.
+    """
+
+    @pytest.mark.parametrize("length,tier", [(1, "dense"), (2, "dense"),
+                                             (3, "dense"), (3, "tiled")])
+    @given(messy_levels(broken=True))
+    @settings(max_examples=60, deadline=None)
+    def test_batches_raise_or_score_as_sequential_edits(self, length, tier,
+                                                        level):
+        graph, typing, endpoints, members, gained = level
+        computer = OpacityComputer(typing, length)
+        config = StoreConfig(tier="tiled", budget_bytes=64, tile_rows=2) \
+            if tier == "tiled" else None
+        session = OpacitySession(computer, graph.copy(), store_config=config)
+        scratch = ScratchSession(computer, graph.copy())
+        flags = gained.tolist()
+        edits = [(tuple(tuple(endpoints[j].tolist())
+                        for j, flag in zip(row, row_flags)
+                        if j >= 0 and not flag),
+                  tuple(tuple(endpoints[j].tolist())
+                        for j, flag in zip(row, row_flags) if j >= 0 and flag))
+                 for row, row_flags in zip(members.tolist(), flags)]
+
+
+        def level(oracle):
+            return oracle.score_combinations(endpoints, members, gained)
+
+        def listed(oracle):
+            batch = oracle.evaluate_edits(edits)
+            return batch.numerators, batch.denominators, batch.types_at_max
+
+        try:
+            for evaluator in (level, listed):
+                assert _scored_or_raised(lambda: evaluator(session)) == \
+                    _scored_or_raised(lambda: evaluator(scratch))
+            assert session.graph == graph
+            assert scratch.graph == graph
+        finally:
+            session.close()
 
 
 class TestScansLeaveTheGraphAlone:

@@ -7,12 +7,15 @@ The kernel is checked against two independent oracles:
 * the distance-slab path (:meth:`OpacitySession._collect_changes`, the
   L >= 3 production path, run at L = 2 by a second session over a
   :class:`DistanceSession` on a copy of the graph, :func:`slab_session`),
-  on each candidate's ``(type, count change)`` multiset;
+  on each candidate's ``(type, count change)`` multiset, both fed the
+  level as :meth:`~OpacitySession.score_combinations` checks it
+  (:func:`checked`);
 * :class:`~tests.oracles.ScratchSession`, on the scored outcomes and on
   whole greedy runs.
 
-Invalid member edits must raise :class:`InvalidEdgeError` exactly where the
-slab path does.  After every applied edit, the count set must describe the
+Invalid member edits must raise the :class:`InvalidEdgeError` that
+:class:`~tests.oracles.ScratchSession`'s sequential edits raise, and score
+as it does otherwise.  After every applied edit, the count set must describe the
 same within-2 pairs as a fresh :func:`bounded_distance_matrix` and the
 pruning query.  Finally, no L = 2 scan, pruning pass or applied edit may
 preview, stage or commit a slab or read distance rows, and no L = 2
@@ -41,6 +44,7 @@ from repro.core import (
     OpacityComputer,
     OpacitySession,
 )
+from repro.core.opacity_session import own_cells
 from repro.errors import InvalidEdgeError
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
@@ -54,6 +58,7 @@ from tests.property.strategies import (
     combination_levels,
     edit_scripts,
     graphs,
+    messy_levels,
     thetas,
     two_hop_config,
     typings,
@@ -97,15 +102,16 @@ def change_sets(changes, count):
     return sets
 
 
-def level_pairs(endpoints, members, gained):
-    """The rows of a level as ``(removals, insertions)`` tuples."""
-    flags = np.broadcast_to(gained, members.shape).tolist()
-    edges = [tuple(edge) for edge in endpoints.tolist()]
-    return [(tuple(edges[j] for j, flag in zip(row, row_flags)
-                   if j >= 0 and not flag),
-             tuple(edges[j] for j, flag in zip(row, row_flags)
-                   if j >= 0 and flag))
-            for row, row_flags in zip(members.tolist(), flags)]
+def checked(session, endpoints, members, gained):
+    """A level as :meth:`OpacitySession.score_combinations` hands it on.
+
+    Its own cells, checked once by ``session`` (:meth:`_check_cells`), with
+    only the live members kept and ``gained`` broadcast against them.
+    """
+    endpoints, members = own_cells(endpoints, members)
+    gained = np.broadcast_to(gained, members.shape)
+    live = session._check_cells(endpoints, members, gained)
+    return endpoints, np.where(live, members, -1), gained
 
 
 @contextmanager
@@ -135,36 +141,10 @@ def raised(call):
     return None
 
 
-@st.composite
-def messy_levels(draw):
-    """A level whose rows may hold invalid or self-cancelling members.
-
-    Members draw from every pair of the graph (edges and non-edges) with
-    a random insertion flag, so removals of absent edges, insertions of
-    present ones, repeats within a row and a removal re-inserted by the
-    same row (valid: it nets to nothing) all occur.
-    """
-    graph = draw(graphs(min_vertices=2, max_vertices=8))
-    typing = draw(typings(graph))
-    # A handful of pairs, so rows often repeat one.
-    pairs = draw(st.lists(st.sampled_from(
-        [(u, v) for u in range(graph.num_vertices)
-         for v in range(u + 1, graph.num_vertices)]),
-        min_size=1, max_size=6, unique=True))
-    endpoints = np.array([draw(st.sampled_from([pair, pair[::-1]]))
-                          for pair in pairs], dtype=np.int64).reshape(-1, 2)
-    width = draw(st.integers(min_value=1, max_value=4))
-    count = draw(st.integers(min_value=1, max_value=6))
-    member = st.integers(min_value=-1, max_value=len(pairs) - 1)
-    members = np.array(draw(st.lists(st.lists(member, min_size=width,
-                                              max_size=width),
-                                     min_size=count, max_size=count)),
-                       dtype=np.int64).reshape(count, width)
-    gained = np.array(draw(st.lists(st.lists(st.booleans(), min_size=width,
-                                             max_size=width),
-                                    min_size=count, max_size=count)),
-                      dtype=bool).reshape(count, width)
-    return graph, typing, endpoints, members, gained
+def scores(session, endpoints, members, gained):
+    """``session.score_combinations`` as lists."""
+    return [array.tolist() for array in
+            session.score_combinations(endpoints, members, gained)]
 
 
 @STATES
@@ -174,31 +154,30 @@ class TestKernelMatchesTheSlabPath:
     def test_changes_equal_the_slab_path_per_candidate(self, state, level):
         graph, typing, gained, endpoints, members, edits = level
         session = l2_session(typing, graph, state)
-        kernel = session._two_hop_changes(endpoints, members, gained)
+        level = checked(session, endpoints, members, gained)
+        kernel = session._two_hop_changes(*level)
         with slab_session(typing, graph) as oracle:
-            slab = oracle._collect_changes(
-                level_pairs(endpoints, members, gained))
+            slab = oracle._collect_changes(*level)
         assert change_sets(kernel, len(members)) == \
             change_sets(slab, len(members))
 
     @given(messy_levels())
     @settings(max_examples=120, deadline=None)
-    def test_invalid_members_raise_where_the_slab_path_does(self, state,
-                                                            level):
+    def test_invalid_members_raise_where_scratch_does(self, state, level):
         graph, typing, endpoints, members, gained = level
-        session = l2_session(typing, graph, state)
-        pairs = level_pairs(endpoints, members, gained)
-        with slab_session(typing, graph) as oracle:
-            expected = raised(lambda: oracle._collect_changes(pairs))
-            observed = raised(
-                lambda: session._two_hop_changes(endpoints, members, gained))
-            assert (observed is None) == (expected is None)
-            if expected is None:
-                kernel = session._two_hop_changes(endpoints, members, gained)
-                assert change_sets(kernel, len(members)) == \
-                    change_sets(oracle._collect_changes(pairs), len(members))
-            else:
-                assert observed == expected
+        session = l2_session(typing, graph.copy(), state)
+        scratch = ScratchSession(OpacityComputer(typing, 2), graph.copy())
+        expected = raised(lambda: scores(scratch, endpoints, members, gained))
+        assert raised(lambda: scores(session, endpoints, members, gained)) \
+            == expected
+        if expected is None:
+            assert scores(session, endpoints, members, gained) == \
+                scores(scratch, endpoints, members, gained)
+            with slab_session(typing, graph) as oracle:
+                level = checked(session, endpoints, members, gained)
+                assert change_sets(session._two_hop_changes(*level),
+                                   len(members)) == \
+                    change_sets(oracle._collect_changes(*level), len(members))
 
     def test_a_reinserted_removal_nets_to_nothing(self, state):
         # A path: no edge has a common neighbour, so only the edge itself
@@ -209,10 +188,10 @@ class TestKernelMatchesTheSlabPath:
         endpoints = np.array([(0, 1), (3, 4)], dtype=np.int64)
         members = np.array([[0, 0], [0, 1]])
         gained = np.array([[False, True], [False, False]])
-        kernel = session._two_hop_changes(endpoints, members, gained)
+        level = checked(session, endpoints, members, gained)
+        kernel = session._two_hop_changes(*level)
         with slab_session(typing, graph) as oracle:
-            slab = oracle._collect_changes(
-                level_pairs(endpoints, members, gained))
+            slab = oracle._collect_changes(*level)
         assert change_sets(kernel, 2) == change_sets(slab, 2)
         assert change_sets(kernel, 2)[0] == {}
 
