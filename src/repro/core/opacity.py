@@ -283,16 +283,15 @@ class OpacityComputer:
         Returned as an int64 vector in :attr:`type_order`.  ``distances``
         is a dense L-bounded matrix or a
         :class:`~repro.graph.distance_store.DistanceStore`, streamed in
-        ``|block| × n`` slabs so the tiled tier never materializes
-        ``n × n``; the blocks partition the strict upper triangle, so the
-        sum is exact.
+        place through its :meth:`~repro.graph.distance_store.DistanceStore.blocks`
+        so the tiled tier never materializes ``n × n``; the blocks
+        partition the strict upper triangle, so the sum is exact.
         """
         if isinstance(distances, np.ndarray):
             return self._tally_rows(distances, 0)
         counts = np.zeros(len(self.type_order[0]), dtype=np.int64)
-        for start, stop in distances.row_blocks():
-            counts += self._tally_rows(distances.rows(np.arange(start, stop)),
-                                       start)
+        for start, slab in distances.blocks():
+            counts += self._tally_rows(slab, start)
         return counts
 
     def type_indices(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:

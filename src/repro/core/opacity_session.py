@@ -84,7 +84,7 @@ from repro.core.opacity import (
     group_maxima,
 )
 from repro.graph.distance_delta import DistanceDelta, DistanceSession
-from repro.graph.distance_store import DenseStore, DistanceStore, StoreConfig
+from repro.graph.distance_store import DistanceStore, StoreConfig
 from repro.graph.graph import Edge, Graph, splice, validate_members
 from repro.graph.matrices import block_within_pairs
 from repro.graph.two_hop import (
@@ -129,17 +129,17 @@ def _type_plane_dtype(num_types: int) -> np.dtype:
 def _within_pair_set(store: DistanceStore, length: int) -> np.ndarray:
     """Sorted triu flat indices of the pairs ``i < j`` with ``D[i, j] <= length``.
 
-    Streams ``store.row_blocks()`` in ascending row chunks of at most
-    :data:`_WITHIN_CHUNK_CELLS` cells; :func:`block_within_pairs` walks
-    each chunk row-major, so the concatenation is already sorted.
+    Streams ``store.blocks()`` in place, in ascending row chunks of at
+    most :data:`_WITHIN_CHUNK_CELLS` cells; :func:`block_within_pairs`
+    walks each chunk row-major, so the concatenation is already sorted.
     """
     n = store.num_vertices
     step = max(1, _WITHIN_CHUNK_CELLS // max(1, n))
     parts = [np.empty(0, dtype=np.int64)]
-    for start, stop in store.row_blocks():
-        for low in range(start, stop, step):
-            slab = store.rows(np.arange(low, min(low + step, stop)))
-            parts.append(triu_flat(*block_within_pairs(slab, low, length), n))
+    for start, slab in store.blocks():
+        for low in range(0, len(slab), step):
+            parts.append(triu_flat(*block_within_pairs(
+                slab[low:low + step], start + low, length), n))
     return np.concatenate(parts)
 
 
@@ -782,9 +782,7 @@ class OpacitySession:
                 self._edge_types, minlength=self._totals.size + 1
             )[:self._totals.size]
         else:
-            store = self._distance.store
-            self._withins = self._computer.within_counts(
-                store.array if isinstance(store, DenseStore) else store)
+            self._withins = self._computer.within_counts(self._distance.store)
         self._current = None
         self._ranking = None
 

@@ -25,11 +25,7 @@ from typing import Optional
 
 from repro.datasets.registry import DatasetSpec, get_dataset
 from repro.errors import DatasetError
-from repro.graph.generators import (
-    gnm_random_graph,
-    powerlaw_cluster_graph,
-    watts_strogatz_graph,
-)
+from repro.graph.generators import gnm_random_graph, powerlaw_cluster_graph
 from repro.graph.graph import Graph
 
 #: Generator family per dataset name.
@@ -66,20 +62,34 @@ def _target_edges(spec: DatasetSpec, size: int) -> int:
 
 
 def _adjust_edge_count(graph: Graph, target_edges: int, rng: random.Random) -> Graph:
-    """Randomly add or remove edges until ``graph`` has exactly ``target_edges``."""
-    max_edges = graph.num_vertices * (graph.num_vertices - 1) // 2
-    target_edges = min(target_edges, max_edges)
+    """Randomly add or remove edges until ``graph`` has exactly ``target_edges``.
+
+    The draws are made first, in local loops, and applied as one
+    :meth:`Graph.edit`.
+    """
+    n = graph.num_vertices
+    target_edges = min(target_edges, n * (n - 1) // 2)
+    randrange = rng.randrange
+    removals = []
     if graph.num_edges > target_edges:
         # One sorted list, kept in step by popping each drawn edge: the
         # same draws over the same edges as re-listing after every trim.
-        edges = graph.edge_list()
-        while graph.num_edges > target_edges:
-            graph.remove_edge(*edges.pop(rng.randrange(len(edges))))
-    while graph.num_edges < target_edges:
-        u = rng.randrange(graph.num_vertices)
-        v = rng.randrange(graph.num_vertices)
+        # It holds the edges' ``u·n + v`` codes, in edge order: plain ints
+        # are no work for the garbage collector, m tuples would be.
+        codes = graph.edge_codes().tolist()
+        while len(codes) > target_edges:
+            removals.append(divmod(codes.pop(randrange(len(codes))), n))
+    insertions = {}  # insertion-ordered, so edited in draw order
+    missing = target_edges - graph.num_edges
+    while len(insertions) < missing:
+        u = randrange(n)
+        v = randrange(n)
         if u != v:
-            graph.add_edge_if_absent(u, v)
+            edge = (u, v) if u < v else (v, u)
+            if edge not in insertions and v not in graph.adjacency(u):
+                insertions[edge] = None
+    if removals or insertions:
+        graph.edit(removals, insertions)
     return graph
 
 
@@ -96,13 +106,6 @@ def synthesize_sample(name: str, size: int, seed: Optional[int] = None) -> Graph
     if family == "powerlaw-cluster":
         attachment = max(1, min(size - 1, round(average_degree / 2.0)))
         graph = powerlaw_cluster_graph(size, attachment, _TRIANGLE_PROBABILITY, seed=rng)
-    elif family == "small-world":
-        # A ring lattice needs at least 4 neighbors to contain triangles; the
-        # edge-count adjustment below trims back down to the sparse target.
-        neighbors = max(4, 2 * round(average_degree / 2.0))
-        neighbors = min(neighbors, size - 1 if (size - 1) % 2 == 0 else size - 2)
-        neighbors = max(4, neighbors)
-        graph = watts_strogatz_graph(size, neighbors, 0.1, seed=rng)
     else:  # sparse-random
         graph = gnm_random_graph(size, target_edges, seed=rng)
 
@@ -125,9 +128,6 @@ def synthesize_dataset(name: str, num_nodes: Optional[int] = None,
     if family == "powerlaw-cluster":
         attachment = max(1, min(size - 1, round(spec.average_degree / 2.0)))
         graph = powerlaw_cluster_graph(size, attachment, _TRIANGLE_PROBABILITY, seed=rng)
-    elif family == "small-world":
-        neighbors = max(2, 2 * round(spec.average_degree / 2.0))
-        graph = watts_strogatz_graph(size, neighbors, 0.15, seed=rng)
-    else:
+    else:  # sparse-random
         graph = gnm_random_graph(size, target_edges, seed=rng)
     return _adjust_edge_count(graph, target_edges, rng)

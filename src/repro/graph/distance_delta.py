@@ -345,22 +345,19 @@ class DistanceSession:
     def distances(self) -> np.ndarray:
         """The current dense matrix (dense tier only; treat as read-only).
 
-        The tiled tier never materializes ``n × n`` — stream through
-        :meth:`rows` / :meth:`row_blocks` instead.
+        The tiled tier never materializes ``n × n`` — read :meth:`rows` or
+        stream the store's ``blocks()`` instead.
         """
         if isinstance(self._store, DenseStore):
             return self._store.array
         raise DistanceMemoryError(
             "this session runs on the tiled scale tier and has no dense "
-            "matrix; read row blocks via session.rows()/row_blocks()")
+            "matrix; read rows via session.rows() or stream "
+            "session.store.blocks()")
 
     def rows(self, block: Sequence[int]) -> np.ndarray:
         """Fresh ``|block| × n`` distance rows (columns by symmetry)."""
         return self._store.rows(block)
-
-    def row_blocks(self) -> Iterator[Tuple[int, int]]:
-        """Contiguous ``(start, stop)`` row ranges sized for this store."""
-        return self._store.row_blocks()
 
     # ------------------------------------------------------------------
     # delta evaluation

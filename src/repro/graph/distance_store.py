@@ -5,8 +5,9 @@ way — ``|block| × n`` row slabs (the sessions' stacked passes, the opacity
 tallies, the pruning gathers) — and the matrix is symmetric, so column
 gathers are row gathers transposed.  :class:`DistanceStore` freezes that
 contract: ``rows(block)`` returns a fresh slab, ``write_rows`` folds a
-session delta back in symmetrically, and ``row_blocks()`` streams the
-matrix in bounded chunks.  Two implementations cover the scale tiers:
+session delta back in symmetrically, and ``blocks()`` streams the matrix
+in bounded read-only slabs, read in place.  Two implementations cover the
+scale tiers:
 
 * :class:`DenseStore` wraps today's dense ``n × n`` matrices unchanged —
   the fast tier for graphs whose matrix fits the byte budget.
@@ -289,13 +290,21 @@ def csr_bounded_rows(csr: CSRAdjacency, sources: np.ndarray, length_bound: int,
 # ----------------------------------------------------------------------
 # the store seam
 # ----------------------------------------------------------------------
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (which stays writable)."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
 class DistanceStore:
     """Row-block interface over one symmetric L-bounded distance matrix.
 
     The matrix is symmetric, so this interface is complete: column gathers
     are ``rows(cols).T`` and a delta commit is one symmetric
     :meth:`write_rows`.  ``rows`` always returns a *fresh* slab the caller
-    may mutate; writes only go through :meth:`write_rows`.
+    may mutate; writes only go through :meth:`write_rows`.  Streaming
+    consumers read :meth:`blocks` instead, which copies nothing.
     """
 
     num_vertices: int
@@ -315,8 +324,13 @@ class DistanceStore:
         """Symmetric write: set ``D[rows, :] = new_rows`` and ``D[:, rows] = new_rows.T``."""
         raise NotImplementedError
 
-    def row_blocks(self) -> Iterator[Tuple[int, int]]:
-        """Contiguous ``(start, stop)`` row ranges for streaming consumers."""
+    def blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """``(start, slab)`` for streaming consumers, every row once, ascending.
+
+        ``slab`` is a read-only view of the rows ``start, start + 1, …``
+        held in the store itself, not a copy: it is valid until the next
+        :meth:`write_rows`.
+        """
         raise NotImplementedError
 
     def to_array(self) -> np.ndarray:
@@ -349,8 +363,8 @@ class DenseStore(DistanceStore):
         self._matrix[rows, :] = new_rows
         self._matrix[:, rows] = new_rows.T
 
-    def row_blocks(self) -> Iterator[Tuple[int, int]]:
-        yield 0, self.num_vertices
+    def blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
+        yield 0, _read_only(self._matrix)
 
     def to_array(self) -> np.ndarray:
         return self._matrix
@@ -594,14 +608,19 @@ class TiledStore(DistanceStore):
             if selector.any():
                 tile[rows[selector] - start] = new_rows[selector]
 
-    def row_blocks(self) -> Iterator[Tuple[int, int]]:
+    def blocks(self) -> Iterator[Tuple[int, np.ndarray]]:
+        """The tiles in order, each a view of the cached tile itself.
+
+        A tile is computed or loaded on first touch, and evicted, by the
+        same LRU rules as for :meth:`rows`.
+        """
         for tile_id in range(self.num_tiles):
-            yield self._tile_span(tile_id)
+            yield tile_id * self.tile_rows, _read_only(self._tile(tile_id))
 
     def to_array(self) -> np.ndarray:
         out = np.empty((self.num_vertices, self.num_vertices), dtype=self.dtype)
-        for start, stop in self.row_blocks():
-            out[start:stop] = self._tile(start // self.tile_rows)
+        for start, slab in self.blocks():
+            out[start:start + len(slab)] = slab
         return out
 
     def thresholded(self, length_bound: int, *,

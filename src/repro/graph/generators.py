@@ -8,15 +8,17 @@ building blocks for that calibration and are also useful on their own for
 tests and examples.
 
 All generators accept either an integer seed or a pre-built
-:class:`random.Random` instance so results are reproducible.
+:class:`random.Random` instance so results are reproducible.  The random
+ones fill plain neighbour sets in local loops and hand them to
+:class:`Graph` in one piece, so a sample costs no per-edge method calls.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Union
+from typing import List, Set, Union
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphError
 from repro.graph.graph import Graph
 
 SeedLike = Union[int, random.Random, None]
@@ -26,6 +28,13 @@ def _rng(seed: SeedLike) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
+
+
+def _empty_sets(num_vertices: int) -> List[Set[int]]:
+    """The neighbour sets of an edgeless graph, for a generator to fill."""
+    if num_vertices < 0:
+        raise GraphError(f"num_vertices must be non-negative, got {num_vertices}")
+    return [set() for _ in range(num_vertices)]
 
 
 def empty_graph(num_vertices: int) -> Graph:
@@ -72,13 +81,15 @@ def erdos_renyi_graph(num_vertices: int, edge_probability: float,
     """G(n, p) random graph: each pair becomes an edge with probability p."""
     if not 0.0 <= edge_probability <= 1.0:
         raise ConfigurationError(f"edge_probability must be in [0, 1], got {edge_probability}")
-    rng = _rng(seed)
-    graph = Graph(num_vertices)
+    draw = _rng(seed).random
+    adjacency = _empty_sets(num_vertices)
     for u in range(num_vertices):
+        neighbors = adjacency[u]
         for v in range(u + 1, num_vertices):
-            if rng.random() < edge_probability:
-                graph.add_edge(u, v)
-    return graph
+            if draw() < edge_probability:
+                neighbors.add(v)
+                adjacency[v].add(u)
+    return Graph._from_adjacency(adjacency)
 
 
 def gnm_random_graph(num_vertices: int, num_edges: int, seed: SeedLike = None) -> Graph:
@@ -87,14 +98,17 @@ def gnm_random_graph(num_vertices: int, num_edges: int, seed: SeedLike = None) -
     if num_edges > max_edges:
         raise ConfigurationError(
             f"cannot place {num_edges} edges in a simple graph with {num_vertices} vertices")
-    rng = _rng(seed)
-    graph = Graph(num_vertices)
-    while graph.num_edges < num_edges:
-        u = rng.randrange(num_vertices)
-        v = rng.randrange(num_vertices)
-        if u != v:
-            graph.add_edge_if_absent(u, v)
-    return graph
+    randrange = _rng(seed).randrange
+    adjacency = _empty_sets(num_vertices)
+    placed = 0
+    while placed < num_edges:
+        u = randrange(num_vertices)
+        v = randrange(num_vertices)
+        if u != v and v not in adjacency[u]:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+            placed += 1
+    return Graph._from_adjacency(adjacency, placed)
 
 
 def barabasi_albert_graph(num_vertices: int, attachment: int, seed: SeedLike = None) -> Graph:
@@ -108,7 +122,8 @@ def barabasi_albert_graph(num_vertices: int, attachment: int, seed: SeedLike = N
         raise ConfigurationError(
             f"attachment must be in [1, num_vertices), got {attachment} for n={num_vertices}")
     rng = _rng(seed)
-    graph = Graph(num_vertices)
+    draw, choice = rng.random, rng.choice
+    adjacency = _empty_sets(num_vertices)
     # Start from a star over the first (attachment + 1) vertices so every new
     # vertex has enough attachment targets.
     targets = list(range(attachment))
@@ -116,18 +131,20 @@ def barabasi_albert_graph(num_vertices: int, attachment: int, seed: SeedLike = N
     for new_vertex in range(attachment, num_vertices):
         chosen: set[int] = set()
         while len(chosen) < attachment:
-            if repeated and rng.random() < 0.9:
-                candidate = rng.choice(repeated)
+            if repeated and draw() < 0.9:
+                candidate = choice(repeated)
             else:
-                candidate = rng.choice(targets)
+                candidate = choice(targets)
             if candidate != new_vertex:
                 chosen.add(candidate)
+        neighbors = adjacency[new_vertex]
         for target in chosen:
-            graph.add_edge_if_absent(new_vertex, target)
+            neighbors.add(target)
+            adjacency[target].add(new_vertex)
             repeated.append(target)
             repeated.append(new_vertex)
         targets.append(new_vertex)
-    return graph
+    return Graph._from_adjacency(adjacency)
 
 
 def watts_strogatz_graph(num_vertices: int, nearest_neighbors: int,
@@ -144,21 +161,28 @@ def watts_strogatz_graph(num_vertices: int, nearest_neighbors: int,
     if not 0.0 <= rewire_probability <= 1.0:
         raise ConfigurationError("rewire_probability must be in [0, 1]")
     rng = _rng(seed)
-    graph = Graph(num_vertices)
+    draw, choice = rng.random, rng.choice
+    adjacency = _empty_sets(num_vertices)
     half = nearest_neighbors // 2
     for u in range(num_vertices):
         for offset in range(1, half + 1):
-            graph.add_edge_if_absent(u, (u + offset) % num_vertices)
+            v = (u + offset) % num_vertices
+            adjacency[u].add(v)
+            adjacency[v].add(u)
     for u in range(num_vertices):
+        neighbors = adjacency[u]
         for offset in range(1, half + 1):
             v = (u + offset) % num_vertices
-            if rng.random() < rewire_probability and graph.has_edge(u, v):
+            if draw() < rewire_probability and v in neighbors:
                 candidates = [w for w in range(num_vertices)
-                              if w != u and not graph.has_edge(u, w)]
+                              if w != u and w not in neighbors]
                 if candidates:
-                    graph.remove_edge(u, v)
-                    graph.add_edge(u, rng.choice(candidates))
-    return graph
+                    neighbors.discard(v)
+                    adjacency[v].discard(u)
+                    w = choice(candidates)
+                    neighbors.add(w)
+                    adjacency[w].add(u)
+    return Graph._from_adjacency(adjacency)
 
 
 def powerlaw_cluster_graph(num_vertices: int, attachment: int,
@@ -175,13 +199,17 @@ def powerlaw_cluster_graph(num_vertices: int, attachment: int,
     if not 0.0 <= triangle_probability <= 1.0:
         raise ConfigurationError("triangle_probability must be in [0, 1]")
     rng = _rng(seed)
-    graph = Graph(num_vertices)
+    draw, choice = rng.random, rng.choice
+    adjacency = _empty_sets(num_vertices)
     repeated: list[int] = list(range(attachment))
     for new_vertex in range(attachment, num_vertices):
-        first_target = rng.choice(repeated)
+        neighbors = adjacency[new_vertex]
+        first_target = choice(repeated)
         while first_target == new_vertex:
-            first_target = rng.choice(repeated)
-        graph.add_edge_if_absent(new_vertex, first_target)
+            first_target = choice(repeated)
+        if first_target not in neighbors:
+            neighbors.add(first_target)
+            adjacency[first_target].add(new_vertex)
         repeated.append(first_target)
         repeated.append(new_vertex)
         added = 1
@@ -189,17 +217,17 @@ def powerlaw_cluster_graph(num_vertices: int, attachment: int,
         attempts = 0
         while added < attachment and attempts < 10 * attachment:
             attempts += 1
-            if rng.random() < triangle_probability and graph.degree(last_target) > 0:
+            if draw() < triangle_probability and adjacency[last_target]:
                 # Close a triangle: attach to a neighbor of the previous target.
-                neighbor = rng.choice(sorted(graph.adjacency(last_target)))
-                candidate = neighbor
+                candidate = choice(sorted(adjacency[last_target]))
             else:
-                candidate = rng.choice(repeated)
-            if candidate == new_vertex or graph.has_edge(new_vertex, candidate):
+                candidate = choice(repeated)
+            if candidate == new_vertex or candidate in neighbors:
                 continue
-            graph.add_edge(new_vertex, candidate)
+            neighbors.add(candidate)
+            adjacency[candidate].add(new_vertex)
             repeated.append(candidate)
             repeated.append(new_vertex)
             last_target = candidate
             added += 1
-    return graph
+    return Graph._from_adjacency(adjacency)

@@ -7,7 +7,9 @@ mutation, O(1) adjacency membership tests, and cheap snapshots of the edge
 set: :meth:`Graph.edge_array` is the one O(m) edge walk every bulk reader
 shares, built in C and cached.  A single :meth:`Graph.add_edge` or
 :meth:`Graph.remove_edge` drops the cache; :meth:`Graph.edit`, the path a
-greedy step's edit takes, carries it forward instead.  Vertices are
+greedy step's edit takes, carries it forward instead.  :meth:`Graph.copy`
+is copy-on-write: the clone shares the per-vertex neighbour sets, and each
+graph copies a vertex's set the first time it writes it.  Vertices are
 integers ``0 .. n-1`` so distance matrices and NumPy adjacency exports can
 index directly by vertex id.
 """
@@ -157,7 +159,7 @@ class Graph:
     """
 
     __slots__ = ("_num_vertices", "_adjacency", "_num_edges", "_edge_array",
-                 "_edge_codes")
+                 "_edge_codes", "_owned")
 
     def __init__(self, num_vertices: int, edges: Optional[Iterable[Edge]] = None) -> None:
         if num_vertices < 0:
@@ -167,6 +169,9 @@ class Graph:
         self._num_edges = 0
         self._edge_array: Optional[np.ndarray] = None
         self._edge_codes: Optional[np.ndarray] = None
+        # ``None``: every neighbour set is this graph's own.  Otherwise a
+        # set is shared with a copy until its flag here is set.
+        self._owned: Optional[bytearray] = None
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -194,7 +199,11 @@ class Graph:
         return frozenset(self._adjacency[v])
 
     def adjacency(self, v: int) -> Set[int]:
-        """Return the live adjacency set of ``v`` (do not mutate)."""
+        """Return the live adjacency set of ``v`` (do not mutate).
+
+        Valid until the graph's next write: a write may replace a set it
+        shares with a copy by a private one.
+        """
         self._check_vertex(v)
         return self._adjacency[v]
 
@@ -296,8 +305,8 @@ class Graph:
         self._check_vertex(v)
         if v in self._adjacency[u]:
             raise InvalidEdgeError(f"edge ({u}, {v}) already present")
-        self._adjacency[u].add(v)
-        self._adjacency[v].add(u)
+        self._writable(u).add(v)
+        self._writable(v).add(u)
         self._num_edges += 1
         self._edge_array = self._edge_codes = None
 
@@ -314,8 +323,8 @@ class Graph:
         self._check_vertex(v)
         if v not in self._adjacency[u]:
             raise InvalidEdgeError(f"edge ({u}, {v}) not present")
-        self._adjacency[u].discard(v)
-        self._adjacency[v].discard(u)
+        self._writable(u).discard(v)
+        self._writable(v).discard(u)
         self._num_edges -= 1
         self._edge_array = self._edge_codes = None
 
@@ -357,13 +366,13 @@ class Graph:
         removals and insertions.
         """
         removals, insertions = self.check_edit(removals, insertions)
-        adjacency = self._adjacency
+        writable = self._writable
         for u, v in removals:
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
+            writable(u).discard(v)
+            writable(v).discard(u)
         for u, v in insertions:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+            writable(u).add(v)
+            writable(v).add(u)
         self._num_edges += len(insertions) - len(removals)
         codes = self._edge_codes
         if codes is not None:
@@ -397,10 +406,18 @@ class Graph:
     # derived structures
     # ------------------------------------------------------------------
     def copy(self) -> "Graph":
-        """Return a deep copy of this graph."""
-        clone = Graph(self._num_vertices)
-        clone._adjacency = [set(adj) for adj in self._adjacency]
-        clone._num_edges = self._num_edges
+        """Return an independent copy of this graph, copy-on-write.
+
+        The clone shares this graph's neighbour sets, and both give up
+        their ownership of them: each copies a vertex's set the first time
+        it writes it (:meth:`add_edge`, :meth:`remove_edge`, :meth:`edit`),
+        so a copy costs O(n), not O(n + m), and neither sees the other's
+        writes.
+        """
+        n = self._num_vertices
+        clone = Graph._from_adjacency(list(self._adjacency), self._num_edges)
+        self._owned = bytearray(n)
+        clone._owned = bytearray(n)
         # Read-only and replaced, never written, so shareable.
         clone._edge_array = self._edge_array
         clone._edge_codes = self._edge_codes
@@ -481,6 +498,22 @@ class Graph:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    def _from_adjacency(cls, adjacency: List[Set[int]],
+                        num_edges: Optional[int] = None) -> "Graph":
+        """Adopt ``adjacency``, symmetric neighbour sets without self-loops.
+
+        The bulk builder behind :meth:`copy` and the generators, which fill
+        plain sets in local loops: the list and its sets are taken as they
+        are, unchecked.  ``num_edges`` defaults to the sets' size sum halved.
+        """
+        graph = cls(0)
+        graph._num_vertices = len(adjacency)
+        graph._adjacency = adjacency
+        graph._num_edges = (sum(map(len, adjacency)) // 2
+                            if num_edges is None else num_edges)
+        return graph
+
+    @classmethod
     def from_edge_list(cls, edges: Iterable[Edge], num_vertices: Optional[int] = None) -> "Graph":
         """Build a graph from an edge list, inferring the vertex count if needed."""
         edge_list = [normalize_edge(u, v) for u, v in edges]
@@ -501,6 +534,14 @@ class Graph:
         codes.setflags(write=False)
         edges.setflags(write=False)
         self._edge_codes, self._edge_array = codes, edges
+
+    def _writable(self, v: int) -> Set[int]:
+        """The neighbour set of ``v``, first copied if a copy shares it."""
+        owned = self._owned
+        if owned is not None and not owned[v]:
+            self._adjacency[v] = set(self._adjacency[v])
+            owned[v] = 1
+        return self._adjacency[v]
 
     def _check_vertex(self, v: int) -> None:
         check_vertex(v, self._num_vertices)

@@ -19,6 +19,7 @@ from repro.baselines import (
     GadesAnonymizer,
 )
 from repro.core import anonymizer as anonymizer_module
+from repro.core import opacity_session as opacity_session_module
 from repro.core import (
     DegreePairTyping,
     EdgeRemovalAnonymizer,
@@ -32,7 +33,8 @@ from repro.errors import ConfigurationError, InvalidEdgeError
 from repro.graph import Graph, erdos_renyi_graph
 from repro.graph.distance import bounded_distance_matrix
 from repro.graph.distance_delta import DistanceSession
-from repro.graph.distance_store import StoreConfig
+from repro.graph.distance_store import StoreConfig, TiledStore
+from repro.graph.two_hop import triu_unflat
 from tests.oracles import (
     PerCandidateSession,
     ScratchSession,
@@ -597,6 +599,34 @@ class TestViolatingPairIndices:
             assert before[0].tolist() == after[0].tolist()
             assert before[1].tolist() == after[1].tolist()
             session.close()
+
+
+class TestOpeningCountReadsTilesInPlace:
+    """The opening count streams the store's tiles, copying no rows."""
+
+    @pytest.mark.parametrize("tile_rows", [1, 7, 40])
+    def test_l2_opening_count_makes_no_row_reads(self, tile_rows):
+        graph = erdos_renyi_graph(40, 0.1, seed=5)
+        computer = OpacityComputer(DegreePairTyping(graph), 2)
+        config = StoreConfig(tier="tiled", budget_bytes=2 * tile_rows * 40,
+                             tile_rows=tile_rows)
+        original = TiledStore.rows
+        with mock.patch.object(TiledStore, "rows", autospec=True,
+                               side_effect=original) as spy:
+            session = OpacitySession(computer, graph.copy(),
+                                     store_config=config)
+            withins = session.type_counts()[0].copy()
+            store = TiledStore(graph, 2, tile_rows=tile_rows,
+                               budget_bytes=config.budget_bytes)
+            flat = opacity_session_module._within_pair_set(store, 2)
+        assert spy.call_count == 0
+        session.close()
+        store.close()
+        dense = computer.within_counts(bounded_distance_matrix(graph, 2))
+        np.testing.assert_array_equal(withins, dense)
+        typed = computer.type_indices(*triu_unflat(flat, 40))
+        np.testing.assert_array_equal(
+            np.bincount(typed, minlength=dense.size + 1)[:dense.size], dense)
 
 
 class TestViolatingPairMemory:

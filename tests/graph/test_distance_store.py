@@ -152,11 +152,41 @@ class TestDenseStore:
         assert (out[4] == 1).all()
         assert (out[:, 4] == 1).all()
 
-    def test_row_blocks_cover_the_matrix_once(self):
-        store = DenseStore(bounded_distance_matrix(sample_graph(17), 1), 1)
-        covered = [r for start, stop in store.row_blocks()
-                   for r in range(start, stop)]
-        assert covered == list(range(17))
+    def test_blocks_cover_the_matrix_once(self):
+        matrix = bounded_distance_matrix(sample_graph(17), 1)
+        store = DenseStore(matrix, 1)
+        (start, slab), = store.blocks()
+        assert start == 0
+        np.testing.assert_array_equal(slab, matrix)
+        # The matrix itself, read in place and read-only.
+        assert np.shares_memory(slab, store.array)
+        assert not slab.flags.writeable and store.array.flags.writeable
+
+
+@pytest.mark.parametrize("tier", ["dense", "tiled"])
+@pytest.mark.parametrize("tile_rows", [1, 3, 7, 17])
+def test_blocks_cover_every_row_once_read_only(tier, tile_rows):
+    graph = sample_graph(17)
+    dense = bounded_distance_matrix(graph, 2)
+    store = (DenseStore(dense.copy(), 2) if tier == "dense" else
+             TiledStore(graph, 2, tile_rows=tile_rows,
+                        budget_bytes=2 * tile_rows * 17))  # forces evictions
+    covered = []
+    for start, slab in store.blocks():
+        assert not slab.flags.writeable
+        with pytest.raises(ValueError):
+            slab[0, 0] = 0
+        np.testing.assert_array_equal(slab, dense[start:start + len(slab)])
+        covered.extend(range(start, start + len(slab)))
+    assert covered == list(range(17))
+    # Rows are still written through the store, and blocks read them.
+    new_rows = dense[[4]].copy()
+    new_rows[0, ::2] = 1
+    store.write_rows(np.array([4]), new_rows)
+    expected = dense.copy()
+    expected[4, :] = expected[:, 4] = new_rows[0]
+    np.testing.assert_array_equal(
+        np.concatenate([slab for _, slab in store.blocks()]), expected)
 
 
 class TestTiledStore:

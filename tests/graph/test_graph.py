@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError, InvalidEdgeError
 from repro.graph.graph import Graph, normalize_edge
@@ -150,3 +152,110 @@ class TestDerivedStructures:
 
     def test_paper_example_is_connected(self, paper_example_graph):
         assert paper_example_graph.is_connected()
+
+
+#: Vertex count of the copy-on-write suite: small, so writes collide.
+COW_VERTICES = 6
+
+cow_pairs = st.tuples(st.integers(0, COW_VERTICES - 1),
+                      st.integers(0, COW_VERTICES - 1)).filter(
+                          lambda pair: pair[0] != pair[1])
+cow_operations = st.one_of(
+    st.tuples(st.just("add"), cow_pairs),
+    st.tuples(st.just("remove"), cow_pairs),
+    st.tuples(st.just("edit"),
+              st.tuples(st.lists(cow_pairs, max_size=3),
+                        st.lists(cow_pairs, max_size=3))))
+
+
+def _modelled(model, operation):
+    """The edge set ``operation`` leaves, or ``None`` where it must raise."""
+    kind, argument = operation
+    if kind == "edit":
+        removals, insertions = argument
+    else:
+        removals, insertions = ((argument,), ()) if kind == "remove" else ((), (argument,))
+    after = set(model)
+    for present, edges in ((True, removals), (False, insertions)):
+        for u, v in edges:
+            edge = normalize_edge(u, v)
+            if (edge in after) != present:
+                return None
+            (after.discard if present else after.add)(edge)
+    return after
+
+
+def _apply(graph, operation):
+    kind, argument = operation
+    if kind == "add":
+        graph.add_edge(*argument)
+    elif kind == "remove":
+        graph.remove_edge(*argument)
+    else:
+        graph.edit(*argument)
+
+
+def _assert_matches(graph, model):
+    assert graph.num_edges == len(model)
+    assert graph.edge_array().tolist() == [list(edge) for edge in sorted(model)]
+    for v in graph.vertices():
+        expected = {u for edge in model if v in edge for u in edge if u != v}
+        assert graph.degree(v) == len(expected)
+        assert graph.adjacency(v) == expected
+        assert graph.neighbors(v) == frozenset(expected)
+
+
+class TestCopyOnWrite:
+    """Copies share neighbour sets until written, and never see each other's writes."""
+
+    @given(st.lists(cow_pairs, max_size=10),
+           st.lists(st.tuples(st.integers(0, 3), cow_operations), max_size=30),
+           st.integers(0, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_writes_match_edge_set_models(self, edges, operations,
+                                                      copy_at):
+        original = Graph.from_edge_list(edges, num_vertices=COW_VERTICES)
+        graphs = [original, original.copy(), original.copy()]
+        models = [set(original.edge_list()) for _ in graphs]
+        for step, (which, operation) in enumerate(operations):
+            if step == copy_at:  # a copy of a copy, mid-sequence
+                graphs.append(graphs[1].copy())
+                models.append(set(models[1]))
+            which %= len(graphs)
+            snapshots = [(graph.edge_array(), graph.edge_array().copy())
+                         for graph in graphs]
+            expected = _modelled(models[which], operation)
+            if expected is None:
+                with pytest.raises(InvalidEdgeError):
+                    _apply(graphs[which], operation)
+            else:
+                _apply(graphs[which], operation)
+                models[which] = expected
+            for graph, model in zip(graphs, models):
+                _assert_matches(graph, model)
+            for taken, values in snapshots:
+                assert np.array_equal(taken, values)
+
+    @pytest.mark.parametrize("write", ["add", "remove", "edit"])
+    def test_a_fresh_clone_shares_its_sets_until_written(self, write):
+        original = Graph(5, edges=[(0, 1), (1, 2), (3, 4)])
+        clone = original.copy()
+        assert all(clone.adjacency(v) is original.adjacency(v)
+                   for v in range(5))
+        if write == "add":
+            clone.add_edge(0, 2)
+        elif write == "remove":
+            clone.remove_edge(0, 1)
+        else:
+            clone.edit([(0, 1)], [(0, 2)])
+        written = {0, 1} if write == "remove" else {0, 2}
+        if write == "edit":
+            written = {0, 1, 2}
+        for v in range(5):
+            assert (clone.adjacency(v) is original.adjacency(v)) == (v not in written)
+        assert original.edge_list() == [(0, 1), (1, 2), (3, 4)]
+        # The original gave up its sets too: its own write copies, not mutates.
+        shared = clone.adjacency(3)
+        original.remove_edge(3, 4)
+        assert clone.adjacency(3) is shared and shared == {4}
+        assert clone.has_edge(3, 4) and not original.has_edge(3, 4)

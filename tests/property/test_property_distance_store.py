@@ -35,8 +35,8 @@ class TestTiledDenseEquivalence:
 
     @given(graphs(), length_bounds, tile_rows_values, st.data())
     @settings(max_examples=40, deadline=None)
-    def test_row_blocks_match_under_spill_pressure(self, graph, length_bound,
-                                                   tile_rows, data):
+    def test_blocks_match_under_spill_pressure(self, graph, length_bound,
+                                               tile_rows, data):
         n = graph.num_vertices
         dense = bounded_distance_matrix(graph, length_bound)
         tiled = TiledStore(graph, length_bound, tile_rows=tile_rows,
@@ -45,7 +45,16 @@ class TestTiledDenseEquivalence:
                                    min_size=1, max_size=n))
         block = np.asarray(block, dtype=np.int64)
         np.testing.assert_array_equal(tiled.rows(block), dense[block])
-        # Reads interleaved with evictions never change later reads.
+        # Streamed tiles, read in place interleaved with evictions, cover
+        # every row once and never change later reads.
+        for _ in range(2):
+            covered = 0
+            for start, slab in tiled.blocks():
+                assert start == covered and not slab.flags.writeable
+                np.testing.assert_array_equal(slab,
+                                              dense[start:start + len(slab)])
+                covered += len(slab)
+            assert covered == n
         np.testing.assert_array_equal(tiled.to_array(), dense)
 
     @given(graphs(min_vertices=3), length_bounds, tile_rows_values)
