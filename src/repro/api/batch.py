@@ -13,8 +13,9 @@ the deterministic mode used in tests.
 run pipeline (:mod:`repro.api.sweeps`): each θ-sweep group is one
 checkpointed pass, run in this process or through the one worker entry
 point, :func:`_execute_task`.  On the default shared-memory plane
-(:mod:`repro.api.shm`) the parent prepares each sample — graph, L_max
-base (only for θ-groups at L >= 2), baseline — once and publishes it, and
+(:mod:`repro.api.shm`) the parent prepares each sample — graph, dense
+L_max base (only for θ-groups at L >= 2 on the dense tier), baseline —
+once and publishes it, and
 workers attach read-only views, so even a single-sample grid parallelizes
 with zero redundant loads or BFS runs.  ``shared_memory=False`` lets every worker prepare its
 own sample: one task per sample group when the grid has several samples,

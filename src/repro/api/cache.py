@@ -16,8 +16,10 @@ matrix (:mod:`repro.graph.distance_cache`).
   (:class:`~repro.metrics.GraphBaseline`), shared by every
   ``include_utility`` response of the sample;
 * one :class:`~repro.graph.distance_cache.LMaxDistanceCache` per sample,
-  serving every L ≤ L_max from a single distance computation (counted by
-  :attr:`distance_computes`).
+  serving every dense-tier L ≤ L_max from a single distance computation
+  (counted by :attr:`distance_computes`).  A tiled-tier request is served
+  nothing: its session computes its own tiles at its own L, as a single
+  :func:`~repro.api.facade.anonymize` run does.
 
 One instance lives per worker process — installed by the
 ``ProcessPoolExecutor`` initializer of :class:`~repro.api.batch.BatchRunner`
@@ -31,7 +33,7 @@ loading is deterministic) bit-identical to a cold load.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Union
+from typing import TYPE_CHECKING, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from repro.graph.graph import Graph
 from repro.graph.matrices import distance_dtype
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (shm imports graph)
-    from repro.api.shm import ArenaDescriptor, TiledMatrixSpec
+    from repro.api.shm import ArenaDescriptor
 
 __all__ = ["ExecutionCache", "GridStats", "sample_key"]
 
@@ -94,10 +96,10 @@ class ExecutionCache:
     On the shared-memory data plane a worker cache additionally holds an
     *arena tier* ahead of its process-local tier: :meth:`adopt_arena`
     installs a sample published by the parent — the graph rebuilt from the
-    shared edge array and a zero-copy
-    :class:`~repro.graph.distance_cache.LMaxDistanceCache` over its L_max
-    base — without incrementing either counter, because the load and the
-    distance computation happened exactly once, in the parent.
+    shared edge array and, when the parent published a dense L_max base,
+    a zero-copy :class:`~repro.graph.distance_cache.LMaxDistanceCache`
+    over it — without incrementing either counter, because the load and
+    the distance computation happened exactly once, in the parent.
     """
 
     def __init__(self, data_dir: Optional[str] = None, *,
@@ -159,74 +161,53 @@ class ExecutionCache:
             self._touch(key)
         return baseline
 
-    def distances_for(self, request: AnonymizationRequest, l_max: int):
+    def distances_for(self, request: AnonymizationRequest,
+                      l_max: int) -> Optional[np.ndarray]:
         """Fresh L-bounded distances for the request, served from L_max.
 
         ``l_max`` is the largest L the request's sample group sweeps; the
-        distances are computed once per sample at that bound, and every
-        request's own ``length_threshold`` view is derived by
-        thresholding.  In the dense tier each call returns a fresh array
-        (sessions take ownership of the matrices they are given); in the
-        tiled tier it returns a thresholded
-        :class:`~repro.graph.distance_store.DistanceStore` child sharing
-        the sample's L_max tile base.
+        dense matrix is computed once per sample at that bound, and each
+        call returns a fresh copy thresholded at the request's own
+        ``length_threshold`` (sessions take ownership of the matrices they
+        are given).  A request resolving to the tiled tier gets ``None``:
+        its session builds its own tiled store.
         """
         cache = self._lmax_cache_for(request, l_max)
-        if cache.tier == "tiled":
-            return cache.store(request.length_threshold)
-        return cache.matrix(request.length_threshold)
+        return None if cache is None else cache.matrix(
+            request.length_threshold)
 
-    def base_for(self, request: AnonymizationRequest, l_max: int
-                 ) -> Union[np.ndarray, "TiledMatrixSpec"]:
-        """The L_max base of the request's sample, in the cache's tier.
+    def base_for(self, request: AnonymizationRequest,
+                 l_max: int) -> Optional[np.ndarray]:
+        """The dense L_max base of the request's sample, or ``None`` if tiled.
 
-        Dense tier: the raw L_max matrix itself (read-only contract) — the
+        The raw L_max matrix itself (read-only contract) — the
         shared-memory publisher copies it into a segment, so no private
-        thresholded copy is materialized in the parent.  Tiled tier: the
-        :class:`~repro.api.shm.TiledMatrixSpec` workers rebuild the tile
-        base from; no tile is computed here.  Resolving the tier fires the
-        memory guard of an explicitly dense request over budget.
+        thresholded copy is materialized in the parent.
         """
-        from repro.api.shm import TiledMatrixSpec
-
         cache = self._lmax_cache_for(request, l_max)
-        if cache.tier == "tiled":
-            return TiledMatrixSpec(
-                budget_bytes=cache.store_config.budget_bytes)
-        return cache.base_matrix()
+        return None if cache is None else cache.base_matrix()
 
     def _lmax_cache_for(self, request: AnonymizationRequest,
-                        l_max: int) -> LMaxDistanceCache:
+                        l_max: int) -> Optional[LMaxDistanceCache]:
+        """The sample's dense L_max cache, or ``None`` for a tiled request.
+
+        Resolving the request's own tier fires its memory guard, so an
+        explicit dense request over budget fails here, before any
+        allocation, whether its cache is private or arena-adopted.  A
+        cache rebuilds only when the sweep's bound grows.
+        """
+        graph = self.graph_for(request)
+        tier = request.store_config().resolve(graph.num_vertices,
+                                              distance_dtype(l_max))
+        if tier == "tiled":
+            return None
         key = sample_key(request)
         cache = self._distances.get(key)
-        # An arena-adopted cache is served as-is to every request of its
-        # sample: the published base fixes the tier, whatever tier each
-        # request asks for.  That is safe because tiers are result-neutral
-        # (the base took the tier of the group's first runnable request).
-        # A private cache (also one a worker computes for an arena
-        # published without a base) rebuilds when the sweep's bound grows
-        # or the requested store configuration changed.
-        arena = self._arenas.get(key)
-        adopted = arena is not None and cache is not None \
-            and cache is arena.cache
-        store_config = request.store_config()
-        stale = cache is not None and (
-            cache.l_max < l_max
-            or (not adopted and cache.store_config != store_config))
-        if cache is None or stale:
+        if cache is None or cache.l_max < l_max:
             if cache is not None:
                 self._retired_computes += cache.compute_count
-            cache = LMaxDistanceCache(self.graph_for(request), l_max,
-                                      store_config=store_config)
+            cache = LMaxDistanceCache(graph, l_max)
             self._distances[key] = cache
-        else:
-            self._touch(key)
-        if adopted:
-            # The request's own memory guard still fires, so an explicit
-            # dense request over budget fails as it does on a private
-            # cache, whichever base the arena published.
-            store_config.resolve(self.graph_for(request).num_vertices,
-                                 distance_dtype(cache.l_max))
         return cache
 
     def adopt_arena(self, request: AnonymizationRequest,

@@ -8,9 +8,9 @@ single-sample grid sweeping algorithm × L × look-ahead × θ ran on one
 core.  The arena breaks that trade-off: the **parent** resolves the graph
 and computes the distances once, publishes the edge array and, on the
 dense tier, the L_max base matrix into
-:mod:`multiprocessing.shared_memory` segments (a tiled-tier spec
-publishes no base: its workers derive the CSR adjacency from the shared
-edges), and fans the θ-groups
+:mod:`multiprocessing.shared_memory` segments (a tiled-tier sample
+publishes its edges alone: each tiled θ-group's session computes its own
+tiles from the graph), and fans the θ-groups
 across the pool carrying only an :class:`ArenaDescriptor` — segment
 names, dtypes, shapes, and the L_max bound.  Workers attach read-only
 views, rebuild the :class:`~repro.graph.graph.Graph` from the shared edge
@@ -46,13 +46,12 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.distance_cache import LMaxDistanceCache
-from repro.graph.distance_store import CSRAdjacency, TiledStore
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "AttachedArena",
     "SHM_NAME_PREFIX",
     "SharedSampleArena",
-    "TiledMatrixSpec",
     "attach_arena",
 ]
 
@@ -72,32 +70,15 @@ _EDGE_DTYPE = np.int64
 
 
 @dataclass(frozen=True)
-class TiledMatrixSpec:
-    """A tiled-tier publication request (parent side).
-
-    In the tiled scale tier there is no dense L_max matrix to publish —
-    the whole point is never materializing it.  The parent publishes
-    only the sample's sorted edges plus this spec: the byte budget under
-    which workers rebuild an equivalent
-    :class:`~repro.graph.distance_store.TiledStore` over the CSR they
-    derive from the shared edges, whose tiles they compute lazily.  The
-    bound is the one :meth:`SharedSampleArena.publish` is given.
-    """
-
-    budget_bytes: int
-
-
-@dataclass(frozen=True)
 class ArenaDescriptor:
     """Everything a worker needs to attach a published sample group.
 
     A descriptor is a few hundred bytes of plain data — it crosses the
     process boundary instead of the pickled graph and matrices.  ``token``
     identifies the arena (workers cache attachments by it) and ``l_max``
-    bounds its distance payload, which is at most one of: ``matrix``, the
-    dense tier's ``(segment_name, dtype)``, or ``tiled``, the tiled tier's
-    byte budget (its tiles come from the shared edges).  The remaining
-    fields carry the array geometry needed to rebuild the NumPy views.
+    bounds its optional distance payload ``matrix``, the dense L_max
+    base's ``(segment_name, dtype)``.  The remaining fields carry the array
+    geometry needed to rebuild the NumPy views.
     """
 
     token: str
@@ -106,10 +87,8 @@ class ArenaDescriptor:
     edges_segment: Optional[str]
     #: The distance payload's bound (``None`` without a payload).
     l_max: Optional[int] = None
-    #: Dense tier: (segment, dtype string).
+    #: The dense L_max base: (segment, dtype string).
     matrix: Optional[Tuple[str, str]] = None
-    #: Tiled tier: budget_bytes.
-    tiled: Optional[int] = None
 
 
 def _create_segment(name: str, data: np.ndarray) -> shared_memory.SharedMemory:
@@ -149,16 +128,15 @@ class SharedSampleArena:
 
     @classmethod
     def publish(cls, graph: Graph,
-                base: Union[np.ndarray, TiledMatrixSpec, None] = None,
+                base: Optional[np.ndarray] = None,
                 l_max: Optional[int] = None) -> "SharedSampleArena":
-        """Publish ``graph`` (and its L_max distance base) to shm.
+        """Publish ``graph`` (and its dense L_max distance base) to shm.
 
-        ``base`` is the sample's one base at bound ``l_max``: either the
-        full ``n × n`` bounded matrix, in its contract dtype (recorded in
-        the descriptor), or a :class:`TiledMatrixSpec`, which publishes
-        nothing beyond the edges: its budget rides in the descriptor.  All
-        data is *copied* into the segments — the caller may release its own
-        references immediately afterwards.
+        ``base`` is the sample's full ``n × n`` matrix bounded at ``l_max``,
+        in its contract dtype (recorded in the descriptor), or ``None``
+        to publish the edges alone.  All data is *copied* into the
+        segments — the caller may release its own references immediately
+        afterwards.
         """
         token = f"{SHM_NAME_PREFIX}-{uuid.uuid4().hex[:12]}"
         segments: Dict[str, shared_memory.SharedMemory] = {}
@@ -169,11 +147,9 @@ class SharedSampleArena:
                 edges_segment = f"{token}-edges"
                 segments[edges_segment] = _create_segment(edges_segment, edges)
             n = graph.num_vertices
-            matrix_entry = tiled_entry = None
+            matrix_entry = None
             l_max = None if base is None else int(l_max)
-            if isinstance(base, TiledMatrixSpec):
-                tiled_entry = int(base.budget_bytes)
-            elif base is not None:
+            if base is not None:
                 data = np.ascontiguousarray(base)
                 if data.shape != (n, n):
                     raise ConfigurationError(
@@ -189,8 +165,7 @@ class SharedSampleArena:
                                      num_vertices=graph.num_vertices,
                                      num_edges=graph.num_edges,
                                      edges_segment=edges_segment,
-                                     l_max=l_max, matrix=matrix_entry,
-                                     tiled=tiled_entry)
+                                     l_max=l_max, matrix=matrix_entry)
         return cls(token, segments, descriptor)
 
     @property
@@ -230,8 +205,8 @@ def _release_segment(segment: shared_memory.SharedMemory,
 class AttachedArena:
     """A worker's read-only window onto a published sample group.
 
-    ``graph`` is rebuilt from the shared edge array (O(E) set
-    construction, no disk I/O, no n² copy); ``cache`` wraps the shared
+    ``graph`` is rebuilt from the shared edge array (one pass filling the
+    neighbour sets, no disk I/O, no n² copy); ``cache`` wraps the shared
     L_max base (``None`` without one) in a
     :class:`~repro.graph.distance_cache.LMaxDistanceCache` whose
     ``compute_count`` stays 0 — thresholded *copies* are only made
@@ -250,26 +225,24 @@ class AttachedArena:
 def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
     """Attach a published arena and rebuild its graph and distance cache."""
     segments = []
-    view = np.empty((0, 2), dtype=_EDGE_DTYPE)
+    adjacency: List[Set[int]] = [set() for _ in range(descriptor.num_vertices)]
     if descriptor.edges_segment is not None:
         segment, view = _attach_view(descriptor.edges_segment,
                                      (descriptor.num_edges, 2), _EDGE_DTYPE)
         segments.append(segment)
-    graph = Graph(descriptor.num_vertices, edges=view.tolist())
+        # The parent's own edge snapshot: sorted, canonical and simple, so
+        # the sets are filled unchecked, as the generators fill theirs.
+        for u, v in view.tolist():
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    graph = Graph._from_adjacency(adjacency, descriptor.num_edges)
     cache: Optional[LMaxDistanceCache] = None
-    n, l_max = descriptor.num_vertices, descriptor.l_max
     if descriptor.matrix is not None:
+        n = descriptor.num_vertices
         segment_name, dtype_str = descriptor.matrix
         segment, view = _attach_view(segment_name, (n, n),
                                      np.dtype(dtype_str))
         segments.append(segment)
-        cache = LMaxDistanceCache.from_matrix(graph, view, l_max)
-    if descriptor.tiled is not None:
-        # The shared edges are sorted, so this is the parent's
-        # CSRAdjacency.from_graph, array for array.
-        csr = CSRAdjacency.from_edges(n, view[:, 0], view[:, 1])
-        base = TiledStore(None, l_max, csr=csr,
-                          budget_bytes=descriptor.tiled)
-        cache = LMaxDistanceCache.from_tiled_base(graph, base)
+        cache = LMaxDistanceCache.from_matrix(graph, view, descriptor.l_max)
     return AttachedArena(token=descriptor.token, graph=graph, cache=cache,
                          segments=tuple(segments))

@@ -20,9 +20,10 @@ This module generalizes the sweep into a **grid**:
   into θ-group plans (done / todo / resume checkpoint) and the L_max of
   its single distance computation;
 * :func:`prepare_sample` / :func:`run_prepared` — the two halves of a
-  sample group: load the sample, derive its L_max base for the θ-groups
-  at L >= 2 (every smaller L is a thresholded copy; an L = 1 session
-  reads no distances) and the baseline once, then run each
+  sample group: load the sample, derive its dense L_max base for the
+  θ-groups at L >= 2 (every smaller L is a thresholded copy; an L = 1
+  session reads no distances, a tiled one computes its own tiles) and
+  the baseline once, then run each
   θ-sweep group through the checkpointed schedule
   (:func:`execute_sample_group` is both, in-process); every failure goes
   through :func:`settle_failure`;
@@ -418,11 +419,11 @@ def _abort_on_error(responses: Iterable[AnonymizationResponse]) -> None:
 class PreparedSample:
     """What a sample group's θ-groups share, derived once per process.
 
-    ``base`` is the L_max base the shm parent publishes: the dense L_max
-    matrix or the tiled tier's ``TiledMatrixSpec`` (``None`` when no grid
-    point needs distances, e.g. an L = 1 grid, or their computation
-    failed); ``responses`` holds the grid points already settled (materialized checkpoints,
-    error responses of points whose artifact failed).
+    ``base`` is the dense L_max matrix the shm parent publishes (``None``
+    when no grid point reads a dense base — an L = 1 or all-tiled grid —
+    or its computation failed); ``responses`` holds the grid points
+    already settled (materialized checkpoints, error responses of points
+    whose artifact failed).
     """
 
     l_max: int
@@ -439,14 +440,14 @@ def prepare_sample(requests: Any, plans: Sequence[ThetaGroupPlan],
     """The prepare half of a sample group: load, L_max base, baseline.
 
     ``requests`` is indexable by every index of ``plans``.  Loads the
-    sample once through ``cache``, derives its L_max base in the tier of
-    the first runnable request at L >= 2 (the dense matrix, or the tiled
-    tier's spec — tiles are computed lazily by whoever runs; tiers are
-    result-neutral, so one base serves every request), the utility
-    baseline when any grid point needs one, and materializes the grid
-    points served by stored checkpoints.  Each failure goes through
-    :func:`settle_failure`, except the base's: that is left to the run
-    half, where each θ-group's own distances settle it.
+    sample once through ``cache``, derives its dense L_max base for the
+    first runnable request at L >= 2 that resolves to the dense tier (a
+    tiled request's session computes its own tiles, so an all-tiled
+    sample has no base), the utility baseline when any grid point needs
+    one, and materializes the grid points served by stored checkpoints.
+    Each failure goes through :func:`settle_failure`, except the base's:
+    that is left to the run half, where each θ-group's own distances
+    settle it.
     """
     from repro.api.checkpoints import materialize_response
 
@@ -468,16 +469,19 @@ def prepare_sample(requests: Any, plans: Sequence[ThetaGroupPlan],
         except Exception as exc:  # noqa: BLE001
             settle_failure(on_error, "baseline", exc, requests, utility,
                            settled)
-    runs = [index for plan in plans if plan.resume_checkpoint is None
-            for index in plan.todo if requests[index].length_threshold > 1]
-    if runs:
+    runs = [plan.todo[0] for plan in plans
+            if plan.resume_checkpoint is None and plan.todo
+            and requests[plan.todo[0]].length_threshold > 1]
+    for index in runs:
         try:
-            prepared.base = cache.base_for(requests[runs[0]], l_max)
+            prepared.base = cache.base_for(requests[index], l_max)
         except Exception:  # noqa: BLE001 — e.g. DistanceMemoryError
             # Not settled here: the run half asks for each θ-group's own
             # distances, so a failure such as an explicit dense request
             # over budget fails only that request's grid points.
-            pass
+            continue
+        if prepared.base is not None:
+            break
     for plan in plans:
         for index, checkpoint in plan.done.items():
             if index in settled:
@@ -500,10 +504,11 @@ def run_prepared(requests: Any, plans: Sequence[ThetaGroupPlan],
                  on_error: str = "isolate") -> Dict[int, AnonymizationResponse]:
     """The run half: every unsettled θ-group through ``execute_sweep_group``.
 
-    Each θ-group at L >= 2 thresholds its initial matrix from the
-    prepared L_max base; the observer hears the indices about to run
-    (``on_group``) before each pass.  Returns the settled responses plus the new ones,
-    keyed by request index.
+    Each dense θ-group at L >= 2 thresholds its initial matrix from the
+    sample's L_max base (a tiled one computes its own tiles); the observer
+    hears the indices about to run (``on_group``) before each pass.
+    Returns the settled responses plus the new ones, keyed by request
+    index.
     """
     responses = dict(prepared.responses)
     for plan in plans:
@@ -544,10 +549,11 @@ def execute_sample_group(requests: Sequence[AnonymizationRequest], *,
     All requests must share a graph source (one :func:`sample_groups`
     partition).  :func:`prepare_sample` loads the sample once through
     ``cache`` (a throwaway one by default), derives the baseline and one
-    L_max distance computation (none when every point is at L = 1);
-    :func:`run_prepared` runs each θ-sweep group, at L >= 2 on a
-    thresholded copy.  A failing θ-group (or sample load) yields error
-    responses without aborting its neighbours, unless
+    L_max distance computation (none when every point is at L = 1 or on
+    the tiled tier); :func:`run_prepared` runs each θ-sweep group, at
+    L >= 2 on the dense tier on a thresholded copy.  A failing θ-group
+    (or sample load) yields error responses without aborting its
+    neighbours, unless
     ``on_error="fail_fast"`` turns the first failure into a
     :class:`~repro.errors.GridAbortedError`.
 

@@ -261,13 +261,13 @@ class OpacitySession:
         back to the serial scan permanently — results are bit-identical
         either way.
     initial_distances:
-        Optional precomputed L-bounded distances of ``graph`` — a matrix
-        (e.g. a thresholded slice of a shared
-        :class:`~repro.graph.distance_cache.LMaxDistanceCache`) or a
-        :class:`~repro.graph.distance_store.DistanceStore` served by the
-        tier-aware cache — adopted as the session's starting state so
-        construction skips the from-scratch distance computation.  The
-        session takes ownership of the payload.  An L = 1 session keeps
+        Optional precomputed L-bounded distance matrix of ``graph`` (a
+        thresholded slice of a grid sample's dense
+        :class:`~repro.graph.distance_cache.LMaxDistanceCache`), adopted
+        as the session's starting state so construction skips the
+        from-scratch distance computation.  The session takes ownership
+        of the matrix.  On the tiled tier no matrix is given: the session
+        computes its own tiles at its own L.  An L = 1 session keeps
         no distances and ignores it; an L = 2 session reads only its
         opening count from it and then releases it.
     store_config:
@@ -284,7 +284,7 @@ class OpacitySession:
     """
 
     def __init__(self, computer: OpacityComputer, graph: Graph,
-                 initial_distances: Optional[np.ndarray | DistanceStore] = None,
+                 initial_distances: Optional[np.ndarray] = None,
                  store_config: Optional[StoreConfig] = None,
                  scan_workers: int = 0) -> None:
         self._computer = computer

@@ -223,14 +223,13 @@ class DistanceSession:
     length_bound:
         The L truncation of the distance matrix.
     initial_distances:
-        Optional precomputed L-bounded distances of ``graph`` — either a
-        matrix (e.g. a thresholded slice of a shared
-        :class:`~repro.graph.distance_cache.LMaxDistanceCache`) or a
-        :class:`~repro.graph.distance_store.DistanceStore` served by the
-        tier-aware cache.  The session takes ownership (the payload is
-        mutated in place by :meth:`commit`); it must equal
-        ``bounded_distance_matrix(graph, length_bound)`` or every delta
-        downstream is wrong.
+        Optional precomputed L-bounded distance matrix of ``graph`` (e.g. a
+        thresholded slice of a shared
+        :class:`~repro.graph.distance_cache.LMaxDistanceCache`), kept in a
+        :class:`~repro.graph.distance_store.DenseStore`.  The session takes
+        ownership (the matrix is mutated in place by :meth:`commit`); it
+        must equal ``bounded_distance_matrix(graph, length_bound)`` or
+        every delta downstream is wrong.
     store_config:
         Scale-tier policy consulted only when ``initial_distances`` is
         ``None``; defaults to ``auto`` under the default budget (dense for
@@ -238,7 +237,7 @@ class DistanceSession:
     """
 
     def __init__(self, graph: Graph, length_bound: int,
-                 initial_distances: Union[np.ndarray, DistanceStore, None] = None,
+                 initial_distances: Optional[np.ndarray] = None,
                  store_config: Optional[StoreConfig] = None) -> None:
         if length_bound < 1:
             raise ConfigurationError(f"length_bound must be >= 1, got {length_bound}")
@@ -248,21 +247,9 @@ class DistanceSession:
         self._adjacency: Union[_DenseAdjacency, _CSROverlayAdjacency,
                                None] = None
 
-    def _init_store(self,
-                    initial_distances: Union[np.ndarray, DistanceStore, None],
+    def _init_store(self, initial_distances: Optional[np.ndarray],
                     store_config: Optional[StoreConfig]) -> DistanceStore:
         n = self._graph.num_vertices
-        if isinstance(initial_distances, DistanceStore):
-            if initial_distances.num_vertices != n:
-                raise ConfigurationError(
-                    f"initial store covers {initial_distances.num_vertices} "
-                    f"vertices, the graph has {n}")
-            if initial_distances.length_bound != self._length:
-                raise ConfigurationError(
-                    f"initial store is bounded at "
-                    f"{initial_distances.length_bound}, the session needs "
-                    f"{self._length}")
-            return initial_distances
         if initial_distances is not None:
             if initial_distances.shape != (n, n):
                 raise ConfigurationError(

@@ -17,6 +17,8 @@ scale tiers:
   from the tile's source rows — bit-identical values by the
   bounded-matrix contract), keeps an LRU tile cache under a configurable
   byte budget, and spills cold tiles to fixed slots of a temporary file.
+  Each one is built from its session's graph at its session's L: a grid's
+  tiled θ-groups share their sample, never a tile base.
 
 :class:`StoreConfig` carries the ``scale_tier`` knob (``dense`` /
 ``tiled`` / ``auto``) and the byte budget through the config/request
@@ -373,9 +375,8 @@ class DenseStore(DistanceStore):
 class TiledStore(DistanceStore):
     """The out-of-core tier: lazy row tiles, LRU cache, temp-file spill.
 
-    Tiles are computed on first touch from the graph's CSR snapshot (or,
-    for a :meth:`thresholded` child, by per-tile truncation of the shared
-    parent's tiles), held in an LRU dict bounded by ``budget_bytes``, and
+    Tiles are computed on first touch from the graph's CSR snapshot, held
+    in an LRU dict bounded by ``budget_bytes``, and
     written to a fixed slot of a lazily-created temp file on eviction if
     its slot is missing or stale (the tile was computed or
     written since it was last spilled or loaded).  The file is private to
@@ -391,33 +392,18 @@ class TiledStore(DistanceStore):
     the scale benchmark assert against.
     """
 
-    def __init__(self, graph: Optional[Graph], length_bound: int, *,
+    def __init__(self, graph: Graph, length_bound: int, *,
                  tile_rows: Optional[int] = None,
                  budget_bytes: int = DEFAULT_SCALE_BUDGET_BYTES,
-                 spill_dir: Optional[str] = None,
-                 csr: Optional[CSRAdjacency] = None,
-                 parent: Optional["TiledStore"] = None) -> None:
+                 spill_dir: Optional[str] = None) -> None:
         if length_bound < 1:
             raise ConfigurationError(
                 f"length_bound must be >= 1, got {length_bound}")
         if budget_bytes <= 0:
             raise ConfigurationError(
                 f"budget_bytes must be positive, got {budget_bytes}")
-        if parent is not None:
-            if length_bound > parent.length_bound:
-                raise ConfigurationError(
-                    f"thresholded child bound {length_bound} exceeds the "
-                    f"parent's {parent.length_bound}")
-            self.num_vertices = parent.num_vertices
-        else:
-            if csr is None:
-                if graph is None:
-                    raise ConfigurationError(
-                        "TiledStore needs a graph, a CSR snapshot, or a parent")
-                csr = CSRAdjacency.from_graph(graph)
-            self.num_vertices = csr.num_vertices
-        self._csr = csr
-        self._parent = parent
+        self._csr = CSRAdjacency.from_graph(graph)
+        self.num_vertices = self._csr.num_vertices
         self.length_bound = int(length_bound)
         self.dtype = distance_dtype(length_bound)
         n = self.num_vertices
@@ -516,12 +502,6 @@ class TiledStore(DistanceStore):
     def _compute_tile(self, tile_id: int) -> np.ndarray:
         start, stop = self._tile_span(tile_id)
         sources = np.arange(start, stop, dtype=np.int64)
-        if self._parent is not None:
-            slab = self._parent.rows(sources)
-            over = slab > self.length_bound
-            tile = slab.astype(self.dtype)
-            tile[over] = self.sentinel
-            return tile
         return csr_bounded_rows(self._csr, sources, self.length_bound,
                                 dtype=self.dtype)
 
@@ -622,23 +602,3 @@ class TiledStore(DistanceStore):
         for start, slab in self.blocks():
             out[start:start + len(slab)] = slab
         return out
-
-    def thresholded(self, length_bound: int, *,
-                    tile_rows: Optional[int] = None,
-                    budget_bytes: Optional[int] = None,
-                    spill_dir: Optional[str] = None) -> "TiledStore":
-        """A private child store truncated at ``length_bound``.
-
-        Tiles are derived lazily by per-tile thresholding of this store's
-        tiles (computed at most once here, shared by every child), so an
-        L-sweep group keeps the dense tier's economics: one logical
-        distance computation at the group's L_max serves every smaller L.
-        The child owns its own LRU cache and spill file and is free to be
-        edited by a session; this parent stays read-only.
-        """
-        child = TiledStore(
-            None, length_bound, parent=self,
-            tile_rows=self.tile_rows if tile_rows is None else tile_rows,
-            budget_bytes=self._budget if budget_bytes is None else budget_bytes,
-            spill_dir=self._spill_dir if spill_dir is None else spill_dir)
-        return child

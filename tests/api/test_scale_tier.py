@@ -2,20 +2,23 @@
 
 The contract under test: a grid run with ``scale_tier="tiled"`` produces
 responses bit-identical to the dense tier on every execution path (serial,
-shm pool), while never materializing a dense L_max matrix in the parent —
-and an explicit ``dense`` request over budget fails up front with an error
-naming the tiled tier instead of dying on an opaque ``MemoryError``.
+shm pool), while never materializing a dense L_max matrix — each tiled
+session computes its own tiles at its own L — and an explicit ``dense``
+request over budget fails up front with an error naming the tiled tier
+instead of dying on an opaque ``MemoryError``.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.api import AnonymizationRequest, ExecutionCache, GridRequest, run_grid
 from repro.api.requests import request_fingerprint
-from repro.api.shm import SharedSampleArena, TiledMatrixSpec, attach_arena
+from repro.api.shm import SharedSampleArena, attach_arena
 from repro.errors import ConfigurationError
 from repro.graph.distance import bounded_distance_matrix
-from repro.graph.distance_store import CSRAdjacency, DistanceStore, TiledStore
+from repro.graph.distance_store import TiledStore
 from repro.graph.graph import Graph
 
 BASE = AnonymizationRequest(dataset="gnutella", sample_size=30, seed=0)
@@ -77,30 +80,32 @@ class TestExecutionCacheTiers:
         served = cache.distances_for(BASE, 2)
         assert isinstance(served, np.ndarray)
 
-    def test_tiled_tier_serves_stores(self):
+    def test_tiled_tier_serves_nothing(self):
+        # A tiled session builds its own store at its own L.
         cache = ExecutionCache()
-        served = cache.distances_for(TILED, 2)
-        assert isinstance(served, DistanceStore)
-        assert served.length_bound == TILED.length_threshold
-        graph = cache.graph_for(TILED)
-        np.testing.assert_array_equal(
-            served.to_array(),
-            bounded_distance_matrix(graph, TILED.length_threshold))
+        assert cache.distances_for(TILED, 2) is None
+        assert cache.base_for(TILED, 3) is None
+        assert cache.distance_computes == 0
 
-    def test_one_logical_compute_serves_both_thresholds(self):
+    def test_one_compute_serves_both_thresholds(self):
         cache = ExecutionCache()
-        cache.distances_for(TILED, 3)
-        cache.distances_for(TILED.with_overrides(length_threshold=2), 3)
+        graph = cache.graph_for(BASE)
+        for length in (3, 2):
+            np.testing.assert_array_equal(
+                cache.distances_for(
+                    BASE.with_overrides(length_threshold=length), 3),
+                bounded_distance_matrix(graph, length))
         assert cache.distance_computes == 1
 
-    def test_config_change_rebuilds_the_cache(self):
+    def test_each_request_resolves_its_own_tier(self):
         cache = ExecutionCache()
-        dense = cache.distances_for(BASE, 2)
-        tiled = cache.distances_for(TILED, 2)
-        assert isinstance(dense, np.ndarray)
-        assert isinstance(tiled, DistanceStore)
-        # The retired dense compute stays counted alongside the new one.
-        assert cache.distance_computes == 2
+        assert cache.distances_for(TILED, 2) is None
+        assert isinstance(cache.distances_for(BASE, 2), np.ndarray)
+        assert cache.distances_for(TILED, 2) is None
+        # Another budget on the dense tier reuses the one base.
+        assert isinstance(cache.distances_for(BASE.with_overrides(
+            scale_budget_bytes=1 << 20), 2), np.ndarray)
+        assert cache.distance_computes == 1
 
     def test_explicit_dense_over_budget_raises_the_guard(self):
         from repro.errors import DistanceMemoryError
@@ -126,10 +131,10 @@ class TestTiledGridAcceptance:
         assert tiled.ok
         for ours, theirs in zip(tiled.responses, dense.responses):
             assert_response_parity(ours, theirs)
-        # One logical distance computation (the shared L_max tile base)
-        # serves the whole tiled grid, like the dense tier.
+        # Each tiled session computes its own tiles: the grid computes
+        # no L_max base.
         assert tiled.num_sample_loads == 1
-        assert tiled.num_distance_computes == 1
+        assert tiled.num_distance_computes == 0
 
     def test_shm_tiled_matches_serial_dense(self):
         dense = run_grid(self.DENSE_GRID, max_workers=0)
@@ -137,8 +142,8 @@ class TestTiledGridAcceptance:
         assert tiled.ok
         for ours, theirs in zip(tiled.responses, dense.responses):
             assert_response_parity(ours, theirs)
-        # The parent never runs a distance engine on the tiled plane — it
-        # publishes the CSR arrays and the workers expand tiles lazily.
+        # The parent publishes the edges alone and each worker's session
+        # computes its own tiles.
         assert tiled.num_sample_loads == 1
         assert tiled.num_distance_computes == 0
 
@@ -166,44 +171,98 @@ class TestTiledGridAcceptance:
             assert_response_parity(ours, theirs)
 
 
-class TestShmTiledPlane:
-    def test_publish_and_attach_tiled_descriptor(self):
-        graph = small_graph()
-        spec = TiledMatrixSpec(budget_bytes=1 << 16)
-        arena = SharedSampleArena.publish(graph, spec, 3)
-        try:
-            descriptor = arena.descriptor
-            assert descriptor.l_max == 3
-            assert descriptor.matrix is None
-            assert descriptor.tiled is not None
-            attached = attach_arena(descriptor)
-            assert attached.graph == graph
-            cache = attached.cache
-            assert cache.tier == "tiled"
-            assert cache.compute_count == 0
-            store = cache.store(2)
-            np.testing.assert_array_equal(
-                store.to_array(), bounded_distance_matrix(graph, 2))
-        finally:
-            arena.unlink()
+def record_constructions(monkeypatch, path):
+    """Append ``kind pid L`` for each tiled store and distance session built.
 
-    def test_tiled_arena_publishes_only_its_edges(self):
+    Records go to a file, so forked pool workers report theirs too.
+    """
+    from repro.graph.distance_delta import DistanceSession
+
+    def spy(cls, kind):
+        init = cls.__init__
+
+        def spy_init(self, graph, length_bound, *args, **kwargs):
+            with open(path, "a") as log:
+                log.write(f"{kind} {os.getpid()} {length_bound}\n")
+            init(self, graph, length_bound, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy_init)
+
+    spy(TiledStore, "store")
+    spy(DistanceSession, "session")
+
+
+def read_constructions(path):
+    if not path.exists():
+        return []
+    return [(kind, int(pid), int(length)) for kind, pid, length
+            in (line.split() for line in path.read_text().splitlines())]
+
+
+class TestTiledGridSessionsOwnTheirStores:
+    """A tiled grid shares its sample, not a tile base: every tiled session
+    builds one store at its own L, on every route."""
+
+    AXES = dict(algorithms=("rem", "rem-ins"), length_thresholds=(2, 3),
+                thetas=(0.5, 0.3))
+    REQUEST = BASE.with_overrides(insertion_candidate_cap=20, max_steps=3)
+    DENSE_GRID = GridRequest.from_axes(REQUEST, **AXES)
+    TILED_GRID = GridRequest.from_axes(
+        REQUEST.with_overrides(scale_tier="tiled", scale_budget_bytes=1024),
+        **AXES)
+
+    @pytest.mark.parametrize("max_workers,shared_memory",
+                             ((0, None), (2, True), (2, False)),
+                             ids=("serial", "pooled-shm", "pooled-own-sample"))
+    def test_tiled_grid_matches_dense_with_no_base(
+            self, max_workers, shared_memory, monkeypatch, tmp_path):
+        import multiprocessing
+
+        # The spies reach the pool workers only when they are forked.
+        assert multiprocessing.get_context().get_start_method() == "fork"
+        dense = run_grid(self.DENSE_GRID, max_workers=0)
+        assert dense.ok
+        assert any(response.num_steps for response in dense.responses)
+        log = tmp_path / "constructions.log"
+        record_constructions(monkeypatch, log)
+        tiled = run_grid(self.TILED_GRID, max_workers=max_workers,
+                         shared_memory=shared_memory)
+        assert tiled.ok
+        for ours, theirs in zip(tiled.responses, dense.responses):
+            assert_response_parity(ours, theirs)
+        assert 1 <= tiled.num_sample_loads <= max(1, max_workers)
+        assert tiled.num_distance_computes == 0
+        built = read_constructions(log)
+        stores = sorted(length for kind, _, length in built if kind == "store")
+        sessions = sorted(length for kind, _, length in built
+                          if kind == "session")
+        # One store per session, at the session's own L: no L_max base.
+        assert set(sessions) == {2, 3}
+        assert stores == sessions
+        if max_workers:
+            assert os.getpid() not in {pid for _, pid, _ in built}
+
+
+class TestShmTiledPlane:
+    def test_tiled_arena_publishes_only_its_edges(self, monkeypatch):
         import glob
 
-        graph = small_graph()
-        arena = SharedSampleArena.publish(
-            graph, TiledMatrixSpec(budget_bytes=1 << 16), 3)
-        try:
-            assert glob.glob(f"/dev/shm/{arena.token}*") == \
-                [f"/dev/shm/{arena.token}-edges"]
-            assert arena.descriptor.tiled == 1 << 16
-            # Workers derive the parent's CSR from the shared edges.
-            csr = attach_arena(arena.descriptor).cache.base_store()._csr
-            expected = CSRAdjacency.from_graph(graph)
-            np.testing.assert_array_equal(csr.indptr, expected.indptr)
-            np.testing.assert_array_equal(csr.indices, expected.indices)
-        finally:
-            arena.unlink()
+        published = []
+        publish = SharedSampleArena.publish.__func__
+
+        def record(cls, graph, base=None, l_max=None):
+            arena = publish(cls, graph, base, l_max)
+            published.append((arena.descriptor,
+                              glob.glob(f"/dev/shm/{arena.token}*")))
+            return arena
+
+        monkeypatch.setattr(SharedSampleArena, "publish", classmethod(record))
+        grid = GridRequest.from_axes(TILED, length_thresholds=(2, 3),
+                                     thetas=(0.8, 0.6))
+        assert run_grid(grid, max_workers=2).ok
+        ((descriptor, segments),) = published
+        assert (descriptor.matrix, descriptor.l_max) == (None, None)
+        assert segments == [f"/dev/shm/{descriptor.token}-edges"]
 
     def test_dense_segments_keep_their_narrow_dtype(self):
         graph = small_graph()
@@ -214,7 +273,6 @@ class TestShmTiledPlane:
             _segment, dtype_str = arena.descriptor.matrix
             assert np.dtype(dtype_str) == np.uint8
             assert arena.descriptor.l_max == 2
-            assert arena.descriptor.tiled is None
             attached = attach_arena(arena.descriptor)
             served = attached.cache.base_matrix()
             assert served.dtype == np.uint8

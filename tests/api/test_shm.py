@@ -84,6 +84,31 @@ class TestArenaRoundTrip:
         finally:
             arena.unlink()
 
+    def test_attach_rebuilds_the_graph_without_per_edge_calls(
+            self, monkeypatch):
+        graph = BASE.resolve_graph()
+        arena = SharedSampleArena.publish(graph)
+        try:
+            def refuse(*args, **kwargs):
+                raise AssertionError("per-edge call during attach")
+
+            monkeypatch.setattr(Graph, "add_edge", refuse)
+            monkeypatch.setattr(Graph, "add_edge_if_absent", refuse)
+            attached = attach_arena(arena.descriptor)
+            monkeypatch.undo()
+            rebuilt = attached.graph
+            assert rebuilt == graph
+            assert rebuilt.num_edges == graph.num_edges
+            assert [rebuilt.neighbors(v) for v in range(graph.num_vertices)] \
+                == [graph.neighbors(v) for v in range(graph.num_vertices)]
+            # The rebuilt graph is an ordinary, editable graph.
+            u, v = map(int, graph.edge_array()[0])
+            rebuilt.remove_edge(u, v)
+            assert not rebuilt.has_edge(u, v)
+            assert graph.has_edge(u, v)
+        finally:
+            arena.unlink()
+
     def test_edgeless_graph_publishes_without_segment(self):
         graph = Graph(4, edges=[])
         arena = SharedSampleArena.publish(graph)
@@ -106,7 +131,7 @@ class TestArenaRoundTrip:
             clone = pickle.loads(payload)
             assert clone == arena.descriptor
             assert clone.l_max == 2
-            assert clone.matrix is not None and clone.tiled is None
+            assert clone.matrix is not None
         finally:
             arena.unlink()
 
@@ -147,6 +172,27 @@ class TestArenaAdoption:
                 cache.distances_for(BASE, 2),
                 LMaxDistanceCache(graph, 2).matrix(BASE.length_threshold))
             assert cache.sample_loads == 0
+            assert cache.distance_computes == 0
+        finally:
+            arena.unlink()
+
+    def test_adopted_base_serves_each_request_its_own_tier(self):
+        from repro.errors import DistanceMemoryError
+
+        graph = BASE.resolve_graph()
+        arena = SharedSampleArena.publish(
+            graph, bounded_distance_matrix(graph, 2), 2)
+        try:
+            cache = ExecutionCache()
+            cache.adopt_arena(BASE, arena.descriptor)
+            # A tiled request builds its own store; an explicit dense one
+            # over budget fires its own guard, whatever the arena holds.
+            assert cache.distances_for(BASE.with_overrides(
+                scale_tier="tiled", scale_budget_bytes=1024), 2) is None
+            with pytest.raises(DistanceMemoryError, match="tiled"):
+                cache.distances_for(BASE.with_overrides(
+                    scale_tier="dense", scale_budget_bytes=64), 2)
+            assert isinstance(cache.distances_for(BASE, 2), np.ndarray)
             assert cache.distance_computes == 0
         finally:
             arena.unlink()

@@ -245,8 +245,8 @@ class TestNoDistanceState:
         assert response.ok
         assert response.num_sample_loads == 1
         assert response.num_distance_computes == 0
-        assert [(descriptor.matrix, descriptor.tiled, descriptor.l_max)
-                for descriptor in published] == [(None, None, None)]
+        assert [(descriptor.matrix, descriptor.l_max)
+                for descriptor in published] == [(None, None)]
 
 
 class TestL1GridComputesNoBase:

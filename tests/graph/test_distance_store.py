@@ -283,32 +283,6 @@ class TestTiledStore:
         tiled.write_rows(rows, new_rows.copy())
         np.testing.assert_array_equal(tiled.to_array(), dense.to_array())
 
-    def test_thresholded_child_matches_dense_thresholding(self):
-        graph = sample_graph(30)
-        base = TiledStore(graph, 3, tile_rows=6)
-        child = base.thresholded(1)
-        np.testing.assert_array_equal(
-            child.to_array(), bounded_distance_matrix(graph, 1))
-        # The child derives from the parent's tiles, shared across children.
-        assert base.tile_computes > 0
-        assert child.length_bound == 1
-
-    def test_thresholded_bound_cannot_exceed_the_parent(self):
-        base = TiledStore(sample_graph(10), 2)
-        with pytest.raises(ConfigurationError, match="exceeds"):
-            base.thresholded(3)
-
-    def test_csr_snapshot_construction_needs_no_graph(self):
-        graph = sample_graph(22)
-        csr = CSRAdjacency.from_graph(graph)
-        store = TiledStore(None, 2, csr=csr)
-        np.testing.assert_array_equal(
-            store.to_array(), bounded_distance_matrix(graph, 2))
-
-    def test_construction_without_any_source_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="graph"):
-            TiledStore(None, 2)
-
     def test_edgeless_and_tiny_graphs(self):
         for graph in (Graph(4, edges=[]), Graph(1, edges=[])):
             store = TiledStore(graph, 2)

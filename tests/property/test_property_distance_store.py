@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.distance import available_engines, bounded_distance_matrix
-from repro.graph.distance_store import CSRAdjacency, DenseStore, TiledStore
+from repro.graph.distance_store import DenseStore, TiledStore
 from tests.property.strategies import graphs, length_bounds
 
 tile_rows_values = st.integers(min_value=1, max_value=6)
@@ -61,27 +61,12 @@ class TestTiledDenseEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_csr_snapshot_agrees_with_every_engine(self, graph, length_bound,
                                                    tile_rows):
-        csr = CSRAdjacency.from_graph(graph)
-        tiled = TiledStore(None, length_bound, csr=csr, tile_rows=tile_rows)
+        tiled = TiledStore(graph, length_bound, tile_rows=tile_rows)
         out = tiled.to_array()
         for engine in available_engines():
             reference = bounded_distance_matrix(graph, length_bound,
                                                 engine=engine)
             np.testing.assert_array_equal(out, reference, err_msg=engine)
-
-    @given(graphs(), st.integers(min_value=2, max_value=4), tile_rows_values,
-           budget_values)
-    @settings(max_examples=40, deadline=None)
-    def test_thresholded_children_match_dense_thresholding(
-            self, graph, l_max, tile_rows, budget):
-        base = TiledStore(graph, l_max, tile_rows=tile_rows,
-                          budget_bytes=budget)
-        for length in range(1, l_max + 1):
-            reference = bounded_distance_matrix(graph, length)
-            child = base.thresholded(length)
-            out = child.to_array()
-            assert out.dtype == reference.dtype
-            np.testing.assert_array_equal(out, reference)
 
     @given(graphs(min_vertices=3), length_bounds, tile_rows_values,
            budget_values, st.data())
