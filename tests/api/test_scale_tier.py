@@ -87,7 +87,7 @@ class TestExecutionCacheTiers:
         assert cache.base_for(TILED, 3) is None
         assert cache.distance_computes == 0
 
-    def test_one_compute_serves_both_thresholds(self):
+    def test_one_logical_compute_serves_both_thresholds(self):
         cache = ExecutionCache()
         graph = cache.graph_for(BASE)
         for length in (3, 2):
@@ -244,6 +244,25 @@ class TestTiledGridSessionsOwnTheirStores:
 
 
 class TestShmTiledPlane:
+    def test_publish_and_attach_tiled_descriptor(self):
+        # A tiled sample is published as its edges alone: the worker
+        # rebuilds the graph and gets no distance cache to adopt.
+        graph = small_graph()
+        arena = SharedSampleArena.publish(graph)
+        try:
+            descriptor = arena.descriptor
+            assert (descriptor.matrix, descriptor.l_max) == (None, None)
+            attached = attach_arena(descriptor)
+            assert attached.graph == graph
+            assert attached.cache is None
+            cache = ExecutionCache()
+            cache.adopt_arena(TILED, descriptor)
+            assert cache.distances_for(TILED, 3) is None
+            assert cache.graph_for(TILED) == graph
+            assert (cache.sample_loads, cache.distance_computes) == (0, 0)
+        finally:
+            arena.unlink()
+
     def test_tiled_arena_publishes_only_its_edges(self, monkeypatch):
         import glob
 

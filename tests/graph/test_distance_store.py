@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError, DistanceMemoryError
 from repro.graph.distance import bounded_distance_matrix
+from repro.graph.distance_cache import LMaxDistanceCache
 from repro.graph.distance_store import (
     DEFAULT_SCALE_BUDGET_BYTES,
     CSRAdjacency,
@@ -282,6 +283,21 @@ class TestTiledStore:
         dense.write_rows(rows, new_rows.copy())
         tiled.write_rows(rows, new_rows.copy())
         np.testing.assert_array_equal(tiled.to_array(), dense.to_array())
+
+    def test_thresholded_child_matches_dense_thresholding(self):
+        # A tiled session builds its own store at its own L; it must equal
+        # the child a dense grid thresholds from its L_max base.
+        graph = sample_graph(30)
+        base = LMaxDistanceCache(graph, 3)
+        for length in (1, 2, 3):
+            store = TiledStore(graph, length, tile_rows=6)
+            child = base.matrix(length)
+            out = store.to_array()
+            assert out.dtype == child.dtype
+            np.testing.assert_array_equal(out, child)
+            assert store.tile_computes > 0
+            assert store.length_bound == length
+        assert base.compute_count == 1
 
     def test_edgeless_and_tiny_graphs(self):
         for graph in (Graph(4, edges=[]), Graph(1, edges=[])):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.distance import available_engines, bounded_distance_matrix
+from repro.graph.distance_cache import threshold_distances
 from repro.graph.distance_store import DenseStore, TiledStore
 from tests.property.strategies import graphs, length_bounds
 
@@ -67,6 +68,21 @@ class TestTiledDenseEquivalence:
             reference = bounded_distance_matrix(graph, length_bound,
                                                 engine=engine)
             np.testing.assert_array_equal(out, reference, err_msg=engine)
+
+    @given(graphs(), st.integers(min_value=2, max_value=4), tile_rows_values,
+           budget_values)
+    @settings(max_examples=40, deadline=None)
+    def test_thresholded_children_match_dense_thresholding(
+            self, graph, l_max, tile_rows, budget):
+        # Each tiled session's own store at L equals the dense L_max base
+        # thresholded to L, so tiled and dense grids agree without a base.
+        base = bounded_distance_matrix(graph, l_max)
+        for length in range(1, l_max + 1):
+            reference = threshold_distances(base, length)
+            out = TiledStore(graph, length, tile_rows=tile_rows,
+                             budget_bytes=budget).to_array()
+            assert out.dtype == reference.dtype
+            np.testing.assert_array_equal(out, reference)
 
     @given(graphs(min_vertices=3), length_bounds, tile_rows_values,
            budget_values, st.data())
