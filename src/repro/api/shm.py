@@ -46,7 +46,7 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -206,7 +206,9 @@ class AttachedArena:
     """A worker's read-only window onto a published sample group.
 
     ``graph`` is rebuilt from the shared edge array (one pass filling the
-    neighbour sets, no disk I/O, no n² copy); ``cache`` wraps the shared
+    neighbour sets, no disk I/O, no n² copy), and a private copy of the
+    array's codes is its edge snapshot, so its first ``edge_array()``
+    sorts nothing; ``cache`` wraps the shared
     L_max base (``None`` without one) in a
     :class:`~repro.graph.distance_cache.LMaxDistanceCache` whose
     ``compute_count`` stays 0 — thresholded *copies* are only made
@@ -225,20 +227,18 @@ class AttachedArena:
 def attach_arena(descriptor: ArenaDescriptor) -> AttachedArena:
     """Attach a published arena and rebuild its graph and distance cache."""
     segments = []
-    adjacency: List[Set[int]] = [set() for _ in range(descriptor.num_vertices)]
+    n = descriptor.num_vertices
+    codes = np.empty(0, dtype=_EDGE_DTYPE)
     if descriptor.edges_segment is not None:
         segment, view = _attach_view(descriptor.edges_segment,
                                      (descriptor.num_edges, 2), _EDGE_DTYPE)
         segments.append(segment)
         # The parent's own edge snapshot: sorted, canonical and simple, so
-        # the sets are filled unchecked, as the generators fill theirs.
-        for u, v in view.tolist():
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    graph = Graph._from_adjacency(adjacency, descriptor.num_edges)
+        # its codes (a private copy) are the worker graph's snapshot too.
+        codes = view[:, 0] * n + view[:, 1]
+    graph = Graph._from_codes(n, codes)
     cache: Optional[LMaxDistanceCache] = None
     if descriptor.matrix is not None:
-        n = descriptor.num_vertices
         segment_name, dtype_str = descriptor.matrix
         segment, view = _attach_view(segment_name, (n, n),
                                      np.dtype(dtype_str))

@@ -409,18 +409,25 @@ class OpacitySession:
         snapshot (:meth:`Graph.edge_array`), which :meth:`apply_edit`
         carries forward; read-only.  ``type_mask`` (a flag per type, in type
         order) keeps only the edges whose pair type is flagged, by the type
-        positions the session keeps aligned with the snapshot.
+        positions the session keeps aligned with the snapshot.  Only a
+        masked query types the edges; the session then carries the types
+        across every applied edit.
         """
         edges = self._graph.edge_array()
-        if self._edge_types is None:
-            self._edge_types = self._computer.type_indices(edges[:, 0],
-                                                           edges[:, 1])
         if type_mask is not None:
             # ``np.compress`` selects whole rows several times faster than
             # a boolean row index into an (m, 2) array.
-            edges = np.compress(np.append(type_mask, False)[self._edge_types],
+            edges = np.compress(np.append(type_mask, False)[self._typed_edges()],
                                 edges, axis=0)
         return edges[:, 0], edges[:, 1]
+
+    def _typed_edges(self) -> np.ndarray:
+        """The type position of each edge, aligned with the graph's snapshot."""
+        if self._edge_types is None:
+            edges = self._graph.edge_array()
+            self._edge_types = self._computer.type_indices(edges[:, 0],
+                                                           edges[:, 1])
+        return self._edge_types
 
     def evaluate_edit(self, removals: Sequence[Edge] = (),
                       insertions: Sequence[Edge] = ()) -> CandidateOutcome:
@@ -777,9 +784,8 @@ class OpacitySession:
     def _init_counts(self) -> None:
         self._totals = self._computer.type_order[1]
         if self._computer.length_threshold == 1:
-            self.edge_endpoints()
             self._withins = np.bincount(
-                self._edge_types, minlength=self._totals.size + 1
+                self._typed_edges(), minlength=self._totals.size + 1
             )[:self._totals.size]
         else:
             self._withins = self._computer.within_counts(self._distance.store)

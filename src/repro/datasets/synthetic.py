@@ -16,6 +16,14 @@ anonymization algorithms face workloads of the same character:
 
 After generation the edge count is nudged to the exact target by random
 insertions/removals so the distortion denominators match the paper's setup.
+
+RNG contract: one :class:`random.Random` per sample, seeded with the
+sample's seed, is carried from the generator into the adjustment, and
+every random integer is read from its words exactly as CPython's
+``randrange``/``choice`` read them (3.10 onwards; see
+:mod:`repro.graph.generators`).  A sample is therefore the same edge set,
+draw for draw, as the one the ``randrange``/``choice`` implementations
+built; ``SAMPLE_DIGESTS`` in ``tests/datasets/test_synthetic.py`` pins it.
 """
 
 from __future__ import annotations
@@ -65,11 +73,13 @@ def _adjust_edge_count(graph: Graph, target_edges: int, rng: random.Random) -> G
     """Randomly add or remove edges until ``graph`` has exactly ``target_edges``.
 
     The draws are made first, in local loops, and applied as one
-    :meth:`Graph.edit`.
+    :meth:`Graph.edit`.  Each is an inlined ``randrange`` (the module
+    docstring's RNG contract): a trim draws an index into the edges left,
+    a pad draws ``u`` then ``v`` below ``n``.
     """
     n = graph.num_vertices
     target_edges = min(target_edges, n * (n - 1) // 2)
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     removals = []
     if graph.num_edges > target_edges:
         # One sorted list, kept in step by popping each drawn edge: the
@@ -77,17 +87,28 @@ def _adjust_edge_count(graph: Graph, target_edges: int, rng: random.Random) -> G
         # It holds the edges' ``u·n + v`` codes, in edge order: plain ints
         # are no work for the garbage collector, m tuples would be.
         codes = graph.edge_codes().tolist()
-        while len(codes) > target_edges:
-            removals.append(divmod(codes.pop(randrange(len(codes))), n))
+        size = len(codes)
+        while size > target_edges:
+            bits = size.bit_length()
+            index = getrandbits(bits)
+            while index >= size:
+                index = getrandbits(bits)
+            removals.append(divmod(codes.pop(index), n))
+            size -= 1
     insertions = {}  # insertion-ordered, so edited in draw order
     missing = target_edges - graph.num_edges
-    while len(insertions) < missing:
-        u = randrange(n)
-        v = randrange(n)
-        if u != v:
-            edge = (u, v) if u < v else (v, u)
-            if edge not in insertions and v not in graph.adjacency(u):
-                insertions[edge] = None
+    if missing > 0:
+        adjacency = list(map(graph.adjacency, range(n)))
+        bits = n.bit_length()
+        while len(insertions) < missing:
+            u = getrandbits(bits)
+            while u >= n:
+                u = getrandbits(bits)
+            v = getrandbits(bits)
+            while v >= n:
+                v = getrandbits(bits)
+            if u != v and v not in adjacency[u]:
+                insertions[(u, v) if u < v else (v, u)] = None
     if removals or insertions:
         graph.edit(removals, insertions)
     return graph

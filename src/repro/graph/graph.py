@@ -340,12 +340,14 @@ class Graph:
         """
         changed: Dict[Edge, bool] = {}
         checked: Tuple[List[Edge], List[Edge]] = ([], [])
+        n = self._num_vertices
         for present, edges, out in ((False, removals, checked[0]),
                                     (True, insertions, checked[1])):
             for u, v in edges:
                 edge = normalize_edge(int(u), int(v))
-                self._check_vertex(edge[0])
-                self._check_vertex(edge[1])
+                if edge[0] < 0 or edge[1] >= n:
+                    self._check_vertex(edge[0])
+                    self._check_vertex(edge[1])
                 if changed.get(edge, edge[1] in self._adjacency[edge[0]]) == present:
                     state = "already present" if present else "not present"
                     raise InvalidEdgeError(f"edge {edge} {state}")
@@ -511,6 +513,24 @@ class Graph:
         graph._adjacency = adjacency
         graph._num_edges = (sum(map(len, adjacency)) // 2
                             if num_edges is None else num_edges)
+        return graph
+
+    @classmethod
+    def _from_codes(cls, num_vertices: int, codes: np.ndarray) -> "Graph":
+        """Adopt ``codes``, the sorted distinct ``u·n + v`` (``u < v``) of the edges.
+
+        The codes become the graph's edge snapshot, so its first
+        :meth:`edge_array` sorts nothing; the neighbour sets are filled
+        from the decoded rows in one local loop, unchecked.  ``codes`` is
+        taken as it is and made read-only.
+        """
+        adjacency: List[Set[int]] = [set() for _ in range(num_vertices)]
+        graph = cls._from_adjacency(adjacency, codes.size)
+        graph._adopt_snapshot(codes)
+        edges = graph._edge_array
+        for u, v in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
+            adjacency[u].add(v)
+            adjacency[v].add(u)
         return graph
 
     @classmethod

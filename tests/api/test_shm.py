@@ -109,6 +109,35 @@ class TestArenaRoundTrip:
         finally:
             arena.unlink()
 
+    def test_attach_adopts_the_published_snapshot_without_a_sort(
+            self, monkeypatch):
+        graph = BASE.resolve_graph()
+        published = graph.edge_array()
+        arena = SharedSampleArena.publish(graph)
+        try:
+            attached = attach_arena(arena.descriptor)
+            sorts = []
+            real_sort = np.sort
+
+            def spy(*args, **kwargs):
+                sorts.append(args)
+                return real_sort(*args, **kwargs)
+
+            monkeypatch.setattr(np, "sort", spy)
+            adopted = attached.graph.edge_array()
+            monkeypatch.undo()
+            assert sorts == []
+            np.testing.assert_array_equal(adopted, published)
+            np.testing.assert_array_equal(attached.graph.edge_codes(),
+                                          graph.edge_codes())
+            assert not adopted.flags.writeable
+            # A private copy: it outlives the arena's segments.
+            assert not np.shares_memory(attached.graph.edge_codes(),
+                                        attached.segments[0].buf)
+        finally:
+            arena.unlink()
+        assert attached.graph.edge_codes().tolist() == graph.edge_codes().tolist()
+
     def test_edgeless_graph_publishes_without_segment(self):
         graph = Graph(4, edges=[])
         arena = SharedSampleArena.publish(graph)

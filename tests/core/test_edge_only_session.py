@@ -32,6 +32,12 @@ not ``tiled``.  A spy on numpy's array constructors checks that a run on
 the tiled tier, or under a budget below the planes' bytes, makes no array
 of that many entries, so the tiled tier still holds no ``n²`` state; a
 default-budget run makes and holds both planes.
+
+A session types its edges only when something reads the types: the
+L = 1 opening count, or a masked :meth:`OpacitySession.edge_endpoints`
+query (the L = 1 pruning pass, GADED).  A spy shows that an L = 2 ``rem``
+or ``rem-ins`` run never carries edge types across an edit, and runs that
+do type their edges match runs that type them when the session opens.
 """
 
 from __future__ import annotations
@@ -465,6 +471,65 @@ class TestL2AppliesFromCounts:
                 OpacityComputer(DegreePairTyping(graph), length), graph)
             with pytest.raises(ValueError, match=f"L = {length}"):
                 session.distance_rows([0])
+
+
+@pytest.fixture
+def edge_type_folds(monkeypatch):
+    """The ``_fold_edge_types`` and ``apply_edit`` calls of every session."""
+    folds, applied = [], []
+    fold, apply_edit = OpacitySession._fold_edge_types, OpacitySession.apply_edit
+
+    def spy_fold(self, *args):
+        folds.append(self._computer.length_threshold)
+        return fold(self, *args)
+
+    def spy_apply(self, removals=(), insertions=()):
+        applied.append(self._computer.length_threshold)
+        return apply_edit(self, removals, insertions)
+
+    monkeypatch.setattr(OpacitySession, "_fold_edge_types", spy_fold)
+    monkeypatch.setattr(OpacitySession, "apply_edit", spy_apply)
+    return folds, applied
+
+
+def eagerly_typed(monkeypatch):
+    """Make every session type its edges when it opens, as all L once did."""
+    init = OpacitySession.__init__
+
+    def typed_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._typed_edges()
+
+    monkeypatch.setattr(OpacitySession, "__init__", typed_init)
+
+
+class TestEdgeTypesOnDemand:
+    @pytest.mark.parametrize("tier", ("dense", "tiled"))
+    @pytest.mark.parametrize("algorithm", ("rem", "rem-ins"))
+    def test_l2_runs_never_carry_edge_types(self, edge_type_folds, algorithm,
+                                            tier):
+        folds, applied = edge_type_folds
+        _run(algorithm, 2, tier)
+        assert applied  # premise: edits were applied
+        assert folds == []
+
+    @pytest.mark.parametrize("algorithm,length", [
+        ("rem", 1), ("rem-ins", 1), ("gaded-max", 1), ("gaded-rand", 1)])
+    def test_typed_runs_match_eagerly_typed_runs(self, edge_type_folds,
+                                                 monkeypatch, algorithm,
+                                                 length):
+        folds, _ = edge_type_folds
+        request = BASE.with_overrides(algorithm=algorithm,
+                                      length_threshold=length)
+        response = anonymize(request)
+        assert response.error is None
+        assert response.num_steps > 0
+        assert folds  # the L = 1 count and GADED's masked query type edges
+        eagerly_typed(monkeypatch)
+        eager = anonymize(request)
+        assert eager.anonymized_edges == response.anonymized_edges
+        assert (eager.final_opacity, eager.num_steps, eager.evaluations) == \
+            (response.final_opacity, response.num_steps, response.evaluations)
 
 
 @st.composite

@@ -55,6 +55,13 @@ look-ahead levels one combination per chunk (:func:`one_at_a_time`), so
 the product's chunking and its stop handling are checked too.  It uses
 :func:`unittest.mock.patch.object`, so it is safe inside hypothesis
 ``@given`` tests (no function-scoped fixture involved).
+
+:func:`gnm_random_graph`, :func:`powerlaw_cluster_graph` and
+:func:`adjust_edge_count` are the sample-load generators as they drew
+before they read the RNG's words directly: every draw one
+``randrange``/``choice`` call, the triangle closure over a freshly sorted
+neighbour set.  The product's word-level generators are proven against
+them draw for draw, RNG state included.
 """
 
 from __future__ import annotations
@@ -83,6 +90,8 @@ from repro.core.opacity_session import (
     ScoredBatch,
 )
 from repro.core.pair_types import PairTyping, TypeKey
+from repro.errors import ConfigurationError
+from repro.graph.generators import SeedLike, _empty_sets, _rng
 from repro.graph.graph import Edge, Graph
 
 
@@ -559,3 +568,102 @@ def response_dict_by_asdict(response) -> Dict:
     if payload["metrics"] is not None:
         payload["metrics"] = dict(payload["metrics"])
     return payload
+
+
+def gnm_random_graph(num_vertices: int, num_edges: int, seed: SeedLike = None) -> Graph:
+    """G(n, m) random graph: exactly ``num_edges`` distinct edges chosen uniformly."""
+    max_edges = num_vertices * (num_vertices - 1) // 2
+    if num_edges > max_edges:
+        raise ConfigurationError(
+            f"cannot place {num_edges} edges in a simple graph with {num_vertices} vertices")
+    randrange = _rng(seed).randrange
+    adjacency = _empty_sets(num_vertices)
+    placed = 0
+    while placed < num_edges:
+        u = randrange(num_vertices)
+        v = randrange(num_vertices)
+        if u != v and v not in adjacency[u]:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+            placed += 1
+    return Graph._from_adjacency(adjacency, placed)
+
+
+def powerlaw_cluster_graph(num_vertices: int, attachment: int,
+                           triangle_probability: float, seed: SeedLike = None) -> Graph:
+    """Holme–Kim style graph: preferential attachment plus triangle closure.
+
+    Produces scale-free degree distributions *and* tunable clustering, which
+    is the regime of the web-graph samples (Google, Berkeley-Stanford) in the
+    paper's Table 3.
+    """
+    if attachment < 1 or attachment >= num_vertices:
+        raise ConfigurationError(
+            f"attachment must be in [1, num_vertices), got {attachment} for n={num_vertices}")
+    if not 0.0 <= triangle_probability <= 1.0:
+        raise ConfigurationError("triangle_probability must be in [0, 1]")
+    rng = _rng(seed)
+    draw, choice = rng.random, rng.choice
+    adjacency = _empty_sets(num_vertices)
+    repeated: list[int] = list(range(attachment))
+    for new_vertex in range(attachment, num_vertices):
+        neighbors = adjacency[new_vertex]
+        first_target = choice(repeated)
+        while first_target == new_vertex:
+            first_target = choice(repeated)
+        if first_target not in neighbors:
+            neighbors.add(first_target)
+            adjacency[first_target].add(new_vertex)
+        repeated.append(first_target)
+        repeated.append(new_vertex)
+        added = 1
+        last_target = first_target
+        attempts = 0
+        while added < attachment and attempts < 10 * attachment:
+            attempts += 1
+            if draw() < triangle_probability and adjacency[last_target]:
+                # Close a triangle: attach to a neighbor of the previous target.
+                candidate = choice(sorted(adjacency[last_target]))
+            else:
+                candidate = choice(repeated)
+            if candidate == new_vertex or candidate in neighbors:
+                continue
+            neighbors.add(candidate)
+            adjacency[candidate].add(new_vertex)
+            repeated.append(candidate)
+            repeated.append(new_vertex)
+            last_target = candidate
+            added += 1
+    return Graph._from_adjacency(adjacency)
+
+
+def adjust_edge_count(graph: Graph, target_edges: int, rng: random.Random) -> Graph:
+    """Randomly add or remove edges until ``graph`` has exactly ``target_edges``.
+
+    The draws are made first, in local loops, and applied as one
+    :meth:`Graph.edit`.
+    """
+    n = graph.num_vertices
+    target_edges = min(target_edges, n * (n - 1) // 2)
+    randrange = rng.randrange
+    removals = []
+    if graph.num_edges > target_edges:
+        # One sorted list, kept in step by popping each drawn edge: the
+        # same draws over the same edges as re-listing after every trim.
+        # It holds the edges' ``u·n + v`` codes, in edge order: plain ints
+        # are no work for the garbage collector, m tuples would be.
+        codes = graph.edge_codes().tolist()
+        while len(codes) > target_edges:
+            removals.append(divmod(codes.pop(randrange(len(codes))), n))
+    insertions = {}  # insertion-ordered, so edited in draw order
+    missing = target_edges - graph.num_edges
+    while len(insertions) < missing:
+        u = randrange(n)
+        v = randrange(n)
+        if u != v:
+            edge = (u, v) if u < v else (v, u)
+            if edge not in insertions and v not in graph.adjacency(u):
+                insertions[edge] = None
+    if removals or insertions:
+        graph.edit(removals, insertions)
+    return graph
